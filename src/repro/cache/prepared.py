@@ -30,7 +30,8 @@ set and configuration skip the rebuild.  All fields are derived
 deterministically from the polygon content, so an artifact built by one
 engine instance is valid for any other instance with the same spec.
 Artifacts built *without* a session (``key is None``) skip the unit
-bookkeeping entirely — the throwaway path stays as cheap as before.
+bookkeeping entirely: a tile task builds every polygon's pieces and
+composes them straight from what it built, retaining nothing.
 """
 
 from __future__ import annotations
@@ -498,24 +499,31 @@ class PreparedPolygons:
             if tile_idx not in unit.coverage
         ]
 
+    def _tile_pieces(self, field: str, tile_idx: int, built: dict | None):
+        """``(pid, pieces)`` for one tile in polygon order: a unit's own
+        state, else what ``built`` supplies for it.  A unit-less
+        (throwaway) artifact holds nothing, so everything is ``built``."""
+        if self.units is None:
+            yield from (built or {}).items()
+            return
+        for pid, unit in enumerate(self.units):
+            pieces = getattr(unit, field).get(tile_idx)
+            if pieces is None and built is not None:
+                pieces = built.get(pid)
+            if pieces is not None:
+                yield pid, pieces
+
     def compose_boundary(
         self, tile_idx: int, tile, built: dict | None = None
     ) -> np.ndarray:
         """OR every polygon's outline pixels into one tile mask.
 
         ``built`` supplies pixels for units not yet carrying this tile
-        (a tile task's freshly rasterized dirty polygons).  The result is
-        bit-identical to the direct whole-set render: the same pixels are
-        set, and OR is order-free.
+        (a tile task's freshly rasterized polygons).  OR is order-free,
+        so the mask equals a direct render of the whole set.
         """
         mask = np.zeros((tile.height, tile.width), dtype=bool)
-        for pid, unit in enumerate(self.units):
-            pix = unit.boundary.get(tile_idx)
-            if pix is None and built is not None:
-                pix = built.get(pid)
-            if pix is None:
-                continue
-            ix, iy = pix
+        for _, (ix, iy) in self._tile_pieces("boundary", tile_idx, built):
             if len(ix):
                 mask[iy, ix] = True
         return mask
@@ -532,16 +540,11 @@ class PreparedPolygons:
         excluded (the accurate engine's rule — those points joined
         exactly); without one the raw pieces pass through unchanged (the
         bounded engine).  Exclusion filters each raw piece *in place of
-        the piece's own row-major order*, which reproduces the direct
+        the piece's own row-major order*, which reproduces a scalar
         builder's ``np.nonzero(mask & ~boundary)`` arrays exactly.
         """
         out: list = []
-        for pid, unit in enumerate(self.units):
-            pieces = unit.coverage.get(tile_idx)
-            if pieces is None and built is not None:
-                pieces = built.get(pid)
-            if not pieces:
-                continue
+        for pid, pieces in self._tile_pieces("coverage", tile_idx, built):
             kept: list = []
             for piece_iy, piece_ix in pieces:
                 if boundary is None:

@@ -18,17 +18,15 @@ only shifts work between the PIP path and the raster path.
 Everything that depends only on the polygon set — canvas layout,
 triangulations, the grid index, per-tile boundary masks, and per-polygon
 pixel coverage — lives in a :class:`~repro.cache.prepared.PreparedPolygons`
-artifact.  Monolithic and streamed execution share the same per-tile
-stages over that artifact, and attaching a
-:class:`~repro.cache.session.QuerySession` makes repeated queries over the
-same polygons skip the whole rebuild.
+artifact, and attaching a :class:`~repro.cache.session.QuerySession` makes
+repeated queries over the same polygons skip the whole rebuild.  The three
+steps themselves are the shared tile pipeline (:mod:`repro.core.tiles`)
+run under this engine's kernel: exact boundary stage, float64 framebuffer.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,28 +37,21 @@ from repro.cache.pyramid import (
     ensure_polygon_blocks,
 )
 from repro.cache.session import QuerySession
-from repro.core.aggregates import Aggregate, Count
-from repro.core.engine import (
-    SpatialAggregationEngine,
-    grid_pip_aggregate,
-)
+from repro.core.aggregates import Aggregate
+from repro.core.engine import grid_pip_aggregate, new_accumulators
 from repro.core.filters import FilterSet
+from repro.core.tiles import RasterJoinEngine, TileKernel
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice, ResidentPointSet
 from repro.errors import QueryError
-from repro.exec import shm
-from repro.exec.backend import ProcessBackend, TilePartial
 from repro.exec.config import EngineConfig
 from repro.geometry.polygon import PolygonSet
-from repro.graphics.fbo import FrameBuffer
-from repro.graphics.raster_line import outline_pixels, outline_pixels_many
-from repro.graphics.raster_triangle import triangle_coverage_mask
-from repro.graphics.viewport import Canvas, Viewport
+from repro.graphics.viewport import Canvas
 from repro.obs import metrics, trace
-from repro.types import AggregationResult, ExecutionStats
+from repro.types import ExecutionStats
 
 
-class AccurateRasterJoin(SpatialAggregationEngine):
+class AccurateRasterJoin(RasterJoinEngine):
     """Exact raster join: rasterization plus boundary-only PIP tests."""
 
     name = "accurate-raster"
@@ -82,7 +73,10 @@ class AccurateRasterJoin(SpatialAggregationEngine):
         # GL implementation uses 32-bit channels; in this reproduction the
         # accurate engine upgrades them to float64 so attribute sums and
         # order statistics match the PIP path bit-for-bit.
-        self.fbo_dtype = np.float64
+        self.kernel = TileKernel(
+            engine=self.name, exact=True, fbo_dtype=np.float64,
+            device=device,
+        )
         # Whether a *resident* aggregate pyramid may answer queries
         # (repro.cache.pyramid).  Building one is always explicit
         # (build_pyramid / the planner's prewarm) — with nothing built,
@@ -252,7 +246,7 @@ class AccurateRasterJoin(SpatialAggregationEngine):
         pip_grid = ensure_polygon_blocks(prepared, polygons, prepared.grid)
         for kind, col in kinds.values():
             pyramid.ensure_channel(kind, col, points)
-        accumulators = self._new_accumulators(polygons, aggregate)
+        accumulators = new_accumulators(polygons, aggregate)
         block_cells = 0
         with trace.span("pyramid-block-merge", polygons=len(polygons)):
             for pid, unit in enumerate(prepared.units):
@@ -288,7 +282,7 @@ class AccurateRasterJoin(SpatialAggregationEngine):
         return aggregate.finalize(accumulators), accumulators
 
     # ------------------------------------------------------------------
-    # Execution (monolithic and streamed share the per-tile stages)
+    # Execution
     # ------------------------------------------------------------------
     def _run(
         self,
@@ -298,780 +292,16 @@ class AccurateRasterJoin(SpatialAggregationEngine):
         filters: FilterSet,
         stats: ExecutionStats,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        prepared = self._prepare(polygons, stats)
+        member = self.member(polygons, aggregate, filters, stats)
         plan = self._pyramid_plan(
-            prepared, points, polygons, aggregate, filters, stats
+            member.prepared, points, polygons, aggregate, filters, stats
         )
         if plan is not None:
             return self._run_pyramid(
-                prepared, plan[0], plan[1], points, polygons, aggregate, stats
+                member.prepared, plan[0], plan[1], points, polygons,
+                aggregate, stats,
             )
-        columns = self.required_columns(aggregate, filters)
-        accumulators = self._new_accumulators(polygons, aggregate)
-        self._execute_tiles(
-            prepared, lambda: iter((points,)), polygons, aggregate, filters,
-            columns, accumulators, stats, points_hint=points,
-        )
+        (accumulators,) = self.run_members(
+            [member], lambda: iter((points,)), [stats], points_hint=points
+        ).accumulators
         return aggregate.finalize(accumulators), accumulators
-
-    def execute_stream(self, chunk_source, polygons, aggregate=None,
-                       filters=None):
-        """Streamed execution: boundary FBO, grid index, and polygon pass
-        are built once (per tile); only the point routing runs per chunk.
-
-        With a parallel backend, tile workers invoke (and iterate)
-        ``chunk_source`` concurrently — each call must return an
-        independent iterator (see :meth:`SpatialAggregationEngine.execute_stream`).
-        """
-        aggregate = aggregate or Count()
-        filter_set = FilterSet.coerce(filters)
-        columns = self.required_columns(aggregate, filter_set)
-        stats = ExecutionStats(engine=self.name, batches=0, passes=0)
-        with trace.query_scope(self.name) as root:
-            prepared = self._prepare(polygons, stats)
-            accumulators = self._new_accumulators(polygons, aggregate)
-            saw_chunk = self._execute_tiles(
-                prepared, chunk_source, polygons, aggregate, filter_set,
-                columns, accumulators, stats,
-            )
-            if not saw_chunk:
-                raise QueryError("chunk source produced no chunks")
-            if stats.batches == 0:
-                stats.batches = 1
-            if root is not None:
-                root.attrs.update(stats.as_span_attrs())
-        self._checkpoint_session()
-        return AggregationResult(
-            values=aggregate.finalize(accumulators),
-            channels=accumulators,
-            stats=stats,
-            trace=root,
-        )
-
-    def _execute_tiles(
-        self,
-        prepared: PreparedPolygons,
-        source: Callable[[], Iterator],
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        filters: FilterSet,
-        columns: tuple[str, ...],
-        accumulators: dict[str, np.ndarray],
-        stats: ExecutionStats,
-        points_hint: PointDataset | ResidentPointSet | None = None,
-    ) -> bool:
-        """Run the three per-tile stages; ``source()`` yields point chunks.
-
-        Tiles are independent: each task folds its own accumulators from
-        the blend identity and the partials are merged in tile-index
-        order, so the configured backend (serial, thread, or process
-        pool) never changes a single bit of the result.  Returns whether
-        any chunk was produced (streamed callers must reject an empty
-        source).
-        """
-        tiles = prepared.tiles
-        self._record_execution_env(stats, len(tiles))
-        fbo_bytes = self._max_fbo_bytes(tiles, aggregate, self.fbo_dtype)
-        parallelism = self._tile_concurrency(points_hint, columns, fbo_bytes)
-        retain = self.session is not None
-        # Partitioned point pass: scan the source once in the parent and
-        # hand each tile only its own (batch-aligned) sub-chunks; the
-        # full-scan path re-iterates the source per tile.  Results are
-        # bit-identical either way (see repro.exec.partition).
-        partitioned = self._partition_tile_chunks(
-            prepared, source, aggregate, columns, self.fbo_dtype, stats,
-            points_hint=points_hint,
-        )
-        units_mode = retain and prepared.units is not None
-        # Captured before dispatch: worker threads and forked children
-        # have no ambient tracer, so each tile task records into its own
-        # (shipped home via TilePartial.span).
-        tracing = trace.active() is not None
-
-        def run_tile(tile_idx: int, tile: Viewport) -> TilePartial:
-            return self._run_tile(
-                tile_idx, tile,
-                prepared=prepared, polygons=polygons, aggregate=aggregate,
-                filters=filters, columns=columns,
-                chunks=(
-                    source() if partitioned is None
-                    else partitioned[0][tile_idx]
-                ),
-                units_mode=units_mode, retain=retain, tracing=tracing,
-            )
-
-        # ``concurrent`` marks that child (tile) spans may overlap in
-        # wall time, so their durations can legitimately sum past the
-        # parent's — the span-containment invariant exempts it.
-        with trace.span("tiles", concurrent=self.backend.workers > 1):
-            partials = None
-            if partitioned is not None:
-                partials = self._resident_dispatch(
-                    prepared, polygons, aggregate, filters, columns,
-                    partitioned[0], units_mode, retain, tracing,
-                    parallelism, stats,
-                )
-            if partials is None:
-                partials = self._dispatch_tiles(tiles, run_tile, parallelism,
-                                                stats)
-            saw = self._merge_tile_partials(
-                partials, prepared, aggregate, accumulators, stats
-            )
-        return saw or (partitioned is not None and partitioned[1])
-
-    def _run_tile(
-        self,
-        tile_idx: int,
-        tile: Viewport,
-        *,
-        prepared: PreparedPolygons,
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        filters: FilterSet,
-        columns: tuple[str, ...],
-        chunks,
-        units_mode: bool,
-        retain: bool,
-        tracing: bool,
-    ) -> TilePartial:
-        """One whole tile task: boundary, point pass, polygon pass.
-
-        The unit every dispatch mode runs — inline, in a thread, in a
-        forked child, or (rehydrated from a state blob) in a resident
-        spawned worker.  Everything execution-context-dependent arrives
-        as an argument rather than being read off ``self`` — in
-        particular ``retain``, because a resident worker executes a
-        session-less engine clone on behalf of a session-holding parent
-        and must still build/replay coverage and ship fresh prepared
-        pieces home.
-        """
-        with trace.tile_scope(tracing, tile=tile_idx) as tile_span:
-            metrics.counter("engine_tile_tasks", engine=self.name)
-            tile_stats = ExecutionStats(
-                engine=self.name, batches=0, passes=0
-            )
-            partial_acc = self._new_accumulators(polygons, aggregate)
-            boundary, built_boundary, built_unit_boundary = (
-                self._tile_boundary(
-                    tile_idx, tile, prepared, polygons, tile_stats,
-                    units_mode,
-                )
-            )
-            fbo = self._tile_framebuffer(tile, aggregate, self.fbo_dtype)
-            saw_points = False
-            with trace.span("point-pass"):
-                for chunk in chunks:
-                    saw_points = True
-                    self._route_points(
-                        tile, boundary, fbo, chunk, polygons,
-                        prepared.grid, columns, aggregate, filters,
-                        partial_acc, tile_stats,
-                    )
-            with trace.span("polygon-pass"):
-                built_coverage, built_unit_coverage = self._polygon_pass(
-                    tile_idx, tile, prepared, boundary, fbo, polygons,
-                    aggregate, partial_acc, tile_stats, units_mode,
-                    retain=retain,
-                )
-            tile_stats.passes = 1
-            return TilePartial(
-                tile_idx, partial_acc, tile_stats, saw_points=saw_points,
-                boundary_mask=built_boundary if retain else None,
-                coverage=built_coverage if retain else None,
-                unit_boundary=built_unit_boundary if retain else None,
-                unit_coverage=built_unit_coverage if retain else None,
-                span=tile_span,
-            )
-
-    # ------------------------------------------------------------------
-    # Resident dispatch (shared-memory data plane)
-    # ------------------------------------------------------------------
-    def _resident_clone(self) -> "AccurateRasterJoin":
-        """A slim picklable engine for a resident worker's state blob.
-
-        Session-less: the worker's job is pure per-tile compute over
-        descriptor-addressed inputs — the session lives in the parent
-        (``retain`` travels on each spec) and partitioning already
-        happened.  The device *is* carried (its pickle support exists
-        for exactly this — worker-side clones with their own locks and
-        accounting, like the fork path's copy-on-write copies); the tile
-        arithmetic it would change (batch planning) is bypassed anyway
-        because every shm chunk is a single zero-transfer batch.
-        ``batch_raster`` is carried over too: bit-identical either way,
-        but builds shipped home should match what the parent would have
-        built.
-        """
-        return AccurateRasterJoin(
-            resolution=self.resolution,
-            grid_resolution=self.grid_resolution,
-            device=self.device,
-            session=None,
-            config=EngineConfig(
-                backend="serial", workers=1, partition_points=False,
-                batch_raster=self._batch_raster, pyramid=False,
-            ),
-        )
-
-    def _resident_dispatch(
-        self,
-        prepared: PreparedPolygons,
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        filters: FilterSet,
-        columns: tuple[str, ...],
-        per_tile: list[list],
-        units_mode: bool,
-        retain: bool,
-        tracing: bool,
-        parallelism: int | None,
-        stats: ExecutionStats,
-    ) -> list[TilePartial] | None:
-        """Fan the partitioned tiles across the resident worker pool.
-
-        Returns tile partials in tile order — accumulators read back out
-        of the shared result buffer, everything else (stats, spans,
-        metrics deltas, freshly built prepared pieces) shipped by value —
-        or ``None`` when this query cannot take the resident path, in
-        which case the caller falls back to closure dispatch (forked or
-        in-process), which is bit-identical.
-
-        Eligibility: a resident-enabled :class:`ProcessBackend` and
-        every partitioned sub-chunk already shm-backed (the session's
-        shm tier exported them at partition-store time; host chunks
-        would have to be pickled, which is the cost this path exists to
-        remove).  A device does not disqualify — workers carry a device
-        clone in the state blob, mirroring the fork path's copy-on-write
-        clones, and shm chunks are single zero-transfer batches in every
-        process so the device's batch planning never enters the tile
-        arithmetic.
-        """
-        backend = self.backend
-        if type(self) is not AccurateRasterJoin:
-            return None
-        if not isinstance(backend, ProcessBackend):
-            return None
-        tiles = prepared.tiles
-        if not backend.resident_capable(len(tiles), parallelism):
-            return None
-        if not all(
-            isinstance(chunk, shm.ShmChunk)
-            for chunks in per_tile for chunk in chunks
-        ):
-            return None
-        channel_names = tuple(aggregate.channels)
-        shape = (len(tiles), len(channel_names), len(polygons))
-        # Content-generation token: prepared.version bumps on every
-        # artifact mutation (including the parent-side installs of
-        # worker-built pieces), so warming or editing rolls the blob —
-        # and with it the state_key workers cache by.  The anchor tuple
-        # keeps both objects alive while the entry is cached, so the
-        # id()s cannot be recycled.
-        device_token = None if self.device is None else (
-            self.device.capacity_bytes, self.device.max_resolution,
-        )
-        token = (
-            "resident-state", id(prepared), prepared.version, id(polygons),
-            self.resolution, self.grid_resolution, self.max_resolution,
-            self._batch_raster, device_token,
-        )
-
-        def build_blob() -> bytes:
-            return pickle.dumps(
-                (self._resident_clone(), prepared, polygons),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-
-        from repro.exec.resident import TileTaskSpec
-
-        # One guard across blob/buffer/dispatch/read-back: a concurrent
-        # query on the same shared backend serializes here instead of
-        # swapping the result buffer out from under this one.
-        with backend.resident_guard():
-            state_key, state_ref = backend.resident_state(
-                token, (prepared, polygons), build_blob
-            )
-            result_ref = backend.resident_result(shape)
-            specs = [
-                TileTaskSpec(
-                    index=idx, state_key=state_key, state_ref=state_ref,
-                    tile_idx=idx, aggregate=aggregate, filters=filters,
-                    columns=columns, chunks=tuple(per_tile[idx]),
-                    units_mode=units_mode, retain=retain, tracing=tracing,
-                    result_ref=result_ref, slot=idx,
-                    channel_names=channel_names,
-                )
-                for idx in range(len(tiles))
-            ]
-            partials = backend.run_specs(specs, parallelism)
-            result = shm.view(result_ref)
-            for partial in partials:
-                # Copy out: the buffer is reused by the next dispatch.
-                partial.accumulators = {
-                    ch: np.array(result[partial.tile_idx, ci])
-                    for ci, ch in enumerate(channel_names)
-                }
-        if backend.last_pool_event is not None:
-            stats.extra["pool"] = backend.last_pool_event
-        return partials
-
-    # ------------------------------------------------------------------
-    # Per-tile stages
-    # ------------------------------------------------------------------
-
-    def _tile_boundary(
-        self,
-        tile_idx: int,
-        tile: Viewport,
-        prepared: PreparedPolygons,
-        polygons: PolygonSet,
-        tile_stats: ExecutionStats,
-        units_mode: bool,
-    ) -> tuple[np.ndarray, np.ndarray | None, dict | None]:
-        """This tile's boundary mask: cached, composed, or rendered.
-
-        Returns ``(boundary, built_boundary, built_unit_boundary)`` —
-        the mask to route points against plus whatever was freshly built
-        for the caller to ship home in its :class:`TilePartial` (``None``
-        when the artifact already held the mask).  Shared by the solo
-        tile task and the fused shared-scan executor
-        (:mod:`repro.serve.fused`), which runs it once per member query.
-        """
-        boundary = prepared.boundary_masks.get(tile_idx)
-        if boundary is not None:
-            tile_stats.extra["boundary_pixels"] = int(boundary.sum())
-            return boundary, None, None
-        built_unit_boundary = None
-        with trace.span("boundary"):
-            if units_mode:
-                # Per-polygon build: rasterize outlines only for
-                # polygons whose unit lacks this tile (after an edit,
-                # just the changed ones) and OR every polygon's pixels
-                # into the tile mask — bit-identical to the direct
-                # whole-set render.
-                start = time.perf_counter()
-                built_unit_boundary = self._build_unit_boundaries(
-                    tile, prepared, polygons,
-                    prepared.missing_boundary_pids(tile_idx),
-                )
-                boundary = prepared.compose_boundary(
-                    tile_idx, tile, built_unit_boundary
-                )
-                tile_stats.processing_s += time.perf_counter() - start
-                tile_stats.extra["boundary_pixels"] = int(boundary.sum())
-            else:
-                boundary = self._render_boundary(tile, polygons, tile_stats)
-        return boundary, boundary, built_unit_boundary
-
-    @staticmethod
-    def _polygon_outline(
-        tile: Viewport, polygon
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One polygon's ``(ix, iy)`` outline pixels on this tile.
-
-        The per-polygon slice of :meth:`_render_boundary`: the direct
-        mask sets exactly the union of these arrays over all polygons,
-        so composing them reproduces it bit for bit.  Polygons whose
-        box misses the tile contribute empty arrays (same gate the
-        direct loop applies).
-        """
-        if not polygon.bbox.intersects(tile.bbox):
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        ix, iy = outline_pixels(tile, polygon.rings)
-        return np.asarray(ix), np.asarray(iy)
-
-    def _build_unit_boundaries(
-        self,
-        tile: Viewport,
-        prepared: PreparedPolygons,
-        polygons: PolygonSet,
-        pids: Sequence[int],
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per-polygon outline pixels for the requested pids.
-
-        Batched mode runs one vectorized edge pass over every requested
-        polygon that survives the tile bin gate
-        (:func:`~repro.graphics.raster_line.outline_pixels_many`); the
-        fallback loops :meth:`_polygon_outline` per pid.  Both return
-        identical pixel arrays for every requested pid — gated-out
-        polygons contribute empty arrays either way.
-        """
-        if not self._batch_raster:
-            return {
-                pid: self._polygon_outline(tile, polygons[pid])
-                for pid in pids
-            }
-        hit = self._tile_pid_mask(tile, prepared, polygons)
-        empty = np.zeros(0, dtype=np.int64)
-        built: dict[int, tuple[np.ndarray, np.ndarray]] = {
-            pid: (empty, empty) for pid in pids
-        }
-        built.update(outline_pixels_many(
-            tile, {pid: polygons[pid].rings for pid in pids if hit[pid]}
-        ))
-        return built
-
-    def _render_boundary(
-        self,
-        tile: Viewport,
-        polygons: PolygonSet,
-        stats: ExecutionStats,
-    ) -> np.ndarray:
-        """Conservative outline mask of every polygon on this tile."""
-        start = time.perf_counter()
-        boundary = np.zeros((tile.height, tile.width), dtype=bool)
-        if self._batch_raster:
-            # One vectorized pass over every intersecting polygon's
-            # edges; OR-ing the per-polygon pixel sets is order-free, so
-            # the mask matches the per-polygon loop bit for bit.
-            rings = {
-                pid: polygon.rings for pid, polygon in enumerate(polygons)
-                if polygon.bbox.intersects(tile.bbox)
-            }
-            for ix, iy in outline_pixels_many(tile, rings).values():
-                if len(ix):
-                    boundary[iy, ix] = True
-        else:
-            for polygon in polygons:
-                if not polygon.bbox.intersects(tile.bbox):
-                    continue
-                ix, iy = outline_pixels(tile, polygon.rings)
-                boundary[iy, ix] = True
-        stats.processing_s += time.perf_counter() - start
-        # Assign, don't accumulate: this stat is the tile's boundary
-        # population, and every caller renders at most one mask per tile
-        # stats object.  Adding to a value another branch already
-        # assigned would double-count it (the composed-boundary branch
-        # in _execute_tiles assigns the same key).
-        stats.extra["boundary_pixels"] = int(boundary.sum())
-        return boundary
-
-    def _route_points(
-        self,
-        tile: Viewport,
-        boundary: np.ndarray,
-        fbo: FrameBuffer,
-        points: PointDataset | ResidentPointSet,
-        polygons: PolygonSet,
-        grid,
-        columns: tuple[str, ...],
-        aggregate: Aggregate,
-        filters: FilterSet,
-        accumulators: dict[str, np.ndarray],
-        stats: ExecutionStats,
-    ) -> None:
-        """Point pass: boundary points join exactly, the rest rasterize."""
-        for batch in self._batches(points, columns, stats,
-                                   reserved_bytes=fbo.nbytes):
-            start = time.perf_counter()
-            xs, ys, attrs = self._apply_filters(batch, filters, stats)
-            ix, iy, inside = tile.pixel_of(xs, ys)
-            if not inside.all():
-                xs, ys = xs[inside], ys[inside]
-                ix, iy = ix[inside], iy[inside]
-                attrs = {n: a[inside] for n, a in attrs.items()}
-            if len(xs) == 0:
-                stats.processing_s += time.perf_counter() - start
-                continue
-            self._route_batch(
-                boundary, fbo, xs, ys, ix, iy, attrs, polygons, grid,
-                aggregate, accumulators, stats,
-            )
-            stats.processing_s += time.perf_counter() - start
-
-    @staticmethod
-    def _route_batch(
-        boundary: np.ndarray,
-        fbo: FrameBuffer,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        ix: np.ndarray,
-        iy: np.ndarray,
-        attrs: dict[str, np.ndarray],
-        polygons: PolygonSet,
-        grid,
-        aggregate: Aggregate,
-        accumulators: dict[str, np.ndarray],
-        stats: ExecutionStats,
-    ) -> None:
-        """Route one projected batch: boundary points join exactly, the
-        rest rasterize into the tile framebuffer.
-
-        Inputs are the post-filter, post-projection arrays (already
-        subset to in-tile points), so the fused shared-scan executor can
-        evaluate filters and projection once per distinct filter set and
-        replay this routing per member query against that query's own
-        boundary mask, framebuffer, grid, and accumulators — the exact
-        arithmetic of a solo run, in the exact order.  ``attrs`` may
-        carry extra columns (the fused union); only the aggregate's own
-        columns are read.
-        """
-        on_boundary = boundary[iy, ix]
-        num_boundary = int(np.count_nonzero(on_boundary))
-        stats.boundary_points += num_boundary
-        all_boundary = num_boundary == len(xs)
-        if num_boundary:
-            # Boundary points: exact join via the polygon grid index.
-            # When the whole batch is boundary the masked gathers are
-            # skipped — identical values in identical order.
-            with trace.span("boundary-pip", points=num_boundary):
-                grid_pip_aggregate(
-                    xs if all_boundary else xs[on_boundary],
-                    ys if all_boundary else ys[on_boundary],
-                    attrs if all_boundary else
-                    {n: a[on_boundary] for n, a in attrs.items()},
-                    grid, polygons, aggregate, accumulators, stats,
-                )
-        if not all_boundary:
-            # Interior points: plain additive rasterization.  A batch
-            # with no boundary points skips the mask entirely — the
-            # unmasked arrays are the same values in the same order,
-            # so the scatter visits pixels identically.
-            if num_boundary:
-                interior = ~on_boundary
-                iix, iiy = ix[interior], iy[interior]
-            else:
-                interior = None
-                iix, iiy = ix, iy
-
-            def _vals(col):
-                return attrs[col] if interior is None else attrs[col][interior]
-
-            if aggregate.blend == "add":
-                for ch, col in aggregate.channels.items():
-                    vals = _vals(col) if col is not None else 1.0
-                    np.add.at(fbo.channel(ch), (iiy, iix), vals)
-            else:
-                for ch, col in aggregate.channels.items():
-                    vals = _vals(col)
-                    if aggregate.blend == "min":
-                        np.minimum.at(fbo.channel(ch), (iiy, iix), vals)
-                    else:
-                        np.maximum.at(fbo.channel(ch), (iiy, iix), vals)
-
-    def _polygon_pass(
-        self,
-        tile_idx: int,
-        tile: Viewport,
-        prepared: PreparedPolygons,
-        boundary: np.ndarray,
-        fbo: FrameBuffer,
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        accumulators: dict[str, np.ndarray],
-        stats: ExecutionStats,
-        units_mode: bool = False,
-        retain: bool | None = None,
-    ) -> tuple[list | None, dict | None]:
-        """Polygon pass skipping boundary fragments (handled exactly).
-
-        The covered-pixel indices of every polygon are a pure function of
-        the tile, the triangulation, and the boundary mask, so they are
-        computed once per artifact and replayed on later executions; the
-        per-query work is only the channel gather + reduction.  Returns
-        ``(composed coverage, per-polygon raw pieces)`` freshly built for
-        the caller to install into the artifact (tile tasks never mutate
-        shared prepared state — under the process backend the mutation
-        would be lost in the fork).  Under ``units_mode`` only polygons
-        whose unit lacks this tile are rasterized (after an edit, just
-        the changed ones); composition applies the boundary exclusion to
-        every polygon's raw pieces, which is bit-identical to the fused
-        direct build.  ``retain`` selects the replay/build path over the
-        direct reduce; its default (is a session attached?) is right
-        in-process, while a resident worker's session-less clone passes
-        ``True`` explicitly — it computes *for* a retaining parent.
-        Both paths are bit-identical (see the branch comments below).
-        """
-        if retain is None:
-            retain = self.session is not None
-        start = time.perf_counter()
-        channels = {ch: fbo.channel(ch) for ch in aggregate.channels}
-        if not retain:
-            if self._batch_raster:
-                # One batched raster pass over the whole set; exclusion
-                # filters each piece's row-major pixels exactly like
-                # ``np.nonzero(mask & ~bwin)``, and the index gather
-                # reads the same values in the same order as the scalar
-                # reducer's ``window[keep]`` — bit-identical results.
-                for pid, pieces in self._coverage_batched(
-                    tile, prepared, polygons, prepared.triangles, boundary
-                ):
-                    for piece_iy, piece_ix in pieces:
-                        for ch, channel in channels.items():
-                            accumulators[ch][pid] = aggregate.combine(
-                                np.asarray(accumulators[ch][pid]),
-                                np.asarray(aggregate.reduce_pixels(
-                                    channel[piece_iy, piece_ix]
-                                )),
-                            )
-            else:
-                # No cache to warm: reduce each piece's window directly.
-                # The boolean gather visits pixels in the same row-major
-                # order as the replayed index arrays, so both paths are
-                # bit-identical.
-                for pid, x0, y0, keep in self._coverage_pieces(
-                    tile, polygons, prepared.triangles, boundary
-                ):
-                    for ch, channel in channels.items():
-                        window = channel[y0:y0 + keep.shape[0],
-                                         x0:x0 + keep.shape[1]]
-                        accumulators[ch][pid] = aggregate.combine(
-                            np.asarray(accumulators[ch][pid]),
-                            np.asarray(aggregate.reduce_pixels(window[keep])),
-                        )
-            elapsed = time.perf_counter() - start
-            stats.processing_s += elapsed
-            stats.polygon_pass_s += elapsed
-            return None, None
-        built = None
-        built_units = None
-        coverage = prepared.coverage.get(tile_idx)
-        if coverage is None:
-            if units_mode:
-                if self._batch_raster:
-                    built_units = self._batched_unit_coverage(
-                        tile, prepared, polygons, prepared.triangles,
-                        prepared.missing_coverage_pids(tile_idx),
-                    )
-                else:
-                    built_units = {
-                        pid: self._unit_coverage(
-                            tile, polygons[pid], prepared.triangles[pid]
-                        )
-                        for pid in prepared.missing_coverage_pids(tile_idx)
-                    }
-                coverage = built = prepared.compose_coverage(
-                    tile_idx, boundary, built_units
-                )
-            elif self._batch_raster:
-                coverage = built = self._coverage_batched(
-                    tile, prepared, polygons, prepared.triangles, boundary
-                )
-            else:
-                coverage = built = self._build_coverage(
-                    tile, polygons, prepared.triangles, boundary
-                )
-        for pid, pieces in coverage:
-            for piece_iy, piece_ix in pieces:
-                for ch, channel in channels.items():
-                    accumulators[ch][pid] = aggregate.combine(
-                        np.asarray(accumulators[ch][pid]),
-                        np.asarray(
-                            aggregate.reduce_pixels(channel[piece_iy, piece_ix])
-                        ),
-                    )
-        elapsed = time.perf_counter() - start
-        stats.processing_s += elapsed
-        stats.polygon_pass_s += elapsed
-        return built, built_units
-
-    @staticmethod
-    def _unit_coverage(
-        tile: Viewport,
-        polygon,
-        triangles: Sequence[np.ndarray],
-    ) -> list:
-        """One polygon's raw coverage pieces on this tile.
-
-        The pre-exclusion slice of :meth:`_coverage_pieces`: one
-        ``(iy, ix)`` piece per rasterized triangle, in traversal order,
-        *without* the boundary mask applied (exclusion depends on the
-        whole set's outlines and runs at composition time, so an edit to
-        another polygon never invalidates these arrays).
-        """
-        pieces: list = []
-        if polygon.bbox.intersects(tile.bbox):
-            for tri in triangles:
-                x0, y0, mask = triangle_coverage_mask(tile, tri)
-                if mask.size == 0 or not mask.any():
-                    continue
-                ky, kx = np.nonzero(mask)
-                pieces.append((ky + y0, kx + x0))
-        return pieces
-
-    def _coverage_batched(
-        self,
-        tile: Viewport,
-        prepared: PreparedPolygons,
-        polygons: PolygonSet,
-        triangles: Sequence[Sequence[np.ndarray]],
-        boundary: np.ndarray,
-    ) -> list:
-        """Boundary-excluded coverage via one batched raster pass.
-
-        The batched equivalent of :meth:`_build_coverage`: raw pieces
-        come out of the whole-set rasterizer grouped per polygon, then
-        the boundary exclusion filters each piece in its own row-major
-        order — reproducing the direct builder's
-        ``np.nonzero(mask & ~bwin)`` arrays exactly, in the same
-        (polygon, triangle) traversal order.
-        """
-        raw = self._batched_unit_coverage(
-            tile, prepared, polygons, triangles, range(len(polygons))
-        )
-        coverage: list = []
-        for pid in range(len(polygons)):
-            kept: list = []
-            for piece_iy, piece_ix in raw[pid]:
-                excluded = boundary[piece_iy, piece_ix]
-                if not excluded.any():
-                    kept.append((piece_iy, piece_ix))
-                else:
-                    keep = ~excluded
-                    if keep.any():
-                        kept.append((piece_iy[keep], piece_ix[keep]))
-            if kept:
-                coverage.append((pid, kept))
-        return coverage
-
-    @staticmethod
-    def _coverage_pieces(
-        tile: Viewport,
-        polygons: PolygonSet,
-        triangles: Sequence[Sequence[np.ndarray]],
-        boundary: np.ndarray,
-    ):
-        """Yield (pid, x0, y0, keep) per rasterized triangle piece.
-
-        The single source of the polygon-pass traversal: triangulation
-        order, viewport clipping, and boundary exclusion live here so the
-        direct reducer and the coverage builder can never drift apart.
-        """
-        for pid, polygon in enumerate(polygons):
-            if not polygon.bbox.intersects(tile.bbox):
-                continue
-            for tri in triangles[pid]:
-                x0, y0, mask = triangle_coverage_mask(tile, tri)
-                if mask.size == 0:
-                    continue
-                bwin = boundary[y0:y0 + mask.shape[0], x0:x0 + mask.shape[1]]
-                keep = mask & ~bwin
-                if not keep.any():
-                    continue
-                yield pid, x0, y0, keep
-
-    @classmethod
-    def _build_coverage(
-        cls,
-        tile: Viewport,
-        polygons: PolygonSet,
-        triangles: Sequence[Sequence[np.ndarray]],
-        boundary: np.ndarray,
-    ) -> list:
-        """Per-polygon (iy, ix) covered-pixel arrays, boundary excluded.
-
-        One piece per rasterized triangle, in traversal order, so the
-        replayed reduction visits pixels in exactly the order the direct
-        rasterization would — results are bit-identical either way.
-        """
-        coverage: list = []
-        for pid, x0, y0, keep in cls._coverage_pieces(
-            tile, polygons, triangles, boundary
-        ):
-            ky, kx = np.nonzero(keep)
-            piece = (ky + y0, kx + x0)
-            if coverage and coverage[-1][0] == pid:
-                coverage[-1][1].append(piece)
-            else:
-                coverage.append((pid, [piece]))
-        return coverage

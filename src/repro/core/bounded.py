@@ -12,40 +12,36 @@ canvas splits into tiles and the two passes run once per tile (Figure 5);
 clipping guarantees every point-polygon pair is counted exactly once.
 
 Canvas layout, triangulations, and per-polygon pixel coverage are carried
-in a :class:`~repro.cache.prepared.PreparedPolygons` artifact shared by the
-monolithic and streamed paths; attach a
+in a :class:`~repro.cache.prepared.PreparedPolygons` artifact; attach a
 :class:`~repro.cache.session.QuerySession` and repeated queries over the
-same polygon set reuse them.
+same polygon set reuse them.  The two passes are the shared tile pipeline
+(:mod:`repro.core.tiles`) run under this engine's kernel: no boundary
+stage, so every point rasterizes and every fragment counts, into float32
+channels like the paper's GL framebuffers.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.cache.prepared import PreparedPolygons
 from repro.cache.session import QuerySession
-from repro.core.aggregates import Aggregate, Count
-from repro.core.engine import SpatialAggregationEngine
+from repro.core.aggregates import Aggregate
 from repro.core.filters import FilterSet
+from repro.core.tiles import RasterJoinEngine, TileKernel
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice, ResidentPointSet
 from repro.errors import QueryError
-from repro.exec.backend import TilePartial
 from repro.exec.config import EngineConfig
 from repro.geometry.polygon import PolygonSet
-from repro.graphics.fbo import FrameBuffer
-from repro.graphics.raster_point import rasterize_points
-from repro.graphics.raster_polygon import scanline_polygon_pixels
-from repro.graphics.raster_triangle import triangle_coverage_mask
-from repro.graphics.viewport import Canvas, Viewport
+from repro.graphics.viewport import Canvas
 from repro.obs import trace
 from repro.types import AggregationResult, ExecutionStats
 
 
-class BoundedRasterJoin(SpatialAggregationEngine):
+class BoundedRasterJoin(RasterJoinEngine):
     """Approximate raster join with an ε-bounded spatial error.
 
     Parameters
@@ -60,9 +56,9 @@ class BoundedRasterJoin(SpatialAggregationEngine):
         Simulated GPU; ``None`` runs without memory limits or transfer
         accounting.
     use_scanline:
-        Use the whole-polygon scanline fast path for the polygon pass
-        instead of per-triangle rasterization.  Results are identical
-        (tested); this exists for the raster-path ablation.
+        Fill each polygon whole with the scanline rasterizer instead of
+        the batched per-triangle pass.  Results are identical (tested);
+        this exists for the raster-path ablation.
     compute_bounds:
         Also derive per-polygon result intervals (§5) — adds a boundary
         analysis pass; see :mod:`repro.core.bounds`.
@@ -90,6 +86,10 @@ class BoundedRasterJoin(SpatialAggregationEngine):
         self.resolution = resolution
         self.use_scanline = use_scanline
         self.compute_bounds = compute_bounds
+        self.kernel = TileKernel(
+            engine=self.name, exact=False, fbo_dtype=np.float32,
+            scanline=use_scanline, device=device,
+        )
 
     # ------------------------------------------------------------------
     # Prepared state
@@ -146,7 +146,7 @@ class BoundedRasterJoin(SpatialAggregationEngine):
         return prepared
 
     # ------------------------------------------------------------------
-    # Execution (monolithic and streamed share the per-tile stages)
+    # Execution
     # ------------------------------------------------------------------
     def _run(
         self,
@@ -156,14 +156,12 @@ class BoundedRasterJoin(SpatialAggregationEngine):
         filters: FilterSet,
         stats: ExecutionStats,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        prepared = self._prepare(polygons, stats)
-        columns = self.required_columns(aggregate, filters)
-        accumulators = self._new_accumulators(polygons, aggregate)
-        bounds_inputs = [] if self.compute_bounds else None
-        self._execute_tiles(
-            prepared, lambda: iter((points,)), polygons, aggregate, filters,
-            columns, accumulators, stats, bounds_inputs, points_hint=points,
+        member = self.member(polygons, aggregate, filters, stats)
+        run = self.run_members(
+            [member], lambda: iter((points,)), [stats], points_hint=points,
+            keep_fbo=self.compute_bounds,
         )
+        (accumulators,) = run.accumulators
         values = aggregate.finalize(accumulators)
         if self.compute_bounds:
             from repro.core.bounds import estimate_result_intervals
@@ -171,7 +169,7 @@ class BoundedRasterJoin(SpatialAggregationEngine):
             start = time.perf_counter()
             with trace.span("bounds"):
                 self._intervals = estimate_result_intervals(
-                    bounds_inputs, polygons, prepared.triangles, values,
+                    run.payloads[0], polygons, member.prepared.triangles, values,
                     aggregate,
                 )
             stats.extra["bounds_s"] = time.perf_counter() - start
@@ -183,366 +181,3 @@ class BoundedRasterJoin(SpatialAggregationEngine):
         result = super().execute(points, polygons, aggregate, filters)
         result.intervals = self._intervals
         return result
-
-    def execute_stream(self, chunk_source, polygons, aggregate=None,
-                       filters=None) -> AggregationResult:
-        """Streamed execution sharing the polygon pass across chunks.
-
-        Point chunks are rasterized into the tile's framebuffer one after
-        another (each chunk still flows through the device-batching path),
-        and the polygon pass runs once per tile — the structure the paper's
-        disk-resident experiments rely on.  With a parallel backend, tile
-        workers invoke (and iterate) ``chunk_source`` concurrently — each
-        call must return an independent iterator (see
-        :meth:`SpatialAggregationEngine.execute_stream`).
-        """
-        aggregate = aggregate or Count()
-        filter_set = FilterSet.coerce(filters)
-        columns = self.required_columns(aggregate, filter_set)
-        stats = ExecutionStats(engine=self.name, batches=0, passes=0)
-        with trace.query_scope(self.name) as root:
-            prepared = self._prepare(polygons, stats)
-            accumulators = self._new_accumulators(polygons, aggregate)
-            saw_chunk = self._execute_tiles(
-                prepared, chunk_source, polygons, aggregate, filter_set,
-                columns, accumulators, stats, None,
-            )
-            if not saw_chunk:
-                raise QueryError("chunk source produced no chunks")
-            if stats.batches == 0:
-                stats.batches = 1
-            if root is not None:
-                root.attrs.update(stats.as_span_attrs())
-        self._checkpoint_session()
-        return AggregationResult(
-            values=aggregate.finalize(accumulators),
-            channels=accumulators,
-            stats=stats,
-            trace=root,
-        )
-
-    def _execute_tiles(
-        self,
-        prepared: PreparedPolygons,
-        source: Callable[[], Iterator],
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        filters: FilterSet,
-        columns: tuple[str, ...],
-        accumulators: dict[str, np.ndarray],
-        stats: ExecutionStats,
-        bounds_inputs: list | None,
-        points_hint: PointDataset | ResidentPointSet | None = None,
-    ) -> bool:
-        """Point pass then polygon pass per tile; ``source()`` yields chunks.
-
-        Tiles are dispatched through the configured execution backend and
-        their partials merged in tile-index order, so serial, thread, and
-        process execution produce bit-identical results (each task folds
-        its own accumulators from the blend identity).
-        """
-        tiles = prepared.tiles
-        self._record_execution_env(stats, len(tiles))
-        fbo_bytes = self._max_fbo_bytes(tiles, aggregate, np.float32)
-        parallelism = self._tile_concurrency(points_hint, columns, fbo_bytes)
-        retain = self.session is not None
-        want_fbos = bounds_inputs is not None
-        # Partitioned point pass: the parent scans the source once and
-        # buckets points per tile (bit-identical to the full scan — see
-        # repro.exec.partition); tiles otherwise re-iterate the source.
-        partitioned = self._partition_tile_chunks(
-            prepared, source, aggregate, columns, np.float32, stats,
-            points_hint=points_hint,
-        )
-        units_mode = retain and prepared.units is not None
-        # Captured before dispatch: worker threads and forked children
-        # have no ambient tracer, so each tile task records into its own
-        # (shipped home via TilePartial.span).
-        tracing = trace.active() is not None
-
-        def run_tile(tile_idx: int, tile: Viewport) -> TilePartial:
-            with trace.tile_scope(tracing, tile=tile_idx) as tile_span:
-                tile_stats = ExecutionStats(
-                    engine=self.name, batches=0, passes=0
-                )
-                partial_acc = self._new_accumulators(polygons, aggregate)
-                fbo = self._tile_framebuffer(tile, aggregate)
-                saw_points = False
-                chunks = (
-                    source() if partitioned is None
-                    else partitioned[0][tile_idx]
-                )
-                with trace.span("point-pass"):
-                    for chunk in chunks:
-                        saw_points = True
-                        self._rasterize_chunk(
-                            tile, fbo, chunk, columns, aggregate, filters,
-                            tile_stats,
-                        )
-                with trace.span("polygon-pass"):
-                    built_coverage, built_unit_coverage = self._polygon_pass(
-                        tile_idx, tile, prepared, fbo, polygons, aggregate,
-                        partial_acc, tile_stats, units_mode,
-                    )
-                tile_stats.passes = 1
-                return TilePartial(
-                    tile_idx, partial_acc, tile_stats, saw_points=saw_points,
-                    coverage=built_coverage if retain else None,
-                    unit_coverage=built_unit_coverage if retain else None,
-                    payload=(tile, fbo) if want_fbos else None,
-                    span=tile_span,
-                )
-
-        with trace.span("tiles", concurrent=self.backend.workers > 1):
-            partials = self._dispatch_tiles(tiles, run_tile, parallelism,
-                                            stats)
-            if bounds_inputs is not None:
-                bounds_inputs.extend(p.payload for p in partials)
-            saw = self._merge_tile_partials(
-                partials, prepared, aggregate, accumulators, stats
-            )
-        return saw or (partitioned is not None and partitioned[1])
-
-    # ------------------------------------------------------------------
-    # Step I: draw points
-    # ------------------------------------------------------------------
-    def _rasterize_chunk(
-        self,
-        tile: Viewport,
-        fbo: FrameBuffer,
-        points: PointDataset | ResidentPointSet,
-        columns: tuple[str, ...],
-        aggregate: Aggregate,
-        filters: FilterSet,
-        stats: ExecutionStats,
-    ) -> None:
-        """Rasterize one point chunk into the tile's framebuffer."""
-        for batch in self._batches(points, columns, stats,
-                                   reserved_bytes=fbo.nbytes):
-            start = time.perf_counter()
-            xs, ys, attrs = self._apply_filters(batch, filters, stats)
-            if aggregate.blend == "add":
-                values = {
-                    ch: (attrs[col] if col is not None else 1.0)
-                    for ch, col in aggregate.channels.items()
-                }
-                rasterize_points(tile, fbo, xs, ys, values)
-            else:
-                # min/max blend: scatter with the order-statistic ufunc.
-                ix, iy, inside = tile.pixel_of(xs, ys)
-                ix, iy = ix[inside], iy[inside]
-                for ch, col in aggregate.channels.items():
-                    vals = attrs[col][inside]
-                    channel = fbo.channel(ch)
-                    if aggregate.blend == "min":
-                        np.minimum.at(channel, (iy, ix), vals)
-                    else:
-                        np.maximum.at(channel, (iy, ix), vals)
-            stats.processing_s += time.perf_counter() - start
-
-    # ------------------------------------------------------------------
-    # Step II: draw polygons
-    # ------------------------------------------------------------------
-    def _polygon_pass(
-        self,
-        tile_idx: int,
-        tile: Viewport,
-        prepared: PreparedPolygons,
-        fbo: FrameBuffer,
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        accumulators: dict[str, np.ndarray],
-        stats: ExecutionStats,
-        units_mode: bool = False,
-    ) -> tuple[list | None, dict | None]:
-        """Reduce each polygon's covered pixels into its result slot.
-
-        Coverage (which pixels each polygon owns on this tile) depends only
-        on the prepared geometry, so it is rasterized once per artifact and
-        replayed afterwards; per query only the gather + reduction runs.
-        Freshly built coverage — composed plus the per-polygon raw pieces
-        — is returned for the caller to install into the artifact (tile
-        tasks never mutate shared prepared state — under the process
-        backend the mutation would be lost in the fork).  Under
-        ``units_mode`` only polygons whose unit lacks this tile are
-        rasterized; with no boundary mask to exclude, composition simply
-        concatenates the per-polygon pieces in polygon order, exactly the
-        order the direct build emits.
-        """
-        start = time.perf_counter()
-        channels = {ch: fbo.channel(ch) for ch in aggregate.channels}
-        batched = self._batch_raster and not self.use_scanline
-        if self.session is None:
-            if batched:
-                # One batched raster pass; the fragments arrive grouped
-                # per polygon in triangulation order and the index
-                # gather reads the same values in the same row-major
-                # order as the scalar window gather — bit-identical.
-                raw = self._batched_unit_coverage(
-                    tile, prepared, polygons, prepared.triangles,
-                    range(len(polygons)),
-                )
-                for pid in range(len(polygons)):
-                    for piece_iy, piece_ix in raw[pid]:
-                        for ch, channel in channels.items():
-                            accumulators[ch][pid] = aggregate.combine(
-                                np.asarray(accumulators[ch][pid]),
-                                np.asarray(aggregate.reduce_pixels(
-                                    channel[piece_iy, piece_ix]
-                                )),
-                            )
-            else:
-                # No cache to warm: gather each piece directly.  The
-                # boolean window gather visits pixels in the same
-                # row-major order as the replayed index arrays, so both
-                # paths are bit-identical.
-                for pid, piece in self._coverage_pieces(tile, polygons,
-                                                        prepared.triangles):
-                    for ch, channel in channels.items():
-                        accumulators[ch][pid] = aggregate.combine(
-                            np.asarray(accumulators[ch][pid]),
-                            np.asarray(
-                                aggregate.reduce_pixels(
-                                    self._gather_piece(channel, piece)
-                                )
-                            ),
-                        )
-            elapsed = time.perf_counter() - start
-            stats.processing_s += elapsed
-            stats.polygon_pass_s += elapsed
-            return None, None
-        built = None
-        built_units = None
-        coverage = prepared.coverage.get(tile_idx)
-        if coverage is None:
-            if units_mode:
-                if batched:
-                    built_units = self._batched_unit_coverage(
-                        tile, prepared, polygons, prepared.triangles,
-                        prepared.missing_coverage_pids(tile_idx),
-                    )
-                else:
-                    built_units = {
-                        pid: self._unit_coverage(
-                            tile, polygons[pid], prepared.triangles[pid]
-                        )
-                        for pid in prepared.missing_coverage_pids(tile_idx)
-                    }
-                coverage = built = prepared.compose_coverage(
-                    tile_idx, None, built_units
-                )
-            elif batched:
-                raw = self._batched_unit_coverage(
-                    tile, prepared, polygons, prepared.triangles,
-                    range(len(polygons)),
-                )
-                coverage = built = [
-                    (pid, raw[pid])
-                    for pid in range(len(polygons)) if raw[pid]
-                ]
-            else:
-                coverage = built = self._build_coverage(
-                    tile, polygons, prepared.triangles
-                )
-        for pid, pieces in coverage:
-            for piece_iy, piece_ix in pieces:
-                for ch, channel in channels.items():
-                    accumulators[ch][pid] = aggregate.combine(
-                        np.asarray(accumulators[ch][pid]),
-                        np.asarray(
-                            aggregate.reduce_pixels(channel[piece_iy, piece_ix])
-                        ),
-                    )
-        elapsed = time.perf_counter() - start
-        stats.processing_s += elapsed
-        stats.polygon_pass_s += elapsed
-        return built, built_units
-
-    def _unit_coverage(
-        self,
-        tile: Viewport,
-        polygon,
-        triangles: Sequence[np.ndarray],
-    ) -> list:
-        """One polygon's coverage pieces on this tile.
-
-        The per-polygon slice of :meth:`_coverage_pieces`, already in
-        the engine-consumed ``(iy, ix)`` form — the bounded join has no
-        boundary exclusion, so raw and composed pieces are the same
-        arrays.
-        """
-        pieces: list = []
-        if polygon.bbox.intersects(tile.bbox):
-            if self.use_scanline:
-                ix, iy = scanline_polygon_pixels(tile, polygon.rings)
-                if len(ix):
-                    pieces.append((iy, ix))
-            else:
-                for tri in triangles:
-                    x0, y0, mask = triangle_coverage_mask(tile, tri)
-                    if mask.size == 0 or not mask.any():
-                        continue
-                    ky, kx = np.nonzero(mask)
-                    pieces.append((ky + y0, kx + x0))
-        return pieces
-
-    def _coverage_pieces(
-        self,
-        tile: Viewport,
-        polygons: PolygonSet,
-        triangles: Sequence[Sequence[np.ndarray]],
-    ):
-        """Yield (pid, piece) in rasterization order.
-
-        The single source of the polygon-pass traversal: ``piece`` is
-        ``(iy, ix)`` index arrays on the scanline path or an
-        ``(x0, y0, mask)`` window on the triangle path, consumed via
-        :meth:`_gather_piece` or converted once by :meth:`_build_coverage`.
-        """
-        for pid, polygon in enumerate(polygons):
-            if not polygon.bbox.intersects(tile.bbox):
-                continue  # clipped by the viewport
-            if self.use_scanline:
-                ix, iy = scanline_polygon_pixels(tile, polygon.rings)
-                if len(ix):
-                    yield pid, (iy, ix)
-            else:
-                for tri in triangles[pid]:
-                    x0, y0, mask = triangle_coverage_mask(tile, tri)
-                    if mask.size == 0 or not mask.any():
-                        continue
-                    yield pid, (x0, y0, mask)
-
-    @staticmethod
-    def _gather_piece(channel: np.ndarray, piece: tuple) -> np.ndarray:
-        """Channel values of one coverage piece, in row-major pixel order."""
-        if len(piece) == 2:
-            iy, ix = piece
-            return channel[iy, ix]
-        x0, y0, mask = piece
-        return channel[y0:y0 + mask.shape[0], x0:x0 + mask.shape[1]][mask]
-
-    def _build_coverage(
-        self,
-        tile: Viewport,
-        polygons: PolygonSet,
-        triangles: Sequence[Sequence[np.ndarray]],
-    ) -> list:
-        """Per-polygon (iy, ix) covered-pixel arrays on this tile.
-
-        Triangle path: one piece per rasterized triangle, in traversal
-        order.  Scanline path: a single piece per polygon.  Either way the
-        replayed reduction visits pixels exactly as the direct
-        rasterization would, so results are bit-identical.
-        """
-        coverage: list = []
-        for pid, piece in self._coverage_pieces(tile, polygons, triangles):
-            if len(piece) == 3:
-                x0, y0, mask = piece
-                ky, kx = np.nonzero(mask)
-                piece = (ky + y0, kx + x0)
-            if coverage and coverage[-1][0] == pid:
-                coverage[-1][1].append(piece)
-            else:
-                coverage.append((pid, [piece]))
-        return coverage

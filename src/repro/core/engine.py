@@ -1,11 +1,14 @@
-"""Shared engine machinery: batching, uploads, and the point-pass loop.
+"""Shared engine machinery: the query entry points, batching and uploads.
 
 Every engine follows the same outer structure: decide which columns the
 query needs (locations + filter columns + aggregate columns), split the
 points into device-sized batches, move each batch to the device exactly
 once (measured as transfer time), run the vertex-stage filter, and hand the
-surviving points to an engine-specific kernel.  That loop lives here so the
-four engines only differ in their kernels.
+surviving points to an engine-specific kernel.  Those steps live here as
+plain functions (:func:`point_batches`, :func:`apply_filters`,
+:func:`grid_pip_aggregate`) so the four engines only differ in their
+kernels; the two raster joins additionally share one per-tile pipeline,
+:mod:`repro.core.tiles`.
 """
 
 from __future__ import annotations
@@ -21,16 +24,14 @@ from repro.cache.session import QuerySession
 from repro.core.aggregates import Aggregate, Count
 from repro.core.filters import Filter, FilterSet
 from repro.data.dataset import PointDataset
-from repro.device.batching import plan_batches, tile_parallelism
+from repro.device.batching import plan_batches
 from repro.device.memory import GPUDevice, ResidentPointSet
 from repro.errors import QueryError
-from repro.exec.backend import TilePartial
 from repro.exec.config import EngineConfig
-from repro.exec.partition import ResidentSubset, partition_chunk
+from repro.exec.partition import ResidentSubset
 from repro.exec.shm import ShmChunk
 from repro.geometry.polygon import PolygonSet
-from repro.graphics.fbo import FrameBuffer
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.types import AggregationResult, ExecutionStats
 
 
@@ -71,10 +72,6 @@ class SpatialAggregationEngine(ABC):
         # fails at construction (like the other env-driven flags), not
         # deep inside a query's tile fan-out.
         self._partition_points = self.config.partition_enabled()
-        # Whether raster builders run through the batched whole-set layer
-        # (repro.graphics.raster_batch) or the per-triangle loops; both
-        # produce bit-identical prepared state.
-        self._batch_raster = self.config.batch_raster_enabled()
         if session is None:
             # An explicit store location on the config opts the engine
             # into cross-session persistence even without a caller-owned
@@ -143,8 +140,9 @@ class SpatialAggregationEngine(ABC):
         iterator; iterators must not share mutable reader state (one
         seekable file handle, one cursor) across calls.  The generic
         implementation executes the query per chunk and merges the
-        distributive channels — correct for any engine, though raster
-        engines override it to share the polygon pass across chunks.
+        distributive channels — correct for any engine; the raster joins
+        share the polygon pass across chunks instead
+        (:meth:`repro.core.tiles.RasterJoinEngine.execute_stream`).
         """
         aggregate = aggregate or Count()
         merged_channels: dict[str, np.ndarray] | None = None
@@ -236,58 +234,6 @@ class SpatialAggregationEngine(ABC):
                 stats.extra["polygons_rebuilt"] = len(prepared.units)
         return prepared
 
-    @staticmethod
-    def _tile_pid_mask(
-        tile, prepared: PreparedPolygons, polygons: PolygonSet
-    ) -> np.ndarray:
-        """Vectorized bin pass: which polygons' boxes touch this tile.
-
-        One boolean per polygon over the prepared columnar MBRs —
-        the same inclusive ``bbox.intersects`` gate the per-polygon
-        loops apply, evaluated for the whole set at once.  Falls back
-        to building local columnar arrays when the artifact does not
-        carry them (never mutating shared prepared state inside a tile
-        task).
-        """
-        from repro.graphics.raster_batch import bin_polygons_to_tile
-
-        mbrs = prepared.mbr_arrays
-        if mbrs is None:
-            boxes = [p.bbox for p in polygons]
-            mbrs = (
-                np.asarray([b.xmin for b in boxes]),
-                np.asarray([b.xmax for b in boxes]),
-                np.asarray([b.ymin for b in boxes]),
-                np.asarray([b.ymax for b in boxes]),
-            )
-        return bin_polygons_to_tile(tile, mbrs)
-
-    def _batched_unit_coverage(
-        self,
-        tile,
-        prepared: PreparedPolygons,
-        polygons: PolygonSet,
-        triangles,
-        pids,
-    ) -> dict[int, list]:
-        """Raw per-polygon coverage pieces via one batched raster pass.
-
-        The batched replacement for looping ``_unit_coverage`` per pid:
-        requested polygons that pass the tile bin gate contribute their
-        triangles to one flat soup, and the fragments scatter back by
-        the triangle → polygon id map into per-pid piece lists that are
-        byte-identical to the per-triangle builders' output.  Gated-out
-        pids map to empty lists, exactly as the scalar gate produces.
-        """
-        from repro.graphics.raster_batch import coverage_pieces_by_polygon
-
-        hit = self._tile_pid_mask(tile, prepared, polygons)
-        out: dict[int, list] = {pid: [] for pid in pids}
-        out.update(coverage_pieces_by_polygon(
-            tile, {pid: triangles[pid] for pid in pids if hit[pid]}
-        ))
-        return out
-
     def _checkpoint_session(self) -> None:
         """Make the session durable after an execution.
 
@@ -315,250 +261,11 @@ class SpatialAggregationEngine(ABC):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # Tile execution (backend dispatch + deterministic merge)
-    # ------------------------------------------------------------------
     def _record_execution_env(self, stats: ExecutionStats, num_tiles: int) -> None:
         """Report tiling and backend facts uniformly across engines."""
         stats.extra["tiles"] = int(num_tiles)
         stats.extra["backend"] = self.backend.name
         stats.extra["workers"] = self.backend.workers
-
-    def _tile_concurrency(
-        self,
-        points_hint: PointDataset | ResidentPointSet | None,
-        columns: tuple[str, ...],
-        fbo_bytes: int,
-    ) -> int | None:
-        """Cap on concurrently executing tile tasks, from the memory budget.
-
-        Batch plans never depend on the worker count (identical batch
-        boundaries are part of the determinism guarantee), so the device
-        budget is enforced the other way around: limit how many tiles may
-        hold a planned batch plus FBO headroom at once.  ``points_hint``
-        is the monolithic input when known; streamed sources (unknown
-        chunk sizes) fall back to one-at-a-time when a device is present.
-        """
-        if self.device is None:
-            return None
-        if isinstance(points_hint, ResidentPointSet):
-            # Resident columns are shared, not re-uploaded: no per-tile
-            # transfer footprint to budget.
-            return self.backend.workers
-        plan = None
-        if points_hint is not None:
-            plan = plan_batches(points_hint, columns, self.device, fbo_bytes)
-        return tile_parallelism(
-            self.device, fbo_bytes, plan, self.backend.workers
-        )
-
-    @staticmethod
-    def _max_fbo_bytes(tiles: Sequence, aggregate: Aggregate, dtype) -> int:
-        """Worst-case per-tile framebuffer footprint (budget headroom)."""
-        biggest = max((t.width * t.height for t in tiles), default=0)
-        return len(aggregate.channels) * np.dtype(dtype).itemsize * biggest
-
-    @staticmethod
-    def _tile_fbo_bytes(tile, aggregate: Aggregate, dtype) -> int:
-        """One tile's framebuffer footprint — must equal the ``nbytes``
-        of the :class:`FrameBuffer` its task will build, because the
-        partition stage replicates each task's batch plan (which
-        reserves exactly that many bytes)."""
-        return (
-            len(aggregate.channels)
-            * np.dtype(dtype).itemsize
-            * tile.width * tile.height
-        )
-
-    def _partition_tile_chunks(
-        self,
-        prepared: PreparedPolygons,
-        source,
-        aggregate: Aggregate,
-        columns: tuple[str, ...],
-        fbo_dtype,
-        stats: ExecutionStats,
-        points_hint: PointDataset | ResidentPointSet | None = None,
-    ) -> tuple[list[list], bool] | None:
-        """Partition the chunk source into per-tile sub-chunk lists.
-
-        The tentpole of the partitioned point pass: the parent iterates
-        ``source()`` exactly once, projects each chunk against the
-        global canvas, and buckets points into batch-aligned per-tile
-        sub-chunks (see :mod:`repro.exec.partition` for the
-        bit-equality argument).  Tile tasks then scan only their own
-        points instead of re-projecting the full input T times.
-
-        With a session attached and a monolithic input
-        (``points_hint``), the finished partition is cached in the
-        session keyed by the point source and the canvas spec — a
-        repeated query over the same points skips the scan entirely and
-        reports ``extra["partition"] = "cached"``.  The partition
-        depends only on the points and the canvas frame, never on the
-        polygons, so a rezoning edit loop keeps hitting the cache.
-
-        Returns ``(per_tile_chunks, saw_any_chunk)``, or ``None`` when
-        partitioning is off or pointless (single-tile canvas) — the
-        cheap no-op the single-tile path is guaranteed to keep.
-        """
-        tiles = prepared.tiles
-        if len(tiles) <= 1 or not self._partition_points:
-            stats.extra["partition"] = "off"
-            return None
-        with trace.span("partition", tiles=len(tiles)):
-            return self._partition_tile_chunks_timed(
-                prepared, source, aggregate, columns, fbo_dtype, stats,
-                points_hint, tiles,
-            )
-
-    def _partition_tile_chunks_timed(
-        self, prepared, source, aggregate, columns, fbo_dtype, stats,
-        points_hint, tiles,
-    ) -> tuple[list[list], bool] | None:
-        start = time.perf_counter()
-        fbo_bytes = [
-            self._tile_fbo_bytes(tile, aggregate, fbo_dtype) for tile in tiles
-        ]
-        token = None
-        if self.session is not None and points_hint is not None:
-            canvas = prepared.canvas
-            ext = canvas.extent
-            # The device enters by *value* (its batch-planning inputs),
-            # not identity: an id() could be reused after GC and would
-            # validate a partition aligned to another device's batch
-            # boundaries.
-            device_token = None if self.device is None else (
-                self.device.capacity_bytes, self.device.max_resolution,
-            )
-            token = (
-                (ext.xmin, ext.ymin, ext.xmax, ext.ymax),
-                canvas.width, canvas.height, self.max_resolution,
-                columns, tuple(fbo_bytes), device_token,
-            )
-            cached = self.session.partition_lookup(points_hint, token)
-            if cached is not None:
-                per_tile, duplicates = cached
-                stats.extra["partition"] = "cached"
-                stats.extra["partition_duplicates"] = duplicates
-                stats.partition_s += time.perf_counter() - start
-                return per_tile, True
-        per_tile: list[list] = [[] for _ in tiles]
-        saw_chunk = False
-        duplicates = 0
-        for chunk in source():
-            saw_chunk = True
-            pieces, dupes = partition_chunk(
-                chunk, prepared.canvas, tiles, self.max_resolution,
-                columns, self.device, fbo_bytes,
-            )
-            duplicates += dupes
-            for idx, subs in enumerate(pieces):
-                per_tile[idx].extend(subs)
-        if token is not None and saw_chunk:
-            # The session may convert host sub-chunks to shared-memory
-            # chunks as it stores them (its shm tier); consuming what it
-            # stored means this very query already reads the shared
-            # segments — and stays eligible for resident dispatch.
-            per_tile = self.session.partition_store(
-                points_hint, token, per_tile, duplicates
-            )
-        stats.extra["partition"] = "on"
-        stats.extra["partition_duplicates"] = duplicates
-        stats.partition_s += time.perf_counter() - start
-        return per_tile, saw_chunk
-
-    @staticmethod
-    def _tile_framebuffer(tile, aggregate: Aggregate,
-                          dtype=np.float32) -> FrameBuffer:
-        """A tile's render target, cleared to the blend identity."""
-        fbo = FrameBuffer.for_viewport(
-            tile, channels=aggregate.channels, dtype=dtype
-        )
-        if aggregate.blend != "add":
-            for name in aggregate.channels:
-                fbo.channel(name).fill(aggregate.identity())
-        return fbo
-
-    def _dispatch_tiles(
-        self,
-        tiles: Sequence,
-        tile_fn,
-        parallelism: int | None = None,
-        stats: ExecutionStats | None = None,
-    ) -> list[TilePartial]:
-        """Run ``tile_fn(tile_idx, tile)`` per tile; partials in tile order.
-
-        Records how the dispatch executed (``extra["pool"]``: inline /
-        created / reused / ephemeral / forked) so a trace shows whether
-        the persistent pool was actually reused.
-        """
-        tasks = [
-            (lambda idx=idx, tile=tile: tile_fn(idx, tile))
-            for idx, tile in enumerate(tiles)
-        ]
-        partials = self.backend.run_tasks(tasks, parallelism=parallelism)
-        if stats is not None and self.backend.last_pool_event is not None:
-            stats.extra["pool"] = self.backend.last_pool_event
-        return partials
-
-    @staticmethod
-    def _merge_tile_partials(
-        partials: Sequence[TilePartial],
-        prepared: PreparedPolygons,
-        aggregate: Aggregate,
-        accumulators: dict[str, np.ndarray],
-        stats: ExecutionStats,
-    ) -> bool:
-        """Fold per-tile partials into the final result, in tile order.
-
-        Partials arrive in tile-index order whatever order they finished
-        in, and each one was folded from the blend identity, so this
-        merge produces bit-identical accumulators for every backend and
-        worker count.  Newly built prepared-state pieces (boundary masks,
-        coverage) are installed here, on the caller's side of the process
-        boundary, so the session warms even under the fork backend.
-        """
-        saw_points = False
-        for partial in partials:
-            saw_points = saw_points or partial.saw_points
-            for name, arr in partial.accumulators.items():
-                accumulators[name] = aggregate.combine(accumulators[name], arr)
-            # stats.merge sums numeric extras (boundary_pixels et al.)
-            # across tiles by the type-based rules in ExecutionStats.
-            stats.merge(partial.stats)
-            # Counter/histogram increments a worker process made come
-            # home as a delta dict; folding them here (in tile order)
-            # keeps the parent registry identical to what an in-process
-            # backend would have recorded directly.
-            if partial.metrics:
-                metrics.REGISTRY.apply_delta(partial.metrics)
-            # Shipped tile subtrees re-parent here, in tile-index order,
-            # so the trace tree is deterministic across backends.
-            trace.attach(partial.span)
-            if partial.unit_boundary is not None:
-                prepared.install_unit_boundary(
-                    partial.tile_idx, partial.unit_boundary
-                )
-            if partial.unit_coverage is not None:
-                prepared.install_unit_coverage(
-                    partial.tile_idx, partial.unit_coverage
-                )
-            prepared.mark_composed(
-                partial.tile_idx,
-                boundary=partial.boundary_mask,
-                coverage=partial.coverage,
-            )
-        return saw_points
-
-    @staticmethod
-    def _new_accumulators(
-        polygons: PolygonSet, aggregate: Aggregate
-    ) -> dict[str, np.ndarray]:
-        """Per-polygon result slots initialized to the blend identity."""
-        return {
-            ch: np.full(len(polygons), aggregate.identity(), dtype=np.float64)
-            for ch in aggregate.channels
-        }
 
     @staticmethod
     def required_columns(aggregate: Aggregate, filters: FilterSet) -> tuple[str, ...]:
@@ -590,76 +297,6 @@ class SpatialAggregationEngine(ABC):
             for col in needed:
                 points.column(col)  # raises SchemaError when absent
 
-    def _batches(
-        self,
-        points: PointDataset | ResidentPointSet,
-        columns: tuple[str, ...],
-        stats: ExecutionStats,
-        reserved_bytes: int = 0,
-    ) -> Iterator[_Batch]:
-        """Yield device-resident batches, accounting transfer time.
-
-        Resident point sets yield themselves as a single zero-cost batch.
-        Host datasets are planned against the device capacity and each
-        batch's columns are physically copied (and timed).  Device buffers
-        are released as soon as a batch has been consumed, like the
-        round-robin persistent buffers of the paper's implementation.
-        """
-        if isinstance(points, (ResidentPointSet, ResidentSubset, ShmChunk)):
-            # Resident sets — and the per-tile subsets the partition
-            # stage gathers from them — are already device memory: one
-            # zero-cost batch, no planning.  Shared-memory chunks get
-            # the same treatment in every process: they are
-            # batch-aligned by construction (each partition sub-chunk
-            # fits exactly one batch of the plan its tile task would
-            # have used — repro.exec.partition, property 3), so the
-            # single-batch grouping reproduces the host path's bits.
-            stats.batches += 1
-            yield _Batch(
-                {c: points.column(c) for c in columns}, len(points), 0.0
-            )
-            return
-        plan = plan_batches(points, columns, self.device, reserved_bytes)
-        for start, end in plan.ranges():
-            host_cols = {c: points.column(c)[start:end] for c in columns}
-            if self.device is None:
-                stats.batches += 1
-                yield _Batch(host_cols, end - start, 0.0)
-                continue
-            buffers, seconds = self.device.upload_columns(host_cols)
-            stats.transfer_s += seconds
-            stats.bytes_transferred += sum(b.nbytes for b in buffers.values())
-            stats.batches += 1
-            try:
-                yield _Batch(
-                    {n: b.array for n, b in buffers.items()}, end - start, seconds
-                )
-            finally:
-                for b in buffers.values():
-                    b.free()
-
-    @staticmethod
-    def _apply_filters(
-        batch: _Batch, filters: FilterSet, stats: ExecutionStats
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """Vertex stage: evaluate constraints, discard failing points.
-
-        Returns the surviving coordinates and attribute columns.
-        """
-        xs = batch.column("x")
-        ys = batch.column("y")
-        attrs = {
-            n: arr for n, arr in batch.columns.items() if n not in ("x", "y")
-        }
-        stats.points_processed += batch.length
-        if not filters:
-            return xs, ys, attrs
-        keep = filters.mask(batch.column, batch.length)
-        stats.points_filtered_out += int(batch.length - np.count_nonzero(keep))
-        if keep.all():
-            return xs, ys, attrs
-        return xs[keep], ys[keep], {n: a[keep] for n, a in attrs.items()}
-
     @property
     def max_resolution(self) -> int:
         """Largest FBO side the device supports."""
@@ -675,6 +312,87 @@ def timed(fn, *args, **kwargs):
     start = time.perf_counter()
     out = fn(*args, **kwargs)
     return out, time.perf_counter() - start
+
+
+def new_accumulators(
+    polygons: PolygonSet, aggregate: Aggregate
+) -> dict[str, np.ndarray]:
+    """Per-polygon result slots initialized to the blend identity."""
+    return {
+        ch: np.full(len(polygons), aggregate.identity(), dtype=np.float64)
+        for ch in aggregate.channels
+    }
+
+
+def point_batches(
+    points: PointDataset | ResidentPointSet,
+    columns: tuple[str, ...],
+    device: GPUDevice | None,
+    stats: ExecutionStats,
+    reserved_bytes: int = 0,
+) -> Iterator[_Batch]:
+    """Yield device-resident batches, accounting transfer time.
+
+    Resident point sets yield themselves as a single zero-cost batch.
+    Host datasets are planned against the device capacity and each
+    batch's columns are physically copied (and timed).  Device buffers
+    are released as soon as a batch has been consumed, like the
+    round-robin persistent buffers of the paper's implementation.
+    """
+    if isinstance(points, (ResidentPointSet, ResidentSubset, ShmChunk)):
+        # Resident sets — and the per-tile subsets the partition
+        # stage gathers from them — are already device memory: one
+        # zero-cost batch, no planning.  Shared-memory chunks get
+        # the same treatment in every process: they are
+        # batch-aligned by construction (each partition sub-chunk
+        # fits exactly one batch of the plan its tile task would
+        # have used — repro.exec.partition, property 3), so the
+        # single-batch grouping reproduces the host path's bits.
+        stats.batches += 1
+        yield _Batch(
+            {c: points.column(c) for c in columns}, len(points), 0.0
+        )
+        return
+    plan = plan_batches(points, columns, device, reserved_bytes)
+    for start, end in plan.ranges():
+        host_cols = {c: points.column(c)[start:end] for c in columns}
+        if device is None:
+            stats.batches += 1
+            yield _Batch(host_cols, end - start, 0.0)
+            continue
+        buffers, seconds = device.upload_columns(host_cols)
+        stats.transfer_s += seconds
+        stats.bytes_transferred += sum(b.nbytes for b in buffers.values())
+        stats.batches += 1
+        try:
+            yield _Batch(
+                {n: b.array for n, b in buffers.items()}, end - start, seconds
+            )
+        finally:
+            for b in buffers.values():
+                b.free()
+
+
+def apply_filters(
+    batch: _Batch, filters: FilterSet, stats: ExecutionStats
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Vertex stage: evaluate constraints, discard failing points.
+
+    Returns the surviving coordinates and attribute columns.
+    """
+    xs = batch.column("x")
+    ys = batch.column("y")
+    attrs = {
+        n: arr for n, arr in batch.columns.items() if n not in ("x", "y")
+    }
+    stats.points_processed += batch.length
+    if not filters:
+        return xs, ys, attrs
+    keep = filters.mask(batch.column, batch.length)
+    stats.points_filtered_out += int(batch.length - np.count_nonzero(keep))
+    if keep.all():
+        return xs, ys, attrs
+    return xs[keep], ys[keep], {n: a[keep] for n, a in attrs.items()}
 
 
 def grid_pip_aggregate(

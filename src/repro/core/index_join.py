@@ -25,7 +25,13 @@ import numpy as np
 
 from repro.cache.session import QuerySession
 from repro.core.aggregates import Aggregate
-from repro.core.engine import SpatialAggregationEngine, grid_pip_aggregate
+from repro.core.engine import (
+    SpatialAggregationEngine,
+    apply_filters,
+    grid_pip_aggregate,
+    new_accumulators,
+    point_batches,
+)
 from repro.core.filters import FilterSet
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice, ResidentPointSet
@@ -129,11 +135,11 @@ class IndexJoin(SpatialAggregationEngine):
         if self.mode == "multicore":
             stats.extra["backend"] = "process"
             stats.extra["workers"] = self.workers
-        accumulators = self._new_accumulators(polygons, aggregate)
+        accumulators = new_accumulators(polygons, aggregate)
         columns = self.required_columns(aggregate, filters)
-        for batch in self._batches(points, columns, stats):
+        for batch in point_batches(points, columns, self.device, stats):
             start = time.perf_counter()
-            xs, ys, attrs = self._apply_filters(batch, filters, stats)
+            xs, ys, attrs = apply_filters(batch, filters, stats)
             # The grid probe + PIP join *is* the whole point pass here;
             # multicore fans chunks out concurrently, so its child
             # durations may overlap (span-containment exemption).

@@ -27,7 +27,12 @@ import numpy as np
 
 from repro.cache.session import QuerySession
 from repro.core.aggregates import Aggregate
-from repro.core.engine import SpatialAggregationEngine
+from repro.core.engine import (
+    SpatialAggregationEngine,
+    apply_filters,
+    new_accumulators,
+    point_batches,
+)
 from repro.core.filters import FilterSet
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice, ResidentPointSet
@@ -76,7 +81,7 @@ class MaterializingJoin(SpatialAggregationEngine):
         filters: FilterSet,
         stats: ExecutionStats,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        accumulators = self._new_accumulators(polygons, aggregate)
+        accumulators = new_accumulators(polygons, aggregate)
         columns = self.required_columns(aggregate, filters)
         # The materializing join renders no tiles; it still reports the
         # execution environment uniformly across engines.
@@ -87,9 +92,9 @@ class MaterializingJoin(SpatialAggregationEngine):
             prepared.ensure_mbr_arrays(polygons)
         )
 
-        for batch in self._batches(points, columns, stats):
+        for batch in point_batches(points, columns, self.device, stats):
             start = time.perf_counter()
-            xs, ys, attrs = self._apply_filters(batch, filters, stats)
+            xs, ys, attrs = apply_filters(batch, filters, stats)
             if len(xs) == 0:
                 stats.processing_s += time.perf_counter() - start
                 continue
@@ -137,10 +142,15 @@ class MaterializingJoin(SpatialAggregationEngine):
             )
             cand_pt = cand_pt[keep]
             cand_poly = cand_poly[keep]
+            if len(cand_pt) == 0:
+                # Every point lies outside every polygon's MBR: nothing
+                # to refine (an empty pair list has no polygon groups).
+                stats.processing_s += time.perf_counter() - start
+                continue
 
             # Refinement: PIP per candidate pair, producing the match list.
             # Polygon groups are independent, so they fan out over the
-            # engine's (persistent) execution backend when the
+            # engine's execution backend when the
             # materialized pair count is worth the dispatch; partials
             # merge in slice order, so the match list — and therefore
             # the aggregation — is bit-identical to inline refinement.
@@ -218,14 +228,24 @@ class MaterializingJoin(SpatialAggregationEngine):
         """Snap coordinates to a 2^bits fixed-point lattice over the extent.
 
         Reproduces the comparator's 16-bit coordinate compression, the
-        source of its approximation error.
+        source of its approximation error.  The lattice continues past
+        the extent at the same pitch: truncation quantizes a point, it
+        never relocates one — a point outside the polygon-set bbox stays
+        outside (clipping it onto the border would count it in), so an
+        out-of-extent coordinate snaps to the nearest lattice line that
+        is itself outside.
         """
         if self.truncate_bits is None:
             return xs, ys
         levels = float((1 << self.truncate_bits) - 1)
+
+        def snap(fraction: np.ndarray) -> np.ndarray:
+            q = np.rint(fraction * levels)
+            q = np.where(fraction < 0.0, np.minimum(q, -1.0), q)
+            q = np.where(fraction > 1.0, np.maximum(q, levels + 1.0), q)
+            return q / levels
+
         box = polygons.bbox
-        fx = np.clip((xs - box.xmin) / max(box.width, 1e-300), 0.0, 1.0)
-        fy = np.clip((ys - box.ymin) / max(box.height, 1e-300), 0.0, 1.0)
-        qx = np.rint(fx * levels) / levels
-        qy = np.rint(fy * levels) / levels
+        qx = snap((xs - box.xmin) / max(box.width, 1e-300))
+        qy = snap((ys - box.ymin) / max(box.height, 1e-300))
         return box.xmin + qx * box.width, box.ymin + qy * box.height

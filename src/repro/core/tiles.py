@@ -1,0 +1,935 @@
+"""One tile task, one tile loop: the raster join's only per-tile pipeline.
+
+The paper's raster join is one fixed per-tile sequence — draw the polygon
+boundaries, draw the points (a PIP test only for points landing on a
+boundary pixel), draw the polygons — and this module holds its only
+implementation, as plain functions over plain data:
+
+* the **tile task** (:func:`run_tile`): boundary → point pass → polygon
+  pass → one :class:`~repro.exec.backend.TilePartial` per member query.
+  It is written over a *list* of member queries sharing one tile's point
+  chunks: batch upload, filter evaluation (once per distinct filter set)
+  and projection are shared, everything arithmetic-bearing (boundary
+  mask, framebuffer, PIP accumulators, polygon pass) is per member.  A
+  solo query is a group of one; the serving layer's fused scans
+  (:mod:`repro.serve.fused`) are groups of several.
+* the **tile loop** (:func:`run_tiles`): partition the points per tile →
+  dispatch the tile tasks over the execution backend → merge the partials
+  in tile-index order.
+
+The task's inputs are picklable data — the tile index, a small frozen
+:class:`TileKernel` naming what differs between the engines, the members
+(prepared artifact, polygons, aggregate, filters), the chunk descriptors
+and a few flags — so in-process dispatch and the resident worker pool's
+:class:`~repro.exec.resident.TileTaskSpec` dispatch run the same function;
+the latter merely pickles its arguments.
+
+Determinism: every task folds its accumulators from the blend identity
+and the loop merges partials in tile order, so every backend, worker
+count and dispatch mode produces the same bits (``docs/parallel_execution.md``).
+The scalar raster kernels in :mod:`repro.graphics` are not called from
+here; they are the oracle the batched builders are tested against
+(``docs/rasterization.md``).
+"""
+
+from __future__ import annotations
+
+import pickle
+import time
+from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+from repro.cache.prepared import PreparedPolygons
+from repro.core.aggregates import Aggregate, Count
+from repro.core.engine import (
+    SpatialAggregationEngine,
+    apply_filters,
+    grid_pip_aggregate,
+    new_accumulators,
+    point_batches,
+)
+from repro.core.filters import FilterSet
+from repro.data.dataset import PointDataset
+from repro.device.batching import plan_batches, tile_parallelism
+from repro.device.memory import (
+    DEFAULT_MAX_RESOLUTION,
+    GPUDevice,
+    ResidentPointSet,
+)
+from repro.errors import QueryError
+from repro.exec import shm
+from repro.exec.backend import ExecutionBackend, ProcessBackend, TilePartial
+from repro.exec.partition import partition_chunk
+from repro.exec.resident import TileTaskSpec
+from repro.geometry.polygon import PolygonSet
+from repro.graphics.fbo import FrameBuffer
+from repro.graphics.raster_batch import (
+    bin_polygons_to_tile,
+    coverage_pieces_by_polygon,
+)
+from repro.graphics.raster_line import outline_pixels_many
+from repro.graphics.raster_polygon import scanline_polygon_pixels
+from repro.graphics.viewport import Viewport
+from repro.obs import metrics, trace
+from repro.types import AggregationResult, ExecutionStats
+
+
+# ----------------------------------------------------------------------
+# The task's data
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TileKernel:
+    """What differs between the engines that run the tile task.
+
+    ``exact`` selects the accurate join's boundary stage (outline mask,
+    PIP for points on it, boundary fragments excluded from the polygon
+    pass); without it every point rasterizes and every fragment counts —
+    the bounded join.  ``scanline`` swaps the batched triangle coverage
+    builder for the per-polygon scanline fill (the bounded engine's
+    raster-path ablation).  ``device`` plans and times the point uploads.
+    """
+
+    engine: str
+    exact: bool
+    fbo_dtype: type
+    scanline: bool = False
+    device: GPUDevice | None = None
+
+    @property
+    def max_resolution(self) -> int:
+        """Largest framebuffer side the device supports (the tile size)."""
+        if self.device is not None:
+            return self.device.max_resolution
+        return DEFAULT_MAX_RESOLUTION
+
+    @property
+    def device_token(self) -> tuple | None:
+        """The device by its batch-planning inputs, not identity: an
+        ``id()`` could be reused after GC and would validate state built
+        against another device's batch boundaries."""
+        if self.device is None:
+            return None
+        return (self.device.capacity_bytes, self.device.max_resolution)
+
+    @property
+    def token(self) -> tuple:
+        """Value identity of the whole record, for cache keys."""
+        return (
+            self.engine, self.exact, self.fbo_dtype, self.scanline,
+            self.device_token,
+        )
+
+
+@dataclass
+class TileMember:
+    """One query of a group: everything but the shared point chunks."""
+
+    prepared: PreparedPolygons
+    polygons: PolygonSet
+    aggregate: Aggregate
+    filters: FilterSet
+
+
+class TileRun(NamedTuple):
+    """What the tile loop hands back, one entry per member."""
+
+    #: Merged per-polygon channel arrays.
+    accumulators: list[dict[str, np.ndarray]]
+    #: Per tile, the ``(viewport, framebuffer)`` after the point pass —
+    #: only under ``keep_fbo`` (the bounded engine's §5 result intervals).
+    payloads: list[list]
+    #: Whether the source produced any chunk (streams reject none).
+    saw_chunk: bool
+
+
+def member_columns(members: Sequence[TileMember]) -> tuple[str, ...]:
+    """The scan's columns: every member's required columns, first seen
+    first (for one member, exactly its own required columns)."""
+    names: list[str] = []
+    for member in members:
+        for col in SpatialAggregationEngine.required_columns(
+            member.aggregate, member.filters
+        ):
+            if col not in names:
+                names.append(col)
+    return tuple(names)
+
+
+def tile_fbo_bytes(
+    kernel: TileKernel, members: Sequence[TileMember]
+) -> list[int]:
+    """Per tile, the bytes of the group's framebuffers live at once.
+
+    Must equal the summed ``nbytes`` of the framebuffers the tile task
+    builds: the partition replicates the task's batch plan, which
+    reserves exactly that many bytes.
+    """
+    channels = sum(len(member.aggregate.channels) for member in members)
+    cell = channels * np.dtype(kernel.fbo_dtype).itemsize
+    return [
+        cell * tile.width * tile.height
+        for tile in members[0].prepared.tiles
+    ]
+
+
+def filter_key(filters: FilterSet) -> tuple:
+    """Value identity of a filter conjunction: members with equal keys
+    share one filter evaluation and one projection per batch."""
+    return tuple((f.column, f.op, f.value) for f in filters.filters)
+
+
+# ----------------------------------------------------------------------
+# The tile task
+# ----------------------------------------------------------------------
+def run_tile(
+    tile_idx: int,
+    kernel: TileKernel,
+    members: Sequence[TileMember],
+    columns: tuple[str, ...],
+    chunks,
+    *,
+    units_mode: bool,
+    retain: bool,
+    tracing: bool,
+    keep_fbo: bool = False,
+) -> list[TilePartial]:
+    """One whole tile: boundary, point pass, polygon pass, per member.
+
+    The unit every dispatch mode runs — inline, in a thread, in a forked
+    child, or in a resident spawned worker.  Nothing is read from an
+    engine and shared prepared state is never mutated: freshly built
+    boundary/coverage pieces travel home in the partials (``retain``;
+    under ``units_mode`` only what the artifact's per-polygon units lack
+    is built, and the per-polygon slices ship too).  The tile's trace
+    subtree rides on the first member's partial.
+    """
+    tile = members[0].prepared.tiles[tile_idx]
+    with trace.tile_scope(tracing, tile=tile_idx) as tile_span:
+        metrics.counter("engine_tile_tasks", engine=kernel.engine)
+        partials = [
+            TilePartial(
+                tile_idx,
+                new_accumulators(member.polygons, member.aggregate),
+                ExecutionStats(engine=kernel.engine, batches=0, passes=1),
+            )
+            for member in members
+        ]
+        boundaries: list[np.ndarray | None] = [None] * len(members)
+        if kernel.exact:
+            for i, (member, partial) in enumerate(zip(members, partials)):
+                boundaries[i], built, built_units = _tile_boundary(
+                    tile_idx, tile, member, partial.stats, units_mode
+                )
+                if retain:
+                    partial.boundary_mask = built
+                    partial.unit_boundary = built_units
+        fbos = [
+            _tile_framebuffer(tile, member.aggregate, kernel.fbo_dtype)
+            for member in members
+        ]
+        with trace.span("point-pass"):
+            saw_points = _point_pass(
+                tile, kernel, members, columns, chunks, boundaries, fbos,
+                partials,
+            )
+        for member, partial, boundary, fbo in zip(
+            members, partials, boundaries, fbos
+        ):
+            with trace.span("polygon-pass"):
+                built, built_units = _polygon_pass(
+                    tile_idx, tile, kernel, member, boundary, fbo,
+                    partial.accumulators, partial.stats, units_mode,
+                )
+            partial.saw_points = saw_points
+            if retain:
+                partial.coverage = built
+                partial.unit_coverage = built_units if units_mode else None
+            if keep_fbo:
+                partial.payload = (tile, fbo)
+        partials[0].span = tile_span
+    return partials
+
+
+# -- stage 1: draw the boundaries ---------------------------------------
+def _tile_pids(tile: Viewport, member: TileMember) -> np.ndarray:
+    """Vectorized bin pass: which polygons' boxes touch this tile.
+
+    One boolean per polygon over the prepared columnar MBRs (the
+    inclusive ``bbox.intersects`` gate, for the whole set at once).
+    """
+    return bin_polygons_to_tile(tile, member.prepared.mbr_arrays)
+
+
+def _tile_boundary(
+    tile_idx: int,
+    tile: Viewport,
+    member: TileMember,
+    stats: ExecutionStats,
+    units_mode: bool,
+) -> tuple[np.ndarray, np.ndarray | None, dict | None]:
+    """This tile's conservative outline mask: cached, or built.
+
+    Returns ``(boundary, built mask, built per-polygon outlines)`` — the
+    last two ``None`` when the artifact already held the mask.  A build
+    rasterizes outlines in one vectorized edge pass over the requested
+    polygons that survive the tile bin gate and ORs every polygon's
+    pixels into the mask; OR is order-free, so composing per-polygon
+    pixel sets equals rendering the whole set.
+    """
+    prepared = member.prepared
+    boundary = prepared.boundary_masks.get(tile_idx)
+    built = built_units = None
+    if boundary is None:
+        with trace.span("boundary"):
+            start = time.perf_counter()
+            pids = (
+                prepared.missing_boundary_pids(tile_idx) if units_mode
+                else range(len(member.polygons))
+            )
+            hit = _tile_pids(tile, member)
+            empty = np.zeros(0, dtype=np.int64)
+            built_units = {pid: (empty, empty) for pid in pids}
+            built_units.update(outline_pixels_many(
+                tile,
+                {pid: member.polygons[pid].rings for pid in pids if hit[pid]},
+            ))
+            boundary = built = prepared.compose_boundary(
+                tile_idx, tile, built_units
+            )
+            stats.processing_s += time.perf_counter() - start
+    # Assigned, never accumulated: the tile's boundary population.
+    stats.extra["boundary_pixels"] = int(boundary.sum())
+    return boundary, built, built_units
+
+
+# -- stage 2: draw the points -------------------------------------------
+def _tile_framebuffer(tile: Viewport, aggregate: Aggregate, dtype) -> FrameBuffer:
+    """A tile's render target, cleared to the blend identity."""
+    fbo = FrameBuffer.for_viewport(
+        tile, channels=aggregate.channels, dtype=dtype
+    )
+    if aggregate.blend != "add":
+        for name in aggregate.channels:
+            fbo.channel(name).fill(aggregate.identity())
+    return fbo
+
+
+def _point_pass(
+    tile: Viewport,
+    kernel: TileKernel,
+    members: Sequence[TileMember],
+    columns: tuple[str, ...],
+    chunks,
+    boundaries: Sequence[np.ndarray | None],
+    fbos: Sequence[FrameBuffer],
+    partials: Sequence[TilePartial],
+) -> bool:
+    """Upload, filter and project each batch once; route it per member.
+
+    Per batch and distinct filter set: the vertex-stage filter, the
+    viewport projection and the inside-viewport subset run once, in input
+    order, and every member of that filter group then routes the same
+    arrays against its own boundary mask, framebuffer, grid and
+    accumulators — exactly the arithmetic, in exactly the order, of that
+    member running alone.  Each member is charged the shared work (its
+    solo run would have paid it).  Returns whether any chunk arrived.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, member in enumerate(members):
+        groups.setdefault(filter_key(member.filters), []).append(i)
+    reserved = sum(fbo.nbytes for fbo in fbos)
+    scan = ExecutionStats(batches=0)
+    saw_points = False
+    for chunk in chunks:
+        saw_points = True
+        for batch in point_batches(chunk, columns, kernel.device, scan,
+                                   reserved):
+            for indices in groups.values():
+                start = time.perf_counter()
+                lead = partials[indices[0]].stats
+                xs, ys, attrs = apply_filters(
+                    batch, members[indices[0]].filters, lead
+                )
+                for i in indices[1:]:
+                    stats = partials[i].stats
+                    stats.points_processed += batch.length
+                    stats.points_filtered_out += batch.length - len(xs)
+                ix, iy, inside = tile.pixel_of(xs, ys)
+                if not inside.all():
+                    xs, ys = xs[inside], ys[inside]
+                    ix, iy = ix[inside], iy[inside]
+                    attrs = {n: a[inside] for n, a in attrs.items()}
+                shared = time.perf_counter() - start
+                for i in indices:
+                    start = time.perf_counter()
+                    if len(xs):
+                        _route_batch(
+                            boundaries[i], fbos[i], xs, ys, ix, iy, attrs,
+                            members[i], partials[i].accumulators,
+                            partials[i].stats,
+                        )
+                    partials[i].stats.processing_s += (
+                        shared + time.perf_counter() - start
+                    )
+    for partial in partials:
+        partial.stats.batches += scan.batches
+        partial.stats.transfer_s += scan.transfer_s
+        partial.stats.bytes_transferred += scan.bytes_transferred
+    return saw_points
+
+
+def _route_batch(
+    boundary: np.ndarray | None,
+    fbo: FrameBuffer,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    ix: np.ndarray,
+    iy: np.ndarray,
+    attrs: dict[str, np.ndarray],
+    member: TileMember,
+    accumulators: dict[str, np.ndarray],
+    stats: ExecutionStats,
+) -> None:
+    """Route one projected batch: boundary points join exactly through
+    the grid index, the rest rasterize into the tile framebuffer.
+
+    Without a boundary mask (the bounded join) everything rasterizes.
+    ``attrs`` may carry extra columns (a group's union); only the
+    aggregate's own columns are read.
+    """
+    aggregate = member.aggregate
+    if boundary is None:
+        _scatter(fbo, ix, iy, attrs, None, aggregate)
+        return
+    on_boundary = boundary[iy, ix]
+    num_boundary = int(np.count_nonzero(on_boundary))
+    stats.boundary_points += num_boundary
+    all_boundary = num_boundary == len(xs)
+    if num_boundary:
+        # When the whole batch is boundary the masked gathers are
+        # skipped — identical values in identical order.
+        with trace.span("boundary-pip", points=num_boundary):
+            grid_pip_aggregate(
+                xs if all_boundary else xs[on_boundary],
+                ys if all_boundary else ys[on_boundary],
+                attrs if all_boundary else
+                {n: a[on_boundary] for n, a in attrs.items()},
+                member.prepared.grid, member.polygons, aggregate,
+                accumulators, stats,
+            )
+    if not all_boundary:
+        # A batch with no boundary points skips the mask entirely — the
+        # unmasked arrays are the same values in the same order, so the
+        # scatter visits pixels identically.
+        if num_boundary:
+            interior = ~on_boundary
+            _scatter(fbo, ix[interior], iy[interior], attrs, interior,
+                     aggregate)
+        else:
+            _scatter(fbo, ix, iy, attrs, None, aggregate)
+
+
+def _scatter(
+    fbo: FrameBuffer,
+    ix: np.ndarray,
+    iy: np.ndarray,
+    attrs: dict[str, np.ndarray],
+    keep: np.ndarray | None,
+    aggregate: Aggregate,
+) -> None:
+    """Blend fragments into the framebuffer (``keep`` subsets ``attrs``
+    to the fragments given; values are cast to the FBO's dtype by the
+    additive blend, as 32-bit GL channels would)."""
+
+    def values(col):
+        return attrs[col] if keep is None else attrs[col][keep]
+
+    if aggregate.blend == "add":
+        fbo.accumulate(ix, iy, {
+            ch: (values(col) if col is not None else 1.0)
+            for ch, col in aggregate.channels.items()
+        })
+    else:
+        blend = np.minimum if aggregate.blend == "min" else np.maximum
+        for ch, col in aggregate.channels.items():
+            blend.at(fbo.channel(ch), (iy, ix), values(col))
+
+
+# -- stage 3: draw the polygons -----------------------------------------
+def _raw_coverage(
+    tile: Viewport, kernel: TileKernel, member: TileMember, pids
+) -> dict[int, list]:
+    """Per-polygon ``(iy, ix)`` coverage pieces, before boundary exclusion.
+
+    One batched raster pass over the requested polygons that pass the
+    tile bin gate: their triangles form one flat soup and the fragments
+    scatter back by the triangle → polygon map, one piece per non-empty
+    triangle in triangulation order.  The scanline kernel instead fills
+    each polygon whole (a single piece).  Gated-out pids map to empty
+    lists either way.
+    """
+    hit = _tile_pids(tile, member)
+    out: dict[int, list] = {pid: [] for pid in pids}
+    if kernel.scanline:
+        for pid in pids:
+            if hit[pid]:
+                ix, iy = scanline_polygon_pixels(
+                    tile, member.polygons[pid].rings
+                )
+                if len(ix):
+                    out[pid].append((iy, ix))
+        return out
+    triangles = member.prepared.triangles
+    out.update(coverage_pieces_by_polygon(
+        tile, {pid: triangles[pid] for pid in pids if hit[pid]}
+    ))
+    return out
+
+
+def _polygon_pass(
+    tile_idx: int,
+    tile: Viewport,
+    kernel: TileKernel,
+    member: TileMember,
+    boundary: np.ndarray | None,
+    fbo: FrameBuffer,
+    accumulators: dict[str, np.ndarray],
+    stats: ExecutionStats,
+    units_mode: bool,
+) -> tuple[list | None, dict | None]:
+    """Reduce each polygon's covered pixels into its result slot.
+
+    Coverage is a pure function of the tile, the triangulation and the
+    boundary mask, so it is built once per artifact and replayed
+    afterwards; per query only the channel gather + reduction runs.  A
+    build composes raw per-polygon pieces in polygon order, dropping
+    fragments under ``boundary`` (those points joined exactly); without
+    a mask the raw pieces are the coverage.  Returns ``(composed
+    coverage, raw per-polygon pieces)`` freshly built, ``None`` when the
+    artifact held the tile.
+    """
+    start = time.perf_counter()
+    prepared = member.prepared
+    built = built_units = None
+    coverage = prepared.coverage.get(tile_idx)
+    if coverage is None:
+        pids = (
+            prepared.missing_coverage_pids(tile_idx) if units_mode
+            else range(len(member.polygons))
+        )
+        built_units = _raw_coverage(tile, kernel, member, pids)
+        coverage = built = prepared.compose_coverage(
+            tile_idx, boundary, built_units
+        )
+    aggregate = member.aggregate
+    channels = {ch: fbo.channel(ch) for ch in aggregate.channels}
+    for pid, pieces in coverage:
+        for piece_iy, piece_ix in pieces:
+            for ch, channel in channels.items():
+                accumulators[ch][pid] = aggregate.combine(
+                    np.asarray(accumulators[ch][pid]),
+                    np.asarray(
+                        aggregate.reduce_pixels(channel[piece_iy, piece_ix])
+                    ),
+                )
+    elapsed = time.perf_counter() - start
+    stats.processing_s += elapsed
+    stats.polygon_pass_s += elapsed
+    return built, built_units
+
+
+# ----------------------------------------------------------------------
+# The tile loop
+# ----------------------------------------------------------------------
+def run_tiles(
+    kernel: TileKernel,
+    backend: ExecutionBackend,
+    session,
+    members: Sequence[TileMember],
+    source: Callable[[], Iterator],
+    columns: tuple[str, ...],
+    stats_list: Sequence[ExecutionStats],
+    *,
+    points_hint: PointDataset | ResidentPointSet | None = None,
+    partition: bool = True,
+    keep_fbo: bool = False,
+) -> TileRun:
+    """Partition → dispatch → ordered merge, for a group of members.
+
+    ``members`` share one canvas and tile layout (a solo query trivially;
+    a fused group by its caller's gate); ``source()`` yields point chunks
+    and ``points_hint`` is the monolithic input when there is one (it
+    keys the session's partition cache and sizes the concurrency cap).
+    ``stats_list`` holds each member's query stats: merged tile work, the
+    shared partition cost and how the dispatch ran are recorded into
+    every one of them.  Prepared pieces the tasks built are installed
+    into each member's artifact here, on the caller's side of any
+    process boundary, so a session warms under every backend.
+    """
+    tiles = members[0].prepared.tiles
+    retain = session is not None
+    units_mode = retain and all(
+        member.prepared.units is not None for member in members
+    )
+    # Captured before dispatch: worker threads and processes have no
+    # ambient tracer, so each tile task records into its own (shipped
+    # home in the partial).
+    tracing = trace.active() is not None
+    fbo_bytes = tile_fbo_bytes(kernel, members)
+    parallelism = _tile_concurrency(
+        kernel.device, backend.workers, points_hint, columns,
+        max(fbo_bytes, default=0),
+    )
+    per_tile, saw_chunk = None, False
+    if partition and len(tiles) > 1:
+        per_tile, saw_chunk = _partition(
+            kernel, session, members[0].prepared.canvas, tiles, source,
+            columns, fbo_bytes, stats_list, points_hint,
+        )
+    else:
+        for stats in stats_list:
+            stats.extra["partition"] = "off"
+
+    def task(tile_idx: int) -> list[TilePartial]:
+        return run_tile(
+            tile_idx, kernel, members, columns,
+            source() if per_tile is None else per_tile[tile_idx],
+            units_mode=units_mode, retain=retain, tracing=tracing,
+            keep_fbo=keep_fbo,
+        )
+
+    # ``concurrent`` marks that child (tile) spans may overlap in wall
+    # time, so their durations can legitimately sum past the parent's.
+    with trace.span("tiles", concurrent=backend.workers > 1):
+        results = None
+        if per_tile is not None and len(members) == 1 and not keep_fbo:
+            results = _resident_dispatch(
+                kernel, backend, members[0], columns, per_tile, units_mode,
+                retain, tracing, parallelism,
+            )
+        if results is None:
+            results = backend.run_tasks(
+                [(lambda idx=idx: task(idx)) for idx in range(len(tiles))],
+                parallelism=parallelism,
+            )
+        if backend.last_pool_event is not None:
+            for stats in stats_list:
+                stats.extra["pool"] = backend.last_pool_event
+        accumulators = [
+            new_accumulators(member.polygons, member.aggregate)
+            for member in members
+        ]
+        # Tile-index order whatever order the tasks finished in — with
+        # identity-started partials, the determinism anchor.
+        for tile_partials in results:
+            for member, merged, stats, partial in zip(
+                members, accumulators, stats_list, tile_partials
+            ):
+                saw_chunk = saw_chunk or partial.saw_points
+                _merge_partial(partial, member, merged, stats)
+    payloads = [
+        [tile_partials[i].payload for tile_partials in results]
+        for i in range(len(members))
+    ]
+    return TileRun(accumulators, payloads, saw_chunk)
+
+
+def _tile_concurrency(
+    device: GPUDevice | None,
+    workers: int,
+    points_hint,
+    columns: tuple[str, ...],
+    fbo_bytes: int,
+) -> int | None:
+    """Cap on concurrently executing tile tasks, from the memory budget.
+
+    Batch plans never depend on the worker count (identical batch
+    boundaries are part of the determinism guarantee), so the device
+    budget is enforced the other way around: limit how many tiles may
+    hold a planned batch plus framebuffer headroom at once.  Streamed
+    sources (unknown chunk sizes) run one at a time under a device.
+    """
+    if device is None:
+        return None
+    if isinstance(points_hint, ResidentPointSet):
+        # Resident columns are shared, not re-uploaded: no per-tile
+        # transfer footprint to budget.
+        return workers
+    plan = None
+    if points_hint is not None:
+        plan = plan_batches(points_hint, columns, device, fbo_bytes)
+    return tile_parallelism(device, fbo_bytes, plan, workers)
+
+
+def _partition(
+    kernel: TileKernel,
+    session,
+    canvas,
+    tiles: Sequence[Viewport],
+    source: Callable[[], Iterator],
+    columns: tuple[str, ...],
+    fbo_bytes: list[int],
+    stats_list: Sequence[ExecutionStats],
+    points_hint,
+) -> tuple[list[list], bool]:
+    """Scan the source once and bucket it into per-tile sub-chunk lists.
+
+    Each chunk is projected against the global canvas and split into
+    batch-aligned per-tile sub-chunks (:mod:`repro.exec.partition` has the
+    bit-equality argument), so tile tasks scan only their own points
+    instead of re-projecting the full input once per tile.  With a
+    session and a monolithic input the finished partition is cached by
+    point source and canvas frame — never the polygons, so a rezoning
+    edit loop keeps hitting.  Returns ``(per_tile, saw any chunk)``.
+    """
+    max_resolution = kernel.max_resolution
+    with trace.span("partition", tiles=len(tiles)):
+        start = time.perf_counter()
+        token = cached = None
+        if session is not None and points_hint is not None:
+            ext = canvas.extent
+            token = (
+                (ext.xmin, ext.ymin, ext.xmax, ext.ymax),
+                canvas.width, canvas.height, max_resolution,
+                columns, tuple(fbo_bytes), kernel.device_token,
+            )
+            cached = session.partition_lookup(points_hint, token)
+        if cached is not None:
+            per_tile, duplicates = cached
+            saw_chunk = True
+        else:
+            per_tile = [[] for _ in tiles]
+            saw_chunk = False
+            duplicates = 0
+            for chunk in source():
+                saw_chunk = True
+                pieces, dupes = partition_chunk(
+                    chunk, canvas, tiles, max_resolution, columns,
+                    kernel.device, fbo_bytes,
+                )
+                duplicates += dupes
+                for idx, subs in enumerate(pieces):
+                    per_tile[idx].extend(subs)
+            if token is not None and saw_chunk:
+                # The session may convert host sub-chunks to shared-memory
+                # chunks as it stores them; consuming what it stored means
+                # this very query already reads the shared segments — and
+                # stays eligible for resident dispatch.
+                per_tile = session.partition_store(
+                    points_hint, token, per_tile, duplicates
+                )
+        elapsed = time.perf_counter() - start
+    for stats in stats_list:
+        stats.extra["partition"] = "on" if cached is None else "cached"
+        stats.extra["partition_duplicates"] = duplicates
+        stats.partition_s += elapsed
+    return per_tile, saw_chunk
+
+
+def _resident_dispatch(
+    kernel: TileKernel,
+    backend: ExecutionBackend,
+    member: TileMember,
+    columns: tuple[str, ...],
+    per_tile: list[list],
+    units_mode: bool,
+    retain: bool,
+    tracing: bool,
+    parallelism: int | None,
+) -> list[list[TilePartial]] | None:
+    """Fan a solo query's partitioned tiles across the resident pool.
+
+    The same tile task, named instead of closed over: the kernel, the
+    artifact and the polygons travel once as a pickled state blob in
+    shared memory (cached worker-side by content generation), the point
+    sub-chunks as shared-memory descriptors, and the accumulators come
+    back through a shared result buffer.  ``None`` when this dispatch
+    cannot take that path — not a resident-enabled process backend, or a
+    sub-chunk that is not shm-backed (pickling host chunks is the cost
+    this path exists to remove) — and the caller dispatches closures
+    instead, bit-identically.
+    """
+    if not isinstance(backend, ProcessBackend):
+        return None
+    num_tiles = len(per_tile)
+    if not backend.resident_capable(num_tiles, parallelism):
+        return None
+    if not all(
+        isinstance(chunk, shm.ShmChunk)
+        for chunks in per_tile for chunk in chunks
+    ):
+        return None
+    prepared, polygons = member.prepared, member.polygons
+    channel_names = tuple(member.aggregate.channels)
+    shape = (num_tiles, len(channel_names), len(polygons))
+    # Content-generation token: prepared.version bumps on every artifact
+    # mutation (including the parent-side installs of worker-built
+    # pieces), so warming or editing rolls the blob — and with it the
+    # state_key workers cache by.  The anchor tuple keeps both objects
+    # alive while the entry is cached, so the id()s cannot be recycled.
+    token = (
+        "resident-state", id(prepared), prepared.version, id(polygons),
+        kernel.token,
+    )
+
+    def build_blob() -> bytes:
+        return pickle.dumps(
+            (kernel, prepared, polygons), protocol=pickle.HIGHEST_PROTOCOL
+        )
+
+    # One guard across blob/buffer/dispatch/read-back: a concurrent query
+    # on the same shared backend serializes here instead of swapping the
+    # result buffer out from under this one.
+    with backend.resident_guard():
+        state_key, state_ref = backend.resident_state(
+            token, (prepared, polygons), build_blob
+        )
+        result_ref = backend.resident_result(shape)
+        partials = backend.run_specs(
+            [
+                TileTaskSpec(
+                    index=idx, state_key=state_key, state_ref=state_ref,
+                    tile_idx=idx, aggregate=member.aggregate,
+                    filters=member.filters, columns=columns,
+                    chunks=tuple(per_tile[idx]), units_mode=units_mode,
+                    retain=retain, tracing=tracing, result_ref=result_ref,
+                    slot=idx, channel_names=channel_names,
+                )
+                for idx in range(num_tiles)
+            ],
+            parallelism,
+        )
+        result = shm.view(result_ref)
+        for partial in partials:
+            # Copy out: the buffer is reused by the next dispatch.
+            partial.accumulators = {
+                ch: np.array(result[partial.tile_idx, ci])
+                for ci, ch in enumerate(channel_names)
+            }
+    return [[partial] for partial in partials]
+
+
+def _merge_partial(
+    partial: TilePartial,
+    member: TileMember,
+    accumulators: dict[str, np.ndarray],
+    stats: ExecutionStats,
+) -> None:
+    """Fold one tile partial into its member's result and artifact."""
+    aggregate, prepared = member.aggregate, member.prepared
+    for name, arr in partial.accumulators.items():
+        accumulators[name] = aggregate.combine(accumulators[name], arr)
+    # stats.merge sums numeric extras (boundary_pixels et al.) across
+    # tiles by the type-based rules in ExecutionStats.
+    stats.merge(partial.stats)
+    # Counter/histogram increments a worker process made come home as a
+    # delta dict; folding them here keeps the parent registry identical
+    # to what an in-process backend would have recorded directly.
+    if partial.metrics:
+        metrics.REGISTRY.apply_delta(partial.metrics)
+    # Shipped tile subtrees re-parent in tile-index order, so the trace
+    # tree is deterministic across backends.
+    trace.attach(partial.span)
+    if partial.unit_boundary is not None:
+        prepared.install_unit_boundary(partial.tile_idx, partial.unit_boundary)
+    if partial.unit_coverage is not None:
+        prepared.install_unit_coverage(partial.tile_idx, partial.unit_coverage)
+    prepared.mark_composed(
+        partial.tile_idx,
+        boundary=partial.boundary_mask,
+        coverage=partial.coverage,
+    )
+
+
+# ----------------------------------------------------------------------
+# The engines that run it
+# ----------------------------------------------------------------------
+class RasterJoinEngine(SpatialAggregationEngine):
+    """What the accurate and bounded joins share: the tile pipeline.
+
+    A subclass supplies :attr:`kernel` (how its tile task behaves) and
+    ``_prepare`` (its canvas layout and polygon-side artifact);
+    monolithic, streamed and fused execution all build their queries
+    with :meth:`member` and run them with :meth:`run_members`.
+    """
+
+    #: Set by the subclass constructor.
+    kernel: TileKernel
+
+    def _prepare(
+        self, polygons: PolygonSet, stats: ExecutionStats
+    ) -> PreparedPolygons:
+        """The prepared artifact for ``polygons``: canvas, tile layout
+        and whatever polygon-side state the kernel reads — built once,
+        reused through the session."""
+        raise NotImplementedError
+
+    def member(
+        self,
+        polygons: PolygonSet,
+        aggregate: Aggregate,
+        filters: FilterSet,
+        stats: ExecutionStats,
+    ) -> TileMember:
+        """One query readied for the tile loop: its polygons prepared
+        (cache outcome and build times recorded in ``stats``)."""
+        return TileMember(
+            self._prepare(polygons, stats), polygons, aggregate, filters
+        )
+
+    def run_members(
+        self,
+        members: Sequence[TileMember],
+        source: Callable[[], Iterator],
+        stats_list: Sequence[ExecutionStats],
+        points_hint: PointDataset | ResidentPointSet | None = None,
+        keep_fbo: bool = False,
+    ) -> TileRun:
+        """Run a group of queries — a solo query is a group of one —
+        through the tile loop under this engine's kernel, backend,
+        session and partitioning choice."""
+        for stats in stats_list:
+            self._record_execution_env(
+                stats, len(members[0].prepared.tiles)
+            )
+        return run_tiles(
+            self.kernel, self.backend, self.session, members, source,
+            member_columns(members), stats_list, points_hint=points_hint,
+            partition=self._partition_points, keep_fbo=keep_fbo,
+        )
+
+    def execute_stream(self, chunk_source, polygons, aggregate=None,
+                       filters=None) -> AggregationResult:
+        """Streamed execution sharing the polygon-side work across chunks.
+
+        Boundary masks, the grid index and the polygon pass run once per
+        tile; only the point pass runs per chunk (each chunk still flows
+        through the device-batching path) — the structure the paper's
+        disk-resident experiments rely on.  With a parallel backend and
+        partitioning off, tile workers invoke (and iterate)
+        ``chunk_source`` concurrently — each call must return an
+        independent iterator (see
+        :meth:`SpatialAggregationEngine.execute_stream`).
+        """
+        aggregate = aggregate or Count()
+        filter_set = FilterSet.coerce(filters)
+        stats = ExecutionStats(engine=self.name, batches=0, passes=0)
+        with trace.query_scope(self.name) as root:
+            member = self.member(polygons, aggregate, filter_set, stats)
+            run = self.run_members([member], chunk_source, [stats])
+            if not run.saw_chunk:
+                raise QueryError("chunk source produced no chunks")
+            if stats.batches == 0:
+                stats.batches = 1
+            if root is not None:
+                root.attrs.update(stats.as_span_attrs())
+        self._checkpoint_session()
+        (accumulators,) = run.accumulators
+        return AggregationResult(
+            values=aggregate.finalize(accumulators),
+            channels=accumulators,
+            stats=stats,
+            trace=root,
+        )

@@ -19,11 +19,11 @@ Because results are merged in task order and each task folds its own
 accumulators from the blend identity, results are bit-identical across
 backends and worker counts (see ``docs/parallel_execution.md``).
 
-Pools are **persistent** by default: a :class:`ThreadBackend` spawns its
-executor lazily on first multi-task dispatch and keeps it for the life
-of the backend instance, so a second query on the same engine pays zero
-pool construction.  ``close()`` releases the pool explicitly; anything
-still open is reclaimed at interpreter exit, and forked children drop
+Pools are long-lived: a :class:`ThreadBackend` spawns its executor
+lazily on first multi-task dispatch and keeps it for the life of the
+backend instance, so a second query on the same engine pays zero pool
+construction.  ``close()`` releases the pool explicitly; anything still
+open is reclaimed at interpreter exit, and forked children drop
 inherited pools (whose threads do not survive a fork) so they rebuild
 lazily.
 
@@ -33,11 +33,11 @@ forked *after* they exist can see them, so each dispatch forks a fresh
 pool and relies on the parent's memory (prepared artifacts, partitioned
 point chunks) being inherited copy-on-write for free.  With the
 shared-memory data plane enabled (``resident=True`` /
-``$REPRO_SHM=1``), engines may instead hand it **descriptor tasks**
+``$REPRO_SHM=1``), the tile loop may instead hand it **descriptor tasks**
 (:class:`~repro.exec.resident.TileTaskSpec`): small picklable specs
 naming shared-memory segments instead of closing over arrays.  Those
-dispatch to a persistent pool of spawned workers (``run_specs``) that
-caches mapped segments and unpickled engine state across queries —
+dispatch to a long-lived pool of spawned workers (``run_specs``) that
+caches mapped segments and unpickled task state across queries —
 warm repeated queries skip the fork, the state pickling, and the bulk
 result pickling entirely.  Both modes produce bit-identical results;
 see ``docs/parallel_execution.md``.
@@ -69,7 +69,6 @@ from repro.types import ExecutionStats
 #: backend by exporting these, without touching any call site.
 BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
 WORKERS_ENV_VAR = "REPRO_EXEC_WORKERS"
-PERSISTENT_ENV_VAR = "REPRO_PERSISTENT_POOL"
 
 _TRUE_FLAGS = frozenset({"1", "true", "yes", "on"})
 _FALSE_FLAGS = frozenset({"0", "false", "no", "off"})
@@ -165,23 +164,12 @@ class ExecutionBackend(ABC):
 
     name = "abstract"
 
-    def __init__(
-        self, workers: int | None = None, persistent: bool | None = None
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers < 1:
             raise ExecutionBackendError(
                 f"worker count must be >= 1, got {workers}"
             )
         self.workers = workers if workers is not None else default_workers()
-        #: Whether multi-task dispatches reuse a long-lived pool.
-        #: ``None`` consults ``$REPRO_PERSISTENT_POOL``, defaulting to
-        #: ``True``.  Purely a performance decision — results are
-        #: bit-identical either way.
-        self.persistent = (
-            flag_from_env(PERSISTENT_ENV_VAR, True)
-            if persistent is None
-            else persistent
-        )
         # Per-thread dispatch events: backends are deliberately shared
         # across engines (optimizer, planner), so concurrent queries
         # must each read the event of *their own* dispatch, not the
@@ -192,11 +180,10 @@ class ExecutionBackend(ABC):
     @property
     def last_pool_event(self) -> str | None:
         """How this thread's most recent ``run_tasks`` executed:
-        ``"inline"`` (no pool), ``"created"`` (persistent pool spawned),
-        ``"reused"`` (persistent pool already live), ``"ephemeral"``
-        (throwaway pool), ``"forked"`` (fresh fork fan-out),
-        ``"resident-created"`` (persistent spawn pool brought up for a
-        shm descriptor dispatch), or ``"resident-reused"`` (descriptor
+        ``"inline"`` (no pool), ``"created"`` (thread pool spawned),
+        ``"reused"`` (thread pool already live), ``"forked"`` (fresh
+        fork fan-out), ``"resident-created"`` (spawn pool brought up for
+        a shm descriptor dispatch), or ``"resident-reused"`` (descriptor
         dispatch served by the live spawn pool).
         Engines copy it into ``ExecutionStats.extra["pool"]``.  Recorded
         per calling thread, so concurrent queries on one shared backend
@@ -229,19 +216,6 @@ class ExecutionBackend(ABC):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # Backends ride along when an engine is pickled into a resident
-    # worker's state blob; thread-locals (and subclass pool state) are
-    # per-process and rebuild on the other side.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_events", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._events = threading.local()
-        _LIVE_BACKENDS.add(self)
-
     def _effective_workers(
         self, num_tasks: int, parallelism: int | None
     ) -> int:
@@ -259,12 +233,10 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def __init__(
-        self, workers: int | None = None, persistent: bool | None = None
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         # A serial backend runs one task at a time by definition; the
         # worker count is pinned so stats reporting never lies.
-        super().__init__(1, persistent)
+        super().__init__(1)
 
     def run_tasks(self, tasks, parallelism=None):
         self._record_event("inline")
@@ -290,28 +262,14 @@ class ThreadBackend(ExecutionBackend):
 
     name = "thread"
 
-    def __init__(
-        self, workers: int | None = None, persistent: bool | None = None
-    ) -> None:
-        super().__init__(workers, persistent)
+    def __init__(self, workers: int | None = None) -> None:
+        super().__init__(workers)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._in_worker = threading.local()
 
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        for key in ("_pool", "_pool_lock", "_in_worker"):
-            state.pop(key, None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._pool = None
-        self._pool_lock = threading.Lock()
-        self._in_worker = threading.local()
-
     def _submit_all(self, call, tasks) -> list:
-        """Submit every task to the persistent pool, spawning it if needed.
+        """Submit every task to the pool, spawning it if needed.
 
         Submission happens under the pool lock so a concurrent
         ``close()`` can never shut the executor down halfway through a
@@ -356,12 +314,6 @@ class ThreadBackend(ExecutionBackend):
             # slots it is itself occupying.
             self._record_event("inline")
             return [task() for task in tasks]
-        if not self.persistent:
-            self._record_event("ephemeral")
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # Executor.map yields results in submission order
-                # regardless of completion order — the determinism anchor.
-                return list(pool.map(self._run_one, tasks))
         if workers < self.workers:
             gate = threading.BoundedSemaphore(workers)
 
@@ -373,8 +325,7 @@ class ThreadBackend(ExecutionBackend):
         # Futures resolve in submission order whatever order they
         # complete in — the determinism anchor.  On failure, siblings
         # are cancelled and awaited so no task of this dispatch is
-        # still running when run_tasks raises (the same invariant the
-        # ephemeral with-block enforces).
+        # still running when run_tasks raises.
         futures = self._submit_all(call, tasks)
         try:
             return [future.result() for future in futures]
@@ -413,11 +364,11 @@ _FORK_TOKEN_COUNTER = 0
 def _attach_metrics_delta(result, delta: dict) -> None:
     """Hang a worker's metrics delta on its result, when it can carry one.
 
-    A tile task's result is a :class:`TilePartial`; the fused shared-scan
-    executor returns a *list* of them per tile (one per member query), in
-    which case the delta rides on the first — it is applied exactly once
-    by whichever member's merge sees it.  Results of neither shape drop
-    the delta (no TilePartial travels home to carry it).
+    A tile task returns a *list* of :class:`TilePartial` (one per member
+    query of its group), and the delta rides on the first — it is applied
+    exactly once, by that member's merge.  A bare partial carries its
+    own; results of neither shape drop the delta (no TilePartial travels
+    home to carry it).
     """
     if isinstance(result, TilePartial):
         result.metrics = delta
@@ -457,12 +408,12 @@ class ProcessBackend(ExecutionBackend):
     :class:`ThreadBackend` — see ``docs/parallel_execution.md``.
 
     **Resident mode** (``run_specs``, on with ``resident=True`` /
-    ``$REPRO_SHM=1``): engines that can express a tile task as a
-    picklable :class:`~repro.exec.resident.TileTaskSpec` — inputs named
-    by shared-memory descriptors, output written into a shared result
-    buffer — dispatch to one persistent pool of **spawned** workers
+    ``$REPRO_SHM=1``): a tile task expressed as a picklable
+    :class:`~repro.exec.resident.TileTaskSpec` — inputs named by
+    shared-memory descriptors, output written into a shared result
+    buffer — dispatches to one long-lived pool of **spawned** workers
     that lives across queries, caching mapped segments and unpickled
-    engine state worker-side (keyed by the artifact's content
+    task state worker-side (keyed by the artifact's content
     generation).  Warm repeated queries then pay no fork, no state
     pickling, and no bulk result pickling.  Callers probe
     :meth:`resident_capable` first and fall back to closure mode for
@@ -479,10 +430,9 @@ class ProcessBackend(ExecutionBackend):
     def __init__(
         self,
         workers: int | None = None,
-        persistent: bool | None = None,
         resident: bool | None = None,
     ) -> None:
-        super().__init__(workers, persistent)
+        super().__init__(workers)
         #: Whether descriptor dispatches (``run_specs``) are available.
         #: ``None`` consults ``$REPRO_SHM``, defaulting to off.
         self.resident = (
@@ -526,7 +476,7 @@ class ProcessBackend(ExecutionBackend):
         return self._resident_lock
 
     def resident_state(self, token, anchor, build_blob) -> tuple:
-        """(state_key, blob ref) for a pickled engine-state blob, cached.
+        """(state_key, blob ref) for a pickled task-state blob, cached.
 
         ``token`` identifies the state by content generation (the caller
         includes ``prepared.version``), so a warmed or edited artifact
@@ -567,7 +517,7 @@ class ProcessBackend(ExecutionBackend):
             return self._result_buffer[1]
 
     def run_specs(self, specs, parallelism: int | None = None) -> list:
-        """Dispatch descriptor tasks to the persistent resident pool.
+        """Dispatch descriptor tasks to the resident pool.
 
         Results come back in spec-index order (the same contract as
         ``run_tasks``).  A broken pool (a worker process died) is torn
@@ -619,22 +569,6 @@ class ProcessBackend(ExecutionBackend):
         self._resident_states = OrderedDict()
         self._result_buffer = None
         self._events = threading.local()
-
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        for key in (
-            "_resident_lock", "_resident_pool", "_resident_states",
-            "_result_buffer",
-        ):
-            state.pop(key, None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._resident_lock = threading.RLock()
-        self._resident_pool = None
-        self._resident_states = OrderedDict()
-        self._result_buffer = None
 
     def run_tasks(self, tasks, parallelism=None):
         global _FORK_REGISTRY, _FORK_TOKEN_COUNTER
@@ -710,17 +644,14 @@ def default_workers() -> int:
 def resolve_backend(
     spec: str | ExecutionBackend | None = None,
     workers: int | None = None,
-    persistent: bool | None = None,
     shm_resident: bool | None = None,
 ) -> ExecutionBackend:
     """Materialize a backend from a name, an instance, or the environment.
 
     ``None`` falls back to ``$REPRO_EXEC_BACKEND`` (and worker counts to
-    ``$REPRO_EXEC_WORKERS``, pool persistence to
-    ``$REPRO_PERSISTENT_POOL``), defaulting to serial execution —
-    existing call sites keep their exact pre-parallelism behaviour
-    unless they, or the environment, opt in.  An instance passes
-    through unchanged, carrying its own persistence setting.
+    ``$REPRO_EXEC_WORKERS``), defaulting to serial execution — existing
+    call sites keep their exact pre-parallelism behaviour unless they,
+    or the environment, opt in.  An instance passes through unchanged.
     ``shm_resident`` routes only to :class:`ProcessBackend` (``None``
     consults ``$REPRO_SHM`` there, defaulting to off); the other
     backends run in-process and have no pickle boundary to remove.
@@ -737,7 +668,5 @@ def resolve_backend(
             f"expected one of {sorted(_BACKEND_CLASSES)}"
         ) from None
     if cls is ProcessBackend:
-        return cls(
-            workers=workers, persistent=persistent, resident=shm_resident
-        )
-    return cls(workers=workers, persistent=persistent)
+        return cls(workers=workers, resident=shm_resident)
+    return cls(workers=workers)

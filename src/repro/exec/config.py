@@ -3,9 +3,13 @@
 An :class:`EngineConfig` is the single knob callers (engine constructors,
 the optimizer, the SQL planner) use to choose how tile tasks execute and
 where prepared-state artifacts persist.  It is deliberately tiny — a
-backend selector, a worker count, and an artifact-store location — so it
-can be passed through every layer unchanged and compared or hashed
-freely.
+backend selector and worker count, an artifact-store location and cap,
+and three on/off choices (point partitioning, the aggregate pyramid, the
+shared-memory data plane) — so it can be passed through every layer
+unchanged and compared or hashed freely.  There is no switch for *how*
+tiles render: every query runs the one tile pipeline
+(:mod:`repro.core.tiles`) over the batched raster builders, and the
+backend keeps its worker pool for as long as it lives.
 
 Results never depend on it: every backend/worker/store combination
 produces bit-identical grids (see ``docs/parallel_execution.md`` and
@@ -28,13 +32,6 @@ from repro.exec.backend import (
 #: partitioning is bit-identical to the full scan and cheaply no-ops on
 #: single-tile canvases, so there is no correctness reason to opt out.
 PARTITION_ENV_VAR = "REPRO_PARTITION_POINTS"
-
-#: Environment hook for the batched rasterization layer; consulted when
-#: ``EngineConfig.batch_raster`` is ``None``.  Defaults to on — the
-#: batched builders are bit-identical to the per-triangle loops (see
-#: ``docs/rasterization.md``), so the flag exists only for the
-#: scalar-vs-batched ablation and the equivalence test suites.
-BATCH_RASTER_ENV_VAR = "REPRO_BATCH_RASTER"
 
 #: Environment hook for the aggregate-pyramid warm path; consulted when
 #: ``EngineConfig.pyramid`` is ``None``.  Defaults to on — but the flag
@@ -68,19 +65,13 @@ class EngineConfig:
 
     ``partition_points`` controls the tile-local point-partitioning
     stage on multi-tile canvases (``None`` consults
-    ``$REPRO_PARTITION_POINTS``, defaulting to on); ``persistent_pool``
-    controls whether the backend keeps a long-lived worker pool across
-    queries (``None`` consults ``$REPRO_PERSISTENT_POOL``, defaulting
-    to on); ``batch_raster`` selects the batched whole-set raster
-    builders over the per-triangle loops (``None`` consults
-    ``$REPRO_BATCH_RASTER``, defaulting to on — see
-    ``docs/rasterization.md``); ``pyramid`` lets the accurate engine
-    answer warm queries from an explicitly built aggregate pyramid
-    (``None`` consults ``$REPRO_PYRAMID``, defaulting to on — see
-    ``docs/aggregate_pyramid.md``); ``shm`` turns on the shared-memory
-    data plane — partition sub-chunks exported as named segments and
-    the process backend's resident spawned-worker pool (``None``
-    consults ``$REPRO_SHM``, defaulting to off — see
+    ``$REPRO_PARTITION_POINTS``, defaulting to on); ``pyramid`` lets the
+    accurate engine answer warm queries from an explicitly built
+    aggregate pyramid (``None`` consults ``$REPRO_PYRAMID``, defaulting
+    to on — see ``docs/aggregate_pyramid.md``); ``shm`` turns on the
+    shared-memory data plane — partition sub-chunks exported as named
+    segments and the process backend's resident spawned-worker pool
+    (``None`` consults ``$REPRO_SHM``, defaulting to off — see
     ``docs/parallel_execution.md``).  Results never depend on any of
     them — like the backend choice they are purely performance decisions
     (see ``docs/parallel_execution.md``; the pyramid path's per-aggregate
@@ -92,16 +83,13 @@ class EngineConfig:
     store_dir: str | None = None
     store_budget: int | str | None = None
     partition_points: bool | None = None
-    persistent_pool: bool | None = None
-    batch_raster: bool | None = None
     pyramid: bool | None = None
     shm: bool | None = None
 
     def make_backend(self) -> ExecutionBackend:
         """The backend instance this configuration describes."""
         return resolve_backend(
-            self.backend, self.workers, persistent=self.persistent_pool,
-            shm_resident=self.shm,
+            self.backend, self.workers, shm_resident=self.shm
         )
 
     def shm_enabled(self) -> bool:
@@ -126,8 +114,8 @@ class EngineConfig:
 
         Components that construct many engines (the optimizer, the SQL
         planner) pin the backend once so every engine they build shares
-        one instance — and therefore one persistent worker pool —
-        instead of respawning a pool per query.  Idempotent: an already
+        one instance — and therefore one worker pool — instead of
+        respawning a pool per query.  Idempotent: an already
         pinned config is returned unchanged.
         """
         if isinstance(self.backend, ExecutionBackend):
@@ -141,19 +129,6 @@ class EngineConfig:
         if self.partition_points is not None:
             return self.partition_points
         return flag_from_env(PARTITION_ENV_VAR, True)
-
-    def batch_raster_enabled(self) -> bool:
-        """Whether engines build raster state through the batched layer.
-
-        The batched builders (:mod:`repro.graphics.raster_batch`,
-        :func:`repro.graphics.raster_line.outline_pixels_many`) produce
-        bit-identical boundaries and coverage to the per-triangle loops,
-        so like every other knob here this is purely a performance
-        decision; off exists for ablation and equivalence testing.
-        """
-        if self.batch_raster is not None:
-            return self.batch_raster
-        return flag_from_env(BATCH_RASTER_ENV_VAR, True)
 
     def pyramid_enabled(self) -> bool:
         """Whether the accurate engine may answer from a resident

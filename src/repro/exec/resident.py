@@ -10,28 +10,30 @@ descriptors for the point sub-chunks, one pickled state blob for the
 prepared artifacts, a slot in a shared result buffer for the output),
 nothing forces the fork — a pool of **spawned** workers started once can
 serve every later query, caching its mapped segments and unpickled
-engine state across dispatches.
+task state across dispatches.
 
 Worker-side caches and what keys them:
 
 * segments map once per worker through the process-global
   :data:`repro.exec.shm.SEGMENT_CACHE` (segment names are unique per
   export, so reuse across queries is automatically content-correct);
-* the heavy engine state — a device-less engine clone, the
+* the heavy task state — the :class:`~repro.core.tiles.TileKernel`
+  record (which carries the device clone), the
   :class:`~repro.cache.prepared.PreparedPolygons` artifact, and the
-  polygon set — unpickles once per ``state_key`` and is reused by every
-  spec carrying that key.  The parent derives the key from the
-  artifact's content generation (``prepared.version``), so an edit or a
-  freshly warmed artifact rolls the key and workers reload exactly
-  then (``resident_state_loads`` / ``resident_state_reuse`` count it).
+  polygon set, plain data with no engine among it — unpickles once per
+  ``state_key`` and is reused by every spec carrying that key.  The
+  parent derives the key from the artifact's content generation
+  (``prepared.version``), so an edit or a freshly warmed artifact rolls
+  the key and workers reload exactly then (``resident_state_loads`` /
+  ``resident_state_reuse`` count it).
 
 Accumulators come back by writing into the preallocated shared result
 buffer — only stats, spans, metrics deltas, and freshly built prepared
 pieces cross the pickle boundary.  Determinism is untouched: each spec
-is one whole tile task (the same code path
-:meth:`~repro.core.accurate.AccurateRasterJoin._run_tile` runs under
-every other backend), results are collected by task index, and the
-parent folds them in tile order as always.
+is one whole tile task (:func:`repro.core.tiles.run_tile`, the function
+every other backend calls, handed the spec's fields as arguments),
+results are collected by task index, and the parent folds them in tile
+order as always.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ STATE_CACHE_ENTRIES = 4
 class TileTaskSpec:
     """One tile task, by name: everything a resident worker needs.
 
-    ``state_ref`` addresses a pickled ``(engine, prepared, polygons)``
+    ``state_ref`` addresses a pickled ``(kernel, prepared, polygons)``
     blob in shared memory; ``state_key`` is its cache identity.
     ``chunks`` are :class:`~repro.exec.shm.ShmChunk` descriptors (the
     tile's partitioned sub-chunks).  The worker writes its folded
@@ -85,7 +87,7 @@ class TileTaskSpec:
 
 
 def _load_state(spec: TileTaskSpec, cache: OrderedDict):
-    """The spec's (engine, prepared, polygons), from cache or its blob."""
+    """The spec's (kernel, prepared, polygons), from cache or its blob."""
     entry = cache.get(spec.state_key)
     if entry is not None:
         cache.move_to_end(spec.state_key)
@@ -102,14 +104,15 @@ def _load_state(spec: TileTaskSpec, cache: OrderedDict):
 
 def _run_spec(spec: TileTaskSpec, cache: OrderedDict):
     """Execute one tile task and park its accumulators in shared memory."""
-    engine, prepared, polygons = _load_state(spec, cache)
-    tile = prepared.tiles[spec.tile_idx]
-    partial = engine._run_tile(
-        spec.tile_idx, tile,
-        prepared=prepared, polygons=polygons, aggregate=spec.aggregate,
-        filters=spec.filters, columns=spec.columns, chunks=spec.chunks,
-        units_mode=spec.units_mode, retain=spec.retain,
-        tracing=spec.tracing,
+    # Imported here: repro.core builds on this package.
+    from repro.core.tiles import TileMember, run_tile
+
+    kernel, prepared, polygons = _load_state(spec, cache)
+    (partial,) = run_tile(
+        spec.tile_idx, kernel,
+        [TileMember(prepared, polygons, spec.aggregate, spec.filters)],
+        spec.columns, spec.chunks, units_mode=spec.units_mode,
+        retain=spec.retain, tracing=spec.tracing,
     )
     result = shm.view(spec.result_ref, writable=True)
     for ci, ch in enumerate(spec.channel_names):

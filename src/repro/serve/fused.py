@@ -4,28 +4,27 @@ The serving layer's generalization of :mod:`repro.core.multi`: where
 ``MultiAggregate`` fuses several SELECT items of *one* statement into one
 framebuffer, this module fuses several concurrent *statements* — possibly
 with different polygon sets, aggregates, and filters — into a single scan
-of their shared point source.  The scan work that does not depend on the
-query (batch upload, filter evaluation per distinct filter set, the
-canvas projection per tile) runs once; everything arithmetic-bearing
-(boundary mask, framebuffer, PIP accumulators, polygon pass) stays
-per-query, replaying the exact solo code path on the exact same arrays.
+of their shared point source.  There is no fused executor: a fused scan is
+N members through the shared tile loop (:mod:`repro.core.tiles`), the same
+loop a solo query runs as a group of one.  What this module adds is the
+gates that decide which statements may share a scan, and the per-member
+results.
 
 Bit-identity argument
 ---------------------
-A solo :class:`~repro.core.accurate.AccurateRasterJoin` execution whose
-input fits a single device batch routes, per tile, *all* in-tile points
-through one :meth:`~repro.core.accurate.AccurateRasterJoin._route_batch`
-call — filters first, then projection, then the inside-viewport subset,
-in input order.  ``execute_fused`` performs the same three steps once per
-distinct filter set and hands the resulting arrays to each member's own
-``_route_batch`` with that member's own boundary mask, framebuffer, grid,
-and identity-initialized per-tile accumulators.  Float groupings in the
-boundary PIP join and the framebuffer scatter are therefore identical to
-the solo run, and the per-member tile partials merge through the same
-tile-index-order :meth:`_merge_tile_partials` fold.  Queries whose input
-would *not* fit a single batch are not fused (batch boundaries change
-float groupings), nor are queries the aggregate pyramid would answer
-(the pyramid path groups floats differently than the exact path).
+The tile task shares, per batch and distinct filter set, the work that
+does not depend on the query — upload, filter evaluation, the canvas
+projection and the inside-viewport subset, in input order — and hands the
+resulting arrays to each member's own routing with that member's own
+boundary mask, framebuffer, grid, and identity-initialized per-tile
+accumulators: the arithmetic of the member running alone, on the same
+arrays, in the same order, merged by the same tile-index-order fold.  The
+one thing a group changes is the batch plan (union columns, summed
+framebuffer reservation), and batch boundaries are part of the float
+grouping — so queries whose input would *not* fit a single batch are not
+fused (:func:`fits_single_batch`), nor are queries the aggregate pyramid
+would answer (the pyramid path groups floats differently than the exact
+path).
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ from repro.cache.pyramid import channel_kinds
 from repro.core.accurate import AccurateRasterJoin
 from repro.core.aggregates import Aggregate
 from repro.core.filters import FilterSet
+from repro.core.tiles import filter_key, member_columns, tile_fbo_bytes
 from repro.data.dataset import PointDataset
 from repro.device.batching import plan_batches
 from repro.device.memory import ResidentPointSet
-from repro.exec.backend import TilePartial
 from repro.geometry.polygon import PolygonSet
 from repro.obs import trace
 from repro.types import AggregationResult, ExecutionStats
@@ -111,16 +110,6 @@ def fits_single_batch(engine, points, columns, reserved_bytes) -> bool:
     return plan.fits_in_one_batch
 
 
-def _union_columns(engine, queries) -> tuple[str, ...]:
-    """Scan columns: every member's required columns, first-seen order."""
-    names: list[str] = ["x", "y"]
-    for query in queries:
-        for col in engine.required_columns(query.aggregate, query.filters):
-            if col not in names:
-                names.append(col)
-    return tuple(names)
-
-
 def _canvas_token(prepared) -> tuple:
     """Value identity of a prepared canvas + tile layout."""
     extent = prepared.canvas.extent
@@ -129,31 +118,6 @@ def _canvas_token(prepared) -> tuple:
         prepared.canvas.width, prepared.canvas.height,
         len(prepared.tiles),
     )
-
-
-class _TileState:
-    """One member's in-flight artifacts for the current tile."""
-
-    __slots__ = (
-        "stats", "accumulators", "boundary", "built_boundary",
-        "built_unit_boundary", "fbo", "units_mode",
-    )
-
-    def __init__(self, engine, tile_idx, tile, prepared, query, retain):
-        self.stats = ExecutionStats(engine=engine.name, batches=0, passes=0)
-        self.accumulators = engine._new_accumulators(
-            query.polygons, query.aggregate
-        )
-        self.units_mode = retain and prepared.units is not None
-        self.boundary, self.built_boundary, self.built_unit_boundary = (
-            engine._tile_boundary(
-                tile_idx, tile, prepared, query.polygons, self.stats,
-                self.units_mode,
-            )
-        )
-        self.fbo = engine._tile_framebuffer(
-            tile, query.aggregate, engine.fbo_dtype
-        )
 
 
 def execute_fused(
@@ -176,159 +140,36 @@ def execute_fused(
         for _ in queries
     ]
     with trace.query_scope(engine.name) as root:
-        prepared = [
-            engine._prepare(query.polygons, stats)
+        members = [
+            engine.member(
+                query.polygons, query.aggregate, query.filters, stats
+            )
             for query, stats in zip(queries, stats_list)
         ]
-        if len({_canvas_token(p) for p in prepared}) != 1:
+        if len({_canvas_token(m.prepared) for m in members}) != 1:
             return None
-        tiles = prepared[0].tiles
-        columns = _union_columns(engine, queries)
-        reserved = sum(
-            engine._max_fbo_bytes(tiles, q.aggregate, engine.fbo_dtype)
-            for q in queries
-        )
-        if not fits_single_batch(engine, points, columns, reserved):
-            return None
-        # Members sharing a filter conjunction share its evaluation (and
-        # the projection of the surviving points): the scan cost is per
-        # distinct filter set, not per query.
-        groups: dict[tuple, list[int]] = {}
-        for i, query in enumerate(queries):
-            fkey = tuple(
-                (f.column, f.op, f.value) for f in query.filters.filters
-            )
-            groups.setdefault(fkey, []).append(i)
-        retain = engine.session is not None
-        partials: list[list[TilePartial]] = [[] for _ in queries]
-        scan_stats = ExecutionStats(engine=engine.name, batches=0, passes=0)
-
-        def run_tile(tile_idx, tile, filtered) -> list[TilePartial]:
-            """All members' work for one tile: one ``TilePartial`` each.
-
-            Tiles are independent (each owns its framebuffer, boundary
-            mask, and identity-initialized accumulators), so the per-tile
-            closures fan across the engine's execution backend exactly
-            like a solo run's tile tasks — including the resident process
-            pool's host, where the fork path ships each closure to a
-            worker and the per-member partials travel back together.
-            """
-            states = [
-                _TileState(engine, tile_idx, tile, prepared[i],
-                           queries[i], retain)
-                for i in range(n)
-            ]
-            if filtered is not None:
-                for fkey, members in groups.items():
-                    xs, ys, attrs = filtered[fkey]
-                    ix, iy, inside = tile.pixel_of(xs, ys)
-                    if not inside.all():
-                        xs, ys = xs[inside], ys[inside]
-                        ix, iy = ix[inside], iy[inside]
-                        attrs = {
-                            name: arr[inside]
-                            for name, arr in attrs.items()
-                        }
-                    if len(xs) == 0:
-                        continue
-                    for i in members:
-                        state = states[i]
-                        engine._route_batch(
-                            state.boundary, state.fbo, xs, ys, ix, iy,
-                            attrs, queries[i].polygons, prepared[i].grid,
-                            queries[i].aggregate, state.accumulators,
-                            state.stats,
-                        )
-            out: list[TilePartial] = []
-            for i, query in enumerate(queries):
-                state = states[i]
-                built_cov, built_unit_cov = engine._polygon_pass(
-                    tile_idx, tile, prepared[i], state.boundary,
-                    state.fbo, query.polygons, query.aggregate,
-                    state.accumulators, state.stats, state.units_mode,
-                )
-                state.stats.passes = 1
-                out.append(TilePartial(
-                    tile_idx, state.accumulators, state.stats,
-                    saw_points=True,
-                    boundary_mask=state.built_boundary if retain else None,
-                    coverage=built_cov if retain else None,
-                    unit_boundary=(
-                        state.built_unit_boundary if retain else None
-                    ),
-                    unit_coverage=built_unit_cov if retain else None,
-                ))
-            return out
-
-        def run_tiles(filtered) -> None:
-            closures = [
-                (lambda idx=tile_idx, t=tile: run_tile(idx, t, filtered))
-                for tile_idx, tile in enumerate(tiles)
-            ]
-            # run_tasks returns in task (= tile-index) order whatever the
-            # completion order, so the per-member partial lists fold in
-            # the same tile order a serial loop would have produced.
-            for tile_partials in engine.backend.run_tasks(closures):
-                for i, partial in enumerate(tile_partials):
-                    partials[i].append(partial)
-
-        with trace.span(
-            "fused-scan", queries=n, groups=len(groups), tiles=len(tiles)
+        tiles = members[0].prepared.tiles
+        # The largest tile's framebuffers, every member's live at once.
+        reserved = max(tile_fbo_bytes(engine.kernel, members))
+        if not fits_single_batch(
+            engine, points, member_columns(members), reserved
         ):
-            routed = False
-            for batch in engine._batches(
-                points, columns, scan_stats, reserved_bytes=reserved
-            ):
-                if routed:
-                    # The single-batch gate miscounted (it is planned
-                    # from sizes, not re-derived here); the first batch's
-                    # partials no longer mirror a solo run, so bail to
-                    # the solo fallback.
-                    return None
-                filtered = {}
-                for fkey, members in groups.items():
-                    group_stats = ExecutionStats(
-                        engine=engine.name, batches=0, passes=0
-                    )
-                    filtered[fkey] = engine._apply_filters(
-                        batch, queries[members[0]].filters, group_stats
-                    )
-                    for i in members:
-                        stats_list[i].points_processed += (
-                            group_stats.points_processed
-                        )
-                        stats_list[i].points_filtered_out += (
-                            group_stats.points_filtered_out
-                        )
-                run_tiles(filtered)
-                routed = True
-            if not routed:
-                # Zero-batch input: the polygon pass still runs per tile
-                # (identity framebuffers), exactly like a solo execution
-                # over an empty source.
-                run_tiles(None)
-
+            return None
+        with trace.span(
+            "fused-scan", queries=n, tiles=len(tiles),
+            groups=len({filter_key(query.filters) for query in queries}),
+        ):
+            run = engine.run_members(
+                members, lambda: iter((points,)), stats_list,
+                points_hint=points,
+            )
         results: list[AggregationResult] = []
-        for i, query in enumerate(queries):
-            stats = stats_list[i]
-            engine._record_execution_env(stats, len(tiles))
-            accumulators = engine._new_accumulators(
-                query.polygons, query.aggregate
-            )
-            engine._merge_tile_partials(
-                partials[i], prepared[i], query.aggregate, accumulators,
-                stats,
-            )
-            # Every member is charged the shared scan's transfer — the
-            # cost its solo run would have paid — and reports how many
-            # queries the point pass served.
-            stats.transfer_s += scan_stats.transfer_s
-            stats.bytes_transferred += scan_stats.bytes_transferred
-            stats.batches += scan_stats.batches
-            if stats.passes == 0:
-                stats.passes = 1
+        for query, stats, accumulators in zip(
+            queries, stats_list, run.accumulators
+        ):
             if stats.batches == 0:
                 stats.batches = 1
+            # How many queries the point pass served.
             stats.extra["fused_queries"] = n
             results.append(AggregationResult(
                 values=query.aggregate.finalize(accumulators),
@@ -339,5 +180,6 @@ def execute_fused(
         if root is not None:
             root.attrs.update(stats_list[0].as_span_attrs())
             root.attrs["fused_queries"] = n
-    engine._checkpoint_session()
+    if engine.session is not None:
+        engine.session.checkpoint()
     return results

@@ -142,6 +142,7 @@ class Server:
         self._coalesced = 0
         self._fused_queries = 0
         self._fused_scans = 0
+        self._fused_fallbacks = 0
         self._timeouts = 0
 
     # ------------------------------------------------------------------
@@ -280,10 +281,14 @@ class Server:
                 results = execute_fused(
                     entries[0].engine, entries[0].points, queries
                 )
-            except BaseException as exc:
-                for entry in entries:
-                    self._settle(entry, error=exc)
-                return
+            except Exception:
+                # One poisoned member must not fail its companions: the
+                # solo loop below gives each entry its own result or its
+                # own error.
+                results = None
+                with self._lock:
+                    self._fused_fallbacks += 1
+                metrics.counter("serve_fused_fallbacks")
             if results is not None:
                 with self._lock:
                     self._fused_scans += 1
@@ -293,8 +298,8 @@ class Server:
                 for entry, result in zip(entries, results):
                     self._settle(entry, result=result)
                 return
-        # Singleton group, or a runtime fusion gate said no: solo runs,
-        # in admission order, on this worker.
+        # Singleton group, a runtime fusion gate said no, or the fused
+        # scan raised: solo runs, in admission order, on this worker.
         for entry in entries:
             try:
                 with trace.span("serve-query"):
@@ -371,6 +376,7 @@ class Server:
                 "coalesced": self._coalesced,
                 "fused_queries": self._fused_queries,
                 "fused_scans": self._fused_scans,
+                "fused_fallbacks": self._fused_fallbacks,
                 "timeouts": self._timeouts,
                 "depth": self._depth,
             }

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import MaterializingJoin, Sum
+from repro import MaterializingJoin, PointDataset, PolygonSet, Sum
+from repro.geometry.polygon import rectangle
 from tests.conftest import brute_force_counts, brute_force_sums
 
 
@@ -45,6 +46,45 @@ class TestCorrectness:
         fine_err = np.abs(fine.values - exact).sum()
         coarse_err = np.abs(coarse.values - exact).sum()
         assert coarse_err >= fine_err
+
+
+class TestPointsOutsideEveryPolygon:
+    """Two points at (0,0)/(100,100) against the [40,60]² square: both
+    lie outside the only polygon's MBR, so the answer is Count 0."""
+
+    @pytest.fixture
+    def far_points(self):
+        return PointDataset(np.array([0.0, 100.0]), np.array([0.0, 100.0]))
+
+    @pytest.fixture
+    def square(self):
+        return PolygonSet([rectangle(40.0, 40.0, 60.0, 60.0)])
+
+    def test_no_surviving_candidate_skips_refinement(self, far_points, square):
+        """Regression: the per-point MBR tightening left zero candidate
+        pairs and refinement indexed the empty pair list (IndexError)."""
+        result = MaterializingJoin(truncate_bits=None).execute(
+            far_points, square
+        )
+        assert np.array_equal(result.values, [0.0])
+        assert result.stats.pip_tests == 0
+
+    def test_truncation_quantizes_without_relocating(self, far_points, square):
+        """Regression: 16-bit truncation clipped out-of-extent points
+        onto the polygon-set bbox border and counted one of them in."""
+        result = MaterializingJoin().execute(far_points, square)
+        assert np.array_equal(result.values, [0.0])
+
+    def test_point_just_outside_the_extent_stays_outside(self, square):
+        """Closer to the border than half a lattice step: rounding to
+        the nearest lattice line would land it exactly on the edge."""
+        step = 20.0 / ((1 << 16) - 1)
+        points = PointDataset(
+            np.array([40.0 - step / 4, 60.0 + step / 4]),
+            np.array([50.0, 50.0]),
+        )
+        result = MaterializingJoin().execute(points, square)
+        assert np.array_equal(result.values, [0.0])
 
 
 class TestMaterializationCost:

@@ -21,11 +21,7 @@ from repro.exec import (
     default_workers,
     resolve_backend,
 )
-from repro.exec.backend import (
-    BACKEND_ENV_VAR,
-    PERSISTENT_ENV_VAR,
-    WORKERS_ENV_VAR,
-)
+from repro.exec.backend import BACKEND_ENV_VAR, WORKERS_ENV_VAR
 
 ALL_BACKENDS = [
     SerialBackend(),
@@ -111,7 +107,7 @@ class TestWorkerLimits:
 
 class TestPersistentPools:
     def test_thread_pool_created_then_reused(self):
-        backend = ThreadBackend(workers=2, persistent=True)
+        backend = ThreadBackend(workers=2)
         try:
             tasks = [lambda i=i: i for i in range(4)]
             assert backend.run_tasks(tasks) == list(range(4))
@@ -122,7 +118,7 @@ class TestPersistentPools:
             backend.close()
 
     def test_close_releases_and_respawns_lazily(self):
-        backend = ThreadBackend(workers=2, persistent=True)
+        backend = ThreadBackend(workers=2)
         tasks = [lambda: 1, lambda: 2]
         backend.run_tasks(tasks)
         backend.close()
@@ -134,37 +130,13 @@ class TestPersistentPools:
     def test_single_task_dispatch_never_spawns_a_pool(self):
         """A 1-tile canvas (or parallelism cap of 1) must stay pool-free
         — the cheap no-op the partitioning acceptance bar requires."""
-        backend = ThreadBackend(workers=4, persistent=True)
+        backend = ThreadBackend(workers=4)
         assert backend.run_tasks([lambda: 7]) == [7]
         assert backend.last_pool_event == "inline"
         assert backend._pool is None
         assert backend.run_tasks([lambda: 1, lambda: 2], parallelism=1) == [1, 2]
         assert backend.last_pool_event == "inline"
         assert backend._pool is None
-
-    def test_non_persistent_pool_is_ephemeral(self):
-        backend = ThreadBackend(workers=2, persistent=False)
-        assert backend.run_tasks([lambda: 1, lambda: 2]) == [1, 2]
-        assert backend.last_pool_event == "ephemeral"
-        assert backend._pool is None
-
-    def test_persistence_resolves_from_environment(self, monkeypatch):
-        monkeypatch.setenv(PERSISTENT_ENV_VAR, "off")
-        assert ThreadBackend(workers=2).persistent is False
-        monkeypatch.setenv(PERSISTENT_ENV_VAR, "1")
-        assert ThreadBackend(workers=2).persistent is True
-        monkeypatch.delenv(PERSISTENT_ENV_VAR)
-        assert ThreadBackend(workers=2).persistent is True  # default on
-        monkeypatch.setenv(PERSISTENT_ENV_VAR, "sometimes")
-        with pytest.raises(ExecutionBackendError):
-            ThreadBackend(workers=2)
-
-    def test_engine_config_threads_persistence(self, monkeypatch):
-        monkeypatch.delenv(PERSISTENT_ENV_VAR, raising=False)
-        backend = EngineConfig(
-            backend="thread", workers=2, persistent_pool=False
-        ).make_backend()
-        assert backend.persistent is False
 
     def test_parallelism_cap_respected_by_persistent_pool(self):
         """The semaphore that replaces per-call pool sizing truly bounds
@@ -181,7 +153,7 @@ class TestPersistentPools:
                 state["running"] -= 1
             return True
 
-        backend = ThreadBackend(workers=8, persistent=True)
+        backend = ThreadBackend(workers=8)
         try:
             backend.run_tasks([task] * 12)  # warm the pool to 8 threads
             state["peak"] = 0
@@ -194,7 +166,7 @@ class TestPersistentPools:
     def test_nested_dispatch_on_same_backend_runs_inline(self):
         """A task that fans out on its own backend must not deadlock
         waiting for pool slots it is occupying."""
-        backend = ThreadBackend(workers=2, persistent=True)
+        backend = ThreadBackend(workers=2)
 
         def nested():
             return backend.run_tasks([lambda: 1, lambda: 2])
@@ -236,7 +208,7 @@ class TestPersistentPools:
         """close() from one thread while another dispatches must never
         error: the dispatch either respawns the pool or its already
         submitted futures are allowed to finish."""
-        backend = ThreadBackend(workers=4, persistent=True)
+        backend = ThreadBackend(workers=4)
         stop = threading.Event()
         errors = []
 
@@ -297,7 +269,7 @@ class TestPersistentPools:
     def test_pool_events_are_per_thread(self):
         """Backends are shared across engines (optimizer, planner), so a
         dispatch must read its own event, not a concurrent dispatch's."""
-        backend = ThreadBackend(workers=4, persistent=True)
+        backend = ThreadBackend(workers=4)
         barrier = threading.Barrier(2)
         events = {}
 

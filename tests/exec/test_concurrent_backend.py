@@ -47,7 +47,7 @@ class _ConcurrencyProbe:
 class TestSharedPoolConcurrency:
     def test_pool_bounds_cross_query_tile_fanout(self):
         """Two queries fanning out through one backend share its cap."""
-        backend = ThreadBackend(workers=2, persistent=True)
+        backend = ThreadBackend(workers=2)
         probe = _ConcurrencyProbe()
         errors: list[BaseException] = []
 
@@ -70,7 +70,7 @@ class TestSharedPoolConcurrency:
         assert probe.peak <= 2
 
     def test_parallelism_cap_holds_in_shared_pool(self):
-        backend = ThreadBackend(workers=4, persistent=True)
+        backend = ThreadBackend(workers=4)
         probe = _ConcurrencyProbe()
         results = backend.run_tasks([probe.task] * 8, parallelism=2)
         backend.close()

@@ -1,8 +1,12 @@
 """Integration tests for the batched rasterization pipeline.
 
-The batched layer must be a pure performance change: every engine
-result, prepared artifact, and incremental-edit behavior is bit-for-bit
-what the scalar per-triangle path produces.
+The engines build boundary masks and coverage only through the batched
+whole-set builders; the scalar per-triangle / per-polygon kernels
+(``triangle_coverage_mask``, ``outline_pixels``) stay in
+``repro.graphics`` as the oracle.  Every prepared artifact an engine
+leaves in its session must equal, piece for piece, what those scalar
+kernels produce — result equality then follows from the shared reduce —
+and incremental edits and the store must preserve that.
 """
 
 import numpy as np
@@ -12,13 +16,15 @@ from repro import (
     AccurateRasterJoin,
     ArtifactStore,
     BoundedRasterJoin,
-    EngineConfig,
-    PointDataset,
+    GPUDevice,
     Polygon,
     PolygonSet,
     QuerySession,
     Sum,
 )
+from repro.geometry.triangulate import triangulate_polygon
+from repro.graphics.raster_line import outline_pixels
+from repro.graphics.raster_triangle import triangle_coverage_mask
 from tests.conftest import random_star_polygon
 
 
@@ -49,70 +55,110 @@ def _edit_one(regions: PolygonSet, pid: int = 10) -> PolygonSet:
     return out
 
 
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("resolution", [64, 256])
-    def test_accurate_batch_on_off_bit_identical(
-        self, uniform_points, many_regions, resolution
-    ):
-        on = AccurateRasterJoin(
-            resolution=resolution, config=EngineConfig(batch_raster=True)
-        ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
-        off = AccurateRasterJoin(
-            resolution=resolution, config=EngineConfig(batch_raster=False)
-        ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
-        assert np.array_equal(on.values, off.values)
+def scalar_boundary(tile, polygons) -> np.ndarray:
+    """The tile's outline mask from the per-polygon scalar kernel."""
+    mask = np.zeros((tile.height, tile.width), dtype=bool)
+    for polygon in polygons:
+        if polygon.bbox.intersects(tile.bbox):
+            ix, iy = outline_pixels(tile, polygon.rings)
+            mask[iy, ix] = True
+    return mask
 
-    @pytest.mark.parametrize("resolution", [64, 256])
-    def test_bounded_batch_on_off_bit_identical(
-        self, uniform_points, many_regions, resolution
-    ):
-        on = BoundedRasterJoin(
-            resolution=resolution, config=EngineConfig(batch_raster=True)
-        ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
-        off = BoundedRasterJoin(
-            resolution=resolution, config=EngineConfig(batch_raster=False)
-        ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
-        assert np.array_equal(on.values, off.values)
 
-    def test_env_flag_controls_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_RASTER", "0")
-        assert EngineConfig().batch_raster_enabled() is False
-        monkeypatch.setenv("REPRO_BATCH_RASTER", "1")
-        assert EngineConfig().batch_raster_enabled() is True
-        monkeypatch.delenv("REPRO_BATCH_RASTER")
-        assert EngineConfig().batch_raster_enabled() is True  # default on
-        assert EngineConfig(batch_raster=False).batch_raster_enabled() is False
+def scalar_coverage(tile, polygons, boundary=None) -> list:
+    """The tile's coverage list from the per-triangle scalar kernel:
+    one ``(iy, ix)`` piece per rasterized triangle in triangulation
+    order, fragments under ``boundary`` dropped."""
+    coverage = []
+    for pid, polygon in enumerate(polygons):
+        if not polygon.bbox.intersects(tile.bbox):
+            continue
+        pieces = []
+        for tri in triangulate_polygon(polygon):
+            x0, y0, mask = triangle_coverage_mask(tile, tri)
+            if mask.size == 0:
+                continue
+            if boundary is not None:
+                mask = mask & ~boundary[y0:y0 + mask.shape[0],
+                                        x0:x0 + mask.shape[1]]
+            if not mask.any():
+                continue
+            ky, kx = np.nonzero(mask)
+            pieces.append((ky + y0, kx + x0))
+        if pieces:
+            coverage.append((pid, pieces))
+    return coverage
 
-    def test_session_artifacts_bit_identical(
-        self, uniform_points, many_regions
+
+def assert_coverage_equal(actual: list, expected: list) -> None:
+    assert [pid for pid, _ in actual] == [pid for pid, _ in expected]
+    for (_, pieces_a), (_, pieces_b) in zip(actual, expected):
+        assert len(pieces_a) == len(pieces_b)
+        for (iy_a, ix_a), (iy_b, ix_b) in zip(pieces_a, pieces_b):
+            assert np.array_equal(iy_a, iy_b)
+            assert np.array_equal(ix_a, ix_b)
+
+
+def assert_artifact_matches_scalar(artifact, polygons, exact: bool) -> None:
+    """Every tile's composed boundary mask and coverage equal the scalar
+    kernels' output (``exact``: the accurate engine's boundary rule)."""
+    assert set(artifact.coverage) == set(range(len(artifact.tiles)))
+    for idx, tile in enumerate(artifact.tiles):
+        boundary = None
+        if exact:
+            boundary = scalar_boundary(tile, polygons)
+            assert np.array_equal(artifact.boundary_masks[idx], boundary)
+        assert_coverage_equal(
+            artifact.coverage[idx], scalar_coverage(tile, polygons, boundary)
+        )
+
+
+def _only_artifact(session):
+    (artifact,) = session._entries.values()
+    return artifact
+
+
+#: (resolution, device): one single-tile canvas, one 2x2-tile canvas.
+CANVASES = [(64, None), (256, 128)]
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("resolution,max_fbo", CANVASES)
+    def test_accurate_artifacts_match_scalar_kernels(
+        self, uniform_points, many_regions, resolution, max_fbo
     ):
-        """Units built batched carry the same boundaries/coverage as
-        units built by the scalar loops."""
-        results = {}
-        for flag in (True, False):
-            session = QuerySession(store=False)
-            AccurateRasterJoin(
-                resolution=128,
-                grid_resolution=64,
-                session=session,
-                config=EngineConfig(batch_raster=flag),
-            ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
-            results[flag] = session._entries[next(iter(session._entries))]
-        a, b = results[True], results[False]
-        assert set(a.coverage) == set(b.coverage)
-        for idx in a.coverage:
-            assert len(a.coverage[idx]) == len(b.coverage[idx])
-            for (pid_a, pieces_a), (pid_b, pieces_b) in zip(
-                a.coverage[idx], b.coverage[idx]
-            ):
-                assert pid_a == pid_b
-                assert len(pieces_a) == len(pieces_b)
-                for (iy_a, ix_a), (iy_b, ix_b) in zip(pieces_a, pieces_b):
-                    assert np.array_equal(iy_a, iy_b)
-                    assert np.array_equal(ix_a, ix_b)
-        assert set(a.boundary_masks) == set(b.boundary_masks)
-        for idx, mask in a.boundary_masks.items():
-            assert np.array_equal(mask, b.boundary_masks[idx])
+        device = GPUDevice(max_resolution=max_fbo) if max_fbo else None
+        session = QuerySession(store=False)
+        warm = AccurateRasterJoin(
+            resolution=resolution, grid_resolution=64, device=device,
+            session=session,
+        ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
+        assert_artifact_matches_scalar(
+            _only_artifact(session), many_regions, exact=True
+        )
+        # The session-less run builds the same pieces and reduces them
+        # through the same code; nothing retained, same bits.
+        cold = AccurateRasterJoin(
+            resolution=resolution, grid_resolution=64, device=device
+        ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
+        assert np.array_equal(warm.values, cold.values)
+
+    @pytest.mark.parametrize("resolution,max_fbo", CANVASES)
+    def test_bounded_artifacts_match_scalar_kernels(
+        self, uniform_points, many_regions, resolution, max_fbo
+    ):
+        device = GPUDevice(max_resolution=max_fbo) if max_fbo else None
+        session = QuerySession(store=False)
+        warm = BoundedRasterJoin(
+            resolution=resolution, device=device, session=session
+        ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
+        assert_artifact_matches_scalar(
+            _only_artifact(session), many_regions, exact=False
+        )
+        cold = BoundedRasterJoin(
+            resolution=resolution, device=device
+        ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
+        assert np.array_equal(warm.values, cold.values)
 
 
 class TestIncrementalThroughBatch:
@@ -121,13 +167,13 @@ class TestIncrementalThroughBatch:
     ):
         """PR 5's per-polygon invalidation survives the batched
         builders: a single edit rebuilds exactly one polygon's slice and
-        splices the grid instead of re-composing it."""
+        splices the grid instead of re-composing it, and the derived
+        artifact still equals the scalar kernels' output."""
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(
             resolution=256,
             grid_resolution=128,
             session=session,
-            config=EngineConfig(batch_raster=True),
         )
         engine.execute(uniform_points, many_regions, aggregate=Sum("fare"))
         after = _edit_one(many_regions)
@@ -135,10 +181,15 @@ class TestIncrementalThroughBatch:
         assert result.stats.extra["prepared"] == "delta"
         assert result.stats.extra["polygons_rebuilt"] == 1
         assert result.stats.extra.get("grid_spliced") == 1
+        from repro.cache import polygon_fingerprint
+
+        derived = session._entries[
+            (polygon_fingerprint(after),) + tuple(engine.prepared_spec())
+        ]
+        assert_artifact_matches_scalar(derived, after, exact=True)
         fresh = AccurateRasterJoin(
             resolution=256,
             grid_resolution=128,
-            config=EngineConfig(batch_raster=False),
         ).execute(uniform_points, after, aggregate=Sum("fare"))
         assert np.array_equal(result.values, fresh.values)
 
@@ -150,7 +201,6 @@ class TestIncrementalThroughBatch:
             resolution=128,
             grid_resolution=256,
             session=session,
-            config=EngineConfig(batch_raster=True),
         )
         engine.execute(uniform_points, many_regions, aggregate=Sum("fare"))
         after = _edit_one(many_regions, pid=33)
@@ -184,7 +234,6 @@ class TestStoreRoundTrip:
             resolution=128,
             grid_resolution=64,
             session=session,
-            config=EngineConfig(batch_raster=True),
         )
         expected = engine.execute(
             uniform_points, many_regions, aggregate=Sum("fare")
@@ -208,7 +257,6 @@ class TestStoreRoundTrip:
             resolution=128,
             grid_resolution=64,
             session=other,
-            config=EngineConfig(batch_raster=True),
         ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
         assert replay.stats.prepared_store_hits == 1
         assert np.array_equal(replay.values, expected.values)

@@ -80,6 +80,66 @@ class TestTileSpanParenting:
         assert tiles_span.attrs["concurrent"] is True
 
 
+class TestOnePipelineInstrumentsEveryCaller:
+    """Solo, bounded and fused execution run the same tile task, so under
+    the thread backend (worker threads have no ambient tracer) each of
+    them ships ``tile`` spans home and counts one task per tile."""
+
+    @staticmethod
+    def _tile_tasks(engine_name: str) -> float:
+        return metrics.snapshot()["counters"].get(
+            f'engine_tile_tasks{{engine="{engine_name}"}}', 0
+        )
+
+    @staticmethod
+    def _assert_tile_spans(root, tiles: int) -> None:
+        (tiles_span,) = root.find("tiles")
+        tile_spans = [c for c in tiles_span.children if c.name == "tile"]
+        assert [s.attrs["tile"] for s in tile_spans] == list(range(tiles))
+        for tile_span in tile_spans:
+            names = [c.name for c in tile_span.children]
+            assert "point-pass" in names
+            assert "polygon-pass" in names
+
+    def test_bounded_four_tile_query(self, monkeypatch):
+        before = self._tile_tasks("bounded-raster")
+        result = _run_traced(monkeypatch, "thread", BoundedRasterJoin)
+        assert result.stats.extra["tiles"] == 4
+        self._assert_tile_spans(result.trace, 4)
+        assert self._tile_tasks("bounded-raster") == before + 4
+
+    def test_two_member_fused_scan(self, monkeypatch, uniform_points,
+                                   three_regions):
+        from repro import Count, FilterSet, Sum
+        from repro.serve import FusedQuery, execute_fused
+
+        monkeypatch.setenv(trace.TRACE_ENV_VAR, "1")
+        engine = AccurateRasterJoin(
+            resolution=96, device=GPUDevice(max_resolution=48),
+            session=QuerySession(),
+            config=EngineConfig(backend="thread", workers=2),
+        )
+        before = self._tile_tasks("accurate-raster")
+        try:
+            results = execute_fused(engine, uniform_points, [
+                FusedQuery(three_regions, Count(), FilterSet()),
+                FusedQuery(three_regions, Sum("fare"), FilterSet()),
+            ])
+        finally:
+            engine.close()
+        assert results is not None
+        root = results[0].trace
+        assert root is results[1].trace
+        (scan,) = root.find("fused-scan")
+        self._assert_tile_spans(scan, 4)
+        # One polygon pass per member inside each shared tile task.
+        for tile_span in scan.find("tile"):
+            passes = [c for c in tile_span.children
+                      if c.name == "polygon-pass"]
+            assert len(passes) == 2
+        assert self._tile_tasks("accurate-raster") == before + 4
+
+
 class TestTracingIsInert:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_values_identical_with_and_without_tracing(

@@ -14,7 +14,7 @@ streamed/monolithic execution:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -27,6 +27,7 @@ from repro import (
     PolygonSet,
 )
 from repro.exec.config import EngineConfig
+from repro.geometry.polygon import rectangle
 from repro.obs import trace
 from tests.conftest import random_star_polygon
 
@@ -42,7 +43,15 @@ ENGINES = (
     ),
     lambda cfg: IndexJoin(mode="gpu", config=cfg),
     lambda cfg: MaterializingJoin(config=cfg),
+    lambda cfg: MaterializingJoin(truncate_bits=None, config=cfg),
 )
+
+#: Pinned counterexample inputs: both points lie outside the only
+#: polygon's MBR, so the materializing join is left with no candidate
+#: pair to refine (it used to index the empty pair list), and 16-bit
+#: truncation must not clip them onto the bbox border.
+_FAR_POINTS = PointDataset(np.array([0.0, 100.0]), np.array([0.0, 100.0]))
+_SQUARE = PolygonSet([rectangle(40.0, 40.0, 60.0, 60.0)])
 
 
 @st.composite
@@ -99,6 +108,8 @@ def _check_span_containment(span):
 
 
 @given(workloads())
+@example(workload=(_FAR_POINTS, _SQUARE, "serial", 3, False))
+@example(workload=(_FAR_POINTS, _SQUARE, "serial", 4, False))
 @settings(max_examples=12, deadline=None)
 def test_stats_identity_and_span_containment(workload):
     points, polygons, backend, engine_idx, streamed = workload

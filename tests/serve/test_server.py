@@ -14,11 +14,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro import Sum
 from repro.errors import (
     QueryTimeoutError,
     ServerClosedError,
     ServerOverloadedError,
 )
+from repro.obs import metrics
 from repro.serve import ServeConfig, Server
 from repro.sql.planner import QueryPlanner
 
@@ -122,6 +124,56 @@ class TestServing:
             counters = server.counters()
         assert counters["fused_scans"] == 1
         assert counters["fused_queries"] == 3
+
+    def test_poisoned_member_degrades_group_to_solo_runs(
+        self, planner, monkeypatch
+    ):
+        """One member whose aggregate raises must not fail the group:
+        the others get their bit-identical answers, the raiser its own
+        error, and the fallback is counted."""
+
+        class Poisoned(Sum):
+            def reduce_pixels(self, pixel_values):
+                raise RuntimeError("poisoned aggregate")
+
+        solos = {q: planner.execute(q) for q in (Q_COUNT, Q_FILTERED)}
+        plan = planner.plan
+
+        def poisoning_plan(statement):
+            engine, points, regions, aggregate, filters = plan(statement)
+            if isinstance(aggregate, Sum) and not filters:  # Q_SUM only
+                aggregate = Poisoned(aggregate.column)
+            return engine, points, regions, aggregate, filters
+
+        monkeypatch.setattr(planner, "plan", poisoning_plan)
+
+        def counted():
+            return metrics.snapshot()["counters"].get(
+                "serve_fused_fallbacks", 0
+            )
+
+        before = counted()
+        server = Server(planner, ServeConfig(
+            max_workers=2, batch_window_s=60.0,
+        ))
+        with server:
+            futures = {
+                q: server.submit(q) for q in (Q_COUNT, Q_SUM, Q_FILTERED)
+            }
+            server.flush()
+            for q, solo in solos.items():
+                result = futures[q].result(30.0)
+                assert np.array_equal(result.values, solo.values)
+                for name, channel in solo.channels.items():
+                    assert np.array_equal(result.channels[name], channel)
+                assert "fused_queries" not in result.stats.extra
+            with pytest.raises(RuntimeError, match="poisoned aggregate"):
+                futures[Q_SUM].result(30.0)
+            counters = server.counters()
+        assert counters["fused_scans"] == 0
+        assert counters["fused_fallbacks"] == 1
+        assert counters["depth"] == 0
+        assert counted() == before + 1
 
     def test_max_fused_flushes_immediately(self, planner):
         server = Server(planner, ServeConfig(
