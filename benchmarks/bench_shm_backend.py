@@ -136,7 +136,7 @@ def test_shm_resident_pool_smoke(benchmark, workload):
     results: dict[str, object] = {}
     pool_events: dict[str, str] = {}
     for cell, spec in cells.items():
-        session = QuerySession(shm=spec["shm"])
+        session = QuerySession()
         engine = _engine(spec["backend"], WORKERS, spec["shm"], session)
         cold = engine.execute(points, polygons, aggregate=aggregate)
         assert cold.stats.extra["partition"] == "on", cold.stats.extra

@@ -29,9 +29,9 @@ algorithm needs, on first use, and later executions with the same polygon
 set and configuration skip the rebuild.  All fields are derived
 deterministically from the polygon content, so an artifact built by one
 engine instance is valid for any other instance with the same spec.
-Artifacts built *without* a session (``key is None``) skip the unit
-bookkeeping entirely: a tile task builds every polygon's pieces and
-composes them straight from what it built, retaining nothing.
+There is one artifact shape: a session-less execution builds the same
+unit-backed artifact (minus the fingerprint hashing nothing would look
+up) and simply drops it afterwards.
 """
 
 from __future__ import annotations
@@ -178,10 +178,13 @@ class PolygonUnit:
 class PreparedPolygons:
     """Lazily-populated prepared state for one (polygon set, config) pair.
 
-    ``key`` is ``(fingerprint, *engine_spec)`` when the artifact lives in a
-    :class:`~repro.cache.session.QuerySession`, or ``None`` for the
-    throwaway artifact an engine builds when it runs without a session
-    (same code path, nothing retained, no per-polygon units).
+    Constructed from its polygon set, the artifact always owns one
+    :class:`PolygonUnit` per polygon.  ``key`` is ``(fingerprint,
+    *engine_spec)`` and ``fingerprints`` the per-polygon content hashes
+    when the artifact lives in a :class:`~repro.cache.session.QuerySession`;
+    an engine running without a session passes neither — nothing ever
+    looks its units up, so they go unhashed — and drops the artifact
+    after the query.
     """
 
     __slots__ = (
@@ -207,7 +210,14 @@ class PreparedPolygons:
         "uses",
     )
 
-    def __init__(self, key: tuple | None = None) -> None:
+    def __init__(
+        self,
+        polygons: PolygonSet | Sequence[Polygon],
+        key: tuple | None = None,
+        fingerprints: Sequence[str] | None = None,
+    ) -> None:
+        if fingerprints is None:
+            fingerprints = [None] * len(polygons)
         self.key = key
         self.canvas = None
         self.tiles: list | None = None
@@ -226,13 +236,16 @@ class PreparedPolygons:
         #: A; the cached block already counted it).  Set-level, derived,
         #: never persisted; see :func:`repro.cache.pyramid.ensure_polygon_blocks`.
         self.pip_grid: GridIndex | None = None
-        #: per-polygon units (None for sessionless throwaway artifacts)
-        self.units: list[PolygonUnit] | None = None
-        self.polygon_fps: list[str] | None = None
+        #: one unit per polygon, in polygon order
+        self.units: list[PolygonUnit] = [
+            PolygonUnit(fp, _bbox_tuple(poly))
+            for fp, poly in zip(fingerprints, polygons)
+        ]
+        self.polygon_fps: list = list(fingerprints)
         #: (xmin, ymin, xmax, ymax) of the set at build time — the frame
         #: guard: a delta reuse is only valid when the edited set spans
         #: the same extent (same canvas, same grid extent).
-        self.source_bbox: tuple | None = None
+        self.source_bbox: tuple | None = set_bbox(polygons)
         #: provenance of a delta-derived artifact (for store journaling)
         self.delta_parent: tuple | None = None
         self.delta_dirty: list[int] | None = None
@@ -252,24 +265,6 @@ class PreparedPolygons:
     # ------------------------------------------------------------------
     # Unit bookkeeping
     # ------------------------------------------------------------------
-    def init_units(
-        self,
-        polygons: PolygonSet | Sequence[Polygon],
-        fingerprints: Sequence[str],
-    ) -> None:
-        """Attach fresh per-polygon units (a cold, session-owned build)."""
-        polys = list(polygons)
-        self.units = [
-            PolygonUnit(fp, _bbox_tuple(poly))
-            for fp, poly in zip(fingerprints, polys)
-        ]
-        self.polygon_fps = list(fingerprints)
-        box = polys[0].bbox
-        for poly in polys[1:]:
-            box = box.union(poly.bbox)
-        self.source_bbox = (box.xmin, box.ymin, box.xmax, box.ymax)
-        self.version += 1
-
     @classmethod
     def derive_from(
         cls,
@@ -289,31 +284,27 @@ class PreparedPolygons:
         positionally stable; everything else recomposes from units —
         cheap gathers, no rasterization.
         """
-        polys = list(polygons)
-        entry = cls(key)
+        entry = cls(polygons, key, fingerprints)
         entry.canvas = base.canvas
         entry.tiles = base.tiles
-        entry.polygon_fps = list(fingerprints)
-        entry.source_bbox = base.source_bbox
 
-        # Match new polygons to base units by content fingerprint.
+        # Match new polygons to base units by content fingerprint; the
+        # unmatched keep the empty unit the constructor gave them.
         pool: dict[str, list[int]] = {}
-        for pid, fp in enumerate(base.polygon_fps or ()):
+        for pid, fp in enumerate(base.polygon_fps):
             pool.setdefault(fp, []).append(pid)
-        units: list[PolygonUnit] = []
+        units = entry.units
         parent_map: list[int] = []
         dirty: list[int] = []
-        for pid, (fp, poly) in enumerate(zip(fingerprints, polys)):
+        for pid, fp in enumerate(fingerprints):
             matches = pool.get(fp)
             if matches:
                 src = matches.pop(0)
-                units.append(base.units[src].clone())
+                units[pid] = base.units[src].clone()
                 parent_map.append(src)
             else:
-                units.append(PolygonUnit(fp, _bbox_tuple(poly)))
                 parent_map.append(-1)
                 dirty.append(pid)
-        entry.units = units
         entry.parent_map = parent_map
         entry.delta_dirty = dirty
         entry.delta_parent = base.key
@@ -371,18 +362,15 @@ class PreparedPolygons:
     def ensure_triangles(self, polygons: PolygonSet, stats=None) -> list:
         """Triangulate every polygon once; later calls are free.
 
-        With units attached, only polygons whose unit lacks a
-        triangulation are rebuilt — the incremental path after an edit.
+        Only polygons whose unit lacks a triangulation are rebuilt — the
+        incremental path after an edit.
         """
         if self.triangles is None:
             start = time.perf_counter()
-            if self.units is not None:
-                for pid, unit in enumerate(self.units):
-                    if unit.triangles is None:
-                        unit.triangles = triangulate_polygon(polygons[pid])
-                self.triangles = [unit.triangles for unit in self.units]
-            else:
-                self.triangles = [triangulate_polygon(p) for p in polygons]
+            for pid, unit in enumerate(self.units):
+                if unit.triangles is None:
+                    unit.triangles = triangulate_polygon(polygons[pid])
+            self.triangles = [unit.triangles for unit in self.units]
             self.triangulation_s = time.perf_counter() - start
             if stats is not None:
                 stats.triangulation_s += self.triangulation_s
@@ -398,53 +386,47 @@ class PreparedPolygons:
     ) -> GridIndex:
         """Build the polygon grid index once; later calls are free.
 
-        With units attached, per-polygon cell lists are computed only
-        for polygons that lack them and the CSR arrays are *composed*
-        from the per-polygon lists — the same two-pass scatter the
-        direct constructor runs, so the index is bit-identical.
+        Per-polygon cell lists are computed only for polygons that lack
+        them and the CSR arrays are *composed* from the per-polygon
+        lists — the same two-pass scatter the direct constructor runs,
+        so the index is bit-identical.
         """
         if self.grid is None:
-            if self.units is not None:
-                start = time.perf_counter()
-                extent = GridIndex.default_extent(polygons)
-                for pid, unit in enumerate(self.units):
-                    if unit.cells is None:
-                        unit.cells = GridIndex.cells_for_polygon(
-                            polygons[pid], extent, resolution, assignment
-                        )
-                base = self._splice_base(resolution, assignment, extent)
-                if base is not None:
-                    # Delta edit over a warm sibling grid: splice the
-                    # dirty polygons' cell slices in place of the full
-                    # two-pass compose — bit-identical CSR arrays (see
-                    # GridIndex.splice), O(touched slices) instead of
-                    # O(total entries).
-                    base_grid, old_cells = base
-                    self.grid = base_grid.splice(
-                        polygons,
-                        {
-                            pid: (old, self.units[pid].cells)
-                            for pid, old in old_cells.items()
-                        },
+            start = time.perf_counter()
+            extent = GridIndex.default_extent(polygons)
+            for pid, unit in enumerate(self.units):
+                if unit.cells is None:
+                    unit.cells = GridIndex.cells_for_polygon(
+                        polygons[pid], extent, resolution, assignment
                     )
-                    if stats is not None:
-                        stats.extra["grid_spliced"] = len(old_cells)
-                else:
-                    self.grid = GridIndex.from_cells(
-                        polygons,
-                        [unit.cells for unit in self.units],
-                        resolution=resolution,
-                        assignment=assignment,
-                        extent=extent,
-                    )
-                self.grid_splice = None
-                self.index_build_s = time.perf_counter() - start
-                self.grid.build_seconds = self.index_build_s
-            else:
-                self.grid = GridIndex(
-                    polygons, resolution=resolution, assignment=assignment
+            base = self._splice_base(resolution, assignment, extent)
+            if base is not None:
+                # Delta edit over a warm sibling grid: splice the
+                # dirty polygons' cell slices in place of the full
+                # two-pass compose — bit-identical CSR arrays (see
+                # GridIndex.splice), O(touched slices) instead of
+                # O(total entries).
+                base_grid, old_cells = base
+                self.grid = base_grid.splice(
+                    polygons,
+                    {
+                        pid: (old, self.units[pid].cells)
+                        for pid, old in old_cells.items()
+                    },
                 )
-                self.index_build_s = self.grid.build_seconds
+                if stats is not None:
+                    stats.extra["grid_spliced"] = len(old_cells)
+            else:
+                self.grid = GridIndex.from_cells(
+                    polygons,
+                    [unit.cells for unit in self.units],
+                    resolution=resolution,
+                    assignment=assignment,
+                    extent=extent,
+                )
+            self.grid_splice = None
+            self.index_build_s = time.perf_counter() - start
+            self.grid.build_seconds = self.index_build_s
             if stats is not None:
                 stats.index_build_s += self.index_build_s
             self.version += 1
@@ -483,7 +465,7 @@ class PreparedPolygons:
         return self.mbr_arrays
 
     # ------------------------------------------------------------------
-    # Per-tile composition (units path)
+    # Per-tile composition
     # ------------------------------------------------------------------
     def missing_boundary_pids(self, tile_idx: int) -> list[int]:
         """Polygon ids whose unit lacks outline pixels for this tile."""
@@ -501,11 +483,7 @@ class PreparedPolygons:
 
     def _tile_pieces(self, field: str, tile_idx: int, built: dict | None):
         """``(pid, pieces)`` for one tile in polygon order: a unit's own
-        state, else what ``built`` supplies for it.  A unit-less
-        (throwaway) artifact holds nothing, so everything is ``built``."""
-        if self.units is None:
-            yield from (built or {}).items()
-            return
+        state, else what ``built`` supplies for it."""
         for pid, unit in enumerate(self.units):
             pieces = getattr(unit, field).get(tile_idx)
             if pieces is None and built is not None:
@@ -604,11 +582,9 @@ class PreparedPolygons:
         triangles), so they are the first tier a byte-budgeted session
         gives back.
         """
-        if self.boundary_masks or self.coverage:
-            return True
-        if self.units is not None:
-            return any(u.boundary or u.coverage for u in self.units)
-        return False
+        return bool(self.boundary_masks or self.coverage) or any(
+            u.boundary or u.coverage for u in self.units
+        )
 
     def strip_derived(self) -> int:
         """Drop boundary and coverage state, returning the bytes freed.
@@ -622,10 +598,9 @@ class PreparedPolygons:
         before = self.nbytes
         self.boundary_masks = {}
         self.coverage = {}
-        if self.units is not None:
-            for unit in self.units:
-                unit.boundary = {}
-                unit.coverage = {}
+        for unit in self.units:
+            unit.boundary = {}
+            unit.coverage = {}
         self.version += 1
         return before - self.nbytes
 
@@ -690,27 +665,26 @@ class PreparedPolygons:
         if self.pip_grid is not None:
             add(self.pip_grid.cell_start)
             add(self.pip_grid.entries)
-        if self.units is not None:
-            for unit in self.units:
-                if unit.triangles is not None:
-                    for t in unit.triangles:
-                        add(t)
-                if unit.cells is not None:
-                    add(unit.cells)
-                if unit.interior_cells is not None:
-                    add(unit.interior_cells)
-                if unit.pip_cells is not None:
-                    add(unit.pip_cells)
-                if unit.blocks is not None:
-                    for _, ids in unit.blocks:
-                        add(ids)
-                for ix, iy in unit.boundary.values():
-                    add(ix)
+        for unit in self.units:
+            if unit.triangles is not None:
+                for t in unit.triangles:
+                    add(t)
+            if unit.cells is not None:
+                add(unit.cells)
+            if unit.interior_cells is not None:
+                add(unit.interior_cells)
+            if unit.pip_cells is not None:
+                add(unit.pip_cells)
+            if unit.blocks is not None:
+                for _, ids in unit.blocks:
+                    add(ids)
+            for ix, iy in unit.boundary.values():
+                add(ix)
+                add(iy)
+            for pieces in unit.coverage.values():
+                for iy, ix in pieces:
                     add(iy)
-                for pieces in unit.coverage.values():
-                    for iy, ix in pieces:
-                        add(iy)
-                        add(ix)
+                    add(ix)
         return total
 
     def __repr__(self) -> str:
@@ -727,14 +701,27 @@ class PreparedPolygons:
             parts.append(f"coverage x{len(self.coverage)}")
         if self.mbr_arrays is not None:
             parts.append("mbrs")
-        if self.units is not None:
-            parts.append(f"units x{len(self.units)}")
-        body = ", ".join(parts) or "empty"
-        return f"PreparedPolygons({body}, uses={self.uses})"
+        parts.append(f"units x{len(self.units)}")
+        return f"PreparedPolygons({', '.join(parts)}, uses={self.uses})"
 
 
 def _bbox_tuple(poly: Polygon) -> tuple:
     box = poly.bbox
+    return (box.xmin, box.ymin, box.xmax, box.ymax)
+
+
+def set_bbox(polygons: PolygonSet | Sequence[Polygon]) -> tuple | None:
+    """(xmin, ymin, xmax, ymax) of a whole polygon set — the frame a
+    delta derivation must share (``None`` for an empty raw sequence)."""
+    if isinstance(polygons, PolygonSet):
+        box = polygons.bbox
+    else:
+        polys = list(polygons)
+        if not polys:
+            return None
+        box = polys[0].bbox
+        for poly in polys[1:]:
+            box = box.union(poly.bbox)
     return (box.xmin, box.ymin, box.xmax, box.ymax)
 
 

@@ -34,9 +34,9 @@ Invalidation rules (see ``docs/query_sessions.md`` and
   is **delta-derived** instead of cold-built: unchanged polygons adopt
   the sibling's per-polygon units and only the changed/added polygons'
   artifacts rebuild (``prepared_for`` returns ``"delta"``) — through
-  the batched raster builders (``docs/rasterization.md``) when those
-  are enabled, and with the sibling's CSR grid *spliced* in place of a
-  full recompose when polygon ids are stable
+  the batched raster builders (``docs/rasterization.md``), and with
+  the sibling's CSR grid *spliced* in place of a full recompose when
+  polygon ids are stable
   (:meth:`repro.index.grid.GridIndex.splice`);
 * the session holds at most ``capacity`` artifacts (and at most
   ``byte_budget`` bytes, when set), demoting the least recently used
@@ -71,10 +71,9 @@ from repro.cache.prepared import (
     PreparedPolygons,
     per_polygon_fingerprints,
     polygon_fingerprint,
+    set_bbox,
 )
-from repro.data.dataset import PointDataset
 from repro.errors import QueryError
-from repro.exec import shm as shm_tier
 from repro.geometry.polygon import Polygon, PolygonSet
 from repro.obs import metrics
 
@@ -215,28 +214,14 @@ class QuerySession:
         store=None,
         partition_capacity: int = 4,
         pyramid_capacity: int = 2,
-        shm: bool | None = None,
     ) -> None:
         if capacity < 1:
             raise QueryError(f"session capacity must be >= 1, got {capacity}")
-        from repro.exec.backend import flag_from_env
         from repro.store import ArtifactStore, parse_bytes
 
         self.capacity = capacity
         self.byte_budget = parse_bytes(byte_budget)
         self.store = ArtifactStore.coerce(store)
-        #: Whether this session's partition cache exports per-tile
-        #: sub-chunks (and pinned point sources) as named shared-memory
-        #: segments — the data half of the process backend's
-        #: resident-worker mode.  ``None`` consults ``$REPRO_SHM``,
-        #: defaulting to off.  Purely a performance decision; the chunks
-        #: hold the same bytes wherever they live.
-        self.shm = (
-            flag_from_env(shm_tier.SHM_ENV_VAR, False) if shm is None else shm
-        )
-        #: ``id(points) -> (points, guard, ShmChunk)``: point sources
-        #: pinned whole into the shm tier (see :meth:`shm_pin`), LRU.
-        self._shm_pins: "OrderedDict[int, tuple]" = OrderedDict()
         #: How many tile-point partitions to retain (0 disables).  Each
         #: cached partition holds per-tile copies of the point columns,
         #: so the cap bounds that memory; entries are keyed by the point
@@ -367,11 +352,7 @@ class QuerySession:
                 metrics.counter("session_prepared_lookups",
                                 result="delta_hit")
                 return entry, "delta"
-        entry = PreparedPolygons(key)
-        if fingerprints:
-            entry.init_units(polygons, fingerprints)
-        # (An empty raw sequence — PolygonSet forbids it — gets the
-        # plain pre-unit shell.)
+        entry = PreparedPolygons(polygons, key, fingerprints)
         self._entries[key] = entry
         self.misses += 1
         self._maintain(exclude=key)
@@ -394,14 +375,7 @@ class QuerySession:
         the one reusing the most polygons wins (most recently used on
         ties).  The probe never touches LRU order or hit counters.
         """
-        if isinstance(polygons, PolygonSet):
-            box = polygons.bbox
-        else:
-            polys = list(polygons)
-            box = polys[0].bbox
-            for p in polys[1:]:
-                box = box.union(p.bbox)
-        bbox = (box.xmin, box.ymin, box.xmax, box.ymax)
+        bbox = set_bbox(polygons)
         want = Counter(fingerprints)
         best: PreparedPolygons | None = None
         best_matched = 0
@@ -409,8 +383,6 @@ class QuerySession:
             if candidate_key == key or candidate_key[1:] != tuple(spec):
                 continue
             candidate = self._entries[candidate_key]
-            if candidate.units is None or candidate.polygon_fps is None:
-                continue
             if candidate.source_bbox != bbox:
                 continue
             # Multiset intersection — mirrors the pop-one-per-match
@@ -526,17 +498,13 @@ class QuerySession:
         spec = tuple(spec)
         return any(
             candidate_key[1:] == spec and candidate_key != key
-            and self._entries[candidate_key].units is not None
             for candidate_key in self._entries
         )
 
     @staticmethod
     def _entry_grade(entry: PreparedPolygons) -> str | None:
         """``"full"`` / ``"partial"`` / ``None`` for a resident entry."""
-        if entry.coverage or (
-            entry.units is not None
-            and any(u.coverage for u in entry.units)
-        ):
+        if entry.coverage or any(u.coverage for u in entry.units):
             return "full"
         if entry.triangles is not None or entry.grid is not None:
             return "partial"
@@ -554,16 +522,15 @@ class QuerySession:
     PARTITION_BYTE_CAP = 512 << 20
 
     @staticmethod
-    def _partition_guard(points) -> str:
+    def _content_hash(points) -> str:
         """Content fingerprint of a point source (every column's bytes).
 
-        The cache is *keyed* by the source's identity (an O(1) probe)
-        but *validated* by this hash, so mutating a dataset's arrays in
-        place between queries can never replay a stale partition — the
-        same never-stale contract the polygon fingerprints give the
-        prepared-state cache.  Hashing is a single pass over the column
-        buffers, roughly an order of magnitude cheaper than the
-        projection-and-bucketing scan a hit avoids.
+        The point-keyed caches (partitions, pyramids) are *keyed* by the
+        source's identity (an O(1) probe) but *validated* by this hash,
+        so mutating a dataset's arrays in place between queries can
+        never replay stale state — the same never-stale contract the
+        polygon fingerprints give the prepared-state cache.  Callers go
+        through :meth:`_cached_guard`, which memoizes it.
         """
         digest = hashlib.blake2b(digest_size=16)
         digest.update(len(points).to_bytes(8, "little"))
@@ -599,27 +566,31 @@ class QuerySession:
         return tuple(fold)
 
     def _cached_guard(self, points) -> str:
-        """The content guard, memoized per source identity.
+        """The content guard of every point-keyed cache, memoized per
+        source identity.
 
-        ``_partition_guard`` reads every column byte through blake2b —
+        ``_content_hash`` reads every column byte through blake2b —
         correct, but a per-query pass over the whole point source, which
-        would dominate the pyramid-warm path it is meant to validate
-        (the pyramid's promise is that warm interiors touch *no* point
-        data).  This memoizes the full hash keyed by the dataset's
-        identity and revalidates it with :meth:`_content_fold`; the
-        expensive hash is recomputed only when the fold sees the bytes
-        change, so a mutated-in-place source still can never replay a
-        stale pyramid.
+        would dominate the warm paths it is meant to validate (the
+        pyramid's promise is that warm interiors touch *no* point data).
+        This memoizes the full hash keyed by the dataset's identity and
+        revalidates it with :meth:`_content_fold`; the expensive hash is
+        recomputed only when the fold sees the bytes change, so a
+        mutated-in-place source still can never replay a stale partition
+        or pyramid.
         """
         fold = self._content_fold(points)
         cached = self._guards.get(id(points))
         if cached is not None and cached[0] is points and cached[1] == fold:
             self._guards.move_to_end(id(points))
             return cached[2]
-        guard = self._partition_guard(points)
+        guard = self._content_hash(points)
         self._guards[id(points)] = (points, fold, guard)
         self._guards.move_to_end(id(points))
-        while len(self._guards) > max(self.pyramid_capacity, 2):
+        # One memo per source either cache can hold.
+        while len(self._guards) > max(
+            self.partition_capacity + self.pyramid_capacity, 2
+        ):
             self._guards.popitem(last=False)
         return guard
 
@@ -638,7 +609,7 @@ class QuerySession:
         if cached is None:
             return None
         held, guard, per_tile, duplicates, _ = cached
-        if held is not points or guard != self._partition_guard(points):
+        if held is not points or guard != self._cached_guard(points):
             del self._partitions[key]
             return None
         self._partitions.move_to_end(key)
@@ -648,7 +619,7 @@ class QuerySession:
 
     @_locked
     def partition_store(self, points, token: tuple, per_tile,
-                        duplicates: int):
+                        duplicates: int) -> None:
         """Retain a freshly computed partition (LRU-bounded).
 
         The entry keeps a strong reference to ``points`` — both to keep
@@ -656,85 +627,35 @@ class QuerySession:
         alias or copy its columns anyway.  The sub-chunk bytes are
         measured here so the byte budget — or, without one, the default
         :attr:`PARTITION_BYTE_CAP` — can see and reclaim them.
-
-        Returns the (possibly transformed) ``per_tile`` the caller
-        should consume: with the shm tier on, host sub-chunks are
-        exported **once** here as shared-memory chunks — the very query
-        that computed the partition already reads the shared segments,
-        and every later query reuses them across the process boundary
-        zero-copy.  Segment leases release when the chunks are dropped
-        (LRU eviction, :meth:`invalidate`, or session GC) via their
-        finalizers.
+        Shared-memory sub-chunks (a resident process backend's tile loop
+        exports them before storing) release their segment leases when
+        the entry is dropped (LRU eviction, :meth:`invalidate`, or
+        session GC) via their finalizers.
         """
-        if self.shm:
-            per_tile = [
-                [
-                    shm_tier.export_chunk(chunk)
-                    if isinstance(chunk, PointDataset) else chunk
-                    for chunk in chunks
-                ]
-                for chunks in per_tile
-            ]
         if self.partition_capacity < 1:
-            return per_tile
+            return
         nbytes = _partition_bytes(per_tile) + _source_bytes(points)
         cap = (
             self.byte_budget if self.byte_budget is not None
             else self.PARTITION_BYTE_CAP
         )
         if nbytes > cap:
-            return per_tile  # caching it would immediately thrash the cap
+            return  # caching it would immediately thrash the cap
         key = (id(points),) + tuple(token)
         self._partitions[key] = (
-            points, self._partition_guard(points), per_tile, duplicates,
-            nbytes,
+            points, self._cached_guard(points), per_tile, duplicates, nbytes,
         )
         self._partitions.move_to_end(key)
         while len(self._partitions) > self.partition_capacity or (
             len(self._partitions) > 1 and self.partition_nbytes > cap
         ):
             self._partitions.popitem(last=False)
-        return per_tile
 
     @property
     @_locked
     def partition_nbytes(self) -> int:
         """Bytes held by cached per-tile partition sub-chunks."""
         return sum(entry[4] for entry in self._partitions.values())
-
-    @_locked
-    def shm_pin(self, points):
-        """Pin a point source's columns into the shared-memory tier.
-
-        Exports the full dataset once as a :class:`~repro.exec.shm.ShmChunk`
-        so registered sources (the SQL planner's named tables, a serving
-        layer's resident datasets) live in ``/dev/shm`` for the session's
-        lifetime and every resident worker maps them instead of receiving
-        pickled copies.  Memoized by source identity and content guard —
-        re-pinning an unchanged source is free, while an edited-in-place
-        source rolls the guard and re-exports.  Returns the chunk, or
-        ``None`` when the shm tier is off.  Pins are LRU-bounded by the
-        partition capacity and released on eviction or
-        :meth:`invalidate`.
-        """
-        if not self.shm:
-            return None
-        guard = self._cached_guard(points)
-        cached = self._shm_pins.get(id(points))
-        if cached is not None and cached[0] is points and cached[1] == guard:
-            self._shm_pins.move_to_end(id(points))
-            metrics.counter("session_shm_pin", event="hit")
-            return cached[2]
-        if cached is not None:
-            cached[2].release()
-        chunk = shm_tier.export_chunk(points)
-        self._shm_pins[id(points)] = (points, guard, chunk)
-        self._shm_pins.move_to_end(id(points))
-        metrics.counter("session_shm_pin", event="export")
-        while len(self._shm_pins) > max(self.partition_capacity, 1):
-            _, (_, _, old) = self._shm_pins.popitem(last=False)
-            old.release()
-        return chunk
 
     # ------------------------------------------------------------------
     # Aggregate-pyramid cache (see repro.cache.pyramid)
@@ -1094,9 +1015,7 @@ class QuerySession:
             self._entries.clear()
             self._partitions.clear()
             self._pyramids.clear()
-            for _, _, chunk in self._shm_pins.values():
-                chunk.release()
-            self._shm_pins.clear()
+            self._guards.clear()
             return removed
         fingerprint = polygon_fingerprint(polygons)
         doomed = [key for key in self._entries if key[0] == fingerprint]

@@ -192,7 +192,6 @@ class AccurateRasterJoin(RasterJoinEngine):
 
     def _pyramid_plan(
         self,
-        prepared: PreparedPolygons,
         points: PointDataset | ResidentPointSet,
         polygons: PolygonSet,
         aggregate: Aggregate,
@@ -202,16 +201,15 @@ class AccurateRasterJoin(RasterJoinEngine):
         """The resident pyramid serving this query, or ``None`` (exact path).
 
         ``None`` whenever the pyramid is disabled, nothing was ever
-        built, the aggregate has a shape the partials cannot express,
+        built, the aggregate has a shape the partials cannot express, or
         filters are present (cell partials pre-aggregate over *all*
-        points), or the artifact lacks per-polygon units (no block
-        classification to hang off).  The gate never builds anything —
-        a cold query costs one O(1) probe plus, with a store attached,
-        one content hash for the disk-tier key.
+        points).  The gate never builds anything — a cold query costs
+        one O(1) probe plus, with a store attached, one content hash for
+        the disk-tier key.
         """
         if not self._pyramid or self.session is None:
             return None
-        if prepared.units is None or filters:
+        if filters:
             return None
         kinds = channel_kinds(aggregate)
         if kinds is None:
@@ -294,7 +292,7 @@ class AccurateRasterJoin(RasterJoinEngine):
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         member = self.member(polygons, aggregate, filters, stats)
         plan = self._pyramid_plan(
-            member.prepared, points, polygons, aggregate, filters, stats
+            points, polygons, aggregate, filters, stats
         )
         if plan is not None:
             return self._run_pyramid(

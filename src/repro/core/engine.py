@@ -80,9 +80,9 @@ class SpatialAggregationEngine(ABC):
             # — see EngineConfig.default_session for the gate).
             session = self.config.default_session()
         #: Optional prepared-state cache shared across queries (and across
-        #: engines).  Without one, every execution builds throwaway
-        #: prepared state through the same preparation code — nothing is
-        #: retained, and results are bit-identical either way.
+        #: engines).  Without one, every execution builds the same
+        #: prepared artifact afresh — nothing is retained, and results
+        #: are bit-identical either way.
         self.session = session
 
     # ------------------------------------------------------------------
@@ -202,8 +202,8 @@ class SpatialAggregationEngine(ABC):
 
         With a session attached, the artifact is fetched from (or inserted
         into) the cache and the hit/miss is recorded in ``stats``; without
-        one, a fresh throwaway artifact is returned so both paths run the
-        same preparation code.
+        one, the same artifact is built fresh (unhashed, unkeyed) and
+        dropped after the query.
 
         ``prepared_hits``/``prepared_misses`` describe the *in-memory*
         cache; a disk-tier hit therefore counts as a memory miss plus a
@@ -211,7 +211,7 @@ class SpatialAggregationEngine(ABC):
         identically whether or not a store is attached.
         """
         if self.session is None:
-            return PreparedPolygons()
+            return PreparedPolygons(polygons)
         prepared, source = self.session.prepared_for(polygons, spec)
         if source == "memory":
             stats.prepared_hits += 1
@@ -230,8 +230,7 @@ class SpatialAggregationEngine(ABC):
         else:
             stats.prepared_misses += 1
             stats.extra["prepared"] = "miss"
-            if prepared.units is not None:
-                stats.extra["polygons_rebuilt"] = len(prepared.units)
+            stats.extra["polygons_rebuilt"] = len(prepared.units)
         return prepared
 
     def _checkpoint_session(self) -> None:

@@ -190,7 +190,6 @@ def run_tile(
     columns: tuple[str, ...],
     chunks,
     *,
-    units_mode: bool,
     retain: bool,
     tracing: bool,
     keep_fbo: bool = False,
@@ -199,11 +198,11 @@ def run_tile(
 
     The unit every dispatch mode runs — inline, in a thread, in a forked
     child, or in a resident spawned worker.  Nothing is read from an
-    engine and shared prepared state is never mutated: freshly built
-    boundary/coverage pieces travel home in the partials (``retain``;
-    under ``units_mode`` only what the artifact's per-polygon units lack
-    is built, and the per-polygon slices ship too).  The tile's trace
-    subtree rides on the first member's partial.
+    engine and shared prepared state is never mutated: the task builds
+    what the artifact's per-polygon units lack, and under ``retain`` the
+    fresh pieces — composed views and per-polygon slices — travel home
+    in the partials.  The tile's trace subtree rides on the first
+    member's partial.
     """
     tile = members[0].prepared.tiles[tile_idx]
     with trace.tile_scope(tracing, tile=tile_idx) as tile_span:
@@ -220,7 +219,7 @@ def run_tile(
         if kernel.exact:
             for i, (member, partial) in enumerate(zip(members, partials)):
                 boundaries[i], built, built_units = _tile_boundary(
-                    tile_idx, tile, member, partial.stats, units_mode
+                    tile_idx, tile, member, partial.stats
                 )
                 if retain:
                     partial.boundary_mask = built
@@ -240,12 +239,12 @@ def run_tile(
             with trace.span("polygon-pass"):
                 built, built_units = _polygon_pass(
                     tile_idx, tile, kernel, member, boundary, fbo,
-                    partial.accumulators, partial.stats, units_mode,
+                    partial.accumulators, partial.stats,
                 )
             partial.saw_points = saw_points
             if retain:
                 partial.coverage = built
-                partial.unit_coverage = built_units if units_mode else None
+                partial.unit_coverage = built_units
             if keep_fbo:
                 partial.payload = (tile, fbo)
         partials[0].span = tile_span
@@ -267,16 +266,15 @@ def _tile_boundary(
     tile: Viewport,
     member: TileMember,
     stats: ExecutionStats,
-    units_mode: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, dict | None]:
     """This tile's conservative outline mask: cached, or built.
 
     Returns ``(boundary, built mask, built per-polygon outlines)`` — the
     last two ``None`` when the artifact already held the mask.  A build
-    rasterizes outlines in one vectorized edge pass over the requested
-    polygons that survive the tile bin gate and ORs every polygon's
-    pixels into the mask; OR is order-free, so composing per-polygon
-    pixel sets equals rendering the whole set.
+    rasterizes outlines in one vectorized edge pass over the polygons
+    whose unit lacks this tile (those that survive the tile bin gate)
+    and ORs every polygon's pixels into the mask; OR is order-free, so
+    composing per-polygon pixel sets equals rendering the whole set.
     """
     prepared = member.prepared
     boundary = prepared.boundary_masks.get(tile_idx)
@@ -284,10 +282,7 @@ def _tile_boundary(
     if boundary is None:
         with trace.span("boundary"):
             start = time.perf_counter()
-            pids = (
-                prepared.missing_boundary_pids(tile_idx) if units_mode
-                else range(len(member.polygons))
-            )
+            pids = prepared.missing_boundary_pids(tile_idx)
             hit = _tile_pids(tile, member)
             empty = np.zeros(0, dtype=np.int64)
             built_units = {pid: (empty, empty) for pid in pids}
@@ -497,7 +492,6 @@ def _polygon_pass(
     fbo: FrameBuffer,
     accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
-    units_mode: bool,
 ) -> tuple[list | None, dict | None]:
     """Reduce each polygon's covered pixels into its result slot.
 
@@ -515,11 +509,9 @@ def _polygon_pass(
     built = built_units = None
     coverage = prepared.coverage.get(tile_idx)
     if coverage is None:
-        pids = (
-            prepared.missing_coverage_pids(tile_idx) if units_mode
-            else range(len(member.polygons))
+        built_units = _raw_coverage(
+            tile, kernel, member, prepared.missing_coverage_pids(tile_idx)
         )
-        built_units = _raw_coverage(tile, kernel, member, pids)
         coverage = built = prepared.compose_coverage(
             tile_idx, boundary, built_units
         )
@@ -570,9 +562,6 @@ def run_tiles(
     """
     tiles = members[0].prepared.tiles
     retain = session is not None
-    units_mode = retain and all(
-        member.prepared.units is not None for member in members
-    )
     # Captured before dispatch: worker threads and processes have no
     # ambient tracer, so each tile task records into its own (shipped
     # home in the partial).
@@ -585,8 +574,8 @@ def run_tiles(
     per_tile, saw_chunk = None, False
     if partition and len(tiles) > 1:
         per_tile, saw_chunk = _partition(
-            kernel, session, members[0].prepared.canvas, tiles, source,
-            columns, fbo_bytes, stats_list, points_hint,
+            kernel, backend, session, members[0].prepared.canvas, tiles,
+            source, columns, fbo_bytes, stats_list, points_hint,
         )
     else:
         for stats in stats_list:
@@ -596,8 +585,7 @@ def run_tiles(
         return run_tile(
             tile_idx, kernel, members, columns,
             source() if per_tile is None else per_tile[tile_idx],
-            units_mode=units_mode, retain=retain, tracing=tracing,
-            keep_fbo=keep_fbo,
+            retain=retain, tracing=tracing, keep_fbo=keep_fbo,
         )
 
     # ``concurrent`` marks that child (tile) spans may overlap in wall
@@ -606,8 +594,8 @@ def run_tiles(
         results = None
         if per_tile is not None and len(members) == 1 and not keep_fbo:
             results = _resident_dispatch(
-                kernel, backend, members[0], columns, per_tile, units_mode,
-                retain, tracing, parallelism,
+                kernel, backend, members[0], columns, per_tile, retain,
+                tracing, parallelism,
             )
         if results is None:
             results = backend.run_tasks(
@@ -665,6 +653,7 @@ def _tile_concurrency(
 
 def _partition(
     kernel: TileKernel,
+    backend: ExecutionBackend,
     session,
     canvas,
     tiles: Sequence[Viewport],
@@ -682,7 +671,10 @@ def _partition(
     instead of re-projecting the full input once per tile.  With a
     session and a monolithic input the finished partition is cached by
     point source and canvas frame — never the polygons, so a rezoning
-    edit loop keeps hitting.  Returns ``(per_tile, saw any chunk)``.
+    edit loop keeps hitting — and, when the backend is a resident-enabled
+    :class:`ProcessBackend`, its host sub-chunks are first exported to
+    shared memory, the form resident dispatch consumes.  Returns
+    ``(per_tile, saw any chunk)``.
     """
     max_resolution = kernel.max_resolution
     with trace.span("partition", tiles=len(tiles)):
@@ -713,11 +705,22 @@ def _partition(
                 for idx, subs in enumerate(pieces):
                     per_tile[idx].extend(subs)
             if token is not None and saw_chunk:
-                # The session may convert host sub-chunks to shared-memory
-                # chunks as it stores them; consuming what it stored means
-                # this very query already reads the shared segments — and
-                # stays eligible for resident dispatch.
-                per_tile = session.partition_store(
+                if isinstance(backend, ProcessBackend) and backend.resident:
+                    # Exported once, before caching: this very query
+                    # already reads the shared segments (and is eligible
+                    # for resident dispatch), and every later hit reuses
+                    # them across the process boundary zero-copy.  The
+                    # leases release with the chunks (cache eviction,
+                    # invalidate, session GC) via their finalizers.
+                    per_tile = [
+                        [
+                            shm.export_chunk(chunk)
+                            if isinstance(chunk, PointDataset) else chunk
+                            for chunk in chunks
+                        ]
+                        for chunks in per_tile
+                    ]
+                session.partition_store(
                     points_hint, token, per_tile, duplicates
                 )
         elapsed = time.perf_counter() - start
@@ -734,7 +737,6 @@ def _resident_dispatch(
     member: TileMember,
     columns: tuple[str, ...],
     per_tile: list[list],
-    units_mode: bool,
     retain: bool,
     tracing: bool,
     parallelism: int | None,
@@ -793,9 +795,9 @@ def _resident_dispatch(
                     index=idx, state_key=state_key, state_ref=state_ref,
                     tile_idx=idx, aggregate=member.aggregate,
                     filters=member.filters, columns=columns,
-                    chunks=tuple(per_tile[idx]), units_mode=units_mode,
-                    retain=retain, tracing=tracing, result_ref=result_ref,
-                    slot=idx, channel_names=channel_names,
+                    chunks=tuple(per_tile[idx]), retain=retain,
+                    tracing=tracing, result_ref=result_ref, slot=idx,
+                    channel_names=channel_names,
                 )
                 for idx in range(num_tiles)
             ],

@@ -4,10 +4,10 @@ An :class:`EngineConfig` is the single knob callers (engine constructors,
 the optimizer, the SQL planner) use to choose how tile tasks execute and
 where prepared-state artifacts persist.  It is deliberately tiny — a
 backend selector and worker count, an artifact-store location and cap,
-and three on/off choices (point partitioning, the aggregate pyramid, the
-shared-memory data plane) — so it can be passed through every layer
-unchanged and compared or hashed freely.  There is no switch for *how*
-tiles render: every query runs the one tile pipeline
+two on/off choices (point partitioning, the aggregate pyramid) and the
+process backend's dispatch mode (``shm``) — so it can be passed through
+every layer unchanged and compared or hashed freely.  There is no
+switch for *how* tiles render: every query runs the one tile pipeline
 (:mod:`repro.core.tiles`) over the batched raster builders, and the
 backend keeps its worker pool for as long as it lives.
 
@@ -68,14 +68,16 @@ class EngineConfig:
     ``$REPRO_PARTITION_POINTS``, defaulting to on); ``pyramid`` lets the
     accurate engine answer warm queries from an explicitly built
     aggregate pyramid (``None`` consults ``$REPRO_PYRAMID``, defaulting
-    to on — see ``docs/aggregate_pyramid.md``); ``shm`` turns on the
-    shared-memory data plane — partition sub-chunks exported as named
-    segments and the process backend's resident spawned-worker pool
-    (``None`` consults ``$REPRO_SHM``, defaulting to off — see
-    ``docs/parallel_execution.md``).  Results never depend on any of
-    them — like the backend choice they are purely performance decisions
-    (see ``docs/parallel_execution.md``; the pyramid path's per-aggregate
-    exactness contract is spelled out in its doc).
+    to on — see ``docs/aggregate_pyramid.md``); ``shm`` makes the
+    process backend resident — a spawned worker pool kept across
+    queries, fed partition sub-chunks the tile loop exports as named
+    shared-memory segments; it means nothing to the serial and thread
+    backends (``None`` lets the process backend consult ``$REPRO_SHM``,
+    defaulting to off — see ``docs/parallel_execution.md``).  Results
+    never depend on any of them — like the backend choice they are
+    purely performance decisions (see ``docs/parallel_execution.md``;
+    the pyramid path's per-aggregate exactness contract is spelled out
+    in its doc).
     """
 
     backend: str | ExecutionBackend | None = None
@@ -91,23 +93,6 @@ class EngineConfig:
         return resolve_backend(
             self.backend, self.workers, shm_resident=self.shm
         )
-
-    def shm_enabled(self) -> bool:
-        """Whether the shared-memory data plane is on.
-
-        Governs two coupled behaviours: the partition cache exporting
-        per-tile sub-chunks as shared-memory segments, and the process
-        backend's resident-worker dispatch that consumes them (``None``
-        consults ``$REPRO_SHM``, defaulting to off).  Like every knob
-        here it is purely a performance decision — results are
-        bit-identical with it on or off (see
-        ``docs/parallel_execution.md``).
-        """
-        if self.shm is not None:
-            return self.shm
-        from repro.exec.shm import SHM_ENV_VAR
-
-        return flag_from_env(SHM_ENV_VAR, False)
 
     def with_pinned_backend(self) -> "EngineConfig":
         """This config with its backend resolved to a live instance.

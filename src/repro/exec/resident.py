@@ -78,7 +78,6 @@ class TileTaskSpec:
     filters: object
     columns: tuple
     chunks: tuple
-    units_mode: bool
     retain: bool
     tracing: bool
     result_ref: shm.ShmArray
@@ -111,8 +110,8 @@ def _run_spec(spec: TileTaskSpec, cache: OrderedDict):
     (partial,) = run_tile(
         spec.tile_idx, kernel,
         [TileMember(prepared, polygons, spec.aggregate, spec.filters)],
-        spec.columns, spec.chunks, units_mode=spec.units_mode,
-        retain=spec.retain, tracing=spec.tracing,
+        spec.columns, spec.chunks, retain=spec.retain,
+        tracing=spec.tracing,
     )
     result = shm.view(spec.result_ref, writable=True)
     for ci, ch in enumerate(spec.channel_names):

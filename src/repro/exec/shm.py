@@ -49,11 +49,11 @@ import numpy as np
 
 from repro.obs import metrics
 
-#: Environment flag for the shared-memory data plane (and the process
-#: backend's resident-worker mode); consulted when
-#: ``EngineConfig.shm`` / ``QuerySession(shm=...)`` are ``None``.
-#: Defaults to off: the shm tier is a host-local performance feature,
-#: and results are bit-identical with it on or off.
+#: Environment flag for the shared-memory data plane; read at one
+#: site, ``ProcessBackend(resident=None)`` — which is where
+#: ``EngineConfig(shm=None)`` lands.  Defaults to off: the shm tier is
+#: a host-local performance feature, and results are bit-identical
+#: with it on or off.
 SHM_ENV_VAR = "REPRO_SHM"
 
 #: Every segment this module creates is named

@@ -103,12 +103,6 @@ class QueryPlanner:
         if name in self._regions:
             raise SqlError(f"{name!r} is already a region table")
         self._points[name] = dataset
-        # With the shared-memory data plane on, pin the table's columns
-        # into /dev/shm at registration time: every statement (and every
-        # resident worker) then maps the same segments instead of
-        # re-pickling the source per dispatch.  A no-op when shm is off.
-        if self.config.shm_enabled():
-            self.session.shm_pin(dataset)
 
     def register_regions(self, name: str, polygons: PolygonSet) -> None:
         """Register (or replace) a region table.

@@ -21,8 +21,9 @@ is bit-identical to the one saved.  The per-polygon layout is what makes
 record carrying only the changed polygons' arrays plus a mapping onto
 its parent (see :func:`encode_patch` / :func:`apply_patch` and
 ``docs/incremental_edits.md``), instead of rewriting the whole pair.
-Artifacts without per-polygon units (built session-less and saved by
-hand) still round-trip through the legacy composed layout.
+That is the only layout: a manifest without per-polygon unit metadata
+fails validation like any other corrupt pair (a miss, then a rebuild
+that overwrites it).
 
 ``key_id`` is a content hash of ``(FORMAT_VERSION, COORD_DTYPE,
 fingerprint, spec)``: bumping the format version or changing the
@@ -132,7 +133,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Shared field helpers (canvas / tiles / MBRs — identical in both layouts)
+# Frame field helpers (canvas / tiles / MBRs)
 # ----------------------------------------------------------------------
 def _encode_frame(prepared: PreparedPolygons, arrays: dict,
                   manifest: dict, fields: list[str]) -> None:
@@ -358,9 +359,7 @@ def encode(prepared: PreparedPolygons, key: Sequence) -> tuple[dict, dict]:
 
     Only populated fields are written; the manifest records which, so a
     partial artifact (triangles + grid, no coverage) round-trips as
-    exactly that partial artifact.  Artifacts carrying per-polygon units
-    are written in the per-polygon layout; legacy (session-less) ones in
-    the composed layout.
+    exactly that partial artifact.
     """
     fingerprint, *spec = key
     arrays: dict[str, np.ndarray] = {}
@@ -375,10 +374,7 @@ def encode(prepared: PreparedPolygons, key: Sequence) -> tuple[dict, dict]:
         "fields": fields,
     }
     _encode_frame(prepared, arrays, manifest, fields)
-    if prepared.units is not None:
-        _encode_units(prepared, arrays, manifest, fields)
-    else:
-        _encode_composed(prepared, arrays, manifest, fields)
+    _encode_units(prepared, arrays, manifest, fields)
     return arrays, manifest
 
 
@@ -386,7 +382,7 @@ def _encode_units(prepared: PreparedPolygons, arrays: dict,
                   manifest: dict, fields: list[str]) -> None:
     units = prepared.units
     manifest["units"] = {
-        "polygon_fps": list(prepared.polygon_fps or ()),
+        "polygon_fps": list(prepared.polygon_fps),
         "bboxes": [list(unit.bbox) for unit in units],
         "source_bbox": (
             list(prepared.source_bbox)
@@ -422,66 +418,6 @@ def _encode_units(prepared: PreparedPolygons, arrays: dict,
         manifest["coverage_tiles"] = coverage_tiles
         for idx in coverage_tiles:
             _encode_unit_coverage(units, idx, arrays)
-
-
-def _encode_composed(prepared: PreparedPolygons, arrays: dict,
-                     manifest: dict, fields: list[str]) -> None:
-    """Legacy layout for artifacts without per-polygon units."""
-    if prepared.triangles is not None:
-        fields.append("triangles")
-        flat = [
-            np.asarray(tri, dtype=COORD_DTYPE)
-            for tris in prepared.triangles
-            for tri in tris
-        ]
-        arrays["tri_data"] = (
-            np.stack(flat) if flat else np.zeros((0, 3, 2), dtype=COORD_DTYPE)
-        )
-        arrays["tri_counts"] = _compact_indices(
-            np.asarray([len(tris) for tris in prepared.triangles])
-        )
-    if prepared.grid is not None:
-        fields.append("grid")
-        grid = prepared.grid
-        ext = grid.extent
-        arrays["grid_cell_start"] = _compact_indices(grid.cell_start)
-        arrays["grid_entries"] = _compact_indices(grid.entries)
-        arrays["grid_extent"] = np.asarray(
-            [ext.xmin, ext.ymin, ext.xmax, ext.ymax], dtype=COORD_DTYPE
-        )
-        manifest["grid"] = {
-            "resolution": int(grid.resolution),
-            "assignment": grid.assignment,
-        }
-    if prepared.boundary_masks:
-        fields.append("boundary_masks")
-        # Masks are bit-packed on disk (8x smaller); the manifest keeps
-        # each tile's (height, width) so loads can unpack exactly.
-        manifest["boundary_tiles"] = [
-            [idx, *map(int, prepared.boundary_masks[idx].shape)]
-            for idx in sorted(int(i) for i in prepared.boundary_masks)
-        ]
-        for idx, _, _ in manifest["boundary_tiles"]:
-            arrays[f"bmask_{idx}"] = np.packbits(prepared.boundary_masks[idx])
-    if prepared.coverage:
-        fields.append("coverage")
-        manifest["coverage_tiles"] = sorted(int(i) for i in prepared.coverage)
-        for idx in manifest["coverage_tiles"]:
-            pids, lens, iys, ixs = [], [], [], []
-            for pid, pieces in prepared.coverage[idx]:
-                for piece_iy, piece_ix in pieces:
-                    pids.append(pid)
-                    lens.append(len(piece_iy))
-                    iys.append(piece_iy)
-                    ixs.append(piece_ix)
-            arrays[f"cov_{idx}_pid"] = _compact_indices(np.asarray(pids))
-            arrays[f"cov_{idx}_len"] = _compact_indices(np.asarray(lens))
-            arrays[f"cov_{idx}_iy"] = _compact_indices(
-                np.concatenate(iys) if iys else np.zeros(0, dtype=np.int64)
-            )
-            arrays[f"cov_{idx}_ix"] = _compact_indices(
-                np.concatenate(ixs) if ixs else np.zeros(0, dtype=np.int64)
-            )
 
 
 # ----------------------------------------------------------------------
@@ -575,10 +511,12 @@ def compose_from_units(
     coverage, scatter the grid CSR — so the result is bit-identical to
     the artifact that was saved.
     """
-    prepared = PreparedPolygons(tuple(key))
+    _require(
+        len(units) == len(polygons),
+        "stored units do not match the polygon set",
+    )
+    prepared = PreparedPolygons(polygons, tuple(key), meta["polygon_fps"])
     prepared.units = units
-    prepared.polygon_fps = meta["polygon_fps"]
-    prepared.source_bbox = meta["source_bbox"]
     prepared.canvas = meta["canvas"]
     prepared.tiles = meta["tiles"]
     prepared.mbr_arrays = meta["mbr_arrays"]
@@ -621,100 +559,8 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
     (the fingerprint in the key guarantees the caller's geometry is the
     geometry the artifact was built from).
     """
-    if manifest.get("units") is not None:
-        units, meta = decode_units_state(arrays, manifest)
-        return compose_from_units(units, meta, polygons, key)
-    return _decode_composed(arrays, manifest, polygons, key)
-
-
-def _decode_composed(arrays, manifest: dict, polygons,
-                     key: Sequence) -> PreparedPolygons:
-    """Legacy layout: set-level arrays stored directly."""
-    prepared = PreparedPolygons(tuple(key))
-    fields = set(manifest.get("fields", ()))
-
-    if "canvas" in fields:
-        prepared.canvas = _decode_canvas(arrays, manifest)
-    if "tiles" in fields:
-        prepared.tiles = _decode_tiles(arrays)
-    if "triangles" in fields:
-        data = np.asarray(arrays["tri_data"], dtype=np.float64)
-        counts = np.asarray(arrays["tri_counts"], dtype=np.int64)
-        _require(
-            data.ndim == 3 and data.shape[1:] == (3, 2)
-            and int(counts.sum()) == len(data),
-            "triangle table does not add up",
-        )
-        triangles: list[list[np.ndarray]] = []
-        cursor = 0
-        for count in counts:
-            triangles.append(
-                [data[cursor + k] for k in range(int(count))]
-            )
-            cursor += int(count)
-        prepared.triangles = triangles
-    if "grid" in fields:
-        meta = manifest["grid"]
-        ext = np.asarray(arrays["grid_extent"], dtype=np.float64)
-        _require(ext.shape == (4,), "bad grid extent")
-        cell_start = np.asarray(arrays["grid_cell_start"], dtype=np.int64)
-        entries = np.asarray(arrays["grid_entries"], dtype=np.int64)
-        resolution = int(meta["resolution"])
-        _require(
-            len(cell_start) == resolution * resolution + 1
-            and int(cell_start[-1]) == len(entries),
-            "grid CSR arrays do not add up",
-        )
-        prepared.grid = GridIndex.from_arrays(
-            polygons,
-            resolution=resolution,
-            assignment=meta["assignment"],
-            extent=BBox(
-                float(ext[0]), float(ext[1]), float(ext[2]), float(ext[3])
-            ),
-            cell_start=cell_start,
-            entries=entries,
-        )
-    if "boundary_masks" in fields:
-        for idx, height, width in manifest["boundary_tiles"]:
-            packed = np.asarray(arrays[f"bmask_{idx}"], dtype=np.uint8)
-            count = int(height) * int(width)
-            _require(packed.size * 8 >= count, "bad boundary mask size")
-            prepared.boundary_masks[int(idx)] = (
-                np.unpackbits(packed, count=count)
-                .reshape(int(height), int(width))
-                .astype(bool)
-            )
-    if "coverage" in fields:
-        for idx in manifest["coverage_tiles"]:
-            pids = np.asarray(arrays[f"cov_{idx}_pid"], dtype=np.int64)
-            lens = np.asarray(arrays[f"cov_{idx}_len"], dtype=np.int64)
-            iy = np.asarray(arrays[f"cov_{idx}_iy"], dtype=np.int64)
-            ix = np.asarray(arrays[f"cov_{idx}_ix"], dtype=np.int64)
-            _require(
-                len(pids) == len(lens)
-                and int(lens.sum()) == len(iy) == len(ix),
-                "coverage table does not add up",
-            )
-            entries_list: list = []
-            cursor = 0
-            for pid, length in zip(pids, lens):
-                piece = (
-                    iy[cursor:cursor + int(length)],
-                    ix[cursor:cursor + int(length)],
-                )
-                cursor += int(length)
-                # Pieces of one polygon are stored (and were built)
-                # consecutively, so regrouping by run reproduces the
-                # original [(pid, [pieces])] structure exactly.
-                if entries_list and entries_list[-1][0] == int(pid):
-                    entries_list[-1][1].append(piece)
-                else:
-                    entries_list.append((int(pid), [piece]))
-            prepared.coverage[int(idx)] = entries_list
-    if "mbr_arrays" in fields:
-        prepared.mbr_arrays = _decode_mbrs(arrays)
-    return prepared
+    units, meta = decode_units_state(arrays, manifest)
+    return compose_from_units(units, meta, polygons, key)
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +577,7 @@ def encode_patch(prepared: PreparedPolygons, key: Sequence) -> tuple[dict, dict]
     provenance.
     """
     _require(
-        prepared.units is not None and prepared.delta_parent is not None
+        prepared.delta_parent is not None
         and prepared.parent_map is not None,
         "artifact has no delta provenance to patch from",
     )
@@ -747,7 +593,7 @@ def encode_patch(prepared: PreparedPolygons, key: Sequence) -> tuple[dict, dict]
         "parent_fingerprint": prepared.delta_parent[0],
         "parent_map": list(prepared.parent_map),
         "dirty": dirty,
-        "polygon_fps": list(prepared.polygon_fps or ()),
+        "polygon_fps": list(prepared.polygon_fps),
         "bboxes": [list(prepared.units[pid].bbox) for pid in dirty],
         "source_bbox": (
             list(prepared.source_bbox)
@@ -791,7 +637,7 @@ def encode_patch(prepared: PreparedPolygons, key: Sequence) -> tuple[dict, dict]
 
 
 def _effective_fields(prepared: PreparedPolygons) -> list[str]:
-    """The composed-equivalent field list of a unit-carrying artifact."""
+    """The field list :func:`encode` would record for this artifact."""
     fields: list[str] = []
     if prepared.canvas is not None:
         fields.append("canvas")
@@ -799,7 +645,7 @@ def _effective_fields(prepared: PreparedPolygons) -> list[str]:
         fields.append("tiles")
     if prepared.mbr_arrays is not None:
         fields.append("mbr_arrays")
-    units = prepared.units or []
+    units = prepared.units
     if units and all(u.triangles is not None for u in units):
         fields.append("triangles")
     if prepared.grid is not None and units and all(

@@ -386,7 +386,7 @@ class ArtifactStore:
           state, and the old lineage ages out via the LRU budget.
         """
         parent_key = prepared.delta_parent
-        if parent_key is None or prepared.units is None:
+        if parent_key is None:
             return self.save(key, prepared)
         root_kid = self._lineage_root(parent_key)
         if root_kid is None:

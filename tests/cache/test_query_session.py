@@ -271,8 +271,19 @@ class TestWiring:
 
 class TestPreparedPolygons:
     def test_throwaway_artifact_builds_everything(self, three_regions):
-        prepared = PreparedPolygons()
+        """One artifact shape: the artifact an engine builds without a
+        session owns per-polygon units like a session's does, so a tile
+        task asks both for the same "what the units lack"."""
+        prepared = PreparedPolygons(three_regions)
+        cached, _ = QuerySession().prepared_for(three_regions, ("spec",))
+        assert prepared.key is None and cached.key is not None
+        assert len(prepared.units) == len(cached.units) == len(three_regions)
+        pids = list(range(len(three_regions)))
+        for artifact in (prepared, cached):
+            assert artifact.missing_boundary_pids(0) == pids
+            assert artifact.missing_coverage_pids(0) == pids
         tris = prepared.ensure_triangles(three_regions)
+        assert tris == [unit.triangles for unit in prepared.units]
         assert prepared.ensure_triangles(three_regions) is tris
         grid = prepared.ensure_grid(three_regions, 64, "mbr")
         assert prepared.ensure_grid(three_regions, 64, "mbr") is grid

@@ -7,6 +7,9 @@ a dead worker breaks-and-respawns, and worker-side metrics increments
 make it back into the parent registry under every process mode.
 """
 
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -55,7 +58,7 @@ def serial_reference(points, polygons, aggregate):
 
 @pytest.fixture
 def resident_engine():
-    session = QuerySession(shm=True)
+    session = QuerySession()
     engine = AccurateRasterJoin(
         resolution=RESOLUTION, device=GPUDevice(max_resolution=MAX_FBO),
         session=session,
@@ -106,7 +109,7 @@ class TestResidentBitIdentity:
     def test_no_segments_leak_after_teardown(self, points, polygons):
         import gc
 
-        session = QuerySession(shm=True)
+        session = QuerySession()
         engine = AccurateRasterJoin(
             resolution=RESOLUTION, device=GPUDevice(max_resolution=MAX_FBO),
             session=session,
@@ -127,8 +130,8 @@ def _bad_spec(index: int, state_ref, result_ref) -> TileTaskSpec:
     return TileTaskSpec(
         index=index, state_key=("missing", index),
         state_ref=state_ref, tile_idx=0, aggregate=None, filters=None,
-        columns=(), chunks=(), units_mode=False, retain=False,
-        tracing=False, result_ref=result_ref, slot=0, channel_names=(),
+        columns=(), chunks=(), retain=False, tracing=False,
+        result_ref=result_ref, slot=0, channel_names=(),
     )
 
 
@@ -220,51 +223,121 @@ class TestWorkerMetricsDeltas:
         assert self._tile_task_count() == before + res.stats.extra["tiles"]
 
 
-class TestSessionShmTier:
-    def test_partition_store_exports_chunks(self, points, polygons):
-        session = QuerySession(shm=True)
+@pytest.fixture
+def square_zones():
+    """A square extent: 1024 pixels under a 256 limit is 4x4 = 16 tiles."""
+    return PolygonSet([
+        Polygon([(25 * i + 1, 25 * j + 1), (25 * i + 24, 25 * j + 1),
+                 (25 * i + 24, 25 * j + 24), (25 * i + 1, 25 * j + 24)])
+        for i in range(4) for j in range(4)
+    ])
+
+
+def _own_segments() -> set[str]:
+    """This process's ``/dev/shm`` entries.  Tests compare against a
+    baseline taken at their start: under the suite-wide ``$REPRO_SHM=1``
+    leg, earlier tests' not-yet-collected sessions may still hold some."""
+    return set(glob.glob(f"/dev/shm/{shm.SHM_PREFIX}-{os.getpid()}-*"))
+
+
+class TestOneShmSwitch:
+    """``EngineConfig(shm=True)`` (or ``$REPRO_SHM=1``) on the process
+    backend is the whole switch: the tile loop exports partition
+    sub-chunks because its backend is resident-enabled, and nothing else
+    reads the flag."""
+
+    CONFIG = EngineConfig(backend="process", workers=2, shm=True)
+    SQL = (
+        "SELECT SUM(val) FROM pts, zones "
+        "WHERE pts.location INSIDE zones.geometry GROUP BY zones.id"
+    )
+
+    def test_config_alone_engages_the_resident_pool(
+        self, points, square_zones, monkeypatch
+    ):
+        polygons = square_zones
+        monkeypatch.delenv(shm.SHM_ENV_VAR, raising=False)
+        before = _own_segments()
+        device = GPUDevice(max_resolution=MAX_FBO)
+        ref = AccurateRasterJoin(
+            resolution=1024, device=device,
+            config=EngineConfig(backend="serial"),
+        ).execute(points, polygons, Sum("val"))
+        assert ref.stats.extra["tiles"] == 16
+        session = QuerySession()
+        engine = AccurateRasterJoin(
+            resolution=1024, device=device, session=session,
+            config=self.CONFIG,
+        )
+        try:
+            cold = engine.execute(points, polygons, Sum("val"))
+            warm = engine.execute(points, polygons, Sum("val"))
+            # The stored partition holds ShmChunks, not host datasets.
+            assert {
+                type(chunk).__name__
+                for entry in session._partitions.values()
+                for chunks in entry[2] for chunk in chunks
+            } == {"ShmChunk"}
+        finally:
+            engine.close()
+            session.invalidate()
+        assert cold.stats.extra["pool"] == "resident-created"
+        assert warm.stats.extra["pool"] == "resident-reused"
+        for res in (cold, warm):
+            np.testing.assert_array_equal(res.values, ref.values)
+        assert _own_segments() <= before
+
+    def test_config_alone_engages_it_through_the_planner(
+        self, points, square_zones, monkeypatch
+    ):
+        from repro.sql.planner import QueryPlanner
+
+        monkeypatch.delenv(shm.SHM_ENV_VAR, raising=False)
+        before = _own_segments()
+        answers = {}
+        for name, config in (
+            ("serial", EngineConfig(backend="serial")),
+            ("resident", self.CONFIG),
+        ):
+            planner = QueryPlanner(
+                device=GPUDevice(max_resolution=MAX_FBO), config=config
+            )
+            try:
+                planner.register_points("pts", points)
+                planner.register_regions("zones", square_zones)
+                answers[name] = [planner.execute(self.SQL) for _ in range(2)]
+            finally:
+                planner.close()
+                planner.session.invalidate()
+        cold, warm = answers["resident"]
+        assert cold.stats.extra["tiles"] == 16
+        assert cold.stats.extra["pool"] == "resident-created"
+        assert warm.stats.extra["pool"] == "resident-reused"
+        for res in (cold, warm):
+            np.testing.assert_array_equal(
+                res.values, answers["serial"][0].values
+            )
+        assert _own_segments() <= before
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_in_process_backends_create_no_segments(
+        self, points, polygons, monkeypatch, backend
+    ):
+        """The flag acts through the process backend only: in-process
+        backends have no pickle boundary, so nothing is exported."""
+        monkeypatch.setenv(shm.SHM_ENV_VAR, "1")
+        before = _own_segments()
+        session = QuerySession()
         engine = AccurateRasterJoin(
             resolution=RESOLUTION, device=GPUDevice(max_resolution=MAX_FBO),
-            session=session,
-            config=EngineConfig(backend="serial", shm=False),
+            session=session, config=EngineConfig(backend=backend, workers=2),
         )
         try:
             res = engine.execute(points, polygons, Count())
             assert res.stats.extra["partition"] == "on"
-            assert shm.REGISTRY.live_segments() > 0
-            # The stored partition holds ShmChunks, not host datasets.
-            key = next(iter(session._partitions))
-            per_tile = session._partitions[key][2]
-            kinds = {
-                type(chunk).__name__
-                for chunks in per_tile for chunk in chunks
-            }
-            assert kinds <= {"ShmChunk"}
+            assert _own_segments() <= before
         finally:
-            session.invalidate()
-
-    def test_shm_pin_memoizes_by_content(self, points):
-        session = QuerySession(shm=True)
-        try:
-            first = session.shm_pin(points)
-            again = session.shm_pin(points)
-            assert first is again
-            np.testing.assert_array_equal(first.column("x"), points.xs)
-            # Editing the source in place rolls the guard and re-exports.
-            points.xs += 1.0
-            fresh = session.shm_pin(points)
-            assert fresh is not first
-            np.testing.assert_array_equal(fresh.column("x"), points.xs)
-        finally:
-            session.invalidate()
-        assert shm.REGISTRY.live_segments() == 0
-
-    def test_shm_pin_off_by_default(self, points, monkeypatch):
-        monkeypatch.delenv(shm.SHM_ENV_VAR, raising=False)
-        session = QuerySession()
-        assert session.shm_pin(points) is None
-        # An explicit opt-out wins over any environment setting.
-        assert QuerySession(shm=False).shm_pin(points) is None
+            engine.close()
 
 
 class TestResidentSubsetZeroCopy:

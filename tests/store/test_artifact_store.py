@@ -133,7 +133,7 @@ class TestRoundTrip:
         from repro.cache.prepared import PreparedPolygons
 
         key = (polygon_fingerprint(three_regions), "mbr-arrays")
-        artifact = PreparedPolygons(key)
+        artifact = PreparedPolygons(three_regions, key)
         artifact.ensure_mbr_arrays(three_regions)
         store.save(key, artifact)
         loaded = store.load(key, three_regions)
@@ -230,6 +230,32 @@ class TestCorruptionTolerance:
         manifest_path.write_text(json.dumps(manifest))
         assert store.load(key, three_regions) is None
 
+    def test_manifest_without_units_is_a_miss_then_overwritten(
+        self, uniform_points, three_regions, store
+    ):
+        """There is one on-disk layout: a pair whose manifest carries no
+        per-polygon unit metadata is one more corrupt pair — a counted
+        miss, a rebuild, and an overwrite — never an exception."""
+        session, _, expected = populated_session(
+            uniform_points, three_regions, store
+        )
+        key = next(iter(session._entries))
+        _, manifest_path = self._single_pair(store)
+        manifest = json.loads(manifest_path.read_bytes())
+        del manifest["units"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.load(key, three_regions) is None
+        assert store.load_failures == 1
+        result = AccurateRasterJoin(
+            resolution=128, grid_resolution=64,
+            session=QuerySession(store=store),
+        ).execute(uniform_points, three_regions, aggregate=Sum("fare"))
+        assert result.stats.extra["prepared"] == "miss"
+        assert store.load_failures == 2
+        assert np.array_equal(result.values, expected.values)
+        assert "units" in json.loads(manifest_path.read_bytes())
+        assert store.load(key, three_regions) is not None
+
 
 class TestDiskBudget:
     def test_parse_bytes(self):
@@ -309,7 +335,7 @@ class TestDiskBudget:
         from repro.cache.prepared import PreparedPolygons
 
         key = (polygon_fingerprint(three_regions), "engine", (1, 2))
-        artifact = PreparedPolygons(key)
+        artifact = PreparedPolygons(three_regions, key)
         artifact.ensure_triangles(three_regions)
         store.save(key, artifact)
         loaded = store.load(key, three_regions)
@@ -497,7 +523,7 @@ class TestHousekeeping:
         from repro.cache.prepared import PreparedPolygons
 
         key = (polygon_fingerprint(three_regions), "empty")
-        store.save(key, PreparedPolygons(key))
+        store.save(key, PreparedPolygons(three_regions, key))
         loaded = store.load(key, three_regions)
         assert loaded is not None
         assert loaded.nbytes == 0

@@ -1,0 +1,58 @@
+"""Knob census: every independently settable option, pinned by name.
+
+Each option doubles the configurations the suites and the ledger must
+cover, so adding one is a decision, not a side effect: a new
+``EngineConfig`` field, ``QuerySession`` parameter or ``REPRO_*``
+variable fails tier-1 here until the literal below is edited in the same
+diff (ROADMAP aim 2 tracks these counts downwards).
+"""
+
+import dataclasses
+import inspect
+import re
+from pathlib import Path
+
+import repro
+from repro.cache.session import QuerySession
+from repro.exec.config import EngineConfig
+
+SRC = Path(repro.__file__).resolve().parent
+
+
+def test_engine_config_fields():
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "backend", "workers", "store_dir", "store_budget",
+        "partition_points", "pyramid", "shm",
+    ]
+
+
+def test_query_session_parameters():
+    params = list(inspect.signature(QuerySession.__init__).parameters)
+    assert params == [
+        "self", "capacity", "byte_budget", "store", "partition_capacity",
+        "pyramid_capacity",
+    ]
+
+
+def test_environment_variables_referenced_under_src():
+    names = set()
+    for path in SRC.rglob("*.py"):
+        names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    assert names == {
+        "REPRO_EXEC_BACKEND", "REPRO_EXEC_WORKERS", "REPRO_PARTITION_POINTS",
+        "REPRO_PYRAMID", "REPRO_SHM", "REPRO_STORE_BUDGET",
+        "REPRO_STORE_DIR", "REPRO_TRACE",
+    }
+
+
+def test_repro_shm_is_read_at_one_site():
+    """The shm plane keeps one switch: only the process backend's
+    constructor resolves ``$REPRO_SHM`` (``EngineConfig.shm`` feeds it,
+    the tile loop observes the backend)."""
+    reads = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\(\s*SHM_ENV_VAR\b", line)
+    ]
+    assert len(reads) == 1 and reads[0].startswith("exec/backend.py:"), reads
