@@ -9,14 +9,15 @@ pure function of (polygon geometry, render configuration):
 * per-tile conservative boundary masks (the accurate engine's Boundary
   FBO);
 * per-tile, per-polygon covered-pixel indices (the polygon-pass raster,
-  the GeoBlocks-style cached aggregation footprint).
+  the GeoBlocks-style cached aggregation footprint);
+* the row-banded edge table the boundary PIP tests against.
 
 Since PR 5 the artifact is **composed from per-polygon units**
 (:class:`PolygonUnit`): each polygon carries its own content
 fingerprint, triangulation, grid-cell list, per-tile outline pixels,
 and per-tile raw coverage pieces, and the set-level arrays the engines
-consume (the boundary mask, the boundary-excluded coverage lists, the
-CSR grid) are cheap deterministic *compositions* of those units.  That
+consume (the boundary mask, the boundary-excluded flat coverage record,
+the CSR grid) are cheap deterministic *compositions* of those units.  That
 split is what makes single-polygon edits incremental: an edited set
 reuses every unchanged polygon's unit verbatim and re-rasterizes only
 the changed ones (see ``docs/incremental_edits.md``), while the
@@ -38,13 +39,37 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.geometry.polygon import Polygon, PolygonSet
 from repro.geometry.triangulate import triangulate_polygon
+from repro.index.edge_table import EdgeTable
 from repro.index.grid import GridIndex
+from repro.obs import trace
+
+
+class TileCoverage(NamedTuple):
+    """One tile's composed coverage: a flat table the polygon pass
+    consumes with one gather and one segmented reduction per channel.
+
+    ``pixels`` concatenates every polygon's kept pixels as flat
+    ``iy * width + ix`` indices, in polygon order with each polygon's
+    raw piece order preserved; ``pids`` are the polygons that kept at
+    least one pixel and ``starts[k]`` is where ``pids[k]``'s segment
+    begins — so no segment is ever empty.  A pixel two polygons cover
+    appears in both segments (it counts for both), which is why this is
+    an index table and not a label map.
+    """
+
+    pixels: np.ndarray
+    pids: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(arr.nbytes for arr in self)
 
 
 def _hash_rings(digest, poly: Polygon) -> None:
@@ -197,6 +222,7 @@ class PreparedPolygons:
         "coverage",
         "mbr_arrays",
         "pip_grid",
+        "edge_table",
         "units",
         "polygon_fps",
         "source_bbox",
@@ -225,9 +251,9 @@ class PreparedPolygons:
         self.grid: GridIndex | None = None
         #: tile index -> boolean boundary mask of that viewport (composed)
         self.boundary_masks: dict[int, np.ndarray] = {}
-        #: tile index -> [(polygon id, [per-piece (iy, ix) index arrays])]
-        #: — the boundary-excluded, engine-consumed composition
-        self.coverage: dict[int, list] = {}
+        #: tile index -> :class:`TileCoverage` — the boundary-excluded,
+        #: engine-consumed composition (derived, never persisted)
+        self.coverage: dict[int, TileCoverage] = {}
         #: polygon MBRs as (xmin, xmax, ymin, ymax) column arrays
         self.mbr_arrays: tuple[np.ndarray, ...] | None = None
         #: boundary-cells-only CSR grid for the pyramid path's exact
@@ -236,6 +262,11 @@ class PreparedPolygons:
         #: A; the cached block already counted it).  Set-level, derived,
         #: never persisted; see :func:`repro.cache.pyramid.ensure_polygon_blocks`.
         self.pip_grid: GridIndex | None = None
+        #: flat edge soup banded by ``grid``'s rows — what the boundary
+        #: PIP tests candidate pairs against (``pip_grid`` shares the
+        #: frame, so it serves both).  Set-level, derived, never
+        #: persisted; see :meth:`ensure_edge_table`.
+        self.edge_table: EdgeTable | None = None
         #: one unit per polygon, in polygon order
         self.units: list[PolygonUnit] = [
             PolygonUnit(fp, _bbox_tuple(poly))
@@ -451,6 +482,23 @@ class PreparedPolygons:
             return None
         return base_grid, old_cells
 
+    def ensure_edge_table(self, polygons: PolygonSet) -> EdgeTable:
+        """Build the boundary PIP's edge table once; later calls are free.
+
+        Banded by :attr:`grid`'s rows, so :meth:`ensure_grid` comes
+        first; gated by the artifact's own MBR columns.  A pure function
+        of (geometry, grid frame): a reloaded or delta-derived artifact
+        rebuilds it bit-identically.  Small (~0.5 MB per 100 polygons)
+        and read by tile tasks in flight, so — like the grid — it is not
+        part of :meth:`strip_derived`.
+        """
+        if self.edge_table is None:
+            mbrs = self.ensure_mbr_arrays(polygons)
+            with trace.span("edge-table", polygons=len(polygons)):
+                self.edge_table = EdgeTable(polygons, self.grid, mbrs)
+            self.version += 1
+        return self.edge_table
+
     def ensure_mbr_arrays(self, polygons: PolygonSet) -> tuple[np.ndarray, ...]:
         """Columnar polygon MBRs for vectorized filter steps."""
         if self.mbr_arrays is None:
@@ -511,33 +559,42 @@ class PreparedPolygons:
         tile_idx: int,
         boundary: np.ndarray | None,
         built: dict | None = None,
-    ) -> list:
-        """Assemble the engine-consumed coverage list from raw pieces.
+    ) -> TileCoverage:
+        """Flatten the raw pieces into the engine-consumed coverage record.
 
         With a ``boundary`` mask, pixels under any polygon's outline are
-        excluded (the accurate engine's rule — those points joined
-        exactly); without one the raw pieces pass through unchanged (the
-        bounded engine).  Exclusion filters each raw piece *in place of
-        the piece's own row-major order*, which reproduces a scalar
-        builder's ``np.nonzero(mask & ~boundary)`` arrays exactly.
+        dropped by one gather over the whole table (the accurate engine's
+        rule — those points joined exactly); without one every raw pixel
+        is kept (the bounded engine).  Dropping filters the concatenated
+        pieces in place, so each polygon's segment keeps its raw
+        piece-major, row-major order whatever built the pieces.
         """
-        out: list = []
+        width = self.tiles[tile_idx].width
+        pids: list[int] = []
+        counts: list[int] = []
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
         for pid, pieces in self._tile_pieces("coverage", tile_idx, built):
-            kept: list = []
-            for piece_iy, piece_ix in pieces:
-                if boundary is None:
-                    kept.append((piece_iy, piece_ix))
-                    continue
-                excluded = boundary[piece_iy, piece_ix]
-                if not excluded.any():
-                    kept.append((piece_iy, piece_ix))
-                else:
-                    keep = ~excluded
-                    if keep.any():
-                        kept.append((piece_iy[keep], piece_ix[keep]))
-            if kept:
-                out.append((pid, kept))
-        return out
+            if pieces:
+                pids.append(pid)
+                counts.append(sum(len(piece_iy) for piece_iy, _ in pieces))
+                for piece_iy, piece_ix in pieces:
+                    rows.append(piece_iy)
+                    cols.append(piece_ix)
+        kept_pids = np.asarray(pids, dtype=np.int64)
+        kept = np.asarray(counts, dtype=np.int64)
+        if rows:
+            pixels = np.concatenate(rows) * width + np.concatenate(cols)
+        else:
+            pixels = np.zeros(0, dtype=np.int64)
+        if boundary is not None and len(pixels):
+            keep = ~boundary.ravel().take(pixels)
+            pixels = pixels[keep]
+            before = np.concatenate([[0], np.cumsum(keep)])
+            ends = np.cumsum(kept)
+            kept = before[ends] - before[ends - kept]
+            kept_pids, kept = kept_pids[kept > 0], kept[kept > 0]
+        return TileCoverage(pixels, kept_pids, np.cumsum(kept) - kept)
 
     def install_unit_boundary(self, tile_idx: int, built: dict) -> None:
         """Adopt freshly built per-polygon outline pixels for one tile."""
@@ -579,21 +636,24 @@ class PreparedPolygons:
 
         Boundary masks and coverage (composed *and* per-unit) are pure
         functions of the fields that remain after stripping them (tiles,
-        triangles), so they are the first tier a byte-budgeted session
-        gives back.
+        triangles, grid), so they are the first tier a byte-budgeted
+        session gives back.
         """
         return bool(self.boundary_masks or self.coverage) or any(
             u.boundary or u.coverage for u in self.units
         )
 
     def strip_derived(self) -> int:
-        """Drop boundary and coverage state, returning the bytes freed.
+        """Drop boundary/coverage state, returning the bytes freed.
 
         The artifact becomes *partial*: triangles, grid cells, canvas,
-        and MBRs stay hot while the (much larger) per-pixel state — both
-        the composed views and the per-unit raw arrays — is released.
-        Engines re-derive the dropped pieces lazily, tile by tile, and
-        the re-derived arrays are bit-identical to the dropped ones.
+        MBRs and the edge table stay hot while the (much larger)
+        per-pixel state — both the composed views and the per-unit raw
+        arrays — is released.  Only state a tile task re-derives by
+        itself may go: a budget pass can strip an artifact whose tile
+        loop is in flight, and the task reads the grid, the MBRs and the
+        edge table without a rebuild path.  Engines re-derive the dropped
+        pieces lazily, tile by tile, bit-identical to the dropped ones.
         """
         before = self.nbytes
         self.boundary_masks = {}
@@ -623,6 +683,7 @@ class PreparedPolygons:
             self.triangles is not None,
             self.grid is not None,
             self.mbr_arrays is not None,
+            self.edge_table is not None,
             len(self.boundary_masks),
             len(self.coverage),
         )
@@ -631,60 +692,31 @@ class PreparedPolygons:
     def nbytes(self) -> int:
         """Approximate artifact footprint (for capacity decisions).
 
-        Arrays shared between the per-unit raw state and the composed
-        views (pieces that survive exclusion untouched, and the whole
-        coverage of boundary-free engines) are counted once, by object
-        identity.
+        Triangulations are counted through the units (``triangles``
+        lists the same arrays); every composed view owns its arrays.
         """
-        seen: set[int] = set()
-        total = 0
-
-        def add(arr) -> None:
-            nonlocal total
-            if id(arr) not in seen:
-                seen.add(id(arr))
-                total += arr.nbytes
-
-        if self.triangles is not None:
-            for tris in self.triangles:
-                for t in tris:
-                    add(t)
-        if self.grid is not None:
-            add(self.grid.cell_start)
-            add(self.grid.entries)
-        for mask in self.boundary_masks.values():
-            add(mask)
-        for entries in self.coverage.values():
-            for _, pieces in entries:
-                for iy, ix in pieces:
-                    add(iy)
-                    add(ix)
+        total = sum(mask.nbytes for mask in self.boundary_masks.values())
+        total += sum(record.nbytes for record in self.coverage.values())
+        for grid in (self.grid, self.pip_grid):
+            if grid is not None:
+                total += grid.memory_bytes
+        if self.edge_table is not None:
+            total += self.edge_table.nbytes
         if self.mbr_arrays is not None:
-            for arr in self.mbr_arrays:
-                add(arr)
-        if self.pip_grid is not None:
-            add(self.pip_grid.cell_start)
-            add(self.pip_grid.entries)
+            total += sum(arr.nbytes for arr in self.mbr_arrays)
         for unit in self.units:
-            if unit.triangles is not None:
-                for t in unit.triangles:
-                    add(t)
-            if unit.cells is not None:
-                add(unit.cells)
-            if unit.interior_cells is not None:
-                add(unit.interior_cells)
-            if unit.pip_cells is not None:
-                add(unit.pip_cells)
-            if unit.blocks is not None:
-                for _, ids in unit.blocks:
-                    add(ids)
-            for ix, iy in unit.boundary.values():
-                add(ix)
-                add(iy)
-            for pieces in unit.coverage.values():
-                for iy, ix in pieces:
-                    add(iy)
-                    add(ix)
+            for arr in (unit.cells, unit.interior_cells, unit.pip_cells):
+                if arr is not None:
+                    total += arr.nbytes
+            total += sum(t.nbytes for t in unit.triangles or ())
+            total += sum(ids.nbytes for _, ids in unit.blocks or ())
+            total += sum(
+                ix.nbytes + iy.nbytes for ix, iy in unit.boundary.values()
+            )
+            total += sum(
+                iy.nbytes + ix.nbytes
+                for pieces in unit.coverage.values() for iy, ix in pieces
+            )
         return total
 
     def __repr__(self) -> str:
@@ -701,6 +733,8 @@ class PreparedPolygons:
             parts.append(f"coverage x{len(self.coverage)}")
         if self.mbr_arrays is not None:
             parts.append("mbrs")
+        if self.edge_table is not None:
+            parts.append("edges")
         parts.append(f"units x{len(self.units)}")
         return f"PreparedPolygons({', '.join(parts)}, uses={self.uses})"
 

@@ -53,7 +53,7 @@ from repro.core.aggregates import Aggregate
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.raster_line import outline_pixels
 from repro.graphics.viewport import Viewport
-from repro.index.grid import GridIndex
+from repro.index.grid import GridIndex, ragged_positions
 from repro.obs import metrics, trace
 
 #: Per-channel identity values by partial kind (count/sum fold from 0).
@@ -263,18 +263,10 @@ class AggregatePyramid:
         only these points, which is the whole speedup.
         """
         cells = np.asarray(cells, dtype=np.int64)
-        if len(cells) == 0:
-            return np.zeros(0, dtype=np.int64)
         starts = self.cell_start[cells]
-        counts = self.cell_start[cells + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        pos = np.repeat(starts, counts) + (
-            np.arange(total, dtype=np.int64) - first
-        )
-        return self.point_order[pos]
+        return self.point_order[
+            ragged_positions(starts, self.cell_start[cells + 1] - starts)
+        ]
 
     # ------------------------------------------------------------------
     # Introspection / persistence support

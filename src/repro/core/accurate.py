@@ -103,7 +103,8 @@ class AccurateRasterJoin(RasterJoinEngine):
     def _prepare(
         self, polygons: PolygonSet, stats: ExecutionStats
     ) -> PreparedPolygons:
-        """Canvas layout, triangulations, and grid index — built once."""
+        """Canvas layout, triangulations, grid index and edge table —
+        built once."""
         with trace.span("prepare", polygons=len(polygons)):
             prepared = self._prepared_state(
                 polygons, self.prepared_spec(), stats
@@ -121,8 +122,10 @@ class AccurateRasterJoin(RasterJoinEngine):
             prepared.ensure_triangles(polygons, stats)
             prepared.ensure_grid(polygons, self.grid_resolution, "mbr", stats)
             # Columnar MBRs feed the batched builders' vectorized per-tile
-            # bin pass; built in the parent so tile tasks only read them.
+            # bin pass and gate the edge table's pair test; built in the
+            # parent so tile tasks only read them.
             prepared.ensure_mbr_arrays(polygons)
+            prepared.ensure_edge_table(polygons)
         stats.extra["canvas"] = (prepared.canvas.width, prepared.canvas.height)
         return prepared
 
@@ -267,7 +270,8 @@ class AccurateRasterJoin(RasterJoinEngine):
             with trace.span("boundary-pip", points=int(len(idx))):
                 grid_pip_aggregate(
                     points.column("x")[idx], points.column("y")[idx], attrs,
-                    pip_grid, polygons, aggregate, accumulators, stats,
+                    pip_grid, prepared.edge_table, aggregate, accumulators,
+                    stats,
                 )
         stats.points_processed += len(idx)
         stats.boundary_points += len(idx)

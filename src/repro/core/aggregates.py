@@ -50,18 +50,26 @@ class Aggregate(ABC):
         else:
             np.maximum.at(accumulator, ids, values)
 
-    def reduce_pixels(self, pixel_values: np.ndarray) -> float:
-        """Combine one polygon's covered-pixel channel values.
+    def reduce_segments(
+        self, values: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
+        """Reduce the consecutive segments of ``values`` beginning at
+        ``starts`` — one polygon's covered pixels, or its matched
+        boundary points, per segment.
 
-        A polygon with zero covered pixels reduces to :meth:`identity`,
-        so its partial merges as a no-op under :meth:`combine` (adding 0,
-        or min/max against ±inf) and never perturbs other tiles' values.
+        The one place a partial's reduction tree is defined: the polygon
+        pass and the boundary PIP of every engine, backend and cache
+        tier fold through here, so they agree bit for bit.  Sums
+        accumulate in float64 whatever the framebuffer's dtype.  Every
+        segment must be non-empty (``reduceat`` yields the *element* at
+        a start, not the identity, for an empty one): callers keep only
+        polygons that own at least one value, and the rest stay at
+        :meth:`identity` in the accumulators.
         """
-        if len(pixel_values) == 0:
-            return self.identity()
         if self.blend == "add":
-            return float(np.sum(pixel_values, dtype=np.float64))
-        return float(np.min(pixel_values) if self.blend == "min" else np.max(pixel_values))
+            return np.add.reduceat(values, starts, dtype=np.float64)
+        ufunc = np.minimum if self.blend == "min" else np.maximum
+        return ufunc.reduceat(values, starts)
 
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Merge partial results from two batches/tiles.
@@ -73,7 +81,7 @@ class Aggregate(ABC):
         produces from a true sum; ``minimum(x, inf)``/``maximum(x,
         -inf)`` return ``x`` exactly).  NaN is deliberately *not*
         neutral — a NaN attribute value poisons min/max merges, matching
-        ``np.min``/``np.max`` semantics in :meth:`reduce_pixels`.
+        ``np.minimum``/``np.maximum`` semantics in :meth:`reduce_segments`.
         """
         if self.blend == "add":
             return a + b

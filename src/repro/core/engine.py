@@ -31,6 +31,8 @@ from repro.exec.config import EngineConfig
 from repro.exec.partition import ResidentSubset
 from repro.exec.shm import ShmChunk
 from repro.geometry.polygon import PolygonSet
+from repro.index.edge_table import EdgeTable
+from repro.index.grid import GridIndex, ragged_positions
 from repro.obs import trace
 from repro.types import AggregationResult, ExecutionStats
 
@@ -398,22 +400,23 @@ def grid_pip_aggregate(
     xs: np.ndarray,
     ys: np.ndarray,
     attrs: dict[str, np.ndarray],
-    grid,
-    polygons: PolygonSet,
+    grid: GridIndex,
+    edges: EdgeTable,
     aggregate: Aggregate,
     accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
 ) -> None:
-    """The JoinPoint procedure, vectorized over polygons.
+    """The JoinPoint procedure as one flat pass over candidate pairs.
 
     Each point probes its grid cell and is PIP-tested against every
     candidate polygon — one test per point/candidate pair, exactly the work
-    the paper counts.  The (point, polygon) candidate pairs are expanded
-    from the CSR grid arrays in bulk, then grouped by polygon so each
-    polygon runs one vectorized PIP call over all its candidate points —
-    the SPMD batching a GPU compute shader would perform.  Aggregation is
-    fused: matches update the result accumulators immediately, nothing is
-    materialized beyond the candidate index arrays.
+    the paper counts.  The (point, polygon) pairs are expanded from the CSR
+    grid arrays in bulk and tested all at once against ``edges``, the
+    polygon set's row-banded edge table (built over this grid's frame) —
+    the SPMD batching a GPU compute shader would perform, with no
+    per-polygon call.  Aggregation is fused: the matched pairs, grouped by
+    polygon in point order, reduce one segment per polygon and blend into
+    the accumulators; nothing is materialized beyond the pair arrays.
     """
     if len(xs) == 0:
         return
@@ -430,57 +433,32 @@ def grid_pip_aggregate(
     # CSR expansion: candidate k of point i sits at
     # entries[cell_start[cell_i] + k].
     point_idx = np.repeat(np.arange(len(xs), dtype=np.int64), counts)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(total, dtype=np.int64) - first
-    entry_pos = np.repeat(grid.cell_start[cells], counts) + within
-    poly_ids = grid.entries[entry_pos]
+    poly_ids = grid.entries[ragged_positions(grid.cell_start[cells], counts)]
 
-    # Group candidate pairs by polygon: one vectorized PIP per polygon.
-    order = np.argsort(poly_ids, kind="stable")
-    poly_sorted = poly_ids[order]
-    point_sorted = point_idx[order]
-    group_bounds = np.flatnonzero(np.diff(poly_sorted)) + 1
-    starts = np.concatenate([[0], group_bounds])
-    ends = np.concatenate([group_bounds, [total]])
-
-    channel_cols = {
-        ch: (attrs[col] if col is not None else None)
-        for ch, col in aggregate.channels.items()
-    }
-    for start, end in zip(starts, ends):
-        pid = int(poly_sorted[start])
-        idx = point_sorted[start:end]
-        inside = polygons[pid].contains_points(xs[idx], ys[idx])
-        matched = int(np.count_nonzero(inside))
-        if matched == 0:
-            continue
-        for ch, col in channel_cols.items():
-            if col is None:
-                # Constant-1 channel: every matched point contributes one
-                # 1.0, whatever the blend equation.
-                if aggregate.blend == "add":
-                    accumulators[ch][pid] += matched
-                else:
-                    ones = np.ones(matched, dtype=np.float64)
-                    accumulators[ch][pid] = aggregate.combine(
-                        np.asarray(accumulators[ch][pid]),
-                        np.asarray(aggregate.reduce_pixels(ones)),
-                    )
-            else:
-                vals = col[idx[inside]]
-                if aggregate.blend == "add":
-                    accumulators[ch][pid] += float(
-                        np.sum(vals, dtype=np.float64)
-                    )
-                elif aggregate.blend == "min":
-                    # np.minimum, not Python min: NaN must poison the
-                    # merge exactly as it does in the raster path's
-                    # np.minimum.at scatter and in reduce_pixels' np.min
-                    # (Python min would silently keep the accumulator).
-                    accumulators[ch][pid] = float(np.minimum(
-                        accumulators[ch][pid], np.min(vals)
-                    ))
-                else:
-                    accumulators[ch][pid] = float(np.maximum(
-                        accumulators[ch][pid], np.max(vals)
-                    ))
+    inside = edges.contains_pairs(
+        xs[point_idx], ys[point_idx],
+        cells[point_idx] // grid.resolution, poly_ids,
+    )
+    # Group the matches by polygon (stable: point order within a
+    # polygon); only polygons that matched own a segment.
+    matched_pid = poly_ids[inside]
+    if len(matched_pid) == 0:
+        return
+    order = np.argsort(matched_pid, kind="stable")
+    matched_pid = matched_pid[order]
+    matched_point = point_idx[inside][order]
+    starts = np.flatnonzero(
+        np.concatenate([[True], matched_pid[1:] != matched_pid[:-1]])
+    )
+    pids = matched_pid[starts]
+    for ch, col in aggregate.channels.items():
+        # The constant-1 channel contributes one 1.0 per matched point,
+        # whatever the blend equation.
+        values = (
+            np.ones(len(matched_point)) if col is None
+            else attrs[col][matched_point]
+        )
+        slots = accumulators[ch]
+        slots[pids] = aggregate.combine(
+            slots[pids], aggregate.reduce_segments(values, starts)
+        )

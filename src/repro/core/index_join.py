@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from repro.cache.prepared import PreparedPolygons
 from repro.cache.session import QuerySession
 from repro.core.aggregates import Aggregate
 from repro.core.engine import (
@@ -107,16 +108,22 @@ class IndexJoin(SpatialAggregationEngine):
         """The render-spec part of this engine's artifact cache key."""
         return ("grid", self.grid_resolution, self.grid_assignment)
 
-    def _build_grid(self, polygons: PolygonSet, stats: ExecutionStats) -> GridIndex:
-        """The polygon grid, reused across queries (and, with a store,
-        across processes) via the session."""
+    def _prepare(
+        self, polygons: PolygonSet, stats: ExecutionStats
+    ) -> PreparedPolygons:
+        """The polygon grid — plus, for the vectorized mode, the edge
+        table its PIP pass tests against — reused across queries (and,
+        with a store, across processes) via the session."""
         with trace.span("prepare", polygons=len(polygons)):
             prepared = self._prepared_state(
                 polygons, self.prepared_spec(), stats
             )
-            return prepared.ensure_grid(
+            prepared.ensure_grid(
                 polygons, self.grid_resolution, self.grid_assignment, stats
             )
+            if self.mode == "gpu":
+                prepared.ensure_edge_table(polygons)
+        return prepared
 
     def _run(
         self,
@@ -126,7 +133,8 @@ class IndexJoin(SpatialAggregationEngine):
         filters: FilterSet,
         stats: ExecutionStats,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        grid = self._build_grid(polygons, stats)
+        prepared = self._prepare(polygons, stats)
+        grid = prepared.grid
         # The index join renders no tiles; it still reports the execution
         # environment uniformly so every engine's stats are comparable.
         # Multicore mode's fork pool IS its execution vehicle, so the
@@ -146,8 +154,9 @@ class IndexJoin(SpatialAggregationEngine):
             with trace.span("pip-join", mode=self.mode,
                             concurrent=self.mode == "multicore"):
                 if self.mode == "gpu":
-                    grid_pip_aggregate(xs, ys, attrs, grid, polygons,
-                                       aggregate, accumulators, stats)
+                    grid_pip_aggregate(xs, ys, attrs, grid,
+                                       prepared.edge_table, aggregate,
+                                       accumulators, stats)
                 elif self.mode == "cpu":
                     self._scalar_join(xs, ys, attrs, grid, polygons,
                                       aggregate, accumulators, stats)

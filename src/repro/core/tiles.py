@@ -41,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.cache.prepared import PreparedPolygons
+from repro.cache.prepared import PreparedPolygons, TileCoverage
 from repro.core.aggregates import Aggregate, Count
 from repro.core.engine import (
     SpatialAggregationEngine,
@@ -294,8 +294,9 @@ def _tile_boundary(
                 tile_idx, tile, built_units
             )
             stats.processing_s += time.perf_counter() - start
-    # Assigned, never accumulated: the tile's boundary population.
-    stats.extra["boundary_pixels"] = int(boundary.sum())
+    # Assigned, never accumulated: the tile's boundary population,
+    # counted from the mask this task holds.
+    stats.extra["boundary_pixels"] = int(np.count_nonzero(boundary))
     return boundary, built, built_units
 
 
@@ -411,8 +412,8 @@ def _route_batch(
                 ys if all_boundary else ys[on_boundary],
                 attrs if all_boundary else
                 {n: a[on_boundary] for n, a in attrs.items()},
-                member.prepared.grid, member.polygons, aggregate,
-                accumulators, stats,
+                member.prepared.grid, member.prepared.edge_table,
+                aggregate, accumulators, stats,
             )
     if not all_boundary:
         # A batch with no boundary points skips the mask entirely — the
@@ -439,12 +440,13 @@ def _scatter(
     additive blend, as 32-bit GL channels would)."""
 
     def values(col):
+        if col is None:
+            return 1.0
         return attrs[col] if keep is None else attrs[col][keep]
 
     if aggregate.blend == "add":
         fbo.accumulate(ix, iy, {
-            ch: (values(col) if col is not None else 1.0)
-            for ch, col in aggregate.channels.items()
+            ch: values(col) for ch, col in aggregate.channels.items()
         })
     else:
         blend = np.minimum if aggregate.blend == "min" else np.maximum
@@ -492,17 +494,18 @@ def _polygon_pass(
     fbo: FrameBuffer,
     accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
-) -> tuple[list | None, dict | None]:
+) -> tuple[TileCoverage | None, dict | None]:
     """Reduce each polygon's covered pixels into its result slot.
 
     Coverage is a pure function of the tile, the triangulation and the
     boundary mask, so it is built once per artifact and replayed
-    afterwards; per query only the channel gather + reduction runs.  A
-    build composes raw per-polygon pieces in polygon order, dropping
-    fragments under ``boundary`` (those points joined exactly); without
-    a mask the raw pieces are the coverage.  Returns ``(composed
-    coverage, raw per-polygon pieces)`` freshly built, ``None`` when the
-    artifact held the tile.
+    afterwards; per query only one gather and one segmented reduction
+    per channel runs over the tile's flat coverage record — no loop over
+    polygons or pieces.  A build flattens raw per-polygon pieces in
+    polygon order, dropping fragments under ``boundary`` (those points
+    joined exactly); without a mask every raw pixel is coverage.
+    Returns ``(composed coverage, raw per-polygon pieces)`` freshly
+    built, ``None`` when the artifact held the tile.
     """
     start = time.perf_counter()
     prepared = member.prepared
@@ -516,16 +519,15 @@ def _polygon_pass(
             tile_idx, boundary, built_units
         )
     aggregate = member.aggregate
-    channels = {ch: fbo.channel(ch) for ch in aggregate.channels}
-    for pid, pieces in coverage:
-        for piece_iy, piece_ix in pieces:
-            for ch, channel in channels.items():
-                accumulators[ch][pid] = aggregate.combine(
-                    np.asarray(accumulators[ch][pid]),
-                    np.asarray(
-                        aggregate.reduce_pixels(channel[piece_iy, piece_ix])
-                    ),
-                )
+    for ch in aggregate.channels:
+        slots = accumulators[ch]
+        slots[coverage.pids] = aggregate.combine(
+            slots[coverage.pids],
+            aggregate.reduce_segments(
+                fbo.channel(ch).ravel().take(coverage.pixels),
+                coverage.starts,
+            ),
+        )
     elapsed = time.perf_counter() - start
     stats.processing_s += elapsed
     stats.polygon_pass_s += elapsed

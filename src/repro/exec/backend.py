@@ -54,7 +54,7 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait as wait_futures
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -63,6 +63,9 @@ from repro.exec import shm
 from repro.exec.shm import SHM_ENV_VAR
 from repro.obs import metrics
 from repro.types import ExecutionStats
+
+if TYPE_CHECKING:
+    from repro.cache.prepared import TileCoverage
 
 #: Environment variables consulted when no backend is configured
 #: explicitly — the CI matrix runs the whole test suite under each
@@ -121,7 +124,7 @@ class TilePartial:
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     saw_points: bool = False
     boundary_mask: np.ndarray | None = None
-    coverage: list | None = None
+    coverage: TileCoverage | None = None
     unit_boundary: dict | None = None
     unit_coverage: dict | None = None
     payload: object = None
@@ -394,6 +397,13 @@ def _run_forked_task(job: tuple[int, int]):
     return result
 
 
+def _release_leases(leases: set[str]) -> None:
+    """Give back every registry lease named in ``leases`` (emptied in
+    place; releasing an already-swept segment is a no-op)."""
+    while leases:
+        shm.REGISTRY.release(leases.pop())
+
+
 class ProcessBackend(ExecutionBackend):
     """Process execution: true parallelism, two dispatch modes.
 
@@ -448,6 +458,13 @@ class ProcessBackend(ExecutionBackend):
         self._resident_states: OrderedDict = OrderedDict()
         self._result_buffer: tuple[tuple, shm.ShmArray] | None = None
         self._state_seq = 0
+        #: Segments this backend holds a registry lease on (state blobs
+        #: and the result buffer).  A backend dropped without ``close()``
+        #: — an engine going out of scope — gives them back when it is
+        #: collected, as a dropped ``ShmChunk`` does; the hook releases
+        #: leases only and never joins the pool.
+        self._leases: set[str] = set()
+        weakref.finalize(self, _release_leases, self._leases)
 
     # -- resident mode -------------------------------------------------
     def resident_capable(
@@ -489,14 +506,14 @@ class ProcessBackend(ExecutionBackend):
                 self._resident_states.move_to_end(token)
                 metrics.counter("resident_state_blobs", event="reused")
                 return entry[1], entry[2]
-            ref = shm.REGISTRY.export_bytes(build_blob())
+            ref = self._lease(shm.REGISTRY.export_bytes(build_blob()))
             self._state_seq += 1
             state_key = (os.getpid(), id(self), self._state_seq)
             self._resident_states[token] = (anchor, state_key, ref)
             metrics.counter("resident_state_blobs", event="exported")
             while len(self._resident_states) > self.STATE_CACHE_ENTRIES:
                 _, old = self._resident_states.popitem(last=False)
-                shm.REGISTRY.release(old[2].segment)
+                self._release(old[2])
             return state_key, ref
 
     def resident_result(self, shape: tuple) -> shm.ShmArray:
@@ -509,10 +526,10 @@ class ProcessBackend(ExecutionBackend):
         with self._resident_lock:
             if self._result_buffer is None or self._result_buffer[0] != shape:
                 if self._result_buffer is not None:
-                    shm.REGISTRY.release(self._result_buffer[1].segment)
-                ref = shm.REGISTRY.export_array(
+                    self._release(self._result_buffer[1])
+                ref = self._lease(shm.REGISTRY.export_array(
                     np.zeros(shape, dtype=np.float64)
-                )
+                ))
                 self._result_buffer = (shape, ref)
             return self._result_buffer[1]
 
@@ -545,19 +562,22 @@ class ProcessBackend(ExecutionBackend):
                     pool.close()
                 raise
 
+    def _lease(self, ref: shm.ShmArray) -> shm.ShmArray:
+        self._leases.add(ref.segment)
+        return ref
+
+    def _release(self, ref: shm.ShmArray) -> None:
+        self._leases.discard(ref.segment)
+        shm.REGISTRY.release(ref.segment)
+
     def close(self) -> None:
         with self._resident_lock:
             pool, self._resident_pool = self._resident_pool, None
-            states, self._resident_states = (
-                self._resident_states, OrderedDict()
-            )
-            buffer, self._result_buffer = self._result_buffer, None
+            self._resident_states = OrderedDict()
+            self._result_buffer = None
+            _release_leases(self._leases)
         if pool is not None:
             pool.close()
-        for _, entry in states.items():
-            shm.REGISTRY.release(entry[2].segment)
-        if buffer is not None:
-            shm.REGISTRY.release(buffer[1].segment)
 
     def _forget_pool(self) -> None:  # pragma: no cover - fork path
         # A forked child shares the parent's pool queues and segment
@@ -568,6 +588,7 @@ class ProcessBackend(ExecutionBackend):
         self._resident_lock = threading.RLock()
         self._resident_states = OrderedDict()
         self._result_buffer = None
+        self._leases.clear()
         self._events = threading.local()
 
     def run_tasks(self, tasks, parallelism=None):

@@ -309,47 +309,6 @@ def coverage_pieces_by_polygon(
     return out
 
 
-def accumulate_triangle_sums_batch(
-    viewport: Viewport,
-    channel: np.ndarray,
-    tris: Sequence[np.ndarray],
-    budget: int = DEFAULT_FRAGMENT_BUDGET,
-) -> np.ndarray:
-    """Batched counterpart of :func:`accumulate_triangle_sums`.
-
-    Coverage comes from the batched rasterizer, but each triangle's
-    reduction deliberately rebuilds the scalar path's ``(window, mask)``
-    pair and reduces with ``np.sum(window, where=mask, dtype=float64)``.
-    Summing gathered fragment values instead would walk the same pixels
-    in the same order yet is *not* guaranteed bit-equal: NumPy's
-    pairwise summation splits its tree by array layout, and a strided
-    2-D ``where=`` reduction and a contiguous 1-D gather may associate
-    partial sums differently.  Rebuilding the exact scalar reduction
-    keeps the result bit-for-bit identical.
-    """
-    if not len(tris):
-        return np.zeros(0, dtype=np.float64)
-    verts = np.stack([np.asarray(t, dtype=np.float64) for t in tris])
-    setup = setup_triangles(viewport, verts)
-    frags = rasterize_triangles(viewport, verts, budget)
-    splits = np.cumsum(frags.counts)[:-1]
-    per_tri_iy = np.split(frags.iy, splits)
-    per_tri_ix = np.split(frags.ix, splits)
-    out = np.zeros(len(tris), dtype=np.float64)
-    for t in range(len(tris)):
-        if not frags.counts[t]:
-            continue
-        x0 = int(setup.x0[t])
-        y0 = int(setup.y0[t])
-        w = int(setup.w[t])
-        h = int(setup.h[t])
-        mask = np.zeros((h, w), dtype=bool)
-        mask[per_tri_iy[t] - y0, per_tri_ix[t] - x0] = True
-        window = channel[y0:y0 + h, x0:x0 + w]
-        out[t] = float(np.sum(window, where=mask, dtype=np.float64))
-    return out
-
-
 def bin_polygons_to_tile(
     tile: Viewport, mbr_arrays: tuple[np.ndarray, ...]
 ) -> np.ndarray:

@@ -1,0 +1,160 @@
+"""Flat edge table banded by grid row: the boundary PIP's geometry.
+
+The JoinPoint procedure tests (point, polygon) candidate pairs.  Calling
+:meth:`~repro.geometry.polygon.Polygon.contains_points` once per polygon
+walks every edge of that polygon in Python; this table makes the same
+test one data-parallel pass over *all* pairs of *all* polygons (CuRast's
+"batch everything": concatenated geometry plus an owner map).
+
+Every non-horizontal edge of every ring of every polygon sits in four
+flat endpoint arrays, directed ``a -> b`` exactly as
+:func:`~repro.geometry.predicates.points_in_ring` walks them (``a`` is
+the ring's previous vertex), so the crossing arithmetic sees the same
+operands.  Horizontal edges are dropped: under the half-open span rule
+they never count.  A CSR maps *(polygon, grid row)* to the edges whose
+y-span meets that row, where rows are the :class:`GridIndex`'s own
+(:meth:`~repro.index.grid.GridIndex.row_of`).  ``row_of`` is monotone in
+``y``, so the edge list of a point's row is a superset of the edges
+whose span contains the point's ``y`` — testing only that band is the
+*identical* even-odd predicate (holes included, they are just more
+rings), at a fraction of the crossings.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.geometry.polygon import Polygon, PolygonSet
+from repro.index.grid import GridIndex, ragged_positions
+
+#: Upper bound on (pair, edge) crossings materialized per block.  Blocks
+#: split on pair boundaries and parity is per pair, so the answer never
+#: depends on it.
+DEFAULT_CROSSING_BUDGET = 1 << 20
+
+
+class EdgeTable:
+    """Concatenated polygon edges with a (polygon, grid row) -> edges CSR.
+
+    ``ax/ay/bx/by`` are the directed edge endpoints; ``mbrs`` the
+    polygons' ``(xmin, xmax, ymin, ymax)`` columns (the
+    ``contains_points`` gate — the prepared artifact's own, shared not
+    copied); polygon ``p`` owns the ``row_count[p]`` consecutive bands
+    starting at ``band_base[p]`` for grid rows ``row_lo[p]...``, and
+    band ``k`` lists ``band_edges[band_start[k]:band_start[k + 1]]``.
+    """
+
+    __slots__ = ("ax", "ay", "bx", "by", "mbrs", "row_lo", "row_count",
+                 "band_base", "band_start", "band_edges")
+
+    def __init__(
+        self,
+        polygons: PolygonSet | Sequence[Polygon],
+        grid: GridIndex,
+        mbrs: tuple[np.ndarray, ...],
+    ) -> None:
+        polys = list(polygons)
+        rings = [ring for poly in polys for ring in poly.rings]
+        lens = np.fromiter((len(r) for r in rings), np.int64, len(rings))
+        ring_pid = np.repeat(
+            np.arange(len(polys), dtype=np.int64),
+            [1 + len(poly.holes) for poly in polys],
+        )
+        b = np.concatenate(rings)
+        # a = the previous vertex within the same (implicitly closed) ring.
+        prev = np.arange(len(b), dtype=np.int64) - 1
+        ring_first = np.cumsum(lens) - lens
+        prev[ring_first] = ring_first + lens - 1
+        a = b[prev]
+        sloped = a[:, 1] != b[:, 1]
+        self.ax, self.ay = a[sloped, 0], a[sloped, 1]
+        self.bx, self.by = b[sloped, 0], b[sloped, 1]
+        owner = np.repeat(ring_pid, lens)[sloped]
+        self.mbrs = mbrs
+
+        top = grid.resolution - 1
+        edge_lo = np.clip(grid.row_of(np.minimum(self.ay, self.by)), 0, top)
+        edge_hi = np.clip(grid.row_of(np.maximum(self.ay, self.by)), 0, top)
+        row_lo = np.full(len(polys), grid.resolution, dtype=np.int64)
+        row_hi = np.full(len(polys), -1, dtype=np.int64)
+        np.minimum.at(row_lo, owner, edge_lo)
+        np.maximum.at(row_hi, owner, edge_hi)
+        self.row_lo = row_lo
+        self.row_count = np.maximum(row_hi - row_lo + 1, 0)
+        self.band_base = np.cumsum(self.row_count) - self.row_count
+
+        # Register each edge in every band its span meets, then group by
+        # band (stable: a band lists its edges in table order).
+        spans = edge_hi - edge_lo + 1
+        edge = np.repeat(np.arange(len(owner), dtype=np.int64), spans)
+        band = (self.band_base - row_lo)[owner[edge]] + ragged_positions(
+            edge_lo, spans
+        )
+        self.band_edges = edge[np.argsort(band, kind="stable")]
+        self.band_start = np.concatenate([[0], np.cumsum(
+            np.bincount(band, minlength=int(self.row_count.sum())),
+            dtype=np.int64,
+        )])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the table owns (``mbrs`` belong to the artifact)."""
+        return sum(
+            getattr(self, name).nbytes
+            for name in self.__slots__ if name != "mbrs"
+        )
+
+    def contains_pairs(
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        rows: np.ndarray,
+        pids: np.ndarray,
+        budget: int = DEFAULT_CROSSING_BUDGET,
+    ) -> np.ndarray:
+        """Even-odd PIP of pair ``k``: is ``(xs[k], ys[k])`` — a point in
+        grid row ``rows[k]`` — inside polygon ``pids[k]``?
+
+        Bit-for-bit :meth:`Polygon.contains_points` per pair: the same
+        MBR gate, the same half-open span rule, the same crossing
+        expression over the same directed edges.  A pair whose row lies
+        outside its polygon's bands has ``y`` outside the MBR; a pair
+        whose band is empty crosses nothing.  Neither ever becomes a
+        segment of the parity count.
+        """
+        rel = rows - self.row_lo[pids]
+        inside = np.zeros(len(pids), dtype=bool)
+        xmin, xmax, ymin, ymax = self.mbrs
+        live = np.flatnonzero(
+            (xs >= xmin[pids]) & (xs <= xmax[pids])
+            & (ys >= ymin[pids]) & (ys <= ymax[pids])
+            & (rel >= 0) & (rel < self.row_count[pids])
+        )
+        band = self.band_base[pids[live]] + rel[live]
+        first = self.band_start[band]
+        counts = self.band_start[band + 1] - first
+        px, py = xs[live], ys[live]
+        cum = np.concatenate([[0], np.cumsum(counts)])
+        start = 0
+        while start < len(live):
+            end = int(np.searchsorted(cum, cum[start] + budget, "right")) - 1
+            end = min(max(end, start + 1), len(live))
+            n = counts[start:end]
+            pair = np.repeat(np.arange(end - start, dtype=np.int64), n)
+            edge = self.band_edges[ragged_positions(first[start:end], n)]
+            x, y = px[start:end][pair], py[start:end][pair]
+            ax, ay = self.ax[edge], self.ay[edge]
+            bx, by = self.bx[edge], self.by[edge]
+            # Unspanned edges may overflow the crossing expression; they
+            # are masked out by the span test.
+            with np.errstate(over="ignore", invalid="ignore"):
+                crosses = (
+                    (((ay <= y) & (y < by)) | ((by <= y) & (y < ay)))
+                    & (ax + (y - ay) / (by - ay) * (bx - ax) > x)
+                )
+            odd = np.bincount(pair[crosses], minlength=end - start) & 1
+            inside[live[start:end]] = odd.astype(bool)
+            start = end
+        return inside

@@ -33,6 +33,15 @@ from repro.graphics.conservative import conservative_polygon_pixels
 from repro.graphics.viewport import Viewport
 
 
+def ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i] + k`` for every ``k < counts[i]``, concatenated in
+    order: the flat positions of a CSR gather."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
+
+
 class GridIndex:
     """CSR-encoded uniform grid over a polygon set."""
 
@@ -375,12 +384,18 @@ class GridIndex:
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
+    def row_of(self, ys: np.ndarray) -> np.ndarray:
+        """Grid row per y, unclamped (negative or >= resolution outside
+        the extent).  Monotone non-decreasing in ``y`` — what lets the
+        edge table band edges by the very rows points probe."""
+        return np.floor((ys - self.extent.ymin) / self.cell_h).astype(np.int64)
+
     def cell_of_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Flat cell id per point; -1 for points outside the extent."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         gx = np.floor((xs - self.extent.xmin) / self.cell_w).astype(np.int64)
-        gy = np.floor((ys - self.extent.ymin) / self.cell_h).astype(np.int64)
+        gy = self.row_of(ys)
         out = gy * self.resolution + gx
         outside = (
             (gx < 0) | (gx >= self.resolution)

@@ -508,8 +508,8 @@ def compose_from_units(
 
     Runs the same composition the live session performs after a build —
     OR the outline pixels into boundary masks, exclude them from the raw
-    coverage, scatter the grid CSR — so the result is bit-identical to
-    the artifact that was saved.
+    coverage, scatter the grid CSR, band the edge table — so the result
+    is bit-identical to the artifact that was saved.
     """
     _require(
         len(units) == len(polygons),
@@ -534,6 +534,9 @@ def compose_from_units(
             extent=grid_meta["extent"],
         )
         prepared.grid.build_seconds = 0.0  # nothing was rebuilt
+        # Derived with the grid, like a live prepare, so the loaded
+        # artifact measures what the saved one did.
+        prepared.ensure_edge_table(polygons)
     boundary_tiles = _units_tiles(units, "boundary")
     if boundary_tiles:
         _require(prepared.tiles is not None,
@@ -541,9 +544,9 @@ def compose_from_units(
         for idx in boundary_tiles:
             _require(0 <= idx < len(prepared.tiles),
                      "boundary tile out of range")
-            prepared.boundary_masks[idx] = prepared.compose_boundary(
+            prepared.mark_composed(idx, boundary=prepared.compose_boundary(
                 idx, prepared.tiles[idx]
-            )
+            ))
     for idx in _units_tiles(units, "coverage"):
         prepared.coverage[idx] = prepared.compose_coverage(
             idx, prepared.boundary_masks.get(idx)

@@ -165,7 +165,9 @@ class TestEnginePyramidPath:
             (Count(), brute_force_counts(points, regions)),
             (Sum("fare"), brute_force_sums(points, regions, "fare")),
         ]:
-            eng = engine(QuerySession())
+            # Asserts a tier state ("cold"), so no ambient disk tier: the
+            # first iteration's pyramid must not answer the second's.
+            eng = engine(QuerySession(store=False))
             cold = eng.execute(points, regions, aggregate)
             assert cold.stats.extra.get("pyramid") == "cold"
             eng.build_pyramid(points, regions)

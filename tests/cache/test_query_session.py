@@ -6,8 +6,11 @@ import pytest
 from repro import (
     AccurateRasterJoin,
     BoundedRasterJoin,
+    FilterSet,
+    GPUDevice,
     IndexJoin,
     MaterializingJoin,
+    PointDataset,
     PreparedPolygons,
     Polygon,
     PolygonSet,
@@ -17,6 +20,7 @@ from repro import (
 )
 from repro.cache import polygon_fingerprint
 from repro.errors import QueryError
+from repro.types import ExecutionStats
 from tests.conftest import brute_force_counts
 
 
@@ -290,6 +294,99 @@ class TestPreparedPolygons:
         mbrs = prepared.ensure_mbr_arrays(three_regions)
         assert len(mbrs) == 4
         assert prepared.nbytes > 0
+
+    def test_derived_state_is_accounted_and_rederives_bit_identically(
+        self, uniform_points, three_regions
+    ):
+        """The flat coverage record and the edge table count in
+        ``nbytes`` and show in the content signature; the per-pixel
+        state goes with ``strip_derived`` and comes back bit for bit —
+        as does the answer — while the edge table, which tile tasks
+        read without a rebuild path, stays like the grid."""
+        session = QuerySession(store=False)
+        engine = AccurateRasterJoin(
+            resolution=128, grid_resolution=64,
+            device=GPUDevice(max_resolution=64), session=session,
+        )
+        before = engine.execute(uniform_points, three_regions, Sum("fare"))
+        (artifact,) = session._entries.values()
+        assert artifact.has_derived and artifact.edge_table is not None
+        records = dict(artifact.coverage)
+        edges = artifact.edge_table
+        full, signature = artifact.nbytes, artifact.content_signature
+        assert full >= edges.nbytes + sum(r.nbytes for r in records.values())
+
+        freed = artifact.strip_derived()
+        assert not artifact.has_derived and not artifact.coverage
+        assert artifact.edge_table is edges
+        assert artifact.content_signature != signature
+        assert freed == full - artifact.nbytes > 0
+
+        after = engine.execute(uniform_points, three_regions, Sum("fare"))
+        assert after.stats.prepared_hits == 1
+        assert np.array_equal(after.values, before.values)
+        assert (after.stats.extra["boundary_pixels"]
+                == before.stats.extra["boundary_pixels"] > 0)
+        assert artifact.nbytes == full
+        for idx, record in records.items():
+            for mine, theirs in zip(record, artifact.coverage[idx]):
+                assert mine.dtype == theirs.dtype
+                assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_strip_while_the_tile_loop_is_in_flight(
+        self, uniform_points, three_regions, warm
+    ):
+        """A budget pass may strip an artifact between a query's prepare
+        and its tile loop (a fused sibling's miss, another serving
+        thread's checkpoint): the tile tasks re-derive what went and
+        still find the grid, the MBRs and the edge table."""
+        session = QuerySession(store=False)
+        engine = AccurateRasterJoin(
+            resolution=128, device=GPUDevice(max_resolution=64),
+            session=session,
+        )
+        aggregate, filters = Sum("fare"), FilterSet()
+        expected = AccurateRasterJoin(
+            resolution=128, device=GPUDevice(max_resolution=64)
+        ).execute(uniform_points, three_regions, aggregate)
+        if warm:
+            engine.execute(uniform_points, three_regions, aggregate)
+        stats = ExecutionStats(engine=engine.name, batches=0, passes=0)
+        member = engine.member(three_regions, aggregate, filters, stats)
+        member.prepared.strip_derived()
+        (accumulators,) = engine.run_members(
+            [member], lambda: iter((uniform_points,)), [stats],
+            points_hint=uniform_points,
+        ).accumulators
+        assert np.array_equal(aggregate.finalize(accumulators),
+                              expected.values)
+        assert stats.pip_tests == expected.stats.pip_tests > 0
+        assert (stats.extra["boundary_pixels"]
+                == expected.stats.extra["boundary_pixels"])
+
+    def test_edge_table_is_small_and_traced_under_prepare(self, monkeypatch):
+        """~1 MB per 100 polygons at ``grid_resolution=1024``, built
+        inside the ``prepare`` span under its own name."""
+        from repro.data import generate_voronoi_regions
+        from repro.geometry.bbox import BBox
+        from repro.obs import trace
+
+        regions = generate_voronoi_regions(
+            100, BBox(0.0, 0.0, 1000.0, 1000.0), seed=4
+        )
+        points = PointDataset(np.asarray([500.0]), np.asarray([500.0]))
+        session = QuerySession(store=False)
+        engine = AccurateRasterJoin(
+            resolution=256, grid_resolution=1024, session=session
+        )
+        monkeypatch.setenv(trace.TRACE_ENV_VAR, "1")
+        result = engine.execute(points, regions)
+        (artifact,) = session._entries.values()
+        assert artifact.edge_table.nbytes <= 1 << 20
+        (prepare,) = [s for s in result.trace.children if s.name == "prepare"]
+        (span,) = [s for s in prepare.children if s.name == "edge-table"]
+        assert span.attrs["polygons"] == 100
 
     def test_artifact_is_picklable_for_process_backend(self, uniform_points,
                                                        three_regions):

@@ -2,10 +2,58 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import tempfile
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import PointDataset, Polygon, PolygonSet
+from repro.cache.prepared import PreparedPolygons
+from repro.exec import backend as exec_backend
+from repro.exec import shm
+from repro.store.store import STORE_DIR_ENV_VAR
+
+
+@pytest.fixture(autouse=True)
+def _isolated_process_state(monkeypatch):
+    """Keep one test's backends and store contents out of the next.
+
+    * When the environment supplies ``$REPRO_STORE_DIR`` (the store CI
+      legs), each test gets its own sub-root, so a session's cold / miss
+      / pool events are the test's own and not whatever an earlier test
+      left on disk.
+    * Every execution backend a test created and left open is closed
+      afterwards: an open resident pool keeps its state blob and result
+      buffer alive in shared memory.  Under the shared-memory leg the
+      registry must then be empty — a segment that outlives its test is
+      a leaked lease.
+    """
+    root = os.environ.get(STORE_DIR_ENV_VAR)
+    if root:
+        os.makedirs(root, exist_ok=True)
+        monkeypatch.setenv(STORE_DIR_ENV_VAR, tempfile.mkdtemp(dir=root))
+    before = weakref.WeakSet(exec_backend._LIVE_BACKENDS)
+    yield
+    for backend in list(exec_backend._LIVE_BACKENDS):
+        if backend not in before:
+            backend.close()
+    if (
+        os.environ.get(exec_backend.BACKEND_ENV_VAR) == "process"
+        and exec_backend.flag_from_env(shm.SHM_ENV_VAR, False)
+    ):
+        gc.collect()
+        assert shm.REGISTRY.live_segments() == 0
+
+
+def edge_table_for(polygons: PolygonSet, grid):
+    """The boundary PIP's edge table over ``grid``, built the way the
+    engines build it: by a prepared artifact, from its own MBR columns."""
+    prepared = PreparedPolygons(polygons)
+    prepared.grid = grid
+    return prepared.ensure_edge_table(polygons)
 
 
 def random_star_polygon(
@@ -107,3 +155,33 @@ def brute_force_sums(
             for p in polygons
         ]
     )
+
+
+def brute_force_values(
+    points: PointDataset,
+    polygons: PolygonSet,
+    function: str,
+    column: str | None = None,
+    keep: np.ndarray | None = None,
+) -> np.ndarray:
+    """Reference answer for any supported aggregate: exhaustive PIP per
+    polygon over the points ``keep`` selects, reduced with plain NumPy
+    (``count`` / ``sum`` / ``avg`` / ``min`` / ``max``; an empty ``avg``,
+    ``min`` or ``max`` is NaN, as the engines report it)."""
+    keep = np.ones(len(points), dtype=bool) if keep is None else keep
+    values = None if column is None else points.column(column)
+    out = []
+    for polygon in polygons:
+        inside = polygon.contains_points(points.xs, points.ys) & keep
+        if function == "count":
+            out.append(float(np.count_nonzero(inside)))
+        elif function == "sum":
+            out.append(float(np.sum(values[inside], dtype=np.float64)))
+        elif not inside.any():
+            out.append(np.nan)
+        elif function == "avg":
+            out.append(float(np.sum(values[inside], dtype=np.float64))
+                       / float(np.count_nonzero(inside)))
+        else:
+            out.append(float(getattr(np, function)(values[inside])))
+    return np.asarray(out)

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from repro import (
+    AccurateRasterJoin,
     Average,
     BoundedRasterJoin,
     Count,
     Filter,
     FilterSet,
+    Max,
+    Min,
     PointDataset,
+    Polygon,
+    PolygonSet,
+    QuerySession,
     Sum,
 )
 from repro.core.engine import (
@@ -19,6 +25,7 @@ from repro.core.engine import (
 )
 from repro.index.grid import GridIndex
 from repro.types import ExecutionStats
+from tests.conftest import edge_table_for
 
 
 class TestRequiredColumns:
@@ -52,38 +59,173 @@ class TestGridPipAggregate:
         grid = GridIndex(three_regions, resolution=64)
         xs = rng.uniform(0, 100, 5000)
         ys = rng.uniform(0, 100, 5000)
-        return grid, xs, ys
+        return grid, edge_table_for(three_regions, grid), xs, ys
 
     def test_counts_match_brute_force(self, setup, three_regions):
-        grid, xs, ys = setup
+        grid, edges, xs, ys = setup
         acc = {"count": np.zeros(3)}
         stats = ExecutionStats()
-        grid_pip_aggregate(xs, ys, {}, grid, three_regions, Count(), acc, stats)
+        grid_pip_aggregate(xs, ys, {}, grid, edges, Count(), acc, stats)
         expected = np.asarray(
             [p.contains_points(xs, ys).sum() for p in three_regions], float
         )
         assert np.array_equal(acc["count"], expected)
         assert stats.pip_tests > 0
 
-    def test_empty_input_noop(self, setup, three_regions):
-        grid, *_ = setup
+    def test_empty_input_noop(self, setup):
+        grid, edges, *_ = setup
         acc = {"count": np.zeros(3)}
         stats = ExecutionStats()
         grid_pip_aggregate(
-            np.zeros(0), np.zeros(0), {}, grid, three_regions, Count(),
-            acc, stats,
+            np.zeros(0), np.zeros(0), {}, grid, edges, Count(), acc, stats,
         )
         assert acc["count"].sum() == 0
         assert stats.pip_tests == 0
 
-    def test_points_outside_extent_skipped(self, setup, three_regions):
-        grid, *_ = setup
+    def test_points_outside_extent_skipped(self, setup):
+        grid, edges, *_ = setup
         acc = {"count": np.zeros(3)}
         stats = ExecutionStats()
         xs = np.asarray([-500.0, 1e6])
         ys = np.asarray([-500.0, 1e6])
-        grid_pip_aggregate(xs, ys, {}, grid, three_regions, Count(), acc, stats)
+        grid_pip_aggregate(xs, ys, {}, grid, edges, Count(), acc, stats)
         assert acc["count"].sum() == 0
+
+    @pytest.mark.parametrize("agg", [Sum("v"), Min("v"), Max("v")])
+    def test_candidates_outside_every_mbr_leave_accumulators(
+        self, setup, agg
+    ):
+        """Candidate pairs exist (the cells are registered) but every
+        point misses its candidates' MBRs: tests are counted, nothing
+        blends, no polygon becomes a segment."""
+        grid, edges, *_ = setup
+        # In region 0's last bbox column / row of cells (the extent's
+        # padding leaves a sliver of each beyond the box), outside the
+        # box itself by a hair.
+        xs = np.asarray([40.00000001, 30.0])
+        ys = np.asarray([20.0, 40.00000001])
+        acc = {ch: np.full(3, agg.identity()) for ch in agg.channels}
+        before = {ch: a.copy() for ch, a in acc.items()}
+        stats = ExecutionStats()
+        grid_pip_aggregate(
+            xs, ys, {"v": np.asarray([5.0, 6.0])}, grid, edges, agg, acc,
+            stats,
+        )
+        assert stats.pip_tests > 0
+        for ch in acc:
+            assert np.array_equal(acc[ch], before[ch])
+
+    def test_point_beyond_polygon_rows_inside_its_cell(self):
+        """A point above / below a polygon's y-range but inside a grid
+        cell the polygon registers in: the pair has no band (or an empty
+        one) and must come out ``False``, not as a zero-length segment
+        that would read a neighbour's parity."""
+        regions = PolygonSet([
+            Polygon([(10, 10.2), (30, 10.2), (30, 10.7), (10, 10.7)]),
+            Polygon([(10, 40), (30, 40), (20, 60)]),
+            Polygon([(40, 0), (50, 0), (50, 5)]),
+        ])
+        grid = GridIndex(regions, resolution=4)  # fat cells
+        edges = edge_table_for(regions, grid)
+        xs = np.asarray([20.0, 20.0, 20.0, 20.0])
+        ys = np.asarray([10.1, 10.9, 10.5, 45.0])
+        cells = grid.cell_of_points(xs, ys)
+        assert len(grid.candidates_of_cell(int(cells[0])))  # a real pair
+        acc = {"sum": np.zeros(3)}
+        stats = ExecutionStats()
+        grid_pip_aggregate(
+            xs, ys, {"v": np.asarray([1.0, 2.0, 4.0, 8.0])}, grid, edges,
+            Sum("v"), acc, stats,
+        )
+        assert acc["sum"].tolist() == [4.0, 8.0, 0.0]
+
+    def test_nan_attribute_poisons_min_and_max(self, setup, three_regions):
+        grid, edges, xs, ys = setup
+        values = np.arange(len(xs), dtype=np.float64)
+        inside0 = np.flatnonzero(three_regions[0].contains_points(xs, ys))
+        values[inside0[3]] = np.nan
+        for agg in (Min("v"), Max("v")):
+            (ch,) = agg.channels
+            acc = {ch: np.full(3, agg.identity())}
+            grid_pip_aggregate(
+                xs, ys, {"v": values}, grid, edges, agg, acc,
+                ExecutionStats(),
+            )
+            assert np.isnan(acc[ch][0])
+            assert np.isfinite(acc[ch][1:]).all()
+
+
+class TestPolygonPass:
+    """The flat polygon pass's corner cases, through the engines."""
+
+    def test_polygon_whose_every_pixel_is_boundary(self, uniform_points):
+        """A sliver thinner than a pixel keeps no coverage pixel: it must
+        not become a segment (``reduceat`` would hand it its neighbour's
+        first pixel), and its answer comes from the PIP path alone."""
+        regions = PolygonSet([
+            Polygon([(10, 10), (60, 12), (55, 60), (12, 50)]),
+            Polygon([(70, 20.0), (90, 20.0), (90, 20.3), (70, 20.3)]),
+            Polygon([(65, 65), (95, 70), (80, 95)]),
+        ])
+        cold_engine = AccurateRasterJoin(resolution=64, grid_resolution=32)
+        session = QuerySession(store=False)
+        engine = AccurateRasterJoin(
+            resolution=64, grid_resolution=32, session=session
+        )
+        for agg in (Count(), Sum("fare"), Min("fare"), Max("fare")):
+            result = engine.execute(uniform_points, regions, aggregate=agg)
+            inside = [
+                p.contains_points(uniform_points.xs, uniform_points.ys)
+                for p in regions
+            ]
+            fares = uniform_points.column("fare")
+            if isinstance(agg, Count):
+                want = [float(m.sum()) for m in inside]
+            elif isinstance(agg, Sum):
+                want = [float(fares[m].sum()) for m in inside]
+            elif isinstance(agg, Min):
+                want = [float(fares[m].min()) for m in inside]
+            else:
+                want = [float(fares[m].max()) for m in inside]
+            assert np.allclose(result.values, want, rtol=1e-9, atol=0)
+            assert np.array_equal(
+                result.values,
+                cold_engine.execute(
+                    uniform_points, regions, aggregate=agg
+                ).values,
+            )
+        (artifact,) = session._entries.values()
+        (record,) = artifact.coverage.values()
+        assert 1 not in record.pids.tolist()
+        assert len(record.pids) == len(record.starts) == 2
+        assert np.all(np.diff(np.append(record.starts, len(record.pixels))) > 0)
+
+    def test_min_max_on_constant_channel_yield_one(self, uniform_points,
+                                                   three_regions):
+        for blend in ("min", "max"):
+            agg = ConstantPresence()
+            agg.blend = blend
+            result = AccurateRasterJoin(
+                resolution=64, grid_resolution=32
+            ).execute(uniform_points, three_regions, aggregate=agg)
+            # Min over a framebuffer cleared to +inf still sees the 1.0s.
+            assert np.array_equal(result.values, np.ones(3))
+
+    def test_float32_framebuffer_sums_in_float64(self, three_regions, rng):
+        """The bounded engine's float32 channels reduce with float64
+        accumulation: every pixel's value is float32-exact here, the
+        per-polygon totals are not float32-representable."""
+        n = 4000
+        value = 4194305.0  # 2**22 + 1: k * value is float32-exact for k <= 4
+        points = PointDataset(
+            rng.uniform(0, 100, n), rng.uniform(0, 100, n),
+            {"v": np.full(n, value)},
+        )
+        engine = BoundedRasterJoin(resolution=256)
+        sums = engine.execute(points, three_regions, aggregate=Sum("v")).values
+        counts = engine.execute(points, three_regions).values
+        assert np.array_equal(sums, counts * value)
+        assert np.any(sums.astype(np.float32).astype(np.float64) != sums)
 
 
 class TestExecuteValidation:
@@ -166,7 +308,10 @@ class TestGridPipAggregateNonAddConstantChannel:
         ys = rng.uniform(0, 100, 2000)
         acc = {"count": np.full(3, agg.identity())}
         stats = ExecutionStats()
-        grid_pip_aggregate(xs, ys, {}, grid, three_regions, agg, acc, stats)
+        grid_pip_aggregate(
+            xs, ys, {}, grid, edge_table_for(three_regions, grid), agg, acc,
+            stats,
+        )
         matched = np.asarray(
             [p.contains_points(xs, ys).any() for p in three_regions]
         )

@@ -123,6 +123,22 @@ class TestResidentBitIdentity:
         gc.collect()
         assert shm.REGISTRY.live_segments() == 0
 
+    def test_dropped_backend_gives_its_leases_back(self):
+        """A backend that goes out of scope without ``close()`` must not
+        strand its state blobs and result buffer until interpreter exit:
+        collecting it releases the leases (the pool is not joined)."""
+        import gc
+
+        before = shm.REGISTRY.live_segments()
+        backend = ProcessBackend(workers=2, resident=True)
+        backend.resident_state("token", None, lambda: b"state")
+        backend.resident_result((4, 1, 6))
+        backend.resident_result((4, 2, 6))  # reallocated: old one freed
+        assert shm.REGISTRY.live_segments() == before + 2
+        del backend
+        gc.collect()
+        assert shm.REGISTRY.live_segments() == before
+
 
 def _bad_spec(index: int, state_ref, result_ref) -> TileTaskSpec:
     """A spec whose state segment does not exist: the worker's load

@@ -2,8 +2,7 @@
 
 Every batched primitive must be *bit-identical* to its scalar
 per-triangle reference — same snap, same fill-rule tie-break, same
-fragment order, same float64 reduction.  These tests pin that contract
-triangle by triangle.
+fragment order.  These tests pin that contract triangle by triangle.
 """
 
 import numpy as np
@@ -13,17 +12,13 @@ from repro.geometry.bbox import BBox
 from repro.geometry.triangulate import triangulate_polygon
 from repro.graphics.raster_batch import (
     DEFAULT_FRAGMENT_BUDGET,
-    accumulate_triangle_sums_batch,
     bin_polygons_to_tile,
     coverage_pieces_by_polygon,
     flatten_triangles,
     rasterize_triangles,
 )
 from repro.graphics.raster_line import outline_pixels, outline_pixels_many
-from repro.graphics.raster_triangle import (
-    accumulate_triangle_sums,
-    covered_pixels,
-)
+from repro.graphics.raster_triangle import covered_pixels
 from repro.graphics.viewport import Viewport
 from tests.conftest import random_star_polygon
 
@@ -137,29 +132,6 @@ class TestCoveragePieces:
         pieces = coverage_pieces_by_polygon(VP, {3: [off], 7: []})
         assert pieces[3] == []
         assert pieces[7] == []
-
-
-class TestAccumulateSums:
-    def test_bit_equal_reduction(self):
-        """The batched fragment-shader sum keeps the scalar reduction's
-        float64 ``where=mask`` semantics exactly — dtype, masking, and
-        pairwise-summation order all pinned (regression: a 1-D gathered
-        sum re-associates the additions and drifts in the last ulp)."""
-        rng = np.random.default_rng(6)
-        _, tris = _random_scene(6)
-        channel = rng.uniform(-1e9, 1e9, (VP.height, VP.width))
-        flat = [t for pid in sorted(tris) for t in tris[pid]]
-        batch = accumulate_triangle_sums_batch(VP, channel, flat)
-        assert batch.dtype == np.float64
-        for i, tri in enumerate(flat):
-            ref = accumulate_triangle_sums(VP, channel, tri)
-            assert batch[i] == ref  # bitwise, not allclose
-
-    def test_degenerate_sum_is_zero(self):
-        channel = np.ones((VP.height, VP.width))
-        tri = np.array([(10.0, 10.0), (20.0, 10.0), (30.0, 10.0)])
-        batch = accumulate_triangle_sums_batch(VP, channel, [tri])
-        assert batch[0] == accumulate_triangle_sums(VP, channel, tri) == 0.0
 
 
 class TestOutlineMany:

@@ -90,13 +90,27 @@ def scalar_coverage(tile, polygons, boundary=None) -> list:
     return coverage
 
 
-def assert_coverage_equal(actual: list, expected: list) -> None:
-    assert [pid for pid, _ in actual] == [pid for pid, _ in expected]
-    for (_, pieces_a), (_, pieces_b) in zip(actual, expected):
-        assert len(pieces_a) == len(pieces_b)
-        for (iy_a, ix_a), (iy_b, ix_b) in zip(pieces_a, pieces_b):
-            assert np.array_equal(iy_a, iy_b)
-            assert np.array_equal(ix_a, ix_b)
+def assert_coverage_equal(actual, expected: list, width: int) -> None:
+    """The engine's flat record equals the scalar kernel's piece list,
+    flattened: same polygons, same pixels in the same piece-major order."""
+    assert actual.pids.tolist() == [pid for pid, _ in expected]
+    segments = [
+        np.concatenate([iy * width + ix for iy, ix in pieces])
+        for _, pieces in expected
+    ]
+    lengths = [len(segment) for segment in segments]
+    assert actual.starts.tolist() == (np.cumsum(lengths) - lengths).tolist()
+    assert np.array_equal(
+        actual.pixels,
+        np.concatenate(segments) if segments else np.zeros(0, dtype=np.int64),
+    )
+
+
+def assert_records_equal(mine: dict, theirs: dict) -> None:
+    assert set(mine) == set(theirs)
+    for idx, record in mine.items():
+        for a, b in zip(record, theirs[idx]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def assert_artifact_matches_scalar(artifact, polygons, exact: bool) -> None:
@@ -109,7 +123,8 @@ def assert_artifact_matches_scalar(artifact, polygons, exact: bool) -> None:
             boundary = scalar_boundary(tile, polygons)
             assert np.array_equal(artifact.boundary_masks[idx], boundary)
         assert_coverage_equal(
-            artifact.coverage[idx], scalar_coverage(tile, polygons, boundary)
+            artifact.coverage[idx], scalar_coverage(tile, polygons, boundary),
+            tile.width,
         )
 
 
@@ -242,15 +257,7 @@ class TestStoreRoundTrip:
         artifact = session._entries[key]
         loaded = store.load(key, many_regions)
         assert loaded is not None
-        assert set(loaded.coverage) == set(artifact.coverage)
-        for idx, entries in artifact.coverage.items():
-            for (pid_a, pieces_a), (pid_b, pieces_b) in zip(
-                entries, loaded.coverage[idx]
-            ):
-                assert pid_a == pid_b
-                for (iy_a, ix_a), (iy_b, ix_b) in zip(pieces_a, pieces_b):
-                    assert np.array_equal(iy_a, iy_b)
-                    assert np.array_equal(ix_a, ix_b)
+        assert_records_equal(artifact.coverage, loaded.coverage)
         # Warm replay from disk is bit-identical.
         other = QuerySession(store=store)
         replay = AccurateRasterJoin(

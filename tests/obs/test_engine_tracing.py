@@ -163,7 +163,7 @@ class TestMetricsWiring:
     def test_session_lookups_and_device_peak_reported(self, uniform_points,
                                                       three_regions):
         metrics.reset()
-        session = QuerySession()
+        session = QuerySession(store=False)  # the "miss" must be a build
         engine = AccurateRasterJoin(device=GPUDevice(), session=session)
         engine.execute(uniform_points, three_regions)
         engine.execute(uniform_points, three_regions)

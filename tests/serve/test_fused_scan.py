@@ -136,6 +136,28 @@ class TestFusedScan:
             uniform_points, queries, results, resolution=128
         )
 
+    def test_budget_strip_between_prepare_and_tiles_matches_solo(
+        self, uniform_points, region_sets
+    ):
+        # Under byte pressure the second member's prepare strips (then
+        # demotes) the first member's warm artifact after it was
+        # prepared and before any tile ran: the tile tasks must still
+        # find everything they read and answer as solo runs do.
+        set_a, set_b = region_sets
+        queries = [
+            FusedQuery(set_a, Count(), FilterSet()),
+            FusedQuery(set_b, Sum("fare"), FilterSet()),
+        ]
+        session = QuerySession(store=False)
+        engine = AccurateRasterJoin(resolution=128, session=session)
+        engine.execute(uniform_points, set_a)
+        session.byte_budget = 1
+        results = execute_fused(engine, uniform_points, queries)
+        assert session.partial_demotions > 0
+        _assert_members_match_solo(
+            uniform_points, queries, results, resolution=128
+        )
+
     def test_canvas_mismatch_falls_back(self, uniform_points, rng):
         # Different bounding boxes derive different canvases: the
         # runtime gate must refuse rather than mis-project.

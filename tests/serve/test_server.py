@@ -133,7 +133,7 @@ class TestServing:
         error, and the fallback is counted."""
 
         class Poisoned(Sum):
-            def reduce_pixels(self, pixel_values):
+            def reduce_segments(self, values, starts):
                 raise RuntimeError("poisoned aggregate")
 
         solos = {q: planner.execute(q) for q in (Q_COUNT, Q_FILTERED)}

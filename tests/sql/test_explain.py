@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import QuerySession
 from repro.errors import SqlError
 from repro.sql.explain import ExplainResult
 from repro.sql.parser import parse
@@ -60,7 +61,12 @@ class TestParsing:
 
 
 class TestReport:
-    def test_cold_then_warm_regimes(self, planner):
+    def test_cold_then_warm_regimes(self, uniform_points, three_regions):
+        # Asserts a tier state: the session is the test's own, with no
+        # ambient disk tier to answer the first statement warm.
+        planner = QueryPlanner(session=QuerySession(store=False))
+        planner.register_points("taxi", uniform_points)
+        planner.register_regions("hoods", three_regions)
         first = planner.execute("EXPLAIN ANALYZE " + QUERY)
         assert isinstance(first, ExplainResult)
         assert first.regime == "cold"

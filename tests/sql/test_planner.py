@@ -128,10 +128,13 @@ class TestSharedBackend:
     )
 
     def _parallel_planner(self, uniform_points, three_regions):
-        from repro import EngineConfig, GPUDevice
+        from repro import EngineConfig, GPUDevice, QuerySession
 
+        # The pool-event assertions below describe a first, cold
+        # statement: no ambient disk tier.
         p = QueryPlanner(
             device=GPUDevice(max_resolution=48),
+            session=QuerySession(store=False),
             config=EngineConfig(backend="thread", workers=2),
         )
         p.register_points("taxi", uniform_points)

@@ -98,15 +98,9 @@ class TestRoundTrip:
         for idx, mask in artifact.boundary_masks.items():
             assert np.array_equal(loaded.boundary_masks[idx], mask)
         assert set(loaded.coverage) == set(artifact.coverage)
-        for idx, entries in artifact.coverage.items():
-            assert len(loaded.coverage[idx]) == len(entries)
-            for (pid_a, pieces_a), (pid_b, pieces_b) in zip(
-                entries, loaded.coverage[idx]
-            ):
-                assert pid_a == pid_b and len(pieces_a) == len(pieces_b)
-                for (iy_a, ix_a), (iy_b, ix_b) in zip(pieces_a, pieces_b):
-                    assert np.array_equal(iy_a, iy_b)
-                    assert np.array_equal(ix_a, ix_b)
+        for idx, record in artifact.coverage.items():
+            for mine, theirs in zip(record, loaded.coverage[idx]):
+                assert np.array_equal(mine, theirs)
         # A session seeded only from disk replays bit-identically.
         other = QuerySession(store=store)
         replay = AccurateRasterJoin(

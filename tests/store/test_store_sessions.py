@@ -107,12 +107,7 @@ class TestByteBudgetTiers:
         full_bytes = artifact.nbytes
         partial_bytes = full_bytes - (
             sum(m.nbytes for m in artifact.boundary_masks.values())
-            + sum(
-                iy.nbytes + ix.nbytes
-                for entries in artifact.coverage.values()
-                for _, pieces in entries
-                for iy, ix in pieces
-            )
+            + sum(record.nbytes for record in artifact.coverage.values())
         )
         budget = (full_bytes + partial_bytes) // 2  # partial fits, full not
 
