@@ -15,15 +15,15 @@ pure function of (polygon geometry, render configuration):
 Since PR 5 the artifact is **composed from per-polygon units**
 (:class:`PolygonUnit`): each polygon carries its own content
 fingerprint, triangulation, grid-cell list, per-tile outline pixels,
-and per-tile raw coverage pieces, and the set-level arrays the engines
-consume (the boundary mask, the boundary-excluded flat coverage record,
-the CSR grid) are cheap deterministic *compositions* of those units.  That
-split is what makes single-polygon edits incremental: an edited set
-reuses every unchanged polygon's unit verbatim and re-rasterizes only
-the changed ones (see ``docs/incremental_edits.md``), while the
-composed views stay bit-identical to a from-scratch build by
-construction — composition replays the exact per-polygon loops the
-direct builders run, in the same polygon order.
+and per-tile coverage pixels, and the set-level arrays the engines
+consume (the boundary mask, the flat coverage record, the CSR grid) are
+cheap deterministic *compositions* of those units.  That split is what
+makes single-polygon edits incremental: an edited set reuses every
+unchanged polygon's unit verbatim and re-rasterizes only the changed
+ones (see ``docs/incremental_edits.md``), while the composed views stay
+bit-identical to a from-scratch build by construction — composition
+lays the per-polygon slices out in the same polygon order a direct
+build emits them in.
 
 Artifacts are populated lazily: an engine fills in exactly the fields its
 algorithm needs, on first use, and later executions with the same polygon
@@ -51,16 +51,20 @@ from repro.obs import trace
 
 
 class TileCoverage(NamedTuple):
-    """One tile's composed coverage: a flat table the polygon pass
-    consumes with one gather and one segmented reduction per channel.
+    """One tile's coverage, the only form it is held in: a flat table
+    the polygon pass consumes with one gather and one segmented
+    reduction per channel.
 
-    ``pixels`` concatenates every polygon's kept pixels as flat
+    ``pixels`` concatenates every polygon's raster fragments as flat
     ``iy * width + ix`` indices, in polygon order with each polygon's
-    raw piece order preserved; ``pids`` are the polygons that kept at
-    least one pixel and ``starts[k]`` is where ``pids[k]``'s segment
-    begins — so no segment is ever empty.  A pixel two polygons cover
-    appears in both segments (it counts for both), which is why this is
-    an index table and not a label map.
+    raster order (triangle-major, row-major) preserved; ``pids`` are the
+    polygons that cover at least one pixel and ``starts[k]`` is where
+    ``pids[k]``'s segment begins — so no segment is ever empty.  A pixel
+    two polygons cover appears in both segments (it counts for both),
+    which is why this is an index table and not a label map.  Pixels
+    under a polygon outline are listed like any other: their points
+    joined exactly and were never scattered, so the framebuffer holds
+    the blend identity there (``docs/rasterization.md``).
     """
 
     pixels: np.ndarray
@@ -153,9 +157,10 @@ class PolygonUnit:
       (under the entry's grid resolution/assignment/extent);
     * ``boundary[tile_idx]`` — ``(ix, iy)`` outline pixels on that tile
       (the polygon's contribution to the tile's boundary mask);
-    * ``coverage[tile_idx]`` — raw covered-pixel pieces ``(iy, ix)`` on
-      that tile, *before* boundary exclusion (exclusion depends on the
-      whole set's outlines, so it is applied at composition time);
+    * ``coverage[tile_idx]`` — the pixels this polygon covers on that
+      tile as flat ``iy * width + ix`` indices: a slice of a
+      :class:`TileCoverage` record's ``pixels`` (the owning artifact's
+      own record once that tile composes);
     * ``interior_cells`` / ``pip_cells`` / ``blocks`` — the aggregate
       pyramid's cell classification (see ``repro.cache.pyramid``):
       grid cells entirely inside this polygon, cells its boundary may
@@ -180,7 +185,7 @@ class PolygonUnit:
         self.triangles: list[np.ndarray] | None = None
         self.cells: np.ndarray | None = None
         self.boundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.coverage: dict[int, list] = {}
+        self.coverage: dict[int, np.ndarray] = {}
         self.interior_cells: np.ndarray | None = None
         self.pip_cells: np.ndarray | None = None
         self.blocks: list | None = None
@@ -251,8 +256,8 @@ class PreparedPolygons:
         self.grid: GridIndex | None = None
         #: tile index -> boolean boundary mask of that viewport (composed)
         self.boundary_masks: dict[int, np.ndarray] = {}
-        #: tile index -> :class:`TileCoverage` — the boundary-excluded,
-        #: engine-consumed composition (derived, never persisted)
+        #: tile index -> :class:`TileCoverage` — the units' slices laid
+        #: end to end; the units' own arrays are views into it
         self.coverage: dict[int, TileCoverage] = {}
         #: polygon MBRs as (xmin, xmax, ymin, ymax) column arrays
         self.mbr_arrays: tuple[np.ndarray, ...] | None = None
@@ -308,12 +313,12 @@ class PreparedPolygons:
 
         Unchanged polygons (matched by per-polygon fingerprint) adopt
         clones of the base units — triangulation, grid cells, outline
-        pixels, and raw coverage all carry over.  Changed and added
+        pixels, and coverage all carry over.  Changed and added
         polygons get empty units; the engines rebuild exactly those.
         Composed views are carried only for tiles no edited polygon's
         geometry (old or new) touches, and only when polygon ids are
         positionally stable; everything else recomposes from units —
-        cheap gathers, no rasterization.
+        an OR and a concatenate, no rasterization.
         """
         entry = cls(polygons, key, fingerprints)
         entry.canvas = base.canvas
@@ -383,7 +388,7 @@ class PreparedPolygons:
                 if cov is not None:
                     entry.coverage[idx] = cov
                     for pid in dirty:
-                        units[pid].coverage[idx] = []
+                        units[pid].coverage[idx] = empty
         entry.version += 1
         return entry
 
@@ -523,21 +528,21 @@ class PreparedPolygons:
         ]
 
     def missing_coverage_pids(self, tile_idx: int) -> list[int]:
-        """Polygon ids whose unit lacks raw coverage for this tile."""
+        """Polygon ids whose unit lacks coverage for this tile."""
         return [
             pid for pid, unit in enumerate(self.units)
             if tile_idx not in unit.coverage
         ]
 
-    def _tile_pieces(self, field: str, tile_idx: int, built: dict | None):
-        """``(pid, pieces)`` for one tile in polygon order: a unit's own
+    def _tile_slices(self, field: str, tile_idx: int, built: dict | None):
+        """``(pid, pixels)`` for one tile in polygon order: a unit's own
         state, else what ``built`` supplies for it."""
         for pid, unit in enumerate(self.units):
-            pieces = getattr(unit, field).get(tile_idx)
-            if pieces is None and built is not None:
-                pieces = built.get(pid)
-            if pieces is not None:
-                yield pid, pieces
+            pixels = getattr(unit, field).get(tile_idx)
+            if pixels is None and built is not None:
+                pixels = built.get(pid)
+            if pixels is not None:
+                yield pid, pixels
 
     def compose_boundary(
         self, tile_idx: int, tile, built: dict | None = None
@@ -549,52 +554,33 @@ class PreparedPolygons:
         so the mask equals a direct render of the whole set.
         """
         mask = np.zeros((tile.height, tile.width), dtype=bool)
-        for _, (ix, iy) in self._tile_pieces("boundary", tile_idx, built):
+        for _, (ix, iy) in self._tile_slices("boundary", tile_idx, built):
             if len(ix):
                 mask[iy, ix] = True
         return mask
 
     def compose_coverage(
-        self,
-        tile_idx: int,
-        boundary: np.ndarray | None,
-        built: dict | None = None,
+        self, tile_idx: int, built: dict | None = None
     ) -> TileCoverage:
-        """Flatten the raw pieces into the engine-consumed coverage record.
+        """Lay the polygons' coverage pixels end to end, in polygon order.
 
-        With a ``boundary`` mask, pixels under any polygon's outline are
-        dropped by one gather over the whole table (the accurate engine's
-        rule — those points joined exactly); without one every raw pixel
-        is kept (the bounded engine).  Dropping filters the concatenated
-        pieces in place, so each polygon's segment keeps its raw
-        piece-major, row-major order whatever built the pieces.
+        A polygon's coverage is a pure function of that polygon and the
+        frame, so composing is one concatenate — nothing is filtered, an
+        edit re-concatenates around the one slice it rebuilt, and the
+        accurate and bounded engines share the call.  ``built`` supplies
+        pixels for units not yet carrying this tile.
         """
-        width = self.tiles[tile_idx].width
-        pids: list[int] = []
-        counts: list[int] = []
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        for pid, pieces in self._tile_pieces("coverage", tile_idx, built):
-            if pieces:
+        pids, slices = [], []
+        for pid, pixels in self._tile_slices("coverage", tile_idx, built):
+            if len(pixels):
                 pids.append(pid)
-                counts.append(sum(len(piece_iy) for piece_iy, _ in pieces))
-                for piece_iy, piece_ix in pieces:
-                    rows.append(piece_iy)
-                    cols.append(piece_ix)
-        kept_pids = np.asarray(pids, dtype=np.int64)
-        kept = np.asarray(counts, dtype=np.int64)
-        if rows:
-            pixels = np.concatenate(rows) * width + np.concatenate(cols)
-        else:
-            pixels = np.zeros(0, dtype=np.int64)
-        if boundary is not None and len(pixels):
-            keep = ~boundary.ravel().take(pixels)
-            pixels = pixels[keep]
-            before = np.concatenate([[0], np.cumsum(keep)])
-            ends = np.cumsum(kept)
-            kept = before[ends] - before[ends - kept]
-            kept_pids, kept = kept_pids[kept > 0], kept[kept > 0]
-        return TileCoverage(pixels, kept_pids, np.cumsum(kept) - kept)
+                slices.append(pixels)
+        counts = np.asarray([len(pixels) for pixels in slices], dtype=np.int64)
+        return TileCoverage(
+            np.concatenate(slices) if slices else np.zeros(0, dtype=np.int64),
+            np.asarray(pids, dtype=np.int64),
+            np.cumsum(counts) - counts,
+        )
 
     def install_unit_boundary(self, tile_idx: int, built: dict) -> None:
         """Adopt freshly built per-polygon outline pixels for one tile."""
@@ -603,20 +589,27 @@ class PreparedPolygons:
         if built:
             self.version += 1
 
-    def install_unit_coverage(self, tile_idx: int, built: dict) -> None:
-        """Adopt freshly built per-polygon raw coverage for one tile."""
-        for pid, pieces in built.items():
-            self.units[pid].coverage[tile_idx] = pieces
-        if built:
-            self.version += 1
-
     def mark_composed(self, tile_idx: int, boundary=None, coverage=None) -> None:
-        """Install composed per-tile views (parent side of the merge)."""
+        """Install composed per-tile views (parent side of the merge).
+
+        A coverage record brings the per-polygon state with it: every
+        unit's slice for the tile is pointed into the record's
+        ``pixels`` (empty for polygons that own no segment), so the
+        tile's pixels are held once however the record was built.
+        """
         if boundary is not None and tile_idx not in self.boundary_masks:
             self.boundary_masks[tile_idx] = boundary
             self.version += 1
         if coverage is not None and tile_idx not in self.coverage:
             self.coverage[tile_idx] = coverage
+            counts = np.zeros(len(self.units), dtype=np.int64)
+            counts[coverage.pids] = np.diff(
+                coverage.starts, append=len(coverage.pixels)
+            )
+            for unit, pixels in zip(
+                self.units, np.split(coverage.pixels, np.cumsum(counts)[:-1])
+            ):
+                unit.coverage[tile_idx] = pixels
             self.version += 1
 
     @property
@@ -634,8 +627,8 @@ class PreparedPolygons:
     def has_derived(self) -> bool:
         """Whether the artifact carries re-derivable render state.
 
-        Boundary masks and coverage (composed *and* per-unit) are pure
-        functions of the fields that remain after stripping them (tiles,
+        Boundary masks, outline pixels and coverage are pure functions
+        of the fields that remain after stripping them (tiles,
         triangles, grid), so they are the first tier a byte-budgeted
         session gives back.
         """
@@ -648,8 +641,8 @@ class PreparedPolygons:
 
         The artifact becomes *partial*: triangles, grid cells, canvas,
         MBRs and the edge table stay hot while the (much larger)
-        per-pixel state — both the composed views and the per-unit raw
-        arrays — is released.  Only state a tile task re-derives by
+        per-pixel state — the composed views and the per-unit slices —
+        is released.  Only state a tile task re-derives by
         itself may go: a budget pass can strip an artifact whose tile
         loop is in flight, and the task reads the grid, the MBRs and the
         edge table without a rebuild path.  Engines re-derive the dropped
@@ -693,7 +686,9 @@ class PreparedPolygons:
         """Approximate artifact footprint (for capacity decisions).
 
         Triangulations are counted through the units (``triangles``
-        lists the same arrays); every composed view owns its arrays.
+        lists the same arrays).  A tile's coverage pixels are counted
+        once: through its record when the artifact holds one (the units'
+        slices are views into it), else through the units.
         """
         total = sum(mask.nbytes for mask in self.boundary_masks.values())
         total += sum(record.nbytes for record in self.coverage.values())
@@ -714,8 +709,8 @@ class PreparedPolygons:
                 ix.nbytes + iy.nbytes for ix, iy in unit.boundary.values()
             )
             total += sum(
-                iy.nbytes + ix.nbytes
-                for pieces in unit.coverage.values() for iy, ix in pieces
+                pixels.nbytes for idx, pixels in unit.coverage.items()
+                if idx not in self.coverage
             )
         return total
 

@@ -44,11 +44,13 @@ Invalidation rules (see ``docs/query_sessions.md`` and
 * :meth:`QuerySession.invalidate` drops in-memory entries eagerly when
   the caller wants memory back *now* (the store keeps its copies).
 
-The session also caches the **tile-point partition** of recent point
-sources (see :meth:`QuerySession.partition_lookup`): the partition
-depends only on the points and the canvas frame, so repeated queries —
+The session also caches **point-keyed acceleration state** — the
+tile-point partitions of recent point sources (see
+:meth:`QuerySession.partition_lookup`) and explicitly built aggregate
+pyramids (:meth:`QuerySession.pyramid_lookup`).  Both depend only on the
+points and a frame, never on the polygons, so repeated queries —
 including every iteration of a rezoning edit loop — skip the per-query
-partition scan entirely.
+partition scan entirely.  They share one LRU bounded by bytes alone.
 
 Results are bit-identical with and without a session, and with and
 without the store: engines run the same reduction code over the same
@@ -63,6 +65,7 @@ import os
 import threading
 import weakref
 from collections import Counter, OrderedDict
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -158,6 +161,33 @@ def _partition_bytes(per_tile) -> int:
     return total
 
 
+@dataclass
+class _PointState:
+    """One entry of the point-keyed cache.
+
+    A tile-point partition (``value`` is ``(per_tile, duplicates)``,
+    measured once when stored) or an aggregate pyramid (``value`` is the
+    pyramid, which grows as queries add channels, so its size is read
+    live; ``persisted_version`` is the pyramid version the store holds).
+    ``points`` is a strong reference — it keeps the identity key
+    unambiguous — and ``guard`` the content hash that validates it.
+    """
+
+    kind: str
+    points: object
+    guard: str
+    token: tuple
+    value: object
+    stored_nbytes: int | None = None
+    persisted_version: int = -1
+
+    @property
+    def nbytes(self) -> int:
+        if self.stored_nbytes is not None:
+            return self.stored_nbytes
+        return self.value.nbytes
+
+
 class Warmth(str):
     """A warmth grade (``"full"`` / ``"partial"``) with a warm fraction.
 
@@ -190,9 +220,12 @@ class QuerySession:
     byte_budget:
         Optional cap on the summed ``nbytes`` of in-memory artifacts
         (plain int or a ``"256M"``-style string).  Over budget, cached
-        tile-point partitions are reclaimed first, then cold entries
-        are stripped to partial artifacts and finally demoted out of
-        memory entirely, LRU-first.  Accounting is per entry and
+        point-keyed state (tile-point partitions, aggregate pyramids) is
+        reclaimed first, then cold entries are stripped to partial
+        artifacts and finally demoted out of memory entirely, LRU-first.
+        It is also the bound on that point-keyed state by itself (the
+        512 MB :attr:`PARTITION_BYTE_CAP` when unset).  Accounting is
+        per entry and
         therefore *conservative* for delta-derived siblings, which
         share most of their arrays with their base: the summed figure
         is an upper bound on real memory, so pressure may strip shared
@@ -212,8 +245,6 @@ class QuerySession:
         capacity: int = 8,
         byte_budget: int | str | None = None,
         store=None,
-        partition_capacity: int = 4,
-        pyramid_capacity: int = 2,
     ) -> None:
         if capacity < 1:
             raise QueryError(f"session capacity must be >= 1, got {capacity}")
@@ -222,19 +253,12 @@ class QuerySession:
         self.capacity = capacity
         self.byte_budget = parse_bytes(byte_budget)
         self.store = ArtifactStore.coerce(store)
-        #: How many tile-point partitions to retain (0 disables).  Each
-        #: cached partition holds per-tile copies of the point columns,
-        #: so the cap bounds that memory; entries are keyed by the point
-        #: source's identity and evicted LRU.
-        self.partition_capacity = partition_capacity
-        self._partitions: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: How many aggregate pyramids to retain (0 disables the memory
-        #: tier; the store tier still answers).  Keyed like partitions —
-        #: by point-source identity plus the grid-frame token, validated
-        #: by content hash — and evicted LRU.  Entries are
-        #: ``(points, guard, token, pyramid, persisted_version)``.
-        self.pyramid_capacity = pyramid_capacity
-        self._pyramids: "OrderedDict[tuple, list]" = OrderedDict()
+        #: Point-keyed acceleration state — tile-point partitions and
+        #: aggregate pyramids — in one LRU: ``(kind, id(points), *token)
+        #: -> _PointState``, keyed by the point source's identity,
+        #: validated by content hash and bounded by bytes alone (see
+        #: :meth:`_evict_point_state`).
+        self._point_cache: "OrderedDict[tuple, _PointState]" = OrderedDict()
         #: Memoized content guards: ``id(points) -> (points, fold,
         #: guard)``.  See :meth:`_cached_guard`.
         self._guards: "OrderedDict[int, tuple]" = OrderedDict()
@@ -258,8 +282,8 @@ class QuerySession:
         #: larger than its whole disk budget; suppresses pointless
         #: re-serialization until the artifact grows past that size.
         self._unstorable: dict[tuple, int] = {}
-        #: key -> (content signature, nbytes): the byte walk is O(all
-        #: coverage pieces), so it runs only when an entry's O(1)
+        #: key -> (content signature, nbytes): the byte walk visits
+        #: every unit's arrays, so it runs only when an entry's O(1)
         #: signature says the content actually changed.
         self._sizes: dict[tuple, tuple[tuple, int]] = {}
         self.hits = 0
@@ -511,14 +535,15 @@ class QuerySession:
         return None  # empty shell: execution rebuilds everything
 
     # ------------------------------------------------------------------
-    # Tile-point partition cache
+    # Point-keyed caches: tile-point partitions and aggregate pyramids
     # ------------------------------------------------------------------
-    #: Bytes of cached partition state retained when the session has no
-    #: ``byte_budget`` (with one, the budget governs instead).  The
-    #: accounting covers everything a cached entry pins: the per-tile
-    #: sub-chunk copies *and* the strong reference to the source
-    #: dataset itself.  Bounds what a long-lived default session can
-    #: hold; a partition larger than the cap is simply not cached.
+    #: Bytes of point-keyed state (partitions and pyramids together)
+    #: retained when the session has no ``byte_budget`` (with one, the
+    #: budget governs instead).  A partition's accounting covers
+    #: everything it pins: the per-tile sub-chunk copies *and* the
+    #: strong reference to the source dataset itself.  Bounds what a
+    #: long-lived default session can hold; an entry larger than the cap
+    #: is simply not cached.
     PARTITION_BYTE_CAP = 512 << 20
 
     @staticmethod
@@ -587,12 +612,69 @@ class QuerySession:
         guard = self._content_hash(points)
         self._guards[id(points)] = (points, fold, guard)
         self._guards.move_to_end(id(points))
-        # One memo per source either cache can hold.
-        while len(self._guards) > max(
-            self.partition_capacity + self.pyramid_capacity, 2
-        ):
+        # A memo pins its source: keep one per source the point cache
+        # holds, plus the sources being looked up and inserted now.
+        held = {id(state.points) for state in self._point_cache.values()}
+        while len(self._guards) > len(held) + 2:
             self._guards.popitem(last=False)
         return guard
+
+    def _point_lookup(self, kind: str, points, token: tuple):
+        """The validated ``kind`` entry for (points, token), or ``None``.
+
+        Keyed by the source's identity (an O(1) probe), validated by its
+        content guard: an entry whose source was mutated in place is
+        dropped, never replayed.
+        """
+        key = (kind, id(points)) + tuple(token)
+        state = self._point_cache.get(key)
+        if state is None:
+            return None
+        if state.points is not points or (
+            state.guard != self._cached_guard(points)
+        ):
+            del self._point_cache[key]
+            return None
+        self._point_cache.move_to_end(key)
+        return state
+
+    def _point_insert(self, state: _PointState) -> None:
+        """Retain ``state`` as the most recent entry, then hold the
+        point-keyed bytes to the cap."""
+        cap = (
+            self.byte_budget if self.byte_budget is not None
+            else self.PARTITION_BYTE_CAP
+        )
+        if state.nbytes > cap:
+            return  # caching it would immediately thrash the cap
+        key = (state.kind, id(state.points)) + state.token
+        self._point_cache[key] = state
+        self._point_cache.move_to_end(key)
+        self._evict_point_state(cap)
+
+    def _evict_point_state(self, limit: int) -> None:
+        """Drop point-keyed entries, least recently used first whatever
+        their kind, until they hold at most ``limit`` bytes.
+
+        Pure re-derivable acceleration state, so eviction only costs a
+        rebuild; a dirty pyramid is persisted on the way out (the store
+        tier keeps answering pyramid-warm).  Shared-memory partition
+        sub-chunks release their segment leases with the entry, via
+        their finalizers.
+        """
+        held = self._point_nbytes()
+        while self._point_cache and held > limit:
+            _, state = self._point_cache.popitem(last=False)
+            held -= state.nbytes
+            if state.kind == "pyramid":
+                self._flush_pyramid_entry(state)
+            metrics.counter("session_evictions", tier=state.kind)
+
+    def _point_nbytes(self, kind: str | None = None) -> int:
+        return sum(
+            state.nbytes for state in self._point_cache.values()
+            if kind is None or state.kind == kind
+        )
 
     @_locked
     def partition_lookup(self, points, token: tuple):
@@ -604,23 +686,17 @@ class QuerySession:
         in particular not on the polygons, so an edit loop keeps
         hitting.
         """
-        key = (id(points),) + tuple(token)
-        cached = self._partitions.get(key)
-        if cached is None:
+        state = self._point_lookup("partition", points, token)
+        if state is None:
             return None
-        held, guard, per_tile, duplicates, _ = cached
-        if held is not points or guard != self._cached_guard(points):
-            del self._partitions[key]
-            return None
-        self._partitions.move_to_end(key)
         self.partition_hits += 1
         metrics.counter("session_partition_hits")
-        return per_tile, duplicates
+        return state.value
 
     @_locked
     def partition_store(self, points, token: tuple, per_tile,
                         duplicates: int) -> None:
-        """Retain a freshly computed partition (LRU-bounded).
+        """Retain a freshly computed partition (byte-bounded LRU).
 
         The entry keeps a strong reference to ``points`` — both to keep
         the identity key unambiguous and because the per-tile sub-chunks
@@ -632,34 +708,18 @@ class QuerySession:
         the entry is dropped (LRU eviction, :meth:`invalidate`, or
         session GC) via their finalizers.
         """
-        if self.partition_capacity < 1:
-            return
-        nbytes = _partition_bytes(per_tile) + _source_bytes(points)
-        cap = (
-            self.byte_budget if self.byte_budget is not None
-            else self.PARTITION_BYTE_CAP
-        )
-        if nbytes > cap:
-            return  # caching it would immediately thrash the cap
-        key = (id(points),) + tuple(token)
-        self._partitions[key] = (
-            points, self._cached_guard(points), per_tile, duplicates, nbytes,
-        )
-        self._partitions.move_to_end(key)
-        while len(self._partitions) > self.partition_capacity or (
-            len(self._partitions) > 1 and self.partition_nbytes > cap
-        ):
-            self._partitions.popitem(last=False)
+        self._point_insert(_PointState(
+            "partition", points, self._cached_guard(points), tuple(token),
+            (per_tile, duplicates),
+            stored_nbytes=_partition_bytes(per_tile) + _source_bytes(points),
+        ))
 
     @property
     @_locked
     def partition_nbytes(self) -> int:
         """Bytes held by cached per-tile partition sub-chunks."""
-        return sum(entry[4] for entry in self._partitions.values())
+        return self._point_nbytes("partition")
 
-    # ------------------------------------------------------------------
-    # Aggregate-pyramid cache (see repro.cache.pyramid)
-    # ------------------------------------------------------------------
     @_locked
     def pyramid_lookup(self, points, token: tuple):
         """A resident (or store-tier) aggregate pyramid, or ``None``.
@@ -674,41 +734,34 @@ class QuerySession:
         restarted process answers pyramid-warm from disk.  Never builds.
         """
         token = tuple(token)
-        key = (id(points),) + token
-        guard = None
-        cached = self._pyramids.get(key)
-        if cached is not None:
-            held, held_guard, _, pyramid, _ = cached
-            guard = self._cached_guard(points)
-            if held is points and held_guard == guard:
-                self._pyramids.move_to_end(key)
-                self.pyramid_hits += 1
-                pyramid.uses += 1
-                metrics.counter("session_pyramid_lookups", result="hit")
-                return pyramid
-            del self._pyramids[key]
+        state = self._point_lookup("pyramid", points, token)
+        if state is not None:
+            self.pyramid_hits += 1
+            state.value.uses += 1
+            metrics.counter("session_pyramid_lookups", result="hit")
+            return state.value
         if self.store is None:
             return None
-        if guard is None:
-            guard = self._cached_guard(points)
+        guard = self._cached_guard(points)
         pyramid = self.store.load_pyramid((guard,) + token)
         if pyramid is None:
             return None
         self.pyramid_store_hits += 1
         metrics.counter("session_pyramid_lookups", result="store_hit")
-        self._pyramid_insert(points, guard, token, pyramid,
-                             persisted_version=pyramid.version)
+        self._point_insert(_PointState(
+            "pyramid", points, guard, token, pyramid,
+            persisted_version=pyramid.version,
+        ))
         return pyramid
 
     @_locked
     def pyramid_register(self, points, token: tuple, pyramid) -> None:
         """Retain an explicitly built pyramid (persisted at the next
         checkpoint when a store is attached)."""
-        token = tuple(token)
-        self._pyramid_insert(
-            points, self._cached_guard(points), token, pyramid,
-            persisted_version=-1,
-        )
+        self._point_insert(_PointState(
+            "pyramid", points, self._cached_guard(points), tuple(token),
+            pyramid,
+        ))
 
     @_locked
     def pyramid_warm(self, points, token: tuple) -> bool:
@@ -720,61 +773,42 @@ class QuerySession:
         but fails the content guard at execution, which costs one
         mispredicted plan, never a wrong result.
         """
-        return ((id(points),) + tuple(token)) in self._pyramids
-
-    def _pyramid_insert(self, points, guard: str, token: tuple, pyramid,
-                        persisted_version: int) -> None:
-        if self.pyramid_capacity < 1:
-            return
-        cap = (
-            self.byte_budget if self.byte_budget is not None
-            else self.PARTITION_BYTE_CAP
-        )
-        if pyramid.nbytes > cap:
-            return
-        key = (id(points),) + tuple(token)
-        self._pyramids[key] = [points, guard, token, pyramid,
-                               persisted_version]
-        self._pyramids.move_to_end(key)
-        while len(self._pyramids) > self.pyramid_capacity:
-            self._flush_pyramid_entry(self._pyramids.popitem(last=False)[1])
+        return (("pyramid", id(points)) + tuple(token)) in self._point_cache
 
     @property
     @_locked
     def pyramid_nbytes(self) -> int:
         """Bytes held by resident aggregate pyramids."""
-        return sum(entry[3].nbytes for entry in self._pyramids.values())
+        return self._point_nbytes("pyramid")
 
-    def _flush_pyramid_entry(self, entry: list) -> bool:
+    def _flush_pyramid_entry(self, state: _PointState) -> bool:
         """Persist one pyramid entry's channels if the store lacks them."""
         if self.store is None:
             return False
-        _, guard, token, pyramid, persisted_version = entry
-        if pyramid.version <= persisted_version or not pyramid.channels:
+        pyramid = state.value
+        if pyramid.version <= state.persisted_version or not pyramid.channels:
             return False
         from repro.store import ArtifactTooLargeError
 
         try:
-            self.store.save_pyramid((guard,) + tuple(token), pyramid)
-        except ArtifactTooLargeError:
-            entry[4] = pyramid.version  # refused at this size: stop retrying
-            return False
-        except (TypeError, ValueError):
-            entry[4] = pyramid.version
+            self.store.save_pyramid((state.guard,) + state.token, pyramid)
+        except (ArtifactTooLargeError, TypeError, ValueError):
+            # Refused at this size / unaddressable spec: stop retrying.
+            state.persisted_version = pyramid.version
             return False
         except OSError:
             self.store.save_failures += 1
             return False
-        entry[4] = pyramid.version
+        state.persisted_version = pyramid.version
         return True
 
     def _flush_pyramids(self) -> int:
         """Persist every dirty resident pyramid (checkpoint hook)."""
-        saved = 0
-        for entry in self._pyramids.values():
-            if self._flush_pyramid_entry(entry):
-                saved += 1
-        return saved
+        return sum(
+            self._flush_pyramid_entry(state)
+            for state in list(self._point_cache.values())
+            if state.kind == "pyramid"
+        )
 
     # ------------------------------------------------------------------
     # Tier maintenance
@@ -795,7 +829,7 @@ class QuerySession:
 
         ``exclude`` protects the entry being handed out of a lookup.
         Artifact sizes are measured once per event (``nbytes`` walks
-        every coverage piece, so it is the expensive part) and shared by
+        every unit's arrays, so it is the expensive part) and shared by
         the flush and both budget passes.  A session with neither a
         store nor a byte budget skips the measurement entirely — its
         warm hits stay O(1) as before, capacity eviction needs no sizes.
@@ -943,21 +977,8 @@ class QuerySession:
         # Tier 0: cached tile-point partitions and aggregate pyramids
         # are pure re-derivable acceleration state — under pressure they
         # go first, LRU-first, so the budget really bounds the session's
-        # whole footprint.  Dirty pyramids persist on the way out (the
-        # store tier keeps answering pyramid-warm).
-        while (
-            self._pyramids
-            and total + self.partition_nbytes + self.pyramid_nbytes
-            > self.byte_budget
-        ):
-            self._flush_pyramid_entry(self._pyramids.popitem(last=False)[1])
-            metrics.counter("session_evictions", tier="pyramid")
-        while (
-            self._partitions
-            and total + self.partition_nbytes > self.byte_budget
-        ):
-            self._partitions.popitem(last=False)
-            metrics.counter("session_evictions", tier="partition")
+        # whole footprint.
+        self._evict_point_state(self.byte_budget - total)
         if total <= self.byte_budget:
             return
         # Tier 1: strip re-derivable state (coverage, boundary masks)
@@ -1013,8 +1034,7 @@ class QuerySession:
             for key in list(self._entries):
                 self._forget(key)
             self._entries.clear()
-            self._partitions.clear()
-            self._pyramids.clear()
+            self._point_cache.clear()
             self._guards.clear()
             return removed
         fingerprint = polygon_fingerprint(polygons)

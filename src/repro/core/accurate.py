@@ -7,9 +7,11 @@ Three steps, following the paper:
 2. draw the points — a point whose fragment lands on a boundary pixel is
    joined exactly through the grid index (JoinPoint: probe + PIP against
    every candidate), every other point accumulates into the point FBO;
-3. draw the polygons — fragments on boundary pixels are discarded (their
-   points were already handled), the rest add their FBO partial aggregates
-   to the owning polygon.
+3. draw the polygons — every fragment adds its FBO partial aggregate to
+   the owning polygon.  The paper discards fragments on boundary pixels
+   (their points were already handled); here step 2 never scatters those
+   points, so the pixels hold the blend identity and the discard is
+   unnecessary (``docs/rasterization.md``).
 
 Only points near polygon outlines ever see a PIP test; everything else is
 pure rasterization.  The result is exact for any resolution — resolution
@@ -77,11 +79,6 @@ class AccurateRasterJoin(RasterJoinEngine):
             engine=self.name, exact=True, fbo_dtype=np.float64,
             device=device,
         )
-        # Whether a *resident* aggregate pyramid may answer queries
-        # (repro.cache.pyramid).  Building one is always explicit
-        # (build_pyramid / the planner's prewarm) — with nothing built,
-        # execution is byte-for-byte the pre-pyramid path either way.
-        self._pyramid = self.config.pyramid_enabled()
 
     # ------------------------------------------------------------------
     # Prepared state
@@ -189,7 +186,7 @@ class AccurateRasterJoin(RasterJoinEngine):
         candidate plan); optimistic the same way the session's
         :meth:`~repro.cache.session.QuerySession.pyramid_warm` is.
         """
-        if not self._pyramid or self.session is None:
+        if self.session is None:
             return False
         return self.session.pyramid_warm(points, self.pyramid_token(polygons))
 
@@ -203,14 +200,14 @@ class AccurateRasterJoin(RasterJoinEngine):
     ) -> tuple[AggregatePyramid, dict] | None:
         """The resident pyramid serving this query, or ``None`` (exact path).
 
-        ``None`` whenever the pyramid is disabled, nothing was ever
-        built, the aggregate has a shape the partials cannot express, or
-        filters are present (cell partials pre-aggregate over *all*
+        ``None`` whenever nothing was ever built (building is explicit:
+        :meth:`build_pyramid`), the aggregate has a shape the partials
+        cannot express, or filters are present (cell partials pre-aggregate over *all*
         points).  The gate never builds anything — a cold query costs
         one O(1) probe plus, with a store attached, one content hash for
         the disk-tier key.
         """
-        if not self._pyramid or self.session is None:
+        if self.session is None:
             return None
         if filters:
             return None

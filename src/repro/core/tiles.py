@@ -67,7 +67,7 @@ from repro.geometry.polygon import PolygonSet
 from repro.graphics.fbo import FrameBuffer
 from repro.graphics.raster_batch import (
     bin_polygons_to_tile,
-    coverage_pieces_by_polygon,
+    coverage_by_polygon,
 )
 from repro.graphics.raster_line import outline_pixels_many
 from repro.graphics.raster_polygon import scanline_polygon_pixels
@@ -84,11 +84,12 @@ class TileKernel:
     """What differs between the engines that run the tile task.
 
     ``exact`` selects the accurate join's boundary stage (outline mask,
-    PIP for points on it, boundary fragments excluded from the polygon
-    pass); without it every point rasterizes and every fragment counts —
-    the bounded join.  ``scanline`` swaps the batched triangle coverage
-    builder for the per-polygon scanline fill (the bounded engine's
-    raster-path ablation).  ``device`` plans and times the point uploads.
+    PIP for points on it, which therefore never reach the framebuffer);
+    without it every point rasterizes — the bounded join.  The polygon
+    pass is the same either way.  ``scanline`` swaps the batched
+    triangle coverage builder for the per-polygon scanline fill (the
+    bounded engine's raster-path ablation).  ``device`` plans and times
+    the point uploads.
     """
 
     engine: str
@@ -200,9 +201,9 @@ def run_tile(
     child, or in a resident spawned worker.  Nothing is read from an
     engine and shared prepared state is never mutated: the task builds
     what the artifact's per-polygon units lack, and under ``retain`` the
-    fresh pieces — composed views and per-polygon slices — travel home
-    in the partials.  The tile's trace subtree rides on the first
-    member's partial.
+    fresh pieces — the composed views and the per-polygon outlines —
+    travel home in the partials.  The tile's trace subtree rides on the
+    first member's partial.
     """
     tile = members[0].prepared.tiles[tile_idx]
     with trace.tile_scope(tracing, tile=tile_idx) as tile_span:
@@ -233,18 +234,15 @@ def run_tile(
                 tile, kernel, members, columns, chunks, boundaries, fbos,
                 partials,
             )
-        for member, partial, boundary, fbo in zip(
-            members, partials, boundaries, fbos
-        ):
+        for member, partial, fbo in zip(members, partials, fbos):
             with trace.span("polygon-pass"):
-                built, built_units = _polygon_pass(
-                    tile_idx, tile, kernel, member, boundary, fbo,
+                built = _polygon_pass(
+                    tile_idx, tile, kernel, member, fbo,
                     partial.accumulators, partial.stats,
                 )
             partial.saw_points = saw_points
             if retain:
                 partial.coverage = built
-                partial.unit_coverage = built_units
             if keep_fbo:
                 partial.payload = (tile, fbo)
         partials[0].span = tile_span
@@ -455,31 +453,30 @@ def _scatter(
 
 
 # -- stage 3: draw the polygons -----------------------------------------
-def _raw_coverage(
+def _build_coverage(
     tile: Viewport, kernel: TileKernel, member: TileMember, pids
-) -> dict[int, list]:
-    """Per-polygon ``(iy, ix)`` coverage pieces, before boundary exclusion.
+) -> dict[int, np.ndarray]:
+    """Per-polygon coverage pixels, as flat ``iy * width + ix`` indices.
 
     One batched raster pass over the requested polygons that pass the
-    tile bin gate: their triangles form one flat soup and the fragments
-    scatter back by the triangle → polygon map, one piece per non-empty
-    triangle in triangulation order.  The scanline kernel instead fills
-    each polygon whole (a single piece).  Gated-out pids map to empty
-    lists either way.
+    tile bin gate: their triangles form one flat soup whose fragments
+    come back polygon-contiguous, triangle-major in triangulation order.
+    The scanline kernel instead fills each polygon whole, row-major.
+    Gated-out pids map to empty arrays either way.
     """
     hit = _tile_pids(tile, member)
-    out: dict[int, list] = {pid: [] for pid in pids}
+    empty = np.zeros(0, dtype=np.int64)
+    out = {pid: empty for pid in pids}
     if kernel.scanline:
         for pid in pids:
             if hit[pid]:
                 ix, iy = scanline_polygon_pixels(
                     tile, member.polygons[pid].rings
                 )
-                if len(ix):
-                    out[pid].append((iy, ix))
+                out[pid] = iy * tile.width + ix
         return out
     triangles = member.prepared.triangles
-    out.update(coverage_pieces_by_polygon(
+    out.update(coverage_by_polygon(
         tile, {pid: triangles[pid] for pid in pids if hit[pid]}
     ))
     return out
@@ -490,33 +487,33 @@ def _polygon_pass(
     tile: Viewport,
     kernel: TileKernel,
     member: TileMember,
-    boundary: np.ndarray | None,
     fbo: FrameBuffer,
     accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
-) -> tuple[TileCoverage | None, dict | None]:
+) -> TileCoverage | None:
     """Reduce each polygon's covered pixels into its result slot.
 
-    Coverage is a pure function of the tile, the triangulation and the
-    boundary mask, so it is built once per artifact and replayed
-    afterwards; per query only one gather and one segmented reduction
-    per channel runs over the tile's flat coverage record — no loop over
-    polygons or pieces.  A build flattens raw per-polygon pieces in
-    polygon order, dropping fragments under ``boundary`` (those points
-    joined exactly); without a mask every raw pixel is coverage.
-    Returns ``(composed coverage, raw per-polygon pieces)`` freshly
-    built, ``None`` when the artifact held the tile.
+    Coverage is a pure function of the tile and the triangulation, so
+    it is built once per artifact and replayed afterwards; per query
+    only one gather and one segmented reduction per channel runs over
+    the tile's flat coverage record — no loop over polygons.  Every
+    raster fragment is read, boundary pixels included: the point pass
+    sent their points to the PIP path and scattered nothing there, so
+    they hold the blend identity and reduce to nothing.  Returns the
+    record when this call built it, ``None`` when the artifact held the
+    tile.
     """
     start = time.perf_counter()
     prepared = member.prepared
-    built = built_units = None
+    built = None
     coverage = prepared.coverage.get(tile_idx)
     if coverage is None:
-        built_units = _raw_coverage(
-            tile, kernel, member, prepared.missing_coverage_pids(tile_idx)
-        )
         coverage = built = prepared.compose_coverage(
-            tile_idx, boundary, built_units
+            tile_idx,
+            _build_coverage(
+                tile, kernel, member,
+                prepared.missing_coverage_pids(tile_idx),
+            ),
         )
     aggregate = member.aggregate
     for ch in aggregate.channels:
@@ -531,7 +528,7 @@ def _polygon_pass(
     elapsed = time.perf_counter() - start
     stats.processing_s += elapsed
     stats.polygon_pass_s += elapsed
-    return built, built_units
+    return built
 
 
 # ----------------------------------------------------------------------
@@ -838,8 +835,6 @@ def _merge_partial(
     trace.attach(partial.span)
     if partial.unit_boundary is not None:
         prepared.install_unit_boundary(partial.tile_idx, partial.unit_boundary)
-    if partial.unit_coverage is not None:
-        prepared.install_unit_coverage(partial.tile_idx, partial.unit_coverage)
     prepared.mark_composed(
         partial.tile_idx,
         boundary=partial.boundary_mask,

@@ -103,11 +103,15 @@ class TilePartial:
     pieces back to the parent (required under the process backend, where
     workers mutate copy-on-write clones of the artifact), and ``payload``
     is engine-specific (the bounded engine's per-tile FBO for §5 result
-    intervals).  ``unit_boundary`` and ``unit_coverage`` carry the
-    *per-polygon* slices of the same builds (polygon id -> outline
-    pixels / raw coverage pieces) so the parent can install them into
-    the artifact's :class:`~repro.cache.prepared.PolygonUnit` list —
-    the state that makes single-polygon edits incremental.  ``span`` is
+    intervals).  ``unit_boundary`` carries the *per-polygon* outline
+    pixels of the same build (polygon id -> pixels) so the parent can
+    install them into the artifact's
+    :class:`~repro.cache.prepared.PolygonUnit` list — the state that
+    makes single-polygon edits incremental.  Coverage needs no such
+    companion: the record is the per-polygon slices laid end to end, and
+    the parent points each unit into it
+    (:meth:`~repro.cache.prepared.PreparedPolygons.mark_composed`).
+    ``span`` is
     the tile task's finished trace subtree (plain picklable
     :class:`repro.obs.trace.Span` data, so it survives the process
     backend's result pickling), or ``None`` when tracing was off.
@@ -126,7 +130,6 @@ class TilePartial:
     boundary_mask: np.ndarray | None = None
     coverage: TileCoverage | None = None
     unit_boundary: dict | None = None
-    unit_coverage: dict | None = None
     payload: object = None
     span: object = None
     metrics: dict | None = None

@@ -4,8 +4,8 @@ An :class:`EngineConfig` is the single knob callers (engine constructors,
 the optimizer, the SQL planner) use to choose how tile tasks execute and
 where prepared-state artifacts persist.  It is deliberately tiny — a
 backend selector and worker count, an artifact-store location and cap,
-two on/off choices (point partitioning, the aggregate pyramid) and the
-process backend's dispatch mode (``shm``) — so it can be passed through
+one on/off choice (point partitioning) and the process backend's
+dispatch mode (``shm``) — so it can be passed through
 every layer unchanged and compared or hashed freely.  There is no
 switch for *how* tiles render: every query runs the one tile pipeline
 (:mod:`repro.core.tiles`) over the batched raster builders, and the
@@ -33,16 +33,6 @@ from repro.exec.backend import (
 #: single-tile canvases, so there is no correctness reason to opt out.
 PARTITION_ENV_VAR = "REPRO_PARTITION_POINTS"
 
-#: Environment hook for the aggregate-pyramid warm path; consulted when
-#: ``EngineConfig.pyramid`` is ``None``.  Defaults to on — but the flag
-#: only governs whether the accurate engine *consults* a pyramid that an
-#: explicit :meth:`AccurateRasterJoin.build_pyramid` call (or the SQL
-#: planner's prewarm) has made resident; nothing builds one implicitly,
-#: and with none resident every query runs the exact path unchanged.
-#: ``REPRO_PYRAMID=0`` forces the exact path even with a resident
-#: pyramid (see ``docs/aggregate_pyramid.md``).
-PYRAMID_ENV_VAR = "REPRO_PYRAMID"
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -65,19 +55,14 @@ class EngineConfig:
 
     ``partition_points`` controls the tile-local point-partitioning
     stage on multi-tile canvases (``None`` consults
-    ``$REPRO_PARTITION_POINTS``, defaulting to on); ``pyramid`` lets the
-    accurate engine answer warm queries from an explicitly built
-    aggregate pyramid (``None`` consults ``$REPRO_PYRAMID``, defaulting
-    to on — see ``docs/aggregate_pyramid.md``); ``shm`` makes the
+    ``$REPRO_PARTITION_POINTS``, defaulting to on); ``shm`` makes the
     process backend resident — a spawned worker pool kept across
     queries, fed partition sub-chunks the tile loop exports as named
     shared-memory segments; it means nothing to the serial and thread
     backends (``None`` lets the process backend consult ``$REPRO_SHM``,
     defaulting to off — see ``docs/parallel_execution.md``).  Results
     never depend on any of them — like the backend choice they are
-    purely performance decisions (see ``docs/parallel_execution.md``;
-    the pyramid path's per-aggregate exactness contract is spelled out
-    in its doc).
+    purely performance decisions (see ``docs/parallel_execution.md``).
     """
 
     backend: str | ExecutionBackend | None = None
@@ -85,7 +70,6 @@ class EngineConfig:
     store_dir: str | None = None
     store_budget: int | str | None = None
     partition_points: bool | None = None
-    pyramid: bool | None = None
     shm: bool | None = None
 
     def make_backend(self) -> ExecutionBackend:
@@ -114,21 +98,6 @@ class EngineConfig:
         if self.partition_points is not None:
             return self.partition_points
         return flag_from_env(PARTITION_ENV_VAR, True)
-
-    def pyramid_enabled(self) -> bool:
-        """Whether the accurate engine may answer from a resident
-        aggregate pyramid.
-
-        Only gates *use*: pyramids are built solely through explicit
-        calls (:meth:`AccurateRasterJoin.build_pyramid`, planner
-        prewarm), so with none resident the exact path runs regardless.
-        Count/Sum answers are bit-identical either way; Min/Max/Average
-        are exact with documented merge semantics (see
-        ``docs/aggregate_pyramid.md``).
-        """
-        if self.pyramid is not None:
-            return self.pyramid
-        return flag_from_env(PYRAMID_ENV_VAR, True)
 
     def make_store(self):
         """The artifact store this configuration describes (or ``None``).

@@ -215,11 +215,17 @@ class ResidentWorkerPool:
             try:
                 rseq, index, ok, payload = self._result_q.get(timeout=1.0)
             except queue_module.Empty:
-                dead = [p.name for p in self._procs if not p.is_alive()]
+                # The exit code says how: -9 is an OOM kill, 1 a spawn
+                # that could not import the parent's ``__main__``.
+                dead = {
+                    p.name: p.exitcode for p in self._procs
+                    if not p.is_alive()
+                }
                 if dead:
                     self.broken = True
                     raise ExecutionBackendError(
-                        f"resident worker(s) died mid-dispatch: {dead}"
+                        "resident worker(s) died mid-dispatch "
+                        f"(name: exit code): {dead}"
                     )
                 continue
             if rseq != seq:  # pragma: no cover - stale cross-dispatch echo

@@ -25,9 +25,9 @@ Bit-identity with the scalar path is the contract, not an aspiration:
 
 A triangle → polygon id map rides along with the flat arrays, so
 per-polygon :class:`~repro.cache.prepared.PolygonUnit` slices (outline
-pixels, raw coverage pieces) come out of one batched pass grouped
-exactly as the per-polygon builders would produce them — an incremental
-edit still rebuilds exactly one polygon's slice.
+pixels, coverage pixels) come out of one batched pass grouped exactly
+as the per-polygon builders would produce them — an incremental edit
+still rebuilds exactly one polygon's slice.
 """
 
 from __future__ import annotations
@@ -272,41 +272,33 @@ def rasterize_triangles(
     return BatchFragments(tri, ix, iy, counts)
 
 
-def coverage_pieces_by_polygon(
+def coverage_by_polygon(
     viewport: Viewport,
     triangles_by_pid: Mapping[int, Sequence[np.ndarray]],
     budget: int = DEFAULT_FRAGMENT_BUDGET,
-) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """Raw per-polygon coverage pieces from one batched pass.
+) -> dict[int, np.ndarray]:
+    """Per-polygon coverage from one batched pass.
 
-    Returns ``pid -> [(iy, ix), ...]`` with one piece per non-empty
-    triangle, in triangulation order — byte-identical to looping
-    ``triangle_coverage_mask`` + ``np.nonzero`` per triangle (the
-    ``_unit_coverage`` builders).  Every requested pid gets an entry;
-    polygons covering no pixels map to an empty list.  Callers apply
-    their own viewport gates (e.g. the polygon-bbox/tile intersection
-    test) by choosing which pids to request.
+    Returns ``pid -> pixels``: the polygon's fragments as flat
+    ``iy * width + ix`` indices, in triangulation order and row-major
+    within a triangle — exactly what looping ``triangle_coverage_mask``
+    + ``np.nonzero`` per triangle yields.  The soup lists triangles in
+    ascending pid order and the rasterizer emits triangle-major, so each
+    polygon's fragments are already contiguous: one per-polygon count
+    slices the flat fragment array, with no per-triangle work.  Every
+    requested pid gets an entry (empty when it covers no pixel).
+    Callers apply their own viewport gates (e.g. the polygon-bbox/tile
+    intersection test) by choosing which pids to request.
     """
     soup = flatten_triangles(triangles_by_pid)
-    out: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
-        pid: [] for pid in soup.pids
-    }
-    if soup.num_triangles == 0:
-        return out
     frags = rasterize_triangles(viewport, soup.verts, budget)
-    # Plain slicing instead of np.split: same views, far less per-piece
-    # wrapper overhead when the soup holds tens of thousands of
-    # triangles.
-    bounds = np.concatenate([[0], np.cumsum(frags.counts)])
-    iy = frags.iy
-    ix = frags.ix
-    tri_pid = soup.tri_pid
-    for t in range(soup.num_triangles):
-        lo = bounds[t]
-        hi = bounds[t + 1]
-        if hi > lo:
-            out[int(tri_pid[t])].append((iy[lo:hi], ix[lo:hi]))
-    return out
+    pixels = frags.iy * viewport.width + frags.ix
+    per_pid = np.bincount(
+        soup.tri_pid, weights=frags.counts,
+        minlength=max(soup.pids, default=-1) + 1,
+    ).astype(np.int64)
+    bounds = np.concatenate([[0], np.cumsum(per_pid)])
+    return {pid: pixels[bounds[pid]:bounds[pid + 1]] for pid in soup.pids}
 
 
 def bin_polygons_to_tile(

@@ -273,7 +273,7 @@ class QueryPlanner:
         statement whose regions share the frame answers polygon
         interiors from cached block partials.  Statements the pyramid
         cannot serve (filters, unsupported aggregates) silently keep the
-        exact path, as does everything when ``$REPRO_PYRAMID=0``.
+        exact path.
         """
         if point_table not in self._points:
             raise SqlError(f"unknown point table {point_table!r}")

@@ -10,13 +10,18 @@ the bulk arrays:
   (fingerprint + render spec), which fields are present, structural
   metadata, and a checksum over the ``.npz`` bytes.
 
-Format version 2 stores artifacts **per polygon**: each polygon's
-triangulation, grid-cell list, per-tile outline pixels, and per-tile raw
-coverage pieces are written as that polygon's slice of concatenated
-arrays, and the set-level views the engines consume (CSR grid, boundary
-masks, boundary-excluded coverage) are *recomposed* on load — the same
-deterministic composition a live session performs, so a loaded artifact
-is bit-identical to the one saved.  The per-polygon layout is what makes
+Format version 3 stores artifacts **per polygon**: each polygon's
+triangulation, grid-cell list, per-tile outline pixels, and per-tile
+coverage pixels are written as that polygon's slice of one concatenated
+array plus a per-polygon count (``tri_*``, ``cells_*``, ``ub_<tile>_*``,
+``uc_<tile>_{data,counts}`` — coverage as flat ``iy * width + ix``
+indices, the form it is held in), and the set-level views the engines
+consume (CSR grid, boundary masks, coverage records) are *recomposed* on
+load — the same deterministic composition a live session performs, so a
+loaded artifact is bit-identical to the one saved.  (Version 2 wrote
+coverage as ``(iy, ix)`` pairs per triangle piece; its files are
+unaddressable by key and read as a miss.)  The per-polygon layout is
+what makes
 **patch records** possible: an edited set persists as a small journal
 record carrying only the changed polygons' arrays plus a mapping onto
 its parent (see :func:`encode_patch` / :func:`apply_patch` and
@@ -53,7 +58,7 @@ from repro.index.grid import GridIndex
 #: Bump on any incompatible change to the array layout or manifest shape.
 #: The version participates in the key hash, so old artifacts are never
 #: even opened by a newer reader — they just stop being addressable.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Canonical coordinate dtype: little-endian float64.  Part of the key so
 #: artifacts written on any platform address the same bytes.
@@ -239,29 +244,44 @@ def _decode_unit_triangles(units: Sequence[PolygonUnit], arrays,
         cursor += int(count)
 
 
+def _encode_ragged(parts: Sequence[np.ndarray], arrays: dict,
+                   name: str) -> None:
+    """One index array per polygon, as ``<name>_data`` (all of them
+    concatenated) plus ``<name>_counts`` (entries per polygon)."""
+    parts = [np.asarray(part) for part in parts]
+    arrays[f"{name}_data"] = _compact_indices(
+        np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    )
+    arrays[f"{name}_counts"] = _compact_indices(
+        np.asarray([len(part) for part in parts])
+    )
+
+
+def _decode_ragged(arrays, name: str, num_units: int,
+                   what: str) -> list[np.ndarray]:
+    """The per-polygon slices :func:`_encode_ragged` wrote (views of one
+    widened array)."""
+    data = np.asarray(arrays[f"{name}_data"], dtype=np.int64)
+    counts = np.asarray(arrays[f"{name}_counts"], dtype=np.int64)
+    _require(
+        len(counts) == num_units and int(counts.sum()) == len(data),
+        f"{what} table does not add up",
+    )
+    ends = np.cumsum(counts)
+    return [data[lo:hi] for lo, hi in zip(ends - counts, ends)]
+
+
 def _encode_unit_cells(units: Sequence[PolygonUnit], arrays: dict,
                        prefix: str = "") -> None:
-    cells = [np.asarray(unit.cells) for unit in units]
-    arrays[f"{prefix}cells_data"] = _compact_indices(
-        np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64)
-    )
-    arrays[f"{prefix}cells_counts"] = _compact_indices(
-        np.asarray([len(c) for c in cells])
-    )
+    _encode_ragged([unit.cells for unit in units], arrays, f"{prefix}cells")
 
 
 def _decode_unit_cells(units: Sequence[PolygonUnit], arrays,
                        prefix: str = "") -> None:
-    data = np.asarray(arrays[f"{prefix}cells_data"], dtype=np.int64)
-    counts = np.asarray(arrays[f"{prefix}cells_counts"], dtype=np.int64)
-    _require(
-        len(counts) == len(units) and int(counts.sum()) == len(data),
-        "grid cell table does not add up",
-    )
-    cursor = 0
-    for unit, count in zip(units, counts):
-        unit.cells = data[cursor:cursor + int(count)]
-        cursor += int(count)
+    for unit, cells in zip(units, _decode_ragged(
+        arrays, f"{prefix}cells", len(units), "grid cell"
+    )):
+        unit.cells = cells
 
 
 def _encode_unit_boundary(units: Sequence[PolygonUnit], tile_idx: int,
@@ -302,42 +322,18 @@ def _decode_unit_boundary(units: Sequence[PolygonUnit], tile_idx: int,
 
 def _encode_unit_coverage(units: Sequence[PolygonUnit], tile_idx: int,
                           arrays: dict, prefix: str = "") -> None:
-    pids, lens, iys, ixs = [], [], [], []
-    for pid, unit in enumerate(units):
-        for piece_iy, piece_ix in unit.coverage[tile_idx]:
-            pids.append(pid)
-            lens.append(len(piece_iy))
-            iys.append(piece_iy)
-            ixs.append(piece_ix)
-    arrays[f"{prefix}uc_{tile_idx}_pid"] = _compact_indices(np.asarray(pids))
-    arrays[f"{prefix}uc_{tile_idx}_len"] = _compact_indices(np.asarray(lens))
-    arrays[f"{prefix}uc_{tile_idx}_iy"] = _compact_indices(
-        np.concatenate(iys) if iys else np.zeros(0, dtype=np.int64)
-    )
-    arrays[f"{prefix}uc_{tile_idx}_ix"] = _compact_indices(
-        np.concatenate(ixs) if ixs else np.zeros(0, dtype=np.int64)
+    _encode_ragged(
+        [unit.coverage[tile_idx] for unit in units], arrays,
+        f"{prefix}uc_{tile_idx}",
     )
 
 
 def _decode_unit_coverage(units: Sequence[PolygonUnit], tile_idx: int,
                           arrays, prefix: str = "") -> None:
-    pids = np.asarray(arrays[f"{prefix}uc_{tile_idx}_pid"], dtype=np.int64)
-    lens = np.asarray(arrays[f"{prefix}uc_{tile_idx}_len"], dtype=np.int64)
-    iy = np.asarray(arrays[f"{prefix}uc_{tile_idx}_iy"], dtype=np.int64)
-    ix = np.asarray(arrays[f"{prefix}uc_{tile_idx}_ix"], dtype=np.int64)
-    _require(
-        len(pids) == len(lens) and int(lens.sum()) == len(iy) == len(ix),
-        "coverage table does not add up",
-    )
-    for unit in units:
-        unit.coverage[tile_idx] = []
-    cursor = 0
-    for pid, length in zip(pids, lens):
-        _require(0 <= int(pid) < len(units), "coverage pid out of range")
-        units[int(pid)].coverage[tile_idx].append(
-            (iy[cursor:cursor + int(length)], ix[cursor:cursor + int(length)])
-        )
-        cursor += int(length)
+    for unit, pixels in zip(units, _decode_ragged(
+        arrays, f"{prefix}uc_{tile_idx}", len(units), "coverage"
+    )):
+        unit.coverage[tile_idx] = pixels
 
 
 def _units_tiles(units: Sequence[PolygonUnit], kind: str) -> list[int]:
@@ -507,9 +503,9 @@ def compose_from_units(
     """Assemble the engine-consumed artifact from per-polygon units.
 
     Runs the same composition the live session performs after a build —
-    OR the outline pixels into boundary masks, exclude them from the raw
-    coverage, scatter the grid CSR, band the edge table — so the result
-    is bit-identical to the artifact that was saved.
+    OR the outline pixels into boundary masks, lay the coverage slices
+    end to end, scatter the grid CSR, band the edge table — so the
+    result is bit-identical to the artifact that was saved.
     """
     _require(
         len(units) == len(polygons),
@@ -548,9 +544,7 @@ def compose_from_units(
                 idx, prepared.tiles[idx]
             ))
     for idx in _units_tiles(units, "coverage"):
-        prepared.coverage[idx] = prepared.compose_coverage(
-            idx, prepared.boundary_masks.get(idx)
-        )
+        prepared.mark_composed(idx, coverage=prepared.compose_coverage(idx))
     return prepared
 
 

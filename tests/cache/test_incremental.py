@@ -239,15 +239,6 @@ class TestPartitionCache:
         ).execute(uniform_points, three_regions, aggregate=Sum("fare"))
         assert np.array_equal(res.values, cold.values)
 
-    def test_capacity_zero_disables(self, uniform_points, three_regions):
-        session = QuerySession(store=False, partition_capacity=0)
-        engine = self._engine(session)
-        engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
-        res = engine.execute(uniform_points, three_regions,
-                             aggregate=Sum("fare"))
-        assert res.stats.extra["partition"] == "on"
-        assert len(session._partitions) == 0
-
 
 class TestFractionalWarmth:
     def test_exact_hit_has_fraction_one(self, uniform_points, three_regions):

@@ -23,7 +23,6 @@ from repro.cache.pyramid import (
     decompose_blocks,
     pyramid_levels,
 )
-from repro.exec.config import PYRAMID_ENV_VAR, EngineConfig
 from repro.geometry.polygon import rectangle
 from repro.graphics.viewport import Viewport
 from repro.index.grid import GridIndex
@@ -55,13 +54,9 @@ def regions():
     )
 
 
-def engine(session, **kw):
-    # Pin the pyramid on unless the test brings its own config: the
-    # warm-path assertions must hold even when the ambient environment
-    # (e.g. the $REPRO_PYRAMID=0 CI leg) disables the default.
-    kw.setdefault("config", EngineConfig(pyramid=True))
+def engine(session):
     return AccurateRasterJoin(
-        resolution=RES, grid_resolution=GRID, session=session, **kw
+        resolution=RES, grid_resolution=GRID, session=session
     )
 
 
@@ -207,48 +202,6 @@ class TestEnginePyramidPath:
         ])
         assert np.array_equal(result.values, expect)
 
-    def test_env_flag_disables_use_but_not_exactness(
-        self, points, regions, monkeypatch
-    ):
-        session = QuerySession()
-        # Env-governed engines: EngineConfig() leaves ``pyramid=None``
-        # so $REPRO_PYRAMID decides (the helper would pin it on).
-        warm_eng = engine(session, config=EngineConfig())
-        warm_eng.build_pyramid(points, regions)
-        monkeypatch.setenv(PYRAMID_ENV_VAR, "0")
-        off_eng = engine(session, config=EngineConfig())
-        off = off_eng.execute(points, regions, Count())
-        # The disabled engine must not even report pyramid state — it is
-        # running the pre-pyramid execution path verbatim.
-        assert "pyramid" not in off.stats.extra
-        monkeypatch.delenv(PYRAMID_ENV_VAR)
-        on = engine(session, config=EngineConfig()).execute(
-            points, regions, Count()
-        )
-        assert on.stats.extra.get("pyramid") == "hit"
-        assert np.array_equal(off.values, on.values)
-
-    def test_config_flag_beats_environment(self, points, regions, monkeypatch):
-        monkeypatch.setenv(PYRAMID_ENV_VAR, "0")
-        session = QuerySession()
-        eng = engine(session, config=EngineConfig(pyramid=True))
-        eng.build_pyramid(points, regions)
-        result = eng.execute(points, regions, Count())
-        assert result.stats.extra.get("pyramid") == "hit"
-
-    def test_pyramid_off_matches_sessionless_bytes(self, points, regions):
-        """REPRO_PYRAMID=0 (via config) is byte-for-byte the old path."""
-        baseline = AccurateRasterJoin(
-            resolution=RES, grid_resolution=GRID
-        ).execute(points, regions, Sum("fare"))
-        session = QuerySession()
-        eng = engine(session, config=EngineConfig(pyramid=False))
-        eng.build_pyramid(points, regions)
-        off = eng.execute(points, regions, Sum("fare"))
-        assert np.array_equal(off.values, baseline.values)
-        for name in baseline.channels:
-            assert np.array_equal(off.channels[name], baseline.channels[name])
-
     def test_mutated_points_never_replay_stale_partials(
         self, points, regions
     ):
@@ -332,17 +285,48 @@ class TestPyramidPersistence:
         assert second.pyramid_store_hits == 1
         assert np.array_equal(restarted.values, warm.values)
 
-    def test_session_capacity_evicts_lru(self, points, regions, rng):
-        session = QuerySession(pyramid_capacity=1)
+    def test_byte_budget_evicts_lru(self, points, regions, rng):
+        probe = QuerySession(store=False)
+        engine(probe).build_pyramid(points, regions)
+        # Room for the artifact and one and a half pyramids.
+        session = QuerySession(
+            store=False,
+            byte_budget=probe.nbytes + probe.pyramid_nbytes * 3 // 2,
+        )
         eng = engine(session)
         eng.build_pyramid(points, regions)
         other = PointDataset(
-            rng.uniform(0.0, 100.0, 500), rng.uniform(0.0, 100.0, 500)
+            rng.uniform(0.0, 100.0, len(points)),
+            rng.uniform(0.0, 100.0, len(points)),
         )
         eng.build_pyramid(other, regions)
-        # Capacity 1: the first source's pyramid was evicted.
+        # The first source's pyramid was the least recently used.
         assert not eng.pyramid_warmth(points, regions)
         assert eng.pyramid_warmth(other, regions)
+
+    def test_partitions_and_pyramids_share_one_lru(self, points, regions):
+        """Over budget the least recently used entry goes, whatever its
+        kind: a pyramid that was just read outlives an older partition."""
+        pyramid = AggregatePyramid.build(
+            points, GridIndex(regions, resolution=GRID)
+        )
+        per_tile = [[points]]  # one tile holding the whole source
+        probe = QuerySession(store=False)
+        probe.partition_store(points, ("a",), per_tile, 0)
+        one_partition = probe.partition_nbytes
+        session = QuerySession(
+            store=False,
+            byte_budget=pyramid.nbytes + one_partition * 3 // 2,
+        )
+        session.pyramid_register(points, ("frame",), pyramid)
+        session.partition_store(points, ("a",), per_tile, 0)
+        assert session.pyramid_lookup(points, ("frame",)) is pyramid
+        session.partition_store(points, ("b",), per_tile, 0)
+        assert session.partition_lookup(points, ("a",)) is None
+        assert session.partition_lookup(points, ("b",)) is not None
+        assert session.pyramid_warm(points, ("frame",))
+        assert (session.partition_nbytes + session.pyramid_nbytes
+                <= session.byte_budget)
 
 
 class TestBoundaryPixelStat:

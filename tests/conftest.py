@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import tempfile
 import weakref
 
@@ -14,7 +15,37 @@ from repro import PointDataset, Polygon, PolygonSet
 from repro.cache.prepared import PreparedPolygons
 from repro.exec import backend as exec_backend
 from repro.exec import shm
+from repro.graphics.raster_triangle import covered_pixels
 from repro.store.store import STORE_DIR_ENV_VAR
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--shuffle-seed", type=int, default=None, metavar="N",
+        help="run the test modules in the random order seed N draws "
+             "(tests keep their order within a module)",
+    )
+
+
+def pytest_report_header(config):
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        return f"test modules shuffled: --shuffle-seed {seed}"
+
+
+def pytest_collection_modifyitems(config, items):
+    """Order-dependence between modules (state one test leaves for the
+    next: stores, backends, registries) shows up as a failure under some
+    seed; the seed is in the report header, so it reproduces."""
+    seed = config.getoption("--shuffle-seed")
+    if seed is None:
+        return
+    by_module: dict[str, list] = {}
+    for item in items:
+        by_module.setdefault(item.module.__name__, []).append(item)
+    order = sorted(by_module)
+    random.Random(seed).shuffle(order)
+    items[:] = [item for name in order for item in by_module[name]]
 
 
 @pytest.fixture(autouse=True)
@@ -54,6 +85,17 @@ def edge_table_for(polygons: PolygonSet, grid):
     prepared = PreparedPolygons(polygons)
     prepared.grid = grid
     return prepared.ensure_edge_table(polygons)
+
+
+def scalar_pixels(viewport, triangles) -> np.ndarray:
+    """One polygon's flat ``iy * width + ix`` coverage from the scalar
+    per-triangle kernel — the oracle for the batched builders:
+    triangulation order, row-major within a triangle."""
+    flat = [np.zeros(0, dtype=np.int64)]
+    for tri in triangles:
+        xs, ys = covered_pixels(viewport, tri)
+        flat.append(ys * viewport.width + xs)
+    return np.concatenate(flat)
 
 
 def random_star_polygon(

@@ -7,6 +7,7 @@ from repro import (
     AccurateRasterJoin,
     Average,
     Count,
+    EngineConfig,
     Filter,
     GPUDevice,
     Max,
@@ -14,9 +15,14 @@ from repro import (
     PointDataset,
     Polygon,
     PolygonSet,
+    QuerySession,
     Sum,
 )
-from tests.conftest import brute_force_counts, brute_force_sums
+from tests.conftest import (
+    brute_force_counts,
+    brute_force_sums,
+    brute_force_values,
+)
 
 
 class TestExactness:
@@ -82,6 +88,92 @@ class TestExactness:
         exact = brute_force_counts(points, regions)
         result = AccurateRasterJoin(resolution=128).execute(points, regions)
         assert np.array_equal(result.values, exact)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_outline_strictly_inside_another_polygon(self, uniform_points,
+                                                     backend):
+        """A's whole outline lies inside B, so A's boundary pixels are
+        B's *coverage*: B's polygon pass reads them, finds the identity
+        (their points reached B through PIP), and stays exact."""
+        regions = PolygonSet([
+            Polygon([(40, 40), (60, 42), (58, 61), (41, 57)]),   # A
+            Polygon([(10, 10), (90, 12), (88, 90), (12, 85)]),   # B
+        ])
+        engine = AccurateRasterJoin(
+            resolution=128, grid_resolution=32,
+            device=GPUDevice(max_resolution=64),
+            session=QuerySession(store=False),
+            config=EngineConfig(backend=backend, workers=2),
+        )
+        for aggregate, function, column in [
+            (Count(), "count", None), (Sum("hour"), "sum", "hour"),
+            (Min("fare"), "min", "fare"), (Max("fare"), "max", "fare"),
+        ]:
+            expected = brute_force_values(
+                uniform_points, regions, function, column
+            )
+            for _ in ("cold", "warm"):
+                result = engine.execute(
+                    uniform_points, regions, aggregate=aggregate
+                )
+                assert np.array_equal(result.values, expected)
+        float_sum = engine.execute(
+            uniform_points, regions, aggregate=Sum("fare")
+        )
+        assert np.allclose(
+            float_sum.values,
+            brute_force_values(uniform_points, regions, "sum", "fare"),
+            rtol=1e-9, atol=0,
+        )
+        engine.close()
+        # The premise: pixels that are boundary and B's coverage at once.
+        (artifact,) = engine.session._entries.values()
+        shared = 0
+        for idx, record in artifact.coverage.items():
+            start = record.starts[record.pids.tolist().index(1)]
+            shared += np.count_nonzero(
+                artifact.boundary_masks[idx].ravel()[record.pixels[start:]]
+            )
+        assert shared > 0
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["boundary", "interior"])
+    def test_nonfinite_attribute_poisons_min_max(self, uniform_points,
+                                                 three_regions, special,
+                                                 where):
+        """One special value on a boundary-pixel point (PIP path) or on
+        an interior point (raster path) reaches its region's Min / Max
+        exactly as NumPy's own reduction over the region would."""
+        session = QuerySession(store=False)
+        engine = AccurateRasterJoin(
+            resolution=128, grid_resolution=32, session=session
+        )
+        engine.execute(uniform_points, three_regions)
+        (artifact,) = session._entries.values()
+        (tile,) = artifact.tiles
+        inside = np.flatnonzero(three_regions[0].contains_points(
+            uniform_points.xs, uniform_points.ys
+        ))
+        ix, iy, _ = tile.pixel_of(
+            uniform_points.xs[inside], uniform_points.ys[inside]
+        )
+        on_boundary = artifact.boundary_masks[0][iy, ix]
+        victim = inside[on_boundary == (where == "boundary")][0]
+        values = uniform_points.column("fare").copy()
+        values[victim] = special
+        points = PointDataset(
+            uniform_points.xs, uniform_points.ys, {"fare": values}
+        )
+        for aggregate, function in [(Min("fare"), "min"), (Max("fare"), "max")]:
+            result = engine.execute(points, three_regions, aggregate=aggregate)
+            expected = brute_force_values(
+                points, three_regions, function, "fare"
+            )
+            assert np.array_equal(result.values, expected, equal_nan=True)
+            reaches = np.isnan(special) or special == (
+                np.inf if function == "max" else -np.inf
+            )
+            assert np.isfinite(result.values[0]) != reaches
 
     def test_points_on_polygon_edges(self):
         """Grid-aligned points exactly on shared edges: counted once per

@@ -10,6 +10,7 @@ from repro import (
     Count,
     Filter,
     FilterSet,
+    GPUDevice,
     Max,
     Min,
     PointDataset,
@@ -155,16 +156,93 @@ class TestGridPipAggregate:
             assert np.isfinite(acc[ch][1:]).all()
 
 
+class TestBoundaryPixelsHoldTheIdentity:
+    """What lets the polygon pass read raw raster coverage: a point on a
+    boundary pixel joins through PIP and is never scattered, so after
+    the point pass every pixel of a member's boundary mask still holds
+    the blend identity and reduces to nothing."""
+
+    OTHER = PolygonSet([
+        # Same union bbox as ``three_regions`` (one shared canvas), other
+        # outlines: a fused sibling's boundary pixels are not this
+        # member's, and its points must not leak into this member's.
+        Polygon([(10, 10), (90, 10), (50, 95)]),
+        Polygon([(30, 30), (60, 35), (40, 70)]),
+    ])
+
+    def test_so_nothing_takes_a_mask_to_build_coverage(self):
+        import dataclasses
+        import inspect
+
+        from repro.cache.prepared import PreparedPolygons
+        from repro.core import tiles
+        from repro.exec.backend import TilePartial
+
+        for function in (PreparedPolygons.compose_coverage,
+                         tiles._polygon_pass):
+            assert "boundary" not in inspect.signature(function).parameters
+        assert "unit_coverage" not in {
+            field.name for field in dataclasses.fields(TilePartial)
+        }
+
+    @pytest.mark.parametrize("max_fbo", [None, 64], ids=["1-tile", "4-tiles"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["solo", "fused"])
+    @pytest.mark.parametrize(
+        "filters", [FilterSet(), FilterSet([Filter("hour", "<", 12)])],
+        ids=["unfiltered", "filtered"],
+    )
+    @pytest.mark.parametrize(
+        "aggregate", [Count(), Sum("fare"), Min("fare"), Max("fare")],
+        ids=lambda agg: agg.name,
+    )
+    def test_after_the_point_pass(self, uniform_points, three_regions,
+                                  aggregate, filters, fused, max_fbo):
+        engine = AccurateRasterJoin(
+            resolution=128, grid_resolution=32,
+            device=GPUDevice(max_resolution=max_fbo) if max_fbo else None,
+            session=QuerySession(store=False),
+        )
+        sets = [three_regions, self.OTHER] if fused else [three_regions]
+        stats = [ExecutionStats(engine=engine.name, batches=0, passes=0)
+                 for _ in sets]
+        members = [
+            engine.member(polygons, aggregate, filters, st)
+            for polygons, st in zip(sets, stats)
+        ]
+        run = engine.run_members(
+            members, lambda: iter((uniform_points,)), stats,
+            points_hint=uniform_points, keep_fbo=True,
+        )
+        for member, payloads, st in zip(members, run.payloads, stats):
+            assert len(payloads) == (4 if max_fbo else 1)
+            assert st.boundary_points > 0
+            scattered = 0
+            for idx, (_, fbo) in enumerate(payloads):
+                mask = member.prepared.boundary_masks[idx]
+                assert mask.any()
+                for ch in aggregate.channels:
+                    channel = fbo.channel(ch)
+                    assert np.all(channel[mask] == aggregate.identity())
+                    scattered += np.count_nonzero(
+                        channel != aggregate.identity()
+                    )
+            assert scattered > 0  # the interior did rasterize
+
+
 class TestPolygonPass:
     """The flat polygon pass's corner cases, through the engines."""
 
-    def test_polygon_whose_every_pixel_is_boundary(self, uniform_points):
-        """A sliver thinner than a pixel keeps no coverage pixel: it must
-        not become a segment (``reduceat`` would hand it its neighbour's
-        first pixel), and its answer comes from the PIP path alone."""
+    @pytest.mark.parametrize("top,fragments", [(20.3, False), (21.5, True)])
+    def test_polygon_whose_every_pixel_is_boundary(self, uniform_points,
+                                                   top, fragments):
+        """A sliver's answer comes from the PIP path alone.  Between two
+        rows of pixel centers it rasterizes to no fragment and must not
+        become a segment (``reduceat`` would hand it its neighbour's
+        first pixel); across one row it is a segment of boundary pixels
+        only, which reduce to the identity."""
         regions = PolygonSet([
             Polygon([(10, 10), (60, 12), (55, 60), (12, 50)]),
-            Polygon([(70, 20.0), (90, 20.0), (90, 20.3), (70, 20.3)]),
+            Polygon([(70, 20.0), (90, 20.0), (90, top), (70, top)]),
             Polygon([(65, 65), (95, 70), (80, 95)]),
         ])
         cold_engine = AccurateRasterJoin(resolution=64, grid_resolution=32)
@@ -196,9 +274,12 @@ class TestPolygonPass:
             )
         (artifact,) = session._entries.values()
         (record,) = artifact.coverage.values()
-        assert 1 not in record.pids.tolist()
-        assert len(record.pids) == len(record.starts) == 2
+        assert record.pids.tolist() == ([0, 1, 2] if fragments else [0, 2])
+        assert len(record.pids) == len(record.starts)
         assert np.all(np.diff(np.append(record.starts, len(record.pixels))) > 0)
+        sliver = artifact.units[1].coverage[0]
+        assert bool(len(sliver)) == fragments
+        assert artifact.boundary_masks[0].ravel()[sliver].all()
 
     def test_min_max_on_constant_channel_yield_one(self, uniform_points,
                                                    three_regions):

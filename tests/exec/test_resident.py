@@ -171,8 +171,11 @@ class TestPoolFailurePaths:
             for proc in pool._procs:
                 proc.terminate()
                 proc.join(timeout=5)
-            with pytest.raises(ExecutionBackendError, match="died"):
+            with pytest.raises(ExecutionBackendError, match="died") as err:
                 pool.dispatch([_bad_spec(0, missing, missing)])
+            # How each worker died travels with the error: SIGTERM here.
+            for proc in pool._procs:
+                assert f"'{proc.name}': -15" in str(err.value)
             assert pool.broken
             with pytest.raises(ExecutionBackendError, match="broken"):
                 pool.dispatch([_bad_spec(0, missing, missing)])
@@ -291,8 +294,8 @@ class TestOneShmSwitch:
             # The stored partition holds ShmChunks, not host datasets.
             assert {
                 type(chunk).__name__
-                for entry in session._partitions.values()
-                for chunks in entry[2] for chunk in chunks
+                for state in session._point_cache.values()
+                for chunks in state.value[0] for chunk in chunks
             } == {"ShmChunk"}
         finally:
             engine.close()

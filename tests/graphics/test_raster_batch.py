@@ -13,14 +13,14 @@ from repro.geometry.triangulate import triangulate_polygon
 from repro.graphics.raster_batch import (
     DEFAULT_FRAGMENT_BUDGET,
     bin_polygons_to_tile,
-    coverage_pieces_by_polygon,
+    coverage_by_polygon,
     flatten_triangles,
     rasterize_triangles,
 )
 from repro.graphics.raster_line import outline_pixels, outline_pixels_many
 from repro.graphics.raster_triangle import covered_pixels
 from repro.graphics.viewport import Viewport
-from tests.conftest import random_star_polygon
+from tests.conftest import random_star_polygon, scalar_pixels
 
 VP = Viewport(BBox(0, 0, 100, 100), 128, 96)
 
@@ -109,29 +109,32 @@ class TestFragmentEquality:
         assert frags.counts[3] > 0
 
 
-class TestCoveragePieces:
-    def test_pieces_match_scalar_units(self):
+class TestCoverageByPolygon:
+    def test_slices_match_scalar_units(self):
         _, tris = _random_scene(5)
-        pieces = coverage_pieces_by_polygon(VP, tris)
-        assert set(pieces) == set(tris)
+        coverage = coverage_by_polygon(VP, tris)
+        assert set(coverage) == set(tris)
         for pid in tris:
-            ref = []
-            for tri in tris[pid]:
-                xs, ys = covered_pixels(VP, tri)
-                if len(xs):
-                    ref.append((ys, xs))
-            assert len(pieces[pid]) == len(ref)
-            for (gy, gx), (ry, rx) in zip(pieces[pid], ref):
-                assert np.array_equal(gy, ry)
-                assert np.array_equal(gx, rx)
+            assert coverage[pid].dtype == np.int64
+            assert np.array_equal(coverage[pid], scalar_pixels(VP, tris[pid]))
+
+    def test_requested_subset_keeps_its_pids(self):
+        """Sparse, non-zero-based pids (an edit's rebuilt polygons)
+        slice the shared fragment array at the right offsets."""
+        _, tris = _random_scene(6)
+        subset = {pid: tris[pid] for pid in (2, 3, 11)}
+        coverage = coverage_by_polygon(VP, subset)
+        assert sorted(coverage) == [2, 3, 11]
+        for pid in subset:
+            assert np.array_equal(coverage[pid], scalar_pixels(VP, tris[pid]))
 
     def test_every_requested_pid_present(self):
         """A polygon whose triangles are all off-screen still gets an
         (empty) entry — unit builders rely on complete keys."""
         off = np.array([(-50.0, -50.0), (-40.0, -50.0), (-45.0, -40.0)])
-        pieces = coverage_pieces_by_polygon(VP, {3: [off], 7: []})
-        assert pieces[3] == []
-        assert pieces[7] == []
+        coverage = coverage_by_polygon(VP, {3: [off], 7: []})
+        assert len(coverage[3]) == 0 and len(coverage[7]) == 0
+        assert coverage_by_polygon(VP, {}) == {}
 
 
 class TestOutlineMany:

@@ -4,9 +4,9 @@ The engines build boundary masks and coverage only through the batched
 whole-set builders; the scalar per-triangle / per-polygon kernels
 (``triangle_coverage_mask``, ``outline_pixels``) stay in
 ``repro.graphics`` as the oracle.  Every prepared artifact an engine
-leaves in its session must equal, piece for piece, what those scalar
-kernels produce — result equality then follows from the shared reduce —
-and incremental edits and the store must preserve that.
+leaves in its session must equal, pixel for pixel and in order, what
+those scalar kernels produce — result equality then follows from the
+shared reduce — and incremental edits and the store must preserve that.
 """
 
 import numpy as np
@@ -24,8 +24,7 @@ from repro import (
 )
 from repro.geometry.triangulate import triangulate_polygon
 from repro.graphics.raster_line import outline_pixels
-from repro.graphics.raster_triangle import triangle_coverage_mask
-from tests.conftest import random_star_polygon
+from tests.conftest import random_star_polygon, scalar_pixels
 
 
 @pytest.fixture
@@ -65,39 +64,26 @@ def scalar_boundary(tile, polygons) -> np.ndarray:
     return mask
 
 
-def scalar_coverage(tile, polygons, boundary=None) -> list:
-    """The tile's coverage list from the per-triangle scalar kernel:
-    one ``(iy, ix)`` piece per rasterized triangle in triangulation
-    order, fragments under ``boundary`` dropped."""
+def scalar_coverage(tile, polygons) -> list:
+    """The tile's coverage from the per-triangle scalar kernel: per
+    polygon that covers a pixel, its fragments as flat ``iy * width +
+    ix`` indices, triangle by triangle in triangulation order and
+    row-major within a triangle — every fragment, boundary pixels
+    included."""
     coverage = []
     for pid, polygon in enumerate(polygons):
-        if not polygon.bbox.intersects(tile.bbox):
-            continue
-        pieces = []
-        for tri in triangulate_polygon(polygon):
-            x0, y0, mask = triangle_coverage_mask(tile, tri)
-            if mask.size == 0:
-                continue
-            if boundary is not None:
-                mask = mask & ~boundary[y0:y0 + mask.shape[0],
-                                        x0:x0 + mask.shape[1]]
-            if not mask.any():
-                continue
-            ky, kx = np.nonzero(mask)
-            pieces.append((ky + y0, kx + x0))
-        if pieces:
-            coverage.append((pid, pieces))
+        if polygon.bbox.intersects(tile.bbox):
+            pixels = scalar_pixels(tile, triangulate_polygon(polygon))
+            if len(pixels):
+                coverage.append((pid, pixels))
     return coverage
 
 
-def assert_coverage_equal(actual, expected: list, width: int) -> None:
-    """The engine's flat record equals the scalar kernel's piece list,
-    flattened: same polygons, same pixels in the same piece-major order."""
+def assert_coverage_equal(actual, expected: list) -> None:
+    """The engine's flat record equals the scalar kernel's coverage:
+    same polygons, same pixels in the same order."""
     assert actual.pids.tolist() == [pid for pid, _ in expected]
-    segments = [
-        np.concatenate([iy * width + ix for iy, ix in pieces])
-        for _, pieces in expected
-    ]
+    segments = [segment for _, segment in expected]
     lengths = [len(segment) for segment in segments]
     assert actual.starts.tolist() == (np.cumsum(lengths) - lengths).tolist()
     assert np.array_equal(
@@ -113,19 +99,32 @@ def assert_records_equal(mine: dict, theirs: dict) -> None:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def assert_artifact_matches_scalar(artifact, polygons, exact: bool) -> None:
-    """Every tile's composed boundary mask and coverage equal the scalar
-    kernels' output (``exact``: the accurate engine's boundary rule)."""
+def assert_artifact_matches_scalar(
+    artifact, polygons, exact: bool, scanline: bool = False
+) -> None:
+    """Every tile's composed boundary mask (``exact``: the accurate
+    engine has one) and coverage record equal the scalar kernels'
+    output, and each unit's slice is a view into the record.  The
+    ``scanline`` fill emits a polygon's same pixels row-major."""
     assert set(artifact.coverage) == set(range(len(artifact.tiles)))
     for idx, tile in enumerate(artifact.tiles):
-        boundary = None
         if exact:
-            boundary = scalar_boundary(tile, polygons)
-            assert np.array_equal(artifact.boundary_masks[idx], boundary)
-        assert_coverage_equal(
-            artifact.coverage[idx], scalar_coverage(tile, polygons, boundary),
-            tile.width,
-        )
+            assert np.array_equal(
+                artifact.boundary_masks[idx], scalar_boundary(tile, polygons)
+            )
+        expected = scalar_coverage(tile, polygons)
+        if scanline:
+            expected = [(pid, np.sort(pixels)) for pid, pixels in expected]
+        record = artifact.coverage[idx]
+        assert_coverage_equal(record, expected)
+        owned = dict(expected)
+        for pid, unit in enumerate(artifact.units):
+            assert np.shares_memory(unit.coverage[idx], record.pixels) or (
+                pid not in owned and len(unit.coverage[idx]) == 0
+            )
+            assert np.array_equal(
+                unit.coverage[idx], owned.get(pid, np.zeros(0, dtype=np.int64))
+            )
 
 
 def _only_artifact(session):
@@ -157,6 +156,13 @@ class TestScalarOracle:
             resolution=resolution, grid_resolution=64, device=device
         ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
         assert np.array_equal(warm.values, cold.values)
+        # A tile's pixels are held once: the units' slices are views, so
+        # the footprint counts them through the record alone.
+        artifact = _only_artifact(session)
+        counted = artifact.nbytes
+        for unit in artifact.units:
+            unit.coverage.clear()
+        assert artifact.nbytes == counted
 
     @pytest.mark.parametrize("resolution,max_fbo", CANVASES)
     def test_bounded_artifacts_match_scalar_kernels(
@@ -174,6 +180,20 @@ class TestScalarOracle:
             resolution=resolution, device=device
         ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
         assert np.array_equal(warm.values, cold.values)
+
+    @pytest.mark.parametrize("resolution,max_fbo", CANVASES)
+    def test_scanline_built_artifacts_match_scalar_kernels(
+        self, uniform_points, many_regions, resolution, max_fbo
+    ):
+        device = GPUDevice(max_resolution=max_fbo) if max_fbo else None
+        session = QuerySession(store=False)
+        BoundedRasterJoin(
+            resolution=resolution, device=device, session=session,
+            use_scanline=True,
+        ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
+        assert_artifact_matches_scalar(
+            _only_artifact(session), many_regions, exact=False, scanline=True
+        )
 
 
 class TestIncrementalThroughBatch:
@@ -241,8 +261,8 @@ class TestStoreRoundTrip:
     def test_batched_built_units_round_trip(
         self, tmp_path, uniform_points, many_regions
     ):
-        """Coverage pieces built by the batched pass (np.split views)
-        persist and reload bit-identically."""
+        """Coverage slices built by the batched pass (views of one
+        fragment array) persist and reload bit-identically."""
         store = ArtifactStore(tmp_path / "artifacts")
         session = QuerySession(store=store)
         engine = AccurateRasterJoin(

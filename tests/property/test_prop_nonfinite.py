@@ -153,13 +153,15 @@ def test_index_join_agrees(workload, kind):
 @settings(max_examples=10, deadline=None)
 def test_pyramid_warm_agrees_with_exact(workload, kind):
     points, polygons = workload
+    # The comparator is a session nothing built a pyramid in (and with no
+    # disk tier an earlier example's pyramid could answer from).
     exact = AccurateRasterJoin(
         resolution=128, grid_resolution=32,
-        config=EngineConfig(pyramid=False),
+        session=QuerySession(store=False),
     ).execute(points, polygons, AGGS[kind]("v"))
+    assert exact.stats.extra.get("pyramid") == "cold"
     eng = AccurateRasterJoin(
         resolution=128, grid_resolution=32, session=QuerySession(),
-        config=EngineConfig(pyramid=True),
     )
     eng.build_pyramid(points, polygons)
     warm = eng.execute(points, polygons, AGGS[kind]("v"))

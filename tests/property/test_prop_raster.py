@@ -225,19 +225,12 @@ def test_vectorized_outline_equals_per_edge_supercover(poly):
 @given(star_polygons(), star_polygons(center=(30.0, 60.0), max_radius=25.0))
 @settings(max_examples=30, deadline=None)
 def test_batched_multi_polygon_scatter(poly_a, poly_b):
-    """coverage_pieces_by_polygon routes each fragment back to its
-    owning polygon id even when polygons overlap."""
-    from repro.graphics.raster_batch import coverage_pieces_by_polygon
+    """coverage_by_polygon routes each fragment back to its owning
+    polygon id even when polygons overlap."""
+    from repro.graphics.raster_batch import coverage_by_polygon
+    from tests.conftest import scalar_pixels
 
     tris = {0: triangulate_polygon(poly_a), 1: triangulate_polygon(poly_b)}
-    pieces = coverage_pieces_by_polygon(VP, tris)
+    coverage = coverage_by_polygon(VP, tris)
     for pid in (0, 1):
-        ref = []
-        for tri in tris[pid]:
-            xs, ys = covered_pixels(VP, tri)
-            if len(xs):
-                ref.append((ys, xs))
-        assert len(pieces[pid]) == len(ref)
-        for (gy, gx), (ry, rx) in zip(pieces[pid], ref):
-            assert np.array_equal(gy, ry)
-            assert np.array_equal(gx, rx)
+        assert np.array_equal(coverage[pid], scalar_pixels(VP, tris[pid]))

@@ -150,6 +150,106 @@ class TestRoundTrip:
         assert np.array_equal(replay.values, expected.values)
 
 
+def cold_build(points, regions, device=None):
+    """(artifact, result) of a from-scratch build: no disk tier, nothing
+    warm."""
+    session = QuerySession(store=False)
+    result = AccurateRasterJoin(
+        resolution=128, grid_resolution=64, device=device, session=session
+    ).execute(points, regions, aggregate=Sum("fare"))
+    (artifact,) = session._entries.values()
+    return artifact, result
+
+
+def assert_same_derived_state(artifact, reference) -> None:
+    """Boundary masks, coverage records and per-unit slices, bit for bit."""
+    assert set(artifact.boundary_masks) == set(reference.boundary_masks)
+    for idx, mask in reference.boundary_masks.items():
+        assert np.array_equal(artifact.boundary_masks[idx], mask)
+    assert set(artifact.coverage) == set(reference.coverage)
+    for idx, record in reference.coverage.items():
+        for mine, theirs in zip(artifact.coverage[idx], record):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+        for mine, theirs in zip(artifact.units, reference.units):
+            assert np.array_equal(mine.coverage[idx], theirs.coverage[idx])
+            assert np.shares_memory(
+                mine.coverage[idx], artifact.coverage[idx].pixels
+            ) or not len(mine.coverage[idx])
+
+
+class TestFormatThree:
+    """Coverage persists as one flat index array plus per-polygon counts
+    per tile; whatever tier an artifact comes back through, it is the
+    cold build again."""
+
+    def test_layout(self, uniform_points, three_regions, store):
+        session, _, _ = populated_session(uniform_points, three_regions, store)
+        (artifact,) = session._entries.values()
+        assert FORMAT_VERSION == 3
+        arrays, manifest = artifact_format.encode(artifact, artifact.key)
+        assert manifest["version"] == 3
+        assert manifest["coverage_tiles"] == [0]
+        assert sorted(n for n in arrays if n.startswith("uc_")) == [
+            "uc_0_counts", "uc_0_data",
+        ]
+        assert np.array_equal(arrays["uc_0_data"], artifact.coverage[0].pixels)
+        assert arrays["uc_0_counts"].tolist() == [
+            len(unit.coverage[0]) for unit in artifact.units
+        ]
+
+    def test_round_trip_and_rederive_equal_a_cold_build(
+        self, uniform_points, three_regions, store
+    ):
+        from repro import GPUDevice
+
+        device = GPUDevice(max_resolution=64)  # 2x2 tiles
+        reference, expected = cold_build(uniform_points, three_regions, device)
+        session = QuerySession(store=store)
+        engine = AccurateRasterJoin(
+            resolution=128, grid_resolution=64, device=device, session=session
+        )
+        engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
+        (key, artifact), = session._entries.items()
+        assert_same_derived_state(artifact, reference)
+        # Store round trip.
+        loaded = store.load(key, three_regions)
+        assert_same_derived_state(loaded, reference)
+        assert loaded.nbytes == reference.nbytes
+        # Strip, then let a query re-derive.
+        artifact.strip_derived()
+        again = engine.execute(
+            uniform_points, three_regions, aggregate=Sum("fare")
+        )
+        assert again.stats.prepared_hits == 1
+        assert_same_derived_state(artifact, reference)
+        assert np.array_equal(again.values, expected.values)
+
+    def test_pair_written_under_format_two_is_a_miss_not_an_error(
+        self, uniform_points, three_regions, store, monkeypatch
+    ):
+        """A format bump re-keys: the old pair in the same directory is
+        never opened, the query rebuilds and saves beside it."""
+        monkeypatch.setattr(artifact_format, "FORMAT_VERSION", 2)
+        _, _, expected = populated_session(
+            uniform_points, three_regions, store
+        )
+        old_files = {p.name for p in store.root.iterdir()}
+        assert len(old_files) == 2
+        monkeypatch.undo()
+        session = QuerySession(store=store)
+        result = AccurateRasterJoin(
+            resolution=128, grid_resolution=64, session=session
+        ).execute(uniform_points, three_regions, aggregate=Sum("fare"))
+        assert result.stats.extra["prepared"] == "miss"
+        assert result.stats.prepared_store_hits == 0
+        assert store.load_failures == 0
+        assert np.array_equal(result.values, expected.values)
+        new_files = {p.name for p in store.root.iterdir()} - old_files
+        assert sorted(p.rsplit(".", 1)[1] for p in new_files) == ["json", "npz"]
+        assert store.load(next(iter(session._entries)), three_regions)
+
+
 class TestCorruptionTolerance:
     def _single_pair(self, store):
         (manifest_path,) = store.root.glob("*.json")

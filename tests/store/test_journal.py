@@ -116,6 +116,29 @@ class TestReplay:
             assert np.array_equal(replayed.values, live.values)
         assert store.patch_loads >= 2
 
+    def test_replayed_artifact_equals_a_cold_build(
+        self, uniform_points, three_regions, store
+    ):
+        """Base pair + patch records compose to exactly the coverage
+        records, unit slices and boundary masks a from-scratch build of
+        the edited set produces."""
+        from tests.store.test_artifact_store import (
+            assert_same_derived_state,
+            cold_build,
+        )
+
+        session, sets, _ = run_edit_lineage(
+            uniform_points, three_regions, store, edits=2
+        )
+        for polygons in sets[1:]:
+            key = (polygon_fingerprint(polygons),) + next(
+                iter(session._entries)
+            )[1:]
+            replayed = store.load(key, polygons)
+            reference, _ = cold_build(uniform_points, polygons)
+            assert_same_derived_state(replayed, reference)
+        assert store.patch_loads >= 2
+
     def test_describe_answers_from_the_ref(
         self, uniform_points, three_regions, store
     ):

@@ -22,16 +22,13 @@ SRC = Path(repro.__file__).resolve().parent
 def test_engine_config_fields():
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
         "backend", "workers", "store_dir", "store_budget",
-        "partition_points", "pyramid", "shm",
+        "partition_points", "shm",
     ]
 
 
 def test_query_session_parameters():
     params = list(inspect.signature(QuerySession.__init__).parameters)
-    assert params == [
-        "self", "capacity", "byte_budget", "store", "partition_capacity",
-        "pyramid_capacity",
-    ]
+    assert params == ["self", "capacity", "byte_budget", "store"]
 
 
 def test_environment_variables_referenced_under_src():
@@ -40,8 +37,7 @@ def test_environment_variables_referenced_under_src():
         names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
     assert names == {
         "REPRO_EXEC_BACKEND", "REPRO_EXEC_WORKERS", "REPRO_PARTITION_POINTS",
-        "REPRO_PYRAMID", "REPRO_SHM", "REPRO_STORE_BUDGET",
-        "REPRO_STORE_DIR", "REPRO_TRACE",
+        "REPRO_SHM", "REPRO_STORE_BUDGET", "REPRO_STORE_DIR", "REPRO_TRACE",
     }
 
 
