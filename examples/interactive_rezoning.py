@@ -18,8 +18,9 @@ coverage after every change:
    boundary masks, and coverage instead of rebuilding them;
 5. save the day's prepared state to an :class:`ArtifactStore`, "restart"
    the planning tool, and answer the first query of the next session
-   disk-warm — no re-triangulation, bit-identical numbers; single-vertex
-   edits persist as small journal patches, not whole-artifact rewrites.
+   disk-warm — no re-triangulation, bit-identical numbers; a
+   single-vertex edit rebuilds one zone and persists, like any zoning,
+   as a whole pair under its own key.
 
 Run:  python examples/interactive_rezoning.py
 """
@@ -205,9 +206,11 @@ def warm_restart(taxi) -> None:
         print(f"  tomorrow : first query {state}          [{warm_s:.3f}s, "
               f"{cold_s / warm_s:.1f}x faster, bit-identical={identical}]")
 
-        # One morning stroke: the edit persists as a journal patch
-        # appended to the zoning's lineage, not a whole-pair rewrite.
+        # One morning stroke: only the edited zone rebuilds; the edited
+        # zoning is a new key and checkpoints as a whole pair of its own.
         edited, pid = move_one_vertex(zoning, 0)
+        store = tomorrow.store
+        disk_before, save_before = store.disk_bytes, store.save_s
         start = time.perf_counter()
         stroke = engine.execute(taxi, edited, aggregate=Sum("fare"))
         edit_s = time.perf_counter() - start
@@ -215,8 +218,9 @@ def warm_restart(taxi) -> None:
             f"  stroke   : zone #{pid} edited            [{edit_s:.3f}s, "
             f"prepared={stroke.stats.extra['prepared']}, rebuilt "
             f"{stroke.stats.extra.get('polygons_rebuilt', '?')}/"
-            f"{len(edited)} zones, {tomorrow.store.patch_saves} journal "
-            f"patch(es) on disk]"
+            f"{len(edited)} zones; wrote a "
+            f"{(store.disk_bytes - disk_before) / 1e6:.1f} MB pair in "
+            f"{store.save_s - save_before:.3f}s, {len(store)} pairs on disk]"
         )
         print(f"  => {tomorrow!r}")
 

@@ -231,10 +231,8 @@ class PreparedPolygons:
         "units",
         "polygon_fps",
         "source_bbox",
-        "delta_parent",
         "delta_dirty",
         "grid_splice",
-        "parent_map",
         "version",
         "triangulation_s",
         "index_build_s",
@@ -282,15 +280,13 @@ class PreparedPolygons:
         #: guard: a delta reuse is only valid when the edited set spans
         #: the same extent (same canvas, same grid extent).
         self.source_bbox: tuple | None = set_bbox(polygons)
-        #: provenance of a delta-derived artifact (for store journaling)
-        self.delta_parent: tuple | None = None
+        #: the polygon ids a delta derivation left to rebuild (``None``
+        #: for an artifact that was not derived from a sibling)
         self.delta_dirty: list[int] | None = None
         #: transient CSR-splice source for a delta-derived artifact:
         #: ``(base grid, {dirty pid: old cell list})``.  Consumed (and
         #: cleared) by :meth:`ensure_grid`, never persisted or counted.
         self.grid_splice: tuple | None = None
-        #: new pid -> parent pid (or -1 for rebuilt polygons)
-        self.parent_map: list[int] | None = None
         #: bumped on every mutation; part of the content signature so
         #: sessions re-measure nbytes only when something changed.
         self.version = 0
@@ -330,6 +326,7 @@ class PreparedPolygons:
         for pid, fp in enumerate(base.polygon_fps):
             pool.setdefault(fp, []).append(pid)
         units = entry.units
+        # new pid -> base pid, or -1 for a polygon left to rebuild
         parent_map: list[int] = []
         dirty: list[int] = []
         for pid, fp in enumerate(fingerprints):
@@ -341,9 +338,7 @@ class PreparedPolygons:
             else:
                 parent_map.append(-1)
                 dirty.append(pid)
-        entry.parent_map = parent_map
         entry.delta_dirty = dirty
-        entry.delta_parent = base.key
 
         # Composed carry-over: only with stable ids (no insert/delete/
         # reorder — composed coverage encodes pids positionally) and only

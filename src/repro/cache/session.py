@@ -20,7 +20,9 @@ The session is *tiered* (see ``docs/artifact_store.md``):
    ``$REPRO_STORE_DIR`` set), entries leaving memory are *demoted* to
    the store instead of dropped, and lookups that miss memory consult
    the store before rebuilding — which is how a restarted process
-   answers its first repeated query warm.
+   answers its first repeated query warm.  Every dirty entry, cold-built
+   or delta-derived from an edit, is written as one whole pair under
+   its own key.
 4. **Rebuild** — a miss everywhere builds from scratch, exactly the
    sessionless code path.
 
@@ -892,18 +894,7 @@ class QuerySession:
         from repro.store import ArtifactTooLargeError
 
         try:
-            if (
-                entry.delta_parent is not None
-                and key not in self._persisted
-            ):
-                # First persistence of a delta-derived artifact: journal
-                # a per-polygon patch against the parent's stored state
-                # instead of rewriting the whole pair (the store falls
-                # back to a full save when the parent isn't patchable or
-                # compaction rules say the journal is long enough).
-                self.store.save_patch(key, entry)
-            else:
-                self.store.save(key, entry)
+            self.store.save(key, entry)
         except ArtifactTooLargeError:
             self._unstorable[key] = nbytes
             return False

@@ -112,8 +112,8 @@ class QueryPlanner:
         :class:`QuerySession`, so the next statement over that table
         delta-derives from the previous zoning's prepared artifacts —
         only the changed polygons rebuild
-        (``stats.extra["polygons_rebuilt"]``), and with a store attached
-        the edit persists as a journal patch, not a full rewrite.  See
+        (``stats.extra["polygons_rebuilt"]``); with a store attached the
+        edited zoning persists under its own key as a whole pair.  See
         ``docs/incremental_edits.md``.
         """
         if name in self._points:

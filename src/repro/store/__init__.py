@@ -9,15 +9,13 @@ corruption-tolerant loads, and an LRU-by-recency disk budget.  Attach
 one to a session (or set ``$REPRO_STORE_DIR``) and a restarted server
 answers its first repeated query without re-triangulating anything.
 
-Format version 2 persists artifacts per polygon, which enables **patch
-journaling**: a single-polygon edit is appended to the lineage's
-``.journal`` as a small checksummed record (plus a tiny ``.ref``
-manifest) instead of rewriting the whole pair, and replaying the chain
-after a restart reproduces the edited artifact bit-identically.
+The pair is the only shape on disk and every save writes a whole one —
+a cold-built polygon set, an edited one and an aggregate pyramid alike —
+through one writer and one reader that hold the durability contract.
 
 See ``docs/artifact_store.md`` for the format, the eviction tiers, and
-the environment knobs, and ``docs/incremental_edits.md`` for the patch
-journal.
+the environment knobs, and ``docs/incremental_edits.md`` for what an
+edit's write-through costs.
 """
 
 from repro.store.format import (

@@ -20,15 +20,10 @@ consume (CSR grid, boundary masks, coverage records) are *recomposed* on
 load — the same deterministic composition a live session performs, so a
 loaded artifact is bit-identical to the one saved.  (Version 2 wrote
 coverage as ``(iy, ix)`` pairs per triangle piece; its files are
-unaddressable by key and read as a miss.)  The per-polygon layout is
-what makes
-**patch records** possible: an edited set persists as a small journal
-record carrying only the changed polygons' arrays plus a mapping onto
-its parent (see :func:`encode_patch` / :func:`apply_patch` and
-``docs/incremental_edits.md``), instead of rewriting the whole pair.
-That is the only layout: a manifest without per-polygon unit metadata
-fails validation like any other corrupt pair (a miss, then a rebuild
-that overwrites it).
+unaddressable by key and read as a miss.)  That is the only layout, for
+a cold-built set and an edited one alike: a manifest without
+per-polygon unit metadata fails validation like any other corrupt pair
+(a miss, then a rebuild that overwrites it).
 
 ``key_id`` is a content hash of ``(FORMAT_VERSION, COORD_DTYPE,
 fingerprint, spec)``: bumping the format version or changing the
@@ -37,7 +32,7 @@ keying new names, so no migration code is ever needed — stale files age
 out through the disk budget.
 
 Everything here is pure (bytes in, objects out); durability, atomicity,
-journal framing, and eviction live in :mod:`repro.store.store`.
+and eviction live in :mod:`repro.store.store`.
 """
 
 from __future__ import annotations
@@ -213,25 +208,23 @@ def _decode_mbrs(arrays) -> tuple[np.ndarray, ...]:
 # ----------------------------------------------------------------------
 # Per-polygon unit (de)serialization primitives
 # ----------------------------------------------------------------------
-def _encode_unit_triangles(units: Sequence[PolygonUnit], arrays: dict,
-                           prefix: str = "") -> None:
+def _encode_unit_triangles(units: Sequence[PolygonUnit], arrays: dict) -> None:
     flat = [
         np.asarray(tri, dtype=COORD_DTYPE)
         for unit in units
         for tri in unit.triangles
     ]
-    arrays[f"{prefix}tri_data"] = (
+    arrays["tri_data"] = (
         np.stack(flat) if flat else np.zeros((0, 3, 2), dtype=COORD_DTYPE)
     )
-    arrays[f"{prefix}tri_counts"] = _compact_indices(
+    arrays["tri_counts"] = _compact_indices(
         np.asarray([len(unit.triangles) for unit in units])
     )
 
 
-def _decode_unit_triangles(units: Sequence[PolygonUnit], arrays,
-                           prefix: str = "") -> None:
-    data = np.asarray(arrays[f"{prefix}tri_data"], dtype=np.float64)
-    counts = np.asarray(arrays[f"{prefix}tri_counts"], dtype=np.int64)
+def _decode_unit_triangles(units: Sequence[PolygonUnit], arrays) -> None:
+    data = np.asarray(arrays["tri_data"], dtype=np.float64)
+    counts = np.asarray(arrays["tri_counts"], dtype=np.int64)
     _require(
         data.ndim == 3 and data.shape[1:] == (3, 2)
         and len(counts) == len(units)
@@ -271,41 +264,26 @@ def _decode_ragged(arrays, name: str, num_units: int,
     return [data[lo:hi] for lo, hi in zip(ends - counts, ends)]
 
 
-def _encode_unit_cells(units: Sequence[PolygonUnit], arrays: dict,
-                       prefix: str = "") -> None:
-    _encode_ragged([unit.cells for unit in units], arrays, f"{prefix}cells")
-
-
-def _decode_unit_cells(units: Sequence[PolygonUnit], arrays,
-                       prefix: str = "") -> None:
-    for unit, cells in zip(units, _decode_ragged(
-        arrays, f"{prefix}cells", len(units), "grid cell"
-    )):
-        unit.cells = cells
-
-
 def _encode_unit_boundary(units: Sequence[PolygonUnit], tile_idx: int,
-                          arrays: dict, prefix: str = "") -> None:
+                          arrays: dict) -> None:
     ixs = [np.asarray(unit.boundary[tile_idx][0]) for unit in units]
     iys = [np.asarray(unit.boundary[tile_idx][1]) for unit in units]
-    arrays[f"{prefix}ub_{tile_idx}_ix"] = _compact_indices(
+    arrays[f"ub_{tile_idx}_ix"] = _compact_indices(
         np.concatenate(ixs) if ixs else np.zeros(0, dtype=np.int64)
     )
-    arrays[f"{prefix}ub_{tile_idx}_iy"] = _compact_indices(
+    arrays[f"ub_{tile_idx}_iy"] = _compact_indices(
         np.concatenate(iys) if iys else np.zeros(0, dtype=np.int64)
     )
-    arrays[f"{prefix}ub_{tile_idx}_counts"] = _compact_indices(
+    arrays[f"ub_{tile_idx}_counts"] = _compact_indices(
         np.asarray([len(ix) for ix in ixs])
     )
 
 
 def _decode_unit_boundary(units: Sequence[PolygonUnit], tile_idx: int,
-                          arrays, prefix: str = "") -> None:
-    ix = np.asarray(arrays[f"{prefix}ub_{tile_idx}_ix"], dtype=np.int64)
-    iy = np.asarray(arrays[f"{prefix}ub_{tile_idx}_iy"], dtype=np.int64)
-    counts = np.asarray(
-        arrays[f"{prefix}ub_{tile_idx}_counts"], dtype=np.int64
-    )
+                          arrays) -> None:
+    ix = np.asarray(arrays[f"ub_{tile_idx}_ix"], dtype=np.int64)
+    iy = np.asarray(arrays[f"ub_{tile_idx}_iy"], dtype=np.int64)
+    counts = np.asarray(arrays[f"ub_{tile_idx}_counts"], dtype=np.int64)
     _require(
         len(counts) == len(units)
         and int(counts.sum()) == len(ix) == len(iy),
@@ -318,22 +296,6 @@ def _decode_unit_boundary(units: Sequence[PolygonUnit], tile_idx: int,
             iy[cursor:cursor + int(count)],
         )
         cursor += int(count)
-
-
-def _encode_unit_coverage(units: Sequence[PolygonUnit], tile_idx: int,
-                          arrays: dict, prefix: str = "") -> None:
-    _encode_ragged(
-        [unit.coverage[tile_idx] for unit in units], arrays,
-        f"{prefix}uc_{tile_idx}",
-    )
-
-
-def _decode_unit_coverage(units: Sequence[PolygonUnit], tile_idx: int,
-                          arrays, prefix: str = "") -> None:
-    for unit, pixels in zip(units, _decode_ragged(
-        arrays, f"{prefix}uc_{tile_idx}", len(units), "coverage"
-    )):
-        unit.coverage[tile_idx] = pixels
 
 
 def _units_tiles(units: Sequence[PolygonUnit], kind: str) -> list[int]:
@@ -394,7 +356,7 @@ def _encode_units(prepared: PreparedPolygons, arrays: dict,
         fields.append("grid")
         grid = prepared.grid
         ext = grid.extent
-        _encode_unit_cells(units, arrays)
+        _encode_ragged([unit.cells for unit in units], arrays, "cells")
         arrays["grid_extent"] = np.asarray(
             [ext.xmin, ext.ymin, ext.xmax, ext.ymax], dtype=COORD_DTYPE
         )
@@ -413,7 +375,9 @@ def _encode_units(prepared: PreparedPolygons, arrays: dict,
         fields.append("coverage")
         manifest["coverage_tiles"] = coverage_tiles
         for idx in coverage_tiles:
-            _encode_unit_coverage(units, idx, arrays)
+            _encode_ragged(
+                [unit.coverage[idx] for unit in units], arrays, f"uc_{idx}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -435,293 +399,76 @@ def validate_manifest(manifest: dict, key: Sequence) -> None:
     )
 
 
-def decode_units_state(
-    arrays, manifest: dict
-) -> tuple[list[PolygonUnit], dict]:
-    """Rebuild the per-polygon units and frame metadata — polygon-free.
+def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
+    """Rebuild a :class:`PreparedPolygons` from persisted arrays.
 
-    This is the journal-replayable half of a load: everything here is
-    pure array data, so patch records can be applied to the result
-    without the (intermediate) polygon sets in hand.  The final
-    :func:`compose_from_units` step needs the live polygons only for the
-    grid index's object references.
+    ``polygons`` is the live polygon set the caller is querying with —
+    the units' bounding boxes and the grid index's object references
+    come from it, never from disk (the fingerprint in the key guarantees
+    the caller's geometry is the geometry the artifact was built from).
+    The per-polygon slices are decoded into the units and the set-level
+    views are then composed exactly as a live session composes them
+    after a build — OR the outline pixels into boundary masks, lay the
+    coverage slices end to end, scatter the grid CSR, band the edge
+    table — so the result is bit-identical to the artifact that was
+    saved.
     """
     meta_units = manifest.get("units")
     _require(isinstance(meta_units, dict), "manifest lacks unit metadata")
     fps = list(meta_units.get("polygon_fps", ()))
-    bboxes = meta_units.get("bboxes", ())
-    _require(len(fps) == len(bboxes), "unit fingerprint/bbox mismatch")
-    units = [
-        PolygonUnit(fp, tuple(float(v) for v in bbox))
-        for fp, bbox in zip(fps, bboxes)
-    ]
-    fields = set(manifest.get("fields", ()))
-    meta: dict = {
-        "fields": list(manifest.get("fields", ())),
-        "polygon_fps": fps,
-        "source_bbox": (
-            tuple(float(v) for v in meta_units["source_bbox"])
-            if meta_units.get("source_bbox") is not None else None
-        ),
-        "canvas": None,
-        "tiles": None,
-        "grid": None,
-        "mbr_arrays": None,
-    }
-    if "canvas" in fields:
-        meta["canvas"] = _decode_canvas(arrays, manifest)
-    if "tiles" in fields:
-        meta["tiles"] = _decode_tiles(arrays)
-    if "mbr_arrays" in fields:
-        meta["mbr_arrays"] = _decode_mbrs(arrays)
-    if "triangles" in fields:
-        _decode_unit_triangles(units, arrays)
-    if "grid" in fields:
-        grid_meta = manifest["grid"]
-        ext = np.asarray(arrays["grid_extent"], dtype=np.float64)
-        _require(ext.shape == (4,), "bad grid extent")
-        _decode_unit_cells(units, arrays)
-        meta["grid"] = {
-            "resolution": int(grid_meta["resolution"]),
-            "assignment": grid_meta["assignment"],
-            "extent": BBox(
-                float(ext[0]), float(ext[1]), float(ext[2]), float(ext[3])
-            ),
-        }
-    if "boundary_masks" in fields:
-        for idx in manifest.get("boundary_tiles", ()):
-            _decode_unit_boundary(units, int(idx), arrays)
-    if "coverage" in fields:
-        for idx in manifest.get("coverage_tiles", ()):
-            _decode_unit_coverage(units, int(idx), arrays)
-    return units, meta
-
-
-def compose_from_units(
-    units: list[PolygonUnit], meta: dict, polygons, key: Sequence
-) -> PreparedPolygons:
-    """Assemble the engine-consumed artifact from per-polygon units.
-
-    Runs the same composition the live session performs after a build —
-    OR the outline pixels into boundary masks, lay the coverage slices
-    end to end, scatter the grid CSR, band the edge table — so the
-    result is bit-identical to the artifact that was saved.
-    """
     _require(
-        len(units) == len(polygons),
+        len(fps) == len(meta_units.get("bboxes", ())) == len(polygons),
         "stored units do not match the polygon set",
     )
-    prepared = PreparedPolygons(polygons, tuple(key), meta["polygon_fps"])
-    prepared.units = units
-    prepared.canvas = meta["canvas"]
-    prepared.tiles = meta["tiles"]
-    prepared.mbr_arrays = meta["mbr_arrays"]
-    if all(unit.triangles is not None for unit in units):
+    prepared = PreparedPolygons(polygons, tuple(key), fps)
+    units = prepared.units
+    fields = set(manifest.get("fields", ()))
+    if "canvas" in fields:
+        prepared.canvas = _decode_canvas(arrays, manifest)
+    if "tiles" in fields:
+        prepared.tiles = _decode_tiles(arrays)
+    if "mbr_arrays" in fields:
+        prepared.mbr_arrays = _decode_mbrs(arrays)
+    if "triangles" in fields:
+        _decode_unit_triangles(units, arrays)
         prepared.triangles = [unit.triangles for unit in units]
-    grid_meta = meta["grid"]
-    if grid_meta is not None and all(
-        unit.cells is not None for unit in units
-    ):
+    if "grid" in fields:
+        ext = np.asarray(arrays["grid_extent"], dtype=np.float64)
+        _require(ext.shape == (4,), "bad grid extent")
+        cells = _decode_ragged(arrays, "cells", len(units), "grid cell")
+        for unit, unit_cells in zip(units, cells):
+            unit.cells = unit_cells
         prepared.grid = GridIndex.from_cells(
             polygons,
-            [unit.cells for unit in units],
-            resolution=grid_meta["resolution"],
-            assignment=grid_meta["assignment"],
-            extent=grid_meta["extent"],
+            cells,
+            resolution=int(manifest["grid"]["resolution"]),
+            assignment=manifest["grid"]["assignment"],
+            extent=BBox(*(float(v) for v in ext)),
         )
         prepared.grid.build_seconds = 0.0  # nothing was rebuilt
         # Derived with the grid, like a live prepare, so the loaded
         # artifact measures what the saved one did.
         prepared.ensure_edge_table(polygons)
-    boundary_tiles = _units_tiles(units, "boundary")
-    if boundary_tiles:
+    if "boundary_masks" in fields:
         _require(prepared.tiles is not None,
                  "boundary pixels without tile layout")
-        for idx in boundary_tiles:
+        for idx in map(int, manifest.get("boundary_tiles", ())):
             _require(0 <= idx < len(prepared.tiles),
                      "boundary tile out of range")
+            _decode_unit_boundary(units, idx, arrays)
             prepared.mark_composed(idx, boundary=prepared.compose_boundary(
                 idx, prepared.tiles[idx]
             ))
-    for idx in _units_tiles(units, "coverage"):
-        prepared.mark_composed(idx, coverage=prepared.compose_coverage(idx))
+    if "coverage" in fields:
+        for idx in map(int, manifest.get("coverage_tiles", ())):
+            for unit, pixels in zip(units, _decode_ragged(
+                arrays, f"uc_{idx}", len(units), "coverage"
+            )):
+                unit.coverage[idx] = pixels
+            prepared.mark_composed(
+                idx, coverage=prepared.compose_coverage(idx)
+            )
     return prepared
-
-
-def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
-    """Rebuild a :class:`PreparedPolygons` from persisted arrays.
-
-    ``polygons`` is the live polygon set the caller is querying with —
-    the grid index references polygon objects, which are never persisted
-    (the fingerprint in the key guarantees the caller's geometry is the
-    geometry the artifact was built from).
-    """
-    units, meta = decode_units_state(arrays, manifest)
-    return compose_from_units(units, meta, polygons, key)
-
-
-# ----------------------------------------------------------------------
-# Patch records (per-polygon edits, journaled by the store)
-# ----------------------------------------------------------------------
-def encode_patch(prepared: PreparedPolygons, key: Sequence) -> tuple[dict, dict]:
-    """Flatten a delta-derived artifact into (arrays, header).
-
-    The arrays carry **only the rebuilt polygons'** unit state; the
-    header records how every polygon of the new set maps onto the parent
-    artifact (``parent_map``), so replay clones the unchanged units from
-    the parent and decodes just the dirty ones.  Raises
-    :class:`ArtifactFormatError` when the artifact has no delta
-    provenance.
-    """
-    _require(
-        prepared.delta_parent is not None
-        and prepared.parent_map is not None,
-        "artifact has no delta provenance to patch from",
-    )
-    fingerprint, *spec = key
-    dirty = list(prepared.delta_dirty or ())
-    dirty_units = [prepared.units[pid] for pid in dirty]
-    header: dict = {
-        "version": FORMAT_VERSION,
-        "dtype": COORD_DTYPE,
-        "type": "patch",
-        "fingerprint": fingerprint,
-        "spec": canonical_spec(spec),
-        "parent_fingerprint": prepared.delta_parent[0],
-        "parent_map": list(prepared.parent_map),
-        "dirty": dirty,
-        "polygon_fps": list(prepared.polygon_fps),
-        "bboxes": [list(prepared.units[pid].bbox) for pid in dirty],
-        "source_bbox": (
-            list(prepared.source_bbox)
-            if prepared.source_bbox is not None else None
-        ),
-        "created": time.time(),
-        "nbytes": int(prepared.nbytes),
-        "fields": _effective_fields(prepared),
-    }
-    arrays: dict[str, np.ndarray] = {}
-    if dirty_units and all(u.triangles is not None for u in dirty_units):
-        header["has_triangles"] = True
-        _encode_unit_triangles(dirty_units, arrays, prefix="d_")
-    if (
-        prepared.grid is not None
-        and dirty_units
-        and all(u.cells is not None for u in dirty_units)
-    ):
-        ext = prepared.grid.extent
-        header["grid"] = {
-            "resolution": int(prepared.grid.resolution),
-            "assignment": prepared.grid.assignment,
-            "extent": [ext.xmin, ext.ymin, ext.xmax, ext.ymax],
-        }
-        _encode_unit_cells(dirty_units, arrays, prefix="d_")
-    boundary_tiles = (
-        _units_tiles(dirty_units, "boundary") if dirty_units
-        else _units_tiles(prepared.units, "boundary")
-    )
-    header["boundary_tiles"] = boundary_tiles
-    for idx in boundary_tiles if dirty_units else []:
-        _encode_unit_boundary(dirty_units, idx, arrays, prefix="d_")
-    coverage_tiles = (
-        _units_tiles(dirty_units, "coverage") if dirty_units
-        else _units_tiles(prepared.units, "coverage")
-    )
-    header["coverage_tiles"] = coverage_tiles
-    for idx in coverage_tiles if dirty_units else []:
-        _encode_unit_coverage(dirty_units, idx, arrays, prefix="d_")
-    return arrays, header
-
-
-def _effective_fields(prepared: PreparedPolygons) -> list[str]:
-    """The field list :func:`encode` would record for this artifact."""
-    fields: list[str] = []
-    if prepared.canvas is not None:
-        fields.append("canvas")
-    if prepared.tiles is not None:
-        fields.append("tiles")
-    if prepared.mbr_arrays is not None:
-        fields.append("mbr_arrays")
-    units = prepared.units
-    if units and all(u.triangles is not None for u in units):
-        fields.append("triangles")
-    if prepared.grid is not None and units and all(
-        u.cells is not None for u in units
-    ):
-        fields.append("grid")
-    if _units_tiles(units, "boundary"):
-        fields.append("boundary_masks")
-    if _units_tiles(units, "coverage"):
-        fields.append("coverage")
-    return fields
-
-
-def apply_patch(
-    parent_units: list[PolygonUnit],
-    parent_meta: dict,
-    header: dict,
-    arrays,
-) -> tuple[list[PolygonUnit], dict]:
-    """Apply one journal record to a (units, meta) state.
-
-    Clones the unchanged units per ``parent_map`` and decodes the dirty
-    ones from the record's arrays.  Pure array work — no polygon
-    objects, so a whole chain replays before the final composition.
-    """
-    parent_map = header.get("parent_map", ())
-    dirty = list(header.get("dirty", ()))
-    fps = list(header.get("polygon_fps", ()))
-    _require(len(parent_map) == len(fps), "patch header tables disagree")
-    if header.get("source_bbox") is not None and (
-        parent_meta.get("source_bbox") is not None
-    ):
-        _require(
-            tuple(float(v) for v in header["source_bbox"])
-            == tuple(parent_meta["source_bbox"]),
-            "patch frame does not match the parent artifact",
-        )
-    dirty_bboxes = header.get("bboxes", ())
-    _require(len(dirty_bboxes) == len(dirty), "patch bbox table disagrees")
-    dirty_units = [
-        PolygonUnit(fps[pid], tuple(float(v) for v in bbox))
-        for pid, bbox in zip(dirty, dirty_bboxes)
-    ]
-    if header.get("has_triangles"):
-        _decode_unit_triangles(dirty_units, arrays, prefix="d_")
-    grid_meta = header.get("grid")
-    meta = dict(parent_meta)
-    meta["polygon_fps"] = fps
-    if grid_meta is not None:
-        _decode_unit_cells(dirty_units, arrays, prefix="d_")
-        ext = grid_meta["extent"]
-        meta["grid"] = {
-            "resolution": int(grid_meta["resolution"]),
-            "assignment": grid_meta["assignment"],
-            "extent": BBox(
-                float(ext[0]), float(ext[1]), float(ext[2]), float(ext[3])
-            ),
-        }
-    for idx in header.get("boundary_tiles", ()) if dirty_units else []:
-        _decode_unit_boundary(dirty_units, int(idx), arrays, prefix="d_")
-    for idx in header.get("coverage_tiles", ()) if dirty_units else []:
-        _decode_unit_coverage(dirty_units, int(idx), arrays, prefix="d_")
-    units: list[PolygonUnit] = []
-    cursor = 0
-    for pid, src in enumerate(parent_map):
-        if src >= 0:
-            _require(src < len(parent_units), "patch parent id out of range")
-            units.append(parent_units[src].clone())
-        else:
-            _require(cursor < len(dirty_units), "patch dirty table short")
-            units.append(dirty_units[cursor])
-            cursor += 1
-    _require(cursor == len(dirty_units), "patch dirty table long")
-    # MBR columns are a cheap pure function of the live polygons; a
-    # patched state drops them rather than splicing (ensure_mbr_arrays
-    # rebuilds bit-identically on first use).
-    meta["mbr_arrays"] = None
-    meta["fields"] = [f for f in header.get("fields", ()) if f != "mbr_arrays"]
-    return units, meta
 
 
 # ----------------------------------------------------------------------

@@ -7,38 +7,31 @@ artifacts demoted out of the in-memory byte budget land here, and a
 fresh process pointed at a populated store answers its first repeated
 query warm — no re-triangulation, no coverage rebuild.
 
-**Patch journals** (PR 5): a delta-derived artifact — an edited polygon
-set that reused most of a sibling's per-polygon state — persists as a
-small record appended to its lineage root's ``<root_kid>.journal`` plus
-a tiny ``<key_id>.ref`` manifest, instead of rewriting the whole pair.
-Loading such a key replays the journal chain over the root pair (pure
-per-polygon array work) and recomposes — bit-identical to a full save.
-Journals **compact** automatically: once a lineage's journal outgrows
-its base payload (or the chain gets long), the next edit is written as
-a fresh full pair, and the LRU disk budget treats the root pair plus
-its journal as one evictable group.  See ``docs/incremental_edits.md``.
+The pair is the only shape on disk, for prepared-polygon artifacts and
+aggregate pyramids alike, and every save writes a whole one: an edited
+polygon set persists under its own key exactly as a cold-built one
+does (``docs/incremental_edits.md`` has the measured cost).  One
+writer (:meth:`ArtifactStore._write_pair`) and one reader
+(:meth:`ArtifactStore._read_pair`) serve both artifact types and hold
+the durability contract:
 
-Durability contract:
-
-* **Atomic writes.**  Pair and ref files are written to temporary names
-  and committed with :func:`os.replace`; the ``.npz`` is committed
-  before the manifest, and loads read the manifest first, so a reader
-  can never observe a half-written pair as valid.
-* **Checksums.**  The manifest carries a digest of the ``.npz`` bytes;
-  any mismatch (torn pair, bit rot, truncation) fails validation.
-  Journal records are individually length-framed and checksummed: a
-  truncated or corrupt trailing record (crash debris) is detected and
-  dropped, falling back to the last consistent state.
+* **Atomic writes.**  Each file is written to a temporary name and
+  committed with :func:`os.replace`; the ``.npz`` is committed before
+  the manifest, and loads read the manifest first, so a reader can
+  never observe a half-written pair as valid.  Temporary files are
+  removed whether or not the commit succeeded.
+* **Checksums.**  The manifest carries the size and a digest of the
+  ``.npz`` bytes; any mismatch (torn pair, a new payload under an old
+  manifest, bit rot, truncation) fails validation.
 * **Corruption tolerance.**  Every load failure — missing file, bad
-  zip, bad JSON, version or key mismatch, checksum mismatch, broken
-  journal chain — returns ``None`` instead of raising, so callers fall
-  back to a rebuild.  The rebuilt artifact overwrites the bad state on
-  the next save.
-* **Disk budget.**  ``disk_budget`` caps the directory size; beyond it,
-  the oldest groups by mtime are evicted (loads touch mtime, making
-  this LRU-by-recency, not merely by write time).  A root pair and its
-  journal share one group; refs are tiny groups of their own, and a ref
-  whose root was evicted simply loads as a miss.
+  zip, bad JSON, version or key mismatch, checksum mismatch — returns
+  ``None`` instead of raising, so callers fall back to a rebuild.  The
+  rebuilt artifact overwrites the bad state on the next save.
+* **Disk budget.**  ``disk_budget`` caps the directory size.  A pair
+  larger than the whole budget is refused before anything is written;
+  otherwise the oldest pairs by mtime are evicted (loads touch mtime,
+  making this LRU-by-recency, not merely by write time), never the one
+  just written.
 
 Nothing in this module imports the session — the store is a standalone
 subsystem that later scaling work (sharding, multi-process serving) can
@@ -70,6 +63,12 @@ STORE_DIR_ENV_VAR = "REPRO_STORE_DIR"
 STORE_BUDGET_ENV_VAR = "REPRO_STORE_BUDGET"
 
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
+
+#: The two files of a pair, and everything the store accounts for and
+#: sweeps: a directory written by an earlier version may also hold the
+#: ``.ref`` / ``.journal`` files of a patch journal nothing reads any more.
+_PAIR_SUFFIXES = (".npz", ".json")
+_STORE_SUFFIXES = _PAIR_SUFFIXES + (".ref", ".journal")
 
 
 class ArtifactTooLargeError(QueryError):
@@ -130,17 +129,6 @@ class ArtifactStore:
         self.save_failures = 0
         #: Saves refused because one artifact exceeds the whole budget.
         self.rejected_saves = 0
-        #: Edits persisted as journal records instead of full pairs,
-        #: journal replays served, patch attempts that fell back to a
-        #: full save (compaction or an unpatchable parent), and corrupt
-        #: or truncated journal records dropped by the checksum guard.
-        self.patch_saves = 0
-        self.patch_loads = 0
-        self.patch_fallbacks = 0
-        self.dropped_records = 0
-        #: Distinct journal damage sites already counted, so repeated
-        #: scans of the same debris don't inflate ``dropped_records``.
-        self._damage_seen: set[tuple] = set()
         self.evictions = 0
         self.save_s = 0.0
         self.load_s = 0.0
@@ -193,364 +181,95 @@ class ArtifactStore:
         except (TypeError, ValueError):
             return None
 
-    def _tmp_name(self, final: Path) -> Path:
-        return final.with_name(
+    # ------------------------------------------------------------------
+    # The pair writer and the pair reader
+    # ------------------------------------------------------------------
+    def _commit(self, final: Path, data: bytes) -> None:
+        """Write ``data`` under a temporary name and rename it into
+        place; the temporary file is gone afterwards either way."""
+        tmp = final.with_name(
             f"{final.name}.tmp-{os.getpid()}-{threading.get_ident()}-"
             f"{uuid.uuid4().hex[:8]}"
         )
-
-    def _ref_path(self, kid: str) -> Path:
-        return self.root / f"{kid}.ref"
-
-    def _journal_path(self, kid: str) -> Path:
-        return self.root / f"{kid}.journal"
-
-    # ------------------------------------------------------------------
-    # Journal framing
-    # ------------------------------------------------------------------
-    #: Per-record frame: magic, little-endian payload length, then a
-    #: 32-hex checksum of the payload.  The payload is a 4-byte header
-    #: length + JSON header + npz bytes.  Framing makes every record
-    #: independently verifiable, so crash debris (a truncated or torn
-    #: trailing record) is detected and dropped rather than misread.
-    _RECORD_MAGIC = b"RJPJ"
-    #: Compaction rules: stop appending once the journal outgrows the
-    #: base payload by this factor (replaying would read more bytes than
-    #: a full pair) or the record count passes the cap (replay latency);
-    #: the next edit then writes a fresh full pair for its own key.
-    JOURNAL_SIZE_FACTOR = 1.0
-    JOURNAL_MAX_RECORDS = 16
-
-    def _frame_record(self, header: dict, arrays: dict) -> bytes:
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        payload = (
-            len(header_bytes).to_bytes(4, "little") + header_bytes
-            + buffer.getvalue()
-        )
-        return (
-            self._RECORD_MAGIC
-            + len(payload).to_bytes(8, "little")
-            + artifact_format.checksum(payload).encode("ascii")
-            + payload
-        )
-
-    def _note_damage(self, journal_path: Path, offset: int) -> None:
-        """Count a journal damage site once, however often it is
-        re-scanned (loads and saves both walk journals repeatedly)."""
-        site = (journal_path.name, offset)
-        if site not in self._damage_seen:
-            self._damage_seen.add(site)
-            self.dropped_records += 1
-
-    def _read_records(self, journal_path: Path) -> list[tuple[dict, bytes]]:
-        """All intact records of a journal, in append order — see
-        :meth:`_scan_journal`."""
-        return self._scan_journal(journal_path)[0]
-
-    def _scan_journal(
-        self, journal_path: Path
-    ) -> tuple[list[tuple[dict, bytes]], int, int]:
-        """(intact records, valid-prefix end offset, file size).
-
-        Stops at the first frame that fails any check — short header,
-        short payload, bad magic, checksum mismatch — and counts the
-        drop: everything before the damage is the last consistent state,
-        everything after it is unreachable (readers stop there, so
-        appenders must not add records past it — see
-        :meth:`save_patch`).  The full-validation walk reads the whole
-        journal, which compaction bounds to about the base payload size.
-        """
         try:
-            blob = journal_path.read_bytes()
-        except (FileNotFoundError, OSError):
-            return [], 0, 0
-        records: list[tuple[dict, bytes]] = []
-        offset = 0
-        prefix = len(self._RECORD_MAGIC) + 8 + 32
-        while offset < len(blob):
-            if offset + prefix > len(blob):
-                self._note_damage(journal_path, offset)  # truncated frame header
-                break
-            magic = blob[offset:offset + 4]
-            if magic != self._RECORD_MAGIC:
-                self._note_damage(journal_path, offset)
-                break
-            length = int.from_bytes(blob[offset + 4:offset + 12], "little")
-            digest = blob[offset + 12:offset + prefix].decode(
-                "ascii", "replace"
-            )
-            payload = blob[offset + prefix:offset + prefix + length]
-            if len(payload) < length:
-                self._note_damage(journal_path, offset)  # truncated trailing record
-                break
-            if artifact_format.checksum(payload) != digest:
-                self._note_damage(journal_path, offset)
-                break
+            tmp.write_bytes(data)
+            os.replace(tmp, final)
+        finally:
             try:
-                header_len = int.from_bytes(payload[:4], "little")
-                header = json.loads(payload[4:4 + header_len])
-                npz_bytes = payload[4 + header_len:]
-            except Exception:
-                self._note_damage(journal_path, offset)
-                break
-            records.append((header, npz_bytes))
-            offset += prefix + length
-        return records, offset, len(blob)
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
 
-    # ------------------------------------------------------------------
-    # Save / load
-    # ------------------------------------------------------------------
-    def save(self, key: Sequence, prepared: PreparedPolygons) -> int:
-        """Persist an artifact atomically; returns bytes written.
+    def _write_pair(self, kind: str, encode, key: Sequence, obj) -> int:
+        """Persist ``obj`` as the pair for ``key``; returns bytes written.
 
-        The npz payload is committed before the manifest, so a manifest
-        on disk always describes a complete payload (modulo a concurrent
-        writer replacing the pair, which the checksum catches).
+        ``encode(obj, key)`` flattens it into (arrays, manifest).  The
+        npz payload is committed before the manifest, so a manifest on
+        disk always describes a complete payload (modulo a concurrent
+        writer replacing the pair, or a failure between the two commits
+        leaving a new payload under an old manifest — both of which the
+        checksum catches).  An ``OSError`` anywhere propagates with no
+        temporary file left behind; the caller decides what a failed
+        save costs.
 
         Raises :class:`ArtifactTooLargeError` — before writing anything —
         when the pair alone would exceed the disk budget; see the
         exception's docstring for why such pairs are never admitted.
         """
         start = time.perf_counter()
-        arrays, manifest = artifact_format.encode(prepared, key)
+        arrays, manifest = encode(obj, key)
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
         payload = buffer.getvalue()
         manifest["checksum"] = artifact_format.checksum(payload)
         manifest["payload_bytes"] = len(payload)
         manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        if (
-            self.disk_budget is not None
-            and len(payload) + len(manifest_bytes) > self.disk_budget
-        ):
+        written = len(payload) + len(manifest_bytes)
+        if self.disk_budget is not None and written > self.disk_budget:
             self.rejected_saves += 1
             raise ArtifactTooLargeError(
-                f"artifact pair ({(len(payload) + len(manifest_bytes)) / 1e6:.1f}"
-                f" MB) exceeds the store's disk budget "
-                f"({self.disk_budget / 1e6:.1f} MB)"
+                f"{kind} pair ({written / 1e6:.1f} MB) exceeds the store's "
+                f"disk budget ({self.disk_budget / 1e6:.1f} MB)"
             )
-
         npz_path, manifest_path = self._paths(key)
-        tmp_npz = self._tmp_name(npz_path)
-        tmp_manifest = self._tmp_name(manifest_path)
-        try:
-            tmp_npz.write_bytes(payload)
-            os.replace(tmp_npz, npz_path)
-            tmp_manifest.write_bytes(manifest_bytes)
-            os.replace(tmp_manifest, manifest_path)
-        finally:
-            for leftover in (tmp_npz, tmp_manifest):
-                try:
-                    leftover.unlink(missing_ok=True)
-                except OSError:
-                    pass
+        self._commit(npz_path, payload)
+        self._commit(manifest_path, manifest_bytes)
         self.saves += 1
         elapsed = time.perf_counter() - start
         self.save_s += elapsed
-        metrics.counter("store_saves", kind="prepared")
-        metrics.counter("store_save_bytes",
-                        len(payload) + len(manifest_bytes), kind="prepared")
-        metrics.observe("store_save_seconds", elapsed, kind="prepared")
-        # A full save supersedes any patch ref for the same key.
-        try:
-            self._ref_path(artifact_format.key_id(key)).unlink(missing_ok=True)
-        except OSError:
-            pass
+        metrics.counter("store_saves", kind=kind)
+        metrics.counter("store_save_bytes", written, kind=kind)
+        metrics.observe("store_save_seconds", elapsed, kind=kind)
         if self.disk_budget is not None:
-            self.enforce_disk_budget(protect=artifact_format.key_id(key))
-        return len(payload) + len(manifest_bytes)
+            self.enforce_disk_budget(protect=npz_path.stem)
+        return written
 
-    def save_patch(self, key: Sequence, prepared: PreparedPolygons) -> int:
-        """Persist a delta-derived artifact as a journal record.
-
-        Appends a per-polygon patch record (only the rebuilt polygons'
-        arrays) to the lineage root's journal and commits a tiny
-        ``<key_id>.ref`` manifest pointing at it — the "manifest bump"
-        that makes the new key addressable.  Falls back to a full
-        :meth:`save` (counted in ``patch_fallbacks``) whenever patching
-        can't faithfully represent the artifact:
-
-        * the parent key has no loadable state here (never persisted, or
-          evicted);
-        * the parent's stored fields lack something this artifact has
-          (e.g. the parent was persisted stripped — replaying would
-          silently lose coverage);
-        * the journal carries crash debris or in-place corruption after
-          its last valid record — a record appended there would be
-          unreachable, so the full pair re-roots the lineage instead;
-        * compaction: the journal would outgrow its base payload
-          (``JOURNAL_SIZE_FACTOR``) or the record cap
-          (``JOURNAL_MAX_RECORDS``) — the full pair *is* the compacted
-          state, and the old lineage ages out via the LRU budget.
-        """
-        parent_key = prepared.delta_parent
-        if parent_key is None:
-            return self.save(key, prepared)
-        root_kid = self._lineage_root(parent_key)
-        if root_kid is None:
-            self.patch_fallbacks += 1
-            return self.save(key, prepared)
-        parent_fields = self.describe(parent_key)
-        if parent_fields is None:
-            self.patch_fallbacks += 1
-            return self.save(key, prepared)
-        start = time.perf_counter()
-        try:
-            arrays, header = artifact_format.encode_patch(prepared, key)
-        except artifact_format.ArtifactFormatError:
-            self.patch_fallbacks += 1
-            return self.save(key, prepared)
-        missing = [
-            f for f in header["fields"]
-            if f not in parent_fields and f not in ("canvas", "tiles")
-        ]
-        if missing:
-            self.patch_fallbacks += 1
-            return self.save(key, prepared)
-        journal_path = self._journal_path(root_kid)
-        record = self._frame_record(header, arrays)
-        records, valid_end, journal_size = self._scan_journal(journal_path)
-        try:
-            base_size = (self.root / f"{root_kid}.npz").stat().st_size
-        except (FileNotFoundError, OSError):
-            base_size = 0
-        if valid_end < journal_size:
-            # Debris or in-place corruption after the last fully valid
-            # record: appending there would commit a ref no reader can
-            # reach (readers stop at the first bad frame), and
-            # truncating would race a concurrent appender whose record
-            # we simply haven't validated.  A full pair sidesteps both —
-            # and re-roots the lineage, so the damaged journal ages out.
-            self.patch_fallbacks += 1
-            return self.save(key, prepared)
-        if (
-            valid_end + len(record) > base_size * self.JOURNAL_SIZE_FACTOR
-            or len(records) >= self.JOURNAL_MAX_RECORDS
-        ):
-            self.patch_fallbacks += 1
-            return self.save(key, prepared)
-        if (
-            self.disk_budget is not None
-            and len(record) > self.disk_budget
-        ):
-            self.rejected_saves += 1
-            raise ArtifactTooLargeError(
-                f"patch record ({len(record) / 1e6:.1f} MB) exceeds the "
-                f"store's disk budget ({self.disk_budget / 1e6:.1f} MB)"
-            )
-        # Append the record first, then commit the ref atomically: a
-        # crash in between leaves an unreferenced (harmless) record.
-        # The append is one O_APPEND os.write of the whole frame, so
-        # concurrent writers sharing the directory land whole records
-        # (POSIX serializes the offset per write); a torn tail from a
-        # signal or full disk is caught by the frame checksum.
-        fd = os.open(
-            journal_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            os.write(fd, record)
-        finally:
-            os.close(fd)
-        kid = artifact_format.key_id(key)
-        ref = {
-            "type": "patch-ref",
-            "version": artifact_format.FORMAT_VERSION,
-            "dtype": artifact_format.COORD_DTYPE,
-            "fingerprint": key[0],
-            "spec": artifact_format.canonical_spec(list(key)[1:]),
-            "root": root_kid,
-            "fields": header["fields"],
-            "nbytes": header["nbytes"],
-            "created": header["created"],
-        }
-        ref_bytes = json.dumps(ref, sort_keys=True).encode("utf-8")
-        ref_path = self._ref_path(kid)
-        tmp_ref = self._tmp_name(ref_path)
-        try:
-            tmp_ref.write_bytes(ref_bytes)
-            os.replace(tmp_ref, ref_path)
-        finally:
-            try:
-                tmp_ref.unlink(missing_ok=True)
-            except OSError:
-                pass
-        self.patch_saves += 1
-        self.saves += 1
-        elapsed = time.perf_counter() - start
-        self.save_s += elapsed
-        metrics.counter("store_saves", kind="patch")
-        metrics.counter("store_save_bytes",
-                        len(record) + len(ref_bytes), kind="patch")
-        metrics.observe("store_save_seconds", elapsed, kind="patch")
-        if self.disk_budget is not None:
-            self.enforce_disk_budget(protect=root_kid)
-        return len(record) + len(ref_bytes)
-
-    def _lineage_root(self, key: Sequence) -> str | None:
-        """The key_id owning the journal a patch of ``key`` appends to:
-        the key's own id when a full pair exists, else the root its ref
-        points at, else ``None`` (nothing stored to patch against)."""
-        paths = self._paths_or_none(key)
-        if paths is None:
-            return None
-        npz_path, manifest_path = paths
-        kid = artifact_format.key_id(key)
-        if npz_path.exists() and manifest_path.exists():
-            return kid
-        ref = self._read_ref(kid)
-        if ref is not None:
-            root = ref.get("root")
-            if isinstance(root, str) and (
-                self.root / f"{root}.npz"
-            ).exists():
-                return root
-        return None
-
-    def _read_ref(self, kid: str) -> dict | None:
-        try:
-            ref = json.loads(self._ref_path(kid).read_bytes())
-        except (FileNotFoundError, OSError, ValueError):
-            return None
-        if (
-            isinstance(ref, dict)
-            and ref.get("type") == "patch-ref"
-            and ref.get("version") == artifact_format.FORMAT_VERSION
-            and ref.get("dtype") == artifact_format.COORD_DTYPE
-        ):
-            return ref
-        return None
-
-    def load(self, key: Sequence, polygons) -> PreparedPolygons | None:
-        """Load and validate the artifact for ``key``; ``None`` on any
+    def _read_pair(self, kind: str, validate, decode, key: Sequence):
+        """Load and validate the pair for ``key``; ``None`` on any
         failure (missing, torn, corrupt, stale format) — the caller
         rebuilds, it never crashes.
 
-        A key persisted as a patch (a ``.ref`` file) replays its journal
-        chain over the lineage's base pair and recomposes — bit-identical
-        to loading a full pair, by the determinism of the per-polygon
-        composition.
+        ``validate(manifest, key)`` rejects a manifest of another format
+        version, key or artifact type; ``decode(arrays, manifest)``
+        rebuilds the object from a payload whose size and checksum
+        matched.  An absent pair is a plain miss; anything else that
+        goes wrong is counted in ``load_failures``.
         """
         start = time.perf_counter()
         paths = self._paths_or_none(key)
         if paths is None:
             return None
         npz_path, manifest_path = paths
-        if not manifest_path.exists():
-            return self._load_patched(key, polygons, start)
         try:
             manifest = json.loads(manifest_path.read_bytes())
-            artifact_format.validate_manifest(manifest, key)
+            validate(manifest, key)
             payload = npz_path.read_bytes()
             if len(payload) != manifest.get("payload_bytes"):
                 raise ArtifactFormatError("payload size mismatch")
             if artifact_format.checksum(payload) != manifest.get("checksum"):
                 raise ArtifactFormatError("payload checksum mismatch")
             with np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
-                prepared = artifact_format.decode(
-                    arrays, manifest, polygons, key
-                )
+                obj = decode(arrays, manifest)
         except FileNotFoundError:
             return None
         except Exception:
@@ -558,223 +277,60 @@ class ArtifactStore:
             # and let the caller rebuild.  The next save overwrites it.
             self.load_failures += 1
             return None
-        self._touch(npz_path, manifest_path)
-        self.loads += 1
-        elapsed = time.perf_counter() - start
-        self.load_s += elapsed
-        metrics.counter("store_loads", kind="prepared")
-        metrics.counter("store_load_bytes", len(payload), kind="prepared")
-        metrics.observe("store_load_seconds", elapsed, kind="prepared")
-        return prepared
-
-    def _load_patched(self, key: Sequence, polygons,
-                      start: float) -> PreparedPolygons | None:
-        """Replay a journaled key: base pair + patch-record chain."""
-        kid = artifact_format.key_id(key)
-        ref = self._read_ref(kid)
-        if ref is None:
-            return None
-        fingerprint, *spec = key
-        if (
-            ref.get("fingerprint") != fingerprint
-            or ref.get("spec") != artifact_format.canonical_spec(spec)
-        ):
-            self.load_failures += 1
-            return None
-        root_kid = ref.get("root")
-        base_npz = self.root / f"{root_kid}.npz"
-        base_manifest_path = self.root / f"{root_kid}.json"
-        journal_path = self._journal_path(root_kid)
-        try:
-            manifest = json.loads(base_manifest_path.read_bytes())
-            if (
-                manifest.get("version") != artifact_format.FORMAT_VERSION
-                or manifest.get("dtype") != artifact_format.COORD_DTYPE
-            ):
-                raise ArtifactFormatError("stale base pair")
-            payload = base_npz.read_bytes()
-            if len(payload) != manifest.get("payload_bytes"):
-                raise ArtifactFormatError("base payload size mismatch")
-            if artifact_format.checksum(payload) != manifest.get("checksum"):
-                raise ArtifactFormatError("base payload checksum mismatch")
-            base_fp = manifest.get("fingerprint")
-            # Build the parent chain: target fp back to the base fp via
-            # each record's parent pointer (undo/redo branches share one
-            # journal, so records are chained by fingerprint, not by
-            # append order).
-            records = self._read_records(journal_path)
-            by_fp: dict[str, tuple[dict, bytes]] = {}
-            for header, blob in records:
-                if (
-                    header.get("version") == artifact_format.FORMAT_VERSION
-                    and header.get("spec")
-                    == artifact_format.canonical_spec(spec)
-                ):
-                    by_fp[header.get("fingerprint")] = (header, blob)
-            chain: list[tuple[dict, bytes]] = []
-            cursor = fingerprint
-            while cursor != base_fp:
-                node = by_fp.get(cursor)
-                if node is None or len(chain) > len(records):
-                    raise ArtifactFormatError("journal chain is broken")
-                chain.append(node)
-                cursor = node[0].get("parent_fingerprint")
-            with np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
-                units, meta = artifact_format.decode_units_state(
-                    arrays, manifest
-                )
-            for header, blob in reversed(chain):
-                with np.load(io.BytesIO(blob), allow_pickle=False) as arrays:
-                    units, meta = artifact_format.apply_patch(
-                        units, meta, header, arrays
-                    )
-            prepared = artifact_format.compose_from_units(
-                units, meta, polygons, key
-            )
-        except Exception:
-            self.load_failures += 1
-            return None
-        self._touch(
-            base_npz, base_manifest_path, journal_path, self._ref_path(kid)
-        )
-        self.loads += 1
-        self.patch_loads += 1
-        elapsed = time.perf_counter() - start
-        self.load_s += elapsed
-        metrics.counter("store_loads", kind="patch")
-        metrics.counter("store_load_bytes", len(payload), kind="patch")
-        metrics.observe("store_load_seconds", elapsed, kind="patch")
-        return prepared
-
-    @staticmethod
-    def _touch(*paths: Path) -> None:
         now = time.time()
         for path in paths:
             try:
                 os.utime(path, (now, now))  # recency for LRU eviction
             except OSError:
                 pass
-
-    def contains(self, key: Sequence) -> bool:
-        """Whether (possibly invalid) stored state exists for ``key`` — a
-        cheap existence probe used by dirty tracking, not a validation.
-
-        A patch ref counts only while its lineage root pair still
-        exists: an orphaned ref (the root was evicted) is *not*
-        containment — dirty tracking uses this answer to decide whether
-        demoting an entry without saving it loses data, and an orphaned
-        ref cannot serve a load.
-        """
-        paths = self._paths_or_none(key)
-        if paths is None:
-            return False
-        npz_path, manifest_path = paths
-        if npz_path.exists() and manifest_path.exists():
-            return True
-        ref = self._read_ref(artifact_format.key_id(key))
-        if ref is None:
-            return False
-        root = ref.get("root")
-        return (
-            isinstance(root, str)
-            and (self.root / f"{root}.npz").exists()
-            and (self.root / f"{root}.json").exists()
-        )
-
-    # ------------------------------------------------------------------
-    # Aggregate pyramids — second artifact type, same pair layout
-    # ------------------------------------------------------------------
-    def save_pyramid(self, key: Sequence, pyramid) -> int:
-        """Persist an aggregate pyramid atomically; returns bytes written.
-
-        Same durability contract as :meth:`save` — tmp-and-rename pair
-        commit with the npz first, checksum in the manifest, and an
-        :class:`ArtifactTooLargeError` *before* writing anything when
-        the pair alone would exceed the disk budget.  Pyramids never
-        journal: a channel addition rewrites the (small) pair whole.
-        """
-        start = time.perf_counter()
-        arrays, manifest = artifact_format.encode_pyramid(pyramid, key)
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        payload = buffer.getvalue()
-        manifest["checksum"] = artifact_format.checksum(payload)
-        manifest["payload_bytes"] = len(payload)
-        manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        if (
-            self.disk_budget is not None
-            and len(payload) + len(manifest_bytes) > self.disk_budget
-        ):
-            self.rejected_saves += 1
-            raise ArtifactTooLargeError(
-                f"pyramid pair ({(len(payload) + len(manifest_bytes)) / 1e6:.1f}"
-                f" MB) exceeds the store's disk budget "
-                f"({self.disk_budget / 1e6:.1f} MB)"
-            )
-        npz_path, manifest_path = self._paths(key)
-        tmp_npz = self._tmp_name(npz_path)
-        tmp_manifest = self._tmp_name(manifest_path)
-        try:
-            tmp_npz.write_bytes(payload)
-            os.replace(tmp_npz, npz_path)
-            tmp_manifest.write_bytes(manifest_bytes)
-            os.replace(tmp_manifest, manifest_path)
-        finally:
-            for leftover in (tmp_npz, tmp_manifest):
-                try:
-                    leftover.unlink(missing_ok=True)
-                except OSError:
-                    pass
-        self.saves += 1
-        elapsed = time.perf_counter() - start
-        self.save_s += elapsed
-        metrics.counter("store_saves", kind="pyramid")
-        metrics.counter("store_save_bytes",
-                        len(payload) + len(manifest_bytes), kind="pyramid")
-        metrics.observe("store_save_seconds", elapsed, kind="pyramid")
-        if self.disk_budget is not None:
-            self.enforce_disk_budget(protect=artifact_format.key_id(key))
-        return len(payload) + len(manifest_bytes)
-
-    def load_pyramid(self, key: Sequence):
-        """Load and validate the pyramid for ``key``; ``None`` on any
-        failure — the caller rebuilds from points, it never crashes."""
-        start = time.perf_counter()
-        paths = self._paths_or_none(key)
-        if paths is None:
-            return None
-        npz_path, manifest_path = paths
-        try:
-            manifest = json.loads(manifest_path.read_bytes())
-            artifact_format.validate_pyramid_manifest(manifest, key)
-            payload = npz_path.read_bytes()
-            if len(payload) != manifest.get("payload_bytes"):
-                raise ArtifactFormatError("payload size mismatch")
-            if artifact_format.checksum(payload) != manifest.get("checksum"):
-                raise ArtifactFormatError("payload checksum mismatch")
-            with np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
-                pyramid = artifact_format.decode_pyramid(arrays, manifest)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            self.load_failures += 1
-            return None
-        self._touch(npz_path, manifest_path)
         self.loads += 1
         elapsed = time.perf_counter() - start
         self.load_s += elapsed
-        metrics.counter("store_loads", kind="pyramid")
-        metrics.counter("store_load_bytes", len(payload), kind="pyramid")
-        metrics.observe("store_load_seconds", elapsed, kind="pyramid")
-        return pyramid
+        metrics.counter("store_loads", kind=kind)
+        metrics.counter("store_load_bytes", len(payload), kind=kind)
+        metrics.observe("store_load_seconds", elapsed, kind=kind)
+        return obj
 
-    def contains_pyramid(self, key: Sequence) -> bool:
-        """Cheap existence probe for a persisted pyramid pair."""
+    # ------------------------------------------------------------------
+    # Save / load: prepared polygons, and aggregate pyramids (keyed by
+    # *point* content) — two artifact types, one pair layout
+    # ------------------------------------------------------------------
+    def save(self, key: Sequence, prepared: PreparedPolygons) -> int:
+        """Persist an artifact atomically; returns bytes written
+        (:meth:`_write_pair` is the contract)."""
+        return self._write_pair("prepared", artifact_format.encode,
+                                key, prepared)
+
+    def load(self, key: Sequence, polygons) -> PreparedPolygons | None:
+        """The artifact stored for ``key``, rebuilt around the caller's
+        live ``polygons``; ``None`` on any failure (:meth:`_read_pair`)."""
+        return self._read_pair(
+            "prepared", artifact_format.validate_manifest,
+            lambda arrays, manifest: artifact_format.decode(
+                arrays, manifest, polygons, key
+            ),
+            key,
+        )
+
+    def save_pyramid(self, key: Sequence, pyramid) -> int:
+        """Persist an aggregate pyramid atomically; returns bytes
+        written.  A channel addition rewrites the (small) pair whole."""
+        return self._write_pair("pyramid", artifact_format.encode_pyramid,
+                                key, pyramid)
+
+    def load_pyramid(self, key: Sequence):
+        """The pyramid stored for ``key``; ``None`` on any failure — the
+        caller rebuilds from points, it never crashes."""
+        return self._read_pair(
+            "pyramid", artifact_format.validate_pyramid_manifest,
+            artifact_format.decode_pyramid, key,
+        )
+
+    def contains(self, key: Sequence) -> bool:
+        """Whether a (possibly invalid) pair exists for ``key`` — a
+        cheap existence probe used by dirty tracking, not a validation."""
         paths = self._paths_or_none(key)
-        if paths is None:
-            return False
-        npz_path, manifest_path = paths
-        return npz_path.exists() and manifest_path.exists()
+        return paths is not None and all(path.exists() for path in paths)
 
     def describe(self, key: Sequence) -> list[str] | None:
         """The stored artifact's field list, without loading the payload.
@@ -783,7 +339,6 @@ class ArtifactStore:
         costing uses this to tell a *full* artifact (coverage present:
         the polygon pass replays) from a *partial* one (triangles/grid
         only: preparation is skipped but coverage re-rasterizes).
-        Journaled keys answer from their ref manifest, equally cheaply.
         Returns ``None`` for missing or invalid state; never raises.
         """
         paths = self._paths_or_none(key)
@@ -799,38 +354,14 @@ class ArtifactStore:
             if npz_path.stat().st_size != manifest.get("payload_bytes"):
                 return None
             return list(manifest.get("fields", ()))
-        except FileNotFoundError:
-            pass
         except Exception:
             return None
-        kid = artifact_format.key_id(key)
-        ref = self._read_ref(kid)
-        if ref is None:
-            return None
-        fingerprint, *spec = key
-        if (
-            ref.get("fingerprint") != fingerprint
-            or ref.get("spec") != artifact_format.canonical_spec(spec)
-        ):
-            return None
-        root = ref.get("root")
-        if not isinstance(root, str) or not (
-            self.root / f"{root}.npz"
-        ).exists():
-            return None  # lineage base evicted: the key won't load
-        return list(ref.get("fields", ()))
 
     def delete(self, key: Sequence) -> bool:
-        """Drop the stored state for ``key``; True if anything was
-        removed.  Removes the pair, the key's patch ref, and — when the
-        key roots a lineage — its journal (derived refs then load as
-        misses and rebuild)."""
-        paths = self._paths_or_none(key)
-        if paths is None:
-            return False
-        kid = artifact_format.key_id(key)
+        """Drop the pair stored for ``key``; True if anything was
+        removed."""
         removed = False
-        for path in (*paths, self._ref_path(kid), self._journal_path(kid)):
+        for path in self._paths_or_none(key) or ():
             try:
                 path.unlink()
                 removed = True
@@ -839,24 +370,14 @@ class ArtifactStore:
         return removed
 
     def clear(self) -> int:
-        """Remove every file in the store; returns artifacts removed.
-
-        Also sweeps refs, journals, orphan payloads (a crash between the
-        two commits of a save), and abandoned temporary files.
-        """
+        """Remove every file the store accounts for, live writers'
+        temporaries included; returns artifacts (manifests) removed."""
         removed = 0
-        for manifest_path in self.root.glob("*.json"):
-            removed += 1
-            manifest_path.unlink(missing_ok=True)
-        for ref_path in self.root.glob("*.ref"):
-            removed += 1
-            ref_path.unlink(missing_ok=True)
-        for leftover in (
-            *self.root.glob("*.npz"),
-            *self.root.glob("*.journal"),
-            *self.root.glob("*.tmp-*"),
-        ):
-            leftover.unlink(missing_ok=True)
+        for path in self.root.iterdir():
+            if path.suffix in _STORE_SUFFIXES or ".tmp-" in path.name:
+                if path.suffix == ".json":
+                    removed += 1
+                path.unlink(missing_ok=True)
         return removed
 
     # ------------------------------------------------------------------
@@ -868,32 +389,28 @@ class ArtifactStore:
 
     def _scan(self) -> dict[str, tuple[int, float, list[Path]]]:
         """group id -> (bytes, last-use mtime, paths) for everything the
-        budget should see: artifact pairs (complete or torn) grouped by
-        key_id — a lineage root's journal shares its pair's group, so a
-        base and its patch records evict as one unit — patch refs as
-        their own (tiny) groups, plus aged ``*.tmp-*`` crash debris, so
-        the disk accounting never undercounts and eviction can reclaim
-        any of it.  Fresh tmp files (a live writer) are left alone.
+        budget should see, so the disk accounting never undercounts and
+        eviction can reclaim any of it: pairs, complete or torn, grouped
+        by key_id; and, each a group of its own, aged ``*.tmp-*`` crash
+        debris and the ``.ref`` / ``.journal`` files a store directory
+        written before the pair became the only shape may still hold
+        (nothing reads them; never touched again, they are the oldest
+        groups and the first to go).  Fresh tmp files (a live writer)
+        are left alone.
         """
         now = time.time()
         groups: dict[str, tuple[int, float, list[Path]]] = {}
         for path in self.root.iterdir():
-            name = path.name
-            if ".tmp-" in name:
-                group = name
-            elif (
-                name.endswith(".json") or name.endswith(".npz")
-                or name.endswith(".ref") or name.endswith(".journal")
-            ):
-                group = path.stem
-            else:
+            aging = ".tmp-" in path.name
+            if not aging and path.suffix not in _STORE_SUFFIXES:
                 continue
             try:
                 stat = path.stat()
-            except (FileNotFoundError, OSError):
+            except OSError:
                 continue  # racing a concurrent eviction
-            if ".tmp-" in name and now - stat.st_mtime < self.TMP_GRACE_SECONDS:
+            if aging and now - stat.st_mtime < self.TMP_GRACE_SECONDS:
                 continue
+            group = path.stem if path.suffix in _PAIR_SUFFIXES else path.name
             size, mtime, paths = groups.get(group, (0, 0.0, []))
             groups[group] = (size + stat.st_size,
                              max(mtime, stat.st_mtime), paths + [path])
@@ -909,7 +426,9 @@ class ArtifactStore:
 
     @property
     def disk_bytes(self) -> int:
-        """Current size of all complete pairs in the store."""
+        """Bytes of everything :meth:`_scan` accounts for: pairs, torn
+        halves of pairs, aged temporary files and leftover files of an
+        older store layout."""
         return sum(size for _, size, _ in self.entries())
 
     def enforce_disk_budget(self, protect: str | None = None) -> int:

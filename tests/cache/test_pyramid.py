@@ -247,7 +247,7 @@ class TestPyramidPersistence:
         store = ArtifactStore(tmp_path)
         key = ("fp", "pyramid", GRID, "mbr", (0.0, 0.0, 1.0, 1.0))
         store.save_pyramid(key, pyramid)
-        assert store.contains_pyramid(key)
+        assert store.contains(key)
         back = store.load_pyramid(key)
         assert np.array_equal(back.point_order, pyramid.point_order)
         assert np.array_equal(back.cell_start, pyramid.cell_start)

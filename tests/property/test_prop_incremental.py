@@ -7,8 +7,8 @@ sometimes adding or deleting one — and re-executing through a warm
 changed polygons' artifacts rebuild) yet produces **bit-identical**
 values and channel arrays to a cold from-scratch build, for every
 engine, execution backend, aggregate kind, and ingestion mode
-(monolithic and streamed) — and equally through the store's patch
-journal after a fresh-session "restart" over the same directory.
+(monolithic and streamed) — and equally from the pair the edited key
+wrote, after a fresh-session "restart" over the same store directory.
 
 The polygon sets carry two fixed anchor rectangles pinning the overall
 extent, so edits never change the frame (the realistic rezoning case:
@@ -166,16 +166,16 @@ def test_incremental_edit_bit_identical(workload):
 
 @given(edit_workloads())
 @settings(max_examples=3, deadline=None)
-def test_incremental_edit_replays_from_journal(workload):
-    """The store's patch-journal replay path is bit-identical after a
-    fresh-session restart: the edited key loads by replaying the journal
-    over the base pair, nothing polygon-side rebuilds."""
+def test_incremental_edit_restarts_from_its_own_pair(workload):
+    """With a store attached the edited key persists as a whole pair: a
+    fresh session over the same directory answers it with a store hit,
+    nothing polygon-side rebuilds, and the bits are a cold build's."""
     points, base, after, resolution, backend, streamed = workload
     reference = _run(
         _engine("accurate", resolution, "serial"),
         points, after, Sum("val"), streamed,
     )
-    with tempfile.TemporaryDirectory(prefix="repro-journal-prop-") as root:
+    with tempfile.TemporaryDirectory(prefix="repro-edit-prop-") as root:
         session = QuerySession(store=ArtifactStore(root))
         engine = _engine("accurate", resolution, backend, session=session)
         _run(engine, points, base, Sum("val"), streamed)
@@ -186,10 +186,11 @@ def test_incremental_edit_replays_from_journal(workload):
         restarted = QuerySession(store=ArtifactStore(root))
         engine2 = _engine("accurate", resolution, backend,
                           session=restarted)
-        replayed = _run(engine2, points, after, Sum("val"), streamed)
-        assert replayed.stats.prepared_store_hits == 1
-        assert replayed.stats.triangulation_s == 0.0
-        assert replayed.stats.index_build_s == 0.0
+        again = _run(engine2, points, after, Sum("val"), streamed)
+        assert restarted.store_hits == 1
+        assert again.stats.prepared_store_hits == 1
+        assert again.stats.triangulation_s == 0.0
+        assert again.stats.index_build_s == 0.0
         _assert_bit_identical(
-            reference, replayed, (backend, streamed, "replayed")
+            reference, again, (backend, streamed, "restarted")
         )
