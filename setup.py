@@ -1,9 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools entry point, and the package's only metadata.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works on minimal offline environments whose setuptools
+There is no ``pyproject.toml``: a plain ``setup.py`` is what lets
+``pip install -e .`` work on minimal offline environments whose setuptools
 predates native PEP 660 editable-wheel support (no ``wheel`` package
-installed).  Keep the two in sync.
+installed).
 """
 
 from setuptools import find_packages, setup

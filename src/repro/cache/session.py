@@ -47,12 +47,13 @@ Invalidation rules (see ``docs/query_sessions.md`` and
   the caller wants memory back *now* (the store keeps its copies).
 
 The session also caches **point-keyed acceleration state** — the
-tile-point partitions of recent point sources (see
-:meth:`QuerySession.partition_lookup`) and explicitly built aggregate
-pyramids (:meth:`QuerySession.pyramid_lookup`).  Both depend only on the
-points and a frame, never on the polygons, so repeated queries —
-including every iteration of a rezoning edit loop — skip the per-query
-partition scan entirely.  They share one LRU bounded by bytes alone.
+routing of recent point sources over a canvas (tile and flat pixel per
+row; see :meth:`QuerySession.partition_lookup`) and explicitly built
+aggregate pyramids (:meth:`QuerySession.pyramid_lookup`).  Both depend
+only on the points and a frame, never on the polygons, so repeated
+queries — including every iteration of a rezoning edit loop — skip the
+per-query projection entirely.  They share one LRU bounded by bytes
+alone.
 
 Results are bit-identical with and without a session, and with and
 without the store: engines run the same reduction code over the same
@@ -139,40 +140,17 @@ def _source_bytes(points) -> int:
     return total
 
 
-def _partition_bytes(per_tile) -> int:
-    """Approximate bytes of a partition's per-tile sub-chunk copies.
-
-    Shared-memory chunks are counted **once per backing segment**: the
-    segment is one host-wide allocation however many tiles reference it
-    and however many worker processes map it, so charging it per
-    appearance would make the budget evict partitions that fit.
-    """
-    total = 0
-    seen_segments: set[str] = set()
-    for chunks in per_tile:
-        for chunk in chunks:
-            segments = getattr(chunk, "segments", None)
-            if segments is None:
-                total += _source_bytes(chunk)
-                continue
-            fresh = [name for name in segments if name not in seen_segments]
-            if not fresh:
-                continue
-            seen_segments.update(fresh)
-            total += chunk.nbytes
-    return total
-
-
 @dataclass
 class _PointState:
     """One entry of the point-keyed cache.
 
-    A tile-point partition (``value`` is ``(per_tile, duplicates)``,
-    measured once when stored) or an aggregate pyramid (``value`` is the
-    pyramid, which grows as queries add channels, so its size is read
-    live; ``persisted_version`` is the pyramid version the store holds).
-    ``points`` is a strong reference — it keeps the identity key
-    unambiguous — and ``guard`` the content hash that validates it.
+    A routing (``value`` is the :class:`~repro.exec.partition.Routing`)
+    or an aggregate pyramid (``persisted_version`` is the pyramid version
+    the store holds).  Both grow as queries add columns or channels, so
+    their size is read live.  ``points`` is a strong reference — it keeps
+    the identity key unambiguous — and ``guard`` the content hash that
+    validates it; ``pinned_nbytes`` charges the entry for the source it
+    alone may be keeping alive.
     """
 
     kind: str
@@ -180,14 +158,12 @@ class _PointState:
     guard: str
     token: tuple
     value: object
-    stored_nbytes: int | None = None
+    pinned_nbytes: int = 0
     persisted_version: int = -1
 
     @property
     def nbytes(self) -> int:
-        if self.stored_nbytes is not None:
-            return self.stored_nbytes
-        return self.value.nbytes
+        return self.value.nbytes + self.pinned_nbytes
 
 
 class Warmth(str):
@@ -222,7 +198,7 @@ class QuerySession:
     byte_budget:
         Optional cap on the summed ``nbytes`` of in-memory artifacts
         (plain int or a ``"256M"``-style string).  Over budget, cached
-        point-keyed state (tile-point partitions, aggregate pyramids) is
+        point-keyed state (point routings, aggregate pyramids) is
         reclaimed first, then cold entries are stripped to partial
         artifacts and finally demoted out of memory entirely, LRU-first.
         It is also the bound on that point-keyed state by itself (the
@@ -255,7 +231,7 @@ class QuerySession:
         self.capacity = capacity
         self.byte_budget = parse_bytes(byte_budget)
         self.store = ArtifactStore.coerce(store)
-        #: Point-keyed acceleration state — tile-point partitions and
+        #: Point-keyed acceleration state — point routings and
         #: aggregate pyramids — in one LRU: ``(kind, id(points), *token)
         #: -> _PointState``, keyed by the point source's identity,
         #: validated by content hash and bounded by bytes alone (see
@@ -537,22 +513,22 @@ class QuerySession:
         return None  # empty shell: execution rebuilds everything
 
     # ------------------------------------------------------------------
-    # Point-keyed caches: tile-point partitions and aggregate pyramids
+    # Point-keyed caches: point routings and aggregate pyramids
     # ------------------------------------------------------------------
-    #: Bytes of point-keyed state (partitions and pyramids together)
+    #: Bytes of point-keyed state (routings and pyramids together)
     #: retained when the session has no ``byte_budget`` (with one, the
-    #: budget governs instead).  A partition's accounting covers
-    #: everything it pins: the per-tile sub-chunk copies *and* the
-    #: strong reference to the source dataset itself.  Bounds what a
-    #: long-lived default session can hold; an entry larger than the cap
-    #: is simply not cached.
+    #: budget governs instead).  A routing's accounting covers
+    #: everything it pins: its index arrays, the tile-sorted column
+    #: copies *and* the strong reference to the source dataset itself.
+    #: Bounds what a long-lived default session can hold; an entry
+    #: larger than the cap is simply not cached.
     PARTITION_BYTE_CAP = 512 << 20
 
     @staticmethod
     def _content_hash(points) -> str:
         """Content fingerprint of a point source (every column's bytes).
 
-        The point-keyed caches (partitions, pyramids) are *keyed* by the
+        The point-keyed caches (routings, pyramids) are *keyed* by the
         source's identity (an O(1) probe) but *validated* by this hash,
         so mutating a dataset's arrays in place between queries can
         never replay stale state — the same never-stale contract the
@@ -603,7 +579,7 @@ class QuerySession:
         This memoizes the full hash keyed by the dataset's identity and
         revalidates it with :meth:`_content_fold`; the expensive hash is
         recomputed only when the fold sees the bytes change, so a
-        mutated-in-place source still can never replay a stale partition
+        mutated-in-place source still can never replay a stale routing
         or pyramid.
         """
         fold = self._content_fold(points)
@@ -647,9 +623,12 @@ class QuerySession:
             self.byte_budget if self.byte_budget is not None
             else self.PARTITION_BYTE_CAP
         )
-        if state.nbytes > cap:
-            return  # caching it would immediately thrash the cap
         key = (state.kind, id(state.points)) + state.token
+        if state.nbytes > cap:
+            # It would thrash the cap: never cached, or dropped outgrown.
+            if self._point_cache.get(key) is state:
+                del self._point_cache[key]
+            return
         self._point_cache[key] = state
         self._point_cache.move_to_end(key)
         self._evict_point_state(cap)
@@ -660,9 +639,9 @@ class QuerySession:
 
         Pure re-derivable acceleration state, so eviction only costs a
         rebuild; a dirty pyramid is persisted on the way out (the store
-        tier keeps answering pyramid-warm).  Shared-memory partition
-        sub-chunks release their segment leases with the entry, via
-        their finalizers.
+        tier keeps answering pyramid-warm).  A routing's shared-memory
+        columns release their segment leases with the entry, via their
+        finalizers.
         """
         held = self._point_nbytes()
         while self._point_cache and held > limit:
@@ -680,13 +659,14 @@ class QuerySession:
 
     @_locked
     def partition_lookup(self, points, token: tuple):
-        """A cached ``(per_tile, duplicates)`` partition, or ``None``.
+        """The cached :class:`~repro.exec.partition.Routing` of
+        ``points`` over a canvas, or ``None``.
 
-        ``token`` is the canvas/batching spec the partition was computed
-        under (extent, canvas size, tiling limit, columns, per-tile FBO
-        reservations, device); the partition depends on nothing else —
-        in particular not on the polygons, so an edit loop keeps
-        hitting.
+        ``token`` is the canvas frame and tile layout
+        (:func:`~repro.exec.partition.routing_token`); a routing depends
+        on nothing else — not on the polygons, so an edit loop keeps
+        hitting, and not on a statement's columns or batch plan, so a
+        whole dashboard shares one entry per canvas.
         """
         state = self._point_lookup("partition", points, token)
         if state is None:
@@ -696,30 +676,39 @@ class QuerySession:
         return state.value
 
     @_locked
-    def partition_store(self, points, token: tuple, per_tile,
-                        duplicates: int) -> None:
-        """Retain a freshly computed partition (byte-bounded LRU).
+    def partition_store(self, points, token: tuple, routing) -> None:
+        """Retain a routing — or re-measure the one retained — once the
+        statement's columns are in it (byte-bounded LRU).
 
-        The entry keeps a strong reference to ``points`` — both to keep
-        the identity key unambiguous and because the per-tile sub-chunks
-        alias or copy its columns anyway.  The sub-chunk bytes are
-        measured here so the byte budget — or, without one, the default
-        :attr:`PARTITION_BYTE_CAP` — can see and reclaim them.
-        Shared-memory sub-chunks (a resident process backend's tile loop
-        exports them before storing) release their segment leases when
-        the entry is dropped (LRU eviction, :meth:`invalidate`, or
-        session GC) via their finalizers.
+        A routing grows by a tile-sorted copy per column read, so every
+        query calls this after cutting its batches; a hit re-applies the
+        cap to the live bytes without re-hashing.  The entry keeps a
+        strong reference to ``points`` (the identity key stays
+        unambiguous; the routing's columns alias or copy the source's
+        anyway) and is charged for it, so the byte budget (or
+        :attr:`PARTITION_BYTE_CAP`) sees everything the entry pins.
         """
-        self._point_insert(_PointState(
-            "partition", points, self._cached_guard(points), tuple(token),
-            (per_tile, duplicates),
-            stored_nbytes=_partition_bytes(per_tile) + _source_bytes(points),
-        ))
+        token = tuple(token)
+        state = self._point_cache.get(("partition", id(points)) + token)
+        if state is None or state.value is not routing:
+            state = _PointState(
+                "partition", points, self._cached_guard(points), token,
+                routing, pinned_nbytes=_source_bytes(points),
+            )
+        self._point_insert(state)
+
+    @_locked
+    def partition_warm(self, points, token: tuple) -> bool:
+        """Cheap costing probe: is a routing resident for this source
+        and canvas?  Identity-keyed and optimistic exactly like
+        :meth:`pyramid_warm`."""
+        return (("partition", id(points)) + tuple(token)) in self._point_cache
 
     @property
     @_locked
     def partition_nbytes(self) -> int:
-        """Bytes held by cached per-tile partition sub-chunks."""
+        """Bytes held by cached point routings (and the sources they
+        pin)."""
         return self._point_nbytes("partition")
 
     @_locked
@@ -731,7 +720,7 @@ class QuerySession:
         nothing else about the query, in particular not on the polygons,
         so every pan/zoom stroke over the same frame keeps hitting.
         Memory entries are keyed by the source's identity and validated
-        by its content hash (the partition cache's never-stale
+        by its content hash (the routing cache's never-stale
         contract); the store tier is keyed by that hash directly, so a
         restarted process answers pyramid-warm from disk.  Never builds.
         """
@@ -965,7 +954,7 @@ class QuerySession:
         if self.byte_budget is None:
             return
         total = sum(sizes[key] for key in self._entries)
-        # Tier 0: cached tile-point partitions and aggregate pyramids
+        # Tier 0: cached point routings and aggregate pyramids
         # are pure re-derivable acceleration state — under pressure they
         # go first, LRU-first, so the budget really bounds the session's
         # whole footprint.

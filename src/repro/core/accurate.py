@@ -97,6 +97,15 @@ class AccurateRasterJoin(RasterJoinEngine):
             self.max_resolution,
         )
 
+    def _make_canvas(self, polygons: PolygonSet) -> Canvas:
+        """Canvas over the polygon-set extent, padded by one pixel so
+        points sitting exactly on the extent's max edges still land on
+        the grid instead of being clipped."""
+        extent = polygons.bbox
+        probe = Canvas.for_resolution(extent, self.resolution)
+        pad = max(probe.pixel_width, probe.pixel_height)
+        return Canvas.for_resolution(extent.expanded(pad), self.resolution)
+
     def _prepare(
         self, polygons: PolygonSet, stats: ExecutionStats
     ) -> PreparedPolygons:
@@ -107,12 +116,7 @@ class AccurateRasterJoin(RasterJoinEngine):
                 polygons, self.prepared_spec(), stats
             )
             if prepared.canvas is None:
-                extent = polygons.bbox
-                probe = Canvas.for_resolution(extent, self.resolution)
-                pad = max(probe.pixel_width, probe.pixel_height)
-                prepared.canvas = Canvas.for_resolution(
-                    extent.expanded(pad), self.resolution
-                )
+                prepared.canvas = self._make_canvas(polygons)
                 prepared.tiles = list(
                     prepared.canvas.tiles(self.max_resolution)
                 )

@@ -7,8 +7,10 @@ once (measured as transfer time), run the vertex-stage filter, and hand the
 surviving points to an engine-specific kernel.  Those steps live here as
 plain functions (:func:`point_batches`, :func:`apply_filters`,
 :func:`grid_pip_aggregate`) so the four engines only differ in their
-kernels; the two raster joins additionally share one per-tile pipeline,
-:mod:`repro.core.tiles`.
+kernels; the two raster joins share one per-tile pipeline instead,
+:mod:`repro.core.tiles`, which consumes points already routed to their
+tile and pixel (:mod:`repro.exec.partition`) and applies the filter as a
+mask, so of these it calls only :func:`grid_pip_aggregate`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from repro.device.batching import plan_batches
 from repro.device.memory import GPUDevice, ResidentPointSet
 from repro.errors import QueryError
 from repro.exec.config import EngineConfig
-from repro.exec.partition import ResidentSubset
-from repro.exec.shm import ShmChunk
 from repro.geometry.polygon import PolygonSet
 from repro.index.edge_table import EdgeTable
 from repro.index.grid import GridIndex, ragged_positions
@@ -340,15 +340,8 @@ def point_batches(
     are released as soon as a batch has been consumed, like the
     round-robin persistent buffers of the paper's implementation.
     """
-    if isinstance(points, (ResidentPointSet, ResidentSubset, ShmChunk)):
-        # Resident sets — and the per-tile subsets the partition
-        # stage gathers from them — are already device memory: one
-        # zero-cost batch, no planning.  Shared-memory chunks get
-        # the same treatment in every process: they are
-        # batch-aligned by construction (each partition sub-chunk
-        # fits exactly one batch of the plan its tile task would
-        # have used — repro.exec.partition, property 3), so the
-        # single-batch grouping reproduces the host path's bits.
+    if isinstance(points, ResidentPointSet):
+        # Already device memory: one zero-cost batch, no planning.
         stats.batches += 1
         yield _Batch(
             {c: points.column(c) for c in columns}, len(points), 0.0

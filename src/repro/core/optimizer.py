@@ -75,26 +75,32 @@ class CostModel:
         return fraction, fraction if full else 0.0
 
     def _point_pass_seconds(
-        self, num_points: int, tiles: int, waves: int, partitioned: bool
+        self, num_points: int, tiles: int, waves: int, partitioned: bool,
+        routed: bool = False,
     ) -> float:
         """Point-pass cost for one query.
 
-        Full scan: every tile projects all ``num_points``, so each wave
-        costs the full point count.  Partitioned: the parent pays one
-        global projection up front and each tile then scans only its
-        share (``num_points / tiles``), so the term scales by the
-        per-tile point share instead of the total — the difference
-        between "parallel" and "scales with cores" on multi-tile
-        canvases.
+        Full scan (``partition_points=False``): every tile projects all
+        ``num_points``, so each wave costs the full point count.
+        Routed: each tile scans only its share (``num_points / tiles``),
+        so the term scales by the per-tile point share instead of the
+        total — the difference between "parallel" and "scales with
+        cores" on multi-tile canvases — and the one projection of the
+        whole input is paid only when the session does not already hold
+        this source's routing over the canvas (``routed``), at any tile
+        count.
         """
-        if not partitioned or tiles <= 1:
+        if not partitioned:
             return self.per_point_render * num_points * waves
-        return self.per_point_render * num_points * (1.0 + waves / tiles)
+        return self.per_point_render * num_points * (
+            (not routed) + waves / tiles
+        )
 
     def bounded_terms(
         self, num_points: int, canvas_pixels: int, tiles: int,
         covered_pixels: int, workers: int = 1, num_vertices: int = 0,
         warm: "str | bool | None" = False, partitioned: bool = False,
+        routed: bool = False,
     ) -> dict[str, float]:
         """Per-term predicted bounded-join seconds.
 
@@ -108,7 +114,8 @@ class CostModel:
         the point pass runs in ``ceil(tiles / workers)`` waves and the
         polygon pass spreads over the tiles actually running concurrently.
         With ``partitioned`` point execution each wave scans only the
-        per-tile point share (see :meth:`_point_pass_seconds`).
+        per-tile point share, and a ``routed`` source skips the
+        projection (see :meth:`_point_pass_seconds`).
         """
         tiles = max(1, tiles)
         concurrency = max(1, min(workers, tiles))
@@ -116,7 +123,7 @@ class CostModel:
         prepared, replayable = self._grades(warm)
         return {
             "point_pass": self._point_pass_seconds(
-                num_points, tiles, waves, partitioned
+                num_points, tiles, waves, partitioned, routed
             ),
             "prepare": (
                 self.per_vertex_triangulate * num_vertices * (1.0 - prepared)
@@ -127,23 +134,12 @@ class CostModel:
             ),
         }
 
-    def bounded_seconds(
-        self, num_points: int, canvas_pixels: int, tiles: int,
-        covered_pixels: int, workers: int = 1, num_vertices: int = 0,
-        warm: "str | bool | None" = False, partitioned: bool = False,
-    ) -> float:
-        """Predicted bounded-join time (the :meth:`bounded_terms` sum)."""
-        return sum(self.bounded_terms(
-            num_points, canvas_pixels, tiles, covered_pixels,
-            workers=workers, num_vertices=num_vertices, warm=warm,
-            partitioned=partitioned,
-        ).values())
-
     def accurate_terms(
         self, num_points: int, boundary_fraction: float, covered_pixels: int,
         tiles: int = 1, workers: int = 1, num_vertices: int = 0,
         warm: "str | bool | None" = False, partitioned: bool = False,
         pyramid_warm: bool = False, pyramid_cells: int = 0,
+        routed: bool = False,
     ) -> dict[str, float]:
         """Per-term predicted accurate-join seconds.
 
@@ -152,8 +148,8 @@ class CostModel:
         points, so it divides across concurrent tile workers too.  The
         boundary PIP traffic is per-query point work and is paid warm or
         cold.  With ``partitioned`` point execution the render term
-        scales by the per-tile point share (see
-        :meth:`_point_pass_seconds`).
+        scales by the per-tile point share, and a ``routed`` source
+        skips the projection (see :meth:`_point_pass_seconds`).
 
         ``pyramid_warm`` is the third regime: a resident aggregate
         pyramid (``repro.cache.pyramid``) answers polygon interiors from
@@ -188,7 +184,7 @@ class CostModel:
         return {
             "prepare": prepare,
             "point_pass": self._point_pass_seconds(
-                num_points, tiles, waves, partitioned
+                num_points, tiles, waves, partitioned, routed
             ),
             "boundary_pip": (
                 self.per_boundary_point * boundary_points / concurrency
@@ -198,20 +194,6 @@ class CostModel:
                 * (1.0 - replayable)
             ),
         }
-
-    def accurate_seconds(
-        self, num_points: int, boundary_fraction: float, covered_pixels: int,
-        tiles: int = 1, workers: int = 1, num_vertices: int = 0,
-        warm: "str | bool | None" = False, partitioned: bool = False,
-        pyramid_warm: bool = False, pyramid_cells: int = 0,
-    ) -> float:
-        """Predicted accurate-join time (the :meth:`accurate_terms` sum)."""
-        return sum(self.accurate_terms(
-            num_points, boundary_fraction, covered_pixels, tiles=tiles,
-            workers=workers, num_vertices=num_vertices, warm=warm,
-            partitioned=partitioned, pyramid_warm=pyramid_warm,
-            pyramid_cells=pyramid_cells,
-        ).values())
 
 
 def _calibrate(device: GPUDevice | None, probe_points: int = 20_000) -> CostModel:
@@ -404,8 +386,11 @@ class RasterJoinOptimizer:
         acc_tiles = acc_canvas.num_tiles(max_res)
         # The engines this optimizer constructs inherit its config, so
         # the prediction must assume the same point-pass execution they
-        # will actually run: partitioned tiles scan only their share.
+        # will actually run: routed tiles scan only their share, and a
+        # source the session already routed over the variant's canvas
+        # is not projected again.
         partitioned = self._partitioned
+        acc_routed = accurate_engine.routing_warmth(points, polygons)
         acc_workers = self._effective_workers(points, acc_canvas, max_res, 8)
         # Third regime: a resident aggregate pyramid reads only the
         # points of boundary *grid cells* plus O(blocks) cached partials.
@@ -421,21 +406,22 @@ class RasterJoinOptimizer:
             boundary_cells * max(1.0, math.log2(max(grid_res, 2)))
         )
         return {
-            "bounded": model.bounded_seconds(
+            "bounded": sum(model.bounded_terms(
                 len(points), canvas.num_pixels, tiles, int(covered),
                 workers=self._effective_workers(points, canvas, max_res, 4),
                 num_vertices=num_vertices, warm=warm_bounded,
                 partitioned=partitioned,
-            ),
-            "accurate": model.accurate_seconds(
+                routed=bounded_engine.routing_warmth(points, polygons),
+            ).values()),
+            "accurate": sum(model.accurate_terms(
                 len(points), boundary_fraction,
                 int(acc_canvas.num_pixels * area_fraction),
                 tiles=acc_tiles,
                 workers=acc_workers,
                 num_vertices=num_vertices, warm=warm_accurate,
-                partitioned=partitioned,
-            ),
-            "accurate_pyramid": model.accurate_seconds(
+                partitioned=partitioned, routed=acc_routed,
+            ).values()),
+            "accurate_pyramid": sum(model.accurate_terms(
                 len(points), cell_fraction,
                 int(acc_canvas.num_pixels * area_fraction),
                 tiles=acc_tiles,
@@ -443,7 +429,7 @@ class RasterJoinOptimizer:
                 num_vertices=num_vertices, warm=warm_accurate,
                 partitioned=partitioned,
                 pyramid_warm=True, pyramid_cells=pyramid_cells,
-            ),
+            ).values()),
             "bounded_warm": warm_bounded or False,
             "accurate_warm": warm_accurate or False,
             "accurate_pyramid_warm": bool(pyramid_warm),
@@ -483,6 +469,7 @@ class RasterJoinOptimizer:
         )
         model = self.model
         partitioned = self._partitioned
+        routed = engine.routing_warmth(points, polygons)
         warm = self._warmth(engine, polygons)
         if isinstance(engine, BoundedRasterJoin):
             canvas = Canvas.for_epsilon(polygons.bbox, engine.epsilon)
@@ -492,7 +479,7 @@ class RasterJoinOptimizer:
                 int(canvas.num_pixels * area_fraction),
                 workers=self._effective_workers(points, canvas, max_res, 4),
                 num_vertices=num_vertices, warm=warm,
-                partitioned=partitioned,
+                partitioned=partitioned, routed=routed,
             )
         resolution = getattr(engine, "resolution", self.accurate_resolution)
         acc_canvas = Canvas.for_resolution(polygons.bbox, resolution)
@@ -533,6 +520,7 @@ class RasterJoinOptimizer:
             int(acc_canvas.num_pixels * area_fraction),
             tiles=acc_canvas.num_tiles(max_res), workers=acc_workers,
             num_vertices=num_vertices, warm=warm, partitioned=partitioned,
+            routed=routed,
         )
 
     def _effective_workers(

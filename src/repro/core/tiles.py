@@ -8,14 +8,18 @@ implementation, as plain functions over plain data:
 * the **tile task** (:func:`run_tile`): boundary → point pass → polygon
   pass → one :class:`~repro.exec.backend.TilePartial` per member query.
   It is written over a *list* of member queries sharing one tile's point
-  chunks: batch upload, filter evaluation (once per distinct filter set)
-  and projection are shared, everything arithmetic-bearing (boundary
-  mask, framebuffer, PIP accumulators, polygon pass) is per member.  A
-  solo query is a group of one; the serving layer's fused scans
+  batches, and it never projects: a batch arrives *routed* — each row
+  with its flat pixel in this tile (:mod:`repro.exec.partition`) — so the
+  point pass is a filter mask (once per distinct filter set, never a
+  copy), one flat gather of the boundary mask, a PIP test for the ~1% of
+  rows on it and one flat scatter for the rest.  Batch upload and the
+  mask are shared; everything arithmetic-bearing (boundary mask,
+  framebuffer, PIP accumulators, polygon pass) is per member.  A solo
+  query is a group of one; the serving layer's fused scans
   (:mod:`repro.serve.fused`) are groups of several.
-* the **tile loop** (:func:`run_tiles`): partition the points per tile →
-  dispatch the tile tasks over the execution backend → merge the partials
-  in tile-index order.
+* the **tile loop** (:func:`run_tiles`): look the points' routing up (or
+  compute it) → dispatch the tile tasks over the execution backend →
+  merge the partials in tile-index order.
 
 The task's inputs are picklable data — the tile index, a small frozen
 :class:`TileKernel` naming what differs between the engines, the members
@@ -45,10 +49,8 @@ from repro.cache.prepared import PreparedPolygons, TileCoverage
 from repro.core.aggregates import Aggregate, Count
 from repro.core.engine import (
     SpatialAggregationEngine,
-    apply_filters,
     grid_pip_aggregate,
     new_accumulators,
-    point_batches,
 )
 from repro.core.filters import FilterSet
 from repro.data.dataset import PointDataset
@@ -61,7 +63,7 @@ from repro.device.memory import (
 from repro.errors import QueryError
 from repro.exec import shm
 from repro.exec.backend import ExecutionBackend, ProcessBackend, TilePartial
-from repro.exec.partition import partition_chunk
+from repro.exec.partition import route_chunk, routing_token, scan_tile
 from repro.exec.resident import TileTaskSpec
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.fbo import FrameBuffer
@@ -164,8 +166,8 @@ def tile_fbo_bytes(
     """Per tile, the bytes of the group's framebuffers live at once.
 
     Must equal the summed ``nbytes`` of the framebuffers the tile task
-    builds: the partition replicates the task's batch plan, which
-    reserves exactly that many bytes.
+    builds: a tile's batches are cut on the plan that reserves exactly
+    that many bytes.
     """
     channels = sum(len(member.aggregate.channels) for member in members)
     cell = channels * np.dtype(kernel.fbo_dtype).itemsize
@@ -177,7 +179,7 @@ def tile_fbo_bytes(
 
 def filter_key(filters: FilterSet) -> tuple:
     """Value identity of a filter conjunction: members with equal keys
-    share one filter evaluation and one projection per batch."""
+    share one filter mask per batch."""
     return tuple((f.column, f.op, f.value) for f in filters.filters)
 
 
@@ -231,8 +233,7 @@ def run_tile(
         ]
         with trace.span("point-pass"):
             saw_points = _point_pass(
-                tile, kernel, members, columns, chunks, boundaries, fbos,
-                partials,
+                kernel, members, columns, chunks, boundaries, fbos, partials,
             )
         for member, partial, fbo in zip(members, partials, fbos):
             with trace.span("polygon-pass"):
@@ -311,7 +312,6 @@ def _tile_framebuffer(tile: Viewport, aggregate: Aggregate, dtype) -> FrameBuffe
 
 
 def _point_pass(
-    tile: Viewport,
     kernel: TileKernel,
     members: Sequence[TileMember],
     columns: tuple[str, ...],
@@ -320,53 +320,70 @@ def _point_pass(
     fbos: Sequence[FrameBuffer],
     partials: Sequence[TilePartial],
 ) -> bool:
-    """Upload, filter and project each batch once; route it per member.
+    """Upload and mask each routed batch once; route it per member.
 
-    Per batch and distinct filter set: the vertex-stage filter, the
-    viewport projection and the inside-viewport subset run once, in input
-    order, and every member of that filter group then routes the same
-    arrays against its own boundary mask, framebuffer, grid and
-    accumulators — exactly the arithmetic, in exactly the order, of that
-    member running alone.  Each member is charged the shared work (its
-    solo run would have paid it).  Returns whether any chunk arrived.
+    ``chunks`` are this tile's device batches, each row already carrying
+    its flat pixel (:class:`~repro.exec.partition.RoutedChunk`, or its
+    shared-memory twin) — whether the routing came from the session,
+    from this query's own routing pass, or from the tile scanning the
+    source itself.  Per batch and distinct filter set the vertex-stage
+    filter runs once, as a boolean mask over the rows in input order,
+    and every member of that filter group then routes the same arrays
+    against its own boundary mask, framebuffer, grid and accumulators —
+    exactly the arithmetic, in exactly the order, of that member running
+    alone.  Each member is charged the shared work (its solo run would
+    have paid it).  Returns whether any chunk arrived.
     """
     groups: dict[tuple, list[int]] = {}
     for i, member in enumerate(members):
         groups.setdefault(filter_key(member.filters), []).append(i)
-    reserved = sum(fbo.nbytes for fbo in fbos)
     scan = ExecutionStats(batches=0)
     saw_points = False
     for chunk in chunks:
         saw_points = True
-        for batch in point_batches(chunk, columns, kernel.device, scan,
-                                   reserved):
+        n = len(chunk)
+        if n == 0:
+            continue
+        scan.batches += 1
+        cols = {name: chunk.column(name) for name in columns}
+        buffers = {}
+        if kernel.device is not None and not chunk.resident:
+            buffers, seconds = kernel.device.upload_columns(cols)
+            scan.transfer_s += seconds
+            scan.bytes_transferred += sum(b.nbytes for b in buffers.values())
+            cols = {name: b.array for name, b in buffers.items()}
+        try:
+            pix = chunk.pix.astype(np.intp, copy=False)
+            inside = chunk.inside
             for indices in groups.values():
                 start = time.perf_counter()
-                lead = partials[indices[0]].stats
-                xs, ys, attrs = apply_filters(
-                    batch, members[indices[0]].filters, lead
-                )
-                for i in indices[1:]:
-                    stats = partials[i].stats
-                    stats.points_processed += batch.length
-                    stats.points_filtered_out += batch.length - len(xs)
-                ix, iy, inside = tile.pixel_of(xs, ys)
-                if not inside.all():
-                    xs, ys = xs[inside], ys[inside]
-                    ix, iy = ix[inside], iy[inside]
-                    attrs = {n: a[inside] for n, a in attrs.items()}
+                filters = members[indices[0]].filters
+                # ``keep`` of None keeps every row.  Rows on no tile ride
+                # along for the counters only and are masked after them.
+                keep, dropped = inside, 0
+                if filters:
+                    keep = filters.mask(cols.__getitem__, n)
+                    dropped = n - int(np.count_nonzero(keep))
+                    if dropped == 0:
+                        keep = inside
+                    elif inside is not None:
+                        keep &= inside
+                for i in indices:
+                    partials[i].stats.points_processed += n
+                    partials[i].stats.points_filtered_out += dropped
                 shared = time.perf_counter() - start
                 for i in indices:
                     start = time.perf_counter()
-                    if len(xs):
-                        _route_batch(
-                            boundaries[i], fbos[i], xs, ys, ix, iy, attrs,
-                            members[i], partials[i].accumulators,
-                            partials[i].stats,
-                        )
+                    _route_batch(
+                        boundaries[i], fbos[i], cols, pix, keep, members[i],
+                        partials[i].accumulators, partials[i].stats,
+                    )
                     partials[i].stats.processing_s += (
                         shared + time.perf_counter() - start
                     )
+        finally:
+            for buffer in buffers.values():
+                buffer.free()
     for partial in partials:
         partial.stats.batches += scan.batches
         partial.stats.transfer_s += scan.transfer_s
@@ -377,79 +394,52 @@ def _point_pass(
 def _route_batch(
     boundary: np.ndarray | None,
     fbo: FrameBuffer,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    ix: np.ndarray,
-    iy: np.ndarray,
-    attrs: dict[str, np.ndarray],
+    cols: dict[str, np.ndarray],
+    pix: np.ndarray,
+    keep: np.ndarray | None,
     member: TileMember,
     accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
 ) -> None:
-    """Route one projected batch: boundary points join exactly through
-    the grid index, the rest rasterize into the tile framebuffer.
+    """Route one batch: kept rows on a boundary pixel join exactly
+    through the grid index, the other kept rows rasterize into the tile
+    framebuffer, in row order.
 
-    Without a boundary mask (the bounded join) everything rasterizes.
-    ``attrs`` may carry extra columns (a group's union); only the
-    aggregate's own columns are read.
+    Without a boundary mask (the bounded join) everything kept
+    rasterizes.  Only the boundary rows ever gather their coordinates,
+    and only the aggregate's own columns are read; values are cast to
+    the FBO's dtype by the additive blend, as 32-bit GL channels would.
     """
     aggregate = member.aggregate
+    rows = None  # the rows that rasterize; None: the batch as it is
     if boundary is None:
-        _scatter(fbo, ix, iy, attrs, None, aggregate)
-        return
-    on_boundary = boundary[iy, ix]
-    num_boundary = int(np.count_nonzero(on_boundary))
-    stats.boundary_points += num_boundary
-    all_boundary = num_boundary == len(xs)
-    if num_boundary:
-        # When the whole batch is boundary the masked gathers are
-        # skipped — identical values in identical order.
-        with trace.span("boundary-pip", points=num_boundary):
-            grid_pip_aggregate(
-                xs if all_boundary else xs[on_boundary],
-                ys if all_boundary else ys[on_boundary],
-                attrs if all_boundary else
-                {n: a[on_boundary] for n, a in attrs.items()},
-                member.prepared.grid, member.prepared.edge_table,
-                aggregate, accumulators, stats,
-            )
-    if not all_boundary:
-        # A batch with no boundary points skips the mask entirely — the
-        # unmasked arrays are the same values in the same order, so the
-        # scatter visits pixels identically.
-        if num_boundary:
-            interior = ~on_boundary
-            _scatter(fbo, ix[interior], iy[interior], attrs, interior,
-                     aggregate)
-        else:
-            _scatter(fbo, ix, iy, attrs, None, aggregate)
-
-
-def _scatter(
-    fbo: FrameBuffer,
-    ix: np.ndarray,
-    iy: np.ndarray,
-    attrs: dict[str, np.ndarray],
-    keep: np.ndarray | None,
-    aggregate: Aggregate,
-) -> None:
-    """Blend fragments into the framebuffer (``keep`` subsets ``attrs``
-    to the fragments given; values are cast to the FBO's dtype by the
-    additive blend, as 32-bit GL channels would)."""
-
-    def values(col):
-        if col is None:
-            return 1.0
-        return attrs[col] if keep is None else attrs[col][keep]
-
-    if aggregate.blend == "add":
-        fbo.accumulate(ix, iy, {
-            ch: values(col) for ch, col in aggregate.channels.items()
-        })
+        if keep is not None:
+            rows = np.flatnonzero(keep)
     else:
-        blend = np.minimum if aggregate.blend == "min" else np.maximum
-        for ch, col in aggregate.channels.items():
-            blend.at(fbo.channel(ch), (iy, ix), values(col))
+        edge = boundary.reshape(-1)[pix]
+        interior = ~edge
+        if keep is not None:
+            edge &= keep
+            interior &= keep
+        on_edge = np.flatnonzero(edge)
+        stats.boundary_points += len(on_edge)
+        if len(on_edge):
+            with trace.span("boundary-pip", points=len(on_edge)):
+                grid_pip_aggregate(
+                    cols["x"].take(on_edge), cols["y"].take(on_edge),
+                    {c: cols[c].take(on_edge) for c in aggregate.columns},
+                    member.prepared.grid, member.prepared.edge_table,
+                    aggregate, accumulators, stats,
+                )
+        if len(on_edge) or keep is not None:
+            rows = np.flatnonzero(interior)
+    if rows is not None:
+        pix = pix.take(rows)
+    fbo.scatter(pix, {
+        ch: 1.0 if col is None
+        else cols[col] if rows is None else cols[col].take(rows)
+        for ch, col in aggregate.channels.items()
+    }, aggregate.blend)
 
 
 # -- stage 3: draw the polygons -----------------------------------------
@@ -547,14 +537,16 @@ def run_tiles(
     partition: bool = True,
     keep_fbo: bool = False,
 ) -> TileRun:
-    """Partition → dispatch → ordered merge, for a group of members.
+    """Route → dispatch → ordered merge, for a group of members.
 
     ``members`` share one canvas and tile layout (a solo query trivially;
     a fused group by its caller's gate); ``source()`` yields point chunks
     and ``points_hint`` is the monolithic input when there is one (it
-    keys the session's partition cache and sizes the concurrency cap).
+    keys the session's routing cache and sizes the concurrency cap).
+    With ``partition`` off (and on a one-tile stream) every tile scans
+    the source for itself.
     ``stats_list`` holds each member's query stats: merged tile work, the
-    shared partition cost and how the dispatch ran are recorded into
+    shared routing cost and how the dispatch ran are recorded into
     every one of them.  Prepared pieces the tasks built are installed
     into each member's artifact here, on the caller's side of any
     process boundary, so a session warms under every backend.
@@ -571,9 +563,16 @@ def run_tiles(
         max(fbo_bytes, default=0),
     )
     per_tile, saw_chunk = None, False
-    if partition and len(tiles) > 1:
+    # A one-tile stream stays lazy (nothing to cache or share): its tile
+    # routes each chunk as it arrives, one alive at a time.
+    if partition and (len(tiles) > 1 or points_hint is not None):
+        # A routing the resident pool could be fed from lives in shared
+        # memory; the backend says when that is (never for one tile).
+        shared = isinstance(backend, ProcessBackend) and (
+            backend.resident_capable(len(tiles), parallelism)
+        )
         per_tile, saw_chunk = _partition(
-            kernel, backend, session, members[0].prepared.canvas, tiles,
+            kernel, shared, session, members[0].prepared.canvas, tiles,
             source, columns, fbo_bytes, stats_list, points_hint,
         )
     else:
@@ -581,9 +580,12 @@ def run_tiles(
             stats.extra["partition"] = "off"
 
     def task(tile_idx: int) -> list[TilePartial]:
+        chunks = per_tile[tile_idx] if per_tile is not None else scan_tile(
+            source(), tiles[tile_idx], columns, kernel.device,
+            fbo_bytes[tile_idx],
+        )
         return run_tile(
-            tile_idx, kernel, members, columns,
-            source() if per_tile is None else per_tile[tile_idx],
+            tile_idx, kernel, members, columns, chunks,
             retain=retain, tracing=tracing, keep_fbo=keep_fbo,
         )
 
@@ -652,7 +654,7 @@ def _tile_concurrency(
 
 def _partition(
     kernel: TileKernel,
-    backend: ExecutionBackend,
+    shared: bool,
     session,
     canvas,
     tiles: Sequence[Viewport],
@@ -662,72 +664,63 @@ def _partition(
     stats_list: Sequence[ExecutionStats],
     points_hint,
 ) -> tuple[list[list], bool]:
-    """Scan the source once and bucket it into per-tile sub-chunk lists.
+    """The per-tile batch lists of this query's points, routed once.
 
-    Each chunk is projected against the global canvas and split into
-    batch-aligned per-tile sub-chunks (:mod:`repro.exec.partition` has the
-    bit-equality argument), so tile tasks scan only their own points
-    instead of re-projecting the full input once per tile.  With a
-    session and a monolithic input the finished partition is cached by
-    point source and canvas frame — never the polygons, so a rezoning
-    edit loop keeps hitting — and, when the backend is a resident-enabled
-    :class:`ProcessBackend`, its host sub-chunks are first exported to
-    shared memory, the form resident dispatch consumes.  Returns
-    ``(per_tile, saw any chunk)``.
+    Each chunk's routing — tile and flat pixel per row
+    (:mod:`repro.exec.partition` has the bit-equality argument) — is
+    looked up or computed, then cut into this query's device batches, so
+    tile tasks start at the filter mask instead of re-projecting the
+    input once per tile and per query.  With a session and a monolithic
+    input the routing is cached by point source and canvas frame — never
+    the polygons, the columns or the batch plan, so a rezoning edit loop
+    and every statement of a dashboard keep hitting one entry — and,
+    when ``shared`` (a dispatch the resident pool could take), its
+    columns live in shared memory, the form resident dispatch consumes.
+    Streamed chunks are routed on the fly and dropped with the query.
+    Returns ``(per_tile, saw any chunk)``.
     """
     max_resolution = kernel.max_resolution
     with trace.span("partition", tiles=len(tiles)):
         start = time.perf_counter()
         token = cached = None
         if session is not None and points_hint is not None:
-            ext = canvas.extent
-            token = (
-                (ext.xmin, ext.ymin, ext.xmax, ext.ymax),
-                canvas.width, canvas.height, max_resolution,
-                columns, tuple(fbo_bytes), kernel.device_token,
-            )
+            token = routing_token(canvas, max_resolution)
             cached = session.partition_lookup(points_hint, token)
         if cached is not None:
-            per_tile, duplicates = cached
-            saw_chunk = True
+            routed = [(points_hint, cached)]
         else:
-            per_tile = [[] for _ in tiles]
-            saw_chunk = False
-            duplicates = 0
+            routed = []
             for chunk in source():
-                saw_chunk = True
-                pieces, dupes = partition_chunk(
-                    chunk, canvas, tiles, max_resolution, columns,
-                    kernel.device, fbo_bytes,
-                )
-                duplicates += dupes
-                for idx, subs in enumerate(pieces):
-                    per_tile[idx].extend(subs)
-            if token is not None and saw_chunk:
-                if isinstance(backend, ProcessBackend) and backend.resident:
-                    # Exported once, before caching: this very query
-                    # already reads the shared segments (and is eligible
-                    # for resident dispatch), and every later hit reuses
-                    # them across the process boundary zero-copy.  The
-                    # leases release with the chunks (cache eviction,
-                    # invalidate, session GC) via their finalizers.
-                    per_tile = [
-                        [
-                            shm.export_chunk(chunk)
-                            if isinstance(chunk, PointDataset) else chunk
-                            for chunk in chunks
-                        ]
-                        for chunks in per_tile
-                    ]
-                session.partition_store(
-                    points_hint, token, per_tile, duplicates
-                )
+                routing = route_chunk(chunk, canvas, tiles, max_resolution)
+                routed.append((chunk, routing))
+                metrics.counter("partition_chunks")
+                metrics.counter("partition_points", len(chunk))
+                if routing.duplicates:
+                    metrics.counter(
+                        "partition_seam_duplicates", routing.duplicates
+                    )
+        # Shared with the session's entry only: this very query already
+        # reads the segments (and is eligible for resident dispatch), and
+        # every later hit reuses them across the process boundary
+        # zero-copy.  The leases go with the entry (cache eviction,
+        # invalidate, session GC).
+        shared = shared and token is not None
+        per_tile: list[list] = [[] for _ in tiles]
+        for chunk, routing in routed:
+            for batches, more in zip(per_tile, routing.per_tile(
+                chunk, columns, kernel.device, fbo_bytes, shared
+            )):
+                batches.extend(more)
+        if token is not None and routed:
+            # After the cut, hit or miss: the cap sees this query's copies.
+            session.partition_store(points_hint, token, routed[0][1])
         elapsed = time.perf_counter() - start
+    duplicates = sum(routing.duplicates for _, routing in routed)
     for stats in stats_list:
         stats.extra["partition"] = "on" if cached is None else "cached"
         stats.extra["partition_duplicates"] = duplicates
         stats.partition_s += elapsed
-    return per_tile, saw_chunk
+    return per_tile, bool(routed)
 
 
 def _resident_dispatch(
@@ -740,15 +733,15 @@ def _resident_dispatch(
     tracing: bool,
     parallelism: int | None,
 ) -> list[list[TilePartial]] | None:
-    """Fan a solo query's partitioned tiles across the resident pool.
+    """Fan a solo query's routed tiles across the resident pool.
 
     The same tile task, named instead of closed over: the kernel, the
     artifact and the polygons travel once as a pickled state blob in
-    shared memory (cached worker-side by content generation), the point
-    sub-chunks as shared-memory descriptors, and the accumulators come
+    shared memory (cached worker-side by content generation), the routed
+    batches as shared-memory descriptors, and the accumulators come
     back through a shared result buffer.  ``None`` when this dispatch
     cannot take that path — not a resident-enabled process backend, or a
-    sub-chunk that is not shm-backed (pickling host chunks is the cost
+    batch that is not shm-backed (pickling host chunks is the cost
     this path exists to remove) — and the caller dispatches closures
     instead, bit-identically.
     """
@@ -757,10 +750,8 @@ def _resident_dispatch(
     num_tiles = len(per_tile)
     if not backend.resident_capable(num_tiles, parallelism):
         return None
-    if not all(
-        isinstance(chunk, shm.ShmChunk)
-        for chunks in per_tile for chunk in chunks
-    ):
+    per_tile = [[chunk.shared for chunk in chunks] for chunks in per_tile]
+    if any(chunk is None for chunks in per_tile for chunk in chunks):
         return None
     prepared, polygons = member.prepared, member.polygons
     channel_names = tuple(member.aggregate.channels)
@@ -848,7 +839,8 @@ def _merge_partial(
 class RasterJoinEngine(SpatialAggregationEngine):
     """What the accurate and bounded joins share: the tile pipeline.
 
-    A subclass supplies :attr:`kernel` (how its tile task behaves) and
+    A subclass supplies :attr:`kernel` (how its tile task behaves),
+    ``_make_canvas`` (the canvas it renders a polygon set on) and
     ``_prepare`` (its canvas layout and polygon-side artifact);
     monolithic, streamed and fused execution all build their queries
     with :meth:`member` and run them with :meth:`run_members`.
@@ -864,6 +856,20 @@ class RasterJoinEngine(SpatialAggregationEngine):
         and whatever polygon-side state the kernel reads — built once,
         reused through the session."""
         raise NotImplementedError
+
+    def routing_warmth(self, points, polygons: PolygonSet) -> bool:
+        """Costing probe: does the session hold ``points`` routed over
+        the canvas these polygons derive?
+
+        Identity-keyed and hash-free (the optimizer calls it per
+        candidate plan); optimistic the same way the session's
+        :meth:`~repro.cache.session.QuerySession.partition_warm` is.
+        """
+        if self.session is None or not self._partition_points:
+            return False
+        return self.session.partition_warm(points, routing_token(
+            self._make_canvas(polygons), self.max_resolution
+        ))
 
     def member(
         self,

@@ -400,13 +400,6 @@ def _run_forked_task(job: tuple[int, int]):
     return result
 
 
-def _release_leases(leases: set[str]) -> None:
-    """Give back every registry lease named in ``leases`` (emptied in
-    place; releasing an already-swept segment is a no-op)."""
-    while leases:
-        shm.REGISTRY.release(leases.pop())
-
-
 class ProcessBackend(ExecutionBackend):
     """Process execution: true parallelism, two dispatch modes.
 
@@ -467,7 +460,7 @@ class ProcessBackend(ExecutionBackend):
         #: collected, as a dropped ``ShmChunk`` does; the hook releases
         #: leases only and never joins the pool.
         self._leases: set[str] = set()
-        weakref.finalize(self, _release_leases, self._leases)
+        weakref.finalize(self, shm.release_leases, self._leases)
 
     # -- resident mode -------------------------------------------------
     def resident_capable(
@@ -578,7 +571,7 @@ class ProcessBackend(ExecutionBackend):
             pool, self._resident_pool = self._resident_pool, None
             self._resident_states = OrderedDict()
             self._result_buffer = None
-            _release_leases(self._leases)
+            shm.release_leases(self._leases)
         if pool is not None:
             pool.close()
 

@@ -4,7 +4,7 @@ An :class:`EngineConfig` is the single knob callers (engine constructors,
 the optimizer, the SQL planner) use to choose how tile tasks execute and
 where prepared-state artifacts persist.  It is deliberately tiny — a
 backend selector and worker count, an artifact-store location and cap,
-one on/off choice (point partitioning) and the process backend's
+one on/off choice (point routing) and the process backend's
 dispatch mode (``shm``) — so it can be passed through
 every layer unchanged and compared or hashed freely.  There is no
 switch for *how* tiles render: every query runs the one tile pipeline
@@ -27,10 +27,10 @@ from repro.exec.backend import (
     resolve_backend,
 )
 
-#: Environment hook for the point-partitioning stage; consulted when
+#: Environment hook for the point-routing stage; consulted when
 #: ``EngineConfig.partition_points`` is ``None``.  Defaults to on —
-#: partitioning is bit-identical to the full scan and cheaply no-ops on
-#: single-tile canvases, so there is no correctness reason to opt out.
+#: routing is bit-identical to the full scan and a cached lookup in a
+#: session, so there is no correctness reason to opt out.
 PARTITION_ENV_VAR = "REPRO_PARTITION_POINTS"
 
 
@@ -53,11 +53,11 @@ class EngineConfig:
     size (bytes, or a ``"512M"``-style string; ``None`` consults
     ``$REPRO_STORE_BUDGET``).
 
-    ``partition_points`` controls the tile-local point-partitioning
-    stage on multi-tile canvases (``None`` consults
+    ``partition_points`` controls the point-routing stage — off, every
+    tile scans the whole source for itself (``None`` consults
     ``$REPRO_PARTITION_POINTS``, defaulting to on); ``shm`` makes the
     process backend resident — a spawned worker pool kept across
-    queries, fed partition sub-chunks the tile loop exports as named
+    queries, fed routed point batches the tile loop keeps in named
     shared-memory segments; it means nothing to the serial and thread
     backends (``None`` lets the process backend consult ``$REPRO_SHM``,
     defaulting to off — see ``docs/parallel_execution.md``).  Results
@@ -94,7 +94,7 @@ class EngineConfig:
         return dataclasses.replace(self, backend=self.make_backend())
 
     def partition_enabled(self) -> bool:
-        """Whether multi-tile executions partition points per tile."""
+        """Whether points are routed to tiles once, not scanned per tile."""
         if self.partition_points is not None:
             return self.partition_points
         return flag_from_env(PARTITION_ENV_VAR, True)

@@ -6,7 +6,7 @@ only a child forked *after* the closures exist can see them.  This
 module is the other half of the shm data plane
 (:mod:`repro.exec.shm`): once a tile task is a small picklable
 :class:`TileTaskSpec` that *names* its inputs (shared-memory segment
-descriptors for the point sub-chunks, one pickled state blob for the
+descriptors for the routed point batches, one pickled state blob for the
 prepared artifacts, a slot in a shared result buffer for the output),
 nothing forces the fork — a pool of **spawned** workers started once can
 serve every later query, caching its mapped segments and unpickled
@@ -64,7 +64,7 @@ class TileTaskSpec:
     ``state_ref`` addresses a pickled ``(kernel, prepared, polygons)``
     blob in shared memory; ``state_key`` is its cache identity.
     ``chunks`` are :class:`~repro.exec.shm.ShmChunk` descriptors (the
-    tile's partitioned sub-chunks).  The worker writes its folded
+    tile's routed batches).  The worker writes its folded
     accumulators into ``result_ref[slot]`` — one ``(channel, polygon)``
     plane per tile — and ships the rest of the
     :class:`~repro.exec.backend.TilePartial` back by value.

@@ -17,12 +17,12 @@ pickle boundary.  This module removes that boundary for the bulk data:
   once per worker and are reused across queries (keyed by name, which is
   unique per export, so a cached mapping can never be stale — only
   unused, which the byte-bounded LRU reclaims);
-* :class:`ShmChunk` — a point chunk whose columns live in one shared
-  segment.  It quacks like a resident point set (``column`` /
-  ``column_names`` / ``__len__``), so engines consume it as a single
-  zero-transfer batch, and it pickles as descriptors only — shipping a
-  per-tile sub-chunk to a resident worker costs a few hundred bytes
-  however many points it holds.
+* :class:`ShmChunk` — point rows whose columns live in shared
+  segments.  It quacks like the routed batch a tile task consumes
+  (``column`` / ``pix`` / ``inside`` / ``__len__``), one zero-transfer
+  batch, and it pickles as descriptors only — shipping a tile's batch
+  to a resident worker costs a few hundred bytes however many points
+  it holds.
 
 Ownership protocol: the process that *creates* a segment is the only
 one that ever unlinks it.  Forked children inherit the registry object
@@ -80,6 +80,15 @@ class ShmArray:
         for dim in self.shape:
             count *= int(dim)
         return count * np.dtype(self.dtype).itemsize
+
+    def __getitem__(self, rows: slice) -> "ShmArray":
+        """A contiguous row range of a 1-D array, as its own descriptor
+        (no lease of its own: the segment's owner outlives its users)."""
+        start, stop, _ = rows.indices(self.shape[0])
+        return ShmArray(
+            self.segment, self.dtype, (max(stop - start, 0),),
+            self.offset + start * np.dtype(self.dtype).itemsize,
+        )
 
 
 class ShmRegistry:
@@ -195,7 +204,7 @@ class ShmRegistry:
     def export_columns(self, columns: dict[str, np.ndarray]) -> dict[str, ShmArray]:
         """Pack several columns into ONE segment, aligned per column.
 
-        One segment per sub-chunk keeps the ``/dev/shm`` entry count (and
+        One segment per export keeps the ``/dev/shm`` entry count (and
         the per-worker attach count) proportional to chunks, not
         chunks x columns.
         """
@@ -307,21 +316,29 @@ def view(ref: ShmArray, writable: bool = False) -> np.ndarray:
 
 
 class ShmChunk:
-    """A point chunk whose columns live in one shared segment.
+    """A point chunk whose columns live in shared segments.
 
-    Duck-types the resident point-set protocol, so engines treat it as
-    a single zero-transfer batch — which preserves bit-identity, because
-    the partition stage only emits sub-chunks that fit exactly one
-    device batch anyway (see :mod:`repro.exec.partition`, property 3).
-    Pickles as descriptors + length only; rehydrated copies (workers)
-    never own leases, so their GC can't unlink anything.
+    Duck-types the resident point-set protocol, and — with ``routed``,
+    the descriptors of a routed batch's ``(pix, inside)`` — the
+    :class:`~repro.exec.partition.RoutedChunk` a tile task consumes: one
+    zero-transfer batch, which preserves bit-identity because the tile
+    loop only emits batches cut on the device batch plan anyway (see
+    :mod:`repro.exec.partition`, property 3).  Pickles as descriptors +
+    length only; rehydrated copies (workers) and descriptor slices never
+    own leases, so their GC can't unlink anything.
     """
 
-    __slots__ = ("refs", "length", "_views", "_finalizer", "__weakref__")
+    __slots__ = ("refs", "length", "routed", "_views", "_finalizer",
+                 "__weakref__")
 
-    def __init__(self, refs: dict[str, ShmArray], length: int) -> None:
+    #: Shared segments are mapped, never uploaded.
+    resident = True
+
+    def __init__(self, refs: dict[str, ShmArray], length: int,
+                 routed: tuple | None = None) -> None:
         self.refs = refs
         self.length = length
+        self.routed = routed
         self._views: dict[str, np.ndarray] = {}
         self._finalizer = None
 
@@ -329,23 +346,24 @@ class ShmChunk:
         return self.length
 
     @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self.refs)
-
-    @property
     def segments(self) -> tuple[str, ...]:
         """Distinct segment names backing this chunk (usually one)."""
         return tuple(dict.fromkeys(ref.segment for ref in self.refs.values()))
-
-    @property
-    def nbytes(self) -> int:
-        return sum(ref.nbytes for ref in self.refs.values())
 
     def column(self, name: str) -> np.ndarray:
         arr = self._views.get(name)
         if arr is None:
             arr = self._views[name] = view(self.refs[name])
         return arr
+
+    @property
+    def pix(self) -> np.ndarray:
+        return view(self.routed[0])
+
+    @property
+    def inside(self) -> np.ndarray | None:
+        ref = self.routed[1]
+        return None if ref is None else view(ref)
 
     def release(self) -> None:
         """Drop this chunk's leases now (idempotent; owner-side only)."""
@@ -354,39 +372,32 @@ class ShmChunk:
 
     # Descriptors only — views and finalizers are per-process state.
     def __getstate__(self) -> tuple:
-        return (self.refs, self.length)
+        return (self.refs, self.length, self.routed)
 
     def __setstate__(self, state: tuple) -> None:
-        self.refs, self.length = state
+        self.refs, self.length, self.routed = state
         self._views = {}
         self._finalizer = None
 
 
-def export_chunk(chunk, columns: tuple[str, ...] | None = None) -> ShmChunk:
-    """Copy a point chunk's columns into shared memory (owner-side).
+def export_arrays(arrays: dict[str, np.ndarray]) -> ShmChunk:
+    """Copy equally long arrays into one shared segment (owner-side).
 
-    The returned chunk holds one registry lease per backing segment,
-    released by an explicit :meth:`ShmChunk.release` or — because
-    eviction from the partition cache just drops the reference — by a
+    The returned chunk holds the segment's registry lease, released by
+    an explicit :meth:`ShmChunk.release` or — because eviction from the
+    session's routing cache just drops the reference — by a
     ``weakref.finalize`` hook when the chunk is garbage collected.
     """
-    if columns is None:
-        names = getattr(chunk, "column_names", None)
-        columns = (
-            tuple(names) if names is not None
-            else ("x", "y", *getattr(chunk, "attributes", {}))
-        )
-    refs = REGISTRY.export_columns(
-        {name: chunk.column(name) for name in columns}
-    )
-    out = ShmChunk(refs, len(chunk))
-    segments = out.segments
+    refs = REGISTRY.export_columns(arrays)
+    out = ShmChunk(refs, len(next(iter(arrays.values()))))
     out._finalizer = weakref.finalize(
-        out, _release_segments, REGISTRY, segments
+        out, release_leases, set(out.segments)
     )
     return out
 
 
-def _release_segments(registry: ShmRegistry, segments: tuple[str, ...]) -> None:
-    for name in segments:
-        registry.release(name)
+def release_leases(leases: set[str]) -> None:
+    """Give back every lease in ``leases``, emptying it in place
+    (releasing an already-swept segment is a no-op)."""
+    while leases:
+        REGISTRY.release(leases.pop())

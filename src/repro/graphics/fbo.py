@@ -38,9 +38,10 @@ class FrameBuffer:
         self.width = width
         self.height = height
         self.dtype = np.dtype(dtype)
-        self._channels: dict[str, np.ndarray] = {
-            name: np.zeros((height, width), dtype=self.dtype) for name in channels
-        }
+        #: ``None`` stands for a cleared channel nothing has written or
+        #: been handed yet: its zeros are allocated on first access, or
+        #: never — :meth:`scatter` lets ``np.bincount`` build it.
+        self._channels: dict[str, np.ndarray | None] = dict.fromkeys(channels)
 
     @classmethod
     def for_viewport(
@@ -60,18 +61,21 @@ class FrameBuffer:
 
     def channel(self, name: str) -> np.ndarray:
         """The raw ``(height, width)`` array backing a channel."""
-        return self._channels[name]
-
-    def add_channel(self, name: str) -> None:
-        if name not in self._channels:
-            self._channels[name] = np.zeros(
+        arr = self._channels[name]
+        if arr is None:
+            arr = self._channels[name] = np.zeros(
                 (self.height, self.width), dtype=self.dtype
             )
+        return arr
+
+    def add_channel(self, name: str) -> None:
+        self._channels.setdefault(name)
 
     def clear(self) -> None:
         """Reset every channel to zero (glClear with a zero clear color)."""
         for arr in self._channels.values():
-            arr.fill(0)
+            if arr is not None:
+                arr.fill(0)
 
     # ------------------------------------------------------------------
     # Blending
@@ -89,36 +93,76 @@ class FrameBuffer:
         incremented by one per fragment; otherwise each named channel is
         incremented by the matching per-fragment value.  Duplicate fragment
         coordinates accumulate (``np.add.at``), which is precisely the
-        additive blend-function semantics of the paper's DrawPoints.
+        additive blend-function semantics of the paper's DrawPoints; an
+        ``ix`` past the row's end raises (:meth:`scatter` would wrap it).
         """
-        if values is None:
-            np.add.at(self._channels["count"], (iy, ix), 1)
-            return
+        for name, vals in ({"count": 1} if values is None else values).items():
+            if not np.isscalar(vals):
+                vals = np.asarray(vals, dtype=self.dtype)
+            np.add.at(self.channel(name), (iy, ix), vals)
+
+    def scatter(
+        self,
+        pix: np.ndarray,
+        values: Mapping[str, np.ndarray | float],
+        blend: str = "add",
+    ) -> None:
+        """Blend fragments given by flat pixel index ``iy * width + ix``,
+        fragment after fragment in the order given (``ufunc.at`` on the
+        channel's flat view), under ``blend`` — ``"add"``, ``"min"`` or
+        ``"max"``.
+
+        A float64 additive channel nothing has touched is built by
+        ``np.bincount`` instead: from zeros it performs exactly those
+        float64 adds in exactly that order, so the bits are
+        ``np.add.at``'s (``docs/rasterization.md``), its output *becomes*
+        the channel (no zeros are allocated beside it), and it is fast
+        on every supported numpy.  Min / Max and float32 channels have
+        no such kernel.
+        """
+        if len(pix) == 0:
+            return  # (and bincount of nothing is not even a float array)
         for name, vals in values.items():
-            channel = self._channels[name]
-            if np.isscalar(vals):
-                np.add.at(channel, (iy, ix), vals)
+            if blend != "add":
+                at = np.minimum.at if blend == "min" else np.maximum.at
+                # A NaN value poisons its pixel by design; comparing it
+                # is not an error (the 1-D loop would flag it).
+                with np.errstate(invalid="ignore"):
+                    at(self.channel(name).reshape(-1), pix, vals)
+            elif (
+                self._channels[name] is None and not np.isscalar(vals)
+                and self.dtype == np.float64
+            ):
+                self._channels[name] = np.bincount(
+                    pix, weights=vals, minlength=self.width * self.height
+                ).reshape(self.height, self.width)
             else:
-                np.add.at(channel, (iy, ix), np.asarray(vals, dtype=self.dtype))
+                if not np.isscalar(vals):
+                    vals = np.asarray(vals, dtype=self.dtype)
+                np.add.at(self.channel(name).reshape(-1), pix, vals)
 
     def write(self, ix: np.ndarray, iy: np.ndarray, name: str, value: float) -> None:
         """Overwrite (no blending) — used for boundary-mask rendering."""
-        self._channels[name][iy, ix] = value
+        self.channel(name)[iy, ix] = value
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def gather(self, ix: np.ndarray, iy: np.ndarray, name: str) -> np.ndarray:
         """Texture fetch: channel values at the given pixels, as float64."""
-        return self._channels[name][iy, ix].astype(np.float64)
+        return self.channel(name)[iy, ix].astype(np.float64)
 
     def total(self, name: str) -> float:
         """Sum of a whole channel, reduced in float64."""
-        return float(np.sum(self._channels[name], dtype=np.float64))
+        return float(np.sum(self.channel(name), dtype=np.float64))
 
     @property
     def nbytes(self) -> int:
-        return sum(arr.nbytes for arr in self._channels.values())
+        """Bytes of the channels, allocated yet or not."""
+        return (
+            len(self._channels) * self.width * self.height
+            * self.dtype.itemsize
+        )
 
     def __repr__(self) -> str:
         return (

@@ -133,12 +133,16 @@ class Viewport:
 
         Points outside the half-open window are reported with
         ``inside=False`` and must be discarded by the caller — this is the
-        pipeline's clipping stage.
+        pipeline's clipping stage.  Membership is decided on the screen
+        coordinates (``floor(s) in [0, n)`` is ``0 <= s < n``), so NaN
+        and ±inf coordinates are outside by rule; their integer pixel is
+        whatever the platform's cast yields and means nothing.
         """
         sx, sy = self.to_screen(xs, ys)
-        ix = np.floor(sx).astype(np.int64)
-        iy = np.floor(sy).astype(np.int64)
-        inside = (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height)
+        inside = (sx >= 0) & (sx < self.width) & (sy >= 0) & (sy < self.height)
+        with np.errstate(invalid="ignore"):
+            ix = np.floor(sx).astype(np.int64)
+            iy = np.floor(sy).astype(np.int64)
         return ix, iy, inside
 
     def pixel_bbox(self, ix: int, iy: int) -> BBox:

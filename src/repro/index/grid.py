@@ -391,17 +391,22 @@ class GridIndex:
         return np.floor((ys - self.extent.ymin) / self.cell_h).astype(np.int64)
 
     def cell_of_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Flat cell id per point; -1 for points outside the extent."""
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        gx = np.floor((xs - self.extent.xmin) / self.cell_w).astype(np.int64)
-        gy = self.row_of(ys)
-        out = gy * self.resolution + gx
-        outside = (
-            (gx < 0) | (gx >= self.resolution)
-            | (gy < 0) | (gy >= self.resolution)
+        """Flat cell id per point; -1 for points outside the extent —
+        NaN and ±inf coordinates among them, by rule: membership is
+        decided on the float cell coordinates, never on what the
+        platform's integer cast makes of a non-finite value."""
+        fx = (np.asarray(xs, dtype=np.float64) - self.extent.xmin) / self.cell_w
+        fy = (np.asarray(ys, dtype=np.float64) - self.extent.ymin) / self.cell_h
+        inside = (
+            (fx >= 0) & (fx < self.resolution)
+            & (fy >= 0) & (fy < self.resolution)
         )
-        out[outside] = -1
+        with np.errstate(invalid="ignore"):
+            out = (
+                np.floor(fy).astype(np.int64) * self.resolution
+                + np.floor(fx).astype(np.int64)
+            )
+        out[~inside] = -1
         return out
 
     def candidates_of_cell(self, cell: int) -> np.ndarray:

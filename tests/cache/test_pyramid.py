@@ -23,6 +23,8 @@ from repro.cache.pyramid import (
     decompose_blocks,
     pyramid_levels,
 )
+from repro.exec.partition import route_chunk
+from repro.geometry.bbox import BBox
 from repro.geometry.polygon import rectangle
 from repro.graphics.viewport import Viewport
 from repro.index.grid import GridIndex
@@ -310,18 +312,21 @@ class TestPyramidPersistence:
         pyramid = AggregatePyramid.build(
             points, GridIndex(regions, resolution=GRID)
         )
-        per_tile = [[points]]  # one tile holding the whole source
+        # One tile holding the whole source.
+        routing = route_chunk(
+            points, None, [Viewport(BBox(0.0, 0.0, 100.0, 100.0), 64, 64)], 0
+        )
         probe = QuerySession(store=False)
-        probe.partition_store(points, ("a",), per_tile, 0)
+        probe.partition_store(points, ("a",), routing)
         one_partition = probe.partition_nbytes
         session = QuerySession(
             store=False,
             byte_budget=pyramid.nbytes + one_partition * 3 // 2,
         )
         session.pyramid_register(points, ("frame",), pyramid)
-        session.partition_store(points, ("a",), per_tile, 0)
+        session.partition_store(points, ("a",), routing)
         assert session.pyramid_lookup(points, ("frame",)) is pyramid
-        session.partition_store(points, ("b",), per_tile, 0)
+        session.partition_store(points, ("b",), routing)
         assert session.partition_lookup(points, ("a",)) is None
         assert session.partition_lookup(points, ("b",)) is not None
         assert session.pyramid_warm(points, ("frame",))

@@ -9,6 +9,7 @@ corrupt the LRU dicts mid-``popitem`` and double-count byte budgets.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -16,7 +17,10 @@ import pytest
 
 from repro import AccurateRasterJoin, PointDataset, QuerySession
 from tests.conftest import random_star_polygon
+from repro.exec.partition import route_chunk
+from repro.geometry.bbox import BBox
 from repro.geometry.polygon import PolygonSet
+from repro.graphics.viewport import Canvas
 
 THREADS = 8
 ROUNDS = 12
@@ -36,9 +40,13 @@ def polygon_sets(rng):
 def test_eight_thread_hammer(rng, polygon_sets):
     session = QuerySession(capacity=3)
     spec = ("accurate", 128, 128, 8192)
+    attrs = {f"a{i}": rng.uniform(0.0, 1.0, 2000) for i in range(6)}
     points = PointDataset(
-        rng.uniform(0.0, 100.0, 2000), rng.uniform(0.0, 100.0, 2000)
+        rng.uniform(0.0, 100.0, 2000), rng.uniform(0.0, 100.0, 2000), attrs
     )
+    canvas = Canvas(BBox(0.0, 0.0, 100.0, 100.0), 64, 64)
+    routing = route_chunk(points, canvas, list(canvas.tiles(32)), 32)
+    bare = routing.nbytes
     errors: list[BaseException] = []
     barrier = threading.Barrier(THREADS)
 
@@ -53,9 +61,16 @@ def test_eight_thread_hammer(rng, polygon_sets):
                 assert prepared is not None
                 token = ("partition", worker % 2)
                 if local.random() < 0.5:
-                    session.partition_store(points, token, [[], []], 0)
+                    session.partition_store(points, token, routing)
                 else:
                     session.partition_lookup(points, token)
+                # Statements reading other column sets share the routing:
+                # each column is gathered once, by whoever comes first.
+                columns = tuple(local.choice(list(attrs), 3, replace=False))
+                for batches in routing.per_tile(points, columns, None,
+                                                [0] * 4):
+                    for batch in batches:
+                        assert len(batch.column(columns[0])) == len(batch)
                 session.contains(polygons, spec)
                 session.warmth(polygons, spec)
                 assert len(session) >= 0
@@ -70,13 +85,23 @@ def test_eight_thread_hammer(rng, polygon_sets):
     threads = [
         threading.Thread(target=hammer, args=(i,)) for i in range(THREADS)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(60.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # preempt inside read-modify-writes
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     # The budget stayed consistent: re-derive it from scratch.
     assert 0 <= len(session) <= 3
+    # No column's bytes were lost to a racing gather (or counted twice).
+    assert routing.nbytes == bare + len(attrs) * points.xs.nbytes
+    for name, values in attrs.items():
+        assert np.array_equal(routing._columns[name], values[routing.order])
 
 
 def test_concurrent_executions_share_session_bit_identically(

@@ -213,3 +213,64 @@ class TestCacheAwareCosting:
             opt.choose(uniform_points, three_regions, self.EPSILON),
             BoundedRasterJoin,
         )
+
+
+class TestRoutingAwareCosting:
+    """The point-pass term follows the point pass: one expression at any
+    tile count, with the projection paid only on a routing miss."""
+
+    MODEL = CostModel(
+        per_point_render=1e-6, per_pixel_polygon_pass=0.0,
+        per_pip_test=0.0, per_boundary_point=0.0,
+    )
+
+    @pytest.mark.parametrize("tiles, waves", [(1, 1), (4, 4), (16, 8)])
+    def test_projection_is_paid_on_a_miss_only(self, tiles, waves):
+        n = 1_000_000
+        scatter = n * 1e-6 * waves / tiles
+        cost = self.MODEL._point_pass_seconds
+        assert cost(n, tiles, waves, True, routed=True) == pytest.approx(
+            scatter
+        )
+        assert cost(n, tiles, waves, True, routed=False) == pytest.approx(
+            scatter + n * 1e-6
+        )
+
+    @pytest.mark.parametrize("routed", [False, True])
+    def test_self_scanning_tiles_are_unchanged(self, routed):
+        """``partition_points=False``: every wave projects every point,
+        whatever a session holds."""
+        assert self.MODEL._point_pass_seconds(
+            1_000_000, 16, 8, False, routed=routed
+        ) == pytest.approx(8.0)
+
+    def test_optimizer_probes_the_session_for_routing(self, uniform_points,
+                                                      three_regions):
+        """Identity-keyed and hash-free, like the pyramid probe: it sees
+        a resident routing, prices the point pass without the projection,
+        and touches no counter."""
+        session = QuerySession(store=False)
+        opt = RasterJoinOptimizer(session=session)
+        opt._model = self.MODEL
+        epsilon = 5.0
+        cold = opt.estimate(uniform_points, three_regions, epsilon)
+        engine = AccurateRasterJoin(session=session)
+        assert not engine.routing_warmth(uniform_points, three_regions)
+        engine.execute(uniform_points, three_regions)
+        assert engine.routing_warmth(uniform_points, three_regions)
+        hits = session.partition_hits
+        warm = opt.estimate(uniform_points, three_regions, epsilon)
+        assert session.partition_hits == hits
+        projection = len(uniform_points) * self.MODEL.per_point_render
+        assert warm["accurate"] == pytest.approx(cold["accurate"] - projection)
+        # The bounded variant renders another canvas: still unrouted.
+        assert warm["bounded"] == cold["bounded"]
+        # Other points, or self-scanning tiles, never read as routed.
+        assert not engine.routing_warmth(
+            uniform_points.head(100), three_regions
+        )
+        from repro import EngineConfig
+
+        assert not AccurateRasterJoin(
+            session=session, config=EngineConfig(partition_points=False)
+        ).routing_warmth(uniform_points, three_regions)

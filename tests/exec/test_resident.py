@@ -22,8 +22,11 @@ from repro.errors import ExecutionBackendError
 from repro.exec import shm
 from repro.exec.backend import ProcessBackend
 from repro.exec.config import EngineConfig
+from repro.exec.partition import route_chunk
 from repro.exec.resident import ResidentWorkerPool, TileTaskSpec
+from repro.geometry.bbox import BBox
 from repro.geometry.polygon import Polygon, PolygonSet
+from repro.graphics.viewport import Canvas, Viewport
 from repro.obs import metrics
 
 RESOLUTION = 512
@@ -291,12 +294,16 @@ class TestOneShmSwitch:
         try:
             cold = engine.execute(points, polygons, Sum("val"))
             warm = engine.execute(points, polygons, Sum("val"))
-            # The stored partition holds ShmChunks, not host datasets.
-            assert {
-                type(chunk).__name__
-                for state in session._point_cache.values()
-                for chunks in state.value[0] for chunk in chunks
-            } == {"ShmChunk"}
+            # The stored routing's columns live in shared memory, one
+            # entry for the canvas.
+            (state,) = session._point_cache.values()
+            assert all(
+                isinstance(batch.shared, shm.ShmChunk)
+                for batches in state.value.per_tile(
+                    points, ("x", "y", "val"), device, [0] * 16
+                ) for batch in batches
+            )
+            del state  # the session's entry alone holds the leases
         finally:
             engine.close()
             session.invalidate()
@@ -360,32 +367,40 @@ class TestOneShmSwitch:
 
 
 class TestResidentSubsetZeroCopy:
-    """Satellite: tile gathers of resident sets stay zero-copy views."""
+    """Satellite: tile gathers of resident sets stay zero-copy views
+    (of the routing's per-column gathers, since `ResidentSubset` went)."""
 
-    def test_columns_are_returned_by_reference(self):
-        from repro.exec.partition import ResidentSubset
-
-        xs = np.arange(10.0)
-        subset = ResidentSubset({"x": xs})
-        assert subset.column("x") is xs, (
-            "ResidentSubset must hand back the gathered array itself, "
-            "not a copy"
-        )
-        assert len(subset) == 10
-
-    def test_take_from_resident_set_shares_no_host_copy(self):
-        from repro.exec.partition import ResidentSubset, _take
-
+    @pytest.fixture
+    def resident(self):
         device = GPUDevice()
         resident = device.make_resident(
             {"x": np.arange(100.0), "y": np.arange(100.0)}
         )
-        try:
-            index = np.arange(0, 100, 2)
-            sub = _take(resident, index, ("x", "y"))
-            assert isinstance(sub, ResidentSubset)
-            inner = sub.column("x")
-            # A second column() call must not re-gather.
-            assert sub.column("x") is inner
-        finally:
-            resident.free()
+        yield resident
+        resident.free()
+
+    def test_columns_are_returned_by_reference(self, resident):
+        """One tile takes the rows in source order: the batch hands back
+        the device array itself, not a copy."""
+        tile = Viewport(BBox(0.0, 0.0, 100.0, 100.0), 64, 64)
+        routing = route_chunk(resident, None, [tile], 0)
+        ((batch,),) = routing.per_tile(resident, ("x", "y"), None, [0])
+        assert batch.resident and len(batch) == 100
+        assert np.shares_memory(batch.column("x"), resident.column("x"))
+
+    def test_take_from_resident_set_shares_no_host_copy(self, resident):
+        """Several tiles gather each column once; a second statement (or
+        a second ``column()`` call) must not re-gather."""
+        canvas = Canvas(BBox(0.0, 0.0, 100.0, 100.0), 64, 64)
+        tiles = list(canvas.tiles(32))
+        routing = route_chunk(resident, canvas, tiles, 32)
+
+        def batches(columns):
+            per_tile = routing.per_tile(resident, columns, None, [0] * 4)
+            return [b for tile in per_tile for b in tile]
+
+        first = batches(("x", "y"))
+        assert all(b.resident for b in first)
+        assert sum(len(b) for b in first) == 100
+        again = batches(("x",))
+        assert np.shares_memory(again[0].column("x"), first[0].column("x"))

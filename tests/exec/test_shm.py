@@ -15,13 +15,20 @@ import pytest
 
 from repro.data.dataset import PointDataset
 from repro.exec import shm
+from repro.exec.partition import route_chunk
+from repro.geometry.bbox import BBox
+from repro.graphics.viewport import Canvas
 from repro.exec.shm import (
     SHM_PREFIX,
     SegmentCache,
     ShmArray,
     ShmChunk,
-    export_chunk,
+    export_arrays,
 )
+
+
+def export_chunk(points, columns=("x", "y", "val")):
+    return export_arrays({name: points.column(name) for name in columns})
 
 
 def _segment_file(name: str) -> bool:
@@ -124,7 +131,7 @@ class TestShmChunk:
     def test_export_chunk_roundtrip(self, points):
         chunk = export_chunk(points)
         assert len(chunk) == len(points)
-        assert chunk.column_names == ("x", "y", "val")
+        assert tuple(chunk.refs) == ("x", "y", "val")
         assert len(chunk.segments) == 1
         for col in ("x", "y", "val"):
             np.testing.assert_array_equal(
@@ -159,8 +166,10 @@ class TestShmChunk:
 
     def test_column_subset_export(self, points):
         chunk = export_chunk(points, columns=("x", "y"))
-        assert chunk.column_names == ("x", "y")
-        assert chunk.nbytes == points.xs.nbytes + points.ys.nbytes
+        assert tuple(chunk.refs) == ("x", "y")
+        assert sum(ref.nbytes for ref in chunk.refs.values()) == (
+            points.xs.nbytes + points.ys.nbytes
+        )
         chunk.release()
 
 
@@ -202,26 +211,53 @@ class TestSegmentCache:
 class TestPartitionByteAccounting:
     """Satellite: the cache budget counts each shm segment once."""
 
-    def test_shared_segment_counted_once(self, rng):
-        from repro.cache.session import _partition_bytes
-
+    @staticmethod
+    def _routed(rng):
         points = PointDataset(
             rng.uniform(0, 10, 300), rng.uniform(0, 10, 300)
         )
-        chunk = export_chunk(points, columns=("x", "y"))
-        # The same chunk listed under two tiles (duplication across tile
-        # borders) must not double-charge the budget.
-        assert _partition_bytes([[chunk], [chunk]]) == chunk.nbytes
-        chunk.release()
+        canvas = Canvas(BBox(0.0, 0.0, 10.0, 10.0), 64, 64)
+        tiles = list(canvas.tiles(32))
+        return points, route_chunk(points, canvas, tiles, 32), len(tiles)
+
+    def test_shared_segment_counted_once(self, rng):
+        """A column moved to shared memory is one segment however many
+        tiles' batches (and statements) reference it: sharing replaces
+        the host copy, it is not charged beside it."""
+        points, routing, tiles = self._routed(rng)
+        routing.ensure_columns(points, ("x", "y"))
+        host = routing.nbytes
+        before = shm.REGISTRY.live_segments()
+        routing.ensure_columns(points, ("x", "y"), shared=True)
+        routing.ensure_columns(points, ("x",), shared=True)
+        # x, y and the pixel index: three segments, not one per tile.
+        assert shm.REGISTRY.live_segments() == before + 3
+        assert routing.nbytes == host
+        chunks = [
+            batch.shared for batches in
+            routing.per_tile(points, ("x", "y"), None, [0] * tiles)
+            for batch in batches
+        ]
+        assert len({c.refs["x"].segment for c in chunks}) == 1
+        np.testing.assert_array_equal(
+            np.concatenate([c.column("x") for c in chunks]),
+            points.xs[routing.order],
+        )
+        # Dropping the routing (cache eviction does just that) gives
+        # the leases back.
+        del routing, chunks
+        assert shm.REGISTRY.live_segments() == before
 
     def test_mixed_host_and_shm_chunks(self, rng):
-        from repro.cache.session import _partition_bytes, _source_bytes
-
-        points = PointDataset(
-            rng.uniform(0, 10, 200), rng.uniform(0, 10, 200)
-        )
-        chunk = export_chunk(points, columns=("x", "y"))
-        host = PointDataset(np.arange(50.0), np.arange(50.0))
-        total = _partition_bytes([[chunk, host], [chunk]])
-        assert total == chunk.nbytes + _source_bytes(host)
-        chunk.release()
+        """Once shared, always shared: a column first read by a query
+        that did not ask for shared memory (a serial engine on the same
+        session) joins the others, so every batch stays shm-backed."""
+        points, routing, tiles = self._routed(rng)
+        routing.ensure_columns(points, ("x",), shared=True)
+        for batches in routing.per_tile(points, ("x", "y"), None,
+                                        [0] * tiles):
+            for batch in batches:
+                assert batch.resident
+                np.testing.assert_array_equal(
+                    batch.shared.column("y"), batch.column("y")
+                )

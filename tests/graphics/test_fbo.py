@@ -55,6 +55,14 @@ class TestBlending:
         assert fbo.channel("count")[0, 0] == 2
         assert fbo.channel("sum")[0, 0] == 6.0
 
+    def test_accumulate_rejects_a_pixel_past_the_row_end(self):
+        """An unclipped ``ix == width`` raises; it must never blend into
+        the next row's first pixel."""
+        fbo = FrameBuffer(4, 4)
+        with pytest.raises(IndexError):
+            fbo.accumulate(np.asarray([4]), np.asarray([0]))
+        assert fbo.total("count") == 0.0
+
     def test_clear(self):
         fbo = FrameBuffer(4, 4)
         fbo.accumulate(np.asarray([1]), np.asarray([1]))

@@ -11,12 +11,15 @@
   is exact, to the ledger's ``FLOAT_RTOL`` where a float sum's grouping
   is the only difference;
 * the flat polygon pass equals the scalar ``repro.graphics`` kernels on
-  *overlapping* polygons, where a shared pixel counts for both.
+  *overlapping* polygons, where a shared pixel counts for both;
+* the flat scatter is *bit-for-bit* the 2-D ``ufunc.at`` blend it
+  replaced — ``np.bincount`` into an untouched float64 channel included —
+  on weights holding NaN, ±inf and −0.0 and on heavily duplicated pixels.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -38,6 +41,7 @@ from repro import (
 )
 from repro.data import generate_voronoi_regions
 from repro.geometry.bbox import BBox
+from repro.graphics.fbo import FrameBuffer
 from repro.graphics.raster_triangle import accumulate_triangle_sums
 from repro.index.grid import GridIndex
 from tests.conftest import (
@@ -259,3 +263,77 @@ def test_polygon_pass_counts_shared_pixels_for_both_polygons():
         record.pixels[record.starts[1]:record.starts[2]],
     )
     assert len(shared) > 100
+
+
+# ----------------------------------------------------------------------
+# (d) the flat scatter vs the 2-D ``ufunc.at`` blend
+# ----------------------------------------------------------------------
+@st.composite
+def fragments(draw):
+    """Fragments over a small canvas — few pixels, so most are hit many
+    times — whose weights mix finite values with NaN, ±inf and −0.0."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(seed)
+    pix = rng.integers(0, width * height, n)
+    weights = rng.normal(0.0, 1e3, n)
+    for special in (np.nan, np.inf, -np.inf, -0.0, 0.0):
+        share = draw(st.sampled_from([0.0, 0.05, 0.5]))
+        weights[rng.uniform(0.0, 1.0, n) < share] = special
+    return width, height, pix, weights
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit equality — the sign of zero included — except that a NaN is a
+    NaN: which operand's sign and payload survives ``inf - inf + nan``
+    is the kernel's operand order and means nothing."""
+    a, b = a.ravel(), b.ravel()
+    nan = np.isnan(a)
+    return (
+        a.dtype == b.dtype and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+@given(fragments())
+@settings(max_examples=60, deadline=None)
+def test_bincount_is_add_at_bit_for_bit(case):
+    """From zeros, ``np.bincount(pix, weights, minlength)`` performs the
+    float64 adds of ``np.add.at`` in the same order: same bits —
+    infinities and the sign of zero included.  (Of *no*
+    fragments it returns integer zeros; the scatter never asks.)"""
+    width, height, pix, weights = case
+    assume(len(pix))
+    want = np.zeros(width * height)
+    with np.errstate(invalid="ignore"):
+        np.add.at(want, pix, weights)
+    got = np.bincount(pix, weights=weights, minlength=width * height)
+    assert _same_bits(got, want)
+
+
+@given(fragments(), st.sampled_from(["add", "min", "max"]),
+       st.sampled_from([np.float64, np.float32]), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_flat_scatter_is_the_2d_blend_bit_for_bit(case, blend, dtype, batches):
+    """``FrameBuffer.scatter`` — whichever kernel it picks, over one
+    batch or several — leaves the bits the 2-D ``ufunc.at`` blend of the
+    same fragments in the same order leaves, for every blend and
+    framebuffer dtype, a constant-1 channel beside a weighted one."""
+    width, height, pix, weights = case
+    identity = {"add": 0.0, "min": np.inf, "max": -np.inf}[blend]
+    flat = FrameBuffer(width, height, channels=("w", "one"), dtype=dtype)
+    want = {name: np.full((height, width), identity, dtype=dtype)
+            for name in ("w", "one")}
+    if blend != "add":
+        for name in ("w", "one"):
+            flat.channel(name).fill(identity)
+    at = {"add": np.add.at, "min": np.minimum.at, "max": np.maximum.at}[blend]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for part in np.array_split(np.arange(len(pix)), batches):
+            flat.scatter(pix[part], {"w": weights[part], "one": 1.0}, blend)
+            index = (pix[part] // width, pix[part] % width)
+            at(want["w"], index, weights[part].astype(dtype))
+            at(want["one"], index, 1.0)
+    for name in ("w", "one"):
+        assert _same_bits(flat.channel(name), want[name]), name

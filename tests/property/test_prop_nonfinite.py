@@ -1,4 +1,4 @@
-"""Property tests: Min/Max/Average with ±inf and NaN attribute values.
+"""Property tests: ±inf and NaN in attribute values and in coordinates.
 
 Pins the finalize semantics fixed alongside the aggregate pyramid: only
 *identity* accumulator slots (regions that saw no value) finalize to
@@ -12,7 +12,14 @@ is indistinguishable from an empty one and also finalizes to NaN
 Checked across engines (accurate, index join), execution backends
 (serial, threaded tiles), streamed vs monolithic input, and the
 pyramid-warm vs exact accurate paths.
+
+Non-finite *coordinates* are outside every canvas, tile and grid cell by
+rule (``Viewport.pixel_of`` / ``GridIndex.cell_of_points`` decide on the
+float coordinates), never by what a platform's float-to-int cast makes
+of them — and no query over such points may warn.
 """
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,12 +28,16 @@ from hypothesis import strategies as st
 from repro import (
     AccurateRasterJoin,
     Average,
+    BoundedRasterJoin,
+    Count,
+    GPUDevice,
     IndexJoin,
     Max,
     Min,
     PointDataset,
     PolygonSet,
     QuerySession,
+    Sum,
 )
 from repro.exec.config import EngineConfig
 from repro.geometry.polygon import rectangle
@@ -170,3 +181,87 @@ def test_pyramid_warm_agrees_with_exact(workload, kind):
         kind == "avg" and np.allclose(warm.values, exact.values, equal_nan=True)
     )
     check(warm, points, polygons, kind)
+
+
+# ----------------------------------------------------------------------
+# Non-finite coordinates
+# ----------------------------------------------------------------------
+@st.composite
+def nonfinite_coordinates(draw):
+    """Random points with NaN / +inf / -inf in ``x`` and/or ``y``."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    n_points = draw(st.integers(50, 600))
+    rng = np.random.default_rng(seed)
+    coords = [rng.uniform(0, 100, n_points), rng.uniform(0, 100, n_points)]
+    for axis in draw(st.sampled_from([(0,), (1,), (0, 1)])):
+        for special in (np.nan, np.inf, -np.inf):
+            share = draw(st.floats(0.02, 0.2))
+            coords[axis][rng.uniform(0.0, 1.0, n_points) < share] = special
+    points = PointDataset(
+        coords[0], coords[1], {"v": rng.integers(-50, 50, n_points) * 0.5}
+    )
+    polys = [draw(star_polygons(center=(35, 40), max_radius=30.0))]
+    polys.append(rectangle(-1, -1, 101, 101))
+    return points, PolygonSet(polys)
+
+
+def finite_rows(points):
+    """The oracle's rule: a point with a non-finite coordinate is
+    outside everything, i.e. the input without it."""
+    keep = np.flatnonzero(np.isfinite(points.xs) & np.isfinite(points.ys))
+    return points.take(keep)
+
+
+def oracle(points, polygons, kind):
+    """Brute-force count / sum over the finite rows (dyadic values, so
+    the float sum is exact whatever its grouping)."""
+    finite = finite_rows(points)
+    vals = finite.column("v")
+    out = []
+    for poly in polygons:
+        inside = poly.contains_points(finite.xs, finite.ys)
+        out.append(inside.sum() if kind == "count" else vals[inside].sum())
+    return np.asarray(out, dtype=np.float64)
+
+
+COORD_AGGS = {"count": Count, "sum": lambda: Sum("v")}
+
+
+@given(nonfinite_coordinates(), st.sampled_from(["count", "sum"]),
+       st.sampled_from([None, 64, 32]))
+@settings(max_examples=15, deadline=None)
+def test_nonfinite_coordinates_are_outside_exact_engines(workload, kind,
+                                                         max_fbo):
+    """Accurate (1 / 4 / 16 tiles) and the index join equal the oracle,
+    silently."""
+    points, polygons = workload
+    device = None if max_fbo is None else GPUDevice(max_resolution=max_fbo)
+    want = oracle(points, polygons, kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        accurate = AccurateRasterJoin(
+            resolution=128, grid_resolution=32, device=device
+        ).execute(points, polygons, COORD_AGGS[kind]())
+        index = IndexJoin(mode="gpu", grid_resolution=32).execute(
+            points, polygons, COORD_AGGS[kind]()
+        )
+    assert accurate.stats.extra["tiles"] == {None: 1, 64: 4, 32: 16}[max_fbo]
+    assert np.array_equal(accurate.values, want)
+    assert np.array_equal(index.values, want)
+
+
+@given(nonfinite_coordinates(), st.sampled_from(["count", "sum"]))
+@settings(max_examples=10, deadline=None)
+def test_nonfinite_coordinates_are_outside_bounded(workload, kind):
+    """The bounded join's answer is bit for bit its answer over the
+    finite rows alone, silently."""
+    points, polygons = workload
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = BoundedRasterJoin(resolution=128).execute(
+            points, polygons, COORD_AGGS[kind]()
+        )
+    want = BoundedRasterJoin(resolution=128).execute(
+        finite_rows(points), polygons, COORD_AGGS[kind]()
+    )
+    assert np.array_equal(got.values, want.values)
