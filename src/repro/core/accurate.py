@@ -304,7 +304,7 @@ class AccurateRasterJoin(RasterJoinEngine):
                 member.prepared, plan[0], plan[1], points, polygons,
                 aggregate, stats,
             )
-        (accumulators,) = self.run_members(
-            [member], lambda: iter((points,)), [stats], points_hint=points
+        accumulators = self.run_member(
+            member, lambda: iter((points,)), stats, points_hint=points
         ).accumulators
         return aggregate.finalize(accumulators), accumulators

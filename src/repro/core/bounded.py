@@ -157,11 +157,11 @@ class BoundedRasterJoin(RasterJoinEngine):
         stats: ExecutionStats,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         member = self.member(polygons, aggregate, filters, stats)
-        run = self.run_members(
-            [member], lambda: iter((points,)), [stats], points_hint=points,
+        run = self.run_member(
+            member, lambda: iter((points,)), stats, points_hint=points,
             keep_fbo=self.compute_bounds,
         )
-        (accumulators,) = run.accumulators
+        accumulators = run.accumulators
         values = aggregate.finalize(accumulators)
         if self.compute_bounds:
             from repro.core.bounds import estimate_result_intervals
@@ -169,7 +169,7 @@ class BoundedRasterJoin(RasterJoinEngine):
             start = time.perf_counter()
             with trace.span("bounds"):
                 self._intervals = estimate_result_intervals(
-                    run.payloads[0], polygons, member.prepared.triangles, values,
+                    run.payloads, polygons, member.prepared.triangles, values,
                     aggregate,
                 )
             stats.extra["bounds_s"] = time.perf_counter() - start

@@ -101,3 +101,9 @@ class FilterSet:
 
     def __str__(self) -> str:
         return " AND ".join(str(f) for f in self.filters) or "TRUE"
+
+
+def filter_key(filters: FilterSet) -> tuple:
+    """Value identity of a filter conjunction: queries with equal keys
+    keep the same rows, so they can share one filter mask."""
+    return tuple((f.column, f.op, f.value) for f in filters.filters)

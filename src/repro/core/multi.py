@@ -62,29 +62,37 @@ class MultiAggregate(Aggregate):
     # ------------------------------------------------------------------
     @property
     def output_names(self) -> tuple[str, ...]:
-        """One label per sub-aggregate, e.g. ``('count', 'avg(fare)')``."""
-        names = []
-        for agg in self.aggregates:
+        """One label per sub-aggregate, e.g. ``('count', 'avg(fare)')``;
+        a repeated item carries its position (``'sum(fare)#2'``) so every
+        item keeps a label of its own."""
+        names: list[str] = []
+        for position, agg in enumerate(self.aggregates):
             column = getattr(agg, "column", None)
-            names.append(f"{agg.name}({column})" if column else agg.name)
+            label = f"{agg.name}({column})" if column else agg.name
+            names.append(f"{label}#{position}" if label in names else label)
         return tuple(names)
+
+    def split(self, reduced: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
+        """Per sub-aggregate, in order: its channels under its own
+        (private) names, cut from the shared canonical ones — exactly
+        the ``channels`` its solo execution would have returned."""
+        return [
+            {private: reduced[canonical] for private, canonical in remap.items()}
+            for remap in self._remaps
+        ]
 
     def finalize(self, reduced: dict[str, np.ndarray]) -> np.ndarray:
         """The engine-facing single result: the first sub-aggregate."""
-        return self.finalize_all(reduced)[self.output_names[0]]
+        return self.aggregates[0].finalize(self.split(reduced)[0])
 
     def finalize_all(self, reduced: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Every sub-aggregate's values from the shared channels."""
-        out: dict[str, np.ndarray] = {}
-        for agg, remap, label in zip(
-            self.aggregates, self._remaps, self.output_names
-        ):
-            private = {
-                private_name: reduced[canonical]
-                for private_name, canonical in remap.items()
-            }
-            out[label] = agg.finalize(private)
-        return out
+        return {
+            label: agg.finalize(private)
+            for label, agg, private in zip(
+                self.output_names, self.aggregates, self.split(reduced)
+            )
+        }
 
     def __repr__(self) -> str:
         return f"MultiAggregate({', '.join(self.output_names)})"

@@ -6,23 +6,20 @@ boundary pixel), draw the polygons — and this module holds its only
 implementation, as plain functions over plain data:
 
 * the **tile task** (:func:`run_tile`): boundary → point pass → polygon
-  pass → one :class:`~repro.exec.backend.TilePartial` per member query.
-  It is written over a *list* of member queries sharing one tile's point
-  batches, and it never projects: a batch arrives *routed* — each row
-  with its flat pixel in this tile (:mod:`repro.exec.partition`) — so the
-  point pass is a filter mask (once per distinct filter set, never a
-  copy), one flat gather of the boundary mask, a PIP test for the ~1% of
-  rows on it and one flat scatter for the rest.  Batch upload and the
-  mask are shared; everything arithmetic-bearing (boundary mask,
-  framebuffer, PIP accumulators, polygon pass) is per member.  A solo
-  query is a group of one; the serving layer's fused scans
-  (:mod:`repro.serve.fused`) are groups of several.
+  pass → one :class:`~repro.exec.backend.TilePartial`.  It never
+  projects: a batch arrives *routed* — each row with its flat pixel in
+  this tile (:mod:`repro.exec.partition`) — so the point pass is a
+  filter mask (never a copy), one flat gather of the boundary mask, a
+  PIP test for the ~1% of rows on it and one flat scatter for the rest.
+  A tile runs one query (its :class:`TileMember`); statements that share
+  work share it as channels of one aggregate
+  (:class:`~repro.core.multi.MultiAggregate`), not as a list of queries.
 * the **tile loop** (:func:`run_tiles`): look the points' routing up (or
   compute it) → dispatch the tile tasks over the execution backend →
   merge the partials in tile-index order.
 
 The task's inputs are picklable data — the tile index, a small frozen
-:class:`TileKernel` naming what differs between the engines, the members
+:class:`TileKernel` naming what differs between the engines, the member
 (prepared artifact, polygons, aggregate, filters), the chunk descriptors
 and a few flags — so in-process dispatch and the resident worker pool's
 :class:`~repro.exec.resident.TileTaskSpec` dispatch run the same function;
@@ -107,6 +104,10 @@ class TileKernel:
             return self.device.max_resolution
         return DEFAULT_MAX_RESOLUTION
 
+    def pixel_bytes(self, aggregate: Aggregate) -> int:
+        """Framebuffer bytes per pixel: one value per channel."""
+        return len(aggregate.channels) * np.dtype(self.fbo_dtype).itemsize
+
     @property
     def device_token(self) -> tuple | None:
         """The device by its batch-planning inputs, not identity: an
@@ -127,7 +128,7 @@ class TileKernel:
 
 @dataclass
 class TileMember:
-    """One query of a group: everything but the shared point chunks."""
+    """One query readied for the tile loop: everything but its points."""
 
     prepared: PreparedPolygons
     polygons: PolygonSet
@@ -136,51 +137,26 @@ class TileMember:
 
 
 class TileRun(NamedTuple):
-    """What the tile loop hands back, one entry per member."""
+    """What the tile loop hands back."""
 
     #: Merged per-polygon channel arrays.
-    accumulators: list[dict[str, np.ndarray]]
+    accumulators: dict[str, np.ndarray]
     #: Per tile, the ``(viewport, framebuffer)`` after the point pass —
     #: only under ``keep_fbo`` (the bounded engine's §5 result intervals).
-    payloads: list[list]
+    payloads: list
     #: Whether the source produced any chunk (streams reject none).
     saw_chunk: bool
 
 
-def member_columns(members: Sequence[TileMember]) -> tuple[str, ...]:
-    """The scan's columns: every member's required columns, first seen
-    first (for one member, exactly its own required columns)."""
-    names: list[str] = []
-    for member in members:
-        for col in SpatialAggregationEngine.required_columns(
-            member.aggregate, member.filters
-        ):
-            if col not in names:
-                names.append(col)
-    return tuple(names)
+def tile_fbo_bytes(kernel: TileKernel, member: TileMember) -> list[int]:
+    """Per tile, the bytes of the query's framebuffer.
 
-
-def tile_fbo_bytes(
-    kernel: TileKernel, members: Sequence[TileMember]
-) -> list[int]:
-    """Per tile, the bytes of the group's framebuffers live at once.
-
-    Must equal the summed ``nbytes`` of the framebuffers the tile task
-    builds: a tile's batches are cut on the plan that reserves exactly
-    that many bytes.
+    Must equal the ``nbytes`` of the framebuffer the tile task builds: a
+    tile's batches are cut on the plan that reserves exactly that many
+    bytes.
     """
-    channels = sum(len(member.aggregate.channels) for member in members)
-    cell = channels * np.dtype(kernel.fbo_dtype).itemsize
-    return [
-        cell * tile.width * tile.height
-        for tile in members[0].prepared.tiles
-    ]
-
-
-def filter_key(filters: FilterSet) -> tuple:
-    """Value identity of a filter conjunction: members with equal keys
-    share one filter mask per batch."""
-    return tuple((f.column, f.op, f.value) for f in filters.filters)
+    cell = kernel.pixel_bytes(member.aggregate)
+    return [cell * tile.width * tile.height for tile in member.prepared.tiles]
 
 
 # ----------------------------------------------------------------------
@@ -189,65 +165,55 @@ def filter_key(filters: FilterSet) -> tuple:
 def run_tile(
     tile_idx: int,
     kernel: TileKernel,
-    members: Sequence[TileMember],
+    member: TileMember,
     columns: tuple[str, ...],
     chunks,
     *,
     retain: bool,
     tracing: bool,
     keep_fbo: bool = False,
-) -> list[TilePartial]:
-    """One whole tile: boundary, point pass, polygon pass, per member.
+) -> TilePartial:
+    """One whole tile: boundary, point pass, polygon pass.
 
     The unit every dispatch mode runs — inline, in a thread, in a forked
     child, or in a resident spawned worker.  Nothing is read from an
     engine and shared prepared state is never mutated: the task builds
     what the artifact's per-polygon units lack, and under ``retain`` the
     fresh pieces — the composed views and the per-polygon outlines —
-    travel home in the partials.  The tile's trace subtree rides on the
-    first member's partial.
+    travel home in the partial, as does the tile's trace subtree.
     """
-    tile = members[0].prepared.tiles[tile_idx]
+    tile = member.prepared.tiles[tile_idx]
     with trace.tile_scope(tracing, tile=tile_idx) as tile_span:
         metrics.counter("engine_tile_tasks", engine=kernel.engine)
-        partials = [
-            TilePartial(
-                tile_idx,
-                new_accumulators(member.polygons, member.aggregate),
-                ExecutionStats(engine=kernel.engine, batches=0, passes=1),
-            )
-            for member in members
-        ]
-        boundaries: list[np.ndarray | None] = [None] * len(members)
+        partial = TilePartial(
+            tile_idx,
+            new_accumulators(member.polygons, member.aggregate),
+            ExecutionStats(engine=kernel.engine, batches=0, passes=1),
+        )
+        boundary = None
         if kernel.exact:
-            for i, (member, partial) in enumerate(zip(members, partials)):
-                boundaries[i], built, built_units = _tile_boundary(
-                    tile_idx, tile, member, partial.stats
-                )
-                if retain:
-                    partial.boundary_mask = built
-                    partial.unit_boundary = built_units
-        fbos = [
-            _tile_framebuffer(tile, member.aggregate, kernel.fbo_dtype)
-            for member in members
-        ]
-        with trace.span("point-pass"):
-            saw_points = _point_pass(
-                kernel, members, columns, chunks, boundaries, fbos, partials,
+            boundary, built, built_units = _tile_boundary(
+                tile_idx, tile, member, partial.stats
             )
-        for member, partial, fbo in zip(members, partials, fbos):
-            with trace.span("polygon-pass"):
-                built = _polygon_pass(
-                    tile_idx, tile, kernel, member, fbo,
-                    partial.accumulators, partial.stats,
-                )
-            partial.saw_points = saw_points
             if retain:
-                partial.coverage = built
-            if keep_fbo:
-                partial.payload = (tile, fbo)
-        partials[0].span = tile_span
-    return partials
+                partial.boundary_mask = built
+                partial.unit_boundary = built_units
+        fbo = _tile_framebuffer(tile, member.aggregate, kernel.fbo_dtype)
+        with trace.span("point-pass"):
+            partial.saw_points = _point_pass(
+                kernel, member, columns, chunks, boundary, fbo, partial,
+            )
+        with trace.span("polygon-pass"):
+            built = _polygon_pass(
+                tile_idx, tile, kernel, member, fbo,
+                partial.accumulators, partial.stats,
+            )
+        if retain:
+            partial.coverage = built
+        if keep_fbo:
+            partial.payload = (tile, fbo)
+        partial.span = tile_span
+    return partial
 
 
 # -- stage 1: draw the boundaries ---------------------------------------
@@ -313,81 +279,60 @@ def _tile_framebuffer(tile: Viewport, aggregate: Aggregate, dtype) -> FrameBuffe
 
 def _point_pass(
     kernel: TileKernel,
-    members: Sequence[TileMember],
+    member: TileMember,
     columns: tuple[str, ...],
     chunks,
-    boundaries: Sequence[np.ndarray | None],
-    fbos: Sequence[FrameBuffer],
-    partials: Sequence[TilePartial],
+    boundary: np.ndarray | None,
+    fbo: FrameBuffer,
+    partial: TilePartial,
 ) -> bool:
-    """Upload and mask each routed batch once; route it per member.
+    """Upload, mask and route each routed batch of this tile.
 
     ``chunks`` are this tile's device batches, each row already carrying
     its flat pixel (:class:`~repro.exec.partition.RoutedChunk`, or its
     shared-memory twin) — whether the routing came from the session,
     from this query's own routing pass, or from the tile scanning the
-    source itself.  Per batch and distinct filter set the vertex-stage
-    filter runs once, as a boolean mask over the rows in input order,
-    and every member of that filter group then routes the same arrays
-    against its own boundary mask, framebuffer, grid and accumulators —
-    exactly the arithmetic, in exactly the order, of that member running
-    alone.  Each member is charged the shared work (its solo run would
-    have paid it).  Returns whether any chunk arrived.
+    source itself.  Per batch the vertex-stage filter runs once, as a
+    boolean mask over the rows in input order.  Returns whether any
+    chunk arrived.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, member in enumerate(members):
-        groups.setdefault(filter_key(member.filters), []).append(i)
-    scan = ExecutionStats(batches=0)
+    stats, filters = partial.stats, member.filters
     saw_points = False
     for chunk in chunks:
         saw_points = True
         n = len(chunk)
         if n == 0:
             continue
-        scan.batches += 1
+        stats.batches += 1
         cols = {name: chunk.column(name) for name in columns}
         buffers = {}
         if kernel.device is not None and not chunk.resident:
             buffers, seconds = kernel.device.upload_columns(cols)
-            scan.transfer_s += seconds
-            scan.bytes_transferred += sum(b.nbytes for b in buffers.values())
+            stats.transfer_s += seconds
+            stats.bytes_transferred += sum(b.nbytes for b in buffers.values())
             cols = {name: b.array for name, b in buffers.items()}
         try:
-            pix = chunk.pix.astype(np.intp, copy=False)
-            inside = chunk.inside
-            for indices in groups.values():
-                start = time.perf_counter()
-                filters = members[indices[0]].filters
-                # ``keep`` of None keeps every row.  Rows on no tile ride
-                # along for the counters only and are masked after them.
-                keep, dropped = inside, 0
-                if filters:
-                    keep = filters.mask(cols.__getitem__, n)
-                    dropped = n - int(np.count_nonzero(keep))
-                    if dropped == 0:
-                        keep = inside
-                    elif inside is not None:
-                        keep &= inside
-                for i in indices:
-                    partials[i].stats.points_processed += n
-                    partials[i].stats.points_filtered_out += dropped
-                shared = time.perf_counter() - start
-                for i in indices:
-                    start = time.perf_counter()
-                    _route_batch(
-                        boundaries[i], fbos[i], cols, pix, keep, members[i],
-                        partials[i].accumulators, partials[i].stats,
-                    )
-                    partials[i].stats.processing_s += (
-                        shared + time.perf_counter() - start
-                    )
+            start = time.perf_counter()
+            # ``keep`` of None keeps every row.  Rows on no tile ride
+            # along for the counters only and are masked after them.
+            keep, dropped = chunk.inside, 0
+            if filters:
+                keep = filters.mask(cols.__getitem__, n)
+                dropped = n - int(np.count_nonzero(keep))
+                if dropped == 0:
+                    keep = chunk.inside
+                elif chunk.inside is not None:
+                    keep &= chunk.inside
+            stats.points_processed += n
+            stats.points_filtered_out += dropped
+            _route_batch(
+                boundary, fbo, cols, chunk.pix.astype(np.intp, copy=False),
+                keep, member, partial.accumulators, stats,
+            )
+            stats.processing_s += time.perf_counter() - start
         finally:
             for buffer in buffers.values():
                 buffer.free()
-    for partial in partials:
-        partial.stats.batches += scan.batches
-        partial.stats.transfer_s += scan.transfer_s
-        partial.stats.bytes_transferred += scan.bytes_transferred
     return saw_points
 
 
@@ -528,36 +473,34 @@ def run_tiles(
     kernel: TileKernel,
     backend: ExecutionBackend,
     session,
-    members: Sequence[TileMember],
+    member: TileMember,
     source: Callable[[], Iterator],
     columns: tuple[str, ...],
-    stats_list: Sequence[ExecutionStats],
+    stats: ExecutionStats,
     *,
     points_hint: PointDataset | ResidentPointSet | None = None,
     partition: bool = True,
     keep_fbo: bool = False,
 ) -> TileRun:
-    """Route → dispatch → ordered merge, for a group of members.
+    """Route → dispatch → ordered merge, for one query.
 
-    ``members`` share one canvas and tile layout (a solo query trivially;
-    a fused group by its caller's gate); ``source()`` yields point chunks
-    and ``points_hint`` is the monolithic input when there is one (it
-    keys the session's routing cache and sizes the concurrency cap).
-    With ``partition`` off (and on a one-tile stream) every tile scans
-    the source for itself.
-    ``stats_list`` holds each member's query stats: merged tile work, the
-    shared routing cost and how the dispatch ran are recorded into
-    every one of them.  Prepared pieces the tasks built are installed
-    into each member's artifact here, on the caller's side of any
-    process boundary, so a session warms under every backend.
+    ``source()`` yields point chunks and ``points_hint`` is the
+    monolithic input when there is one (it keys the session's routing
+    cache and sizes the concurrency cap).  With ``partition`` off (and
+    on a one-tile stream) every tile scans the source for itself.
+    ``stats`` is the query's: merged tile work, the routing cost and how
+    the dispatch ran are recorded into it.  Prepared pieces the tasks
+    built are installed into the member's artifact here, on the caller's
+    side of any process boundary, so a session warms under every
+    backend.
     """
-    tiles = members[0].prepared.tiles
+    tiles = member.prepared.tiles
     retain = session is not None
     # Captured before dispatch: worker threads and processes have no
     # ambient tracer, so each tile task records into its own (shipped
     # home in the partial).
     tracing = trace.active() is not None
-    fbo_bytes = tile_fbo_bytes(kernel, members)
+    fbo_bytes = tile_fbo_bytes(kernel, member)
     parallelism = _tile_concurrency(
         kernel.device, backend.workers, points_hint, columns,
         max(fbo_bytes, default=0),
@@ -572,57 +515,47 @@ def run_tiles(
             backend.resident_capable(len(tiles), parallelism)
         )
         per_tile, saw_chunk = _partition(
-            kernel, shared, session, members[0].prepared.canvas, tiles,
-            source, columns, fbo_bytes, stats_list, points_hint,
+            kernel, shared, session, member.prepared.canvas, tiles,
+            source, columns, fbo_bytes, stats, points_hint,
         )
     else:
-        for stats in stats_list:
-            stats.extra["partition"] = "off"
+        stats.extra["partition"] = "off"
 
-    def task(tile_idx: int) -> list[TilePartial]:
+    def task(tile_idx: int) -> TilePartial:
         chunks = per_tile[tile_idx] if per_tile is not None else scan_tile(
             source(), tiles[tile_idx], columns, kernel.device,
             fbo_bytes[tile_idx],
         )
         return run_tile(
-            tile_idx, kernel, members, columns, chunks,
+            tile_idx, kernel, member, columns, chunks,
             retain=retain, tracing=tracing, keep_fbo=keep_fbo,
         )
 
     # ``concurrent`` marks that child (tile) spans may overlap in wall
     # time, so their durations can legitimately sum past the parent's.
     with trace.span("tiles", concurrent=backend.workers > 1):
-        results = None
-        if per_tile is not None and len(members) == 1 and not keep_fbo:
-            results = _resident_dispatch(
-                kernel, backend, members[0], columns, per_tile, retain,
+        partials = None
+        if per_tile is not None and not keep_fbo:
+            partials = _resident_dispatch(
+                kernel, backend, member, columns, per_tile, retain,
                 tracing, parallelism,
             )
-        if results is None:
-            results = backend.run_tasks(
+        if partials is None:
+            partials = backend.run_tasks(
                 [(lambda idx=idx: task(idx)) for idx in range(len(tiles))],
                 parallelism=parallelism,
             )
         if backend.last_pool_event is not None:
-            for stats in stats_list:
-                stats.extra["pool"] = backend.last_pool_event
-        accumulators = [
-            new_accumulators(member.polygons, member.aggregate)
-            for member in members
-        ]
+            stats.extra["pool"] = backend.last_pool_event
+        accumulators = new_accumulators(member.polygons, member.aggregate)
         # Tile-index order whatever order the tasks finished in — with
         # identity-started partials, the determinism anchor.
-        for tile_partials in results:
-            for member, merged, stats, partial in zip(
-                members, accumulators, stats_list, tile_partials
-            ):
-                saw_chunk = saw_chunk or partial.saw_points
-                _merge_partial(partial, member, merged, stats)
-    payloads = [
-        [tile_partials[i].payload for tile_partials in results]
-        for i in range(len(members))
-    ]
-    return TileRun(accumulators, payloads, saw_chunk)
+        for partial in partials:
+            saw_chunk = saw_chunk or partial.saw_points
+            _merge_partial(partial, member, accumulators, stats)
+    return TileRun(
+        accumulators, [partial.payload for partial in partials], saw_chunk
+    )
 
 
 def _tile_concurrency(
@@ -661,7 +594,7 @@ def _partition(
     source: Callable[[], Iterator],
     columns: tuple[str, ...],
     fbo_bytes: list[int],
-    stats_list: Sequence[ExecutionStats],
+    stats: ExecutionStats,
     points_hint,
 ) -> tuple[list[list], bool]:
     """The per-tile batch lists of this query's points, routed once.
@@ -715,11 +648,11 @@ def _partition(
             # After the cut, hit or miss: the cap sees this query's copies.
             session.partition_store(points_hint, token, routed[0][1])
         elapsed = time.perf_counter() - start
-    duplicates = sum(routing.duplicates for _, routing in routed)
-    for stats in stats_list:
-        stats.extra["partition"] = "on" if cached is None else "cached"
-        stats.extra["partition_duplicates"] = duplicates
-        stats.partition_s += elapsed
+    stats.extra["partition"] = "on" if cached is None else "cached"
+    stats.extra["partition_duplicates"] = sum(
+        routing.duplicates for _, routing in routed
+    )
+    stats.partition_s += elapsed
     return per_tile, bool(routed)
 
 
@@ -732,8 +665,8 @@ def _resident_dispatch(
     retain: bool,
     tracing: bool,
     parallelism: int | None,
-) -> list[list[TilePartial]] | None:
-    """Fan a solo query's routed tiles across the resident pool.
+) -> list[TilePartial] | None:
+    """Fan a query's routed tiles across the resident pool.
 
     The same tile task, named instead of closed over: the kernel, the
     artifact and the polygons travel once as a pickled state blob in
@@ -800,7 +733,7 @@ def _resident_dispatch(
                 ch: np.array(result[partial.tile_idx, ci])
                 for ci, ch in enumerate(channel_names)
             }
-    return [[partial] for partial in partials]
+    return partials
 
 
 def _merge_partial(
@@ -809,7 +742,7 @@ def _merge_partial(
     accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
 ) -> None:
-    """Fold one tile partial into its member's result and artifact."""
+    """Fold one tile partial into the query's result and artifact."""
     aggregate, prepared = member.aggregate, member.prepared
     for name, arr in partial.accumulators.items():
         accumulators[name] = aggregate.combine(accumulators[name], arr)
@@ -842,8 +775,8 @@ class RasterJoinEngine(SpatialAggregationEngine):
     A subclass supplies :attr:`kernel` (how its tile task behaves),
     ``_make_canvas`` (the canvas it renders a polygon set on) and
     ``_prepare`` (its canvas layout and polygon-side artifact);
-    monolithic, streamed and fused execution all build their queries
-    with :meth:`member` and run them with :meth:`run_members`.
+    monolithic and streamed execution both build their query with
+    :meth:`member` and run it with :meth:`run_member`.
     """
 
     #: Set by the subclass constructor.
@@ -871,6 +804,26 @@ class RasterJoinEngine(SpatialAggregationEngine):
             self._make_canvas(polygons), self.max_resolution
         ))
 
+    def one_batch(
+        self, points, polygons: PolygonSet, aggregate: Aggregate,
+        filters: FilterSet,
+    ) -> bool:
+        """Planning probe: do ``points`` cross the device as one batch
+        on every tile of this query?
+
+        Planned against the largest (first) tile's framebuffer, as the
+        tile loop plans each tile; device-less and resident inputs are
+        never cut.
+        """
+        if self.device is None or isinstance(points, ResidentPointSet):
+            return True
+        canvas, side = self._make_canvas(polygons), self.max_resolution
+        return plan_batches(
+            points, self.required_columns(aggregate, filters), self.device,
+            self.kernel.pixel_bytes(aggregate)
+            * min(canvas.width, side) * min(canvas.height, side),
+        ).fits_in_one_batch
+
     def member(
         self,
         polygons: PolygonSet,
@@ -884,25 +837,22 @@ class RasterJoinEngine(SpatialAggregationEngine):
             self._prepare(polygons, stats), polygons, aggregate, filters
         )
 
-    def run_members(
+    def run_member(
         self,
-        members: Sequence[TileMember],
+        member: TileMember,
         source: Callable[[], Iterator],
-        stats_list: Sequence[ExecutionStats],
+        stats: ExecutionStats,
         points_hint: PointDataset | ResidentPointSet | None = None,
         keep_fbo: bool = False,
     ) -> TileRun:
-        """Run a group of queries — a solo query is a group of one —
-        through the tile loop under this engine's kernel, backend,
-        session and partitioning choice."""
-        for stats in stats_list:
-            self._record_execution_env(
-                stats, len(members[0].prepared.tiles)
-            )
+        """Run one readied query through the tile loop under this
+        engine's kernel, backend, session and partitioning choice."""
+        self._record_execution_env(stats, len(member.prepared.tiles))
         return run_tiles(
-            self.kernel, self.backend, self.session, members, source,
-            member_columns(members), stats_list, points_hint=points_hint,
-            partition=self._partition_points, keep_fbo=keep_fbo,
+            self.kernel, self.backend, self.session, member, source,
+            self.required_columns(member.aggregate, member.filters), stats,
+            points_hint=points_hint, partition=self._partition_points,
+            keep_fbo=keep_fbo,
         )
 
     def execute_stream(self, chunk_source, polygons, aggregate=None,
@@ -923,7 +873,7 @@ class RasterJoinEngine(SpatialAggregationEngine):
         stats = ExecutionStats(engine=self.name, batches=0, passes=0)
         with trace.query_scope(self.name) as root:
             member = self.member(polygons, aggregate, filter_set, stats)
-            run = self.run_members([member], chunk_source, [stats])
+            run = self.run_member(member, chunk_source, stats)
             if not run.saw_chunk:
                 raise QueryError("chunk source produced no chunks")
             if stats.batches == 0:
@@ -931,10 +881,9 @@ class RasterJoinEngine(SpatialAggregationEngine):
             if root is not None:
                 root.attrs.update(stats.as_span_attrs())
         self._checkpoint_session()
-        (accumulators,) = run.accumulators
         return AggregationResult(
-            values=aggregate.finalize(accumulators),
-            channels=accumulators,
+            values=aggregate.finalize(run.accumulators),
+            channels=run.accumulators,
             stats=stats,
             trace=root,
         )

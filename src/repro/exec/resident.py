@@ -107,9 +107,9 @@ def _run_spec(spec: TileTaskSpec, cache: OrderedDict):
     from repro.core.tiles import TileMember, run_tile
 
     kernel, prepared, polygons = _load_state(spec, cache)
-    (partial,) = run_tile(
+    partial = run_tile(
         spec.tile_idx, kernel,
-        [TileMember(prepared, polygons, spec.aggregate, spec.filters)],
+        TileMember(prepared, polygons, spec.aggregate, spec.filters),
         spec.columns, spec.chunks, retain=spec.retain,
         tracing=spec.tracing,
     )

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import threading
 
-#: Histogram bucket upper bounds (seconds); chosen for IO latencies that
-#: span sub-millisecond mmap loads to multi-second cold saves.
+#: Default histogram bucket upper bounds (seconds); chosen for IO
+#: latencies that span sub-millisecond mmap loads to multi-second cold
+#: saves.  A histogram with another range declares its own bounds at its
+#: first observation (:meth:`MetricsRegistry.observe`).
 DEFAULT_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 
 
@@ -41,21 +43,22 @@ def _key(name: str, labels: dict) -> str:
 
 
 class _Histogram:
-    __slots__ = ("count", "sum", "min", "max", "buckets")
+    __slots__ = ("count", "sum", "min", "max", "bounds", "buckets")
 
-    def __init__(self) -> None:
+    def __init__(self, bounds: tuple = DEFAULT_BUCKETS) -> None:
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.buckets = [0] * (len(DEFAULT_BUCKETS) + 1)
+        self.bounds = tuple(bounds)
+        self.buckets = [0] * (len(self.bounds) + 1)
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
         self.min = min(self.min, value)
         self.max = max(self.max, value)
-        for i, bound in enumerate(DEFAULT_BUCKETS):
+        for i, bound in enumerate(self.bounds):
             if value <= bound:
                 self.buckets[i] += 1
                 return
@@ -69,7 +72,7 @@ class _Histogram:
             "max": self.max if self.count else 0.0,
             "buckets": {},
         }
-        for i, bound in enumerate(DEFAULT_BUCKETS):
+        for i, bound in enumerate(self.bounds):
             out["buckets"][f"le_{bound:g}"] = self.buckets[i]
         out["buckets"]["le_inf"] = self.buckets[-1]
         return out
@@ -102,12 +105,16 @@ class MetricsRegistry:
             if current is None or value > current:
                 self._gauges[key] = value
 
-    def observe(self, name: str, value: float, **labels) -> None:
+    def observe(self, name: str, value: float,
+                bounds: tuple = DEFAULT_BUCKETS, **labels) -> None:
+        """Record ``value``.  ``bounds`` (bucket upper bounds, ascending)
+        are declared once, by the histogram's first observation; later
+        calls cannot re-bucket what was already counted."""
         key = _key(name, labels)
         with self._lock:
             hist = self._histograms.get(key)
             if hist is None:
-                hist = self._histograms[key] = _Histogram()
+                hist = self._histograms[key] = _Histogram(bounds)
             hist.observe(value)
 
     # ------------------------------------------------------------------
@@ -159,6 +166,7 @@ class MetricsRegistry:
                     h.min,
                     h.max,
                     tuple(b - p for b, p in zip(h.buckets, prev[4])),
+                    h.bounds,
                 )
         if counters:
             delta["counters"] = counters
@@ -176,12 +184,12 @@ class MetricsRegistry:
         with self._lock:
             for k, v in delta.get("counters", {}).items():
                 self._counters[k] = self._counters.get(k, 0) + v
-            for k, (count, total, low, high, buckets) in delta.get(
+            for k, (count, total, low, high, buckets, bounds) in delta.get(
                 "histograms", {}
             ).items():
                 hist = self._histograms.get(k)
                 if hist is None:
-                    hist = self._histograms[k] = _Histogram()
+                    hist = self._histograms[k] = _Histogram(bounds)
                 hist.count += count
                 hist.sum += total
                 hist.min = min(hist.min, low)
@@ -225,8 +233,9 @@ def gauge_max(name: str, value: float, **labels) -> None:
     REGISTRY.gauge_max(name, value, **labels)
 
 
-def observe(name: str, value: float, **labels) -> None:
-    REGISTRY.observe(name, value, **labels)
+def observe(name: str, value: float, bounds: tuple = DEFAULT_BUCKETS,
+            **labels) -> None:
+    REGISTRY.observe(name, value, bounds, **labels)
 
 
 def snapshot() -> dict:

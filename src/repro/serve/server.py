@@ -1,4 +1,4 @@
-"""Concurrent query server: admission control, coalescing, fused scans.
+"""Concurrent query server: admission control, coalescing, shared groups.
 
 One :class:`Server` multiplexes many clients over a single
 :class:`~repro.sql.planner.QueryPlanner` — one warm
@@ -16,10 +16,13 @@ one catalog.  Three layers between ``submit`` and the engines:
    attaches to the leader's future instead of executing again; the one
    result fans out to every waiter, followers marked with
    ``stats.extra["coalesced"] = True``.
-3. **Shared-scan batching** — fusable submissions wait out a small
-   batching window; the group runs as one point pass feeding every
-   member's accumulators (:mod:`repro.serve.fused`), each result
-   bit-identical to solo execution.
+3. **Shared groups** — grouping is what the queue did, never something a
+   statement waits for.  A statement is handed to the pool at once; the
+   worker that picks it up takes everything then pending over the same
+   points, regions, engine and filter set — a singleton on an idle
+   server, a dashboard's burst behind a busy pool — and answers the
+   additive ones from one execution (:mod:`repro.serve.group`), each
+   result bit-identical to solo execution.
 
 Everything is stdlib: ``concurrent.futures`` for the worker pool and the
 client-visible futures, ``asyncio.wrap_future`` for the async facade.
@@ -34,15 +37,25 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.core.filters import filter_key
 from repro.errors import (
     QueryTimeoutError,
     ServerClosedError,
     ServerOverloadedError,
 )
 from repro.obs import metrics, trace
-from repro.serve.fused import FusedQuery, execute_fused, fusable, fusion_key
+from repro.serve.group import execute_shared, shareable
 from repro.sql.ast import SelectStatement
 from repro.sql.parser import parse
+
+
+#: ``serve_wait_s`` bucket bounds: queueing is the only latency the
+#: server adds, so an idle hand-off (~0.1 ms) and a saturated pool (tens
+#: of ms) must not share a bucket.
+WAIT_BOUNDS_S = (1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0.025, 0.05,
+                 0.1, 0.25)
+#: ``serve_group_size`` bucket bounds (statements per shared execution).
+GROUP_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 16)
 
 
 @dataclass(frozen=True)
@@ -51,17 +64,11 @@ class ServeConfig:
 
     #: Worker threads executing queries.  Distinct from the engines'
     #: tile-level backend workers: a server worker runs a whole query
-    #: (or fused group), which may itself fan out tiles.
+    #: (or group), which may itself fan out tiles.
     max_workers: int = 4
     #: Admission bound: maximum leaders in flight (queued + running).
     #: Coalesced followers don't count — they cost no execution.
     max_queue: int = 32
-    #: How long a fusable submission waits for companions before its
-    #: group executes.  Zero still fuses whatever arrives in the same
-    #: scheduler beat; raise it to trade latency for fusion width.
-    batch_window_s: float = 0.002
-    #: A fusion group this wide executes immediately, window or not.
-    max_fused: int = 16
     #: Default per-query wait bound; ``None`` waits forever.
     timeout_s: float | None = None
 
@@ -70,13 +77,19 @@ class _Entry:
     """One admitted leader: its plan, its future, and its followers."""
 
     __slots__ = (
-        "key", "statement", "engine", "points", "regions", "aggregate",
-        "filters", "future", "followers", "submitted_at",
+        "key", "group_key", "statement", "engine", "points", "regions",
+        "aggregate", "filters", "future", "followers", "submitted_at",
     )
 
     def __init__(self, key, statement, engine, points, regions, aggregate,
                  filters) -> None:
         self.key = key
+        #: What a shared execution must agree on: statements with equal
+        #: group keys differ in their aggregate only.
+        self.group_key = (
+            id(points), id(regions), type(engine), engine.prepared_spec(),
+            filter_key(filters),
+        )
         self.statement = statement
         self.engine = engine
         self.points = points
@@ -120,7 +133,7 @@ def _coalesced_copy(result):
 
 
 class Server:
-    """Admission + coalescing + fusion over one shared planner."""
+    """Admission + coalescing + shared groups over one shared planner."""
 
     def __init__(self, planner, config: ServeConfig | None = None) -> None:
         self._planner = planner
@@ -129,12 +142,11 @@ class Server:
             max_workers=self._config.max_workers,
             thread_name_prefix="repro-serve",
         )
-        # Reentrant: max_fused overflow flushes a group from inside the
-        # admission critical section.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._inflight: dict[tuple, _Entry] = {}
+        #: Admitted entries no worker has taken yet, by group key; a key
+        #: is present exactly while one drain task for it sits in the pool.
         self._pending: dict[tuple, list[_Entry]] = {}
-        self._timers: dict[tuple, threading.Timer] = {}
         self._depth = 0
         self._closed = False
         self._admitted = 0
@@ -192,55 +204,73 @@ class Server:
             metrics.counter("serve_admitted")
             metrics.gauge_set("serve_queue_depth", self._depth)
             metrics.gauge_max("serve_queue_depth_peak", self._depth)
-            if fusable(engine, stmt, points, regions, aggregate, filters):
-                self._enqueue_fusable(entry)
-            else:
-                self._pool.submit(self._run_entry, entry)
-        return entry.future
-
-    def _enqueue_fusable(self, entry: _Entry) -> None:
-        """Park a fusable leader in its batching-window group (locked)."""
-        gkey = fusion_key(entry.engine, entry.points, entry.regions)
-        group = self._pending.get(gkey)
-        if group is None:
-            self._pending[gkey] = [entry]
-            timer = threading.Timer(
-                self._config.batch_window_s, self._flush_group, args=(gkey,)
-            )
-            timer.daemon = True
-            self._timers[gkey] = timer
-            timer.start()
-        else:
+            # Posted under the lock: close() flips ``_closed`` under it
+            # and shuts the pool down afterwards, so the pool is live.
+            group = self._pending.setdefault(entry.group_key, [])
             group.append(entry)
-            if len(group) >= self._config.max_fused:
-                self._flush_group(gkey)
-
-    def _flush_group(self, gkey: tuple) -> None:
-        # Pop and submit under the lock: close() also holds it while it
-        # drains _pending and only shuts the pool down afterwards, so a
-        # group popped here always finds a live pool.
-        with self._lock:
-            group = self._pending.pop(gkey, None)
-            timer = self._timers.pop(gkey, None)
-            if timer is not None:
-                timer.cancel()
-            if group:
-                self._pool.submit(self._run_group, group)
-
-    def flush(self) -> None:
-        """Execute every pending fusion group now, window be damned.
-
-        Deterministic handle for tests and drain paths; harmless when
-        nothing is pending.
-        """
-        with self._lock:
-            keys = list(self._pending)
-        for gkey in keys:
-            self._flush_group(gkey)
+            if len(group) == 1:
+                self._pool.submit(self._drain, entry.group_key)
+        return entry.future
 
     # ------------------------------------------------------------------
     # Execution (worker threads)
     # ------------------------------------------------------------------
+    def _drain(self, group_key: tuple) -> None:
+        """Run everything pending for ``group_key`` at this moment: the
+        additive statements from one shared execution when there are
+        several, the rest (Min / Max, ``EXPLAIN ANALYZE``, multi-item
+        SELECTs) each on its own right after, in admission order."""
+        with self._lock:
+            entries = self._pending.pop(group_key)
+        now = time.perf_counter()
+        for entry in entries:
+            metrics.observe("serve_wait_s", now - entry.submitted_at,
+                            bounds=WAIT_BOUNDS_S)
+        sharers = [
+            entry for entry in entries
+            if shareable(entry.aggregate)
+            and not entry.statement.explain_analyze
+        ]
+        results = self._run_shared(sharers) if len(sharers) > 1 else None
+        metrics.observe("serve_group_size", len(sharers) if results else 1,
+                        bounds=GROUP_BOUNDS)
+        if results:
+            for entry, result in zip(sharers, results):
+                self._settle(entry, result=result)
+            entries = [entry for entry in entries if entry not in sharers]
+        for entry in entries:
+            try:
+                with trace.span("serve-query"):
+                    result = self._execute(entry)
+            except BaseException as exc:
+                self._settle(entry, error=exc)
+            else:
+                self._settle(entry, result=result)
+
+    def _run_shared(self, sharers: list[_Entry]):
+        """One execution for all of ``sharers``; ``None`` sends them to
+        the solo loop — the union plan is more than one device batch, or
+        the execution raised: one poisoned member must not fail its
+        companions, so each re-runs for its own result or its own error."""
+        head = sharers[0]
+        try:
+            results = execute_shared(
+                head.engine, head.points, head.regions,
+                [entry.aggregate for entry in sharers], head.filters,
+            )
+        except Exception:
+            results = None
+            with self._lock:
+                self._fused_fallbacks += 1
+            metrics.counter("serve_fused_fallbacks")
+        if results is not None:
+            with self._lock:
+                self._fused_scans += 1
+                self._fused_queries += len(sharers)
+            metrics.counter("serve_fused_scans")
+            metrics.counter("serve_fused_queries", len(sharers))
+        return results
+
     def _execute(self, entry: _Entry):
         if entry.statement.explain_analyze:
             from repro.sql.explain import explain_analyze
@@ -254,60 +284,6 @@ class Server:
             entry.points, entry.regions, aggregate=entry.aggregate,
             filters=entry.filters,
         )
-
-    def _run_entry(self, entry: _Entry) -> None:
-        metrics.observe(
-            "serve_wait_s", time.perf_counter() - entry.submitted_at
-        )
-        try:
-            with trace.span("serve-query"):
-                result = self._execute(entry)
-        except BaseException as exc:
-            self._settle(entry, error=exc)
-        else:
-            self._settle(entry, result=result)
-
-    def _run_group(self, entries: list[_Entry]) -> None:
-        for entry in entries:
-            metrics.observe(
-                "serve_wait_s", time.perf_counter() - entry.submitted_at
-            )
-        if len(entries) > 1:
-            queries = [
-                FusedQuery(e.regions, e.aggregate, e.filters)
-                for e in entries
-            ]
-            try:
-                results = execute_fused(
-                    entries[0].engine, entries[0].points, queries
-                )
-            except Exception:
-                # One poisoned member must not fail its companions: the
-                # solo loop below gives each entry its own result or its
-                # own error.
-                results = None
-                with self._lock:
-                    self._fused_fallbacks += 1
-                metrics.counter("serve_fused_fallbacks")
-            if results is not None:
-                with self._lock:
-                    self._fused_scans += 1
-                    self._fused_queries += len(entries)
-                metrics.counter("serve_fused_scans")
-                metrics.counter("serve_fused_queries", len(entries))
-                for entry, result in zip(entries, results):
-                    self._settle(entry, result=result)
-                return
-        # Singleton group, a runtime fusion gate said no, or the fused
-        # scan raised: solo runs, in admission order, on this worker.
-        for entry in entries:
-            try:
-                with trace.span("serve-query"):
-                    result = self._execute(entry)
-            except BaseException as exc:
-                self._settle(entry, error=exc)
-            else:
-                self._settle(entry, result=result)
 
     def _settle(self, entry: _Entry, result=None, error=None) -> None:
         with self._lock:
@@ -382,19 +358,12 @@ class Server:
             }
 
     def close(self) -> None:
-        """Drain and shut down: pending groups run, then workers exit."""
+        """Drain and shut down: every admitted statement's drain task
+        already sits in the pool, so the workers run them and exit."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            timers = list(self._timers.values())
-            self._timers.clear()
-            groups = list(self._pending.values())
-            self._pending.clear()
-        for timer in timers:
-            timer.cancel()
-        for group in groups:
-            self._pool.submit(self._run_group, group)
         self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "Server":
@@ -408,5 +377,5 @@ class Server:
             return (
                 f"Server(workers={self._config.max_workers}, "
                 f"depth={self._depth}, admitted={self._admitted}, "
-                f"coalesced={self._coalesced}, fused={self._fused_queries})"
+                f"coalesced={self._coalesced}, shared={self._fused_queries})"
             )

@@ -78,9 +78,13 @@ class SelectStatement:
         return self.aggregates if self.aggregates else (self.aggregate,)
 
     def __str__(self) -> str:
+        # The canonical text keys the server's coalescing: everything
+        # that changes the answer must be in it, the ε bound included.
         where = [
             f"{self.spatial.point_table}.{self.spatial.point_column} INSIDE "
             f"{self.spatial.region_table}.{self.spatial.region_column}"
+            + ("" if self.spatial.epsilon is None
+               else f" WITHIN {self.spatial.epsilon}")
         ]
         where += [str(c) for c in self.conditions]
         group = (

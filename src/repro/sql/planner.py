@@ -256,9 +256,9 @@ class QueryPlanner:
     async def execute_async(self, statement, timeout: float | None = None):
         """Serve a statement through the concurrent layer (asyncio).
 
-        Concurrent identical statements coalesce onto one execution and
-        fusable overlapping statements share a point scan — see
-        ``docs/serving.md``.  ``timeout`` bounds the wait (raising
+        Concurrent identical statements coalesce onto one execution, and
+        statements over the same points, regions and filters that queue
+        behind a busy pool share one — see ``docs/serving.md``.  ``timeout`` bounds the wait (raising
         :class:`~repro.errors.QueryTimeoutError`), not the execution.
         """
         return await self.server().execute_async(statement, timeout=timeout)

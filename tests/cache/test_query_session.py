@@ -338,9 +338,9 @@ class TestPreparedPolygons:
         self, uniform_points, three_regions, warm
     ):
         """A budget pass may strip an artifact between a query's prepare
-        and its tile loop (a fused sibling's miss, another serving
-        thread's checkpoint): the tile tasks re-derive what went and
-        still find the grid, the MBRs and the edge table."""
+        and its tile loop (another serving thread's checkpoint): the
+        tile tasks re-derive what went and still find the grid, the MBRs
+        and the edge table."""
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(
             resolution=128, device=GPUDevice(max_resolution=64),
@@ -355,8 +355,8 @@ class TestPreparedPolygons:
         stats = ExecutionStats(engine=engine.name, batches=0, passes=0)
         member = engine.member(three_regions, aggregate, filters, stats)
         member.prepared.strip_derived()
-        (accumulators,) = engine.run_members(
-            [member], lambda: iter((uniform_points,)), [stats],
+        accumulators = engine.run_member(
+            member, lambda: iter((uniform_points,)), stats,
             points_hint=uniform_points,
         ).accumulators
         assert np.array_equal(aggregate.finalize(accumulators),

@@ -159,13 +159,13 @@ class TestGridPipAggregate:
 class TestBoundaryPixelsHoldTheIdentity:
     """What lets the polygon pass read raw raster coverage: a point on a
     boundary pixel joins through PIP and is never scattered, so after
-    the point pass every pixel of a member's boundary mask still holds
+    the point pass every pixel of a query's boundary mask still holds
     the blend identity and reduces to nothing."""
 
     OTHER = PolygonSet([
-        # Same union bbox as ``three_regions`` (one shared canvas), other
-        # outlines: a fused sibling's boundary pixels are not this
-        # member's, and its points must not leak into this member's.
+        # Same union bbox as ``three_regions`` (one canvas, so one cached
+        # routing serves both), other outlines: a sibling's boundary
+        # pixels are not this query's, and its points must not leak in.
         Polygon([(10, 10), (90, 10), (50, 95)]),
         Polygon([(30, 30), (60, 35), (40, 70)]),
     ])
@@ -186,7 +186,8 @@ class TestBoundaryPixelsHoldTheIdentity:
         }
 
     @pytest.mark.parametrize("max_fbo", [None, 64], ids=["1-tile", "4-tiles"])
-    @pytest.mark.parametrize("fused", [False, True], ids=["solo", "fused"])
+    @pytest.mark.parametrize("sibling", [False, True],
+                             ids=["solo", "routing-shared"])
     @pytest.mark.parametrize(
         "filters", [FilterSet(), FilterSet([Filter("hour", "<", 12)])],
         ids=["unfiltered", "filtered"],
@@ -196,24 +197,23 @@ class TestBoundaryPixelsHoldTheIdentity:
         ids=lambda agg: agg.name,
     )
     def test_after_the_point_pass(self, uniform_points, three_regions,
-                                  aggregate, filters, fused, max_fbo):
+                                  aggregate, filters, sibling, max_fbo):
         engine = AccurateRasterJoin(
             resolution=128, grid_resolution=32,
             device=GPUDevice(max_resolution=max_fbo) if max_fbo else None,
             session=QuerySession(store=False),
         )
-        sets = [three_regions, self.OTHER] if fused else [three_regions]
-        stats = [ExecutionStats(engine=engine.name, batches=0, passes=0)
-                 for _ in sets]
-        members = [
-            engine.member(polygons, aggregate, filters, st)
-            for polygons, st in zip(sets, stats)
-        ]
-        run = engine.run_members(
-            members, lambda: iter((uniform_points,)), stats,
-            points_hint=uniform_points, keep_fbo=True,
-        )
-        for member, payloads, st in zip(members, run.payloads, stats):
+        sets = [self.OTHER, three_regions] if sibling else [three_regions]
+        for polygons in sets:
+            st = ExecutionStats(engine=engine.name, batches=0, passes=0)
+            member = engine.member(polygons, aggregate, filters, st)
+            payloads = engine.run_member(
+                member, lambda: iter((uniform_points,)), st,
+                points_hint=uniform_points, keep_fbo=True,
+            ).payloads
+            assert st.extra["partition"] == (
+                "on" if polygons is sets[0] else "cached"
+            )
             assert len(payloads) == (4 if max_fbo else 1)
             assert st.boundary_points > 0
             scattered = 0

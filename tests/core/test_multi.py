@@ -31,6 +31,11 @@ class TestConstruction:
         multi = MultiAggregate([Count(), Average("fare")])
         assert multi.output_names == ("count", "avg(fare)")
 
+    def test_repeated_item_keeps_its_own_label(self):
+        multi = MultiAggregate([Sum("fare"), Average("fare"), Sum("fare")])
+        assert multi.output_names == ("sum(fare)", "avg(fare)", "sum(fare)#2")
+        assert set(multi.channels) == {"sum:fare", "count"}
+
     def test_min_max_rejected(self):
         with pytest.raises(QueryError):
             MultiAggregate([Count(), Min("fare")])
@@ -68,6 +73,33 @@ class TestSinglePassResults:
             uniform_points, three_regions, aggregate=multi
         )
         assert np.array_equal(result.values, counts)
+
+    def test_every_item_is_returned_duplicates_included(
+        self, uniform_points, three_regions
+    ):
+        """Three items, three answers: outputs are positional, so a
+        repeated ``sum(fare)`` cannot collide with the first."""
+        multi = MultiAggregate([Sum("fare"), Average("fare"), Sum("fare")])
+        result = AccurateRasterJoin(resolution=256).execute(
+            uniform_points, three_regions, aggregate=multi
+        )
+        split = multi.split(result.channels)
+        assert [set(private) for private in split] == [
+            {"sum"}, {"sum", "count"}, {"sum"},
+        ]
+        all_values = multi.finalize_all(result.channels)
+        assert list(all_values) == list(multi.output_names)
+        assert len(all_values) == 3
+        for agg, private, values in zip(
+            multi.aggregates, split, all_values.values()
+        ):
+            solo = AccurateRasterJoin(resolution=256).execute(
+                uniform_points, three_regions, aggregate=agg
+            )
+            assert np.array_equal(values, solo.values)
+            for name, channel in solo.channels.items():
+                assert np.array_equal(private[name], channel)
+        assert np.array_equal(result.values, all_values["sum(fare)"])
 
     def test_index_join_engine(self, uniform_points, three_regions, multi):
         counts = brute_force_counts(uniform_points, three_regions)

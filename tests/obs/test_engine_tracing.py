@@ -81,9 +81,10 @@ class TestTileSpanParenting:
 
 
 class TestOnePipelineInstrumentsEveryCaller:
-    """Solo, bounded and fused execution run the same tile task, so under
-    the thread backend (worker threads have no ambient tracer) each of
-    them ships ``tile`` spans home and counts one task per tile."""
+    """Solo, bounded and shared-group execution run the same tile task,
+    so under the thread backend (worker threads have no ambient tracer)
+    each of them ships ``tile`` spans home and counts one task per
+    tile."""
 
     @staticmethod
     def _tile_tasks(engine_name: str) -> float:
@@ -108,10 +109,13 @@ class TestOnePipelineInstrumentsEveryCaller:
         self._assert_tile_spans(result.trace, 4)
         assert self._tile_tasks("bounded-raster") == before + 4
 
-    def test_two_member_fused_scan(self, monkeypatch, uniform_points,
-                                   three_regions):
+    def test_two_member_shared_group(self, monkeypatch, uniform_points,
+                                     three_regions):
+        """A shared group is one ordinary execution: one ``query`` tree
+        both members carry, one polygon pass per tile for the two of
+        them."""
         from repro import Count, FilterSet, Sum
-        from repro.serve import FusedQuery, execute_fused
+        from repro.serve import execute_shared
 
         monkeypatch.setenv(trace.TRACE_ENV_VAR, "1")
         engine = AccurateRasterJoin(
@@ -121,22 +125,21 @@ class TestOnePipelineInstrumentsEveryCaller:
         )
         before = self._tile_tasks("accurate-raster")
         try:
-            results = execute_fused(engine, uniform_points, [
-                FusedQuery(three_regions, Count(), FilterSet()),
-                FusedQuery(three_regions, Sum("fare"), FilterSet()),
-            ])
+            results = execute_shared(
+                engine, uniform_points, three_regions,
+                [Count(), Sum("fare")], FilterSet(),
+            )
         finally:
             engine.close()
-        assert results is not None
         root = results[0].trace
         assert root is results[1].trace
-        (scan,) = root.find("fused-scan")
-        self._assert_tile_spans(scan, 4)
-        # One polygon pass per member inside each shared tile task.
-        for tile_span in scan.find("tile"):
+        assert root.name == "query"
+        assert root.attrs["fused_queries"] == 2
+        self._assert_tile_spans(root, 4)
+        for tile_span in root.find("tile"):
             passes = [c for c in tile_span.children
                       if c.name == "polygon-pass"]
-            assert len(passes) == 2
+            assert len(passes) == 1
         assert self._tile_tasks("accurate-raster") == before + 4
 
 

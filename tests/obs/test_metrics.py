@@ -61,6 +61,19 @@ class TestHistograms:
         assert buckets["le_inf"] == 1
 
 
+    def test_bounds_are_declared_by_the_first_observation(self):
+        reg = MetricsRegistry()
+        reg.observe("wait", 0.0002, bounds=(0.0001, 0.001))
+        # Later calls cannot re-bucket what was already counted.
+        reg.observe("wait", 0.004, bounds=(1.0,))
+        reg.observe("wait", 0.00005)
+        hist = reg.snapshot()["histograms"]["wait"]
+        assert hist["buckets"] == {
+            "le_0.0001": 1, "le_0.001": 1, "le_inf": 1,
+        }
+        assert hist["count"] == 3
+
+
 class TestRegistryBehavior:
     def test_snapshot_is_a_detached_copy(self):
         reg = MetricsRegistry()
@@ -129,6 +142,15 @@ class TestCrossProcessDeltas:
         worker.counter("tiles", 2)
         parent.apply_delta(worker.delta_since(base))
         assert parent.snapshot()["counters"]["tiles"] == 6
+
+    def test_apply_delta_carries_a_histograms_own_bounds(self):
+        worker, parent = MetricsRegistry(), MetricsRegistry()
+        base = worker.baseline()
+        worker.observe("wait", 0.0002, bounds=(0.0001, 0.001))
+        parent.apply_delta(worker.delta_since(base))
+        assert parent.snapshot()["histograms"]["wait"]["buckets"] == {
+            "le_0.0001": 0, "le_0.001": 1, "le_inf": 0,
+        }
 
     def test_apply_delta_merges_histograms(self):
         worker, parent = MetricsRegistry(), MetricsRegistry()

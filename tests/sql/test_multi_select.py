@@ -78,6 +78,17 @@ class TestExecution:
         assert np.allclose(everything["sum(fare)"], sums, rtol=1e-9)
         assert np.allclose(everything["avg(fare)"], sums / counts, rtol=1e-9)
 
+    def test_duplicate_item_is_returned_too(self, planner):
+        sql = MULTI.replace("AVG(taxi.fare)", "AVG(taxi.fare), SUM(taxi.fare)")
+        _, _, _, aggregate, _ = planner.plan(sql)
+        assert aggregate.output_names == (
+            "count", "sum(fare)", "avg(fare)", "sum(fare)#3",
+        )
+        everything = aggregate.finalize_all(planner.execute(sql).channels)
+        assert len(everything) == 4
+        assert np.array_equal(everything["sum(fare)#3"],
+                              everything["sum(fare)"])
+
     def test_one_pass_only(self, planner):
         result = planner.execute(MULTI)
         # One fused query: the channels hold count and sum:fare only.

@@ -68,6 +68,13 @@ class TestValidStatements:
         stmt = parse(BASE)
         assert parse(str(stmt)).point_table == "taxi"
 
+    def test_str_round_trips_the_epsilon_bound(self):
+        # The canonical text keys the server's coalescing: a bounded
+        # statement must not read like its exact twin.
+        bounded = parse(BASE.replace("geometry", "geometry WITHIN 12.5"))
+        assert parse(str(bounded)) == bounded
+        assert str(bounded) != str(parse(BASE))
+
 
 class TestErrors:
     def test_missing_group_by(self):

@@ -2,9 +2,9 @@
 
 Each option doubles the configurations the suites and the ledger must
 cover, so adding one is a decision, not a side effect: a new
-``EngineConfig`` field, ``QuerySession`` parameter or ``REPRO_*``
-variable fails tier-1 here until the literal below is edited in the same
-diff (ROADMAP aim 2 tracks these counts downwards).
+``EngineConfig`` or ``ServeConfig`` field, ``QuerySession`` parameter or
+``REPRO_*`` variable fails tier-1 here until the literal below is edited
+in the same diff (ROADMAP aim 2 tracks these counts downwards).
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ from pathlib import Path
 import repro
 from repro.cache.session import QuerySession
 from repro.exec.config import EngineConfig
+from repro.serve import ServeConfig
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -23,6 +24,12 @@ def test_engine_config_fields():
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
         "backend", "workers", "store_dir", "store_budget",
         "partition_points", "shm",
+    ]
+
+
+def test_serve_config_fields():
+    assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+        "max_workers", "max_queue", "timeout_s",
     ]
 
 
