@@ -160,22 +160,14 @@ class PolygonUnit:
     * ``coverage[tile_idx]`` — the pixels this polygon covers on that
       tile as flat ``iy * width + ix`` indices: a slice of a
       :class:`TileCoverage` record's ``pixels`` (the owning artifact's
-      own record once that tile composes);
-    * ``interior_cells`` / ``pip_cells`` / ``blocks`` — the aggregate
-      pyramid's cell classification (see ``repro.cache.pyramid``):
-      grid cells entirely inside this polygon, cells its boundary may
-      touch (conservative), and the interior decomposed into
-      hierarchical 2×2 blocks.  Like ``cells`` these depend only on
-      this polygon and the grid frame, so edits to other polygons keep
-      them; they re-derive lazily and are never persisted.
+      own record once that tile composes).
 
     A tile key being present means the tile was built for this unit —
     possibly with empty arrays (the polygon does not touch the tile).
     """
 
     __slots__ = ("fingerprint", "bbox", "triangles", "cells",
-                 "boundary", "coverage", "interior_cells", "pip_cells",
-                 "blocks")
+                 "boundary", "coverage")
 
     def __init__(self, fingerprint: str, bbox: tuple) -> None:
         self.fingerprint = fingerprint
@@ -186,9 +178,6 @@ class PolygonUnit:
         self.cells: np.ndarray | None = None
         self.boundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.coverage: dict[int, np.ndarray] = {}
-        self.interior_cells: np.ndarray | None = None
-        self.pip_cells: np.ndarray | None = None
-        self.blocks: list | None = None
 
     def clone(self) -> "PolygonUnit":
         """A unit sharing this one's (immutable) arrays but owning its
@@ -199,9 +188,6 @@ class PolygonUnit:
         other.cells = self.cells
         other.boundary = dict(self.boundary)
         other.coverage = dict(self.coverage)
-        other.interior_cells = self.interior_cells
-        other.pip_cells = self.pip_cells
-        other.blocks = self.blocks
         return other
 
 
@@ -225,8 +211,8 @@ class PreparedPolygons:
         "grid",
         "boundary_masks",
         "coverage",
+        "boundary_fragments",
         "mbr_arrays",
-        "pip_grid",
         "edge_table",
         "units",
         "polygon_fps",
@@ -257,17 +243,15 @@ class PreparedPolygons:
         #: tile index -> :class:`TileCoverage` — the units' slices laid
         #: end to end; the units' own arrays are views into it
         self.coverage: dict[int, TileCoverage] = {}
+        #: tile index -> positions in that tile's ``coverage.pixels`` of
+        #: the fragments lying on a boundary-mask pixel: what the polygon
+        #: pass blanks when it reads cached channels.  Derived from the
+        #: two like the mask from the outlines; never persisted.
+        self.boundary_fragments: dict[int, np.ndarray] = {}
         #: polygon MBRs as (xmin, xmax, ymin, ymax) column arrays
         self.mbr_arrays: tuple[np.ndarray, ...] | None = None
-        #: boundary-cells-only CSR grid for the pyramid path's exact
-        #: fallback — composed from the units' ``pip_cells`` (so a point
-        #: in a cell *interior* to polygon A is never PIP-tested against
-        #: A; the cached block already counted it).  Set-level, derived,
-        #: never persisted; see :func:`repro.cache.pyramid.ensure_polygon_blocks`.
-        self.pip_grid: GridIndex | None = None
         #: flat edge soup banded by ``grid``'s rows — what the boundary
-        #: PIP tests candidate pairs against (``pip_grid`` shares the
-        #: frame, so it serves both).  Set-level, derived, never
+        #: PIP tests candidate pairs against.  Set-level, derived, never
         #: persisted; see :meth:`ensure_edge_table`.
         self.edge_table: EdgeTable | None = None
         #: one unit per polygon, in polygon order
@@ -584,7 +568,8 @@ class PreparedPolygons:
         if built:
             self.version += 1
 
-    def mark_composed(self, tile_idx: int, boundary=None, coverage=None) -> None:
+    def mark_composed(self, tile_idx: int, boundary=None, coverage=None,
+                      fragments=None) -> None:
         """Install composed per-tile views (parent side of the merge).
 
         A coverage record brings the per-polygon state with it: every
@@ -605,6 +590,9 @@ class PreparedPolygons:
                 self.units, np.split(coverage.pixels, np.cumsum(counts)[:-1])
             ):
                 unit.coverage[tile_idx] = pixels
+            self.version += 1
+        if fragments is not None and tile_idx not in self.boundary_fragments:
+            self.boundary_fragments[tile_idx] = fragments
             self.version += 1
 
     @property
@@ -627,7 +615,9 @@ class PreparedPolygons:
         triangles, grid), so they are the first tier a byte-budgeted
         session gives back.
         """
-        return bool(self.boundary_masks or self.coverage) or any(
+        return bool(
+            self.boundary_masks or self.coverage or self.boundary_fragments
+        ) or any(
             u.boundary or u.coverage for u in self.units
         )
 
@@ -646,6 +636,7 @@ class PreparedPolygons:
         before = self.nbytes
         self.boundary_masks = {}
         self.coverage = {}
+        self.boundary_fragments = {}
         for unit in self.units:
             unit.boundary = {}
             unit.coverage = {}
@@ -683,23 +674,24 @@ class PreparedPolygons:
         Triangulations are counted through the units (``triangles``
         lists the same arrays).  A tile's coverage pixels are counted
         once: through its record when the artifact holds one (the units'
-        slices are views into it), else through the units.
+        slices are views into it), else through the units.  The
+        boundary-fragment index (the outlines' share of coverage, a few
+        percent of it) is left out: it is never persisted, and a session
+        takes an entry that measures more than its stored pair for one
+        that must be written again.
         """
         total = sum(mask.nbytes for mask in self.boundary_masks.values())
         total += sum(record.nbytes for record in self.coverage.values())
-        for grid in (self.grid, self.pip_grid):
-            if grid is not None:
-                total += grid.memory_bytes
+        if self.grid is not None:
+            total += self.grid.memory_bytes
         if self.edge_table is not None:
             total += self.edge_table.nbytes
         if self.mbr_arrays is not None:
             total += sum(arr.nbytes for arr in self.mbr_arrays)
         for unit in self.units:
-            for arr in (unit.cells, unit.interior_cells, unit.pip_cells):
-                if arr is not None:
-                    total += arr.nbytes
+            if unit.cells is not None:
+                total += unit.cells.nbytes
             total += sum(t.nbytes for t in unit.triangles or ())
-            total += sum(ids.nbytes for _, ids in unit.blocks or ())
             total += sum(
                 ix.nbytes + iy.nbytes for ix, iy in unit.boundary.values()
             )

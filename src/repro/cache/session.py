@@ -48,12 +48,13 @@ Invalidation rules (see ``docs/query_sessions.md`` and
 
 The session also caches **point-keyed acceleration state** — the
 routing of recent point sources over a canvas (tile and flat pixel per
-row; see :meth:`QuerySession.partition_lookup`) and explicitly built
-aggregate pyramids (:meth:`QuerySession.pyramid_lookup`).  Both depend
-only on the points and a frame, never on the polygons, so repeated
-queries — including every iteration of a rezoning edit loop — skip the
-per-query projection entirely.  They share one LRU bounded by bytes
-alone.
+row; see :meth:`QuerySession.partition_lookup`) and, for a pairing that
+was prewarmed, the point-pass channels of its statements
+(:meth:`QuerySession.channels`).  Both depend only on the points
+and a frame, never on the polygons, so repeated queries — including
+every iteration of a rezoning edit loop — skip the per-query projection
+(and, prewarmed, the scatter) entirely.  They share one LRU bounded by
+bytes alone.
 
 Results are bit-identical with and without a session, and with and
 without the store: engines run the same reduction code over the same
@@ -144,13 +145,12 @@ def _source_bytes(points) -> int:
 class _PointState:
     """One entry of the point-keyed cache.
 
-    A routing (``value`` is the :class:`~repro.exec.partition.Routing`)
-    or an aggregate pyramid (``persisted_version`` is the pyramid version
-    the store holds).  Both grow as queries add columns or channels, so
-    their size is read live.  ``points`` is a strong reference — it keeps
-    the identity key unambiguous — and ``guard`` the content hash that
-    validates it; ``pinned_nbytes`` charges the entry for the source it
-    alone may be keeping alive.
+    A routing (``value`` is the :class:`~repro.exec.partition.Routing`,
+    which grows as queries add columns, so its size is read live) or a
+    cached point-pass channel (``value`` is the flat array).  ``points``
+    is a strong reference — it keeps the identity key unambiguous — and
+    ``guard`` the content hash that validates it; ``pinned_nbytes``
+    charges a routing for the source it alone may be keeping alive.
     """
 
     kind: str
@@ -159,7 +159,6 @@ class _PointState:
     token: tuple
     value: object
     pinned_nbytes: int = 0
-    persisted_version: int = -1
 
     @property
     def nbytes(self) -> int:
@@ -198,7 +197,7 @@ class QuerySession:
     byte_budget:
         Optional cap on the summed ``nbytes`` of in-memory artifacts
         (plain int or a ``"256M"``-style string).  Over budget, cached
-        point-keyed state (point routings, aggregate pyramids) is
+        point-keyed state (point routings, cached channels) is
         reclaimed first, then cold entries are stripped to partial
         artifacts and finally demoted out of memory entirely, LRU-first.
         It is also the bound on that point-keyed state by itself (the
@@ -231,17 +230,15 @@ class QuerySession:
         self.capacity = capacity
         self.byte_budget = parse_bytes(byte_budget)
         self.store = ArtifactStore.coerce(store)
-        #: Point-keyed acceleration state — point routings and
-        #: aggregate pyramids — in one LRU: ``(kind, id(points), *token)
-        #: -> _PointState``, keyed by the point source's identity,
+        #: Point-keyed acceleration state — point routings and cached
+        #: channels — in one LRU: ``(kind, id(points), *token) ->
+        #: _PointState``, keyed by the point source's identity,
         #: validated by content hash and bounded by bytes alone (see
         #: :meth:`_evict_point_state`).
         self._point_cache: "OrderedDict[tuple, _PointState]" = OrderedDict()
         #: Memoized content guards: ``id(points) -> (points, fold,
         #: guard)``.  See :meth:`_cached_guard`.
         self._guards: "OrderedDict[int, tuple]" = OrderedDict()
-        self.pyramid_hits = 0
-        self.pyramid_store_hits = 0
         #: set fingerprint -> per-polygon fingerprints (content-keyed,
         #: so it can never serve stale hashes).  One rezoning stroke
         #: probes warmth per candidate engine and then executes, each
@@ -513,9 +510,9 @@ class QuerySession:
         return None  # empty shell: execution rebuilds everything
 
     # ------------------------------------------------------------------
-    # Point-keyed caches: point routings and aggregate pyramids
+    # Point-keyed caches: point routings and cached channels
     # ------------------------------------------------------------------
-    #: Bytes of point-keyed state (routings and pyramids together)
+    #: Bytes of point-keyed state (routings and channels together)
     #: retained when the session has no ``byte_budget`` (with one, the
     #: budget governs instead).  A routing's accounting covers
     #: everything it pins: its index arrays, the tile-sorted column
@@ -528,7 +525,7 @@ class QuerySession:
     def _content_hash(points) -> str:
         """Content fingerprint of a point source (every column's bytes).
 
-        The point-keyed caches (routings, pyramids) are *keyed* by the
+        The point-keyed caches (routings, channels) are *keyed* by the
         source's identity (an O(1) probe) but *validated* by this hash,
         so mutating a dataset's arrays in place between queries can
         never replay stale state — the same never-stale contract the
@@ -574,13 +571,12 @@ class QuerySession:
 
         ``_content_hash`` reads every column byte through blake2b —
         correct, but a per-query pass over the whole point source, which
-        would dominate the warm paths it is meant to validate (the
-        pyramid's promise is that warm interiors touch *no* point data).
+        would dominate the warm paths it is meant to validate.
         This memoizes the full hash keyed by the dataset's identity and
         revalidates it with :meth:`_content_fold`; the expensive hash is
         recomputed only when the fold sees the bytes change, so a
         mutated-in-place source still can never replay a stale routing
-        or pyramid.
+        or channel.
         """
         fold = self._content_fold(points)
         cached = self._guards.get(id(points))
@@ -601,8 +597,9 @@ class QuerySession:
         """The validated ``kind`` entry for (points, token), or ``None``.
 
         Keyed by the source's identity (an O(1) probe), validated by its
-        content guard: an entry whose source was mutated in place is
-        dropped, never replayed.
+        content guard: a source that was mutated in place takes every
+        entry keyed on it — its routings and the channels scattered
+        through them — out of the cache, never replayed.
         """
         key = (kind, id(points)) + tuple(token)
         state = self._point_cache.get(key)
@@ -611,18 +608,23 @@ class QuerySession:
         if state.points is not points or (
             state.guard != self._cached_guard(points)
         ):
-            del self._point_cache[key]
+            for stale in [k for k in self._point_cache if k[1] == key[1]]:
+                del self._point_cache[stale]
             return None
         self._point_cache.move_to_end(key)
         return state
 
-    def _point_insert(self, state: _PointState) -> None:
-        """Retain ``state`` as the most recent entry, then hold the
-        point-keyed bytes to the cap."""
-        cap = (
+    @property
+    def _point_cap(self) -> int:
+        return (
             self.byte_budget if self.byte_budget is not None
             else self.PARTITION_BYTE_CAP
         )
+
+    def _point_insert(self, state: _PointState) -> None:
+        """Retain ``state`` as the most recent entry, then hold the
+        point-keyed bytes to the cap."""
+        cap = self._point_cap
         key = (state.kind, id(state.points)) + state.token
         if state.nbytes > cap:
             # It would thrash the cap: never cached, or dropped outgrown.
@@ -638,17 +640,13 @@ class QuerySession:
         their kind, until they hold at most ``limit`` bytes.
 
         Pure re-derivable acceleration state, so eviction only costs a
-        rebuild; a dirty pyramid is persisted on the way out (the store
-        tier keeps answering pyramid-warm).  A routing's shared-memory
-        columns release their segment leases with the entry, via their
-        finalizers.
+        rebuild.  A routing's shared-memory columns release their
+        segment leases with the entry, via their finalizers.
         """
         held = self._point_nbytes()
         while self._point_cache and held > limit:
             _, state = self._point_cache.popitem(last=False)
             held -= state.nbytes
-            if state.kind == "pyramid":
-                self._flush_pyramid_entry(state)
             metrics.counter("session_evictions", tier=state.kind)
 
     def _point_nbytes(self, kind: str | None = None) -> int:
@@ -698,108 +696,86 @@ class QuerySession:
         self._point_insert(state)
 
     @_locked
-    def partition_warm(self, points, token: tuple) -> bool:
+    def partition_warm(self, points, token: tuple,
+                       indexed: bool = False) -> bool:
         """Cheap costing probe: is a routing resident for this source
-        and canvas?  Identity-keyed and optimistic exactly like
-        :meth:`pyramid_warm`."""
-        return (("partition", id(points)) + tuple(token)) in self._point_cache
+        and canvas — and, with ``indexed``, a prewarmed one?
+
+        Identity-keyed only — no content hashing, no LRU touch — so the
+        optimizer can call it per candidate plan.  Optimistic by design:
+        a mutated-in-place source reads warm here but fails the content
+        guard at execution, which costs one mispredicted plan, never a
+        wrong result.
+        """
+        state = self._point_cache.get(("partition", id(points)) + tuple(token))
+        return state is not None and (
+            not indexed or state.value.pixel_index is not None
+        )
+
+    def _index_nbytes(self) -> int:
+        return sum(
+            state.value.index_nbytes for state in self._point_cache.values()
+            if state.kind == "partition"
+        )
 
     @property
     @_locked
     def partition_nbytes(self) -> int:
         """Bytes held by cached point routings (and the sources they
-        pin)."""
-        return self._point_nbytes("partition")
+        pin), their pixel indexes aside."""
+        return self._point_nbytes("partition") - self._index_nbytes()
 
     @_locked
-    def pyramid_lookup(self, points, token: tuple):
-        """A resident (or store-tier) aggregate pyramid, or ``None``.
+    def channels(self, points, token: tuple, keys: dict, nbytes: int, build):
+        """The cached point-pass channels of one statement over a
+        prewarmed routing, or ``None`` when the cap cannot hold them.
 
-        ``token`` is the grid-frame spec the pyramid was built under
-        (grid extent, resolution, assignment) — the pyramid depends on
-        nothing else about the query, in particular not on the polygons,
-        so every pan/zoom stroke over the same frame keeps hitting.
-        Memory entries are keyed by the source's identity and validated
-        by its content hash (the routing cache's never-stale
-        contract); the store tier is keyed by that hash directly, so a
-        restarted process answers pyramid-warm from disk.  Never builds.
+        ``token`` names the routing's canvas; ``keys`` maps each channel
+        name to what a point framebuffer depends on beyond the routing —
+        ``(blend, column, filter key)``; a value is one flat float64
+        array of ``nbytes`` over the canvas's pixels, tile after tile.
+        A channel is as valid as the routing it was scattered through:
+        that entry's guard was checked by this statement's
+        :meth:`partition_lookup`, so channels stored under the same
+        guard need no second pass over the columns.  When any is
+        missing, ``build()`` scatters them all (name -> array) and the
+        missing ones are retained as ordinary entries of the LRU —
+        unless the statement's channels would not fit beside their own
+        routing, in which case nothing is built.
         """
         token = tuple(token)
-        state = self._point_lookup("pyramid", points, token)
-        if state is not None:
-            self.pyramid_hits += 1
-            state.value.uses += 1
-            metrics.counter("session_pyramid_lookups", result="hit")
-            return state.value
-        if self.store is None:
+        prefix = ("channel", id(points)) + token
+        routing_key = ("partition", id(points)) + token
+        routing = self._point_cache.get(routing_key)
+        if routing is None:
             return None
-        guard = self._cached_guard(points)
-        pyramid = self.store.load_pyramid((guard,) + token)
-        if pyramid is None:
-            return None
-        self.pyramid_store_hits += 1
-        metrics.counter("session_pyramid_lookups", result="store_hit")
-        self._point_insert(_PointState(
-            "pyramid", points, guard, token, pyramid,
-            persisted_version=pyramid.version,
-        ))
-        return pyramid
-
-    @_locked
-    def pyramid_register(self, points, token: tuple, pyramid) -> None:
-        """Retain an explicitly built pyramid (persisted at the next
-        checkpoint when a store is attached)."""
-        self._point_insert(_PointState(
-            "pyramid", points, self._cached_guard(points), tuple(token),
-            pyramid,
-        ))
-
-    @_locked
-    def pyramid_warm(self, points, token: tuple) -> bool:
-        """Cheap costing probe: is a pyramid resident for this source?
-
-        Identity-keyed only — no content hashing, no store I/O, no LRU
-        touch — so the optimizer can call it per candidate plan.
-        Optimistic by design: a mutated-in-place source reads warm here
-        but fails the content guard at execution, which costs one
-        mispredicted plan, never a wrong result.
-        """
-        return (("pyramid", id(points)) + tuple(token)) in self._point_cache
+        found = {}
+        for name, key in keys.items():
+            state = self._point_cache.get(prefix + key)
+            if state is not None and state.guard == routing.guard:
+                self._point_cache.move_to_end(prefix + key)
+                found[name] = state.value
+        if len(found) < len(keys):
+            if routing.nbytes + nbytes * len(keys) > self._point_cap:
+                return None
+            built = build()
+            # The routing outlives the channels read through it.
+            self._point_cache.move_to_end(routing_key)
+            for name in keys.keys() - found.keys():
+                found[name] = built[name]
+                self._point_insert(_PointState(
+                    "channel", points, routing.guard, token + keys[name],
+                    built[name],
+                ))
+                metrics.counter("session_channel_builds")
+        return found
 
     @property
     @_locked
     def pyramid_nbytes(self) -> int:
-        """Bytes held by resident aggregate pyramids."""
-        return self._point_nbytes("pyramid")
-
-    def _flush_pyramid_entry(self, state: _PointState) -> bool:
-        """Persist one pyramid entry's channels if the store lacks them."""
-        if self.store is None:
-            return False
-        pyramid = state.value
-        if pyramid.version <= state.persisted_version or not pyramid.channels:
-            return False
-        from repro.store import ArtifactTooLargeError
-
-        try:
-            self.store.save_pyramid((state.guard,) + state.token, pyramid)
-        except (ArtifactTooLargeError, TypeError, ValueError):
-            # Refused at this size / unaddressable spec: stop retrying.
-            state.persisted_version = pyramid.version
-            return False
-        except OSError:
-            self.store.save_failures += 1
-            return False
-        state.persisted_version = pyramid.version
-        return True
-
-    def _flush_pyramids(self) -> int:
-        """Persist every dirty resident pyramid (checkpoint hook)."""
-        return sum(
-            self._flush_pyramid_entry(state)
-            for state in list(self._point_cache.values())
-            if state.kind == "pyramid"
-        )
+        """Bytes held for prewarmed pairings: cached channels plus the
+        routings' pixel indexes."""
+        return self._point_nbytes("channel") + self._index_nbytes()
 
     # ------------------------------------------------------------------
     # Tier maintenance
@@ -833,7 +809,6 @@ class QuerySession:
             for key, entry in self._entries.items()
         }
         self._flush_dirty(sizes, exclude)
-        self._flush_pyramids()
         self._enforce_capacity(exclude, sizes)
         self._enforce_byte_budget(exclude, sizes)
 
@@ -954,7 +929,7 @@ class QuerySession:
         if self.byte_budget is None:
             return
         total = sum(sizes[key] for key in self._entries)
-        # Tier 0: cached point routings and aggregate pyramids
+        # Tier 0: cached point routings and channels
         # are pure re-derivable acceleration state — under pressure they
         # go first, LRU-first, so the budget really bounds the session's
         # whole footprint.

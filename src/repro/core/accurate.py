@@ -28,28 +28,21 @@ run under this engine's kernel: exact boundary stage, float64 framebuffer.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.cache.prepared import PreparedPolygons
-from repro.cache.pyramid import (
-    AggregatePyramid,
-    channel_kinds,
-    ensure_polygon_blocks,
-)
 from repro.cache.session import QuerySession
 from repro.core.aggregates import Aggregate
-from repro.core.engine import grid_pip_aggregate, new_accumulators
 from repro.core.filters import FilterSet
 from repro.core.tiles import RasterJoinEngine, TileKernel
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice, ResidentPointSet
 from repro.errors import QueryError
 from repro.exec.config import EngineConfig
+from repro.exec.partition import route_chunk, routing_token
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.viewport import Canvas
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.types import ExecutionStats
 
 
@@ -131,158 +124,34 @@ class AccurateRasterJoin(RasterJoinEngine):
         return prepared
 
     # ------------------------------------------------------------------
-    # Aggregate pyramid (GeoBlocks-style warm path; repro.cache.pyramid)
+    # Prewarm (docs/aggregate_pyramid.md)
     # ------------------------------------------------------------------
-    def pyramid_token(self, polygons: PolygonSet) -> tuple:
-        """The grid-frame spec a pyramid over these polygons is keyed by.
+    def prewarm(
+        self,
+        points: PointDataset | ResidentPointSet,
+        polygons: PolygonSet,
+    ) -> None:
+        """Explicitly ready ``points`` for statements over this canvas.
 
-        Mirrors what :meth:`_prepare`'s ``ensure_grid`` builds — the
-        grid extent is :meth:`GridIndex.default_extent` of the polygon
-        set — so a pyramid built here is addressable by any later query
-        whose polygons share that frame (every pan/zoom stroke over the
-        same union bbox).
+        Routes them as any statement would and gives the session's
+        routing a pixel-sorted row index: from then on a statement over
+        any polygon set deriving the same canvas reads its point
+        framebuffers from the session (each scattered once, on first
+        need) and touches only the rows on boundary pixels.  Never
+        implicit — the one-off O(points) sort is paid exactly where the
+        caller asked for it — and never a different answer: the bits are
+        the un-prewarmed statement's.
         """
-        from repro.index.grid import GridIndex
-
-        ext = GridIndex.default_extent(polygons)
-        return (
-            "pyramid", self.grid_resolution, "mbr",
-            (ext.xmin, ext.ymin, ext.xmax, ext.ymax),
+        if self.session is None:
+            raise QueryError("prewarm needs a QuerySession to retain its work")
+        canvas = self._make_canvas(polygons)
+        tiles = list(canvas.tiles(self.max_resolution))
+        token = routing_token(canvas, self.max_resolution)
+        routing = self.session.partition_lookup(points, token) or route_chunk(
+            points, canvas, tiles, self.max_resolution
         )
-
-    def build_pyramid(
-        self,
-        points: PointDataset | ResidentPointSet,
-        polygons: PolygonSet,
-    ) -> AggregatePyramid:
-        """Explicitly build (or fetch) the pyramid for this frame.
-
-        Building is never implicit — a query over a cold session runs
-        the exact path untouched — so the one-off O(points) sort is paid
-        exactly where the caller asked for it (a dashboard's "prewarm"
-        step, the planner's :meth:`~repro.sql.planner.QueryPlanner.prewarm`,
-        or a benchmark's setup).  Channels are added lazily by the first
-        query that needs them.
-        """
-        if self.session is None:
-            raise QueryError(
-                "build_pyramid needs a QuerySession to retain the pyramid"
-            )
-        token = self.pyramid_token(polygons)
-        pyramid = self.session.pyramid_lookup(points, token)
-        if pyramid is not None:
-            return pyramid
-        stats = ExecutionStats(engine=self.name, batches=0, passes=0)
-        prepared = self._prepare(polygons, stats)
-        pyramid = AggregatePyramid.build(points, prepared.grid)
-        self.session.pyramid_register(points, token, pyramid)
-        self.session.checkpoint()
-        return pyramid
-
-    def pyramid_warmth(
-        self,
-        points: PointDataset | ResidentPointSet,
-        polygons: PolygonSet,
-    ) -> bool:
-        """Costing probe: would :meth:`_run` take the pyramid path?
-
-        Identity-keyed and hash-free (the optimizer calls it per
-        candidate plan); optimistic the same way the session's
-        :meth:`~repro.cache.session.QuerySession.pyramid_warm` is.
-        """
-        if self.session is None:
-            return False
-        return self.session.pyramid_warm(points, self.pyramid_token(polygons))
-
-    def _pyramid_plan(
-        self,
-        points: PointDataset | ResidentPointSet,
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        filters: FilterSet,
-        stats: ExecutionStats,
-    ) -> tuple[AggregatePyramid, dict] | None:
-        """The resident pyramid serving this query, or ``None`` (exact path).
-
-        ``None`` whenever nothing was ever built (building is explicit:
-        :meth:`build_pyramid`), the aggregate has a shape the partials
-        cannot express, or filters are present (cell partials pre-aggregate over *all*
-        points).  The gate never builds anything — a cold query costs
-        one O(1) probe plus, with a store attached, one content hash for
-        the disk-tier key.
-        """
-        if self.session is None:
-            return None
-        if filters:
-            return None
-        kinds = channel_kinds(aggregate)
-        if kinds is None:
-            return None
-        pyramid = self.session.pyramid_lookup(points, self.pyramid_token(polygons))
-        if pyramid is None:
-            stats.extra["pyramid"] = "cold"
-            return None
-        return pyramid, kinds
-
-    def _run_pyramid(
-        self,
-        prepared: PreparedPolygons,
-        pyramid: AggregatePyramid,
-        kinds: dict,
-        points: PointDataset | ResidentPointSet,
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        stats: ExecutionStats,
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Answer from cached block aggregates + boundary-cell PIP.
-
-        Interior cells (the polygon boundary provably misses them) are
-        folded from the pyramid's block partials with zero point reads;
-        only the points of boundary cells are gathered and joined
-        through the exact :func:`grid_pip_aggregate` — against a grid
-        holding *boundary cells only*, so a point a block already
-        counted is never PIP-tested for the same polygon.
-        """
-        self._record_execution_env(stats, len(prepared.tiles))
-        start = time.perf_counter()
-        pip_grid = ensure_polygon_blocks(prepared, polygons, prepared.grid)
-        for kind, col in kinds.values():
-            pyramid.ensure_channel(kind, col, points)
-        accumulators = new_accumulators(polygons, aggregate)
-        block_cells = 0
-        with trace.span("pyramid-block-merge", polygons=len(polygons)):
-            for pid, unit in enumerate(prepared.units):
-                for ch, (kind, col) in kinds.items():
-                    accumulators[ch][pid] = aggregate.combine(
-                        np.asarray(accumulators[ch][pid]),
-                        np.asarray(
-                            pyramid.block_reduce(kind, col, unit.blocks)
-                        ),
-                    )
-                block_cells += sum(len(ids) for _, ids in unit.blocks)
-        fallback_cells = np.unique(np.concatenate(
-            [unit.pip_cells for unit in prepared.units]
-        )) if prepared.units else np.zeros(0, dtype=np.int64)
-        idx = pyramid.gather_indices(fallback_cells)
-        if len(idx):
-            attrs = {
-                col: points.column(col)[idx] for col in aggregate.columns
-            }
-            with trace.span("boundary-pip", points=int(len(idx))):
-                grid_pip_aggregate(
-                    points.column("x")[idx], points.column("y")[idx], attrs,
-                    pip_grid, prepared.edge_table, aggregate, accumulators,
-                    stats,
-                )
-        stats.points_processed += len(idx)
-        stats.boundary_points += len(idx)
-        stats.extra["pyramid"] = "hit"
-        stats.extra["pyramid_cells"] = int(block_cells)
-        stats.extra["pyramid_fallback_points"] = int(len(idx))
-        metrics.counter("pyramid_block_cells", int(block_cells))
-        metrics.counter("pyramid_fallback_points", int(len(idx)))
-        stats.processing_s += time.perf_counter() - start
-        return aggregate.finalize(accumulators), accumulators
+        routing.index_pixels(tiles)
+        self.session.partition_store(points, token, routing)
 
     # ------------------------------------------------------------------
     # Execution
@@ -296,14 +165,6 @@ class AccurateRasterJoin(RasterJoinEngine):
         stats: ExecutionStats,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         member = self.member(polygons, aggregate, filters, stats)
-        plan = self._pyramid_plan(
-            points, polygons, aggregate, filters, stats
-        )
-        if plan is not None:
-            return self._run_pyramid(
-                member.prepared, plan[0], plan[1], points, polygons,
-                aggregate, stats,
-            )
         accumulators = self.run_member(
             member, lambda: iter((points,)), stats, points_hint=points
         ).accumulators

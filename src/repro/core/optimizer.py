@@ -138,8 +138,7 @@ class CostModel:
         self, num_points: int, boundary_fraction: float, covered_pixels: int,
         tiles: int = 1, workers: int = 1, num_vertices: int = 0,
         warm: "str | bool | None" = False, partitioned: bool = False,
-        pyramid_warm: bool = False, pyramid_cells: int = 0,
-        routed: bool = False,
+        routed: bool = False, prewarmed: bool = False,
     ) -> dict[str, float]:
         """Per-term predicted accurate-join seconds.
 
@@ -151,16 +150,12 @@ class CostModel:
         scales by the per-tile point share, and a ``routed`` source
         skips the projection (see :meth:`_point_pass_seconds`).
 
-        ``pyramid_warm`` is the third regime: a resident aggregate
-        pyramid (``repro.cache.pyramid``) answers polygon interiors from
-        cached block partials, so the whole-input point pass and the
-        pixel polygon pass disappear — what remains is the boundary-cell
-        PIP fallback (``boundary_fraction`` should then be the *grid
-        cell* supercover share, not the canvas pixel share) plus the
-        block folds, priced per block entry by the polygon-pass pixel
-        rate (both are gather-and-reduce of cached partials).  The
-        preparation term stays: a cold artifact still triangulates and
-        builds its grid before the pyramid can route around the points.
+        ``prewarmed`` is the third regime: the session holds the point
+        framebuffers of this (points, canvas) pairing
+        (``docs/aggregate_pyramid.md``), so the point pass scatters
+        nothing — that term is zero — and every other term is paid as
+        usual: the same boundary rows take the same PIP tests and the
+        same polygon pass reads the cached channels.
         """
         tiles = max(1, tiles)
         concurrency = max(1, min(workers, tiles))
@@ -171,19 +166,9 @@ class CostModel:
             (self.per_vertex_triangulate + self.per_vertex_grid)
             * num_vertices * (1.0 - prepared)
         )
-        if pyramid_warm:
-            return {
-                "prepare": prepare,
-                "pyramid_blocks": (
-                    self.per_pixel_polygon_pass * pyramid_cells / concurrency
-                ),
-                "boundary_pip": (
-                    self.per_boundary_point * boundary_points / concurrency
-                ),
-            }
         return {
             "prepare": prepare,
-            "point_pass": self._point_pass_seconds(
+            "point_pass": 0.0 if prewarmed else self._point_pass_seconds(
                 num_points, tiles, waves, partitioned, routed
             ),
             "boundary_pip": (
@@ -392,18 +377,9 @@ class RasterJoinOptimizer:
         partitioned = self._partitioned
         acc_routed = accurate_engine.routing_warmth(points, polygons)
         acc_workers = self._effective_workers(points, acc_canvas, max_res, 8)
-        # Third regime: a resident aggregate pyramid reads only the
-        # points of boundary *grid cells* plus O(blocks) cached partials.
-        pyramid_warm = accurate_engine.pyramid_warmth(points, polygons)
-        grid_res = max(1, accurate_engine.grid_resolution)
-        grid_canvas = Canvas.for_resolution(polygons.bbox, grid_res)
-        boundary_cells = perimeter / max(
-            min(grid_canvas.pixel_width, grid_canvas.pixel_height), 1e-300
-        )
-        cell_fraction = min(1.0, boundary_cells / max(grid_res * grid_res, 1))
-        # Block decomposition folds O(boundary cells) entries per level.
-        pyramid_cells = int(
-            boundary_cells * max(1.0, math.log2(max(grid_res, 2)))
+        # Third regime: a prewarmed pairing scatters nothing.
+        prewarmed = accurate_engine.routing_warmth(
+            points, polygons, indexed=True
         )
         return {
             "bounded": sum(model.bounded_terms(
@@ -420,19 +396,10 @@ class RasterJoinOptimizer:
                 workers=acc_workers,
                 num_vertices=num_vertices, warm=warm_accurate,
                 partitioned=partitioned, routed=acc_routed,
-            ).values()),
-            "accurate_pyramid": sum(model.accurate_terms(
-                len(points), cell_fraction,
-                int(acc_canvas.num_pixels * area_fraction),
-                tiles=acc_tiles,
-                workers=acc_workers,
-                num_vertices=num_vertices, warm=warm_accurate,
-                partitioned=partitioned,
-                pyramid_warm=True, pyramid_cells=pyramid_cells,
+                prewarmed=prewarmed,
             ).values()),
             "bounded_warm": warm_bounded or False,
             "accurate_warm": warm_accurate or False,
-            "accurate_pyramid_warm": bool(pyramid_warm),
         }
 
     def explain_terms(
@@ -445,10 +412,10 @@ class RasterJoinOptimizer:
 
         The regime names which cost path the prediction took —
         ``"cold"``, ``"warm"`` (prepared artifact reusable), or
-        ``"pyramid-warm"`` (resident aggregate pyramid answers polygon
-        interiors) — and the term keys name the trace spans the engine
-        will emit (``prepare``, ``point_pass``, ``polygon_pass``,
-        ``boundary_pip``, ``pyramid_blocks``), so EXPLAIN ANALYZE can
+        ``"pyramid-warm"`` (a prewarmed pairing: the statement reads
+        cached point framebuffers) — and the term keys name the trace
+        spans the engine will emit (``prepare``, ``point_pass``,
+        ``polygon_pass``, ``boundary_pip``), so EXPLAIN ANALYZE can
         line each prediction up against the measured span time.
 
         Supports the two raster-join variants the SQL planner chooses
@@ -490,37 +457,14 @@ class RasterJoinOptimizer:
             1.0, boundary_pixels / max(acc_canvas.num_pixels, 1)
         )
         acc_workers = self._effective_workers(points, acc_canvas, max_res, 8)
-        pyramid_warm = bool(getattr(engine, "pyramid_warmth", lambda *a: False)(
-            points, polygons
-        ))
-        if pyramid_warm:
-            grid_res = max(1, getattr(engine, "grid_resolution", resolution))
-            grid_canvas = Canvas.for_resolution(polygons.bbox, grid_res)
-            boundary_cells = perimeter / max(
-                min(grid_canvas.pixel_width, grid_canvas.pixel_height),
-                1e-300,
-            )
-            cell_fraction = min(
-                1.0, boundary_cells / max(grid_res * grid_res, 1)
-            )
-            pyramid_cells = int(
-                boundary_cells * max(1.0, math.log2(max(grid_res, 2)))
-            )
-            return "pyramid-warm", model.accurate_terms(
-                len(points), cell_fraction,
-                int(acc_canvas.num_pixels * area_fraction),
-                tiles=acc_canvas.num_tiles(max_res), workers=acc_workers,
-                num_vertices=num_vertices, warm=warm,
-                partitioned=partitioned,
-                pyramid_warm=True, pyramid_cells=pyramid_cells,
-            )
-        regime = "warm" if warm else "cold"
+        prewarmed = engine.routing_warmth(points, polygons, indexed=True)
+        regime = "pyramid-warm" if prewarmed else "warm" if warm else "cold"
         return regime, model.accurate_terms(
             len(points), boundary_fraction,
             int(acc_canvas.num_pixels * area_fraction),
             tiles=acc_canvas.num_tiles(max_res), workers=acc_workers,
             num_vertices=num_vertices, warm=warm, partitioned=partitioned,
-            routed=routed,
+            routed=routed, prewarmed=prewarmed,
         )
 
     def _effective_workers(
@@ -563,12 +507,6 @@ class RasterJoinOptimizer:
         bounded_engine, accurate_engine = self._candidates(epsilon)
         cost = self._estimate(points, polygons, epsilon,
                               bounded_engine, accurate_engine)
-        # With a resident pyramid the accurate engine will actually take
-        # the pyramid-warm path, so that's the prediction it competes on.
-        accurate_cost = (
-            cost["accurate_pyramid"] if cost["accurate_pyramid_warm"]
-            else cost["accurate"]
-        )
-        if cost["bounded"] <= accurate_cost:
+        if cost["bounded"] <= cost["accurate"]:
             return bounded_engine
         return accurate_engine

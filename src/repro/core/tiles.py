@@ -14,6 +14,11 @@ implementation, as plain functions over plain data:
   A tile runs one query (its :class:`TileMember`); statements that share
   work share it as channels of one aggregate
   (:class:`~repro.core.multi.MultiAggregate`), not as a list of queries.
+  On a prewarmed pairing the same task skips the scatter: its
+  framebuffers are the session's cached channels
+  (:class:`~repro.exec.partition.CachedTile`), only the rows on boundary
+  pixels are read, and the polygon pass blanks the fragments lying on
+  them (``docs/aggregate_pyramid.md``).
 * the **tile loop** (:func:`run_tiles`): look the points' routing up (or
   compute it) → dispatch the tile tasks over the execution backend →
   merge the partials in tile-index order.
@@ -38,7 +43,7 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,7 +54,7 @@ from repro.core.engine import (
     grid_pip_aggregate,
     new_accumulators,
 )
-from repro.core.filters import FilterSet
+from repro.core.filters import FilterSet, filter_key
 from repro.data.dataset import PointDataset
 from repro.device.batching import plan_batches, tile_parallelism
 from repro.device.memory import (
@@ -60,7 +65,12 @@ from repro.device.memory import (
 from repro.errors import QueryError
 from repro.exec import shm
 from repro.exec.backend import ExecutionBackend, ProcessBackend, TilePartial
-from repro.exec.partition import route_chunk, routing_token, scan_tile
+from repro.exec.partition import (
+    CachedTile,
+    route_chunk,
+    routing_token,
+    scan_tile,
+)
 from repro.exec.resident import TileTaskSpec
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.fbo import FrameBuffer
@@ -198,18 +208,32 @@ def run_tile(
             if retain:
                 partial.boundary_mask = built
                 partial.unit_boundary = built_units
-        fbo = _tile_framebuffer(tile, member.aggregate, kernel.fbo_dtype)
+        # A prewarmed pairing hands the tile its framebuffers ready-made.
+        cached = chunks if isinstance(chunks, CachedTile) else None
         with trace.span("point-pass"):
-            partial.saw_points = _point_pass(
-                kernel, member, columns, chunks, boundary, fbo, partial,
-            )
+            if cached is None:
+                fbo = _tile_framebuffer(
+                    tile, member.aggregate, kernel.fbo_dtype
+                )
+                partial.saw_points = _point_pass(
+                    kernel, member, columns, chunks, boundary, fbo, partial,
+                )
+            else:
+                partial.saw_points = True
+                _cached_point_pass(member, cached, boundary, partial)
         with trace.span("polygon-pass"):
-            built = _polygon_pass(
-                tile_idx, tile, kernel, member, fbo,
+            built, built_fragments = _polygon_pass(
+                tile_idx, tile, kernel, member,
+                cached.channels if cached is not None else {
+                    ch: fbo.channel(ch).ravel()
+                    for ch in member.aggregate.channels
+                },
                 partial.accumulators, partial.stats,
+                blank_on=None if cached is None else boundary,
             )
         if retain:
             partial.coverage = built
+            partial.boundary_fragments = built_fragments
         if keep_fbo:
             partial.payload = (tile, fbo)
         partial.span = tile_span
@@ -336,6 +360,44 @@ def _point_pass(
     return saw_points
 
 
+def _cached_point_pass(
+    member: TileMember,
+    rows_of: CachedTile,
+    boundary: np.ndarray,
+    partial: TilePartial,
+) -> None:
+    """The point pass of a prewarmed tile: only its boundary stage.
+
+    The framebuffers are the cached channels, so what is left is the
+    rows on this polygon set's boundary pixels.  Found through the pixel
+    index, they join exactly as :func:`_route_batch` would have joined
+    them: in source order, one PIP call per device batch of the
+    statement, the filter run over those rows alone.
+    """
+    stats, filters, aggregate = partial.stats, member.filters, member.aggregate
+    cols = rows_of.columns
+    for rows in rows_of.rows_on(np.flatnonzero(boundary)):
+        n = len(rows)
+        if n == 0:
+            continue
+        start = time.perf_counter()
+        stats.batches += 1
+        if filters:
+            rows = rows[filters.mask(lambda name: cols[name].take(rows), n)]
+        stats.points_processed += n
+        stats.points_filtered_out += n - len(rows)
+        stats.boundary_points += len(rows)
+        if len(rows):
+            with trace.span("boundary-pip", points=len(rows)):
+                grid_pip_aggregate(
+                    cols["x"].take(rows), cols["y"].take(rows),
+                    {c: cols[c].take(rows) for c in aggregate.columns},
+                    member.prepared.grid, member.prepared.edge_table,
+                    aggregate, partial.accumulators, stats,
+                )
+        stats.processing_s += time.perf_counter() - start
+
+
 def _route_batch(
     boundary: np.ndarray | None,
     fbo: FrameBuffer,
@@ -422,25 +484,30 @@ def _polygon_pass(
     tile: Viewport,
     kernel: TileKernel,
     member: TileMember,
-    fbo: FrameBuffer,
+    channels: dict[str, np.ndarray],
     accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
-) -> TileCoverage | None:
+    blank_on: np.ndarray | None = None,
+) -> tuple[TileCoverage | None, np.ndarray | None]:
     """Reduce each polygon's covered pixels into its result slot.
 
     Coverage is a pure function of the tile and the triangulation, so
     it is built once per artifact and replayed afterwards; per query
     only one gather and one segmented reduction per channel runs over
     the tile's flat coverage record — no loop over polygons.  Every
-    raster fragment is read, boundary pixels included: the point pass
-    sent their points to the PIP path and scattered nothing there, so
-    they hold the blend identity and reduce to nothing.  Returns the
-    record when this call built it, ``None`` when the artifact held the
-    tile.
+    raster fragment is read from ``channels`` (the tile's framebuffers,
+    flat), boundary pixels included: the point pass sent their points to
+    the PIP path and scattered nothing there, so they hold the blend
+    identity and reduce to nothing.  Cached channels hold every row, so
+    their caller passes the boundary mask as ``blank_on`` and the
+    gathered fragments lying on it are set to the identity — the very
+    values a framebuffer scattered for this polygon set gathers.
+    Returns the coverage record and the index of those fragments, each
+    when this call built it and ``None`` when the artifact held it.
     """
     start = time.perf_counter()
     prepared = member.prepared
-    built = None
+    built = blank = built_blank = None
     coverage = prepared.coverage.get(tile_idx)
     if coverage is None:
         coverage = built = prepared.compose_coverage(
@@ -450,20 +517,26 @@ def _polygon_pass(
                 prepared.missing_coverage_pids(tile_idx),
             ),
         )
+    if blank_on is not None:
+        blank = prepared.boundary_fragments.get(tile_idx)
+        if blank is None:
+            blank = built_blank = np.flatnonzero(
+                blank_on.reshape(-1).take(coverage.pixels)
+            )
     aggregate = member.aggregate
     for ch in aggregate.channels:
+        values = channels[ch].take(coverage.pixels)
+        if blank is not None:
+            values[blank] = aggregate.identity()
         slots = accumulators[ch]
         slots[coverage.pids] = aggregate.combine(
             slots[coverage.pids],
-            aggregate.reduce_segments(
-                fbo.channel(ch).ravel().take(coverage.pixels),
-                coverage.starts,
-            ),
+            aggregate.reduce_segments(values, coverage.starts),
         )
     elapsed = time.perf_counter() - start
     stats.processing_s += elapsed
     stats.polygon_pass_s += elapsed
-    return built
+    return built, built_blank
 
 
 # ----------------------------------------------------------------------
@@ -515,11 +588,13 @@ def run_tiles(
             backend.resident_capable(len(tiles), parallelism)
         )
         per_tile, saw_chunk = _partition(
-            kernel, shared, session, member.prepared.canvas, tiles,
-            source, columns, fbo_bytes, stats, points_hint,
+            kernel, shared, session, member, source, columns, fbo_bytes,
+            stats, points_hint,
         )
     else:
         stats.extra["partition"] = "off"
+    # Whether the tiles read cached channels: all of them, or none.
+    cached = per_tile is not None and isinstance(per_tile[0], CachedTile)
 
     def task(tile_idx: int) -> TilePartial:
         chunks = per_tile[tile_idx] if per_tile is not None else scan_tile(
@@ -535,7 +610,8 @@ def run_tiles(
     # time, so their durations can legitimately sum past the parent's.
     with trace.span("tiles", concurrent=backend.workers > 1):
         partials = None
-        if per_tile is not None and not keep_fbo:
+        # (Resident workers cannot see the parent's cached channels.)
+        if per_tile is not None and not keep_fbo and not cached:
             partials = _resident_dispatch(
                 kernel, backend, member, columns, per_tile, retain,
                 tracing, parallelism,
@@ -553,6 +629,10 @@ def run_tiles(
         for partial in partials:
             saw_chunk = saw_chunk or partial.saw_points
             _merge_partial(partial, member, accumulators, stats)
+    stats.extra["pyramid"] = "hit" if cached else "cold"
+    if cached:
+        # Every row a cached statement reads is a boundary-pixel row.
+        stats.extra["pyramid_fallback_points"] = stats.points_processed
     return TileRun(
         accumulators, [partial.payload for partial in partials], saw_chunk
     )
@@ -589,15 +669,14 @@ def _partition(
     kernel: TileKernel,
     shared: bool,
     session,
-    canvas,
-    tiles: Sequence[Viewport],
+    member: TileMember,
     source: Callable[[], Iterator],
     columns: tuple[str, ...],
     fbo_bytes: list[int],
     stats: ExecutionStats,
     points_hint,
-) -> tuple[list[list], bool]:
-    """The per-tile batch lists of this query's points, routed once.
+) -> tuple[list, bool]:
+    """What each tile task of this query consumes, routed once.
 
     Each chunk's routing — tile and flat pixel per row
     (:mod:`repro.exec.partition` has the bit-equality argument) — is
@@ -609,9 +688,13 @@ def _partition(
     and every statement of a dashboard keep hitting one entry — and,
     when ``shared`` (a dispatch the resident pool could take), its
     columns live in shared memory, the form resident dispatch consumes.
+    A routing that was prewarmed hands an exact statement one
+    :class:`~repro.exec.partition.CachedTile` per tile instead of a
+    batch list (:func:`_cached_tiles`).
     Streamed chunks are routed on the fly and dropped with the query.
     Returns ``(per_tile, saw any chunk)``.
     """
+    canvas, tiles = member.prepared.canvas, member.prepared.tiles
     max_resolution = kernel.max_resolution
     with trace.span("partition", tiles=len(tiles)):
         start = time.perf_counter()
@@ -638,12 +721,22 @@ def _partition(
         # zero-copy.  The leases go with the entry (cache eviction,
         # invalidate, session GC).
         shared = shared and token is not None
-        per_tile: list[list] = [[] for _ in tiles]
-        for chunk, routing in routed:
-            for batches, more in zip(per_tile, routing.per_tile(
-                chunk, columns, kernel.device, fbo_bytes, shared
-            )):
-                batches.extend(more)
+        per_tile = None
+        if (
+            kernel.exact and cached is not None
+            and cached.pixel_index is not None
+        ):
+            per_tile = _cached_tiles(
+                session, points_hint, token, cached, kernel, member,
+                columns, fbo_bytes,
+            )
+        if per_tile is None:
+            per_tile = [[] for _ in tiles]
+            for chunk, routing in routed:
+                for batches, more in zip(per_tile, routing.per_tile(
+                    chunk, columns, kernel.device, fbo_bytes, shared
+                )):
+                    batches.extend(more)
         if token is not None and routed:
             # After the cut, hit or miss: the cap sees this query's copies.
             session.partition_store(points_hint, token, routed[0][1])
@@ -654,6 +747,63 @@ def _partition(
     )
     stats.partition_s += elapsed
     return per_tile, bool(routed)
+
+
+def _cached_tiles(
+    session,
+    points,
+    token: tuple,
+    routing,
+    kernel: TileKernel,
+    member: TileMember,
+    columns: tuple[str, ...],
+    fbo_bytes: list[int],
+) -> list[CachedTile] | None:
+    """Every tile of a statement over a prewarmed routing, its channels
+    read from the session's cache — or ``None`` when the session cannot
+    hold them and the statement scatters as usual.
+
+    A channel — one flat float64 array over the canvas, tile after tile
+    — is keyed by what a point framebuffer depends on beyond the routing:
+    the blend, the column and the filter.  What the session lacks is
+    built here, parent-side (tile tasks only read), by the point pass
+    itself with no boundary stage and no batch cuts, so per pixel it
+    holds the same additions in the same row order as a framebuffer
+    scattered for any polygon set — whose boundary pixels the polygon
+    pass blanks.
+    """
+    aggregate, tiles = member.aggregate, member.prepared.tiles
+    keys = {
+        ch: (aggregate.blend, col, filter_key(member.filters))
+        for ch, col in aggregate.channels.items()
+    }
+    offsets = np.cumsum([0] + [tile.num_pixels for tile in tiles])
+
+    def scatter() -> dict[str, np.ndarray]:
+        plain = TileKernel(kernel.engine, exact=False, fbo_dtype=np.float64)
+        fbos = [_tile_framebuffer(tile, aggregate, np.float64)
+                for tile in tiles]
+        for fbo, chunks in zip(fbos, routing.per_tile(
+            points, columns, None, [0] * len(tiles)
+        )):
+            _point_pass(
+                plain, member, columns, chunks, None, fbo, TilePartial(0)
+            )
+        return {
+            ch: np.concatenate([fbo.channel(ch).ravel() for fbo in fbos])
+            for ch in keys
+        }
+
+    flat = session.channels(points, token, keys, int(offsets[-1]) * 8, scatter)
+    if flat is None:
+        return None
+    return routing.cached_tiles(
+        points, columns, kernel.device, fbo_bytes,
+        [
+            {ch: arr[lo:hi] for ch, arr in flat.items()}
+            for lo, hi in zip(offsets, offsets[1:])
+        ],
+    )
 
 
 def _resident_dispatch(
@@ -763,6 +913,7 @@ def _merge_partial(
         partial.tile_idx,
         boundary=partial.boundary_mask,
         coverage=partial.coverage,
+        fragments=partial.boundary_fragments,
     )
 
 
@@ -790,19 +941,23 @@ class RasterJoinEngine(SpatialAggregationEngine):
         reused through the session."""
         raise NotImplementedError
 
-    def routing_warmth(self, points, polygons: PolygonSet) -> bool:
+    def routing_warmth(self, points, polygons: PolygonSet,
+                       indexed: bool = False) -> bool:
         """Costing probe: does the session hold ``points`` routed over
-        the canvas these polygons derive?
+        the canvas these polygons derive — and, with ``indexed``, would
+        a statement read cached channels through that routing?
 
         Identity-keyed and hash-free (the optimizer calls it per
         candidate plan); optimistic the same way the session's
         :meth:`~repro.cache.session.QuerySession.partition_warm` is.
         """
-        if self.session is None or not self._partition_points:
+        if self.session is None or not self._partition_points or (
+            indexed and not self.kernel.exact
+        ):
             return False
         return self.session.partition_warm(points, routing_token(
             self._make_canvas(polygons), self.max_resolution
-        ))
+        ), indexed)
 
     def one_batch(
         self, points, polygons: PolygonSet, aggregate: Aggregate,

@@ -111,6 +111,8 @@ class TilePartial:
     companion: the record is the per-polygon slices laid end to end, and
     the parent points each unit into it
     (:meth:`~repro.cache.prepared.PreparedPolygons.mark_composed`).
+    ``boundary_fragments`` is the index of coverage fragments lying on
+    boundary pixels, when a statement over cached channels derived it.
     ``span`` is
     the tile task's finished trace subtree (plain picklable
     :class:`repro.obs.trace.Span` data, so it survives the process
@@ -130,6 +132,7 @@ class TilePartial:
     boundary_mask: np.ndarray | None = None
     coverage: TileCoverage | None = None
     unit_boundary: dict | None = None
+    boundary_fragments: np.ndarray | None = None
     payload: object = None
     span: object = None
     metrics: dict | None = None

@@ -3,7 +3,7 @@
 One global :data:`REGISTRY` collects operational counts the flat
 per-query :class:`~repro.types.ExecutionStats` cannot: cache-tier
 hit/miss/evict/demote rates across queries, store save/load bytes and
-latencies, pyramid block hits vs. fallback points, backend pool reuse,
+latencies, cached-channel builds, backend pool reuse,
 and the device-memory high-water mark.  The module-level helpers
 (:func:`counter`, :func:`gauge_set`, :func:`gauge_max`, :func:`observe`)
 all delegate to it.

@@ -1,7 +1,7 @@
 """Hierarchical trace spans with a near-free off switch.
 
 The engines wrap each query phase — plan, prepare, partition, and the
-per-tile point pass / polygon pass / pyramid block-merge / boundary PIP —
+per-tile point pass / polygon pass / boundary PIP —
 in a :func:`span` context manager.  When no tracer is installed the call
 returns a shared no-op scope after a single thread-local lookup, so the
 instrumented hot paths cost one branch per phase entry (the tier-1

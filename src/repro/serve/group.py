@@ -7,15 +7,15 @@ plus any channel two of them both need (``COUNT`` + ``AVG(fare)`` is the
 two channels ``AVG`` needs anyway).  :class:`~repro.core.multi.MultiAggregate`
 (the paper's §8 "multiple colour attachments") already is that, so a
 group runs as **one ordinary** ``engine.execute`` over a
-``MultiAggregate`` of its members, on whichever path answers it (exact,
-pyramid-warm, bounded), and each member's result is cut from the shared
-channels under its private channel names.
+``MultiAggregate`` of its members, whichever engine and regime answers
+it (exact — prewarmed or not — or bounded), and each member's result is
+cut from the shared channels under its private channel names.
 
 Bit-identity argument
 ---------------------
-Channels never mix: every stage — scatter, boundary PIP, pyramid block
-merge, polygon pass, tile merge — loops over the aggregate's channels
-and folds each one alone, in row order, through the one
+Channels never mix: every stage — scatter (or the cached channel read
+in its place), boundary PIP, polygon pass, tile merge — loops over the
+aggregate's channels and folds each one alone, in row order, through the one
 :meth:`~repro.core.aggregates.Aggregate.reduce_segments`.  The rows a
 channel sees depend on the filter set and the polygons' boundary mask,
 both fixed by the group key, and on the batch cuts — so a group whose

@@ -11,9 +11,10 @@ SQL prompt.
 
 Three regimes surface here, matching the optimizer's cost paths:
 ``cold`` (every term paid), ``warm`` (prepared artifacts reusable, the
-preparation/polygon-pass terms discounted), and ``pyramid-warm`` (a
-resident aggregate pyramid answers polygon interiors; the point pass
-disappears and block folds + boundary PIP remain).
+preparation/polygon-pass terms discounted), and ``pyramid-warm`` (the
+pairing was prewarmed: the statement reads cached point framebuffers, so
+the point pass scatters nothing — its term is zero — and the boundary
+PIP and the polygon pass remain).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ TERM_SPANS = {
     "point_pass": "point-pass",
     "polygon_pass": "polygon-pass",
     "boundary_pip": "boundary-pip",
-    "pyramid_blocks": "pyramid-block-merge",
 }
 
 #: Span attributes worth echoing in the rendered tree (everything else —

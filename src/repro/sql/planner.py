@@ -264,16 +264,17 @@ class QueryPlanner:
         return await self.server().execute_async(statement, timeout=timeout)
 
     def prewarm(self, point_table: str, region_table: str) -> None:
-        """Build the aggregate pyramid for a (points, regions) pairing.
+        """Ready a point table for statements over a region table's canvas.
 
-        The explicit opt-in to the pyramid-warm path
+        The explicit opt-in to the ``pyramid-warm`` regime
         (``docs/aggregate_pyramid.md``): a dashboard calls this once
-        after registering its tables, pays the one-off O(points)
-        cell-sort here, and every later unfiltered Count/Sum/Avg/Min/Max
-        statement whose regions share the frame answers polygon
-        interiors from cached block partials.  Statements the pyramid
-        cannot serve (filters, unsupported aggregates) silently keep the
-        exact path.
+        after registering its tables and pays the one-off O(points)
+        pixel sort here.  Every later exact statement over this point
+        table and any region table sharing the frame — whatever its
+        aggregate or filter — then reads its point framebuffers from the
+        session (each scattered once, on first need) and touches only
+        the rows on boundary pixels; the answer is bit for bit the one
+        it would have given without this call.
         """
         if point_table not in self._points:
             raise SqlError(f"unknown point table {point_table!r}")
@@ -282,7 +283,7 @@ class QueryPlanner:
         engine = AccurateRasterJoin(
             device=self.device, session=self.session, config=self.config,
         )
-        engine.build_pyramid(
+        engine.prewarm(
             self._points[point_table], self._regions[region_table]
         )
 

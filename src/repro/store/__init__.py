@@ -10,8 +10,8 @@ one to a session (or set ``$REPRO_STORE_DIR``) and a restarted server
 answers its first repeated query without re-triangulating anything.
 
 The pair is the only shape on disk and every save writes a whole one —
-a cold-built polygon set, an edited one and an aggregate pyramid alike —
-through one writer and one reader that hold the durability contract.
+a cold-built polygon set and an edited one alike — through one writer
+and one reader that hold the durability contract.
 
 See ``docs/artifact_store.md`` for the format, the eviction tiers, and
 the environment knobs, and ``docs/incremental_edits.md`` for what an

@@ -469,81 +469,3 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
                 idx, coverage=prepared.compose_coverage(idx)
             )
     return prepared
-
-
-# ----------------------------------------------------------------------
-# Aggregate pyramids (repro.cache.pyramid) — a second artifact type
-# sharing the pair layout, keyed by *point* content instead of polygons
-# ----------------------------------------------------------------------
-def encode_pyramid(pyramid, key: Sequence) -> tuple[dict, dict]:
-    """(arrays, manifest) for an :class:`~repro.cache.pyramid.AggregatePyramid`.
-
-    Only level 0 of each channel is stored — the coarser levels are a
-    pure deterministic reduction and rebuild on load
-    (:meth:`~repro.cache.pyramid.AggregatePyramid.install_channel`), so
-    persisting them would roughly double the payload to save no work
-    worth timing.  ``key`` is ``(point content fingerprint, *grid-frame
-    token)``; the manifest records it like the polygon artifacts do.
-    """
-    fingerprint, *spec = key
-    arrays: dict = {
-        "pyr_point_order": _compact_indices(pyramid.point_order),
-        "pyr_cell_start": np.asarray(pyramid.cell_start, dtype=INDEX_DTYPE),
-    }
-    channels = []
-    for idx, ((kind, column), level0) in enumerate(
-        sorted(pyramid.level_zero().items(), key=lambda kv: (
-            kv[0][0], kv[0][1] or ""
-        ))
-    ):
-        arrays[f"pyr_ch_{idx}"] = np.asarray(level0, dtype=COORD_DTYPE)
-        channels.append([kind, column])
-    manifest = {
-        "version": FORMAT_VERSION,
-        "dtype": COORD_DTYPE,
-        "type": "pyramid",
-        "fingerprint": fingerprint,
-        "spec": canonical_spec(spec),
-        "extent": [float(v) for v in pyramid.extent],
-        "resolution": int(pyramid.resolution),
-        "num_points": int(pyramid.num_points),
-        "channels": channels,
-    }
-    return arrays, manifest
-
-
-def validate_pyramid_manifest(manifest: dict, key: Sequence) -> None:
-    """:func:`validate_manifest` plus the pyramid type tag."""
-    validate_manifest(manifest, key)
-    _require(manifest.get("type") == "pyramid", "not a pyramid artifact")
-
-
-def decode_pyramid(arrays, manifest: dict):
-    """Rebuild a pyramid from a validated pair (upper levels re-derived)."""
-    from repro.cache.pyramid import AggregatePyramid
-
-    resolution = int(manifest["resolution"])
-    num_cells = resolution * resolution
-    cell_start = np.asarray(arrays["pyr_cell_start"], dtype=np.int64)
-    _require(
-        cell_start.shape == (num_cells + 1,), "pyramid cell_start shape"
-    )
-    point_order = np.asarray(arrays["pyr_point_order"], dtype=np.int64)
-    _require(
-        len(point_order) == int(cell_start[-1]), "pyramid point_order length"
-    )
-    pyramid = AggregatePyramid(
-        tuple(float(v) for v in manifest["extent"]),
-        resolution,
-        int(manifest["num_points"]),
-        point_order,
-        cell_start,
-    )
-    for idx, (kind, column) in enumerate(manifest.get("channels", ())):
-        level0 = np.asarray(arrays[f"pyr_ch_{idx}"], dtype=np.float64)
-        _require(
-            level0.shape == (resolution, resolution),
-            "pyramid channel shape",
-        )
-        pyramid.install_channel(str(kind), column, level0)
-    return pyramid

@@ -7,13 +7,12 @@ artifacts demoted out of the in-memory byte budget land here, and a
 fresh process pointed at a populated store answers its first repeated
 query warm — no re-triangulation, no coverage rebuild.
 
-The pair is the only shape on disk, for prepared-polygon artifacts and
-aggregate pyramids alike, and every save writes a whole one: an edited
-polygon set persists under its own key exactly as a cold-built one
-does (``docs/incremental_edits.md`` has the measured cost).  One
-writer (:meth:`ArtifactStore._write_pair`) and one reader
-(:meth:`ArtifactStore._read_pair`) serve both artifact types and hold
-the durability contract:
+The pair is the only shape on disk and a prepared-polygon artifact the
+only thing in one, and every save writes a whole one: an edited polygon
+set persists under its own key exactly as a cold-built one does
+(``docs/incremental_edits.md`` has the measured cost).  One writer
+(:meth:`ArtifactStore.save`) and one reader (:meth:`ArtifactStore.load`)
+hold the durability contract:
 
 * **Atomic writes.**  Each file is written to a temporary name and
   committed with :func:`os.replace`; the ``.npz`` is committed before
@@ -182,7 +181,7 @@ class ArtifactStore:
             return None
 
     # ------------------------------------------------------------------
-    # The pair writer and the pair reader
+    # Save / load: the pair writer and the pair reader
     # ------------------------------------------------------------------
     def _commit(self, final: Path, data: bytes) -> None:
         """Write ``data`` under a temporary name and rename it into
@@ -200,12 +199,12 @@ class ArtifactStore:
             except OSError:
                 pass
 
-    def _write_pair(self, kind: str, encode, key: Sequence, obj) -> int:
-        """Persist ``obj`` as the pair for ``key``; returns bytes written.
+    def save(self, key: Sequence, prepared: PreparedPolygons) -> int:
+        """Persist an artifact as the pair for ``key``; returns bytes
+        written.
 
-        ``encode(obj, key)`` flattens it into (arrays, manifest).  The
-        npz payload is committed before the manifest, so a manifest on
-        disk always describes a complete payload (modulo a concurrent
+        The npz payload is committed before the manifest, so a manifest
+        on disk always describes a complete payload (modulo a concurrent
         writer replacing the pair, or a failure between the two commits
         leaving a new payload under an old manifest — both of which the
         checksum catches).  An ``OSError`` anywhere propagates with no
@@ -217,7 +216,7 @@ class ArtifactStore:
         exception's docstring for why such pairs are never admitted.
         """
         start = time.perf_counter()
-        arrays, manifest = encode(obj, key)
+        arrays, manifest = artifact_format.encode(prepared, key)
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
         payload = buffer.getvalue()
@@ -228,7 +227,7 @@ class ArtifactStore:
         if self.disk_budget is not None and written > self.disk_budget:
             self.rejected_saves += 1
             raise ArtifactTooLargeError(
-                f"{kind} pair ({written / 1e6:.1f} MB) exceeds the store's "
+                f"artifact pair ({written / 1e6:.1f} MB) exceeds the store's "
                 f"disk budget ({self.disk_budget / 1e6:.1f} MB)"
             )
         npz_path, manifest_path = self._paths(key)
@@ -237,23 +236,22 @@ class ArtifactStore:
         self.saves += 1
         elapsed = time.perf_counter() - start
         self.save_s += elapsed
-        metrics.counter("store_saves", kind=kind)
-        metrics.counter("store_save_bytes", written, kind=kind)
-        metrics.observe("store_save_seconds", elapsed, kind=kind)
+        metrics.counter("store_saves")
+        metrics.counter("store_save_bytes", written)
+        metrics.observe("store_save_seconds", elapsed)
         if self.disk_budget is not None:
             self.enforce_disk_budget(protect=npz_path.stem)
         return written
 
-    def _read_pair(self, kind: str, validate, decode, key: Sequence):
-        """Load and validate the pair for ``key``; ``None`` on any
-        failure (missing, torn, corrupt, stale format) — the caller
-        rebuilds, it never crashes.
+    def load(self, key: Sequence, polygons) -> PreparedPolygons | None:
+        """The artifact stored for ``key``, rebuilt around the caller's
+        live ``polygons``; ``None`` on any failure (missing, torn,
+        corrupt, stale format) — the caller rebuilds, it never crashes.
 
-        ``validate(manifest, key)`` rejects a manifest of another format
-        version, key or artifact type; ``decode(arrays, manifest)``
-        rebuilds the object from a payload whose size and checksum
-        matched.  An absent pair is a plain miss; anything else that
-        goes wrong is counted in ``load_failures``.
+        The manifest must carry this format version and this key, the
+        payload the size and checksum the manifest records.  An absent
+        pair is a plain miss; anything else that goes wrong is counted
+        in ``load_failures``.
         """
         start = time.perf_counter()
         paths = self._paths_or_none(key)
@@ -262,14 +260,16 @@ class ArtifactStore:
         npz_path, manifest_path = paths
         try:
             manifest = json.loads(manifest_path.read_bytes())
-            validate(manifest, key)
+            artifact_format.validate_manifest(manifest, key)
             payload = npz_path.read_bytes()
             if len(payload) != manifest.get("payload_bytes"):
                 raise ArtifactFormatError("payload size mismatch")
             if artifact_format.checksum(payload) != manifest.get("checksum"):
                 raise ArtifactFormatError("payload checksum mismatch")
             with np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
-                obj = decode(arrays, manifest)
+                prepared = artifact_format.decode(
+                    arrays, manifest, polygons, key
+                )
         except FileNotFoundError:
             return None
         except Exception:
@@ -286,45 +286,10 @@ class ArtifactStore:
         self.loads += 1
         elapsed = time.perf_counter() - start
         self.load_s += elapsed
-        metrics.counter("store_loads", kind=kind)
-        metrics.counter("store_load_bytes", len(payload), kind=kind)
-        metrics.observe("store_load_seconds", elapsed, kind=kind)
-        return obj
-
-    # ------------------------------------------------------------------
-    # Save / load: prepared polygons, and aggregate pyramids (keyed by
-    # *point* content) — two artifact types, one pair layout
-    # ------------------------------------------------------------------
-    def save(self, key: Sequence, prepared: PreparedPolygons) -> int:
-        """Persist an artifact atomically; returns bytes written
-        (:meth:`_write_pair` is the contract)."""
-        return self._write_pair("prepared", artifact_format.encode,
-                                key, prepared)
-
-    def load(self, key: Sequence, polygons) -> PreparedPolygons | None:
-        """The artifact stored for ``key``, rebuilt around the caller's
-        live ``polygons``; ``None`` on any failure (:meth:`_read_pair`)."""
-        return self._read_pair(
-            "prepared", artifact_format.validate_manifest,
-            lambda arrays, manifest: artifact_format.decode(
-                arrays, manifest, polygons, key
-            ),
-            key,
-        )
-
-    def save_pyramid(self, key: Sequence, pyramid) -> int:
-        """Persist an aggregate pyramid atomically; returns bytes
-        written.  A channel addition rewrites the (small) pair whole."""
-        return self._write_pair("pyramid", artifact_format.encode_pyramid,
-                                key, pyramid)
-
-    def load_pyramid(self, key: Sequence):
-        """The pyramid stored for ``key``; ``None`` on any failure — the
-        caller rebuilds from points, it never crashes."""
-        return self._read_pair(
-            "pyramid", artifact_format.validate_pyramid_manifest,
-            artifact_format.decode_pyramid, key,
-        )
+        metrics.counter("store_loads")
+        metrics.counter("store_load_bytes", len(payload))
+        metrics.observe("store_load_seconds", elapsed)
+        return prepared
 
     def contains(self, key: Sequence) -> bool:
         """Whether a (possibly invalid) pair exists for ``key`` — a

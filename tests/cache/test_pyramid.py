@@ -1,4 +1,6 @@
-"""Tests for the aggregate-pyramid cache (repro.cache.pyramid)."""
+"""The prewarm contract (docs/aggregate_pyramid.md): a statement over a
+prewarmed pairing reads cached point-pass channels — never stale, never
+leaked, never a different bit."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from repro import (
     Average,
     Count,
     Filter,
+    GPUDevice,
     Max,
     Min,
     PointDataset,
@@ -16,22 +19,15 @@ from repro import (
     QuerySession,
     Sum,
 )
-from repro.cache.pyramid import (
-    AggregatePyramid,
-    channel_kinds,
-    classify_cells,
-    decompose_blocks,
-    pyramid_levels,
-)
-from repro.exec.partition import route_chunk
-from repro.geometry.bbox import BBox
+from repro.errors import QueryError
 from repro.geometry.polygon import rectangle
-from repro.graphics.viewport import Viewport
-from repro.index.grid import GridIndex
-from tests.conftest import brute_force_counts, brute_force_sums
+from repro.obs import metrics
+from tests.conftest import brute_force_counts, brute_force_values
 
 RES = 128
 GRID = 32
+
+LATE = [Filter("hour", ">=", 12.0)]
 
 
 @pytest.fixture
@@ -40,7 +36,10 @@ def points(rng):
     return PointDataset(
         rng.uniform(0.0, 100.0, n),
         rng.uniform(0.0, 100.0, n),
-        {"fare": rng.integers(0, 40, n).astype(np.float64)},
+        {
+            "fare": rng.integers(0, 40, n).astype(np.float64),
+            "hour": rng.integers(0, 24, n).astype(np.float64),
+        },
     )
 
 
@@ -50,7 +49,7 @@ def regions():
         [
             rectangle(5, 5, 55, 45),
             Polygon([(50, 50), (90, 55), (80, 95), (45, 80), (60, 65)]),
-            # Anchors the union bbox so edited sets keep the grid frame.
+            # Anchors the union bbox so edited sets keep the canvas.
             rectangle(0, 0, 100, 100),
         ]
     )
@@ -62,276 +61,238 @@ def engine(session):
     )
 
 
-class TestBlockDecomposition:
-    def test_full_grid_promotes_to_root(self):
-        res = 16
-        cells = np.arange(res * res, dtype=np.int64)
-        blocks = decompose_blocks(cells, res, pyramid_levels(res))
-        assert len(blocks) == 1
-        level, ids = blocks[0]
-        assert level == pyramid_levels(res) - 1
-        assert list(ids) == [0]
-
-    @pytest.mark.parametrize("res", [8, 13, 32])
-    def test_blocks_cover_cells_exactly_once(self, res, rng):
-        cells = np.unique(
-            rng.integers(0, res * res, size=res * res // 2).astype(np.int64)
-        )
-        blocks = decompose_blocks(cells, res, pyramid_levels(res))
-        covered = []
-        for level, ids in blocks:
-            # Expand each block back to its level-0 cells.
-            ids = np.asarray(ids)
-            width = res
-            for _ in range(level):
-                width = (width + 1) // 2
-            for flat in ids:
-                cy, cx = divmod(int(flat), width)
-                span = 1 << level
-                for dy in range(span):
-                    for dx in range(span):
-                        y, x = cy * span + dy, cx * span + dx
-                        if y < res and x < res:
-                            covered.append(y * res + x)
-        covered = np.sort(np.asarray(covered))
-        # Promotion only happens when every in-range child is present,
-        # so the expansion reproduces the input set with no duplicates.
-        assert np.array_equal(covered, np.sort(cells))
-
-    def test_partial_parent_stays_at_level_zero(self):
-        blocks = decompose_blocks(np.asarray([0, 1, 2]), 8, pyramid_levels(8))
-        assert len(blocks) == 1
-        assert blocks[0][0] == 0
-        assert list(blocks[0][1]) == [0, 1, 2]
+def channels_of(session):
+    return [state for state in session._point_cache.values()
+            if state.kind == "channel"]
 
 
-class TestClassifyCells:
-    def test_interior_and_pip_disjoint_and_exact(self, regions):
-        grid = GridIndex(regions, resolution=GRID)
-        viewport = Viewport(grid.extent, GRID, GRID)
-        poly = regions[0]
-        cells = GridIndex.cells_for_polygon(
-            poly, grid.extent, GRID, grid.assignment
-        )
-        interior, pip = classify_cells(poly, cells, grid, viewport)
-        assert len(np.intersect1d(interior, pip)) == 0
-        # Every corner of an interior cell must be strictly inside: the
-        # boundary provably misses the cell, so all of it is one side.
-        for flat in interior:
-            cy, cx = divmod(int(flat), GRID)
-            xs = grid.extent.xmin + np.asarray([cx, cx + 1]) * grid.cell_w
-            ys = grid.extent.ymin + np.asarray([cy, cy + 1]) * grid.cell_h
-            cxs, cys = np.meshgrid(xs, ys)
-            assert poly.contains_points(
-                cxs.ravel() * 0.999999 + poly.bbox.xmin * 1e-6,
-                cys.ravel() * 0.999999 + poly.bbox.ymin * 1e-6,
-            ).all()
+def same_bits(a, b):
+    assert np.array_equal(a.values, b.values, equal_nan=True)
+    assert set(a.channels) == set(b.channels)
+    for name, channel in b.channels.items():
+        assert np.array_equal(a.channels[name], channel, equal_nan=True)
 
 
-class TestAggregatePyramid:
-    def test_count_channel_matches_histogram(self, points, regions):
-        grid = GridIndex(regions, resolution=GRID)
-        pyramid = AggregatePyramid.build(points, grid)
-        pyramid.ensure_channel("count", None, points)
-        level0 = pyramid.channels[("count", None)][0]
-        cells = grid.cell_of_points(points.xs, points.ys)
-        expect = np.bincount(cells[cells >= 0], minlength=GRID * GRID)
-        assert np.array_equal(level0.ravel(), expect.astype(np.float64))
-        # The root is the total in-extent population.
-        assert pyramid.channels[("count", None)][-1][0, 0] == expect.sum()
-
-    def test_gather_indices_returns_cell_population(self, points, regions):
-        grid = GridIndex(regions, resolution=GRID)
-        pyramid = AggregatePyramid.build(points, grid)
-        cells = np.asarray([3, 100, 501], dtype=np.int64)
-        idx = pyramid.gather_indices(cells)
-        all_cells = grid.cell_of_points(points.xs, points.ys)
-        expect = np.flatnonzero(np.isin(all_cells, cells))
-        assert np.array_equal(np.sort(idx), expect)
-
-    def test_channel_kinds_rejects_unsupported(self):
-        assert channel_kinds(Count()) == {"count": ("count", None)}
-        assert channel_kinds(Sum("v")) == {"sum": ("sum", "v")}
-        kinds = channel_kinds(Average("v"))
-        assert set(kinds.values()) == {("count", None), ("sum", "v")}
-
-
-class TestEnginePyramidPath:
-    def test_count_sum_bit_identical(self, points, regions):
-        for aggregate, reference in [
-            (Count(), brute_force_counts(points, regions)),
-            (Sum("fare"), brute_force_sums(points, regions, "fare")),
+class TestPrewarmedStatements:
+    @pytest.mark.parametrize("filters", [None, LATE],
+                             ids=["unfiltered", "filtered"])
+    def test_every_aggregate_is_the_exact_bits(self, points, regions,
+                                               filters):
+        keep = None if filters is None else points.column("hour") >= 12.0
+        cold_engine = engine(QuerySession(store=False))
+        eng = engine(QuerySession(store=False))
+        eng.prewarm(points, regions)
+        for aggregate, function in [
+            (Count(), "count"), (Sum("fare"), "sum"), (Average("fare"), "avg"),
+            (Min("fare"), "min"), (Max("fare"), "max"),
         ]:
-            # Asserts a tier state ("cold"), so no ambient disk tier: the
-            # first iteration's pyramid must not answer the second's.
-            eng = engine(QuerySession(store=False))
-            cold = eng.execute(points, regions, aggregate)
-            assert cold.stats.extra.get("pyramid") == "cold"
-            eng.build_pyramid(points, regions)
-            warm = eng.execute(points, regions, aggregate)
-            assert warm.stats.extra.get("pyramid") == "hit"
-            assert warm.stats.extra["pyramid_fallback_points"] < len(points)
-            # Bit-identical to the exact path, and exact vs brute force
-            # (integer-valued attributes: float64 additions are exact).
-            assert np.array_equal(warm.values, cold.values)
-            assert np.array_equal(warm.values, reference)
+            cold = cold_engine.execute(points, regions, aggregate, filters)
+            assert cold.stats.extra["pyramid"] == "cold"
+            warm = eng.execute(points, regions, aggregate, filters)
+            assert warm.stats.extra["pyramid"] == "hit"
+            # Only the rows on boundary pixels were read.
+            assert warm.stats.points_processed == (
+                warm.stats.extra["pyramid_fallback_points"]
+            ) < len(points)
+            assert warm.stats.pip_tests == cold.stats.pip_tests
+            same_bits(warm, cold)
+            # Integer-valued attributes: float64 additions are exact.
+            assert np.array_equal(warm.values, brute_force_values(
+                points, regions, function,
+                None if function == "count" else "fare", keep,
+            ), equal_nan=True)
 
-    def test_min_max_average_agree(self, points, regions):
-        for aggregate in (Min("fare"), Max("fare"), Average("fare")):
-            session = QuerySession()
-            eng = engine(session)
-            cold = eng.execute(points, regions, aggregate)
-            eng.build_pyramid(points, regions)
-            warm = eng.execute(points, regions, aggregate)
-            assert warm.stats.extra.get("pyramid") == "hit"
-            assert np.allclose(warm.values, cold.values, equal_nan=True)
-
-    def test_filters_fall_back_to_exact_path(self, points, regions):
-        session = QuerySession()
-        eng = engine(session)
-        eng.build_pyramid(points, regions)
-        result = eng.execute(
-            points, regions, Count(), filters=[Filter("fare", "<", 10.0)]
+    def test_resident_points_on_four_tiles(self, points, regions):
+        """Device-resident columns, a tiled canvas: same stage."""
+        device = GPUDevice(max_resolution=RES // 2)
+        resident = device.make_resident(
+            {name: points.column(name) for name in ("x", "y", "fare", "hour")}
         )
-        assert result.stats.extra.get("pyramid") != "hit"
-        fare = points.column("fare")
-        keep = fare < 10.0
-        expect = np.asarray([
-            float(np.count_nonzero(
-                p.contains_points(points.xs[keep], points.ys[keep])
-            ))
-            for p in regions
-        ])
-        assert np.array_equal(result.values, expect)
+        cold = AccurateRasterJoin(
+            resolution=RES, grid_resolution=GRID, device=device
+        ).execute(resident, regions, Sum("fare"), LATE)
+        eng = AccurateRasterJoin(
+            resolution=RES, grid_resolution=GRID, device=device,
+            session=QuerySession(store=False),
+        )
+        eng.prewarm(resident, regions)
+        warm = eng.execute(resident, regions, Sum("fare"), LATE)
+        assert warm.stats.extra["tiles"] == 4
+        assert warm.stats.extra["pyramid"] == "hit"
+        same_bits(warm, cold)
 
-    def test_mutated_points_never_replay_stale_partials(
+    def test_prewarm_needs_a_session(self, points, regions):
+        with pytest.raises(QueryError):
+            AccurateRasterJoin(resolution=RES).prewarm(points, regions)
+
+    def test_prewarm_builds_no_channel_and_prepares_no_polygon(
         self, points, regions
     ):
-        session = QuerySession()
+        session = QuerySession(store=False)
+        engine(session).prewarm(points, regions)
+        assert len(session) == 0 and not channels_of(session)
+        (state,) = session._point_cache.values()
+        assert state.value.pixel_index is not None
+        assert session.pyramid_nbytes == state.value.index_nbytes > 0
+
+    @pytest.mark.parametrize("column", ["x", "fare", "hour"])
+    def test_mutated_column_is_never_answered_from_a_stale_channel(
+        self, points, regions, column
+    ):
+        """A cached channel depends on the coordinates, the aggregated
+        column *and* the filter column: an in-place edit of any of them
+        takes the pairing's whole state out, and the next statement
+        routes, scatters and answers right."""
+        session = QuerySession(store=False)
         eng = engine(session)
-        eng.build_pyramid(points, regions)
+        eng.prewarm(points, regions)
+        first = eng.execute(points, regions, Sum("fare"), LATE)
+        assert first.stats.extra["pyramid"] == "hit"
+        data = points.column(column)
+        data[:] = (data + 7.0) % (100.0 if column == "x" else 24.0)
+        result = eng.execute(points, regions, Sum("fare"), LATE)
+        assert result.stats.extra["partition"] == "on"
+        assert result.stats.extra["pyramid"] == "cold"
+        assert not channels_of(session)
+        assert np.array_equal(result.values, brute_force_values(
+            points, regions, "sum", "fare", points.column("hour") >= 12.0
+        ))
+
+    def test_one_vertex_edit_keeps_the_pairing_warm(self, points, regions):
+        session = QuerySession(store=False)
+        eng = engine(session)
+        eng.prewarm(points, regions)
         assert eng.execute(points, regions, Count()).stats.extra[
             "pyramid"] == "hit"
-        # In-place mutation: the content guard must reject the entry.
-        points.xs[:] = (points.xs + 37.0) % 100.0
-        result = eng.execute(points, regions, Count())
-        assert result.stats.extra.get("pyramid") != "hit"
-        assert np.array_equal(result.values, brute_force_counts(points, regions))
-
-
-class TestDeltaEditsKeepPyramid:
-    def test_polygon_edit_keeps_pyramid_warm(self, points, regions):
-        session = QuerySession()
-        eng = engine(session)
-        eng.build_pyramid(points, regions)
-        assert eng.execute(points, regions, Count()).stats.extra[
-            "pyramid"] == "hit"
-        # Edit one polygon without moving the union bbox (the anchor
-        # rectangle pins the grid frame): the pyramid depends only on
-        # points + frame, so the edited set still answers pyramid-warm.
-        edited = PolygonSet(
-            [rectangle(10, 8, 50, 42), regions[1], regions[2]],
-            names=regions.names,
-        )
+        builds = len(channels_of(session))
+        # One vertex moves; the anchor rectangle pins the union bbox, so
+        # the canvas — all a routing and its channels depend on — stays.
+        ring = regions[1].exterior.copy()
+        ring[0] += (1.5, -2.0)
+        edited = PolygonSet([regions[0], Polygon(ring), regions[2]])
         result = eng.execute(points, edited, Count())
-        assert result.stats.extra.get("pyramid") == "hit"
+        assert result.stats.extra["pyramid"] == "hit"
+        assert result.stats.extra["prepared"] == "delta"
+        assert result.stats.extra["polygons_rebuilt"] == 1
+        assert len(channels_of(session)) == builds
         assert np.array_equal(result.values, brute_force_counts(points, edited))
 
+    def test_strip_derived_rederives_the_fragment_index(self, points,
+                                                        regions):
+        session = QuerySession(store=False)
+        eng = engine(session)
+        eng.prewarm(points, regions)
+        first = eng.execute(points, regions, Average("fare"))
+        (artifact,) = session._entries.values()
+        assert set(artifact.boundary_fragments) == {0}
+        fragments = artifact.boundary_fragments[0]
+        mask, pixels = artifact.boundary_masks[0], artifact.coverage[0].pixels
+        assert np.array_equal(
+            fragments, np.flatnonzero(mask.ravel()[pixels])
+        ) and len(fragments)
+        assert artifact.strip_derived() > fragments.nbytes
+        assert not artifact.boundary_fragments
+        again = eng.execute(points, regions, Average("fare"))
+        assert again.stats.extra["pyramid"] == "hit"
+        same_bits(again, first)
+        assert np.array_equal(artifact.boundary_fragments[0], fragments)
 
-class TestPyramidPersistence:
-    def test_store_round_trip(self, points, regions, tmp_path):
-        grid = GridIndex(regions, resolution=GRID)
-        pyramid = AggregatePyramid.build(points, grid)
-        pyramid.ensure_channel("count", None, points)
-        pyramid.ensure_channel("min", "fare", points)
-        from repro.store import ArtifactStore
 
-        store = ArtifactStore(tmp_path)
-        key = ("fp", "pyramid", GRID, "mbr", (0.0, 0.0, 1.0, 1.0))
-        store.save_pyramid(key, pyramid)
-        assert store.contains(key)
-        back = store.load_pyramid(key)
-        assert np.array_equal(back.point_order, pyramid.point_order)
-        assert np.array_equal(back.cell_start, pyramid.cell_start)
-        for chan, levels in pyramid.channels.items():
-            for mine, theirs in zip(levels, back.channels[chan]):
-                assert np.array_equal(mine, theirs, equal_nan=True)
-        assert store.load_pyramid(("other",) + key[1:]) is None
-
-    def test_corrupt_pair_loads_as_miss(self, points, regions, tmp_path):
-        from repro.store import ArtifactStore
-
-        grid = GridIndex(regions, resolution=GRID)
-        pyramid = AggregatePyramid.build(points, grid)
-        pyramid.ensure_channel("count", None, points)
-        store = ArtifactStore(tmp_path)
-        key = ("fp", "pyramid", GRID, "mbr", (0.0, 0.0, 1.0, 1.0))
-        store.save_pyramid(key, pyramid)
-        npz = next(tmp_path.glob("*.npz"))
-        npz.write_bytes(npz.read_bytes()[:-7])
-        assert store.load_pyramid(key) is None
-        assert store.load_failures == 1
-
-    def test_warm_restart_through_store(self, points, regions, tmp_path):
-        first = QuerySession(store=str(tmp_path))
-        eng = engine(first)
-        eng.build_pyramid(points, regions)
-        warm = eng.execute(points, regions, Sum("fare"))
-        assert warm.stats.extra.get("pyramid") == "hit"
-        first.checkpoint()
-        # A fresh process: new session, same store directory.
-        second = QuerySession(store=str(tmp_path))
-        eng2 = engine(second)
-        restarted = eng2.execute(points, regions, Sum("fare"))
-        assert restarted.stats.extra.get("pyramid") == "hit"
-        assert second.pyramid_store_hits == 1
-        assert np.array_equal(restarted.values, warm.values)
-
-    def test_byte_budget_evicts_lru(self, points, regions, rng):
+class TestChannelsInTheSessionLru:
+    def test_budget_below_one_channel_answers_cold_and_holds_nothing(
+        self, points, regions
+    ):
         probe = QuerySession(store=False)
-        engine(probe).build_pyramid(points, regions)
-        # Room for the artifact and one and a half pyramids.
-        session = QuerySession(
-            store=False,
-            byte_budget=probe.nbytes + probe.pyramid_nbytes * 3 // 2,
+        engine(probe).prewarm(points, regions)
+        reference = engine(probe).execute(points, regions, Sum("fare"))
+        (channel,) = channels_of(probe)
+        session = QuerySession(store=False, byte_budget=channel.nbytes - 1)
+        eng = engine(session)
+        for _ in range(2):
+            eng.prewarm(points, regions)
+            result = eng.execute(points, regions, Sum("fare"))
+            assert result.stats.extra["pyramid"] == "cold"
+            assert result.stats.extra["partition"] == "on"
+            assert not session._point_cache
+            assert session.pyramid_nbytes == session.partition_nbytes == 0
+            same_bits(result, reference)
+
+    def test_channels_that_would_evict_their_routing_are_not_built(
+        self, points, regions
+    ):
+        probe = QuerySession(store=False)
+        engine(probe).prewarm(points, regions)
+        reference = engine(probe).execute(points, regions, Average("fare"))
+        one, _ = channels_of(probe)
+        session = QuerySession(store=False)
+        # Room for the indexed routing and one channel; AVG needs two.
+        session.PARTITION_BYTE_CAP = (
+            probe.partition_nbytes + probe.pyramid_nbytes - one.nbytes
         )
         eng = engine(session)
-        eng.build_pyramid(points, regions)
+        eng.prewarm(points, regions)
+        metrics.reset()
+        for _ in range(2):
+            result = eng.execute(points, regions, Average("fare"))
+            assert result.stats.extra["pyramid"] == "cold"
+            assert result.stats.extra["partition"] == "cached"
+            assert not channels_of(session)
+            same_bits(result, reference)
+        assert "session_channel_builds" not in metrics.snapshot()["counters"]
+        # One channel does fit.
+        assert eng.execute(points, regions, Count()).stats.extra[
+            "pyramid"] == "hit"
+
+    def test_channels_routings_and_sources_share_one_lru(self, points,
+                                                         regions, rng):
+        """Over budget the least recently used entry goes, whatever its
+        kind, and what the two byte counters report never exceeds the
+        cap."""
+        probe = QuerySession(store=False)
+        engine(probe).prewarm(points, regions)
+        engine(probe).execute(points, regions, Average("fare"))
+        assert len(channels_of(probe)) == 2
+        routing_bytes = probe.partition_nbytes
+        channel_bytes = channels_of(probe)[0].nbytes
+        # Room for the artifact, two indexed routings and three channels.
+        cap = (2 * (routing_bytes + probe.pyramid_nbytes)
+               - channel_bytes + 64)
+        session = QuerySession(store=False, byte_budget=probe.nbytes + cap)
+        eng = engine(session)
         other = PointDataset(
             rng.uniform(0.0, 100.0, len(points)),
             rng.uniform(0.0, 100.0, len(points)),
+            {"fare": rng.uniform(0.0, 9.0, len(points))},
         )
-        eng.build_pyramid(other, regions)
-        # The first source's pyramid was the least recently used.
-        assert not eng.pyramid_warmth(points, regions)
-        assert eng.pyramid_warmth(other, regions)
+        want = {}
+        for source in (points, other):
+            want[id(source)] = engine(QuerySession(store=False)).execute(
+                source, regions, Average("fare")
+            )
+        for source in (points, other, points, other):
+            eng.prewarm(source, regions)
+            result = eng.execute(source, regions, Average("fare"))
+            assert result.stats.extra["pyramid"] == "hit"
+            same_bits(result, want[id(source)])
+            held = session.pyramid_nbytes + session.partition_nbytes
+            assert held <= cap
+            assert held == sum(
+                state.nbytes for state in session._point_cache.values()
+            )
+        # The fourth channel did not fit: the oldest entries went first.
+        assert len(channels_of(session)) < 4
 
-    def test_partitions_and_pyramids_share_one_lru(self, points, regions):
-        """Over budget the least recently used entry goes, whatever its
-        kind: a pyramid that was just read outlives an older partition."""
-        pyramid = AggregatePyramid.build(
-            points, GridIndex(regions, resolution=GRID)
-        )
-        # One tile holding the whole source.
-        routing = route_chunk(
-            points, None, [Viewport(BBox(0.0, 0.0, 100.0, 100.0), 64, 64)], 0
-        )
-        probe = QuerySession(store=False)
-        probe.partition_store(points, ("a",), routing)
-        one_partition = probe.partition_nbytes
-        session = QuerySession(
-            store=False,
-            byte_budget=pyramid.nbytes + one_partition * 3 // 2,
-        )
-        session.pyramid_register(points, ("frame",), pyramid)
-        session.partition_store(points, ("a",), routing)
-        assert session.pyramid_lookup(points, ("frame",)) is pyramid
-        session.partition_store(points, ("b",), routing)
-        assert session.partition_lookup(points, ("a",)) is None
-        assert session.partition_lookup(points, ("b",)) is not None
-        assert session.pyramid_warm(points, ("frame",))
-        assert (session.partition_nbytes + session.pyramid_nbytes
-                <= session.byte_budget)
+    def test_invalidate_drops_channels_with_everything_else(self, points,
+                                                            regions):
+        session = QuerySession(store=False)
+        eng = engine(session)
+        eng.prewarm(points, regions)
+        eng.execute(points, regions, Count())
+        assert session.pyramid_nbytes > 0
+        session.invalidate()
+        assert session.pyramid_nbytes == session.partition_nbytes == 0
+        assert eng.execute(points, regions, Count()).stats.extra[
+            "pyramid"] == "cold"
 
 
 class TestBoundaryPixelStat:

@@ -2,7 +2,7 @@
 
 The serving layer shares a single session across concurrent queries, so
 every mutation path — prepared-state insert/lookup, partition cache,
-pyramid registry, invalidation, byte accounting — must hold up under
+cached channels, invalidation, byte accounting — must hold up under
 races.  Before the coarse RLock, concurrent ``prepared_for`` calls could
 corrupt the LRU dicts mid-``popitem`` and double-count byte budgets.
 """
@@ -15,7 +15,18 @@ import threading
 import numpy as np
 import pytest
 
-from repro import AccurateRasterJoin, PointDataset, QuerySession
+from repro import (
+    AccurateRasterJoin,
+    Average,
+    Count,
+    Filter,
+    Max,
+    Min,
+    PointDataset,
+    QuerySession,
+    Sum,
+)
+from repro.obs import metrics
 from tests.conftest import random_star_polygon
 from repro.exec.partition import route_chunk
 from repro.geometry.bbox import BBox
@@ -136,3 +147,73 @@ def test_concurrent_executions_share_session_bit_identically(
     assert len(results) == THREADS
     for values in results.values():
         assert np.array_equal(values, reference.values)
+
+
+def test_prewarmed_pairing_builds_each_channel_once(uniform_points,
+                                                    three_regions):
+    """Eight threads, each with its own (column, filter) statement, meet
+    on one prewarmed pairing: every channel is scattered exactly once —
+    by whoever needs it first — and every answer is its solo bits."""
+    late = [Filter("hour", ">=", 12)]
+    statements = [
+        (Count(), None), (Sum("fare"), None), (Average("fare"), late),
+        (Min("fare"), None), (Max("fare"), late), (Sum("hour"), late),
+        (Count(), late), (Average("hour"), None),
+    ]
+    assert len(statements) == THREADS
+    #: (blend, column, filtered): what a cached channel is keyed by.
+    distinct = {
+        (aggregate.blend, column, filters is not None)
+        for aggregate, filters in statements
+        for column in aggregate.channels.values()
+    }
+    solo = [
+        AccurateRasterJoin(resolution=128).execute(
+            uniform_points, three_regions, aggregate, filters
+        )
+        for aggregate, filters in statements
+    ]
+    session = QuerySession(store=False)
+    engine = AccurateRasterJoin(resolution=128, session=session)
+    engine.execute(uniform_points, three_regions)  # the artifact, once
+    engine.prewarm(uniform_points, three_regions)
+    metrics.reset()
+    results: dict[int, object] = {}
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(THREADS)
+
+    def run(worker: int) -> None:
+        try:
+            aggregate, filters = statements[worker]
+            mine = AccurateRasterJoin(resolution=128, session=session)
+            barrier.wait(10.0)
+            for _ in range(3):
+                results[worker] = mine.execute(
+                    uniform_points, three_regions, aggregate, filters
+                )
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    builds = metrics.snapshot()["counters"].get("session_channel_builds")
+    assert builds == len(distinct)
+    assert sum(
+        state.kind == "channel" for state in session._point_cache.values()
+    ) == len(distinct)
+    for worker, want in enumerate(solo):
+        got = results[worker]
+        assert got.stats.extra["pyramid"] == "hit"
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+        for name, channel in want.channels.items():
+            assert np.array_equal(got.channels[name], channel, equal_nan=True)

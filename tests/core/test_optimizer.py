@@ -246,9 +246,10 @@ class TestRoutingAwareCosting:
 
     def test_optimizer_probes_the_session_for_routing(self, uniform_points,
                                                       three_regions):
-        """Identity-keyed and hash-free, like the pyramid probe: it sees
-        a resident routing, prices the point pass without the projection,
-        and touches no counter."""
+        """Identity-keyed and hash-free: it sees a resident routing,
+        prices the point pass without the projection — without any point
+        pass at all once the pairing is prewarmed — and touches no
+        counter."""
         session = QuerySession(store=False)
         opt = RasterJoinOptimizer(session=session)
         opt._model = self.MODEL
@@ -265,6 +266,18 @@ class TestRoutingAwareCosting:
         assert warm["accurate"] == pytest.approx(cold["accurate"] - projection)
         # The bounded variant renders another canvas: still unrouted.
         assert warm["bounded"] == cold["bounded"]
+        # Prewarmed, the statement reads cached channels: no scatter.
+        assert not engine.routing_warmth(uniform_points, three_regions,
+                                         indexed=True)
+        engine.prewarm(uniform_points, three_regions)
+        assert engine.routing_warmth(uniform_points, three_regions,
+                                     indexed=True)
+        prewarmed = opt.estimate(uniform_points, three_regions, epsilon)
+        assert session.partition_hits == hits + 1  # prewarm's own lookup
+        assert prewarmed["accurate"] == pytest.approx(
+            warm["accurate"] - projection
+        )
+        assert prewarmed["bounded"] == cold["bounded"]
         # Other points, or self-scanning tiles, never read as routed.
         assert not engine.routing_warmth(
             uniform_points.head(100), three_regions

@@ -1,17 +1,17 @@
 """Property tests: ±inf and NaN in attribute values and in coordinates.
 
-Pins the finalize semantics fixed alongside the aggregate pyramid: only
-*identity* accumulator slots (regions that saw no value) finalize to
-NaN — a legitimate ``-inf`` minimum (or ``+inf`` maximum) passes
-through, and a NaN value poisons its region's result on every path
-(raster scatter, boundary PIP, pyramid block partials).  The one
+Pins the finalize semantics: only *identity* accumulator slots (regions
+that saw no value) finalize to NaN — a legitimate ``-inf`` minimum (or
+``+inf`` maximum) passes through, and a NaN value poisons its region's
+result on every path (raster scatter — fresh or read from a prewarmed
+pairing's cached channels — and boundary PIP).  The one
 documented ambiguity: a region whose true minimum is exactly ``+inf``
 is indistinguishable from an empty one and also finalizes to NaN
 (mirrored by the reference below).
 
 Checked across engines (accurate, index join), execution backends
-(serial, threaded tiles), streamed vs monolithic input, and the
-pyramid-warm vs exact accurate paths.
+(serial, threaded tiles), streamed vs monolithic input, and prewarmed
+vs not (one comparator: the same bits).
 
 Non-finite *coordinates* are outside every canvas, tile and grid cell by
 rule (``Viewport.pixel_of`` / ``GridIndex.cell_of_points`` decide on the
@@ -46,12 +46,13 @@ from tests.property.test_prop_geometry import star_polygons
 
 @st.composite
 def nonfinite_workloads(draw):
-    """Random points whose attribute mixes finite values, ±inf, and NaN."""
+    """Random points whose attribute mixes finite values, ±inf, NaN and
+    -0.0."""
     seed = draw(st.integers(0, 2**31 - 1))
     n_points = draw(st.integers(50, 800))
     rng = np.random.default_rng(seed)
     values = rng.uniform(-100.0, 100.0, n_points)
-    for special in (np.inf, -np.inf, np.nan):
+    for special in (np.inf, -np.inf, np.nan, -0.0):
         share = draw(st.floats(0.0, 0.3))
         values[rng.uniform(0.0, 1.0, n_points) < share] = special
     points = PointDataset(
@@ -72,6 +73,9 @@ def reference(points, polygons, kind):
     out = []
     for poly in polygons:
         inside = vals[poly.contains_points(points.xs, points.ys)]
+        if kind == "sum":
+            out.append(float(np.sum(inside)))
+            continue
         if kind == "avg":
             out.append(
                 np.nan if len(inside) == 0
@@ -89,12 +93,12 @@ def reference(points, polygons, kind):
     return np.asarray(out)
 
 
-AGGS = {"min": Min, "max": Max, "avg": Average}
+AGGS = {"min": Min, "max": Max, "avg": Average, "sum": Sum}
 
 
 def check(result, points, polygons, kind):
     expect = reference(points, polygons, kind)
-    if kind == "avg":
+    if kind in ("avg", "sum"):
         assert np.allclose(result.values, expect, equal_nan=True)
     else:
         # Min/Max are order-free: exact equality, NaN-for-NaN.
@@ -160,26 +164,30 @@ def test_index_join_agrees(workload, kind):
     check(result, points, polygons, kind)
 
 
-@given(nonfinite_workloads(), st.sampled_from(["min", "max", "avg"]))
+@given(nonfinite_workloads(), st.sampled_from(["min", "max", "avg", "sum"]))
 @settings(max_examples=10, deadline=None)
 def test_pyramid_warm_agrees_with_exact(workload, kind):
+    """A prewarmed statement is the un-prewarmed one bit for bit —
+    values and every channel, specials on boundary and interior pixels
+    alike: there is one comparator."""
     points, polygons = workload
-    # The comparator is a session nothing built a pyramid in (and with no
-    # disk tier an earlier example's pyramid could answer from).
     exact = AccurateRasterJoin(
         resolution=128, grid_resolution=32,
         session=QuerySession(store=False),
     ).execute(points, polygons, AGGS[kind]("v"))
-    assert exact.stats.extra.get("pyramid") == "cold"
+    assert exact.stats.extra["pyramid"] == "cold"
     eng = AccurateRasterJoin(
-        resolution=128, grid_resolution=32, session=QuerySession(),
+        resolution=128, grid_resolution=32,
+        session=QuerySession(store=False),
     )
-    eng.build_pyramid(points, polygons)
+    eng.prewarm(points, polygons)
     warm = eng.execute(points, polygons, AGGS[kind]("v"))
-    assert warm.stats.extra.get("pyramid") == "hit"
-    assert np.array_equal(warm.values, exact.values, equal_nan=True) or (
-        kind == "avg" and np.allclose(warm.values, exact.values, equal_nan=True)
-    )
+    assert warm.stats.extra["pyramid"] == "hit"
+    assert warm.stats.points_processed == exact.stats.boundary_points
+    assert np.array_equal(warm.values, exact.values, equal_nan=True)
+    assert set(warm.channels) == set(exact.channels)
+    for name, channel in exact.channels.items():
+        assert np.array_equal(warm.channels[name], channel, equal_nan=True)
     check(warm, points, polygons, kind)
 
 

@@ -193,7 +193,7 @@ def _check_group_members(tiles, path, where, selects):
     for statement, result in zip(picks, results):
         assert_same_answer(result, solo[statement])
         assert result.stats.extra["tiles"] == tiles
-        if path == "pyramid-warm" and not where:
+        if path == "pyramid-warm":
             assert result.stats.extra["pyramid"] == "hit"
         # Distinct additive members share the execution; Min / Max and
         # coalesced duplicates of them never report one.

@@ -4,8 +4,8 @@
 points, regions and filter set from one ordinary ``engine.execute`` of a
 ``MultiAggregate``; a member's values *and* private channels must be the
 bits its own ``engine.execute`` returns — asserted here, not argued,
-across tile counts, backends, session warmth and the three paths that
-can answer (exact, pyramid-warm, bounded).
+across tile counts, backends, session warmth and what can answer (the
+exact engine, prewarmed or not, and the bounded one).
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class TestSharedChannelsAreTheSoloBits:
         aggregates = [make() for make in MEMBERS]
         try:
             if kind == "pyramid":
-                engine.build_pyramid(points, polygons)
+                engine.prewarm(points, polygons)
             for filters in FILTERS.values():
                 # Solo first: on a session this also warms what the
                 # shared run then hits (artifact, routing, pyramid).
@@ -191,7 +191,7 @@ class TestSharedChannelsAreTheSoloBits:
                 assert results[0].stats.extra["tiles"] == cuts * cuts
                 if warm:
                     assert results[0].stats.extra["prepared"] == "hit"
-                if kind == "pyramid" and not filters:
+                if kind == "pyramid":
                     assert results[0].stats.extra["pyramid"] == "hit"
             # Not vacuous: something finite and something poisoned came
             # out of the unfiltered group.

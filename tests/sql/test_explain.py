@@ -75,13 +75,59 @@ class TestReport:
         # The warm prediction drops the preparation-heavy terms.
         assert second.predicted["prepare"] <= first.predicted["prepare"]
 
-    def test_pyramid_warm_regime_after_prewarm(self, planner):
-        planner.prewarm("taxi", "hoods")
-        report = planner.execute("EXPLAIN ANALYZE " + QUERY)
-        assert report.regime == "pyramid-warm"
-        assert "pyramid_blocks" in report.predicted
-        assert "point_pass" not in report.predicted
-        assert "pyramid-block-merge" in report.text
+    @pytest.mark.parametrize("prewarmed", [True, False],
+                             ids=["prewarmed", "not-prewarmed"])
+    @pytest.mark.parametrize("select,where", [
+        ("COUNT(*)", ""),
+        ("SUM(fare)", "AND fare >= 12 "),
+        ("MAX(fare)", ""),
+    ], ids=["unfiltered", "filtered", "max"])
+    def test_explain_names_the_path_that_ran(
+        self, uniform_points, three_regions, select, where, prewarmed
+    ):
+        """The regime label, the predicted terms and ``extra["pyramid"]``
+        agree with the spans beneath them, whatever the aggregate or
+        filter."""
+        planner = QueryPlanner(session=QuerySession(store=False))
+        planner.register_points("taxi", uniform_points)
+        planner.register_regions("hoods", three_regions)
+        statement = (
+            f"SELECT {select} FROM taxi, hoods "
+            f"WHERE taxi.loc INSIDE hoods.geometry {where}GROUP BY hoods.id"
+        )
+        plain = planner.execute(statement)  # warms the artifact
+        if prewarmed:
+            planner.prewarm("taxi", "hoods")
+        report = planner.execute("EXPLAIN ANALYZE " + statement)
+        stats = report.result.stats
+        assert report.regime == ("pyramid-warm" if prewarmed else "warm")
+        assert stats.extra["pyramid"] == ("hit" if prewarmed else "cold")
+        assert f"regime: {report.regime}" in report.text
+        # One set of terms, each naming a span that exists.
+        assert set(report.predicted) == {
+            "prepare", "point_pass", "boundary_pip", "polygon_pass"
+        }
+        assert set(report.measured) == set(report.predicted)
+        assert (report.predicted["point_pass"] == 0.0) == prewarmed
+        assert not [
+            span.name for span in report.root.walk()
+            if span.name.startswith("pyramid")
+        ]
+        # No scatter share: a prewarmed point pass reads only the rows
+        # on boundary pixels, which are the un-prewarmed run's PIP rows.
+        n = len(uniform_points)
+        if prewarmed:
+            assert stats.points_processed == (
+                stats.extra["pyramid_fallback_points"]
+            ) < n
+            assert stats.boundary_points == plain.stats.boundary_points
+        else:
+            assert stats.points_processed == n
+            assert "pyramid_fallback_points" not in stats.extra
+        assert stats.pip_tests == plain.stats.pip_tests
+        assert np.array_equal(
+            report.result.values, plain.values, equal_nan=True
+        )
 
     def test_values_match_plain_execution(self, planner):
         explained = planner.execute("EXPLAIN ANALYZE " + QUERY)

@@ -4,12 +4,14 @@ An edited polygon set is stored exactly as a cold-built one is: a
 ``(<key_id>.npz, <key_id>.json)`` pair under its own key.  These tests
 pin what that buys (a restart answers an edited key from one pair,
 bit-identical to a cold build), what a store directory written by the
-patch-journal era degrades to, and the writer's behaviour under
-``ENOSPC`` at each of its steps, for both artifact types.
+patch-journal era — or holding the aggregate-pyramid pairs of the
+releases after it — degrades to, and the writer's behaviour under
+``ENOSPC`` at each of its steps.
 """
 
 import contextlib
 import errno
+import io
 import json
 import os
 import time
@@ -22,7 +24,6 @@ from repro import (
     AccurateRasterJoin,
     ArtifactStore,
     BoundedRasterJoin,
-    Count,
     GPUDevice,
     QuerySession,
     Sum,
@@ -271,10 +272,66 @@ class TestDirectoryFromThePatchJournalEra:
         assert not any(store.root.iterdir())
 
 
+class TestDirectoryHoldingPyramidPairs:
+    def test_old_pyramid_pair_is_never_read_but_counted_and_evicted(
+        self, uniform_points, three_regions, store
+    ):
+        """Until the pyramid became a set of cached point-pass channels
+        it was the store's second artifact type: an ordinary pair keyed
+        by the *points'* content hash.  Nothing reads one any more; it
+        is accounted like any pair and the disk budget reclaims it."""
+        guard = QuerySession._content_hash(uniform_points)
+        key = (guard, "pyramid", 64, "mbr", (0.0, 0.0, 100.0, 100.0))
+        buffer = io.BytesIO()
+        np.savez(buffer, pyr_point_order=np.arange(9, dtype=np.int32),
+                 pyr_cell_start=np.zeros(64 * 64 + 1, dtype=np.int64),
+                 pyr_ch_0=np.zeros((64, 64)))
+        npz = store.root / f"{key_id(key)}.npz"
+        manifest = store.root / f"{key_id(key)}.json"
+        npz.write_bytes(buffer.getvalue())
+        manifest.write_text(json.dumps({
+            "type": "pyramid", "version": 3, "dtype": "<f8",
+            "fingerprint": guard, "spec": list(key[1:]),
+            "resolution": 64, "num_points": len(uniform_points),
+            "channels": [["count", None]],
+            "payload_bytes": npz.stat().st_size,
+        }))
+        past = time.time() - 3600
+        for path in (npz, manifest):
+            os.utime(path, (past, past))
+        old_bytes = npz.stat().st_size + manifest.stat().st_size
+        assert store.disk_bytes == old_bytes and len(store) == 1
+
+        make_engine = ENGINES["accurate-1-tile"]
+        expected = make_engine(None).execute(
+            uniform_points, three_regions, aggregate=Sum("fare")
+        )
+        for _ in range(2):  # a first process, then a restarted one
+            engine = make_engine(QuerySession(store=store))
+            engine.prewarm(uniform_points, three_regions)
+            result = engine.execute(
+                uniform_points, three_regions, aggregate=Sum("fare")
+            )
+            assert result.stats.extra["pyramid"] == "hit"
+            assert np.array_equal(result.values, expected.values)
+        assert result.stats.extra["prepared"] == "store-hit"
+        # One pair written and read back — the polygons'; the old pair
+        # was neither opened (its recency is untouched) nor replaced.
+        assert (store.saves, store.loads, store.load_failures) == (1, 1, 0)
+        assert npz.stat().st_mtime == pytest.approx(past, abs=1.0)
+        assert len(store) == 2
+        assert store.disk_bytes > old_bytes
+
+        store.disk_budget = store.disk_bytes - 1
+        assert store.enforce_disk_budget() == 1
+        assert not npz.exists() and not manifest.exists()
+        assert len(store) == 1
+
+
 # ----------------------------------------------------------------------
 # Fault injection at the one writer seam
 # ----------------------------------------------------------------------
-#: step of ``ArtifactStore._write_pair`` -> (file of the pair, operation)
+#: step of ``ArtifactStore.save`` -> (file of the pair, operation)
 FAULTS = {
     "npz-write": (".npz", "write"),
     "manifest-write": (".json", "write"),
@@ -363,51 +420,4 @@ class TestWriterFaults:
         )
         assert restarted.stats.extra["prepared"] == "store-hit"
         assert restarted.stats.triangulation_s == 0.0
-        assert np.array_equal(restarted.values, expected.values)
-
-    def test_pyramid(self, uniform_points, three_regions, store,
-                     monkeypatch, fault, prior):
-        make_engine = ENGINES["accurate-1-tile"]
-        storeless = make_engine(QuerySession(store=False))
-        storeless.build_pyramid(uniform_points, three_regions)
-        expected = storeless.execute(
-            uniform_points, three_regions, aggregate=Sum("fare")
-        )
-        assert expected.stats.extra["pyramid"] == "hit"
-        session = QuerySession(store=store)
-        engine = make_engine(session)
-        engine.build_pyramid(uniform_points, three_regions)
-        key = (session._cached_guard(uniform_points),) + tuple(
-            engine.pyramid_token(three_regions)
-        )
-        if prior == "over-an-older-pair":
-            # The older pair holds the count channel only; the Sum query
-            # adds one, so the pyramid is written again.
-            engine.execute(uniform_points, three_regions, aggregate=Count())
-            assert store.load_pyramid(key) is not None
-        with full_disk(monkeypatch, key_id(key), fault):
-            result = engine.execute(
-                uniform_points, three_regions, aggregate=Sum("fare")
-            )
-            assert result.stats.extra["pyramid"] == "hit"
-            assert np.array_equal(result.values, expected.values)
-            assert store.save_failures == 1
-            assert_no_debris(store)
-        failures = store.load_failures
-        loaded = store.load_pyramid(key)
-        if prior == "over-an-older-pair" and fault == "npz-write":
-            assert sorted(loaded.channels) == [("count", None)]  # untouched
-        elif prior == "over-an-older-pair":
-            assert loaded is None and store.load_failures == failures + 1
-        else:
-            assert loaded is None and store.load_failures == failures
-        session.checkpoint()
-        assert store.save_failures == 1
-        assert_no_debris(store)
-        fresh = QuerySession(store=store)
-        restarted = make_engine(fresh).execute(
-            uniform_points, three_regions, aggregate=Sum("fare")
-        )
-        assert restarted.stats.extra["pyramid"] == "hit"
-        assert fresh.pyramid_store_hits == 1
         assert np.array_equal(restarted.values, expected.values)

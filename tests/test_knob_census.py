@@ -16,6 +16,7 @@ import repro
 from repro.cache.session import QuerySession
 from repro.exec.config import EngineConfig
 from repro.serve import ServeConfig
+from repro.store import ArtifactStore
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -36,6 +37,16 @@ def test_serve_config_fields():
 def test_query_session_parameters():
     params = list(inspect.signature(QuerySession.__init__).parameters)
     assert params == ["self", "capacity", "byte_budget", "store"]
+
+
+def test_artifact_store_persists_one_kind():
+    """Every extra pair kind on disk is another format, another
+    fault-injection matrix and another restart path (shapes went 4 -> 2
+    in PR 19, 2 -> 1 in PR 22)."""
+    assert {
+        name for name, member in vars(ArtifactStore).items()
+        if callable(member) and name.startswith(("save", "load"))
+    } == {"save", "load"}
 
 
 def test_environment_variables_referenced_under_src():
