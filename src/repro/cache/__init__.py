@@ -3,9 +3,9 @@
 The paper's target workload is *interactive*: an analyst redraws or
 rezones polygons and re-runs the same query shape many times.  Most of the
 per-query cost of the raster-join engines is, however, a pure function of
-the polygon set and the render configuration — triangulations, the polygon
-grid index, the canvas layout, per-tile boundary masks, and per-polygon
-pixel coverage.  This package separates that one-time geometry preparation
+the polygon set and the render configuration — triangulations, the canvas
+layout, per-tile boundary masks and candidate lists, and per-polygon pixel
+coverage.  This package separates that one-time geometry preparation
 from per-query execution (in the spirit of GeoBlocks' query-cache
 accelerated aggregation):
 

@@ -4,20 +4,22 @@ A :class:`PreparedPolygons` bundles every piece of engine state that is a
 pure function of (polygon geometry, render configuration):
 
 * the triangulations of every polygon (Table 1's preprocessing cost);
-* the polygon grid index used by the exact JoinPoint path;
 * the canvas layout and its device-sized viewport tiles;
 * per-tile conservative boundary masks (the accurate engine's Boundary
-  FBO);
+  FBO) and, over the same pixels, the boundary PIP's candidate lists
+  (:class:`TileCandidates`: which polygons may contain a point that
+  landed on an outline pixel — read off the canvas, no second raster);
 * per-tile, per-polygon covered-pixel indices (the polygon-pass raster,
   the GeoBlocks-style cached aggregation footprint);
-* the row-banded edge table the boundary PIP tests against.
+* the row-banded edge table the boundary PIP tests against;
+* for the index-join baseline alone, the paper's polygon grid index.
 
 Since PR 5 the artifact is **composed from per-polygon units**
 (:class:`PolygonUnit`): each polygon carries its own content
-fingerprint, triangulation, grid-cell list, per-tile outline pixels,
-and per-tile coverage pixels, and the set-level arrays the engines
-consume (the boundary mask, the flat coverage record, the CSR grid) are
-cheap deterministic *compositions* of those units.  That split is what
+fingerprint, triangulation, per-tile outline pixels and per-tile
+coverage pixels, and the set-level arrays the engines consume (the
+boundary mask, the flat coverage record, the candidate lists) are cheap
+deterministic *compositions* of those units.  That split is what
 makes single-polygon edits incremental: an edited set reuses every
 unchanged polygon's unit verbatim and re-rasterizes only the changed
 ones (see ``docs/incremental_edits.md``), while the composed views stay
@@ -45,7 +47,7 @@ import numpy as np
 
 from repro.geometry.polygon import Polygon, PolygonSet
 from repro.geometry.triangulate import triangulate_polygon
-from repro.index.edge_table import EdgeTable
+from repro.index.edge_table import DEFAULT_ROWS, EdgeTable
 from repro.index.grid import GridIndex
 from repro.obs import trace
 
@@ -74,6 +76,24 @@ class TileCoverage(NamedTuple):
     @property
     def nbytes(self) -> int:
         return sum(arr.nbytes for arr in self)
+
+
+class TileCandidates(NamedTuple):
+    """One tile's boundary-PIP candidates: a CSR over boundary pixels.
+
+    ``pixels`` are the tile's boundary-mask pixels as ascending flat
+    indices; the polygons that may contain a point on ``pixels[r]`` are
+    ``pids[starts[r]:starts[r + 1]]``, ascending and without repeats (a
+    repeated pair would aggregate twice): those with an outline pixel or
+    a coverage fragment there.  No other polygon can — a pixel its
+    outline crosses is in the conservative outline raster, a pixel
+    wholly inside it has its centre inside, so the top-left-rule raster
+    lists it (``docs/rasterization.md``).
+    """
+
+    pixels: np.ndarray
+    starts: np.ndarray
+    pids: np.ndarray
 
 
 def _hash_rings(digest, poly: Polygon) -> None:
@@ -148,13 +168,12 @@ class PolygonUnit:
     """Per-polygon prepared state: everything derived from one polygon.
 
     Every field is a pure function of (this polygon's geometry, the
-    shared frame — canvas/tile layout and grid extent), never of the
-    other polygons, which is what makes units reusable across edits of
-    the rest of the set:
+    shared frame — the canvas and its tile layout), never of the other
+    polygons, which is what makes units reusable across edits of the
+    rest of the set — and every one is something an edit must re-derive,
+    a store encode and a budget count:
 
     * ``triangles`` — this polygon's triangulation;
-    * ``cells`` — the flat grid-cell ids this polygon registers in
-      (under the entry's grid resolution/assignment/extent);
     * ``boundary[tile_idx]`` — ``(ix, iy)`` outline pixels on that tile
       (the polygon's contribution to the tile's boundary mask);
     * ``coverage[tile_idx]`` — the pixels this polygon covers on that
@@ -166,8 +185,7 @@ class PolygonUnit:
     possibly with empty arrays (the polygon does not touch the tile).
     """
 
-    __slots__ = ("fingerprint", "bbox", "triangles", "cells",
-                 "boundary", "coverage")
+    __slots__ = ("fingerprint", "bbox", "triangles", "boundary", "coverage")
 
     def __init__(self, fingerprint: str, bbox: tuple) -> None:
         self.fingerprint = fingerprint
@@ -175,7 +193,6 @@ class PolygonUnit:
         #: can tell which tiles the departing geometry touched.
         self.bbox = bbox
         self.triangles: list[np.ndarray] | None = None
-        self.cells: np.ndarray | None = None
         self.boundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.coverage: dict[int, np.ndarray] = {}
 
@@ -185,7 +202,6 @@ class PolygonUnit:
         be budget-stripped — without mutating its sibling."""
         other = PolygonUnit(self.fingerprint, self.bbox)
         other.triangles = self.triangles
-        other.cells = self.cells
         other.boundary = dict(self.boundary)
         other.coverage = dict(self.coverage)
         return other
@@ -212,16 +228,15 @@ class PreparedPolygons:
         "boundary_masks",
         "coverage",
         "boundary_fragments",
+        "candidates",
         "mbr_arrays",
         "edge_table",
         "units",
         "polygon_fps",
         "source_bbox",
         "delta_dirty",
-        "grid_splice",
         "version",
         "triangulation_s",
-        "index_build_s",
         "uses",
     )
 
@@ -237,6 +252,8 @@ class PreparedPolygons:
         self.canvas = None
         self.tiles: list | None = None
         self.triangles: list[list[np.ndarray]] | None = None
+        #: the index-join baseline's polygon grid, no other engine's:
+        #: derived, rebuilt after a load, never persisted or counted.
         self.grid: GridIndex | None = None
         #: tile index -> boolean boundary mask of that viewport (composed)
         self.boundary_masks: dict[int, np.ndarray] = {}
@@ -248,10 +265,13 @@ class PreparedPolygons:
         #: pass blanks when it reads cached channels.  Derived from the
         #: two like the mask from the outlines; never persisted.
         self.boundary_fragments: dict[int, np.ndarray] = {}
+        #: tile index -> :class:`TileCandidates`, the boundary PIP's
+        #: lookup: derived from the outlines and those fragments alike.
+        self.candidates: dict[int, TileCandidates] = {}
         #: polygon MBRs as (xmin, xmax, ymin, ymax) column arrays
         self.mbr_arrays: tuple[np.ndarray, ...] | None = None
-        #: flat edge soup banded by ``grid``'s rows — what the boundary
-        #: PIP tests candidate pairs against.  Set-level, derived, never
+        #: flat edge soup in row bands — what the boundary PIP tests
+        #: candidate pairs against.  Set-level, derived, never
         #: persisted; see :meth:`ensure_edge_table`.
         self.edge_table: EdgeTable | None = None
         #: one unit per polygon, in polygon order
@@ -262,20 +282,15 @@ class PreparedPolygons:
         self.polygon_fps: list = list(fingerprints)
         #: (xmin, ymin, xmax, ymax) of the set at build time — the frame
         #: guard: a delta reuse is only valid when the edited set spans
-        #: the same extent (same canvas, same grid extent).
+        #: the same extent (same canvas).
         self.source_bbox: tuple | None = set_bbox(polygons)
         #: the polygon ids a delta derivation left to rebuild (``None``
         #: for an artifact that was not derived from a sibling)
         self.delta_dirty: list[int] | None = None
-        #: transient CSR-splice source for a delta-derived artifact:
-        #: ``(base grid, {dirty pid: old cell list})``.  Consumed (and
-        #: cleared) by :meth:`ensure_grid`, never persisted or counted.
-        self.grid_splice: tuple | None = None
         #: bumped on every mutation; part of the content signature so
         #: sessions re-measure nbytes only when something changed.
         self.version = 0
         self.triangulation_s = 0.0
-        self.index_build_s = 0.0
         self.uses = 0
 
     # ------------------------------------------------------------------
@@ -292,8 +307,8 @@ class PreparedPolygons:
         """A new artifact for an *edited* set, reusing the base's units.
 
         Unchanged polygons (matched by per-polygon fingerprint) adopt
-        clones of the base units — triangulation, grid cells, outline
-        pixels, and coverage all carry over.  Changed and added
+        clones of the base units — triangulation, outline pixels and
+        coverage all carry over.  Changed and added
         polygons get empty units; the engines rebuild exactly those.
         Composed views are carried only for tiles no edited polygon's
         geometry (old or new) touches, and only when polygon ids are
@@ -330,18 +345,6 @@ class PreparedPolygons:
         stable = len(units) == len(base.units) and all(
             src == pid or src < 0 for pid, src in enumerate(parent_map)
         )
-        # CSR-splice source: with stable ids and a warm base grid, the
-        # derived grid can be spliced from the base's CSR arrays — the
-        # dirty pids' old cell lists are the entries to remove.  Falls
-        # back to the full compose whenever any old list is missing.
-        if (
-            stable and dirty and base.grid is not None
-            and all(base.units[pid].cells is not None for pid in dirty)
-        ):
-            entry.grid_splice = (
-                base.grid,
-                {pid: base.units[pid].cells for pid in dirty},
-            )
         if stable and base.tiles is not None:
             replaced = {src for src in parent_map if src >= 0}
             changed_boxes = [
@@ -368,6 +371,12 @@ class PreparedPolygons:
                     entry.coverage[idx] = cov
                     for pid in dirty:
                         units[pid].coverage[idx] = empty
+                # Derived from the two, so carried only with both.
+                if mask is not None and cov is not None:
+                    for field in ("boundary_fragments", "candidates"):
+                        held = getattr(base, field).get(idx)
+                        if held is not None:
+                            getattr(entry, field)[idx] = held
         entry.version += 1
         return entry
 
@@ -399,87 +408,30 @@ class PreparedPolygons:
         assignment: str,
         stats=None,
     ) -> GridIndex:
-        """Build the polygon grid index once; later calls are free.
-
-        Per-polygon cell lists are computed only for polygons that lack
-        them and the CSR arrays are *composed* from the per-polygon
-        lists — the same two-pass scatter the direct constructor runs,
-        so the index is bit-identical.
-        """
+        """The index-join baseline's polygon grid, built once; later
+        calls are free.  Set-level and derived like the edge table: a
+        reloaded or delta-derived artifact builds it again."""
         if self.grid is None:
-            start = time.perf_counter()
-            extent = GridIndex.default_extent(polygons)
-            for pid, unit in enumerate(self.units):
-                if unit.cells is None:
-                    unit.cells = GridIndex.cells_for_polygon(
-                        polygons[pid], extent, resolution, assignment
-                    )
-            base = self._splice_base(resolution, assignment, extent)
-            if base is not None:
-                # Delta edit over a warm sibling grid: splice the
-                # dirty polygons' cell slices in place of the full
-                # two-pass compose — bit-identical CSR arrays (see
-                # GridIndex.splice), O(touched slices) instead of
-                # O(total entries).
-                base_grid, old_cells = base
-                self.grid = base_grid.splice(
-                    polygons,
-                    {
-                        pid: (old, self.units[pid].cells)
-                        for pid, old in old_cells.items()
-                    },
-                )
-                if stats is not None:
-                    stats.extra["grid_spliced"] = len(old_cells)
-            else:
-                self.grid = GridIndex.from_cells(
-                    polygons,
-                    [unit.cells for unit in self.units],
-                    resolution=resolution,
-                    assignment=assignment,
-                    extent=extent,
-                )
-            self.grid_splice = None
-            self.index_build_s = time.perf_counter() - start
-            self.grid.build_seconds = self.index_build_s
+            self.grid = GridIndex(polygons, resolution, assignment)
             if stats is not None:
-                stats.index_build_s += self.index_build_s
-            self.version += 1
+                stats.index_build_s += self.grid.build_seconds
         return self.grid
 
-    def _splice_base(self, resolution: int, assignment: str, extent):
-        """The validated CSR-splice source for :meth:`ensure_grid`.
-
-        ``None`` unless the recorded base grid was built under exactly
-        the requested frame (resolution, assignment mode, extent) — the
-        spliced result must be bit-identical to a full compose, so any
-        mismatch falls back to composing from per-polygon cell lists.
-        """
-        if self.grid_splice is None:
-            return None
-        base_grid, old_cells = self.grid_splice
-        if (
-            base_grid.resolution != resolution
-            or base_grid.assignment != assignment
-            or base_grid.extent != extent
-        ):
-            return None
-        return base_grid, old_cells
-
-    def ensure_edge_table(self, polygons: PolygonSet) -> EdgeTable:
+    def ensure_edge_table(
+        self, polygons: PolygonSet, rows: int = DEFAULT_ROWS
+    ) -> EdgeTable:
         """Build the boundary PIP's edge table once; later calls are free.
 
-        Banded by :attr:`grid`'s rows, so :meth:`ensure_grid` comes
-        first; gated by the artifact's own MBR columns.  A pure function
-        of (geometry, grid frame): a reloaded or delta-derived artifact
+        ``rows`` bands over the y-range of the artifact's own MBR
+        columns, which also gate the pair test.  A pure function of
+        (geometry, ``rows``): a reloaded or delta-derived artifact
         rebuilds it bit-identically.  Small (~0.5 MB per 100 polygons)
-        and read by tile tasks in flight, so — like the grid — it is not
-        part of :meth:`strip_derived`.
+        and read by tile tasks in flight, so never stripped.
         """
         if self.edge_table is None:
             mbrs = self.ensure_mbr_arrays(polygons)
             with trace.span("edge-table", polygons=len(polygons)):
-                self.edge_table = EdgeTable(polygons, self.grid, mbrs)
+                self.edge_table = EdgeTable(polygons, mbrs, rows)
             self.version += 1
         return self.edge_table
 
@@ -499,87 +451,99 @@ class PreparedPolygons:
     # ------------------------------------------------------------------
     # Per-tile composition
     # ------------------------------------------------------------------
-    def missing_boundary_pids(self, tile_idx: int) -> list[int]:
-        """Polygon ids whose unit lacks outline pixels for this tile."""
-        return [
-            pid for pid, unit in enumerate(self.units)
-            if tile_idx not in unit.boundary
-        ]
-
-    def missing_coverage_pids(self, tile_idx: int) -> list[int]:
-        """Polygon ids whose unit lacks coverage for this tile."""
-        return [
-            pid for pid, unit in enumerate(self.units)
-            if tile_idx not in unit.coverage
-        ]
-
-    def _tile_slices(self, field: str, tile_idx: int, built: dict | None):
-        """``(pid, pixels)`` for one tile in polygon order: a unit's own
-        state, else what ``built`` supplies for it."""
+    def unit_slices(self, field: str, tile_idx: int) -> dict:
+        """``{pid: this tile's slice}`` of ``field`` (``"boundary"`` /
+        ``"coverage"``) for the units that hold one — a snapshot: a
+        budget pass may strip the units while a tile task composes, so
+        the task reads them once, builds what the snapshot lacks and
+        composes from the completed dict alone."""
+        held = {}
         for pid, unit in enumerate(self.units):
             pixels = getattr(unit, field).get(tile_idx)
-            if pixels is None and built is not None:
-                pixels = built.get(pid)
             if pixels is not None:
-                yield pid, pixels
+                held[pid] = pixels
+        return held
 
-    def compose_boundary(
-        self, tile_idx: int, tile, built: dict | None = None
-    ) -> np.ndarray:
-        """OR every polygon's outline pixels into one tile mask.
-
-        ``built`` supplies pixels for units not yet carrying this tile
-        (a tile task's freshly rasterized polygons).  OR is order-free,
-        so the mask equals a direct render of the whole set.
-        """
+    @staticmethod
+    def compose_boundary(tile, outlines: dict) -> np.ndarray:
+        """OR every polygon's outline pixels (``{pid: (ix, iy)}``) into
+        one tile mask: order-free, so a direct render of the whole set."""
         mask = np.zeros((tile.height, tile.width), dtype=bool)
-        for _, (ix, iy) in self._tile_slices("boundary", tile_idx, built):
-            if len(ix):
-                mask[iy, ix] = True
+        for ix, iy in outlines.values():
+            mask[iy, ix] = True
         return mask
 
-    def compose_coverage(
-        self, tile_idx: int, built: dict | None = None
-    ) -> TileCoverage:
-        """Lay the polygons' coverage pixels end to end, in polygon order.
+    @staticmethod
+    def compose_coverage(slices: dict) -> TileCoverage:
+        """Lay the polygons' coverage pixels (``{pid: flat pixels}``)
+        end to end, in polygon order.
 
         A polygon's coverage is a pure function of that polygon and the
         frame, so composing is one concatenate — nothing is filtered, an
         edit re-concatenates around the one slice it rebuilt, and the
-        accurate and bounded engines share the call.  ``built`` supplies
-        pixels for units not yet carrying this tile.
+        accurate and bounded engines share the call.
         """
-        pids, slices = [], []
-        for pid, pixels in self._tile_slices("coverage", tile_idx, built):
-            if len(pixels):
-                pids.append(pid)
-                slices.append(pixels)
-        counts = np.asarray([len(pixels) for pixels in slices], dtype=np.int64)
+        pids = [pid for pid in sorted(slices) if len(slices[pid])]
+        counts = np.asarray([len(slices[pid]) for pid in pids], dtype=np.int64)
         return TileCoverage(
-            np.concatenate(slices) if slices else np.zeros(0, dtype=np.int64),
+            np.concatenate([slices[pid] for pid in pids])
+            if pids else np.zeros(0, dtype=np.int64),
             np.asarray(pids, dtype=np.int64),
             np.cumsum(counts) - counts,
         )
 
-    def install_unit_boundary(self, tile_idx: int, built: dict) -> None:
-        """Adopt freshly built per-polygon outline pixels for one tile."""
-        for pid, pix in built.items():
-            self.units[pid].boundary[tile_idx] = pix
-        if built:
-            self.version += 1
+    @staticmethod
+    def compose_candidates(
+        tile, outlines: dict, coverage: TileCoverage, fragments: np.ndarray
+    ) -> TileCandidates:
+        """The boundary PIP's lookup for one tile, read off the canvas:
+        every (boundary pixel, polygon) pair with an outline pixel
+        (``outlines``, every polygon's) or a coverage fragment
+        (``coverage.pixels[fragments]``, the ones on the mask) there,
+        sorted by pixel then polygon and de-duplicated — a polygon
+        usually has both on a pixel."""
+        pids = sorted(outlines)
+        flat = [iy * tile.width + ix for ix, iy in map(outlines.get, pids)]
+        pixel = np.concatenate([coverage.pixels[fragments], *flat])
+        owner = np.concatenate([
+            coverage.pids[
+                np.searchsorted(coverage.starts, fragments, side="right") - 1
+            ],
+            np.repeat(pids, [len(pix) for pix in flat]),
+        ])
+        # Sorted, then adjacent repeats dropped (several times faster
+        # than ``np.unique``'s hash pass at these sizes).
+        pairs = np.sort(pixel * len(pids) + owner)
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        pixels, owners = np.divmod(pairs, len(pids))
+        first = np.flatnonzero(np.diff(pixels, prepend=-1))
+        starts = np.append(first, len(pairs))
+        return TileCandidates(pixels[first], starts, owners)
 
     def mark_composed(self, tile_idx: int, boundary=None, coverage=None,
-                      fragments=None) -> None:
-        """Install composed per-tile views (parent side of the merge).
+                      fragments=None, candidates=None,
+                      unit_boundary=None) -> None:
+        """Install what a tile task built (parent side of the merge):
+        composed per-tile views and, as ``unit_boundary``, freshly
+        rasterized per-polygon outline pixels (``{pid: (ix, iy)}``).
 
         A coverage record brings the per-polygon state with it: every
         unit's slice for the tile is pointed into the record's
         ``pixels`` (empty for polygons that own no segment), so the
         tile's pixels are held once however the record was built.
         """
-        if boundary is not None and tile_idx not in self.boundary_masks:
-            self.boundary_masks[tile_idx] = boundary
+        for pid, pix in (unit_boundary or {}).items():
+            self.units[pid].boundary[tile_idx] = pix
+        if unit_boundary:
             self.version += 1
+        for held, view in (
+            (self.boundary_masks, boundary),
+            (self.boundary_fragments, fragments),
+            (self.candidates, candidates),
+        ):
+            if view is not None and tile_idx not in held:
+                held[tile_idx] = view
+                self.version += 1
         if coverage is not None and tile_idx not in self.coverage:
             self.coverage[tile_idx] = coverage
             counts = np.zeros(len(self.units), dtype=np.int64)
@@ -590,9 +554,6 @@ class PreparedPolygons:
                 self.units, np.split(coverage.pixels, np.cumsum(counts)[:-1])
             ):
                 unit.coverage[tile_idx] = pixels
-            self.version += 1
-        if fragments is not None and tile_idx not in self.boundary_fragments:
-            self.boundary_fragments[tile_idx] = fragments
             self.version += 1
 
     @property
@@ -608,15 +569,13 @@ class PreparedPolygons:
     # ------------------------------------------------------------------
     @property
     def has_derived(self) -> bool:
-        """Whether the artifact carries re-derivable render state.
-
-        Boundary masks, outline pixels and coverage are pure functions
-        of the fields that remain after stripping them (tiles,
-        triangles, grid), so they are the first tier a byte-budgeted
-        session gives back.
-        """
+        """Whether the artifact carries re-derivable render state:
+        boundary masks, outline pixels, coverage and candidate lists are
+        pure functions of what remains after stripping them (tiles,
+        triangles), so a byte-budgeted session gives them back first."""
         return bool(
             self.boundary_masks or self.coverage or self.boundary_fragments
+            or self.candidates
         ) or any(
             u.boundary or u.coverage for u in self.units
         )
@@ -624,19 +583,19 @@ class PreparedPolygons:
     def strip_derived(self) -> int:
         """Drop boundary/coverage state, returning the bytes freed.
 
-        The artifact becomes *partial*: triangles, grid cells, canvas,
-        MBRs and the edge table stay hot while the (much larger)
-        per-pixel state — the composed views and the per-unit slices —
-        is released.  Only state a tile task re-derives by
-        itself may go: a budget pass can strip an artifact whose tile
-        loop is in flight, and the task reads the grid, the MBRs and the
-        edge table without a rebuild path.  Engines re-derive the dropped
-        pieces lazily, tile by tile, bit-identical to the dropped ones.
+        The artifact becomes *partial*: triangles, canvas, MBRs and the
+        edge table stay hot while the (much larger) per-pixel state —
+        the composed views and the per-unit slices — is released.  Only
+        what a tile task re-derives by itself may go (lazily, tile by
+        tile, bit-identical): a budget pass can strip an artifact whose
+        tile loop is in flight, and the task reads the triangles, the
+        MBRs and the edge table without a rebuild path.
         """
         before = self.nbytes
         self.boundary_masks = {}
         self.coverage = {}
         self.boundary_fragments = {}
+        self.candidates = {}
         for unit in self.units:
             unit.boundary = {}
             unit.coverage = {}
@@ -660,7 +619,6 @@ class PreparedPolygons:
             self.canvas is not None,
             self.tiles is not None,
             self.triangles is not None,
-            self.grid is not None,
             self.mbr_arrays is not None,
             self.edge_table is not None,
             len(self.boundary_masks),
@@ -675,29 +633,28 @@ class PreparedPolygons:
         lists the same arrays).  A tile's coverage pixels are counted
         once: through its record when the artifact holds one (the units'
         slices are views into it), else through the units.  The
-        boundary-fragment index (the outlines' share of coverage, a few
-        percent of it) is left out: it is never persisted, and a session
-        takes an entry that measures more than its stored pair for one
-        that must be written again.
+        boundary-fragment index and the candidate lists (the outlines'
+        share of coverage, a few percent of it) are left out: they are
+        never persisted, and a session takes an entry that measures
+        more than its stored pair for one that must be written again.
         """
-        total = sum(mask.nbytes for mask in self.boundary_masks.values())
-        total += sum(record.nbytes for record in self.coverage.values())
-        if self.grid is not None:
-            total += self.grid.memory_bytes
+        # Snapshots: another query's tile loop may be installing views.
+        coverage = dict(self.coverage)
+        total = sum(mask.nbytes for mask in list(self.boundary_masks.values()))
+        total += sum(record.nbytes for record in coverage.values())
         if self.edge_table is not None:
             total += self.edge_table.nbytes
         if self.mbr_arrays is not None:
             total += sum(arr.nbytes for arr in self.mbr_arrays)
         for unit in self.units:
-            if unit.cells is not None:
-                total += unit.cells.nbytes
             total += sum(t.nbytes for t in unit.triangles or ())
             total += sum(
-                ix.nbytes + iy.nbytes for ix, iy in unit.boundary.values()
+                ix.nbytes + iy.nbytes
+                for ix, iy in list(unit.boundary.values())
             )
             total += sum(
-                pixels.nbytes for idx, pixels in unit.coverage.items()
-                if idx not in self.coverage
+                pixels.nbytes for idx, pixels in list(unit.coverage.items())
+                if idx not in coverage
             )
         return total
 
@@ -705,8 +662,6 @@ class PreparedPolygons:
         parts = []
         if self.triangles is not None:
             parts.append("triangles")
-        if self.grid is not None:
-            parts.append("grid")
         if self.canvas is not None:
             parts.append("canvas")
         if self.boundary_masks:

@@ -2,8 +2,8 @@
 
 Pass one :class:`QuerySession` to every engine (or to the SQL planner /
 optimizer, which forward it) and repeated queries over the same polygon
-set reuse triangulations, grid indexes, canvas layouts, boundary masks,
-and polygon coverage instead of rebuilding them:
+set reuse triangulations, canvas layouts, boundary masks, candidate
+lists and polygon coverage instead of rebuilding them:
 
     session = QuerySession()
     engine = AccurateRasterJoin(resolution=1024, session=session)
@@ -15,7 +15,7 @@ The session is *tiered* (see ``docs/artifact_store.md``):
 1. **Memory, full** — the artifact with every derived field hot.
 2. **Memory, partial** — under byte-budget pressure the coverage arrays
    and boundary masks of cold entries are dropped (they re-derive
-   lazily, bit-identically); triangles and the grid index stay hot.
+   lazily, bit-identically); triangles and the edge table stay hot.
 3. **Disk** — with an :class:`~repro.store.ArtifactStore` attached (or
    ``$REPRO_STORE_DIR`` set), entries leaving memory are *demoted* to
    the store instead of dropped, and lookups that miss memory consult
@@ -36,10 +36,7 @@ Invalidation rules (see ``docs/query_sessions.md`` and
   is **delta-derived** instead of cold-built: unchanged polygons adopt
   the sibling's per-polygon units and only the changed/added polygons'
   artifacts rebuild (``prepared_for`` returns ``"delta"``) — through
-  the batched raster builders (``docs/rasterization.md``), and with
-  the sibling's CSR grid *spliced* in place of a full recompose when
-  polygon ids are stable
-  (:meth:`repro.index.grid.GridIndex.splice`);
+  the batched raster builders (``docs/rasterization.md``);
 * the session holds at most ``capacity`` artifacts (and at most
   ``byte_budget`` bytes, when set), demoting the least recently used
   beyond that;
@@ -292,7 +289,7 @@ class QuerySession:
 
         ``spec`` is the engine's render configuration tuple — everything
         besides geometry that the artifact's contents depend on (engine
-        kind, resolution/epsilon, grid resolution, tiling limit, ...).
+        kind, resolution/epsilon, edge-table rows, tiling limit, ...).
 
         The second element is ``"memory"`` for an in-memory hit,
         ``"store"`` for a disk-tier hit (loaded and promoted back into
@@ -368,8 +365,8 @@ class QuerySession:
         """The best resident sibling to derive an edited set from.
 
         A candidate must share the render spec and the *frame* — the
-        set's overall extent, which pins the canvas layout and the grid
-        extent every per-polygon artifact was computed under — and match
+        set's overall extent, which pins the canvas layout every
+        per-polygon artifact was computed under — and match
         at least one polygon by content fingerprint.  Among candidates
         the one reusing the most polygons wins (most recently used on
         ties).  The probe never touches LRU order or hit counters.
@@ -423,7 +420,7 @@ class QuerySession:
         warm *fraction*:
 
         * ``"full"`` — the polygon pass replays stored coverage;
-        * ``"partial"`` — triangulation/grid are reusable but coverage
+        * ``"partial"`` — the triangulation is reusable but coverage
           (and boundary masks) re-derive;
         * ``None`` — cold: nothing is reusable anywhere.
 
@@ -453,7 +450,7 @@ class QuerySession:
             if fields is not None:
                 if "coverage" in fields:
                     return Warmth("full")
-                if "triangles" in fields or "grid" in fields:
+                if "triangles" in fields:
                     return Warmth("partial")
         # Exact miss: grade the best delta sibling fractionally.  The
         # per-polygon hashing runs only when a resident entry could
@@ -505,7 +502,7 @@ class QuerySession:
         """``"full"`` / ``"partial"`` / ``None`` for a resident entry."""
         if entry.coverage or any(u.coverage for u in entry.units):
             return "full"
-        if entry.triangles is not None or entry.grid is not None:
+        if entry.triangles is not None:
             return "partial"
         return None  # empty shell: execution rebuilds everything
 
@@ -937,7 +934,7 @@ class QuerySession:
         if total <= self.byte_budget:
             return
         # Tier 1: strip re-derivable state (coverage, boundary masks)
-        # from cold entries, keeping triangles and grid hot.  Full
+        # from cold entries, keeping triangles and edges hot.  Full
         # artifacts are persisted first so the disk tier keeps coverage.
         for key in list(self._entries):
             if total <= self.byte_budget:

@@ -5,8 +5,10 @@ Three steps, following the paper:
 1. render the *outlines* of all polygons conservatively into a boundary
    mask (the Boundary FBO);
 2. draw the points — a point whose fragment lands on a boundary pixel is
-   joined exactly through the grid index (JoinPoint: probe + PIP against
-   every candidate), every other point accumulates into the point FBO;
+   joined exactly (JoinPoint: a PIP test against every polygon that
+   pixel lists as a candidate — those with an outline pixel or a raster
+   fragment on it, read off the canvas instead of a second index),
+   every other point accumulates into the point FBO;
 3. draw the polygons — every fragment adds its FBO partial aggregate to
    the owning polygon.  The paper discards fragments on boundary pixels
    (their points were already handled); here step 2 never scatters those
@@ -18,10 +20,11 @@ pure rasterization.  The result is exact for any resolution — resolution
 only shifts work between the PIP path and the raster path.
 
 Everything that depends only on the polygon set — canvas layout,
-triangulations, the grid index, per-tile boundary masks, and per-polygon
-pixel coverage — lives in a :class:`~repro.cache.prepared.PreparedPolygons`
-artifact, and attaching a :class:`~repro.cache.session.QuerySession` makes
-repeated queries over the same polygons skip the whole rebuild.  The three
+triangulations, per-tile boundary masks and candidate lists, per-polygon
+pixel coverage, the PIP's edge table — lives in a
+:class:`~repro.cache.prepared.PreparedPolygons` artifact, and attaching a
+:class:`~repro.cache.session.QuerySession` makes repeated queries over
+the same polygons skip the whole rebuild.  The three
 steps themselves are the shared tile pipeline (:mod:`repro.core.tiles`)
 run under this engine's kernel: exact boundary stage, float64 framebuffer.
 """
@@ -62,7 +65,13 @@ class AccurateRasterJoin(RasterJoinEngine):
         super().__init__(device, session=session, config=config)
         if resolution < 1:
             raise QueryError(f"resolution must be >= 1, got {resolution}")
+        if grid_resolution < 1:
+            raise QueryError(
+                f"grid_resolution must be >= 1, got {grid_resolution}"
+            )
         self.resolution = resolution
+        #: Row bands of the boundary PIP's edge table (named for the
+        #: grid index that once framed them); never changes an answer.
         self.grid_resolution = grid_resolution
         # Exactness demands lossless per-pixel accumulators.  The paper's
         # GL implementation uses 32-bit channels; in this reproduction the
@@ -93,7 +102,7 @@ class AccurateRasterJoin(RasterJoinEngine):
     def _make_canvas(self, polygons: PolygonSet) -> Canvas:
         """Canvas over the polygon-set extent, padded by one pixel so
         points sitting exactly on the extent's max edges still land on
-        the grid instead of being clipped."""
+        the canvas instead of being clipped."""
         extent = polygons.bbox
         probe = Canvas.for_resolution(extent, self.resolution)
         pad = max(probe.pixel_width, probe.pixel_height)
@@ -102,8 +111,7 @@ class AccurateRasterJoin(RasterJoinEngine):
     def _prepare(
         self, polygons: PolygonSet, stats: ExecutionStats
     ) -> PreparedPolygons:
-        """Canvas layout, triangulations, grid index and edge table —
-        built once."""
+        """Canvas layout, triangulations and edge table — built once."""
         with trace.span("prepare", polygons=len(polygons)):
             prepared = self._prepared_state(
                 polygons, self.prepared_spec(), stats
@@ -114,12 +122,11 @@ class AccurateRasterJoin(RasterJoinEngine):
                     prepared.canvas.tiles(self.max_resolution)
                 )
             prepared.ensure_triangles(polygons, stats)
-            prepared.ensure_grid(polygons, self.grid_resolution, "mbr", stats)
             # Columnar MBRs feed the batched builders' vectorized per-tile
             # bin pass and gate the edge table's pair test; built in the
             # parent so tile tasks only read them.
             prepared.ensure_mbr_arrays(polygons)
-            prepared.ensure_edge_table(polygons)
+            prepared.ensure_edge_table(polygons, self.grid_resolution)
         stats.extra["canvas"] = (prepared.canvas.width, prepared.canvas.height)
         return prepared
 

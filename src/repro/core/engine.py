@@ -6,11 +6,11 @@ points into device-sized batches, move each batch to the device exactly
 once (measured as transfer time), run the vertex-stage filter, and hand the
 surviving points to an engine-specific kernel.  Those steps live here as
 plain functions (:func:`point_batches`, :func:`apply_filters`,
-:func:`grid_pip_aggregate`) so the four engines only differ in their
-kernels; the two raster joins share one per-tile pipeline instead,
-:mod:`repro.core.tiles`, which consumes points already routed to their
-tile and pixel (:mod:`repro.exec.partition`) and applies the filter as a
-mask, so of these it calls only :func:`grid_pip_aggregate`.
+:func:`grid_pip_aggregate`, :func:`pip_aggregate`) so the four engines
+only differ in their kernels; the two raster joins share one per-tile
+pipeline instead, :mod:`repro.core.tiles`, which consumes points already
+routed to their tile and pixel (:mod:`repro.exec.partition`) and applies
+the filter as a mask, so of these it calls only :func:`pip_aggregate`.
 """
 
 from __future__ import annotations
@@ -399,39 +399,46 @@ def grid_pip_aggregate(
     accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
 ) -> None:
-    """The JoinPoint procedure as one flat pass over candidate pairs.
-
-    Each point probes its grid cell and is PIP-tested against every
-    candidate polygon — one test per point/candidate pair, exactly the work
-    the paper counts.  The (point, polygon) pairs are expanded from the CSR
-    grid arrays in bulk and tested all at once against ``edges``, the
-    polygon set's row-banded edge table (built over this grid's frame) —
-    the SPMD batching a GPU compute shader would perform, with no
-    per-polygon call.  Aggregation is fused: the matched pairs, grouped by
-    polygon in point order, reduce one segment per polygon and blend into
-    the accumulators; nothing is materialized beyond the pair arrays.
-    """
-    if len(xs) == 0:
-        return
+    """The JoinPoint procedure over the polygon grid index: each point
+    probes its cell and pairs with every polygon registered there (one
+    bulk CSR expansion), and the pairs join through
+    :func:`pip_aggregate`.  The raster join reads its candidates off the
+    canvas instead (:mod:`repro.core.tiles`)."""
     cells = grid.cell_of_points(xs, ys)
     valid = cells >= 0
     cells = np.where(valid, cells, 0)
-    counts = np.where(
-        valid, grid.cell_start[cells + 1] - grid.cell_start[cells], 0
+    first = grid.cell_start[cells]
+    counts = np.where(valid, grid.cell_start[cells + 1] - first, 0)
+    pip_aggregate(
+        xs, ys, attrs, np.repeat(np.arange(len(xs), dtype=np.int64), counts),
+        grid.entries[ragged_positions(first, counts)],
+        edges, aggregate, accumulators, stats,
     )
-    total = int(counts.sum())
-    if total == 0:
-        return
-    stats.pip_tests += total
-    # CSR expansion: candidate k of point i sits at
-    # entries[cell_start[cell_i] + k].
-    point_idx = np.repeat(np.arange(len(xs), dtype=np.int64), counts)
-    poly_ids = grid.entries[ragged_positions(grid.cell_start[cells], counts)]
 
-    inside = edges.contains_pairs(
-        xs[point_idx], ys[point_idx],
-        cells[point_idx] // grid.resolution, poly_ids,
-    )
+
+def pip_aggregate(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    attrs: dict[str, np.ndarray],
+    point_idx: np.ndarray,
+    poly_ids: np.ndarray,
+    edges: EdgeTable,
+    aggregate: Aggregate,
+    accumulators: dict[str, np.ndarray],
+    stats: ExecutionStats,
+) -> None:
+    """PIP-test candidate pairs and aggregate the matches, in one flat pass.
+
+    Pair ``k`` is (point ``point_idx[k]``, polygon ``poly_ids[k]``),
+    points ascending, no pair repeated — one test per pair, the work the
+    paper counts, all at once against ``edges``, the set's row-banded
+    edge table (the SPMD batching of a GPU compute shader, no
+    per-polygon call).  Aggregation is fused: the matches, grouped by
+    polygon in point order, reduce one segment per polygon and blend
+    into the accumulators; only the pair arrays are materialized.
+    """
+    stats.pip_tests += len(poly_ids)
+    inside = edges.contains_pairs(xs[point_idx], ys[point_idx], poly_ids)
     # Group the matches by polygon (stable: point order within a
     # polygon); only polygons that matched own a segment.
     matched_pid = poly_ids[inside]

@@ -122,7 +122,7 @@ class IndexJoin(SpatialAggregationEngine):
                 polygons, self.grid_resolution, self.grid_assignment, stats
             )
             if self.mode == "gpu":
-                prepared.ensure_edge_table(polygons)
+                prepared.ensure_edge_table(polygons, self.grid_resolution)
         return prepared
 
     def _run(

@@ -62,12 +62,6 @@ class MaterializingJoin(SpatialAggregationEngine):
         super().__init__(device, session=session, config=config)
         self.leaf_capacity = leaf_capacity
         self.truncate_bits = truncate_bits
-        #: Minimum materialized candidate pairs per batch before the PIP
-        #: refinement fans out across the execution backend; below it the
-        #: dispatch overhead outweighs the parallel PIP work.  The
-        #: threshold depends only on the data, never on the backend, so
-        #: the refinement path (and its bit pattern) is deterministic.
-        self.parallel_refine_threshold = 100_000
 
     def prepared_spec(self) -> tuple:
         """The render-spec part of this engine's artifact cache key."""
@@ -86,11 +80,11 @@ class MaterializingJoin(SpatialAggregationEngine):
         # The materializing join renders no tiles; it still reports the
         # execution environment uniformly across engines.
         self._record_execution_env(stats, 1)
-        # Polygon-side preparation: columnar MBRs, reused via the session.
+        # Polygon-side preparation: columnar MBRs and the refinement's
+        # edge table, reused via the session.
         prepared = self._prepared_state(polygons, self.prepared_spec(), stats)
-        poly_xmin, poly_xmax, poly_ymin, poly_ymax = (
-            prepared.ensure_mbr_arrays(polygons)
-        )
+        edges = prepared.ensure_edge_table(polygons)
+        poly_xmin, poly_xmax, poly_ymin, poly_ymax = edges.mbrs
 
         for batch in point_batches(points, columns, self.device, stats):
             start = time.perf_counter()
@@ -148,67 +142,20 @@ class MaterializingJoin(SpatialAggregationEngine):
                 stats.processing_s += time.perf_counter() - start
                 continue
 
-            # Refinement: PIP per candidate pair, producing the match list.
-            # Polygon groups are independent, so they fan out over the
-            # engine's execution backend when the
-            # materialized pair count is worth the dispatch; partials
-            # merge in slice order, so the match list — and therefore
-            # the aggregation — is bit-identical to inline refinement.
-            match_pt: list[np.ndarray] = []
-            match_poly: list[np.ndarray] = []
+            # Refinement: one PIP test per candidate pair, producing the
+            # match list — polygon-major, each polygon's candidates in
+            # their materialized order.
             order = np.argsort(cand_poly, kind="stable")
             cand_pt = cand_pt[order]
             cand_poly = cand_poly[order]
-            group_bounds = np.flatnonzero(np.diff(cand_poly)) + 1
-            starts = np.concatenate([[0], group_bounds])
-            ends = np.concatenate([group_bounds, [len(cand_poly)]])
-            groups = list(zip(starts, ends))
-
-            def refine(lo: int, hi: int):
-                pt_out: list[np.ndarray] = []
-                poly_out: list[np.ndarray] = []
-                tests = 0
-                for s, e in groups[lo:hi]:
-                    pid = int(cand_poly[s])
-                    ids = cand_pt[s:e]
-                    inside = polygons[pid].contains_points(xs[ids], ys[ids])
-                    tests += len(ids)
-                    if inside.any():
-                        pt_out.append(ids[inside])
-                        poly_out.append(
-                            np.full(int(inside.sum()), pid, dtype=np.int64)
-                        )
-                return pt_out, poly_out, tests
-
-            workers = self.backend.workers
-            with trace.span("pip-refine", concurrent=workers > 1,
-                            pairs=int(len(cand_poly))):
-                if (
-                    workers > 1
-                    and len(groups) > 1
-                    and len(cand_poly) >= self.parallel_refine_threshold
-                ):
-                    step = -(-len(groups) // workers)
-                    slices = [
-                        (lo, min(lo + step, len(groups)))
-                        for lo in range(0, len(groups), step)
-                    ]
-                    partials = self.backend.run_tasks(
-                        [
-                            (lambda lo=lo, hi=hi: refine(lo, hi))
-                            for lo, hi in slices
-                        ]
-                    )
-                    stats.extra["pool"] = self.backend.last_pool_event
-                else:
-                    partials = [refine(0, len(groups))]
-            for pt_out, poly_out, tests in partials:
-                match_pt.extend(pt_out)
-                match_poly.extend(poly_out)
-                stats.pip_tests += tests
-            if match_pt:
-                joined_pt = np.concatenate(match_pt)
-                joined_poly = np.concatenate(match_poly)
+            with trace.span("pip-refine", pairs=int(len(cand_poly))):
+                inside = edges.contains_pairs(
+                    xs[cand_pt], ys[cand_pt], cand_poly
+                )
+            stats.pip_tests += len(cand_poly)
+            joined_pt = cand_pt[inside]
+            joined_poly = cand_poly[inside]
+            if len(joined_pt):
                 stats.extra["join_size"] = (
                     stats.extra.get("join_size", 0) + len(joined_pt)
                 )

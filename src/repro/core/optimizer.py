@@ -35,16 +35,15 @@ from repro.graphics.viewport import Canvas
 class CostModel:
     """Fitted per-unit costs (seconds).
 
-    ``per_vertex_triangulate`` and ``per_vertex_grid`` price the
-    polygon-side preparation (triangulation; grid-index build) that a
-    cold run pays and a warm run skips.  The ``warm`` argument of the
+    ``per_vertex_triangulate`` prices the polygon-side preparation
+    (triangulation) that a cold run pays and a warm run skips.  The ``warm`` argument of the
     predictors grades what the session actually holds for the variant:
 
     * ``"full"`` (or ``True``) — the artifact carries coverage, so both
       the preparation term and the polygon-pass term are dropped (the
       warm polygon pass replays stored coverage indices, whose gather
       cost is noise next to rasterizing the triangles);
-    * ``"partial"`` — triangulation/grid are reusable but coverage must
+    * ``"partial"`` — the triangulation is reusable but coverage must
       re-rasterize, so only the preparation term is dropped;
     * ``False``/``None`` — cold: every term is paid.
 
@@ -62,7 +61,6 @@ class CostModel:
     per_pip_test: float
     per_boundary_point: float
     per_vertex_triangulate: float = 0.0
-    per_vertex_grid: float = 0.0
 
     @staticmethod
     def _grades(warm) -> tuple[float, float]:
@@ -162,12 +160,10 @@ class CostModel:
         waves = math.ceil(tiles / concurrency)
         boundary_points = num_points * boundary_fraction
         prepared, replayable = self._grades(warm)
-        prepare = (
-            (self.per_vertex_triangulate + self.per_vertex_grid)
-            * num_vertices * (1.0 - prepared)
-        )
         return {
-            "prepare": prepare,
+            "prepare": (
+                self.per_vertex_triangulate * num_vertices * (1.0 - prepared)
+            ),
             "point_pass": 0.0 if prewarmed else self._point_pass_seconds(
                 num_points, tiles, waves, partitioned, routed
             ),
@@ -222,7 +218,6 @@ def _calibrate(device: GPUDevice | None, probe_points: int = 20_000) -> CostMode
         per_vertex_triangulate=max(
             res_b.stats.triangulation_s / probe_vertices, 0.0
         ),
-        per_vertex_grid=max(res_a.stats.index_build_s / probe_vertices, 0.0),
     )
 
 

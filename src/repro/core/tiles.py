@@ -47,12 +47,16 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.cache.prepared import PreparedPolygons, TileCoverage
+from repro.cache.prepared import (
+    PreparedPolygons,
+    TileCandidates,
+    TileCoverage,
+)
 from repro.core.aggregates import Aggregate, Count
 from repro.core.engine import (
     SpatialAggregationEngine,
-    grid_pip_aggregate,
     new_accumulators,
+    pip_aggregate,
 )
 from repro.core.filters import FilterSet, filter_key
 from repro.data.dataset import PointDataset
@@ -81,6 +85,7 @@ from repro.graphics.raster_batch import (
 from repro.graphics.raster_line import outline_pixels_many
 from repro.graphics.raster_polygon import scanline_polygon_pixels
 from repro.graphics.viewport import Viewport
+from repro.index.grid import ragged_positions
 from repro.obs import metrics, trace
 from repro.types import AggregationResult, ExecutionStats
 
@@ -200,14 +205,11 @@ def run_tile(
             new_accumulators(member.polygons, member.aggregate),
             ExecutionStats(engine=kernel.engine, batches=0, passes=1),
         )
-        boundary = None
+        views = None
         if kernel.exact:
-            boundary, built, built_units = _tile_boundary(
-                tile_idx, tile, member, partial.stats
+            views = _tile_boundary(
+                tile_idx, tile, kernel, member, partial, retain
             )
-            if retain:
-                partial.boundary_mask = built
-                partial.unit_boundary = built_units
         # A prewarmed pairing hands the tile its framebuffers ready-made.
         cached = chunks if isinstance(chunks, CachedTile) else None
         with trace.span("point-pass"):
@@ -216,24 +218,22 @@ def run_tile(
                     tile, member.aggregate, kernel.fbo_dtype
                 )
                 partial.saw_points = _point_pass(
-                    kernel, member, columns, chunks, boundary, fbo, partial,
+                    kernel, member, columns, chunks, views, fbo, partial,
                 )
             else:
                 partial.saw_points = True
-                _cached_point_pass(member, cached, boundary, partial)
+                _cached_point_pass(member, cached, views, partial)
         with trace.span("polygon-pass"):
-            built, built_fragments = _polygon_pass(
+            built = _polygon_pass(
                 tile_idx, tile, kernel, member,
                 cached.channels if cached is not None else {
                     ch: fbo.channel(ch).ravel()
                     for ch in member.aggregate.channels
                 },
-                partial.accumulators, partial.stats,
-                blank_on=None if cached is None else boundary,
+                partial, views, blank=cached is not None,
             )
-        if retain:
-            partial.coverage = built
-            partial.boundary_fragments = built_fragments
+        if retain and built is not None:
+            partial.built["coverage"] = built
         if keep_fbo:
             partial.payload = (tile, fbo)
         partial.span = tile_span
@@ -241,52 +241,83 @@ def run_tile(
 
 
 # -- stage 1: draw the boundaries ---------------------------------------
-def _tile_pids(tile: Viewport, member: TileMember) -> np.ndarray:
-    """Vectorized bin pass: which polygons' boxes touch this tile.
+class TileViews(NamedTuple):
+    """The exact kernel's polygon side of one tile, four views over the
+    same pixels (named as ``mark_composed`` takes them): the outline
+    mask, the coverage record, the index of its fragments lying on the
+    mask, and the boundary PIP's candidates."""
 
-    One boolean per polygon over the prepared columnar MBRs (the
-    inclusive ``bbox.intersects`` gate, for the whole set at once).
-    """
-    return bin_polygons_to_tile(tile, member.prepared.mbr_arrays)
+    boundary: np.ndarray
+    coverage: TileCoverage
+    fragments: np.ndarray
+    candidates: TileCandidates
 
 
 def _tile_boundary(
     tile_idx: int,
     tile: Viewport,
+    kernel: TileKernel,
     member: TileMember,
-    stats: ExecutionStats,
-) -> tuple[np.ndarray, np.ndarray | None, dict | None]:
-    """This tile's conservative outline mask: cached, or built.
+    partial: TilePartial,
+    retain: bool,
+) -> TileViews:
+    """This tile's conservative outline mask and what is read through
+    it: cached, or built.
 
-    Returns ``(boundary, built mask, built per-polygon outlines)`` — the
-    last two ``None`` when the artifact already held the mask.  A build
-    rasterizes outlines in one vectorized edge pass over the polygons
-    whose unit lacks this tile (those that survive the tile bin gate)
-    and ORs every polygon's pixels into the mask; OR is order-free, so
-    composing per-polygon pixel sets equals rendering the whole set.
+    A build rasterizes outlines in one vectorized edge pass over the
+    polygons whose unit lacks this tile (those whose box meets it — one
+    vectorized bin pass over the columnar MBRs) and ORs every polygon's
+    pixels into the mask.  The coverage raster runs here too: a boundary
+    pixel's candidates are the polygons with an outline pixel or a
+    coverage fragment on it.  Under ``retain`` what this call built goes
+    home in ``partial``.
     """
     prepared = member.prepared
-    boundary = prepared.boundary_masks.get(tile_idx)
-    built = built_units = None
-    if boundary is None:
+    held = views = TileViews(
+        prepared.boundary_masks.get(tile_idx),
+        prepared.coverage.get(tile_idx),
+        prepared.boundary_fragments.get(tile_idx),
+        prepared.candidates.get(tile_idx),
+    )
+    if any(view is None for view in held):
         with trace.span("boundary"):
             start = time.perf_counter()
-            pids = prepared.missing_boundary_pids(tile_idx)
-            hit = _tile_pids(tile, member)
+            outlines = prepared.unit_slices("boundary", tile_idx)
+            pids = [
+                pid for pid in range(len(prepared.units))
+                if pid not in outlines
+            ]
+            hit = bin_polygons_to_tile(tile, prepared.mbr_arrays)
             empty = np.zeros(0, dtype=np.int64)
             built_units = {pid: (empty, empty) for pid in pids}
-            built_units.update(outline_pixels_many(
-                tile,
-                {pid: member.polygons[pid].rings for pid in pids if hit[pid]},
-            ))
-            boundary = built = prepared.compose_boundary(
-                tile_idx, tile, built_units
-            )
-            stats.processing_s += time.perf_counter() - start
-    # Assigned, never accumulated: the tile's boundary population,
-    # counted from the mask this task holds.
-    stats.extra["boundary_pixels"] = int(np.count_nonzero(boundary))
-    return boundary, built, built_units
+            built_units.update(outline_pixels_many(tile, {
+                pid: member.polygons[pid].rings for pid in pids if hit[pid]
+            }))
+            outlines.update(built_units)
+            boundary, coverage, fragments, candidates = held
+            if boundary is None:
+                boundary = prepared.compose_boundary(tile, outlines)
+            if coverage is None:
+                coverage = _tile_coverage(tile_idx, tile, kernel, member)
+            if fragments is None:
+                fragments = np.flatnonzero(
+                    boundary.reshape(-1).take(coverage.pixels)
+                )
+            if candidates is None:
+                candidates = prepared.compose_candidates(
+                    tile, outlines, coverage, fragments
+                )
+            views = TileViews(boundary, coverage, fragments, candidates)
+            if retain:
+                partial.built = {
+                    name: new for name, new, old
+                    in zip(TileViews._fields, views, held) if old is None
+                }
+                partial.built["unit_boundary"] = built_units
+            partial.stats.processing_s += time.perf_counter() - start
+    # Assigned, never accumulated: the tile's boundary population.
+    partial.stats.extra["boundary_pixels"] = len(views.candidates.pixels)
+    return views
 
 
 # -- stage 2: draw the points -------------------------------------------
@@ -306,7 +337,7 @@ def _point_pass(
     member: TileMember,
     columns: tuple[str, ...],
     chunks,
-    boundary: np.ndarray | None,
+    views: TileViews | None,
     fbo: FrameBuffer,
     partial: TilePartial,
 ) -> bool:
@@ -350,8 +381,8 @@ def _point_pass(
             stats.points_processed += n
             stats.points_filtered_out += dropped
             _route_batch(
-                boundary, fbo, cols, chunk.pix.astype(np.intp, copy=False),
-                keep, member, partial.accumulators, stats,
+                views, fbo, cols, chunk.pix.astype(np.intp, copy=False),
+                keep, member, partial,
             )
             stats.processing_s += time.perf_counter() - start
         finally:
@@ -363,7 +394,7 @@ def _point_pass(
 def _cached_point_pass(
     member: TileMember,
     rows_of: CachedTile,
-    boundary: np.ndarray,
+    views: TileViews,
     partial: TilePartial,
 ) -> None:
     """The point pass of a prewarmed tile: only its boundary stage.
@@ -374,9 +405,9 @@ def _cached_point_pass(
     them: in source order, one PIP call per device batch of the
     statement, the filter run over those rows alone.
     """
-    stats, filters, aggregate = partial.stats, member.filters, member.aggregate
+    stats, filters = partial.stats, member.filters
     cols = rows_of.columns
-    for rows in rows_of.rows_on(np.flatnonzero(boundary)):
+    for rows in rows_of.rows_on(views.candidates.pixels):
         n = len(rows)
         if n == 0:
             continue
@@ -386,58 +417,73 @@ def _cached_point_pass(
             rows = rows[filters.mask(lambda name: cols[name].take(rows), n)]
         stats.points_processed += n
         stats.points_filtered_out += n - len(rows)
-        stats.boundary_points += len(rows)
-        if len(rows):
-            with trace.span("boundary-pip", points=len(rows)):
-                grid_pip_aggregate(
-                    cols["x"].take(rows), cols["y"].take(rows),
-                    {c: cols[c].take(rows) for c in aggregate.columns},
-                    member.prepared.grid, member.prepared.edge_table,
-                    aggregate, partial.accumulators, stats,
-                )
+        _boundary_join(
+            views.candidates, rows_of.pix, cols, rows, member, partial
+        )
         stats.processing_s += time.perf_counter() - start
 
 
+def _boundary_join(
+    candidates: TileCandidates,
+    pix: np.ndarray,
+    cols: dict[str, np.ndarray],
+    rows: np.ndarray,
+    member: TileMember,
+    partial: TilePartial,
+) -> None:
+    """Join the batch rows ``rows`` — all on boundary pixels — exactly:
+    a row's flat pixel ranks it among the candidates' sorted pixels, it
+    pairs with that pixel's polygons, and the pairs go through the
+    engines' one PIP-and-aggregate pass.  Only these rows gather their
+    coordinates, and only the aggregate's own columns."""
+    partial.stats.boundary_points += len(rows)
+    if len(rows) == 0:
+        return
+    aggregate = member.aggregate
+    with trace.span("boundary-pip", points=len(rows)):
+        rank = np.searchsorted(candidates.pixels, pix.take(rows))
+        first = candidates.starts[rank]
+        counts = candidates.starts[rank + 1] - first
+        pip_aggregate(
+            cols["x"].take(rows), cols["y"].take(rows),
+            {c: cols[c].take(rows) for c in aggregate.columns},
+            np.repeat(np.arange(len(rows), dtype=np.int64), counts),
+            candidates.pids[ragged_positions(first, counts)],
+            member.prepared.edge_table, aggregate, partial.accumulators,
+            partial.stats,
+        )
+
+
 def _route_batch(
-    boundary: np.ndarray | None,
+    views: TileViews | None,
     fbo: FrameBuffer,
     cols: dict[str, np.ndarray],
     pix: np.ndarray,
     keep: np.ndarray | None,
     member: TileMember,
-    accumulators: dict[str, np.ndarray],
-    stats: ExecutionStats,
+    partial: TilePartial,
 ) -> None:
     """Route one batch: kept rows on a boundary pixel join exactly
-    through the grid index, the other kept rows rasterize into the tile
-    framebuffer, in row order.
+    through that pixel's candidates, the other kept rows rasterize into
+    the tile framebuffer, in row order.
 
-    Without a boundary mask (the bounded join) everything kept
-    rasterizes.  Only the boundary rows ever gather their coordinates,
-    and only the aggregate's own columns are read; values are cast to
-    the FBO's dtype by the additive blend, as 32-bit GL channels would.
+    Without views (the bounded join) everything kept rasterizes.  Values
+    are cast to the FBO's dtype by the additive blend, as 32-bit GL
+    channels would.
     """
     aggregate = member.aggregate
     rows = None  # the rows that rasterize; None: the batch as it is
-    if boundary is None:
+    if views is None:
         if keep is not None:
             rows = np.flatnonzero(keep)
     else:
-        edge = boundary.reshape(-1)[pix]
+        edge = views.boundary.reshape(-1)[pix]
         interior = ~edge
         if keep is not None:
             edge &= keep
             interior &= keep
         on_edge = np.flatnonzero(edge)
-        stats.boundary_points += len(on_edge)
-        if len(on_edge):
-            with trace.span("boundary-pip", points=len(on_edge)):
-                grid_pip_aggregate(
-                    cols["x"].take(on_edge), cols["y"].take(on_edge),
-                    {c: cols[c].take(on_edge) for c in aggregate.columns},
-                    member.prepared.grid, member.prepared.edge_table,
-                    aggregate, accumulators, stats,
-                )
+        _boundary_join(views.candidates, pix, cols, on_edge, member, partial)
         if len(on_edge) or keep is not None:
             rows = np.flatnonzero(interior)
     if rows is not None:
@@ -450,33 +496,30 @@ def _route_batch(
 
 
 # -- stage 3: draw the polygons -----------------------------------------
-def _build_coverage(
-    tile: Viewport, kernel: TileKernel, member: TileMember, pids
-) -> dict[int, np.ndarray]:
-    """Per-polygon coverage pixels, as flat ``iy * width + ix`` indices.
-
-    One batched raster pass over the requested polygons that pass the
-    tile bin gate: their triangles form one flat soup whose fragments
-    come back polygon-contiguous, triangle-major in triangulation order.
-    The scanline kernel instead fills each polygon whole, row-major.
-    Gated-out pids map to empty arrays either way.
-    """
-    hit = _tile_pids(tile, member)
-    empty = np.zeros(0, dtype=np.int64)
-    out = {pid: empty for pid in pids}
+def _tile_coverage(
+    tile_idx: int, tile: Viewport, kernel: TileKernel, member: TileMember
+) -> TileCoverage:
+    """Compose this tile's coverage record, rasterizing the polygons
+    whose unit lacks the tile: one batched pass over those whose box
+    meets it — their triangles form one flat soup whose fragments come
+    back polygon-contiguous, triangle-major in triangulation order, as
+    flat ``iy * width + ix`` indices — or, under the scanline kernel,
+    each polygon filled whole, row-major."""
+    prepared = member.prepared
+    slices = prepared.unit_slices("coverage", tile_idx)
+    pids = [pid for pid in range(len(prepared.units)) if pid not in slices]
+    slices.update(dict.fromkeys(pids, np.zeros(0, dtype=np.int64)))
+    hit = bin_polygons_to_tile(tile, prepared.mbr_arrays)
+    pids = [pid for pid in pids if hit[pid]]
     if kernel.scanline:
         for pid in pids:
-            if hit[pid]:
-                ix, iy = scanline_polygon_pixels(
-                    tile, member.polygons[pid].rings
-                )
-                out[pid] = iy * tile.width + ix
-        return out
-    triangles = member.prepared.triangles
-    out.update(coverage_by_polygon(
-        tile, {pid: triangles[pid] for pid in pids if hit[pid]}
-    ))
-    return out
+            ix, iy = scanline_polygon_pixels(tile, member.polygons[pid].rings)
+            slices[pid] = iy * tile.width + ix
+    else:
+        slices.update(coverage_by_polygon(
+            tile, {pid: prepared.triangles[pid] for pid in pids}
+        ))
+    return prepared.compose_coverage(slices)
 
 
 def _polygon_pass(
@@ -485,58 +528,48 @@ def _polygon_pass(
     kernel: TileKernel,
     member: TileMember,
     channels: dict[str, np.ndarray],
-    accumulators: dict[str, np.ndarray],
-    stats: ExecutionStats,
-    blank_on: np.ndarray | None = None,
-) -> tuple[TileCoverage | None, np.ndarray | None]:
+    partial: TilePartial,
+    views: TileViews | None = None,
+    blank: bool = False,
+) -> TileCoverage | None:
     """Reduce each polygon's covered pixels into its result slot.
 
     Coverage is a pure function of the tile and the triangulation, so
-    it is built once per artifact and replayed afterwards; per query
-    only one gather and one segmented reduction per channel runs over
-    the tile's flat coverage record — no loop over polygons.  Every
-    raster fragment is read from ``channels`` (the tile's framebuffers,
-    flat), boundary pixels included: the point pass sent their points to
-    the PIP path and scattered nothing there, so they hold the blend
-    identity and reduce to nothing.  Cached channels hold every row, so
-    their caller passes the boundary mask as ``blank_on`` and the
-    gathered fragments lying on it are set to the identity — the very
-    values a framebuffer scattered for this polygon set gathers.
-    Returns the coverage record and the index of those fragments, each
-    when this call built it and ``None`` when the artifact held it.
+    it is built once per artifact and replayed afterwards (the exact
+    kernel's stage 1 hands it over in ``views``, the bounded kernel
+    looks it up or builds it here); per query only one gather and one
+    segmented reduction per channel runs over the tile's flat coverage
+    record — no loop over polygons.  Every raster fragment is read from
+    ``channels`` (the tile's framebuffers, flat), boundary pixels
+    included: the point pass sent their points to the PIP path and
+    scattered nothing there, so they hold the blend identity.  Cached
+    channels hold every row, so their caller asks to ``blank`` the
+    gathered fragments on the boundary mask (``views.fragments``) to the
+    identity — what a framebuffer scattered for this polygon set holds.
+    Returns the coverage record when this call built it.
     """
     start = time.perf_counter()
-    prepared = member.prepared
-    built = blank = built_blank = None
-    coverage = prepared.coverage.get(tile_idx)
-    if coverage is None:
-        coverage = built = prepared.compose_coverage(
-            tile_idx,
-            _build_coverage(
-                tile, kernel, member,
-                prepared.missing_coverage_pids(tile_idx),
-            ),
-        )
-    if blank_on is not None:
-        blank = prepared.boundary_fragments.get(tile_idx)
-        if blank is None:
-            blank = built_blank = np.flatnonzero(
-                blank_on.reshape(-1).take(coverage.pixels)
-            )
+    built = None
+    if views is not None:
+        coverage = views.coverage
+    else:
+        coverage = member.prepared.coverage.get(tile_idx)
+        if coverage is None:
+            coverage = built = _tile_coverage(tile_idx, tile, kernel, member)
     aggregate = member.aggregate
     for ch in aggregate.channels:
         values = channels[ch].take(coverage.pixels)
-        if blank is not None:
-            values[blank] = aggregate.identity()
-        slots = accumulators[ch]
+        if blank:
+            values[views.fragments] = aggregate.identity()
+        slots = partial.accumulators[ch]
         slots[coverage.pids] = aggregate.combine(
             slots[coverage.pids],
             aggregate.reduce_segments(values, coverage.starts),
         )
     elapsed = time.perf_counter() - start
-    stats.processing_s += elapsed
-    stats.polygon_pass_s += elapsed
-    return built, built_blank
+    partial.stats.processing_s += elapsed
+    partial.stats.polygon_pass_s += elapsed
+    return built
 
 
 # ----------------------------------------------------------------------
@@ -907,14 +940,7 @@ def _merge_partial(
     # Shipped tile subtrees re-parent in tile-index order, so the trace
     # tree is deterministic across backends.
     trace.attach(partial.span)
-    if partial.unit_boundary is not None:
-        prepared.install_unit_boundary(partial.tile_idx, partial.unit_boundary)
-    prepared.mark_composed(
-        partial.tile_idx,
-        boundary=partial.boundary_mask,
-        coverage=partial.coverage,
-        fragments=partial.boundary_fragments,
-    )
+    prepared.mark_composed(partial.tile_idx, **partial.built)
 
 
 # ----------------------------------------------------------------------
@@ -1014,7 +1040,7 @@ class RasterJoinEngine(SpatialAggregationEngine):
                        filters=None) -> AggregationResult:
         """Streamed execution sharing the polygon-side work across chunks.
 
-        Boundary masks, the grid index and the polygon pass run once per
+        Boundary masks, candidate lists and the polygon pass run once per
         tile; only the point pass runs per chunk (each chunk still flows
         through the device-batching path) — the structure the paper's
         disk-resident experiments rely on.  With a parallel backend and

@@ -54,7 +54,7 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait as wait_futures
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,9 +63,6 @@ from repro.exec import shm
 from repro.exec.shm import SHM_ENV_VAR
 from repro.obs import metrics
 from repro.types import ExecutionStats
-
-if TYPE_CHECKING:
-    from repro.cache.prepared import TileCoverage
 
 #: Environment variables consulted when no backend is configured
 #: explicitly — the CI matrix runs the whole test suite under each
@@ -99,21 +96,16 @@ class TilePartial:
 
     ``accumulators`` are per-polygon channel arrays folded from the blend
     identity over this tile only; ``stats`` counts only this tile's work.
-    ``boundary_mask`` and ``coverage`` carry newly built prepared-state
-    pieces back to the parent (required under the process backend, where
-    workers mutate copy-on-write clones of the artifact), and ``payload``
-    is engine-specific (the bounded engine's per-tile FBO for §5 result
-    intervals).  ``unit_boundary`` carries the *per-polygon* outline
-    pixels of the same build (polygon id -> pixels) so the parent can
-    install them into the artifact's
-    :class:`~repro.cache.prepared.PolygonUnit` list — the state that
-    makes single-polygon edits incremental.  Coverage needs no such
-    companion: the record is the per-polygon slices laid end to end, and
-    the parent points each unit into it
-    (:meth:`~repro.cache.prepared.PreparedPolygons.mark_composed`).
-    ``boundary_fragments`` is the index of coverage fragments lying on
-    boundary pixels, when a statement over cached channels derived it.
-    ``span`` is
+    ``built`` carries newly built prepared-state pieces back to the
+    parent (required under the process backend, where workers mutate
+    copy-on-write clones of the artifact), keyed as
+    :meth:`~repro.cache.prepared.PreparedPolygons.mark_composed` takes
+    them: the tile's composed views and, as ``unit_boundary``, the
+    *per-polygon* outline pixels of the same build — the state that
+    makes single-polygon edits incremental (a coverage record needs no
+    such companion: it is the per-polygon slices laid end to end).
+    ``payload`` is engine-specific (the bounded engine's per-tile FBO
+    for §5 result intervals).  ``span`` is
     the tile task's finished trace subtree (plain picklable
     :class:`repro.obs.trace.Span` data, so it survives the process
     backend's result pickling), or ``None`` when tracing was off.
@@ -129,10 +121,7 @@ class TilePartial:
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     saw_points: bool = False
-    boundary_mask: np.ndarray | None = None
-    coverage: TileCoverage | None = None
-    unit_boundary: dict | None = None
-    boundary_fragments: np.ndarray | None = None
+    built: dict = field(default_factory=dict)
     payload: object = None
     span: object = None
     metrics: dict | None = None

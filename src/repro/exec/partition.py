@@ -246,7 +246,7 @@ class Routing:
             cut = slice(edges[0], edges[-1])
             out.append(CachedTile(
                 self, {name: self._columns[name][cut] for name in columns},
-                rows, starts,
+                self.pix[cut], rows, starts,
                 np.asarray(edges[1:-1], dtype=np.int64) - edges[0],
                 channels[idx],
             ))
@@ -301,12 +301,14 @@ class CachedTile:
     of the tile (flat, one per channel name, read-only: they are the
     session's cached arrays), so nothing is scattered; ``rows`` /
     ``starts`` are the tile's pixel index, ``columns`` its rows in routed
-    order and ``cuts`` the positions where the statement's device
-    batches cut them — what :meth:`rows_on` needs to hand the boundary
-    stage the rows it would have met, batch by batch."""
+    order, ``pix`` their flat pixels and ``cuts`` the positions where
+    the statement's device batches cut them — what :meth:`rows_on` needs
+    to hand the boundary stage the rows it would have met, batch by
+    batch."""
 
     owner: Routing
     columns: dict
+    pix: np.ndarray
     rows: np.ndarray
     starts: np.ndarray
     cuts: np.ndarray

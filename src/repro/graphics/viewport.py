@@ -133,16 +133,25 @@ class Viewport:
 
         Points outside the half-open window are reported with
         ``inside=False`` and must be discarded by the caller — this is the
-        pipeline's clipping stage.  Membership is decided on the screen
-        coordinates (``floor(s) in [0, n)`` is ``0 <= s < n``), so NaN
-        and ±inf coordinates are outside by rule; their integer pixel is
-        whatever the platform's cast yields and means nothing.
+        pipeline's clipping stage.  Membership is decided on the world
+        coordinates against the window, so NaN and ±inf are outside by
+        rule (their integer pixel means nothing) and the tiles of one
+        canvas, which share their seam coordinates exactly, partition
+        its points: one a rounding error below a seam, whose screen
+        coordinate rounds up to the tile's width, lands on the last
+        pixel before it instead of on no tile at all.
         """
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
         sx, sy = self.to_screen(xs, ys)
-        inside = (sx >= 0) & (sx < self.width) & (sy >= 0) & (sy < self.height)
+        box = self.bbox
+        inside = (
+            (xs >= box.xmin) & (xs < box.xmax)
+            & (ys >= box.ymin) & (ys < box.ymax)
+        )
         with np.errstate(invalid="ignore"):
-            ix = np.floor(sx).astype(np.int64)
-            iy = np.floor(sy).astype(np.int64)
+            ix = np.minimum(np.floor(sx).astype(np.int64), self.width - 1)
+            iy = np.minimum(np.floor(sy).astype(np.int64), self.height - 1)
         return ix, iy, inside
 
     def pixel_bbox(self, ix: int, iy: int) -> BBox:

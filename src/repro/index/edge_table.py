@@ -1,4 +1,4 @@
-"""Flat edge table banded by grid row: the boundary PIP's geometry.
+"""Flat edge table banded by row: the boundary PIP's geometry.
 
 The JoinPoint procedure tests (point, polygon) candidate pairs.  Calling
 :meth:`~repro.geometry.polygon.Polygon.contains_points` once per polygon
@@ -11,13 +11,14 @@ flat endpoint arrays, directed ``a -> b`` exactly as
 :func:`~repro.geometry.predicates.points_in_ring` walks them (``a`` is
 the ring's previous vertex), so the crossing arithmetic sees the same
 operands.  Horizontal edges are dropped: under the half-open span rule
-they never count.  A CSR maps *(polygon, grid row)* to the edges whose
-y-span meets that row, where rows are the :class:`GridIndex`'s own
-(:meth:`~repro.index.grid.GridIndex.row_of`).  ``row_of`` is monotone in
-``y``, so the edge list of a point's row is a superset of the edges
-whose span contains the point's ``y`` — testing only that band is the
-*identical* even-odd predicate (holes included, they are just more
-rings), at a fraction of the crossings.
+they never count.  A CSR maps *(polygon, row)* to the edges whose
+y-span meets that row, the rows being the table's own frame: ``rows``
+equal bands over the y-range of the polygons' MBRs
+(:meth:`EdgeTable.row_of`).  ``row_of`` is monotone in ``y``, so the
+edge list of a point's row is a superset of the edges whose span
+contains the point's ``y`` — testing only that band is the *identical*
+even-odd predicate (holes included, they are just more rings), at a
+fraction of the crossings, whatever ``rows`` is.
 """
 
 from __future__ import annotations
@@ -26,35 +27,43 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.errors import QueryError
 from repro.geometry.polygon import Polygon, PolygonSet
-from repro.index.grid import GridIndex, ragged_positions
+from repro.index.grid import ragged_positions
 
 #: Upper bound on (pair, edge) crossings materialized per block.  Blocks
 #: split on pair boundaries and parity is per pair, so the answer never
 #: depends on it.
 DEFAULT_CROSSING_BUDGET = 1 << 20
 
+#: Row bands when the caller names no count.
+DEFAULT_ROWS = 1024
+
 
 class EdgeTable:
-    """Concatenated polygon edges with a (polygon, grid row) -> edges CSR.
+    """Concatenated polygon edges with a (polygon, row) -> edges CSR.
 
     ``ax/ay/bx/by`` are the directed edge endpoints; ``mbrs`` the
     polygons' ``(xmin, xmax, ymin, ymax)`` columns (the
     ``contains_points`` gate — the prepared artifact's own, shared not
-    copied); polygon ``p`` owns the ``row_count[p]`` consecutive bands
-    starting at ``band_base[p]`` for grid rows ``row_lo[p]...``, and
+    copied); ``rows`` bands of height ``row_height`` start at ``ymin``;
+    polygon ``p`` owns the ``row_count[p]`` consecutive bands
+    starting at ``band_base[p]`` for rows ``row_lo[p]...``, and
     band ``k`` lists ``band_edges[band_start[k]:band_start[k + 1]]``.
     """
 
-    __slots__ = ("ax", "ay", "bx", "by", "mbrs", "row_lo", "row_count",
-                 "band_base", "band_start", "band_edges")
+    __slots__ = ("ax", "ay", "bx", "by", "mbrs", "rows", "ymin",
+                 "row_height", "row_lo", "row_count", "band_base",
+                 "band_start", "band_edges")
 
     def __init__(
         self,
         polygons: PolygonSet | Sequence[Polygon],
-        grid: GridIndex,
         mbrs: tuple[np.ndarray, ...],
+        rows: int = DEFAULT_ROWS,
     ) -> None:
+        if rows < 1:
+            raise QueryError(f"edge table rows must be >= 1, got {rows}")
         polys = list(polygons)
         rings = [ring for poly in polys for ring in poly.rings]
         lens = np.fromiter((len(r) for r in rings), np.int64, len(rings))
@@ -73,11 +82,14 @@ class EdgeTable:
         self.bx, self.by = b[sloped, 0], b[sloped, 1]
         owner = np.repeat(ring_pid, lens)[sloped]
         self.mbrs = mbrs
+        self.rows = rows
+        self.ymin = float(mbrs[2].min())
+        # A set of zero height has one band whatever its y.
+        self.row_height = (float(mbrs[3].max()) - self.ymin) / rows or 1.0
 
-        top = grid.resolution - 1
-        edge_lo = np.clip(grid.row_of(np.minimum(self.ay, self.by)), 0, top)
-        edge_hi = np.clip(grid.row_of(np.maximum(self.ay, self.by)), 0, top)
-        row_lo = np.full(len(polys), grid.resolution, dtype=np.int64)
+        edge_lo = self.row_of(np.minimum(self.ay, self.by))
+        edge_hi = self.row_of(np.maximum(self.ay, self.by))
+        row_lo = np.full(len(polys), rows, dtype=np.int64)
         row_hi = np.full(len(polys), -1, dtype=np.int64)
         np.minimum.at(row_lo, owner, edge_lo)
         np.maximum.at(row_hi, owner, edge_hi)
@@ -98,41 +110,51 @@ class EdgeTable:
             dtype=np.int64,
         )])
 
+    def row_of(self, ys: np.ndarray) -> np.ndarray:
+        """Band per ``y`` inside the frame (the top edge is the last
+        band's), monotone non-decreasing in ``y``."""
+        return np.minimum(
+            np.floor((ys - self.ymin) / self.row_height).astype(np.int64),
+            self.rows - 1,
+        )
+
     @property
     def nbytes(self) -> int:
         """Bytes the table owns (``mbrs`` belong to the artifact)."""
         return sum(
-            getattr(self, name).nbytes
-            for name in self.__slots__ if name != "mbrs"
+            getattr(self, name).nbytes for name in self.__slots__
+            if name not in ("mbrs", "rows", "ymin", "row_height")
         )
 
     def contains_pairs(
         self,
         xs: np.ndarray,
         ys: np.ndarray,
-        rows: np.ndarray,
         pids: np.ndarray,
         budget: int = DEFAULT_CROSSING_BUDGET,
     ) -> np.ndarray:
-        """Even-odd PIP of pair ``k``: is ``(xs[k], ys[k])`` — a point in
-        grid row ``rows[k]`` — inside polygon ``pids[k]``?
+        """Even-odd PIP of pair ``k``: is ``(xs[k], ys[k])`` inside
+        polygon ``pids[k]``?
 
         Bit-for-bit :meth:`Polygon.contains_points` per pair: the same
         MBR gate, the same half-open span rule, the same crossing
-        expression over the same directed edges.  A pair whose row lies
-        outside its polygon's bands has ``y`` outside the MBR; a pair
-        whose band is empty crosses nothing.  Neither ever becomes a
-        segment of the parity count.
+        expression over the same directed edges, only the point's own
+        row band of them.  A pair whose row lies outside its polygon's
+        bands, or whose band is empty, crosses nothing and never becomes
+        a segment of the parity count.
         """
-        rel = rows - self.row_lo[pids]
         inside = np.zeros(len(pids), dtype=bool)
         xmin, xmax, ymin, ymax = self.mbrs
+        # Past the gate a y is finite and inside the frame.
         live = np.flatnonzero(
             (xs >= xmin[pids]) & (xs <= xmax[pids])
             & (ys >= ymin[pids]) & (ys <= ymax[pids])
-            & (rel >= 0) & (rel < self.row_count[pids])
         )
-        band = self.band_base[pids[live]] + rel[live]
+        owners = pids[live]
+        rel = self.row_of(ys[live]) - self.row_lo[owners]
+        banded = (rel >= 0) & (rel < self.row_count[owners])
+        live, rel = live[banded], rel[banded]
+        band = self.band_base[owners[banded]] + rel
         first = self.band_start[band]
         counts = self.band_start[band + 1] - first
         px, py = xs[live], ys[live]

@@ -52,48 +52,46 @@ class GridIndex:
         assignment: str = "mbr",
         extent: BBox | None = None,
     ) -> None:
-        if assignment not in ("mbr", "exact"):
-            raise GeometryError(f"unknown assignment mode {assignment!r}")
-        if resolution < 1:
-            raise GeometryError(f"grid resolution must be >= 1, got {resolution}")
         polys = list(polygons)
         if extent is None:
             extent = self.default_extent(polys)
-        self.extent = extent
-        self.resolution = resolution
-        self.assignment = assignment
-        self.polygons = polys
-        self.cell_w = extent.width / resolution
-        self.cell_h = extent.height / resolution
-
+        self._frame(polys, resolution, assignment, extent)
+        # Two-pass CSR build, like the GPU implementation: one histogram
+        # pass counts entries per cell (a single ``bincount`` over the
+        # concatenated cell lists), one pass scatters polygon ids in
+        # ascending pid order — so each cell's candidate list is
+        # deterministic.
         start = time.perf_counter()
         cells_per_poly = [self._cells_of(p) for p in polys]
-        self._scatter_csr(cells_per_poly)
-        self.build_seconds = time.perf_counter() - start
-
-    def _scatter_csr(self, cells_per_poly: list[np.ndarray]) -> None:
-        """Two-pass CSR build, like the GPU implementation: one
-        histogram pass counts entries per cell (a single ``bincount``
-        over the concatenated cell lists), one pass scatters polygon
-        ids in ascending pid order — so each cell's candidate list is
-        deterministic whatever the lists came from (a direct build or
-        composed per-polygon caches)."""
-        resolution = self.resolution
-        num_cells = resolution * resolution
         all_cells = (
             np.concatenate(cells_per_poly) if cells_per_poly
             else np.zeros(0, dtype=np.int64)
         )
-        counts = np.bincount(all_cells, minlength=num_cells)
+        counts = np.bincount(all_cells, minlength=resolution * resolution)
         self.cell_start = np.concatenate(
             [[0], np.cumsum(counts, dtype=np.int64)]
         )
         self.entries = np.zeros(len(all_cells), dtype=np.int64)
         cursor = self.cell_start[:-1].copy()
         for pid, cells in enumerate(cells_per_poly):
-            pos = cursor[cells]
-            self.entries[pos] = pid
+            self.entries[cursor[cells]] = pid
             cursor[cells] += 1
+        self.build_seconds = time.perf_counter() - start
+
+    def _frame(self, polygons, resolution: int, assignment: str,
+               extent: BBox) -> "GridIndex":
+        """Validate and set what every way of making an index shares."""
+        if assignment not in ("mbr", "exact"):
+            raise GeometryError(f"unknown assignment mode {assignment!r}")
+        if resolution < 1:
+            raise GeometryError(f"grid resolution must be >= 1, got {resolution}")
+        self.extent = extent
+        self.resolution = resolution
+        self.assignment = assignment
+        self.polygons = list(polygons)
+        self.cell_w = extent.width / resolution
+        self.cell_h = extent.height / resolution
+        return self
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -102,10 +100,8 @@ class GridIndex:
     def default_extent(polygons: PolygonSet | Sequence[Polygon]) -> BBox:
         """The extent the constructor derives when none is given.
 
-        Exposed so per-polygon cell lists (incremental edits) are
-        computed against exactly the extent a from-scratch build would
-        use: the union of all polygon boxes, padded so boundary points
-        on the max edges still map to a cell.
+        The union of all polygon boxes, padded so boundary points on
+        the max edges still map to a cell.
         """
         polys = list(polygons)
         extent = polys[0].bbox
@@ -126,57 +122,12 @@ class GridIndex:
         """One polygon's flat cell ids under a fixed frame.
 
         A pure function of (polygon geometry, extent, resolution,
-        assignment) — the grid-index contribution a
-        :class:`~repro.cache.prepared.PolygonUnit` carries, identical to
-        what a full build would compute for that polygon.
+        assignment), identical to what a full build computes for that
+        polygon — what :meth:`splice` takes as a change.
         """
-        if assignment not in ("mbr", "exact"):
-            raise GeometryError(f"unknown assignment mode {assignment!r}")
-        if resolution < 1:
-            raise GeometryError(
-                f"grid resolution must be >= 1, got {resolution}"
-            )
-        probe = cls.__new__(cls)
-        probe.extent = extent
-        probe.resolution = resolution
-        probe.assignment = assignment
-        probe.cell_w = extent.width / resolution
-        probe.cell_h = extent.height / resolution
-        return probe._cells_of(polygon)
-
-    @classmethod
-    def from_cells(
-        cls,
-        polygons: PolygonSet | Sequence[Polygon],
-        cells_per_poly: list[np.ndarray],
-        resolution: int,
-        assignment: str,
-        extent: BBox,
-    ) -> "GridIndex":
-        """Compose an index from precomputed per-polygon cell lists.
-
-        Runs the same two-pass CSR scatter as the constructor over the
-        given lists, so composing cached per-polygon cells — with only
-        edited polygons' lists recomputed — yields bit-identical
-        ``cell_start``/``entries`` arrays to a from-scratch build.
-        """
-        if assignment not in ("mbr", "exact"):
-            raise GeometryError(f"unknown assignment mode {assignment!r}")
-        if resolution < 1:
-            raise GeometryError(
-                f"grid resolution must be >= 1, got {resolution}"
-            )
-        self = cls.__new__(cls)
-        self.extent = extent
-        self.resolution = resolution
-        self.assignment = assignment
-        self.polygons = list(polygons)
-        self.cell_w = extent.width / resolution
-        self.cell_h = extent.height / resolution
-        start = time.perf_counter()
-        self._scatter_csr(cells_per_poly)
-        self.build_seconds = time.perf_counter() - start
-        return self
+        return cls.__new__(cls)._frame(
+            (), resolution, assignment, extent
+        )._cells_of(polygon)
 
     @classmethod
     def from_arrays(
@@ -188,22 +139,10 @@ class GridIndex:
         cell_start: np.ndarray,
         entries: np.ndarray,
     ) -> "GridIndex":
-        """Rehydrate an index from persisted CSR arrays, skipping the build.
-
-        Used by the artifact store: the CSR arrays are a pure function of
-        (polygon content, resolution, assignment, extent), so an index
-        loaded from disk probes identically to one built from scratch.
-        ``build_seconds`` is zero — nothing was rebuilt.
-        """
-        if assignment not in ("mbr", "exact"):
-            raise GeometryError(f"unknown assignment mode {assignment!r}")
-        self = cls.__new__(cls)
-        self.extent = extent
-        self.resolution = resolution
-        self.assignment = assignment
-        self.polygons = list(polygons)
-        self.cell_w = extent.width / resolution
-        self.cell_h = extent.height / resolution
+        """An index over given CSR arrays, skipping the build (what
+        :meth:`splice` returns).  ``build_seconds`` is zero — nothing
+        was rebuilt."""
+        self = cls.__new__(cls)._frame(polygons, resolution, assignment, extent)
         self.cell_start = np.asarray(cell_start, dtype=np.int64)
         self.entries = np.asarray(entries, dtype=np.int64)
         self.build_seconds = 0.0
@@ -223,10 +162,15 @@ class GridIndex:
         (O(total entries + cells) however small the edit), the edited
         pids' entries are deleted from the CSR arrays and the new ones
         inserted at their sorted positions — O(touched slices) plus one
-        ``cell_start`` shift — which is the delta-edit head-room at very
-        high grid resolutions.
+        ``cell_start`` shift.
 
-        Bit-identity with :meth:`from_cells` over the updated lists
+        No engine calls this any more: the accurate join dropped its
+        grid (its PIP candidates are read off the canvas) and the index
+        join rebuilds per polygon set.  It stays for the perf ledger's
+        splice probe and ``tests/index/test_grid.py``
+        alone, and goes when the ledger drops that metric (ROADMAP).
+
+        Bit-identity with the constructor over the updated geometry
         follows from the build's invariant that each cell's entry list
         is ascending by pid: deletions keep the survivors' relative
         order, and each inserted pid lands before the first larger pid

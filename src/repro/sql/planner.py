@@ -9,7 +9,7 @@ bound, the accurate engine otherwise — and executes.
 
 The planner owns a :class:`~repro.cache.session.QuerySession` (or accepts a
 shared one) and attaches it to every engine it lowers onto, so repeated
-statements over the same region table reuse triangulations, grid indexes,
+statements over the same region table reuse triangulations, coverage
 and boundary masks instead of rebuilding them — the interactive
 redraw-and-re-query loop the paper targets.
 """

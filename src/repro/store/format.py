@@ -10,17 +10,18 @@ the bulk arrays:
   (fingerprint + render spec), which fields are present, structural
   metadata, and a checksum over the ``.npz`` bytes.
 
-Format version 3 stores artifacts **per polygon**: each polygon's
-triangulation, grid-cell list, per-tile outline pixels, and per-tile
-coverage pixels are written as that polygon's slice of one concatenated
-array plus a per-polygon count (``tri_*``, ``cells_*``, ``ub_<tile>_*``,
+Format version 4 stores artifacts **per polygon**: each polygon's
+triangulation, per-tile outline pixels, and per-tile coverage pixels are
+written as that polygon's slice of one concatenated array plus a
+per-polygon count (``tri_*``, ``ub_<tile>_*``,
 ``uc_<tile>_{data,counts}`` — coverage as flat ``iy * width + ix``
 indices, the form it is held in), and the set-level views the engines
-consume (CSR grid, boundary masks, coverage records) are *recomposed* on
-load — the same deterministic composition a live session performs, so a
-loaded artifact is bit-identical to the one saved.  (Version 2 wrote
-coverage as ``(iy, ix)`` pairs per triangle piece; its files are
-unaddressable by key and read as a miss.)  That is the only layout, for
+consume (boundary masks, coverage records, the edge table) are
+*recomposed* on load — the same deterministic composition a live session
+performs, so a loaded artifact is bit-identical to the one saved.
+(Version 3 also wrote a polygon grid index — per-polygon cell lists,
+four fifths of a pair — which no raster join reads any more; its files
+are unaddressable by key and read as a miss.)  That is the only layout, for
 a cold-built set and an edited one alike: a manifest without
 per-polygon unit metadata fails validation like any other corrupt pair
 (a miss, then a rebuild that overwrites it).
@@ -48,22 +49,21 @@ from repro.cache.prepared import PolygonUnit, PreparedPolygons
 from repro.errors import QueryError
 from repro.geometry.bbox import BBox
 from repro.graphics.viewport import Canvas, Viewport
-from repro.index.grid import GridIndex
 
 #: Bump on any incompatible change to the array layout or manifest shape.
 #: The version participates in the key hash, so old artifacts are never
 #: even opened by a newer reader — they just stop being addressable.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Canonical coordinate dtype: little-endian float64.  Part of the key so
 #: artifacts written on any platform address the same bytes.
 COORD_DTYPE = "<f8"
 
-#: Index dtype for pixel/CSR arrays.
+#: Index dtype for pixel arrays.
 INDEX_DTYPE = "<i8"
 
-#: Narrow on-disk index dtype, used whenever the values fit.  Pixel and
-#: cell indices are int64 in memory but virtually never exceed 2^31, so
+#: Narrow on-disk index dtype, used whenever the values fit.  Pixel
+#: indices are int64 in memory but virtually never exceed 2^31, so
 #: storing them as int32 halves the dominant arrays; loads widen them
 #: back, making the round trip value-exact either way.
 NARROW_INDEX_DTYPE = "<i4"
@@ -316,8 +316,8 @@ def encode(prepared: PreparedPolygons, key: Sequence) -> tuple[dict, dict]:
     """Flatten an artifact into (named arrays, manifest) for persistence.
 
     Only populated fields are written; the manifest records which, so a
-    partial artifact (triangles + grid, no coverage) round-trips as
-    exactly that partial artifact.
+    partial artifact (triangles, no coverage) round-trips as exactly
+    that partial artifact.
     """
     fingerprint, *spec = key
     arrays: dict[str, np.ndarray] = {}
@@ -350,20 +350,9 @@ def _encode_units(prepared: PreparedPolygons, arrays: dict,
     if all(unit.triangles is not None for unit in units):
         fields.append("triangles")
         _encode_unit_triangles(units, arrays)
-    if prepared.grid is not None and all(
-        unit.cells is not None for unit in units
-    ):
-        fields.append("grid")
-        grid = prepared.grid
-        ext = grid.extent
-        _encode_ragged([unit.cells for unit in units], arrays, "cells")
-        arrays["grid_extent"] = np.asarray(
-            [ext.xmin, ext.ymin, ext.xmax, ext.ymax], dtype=COORD_DTYPE
-        )
-        manifest["grid"] = {
-            "resolution": int(grid.resolution),
-            "assignment": grid.assignment,
-        }
+    if prepared.edge_table is not None:
+        # Derived, so only its one parameter is written.
+        manifest["edge_rows"] = int(prepared.edge_table.rows)
     boundary_tiles = _units_tiles(units, "boundary")
     if boundary_tiles:
         fields.append("boundary_masks")
@@ -403,15 +392,15 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
     """Rebuild a :class:`PreparedPolygons` from persisted arrays.
 
     ``polygons`` is the live polygon set the caller is querying with —
-    the units' bounding boxes and the grid index's object references
-    come from it, never from disk (the fingerprint in the key guarantees
+    the units' bounding boxes and the edge table's rings come from it,
+    never from disk (the fingerprint in the key guarantees
     the caller's geometry is the geometry the artifact was built from).
     The per-polygon slices are decoded into the units and the set-level
     views are then composed exactly as a live session composes them
     after a build — OR the outline pixels into boundary masks, lay the
-    coverage slices end to end, scatter the grid CSR, band the edge
-    table — so the result is bit-identical to the artifact that was
-    saved.
+    coverage slices end to end, band the edge table — so the result is
+    bit-identical to the artifact that was saved.  (The candidate lists
+    are left to the first tile task, like the boundary-fragment index.)
     """
     meta_units = manifest.get("units")
     _require(isinstance(meta_units, dict), "manifest lacks unit metadata")
@@ -432,23 +421,10 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
     if "triangles" in fields:
         _decode_unit_triangles(units, arrays)
         prepared.triangles = [unit.triangles for unit in units]
-    if "grid" in fields:
-        ext = np.asarray(arrays["grid_extent"], dtype=np.float64)
-        _require(ext.shape == (4,), "bad grid extent")
-        cells = _decode_ragged(arrays, "cells", len(units), "grid cell")
-        for unit, unit_cells in zip(units, cells):
-            unit.cells = unit_cells
-        prepared.grid = GridIndex.from_cells(
-            polygons,
-            cells,
-            resolution=int(manifest["grid"]["resolution"]),
-            assignment=manifest["grid"]["assignment"],
-            extent=BBox(*(float(v) for v in ext)),
-        )
-        prepared.grid.build_seconds = 0.0  # nothing was rebuilt
-        # Derived with the grid, like a live prepare, so the loaded
-        # artifact measures what the saved one did.
-        prepared.ensure_edge_table(polygons)
+    if "edge_rows" in manifest:
+        # Derived like a live prepare derives it, so the loaded artifact
+        # measures what the saved one did.
+        prepared.ensure_edge_table(polygons, int(manifest["edge_rows"]))
     if "boundary_masks" in fields:
         _require(prepared.tiles is not None,
                  "boundary pixels without tile layout")
@@ -457,15 +433,14 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
                      "boundary tile out of range")
             _decode_unit_boundary(units, idx, arrays)
             prepared.mark_composed(idx, boundary=prepared.compose_boundary(
-                idx, prepared.tiles[idx]
+                prepared.tiles[idx], prepared.unit_slices("boundary", idx)
             ))
     if "coverage" in fields:
         for idx in map(int, manifest.get("coverage_tiles", ())):
-            for unit, pixels in zip(units, _decode_ragged(
-                arrays, f"uc_{idx}", len(units), "coverage"
-            )):
-                unit.coverage[idx] = pixels
-            prepared.mark_composed(
-                idx, coverage=prepared.compose_coverage(idx)
-            )
+            # The record brings the units' slices with it.
+            prepared.mark_composed(idx, coverage=prepared.compose_coverage(
+                dict(enumerate(_decode_ragged(
+                    arrays, f"uc_{idx}", len(units), "coverage"
+                )))
+            ))
     return prepared

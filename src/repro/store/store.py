@@ -302,7 +302,7 @@ class ArtifactStore:
 
         Reads and validates only the (small) manifest — cache-aware
         costing uses this to tell a *full* artifact (coverage present:
-        the polygon pass replays) from a *partial* one (triangles/grid
+        the polygon pass replays) from a *partial* one (triangles
         only: preparation is skipped but coverage re-rasterizes).
         Returns ``None`` for missing or invalid state; never raises.
         """

@@ -26,8 +26,8 @@ class ExecutionStats:
     them on their own.  ``prepared_hits``/``prepared_misses`` count
     *in-memory* prepared-state cache lookups when the engine runs with a
     :class:`~repro.cache.session.QuerySession` (zero without one): a hit
-    means triangulation, grid index, canvas layout, boundary masks, and
-    polygon coverage were all reused instead of rebuilt.
+    means triangulation, canvas layout, boundary masks, candidate lists
+    and polygon coverage were all reused instead of rebuilt.
     ``prepared_store_hits`` counts the memory misses that were answered
     by the session's disk tier (the artifact store) instead of a rebuild
     — every store hit is also counted as a ``prepared_miss``, so the

@@ -66,22 +66,29 @@ class TestDeltaDerivation:
         assert new_units[2].triangles is not base_units[2].triangles
 
     def test_only_dirty_triangulation_runs(self, uniform_points,
-                                           three_regions):
+                                           three_regions, monkeypatch):
+        from repro.cache import prepared
+
+        triangulated = []
+        triangulate = prepared.triangulate_polygon
+        monkeypatch.setattr(
+            prepared, "triangulate_polygon",
+            lambda poly: triangulated.append(poly) or triangulate(poly),
+        )
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(
             resolution=128, grid_resolution=64, session=session
         )
-        cold = engine.execute(uniform_points, three_regions,
-                              aggregate=Sum("fare"))
+        engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
+        assert triangulated == list(three_regions)
         after = edited_regions(three_regions)
-        inc = engine.execute(uniform_points, after, aggregate=Sum("fare"))
-        # Cold triangulated 3 polygons; the edit only the changed one —
-        # the timed preparation shrinks accordingly (structure, not
-        # wall-clock: the counters come from the lazy builders).
+        engine.execute(uniform_points, after, aggregate=Sum("fare"))
+        # Cold triangulated 3 polygons; the edit only the changed one
+        # (counted, not timed: the holed polygon is most of the clock).
         new_key = (polygon_fingerprint(after),) + tuple(engine.prepared_spec())
         entry = session._entries[new_key]
         assert entry.delta_dirty == [2]
-        assert inc.stats.triangulation_s <= cold.stats.triangulation_s
+        assert triangulated[3:] == [after[2]]
 
     def test_frame_change_falls_back_to_cold(self, uniform_points,
                                              three_regions):
@@ -147,7 +154,12 @@ class TestDeltaDerivation:
         edited_box = after[2].bbox
         for idx in carried:
             assert not base.tiles[idx].bbox.intersects(edited_box)
-            assert derived.coverage[idx] is base.coverage[idx]
+            for field in ("boundary_masks", "coverage",
+                          "boundary_fragments", "candidates"):
+                assert getattr(derived, field)[idx] is getattr(base, field)[idx]
+        # ... and nothing derived is carried for a tile the edit touches.
+        for field in ("boundary_fragments", "candidates"):
+            assert set(getattr(derived, field)) == carried
 
     def test_delta_result_matches_cold_on_multitile(self, uniform_points,
                                                     three_regions):

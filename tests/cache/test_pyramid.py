@@ -179,23 +179,30 @@ class TestPrewarmedStatements:
 
     def test_strip_derived_rederives_the_fragment_index(self, points,
                                                         regions):
+        """... and the candidate lists, both by the tile task alone."""
         session = QuerySession(store=False)
         eng = engine(session)
         eng.prewarm(points, regions)
         first = eng.execute(points, regions, Average("fare"))
         (artifact,) = session._entries.values()
         assert set(artifact.boundary_fragments) == {0}
-        fragments = artifact.boundary_fragments[0]
+        assert set(artifact.candidates) == {0}
+        fragments, candidates = (
+            artifact.boundary_fragments[0], artifact.candidates[0]
+        )
         mask, pixels = artifact.boundary_masks[0], artifact.coverage[0].pixels
         assert np.array_equal(
             fragments, np.flatnonzero(mask.ravel()[pixels])
         ) and len(fragments)
         assert artifact.strip_derived() > fragments.nbytes
-        assert not artifact.boundary_fragments
+        assert not artifact.boundary_fragments and not artifact.candidates
         again = eng.execute(points, regions, Average("fare"))
         assert again.stats.extra["pyramid"] == "hit"
+        assert again.stats.pip_tests == first.stats.pip_tests > 0
         same_bits(again, first)
         assert np.array_equal(artifact.boundary_fragments[0], fragments)
+        for mine, theirs in zip(artifact.candidates[0], candidates):
+            assert mine is not theirs and np.array_equal(mine, theirs)
 
 
 class TestChannelsInTheSessionLru:

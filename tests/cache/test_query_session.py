@@ -282,10 +282,9 @@ class TestPreparedPolygons:
         cached, _ = QuerySession().prepared_for(three_regions, ("spec",))
         assert prepared.key is None and cached.key is not None
         assert len(prepared.units) == len(cached.units) == len(three_regions)
-        pids = list(range(len(three_regions)))
         for artifact in (prepared, cached):
-            assert artifact.missing_boundary_pids(0) == pids
-            assert artifact.missing_coverage_pids(0) == pids
+            assert artifact.unit_slices("boundary", 0) == {}
+            assert artifact.unit_slices("coverage", 0) == {}
         tris = prepared.ensure_triangles(three_regions)
         assert tris == [unit.triangles for unit in prepared.units]
         assert prepared.ensure_triangles(three_regions) is tris
@@ -301,8 +300,8 @@ class TestPreparedPolygons:
         """The flat coverage record and the edge table count in
         ``nbytes`` and show in the content signature; the per-pixel
         state goes with ``strip_derived`` and comes back bit for bit —
-        as does the answer — while the edge table, which tile tasks
-        read without a rebuild path, stays like the grid."""
+        as does the answer, candidate lists included — while the edge
+        table, which tile tasks read without a rebuild path, stays."""
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(
             resolution=128, grid_resolution=64,
@@ -312,12 +311,15 @@ class TestPreparedPolygons:
         (artifact,) = session._entries.values()
         assert artifact.has_derived and artifact.edge_table is not None
         records = dict(artifact.coverage)
+        candidates = dict(artifact.candidates)
+        assert set(candidates) == set(records) == {0, 1, 2, 3}
         edges = artifact.edge_table
         full, signature = artifact.nbytes, artifact.content_signature
         assert full >= edges.nbytes + sum(r.nbytes for r in records.values())
 
         freed = artifact.strip_derived()
         assert not artifact.has_derived and not artifact.coverage
+        assert not artifact.candidates and not artifact.boundary_fragments
         assert artifact.edge_table is edges
         assert artifact.content_signature != signature
         assert freed == full - artifact.nbytes > 0
@@ -325,13 +327,16 @@ class TestPreparedPolygons:
         after = engine.execute(uniform_points, three_regions, Sum("fare"))
         assert after.stats.prepared_hits == 1
         assert np.array_equal(after.values, before.values)
+        assert after.stats.pip_tests == before.stats.pip_tests > 0
         assert (after.stats.extra["boundary_pixels"]
                 == before.stats.extra["boundary_pixels"] > 0)
         assert artifact.nbytes == full
-        for idx, record in records.items():
-            for mine, theirs in zip(record, artifact.coverage[idx]):
-                assert mine.dtype == theirs.dtype
-                assert np.array_equal(mine, theirs)
+        for held, again in ((records, artifact.coverage),
+                            (candidates, artifact.candidates)):
+            for idx, record in held.items():
+                for mine, theirs in zip(record, again[idx]):
+                    assert mine.dtype == theirs.dtype
+                    assert np.array_equal(mine, theirs)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_strip_while_the_tile_loop_is_in_flight(
@@ -339,8 +344,8 @@ class TestPreparedPolygons:
     ):
         """A budget pass may strip an artifact between a query's prepare
         and its tile loop (another serving thread's checkpoint): the
-        tile tasks re-derive what went and still find the grid, the MBRs
-        and the edge table."""
+        tile tasks re-derive what went and still find the triangles,
+        the MBRs and the edge table."""
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(
             resolution=128, device=GPUDevice(max_resolution=64),
@@ -367,7 +372,9 @@ class TestPreparedPolygons:
 
     def test_edge_table_is_small_and_traced_under_prepare(self, monkeypatch):
         """~1 MB per 100 polygons at ``grid_resolution=1024``, built
-        inside the ``prepare`` span under its own name."""
+        inside the ``prepare`` span under its own name — the only index
+        the artifact holds: at 1024² the whole of it stays under 13 MB
+        (57 MB when a 1024² MBR grid and its cell lists rode along)."""
         from repro.data import generate_voronoi_regions
         from repro.geometry.bbox import BBox
         from repro.obs import trace
@@ -378,12 +385,17 @@ class TestPreparedPolygons:
         points = PointDataset(np.asarray([500.0]), np.asarray([500.0]))
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(
-            resolution=256, grid_resolution=1024, session=session
+            resolution=1024, grid_resolution=1024, session=session
         )
         monkeypatch.setenv(trace.TRACE_ENV_VAR, "1")
         result = engine.execute(points, regions)
         (artifact,) = session._entries.values()
         assert artifact.edge_table.nbytes <= 1 << 20
+        assert artifact.grid is None
+        assert artifact.nbytes <= 13e6
+        assert sum(
+            arr.nbytes for arr in artifact.candidates[0]
+        ) <= 1 << 20
         (prepare,) = [s for s in result.trace.children if s.name == "prepare"]
         (span,) = [s for s in prepare.children if s.name == "edge-table"]
         assert span.attrs["polygons"] == 100

@@ -217,3 +217,75 @@ def test_prewarmed_pairing_builds_each_channel_once(uniform_points,
         assert np.array_equal(got.values, want.values, equal_nan=True)
         for name, channel in want.channels.items():
             assert np.array_equal(got.channels[name], channel, equal_nan=True)
+
+
+@pytest.mark.parametrize("prewarmed", [False, True],
+                         ids=["scattered", "prewarmed"])
+def test_strip_from_a_second_thread_while_tile_loops_run(
+    uniform_points, three_regions, prewarmed
+):
+    """A budget pass on another serving thread may strip an artifact at
+    any moment of a tile loop.  A tile task takes each view — mask,
+    coverage, boundary fragments, candidates — in one read and rebuilds
+    what is gone from the triangles, the MBRs and the polygons alone, so
+    every statement still answers the undisturbed bits with the
+    undisturbed PIP count."""
+    from repro import GPUDevice
+
+    def engine(session):
+        return AccurateRasterJoin(
+            resolution=128, grid_resolution=32, session=session,
+            device=GPUDevice(max_resolution=64),  # 4 tiles
+        )
+
+    statements = [Count(), Sum("fare"), Min("fare"), Average("hour")]
+    solo = [
+        engine(None).execute(uniform_points, three_regions, aggregate)
+        for aggregate in statements
+    ]
+    session = QuerySession(store=False)
+    serving = engine(session)
+    serving.execute(uniform_points, three_regions)
+    if prewarmed:
+        serving.prewarm(uniform_points, three_regions)
+    (artifact,) = session._entries.values()
+    done = threading.Event()
+    errors: list[BaseException] = []
+    strips = [0]
+
+    def strip() -> None:
+        try:
+            while not done.is_set():
+                artifact.strip_derived()
+                strips[0] += 1
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    stripper = threading.Thread(target=strip)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        stripper.start()
+        results = [
+            [serving.execute(uniform_points, three_regions, aggregate)
+             for _ in range(6)]
+            for aggregate in statements
+        ]
+    finally:
+        done.set()
+        stripper.join(10.0)
+        sys.setswitchinterval(interval)
+    assert not stripper.is_alive()
+    assert not errors, errors
+    assert strips[0] > 0
+    for runs, want in zip(results, solo):
+        for got in runs:
+            assert got.stats.extra["pyramid"] == (
+                "hit" if prewarmed else "cold"
+            )
+            assert got.stats.pip_tests == want.stats.pip_tests
+            assert np.array_equal(got.values, want.values, equal_nan=True)
+            for name, channel in want.channels.items():
+                assert np.array_equal(
+                    got.channels[name], channel, equal_nan=True
+                )

@@ -79,12 +79,11 @@ def _isolated_process_state(monkeypatch):
         assert shm.REGISTRY.live_segments() == 0
 
 
-def edge_table_for(polygons: PolygonSet, grid):
-    """The boundary PIP's edge table over ``grid``, built the way the
-    engines build it: by a prepared artifact, from its own MBR columns."""
-    prepared = PreparedPolygons(polygons)
-    prepared.grid = grid
-    return prepared.ensure_edge_table(polygons)
+def edge_table_for(polygons: PolygonSet, rows: int):
+    """The boundary PIP's edge table in ``rows`` bands, built the way
+    the engines build it: by a prepared artifact, from its own MBR
+    columns."""
+    return PreparedPolygons(polygons).ensure_edge_table(polygons, rows)
 
 
 def scalar_pixels(viewport, triangles) -> np.ndarray:

@@ -192,6 +192,27 @@ class TestExactness:
         assert np.array_equal(result.values, exact)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("rows", [0, -3])
+    def test_grid_resolution_is_validated_where_it_is_given(
+        self, three_regions, rows
+    ):
+        """The same typed error as ``resolution < 1``, at construction —
+        and from the edge table it sizes, for direct callers."""
+        from repro.errors import QueryError
+        from repro.index.edge_table import EdgeTable
+        from tests.conftest import edge_table_for
+
+        with pytest.raises(QueryError, match="grid_resolution"):
+            AccurateRasterJoin(resolution=16, grid_resolution=rows)
+        with pytest.raises(QueryError, match="resolution"):
+            AccurateRasterJoin(resolution=rows)
+        with pytest.raises(QueryError, match="rows"):
+            EdgeTable(
+                three_regions, edge_table_for(three_regions, 4).mbrs, rows
+            )
+
+
 class TestWorkDistribution:
     def test_pip_only_for_boundary_points(self, uniform_points, three_regions):
         result = AccurateRasterJoin(resolution=512).execute(
@@ -211,12 +232,17 @@ class TestWorkDistribution:
         )
         assert high.stats.boundary_points < low.stats.boundary_points
 
-    def test_index_build_recorded(self, uniform_points, three_regions):
-        result = AccurateRasterJoin(resolution=128).execute(
+    def test_preprocessing_recorded(self, uniform_points, three_regions):
+        """Triangulation is the accurate join's only Table 1 term: it
+        builds no index (its candidates come off the canvas)."""
+        session = QuerySession(store=False)
+        result = AccurateRasterJoin(resolution=128, session=session).execute(
             uniform_points, three_regions
         )
-        assert result.stats.index_build_s > 0
         assert result.stats.triangulation_s > 0
+        assert result.stats.index_build_s == 0
+        (artifact,) = session._entries.values()
+        assert artifact.grid is None
 
 
 class TestDevice:

@@ -26,7 +26,7 @@ from repro.core.engine import (
 )
 from repro.index.grid import GridIndex
 from repro.types import ExecutionStats
-from tests.conftest import edge_table_for
+from tests.conftest import brute_force_counts, edge_table_for
 
 
 class TestRequiredColumns:
@@ -60,7 +60,7 @@ class TestGridPipAggregate:
         grid = GridIndex(three_regions, resolution=64)
         xs = rng.uniform(0, 100, 5000)
         ys = rng.uniform(0, 100, 5000)
-        return grid, edge_table_for(three_regions, grid), xs, ys
+        return grid, edge_table_for(three_regions, grid.resolution), xs, ys
 
     def test_counts_match_brute_force(self, setup, three_regions):
         grid, edges, xs, ys = setup
@@ -127,7 +127,7 @@ class TestGridPipAggregate:
             Polygon([(40, 0), (50, 0), (50, 5)]),
         ])
         grid = GridIndex(regions, resolution=4)  # fat cells
-        edges = edge_table_for(regions, grid)
+        edges = edge_table_for(regions, grid.resolution)
         xs = np.asarray([20.0, 20.0, 20.0, 20.0])
         ys = np.asarray([10.1, 10.9, 10.5, 45.0])
         cells = grid.cell_of_points(xs, ys)
@@ -154,6 +154,40 @@ class TestGridPipAggregate:
             )
             assert np.isnan(acc[ch][0])
             assert np.isfinite(acc[ch][1:]).all()
+
+
+class TestCanvasCandidates:
+    """The boundary PIP reads its candidates off the canvas: on a canvas
+    at least as fine as the MBR grid it replaced, fewer pairs are tested
+    (``docs/rasterization.md`` has the coarse-canvas caveat)."""
+
+    def test_pip_tests_pinned_and_below_the_mbr_grids(self, uniform_points):
+        from repro.data import generate_voronoi_regions
+        from repro.geometry.bbox import BBox
+
+        regions = generate_voronoi_regions(
+            40, BBox(0.0, 0.0, 100.0, 100.0), seed=11
+        )
+        session = QuerySession(store=False)
+        result = AccurateRasterJoin(
+            resolution=256, grid_resolution=256, session=session
+        ).execute(uniform_points, regions)
+        (artifact,) = session._entries.values()
+        (tile,), (mask,) = artifact.tiles, artifact.boundary_masks.values()
+        ix, iy, inside = tile.pixel_of(uniform_points.xs, uniform_points.ys)
+        on_edge = np.flatnonzero(inside)
+        on_edge = on_edge[mask[iy[on_edge], ix[on_edge]]]
+        assert result.stats.boundary_points == len(on_edge)
+        grid = GridIndex(regions, resolution=256)
+        cells = grid.cell_of_points(
+            uniform_points.xs[on_edge], uniform_points.ys[on_edge]
+        )
+        assert (cells >= 0).all()
+        from_grid = int(grid.cell_occupancy()[cells].sum())
+        assert result.stats.pip_tests == 2776 <= from_grid == 3998
+        assert np.array_equal(
+            result.values, brute_force_counts(uniform_points, regions)
+        )
 
 
 class TestBoundaryPixelsHoldTheIdentity:
@@ -390,7 +424,7 @@ class TestGridPipAggregateNonAddConstantChannel:
         acc = {"count": np.full(3, agg.identity())}
         stats = ExecutionStats()
         grid_pip_aggregate(
-            xs, ys, {}, grid, edge_table_for(three_regions, grid), agg, acc,
+            xs, ys, {}, grid, edge_table_for(three_regions, grid.resolution), agg, acc,
             stats,
         )
         matched = np.asarray(

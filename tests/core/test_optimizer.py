@@ -26,7 +26,6 @@ def hand_tuned_model() -> CostModel:
         per_pip_test=1e-12,
         per_boundary_point=1e-12,
         per_vertex_triangulate=1e-6,
-        per_vertex_grid=1e-6,
     )
 
 
@@ -198,7 +197,7 @@ class TestCacheAwareCosting:
         assert cost["accurate"] < cold["accurate"]
         model = hand_tuned_model()
         verts = sum(p.num_vertices for p in three_regions)
-        prep = (model.per_vertex_triangulate + model.per_vertex_grid) * verts
+        prep = model.per_vertex_triangulate * verts
         assert cost["accurate"] == pytest.approx(cold["accurate"] - prep)
 
     def test_warm_bounded_stays_preferred(self, uniform_points, three_regions):

@@ -201,9 +201,9 @@ class TestIncrementalThroughBatch:
         self, uniform_points, many_regions
     ):
         """PR 5's per-polygon invalidation survives the batched
-        builders: a single edit rebuilds exactly one polygon's slice and
-        splices the grid instead of re-composing it, and the derived
-        artifact still equals the scalar kernels' output."""
+        builders: a single edit rebuilds exactly one polygon's slice,
+        touches no grid index, and the derived artifact still equals
+        the scalar kernels' output."""
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(
             resolution=256,
@@ -215,7 +215,7 @@ class TestIncrementalThroughBatch:
         result = engine.execute(uniform_points, after, aggregate=Sum("fare"))
         assert result.stats.extra["prepared"] == "delta"
         assert result.stats.extra["polygons_rebuilt"] == 1
-        assert result.stats.extra.get("grid_spliced") == 1
+        assert "grid_spliced" not in result.stats.extra
         from repro.cache import polygon_fingerprint
 
         derived = session._entries[
@@ -228,33 +228,80 @@ class TestIncrementalThroughBatch:
         ).execute(uniform_points, after, aggregate=Sum("fare"))
         assert np.array_equal(result.values, fresh.values)
 
-    def test_spliced_grid_matches_recomposed(
-        self, uniform_points, many_regions
+    @pytest.mark.parametrize("max_fbo", [None, 128, 64],
+                             ids=["1-tile", "4-tiles", "16-tiles"])
+    def test_edited_views_match_a_from_scratch_artifact(
+        self, uniform_points, many_regions, max_fbo, monkeypatch
     ):
-        session = QuerySession(store=False)
-        engine = AccurateRasterJoin(
-            resolution=128,
-            grid_resolution=256,
-            session=session,
-        )
-        engine.execute(uniform_points, many_regions, aggregate=Sum("fare"))
-        after = _edit_one(many_regions, pid=33)
-        engine.execute(uniform_points, after, aggregate=Sum("fare"))
+        """After a one-vertex edit every per-tile view of the derived
+        artifact — mask, coverage, boundary fragments, candidates —
+        equals a from-scratch build's; tiles the edit does not touch
+        carry theirs by identity; no ``GridIndex`` method runs; and the
+        answer is the from-scratch bits."""
         from repro.cache import polygon_fingerprint
-
-        new_key = (polygon_fingerprint(after),) + tuple(engine.prepared_spec())
-        spliced = session._entries[new_key].grid
-        assert spliced is not None
         from repro.index.grid import GridIndex
 
-        fresh = GridIndex(
-            list(after),
-            resolution=256,
-            assignment=spliced.assignment,
-            extent=spliced.extent,
+        def engine(session):
+            return AccurateRasterJoin(
+                resolution=256, grid_resolution=256, session=session,
+                device=GPUDevice(max_resolution=max_fbo) if max_fbo else None,
+            )
+
+        session = QuerySession(store=False)
+        engine(session).execute(
+            uniform_points, many_regions, aggregate=Sum("fare")
         )
-        assert np.array_equal(spliced.cell_start, fresh.cell_start)
-        assert np.array_equal(spliced.entries, fresh.entries)
+        (base,) = session._entries.values()
+        after = _edit_one(many_regions, pid=33)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("an edit must not touch a GridIndex")
+
+        for name in ("__init__", "from_arrays", "splice",
+                     "cells_for_polygon", "default_extent"):
+            monkeypatch.setattr(GridIndex, name, no_grid)
+        result = engine(session).execute(
+            uniform_points, after, aggregate=Sum("fare")
+        )
+        monkeypatch.undo()
+        assert result.stats.extra["polygons_rebuilt"] == 1
+        derived = session._entries[
+            (polygon_fingerprint(after),)
+            + tuple(engine(None).prepared_spec())
+        ]
+        assert derived.grid is None
+        scratch = QuerySession(store=False)
+        fresh = engine(scratch).execute(
+            uniform_points, after, aggregate=Sum("fare")
+        )
+        (rebuilt,) = scratch._entries.values()
+        assert np.array_equal(result.values, fresh.values)
+        assert result.stats.pip_tests == fresh.stats.pip_tests
+        edited_boxes = (many_regions[33].bbox, after[33].bbox)
+        carried = 0
+        for idx, tile in enumerate(derived.tiles):
+            assert np.array_equal(
+                derived.boundary_masks[idx], rebuilt.boundary_masks[idx]
+            )
+            assert np.array_equal(
+                derived.boundary_fragments[idx],
+                rebuilt.boundary_fragments[idx],
+            )
+            for field in ("coverage", "candidates"):
+                for mine, theirs in zip(
+                    getattr(derived, field)[idx], getattr(rebuilt, field)[idx]
+                ):
+                    assert mine.dtype == theirs.dtype
+                    assert np.array_equal(mine, theirs)
+            if not any(tile.bbox.intersects(box) for box in edited_boxes):
+                carried += 1
+                for field in ("boundary_masks", "coverage",
+                              "boundary_fragments", "candidates"):
+                    assert (
+                        getattr(derived, field)[idx]
+                        is getattr(base, field)[idx]
+                    )
+        assert carried or max_fbo is None
 
 
 class TestStoreRoundTrip:

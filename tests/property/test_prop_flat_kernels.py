@@ -43,7 +43,6 @@ from repro.data import generate_voronoi_regions
 from repro.geometry.bbox import BBox
 from repro.graphics.fbo import FrameBuffer
 from repro.graphics.raster_triangle import accumulate_triangle_sums
-from repro.index.grid import GridIndex
 from tests.conftest import (
     brute_force_values,
     edge_table_for,
@@ -124,16 +123,13 @@ def _tricky_points(polygons: PolygonSet, rng) -> tuple[np.ndarray, np.ndarray]:
 @settings(max_examples=25, deadline=None)
 def test_pair_predicate_is_contains_points(seed, resolution, budget):
     polygons = _polygon_zoo(seed)
-    grid = GridIndex(polygons, resolution=resolution)
-    edges = edge_table_for(polygons, grid)
+    edges = edge_table_for(polygons, resolution)
+    # Any point may be paired with any polygon: the table frames its own
+    # row bands and derives each pair's band from the pair's own y.
     xs, ys = _tricky_points(polygons, np.random.default_rng(seed))
-    # Pairs only ever come from points that probe a cell.
-    probing = grid.cell_of_points(xs, ys) >= 0
-    xs, ys = xs[probing], ys[probing]
-    rows = grid.row_of(ys)
     for pid, polygon in enumerate(polygons):
         pids = np.full(len(xs), pid, dtype=np.int64)
-        got = edges.contains_pairs(xs, ys, rows, pids, budget=budget)
+        got = edges.contains_pairs(xs, ys, pids, budget=budget)
         assert np.array_equal(got, polygon.contains_points(xs, ys))
 
 
@@ -141,8 +137,7 @@ def test_pair_predicate_mixed_pairs_and_no_pairs():
     """Pairs of different polygons in one call, in any order; and the
     degenerate call with none."""
     polygons = _polygon_zoo(3)
-    grid = GridIndex(polygons, resolution=32)
-    edges = edge_table_for(polygons, grid)
+    edges = edge_table_for(polygons, 32)
     rng = np.random.default_rng(3)
     xs, ys = rng.uniform(0, 100, 3000), rng.uniform(0, 100, 3000)
     pids = rng.integers(0, len(polygons), 3000)
@@ -150,12 +145,10 @@ def test_pair_predicate_mixed_pairs_and_no_pairs():
     for pid, polygon in enumerate(polygons):
         mine = pids == pid
         want[mine] = polygon.contains_points(xs[mine], ys[mine])
-    assert np.array_equal(
-        edges.contains_pairs(xs, ys, grid.row_of(ys), pids), want
-    )
+    assert np.array_equal(edges.contains_pairs(xs, ys, pids), want)
     none = np.zeros(0)
     assert edges.contains_pairs(
-        none, none, none.astype(np.int64), none.astype(np.int64)
+        none, none, none.astype(np.int64)
     ).shape == (0,)
 
 

@@ -92,8 +92,17 @@ class TestRoundTrip:
             assert len(mine) == len(theirs)
             for a, b in zip(mine, theirs):
                 assert np.array_equal(a, b)
-        assert np.array_equal(loaded.grid.cell_start, artifact.grid.cell_start)
-        assert np.array_equal(loaded.grid.entries, artifact.grid.entries)
+        # No grid index is held or stored; the edge table is re-derived
+        # from the one parameter the manifest keeps.
+        assert artifact.grid is None and loaded.grid is None
+        assert "grid" not in store.describe(key)
+        assert loaded.edge_table.rows == artifact.edge_table.rows == 64
+        for name in ("band_start", "band_edges", "row_lo", "row_count"):
+            assert np.array_equal(
+                getattr(loaded.edge_table, name),
+                getattr(artifact.edge_table, name),
+            )
+        assert loaded.nbytes == artifact.nbytes
         assert set(loaded.boundary_masks) == set(artifact.boundary_masks)
         for idx, mask in artifact.boundary_masks.items():
             assert np.array_equal(loaded.boundary_masks[idx], mask)
@@ -120,8 +129,11 @@ class TestRoundTrip:
         artifact.strip_derived()
         store.save(key, artifact)
         loaded = store.load(key, three_regions)
-        assert loaded.triangles is not None and loaded.grid is not None
+        assert loaded.triangles is not None and loaded.edge_table is not None
         assert not loaded.boundary_masks and not loaded.coverage
+        assert store.describe(key) == [
+            "canvas", "tiles", "mbr_arrays", "triangles",
+        ]
 
     def test_mbr_arrays_round_trip(self, three_regions, store):
         from repro.cache.prepared import PreparedPolygons
@@ -178,17 +190,20 @@ def assert_same_derived_state(artifact, reference) -> None:
             ) or not len(mine.coverage[idx])
 
 
-class TestFormatThree:
+class TestFormatFour:
     """Coverage persists as one flat index array plus per-polygon counts
-    per tile; whatever tier an artifact comes back through, it is the
-    cold build again."""
+    per tile, and no grid index beside it; whatever tier an artifact
+    comes back through, it is the cold build again."""
 
     def test_layout(self, uniform_points, three_regions, store):
         session, _, _ = populated_session(uniform_points, three_regions, store)
         (artifact,) = session._entries.values()
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION == 4
         arrays, manifest = artifact_format.encode(artifact, artifact.key)
-        assert manifest["version"] == 3
+        assert manifest["version"] == 4
+        assert "grid" not in manifest and "grid" not in manifest["fields"]
+        assert manifest["edge_rows"] == 64
+        assert not [n for n in arrays if n.startswith(("cells_", "grid_"))]
         assert manifest["coverage_tiles"] == [0]
         assert sorted(n for n in arrays if n.startswith("uc_")) == [
             "uc_0_counts", "uc_0_data",
@@ -225,29 +240,43 @@ class TestFormatThree:
         assert_same_derived_state(artifact, reference)
         assert np.array_equal(again.values, expected.values)
 
-    def test_pair_written_under_format_two_is_a_miss_not_an_error(
+    def test_pair_written_under_format_three_is_a_miss_not_an_error(
         self, uniform_points, three_regions, store, monkeypatch
     ):
         """A format bump re-keys: the old pair in the same directory is
-        never opened, the query rebuilds and saves beside it."""
-        monkeypatch.setattr(artifact_format, "FORMAT_VERSION", 2)
+        never opened — it counts against the disk budget until evicted —
+        and the query rebuilds and saves beside it."""
+        monkeypatch.setattr(artifact_format, "FORMAT_VERSION", 3)
         _, _, expected = populated_session(
             uniform_points, three_regions, store
         )
         old_files = {p.name for p in store.root.iterdir()}
         assert len(old_files) == 2
+        old_bytes = store.disk_bytes
         monkeypatch.undo()
+        decoded = []
+        decode = artifact_format.decode
+        monkeypatch.setattr(
+            artifact_format, "decode",
+            lambda *args: decoded.append(args) or decode(*args),
+        )
         session = QuerySession(store=store)
         result = AccurateRasterJoin(
             resolution=128, grid_resolution=64, session=session
         ).execute(uniform_points, three_regions, aggregate=Sum("fare"))
         assert result.stats.extra["prepared"] == "miss"
         assert result.stats.prepared_store_hits == 0
-        assert store.load_failures == 0
+        assert store.load_failures == 0 and not decoded
         assert np.array_equal(result.values, expected.values)
         new_files = {p.name for p in store.root.iterdir()} - old_files
         assert sorted(p.rsplit(".", 1)[1] for p in new_files) == ["json", "npz"]
+        assert store.disk_bytes > old_bytes
         assert store.load(next(iter(session._entries)), three_regions)
+        assert len(decoded) == 1
+        # Under a disk budget the unaddressable pair is the one to go.
+        store.disk_budget = store.disk_bytes - 1
+        assert store.enforce_disk_budget() == 1
+        assert {p.name for p in store.root.iterdir()} == new_files
 
 
 class TestCorruptionTolerance:

@@ -84,6 +84,36 @@ class TestWarmRestart:
             result.values,
         )
 
+    def test_index_join_rebuilds_its_grid_after_a_load(
+        self, uniform_points, three_regions, tmp_path
+    ):
+        """The index join's grid is derived state, never stored: a
+        reloaded pair brings the MBRs and the edge table's one
+        parameter, the engine builds the grid again, and neither the
+        load nor the rebuild makes the pair dirty."""
+        from repro import IndexJoin
+
+        store = ArtifactStore(tmp_path / "store")
+
+        def run(session):
+            return IndexJoin(
+                mode="gpu", grid_resolution=64, session=session
+            ).execute(uniform_points, three_regions, aggregate=Sum("fare"))
+
+        saved = run(QuerySession(store=store))
+        assert saved.stats.index_build_s > 0 and store.saves == 1
+        session = QuerySession(store=store)
+        reloaded = run(session)
+        assert reloaded.stats.extra["prepared"] == "store-hit"
+        assert reloaded.stats.index_build_s > 0
+        (artifact,) = session._entries.values()
+        assert artifact.grid is not None and artifact.edge_table.rows == 64
+        assert "grid" not in store.describe(artifact.key)
+        assert store.saves == 1 and store.load_failures == 0
+        assert np.array_equal(reloaded.values, saved.values)
+        for name, channel in saved.channels.items():
+            assert np.array_equal(reloaded.channels[name], channel)
+
     def test_unchanged_artifact_not_rewritten(self, uniform_points,
                                               three_regions, tmp_path):
         """Write-through is change-driven: warm runs save nothing."""
@@ -116,8 +146,9 @@ class TestByteBudgetTiers:
         assert session.partial_demotions >= 1
         assert session.demotions == 0
         entry = next(iter(session._entries.values()))
-        assert entry.triangles is not None and entry.grid is not None
+        assert entry.triangles is not None and entry.edge_table is not None
         assert not entry.boundary_masks and not entry.coverage
+        assert not entry.candidates and entry.grid is None
         assert session.nbytes <= budget
         # The store kept the *full* artifact (coverage included).
         key = next(iter(session._entries))

@@ -13,6 +13,7 @@ import re
 from pathlib import Path
 
 import repro
+from repro.cache.prepared import PolygonUnit
 from repro.cache.session import QuerySession
 from repro.exec.config import EngineConfig
 from repro.serve import ServeConfig
@@ -47,6 +48,15 @@ def test_artifact_store_persists_one_kind():
         name for name, member in vars(ArtifactStore).items()
         if callable(member) and name.startswith(("save", "load"))
     } == {"save", "load"}
+
+
+def test_polygon_unit_representations():
+    """Every per-polygon representation is something an edit must
+    re-derive, a store must encode and a byte budget must count (the
+    grid-cell list went in PR 23: 6 -> 5)."""
+    assert PolygonUnit.__slots__ == (
+        "fingerprint", "bbox", "triangles", "boundary", "coverage",
+    )
 
 
 def test_environment_variables_referenced_under_src():
