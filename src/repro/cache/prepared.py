@@ -192,7 +192,8 @@ class PolygonUnit:
         #: (xmin, ymin, xmax, ymax) of the polygon, recorded so an edit
         #: can tell which tiles the departing geometry touched.
         self.bbox = bbox
-        self.triangles: list[np.ndarray] | None = None
+        #: the polygon's ``(t, 3, 2)`` triangulation, or None until built
+        self.triangles: np.ndarray | None = None
         self.boundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.coverage: dict[int, np.ndarray] = {}
 
@@ -251,7 +252,7 @@ class PreparedPolygons:
         self.key = key
         self.canvas = None
         self.tiles: list | None = None
-        self.triangles: list[list[np.ndarray]] | None = None
+        self.triangles: list[np.ndarray] | None = None
         #: the index-join baseline's polygon grid, no other engine's:
         #: derived, rebuilt after a load, never persisted or counted.
         self.grid: GridIndex | None = None
@@ -647,7 +648,8 @@ class PreparedPolygons:
         if self.mbr_arrays is not None:
             total += sum(arr.nbytes for arr in self.mbr_arrays)
         for unit in self.units:
-            total += sum(t.nbytes for t in unit.triangles or ())
+            if unit.triangles is not None:
+                total += unit.triangles.nbytes
             total += sum(
                 ix.nbytes + iy.nbytes
                 for ix, iy in list(unit.boundary.values())

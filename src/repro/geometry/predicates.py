@@ -24,7 +24,8 @@ def orientation(ring: Ring) -> float:
     """
     x = ring[:, 0]
     y = ring[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = np.concatenate((ring[1:], ring[:1]))
+    return 0.5 * float((x * nxt[:, 1] - nxt[:, 0] * y).sum())
 
 
 def point_on_segment(

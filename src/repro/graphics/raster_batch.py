@@ -18,8 +18,8 @@ Bit-identity with the scalar path is the contract, not an aspiration:
   directed edge, and therefore every fill-rule bias, matches;
 * edge functions are the same int64 expressions with the same
   ``E + bias >= 0`` tie-break;
-* candidate fragments are enumerated row-major within each triangle's
-  clipped bounding box, which is precisely the order
+* covered rows are listed row-major within each triangle's clipped
+  bounding box and expanded left to right, which is precisely the order
   ``np.nonzero(mask)`` reports, so per-triangle fragment arrays are
   byte-for-byte the scalar ``covered_pixels`` output.
 
@@ -42,11 +42,6 @@ from repro.graphics.raster_triangle import (
     snap_to_subpixels,
 )
 from repro.graphics.viewport import Viewport
-
-#: Upper bound on candidate fragments materialized per vectorized pass.
-#: Chunks split on triangle boundaries, so the grouping of fragments by
-#: triangle id — and therefore bit-identity — never depends on it.
-DEFAULT_FRAGMENT_BUDGET = 1 << 21
 
 
 class TriangleSoup:
@@ -77,21 +72,15 @@ def flatten_triangles(
 ) -> TriangleSoup:
     """Concatenate per-polygon triangle lists into one flat soup."""
     pids = sorted(triangles_by_pid)
-    tris: list[np.ndarray] = []
-    owner: list[np.ndarray] = []
-    for pid in pids:
-        polygon_tris = triangles_by_pid[pid]
-        if len(polygon_tris):
-            tris.extend(polygon_tris)
-            owner.append(np.full(len(polygon_tris), pid, dtype=np.int64))
-    if not tris:
-        return TriangleSoup(
-            np.zeros((0, 3, 2), dtype=np.float64),
-            np.zeros(0, dtype=np.int64),
-            pids,
-        )
-    verts = np.stack([np.asarray(t, dtype=np.float64) for t in tris])
-    return TriangleSoup(verts, np.concatenate(owner), pids)
+    tris = [
+        np.asarray(triangles_by_pid[pid], dtype=np.float64).reshape(-1, 3, 2)
+        for pid in pids
+    ]
+    verts = np.concatenate([np.zeros((0, 3, 2)), *tris])
+    owner = np.repeat(
+        np.asarray(pids, dtype=np.int64), [len(t) for t in tris]
+    )
+    return TriangleSoup(verts, owner, pids)
 
 
 class BatchSetup:
@@ -154,29 +143,46 @@ def setup_triangles(viewport: Viewport, verts: np.ndarray) -> BatchSetup:
 
 
 class BatchFragments:
-    """Flat covered-fragment arrays for N triangles.
+    """Covered rows of N triangles, and the fragments they expand to.
 
-    ``tri``/``ix``/``iy`` list every covered pixel, grouped by triangle
-    in input order and row-major within each triangle — the order
-    ``covered_pixels`` emits.  ``counts[t]`` is triangle ``t``'s
-    fragment count, so ``np.split`` recovers per-triangle views without
-    copying.
+    The rasterizer's product is the *row table*: ``row_tri[r]``,
+    ``row_first[r]``, ``row_len[r]`` say that triangle ``row_tri[r]``
+    covers the ``row_len[r]`` pixels starting at flat index
+    ``row_first[r]`` (``iy * width + ix``) — one entry per covered pixel
+    row, triangle-major in input order and bottom-up within a triangle.
+    ``pixels`` is that table expanded once: every fragment's flat index,
+    in the order ``covered_pixels`` emits.  ``counts[t]`` is triangle
+    ``t``'s fragment count, so ``np.split`` recovers per-triangle views
+    without copying.
     """
 
-    __slots__ = ("tri", "ix", "iy", "counts")
+    __slots__ = ("row_tri", "row_first", "row_len", "counts", "pixels",
+                 "width")
 
-    def __init__(self, tri, ix, iy, counts) -> None:
-        self.tri = tri
-        self.ix = ix
-        self.iy = iy
+    def __init__(self, row_tri, row_first, row_len, counts, width) -> None:
+        self.row_tri = row_tri
+        self.row_first = row_first
+        self.row_len = row_len
         self.counts = counts
+        self.width = width
+        # One pass: a fragment's flat index is its position in the
+        # output plus its row's offset — the row's first pixel minus the
+        # number of fragments before the row.
+        before = np.cumsum(row_len) - row_len
+        pixels = np.arange(int(row_len.sum()), dtype=np.int64)
+        pixels += np.repeat(row_first - before, row_len)
+        self.pixels = pixels
+
+    @property
+    def ix(self) -> np.ndarray:
+        return self.pixels % self.width
+
+    @property
+    def iy(self) -> np.ndarray:
+        return self.pixels // self.width
 
 
-def rasterize_triangles(
-    viewport: Viewport,
-    verts: np.ndarray,
-    budget: int = DEFAULT_FRAGMENT_BUDGET,
-) -> BatchFragments:
+def rasterize_triangles(viewport: Viewport, verts: np.ndarray) -> BatchFragments:
     """Rasterize N triangles with one vectorized scanline pass.
 
     Each biased edge function ``E(px, py) + bias`` is linear in ``px``,
@@ -190,26 +196,17 @@ def rasterize_triangles(
     triangle-major, row-major within a triangle, ascending column within
     a row — while the work drops from O(sum of bbox areas) to
     O(rows + covered pixels).
-
-    ``budget`` caps the fragments emitted per gather block (blocks split
-    on row boundaries); it bounds peak memory and cannot change the
-    output.
     """
     setup = setup_triangles(viewport, verts)
     n = len(setup.x0)
-    empty = np.zeros(0, dtype=np.int64)
-    if n == 0:
-        return BatchFragments(empty, empty, empty, np.zeros(0, dtype=np.int64))
+    width = viewport.width
 
     # One entry per pixel row of every live triangle's clipped bbox.
     heights = setup.h
     num_rows = int(heights.sum())
-    if num_rows == 0:
-        return BatchFragments(empty, empty, empty, np.zeros(n, dtype=np.int64))
     row_tri = np.repeat(np.arange(n, dtype=np.int64), heights)
-    row_offsets = np.concatenate([[0], np.cumsum(heights)[:-1]])
-    row_ly = (
-        np.arange(num_rows, dtype=np.int64) - np.repeat(row_offsets, heights)
+    row_ly = np.arange(num_rows, dtype=np.int64) - np.repeat(
+        np.cumsum(heights) - heights, heights
     )
 
     # E + bias at the bbox-origin pixel center, and its per-pixel steps.
@@ -236,46 +233,19 @@ def rasterize_triangles(
         # b == 0: the whole row passes or fails on the sign of a.
         hi = np.where(~pos & ~neg & (a < 0), np.int64(-1), hi)
     seg = np.maximum(hi - lo + 1, 0)
-    counts = np.bincount(
-        row_tri, weights=seg, minlength=n
-    ).astype(np.int64)
+    counts = np.bincount(row_tri, weights=seg, minlength=n).astype(np.int64)
 
     keep = seg > 0
-    if not keep.any():
-        return BatchFragments(empty, empty, empty, counts)
-    seg_k = seg[keep]
-    py_k = np.repeat(setup.y0, heights)[keep] + row_ly[keep]
-    px_start_k = setup.x0[row_tri[keep]] + lo[keep]
-    tri_k = row_tri[keep]
-
-    # Emit fragments in budget-bounded blocks of whole rows.
-    cum = np.concatenate([[0], np.cumsum(seg_k)])
-    out_tri: list[np.ndarray] = []
-    out_ix: list[np.ndarray] = []
-    out_iy: list[np.ndarray] = []
-    start = 0
-    num_kept = len(seg_k)
-    while start < num_kept:
-        end = int(np.searchsorted(cum, cum[start] + budget, side="right")) - 1
-        end = min(max(end, start + 1), num_kept)
-        block = np.arange(int(cum[end] - cum[start]), dtype=np.int64)
-        offs = np.repeat(cum[start:end] - cum[start], seg_k[start:end])
-        out_tri.append(np.repeat(tri_k[start:end], seg_k[start:end]))
-        out_ix.append(
-            block - offs + np.repeat(px_start_k[start:end], seg_k[start:end])
-        )
-        out_iy.append(np.repeat(py_k[start:end], seg_k[start:end]))
-        start = end
-    tri = np.concatenate(out_tri)
-    ix = np.concatenate(out_ix)
-    iy = np.concatenate(out_iy)
-    return BatchFragments(tri, ix, iy, counts)
+    row_tri = row_tri[keep]
+    row_first = (
+        (setup.y0[row_tri] + row_ly[keep]) * width + setup.x0[row_tri] + lo[keep]
+    )
+    return BatchFragments(row_tri, row_first, seg[keep], counts, width)
 
 
 def coverage_by_polygon(
     viewport: Viewport,
     triangles_by_pid: Mapping[int, Sequence[np.ndarray]],
-    budget: int = DEFAULT_FRAGMENT_BUDGET,
 ) -> dict[int, np.ndarray]:
     """Per-polygon coverage from one batched pass.
 
@@ -291,14 +261,15 @@ def coverage_by_polygon(
     intersection test) by choosing which pids to request.
     """
     soup = flatten_triangles(triangles_by_pid)
-    frags = rasterize_triangles(viewport, soup.verts, budget)
-    pixels = frags.iy * viewport.width + frags.ix
+    frags = rasterize_triangles(viewport, soup.verts)
     per_pid = np.bincount(
         soup.tri_pid, weights=frags.counts,
         minlength=max(soup.pids, default=-1) + 1,
     ).astype(np.int64)
     bounds = np.concatenate([[0], np.cumsum(per_pid)])
-    return {pid: pixels[bounds[pid]:bounds[pid + 1]] for pid in soup.pids}
+    return {
+        pid: frags.pixels[bounds[pid]:bounds[pid + 1]] for pid in soup.pids
+    }
 
 
 def bin_polygons_to_tile(

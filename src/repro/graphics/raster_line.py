@@ -166,10 +166,18 @@ def _edges_touched_pixels(
     # Interval midpoints: sort parameters per edge; every consecutive
     # pair with positive spacing contributes its midpoint pixel.  The
     # sorted parameter multiset matches the scalar per-edge sort, and
-    # zero-length intervals are skipped either way.
-    order = np.lexsort((ts, eid))
-    ts_s = ts[order]
-    eid_s = eid[order]
+    # zero-length intervals are skipped either way.  Edge-major and
+    # ascending within an edge comes from two single-key sorts — one
+    # float sort ranks every parameter, one integer sort of ``edge * n
+    # + rank`` groups the ranks by edge — several times cheaper than a
+    # two-key lexsort.  (Equal parameters may land in either order; the
+    # sorted values cannot tell.)
+    n = len(ts)
+    by_t = np.argsort(ts)
+    key = eid[by_t] * n + np.arange(n, dtype=np.int64)
+    key.sort()
+    eid_s = key // n
+    ts_s = ts[by_t[key - eid_s * n]]
     pair = (eid_s[:-1] == eid_s[1:]) & (ts_s[1:] - ts_s[:-1] > 0.0)
     if pair.any():
         me = eid_s[:-1][pair]

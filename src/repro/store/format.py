@@ -209,13 +209,9 @@ def _decode_mbrs(arrays) -> tuple[np.ndarray, ...]:
 # Per-polygon unit (de)serialization primitives
 # ----------------------------------------------------------------------
 def _encode_unit_triangles(units: Sequence[PolygonUnit], arrays: dict) -> None:
-    flat = [
-        np.asarray(tri, dtype=COORD_DTYPE)
-        for unit in units
-        for tri in unit.triangles
-    ]
-    arrays["tri_data"] = (
-        np.stack(flat) if flat else np.zeros((0, 3, 2), dtype=COORD_DTYPE)
+    arrays["tri_data"] = np.concatenate(
+        [np.zeros((0, 3, 2))] + [unit.triangles for unit in units],
+        dtype=COORD_DTYPE,
     )
     arrays["tri_counts"] = _compact_indices(
         np.asarray([len(unit.triangles) for unit in units])
@@ -231,10 +227,8 @@ def _decode_unit_triangles(units: Sequence[PolygonUnit], arrays) -> None:
         and int(counts.sum()) == len(data),
         "triangle table does not add up",
     )
-    cursor = 0
-    for unit, count in zip(units, counts):
-        unit.triangles = [data[cursor + k] for k in range(int(count))]
-        cursor += int(count)
+    for unit, tris in zip(units, np.split(data, np.cumsum(counts)[:-1])):
+        unit.triangles = tris
 
 
 def _encode_ragged(parts: Sequence[np.ndarray], arrays: dict,

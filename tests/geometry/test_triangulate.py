@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.data import generate_voronoi_regions
+from repro.data.regions import NYC_REGION_EXTENT
 from repro.errors import TriangulationError
-from repro.geometry.polygon import Polygon, regular_polygon
+from repro.geometry import predicates
+from repro.geometry.polygon import Polygon, rectangle, regular_polygon
 from repro.geometry.predicates import orientation, point_in_triangle
 from repro.geometry.triangulate import (
     triangulate_polygon,
@@ -114,6 +117,48 @@ class TestTriangulatePolygon:
         tris = triangulate_polygon(poly)
         assert abs(tri_area_sum(tris) - poly.area) < 1e-9
 
+    @pytest.mark.parametrize("flip_x", [False, True])
+    @pytest.mark.parametrize("flip_y", [False, True])
+    def test_two_bridges_meeting_at_one_outer_vertex(self, flip_x, flip_y):
+        """Both holes bridge to the outer vertex (90, 12): the second
+        bridge must leave from the copy of it on its own side of the
+        first bridge (this raised "no ear found")."""
+        def mirrored(ring):
+            ring = np.asarray(ring, dtype=float)
+            scale = [-1.0 if flip_x else 1.0, -1.0 if flip_y else 1.0]
+            return ring * scale + [100.0 * flip_x, 100.0 * flip_y]
+
+        poly = Polygon(
+            mirrored([(10, 10), (90, 12), (88, 90), (12, 85)]),
+            holes=[mirrored([(30, 30), (60, 32), (55, 60), (33, 58)]),
+                   mirrored([(65, 65), (80, 66), (72, 80)])],
+        )
+        tris = triangulate_polygon(poly)
+        assert len(tris) == 13
+        assert (np.asarray([orientation(t) for t in tris]) > 0).all()
+        assert tri_area_sum(tris) == poly.area == 5128.0
+
+    def test_holes_in_a_row_bridge_through_each_other(self, rng):
+        """Each hole's ray runs into the previous hole or its bridge, so
+        every bridge but the first starts from a duplicated vertex."""
+        for _ in range(40):
+            outer = random_star_polygon(rng, radius_range=(30, 48),
+                                        vertices=int(rng.integers(4, 30)))
+            slots = rng.permutation(5)[: int(rng.integers(2, 5))]
+            holes = [
+                random_star_polygon(
+                    rng, center=(32.0 + 9.0 * slot, 50 + rng.uniform(-6, 6)),
+                    radius_range=(1, 4), vertices=int(rng.integers(3, 9)),
+                ).exterior
+                for slot in slots
+            ]
+            if not all(outer.contains_points(h[:, 0], h[:, 1]).all()
+                       for h in holes):
+                continue
+            poly = Polygon(outer.exterior, holes=holes)
+            tris = triangulate_polygon(poly)
+            assert abs(tri_area_sum(tris) - poly.area) < 1e-9 * poly.area
+
     def test_many_vertices(self):
         poly = regular_polygon(0, 0, 10, 100)
         tris = triangulate_polygon(poly)
@@ -134,3 +179,35 @@ class TestTriangulateSet:
     def test_empty(self):
         tris, ids = triangulate_set([])
         assert tris.shape == (0, 3, 2) and len(ids) == 0
+
+    def test_no_numpy_call_per_triangle(self, monkeypatch):
+        """A ledger-size zoning (96 merged-Voronoi regions + two frame
+        rectangles, ~1 200 triangles) costs one ring-orientation call per
+        polygon and no scalar containment call: the ear sweep runs on
+        plain floats and the sliver / winding pass is one vectorised
+        signed-area pass per ring (15 k and 155 k calls per six zonings
+        when each ear and each triangle went through the predicates)."""
+        from repro.geometry import triangulate
+
+        box = NYC_REGION_EXTENT
+        polys = list(generate_voronoi_regions(96, box, seed=3)) + [
+            rectangle(box.xmin, box.ymin, 2.5, 2.5),
+            rectangle(box.xmax - 2.5, box.ymax - 2.5, box.xmax, box.ymax),
+        ]
+        calls = {"orientation": 0, "point_in_triangle": 0}
+
+        def counted(name, wrapped):
+            def call(*args):
+                calls[name] += 1
+                return wrapped(*args)
+            return call
+
+        for name in calls:
+            call = counted(name, getattr(predicates, name))
+            monkeypatch.setattr(predicates, name, call)
+            if hasattr(triangulate, name):  # imported by name
+                monkeypatch.setattr(triangulate, name, call)
+        tris, ids = triangulate_set(polys)
+        assert len(tris) > 1000 and ids[-1] == 97
+        assert calls["point_in_triangle"] == 0
+        assert calls["orientation"] <= len(polys)

@@ -5,13 +5,14 @@ per-triangle reference — same snap, same fill-rule tie-break, same
 fragment order.  These tests pin that contract triangle by triangle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.geometry.bbox import BBox
 from repro.geometry.triangulate import triangulate_polygon
 from repro.graphics.raster_batch import (
-    DEFAULT_FRAGMENT_BUDGET,
     bin_polygons_to_tile,
     coverage_by_polygon,
     flatten_triangles,
@@ -56,7 +57,7 @@ class TestFlatten:
         assert soup.num_triangles == 0
         frags = rasterize_triangles(VP, soup.verts)
         assert frags.counts.shape == (0,)
-        assert len(frags.ix) == 0
+        assert len(frags.pixels) == len(frags.row_len) == 0
 
 
 class TestFragmentEquality:
@@ -67,27 +68,75 @@ class TestFragmentEquality:
         _, tris = _random_scene(seed)
         soup = flatten_triangles(tris)
         frags = rasterize_triangles(VP, soup.verts)
-        per_iy = np.split(frags.iy, np.cumsum(frags.counts)[:-1])
-        per_ix = np.split(frags.ix, np.cumsum(frags.counts)[:-1])
+        per_tri = np.split(frags.pixels, np.cumsum(frags.counts)[:-1])
         t = 0
         for pid in sorted(tris):
             for tri in tris[pid]:
                 xs, ys = covered_pixels(VP, tri)
-                assert np.array_equal(per_ix[t], xs)
-                assert np.array_equal(per_iy[t], ys)
+                assert np.array_equal(per_tri[t], ys * VP.width + xs)
                 t += 1
+        assert np.array_equal(frags.ix, frags.pixels % VP.width)
+        assert np.array_equal(frags.iy, frags.pixels // VP.width)
 
-    def test_chunking_never_changes_output(self):
-        """The fragment budget is a memory knob, not a semantic one."""
+    def test_row_table_is_the_product(self):
+        """The fragments are the row table expanded and nothing else:
+        one run of consecutive flat pixels per covered row, rows
+        triangle-major and bottom-up within a triangle."""
         _, tris = _random_scene(4)
-        soup = flatten_triangles(tris)
-        ref = rasterize_triangles(VP, soup.verts)
-        for budget in (1, 7, 100, DEFAULT_FRAGMENT_BUDGET):
-            got = rasterize_triangles(VP, soup.verts, budget=budget)
-            assert np.array_equal(got.tri, ref.tri)
-            assert np.array_equal(got.ix, ref.ix)
-            assert np.array_equal(got.iy, ref.iy)
-            assert np.array_equal(got.counts, ref.counts)
+        frags = rasterize_triangles(VP, flatten_triangles(tris).verts)
+        assert (frags.row_len > 0).all()
+        assert np.array_equal(frags.pixels, np.concatenate([
+            np.arange(first, first + length)
+            for first, length in zip(frags.row_first, frags.row_len)
+        ]))
+        assert np.array_equal(
+            np.bincount(frags.row_tri, weights=frags.row_len,
+                        minlength=len(frags.counts)),
+            frags.counts,
+        )
+        assert (np.diff(frags.row_tri) >= 0).all()
+        same = np.diff(frags.row_tri) == 0
+        rows = frags.row_first // VP.width
+        assert (np.diff(rows)[same] >= 1).all()  # thin slivers skip rows
+        # A row never wraps past the canvas edge.
+        assert (frags.row_first % VP.width + frags.row_len <= VP.width).all()
+
+    def test_one_pixel_canvas(self):
+        view = Viewport(BBox(0, 0, 1, 1), 1, 1)
+        tris = [
+            np.array([(-1.0, -1.0), (3.0, -1.0), (-1.0, 3.0)]),  # covers it
+            np.array([(0.0, 0.0), (0.4, 0.0), (0.0, 0.4)]),  # misses center
+            np.array([(2.0, 2.0), (3.0, 2.0), (2.0, 3.0)]),  # off canvas
+        ]
+        frags = rasterize_triangles(view, np.stack(tris))
+        assert frags.counts.tolist() == [
+            len(covered_pixels(view, tri)[0]) for tri in tris
+        ] == [1, 0, 0]
+        assert frags.pixels.tolist() == [0]
+
+    def test_expansion_stays_within_a_byte_bound(self):
+        """Fragments are expanded once: a full-canvas soup at 1024^2
+        peaks below 4x the pixel array it returns (the block-wise
+        ix / iy / tri emission it replaced measured 9x)."""
+        view = Viewport(BBox(0, 0, 100, 100), 1024, 1024)
+        rng = np.random.default_rng(11)
+        fan = [
+            np.array([(50.0, 50.0), a, b])
+            for a, b in [((0, 0), (100, 0)), ((100, 0), (100, 100)),
+                         ((100, 100), (0, 100)), ((0, 100), (0, 0))]
+        ]
+        small = rng.uniform(0, 100, size=(200, 1, 2)) + rng.uniform(
+            -3, 3, size=(200, 3, 2)
+        )
+        verts = np.concatenate([np.stack(fan), small])
+        tracemalloc.start()
+        try:
+            frags = rasterize_triangles(view, verts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(frags.pixels) >= 1024 * 1024
+        assert peak <= 4 * frags.pixels.nbytes
 
     def test_degenerate_and_offscreen_triangles(self):
         """Zero-area and fully clipped triangles yield zero fragments,

@@ -5,7 +5,11 @@ import pytest
 
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import Polygon
-from repro.graphics.raster_line import outline_pixels, supercover_line
+from repro.graphics.raster_line import (
+    outline_pixels,
+    outline_pixels_many,
+    supercover_line,
+)
 from repro.graphics.viewport import Viewport
 
 VP = Viewport(BBox(0, 0, 16, 16), 16, 16)
@@ -115,3 +119,66 @@ class TestOutlinePixels:
             inside = poly.contains_points(cx.ravel(), cy.ravel()).reshape(16, 16)
             mismatch = covered != inside
             assert not np.any(mismatch & ~boundary)
+
+
+class TestOutlineManyAgainstTheScalarWalk:
+    """The batched pass orders each edge's lattice crossings with two
+    single-key sorts; its pixels must be exactly those of a per-edge
+    :func:`supercover_line` loop, on the edges where ordering is
+    delicate: several crossings at one parameter, or none at all."""
+
+    RINGS = {
+        # horizontal and vertical edges between pixel centers
+        0: [[(1.5, 1.5), (6.5, 1.5), (6.5, 5.5), (1.5, 5.5)]],
+        # every edge runs along a lattice line
+        1: [[(8.0, 2.0), (13.0, 2.0), (13.0, 6.0), (8.0, 6.0)]],
+        # zero-length edges (repeated vertices), on and off the lattice
+        2: [[(2.0, 8.0), (2.0, 8.0), (5.25, 8.5), (5.25, 8.5), (3.0, 11.0)]],
+        # diagonals through lattice corners: x- and y-crossings coincide
+        3: [[(8.0, 8.0), (14.0, 14.0), (8.0, 14.0)],
+            [(9.0, 12.0), (10.0, 13.0), (9.0, 13.0)]],
+        # a corner crossed mid-edge at a slope other than 1, and an edge
+        # that leaves the canvas
+        4: [[(0.5, 12.0), (3.5, 14.0), (-2.0, 15.5)]],
+        # no ring at all
+        5: [],
+    }
+
+    @staticmethod
+    def scalar_walk(rings):
+        codes = []
+        for ring in rings:
+            ring = np.asarray(ring, dtype=float)
+            for (ax, ay), (bx, by) in zip(ring, np.roll(ring, -1, axis=0)):
+                xs, ys = supercover_line(ax, ay, bx, by, 16, 16)
+                codes.append(xs * 16 + ys)
+        flat = np.unique(np.concatenate(codes)) if codes else np.zeros(0, int)
+        return flat // 16, flat % 16
+
+    def test_pixel_for_pixel(self):
+        rings = {pid: [np.asarray(r, dtype=float) for r in rings]
+                 for pid, rings in self.RINGS.items()}
+        many = outline_pixels_many(VP, rings)
+        assert sorted(many) == sorted(rings)
+        for pid in rings:
+            want_x, want_y = self.scalar_walk(rings[pid])
+            assert np.array_equal(many[pid][0], want_x), pid
+            assert np.array_equal(many[pid][1], want_y), pid
+        # The corner-crossing diagonal really reports both neighbours.
+        got = set(zip(many[3][0].tolist(), many[3][1].tolist()))
+        assert {(9, 10), (10, 9), (10, 10)} <= got
+
+    def test_random_rings_with_lattice_vertices(self, rng):
+        """Half the vertices snapped to the lattice, so edges start on,
+        end on and cross corners at random."""
+        rings = {}
+        for pid in range(30):
+            ring = rng.uniform(-1.0, 17.0, (int(rng.integers(3, 9)), 2))
+            snap = rng.random(len(ring)) < 0.5
+            ring[snap] = np.rint(ring[snap])
+            rings[pid] = [ring]
+        many = outline_pixels_many(VP, rings)
+        for pid in rings:
+            want_x, want_y = self.scalar_walk(rings[pid])
+            assert np.array_equal(many[pid][0], want_x), pid
+            assert np.array_equal(many[pid][1], want_y), pid

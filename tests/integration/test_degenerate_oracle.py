@@ -4,8 +4,9 @@ inputs, on both sides of the prewarm stage.
 Every input below is one nobody's generator produces by accident — no
 points, points off the canvas, non-finite coordinates, points exactly on
 vertices / horizontal edges / tile seams, no candidate after the MBR
-filter, a one-pixel canvas, a hole, two outlines through one pixel, a
-device that cuts the statement into several batches — and each runs for
+filter, a one-pixel canvas, a hole, two holes bridged to one outer
+vertex, two outlines through one pixel, a device that cuts the
+statement into several batches — and each runs for
 Count / Sum / Avg / Min / Max x {no filter, a filter keeping some rows,
 one keeping none} x {not prewarmed, prewarmed} x {1, 4, 16 tiles}.
 Count / Min / Max must equal ``tests/conftest.py::brute_force_values``
@@ -20,9 +21,12 @@ import pytest
 from repro import (
     AccurateRasterJoin,
     Average,
+    BoundedRasterJoin,
     Count,
     Filter,
     GPUDevice,
+    IndexJoin,
+    MaterializingJoin,
     Max,
     Min,
     PointDataset,
@@ -167,6 +171,20 @@ def polygon_with_a_hole():
     ])
 
 
+def two_holes_bridged_to_one_outer_vertex():
+    # The second hole's bridge leaves from (90, 12), which the first
+    # hole's bridge has already duplicated.
+    xs, ys = _uniform(1200)
+    return _dataset(xs, ys), PolygonSet([
+        FRAME,
+        Polygon(
+            [(10, 10), (90, 12), (88, 90), (12, 85)],
+            holes=[[(30, 30), (60, 32), (55, 60), (33, 58)],
+                   [(65, 65), (80, 66), (72, 80)]],
+        ),
+    ])
+
+
 def two_polygons_sharing_an_outline_pixel():
     # Corner to corner at (50, 50), and a sliver running through the
     # same pixels as the first one's right edge.
@@ -189,6 +207,7 @@ INPUTS = [
     no_points, all_points_off_the_canvas, nonfinite_coordinates,
     points_on_vertices_edges_and_seams, no_polygon_mbr_holds_a_point,
     single_pixel_canvas, polygon_with_a_hole,
+    two_holes_bridged_to_one_outer_vertex,
     two_polygons_sharing_an_outline_pixel, two_or_more_device_batches,
 ]
 
@@ -265,3 +284,37 @@ def test_degenerate_input_matches_the_oracle_prewarmed_or_not(make, cuts):
             assert warm.stats.boundary_points == cold.stats.boundary_points
             if batches is not None and not filters:
                 assert cold.stats.batches >= 2 * cold.stats.extra["tiles"]
+
+
+def test_every_engine_matches_the_oracle_on_the_two_hole_polygon():
+    """The triangulation feeds the bounded engine's draw pass and the
+    index join's grid assignment too.  The bounded engine is exact for
+    a point further than a pixel diagonal from every edge, so it is
+    asked about those only."""
+    points, polygons = two_holes_bridged_to_one_outer_vertex()
+    want = brute_force_values(points, polygons, "count")
+    for engine in (AccurateRasterJoin(resolution=RESOLUTION),
+                   IndexJoin(mode="gpu", grid_resolution=32),
+                   MaterializingJoin(truncate_bits=None)):
+        got = engine.execute(points, polygons, Count()).values
+        assert np.array_equal(got, want), engine.name
+
+    epsilon = 1.0
+    far = np.ones(len(points), dtype=bool)
+    for polygon in polygons:
+        for ring in polygon.rings:
+            for a, b in zip(ring, np.roll(ring, -1, axis=0)):
+                t = np.clip(
+                    ((points.xs - a[0]) * (b[0] - a[0])
+                     + (points.ys - a[1]) * (b[1] - a[1]))
+                    / ((b - a) @ (b - a)), 0.0, 1.0,
+                )
+                far &= np.hypot(points.xs - (a[0] + t * (b[0] - a[0])),
+                                points.ys - (a[1] + t * (b[1] - a[1]))) > epsilon
+    assert 600 < far.sum() < len(points)
+    inner = PointDataset(points.xs[far], points.ys[far],
+                         {"v": points.column("v")[far]})
+    got = BoundedRasterJoin(epsilon=epsilon).execute(
+        inner, polygons, Count()
+    ).values
+    assert np.array_equal(got, brute_force_values(inner, polygons, "count"))

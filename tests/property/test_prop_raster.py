@@ -145,8 +145,11 @@ def _batched_per_triangle(viewport, tris):
     if not len(tris):
         return []
     frags = rasterize_triangles(viewport, np.stack(tris))
-    splits = np.cumsum(frags.counts)[:-1]
-    return list(zip(np.split(frags.ix, splits), np.split(frags.iy, splits)))
+    assert len(frags.pixels) == frags.row_len.sum() == frags.counts.sum()
+    return [
+        (pixels % viewport.width, pixels // viewport.width)
+        for pixels in np.split(frags.pixels, np.cumsum(frags.counts)[:-1])
+    ]
 
 
 @given(star_polygons())
