@@ -37,12 +37,11 @@ from repro.cache.prepared import PreparedPolygons
 from repro.cache.session import QuerySession
 from repro.core.aggregates import Aggregate
 from repro.core.filters import FilterSet
-from repro.core.tiles import RasterJoinEngine, TileKernel
+from repro.core.tiles import RasterJoinEngine, TileKernel, route_points
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice, ResidentPointSet
 from repro.errors import QueryError
 from repro.exec.config import EngineConfig
-from repro.exec.partition import route_chunk, routing_token
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.viewport import Canvas
 from repro.obs import trace
@@ -153,9 +152,8 @@ class AccurateRasterJoin(RasterJoinEngine):
             raise QueryError("prewarm needs a QuerySession to retain its work")
         canvas = self._make_canvas(polygons)
         tiles = list(canvas.tiles(self.max_resolution))
-        token = routing_token(canvas, self.max_resolution)
-        routing = self.session.partition_lookup(points, token) or route_chunk(
-            points, canvas, tiles, self.max_resolution
+        routing, token, _ = route_points(
+            self.session, points, canvas, tiles, self.max_resolution
         )
         routing.index_pixels(tiles)
         self.session.partition_store(points, token, routing)
@@ -172,7 +170,5 @@ class AccurateRasterJoin(RasterJoinEngine):
         stats: ExecutionStats,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         member = self.member(polygons, aggregate, filters, stats)
-        accumulators = self.run_member(
-            member, lambda: iter((points,)), stats, points_hint=points
-        ).accumulators
+        accumulators = self.run_member(member, points, stats).accumulators
         return aggregate.finalize(accumulators), accumulators

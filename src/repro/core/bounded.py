@@ -158,8 +158,7 @@ class BoundedRasterJoin(RasterJoinEngine):
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         member = self.member(polygons, aggregate, filters, stats)
         run = self.run_member(
-            member, lambda: iter((points,)), stats, points_hint=points,
-            keep_fbo=self.compute_bounds,
+            member, points, stats, keep_fbo=self.compute_bounds
         )
         accumulators = run.accumulators
         values = aggregate.finalize(accumulators)

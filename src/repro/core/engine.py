@@ -70,10 +70,6 @@ class SpatialAggregationEngine(ABC):
         #: this is purely a performance knob.
         self.config = config if config is not None else EngineConfig()
         self.backend = self.config.make_backend()
-        # Resolved once here so a malformed $REPRO_PARTITION_POINTS
-        # fails at construction (like the other env-driven flags), not
-        # deep inside a query's tile fan-out.
-        self._partition_points = self.config.partition_enabled()
         if session is None:
             # An explicit store location on the config opts the engine
             # into cross-session persistence even without a caller-owned

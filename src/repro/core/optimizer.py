@@ -73,23 +73,17 @@ class CostModel:
         return fraction, fraction if full else 0.0
 
     def _point_pass_seconds(
-        self, num_points: int, tiles: int, waves: int, partitioned: bool,
-        routed: bool = False,
+        self, num_points: int, tiles: int, waves: int, routed: bool = False,
     ) -> float:
-        """Point-pass cost for one query.
+        """Point-pass cost for one statement over a point source.
 
-        Full scan (``partition_points=False``): every tile projects all
-        ``num_points``, so each wave costs the full point count.
-        Routed: each tile scans only its share (``num_points / tiles``),
-        so the term scales by the per-tile point share instead of the
-        total — the difference between "parallel" and "scales with
-        cores" on multi-tile canvases — and the one projection of the
-        whole input is paid only when the session does not already hold
-        this source's routing over the canvas (``routed``), at any tile
-        count.
+        Each tile scans only its share (``num_points / tiles``), so the
+        term scales by the per-tile point share instead of the total —
+        the difference between "parallel" and "scales with cores" on
+        multi-tile canvases — and the one projection of the whole input
+        is paid only when the session does not already hold this
+        source's routing over the canvas (``routed``), at any tile count.
         """
-        if not partitioned:
-            return self.per_point_render * num_points * waves
         return self.per_point_render * num_points * (
             (not routed) + waves / tiles
         )
@@ -97,8 +91,7 @@ class CostModel:
     def bounded_terms(
         self, num_points: int, canvas_pixels: int, tiles: int,
         covered_pixels: int, workers: int = 1, num_vertices: int = 0,
-        warm: "str | bool | None" = False, partitioned: bool = False,
-        routed: bool = False,
+        warm: "str | bool | None" = False, routed: bool = False,
     ) -> dict[str, float]:
         """Per-term predicted bounded-join seconds.
 
@@ -111,9 +104,8 @@ class CostModel:
         Tiles are independent, so with ``workers`` parallel tile workers
         the point pass runs in ``ceil(tiles / workers)`` waves and the
         polygon pass spreads over the tiles actually running concurrently.
-        With ``partitioned`` point execution each wave scans only the
-        per-tile point share, and a ``routed`` source skips the
-        projection (see :meth:`_point_pass_seconds`).
+        Each wave scans only the per-tile point share, and a ``routed``
+        source skips the projection (see :meth:`_point_pass_seconds`).
         """
         tiles = max(1, tiles)
         concurrency = max(1, min(workers, tiles))
@@ -121,7 +113,7 @@ class CostModel:
         prepared, replayable = self._grades(warm)
         return {
             "point_pass": self._point_pass_seconds(
-                num_points, tiles, waves, partitioned, routed
+                num_points, tiles, waves, routed
             ),
             "prepare": (
                 self.per_vertex_triangulate * num_vertices * (1.0 - prepared)
@@ -135,8 +127,8 @@ class CostModel:
     def accurate_terms(
         self, num_points: int, boundary_fraction: float, covered_pixels: int,
         tiles: int = 1, workers: int = 1, num_vertices: int = 0,
-        warm: "str | bool | None" = False, partitioned: bool = False,
-        routed: bool = False, prewarmed: bool = False,
+        warm: "str | bool | None" = False, routed: bool = False,
+        prewarmed: bool = False,
     ) -> dict[str, float]:
         """Per-term predicted accurate-join seconds.
 
@@ -144,9 +136,9 @@ class CostModel:
         bounded variant; the boundary PIP path is partitioned with the
         points, so it divides across concurrent tile workers too.  The
         boundary PIP traffic is per-query point work and is paid warm or
-        cold.  With ``partitioned`` point execution the render term
-        scales by the per-tile point share, and a ``routed`` source
-        skips the projection (see :meth:`_point_pass_seconds`).
+        cold.  The render term scales by the per-tile point share, and a
+        ``routed`` source skips the projection (see
+        :meth:`_point_pass_seconds`).
 
         ``prewarmed`` is the third regime: the session holds the point
         framebuffers of this (points, canvas) pairing
@@ -165,7 +157,7 @@ class CostModel:
                 self.per_vertex_triangulate * num_vertices * (1.0 - prepared)
             ),
             "point_pass": 0.0 if prewarmed else self._point_pass_seconds(
-                num_points, tiles, waves, partitioned, routed
+                num_points, tiles, waves, routed
             ),
             "boundary_pip": (
                 self.per_boundary_point * boundary_points / concurrency
@@ -253,7 +245,6 @@ class RasterJoinOptimizer:
         #: its prepared state regardless of which variant wins.
         self.session = session
         self._workers = self.config.backend.workers
-        self._partitioned = self.config.partition_enabled()
         self._model: CostModel | None = None
 
     def close(self) -> None:
@@ -320,82 +311,17 @@ class RasterJoinOptimizer:
         reports each variant's warmth under ``"bounded_warm"`` /
         ``"accurate_warm"``.
         """
-        return self._estimate(points, polygons, epsilon,
-                              *self._candidates(epsilon))
+        return self._estimate(points, polygons, self._candidates(epsilon))
 
-    def _estimate(
-        self,
-        points: PointDataset,
-        polygons: PolygonSet,
-        epsilon: float,
-        bounded_engine: BoundedRasterJoin,
-        accurate_engine: AccurateRasterJoin,
-    ) -> dict[str, float]:
-        """:meth:`estimate` over an already-constructed candidate pair."""
-        warm_bounded = self._warmth(bounded_engine, polygons)
-        warm_accurate = self._warmth(accurate_engine, polygons)
-        num_vertices = sum(p.num_vertices for p in polygons)
-        canvas = Canvas.for_epsilon(polygons.bbox, epsilon)
-        max_res = (
-            self.device.max_resolution if self.device is not None else 8192
-        )
-        tiles = canvas.num_tiles(max_res)
-        # Covered pixels scale with total polygon area over the extent.
-        area_fraction = min(
-            1.0,
-            sum(p.area for p in polygons) / max(polygons.bbox.area, 1e-300),
-        )
-        covered = canvas.num_pixels * area_fraction
-        # Boundary traffic: outline length in pixels over the *accurate*
-        # canvas, times the point density per pixel row.
-        perimeter = sum(
-            math.hypot(bx - ax, by - ay)
-            for poly in polygons
-            for (ax, ay, bx, by) in poly.edges()
-        )
-        acc_canvas = Canvas.for_resolution(
-            polygons.bbox, self.accurate_resolution
-        )
-        boundary_pixels = perimeter / max(
-            min(acc_canvas.pixel_width, acc_canvas.pixel_height), 1e-300
-        )
-        boundary_fraction = min(
-            1.0, boundary_pixels / max(acc_canvas.num_pixels, 1)
-        )
-        model = self.model
-        acc_tiles = acc_canvas.num_tiles(max_res)
-        # The engines this optimizer constructs inherit its config, so
-        # the prediction must assume the same point-pass execution they
-        # will actually run: routed tiles scan only their share, and a
-        # source the session already routed over the variant's canvas
-        # is not projected again.
-        partitioned = self._partitioned
-        acc_routed = accurate_engine.routing_warmth(points, polygons)
-        acc_workers = self._effective_workers(points, acc_canvas, max_res, 8)
-        # Third regime: a prewarmed pairing scatters nothing.
-        prewarmed = accurate_engine.routing_warmth(
-            points, polygons, indexed=True
-        )
-        return {
-            "bounded": sum(model.bounded_terms(
-                len(points), canvas.num_pixels, tiles, int(covered),
-                workers=self._effective_workers(points, canvas, max_res, 4),
-                num_vertices=num_vertices, warm=warm_bounded,
-                partitioned=partitioned,
-                routed=bounded_engine.routing_warmth(points, polygons),
-            ).values()),
-            "accurate": sum(model.accurate_terms(
-                len(points), boundary_fraction,
-                int(acc_canvas.num_pixels * area_fraction),
-                tiles=acc_tiles,
-                workers=acc_workers,
-                num_vertices=num_vertices, warm=warm_accurate,
-                partitioned=partitioned, routed=acc_routed,
-                prewarmed=prewarmed,
-            ).values()),
-            "bounded_warm": warm_bounded or False,
-            "accurate_warm": warm_accurate or False,
-        }
+    def _estimate(self, points, polygons, candidates) -> dict[str, float]:
+        """:meth:`estimate` over an already-constructed candidate pair:
+        each variant's prediction is the sum of its EXPLAIN terms."""
+        cost = {}
+        for name, engine in zip(("bounded", "accurate"), candidates):
+            _, warm, terms = self._costing(points, polygons, engine)
+            cost[name] = sum(terms.values())
+            cost[f"{name}_warm"] = warm or False
+        return cost
 
     def explain_terms(
         self,
@@ -414,35 +340,43 @@ class RasterJoinOptimizer:
         line each prediction up against the measured span time.
 
         Supports the two raster-join variants the SQL planner chooses
-        between; the feature extraction mirrors :meth:`estimate`.
+        between; :meth:`estimate` sums these very terms.
         """
+        regime, _, terms = self._costing(points, polygons, engine)
+        return regime, terms
+
+    def _costing(self, points, polygons, engine):
+        """``(regime, warmth grade, per-term seconds)`` for one engine —
+        the one place the cost features are extracted."""
         num_vertices = sum(p.num_vertices for p in polygons)
+        # Covered pixels scale with total polygon area over the extent.
         area_fraction = min(
             1.0,
             sum(p.area for p in polygons) / max(polygons.bbox.area, 1e-300),
-        )
-        perimeter = sum(
-            math.hypot(bx - ax, by - ay)
-            for poly in polygons
-            for (ax, ay, bx, by) in poly.edges()
         )
         max_res = (
             self.device.max_resolution if self.device is not None else 8192
         )
         model = self.model
-        partitioned = self._partitioned
+        # A source the session already routed over the variant's canvas
+        # is not projected again.
         routed = engine.routing_warmth(points, polygons)
         warm = self._warmth(engine, polygons)
         if isinstance(engine, BoundedRasterJoin):
             canvas = Canvas.for_epsilon(polygons.bbox, engine.epsilon)
-            regime = "warm" if warm else "cold"
-            return regime, model.bounded_terms(
+            return "warm" if warm else "cold", warm, model.bounded_terms(
                 len(points), canvas.num_pixels, canvas.num_tiles(max_res),
                 int(canvas.num_pixels * area_fraction),
                 workers=self._effective_workers(points, canvas, max_res, 4),
-                num_vertices=num_vertices, warm=warm,
-                partitioned=partitioned, routed=routed,
+                num_vertices=num_vertices, warm=warm, routed=routed,
             )
+        # Boundary traffic: outline length in pixels over the accurate
+        # canvas, times the point density per pixel row.
+        perimeter = sum(
+            math.hypot(bx - ax, by - ay)
+            for poly in polygons
+            for (ax, ay, bx, by) in poly.edges()
+        )
         resolution = getattr(engine, "resolution", self.accurate_resolution)
         acc_canvas = Canvas.for_resolution(polygons.bbox, resolution)
         boundary_pixels = perimeter / max(
@@ -451,15 +385,16 @@ class RasterJoinOptimizer:
         boundary_fraction = min(
             1.0, boundary_pixels / max(acc_canvas.num_pixels, 1)
         )
-        acc_workers = self._effective_workers(points, acc_canvas, max_res, 8)
+        # Third regime: a prewarmed pairing scatters nothing.
         prewarmed = engine.routing_warmth(points, polygons, indexed=True)
         regime = "pyramid-warm" if prewarmed else "warm" if warm else "cold"
-        return regime, model.accurate_terms(
+        return regime, warm, model.accurate_terms(
             len(points), boundary_fraction,
             int(acc_canvas.num_pixels * area_fraction),
-            tiles=acc_canvas.num_tiles(max_res), workers=acc_workers,
-            num_vertices=num_vertices, warm=warm, partitioned=partitioned,
-            routed=routed, prewarmed=prewarmed,
+            tiles=acc_canvas.num_tiles(max_res),
+            workers=self._effective_workers(points, acc_canvas, max_res, 8),
+            num_vertices=num_vertices, warm=warm, routed=routed,
+            prewarmed=prewarmed,
         )
 
     def _effective_workers(
@@ -500,8 +435,9 @@ class RasterJoinOptimizer:
         a cold bounded one in an interactive loop.
         """
         bounded_engine, accurate_engine = self._candidates(epsilon)
-        cost = self._estimate(points, polygons, epsilon,
-                              bounded_engine, accurate_engine)
+        cost = self._estimate(
+            points, polygons, (bounded_engine, accurate_engine)
+        )
         if cost["bounded"] <= cost["accurate"]:
             return bounded_engine
         return accurate_engine

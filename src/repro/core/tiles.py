@@ -19,9 +19,10 @@ implementation, as plain functions over plain data:
   (:class:`~repro.exec.partition.CachedTile`), only the rows on boundary
   pixels are read, and the polygon pass blanks the fragments lying on
   them (``docs/aggregate_pyramid.md``).
-* the **tile loop** (:func:`run_tiles`): look the points' routing up (or
-  compute it) → dispatch the tile tasks over the execution backend →
-  merge the partials in tile-index order.
+* the **tile loop** (:func:`run_tiles`): look a point source's routing
+  up or compute it (a chunk stream is scanned by each tile instead) →
+  dispatch the tile tasks over the execution backend → merge the
+  partials in tile-index order.
 
 The task's inputs are picklable data — the tile index, a small frozen
 :class:`TileKernel` naming what differs between the engines, the member
@@ -159,7 +160,7 @@ class TileRun(NamedTuple):
     #: Per tile, the ``(viewport, framebuffer)`` after the point pass —
     #: only under ``keep_fbo`` (the bounded engine's §5 result intervals).
     payloads: list
-    #: Whether the source produced any chunk (streams reject none).
+    #: Whether the input produced any chunk (a stream must yield one).
     saw_chunk: bool
 
 
@@ -346,8 +347,8 @@ def _point_pass(
     ``chunks`` are this tile's device batches, each row already carrying
     its flat pixel (:class:`~repro.exec.partition.RoutedChunk`, or its
     shared-memory twin) — whether the routing came from the session,
-    from this query's own routing pass, or from the tile scanning the
-    source itself.  Per batch the vertex-stage filter runs once, as a
+    from this query's own routing pass, or from the tile scanning a
+    stream itself.  Per batch the vertex-stage filter runs once, as a
     boolean mask over the rows in input order.  Returns whether any
     chunk arrived.
     """
@@ -580,25 +581,25 @@ def run_tiles(
     backend: ExecutionBackend,
     session,
     member: TileMember,
-    source: Callable[[], Iterator],
+    points: PointDataset | ResidentPointSet | Callable[[], Iterator],
     columns: tuple[str, ...],
     stats: ExecutionStats,
     *,
-    points_hint: PointDataset | ResidentPointSet | None = None,
-    partition: bool = True,
     keep_fbo: bool = False,
 ) -> TileRun:
     """Route → dispatch → ordered merge, for one query.
 
-    ``source()`` yields point chunks and ``points_hint`` is the
-    monolithic input when there is one (it keys the session's routing
-    cache and sizes the concurrency cap).  With ``partition`` off (and
-    on a one-tile stream) every tile scans the source for itself.
-    ``stats`` is the query's: merged tile work, the routing cost and how
-    the dispatch ran are recorded into it.  Prepared pieces the tasks
-    built are installed into the member's artifact here, on the caller's
-    side of any process boundary, so a session warms under every
-    backend.
+    How the tiles get their points follows the input.  A point source (a
+    dataset, or a device-resident set) is routed once — looked up in and
+    stored to the session — and every tile reads only its own rows.  A
+    stream (a zero-argument callable returning an iterator of chunks) is
+    scanned by every tile for itself: one pass over the source per tile,
+    one chunk alive at a time, nothing held beyond it —
+    ``stats.extra["partition"]`` reads ``scan``.  ``stats`` is the
+    query's: merged tile work, the routing cost and how the dispatch ran
+    are recorded into it.  Prepared pieces the tasks built are installed
+    into the member's artifact here, on the caller's side of any process
+    boundary, so a session warms under every backend.
     """
     tiles = member.prepared.tiles
     retain = session is not None
@@ -607,31 +608,30 @@ def run_tiles(
     # home in the partial).
     tracing = trace.active() is not None
     fbo_bytes = tile_fbo_bytes(kernel, member)
+    stream = callable(points)
     parallelism = _tile_concurrency(
-        kernel.device, backend.workers, points_hint, columns,
-        max(fbo_bytes, default=0),
+        kernel.device, backend.workers, None if stream else points,
+        columns, max(fbo_bytes, default=0),
     )
-    per_tile, saw_chunk = None, False
-    # A one-tile stream stays lazy (nothing to cache or share): its tile
-    # routes each chunk as it arrives, one alive at a time.
-    if partition and (len(tiles) > 1 or points_hint is not None):
+    per_tile = None
+    if stream:
+        stats.extra["partition"] = "scan"
+    else:
         # A routing the resident pool could be fed from lives in shared
         # memory; the backend says when that is (never for one tile).
         shared = isinstance(backend, ProcessBackend) and (
             backend.resident_capable(len(tiles), parallelism)
         )
-        per_tile, saw_chunk = _partition(
-            kernel, shared, session, member, source, columns, fbo_bytes,
-            stats, points_hint,
+        per_tile = _partition(
+            kernel, shared, session, member, points, columns, fbo_bytes,
+            stats,
         )
-    else:
-        stats.extra["partition"] = "off"
     # Whether the tiles read cached channels: all of them, or none.
     cached = per_tile is not None and isinstance(per_tile[0], CachedTile)
 
     def task(tile_idx: int) -> TilePartial:
         chunks = per_tile[tile_idx] if per_tile is not None else scan_tile(
-            source(), tiles[tile_idx], columns, kernel.device,
+            points(), tiles[tile_idx], columns, kernel.device,
             fbo_bytes[tile_idx],
         )
         return run_tile(
@@ -660,21 +660,21 @@ def run_tiles(
         # Tile-index order whatever order the tasks finished in — with
         # identity-started partials, the determinism anchor.
         for partial in partials:
-            saw_chunk = saw_chunk or partial.saw_points
             _merge_partial(partial, member, accumulators, stats)
     stats.extra["pyramid"] = "hit" if cached else "cold"
     if cached:
         # Every row a cached statement reads is a boundary-pixel row.
         stats.extra["pyramid_fallback_points"] = stats.points_processed
     return TileRun(
-        accumulators, [partial.payload for partial in partials], saw_chunk
+        accumulators, [partial.payload for partial in partials],
+        not stream or any(partial.saw_points for partial in partials),
     )
 
 
 def _tile_concurrency(
     device: GPUDevice | None,
     workers: int,
-    points_hint,
+    points,
     columns: tuple[str, ...],
     fbo_bytes: int,
 ) -> int | None:
@@ -684,18 +684,37 @@ def _tile_concurrency(
     boundaries are part of the determinism guarantee), so the device
     budget is enforced the other way around: limit how many tiles may
     hold a planned batch plus framebuffer headroom at once.  Streamed
-    sources (unknown chunk sizes) run one at a time under a device.
+    sources (``points`` of ``None``: unknown chunk sizes) run one at a
+    time under a device.
     """
     if device is None:
         return None
-    if isinstance(points_hint, ResidentPointSet):
+    if isinstance(points, ResidentPointSet):
         # Resident columns are shared, not re-uploaded: no per-tile
         # transfer footprint to budget.
         return workers
     plan = None
-    if points_hint is not None:
-        plan = plan_batches(points_hint, columns, device, fbo_bytes)
+    if points is not None:
+        plan = plan_batches(points, columns, device, fbo_bytes)
     return tile_parallelism(device, fbo_bytes, plan, workers)
+
+
+def route_points(session, points, canvas, tiles, max_resolution: int):
+    """``points`` routed over ``canvas``'s tiles: the session's entry, or
+    a fresh routing pass.  Returns ``(routing, token, hit)`` — ``token``
+    keys the session's entry (``None`` without a session)."""
+    routing = token = None
+    if session is not None:
+        token = routing_token(canvas, max_resolution)
+        routing = session.partition_lookup(points, token)
+    if routing is not None:
+        return routing, token, True
+    routing = route_chunk(points, canvas, tiles, max_resolution)
+    metrics.counter("partition_chunks")
+    metrics.counter("partition_points", len(points))
+    if routing.duplicates:
+        metrics.counter("partition_seam_duplicates", routing.duplicates)
+    return routing, token, False
 
 
 def _partition(
@@ -703,83 +722,58 @@ def _partition(
     shared: bool,
     session,
     member: TileMember,
-    source: Callable[[], Iterator],
+    points,
     columns: tuple[str, ...],
     fbo_bytes: list[int],
     stats: ExecutionStats,
-    points_hint,
-) -> tuple[list, bool]:
+) -> list:
     """What each tile task of this query consumes, routed once.
 
-    Each chunk's routing — tile and flat pixel per row
+    The point source's routing — tile and flat pixel per row
     (:mod:`repro.exec.partition` has the bit-equality argument) — is
     looked up or computed, then cut into this query's device batches, so
     tile tasks start at the filter mask instead of re-projecting the
-    input once per tile and per query.  With a session and a monolithic
-    input the routing is cached by point source and canvas frame — never
-    the polygons, the columns or the batch plan, so a rezoning edit loop
-    and every statement of a dashboard keep hitting one entry — and,
-    when ``shared`` (a dispatch the resident pool could take), its
-    columns live in shared memory, the form resident dispatch consumes.
-    A routing that was prewarmed hands an exact statement one
+    input once per tile and per query.  With a session the routing is
+    cached by point source and canvas frame — never the polygons, the
+    columns or the batch plan, so a rezoning edit loop and every
+    statement of a dashboard keep hitting one entry — and, when
+    ``shared`` (a dispatch the resident pool could take), its columns
+    live in shared memory, the form resident dispatch consumes.  A
+    routing that was prewarmed hands an exact statement one
     :class:`~repro.exec.partition.CachedTile` per tile instead of a
     batch list (:func:`_cached_tiles`).
-    Streamed chunks are routed on the fly and dropped with the query.
-    Returns ``(per_tile, saw any chunk)``.
     """
-    canvas, tiles = member.prepared.canvas, member.prepared.tiles
-    max_resolution = kernel.max_resolution
+    tiles = member.prepared.tiles
     with trace.span("partition", tiles=len(tiles)):
         start = time.perf_counter()
-        token = cached = None
-        if session is not None and points_hint is not None:
-            token = routing_token(canvas, max_resolution)
-            cached = session.partition_lookup(points_hint, token)
-        if cached is not None:
-            routed = [(points_hint, cached)]
-        else:
-            routed = []
-            for chunk in source():
-                routing = route_chunk(chunk, canvas, tiles, max_resolution)
-                routed.append((chunk, routing))
-                metrics.counter("partition_chunks")
-                metrics.counter("partition_points", len(chunk))
-                if routing.duplicates:
-                    metrics.counter(
-                        "partition_seam_duplicates", routing.duplicates
-                    )
-        # Shared with the session's entry only: this very query already
-        # reads the segments (and is eligible for resident dispatch), and
-        # every later hit reuses them across the process boundary
-        # zero-copy.  The leases go with the entry (cache eviction,
-        # invalidate, session GC).
-        shared = shared and token is not None
+        routing, token, hit = route_points(
+            session, points, member.prepared.canvas, tiles,
+            kernel.max_resolution,
+        )
         per_tile = None
-        if (
-            kernel.exact and cached is not None
-            and cached.pixel_index is not None
-        ):
+        if kernel.exact and hit and routing.pixel_index is not None:
             per_tile = _cached_tiles(
-                session, points_hint, token, cached, kernel, member,
-                columns, fbo_bytes,
+                session, points, token, routing, kernel, member, columns,
+                fbo_bytes,
             )
         if per_tile is None:
-            per_tile = [[] for _ in tiles]
-            for chunk, routing in routed:
-                for batches, more in zip(per_tile, routing.per_tile(
-                    chunk, columns, kernel.device, fbo_bytes, shared
-                )):
-                    batches.extend(more)
-        if token is not None and routed:
+            # Shared with the session's entry only: this very query
+            # already reads the segments (and is eligible for resident
+            # dispatch), and every later hit reuses them across the
+            # process boundary zero-copy.  The leases go with the entry
+            # (cache eviction, invalidate, session GC).
+            per_tile = routing.per_tile(
+                points, columns, kernel.device, fbo_bytes,
+                shared and session is not None,
+            )
+        if session is not None:
             # After the cut, hit or miss: the cap sees this query's copies.
-            session.partition_store(points_hint, token, routed[0][1])
+            session.partition_store(points, token, routing)
         elapsed = time.perf_counter() - start
-    stats.extra["partition"] = "on" if cached is None else "cached"
-    stats.extra["partition_duplicates"] = sum(
-        routing.duplicates for _, routing in routed
-    )
+    stats.extra["partition"] = "cached" if hit else "on"
+    stats.extra["partition_duplicates"] = routing.duplicates
     stats.partition_s += elapsed
-    return per_tile, bool(routed)
+    return per_tile
 
 
 def _cached_tiles(
@@ -977,9 +971,7 @@ class RasterJoinEngine(SpatialAggregationEngine):
         candidate plan); optimistic the same way the session's
         :meth:`~repro.cache.session.QuerySession.partition_warm` is.
         """
-        if self.session is None or not self._partition_points or (
-            indexed and not self.kernel.exact
-        ):
+        if self.session is None or (indexed and not self.kernel.exact):
             return False
         return self.session.partition_warm(points, routing_token(
             self._make_canvas(polygons), self.max_resolution
@@ -1021,18 +1013,17 @@ class RasterJoinEngine(SpatialAggregationEngine):
     def run_member(
         self,
         member: TileMember,
-        source: Callable[[], Iterator],
+        points: PointDataset | ResidentPointSet | Callable[[], Iterator],
         stats: ExecutionStats,
-        points_hint: PointDataset | ResidentPointSet | None = None,
         keep_fbo: bool = False,
     ) -> TileRun:
-        """Run one readied query through the tile loop under this
-        engine's kernel, backend, session and partitioning choice."""
+        """Run one readied query over ``points`` — a point source or a
+        chunk stream (:func:`run_tiles`) — through the tile loop under
+        this engine's kernel, backend and session."""
         self._record_execution_env(stats, len(member.prepared.tiles))
         return run_tiles(
-            self.kernel, self.backend, self.session, member, source,
+            self.kernel, self.backend, self.session, member, points,
             self.required_columns(member.aggregate, member.filters), stats,
-            points_hint=points_hint, partition=self._partition_points,
             keep_fbo=keep_fbo,
         )
 
@@ -1043,9 +1034,12 @@ class RasterJoinEngine(SpatialAggregationEngine):
         Boundary masks, candidate lists and the polygon pass run once per
         tile; only the point pass runs per chunk (each chunk still flows
         through the device-batching path) — the structure the paper's
-        disk-resident experiments rely on.  With a parallel backend and
-        partitioning off, tile workers invoke (and iterate)
-        ``chunk_source`` concurrently — each call must return an
+        disk-resident experiments rely on.  Every tile scans the stream
+        for itself: ``chunk_source`` is invoked once per tile, at most
+        one chunk of each pass is alive at a time, and nothing of the
+        stream is routed ahead or cached (``stats.extra["partition"]``
+        reads ``scan``).  Under a parallel backend tile workers may invoke
+        (and iterate) it concurrently — each call must return an
         independent iterator (see
         :meth:`SpatialAggregationEngine.execute_stream`).
         """

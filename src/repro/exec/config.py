@@ -4,9 +4,8 @@ An :class:`EngineConfig` is the single knob callers (engine constructors,
 the optimizer, the SQL planner) use to choose how tile tasks execute and
 where prepared-state artifacts persist.  It is deliberately tiny — a
 backend selector and worker count, an artifact-store location and cap,
-one on/off choice (point routing) and the process backend's
-dispatch mode (``shm``) — so it can be passed through
-every layer unchanged and compared or hashed freely.  There is no
+and the process backend's dispatch mode (``shm``) — so it can be passed
+through every layer unchanged and compared or hashed freely.  There is no
 switch for *how* tiles render: every query runs the one tile pipeline
 (:mod:`repro.core.tiles`) over the batched raster builders, and the
 backend keeps its worker pool for as long as it lives.
@@ -21,17 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exec.backend import (
-    ExecutionBackend,
-    flag_from_env,
-    resolve_backend,
-)
-
-#: Environment hook for the point-routing stage; consulted when
-#: ``EngineConfig.partition_points`` is ``None``.  Defaults to on —
-#: routing is bit-identical to the full scan and a cached lookup in a
-#: session, so there is no correctness reason to opt out.
-PARTITION_ENV_VAR = "REPRO_PARTITION_POINTS"
+from repro.exec.backend import ExecutionBackend, resolve_backend
 
 
 @dataclass(frozen=True)
@@ -53,23 +42,21 @@ class EngineConfig:
     size (bytes, or a ``"512M"``-style string; ``None`` consults
     ``$REPRO_STORE_BUDGET``).
 
-    ``partition_points`` controls the point-routing stage — off, every
-    tile scans the whole source for itself (``None`` consults
-    ``$REPRO_PARTITION_POINTS``, defaulting to on); ``shm`` makes the
-    process backend resident — a spawned worker pool kept across
-    queries, fed routed point batches the tile loop keeps in named
-    shared-memory segments; it means nothing to the serial and thread
-    backends (``None`` lets the process backend consult ``$REPRO_SHM``,
-    defaulting to off — see ``docs/parallel_execution.md``).  Results
-    never depend on any of them — like the backend choice they are
-    purely performance decisions (see ``docs/parallel_execution.md``).
+    ``shm`` makes the process backend resident — a spawned worker pool
+    kept across queries, fed routed point batches the tile loop keeps in
+    named shared-memory segments; it means nothing to the serial and
+    thread backends (``None`` lets the process backend consult
+    ``$REPRO_SHM``, defaulting to off).  Results never depend on it —
+    like the backend choice it is purely a performance decision (see
+    ``docs/parallel_execution.md``).  How points reach the tiles is not
+    configured at all: it follows the input
+    (:func:`repro.core.tiles.run_tiles`).
     """
 
     backend: str | ExecutionBackend | None = None
     workers: int | None = None
     store_dir: str | None = None
     store_budget: int | str | None = None
-    partition_points: bool | None = None
     shm: bool | None = None
 
     def make_backend(self) -> ExecutionBackend:
@@ -92,12 +79,6 @@ class EngineConfig:
         import dataclasses
 
         return dataclasses.replace(self, backend=self.make_backend())
-
-    def partition_enabled(self) -> bool:
-        """Whether points are routed to tiles once, not scanned per tile."""
-        if self.partition_points is not None:
-            return self.partition_points
-        return flag_from_env(PARTITION_ENV_VAR, True)
 
     def make_store(self):
         """The artifact store this configuration describes (or ``None``).

@@ -9,8 +9,9 @@ pixel ``iy * width + ix`` — which the session caches per (point source,
 canvas) whatever the tile count, so a T-tile query costs one lookup,
 not T projections, and a one-tile query no projection at all.
 
-Bit-equality with a tile that scans the whole input by itself
-(``partition_points=False``) is by construction, not by luck:
+Bit-equality with a tile that scans the whole input by itself (what a
+tile of a streamed query does, :func:`scan_tile`) is by construction,
+not by luck:
 
 1. **Membership is the tile's own decision.**  The global projection
    only *nominates* tiles.  It and a tile-local projection compute the
@@ -42,9 +43,11 @@ Bit-equality with a tile that scans the whole input by itself
    reservation); the cut is a ``searchsorted`` per query, so the cached
    record depends on none of those.
 
-Routing is a pure performance decision: ``EngineConfig
-(partition_points=False)`` / ``$REPRO_PARTITION_POINTS`` switches to
-self-scanning tiles (:func:`scan_tile`).
+Which of the two a query runs follows its input, not a switch: a point
+source is routed once (and cached in a session); a chunk stream is read
+once per tile by :func:`scan_tile`, one chunk alive at a time, so a
+stream larger than memory stays O(chunk) — the paper's own answer to a
+canvas larger than the framebuffer.
 
 A *prewarmed* routing additionally carries a pixel-sorted row index
 (:meth:`Routing.index_pixels`): per tile, which rows sit on each pixel.
@@ -447,12 +450,12 @@ def partition_chunk(chunk, canvas, tiles, max_resolution: int,
 
 def scan_tile(chunks, tile, columns: tuple[str, ...], device,
               fbo_bytes: int):
-    """``partition_points=False``: a tile routes the whole source itself.
+    """A tile of a streamed query routes each chunk itself, as it arrives.
 
     The same per-tile routing, the same batches, nothing shared with the
-    other tiles and nothing cached — O(tiles x points) per query.  A
-    chunk with no rows still yields one (empty) batch, so the tile
-    reports having seen it.
+    other tiles and nothing cached: one pass over the stream per tile,
+    one chunk alive at a time.  A chunk with no rows still yields one
+    (empty) batch, so the tile reports having seen it.
     """
     for chunk in chunks:
         routing = route_chunk(chunk, None, (tile,), 0)

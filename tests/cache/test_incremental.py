@@ -8,7 +8,6 @@ from repro import (
     AccurateRasterJoin,
     BoundedRasterJoin,
     GPUDevice,
-    EngineConfig,
     Polygon,
     PolygonSet,
     QuerySession,
@@ -187,7 +186,6 @@ class TestPartitionCache:
         return BoundedRasterJoin(
             resolution=128, session=session,
             device=GPUDevice(max_resolution=48),
-            config=EngineConfig(partition_points=True),
         )
 
     def test_repeat_query_reports_cached(self, uniform_points, three_regions):

@@ -361,8 +361,7 @@ class TestPreparedPolygons:
         member = engine.member(three_regions, aggregate, filters, stats)
         member.prepared.strip_derived()
         accumulators = engine.run_member(
-            member, lambda: iter((uniform_points,)), stats,
-            points_hint=uniform_points,
+            member, uniform_points, stats
         ).accumulators
         assert np.array_equal(aggregate.finalize(accumulators),
                               expected.values)

@@ -242,8 +242,7 @@ class TestBoundaryPixelsHoldTheIdentity:
             st = ExecutionStats(engine=engine.name, batches=0, passes=0)
             member = engine.member(polygons, aggregate, filters, st)
             payloads = engine.run_member(
-                member, lambda: iter((uniform_points,)), st,
-                points_hint=uniform_points, keep_fbo=True,
+                member, uniform_points, st, keep_fbo=True
             ).payloads
             assert st.extra["partition"] == (
                 "on" if polygons is sets[0] else "cached"

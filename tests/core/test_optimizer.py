@@ -7,6 +7,8 @@ from repro import (
     AccurateRasterJoin,
     ArtifactStore,
     BoundedRasterJoin,
+    Polygon,
+    PolygonSet,
     QuerySession,
     RasterJoinOptimizer,
 )
@@ -228,20 +230,10 @@ class TestRoutingAwareCosting:
         n = 1_000_000
         scatter = n * 1e-6 * waves / tiles
         cost = self.MODEL._point_pass_seconds
-        assert cost(n, tiles, waves, True, routed=True) == pytest.approx(
-            scatter
-        )
-        assert cost(n, tiles, waves, True, routed=False) == pytest.approx(
+        assert cost(n, tiles, waves, routed=True) == pytest.approx(scatter)
+        assert cost(n, tiles, waves, routed=False) == pytest.approx(
             scatter + n * 1e-6
         )
-
-    @pytest.mark.parametrize("routed", [False, True])
-    def test_self_scanning_tiles_are_unchanged(self, routed):
-        """``partition_points=False``: every wave projects every point,
-        whatever a session holds."""
-        assert self.MODEL._point_pass_seconds(
-            1_000_000, 16, 8, False, routed=routed
-        ) == pytest.approx(8.0)
 
     def test_optimizer_probes_the_session_for_routing(self, uniform_points,
                                                       three_regions):
@@ -277,12 +269,48 @@ class TestRoutingAwareCosting:
             warm["accurate"] - projection
         )
         assert prewarmed["bounded"] == cold["bounded"]
-        # Other points, or self-scanning tiles, never read as routed.
+        # Other points never read as routed.
         assert not engine.routing_warmth(
             uniform_points.head(100), three_regions
         )
-        from repro import EngineConfig
 
-        assert not AccurateRasterJoin(
-            session=session, config=EngineConfig(partition_points=False)
-        ).routing_warmth(uniform_points, three_regions)
+
+class TestOneCostPath:
+    """``estimate`` is the sum of each candidate's EXPLAIN terms — the
+    features are extracted in one place, so the two cannot drift."""
+
+    @pytest.mark.parametrize("state", ["cold", "warm", "delta", "prewarmed"])
+    def test_estimate_is_the_sum_of_explain_terms(
+        self, uniform_points, three_regions, state
+    ):
+        session = QuerySession(store=False)
+        opt = RasterJoinOptimizer(session=session)
+        opt._model = TestRoutingAwareCosting.MODEL
+        epsilon = 0.5
+        polygons = three_regions
+        bounded, accurate = opt._candidates(epsilon)
+        if state != "cold":
+            accurate.execute(uniform_points, three_regions)
+            bounded.execute(uniform_points, three_regions)
+        if state == "delta":
+            # One vertex of the (frame-interior) holed square moves.
+            ring = three_regions[2].exterior.copy()
+            ring[0] += 2.0
+            polygons = PolygonSet(
+                list(three_regions)[:2]
+                + [Polygon(ring, holes=three_regions[2].holes)]
+            )
+        if state == "prewarmed":
+            accurate.prewarm(uniform_points, three_regions)
+        cost = opt.estimate(uniform_points, polygons, epsilon)
+        regimes = {}
+        for name, engine in (("bounded", bounded), ("accurate", accurate)):
+            regime, terms = opt.explain_terms(uniform_points, polygons, engine)
+            regimes[name] = regime
+            assert cost[name] == sum(terms.values()), name
+        assert regimes["accurate"] == {
+            "cold": "cold", "warm": "warm", "delta": "warm",
+            "prewarmed": "pyramid-warm",
+        }[state]
+        if state == "delta":
+            assert cost["accurate_warm"].fraction == pytest.approx(2 / 3)

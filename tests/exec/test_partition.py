@@ -16,7 +16,6 @@ import pytest
 
 from repro import (
     AccurateRasterJoin,
-    EngineConfig,
     GPUDevice,
     PointDataset,
     PolygonSet,
@@ -24,8 +23,6 @@ from repro import (
     Sum,
 )
 from repro.device.memory import ResidentPointSet
-from repro.errors import ExecutionBackendError
-from repro.exec.config import PARTITION_ENV_VAR, EngineConfig as _Config
 from repro.exec.partition import partition_chunk
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import rectangle
@@ -238,41 +235,12 @@ class TestEngineSwitch:
         assert result.stats.extra["tiles"] > 1
         assert result.stats.extra["partition"] == "on"
 
-    def test_config_and_env_can_disable(self, rng, monkeypatch):
-        points = PointDataset(
-            rng.uniform(0, 100, 500), rng.uniform(0, 100, 500)
-        )
-        polygons = PolygonSet([rectangle(10, 10, 90, 90)])
-
-        def run(config):
-            return AccurateRasterJoin(
-                resolution=96, device=GPUDevice(max_resolution=48),
-                config=config,
-            ).execute(points, polygons)
-
-        assert run(
-            EngineConfig(partition_points=False)
-        ).stats.extra["partition"] == "off"
-        monkeypatch.setenv(PARTITION_ENV_VAR, "off")
-        assert run(EngineConfig()).stats.extra["partition"] == "off"
-        monkeypatch.setenv(PARTITION_ENV_VAR, "on")
-        assert run(EngineConfig()).stats.extra["partition"] == "on"
-        # Explicit config wins over the environment.
-        monkeypatch.setenv(PARTITION_ENV_VAR, "off")
-        assert run(
-            EngineConfig(partition_points=True)
-        ).stats.extra["partition"] == "on"
-
-    def test_bad_env_flag_rejected(self, monkeypatch):
-        monkeypatch.setenv(PARTITION_ENV_VAR, "maybe")
-        with pytest.raises(ExecutionBackendError):
-            _Config().partition_enabled()
-
 
 class TestStreamedPartition:
-    def test_streamed_source_iterated_once(self, rng):
-        """The tentpole's streamed contract: a partitioned execution
-        invokes the chunk source exactly once, not once per tile."""
+    def test_streamed_source_iterated_once_per_tile(self, rng):
+        """Routing follows the input: a stream is scanned by every tile
+        for itself — the source is invoked once per tile, nothing of it
+        is routed ahead — and answers as the routed point source does."""
         points = PointDataset(
             rng.uniform(0, 100, 2_000), rng.uniform(0, 100, 2_000),
             {"val": rng.normal(size=2_000)},
@@ -289,27 +257,25 @@ class TestStreamedPartition:
                     {"val": points.column("val")[s:s + step]},
                 )
 
-        device = GPUDevice(max_resolution=48)
-        engine = AccurateRasterJoin(resolution=96, device=device)
-        result = engine.execute_stream(chunk_source, polygons, Sum("val"))
-        assert result.stats.extra["tiles"] > 1
-        assert result.stats.extra["partition"] == "on"
-        assert calls["n"] == 1
-
-        calls["n"] = 0
-        full = AccurateRasterJoin(
-            resolution=96, device=GPUDevice(max_resolution=48),
-            config=EngineConfig(partition_points=False),
+        engine = AccurateRasterJoin(
+            resolution=96, device=GPUDevice(max_resolution=48)
         )
-        reference = full.execute_stream(chunk_source, polygons, Sum("val"))
-        assert calls["n"] == reference.stats.extra["tiles"]
-        np.testing.assert_array_equal(result.values, reference.values)
+        result = engine.execute_stream(chunk_source, polygons, Sum("val"))
+        assert result.stats.extra["tiles"] == 4
+        assert result.stats.extra["partition"] == "scan"
+        assert calls["n"] == 4
+        routed = engine.execute(points, polygons, Sum("val"))
+        assert routed.stats.extra["partition"] == "on"
+        # Streamed and monolithic inputs group boundary sums per batch.
+        np.testing.assert_allclose(result.values, routed.values, rtol=1e-12)
 
-    def test_one_tile_stream_stays_lazy(self, rng):
-        """A one-tile stream is never materialised — nothing of it could
-        be cached — so its tile routes each chunk as it arrives: while
-        chunk k + 1 is produced only chunk k is still alive (the
-        disk-resident scan's O(chunk) peak), session or not."""
+    @pytest.mark.parametrize("max_res, tiles", [(64, 1), (32, 4), (16, 16)])
+    def test_stream_stays_lazy(self, rng, max_res, tiles):
+        """A stream is never materialised, whatever the tile count —
+        nothing of it could be cached — so each tile routes each chunk
+        as it arrives: while chunk k + 1 is produced only chunk k is
+        still alive (the disk-resident scan's O(chunk) peak), session or
+        not."""
         polygons = PolygonSet([rectangle(10, 10, 90, 90)])
         chunks = [
             (rng.uniform(0, 100, 200), rng.uniform(0, 100, 200))
@@ -326,10 +292,13 @@ class TestStreamedPartition:
                 del chunk
 
         engine = AccurateRasterJoin(
-            resolution=64, session=QuerySession(store=False)
+            resolution=64, device=GPUDevice(max_resolution=max_res),
+            session=QuerySession(store=False),
         )
         result = engine.execute_stream(chunk_source, polygons)
-        assert result.stats.extra["tiles"] == 1
+        assert result.stats.extra["tiles"] == tiles
+        assert result.stats.extra["partition"] == "scan"
+        assert len(alive) == 8 * tiles
         assert max(alive) <= 1
         assert not engine.session._point_cache
         whole = PointDataset(*map(np.concatenate, zip(*chunks)))
@@ -339,7 +308,7 @@ class TestStreamedPartition:
 
     def test_empty_chunks_still_count_as_seen(self, rng):
         """A source yielding only empty chunks must not raise 'no chunks'
-        under partitioning (parity with the full-scan path)."""
+        on a multi-tile canvas: every tile still sees each chunk."""
         polygons = PolygonSet([rectangle(10, 10, 90, 90)])
 
         def empty_chunks():

@@ -4,8 +4,10 @@ The routing guarantee of ``repro.exec.partition``: for random
 workloads — including points sitting **exactly on tile seams** and on
 interior pixel boundaries — executing over routed points produces
 **bit-identical** values and channel arrays to tiles that each scan the
-whole input themselves, for every engine, execution backend, worker
-count, aggregate kind, and ingestion mode (monolithic and streamed).
+whole input themselves (what every tile of a stream does: the reference
+is the same rows as a stream, one chunk when the statement reads a point
+source), for every engine, execution backend, worker count, aggregate
+kind, and ingestion mode (monolithic and streamed).
 Multi-tile canvases are forced via a small device framebuffer limit.
 The second half pins the routing *cache*: wherever a tile's rows and
 pixels came from the bits are the same, a mutated source is never
@@ -51,16 +53,15 @@ AGGREGATE_KINDS = (
 MAX_FBO = 48
 
 
-def _engine(kind, resolution, backend, workers, partition, session=None,
-            device=None, **config):
+def _engine(kind, resolution, backend, workers, session=None, device=None,
+            **config):
     cls = AccurateRasterJoin if kind == "accurate" else BoundedRasterJoin
     options = {"grid_resolution": 32} if kind == "accurate" else {}
     # A tiny FBO limit forces multi-tile canvases at these resolutions.
     return cls(
         resolution=resolution, session=session,
         device=device or GPUDevice(max_resolution=MAX_FBO),
-        config=EngineConfig(backend=backend, workers=workers,
-                            partition_points=partition, **config),
+        config=EngineConfig(backend=backend, workers=workers, **config),
         **options,
     )
 
@@ -96,7 +97,7 @@ def _tricky_coordinates(engine, polygons):
 def _with_seam_points(points, polygons, kind, resolution, rng):
     """Append the tricky coordinates of the *actual* tiling."""
     xs, ys = _tricky_coordinates(
-        _engine(kind, resolution, "serial", 1, False), polygons
+        _engine(kind, resolution, "serial", 1), polygons
     )
     return points.concat(PointDataset(
         xs, ys, {"val": rng.normal(0.0, 10.0, len(xs))}
@@ -132,21 +133,16 @@ def partition_workloads(draw):
     return points, polygons, resolution, workers, backend, streamed, rng
 
 
-def _run(engine, points, polygons, aggregate, streamed):
-    if not streamed:
-        return engine.execute(points, polygons, aggregate=aggregate)
-
-    def chunk_source():
-        step = max(1, len(points) // 3)
-        vals = points.column("val")
-        for start in range(0, len(points), step):
-            yield PointDataset(
-                points.xs[start:start + step],
-                points.ys[start:start + step],
-                {"val": vals[start:start + step]},
-            )
-
-    return engine.execute_stream(chunk_source, polygons, aggregate=aggregate)
+def _run(engine, points, polygons, aggregate, chunks=None, filters=None):
+    """``points`` as a point source, or (``chunks``) as a stream of that
+    many chunks — which every tile scans for itself: the path with no
+    routing in it."""
+    if chunks is None:
+        return engine.execute(points, polygons, aggregate, filters)
+    step = max(1, -(-len(points) // chunks))
+    return engine.execute_stream(
+        lambda: points.batches(step), polygons, aggregate, filters
+    )
 
 
 def _assert_bit_identical(reference, result, label):
@@ -166,16 +162,18 @@ def test_partitioned_bit_identical_to_full_scan(workload):
         seamed = _with_seam_points(points, polygons, kind, resolution, rng)
         for make_aggregate in AGGREGATE_KINDS:
             reference = _run(
-                _engine(kind, resolution, "serial", 1, False),
-                seamed, polygons, make_aggregate(), streamed,
+                _engine(kind, resolution, "serial", 1),
+                seamed, polygons, make_aggregate(), 3 if streamed else 1,
             )
             assert reference.stats.extra["tiles"] > 1
-            assert reference.stats.extra["partition"] == "off"
+            assert reference.stats.extra["partition"] == "scan"
             result = _run(
-                _engine(kind, resolution, backend, workers, True),
-                seamed, polygons, make_aggregate(), streamed,
+                _engine(kind, resolution, backend, workers),
+                seamed, polygons, make_aggregate(), 3 if streamed else None,
             )
-            assert result.stats.extra["partition"] == "on"
+            assert result.stats.extra["partition"] == (
+                "scan" if streamed else "on"
+            )
             _assert_bit_identical(
                 reference, result,
                 (kind, backend, workers, streamed,
@@ -192,15 +190,16 @@ def test_partitioned_warm_session_bit_identical(workload):
 
     points, polygons, resolution, workers, backend, streamed, rng = workload
     seamed = _with_seam_points(points, polygons, "accurate", resolution, rng)
+    chunks = 3 if streamed else None
     reference = _run(
-        _engine("accurate", resolution, "serial", 1, False),
-        seamed, polygons, Sum("val"), streamed,
+        _engine("accurate", resolution, "serial", 1),
+        seamed, polygons, Sum("val"), chunks or 1,
     )
     session = QuerySession()
-    engine = _engine("accurate", resolution, backend, workers, True,
+    engine = _engine("accurate", resolution, backend, workers,
                      session=session)
-    _run(engine, seamed, polygons, Sum("val"), streamed)
-    warm = _run(engine, seamed, polygons, Sum("val"), streamed)
+    _run(engine, seamed, polygons, Sum("val"), chunks)
+    warm = _run(engine, seamed, polygons, Sum("val"), chunks)
     assert warm.stats.prepared_hits == 1
     _assert_bit_identical(reference, warm, (backend, workers, streamed))
 
@@ -224,15 +223,15 @@ BACKENDS = {
 }
 
 
-def _matrix_engine(kind, tiles, batched, partition=True, session=None,
-                   backend="serial", workers=1, **config):
+def _matrix_engine(kind, tiles, batched, session=None, backend="serial",
+                   workers=1, **config):
     """``batched``: a byte limit that leaves ~3 KB for points beside the
     largest framebuffer reservation (two float64 channels of one tile) —
     at 16-32 bytes a row, every statement's plan has >= 3 batches."""
     resolution, limit = LAYOUTS[tiles]
     capacity = {"capacity_bytes": 16 * limit * limit + 3072} if batched else {}
     return _engine(
-        kind, resolution, backend, workers, partition, session,
+        kind, resolution, backend, workers, session,
         GPUDevice(max_resolution=limit, **capacity), **config,
     )
 
@@ -259,12 +258,13 @@ def _matrix_workload(kind, tiles):
 
 @functools.lru_cache(maxsize=None)
 def _matrix_references(kind, tiles, batched):
-    """Every statement's answer from serial self-scanning tiles — the
-    path with no routing in it — shared by the backends' cells."""
+    """Every statement's answer from serial self-scanning tiles — a
+    one-chunk stream, the path with no routing in it — shared by the
+    backends' cells."""
     points, polygons = _matrix_workload(kind, tiles)
-    engine = _matrix_engine(kind, tiles, batched, partition=False)
+    engine = _matrix_engine(kind, tiles, batched)
     return {
-        (index, label): engine.execute(points, polygons, make(), filters)
+        (index, label): _run(engine, points, polygons, make(), 1, filters)
         for index, make in enumerate(AGGREGATE_KINDS)
         for label, filters in FILTERS.items()
     }
@@ -278,32 +278,31 @@ def _matrix_references(kind, tiles, batched):
 def test_every_routing_source_gives_the_same_bits(kind, tiles, batched,
                                                   backend):
     """Routed from a warm session (second query), routed cold, routed
-    with no session, and every tile scanning for itself
-    (``partition_points=False``) are bit-identical — per aggregate and
-    filter, at 1 / 4 / 16 tiles, with and without a multi-batch device
-    plan, on every backend."""
+    with no session, and every tile scanning for itself (the same rows
+    as a one-chunk stream) are bit-identical — per aggregate and filter,
+    at 1 / 4 / 16 tiles, with and without a multi-batch device plan, on
+    every backend."""
     points, polygons = _matrix_workload(kind, tiles)
     session = QuerySession(store=False)
-    scan, routed, cached = (
-        _matrix_engine(kind, tiles, batched, partition, held,
-                       **BACKENDS[backend])
-        for partition, held in ((False, None), (True, None), (True, session))
+    plain, cached = (
+        _matrix_engine(kind, tiles, batched, held, **BACKENDS[backend])
+        for held in (None, session)
     )
-    runs = {"scan": ("off", scan), "routed": ("on", routed),
+    runs = {"scan": ("scan", plain), "routed": ("on", plain),
             "cold": ("on", cached), "warm": ("cached", cached)}
     try:
         for (index, label), want in _matrix_references(
             kind, tiles, batched
         ).items():
             assert want.stats.extra["tiles"] == tiles
-            assert want.stats.extra["partition"] == "off"
+            assert want.stats.extra["partition"] == "scan"
             assert not batched or want.stats.batches >= 3 * tiles
             session.invalidate()
             processed = set()
             for name, (partition, engine) in runs.items():
-                got = engine.execute(
-                    points, polygons, AGGREGATE_KINDS[index](),
-                    FILTERS[label],
+                got = _run(
+                    engine, points, polygons, AGGREGATE_KINDS[index](),
+                    1 if name == "scan" else None, FILTERS[label],
                 )
                 where = (name, index, label)
                 assert got.stats.extra["partition"] == partition, where
@@ -326,7 +325,7 @@ def test_every_routing_source_gives_the_same_bits(kind, tiles, batched,
             (processed,) = processed
             assert len(points) <= processed < len(points) + 40
     finally:
-        for engine in (scan, routed, cached):
+        for engine in (plain, cached):
             engine.close()
         session.invalidate()
 

@@ -24,8 +24,7 @@ SRC = Path(repro.__file__).resolve().parent
 
 def test_engine_config_fields():
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
-        "backend", "workers", "store_dir", "store_budget",
-        "partition_points", "shm",
+        "backend", "workers", "store_dir", "store_budget", "shm",
     ]
 
 
@@ -64,8 +63,8 @@ def test_environment_variables_referenced_under_src():
     for path in SRC.rglob("*.py"):
         names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
     assert names == {
-        "REPRO_EXEC_BACKEND", "REPRO_EXEC_WORKERS", "REPRO_PARTITION_POINTS",
-        "REPRO_SHM", "REPRO_STORE_BUDGET", "REPRO_STORE_DIR", "REPRO_TRACE",
+        "REPRO_EXEC_BACKEND", "REPRO_EXEC_WORKERS", "REPRO_SHM",
+        "REPRO_STORE_BUDGET", "REPRO_STORE_DIR", "REPRO_TRACE",
     }
 
 
