@@ -1,6 +1,5 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
-A1  Triangle pass vs scanline fast path for the polygon draw.
 A2  Grid resolution for the index join (the paper tuned 1024^2 vs 4096^2).
 A3  MBR vs exact cell assignment (the paper's §7.1 CPU-baseline tweak).
 A4  Canvas tiling overhead at a fixed total resolution.
@@ -18,37 +17,6 @@ from repro.index.grid import GridIndex
 from repro.index.strtree import STRTree
 
 POINT_COUNT = 1_000_000
-
-
-# ----------------------------------------------------------------------
-# A1: raster paths
-# ----------------------------------------------------------------------
-def _a1_table():
-    return harness.table(
-        "ablation_a1",
-        "Polygon draw pass: per-triangle masks vs whole-polygon scanline",
-        ["path", "resolution", "query_s", "identical_results"],
-    )
-
-
-@pytest.mark.benchmark(group="ablation-a1")
-@pytest.mark.parametrize("resolution", [1024, 4096])
-def test_a1_raster_paths(benchmark, taxi, neighborhoods, resolution):
-    points = taxi.head(POINT_COUNT)
-    triangle = BoundedRasterJoin(resolution=resolution)
-    scanline = BoundedRasterJoin(resolution=resolution, use_scanline=True)
-
-    tri_result = benchmark.pedantic(
-        lambda: triangle.execute(points, neighborhoods), rounds=1, iterations=1
-    )
-    start = time.perf_counter()
-    scan_result = scanline.execute(points, neighborhoods)
-    scan_s = time.perf_counter() - start
-
-    identical = bool(np.array_equal(tri_result.values, scan_result.values))
-    _a1_table().add_row("triangle", resolution, tri_result.stats.query_s, identical)
-    _a1_table().add_row("scanline", resolution, scan_s, identical)
-    assert identical, "both raster paths must agree bit-for-bit"
 
 
 # ----------------------------------------------------------------------

@@ -33,13 +33,12 @@ from repro.cache.prepared import (
     polygon_fingerprint,
     single_polygon_fingerprint,
 )
-from repro.cache.session import QuerySession, Warmth
+from repro.cache.session import QuerySession
 
 __all__ = [
     "PolygonUnit",
     "PreparedPolygons",
     "QuerySession",
-    "Warmth",
     "fingerprint_details",
     "per_polygon_fingerprints",
     "polygon_fingerprint",

@@ -199,8 +199,8 @@ class PolygonUnit:
 
     def clone(self) -> "PolygonUnit":
         """A unit sharing this one's (immutable) arrays but owning its
-        tile dicts, so a derived artifact can build further tiles — or
-        be budget-stripped — without mutating its sibling."""
+        tile dicts, so a derived artifact can build further tiles
+        without mutating its sibling."""
         other = PolygonUnit(self.fingerprint, self.bbox)
         other.triangles = self.triangles
         other.boundary = dict(self.boundary)
@@ -426,8 +426,7 @@ class PreparedPolygons:
         ``rows`` bands over the y-range of the artifact's own MBR
         columns, which also gate the pair test.  A pure function of
         (geometry, ``rows``): a reloaded or delta-derived artifact
-        rebuilds it bit-identically.  Small (~0.5 MB per 100 polygons)
-        and read by tile tasks in flight, so never stripped.
+        rebuilds it bit-identically.
         """
         if self.edge_table is None:
             mbrs = self.ensure_mbr_arrays(polygons)
@@ -455,9 +454,8 @@ class PreparedPolygons:
     def unit_slices(self, field: str, tile_idx: int) -> dict:
         """``{pid: this tile's slice}`` of ``field`` (``"boundary"`` /
         ``"coverage"``) for the units that hold one — a snapshot: a
-        budget pass may strip the units while a tile task composes, so
-        the task reads them once, builds what the snapshot lacks and
-        composes from the completed dict alone."""
+        tile task builds what it lacks and composes from the completed
+        dict alone, whatever another query installs meanwhile."""
         held = {}
         for pid, unit in enumerate(self.units):
             pixels = getattr(unit, field).get(tile_idx)
@@ -564,44 +562,6 @@ class PreparedPolygons:
         if self.delta_dirty is None:
             return None
         return len(self.delta_dirty)
-
-    # ------------------------------------------------------------------
-    # Tiered demotion support
-    # ------------------------------------------------------------------
-    @property
-    def has_derived(self) -> bool:
-        """Whether the artifact carries re-derivable render state:
-        boundary masks, outline pixels, coverage and candidate lists are
-        pure functions of what remains after stripping them (tiles,
-        triangles), so a byte-budgeted session gives them back first."""
-        return bool(
-            self.boundary_masks or self.coverage or self.boundary_fragments
-            or self.candidates
-        ) or any(
-            u.boundary or u.coverage for u in self.units
-        )
-
-    def strip_derived(self) -> int:
-        """Drop boundary/coverage state, returning the bytes freed.
-
-        The artifact becomes *partial*: triangles, canvas, MBRs and the
-        edge table stay hot while the (much larger) per-pixel state —
-        the composed views and the per-unit slices — is released.  Only
-        what a tile task re-derives by itself may go (lazily, tile by
-        tile, bit-identical): a budget pass can strip an artifact whose
-        tile loop is in flight, and the task reads the triangles, the
-        MBRs and the edge table without a rebuild path.
-        """
-        before = self.nbytes
-        self.boundary_masks = {}
-        self.coverage = {}
-        self.boundary_fragments = {}
-        self.candidates = {}
-        for unit in self.units:
-            unit.boundary = {}
-            unit.coverage = {}
-        self.version += 1
-        return before - self.nbytes
 
     # ------------------------------------------------------------------
     # Introspection

@@ -10,20 +10,18 @@ lists and polygon coverage instead of rebuilding them:
     engine.execute(points, zones)          # cold: builds prepared state
     engine.execute(points, zones)          # warm: prepared-state hit
 
-The session is *tiered* (see ``docs/artifact_store.md``):
+The session is *tiered* (see ``docs/artifact_store.md``); an artifact
+is in memory whole or not at all:
 
-1. **Memory, full** — the artifact with every derived field hot.
-2. **Memory, partial** — under byte-budget pressure the coverage arrays
-   and boundary masks of cold entries are dropped (they re-derive
-   lazily, bit-identically); triangles and the edge table stay hot.
-3. **Disk** — with an :class:`~repro.store.ArtifactStore` attached (or
+1. **Memory** — the artifact with every derived field hot.
+2. **Disk** — with an :class:`~repro.store.ArtifactStore` attached (or
    ``$REPRO_STORE_DIR`` set), entries leaving memory are *demoted* to
    the store instead of dropped, and lookups that miss memory consult
    the store before rebuilding — which is how a restarted process
    answers its first repeated query warm.  Every dirty entry, cold-built
    or delta-derived from an edit, is written as one whole pair under
    its own key.
-4. **Rebuild** — a miss everywhere builds from scratch, exactly the
+3. **Rebuild** — a miss everywhere builds from scratch, exactly the
    sessionless code path.
 
 Invalidation rules (see ``docs/query_sessions.md`` and
@@ -162,28 +160,6 @@ class _PointState:
         return self.value.nbytes + self.pinned_nbytes
 
 
-class Warmth(str):
-    """A warmth grade (``"full"`` / ``"partial"``) with a warm fraction.
-
-    Compares equal to its plain-string grade, so existing callers keep
-    working, while cache-aware costing reads ``fraction`` — the share of
-    the query's polygons whose prepared state is already reusable.  An
-    exact artifact hit has fraction 1.0; a delta-derivable sibling has
-    the matched-polygon share, which is how a 1-of-200 edit plans like a
-    warm query instead of a cold one.
-    """
-
-    __slots__ = ("fraction",)
-
-    def __new__(cls, grade: str, fraction: float = 1.0) -> "Warmth":
-        self = super().__new__(cls, grade)
-        self.fraction = float(fraction)
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Warmth({str(self)!r}, fraction={self.fraction:.3f})"
-
-
 class QuerySession:
     """Tiered cache of :class:`PreparedPolygons`, shared by many engines.
 
@@ -195,19 +171,19 @@ class QuerySession:
         Optional cap on the summed ``nbytes`` of in-memory artifacts
         (plain int or a ``"256M"``-style string).  Over budget, cached
         point-keyed state (point routings, cached channels) is
-        reclaimed first, then cold entries are stripped to partial
-        artifacts and finally demoted out of memory entirely, LRU-first.
-        It is also the bound on that point-keyed state by itself (the
-        512 MB :attr:`PARTITION_BYTE_CAP` when unset).  Accounting is
-        per entry and
-        therefore *conservative* for delta-derived siblings, which
-        share most of their arrays with their base: the summed figure
-        is an upper bound on real memory, so pressure may strip shared
-        state early — a performance effect only, since stripped pieces
-        re-derive bit-identically.  During a lookup the entry
-        being handed out is protected; at the post-execution checkpoint
-        nothing is — a budget smaller than one artifact demotes even the
-        just-executed entry (it stays answerable through the store).
+        reclaimed first, then whole entries are demoted out of memory,
+        LRU-first.  It is also the bound on that point-keyed state by
+        itself (the 512 MB :attr:`PARTITION_BYTE_CAP` when unset).
+        Accounting is per entry and therefore *conservative* for
+        delta-derived siblings, which share most of their arrays with
+        their base: the summed figure is an upper bound on real memory,
+        so pressure may demote an entry early — a performance effect
+        only.  A demoted entry is dropped from the session, never
+        mutated: a tile loop holding it finishes undisturbed.  During a
+        lookup the entry being handed out is protected; at the
+        post-execution checkpoint nothing is — a budget smaller than one
+        artifact demotes even the just-executed entry (it stays
+        answerable through the store).
     store:
         The disk tier: an :class:`~repro.store.ArtifactStore`, a
         directory path, ``None`` to consult ``$REPRO_STORE_DIR``, or
@@ -246,14 +222,11 @@ class QuerySession:
         #: key -> artifact nbytes at the time it was last persisted.  An
         #: entry is dirty only while its in-memory content *exceeds* the
         #: persisted size: per key the content is deterministic and only
-        #: ever shrinks by stripping derived state (which the disk copy
-        #: keeps), so equal-or-smaller means the store already holds a
-        #: superset and re-saving would write identical (or less) data.
+        #: grows, so an equal size means the store holds the same data.
         self._persisted: dict[tuple, int] = {}
-        #: key -> nbytes at which the store rejected the artifact as
-        #: larger than its whole disk budget; suppresses pointless
-        #: re-serialization until the artifact grows past that size.
-        self._unstorable: dict[tuple, int] = {}
+        #: keys the store refused (larger than its whole disk budget, or
+        #: a spec it cannot address): never re-serialized while resident.
+        self._unstorable: set[tuple] = set()
         #: key -> (content signature, nbytes): the byte walk visits
         #: every unit's arrays, so it runs only when an entry's O(1)
         #: signature says the content actually changed.
@@ -269,7 +242,6 @@ class QuerySession:
         self.polygons_rebuilt = 0
         self.partition_hits = 0
         self.demotions = 0
-        self.partial_demotions = 0
         # One coarse re-entrant lock serializes every public entry point
         # (see _locked): concurrent serving threads share a session, and
         # unguarded OrderedDict mutation corrupts the LRU chains.
@@ -412,46 +384,29 @@ class QuerySession:
         self,
         polygons: PolygonSet | Sequence[Polygon],
         spec: tuple,
-    ) -> "Warmth | None":
+    ) -> float | None:
         """How warm (polygons, spec) is — without touching LRU order,
         counters, or mtimes.
 
-        Returns a :class:`Warmth` — a string-compatible grade carrying a
-        warm *fraction*:
-
-        * ``"full"`` — the polygon pass replays stored coverage;
-        * ``"partial"`` — the triangulation is reusable but coverage
-          (and boundary masks) re-derive;
-        * ``None`` — cold: nothing is reusable anywhere.
-
-        The fraction is 1.0 for an exact artifact hit (in memory or on
-        disk).  When the exact key misses but a resident sibling could
-        seed a *delta derivation* (same spec, same frame, overlapping
-        polygons), the grade reflects the sibling's state and the
+        ``None`` when nothing is reusable, else the warm *fraction* in
+        (0, 1]: 1.0 for an exact artifact that holds coverage, in memory
+        or on disk (the stored manifest lists ``coverage``).  When the
+        exact key misses but a resident sibling could seed a *delta
+        derivation* (same spec, same frame, overlapping polygons), the
         fraction is the share of this query's polygons the sibling
         already holds — cache-aware costing scales the preparation and
         polygon-pass terms by the share that actually rebuilds, so a
-        1-of-200 edit plans like a warm query, not a cold one.
-
-        A *resident* entry's grade is authoritative even when the disk
-        copy is richer: lookups serve the memory entry as-is (promoting
-        the full disk copy back would undo the byte budget that
-        stripped it), so a partial entry really does re-rasterize — the
-        grade reflects the execution that will happen, not the best
-        artifact that exists somewhere.
+        1-of-200 edit plans like a warm query, not a cold one.  An
+        artifact without coverage (triangles at most) grades cold: its
+        first statement rasterizes the whole polygon side.
         """
         key = (polygon_fingerprint(polygons),) + tuple(spec)
         entry = self._entries.get(key)
         if entry is not None:
-            grade = self._entry_grade(entry)
-            return Warmth(grade) if grade else None
+            return 1.0 if self._has_coverage(entry) else None
         if self.store is not None:
-            fields = self.store.describe(key)
-            if fields is not None:
-                if "coverage" in fields:
-                    return Warmth("full")
-                if "triangles" in fields:
-                    return Warmth("partial")
+            if "coverage" in (self.store.describe(key) or ()):
+                return 1.0
         # Exact miss: grade the best delta sibling fractionally.  The
         # per-polygon hashing runs only when a resident entry could
         # actually seed a derivation, so a truly cold costing probe
@@ -464,10 +419,8 @@ class QuerySession:
             return None
         base, matched = self._find_delta_base(key, spec, fingerprints,
                                               polygons)
-        if base is not None and matched:
-            grade = self._entry_grade(base)
-            if grade:
-                return Warmth(grade, matched / max(len(fingerprints), 1))
+        if base is not None and matched and self._has_coverage(base):
+            return matched / max(len(fingerprints), 1)
         return None
 
     def _per_polygon_fps(self, set_fingerprint: str, polygons) -> list[str]:
@@ -498,13 +451,8 @@ class QuerySession:
         )
 
     @staticmethod
-    def _entry_grade(entry: PreparedPolygons) -> str | None:
-        """``"full"`` / ``"partial"`` / ``None`` for a resident entry."""
-        if entry.coverage or any(u.coverage for u in entry.units):
-            return "full"
-        if entry.triangles is not None:
-            return "partial"
-        return None  # empty shell: execution rebuilds everything
+    def _has_coverage(entry: PreparedPolygons) -> bool:
+        return bool(entry.coverage) or any(u.coverage for u in entry.units)
 
     # ------------------------------------------------------------------
     # Point-keyed caches: point routings and cached channels
@@ -821,7 +769,7 @@ class QuerySession:
         return nbytes
 
     def _is_dirty(self, key: tuple, nbytes: int) -> bool:
-        """Whether the store lacks (a superset of) this entry's content.
+        """Whether the store lacks this entry's content.
 
         Grown content (``nbytes`` above the persisted size) is dirty;
         so is any non-empty entry whose on-disk pair has vanished
@@ -829,13 +777,7 @@ class QuerySession:
         process) — the existence probe keeps the ``_persisted`` markers
         from silently turning demotion into data loss.
         """
-        if nbytes == 0:
-            return False
-        if key in self._unstorable and nbytes >= self._unstorable[key]:
-            # Refused at a size it still meets or exceeds: retrying is
-            # guaranteed to fail.  An artifact that *shrank* below the
-            # rejected size (a budget strip) falls through — the smaller
-            # pair may fit the disk cap now.
+        if nbytes == 0 or key in self._unstorable:
             return False
         if nbytes > self._persisted.get(key, -1):
             return True
@@ -848,28 +790,23 @@ class QuerySession:
         The query's result is already correct when persistence runs, so
         I/O errors (disk full, dead mount, permissions) only forfeit
         warmth: the entry stays dirty and the next checkpoint retries.
-        An artifact the store *rejects* (bigger than the whole disk
-        budget) is remembered as unstorable at that size, so checkpoints
-        don't re-serialize it query after query.
+        An artifact the store *rejects* — bigger than the whole disk
+        budget (it only grows), or keyed by a spec value the format
+        cannot address (not JSON serializable) — is remembered as
+        unstorable, so checkpoints don't re-serialize it query after
+        query; this session serves it from memory only.
         """
         from repro.store import ArtifactTooLargeError
 
         try:
             self.store.save(key, entry)
-        except ArtifactTooLargeError:
-            self._unstorable[key] = nbytes
-            return False
-        except (TypeError, ValueError):
-            # A spec value the format can't address (not JSON
-            # serializable): the key is unstorable at any size — this
-            # session serves it from memory only.
-            self._unstorable[key] = nbytes
+        except (ArtifactTooLargeError, TypeError, ValueError):
+            self._unstorable.add(key)
             return False
         except OSError:
             self.store.save_failures += 1
             return False
         self._persisted[key] = nbytes
-        self._unstorable.pop(key, None)  # it fits after all (it shrank)
         return True
 
     def _flush_dirty(self, sizes: dict, exclude: tuple | None = None) -> int:
@@ -897,7 +834,7 @@ class QuerySession:
             self._try_save(key, entry, nbytes)
         self._forget(key)
         self.demotions += 1
-        metrics.counter("session_demotions", kind="full")
+        metrics.counter("session_demotions")
 
     def _forget(self, key: tuple) -> None:
         """Drop a departed key's bookkeeping.
@@ -910,7 +847,7 @@ class QuerySession:
         """
         self._sizes.pop(key, None)
         self._persisted.pop(key, None)
-        self._unstorable.pop(key, None)
+        self._unstorable.discard(key)
 
     def _enforce_capacity(self, exclude: tuple | None, sizes: dict) -> None:
         while len(self._entries) > self.capacity:
@@ -926,38 +863,12 @@ class QuerySession:
         if self.byte_budget is None:
             return
         total = sum(sizes[key] for key in self._entries)
-        # Tier 0: cached point routings and channels
-        # are pure re-derivable acceleration state — under pressure they
-        # go first, LRU-first, so the budget really bounds the session's
-        # whole footprint.
+        # Cached point routings and channels are pure re-derivable
+        # acceleration state — under pressure they go first, LRU-first,
+        # so the budget really bounds the session's whole footprint.
         self._evict_point_state(self.byte_budget - total)
-        if total <= self.byte_budget:
-            return
-        # Tier 1: strip re-derivable state (coverage, boundary masks)
-        # from cold entries, keeping triangles and edges hot.  Full
-        # artifacts are persisted first so the disk tier keeps coverage.
-        for key in list(self._entries):
-            if total <= self.byte_budget:
-                return
-            if key == exclude:
-                continue
-            entry = self._entries[key]
-            if not entry.has_derived:
-                continue
-            if self.store is not None and self._is_dirty(key, sizes[key]):
-                # Persist the *full* artifact before stripping, so the
-                # disk tier keeps coverage.  ``_persisted`` stays at the
-                # full size: the stripped entry reads as clean (the
-                # store holds a superset) and lazy re-derivation — which
-                # is bit-identical — reads as clean too, so repeated
-                # budget-pressured queries never rewrite the pair.
-                self._try_save(key, entry, sizes[key])
-            freed = entry.strip_derived()
-            sizes[key] -= freed
-            total -= freed
-            self.partial_demotions += 1
-            metrics.counter("session_demotions", kind="partial")
-        # Tier 2: demote whole entries to the store, LRU-first.
+        # Then whole entries leave memory, LRU-first (to the store, when
+        # one is attached).
         for key in list(self._entries):
             if total <= self.byte_budget:
                 return

@@ -55,10 +55,6 @@ class BoundedRasterJoin(RasterJoinEngine):
     device:
         Simulated GPU; ``None`` runs without memory limits or transfer
         accounting.
-    use_scanline:
-        Fill each polygon whole with the scanline rasterizer instead of
-        the batched per-triangle pass.  Results are identical (tested);
-        this exists for the raster-path ablation.
     compute_bounds:
         Also derive per-polygon result intervals (§5) — adds a boundary
         analysis pass; see :mod:`repro.core.bounds`.
@@ -74,7 +70,6 @@ class BoundedRasterJoin(RasterJoinEngine):
         epsilon: float | None = None,
         resolution: int | None = None,
         device: GPUDevice | None = None,
-        use_scanline: bool = False,
         compute_bounds: bool = False,
         session: QuerySession | None = None,
         config: EngineConfig | None = None,
@@ -84,11 +79,10 @@ class BoundedRasterJoin(RasterJoinEngine):
             raise QueryError("specify exactly one of epsilon= or resolution=")
         self.epsilon = epsilon
         self.resolution = resolution
-        self.use_scanline = use_scanline
         self.compute_bounds = compute_bounds
         self.kernel = TileKernel(
             engine=self.name, exact=False, fbo_dtype=np.float32,
-            scanline=use_scanline, device=device,
+            device=device,
         )
 
     # ------------------------------------------------------------------
@@ -116,13 +110,7 @@ class BoundedRasterJoin(RasterJoinEngine):
         optimizer probes sessions with this spec for cache-aware costing;
         it must stay in lockstep with what :meth:`_prepare` keys on.
         """
-        return (
-            "bounded",
-            self.epsilon,
-            self.resolution,
-            self.max_resolution,
-            self.use_scanline,
-        )
+        return ("bounded", self.epsilon, self.resolution, self.max_resolution)
 
     def _prepare(
         self, polygons: PolygonSet, stats: ExecutionStats

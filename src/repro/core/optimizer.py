@@ -36,24 +36,17 @@ class CostModel:
     """Fitted per-unit costs (seconds).
 
     ``per_vertex_triangulate`` prices the polygon-side preparation
-    (triangulation) that a cold run pays and a warm run skips.  The ``warm`` argument of the
-    predictors grades what the session actually holds for the variant:
-
-    * ``"full"`` (or ``True``) — the artifact carries coverage, so both
-      the preparation term and the polygon-pass term are dropped (the
-      warm polygon pass replays stored coverage indices, whose gather
-      cost is noise next to rasterizing the triangles);
-    * ``"partial"`` — the triangulation is reusable but coverage must
-      re-rasterize, so only the preparation term is dropped;
-    * ``False``/``None`` — cold: every term is paid.
-
-    Warmth is **fractional**: a :class:`~repro.cache.session.Warmth`
-    grade carries the share of the query's polygons whose prepared
-    state is already reusable (1.0 for an exact artifact hit, the
-    matched share for a delta-derivable edited set), and the discounted
-    terms scale by the share that actually rebuilds — so a 1-of-200
-    edit is costed like a warm query, not a cold one.  Plain strings
-    and booleans keep meaning fraction 1.0.
+    (triangulation) that a cold run pays and a warm run skips.  The
+    ``warm`` argument of the predictors is what
+    :meth:`~repro.cache.session.QuerySession.warmth` reports for the
+    variant: the share of the query's polygons whose prepared state —
+    coverage included — is already reusable (1.0 for an exact artifact
+    hit, the matched share for a delta-derivable edited set; ``True``
+    means 1.0, ``None`` / ``False`` cold).  The preparation and
+    polygon-pass terms scale by the share that actually rebuilds (the
+    warm polygon pass replays stored coverage indices, whose gather
+    cost is noise next to rasterizing the triangles) — so a 1-of-200
+    edit is costed like a warm query, not a cold one.
     """
 
     per_point_render: float
@@ -61,16 +54,6 @@ class CostModel:
     per_pip_test: float
     per_boundary_point: float
     per_vertex_triangulate: float = 0.0
-
-    @staticmethod
-    def _grades(warm) -> tuple[float, float]:
-        """(preparation-reusable, coverage-replayable) warm fractions."""
-        full = warm is True or warm == "full"
-        partial = warm == "partial"
-        if not (full or partial):
-            return 0.0, 0.0
-        fraction = float(getattr(warm, "fraction", 1.0))
-        return fraction, fraction if full else 0.0
 
     def _point_pass_seconds(
         self, num_points: int, tiles: int, waves: int, routed: bool = False,
@@ -91,7 +74,7 @@ class CostModel:
     def bounded_terms(
         self, num_points: int, canvas_pixels: int, tiles: int,
         covered_pixels: int, workers: int = 1, num_vertices: int = 0,
-        warm: "str | bool | None" = False, routed: bool = False,
+        warm: float | None = None, routed: bool = False,
     ) -> dict[str, float]:
         """Per-term predicted bounded-join seconds.
 
@@ -110,24 +93,24 @@ class CostModel:
         tiles = max(1, tiles)
         concurrency = max(1, min(workers, tiles))
         waves = math.ceil(tiles / concurrency)
-        prepared, replayable = self._grades(warm)
+        rebuilt = 1.0 - float(warm or 0.0)
         return {
             "point_pass": self._point_pass_seconds(
                 num_points, tiles, waves, routed
             ),
             "prepare": (
-                self.per_vertex_triangulate * num_vertices * (1.0 - prepared)
+                self.per_vertex_triangulate * num_vertices * rebuilt
             ),
             "polygon_pass": (
                 self.per_pixel_polygon_pass * covered_pixels / concurrency
-                * (1.0 - replayable)
+                * rebuilt
             ),
         }
 
     def accurate_terms(
         self, num_points: int, boundary_fraction: float, covered_pixels: int,
         tiles: int = 1, workers: int = 1, num_vertices: int = 0,
-        warm: "str | bool | None" = False, routed: bool = False,
+        warm: float | None = None, routed: bool = False,
         prewarmed: bool = False,
     ) -> dict[str, float]:
         """Per-term predicted accurate-join seconds.
@@ -151,10 +134,10 @@ class CostModel:
         concurrency = max(1, min(workers, tiles))
         waves = math.ceil(tiles / concurrency)
         boundary_points = num_points * boundary_fraction
-        prepared, replayable = self._grades(warm)
+        rebuilt = 1.0 - float(warm or 0.0)
         return {
             "prepare": (
-                self.per_vertex_triangulate * num_vertices * (1.0 - prepared)
+                self.per_vertex_triangulate * num_vertices * rebuilt
             ),
             "point_pass": 0.0 if prewarmed else self._point_pass_seconds(
                 num_points, tiles, waves, routed
@@ -164,7 +147,7 @@ class CostModel:
             ),
             "polygon_pass": (
                 self.per_pixel_polygon_pass * covered_pixels / concurrency
-                * (1.0 - replayable)
+                * rebuilt
             ),
         }
 
@@ -273,24 +256,22 @@ class RasterJoinOptimizer:
             ),
         )
 
-    def _warmth(self, engine, polygons: PolygonSet) -> "str | None":
-        """The warmth grade of the engine's artifact, or ``None`` (cold).
+    def _warmth(self, engine, polygons: PolygonSet) -> float | None:
+        """The warm fraction of the engine's artifact, or ``None`` (cold).
 
-        The grade is a :class:`~repro.cache.session.Warmth` carrying the
-        warm *fraction*: 1.0 for an exact artifact, the matched-polygon
-        share when the session could delta-derive from a sibling — the
-        costing then discounts only the share that is actually reusable,
-        so a single-polygon edit of a warm set plans warm.
+        1.0 for an exact artifact, the matched-polygon share when the
+        session could delta-derive from a sibling — the costing then
+        discounts only the share that is actually reusable, so a
+        single-polygon edit of a warm set plans warm.
 
         Probes the *candidate engine's* session — the shared optimizer
         session when one was given (or derived from an explicit
         ``EngineConfig.store_dir``); a session-less optimizer costs
         everything cold, matching the cache-free execution its engines
-        will actually run.  The grade comes from what is actually
-        stored (manifest fields, not bare file existence), so a partial
-        artifact is only credited the preparation it really skips; the
-        probe never touches LRU order, counters, or mtimes — costing a
-        query must never change cache state.
+        will actually run.  The fraction comes from what is actually
+        stored (manifest fields, not bare file existence), and the probe
+        never touches LRU order, counters, or mtimes — costing a query
+        must never change cache state.
         """
         if engine.session is None:
             return None
@@ -308,8 +289,8 @@ class RasterJoinOptimizer:
         holds a variant's prepared artifact, that variant's preparation
         and polygon-pass terms are dropped — which is how a warm accurate
         engine can beat a cold bounded one.  The returned dict also
-        reports each variant's warmth under ``"bounded_warm"`` /
-        ``"accurate_warm"``.
+        reports each variant's warm fraction (0.0 when cold) under
+        ``"bounded_warm"`` / ``"accurate_warm"``.
         """
         return self._estimate(points, polygons, self._candidates(epsilon))
 
@@ -320,7 +301,7 @@ class RasterJoinOptimizer:
         for name, engine in zip(("bounded", "accurate"), candidates):
             _, warm, terms = self._costing(points, polygons, engine)
             cost[name] = sum(terms.values())
-            cost[f"{name}_warm"] = warm or False
+            cost[f"{name}_warm"] = warm or 0.0
         return cost
 
     def explain_terms(
@@ -346,7 +327,7 @@ class RasterJoinOptimizer:
         return regime, terms
 
     def _costing(self, points, polygons, engine):
-        """``(regime, warmth grade, per-term seconds)`` for one engine —
+        """``(regime, warm fraction, per-term seconds)`` for one engine —
         the one place the cost features are extracted."""
         num_vertices = sum(p.num_vertices for p in polygons)
         # Covered pixels scale with total polygon area over the extent.

@@ -84,7 +84,6 @@ from repro.graphics.raster_batch import (
     coverage_by_polygon,
 )
 from repro.graphics.raster_line import outline_pixels_many
-from repro.graphics.raster_polygon import scanline_polygon_pixels
 from repro.graphics.viewport import Viewport
 from repro.index.grid import ragged_positions
 from repro.obs import metrics, trace
@@ -101,16 +100,13 @@ class TileKernel:
     ``exact`` selects the accurate join's boundary stage (outline mask,
     PIP for points on it, which therefore never reach the framebuffer);
     without it every point rasterizes — the bounded join.  The polygon
-    pass is the same either way.  ``scanline`` swaps the batched
-    triangle coverage builder for the per-polygon scanline fill (the
-    bounded engine's raster-path ablation).  ``device`` plans and times
-    the point uploads.
+    pass is the same either way.  ``device`` plans and times the point
+    uploads.
     """
 
     engine: str
     exact: bool
     fbo_dtype: type
-    scanline: bool = False
     device: GPUDevice | None = None
 
     @property
@@ -136,10 +132,7 @@ class TileKernel:
     @property
     def token(self) -> tuple:
         """Value identity of the whole record, for cache keys."""
-        return (
-            self.engine, self.exact, self.fbo_dtype, self.scanline,
-            self.device_token,
-        )
+        return (self.engine, self.exact, self.fbo_dtype, self.device_token)
 
 
 @dataclass
@@ -208,9 +201,7 @@ def run_tile(
         )
         views = None
         if kernel.exact:
-            views = _tile_boundary(
-                tile_idx, tile, kernel, member, partial, retain
-            )
+            views = _tile_boundary(tile_idx, tile, member, partial, retain)
         # A prewarmed pairing hands the tile its framebuffers ready-made.
         cached = chunks if isinstance(chunks, CachedTile) else None
         with trace.span("point-pass"):
@@ -226,7 +217,7 @@ def run_tile(
                 _cached_point_pass(member, cached, views, partial)
         with trace.span("polygon-pass"):
             built = _polygon_pass(
-                tile_idx, tile, kernel, member,
+                tile_idx, tile, member,
                 cached.channels if cached is not None else {
                     ch: fbo.channel(ch).ravel()
                     for ch in member.aggregate.channels
@@ -257,7 +248,6 @@ class TileViews(NamedTuple):
 def _tile_boundary(
     tile_idx: int,
     tile: Viewport,
-    kernel: TileKernel,
     member: TileMember,
     partial: TilePartial,
     retain: bool,
@@ -299,7 +289,7 @@ def _tile_boundary(
             if boundary is None:
                 boundary = prepared.compose_boundary(tile, outlines)
             if coverage is None:
-                coverage = _tile_coverage(tile_idx, tile, kernel, member)
+                coverage = _tile_coverage(tile_idx, tile, member)
             if fragments is None:
                 fragments = np.flatnonzero(
                     boundary.reshape(-1).take(coverage.pixels)
@@ -498,35 +488,27 @@ def _route_batch(
 
 # -- stage 3: draw the polygons -----------------------------------------
 def _tile_coverage(
-    tile_idx: int, tile: Viewport, kernel: TileKernel, member: TileMember
+    tile_idx: int, tile: Viewport, member: TileMember
 ) -> TileCoverage:
     """Compose this tile's coverage record, rasterizing the polygons
     whose unit lacks the tile: one batched pass over those whose box
     meets it — their triangles form one flat soup whose fragments come
     back polygon-contiguous, triangle-major in triangulation order, as
-    flat ``iy * width + ix`` indices — or, under the scanline kernel,
-    each polygon filled whole, row-major."""
+    flat ``iy * width + ix`` indices."""
     prepared = member.prepared
     slices = prepared.unit_slices("coverage", tile_idx)
     pids = [pid for pid in range(len(prepared.units)) if pid not in slices]
     slices.update(dict.fromkeys(pids, np.zeros(0, dtype=np.int64)))
     hit = bin_polygons_to_tile(tile, prepared.mbr_arrays)
-    pids = [pid for pid in pids if hit[pid]]
-    if kernel.scanline:
-        for pid in pids:
-            ix, iy = scanline_polygon_pixels(tile, member.polygons[pid].rings)
-            slices[pid] = iy * tile.width + ix
-    else:
-        slices.update(coverage_by_polygon(
-            tile, {pid: prepared.triangles[pid] for pid in pids}
-        ))
+    slices.update(coverage_by_polygon(
+        tile, {pid: prepared.triangles[pid] for pid in pids if hit[pid]}
+    ))
     return prepared.compose_coverage(slices)
 
 
 def _polygon_pass(
     tile_idx: int,
     tile: Viewport,
-    kernel: TileKernel,
     member: TileMember,
     channels: dict[str, np.ndarray],
     partial: TilePartial,
@@ -556,7 +538,7 @@ def _polygon_pass(
     else:
         coverage = member.prepared.coverage.get(tile_idx)
         if coverage is None:
-            coverage = built = _tile_coverage(tile_idx, tile, kernel, member)
+            coverage = built = _tile_coverage(tile_idx, tile, member)
     aggregate = member.aggregate
     for ch in aggregate.channels:
         values = channels[ch].take(coverage.pixels)

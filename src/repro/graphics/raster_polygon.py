@@ -3,10 +3,9 @@
 The paper rasterizes polygons as triangles because that is what GPUs
 implement in hardware.  A software rasterizer is free to scan-convert the
 whole polygon directly, which visits each covered pixel once instead of
-once per overlapping triangle bounding box.  This module provides that fast
-path; an ablation benchmark (`bench_ablation_raster_paths`) compares it with
-the triangle path, and the test suite asserts they produce identical
-coverage.
+once per overlapping triangle bounding box.  The engines build coverage
+through the triangle path only; this fill draws the heatmap and is the
+test suite's oracle for that path, which must produce identical coverage.
 
 Coverage semantics are identical to the triangle path: a pixel is covered
 iff its center lies inside the polygon under the even-odd rule, with

@@ -309,9 +309,9 @@ def _units_tiles(units: Sequence[PolygonUnit], kind: str) -> list[int]:
 def encode(prepared: PreparedPolygons, key: Sequence) -> tuple[dict, dict]:
     """Flatten an artifact into (named arrays, manifest) for persistence.
 
-    Only populated fields are written; the manifest records which, so a
-    partial artifact (triangles, no coverage) round-trips as exactly
-    that partial artifact.
+    Only populated fields are written; the manifest records which, so an
+    artifact saved before its first tile loop (triangles, no coverage)
+    round-trips as exactly that.
     """
     fingerprint, *spec = key
     arrays: dict[str, np.ndarray] = {}

@@ -301,10 +301,9 @@ class ArtifactStore:
         """The stored artifact's field list, without loading the payload.
 
         Reads and validates only the (small) manifest — cache-aware
-        costing uses this to tell a *full* artifact (coverage present:
-        the polygon pass replays) from a *partial* one (triangles
-        only: preparation is skipped but coverage re-rasterizes).
-        Returns ``None`` for missing or invalid state; never raises.
+        costing credits a stored artifact as warm only when ``coverage``
+        is listed (the polygon pass replays it).  Returns ``None`` for
+        missing or invalid state; never raises.
         """
         paths = self._paths_or_none(key)
         if paths is None:

@@ -13,7 +13,7 @@ from repro import (
     QuerySession,
     Sum,
 )
-from repro.cache import Warmth, fingerprint_details, polygon_fingerprint
+from repro.cache import fingerprint_details, polygon_fingerprint
 from repro.cache.prepared import PreparedPolygons
 
 
@@ -256,10 +256,7 @@ class TestFractionalWarmth:
             resolution=128, grid_resolution=64, session=session
         )
         engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
-        warm = session.warmth(three_regions, engine.prepared_spec())
-        assert warm == "full"
-        assert isinstance(warm, Warmth)
-        assert warm.fraction == 1.0
+        assert session.warmth(three_regions, engine.prepared_spec()) == 1.0
 
     def test_edited_set_grades_fractionally(self, uniform_points,
                                             three_regions):
@@ -270,8 +267,7 @@ class TestFractionalWarmth:
         engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
         after = edited_regions(three_regions)
         warm = session.warmth(after, engine.prepared_spec())
-        assert warm == "full"
-        assert warm.fraction == pytest.approx(2.0 / 3.0)
+        assert warm == pytest.approx(2.0 / 3.0)
 
     def test_duplicate_fingerprints_never_overcount(self, uniform_points):
         """Multiset matching: three identical polygons in the sibling
@@ -287,9 +283,7 @@ class TestFractionalWarmth:
         other = Polygon([(10.0, 10.0), (40.0, 12.0), (20.0, 40.0)])
         pair = PolygonSet([square, other])
         warm = session.warmth(pair, engine.prepared_spec())
-        assert warm is not None
-        assert 0.0 < warm.fraction <= 1.0
-        assert warm.fraction == pytest.approx(0.5)
+        assert warm == pytest.approx(0.5)
         result = engine.execute(uniform_points, pair, aggregate=Sum("fare"))
         assert result.stats.extra["prepared"] == "delta"
         assert result.stats.extra["polygons_rebuilt"] == 1
@@ -320,8 +314,7 @@ class TestFractionalWarmth:
         engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
         after = edited_regions(three_regions)
         est_edit = optimizer.estimate(uniform_points, after, epsilon=0.05)
-        assert est_edit["accurate_warm"] == "full"
-        assert est_edit["accurate_warm"].fraction == pytest.approx(2 / 3)
+        assert est_edit["accurate_warm"] == pytest.approx(2 / 3)
         est_warm = optimizer.estimate(uniform_points, three_regions,
                                       epsilon=0.05)
         est_cold = optimizer.estimate(

@@ -7,6 +7,7 @@ import pytest
 
 from repro import (
     AccurateRasterJoin,
+    ArtifactStore,
     Average,
     Count,
     Filter,
@@ -177,10 +178,13 @@ class TestPrewarmedStatements:
         assert len(channels_of(session)) == builds
         assert np.array_equal(result.values, brute_force_counts(points, edited))
 
-    def test_strip_derived_rederives_the_fragment_index(self, points,
-                                                        regions):
-        """... and the candidate lists, both by the tile task alone."""
-        session = QuerySession(store=False)
+    def test_reloaded_pairing_rederives_the_fragment_index(
+        self, points, regions, tmp_path
+    ):
+        """... and the candidate lists, both by the tile task alone: a
+        store never holds them, so a prewarmed pairing whose artifact
+        comes back from disk rebuilds them and answers the same bits."""
+        session = QuerySession(store=ArtifactStore(tmp_path / "s"))
         eng = engine(session)
         eng.prewarm(points, regions)
         first = eng.execute(points, regions, Average("fare"))
@@ -194,14 +198,15 @@ class TestPrewarmedStatements:
         assert np.array_equal(
             fragments, np.flatnonzero(mask.ravel()[pixels])
         ) and len(fragments)
-        assert artifact.strip_derived() > fragments.nbytes
-        assert not artifact.boundary_fragments and not artifact.candidates
+        session.invalidate(regions)  # the routing and its channels stay
         again = eng.execute(points, regions, Average("fare"))
+        assert again.stats.extra["prepared"] == "store-hit"
         assert again.stats.extra["pyramid"] == "hit"
         assert again.stats.pip_tests == first.stats.pip_tests > 0
         same_bits(again, first)
-        assert np.array_equal(artifact.boundary_fragments[0], fragments)
-        for mine, theirs in zip(artifact.candidates[0], candidates):
+        (reloaded,) = session._entries.values()
+        assert np.array_equal(reloaded.boundary_fragments[0], fragments)
+        for mine, theirs in zip(reloaded.candidates[0], candidates):
             assert mine is not theirs and np.array_equal(mine, theirs)
 
 

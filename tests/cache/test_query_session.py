@@ -5,6 +5,7 @@ import pytest
 
 from repro import (
     AccurateRasterJoin,
+    ArtifactStore,
     BoundedRasterJoin,
     FilterSet,
     GPUDevice,
@@ -142,15 +143,6 @@ class TestEnginesReusePreparedState:
             BoundedRasterJoin(resolution=256, session=session),
             uniform_points, three_regions,
             BoundedRasterJoin(resolution=256),
-        )
-
-    def test_bounded_scanline_path(self, session, uniform_points,
-                                   three_regions):
-        self.assert_warm_reuses(
-            BoundedRasterJoin(resolution=256, use_scanline=True,
-                              session=session),
-            uniform_points, three_regions,
-            BoundedRasterJoin(resolution=256, use_scanline=True),
         )
 
     def test_index_join(self, session, uniform_points, three_regions):
@@ -295,57 +287,55 @@ class TestPreparedPolygons:
         assert prepared.nbytes > 0
 
     def test_derived_state_is_accounted_and_rederives_bit_identically(
-        self, uniform_points, three_regions
+        self, uniform_points, three_regions, tmp_path
     ):
         """The flat coverage record and the edge table count in
-        ``nbytes`` and show in the content signature; the per-pixel
-        state goes with ``strip_derived`` and comes back bit for bit —
-        as does the answer, candidate lists included — while the edge
-        table, which tile tasks read without a rebuild path, stays."""
-        session = QuerySession(store=False)
-        engine = AccurateRasterJoin(
-            resolution=128, grid_resolution=64,
-            device=GPUDevice(max_resolution=64), session=session,
-        )
-        before = engine.execute(uniform_points, three_regions, Sum("fare"))
+        ``nbytes``; the candidate lists are never stored, and a reloaded
+        artifact's first query re-derives them bit for bit — as it does
+        the answer."""
+        store = ArtifactStore(tmp_path / "s")
+
+        def run(session):
+            return AccurateRasterJoin(
+                resolution=128, grid_resolution=64,
+                device=GPUDevice(max_resolution=64), session=session,
+            ).execute(uniform_points, three_regions, Sum("fare"))
+
+        session = QuerySession(store=store)
+        before = run(session)
         (artifact,) = session._entries.values()
-        assert artifact.has_derived and artifact.edge_table is not None
         records = dict(artifact.coverage)
         candidates = dict(artifact.candidates)
         assert set(candidates) == set(records) == {0, 1, 2, 3}
-        edges = artifact.edge_table
-        full, signature = artifact.nbytes, artifact.content_signature
-        assert full >= edges.nbytes + sum(r.nbytes for r in records.values())
+        full = artifact.nbytes
+        assert full >= artifact.edge_table.nbytes + sum(
+            r.nbytes for r in records.values()
+        )
 
-        freed = artifact.strip_derived()
-        assert not artifact.has_derived and not artifact.coverage
-        assert not artifact.candidates and not artifact.boundary_fragments
-        assert artifact.edge_table is edges
-        assert artifact.content_signature != signature
-        assert freed == full - artifact.nbytes > 0
-
-        after = engine.execute(uniform_points, three_regions, Sum("fare"))
-        assert after.stats.prepared_hits == 1
+        reloaded = QuerySession(store=store)
+        after = run(reloaded)
+        assert after.stats.extra["prepared"] == "store-hit"
         assert np.array_equal(after.values, before.values)
         assert after.stats.pip_tests == before.stats.pip_tests > 0
         assert (after.stats.extra["boundary_pixels"]
                 == before.stats.extra["boundary_pixels"] > 0)
-        assert artifact.nbytes == full
-        for held, again in ((records, artifact.coverage),
-                            (candidates, artifact.candidates)):
+        (again,) = reloaded._entries.values()
+        assert again.nbytes == full
+        for held, rebuilt in ((records, again.coverage),
+                              (candidates, again.candidates)):
             for idx, record in held.items():
-                for mine, theirs in zip(record, again[idx]):
+                for mine, theirs in zip(record, rebuilt[idx]):
                     assert mine.dtype == theirs.dtype
                     assert np.array_equal(mine, theirs)
 
     @pytest.mark.parametrize("warm", [False, True])
-    def test_strip_while_the_tile_loop_is_in_flight(
+    def test_demotion_while_the_tile_loop_is_in_flight(
         self, uniform_points, three_regions, warm
     ):
-        """A budget pass may strip an artifact between a query's prepare
-        and its tile loop (another serving thread's checkpoint): the
-        tile tasks re-derive what went and still find the triangles,
-        the MBRs and the edge table."""
+        """A budget pass may demote an artifact between a query's
+        prepare and its tile loop (another serving thread's checkpoint):
+        the entry is only dropped from the session, never mutated, so
+        the tile loop holding it answers the undisturbed bits."""
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(
             resolution=128, device=GPUDevice(max_resolution=64),
@@ -359,7 +349,13 @@ class TestPreparedPolygons:
             engine.execute(uniform_points, three_regions, aggregate)
         stats = ExecutionStats(engine=engine.name, batches=0, passes=0)
         member = engine.member(three_regions, aggregate, filters, stats)
-        member.prepared.strip_derived()
+        held = dict(member.prepared.coverage)
+        session.byte_budget = 1
+        session.checkpoint()
+        assert len(session) == 0
+        assert member.prepared.edge_table is not None
+        assert member.prepared.coverage.keys() == held.keys()
+        assert all(member.prepared.coverage[i] is r for i, r in held.items())
         accumulators = engine.run_member(
             member, uniform_points, stats
         ).accumulators

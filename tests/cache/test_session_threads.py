@@ -219,18 +219,18 @@ def test_prewarmed_pairing_builds_each_channel_once(uniform_points,
             assert np.array_equal(got.channels[name], channel, equal_nan=True)
 
 
-@pytest.mark.parametrize("prewarmed", [False, True],
-                         ids=["scattered", "prewarmed"])
-def test_strip_from_a_second_thread_while_tile_loops_run(
-    uniform_points, three_regions, prewarmed
+@pytest.mark.parametrize("stored", [False, True], ids=["memory", "store"])
+def test_checkpoint_from_a_second_thread_while_tile_loops_run(
+    uniform_points, three_regions, tmp_path, stored
 ):
-    """A budget pass on another serving thread may strip an artifact at
-    any moment of a tile loop.  A tile task takes each view — mask,
-    coverage, boundary fragments, candidates — in one read and rebuilds
-    what is gone from the triangles, the MBRs and the polygons alone, so
-    every statement still answers the undisturbed bits with the
-    undisturbed PIP count."""
-    from repro import GPUDevice
+    """A budget pass on another serving thread may demote an artifact
+    at any moment of a tile loop.  Demotion only drops the entry from
+    the session — the loop holding it finishes on its own reference and
+    the next statement rebuilds it, or with a store attached saves it
+    first and reloads it — so every statement still answers the
+    undisturbed bits with the undisturbed PIP count, and the budget
+    holds once the threads are done."""
+    from repro import ArtifactStore, GPUDevice
 
     def engine(session):
         return AccurateRasterJoin(
@@ -243,29 +243,26 @@ def test_strip_from_a_second_thread_while_tile_loops_run(
         engine(None).execute(uniform_points, three_regions, aggregate)
         for aggregate in statements
     ]
-    session = QuerySession(store=False)
+    probe = QuerySession(store=False)
+    engine(probe).execute(uniform_points, three_regions)
+    store = ArtifactStore(tmp_path / "s") if stored else False
+    session = QuerySession(store=store, byte_budget=probe.nbytes // 2)
     serving = engine(session)
-    serving.execute(uniform_points, three_regions)
-    if prewarmed:
-        serving.prewarm(uniform_points, three_regions)
-    (artifact,) = session._entries.values()
     done = threading.Event()
     errors: list[BaseException] = []
-    strips = [0]
 
-    def strip() -> None:
+    def checkpoint() -> None:
         try:
             while not done.is_set():
-                artifact.strip_derived()
-                strips[0] += 1
+                session.checkpoint()
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
-    stripper = threading.Thread(target=strip)
+    checkpointer = threading.Thread(target=checkpoint)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        stripper.start()
+        checkpointer.start()
         results = [
             [serving.execute(uniform_points, three_regions, aggregate)
              for _ in range(6)]
@@ -273,16 +270,18 @@ def test_strip_from_a_second_thread_while_tile_loops_run(
         ]
     finally:
         done.set()
-        stripper.join(10.0)
+        checkpointer.join(10.0)
         sys.setswitchinterval(interval)
-    assert not stripper.is_alive()
+    assert not checkpointer.is_alive()
     assert not errors, errors
-    assert strips[0] > 0
+    assert session.demotions > 0
+    assert session.nbytes <= session.byte_budget
+    if stored:
+        assert store.saves >= 1 and store.load_failures == 0
+        assert any(got.stats.extra["prepared"] == "store-hit"
+                   for runs in results for got in runs)
     for runs, want in zip(results, solo):
         for got in runs:
-            assert got.stats.extra["pyramid"] == (
-                "hit" if prewarmed else "cold"
-            )
             assert got.stats.pip_tests == want.stats.pip_tests
             assert np.array_equal(got.values, want.values, equal_nan=True)
             for name, channel in want.channels.items():

@@ -14,9 +14,11 @@ from repro import (
     PointDataset,
     Polygon,
     PolygonSet,
+    QuerySession,
     Sum,
 )
 from repro.errors import QueryError
+from repro.graphics.raster_polygon import scanline_polygon_pixels
 from tests.conftest import brute_force_counts, brute_force_sums
 
 
@@ -182,10 +184,27 @@ class TestTilingAndDevice:
 
 class TestScanlinePath:
     def test_identical_to_triangle_path(self, uniform_points, three_regions):
-        tri = BoundedRasterJoin(resolution=512).execute(
-            uniform_points, three_regions
-        )
-        scan = BoundedRasterJoin(resolution=512, use_scanline=True).execute(
-            uniform_points, three_regions
-        )
-        assert np.array_equal(tri.values, scan.values)
+        """The bounded count is the number of points in the pixels the
+        triangle path covers; counting them over the scanline fill
+        (``scanline_polygon_pixels``, the oracle) on the same tiles gives
+        the same numbers, on one canvas and across tile seams."""
+        for device in (None, GPUDevice(max_resolution=120)):
+            session = QuerySession(store=False)
+            tri = BoundedRasterJoin(
+                resolution=512, device=device, session=session
+            ).execute(uniform_points, three_regions)
+            (artifact,) = session._entries.values()
+            assert (len(artifact.tiles) > 1) == (device is not None)
+            scan = np.zeros(len(three_regions))
+            for tile in artifact.tiles:
+                ix, iy, inside = tile.pixel_of(
+                    uniform_points.xs, uniform_points.ys
+                )
+                counts = np.bincount(
+                    iy[inside] * tile.width + ix[inside],
+                    minlength=tile.num_pixels,
+                )
+                for pid, polygon in enumerate(three_regions):
+                    px, py = scanline_polygon_pixels(tile, polygon.rings)
+                    scan[pid] += counts[py * tile.width + px].sum()
+            assert (scan > 0).all() and np.array_equal(tri.values, scan)

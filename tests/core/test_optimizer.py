@@ -171,36 +171,21 @@ class TestCacheAwareCosting:
             AccurateRasterJoin,
         )
 
-    def test_partial_artifact_discounts_only_preparation(
-        self, uniform_points, three_regions, tmp_path
-    ):
-        """A partial pair on disk (triangles/grid, no coverage) must not
-        receive the polygon-pass discount it cannot deliver."""
-        store_dir = tmp_path / "store"
-        warmup = QuerySession(store=ArtifactStore(store_dir))
-        accurate = AccurateRasterJoin(session=warmup)
-        accurate.execute(uniform_points, three_regions)
-        # Rewrite the stored artifact as partial (the shape a failed
-        # full save followed by a budget strip leaves behind).
-        key = next(iter(warmup._entries))
-        artifact = warmup._entries[key]
-        artifact.strip_derived()
-        warmup.store.save(key, artifact)
-
-        session = QuerySession(store=ArtifactStore(store_dir))
+    def test_triangles_only_entry_costs_cold(self, uniform_points,
+                                             three_regions):
+        """An artifact without coverage — triangles at most — is no
+        discount: its first statement rasterizes the polygon side whole."""
+        session = QuerySession(store=False)
         opt = self._optimizer(session)
+        _, accurate = opt._candidates(self.EPSILON)
+        entry, _ = session.prepared_for(three_regions, accurate.prepared_spec())
+        entry.ensure_triangles(three_regions)
         cost = opt.estimate(uniform_points, three_regions, self.EPSILON)
-        assert cost["accurate_warm"] == "partial"
+        assert cost["accurate_warm"] == 0.0
         cold = self._optimizer(QuerySession(store=False)).estimate(
             uniform_points, three_regions, self.EPSILON
         )
-        # Cheaper than cold (preparation dropped) but nowhere near the
-        # full-warm discount (polygon pass still paid).
-        assert cost["accurate"] < cold["accurate"]
-        model = hand_tuned_model()
-        verts = sum(p.num_vertices for p in three_regions)
-        prep = model.per_vertex_triangulate * verts
-        assert cost["accurate"] == pytest.approx(cold["accurate"] - prep)
+        assert cost["accurate"] == cold["accurate"]
 
     def test_warm_bounded_stays_preferred(self, uniform_points, three_regions):
         session = QuerySession(store=False)
@@ -313,4 +298,4 @@ class TestOneCostPath:
             "prewarmed": "pyramid-warm",
         }[state]
         if state == "delta":
-            assert cost["accurate_warm"].fraction == pytest.approx(2 / 3)
+            assert cost["accurate_warm"] == pytest.approx(2 / 3)

@@ -24,6 +24,7 @@ from repro import (
 )
 from repro.geometry.triangulate import triangulate_polygon
 from repro.graphics.raster_line import outline_pixels
+from repro.graphics.raster_polygon import scanline_polygon_pixels
 from tests.conftest import random_star_polygon, scalar_pixels
 
 
@@ -99,13 +100,10 @@ def assert_records_equal(mine: dict, theirs: dict) -> None:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def assert_artifact_matches_scalar(
-    artifact, polygons, exact: bool, scanline: bool = False
-) -> None:
+def assert_artifact_matches_scalar(artifact, polygons, exact: bool) -> None:
     """Every tile's composed boundary mask (``exact``: the accurate
     engine has one) and coverage record equal the scalar kernels'
-    output, and each unit's slice is a view into the record.  The
-    ``scanline`` fill emits a polygon's same pixels row-major."""
+    output, and each unit's slice is a view into the record."""
     assert set(artifact.coverage) == set(range(len(artifact.tiles)))
     for idx, tile in enumerate(artifact.tiles):
         if exact:
@@ -113,8 +111,6 @@ def assert_artifact_matches_scalar(
                 artifact.boundary_masks[idx], scalar_boundary(tile, polygons)
             )
         expected = scalar_coverage(tile, polygons)
-        if scanline:
-            expected = [(pid, np.sort(pixels)) for pid, pixels in expected]
         record = artifact.coverage[idx]
         assert_coverage_equal(record, expected)
         owned = dict(expected)
@@ -182,18 +178,29 @@ class TestScalarOracle:
         assert np.array_equal(warm.values, cold.values)
 
     @pytest.mark.parametrize("resolution,max_fbo", CANVASES)
-    def test_scanline_built_artifacts_match_scalar_kernels(
+    def test_bounded_artifacts_match_scanline_fill(
         self, uniform_points, many_regions, resolution, max_fbo
     ):
+        """The second oracle: per tile, each polygon's coverage holds
+        exactly the pixels the scanline fill emits (row-major there)."""
         device = GPUDevice(max_resolution=max_fbo) if max_fbo else None
         session = QuerySession(store=False)
         BoundedRasterJoin(
-            resolution=resolution, device=device, session=session,
-            use_scanline=True,
+            resolution=resolution, device=device, session=session
         ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
-        assert_artifact_matches_scalar(
-            _only_artifact(session), many_regions, exact=False, scanline=True
-        )
+        artifact = _only_artifact(session)
+        for idx, tile in enumerate(artifact.tiles):
+            expected = []
+            for pid, polygon in enumerate(many_regions):
+                ix, iy = scanline_polygon_pixels(tile, polygon.rings)
+                if len(ix):
+                    expected.append((pid, iy * tile.width + ix))
+            record = artifact.coverage[idx]
+            assert record.pids.tolist() == [pid for pid, _ in expected]
+            for pid, pixels in expected:
+                assert np.array_equal(
+                    np.sort(artifact.units[pid].coverage[idx]), pixels
+                )
 
 
 class TestIncrementalThroughBatch:

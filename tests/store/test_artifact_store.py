@@ -9,6 +9,7 @@ from repro import (
     AccurateRasterJoin,
     ArtifactStore,
     BoundedRasterJoin,
+    FilterSet,
     PointDataset,
     QuerySession,
     Sum,
@@ -17,6 +18,7 @@ from repro.cache import polygon_fingerprint
 from repro.errors import QueryError
 from repro.store import FORMAT_VERSION, key_id, parse_bytes
 from repro.store import format as artifact_format
+from repro.types import ExecutionStats
 
 
 @pytest.fixture
@@ -32,6 +34,13 @@ def populated_session(points, regions, store, resolution=128):
     )
     result = engine.execute(points, regions, aggregate=Sum("fare"))
     return session, engine, result
+
+
+def prepared_only(engine, regions):
+    """The artifact a query's prepare hands its tile loop: canvas, tiles,
+    MBRs, triangles and edge table — no per-pixel state yet."""
+    stats = ExecutionStats(engine=engine.name, batches=0, passes=0)
+    return engine.member(regions, Sum("fare"), FilterSet(), stats).prepared
 
 
 class TestKeying:
@@ -120,13 +129,11 @@ class TestRoundTrip:
         assert replay.stats.index_build_s == 0.0
         assert np.array_equal(replay.values, expected.values)
 
-    def test_partial_artifact_round_trips_as_partial(
-        self, uniform_points, three_regions, store
-    ):
-        session, _, _ = populated_session(uniform_points, three_regions, store)
-        key = next(iter(session._entries))
-        artifact = session._entries[key]
-        artifact.strip_derived()
+    def test_partial_artifact_round_trips_as_partial(self, three_regions,
+                                                     store):
+        engine = AccurateRasterJoin(resolution=128, grid_resolution=64)
+        artifact = prepared_only(engine, three_regions)
+        key = (polygon_fingerprint(three_regions),) + engine.prepared_spec()
         store.save(key, artifact)
         loaded = store.load(key, three_regions)
         assert loaded.triangles is not None and loaded.edge_table is not None
@@ -146,20 +153,25 @@ class TestRoundTrip:
         for a, b in zip(artifact.mbr_arrays, loaded.mbr_arrays):
             assert np.array_equal(a, b)
 
-    def test_bounded_scanline_coverage_round_trips(
+    def test_bounded_pair_keyed_with_a_raster_path_flag_is_a_miss(
         self, uniform_points, three_regions, store
     ):
-        session = QuerySession(store=store)
-        engine = BoundedRasterJoin(
-            resolution=128, use_scanline=True, session=session
-        )
+        """A bounded pair whose key still carries the retired
+        raster-path flag addresses other file names: the query counts a
+        plain miss, rebuilds and saves beside it, never an error."""
+        engine = BoundedRasterJoin(resolution=128)
         expected = engine.execute(uniform_points, three_regions)
-        other = QuerySession(store=store)
-        replay = BoundedRasterJoin(
-            resolution=128, use_scanline=True, session=other
-        ).execute(uniform_points, three_regions)
-        assert replay.stats.prepared_store_hits == 1
-        assert np.array_equal(replay.values, expected.values)
+        fingerprint = polygon_fingerprint(three_regions)
+        store.save((fingerprint,) + engine.prepared_spec() + (False,),
+                   prepared_only(engine, three_regions))
+        session = QuerySession(store=store)
+        result = BoundedRasterJoin(resolution=128, session=session).execute(
+            uniform_points, three_regions
+        )
+        assert result.stats.prepared_misses == 1
+        assert result.stats.prepared_store_hits == 0
+        assert store.load_failures == 0 and store.saves == 2
+        assert np.array_equal(result.values, expected.values)
 
 
 def cold_build(points, regions, device=None):
@@ -231,13 +243,18 @@ class TestFormatFour:
         loaded = store.load(key, three_regions)
         assert_same_derived_state(loaded, reference)
         assert loaded.nbytes == reference.nbytes
-        # Strip, then let a query re-derive.
-        artifact.strip_derived()
-        again = engine.execute(
-            uniform_points, three_regions, aggregate=Sum("fare")
-        )
-        assert again.stats.prepared_hits == 1
-        assert_same_derived_state(artifact, reference)
+        assert not loaded.candidates and not loaded.boundary_fragments
+        # A restarted session's query re-derives the views never stored.
+        session = QuerySession(store=store)
+        again = AccurateRasterJoin(
+            resolution=128, grid_resolution=64, device=device, session=session
+        ).execute(uniform_points, three_regions, aggregate=Sum("fare"))
+        assert again.stats.extra["prepared"] == "store-hit"
+        (reloaded,) = session._entries.values()
+        assert_same_derived_state(reloaded, reference)
+        for idx, held in reference.candidates.items():
+            for mine, theirs in zip(reloaded.candidates[idx], held):
+                assert np.array_equal(mine, theirs)
         assert np.array_equal(again.values, expected.values)
 
     def test_pair_written_under_format_three_is_a_miss_not_an_error(
@@ -465,49 +482,23 @@ class TestDiskBudget:
         assert loaded is not None and store.load_failures == 0
         assert store.describe(key) == ["triangles"]
 
-    def test_shrunk_artifact_is_retried_after_rejection(
+    def test_rejected_artifact_leaves_memory_whole(
         self, tmp_path, uniform_points, three_regions
     ):
-        """An artifact rejected as oversized but later stripped below
-        the cap must be saved on the next checkpoint — a partial pair on
-        disk beats nothing after a restart."""
-        probe = QuerySession(store=False)
-        engine_probe = AccurateRasterJoin(
-            resolution=128, grid_resolution=64, session=probe
-        )
-        engine_probe.execute(uniform_points, three_regions)
-        key = next(iter(probe._entries))
-        full = probe._entries[key]
-        import io
-
-        import numpy as np
-
-        from repro.store import format as artifact_format
-
-        def pair_bytes(artifact):
-            arrays, _ = artifact_format.encode(artifact, key)
-            buf = io.BytesIO()
-            np.savez(buf, **arrays)
-            return len(buf.getvalue())
-
-        full_pair = pair_bytes(full)
-        # Budget fits the partial pair but not the full one.
-        store = ArtifactStore(
-            tmp_path / "between", disk_budget=full_pair - 1
-        )
-        session = QuerySession(store=store)
+        """Under byte-budget pressure an artifact too large for the disk
+        leaves memory like any other — whole, nothing smaller written in
+        its place — and the next statement rebuilds the same bits."""
+        store = ArtifactStore(tmp_path / "tiny", disk_budget=1)
+        session = QuerySession(store=store, byte_budget=1)
         engine = AccurateRasterJoin(
             resolution=128, grid_resolution=64, session=session
         )
-        engine.execute(uniform_points, three_regions)
-        assert store.rejected_saves == 1 and len(store) == 0
-        # Byte-budget pressure strips the entry; the smaller pair fits
-        # and the next checkpoint persists it.
-        session.byte_budget = 1
-        engine.execute(uniform_points, three_regions)
-        assert len(store) == 1
-        assert "triangles" in store.describe(key)
-        assert "coverage" not in store.describe(key)
+        first = engine.execute(uniform_points, three_regions)
+        assert store.rejected_saves == 1 and len(session) == 0
+        again = engine.execute(uniform_points, three_regions)
+        assert again.stats.prepared_misses == 1
+        assert store.rejected_saves == 2 and len(store) == 0
+        assert np.array_equal(again.values, first.values)
 
     def test_oversized_save_never_evicts_other_artifacts(
         self, tmp_path, uniform_points, three_regions
@@ -627,7 +618,7 @@ class TestHousekeeping:
 
     def test_describe_rejects_truncated_payload(self, uniform_points,
                                                 three_regions, store):
-        """Warmth grading must not credit a pair whose payload is torn —
+        """The warmth probe must not credit a pair whose payload is torn —
         execution would cold-rebuild, not replay."""
         session, engine, _ = populated_session(
             uniform_points, three_regions, store

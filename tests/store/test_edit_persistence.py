@@ -34,6 +34,7 @@ from tests.cache.test_incremental import edited_regions
 from tests.store.test_artifact_store import (
     assert_same_derived_state,
     cold_build,
+    prepared_only,
 )
 
 
@@ -390,12 +391,10 @@ class TestWriterFaults:
         )
         key = key_of(make_engine(None), three_regions)
         if prior == "over-an-older-pair":
-            # The older pair is the same key stripped to a partial
-            # artifact: the query re-derives coverage, so the entry
-            # outgrows what the store holds and is written again.
-            partial, _ = cold_build(uniform_points, three_regions)
-            partial.strip_derived()
-            store.save(key, partial)
+            # The older pair is the same key saved before its first tile
+            # loop: the query builds coverage, so the entry outgrows
+            # what the store holds and is written again.
+            store.save(key, prepared_only(make_engine(None), three_regions))
         session = QuerySession(store=store)
         with full_disk(monkeypatch, key_id(key), fault):
             result = make_engine(session).execute(

@@ -127,57 +127,72 @@ class TestWarmRestart:
 
 
 class TestByteBudgetTiers:
-    def test_partial_demotion_keeps_triangles_drops_coverage(
+    def test_entry_over_budget_leaves_memory_whole(
         self, uniform_points, three_regions, tmp_path
     ):
         store = ArtifactStore(tmp_path / "store")
         probe = QuerySession(store=False)
         run_accurate(uniform_points, three_regions, probe)
-        artifact = next(iter(probe._entries.values()))
-        full_bytes = artifact.nbytes
-        partial_bytes = full_bytes - (
-            sum(m.nbytes for m in artifact.boundary_masks.values())
-            + sum(record.nbytes for record in artifact.coverage.values())
-        )
-        budget = (full_bytes + partial_bytes) // 2  # partial fits, full not
+        budget = probe.nbytes - 1  # everything but one byte fits
 
         session = QuerySession(byte_budget=budget, store=store)
         cold = run_accurate(uniform_points, three_regions, session)
-        assert session.partial_demotions >= 1
-        assert session.demotions == 0
-        entry = next(iter(session._entries.values()))
-        assert entry.triangles is not None and entry.edge_table is not None
-        assert not entry.boundary_masks and not entry.coverage
-        assert not entry.candidates and entry.grid is None
-        assert session.nbytes <= budget
-        # The store kept the *full* artifact (coverage included).
-        key = next(iter(session._entries))
-        loaded = store.load(key, three_regions)
-        assert loaded.coverage and loaded.boundary_masks
-
-        # A warm query re-derives the dropped pieces bit-identically.
+        assert session.demotions == 1
+        assert len(session) == 0 and session.nbytes <= budget
+        # The store kept the whole artifact (coverage included)...
+        assert "coverage" in store.describe(next(iter(probe._entries)))
+        # ...so the next statement is a store hit, not a rebuild.
         warm = run_accurate(uniform_points, three_regions, session)
-        assert warm.stats.prepared_hits == 1
+        assert warm.stats.prepared_store_hits == 1
         assert warm.stats.triangulation_s == 0.0
         assert np.array_equal(warm.values, cold.values)
 
-    def test_partial_demotion_without_store(self, uniform_points,
-                                            three_regions):
-        """The byte budget works with no disk tier at all: coverage is
-        simply dropped and re-derived."""
+    def test_entry_over_budget_without_store_rebuilds(self, uniform_points,
+                                                      three_regions):
+        """The byte budget works with no disk tier at all: the entry is
+        dropped whole and the next statement rebuilds it."""
         session = QuerySession(byte_budget=1, store=False)
         cold = run_accurate(uniform_points, three_regions, session)
         warm = run_accurate(uniform_points, three_regions, session)
-        assert session.partial_demotions >= 1
+        assert session.demotions == 2 and len(session) == 0
+        assert warm.stats.prepared_misses == 1
         assert np.array_equal(warm.values, cold.values)
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["memory", "store"])
+    def test_every_checkpoint_leaves_resident_entries_whole(
+        self, uniform_points, three_regions, tmp_path, stored
+    ):
+        """Under a budget of one and a half artifacts, a walk over three
+        geometries and back keeps ``nbytes`` within the budget after
+        every statement, each resident entry at its full unbudgeted
+        size, and every answer at its unbudgeted bits; with a store, a
+        revisit is a store hit."""
+        walk = [shifted_regions(three_regions, dx) for dx in (0.0, 2.0, 4.0)]
+        reference = QuerySession(store=False)
+        want = [run_accurate(uniform_points, r, reference) for r in walk]
+        full = {key: entry.nbytes
+                for key, entry in reference._entries.items()}
+        budget = max(full.values()) * 3 // 2
+        store = ArtifactStore(tmp_path / "s") if stored else False
+        session = QuerySession(byte_budget=budget, store=store)
+        for step, idx in enumerate([0, 1, 2, 0, 1]):
+            got = run_accurate(uniform_points, walk[idx], session)
+            assert np.array_equal(got.values, want[idx].values)
+            assert session.nbytes <= budget and len(session) >= 1
+            for key, entry in session._entries.items():
+                assert entry.nbytes == full[key]
+            if step >= 3:
+                assert got.stats.extra["prepared"] == (
+                    "store-hit" if stored else "miss"
+                )
+        assert session.demotions >= 4
 
     def test_full_demotion_spills_to_store(self, uniform_points,
                                            three_regions, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         session = QuerySession(byte_budget=1, store=store)
         cold = run_accurate(uniform_points, three_regions, session)
-        # Tiny budget: even the partial artifact is over, so the entry
-        # leaves memory entirely...
+        # Tiny budget: the entry leaves memory entirely...
         assert session.demotions >= 1
         assert len(session) == 0
         # ...but lives on disk, so the repeat query is a store hit, not
@@ -200,34 +215,6 @@ class TestByteBudgetTiers:
         assert revisit.stats.prepared_store_hits == 1
         assert revisit.stats.triangulation_s == 0.0
 
-    def test_resident_partial_entry_grades_partial(self, uniform_points,
-                                                   three_regions, tmp_path):
-        """A stripped in-memory entry is what lookups will serve, so it
-        grades "partial" even though the disk copy is full — the
-        optimizer must not be promised a coverage replay that won't
-        happen."""
-        store = ArtifactStore(tmp_path / "s")
-        probe = QuerySession(store=False)
-        run_accurate(uniform_points, three_regions, probe)
-        artifact = next(iter(probe._entries.values()))
-        stripped = artifact.nbytes - artifact.strip_derived()
-
-        session = QuerySession(byte_budget=stripped + 1024, store=store)
-        engine = AccurateRasterJoin(
-            resolution=128, grid_resolution=64, session=session
-        )
-        engine.execute(uniform_points, three_regions)
-        entry = next(iter(session._entries.values()))
-        assert not entry.coverage  # budget stripped it
-        spec = engine.prepared_spec()
-        assert "coverage" in store.describe(
-            next(iter(session._entries))
-        )  # disk copy is full
-        assert session.warmth(three_regions, spec) == "partial"
-        # A session without the partial resident entry sees the disk
-        # copy and grades full.
-        assert QuerySession(store=store).warmth(three_regions, spec) == "full"
-
     def test_unserializable_spec_degrades_to_memory_only(
         self, three_regions, tmp_path
     ):
@@ -242,7 +229,7 @@ class TestByteBudgetTiers:
         session.checkpoint()  # must not raise
         assert len(session.store) == 0
         assert session.contains(three_regions, spec)  # memory tier works
-        assert session.warmth(three_regions, spec) == "partial"
+        assert session.warmth(three_regions, spec) is None  # no coverage
         _, source = session.prepared_for(three_regions, spec)
         assert source == "memory"
 
@@ -267,9 +254,9 @@ class TestByteBudgetTiers:
     def test_budget_pressure_never_rewrites_unchanged_artifacts(
         self, uniform_points, three_regions, tmp_path
     ):
-        """Strip + lazy re-derivation must read as clean: the disk copy
-        already holds the full artifact, so repeated budget-pressured
-        queries save exactly once."""
+        """Demotion + a store-hit reload must read as clean: the disk
+        copy already holds the whole artifact, so repeated
+        budget-pressured queries save exactly once."""
         probe = QuerySession(store=False)
         run_accurate(uniform_points, three_regions, probe)
         full_bytes = probe.nbytes
@@ -278,7 +265,7 @@ class TestByteBudgetTiers:
         )
         for _ in range(3):
             run_accurate(uniform_points, three_regions, session)
-        assert session.partial_demotions >= 2  # pressure every round
+        assert session.demotions == 3  # pressure every round
         assert session.store.saves == 1
 
     def test_byte_budget_parses_size_strings(self):

@@ -39,6 +39,22 @@ def test_query_session_parameters():
     assert params == ["self", "capacity", "byte_budget", "store"]
 
 
+def test_engine_constructor_parameters():
+    """The raster joins' own options (the bounded join's scanline
+    coverage switch went: 7 -> 6)."""
+    assert list(inspect.signature(
+        repro.AccurateRasterJoin.__init__
+    ).parameters)[1:] == [
+        "resolution", "device", "grid_resolution", "session", "config",
+    ]
+    assert list(inspect.signature(
+        repro.BoundedRasterJoin.__init__
+    ).parameters)[1:] == [
+        "epsilon", "resolution", "device", "compute_bounds", "session",
+        "config",
+    ]
+
+
 def test_artifact_store_persists_one_kind():
     """Every extra pair kind on disk is another format, another
     fault-injection matrix and another restart path (shapes went 4 -> 2
