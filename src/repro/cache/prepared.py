@@ -9,23 +9,24 @@ pure function of (polygon geometry, render configuration):
   FBO) and, over the same pixels, the boundary PIP's candidate lists
   (:class:`TileCandidates`: which polygons may contain a point that
   landed on an outline pixel — read off the canvas, no second raster);
-* per-tile, per-polygon covered-pixel indices (the polygon-pass raster,
-  the GeoBlocks-style cached aggregation footprint);
+* per-tile, per-polygon coverage runs — ``[lo, hi)`` flat pixel
+  intervals (the polygon-pass raster, the GeoBlocks-style cached
+  aggregation footprint);
 * the row-banded edge table the boundary PIP tests against;
 * for the index-join baseline alone, the paper's polygon grid index.
 
 Since PR 5 the artifact is **composed from per-polygon units**
 (:class:`PolygonUnit`): each polygon carries its own content
 fingerprint, triangulation, per-tile outline pixels and per-tile
-coverage pixels, and the set-level arrays the engines consume (the
-boundary mask, the flat coverage record, the candidate lists) are cheap
-deterministic *compositions* of those units.  That split is what
-makes single-polygon edits incremental: an edited set reuses every
-unchanged polygon's unit verbatim and re-rasterizes only the changed
-ones (see ``docs/incremental_edits.md``), while the composed views stay
-bit-identical to a from-scratch build by construction — composition
-lays the per-polygon slices out in the same polygon order a direct
-build emits them in.
+coverage runs, and the set-level arrays the engines consume (the
+boundary mask, the tile's run table trimmed at that mask, the candidate
+lists) are cheap deterministic *compositions* of those units.  That
+split is what makes single-polygon edits incremental: an edited set
+reuses every unchanged polygon's unit verbatim and re-rasterizes only
+the changed ones (see ``docs/incremental_edits.md``), while the composed
+views stay bit-identical to a from-scratch build by construction —
+composition lays the per-polygon slices out in the same polygon order a
+direct build emits them in.
 
 Artifacts are populated lazily: an engine fills in exactly the fields its
 algorithm needs, on first use, and later executions with the same polygon
@@ -48,34 +49,31 @@ import numpy as np
 from repro.geometry.polygon import Polygon, PolygonSet
 from repro.geometry.triangulate import triangulate_polygon
 from repro.index.edge_table import DEFAULT_ROWS, EdgeTable
-from repro.index.grid import GridIndex
+from repro.index.grid import GridIndex, ragged_positions
 from repro.obs import trace
 
 
 class TileCoverage(NamedTuple):
-    """One tile's coverage, the only form it is held in: a flat table
-    the polygon pass consumes with one gather and one segmented
-    reduction per channel.
+    """One tile's coverage as the polygon pass reads it: a run table.
 
-    ``pixels`` concatenates every polygon's raster fragments as flat
-    ``iy * width + ix`` indices, in polygon order with each polygon's
-    raster order (triangle-major, row-major) preserved; ``pids`` are the
-    polygons that cover at least one pixel and ``starts[k]`` is where
-    ``pids[k]``'s segment begins — so no segment is ever empty.  A pixel
-    two polygons cover appears in both segments (it counts for both),
-    which is why this is an index table and not a label map.  Pixels
-    under a polygon outline are listed like any other: their points
-    joined exactly and were never scattered, so the framebuffer holds
-    the blend identity there (``docs/rasterization.md``).
+    ``runs`` are ``[lo, hi)`` flat ``iy * width + ix`` intervals in
+    polygon order (each polygon's ascending by ``lo``); ``pids`` are the
+    polygons that own at least one run and ``starts[k]`` is where
+    ``pids[k]``'s runs begin — so no segment is ever empty.  ``order``
+    is the stable permutation that sorts the runs by ``lo``: reduced in
+    that order the runs are one forward pass over a framebuffer.  Two
+    polygons that cover a pixel both list it (it counts for both).
+
+    Derived, never persisted or counted: composed by the tile task from
+    the units' runs.  The exact kernel's table is trimmed at the tile's
+    boundary pixels (their points join through PIP, so no path ever
+    reads them); the bounded kernel's is the units' runs as they are.
     """
 
-    pixels: np.ndarray
+    runs: np.ndarray
     pids: np.ndarray
     starts: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return sum(arr.nbytes for arr in self)
+    order: np.ndarray
 
 
 class TileCandidates(NamedTuple):
@@ -177,9 +175,9 @@ class PolygonUnit:
     * ``boundary[tile_idx]`` — ``(ix, iy)`` outline pixels on that tile
       (the polygon's contribution to the tile's boundary mask);
     * ``coverage[tile_idx]`` — the pixels this polygon covers on that
-      tile as flat ``iy * width + ix`` indices: a slice of a
-      :class:`TileCoverage` record's ``pixels`` (the owning artifact's
-      own record once that tile composes).
+      tile as a ``(k, 2)`` array of ``[lo, hi)`` flat ``iy * width +
+      ix`` runs, ascending (:func:`~repro.graphics.raster_batch.
+      coverage_by_polygon`).
 
     A tile key being present means the tile was built for this unit —
     possibly with empty arrays (the polygon does not touch the tile).
@@ -228,7 +226,6 @@ class PreparedPolygons:
         "grid",
         "boundary_masks",
         "coverage",
-        "boundary_fragments",
         "candidates",
         "mbr_arrays",
         "edge_table",
@@ -258,16 +255,12 @@ class PreparedPolygons:
         self.grid: GridIndex | None = None
         #: tile index -> boolean boundary mask of that viewport (composed)
         self.boundary_masks: dict[int, np.ndarray] = {}
-        #: tile index -> :class:`TileCoverage` — the units' slices laid
-        #: end to end; the units' own arrays are views into it
+        #: tile index -> :class:`TileCoverage`, the units' runs laid end
+        #: to end (trimmed at the mask on the exact path): derived,
+        #: never persisted or counted
         self.coverage: dict[int, TileCoverage] = {}
-        #: tile index -> positions in that tile's ``coverage.pixels`` of
-        #: the fragments lying on a boundary-mask pixel: what the polygon
-        #: pass blanks when it reads cached channels.  Derived from the
-        #: two like the mask from the outlines; never persisted.
-        self.boundary_fragments: dict[int, np.ndarray] = {}
         #: tile index -> :class:`TileCandidates`, the boundary PIP's
-        #: lookup: derived from the outlines and those fragments alike.
+        #: lookup: derived from the outlines and the runs alike.
         self.candidates: dict[int, TileCandidates] = {}
         #: polygon MBRs as (xmin, xmax, ymin, ymax) column arrays
         self.mbr_arrays: tuple[np.ndarray, ...] | None = None
@@ -371,13 +364,11 @@ class PreparedPolygons:
                 if cov is not None:
                     entry.coverage[idx] = cov
                     for pid in dirty:
-                        units[pid].coverage[idx] = empty
+                        units[pid].coverage[idx] = empty.reshape(0, 2)
                 # Derived from the two, so carried only with both.
-                if mask is not None and cov is not None:
-                    for field in ("boundary_fragments", "candidates"):
-                        held = getattr(base, field).get(idx)
-                        if held is not None:
-                            getattr(entry, field)[idx] = held
+                held = base.candidates.get(idx)
+                if mask is not None and cov is not None and held is not None:
+                    entry.candidates[idx] = held
         entry.version += 1
         return entry
 
@@ -473,42 +464,64 @@ class PreparedPolygons:
         return mask
 
     @staticmethod
-    def compose_coverage(slices: dict) -> TileCoverage:
-        """Lay the polygons' coverage pixels (``{pid: flat pixels}``)
-        end to end, in polygon order.
+    def compose_coverage(
+        slices: dict, boundary: np.ndarray | None = None
+    ) -> tuple[TileCoverage, tuple[np.ndarray, np.ndarray]]:
+        """Lay the polygons' runs (``{pid: (k, 2) runs}``) end to end,
+        in polygon order, each split at the tile's ``boundary`` pixels
+        (ascending flat indices; ``None`` for the bounded kernel, which
+        has no mask) — the paper's discarded boundary fragments (§4.3,
+        step 3), at O(runs) cost.
 
-        A polygon's coverage is a pure function of that polygon and the
-        frame, so composing is one concatenate — nothing is filtered, an
-        edit re-concatenates around the one slice it rebuilt, and the
-        accurate and bounded engines share the call.
+        Returns the :class:`TileCoverage` and the ``(pixel, polygon)``
+        pairs the split removed: every coverage fragment on a boundary
+        pixel, which is half of what :meth:`compose_candidates` reads.
+        A polygon all of whose pixels are boundary pixels owns no run and
+        is left out of ``pids``: its answer is the PIP path's alone.
         """
-        pids = [pid for pid in sorted(slices) if len(slices[pid])]
-        counts = np.asarray([len(slices[pid]) for pid in pids], dtype=np.int64)
-        return TileCoverage(
-            np.concatenate([slices[pid] for pid in pids])
-            if pids else np.zeros(0, dtype=np.int64),
-            np.asarray(pids, dtype=np.int64),
-            np.cumsum(counts) - counts,
+        pids = sorted(slices)
+        runs = np.concatenate(
+            [np.zeros((0, 2), dtype=np.int64)] + [slices[pid] for pid in pids]
         )
+        owner = np.repeat(
+            np.asarray(pids, dtype=np.int64), [len(slices[pid]) for pid in pids]
+        )
+        cut = cut_owner = np.zeros(0, dtype=np.int64)
+        if boundary is not None:
+            # Run i holds ``boundary[first[i]:first[i] + inside[i]]``: one
+            # ragged expansion lists every cut, and each cut ``c`` turns
+            # ``[lo, hi)`` into ``[lo, c), [c + 1, hi)``.
+            first = np.searchsorted(boundary, runs[:, 0])
+            inside = np.searchsorted(boundary, runs[:, 1]) - first
+            cut = boundary[ragged_positions(first, inside)]
+            cut_owner = np.repeat(owner, inside)
+            before_hi = np.repeat(2 * np.arange(len(runs)) + 1, 2 * inside)
+            split = np.insert(
+                runs.ravel(), before_hi, np.column_stack([cut, cut + 1]).ravel()
+            ).reshape(-1, 2)
+            keep = split[:, 1] > split[:, 0]
+            runs, owner = split[keep], np.repeat(owner, inside + 1)[keep]
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        return TileCoverage(
+            runs, owner[first], first,
+            np.argsort(runs[:, 0], kind="stable"),
+        ), (cut, cut_owner)
 
     @staticmethod
     def compose_candidates(
-        tile, outlines: dict, coverage: TileCoverage, fragments: np.ndarray
+        tile, outlines: dict, on_boundary: tuple[np.ndarray, np.ndarray]
     ) -> TileCandidates:
         """The boundary PIP's lookup for one tile, read off the canvas:
         every (boundary pixel, polygon) pair with an outline pixel
         (``outlines``, every polygon's) or a coverage fragment
-        (``coverage.pixels[fragments]``, the ones on the mask) there,
+        (``on_boundary``, what :meth:`compose_coverage` trimmed) there,
         sorted by pixel then polygon and de-duplicated — a polygon
         usually has both on a pixel."""
         pids = sorted(outlines)
         flat = [iy * tile.width + ix for ix, iy in map(outlines.get, pids)]
-        pixel = np.concatenate([coverage.pixels[fragments], *flat])
+        pixel = np.concatenate([on_boundary[0], *flat])
         owner = np.concatenate([
-            coverage.pids[
-                np.searchsorted(coverage.starts, fragments, side="right") - 1
-            ],
-            np.repeat(pids, [len(pix) for pix in flat]),
+            on_boundary[1], np.repeat(pids, [len(pix) for pix in flat]),
         ])
         # Sorted, then adjacent repeats dropped (several times faster
         # than ``np.unique``'s hash pass at these sizes).
@@ -520,40 +533,26 @@ class PreparedPolygons:
         return TileCandidates(pixels[first], starts, owners)
 
     def mark_composed(self, tile_idx: int, boundary=None, coverage=None,
-                      fragments=None, candidates=None,
-                      unit_boundary=None) -> None:
+                      candidates=None, unit_boundary=None,
+                      unit_coverage=None) -> None:
         """Install what a tile task built (parent side of the merge):
-        composed per-tile views and, as ``unit_boundary``, freshly
-        rasterized per-polygon outline pixels (``{pid: (ix, iy)}``).
-
-        A coverage record brings the per-polygon state with it: every
-        unit's slice for the tile is pointed into the record's
-        ``pixels`` (empty for polygons that own no segment), so the
-        tile's pixels are held once however the record was built.
-        """
-        for pid, pix in (unit_boundary or {}).items():
-            self.units[pid].boundary[tile_idx] = pix
-        if unit_boundary:
-            self.version += 1
+        composed per-tile views and, as ``unit_boundary`` /
+        ``unit_coverage``, freshly rasterized per-polygon outline pixels
+        (``{pid: (ix, iy)}``) and coverage runs (``{pid: runs}``)."""
+        for field, slices in (("boundary", unit_boundary),
+                              ("coverage", unit_coverage)):
+            for pid, value in (slices or {}).items():
+                getattr(self.units[pid], field)[tile_idx] = value
+            if slices:
+                self.version += 1
         for held, view in (
             (self.boundary_masks, boundary),
-            (self.boundary_fragments, fragments),
+            (self.coverage, coverage),
             (self.candidates, candidates),
         ):
             if view is not None and tile_idx not in held:
                 held[tile_idx] = view
                 self.version += 1
-        if coverage is not None and tile_idx not in self.coverage:
-            self.coverage[tile_idx] = coverage
-            counts = np.zeros(len(self.units), dtype=np.int64)
-            counts[coverage.pids] = np.diff(
-                coverage.starts, append=len(coverage.pixels)
-            )
-            for unit, pixels in zip(
-                self.units, np.split(coverage.pixels, np.cumsum(counts)[:-1])
-            ):
-                unit.coverage[tile_idx] = pixels
-            self.version += 1
 
     @property
     def rebuilt_polygons(self) -> int | None:
@@ -590,19 +589,14 @@ class PreparedPolygons:
     def nbytes(self) -> int:
         """Approximate artifact footprint (for capacity decisions).
 
-        Triangulations are counted through the units (``triangles``
-        lists the same arrays).  A tile's coverage pixels are counted
-        once: through its record when the artifact holds one (the units'
-        slices are views into it), else through the units.  The
-        boundary-fragment index and the candidate lists (the outlines'
-        share of coverage, a few percent of it) are left out: they are
-        never persisted, and a session takes an entry that measures
-        more than its stored pair for one that must be written again.
+        Triangulations and coverage runs are counted through the units
+        (``triangles`` lists the same arrays).  The tiles' run tables and
+        candidate lists are left out: they are derived and never
+        persisted, and a session takes an entry that measures more than
+        its stored pair for one that must be written again.
         """
         # Snapshots: another query's tile loop may be installing views.
-        coverage = dict(self.coverage)
         total = sum(mask.nbytes for mask in list(self.boundary_masks.values()))
-        total += sum(record.nbytes for record in coverage.values())
         if self.edge_table is not None:
             total += self.edge_table.nbytes
         if self.mbr_arrays is not None:
@@ -614,10 +608,7 @@ class PreparedPolygons:
                 ix.nbytes + iy.nbytes
                 for ix, iy in list(unit.boundary.values())
             )
-            total += sum(
-                pixels.nbytes for idx, pixels in list(unit.coverage.items())
-                if idx not in coverage
-            )
+            total += sum(runs.nbytes for runs in list(unit.coverage.values()))
         return total
 
     def __repr__(self) -> str:

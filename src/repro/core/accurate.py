@@ -10,10 +10,9 @@ Three steps, following the paper:
    fragment on it, read off the canvas instead of a second index),
    every other point accumulates into the point FBO;
 3. draw the polygons — every fragment adds its FBO partial aggregate to
-   the owning polygon.  The paper discards fragments on boundary pixels
-   (their points were already handled); here step 2 never scatters those
-   points, so the pixels hold the blend identity and the discard is
-   unnecessary (``docs/rasterization.md``).
+   the owning polygon, save those on boundary pixels (their points were
+   already handled): each polygon's coverage runs are trimmed at them
+   once per tile (``docs/rasterization.md``).
 
 Only points near polygon outlines ever see a PIP test; everything else is
 pure rasterization.  The result is exact for any resolution — resolution

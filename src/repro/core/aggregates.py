@@ -51,11 +51,14 @@ class Aggregate(ABC):
             np.maximum.at(accumulator, ids, values)
 
     def reduce_segments(
-        self, values: np.ndarray, starts: np.ndarray
+        self, values: np.ndarray, starts: np.ndarray,
+        ends: np.ndarray | None = None,
     ) -> np.ndarray:
         """Reduce the consecutive segments of ``values`` beginning at
-        ``starts`` — one polygon's covered pixels, or its matched
-        boundary points, per segment.
+        ``starts`` — one polygon's coverage runs, or its matched boundary
+        points, per segment — or, given ``ends``, the segments
+        ``values[starts[k]:ends[k]]``: coverage runs over a framebuffer,
+        ascending by start and possibly overlapping.
 
         The one place a partial's reduction tree is defined: the polygon
         pass and the boundary PIP of every engine, backend and cache
@@ -67,9 +70,24 @@ class Aggregate(ABC):
         :meth:`identity` in the accumulators.
         """
         if self.blend == "add":
-            return np.add.reduceat(values, starts, dtype=np.float64)
-        ufunc = np.minimum if self.blend == "min" else np.maximum
-        return ufunc.reduceat(values, starts)
+            ufunc, kwargs = np.add, {"dtype": np.float64}
+        else:
+            ufunc = np.minimum if self.blend == "min" else np.maximum
+            kwargs = {}
+        if ends is None:
+            return ufunc.reduceat(values, starts, **kwargs)
+        # One pass over ``values`` through the interleaved bounds; every
+        # other result reduces the gap between two runs and is dropped
+        # (so an ``inf - inf`` or an overflow there must not warn).
+        # ``reduceat`` rejects a bound equal to ``len(values)``: a run
+        # ending there collapses to its start and is reduced on its own.
+        last = ends == len(values)
+        bounds = np.column_stack([starts, np.where(last, starts, ends)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = ufunc.reduceat(values, bounds.ravel(), **kwargs)[::2]
+        for k in np.flatnonzero(last):
+            out[k] = ufunc.reduceat(values[starts[k]:], [0], **kwargs)[0]
+        return out
 
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Merge partial results from two batches/tiles.

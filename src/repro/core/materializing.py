@@ -89,6 +89,12 @@ class MaterializingJoin(SpatialAggregationEngine):
         for batch in point_batches(points, columns, self.device, stats):
             start = time.perf_counter()
             xs, ys, attrs = apply_filters(batch, filters, stats)
+            # A non-finite coordinate is outside everything by rule (and
+            # has no place in the quadtree's bounding box).
+            finite = np.isfinite(xs) & np.isfinite(ys)
+            if not finite.all():
+                xs, ys = xs[finite], ys[finite]
+                attrs = {name: arr[finite] for name, arr in attrs.items()}
             if len(xs) == 0:
                 stats.processing_s += time.perf_counter() - start
                 continue

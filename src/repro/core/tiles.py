@@ -16,9 +16,10 @@ implementation, as plain functions over plain data:
   (:class:`~repro.core.multi.MultiAggregate`), not as a list of queries.
   On a prewarmed pairing the same task skips the scatter: its
   framebuffers are the session's cached channels
-  (:class:`~repro.exec.partition.CachedTile`), only the rows on boundary
-  pixels are read, and the polygon pass blanks the fragments lying on
-  them (``docs/aggregate_pyramid.md``).
+  (:class:`~repro.exec.partition.CachedTile`) and only the rows on
+  boundary pixels are read; the polygon pass reads the same run table
+  either way, which never covers a boundary pixel
+  (``docs/aggregate_pyramid.md``).
 * the **tile loop** (:func:`run_tiles`): look a point source's routing
   up or compute it (a chunk stream is scanned by each tile instead) →
   dispatch the tile tasks over the execution backend → merge the
@@ -222,10 +223,10 @@ def run_tile(
                     ch: fbo.channel(ch).ravel()
                     for ch in member.aggregate.channels
                 },
-                partial, views, blank=cached is not None,
+                partial, views,
             )
-        if retain and built is not None:
-            partial.built["coverage"] = built
+        if retain:
+            partial.built.update(built)
         if keep_fbo:
             partial.payload = (tile, fbo)
         partial.span = tile_span
@@ -234,14 +235,13 @@ def run_tile(
 
 # -- stage 1: draw the boundaries ---------------------------------------
 class TileViews(NamedTuple):
-    """The exact kernel's polygon side of one tile, four views over the
+    """The exact kernel's polygon side of one tile, three views over the
     same pixels (named as ``mark_composed`` takes them): the outline
-    mask, the coverage record, the index of its fragments lying on the
-    mask, and the boundary PIP's candidates."""
+    mask, the run table trimmed at it, and the boundary PIP's
+    candidates."""
 
     boundary: np.ndarray
     coverage: TileCoverage
-    fragments: np.ndarray
     candidates: TileCandidates
 
 
@@ -258,16 +258,16 @@ def _tile_boundary(
     A build rasterizes outlines in one vectorized edge pass over the
     polygons whose unit lacks this tile (those whose box meets it — one
     vectorized bin pass over the columnar MBRs) and ORs every polygon's
-    pixels into the mask.  The coverage raster runs here too: a boundary
-    pixel's candidates are the polygons with an outline pixel or a
-    coverage fragment on it.  Under ``retain`` what this call built goes
-    home in ``partial``.
+    pixels into the mask.  The coverage raster runs here too, and the
+    units' runs are split at the mask's pixels: what is left is the run
+    table, what was cut out are the coverage fragments on boundary
+    pixels — with the outlines, the candidates.  Under ``retain`` what
+    this call built goes home in ``partial``.
     """
     prepared = member.prepared
     held = views = TileViews(
         prepared.boundary_masks.get(tile_idx),
         prepared.coverage.get(tile_idx),
-        prepared.boundary_fragments.get(tile_idx),
         prepared.candidates.get(tile_idx),
     )
     if any(view is None for view in held):
@@ -285,26 +285,25 @@ def _tile_boundary(
                 pid: member.polygons[pid].rings for pid in pids if hit[pid]
             }))
             outlines.update(built_units)
-            boundary, coverage, fragments, candidates = held
+            boundary, coverage, candidates = held
             if boundary is None:
                 boundary = prepared.compose_boundary(tile, outlines)
-            if coverage is None:
-                coverage = _tile_coverage(tile_idx, tile, member)
-            if fragments is None:
-                fragments = np.flatnonzero(
-                    boundary.reshape(-1).take(coverage.pixels)
-                )
+            runs, built_runs = _unit_runs(tile_idx, tile, member)
+            coverage, on_boundary = prepared.compose_coverage(
+                runs, np.flatnonzero(boundary)
+            )
             if candidates is None:
                 candidates = prepared.compose_candidates(
-                    tile, outlines, coverage, fragments
+                    tile, outlines, on_boundary
                 )
-            views = TileViews(boundary, coverage, fragments, candidates)
+            views = TileViews(boundary, coverage, candidates)
             if retain:
                 partial.built = {
                     name: new for name, new, old
                     in zip(TileViews._fields, views, held) if old is None
                 }
                 partial.built["unit_boundary"] = built_units
+                partial.built["unit_coverage"] = built_runs
             partial.stats.processing_s += time.perf_counter() - start
     # Assigned, never accumulated: the tile's boundary population.
     partial.stats.extra["boundary_pixels"] = len(views.candidates.pixels)
@@ -487,23 +486,22 @@ def _route_batch(
 
 
 # -- stage 3: draw the polygons -----------------------------------------
-def _tile_coverage(
+def _unit_runs(
     tile_idx: int, tile: Viewport, member: TileMember
-) -> TileCoverage:
-    """Compose this tile's coverage record, rasterizing the polygons
-    whose unit lacks the tile: one batched pass over those whose box
-    meets it — their triangles form one flat soup whose fragments come
-    back polygon-contiguous, triangle-major in triangulation order, as
-    flat ``iy * width + ix`` indices."""
+) -> tuple[dict, dict]:
+    """Every polygon's coverage runs on this tile (``{pid: runs}``), and
+    the part of them this call rasterized: the polygons whose unit lacks
+    the tile, in one batched pass over those whose box meets it."""
     prepared = member.prepared
-    slices = prepared.unit_slices("coverage", tile_idx)
-    pids = [pid for pid in range(len(prepared.units)) if pid not in slices]
-    slices.update(dict.fromkeys(pids, np.zeros(0, dtype=np.int64)))
+    runs = prepared.unit_slices("coverage", tile_idx)
+    pids = [pid for pid in range(len(prepared.units)) if pid not in runs]
+    built = dict.fromkeys(pids, np.zeros((0, 2), dtype=np.int64))
     hit = bin_polygons_to_tile(tile, prepared.mbr_arrays)
-    slices.update(coverage_by_polygon(
+    built.update(coverage_by_polygon(
         tile, {pid: prepared.triangles[pid] for pid in pids if hit[pid]}
     ))
-    return prepared.compose_coverage(slices)
+    runs.update(built)
+    return runs, built
 
 
 def _polygon_pass(
@@ -513,41 +511,42 @@ def _polygon_pass(
     channels: dict[str, np.ndarray],
     partial: TilePartial,
     views: TileViews | None = None,
-    blank: bool = False,
-) -> TileCoverage | None:
-    """Reduce each polygon's covered pixels into its result slot.
+) -> dict:
+    """Reduce each polygon's coverage runs into its result slot.
 
     Coverage is a pure function of the tile and the triangulation, so
-    it is built once per artifact and replayed afterwards (the exact
-    kernel's stage 1 hands it over in ``views``, the bounded kernel
-    looks it up or builds it here); per query only one gather and one
-    segmented reduction per channel runs over the tile's flat coverage
-    record — no loop over polygons.  Every raster fragment is read from
-    ``channels`` (the tile's framebuffers, flat), boundary pixels
-    included: the point pass sent their points to the PIP path and
-    scattered nothing there, so they hold the blend identity.  Cached
-    channels hold every row, so their caller asks to ``blank`` the
-    gathered fragments on the boundary mask (``views.fragments``) to the
-    identity — what a framebuffer scattered for this polygon set holds.
-    Returns the coverage record when this call built it.
+    the units' runs are built once per artifact and the tile's run table
+    composed from them (the exact kernel's stage 1 hands it over in
+    ``views``, the bounded kernel looks it up or composes it here).  Per
+    query and channel: one ``reduceat`` over the framebuffer through the
+    runs' sorted bounds, one scatter back to polygon order, one
+    segmented reduction per polygon — no gather, no loop over polygons
+    (:meth:`~repro.core.aggregates.Aggregate.reduce_segments`).  The
+    exact kernel's runs stop short of every boundary pixel, so a
+    scattered framebuffer and a cached channel — which holds every row,
+    boundary pixels included — are read alike.  Returns what this call
+    built, named as ``mark_composed`` takes it.
     """
     start = time.perf_counter()
-    built = None
+    built = {}
     if views is not None:
         coverage = views.coverage
     else:
         coverage = member.prepared.coverage.get(tile_idx)
         if coverage is None:
-            coverage = built = _tile_coverage(tile_idx, tile, member)
+            runs, built["unit_coverage"] = _unit_runs(tile_idx, tile, member)
+            coverage, _ = member.prepared.compose_coverage(runs)
+            built["coverage"] = coverage
     aggregate = member.aggregate
+    lo, hi = coverage.runs.take(coverage.order, axis=0).T
     for ch in aggregate.channels:
-        values = channels[ch].take(coverage.pixels)
-        if blank:
-            values[views.fragments] = aggregate.identity()
+        by_lo = aggregate.reduce_segments(channels[ch], lo, hi)
+        per_run = np.empty_like(by_lo)
+        per_run[coverage.order] = by_lo
         slots = partial.accumulators[ch]
         slots[coverage.pids] = aggregate.combine(
             slots[coverage.pids],
-            aggregate.reduce_segments(values, coverage.starts),
+            aggregate.reduce_segments(per_run, coverage.starts),
         )
     elapsed = time.perf_counter() - start
     partial.stats.processing_s += elapsed
@@ -779,7 +778,7 @@ def _cached_tiles(
     itself with no boundary stage and no batch cuts, so per pixel it
     holds the same additions in the same row order as a framebuffer
     scattered for any polygon set — whose boundary pixels the polygon
-    pass blanks.
+    pass never reads.
     """
     aggregate, tiles = member.aggregate, member.prepared.tiles
     keys = {

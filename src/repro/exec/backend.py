@@ -100,10 +100,10 @@ class TilePartial:
     parent (required under the process backend, where workers mutate
     copy-on-write clones of the artifact), keyed as
     :meth:`~repro.cache.prepared.PreparedPolygons.mark_composed` takes
-    them: the tile's composed views and, as ``unit_boundary``, the
-    *per-polygon* outline pixels of the same build — the state that
-    makes single-polygon edits incremental (a coverage record needs no
-    such companion: it is the per-polygon slices laid end to end).
+    them: the tile's composed views and, as ``unit_boundary`` /
+    ``unit_coverage``, the *per-polygon* outline pixels and coverage
+    runs of the same build — the state that makes single-polygon edits
+    incremental.
     ``payload`` is engine-specific (the bounded engine's per-tile FBO
     for §5 result intervals).  ``span`` is
     the tile task's finished trace subtree (plain picklable

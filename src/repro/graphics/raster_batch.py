@@ -25,9 +25,11 @@ Bit-identity with the scalar path is the contract, not an aspiration:
 
 A triangle → polygon id map rides along with the flat arrays, so
 per-polygon :class:`~repro.cache.prepared.PolygonUnit` slices (outline
-pixels, coverage pixels) come out of one batched pass grouped exactly
-as the per-polygon builders would produce them — an incremental edit
-still rebuilds exactly one polygon's slice.
+pixels, coverage runs) come out of one batched pass grouped by polygon
+— an incremental edit still rebuilds exactly one polygon's slice.
+Coverage leaves this module as *runs*, never as fragments: a polygon's
+covered rows, sorted and merged where they abut, as ``[lo, hi)`` flat
+pixel intervals that expand to exactly the scalar fragments' multiset.
 """
 
 from __future__ import annotations
@@ -150,14 +152,13 @@ class BatchFragments:
     covers the ``row_len[r]`` pixels starting at flat index
     ``row_first[r]`` (``iy * width + ix``) — one entry per covered pixel
     row, triangle-major in input order and bottom-up within a triangle.
-    ``pixels`` is that table expanded once: every fragment's flat index,
-    in the order ``covered_pixels`` emits.  ``counts[t]`` is triangle
-    ``t``'s fragment count, so ``np.split`` recovers per-triangle views
-    without copying.
+    ``counts[t]`` is triangle ``t``'s fragment count.  ``pixels`` (and
+    ``ix`` / ``iy``) expand the table on request — every fragment's flat
+    index, in the order ``covered_pixels`` emits; nothing the engines
+    run asks for it.
     """
 
-    __slots__ = ("row_tri", "row_first", "row_len", "counts", "pixels",
-                 "width")
+    __slots__ = ("row_tri", "row_first", "row_len", "counts", "width")
 
     def __init__(self, row_tri, row_first, row_len, counts, width) -> None:
         self.row_tri = row_tri
@@ -165,13 +166,16 @@ class BatchFragments:
         self.row_len = row_len
         self.counts = counts
         self.width = width
-        # One pass: a fragment's flat index is its position in the
-        # output plus its row's offset — the row's first pixel minus the
-        # number of fragments before the row.
-        before = np.cumsum(row_len) - row_len
-        pixels = np.arange(int(row_len.sum()), dtype=np.int64)
-        pixels += np.repeat(row_first - before, row_len)
-        self.pixels = pixels
+
+    @property
+    def pixels(self) -> np.ndarray:
+        # A fragment's flat index is its position in the output plus its
+        # row's offset — the row's first pixel minus the number of
+        # fragments before the row.
+        before = np.cumsum(self.row_len) - self.row_len
+        pixels = np.arange(int(self.row_len.sum()), dtype=np.int64)
+        pixels += np.repeat(self.row_first - before, self.row_len)
+        return pixels
 
     @property
     def ix(self) -> np.ndarray:
@@ -247,28 +251,37 @@ def coverage_by_polygon(
     viewport: Viewport,
     triangles_by_pid: Mapping[int, Sequence[np.ndarray]],
 ) -> dict[int, np.ndarray]:
-    """Per-polygon coverage from one batched pass.
+    """Per-polygon coverage runs from one batched pass.
 
-    Returns ``pid -> pixels``: the polygon's fragments as flat
-    ``iy * width + ix`` indices, in triangulation order and row-major
-    within a triangle — exactly what looping ``triangle_coverage_mask``
-    + ``np.nonzero`` per triangle yields.  The soup lists triangles in
-    ascending pid order and the rasterizer emits triangle-major, so each
-    polygon's fragments are already contiguous: one per-polygon count
-    slices the flat fragment array, with no per-triangle work.  Every
+    Returns ``pid -> runs``: a ``(k, 2)`` int64 array of ``[lo, hi)``
+    flat ``iy * width + ix`` intervals, ascending by ``lo``.  They are
+    the polygon's covered rows sorted by first pixel and merged where one
+    ends exactly where the next begins (a row reaching the right edge
+    abuts the next row's left edge) — only abutment, never overlap, so
+    the runs expand to exactly the multiset of fragments looping
+    ``covered_pixels`` over its triangles yields, sorted.  Every
     requested pid gets an entry (empty when it covers no pixel).
     Callers apply their own viewport gates (e.g. the polygon-bbox/tile
     intersection test) by choosing which pids to request.
     """
     soup = flatten_triangles(triangles_by_pid)
     frags = rasterize_triangles(viewport, soup.verts)
-    per_pid = np.bincount(
-        soup.tri_pid, weights=frags.counts,
-        minlength=max(soup.pids, default=-1) + 1,
-    ).astype(np.int64)
-    bounds = np.concatenate([[0], np.cumsum(per_pid)])
+    owner = soup.tri_pid[frags.row_tri]
+    first = frags.row_first
+    # Rows by (polygon, first pixel): one sort on a combined key.
+    order = np.argsort(owner * viewport.num_pixels + first, kind="stable")
+    owner, first = owner[order], first[order]
+    end = first + frags.row_len[order]
+    head = np.ones(len(first), dtype=bool)
+    head[1:] = (owner[1:] != owner[:-1]) | (first[1:] != end[:-1])
+    heads = np.flatnonzero(head)
+    runs = np.stack(
+        [first[heads], end[np.append(heads, len(end))[1:] - 1]], axis=1
+    )
+    bounds = np.searchsorted(owner[heads], soup.pids + [np.inf])
     return {
-        pid: frags.pixels[bounds[pid]:bounds[pid + 1]] for pid in soup.pids
+        pid: runs[lo:hi]
+        for pid, lo, hi in zip(soup.pids, bounds[:-1], bounds[1:])
     }
 
 

@@ -10,21 +10,23 @@ the bulk arrays:
   (fingerprint + render spec), which fields are present, structural
   metadata, and a checksum over the ``.npz`` bytes.
 
-Format version 4 stores artifacts **per polygon**: each polygon's
-triangulation, per-tile outline pixels, and per-tile coverage pixels are
+Format version 5 stores artifacts **per polygon**: each polygon's
+triangulation, per-tile outline pixels, and per-tile coverage runs are
 written as that polygon's slice of one concatenated array plus a
-per-polygon count (``tri_*``, ``ub_<tile>_*``,
-``uc_<tile>_{data,counts}`` — coverage as flat ``iy * width + ix``
-indices, the form it is held in), and the set-level views the engines
-consume (boundary masks, coverage records, the edge table) are
-*recomposed* on load — the same deterministic composition a live session
-performs, so a loaded artifact is bit-identical to the one saved.
-(Version 3 also wrote a polygon grid index — per-polygon cell lists,
-four fifths of a pair — which no raster join reads any more; its files
-are unaddressable by key and read as a miss.)  That is the only layout, for
-a cold-built set and an edited one alike: a manifest without
-per-polygon unit metadata fails validation like any other corrupt pair
-(a miss, then a rebuild that overwrites it).
+per-polygon count (``tri_*``, ``ub_<tile>_{data,counts}`` — outline
+pixels as ``(ix, iy)`` rows — and ``uc_<tile>_{data,counts}`` —
+coverage as ``(k, 2)`` ``[lo, hi)`` runs of flat ``iy * width + ix``
+indices, the form it is held in).  On load the boundary masks are
+recomposed and the edge table re-banded — the same deterministic
+composition a live session performs, so a loaded artifact is
+bit-identical to the one saved; the tiles' run tables and candidate
+lists are left to the first tile task, which derives them from the
+units and the mask.  (Version 4 held coverage as one flat index per
+fragment, ~15x the bytes; version 3 also wrote a polygon grid index.
+Their files are unaddressable by key and read as a miss.)  That is the
+only layout, for a cold-built set and an edited one alike: a manifest
+without per-polygon unit metadata fails validation like any other
+corrupt pair (a miss, then a rebuild that overwrites it).
 
 ``key_id`` is a content hash of ``(FORMAT_VERSION, COORD_DTYPE,
 fingerprint, spec)``: bumping the format version or changing the
@@ -53,7 +55,7 @@ from repro.graphics.viewport import Canvas, Viewport
 #: Bump on any incompatible change to the array layout or manifest shape.
 #: The version participates in the key hash, so old artifacts are never
 #: even opened by a newer reader — they just stop being addressable.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: Canonical coordinate dtype: little-endian float64.  Part of the key so
 #: artifacts written on any platform address the same bytes.
@@ -231,65 +233,33 @@ def _decode_unit_triangles(units: Sequence[PolygonUnit], arrays) -> None:
         unit.triangles = tris
 
 
-def _encode_ragged(parts: Sequence[np.ndarray], arrays: dict,
-                   name: str) -> None:
-    """One index array per polygon, as ``<name>_data`` (all of them
-    concatenated) plus ``<name>_counts`` (entries per polygon)."""
+def _encode_pairs(parts: Sequence[np.ndarray], arrays: dict,
+                  name: str) -> None:
+    """One ``(k, 2)`` array per polygon — coverage runs, or outline
+    pixels as ``(ix, iy)`` rows — as ``<name>_data`` (all of them
+    concatenated) plus ``<name>_counts`` (rows per polygon)."""
     parts = [np.asarray(part) for part in parts]
     arrays[f"{name}_data"] = _compact_indices(
-        np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        np.concatenate(parts) if parts else np.zeros((0, 2), dtype=np.int64)
     )
     arrays[f"{name}_counts"] = _compact_indices(
         np.asarray([len(part) for part in parts])
     )
 
 
-def _decode_ragged(arrays, name: str, num_units: int,
-                   what: str) -> list[np.ndarray]:
-    """The per-polygon slices :func:`_encode_ragged` wrote (views of one
+def _decode_pairs(arrays, name: str, num_units: int,
+                  what: str) -> list[np.ndarray]:
+    """The per-polygon slices :func:`_encode_pairs` wrote (views of one
     widened array)."""
     data = np.asarray(arrays[f"{name}_data"], dtype=np.int64)
     counts = np.asarray(arrays[f"{name}_counts"], dtype=np.int64)
     _require(
-        len(counts) == num_units and int(counts.sum()) == len(data),
+        len(counts) == num_units and int(counts.sum()) == len(data)
+        and data.ndim == 2 and data.shape[1] == 2,
         f"{what} table does not add up",
     )
     ends = np.cumsum(counts)
     return [data[lo:hi] for lo, hi in zip(ends - counts, ends)]
-
-
-def _encode_unit_boundary(units: Sequence[PolygonUnit], tile_idx: int,
-                          arrays: dict) -> None:
-    ixs = [np.asarray(unit.boundary[tile_idx][0]) for unit in units]
-    iys = [np.asarray(unit.boundary[tile_idx][1]) for unit in units]
-    arrays[f"ub_{tile_idx}_ix"] = _compact_indices(
-        np.concatenate(ixs) if ixs else np.zeros(0, dtype=np.int64)
-    )
-    arrays[f"ub_{tile_idx}_iy"] = _compact_indices(
-        np.concatenate(iys) if iys else np.zeros(0, dtype=np.int64)
-    )
-    arrays[f"ub_{tile_idx}_counts"] = _compact_indices(
-        np.asarray([len(ix) for ix in ixs])
-    )
-
-
-def _decode_unit_boundary(units: Sequence[PolygonUnit], tile_idx: int,
-                          arrays) -> None:
-    ix = np.asarray(arrays[f"ub_{tile_idx}_ix"], dtype=np.int64)
-    iy = np.asarray(arrays[f"ub_{tile_idx}_iy"], dtype=np.int64)
-    counts = np.asarray(arrays[f"ub_{tile_idx}_counts"], dtype=np.int64)
-    _require(
-        len(counts) == len(units)
-        and int(counts.sum()) == len(ix) == len(iy),
-        "boundary pixel table does not add up",
-    )
-    cursor = 0
-    for unit, count in zip(units, counts):
-        unit.boundary[tile_idx] = (
-            ix[cursor:cursor + int(count)],
-            iy[cursor:cursor + int(count)],
-        )
-        cursor += int(count)
 
 
 def _units_tiles(units: Sequence[PolygonUnit], kind: str) -> list[int]:
@@ -352,13 +322,14 @@ def _encode_units(prepared: PreparedPolygons, arrays: dict,
         fields.append("boundary_masks")
         manifest["boundary_tiles"] = boundary_tiles
         for idx in boundary_tiles:
-            _encode_unit_boundary(units, idx, arrays)
+            _encode_pairs([np.column_stack(unit.boundary[idx])
+                           for unit in units], arrays, f"ub_{idx}")
     coverage_tiles = _units_tiles(units, "coverage")
     if coverage_tiles:
         fields.append("coverage")
         manifest["coverage_tiles"] = coverage_tiles
         for idx in coverage_tiles:
-            _encode_ragged(
+            _encode_pairs(
                 [unit.coverage[idx] for unit in units], arrays, f"uc_{idx}"
             )
 
@@ -391,10 +362,10 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
     the caller's geometry is the geometry the artifact was built from).
     The per-polygon slices are decoded into the units and the set-level
     views are then composed exactly as a live session composes them
-    after a build — OR the outline pixels into boundary masks, lay the
-    coverage slices end to end, band the edge table — so the result is
-    bit-identical to the artifact that was saved.  (The candidate lists
-    are left to the first tile task, like the boundary-fragment index.)
+    after a build — OR the outline pixels into boundary masks, band the
+    edge table — so the result is bit-identical to the artifact that was
+    saved.  (The run tables and candidate lists are left to the first
+    tile task, which derives them from the units' runs and the mask.)
     """
     meta_units = manifest.get("units")
     _require(isinstance(meta_units, dict), "manifest lacks unit metadata")
@@ -425,16 +396,16 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
         for idx in map(int, manifest.get("boundary_tiles", ())):
             _require(0 <= idx < len(prepared.tiles),
                      "boundary tile out of range")
-            _decode_unit_boundary(units, idx, arrays)
+            for unit, pixels in zip(units, _decode_pairs(
+                arrays, f"ub_{idx}", len(units), "boundary pixel"
+            )):
+                unit.boundary[idx] = (pixels[:, 0], pixels[:, 1])
             prepared.mark_composed(idx, boundary=prepared.compose_boundary(
                 prepared.tiles[idx], prepared.unit_slices("boundary", idx)
             ))
     if "coverage" in fields:
         for idx in map(int, manifest.get("coverage_tiles", ())):
-            # The record brings the units' slices with it.
-            prepared.mark_composed(idx, coverage=prepared.compose_coverage(
-                dict(enumerate(_decode_ragged(
-                    arrays, f"uc_{idx}", len(units), "coverage"
-                )))
-            ))
+            prepared.mark_composed(idx, unit_coverage=dict(enumerate(
+                _decode_pairs(arrays, f"uc_{idx}", len(units), "coverage")
+            )))
     return prepared

@@ -153,12 +153,10 @@ class TestDeltaDerivation:
         edited_box = after[2].bbox
         for idx in carried:
             assert not base.tiles[idx].bbox.intersects(edited_box)
-            for field in ("boundary_masks", "coverage",
-                          "boundary_fragments", "candidates"):
+            for field in ("boundary_masks", "coverage", "candidates"):
                 assert getattr(derived, field)[idx] is getattr(base, field)[idx]
         # ... and nothing derived is carried for a tile the edit touches.
-        for field in ("boundary_fragments", "candidates"):
-            assert set(getattr(derived, field)) == carried
+        assert set(derived.candidates) == carried
 
     def test_delta_result_matches_cold_on_multitile(self, uniform_points,
                                                     three_regions):

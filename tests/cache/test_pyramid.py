@@ -23,7 +23,7 @@ from repro import (
 from repro.errors import QueryError
 from repro.geometry.polygon import rectangle
 from repro.obs import metrics
-from tests.conftest import brute_force_counts, brute_force_values
+from tests.conftest import brute_force_counts, brute_force_values, run_pixels
 
 RES = 128
 GRID = 32
@@ -178,26 +178,23 @@ class TestPrewarmedStatements:
         assert len(channels_of(session)) == builds
         assert np.array_equal(result.values, brute_force_counts(points, edited))
 
-    def test_reloaded_pairing_rederives_the_fragment_index(
+    def test_reloaded_pairing_rederives_the_run_table(
         self, points, regions, tmp_path
     ):
         """... and the candidate lists, both by the tile task alone: a
         store never holds them, so a prewarmed pairing whose artifact
-        comes back from disk rebuilds them and answers the same bits."""
+        comes back from disk rebuilds them and answers the same bits.
+        The run table never covers a boundary pixel, which is why the
+        cached channels — every row scattered — need no blanking."""
         session = QuerySession(store=ArtifactStore(tmp_path / "s"))
         eng = engine(session)
         eng.prewarm(points, regions)
         first = eng.execute(points, regions, Average("fare"))
         (artifact,) = session._entries.values()
-        assert set(artifact.boundary_fragments) == {0}
-        assert set(artifact.candidates) == {0}
-        fragments, candidates = (
-            artifact.boundary_fragments[0], artifact.candidates[0]
-        )
-        mask, pixels = artifact.boundary_masks[0], artifact.coverage[0].pixels
-        assert np.array_equal(
-            fragments, np.flatnonzero(mask.ravel()[pixels])
-        ) and len(fragments)
+        assert set(artifact.coverage) == set(artifact.candidates) == {0}
+        record, candidates = artifact.coverage[0], artifact.candidates[0]
+        mask = artifact.boundary_masks[0].ravel()
+        assert len(record.runs) and not mask[run_pixels(record.runs)].any()
         session.invalidate(regions)  # the routing and its channels stay
         again = eng.execute(points, regions, Average("fare"))
         assert again.stats.extra["prepared"] == "store-hit"
@@ -205,9 +202,10 @@ class TestPrewarmedStatements:
         assert again.stats.pip_tests == first.stats.pip_tests > 0
         same_bits(again, first)
         (reloaded,) = session._entries.values()
-        assert np.array_equal(reloaded.boundary_fragments[0], fragments)
-        for mine, theirs in zip(reloaded.candidates[0], candidates):
-            assert mine is not theirs and np.array_equal(mine, theirs)
+        for held, rebuilt in ((record, reloaded.coverage[0]),
+                              (candidates, reloaded.candidates[0])):
+            for mine, theirs in zip(rebuilt, held):
+                assert mine is not theirs and np.array_equal(mine, theirs)
 
 
 class TestChannelsInTheSessionLru:

@@ -289,10 +289,10 @@ class TestPreparedPolygons:
     def test_derived_state_is_accounted_and_rederives_bit_identically(
         self, uniform_points, three_regions, tmp_path
     ):
-        """The flat coverage record and the edge table count in
-        ``nbytes``; the candidate lists are never stored, and a reloaded
-        artifact's first query re-derives them bit for bit — as it does
-        the answer."""
+        """The units' coverage runs and the edge table count in
+        ``nbytes``; the run tables and candidate lists are never stored,
+        and a reloaded artifact's first query re-derives them bit for
+        bit — as it does the answer."""
         store = ArtifactStore(tmp_path / "s")
 
         def run(session):
@@ -309,7 +309,8 @@ class TestPreparedPolygons:
         assert set(candidates) == set(records) == {0, 1, 2, 3}
         full = artifact.nbytes
         assert full >= artifact.edge_table.nbytes + sum(
-            r.nbytes for r in records.values()
+            runs.nbytes for unit in artifact.units
+            for runs in unit.coverage.values()
         )
 
         reloaded = QuerySession(store=store)

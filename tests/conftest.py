@@ -16,6 +16,7 @@ from repro.cache.prepared import PreparedPolygons
 from repro.exec import backend as exec_backend
 from repro.exec import shm
 from repro.graphics.raster_triangle import covered_pixels
+from repro.index.grid import ragged_positions
 from repro.store.store import STORE_DIR_ENV_VAR
 
 
@@ -95,6 +96,13 @@ def scalar_pixels(viewport, triangles) -> np.ndarray:
         xs, ys = covered_pixels(viewport, tri)
         flat.append(ys * viewport.width + xs)
     return np.concatenate(flat)
+
+
+def run_pixels(runs: np.ndarray) -> np.ndarray:
+    """The flat pixels a ``(k, 2)`` array of ``[lo, hi)`` coverage runs
+    expands to, run after run."""
+    runs = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+    return ragged_positions(runs[:, 0], runs[:, 1] - runs[:, 0])
 
 
 def random_star_polygon(

@@ -22,6 +22,7 @@ from tests.conftest import (
     brute_force_counts,
     brute_force_sums,
     brute_force_values,
+    run_pixels,
 )
 
 
@@ -93,8 +94,8 @@ class TestExactness:
     def test_outline_strictly_inside_another_polygon(self, uniform_points,
                                                      backend):
         """A's whole outline lies inside B, so A's boundary pixels are
-        B's *coverage*: B's polygon pass reads them, finds the identity
-        (their points reached B through PIP), and stays exact."""
+        B's *coverage*: B's run table stops short of them (their points
+        reached B through PIP), and B stays exact."""
         regions = PolygonSet([
             Polygon([(40, 40), (60, 42), (58, 61), (41, 57)]),   # A
             Polygon([(10, 10), (90, 12), (88, 90), (12, 85)]),   # B
@@ -129,10 +130,9 @@ class TestExactness:
         # The premise: pixels that are boundary and B's coverage at once.
         (artifact,) = engine.session._entries.values()
         shared = 0
-        for idx, record in artifact.coverage.items():
-            start = record.starts[record.pids.tolist().index(1)]
+        for idx, runs in artifact.units[1].coverage.items():
             shared += np.count_nonzero(
-                artifact.boundary_masks[idx].ravel()[record.pixels[start:]]
+                artifact.boundary_masks[idx].ravel()[run_pixels(runs)]
             )
         assert shared > 0
 

@@ -26,7 +26,7 @@ from repro.core.engine import (
 )
 from repro.index.grid import GridIndex
 from repro.types import ExecutionStats
-from tests.conftest import brute_force_counts, edge_table_for
+from tests.conftest import brute_force_counts, edge_table_for, run_pixels
 
 
 class TestRequiredColumns:
@@ -191,10 +191,12 @@ class TestCanvasCandidates:
 
 
 class TestBoundaryPixelsHoldTheIdentity:
-    """What lets the polygon pass read raw raster coverage: a point on a
-    boundary pixel joins through PIP and is never scattered, so after
-    the point pass every pixel of a query's boundary mask still holds
-    the blend identity and reduces to nothing."""
+    """A point on a boundary pixel joins through PIP and is never
+    scattered, so after the point pass every pixel of a query's boundary
+    mask still holds the blend identity — and the polygon pass never
+    reads one: the tile's run table stops short of every boundary pixel,
+    so a scattered framebuffer and a cached channel (which holds every
+    row) go through the same one-branch kernel."""
 
     OTHER = PolygonSet([
         # Same union bbox as ``three_regions`` (one canvas, so one cached
@@ -204,20 +206,26 @@ class TestBoundaryPixelsHoldTheIdentity:
         Polygon([(30, 30), (60, 35), (40, 70)]),
     ])
 
-    def test_so_nothing_takes_a_mask_to_build_coverage(self):
-        import dataclasses
+    def test_the_run_table_reads_no_boundary_pixel(self, uniform_points,
+                                                   three_regions):
         import inspect
 
-        from repro.cache.prepared import PreparedPolygons
         from repro.core import tiles
-        from repro.exec.backend import TilePartial
 
-        for function in (PreparedPolygons.compose_coverage,
-                         tiles._polygon_pass):
-            assert "boundary" not in inspect.signature(function).parameters
-        assert "unit_coverage" not in {
-            field.name for field in dataclasses.fields(TilePartial)
-        }
+        assert list(inspect.signature(tiles._polygon_pass).parameters) == [
+            "tile_idx", "tile", "member", "channels", "partial", "views",
+        ]
+        session = QuerySession(store=False)
+        AccurateRasterJoin(
+            resolution=128, grid_resolution=32,
+            device=GPUDevice(max_resolution=64), session=session,
+        ).execute(uniform_points, three_regions)
+        (artifact,) = session._entries.values()
+        assert len(artifact.coverage) == 4
+        for idx, record in artifact.coverage.items():
+            mask = artifact.boundary_masks[idx].ravel()
+            assert mask.any() and len(record.runs)
+            assert not mask[run_pixels(record.runs)].any()
 
     @pytest.mark.parametrize("max_fbo", [None, 64], ids=["1-tile", "4-tiles"])
     @pytest.mark.parametrize("sibling", [False, True],
@@ -269,10 +277,11 @@ class TestPolygonPass:
     def test_polygon_whose_every_pixel_is_boundary(self, uniform_points,
                                                    top, fragments):
         """A sliver's answer comes from the PIP path alone.  Between two
-        rows of pixel centers it rasterizes to no fragment and must not
+        rows of pixel centers it rasterizes to no fragment; across one
+        row its runs cover boundary pixels only, and the trim removes
+        them.  Either way it owns no run of the tile's table and must not
         become a segment (``reduceat`` would hand it its neighbour's
-        first pixel); across one row it is a segment of boundary pixels
-        only, which reduce to the identity."""
+        first run)."""
         regions = PolygonSet([
             Polygon([(10, 10), (60, 12), (55, 60), (12, 50)]),
             Polygon([(70, 20.0), (90, 20.0), (90, top), (70, top)]),
@@ -307,12 +316,12 @@ class TestPolygonPass:
             )
         (artifact,) = session._entries.values()
         (record,) = artifact.coverage.values()
-        assert record.pids.tolist() == ([0, 1, 2] if fragments else [0, 2])
+        assert record.pids.tolist() == [0, 2]
         assert len(record.pids) == len(record.starts)
-        assert np.all(np.diff(np.append(record.starts, len(record.pixels))) > 0)
+        assert np.all(np.diff(np.append(record.starts, len(record.runs))) > 0)
         sliver = artifact.units[1].coverage[0]
         assert bool(len(sliver)) == fragments
-        assert artifact.boundary_masks[0].ravel()[sliver].all()
+        assert artifact.boundary_masks[0].ravel()[run_pixels(sliver)].all()
 
     def test_min_max_on_constant_channel_yield_one(self, uniform_points,
                                                    three_regions):

@@ -21,7 +21,7 @@ from repro.graphics.raster_batch import (
 from repro.graphics.raster_line import outline_pixels, outline_pixels_many
 from repro.graphics.raster_triangle import covered_pixels
 from repro.graphics.viewport import Viewport
-from tests.conftest import random_star_polygon, scalar_pixels
+from tests.conftest import random_star_polygon, run_pixels, scalar_pixels
 
 VP = Viewport(BBox(0, 0, 100, 100), 128, 96)
 
@@ -114,10 +114,11 @@ class TestFragmentEquality:
         ] == [1, 0, 0]
         assert frags.pixels.tolist() == [0]
 
-    def test_expansion_stays_within_a_byte_bound(self):
-        """Fragments are expanded once: a full-canvas soup at 1024^2
-        peaks below 4x the pixel array it returns (the block-wise
-        ix / iy / tri emission it replaced measured 9x)."""
+    def test_raster_stays_within_a_byte_bound(self):
+        """The raster keeps its row table and expands nothing: a
+        full-canvas soup at 1024^2 peaks below 4x the pixel array the
+        table expands to (the block-wise ix / iy / tri emission it
+        replaced measured 9x)."""
         view = Viewport(BBox(0, 0, 100, 100), 1024, 1024)
         rng = np.random.default_rng(11)
         fan = [
@@ -158,24 +159,43 @@ class TestFragmentEquality:
         assert frags.counts[3] > 0
 
 
+def assert_runs_of(runs: np.ndarray, triangles) -> None:
+    """``runs`` are ascending, maximal where rows abut, and expand to the
+    scalar fragments of ``triangles``, sorted."""
+    assert runs.dtype == np.int64 and runs.shape[1:] == (2,)
+    assert (runs[:, 1] > runs[:, 0]).all()
+    assert (np.diff(runs[:, 0]) >= 0).all()
+    assert not (runs[1:, 0] == runs[:-1, 1]).any()  # abutting runs merge
+    assert np.array_equal(
+        run_pixels(runs), np.sort(scalar_pixels(VP, triangles))
+    )
+
+
 class TestCoverageByPolygon:
-    def test_slices_match_scalar_units(self):
+    def test_runs_match_scalar_units(self):
         _, tris = _random_scene(5)
         coverage = coverage_by_polygon(VP, tris)
         assert set(coverage) == set(tris)
         for pid in tris:
-            assert coverage[pid].dtype == np.int64
-            assert np.array_equal(coverage[pid], scalar_pixels(VP, tris[pid]))
+            assert_runs_of(coverage[pid], tris[pid])
+
+    def test_a_full_canvas_is_one_run(self):
+        """Rows that reach the right edge abut the next row's first
+        pixel: two triangles covering the canvas merge into one run."""
+        box = [np.array([(0.0, 0.0), (100.0, 0.0), (100.0, 100.0)]),
+               np.array([(0.0, 0.0), (100.0, 100.0), (0.0, 100.0)])]
+        (runs,) = coverage_by_polygon(VP, {0: box}).values()
+        assert runs.tolist() == [[0, VP.width * VP.height]]
 
     def test_requested_subset_keeps_its_pids(self):
         """Sparse, non-zero-based pids (an edit's rebuilt polygons)
-        slice the shared fragment array at the right offsets."""
+        slice the shared run array at the right offsets."""
         _, tris = _random_scene(6)
         subset = {pid: tris[pid] for pid in (2, 3, 11)}
         coverage = coverage_by_polygon(VP, subset)
         assert sorted(coverage) == [2, 3, 11]
         for pid in subset:
-            assert np.array_equal(coverage[pid], scalar_pixels(VP, tris[pid]))
+            assert_runs_of(coverage[pid], tris[pid])
 
     def test_every_requested_pid_present(self):
         """A polygon whose triangles are all off-screen still gets an

@@ -4,9 +4,10 @@ The engines build boundary masks and coverage only through the batched
 whole-set builders; the scalar per-triangle / per-polygon kernels
 (``triangle_coverage_mask``, ``outline_pixels``) stay in
 ``repro.graphics`` as the oracle.  Every prepared artifact an engine
-leaves in its session must equal, pixel for pixel and in order, what
-those scalar kernels produce — result equality then follows from the
-shared reduce — and incremental edits and the store must preserve that.
+leaves in its session must equal, pixel for pixel, what those scalar
+kernels produce — each polygon's runs expand to its scalar fragments,
+sorted; the tile's run table is those runs less the boundary pixels on
+the exact path — and incremental edits and the store must preserve that.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro import (
 from repro.geometry.triangulate import triangulate_polygon
 from repro.graphics.raster_line import outline_pixels
 from repro.graphics.raster_polygon import scanline_polygon_pixels
-from tests.conftest import random_star_polygon, scalar_pixels
+from tests.conftest import random_star_polygon, run_pixels, scalar_pixels
 
 
 @pytest.fixture
@@ -65,62 +66,53 @@ def scalar_boundary(tile, polygons) -> np.ndarray:
     return mask
 
 
-def scalar_coverage(tile, polygons) -> list:
-    """The tile's coverage from the per-triangle scalar kernel: per
-    polygon that covers a pixel, its fragments as flat ``iy * width +
-    ix`` indices, triangle by triangle in triangulation order and
-    row-major within a triangle — every fragment, boundary pixels
-    included."""
-    coverage = []
+def scalar_coverage(tile, polygons) -> dict:
+    """Per polygon, its coverage from the per-triangle scalar kernel as
+    sorted flat ``iy * width + ix`` indices — every fragment, boundary
+    pixels included, a pixel two triangles cover twice."""
+    coverage = {}
     for pid, polygon in enumerate(polygons):
+        pixels = np.zeros(0, dtype=np.int64)
         if polygon.bbox.intersects(tile.bbox):
-            pixels = scalar_pixels(tile, triangulate_polygon(polygon))
-            if len(pixels):
-                coverage.append((pid, pixels))
+            pixels = np.sort(scalar_pixels(tile, triangulate_polygon(polygon)))
+        coverage[pid] = pixels
     return coverage
 
 
-def assert_coverage_equal(actual, expected: list) -> None:
-    """The engine's flat record equals the scalar kernel's coverage:
-    same polygons, same pixels in the same order."""
-    assert actual.pids.tolist() == [pid for pid, _ in expected]
-    segments = [segment for _, segment in expected]
-    lengths = [len(segment) for segment in segments]
-    assert actual.starts.tolist() == (np.cumsum(lengths) - lengths).tolist()
-    assert np.array_equal(
-        actual.pixels,
-        np.concatenate(segments) if segments else np.zeros(0, dtype=np.int64),
-    )
-
-
-def assert_records_equal(mine: dict, theirs: dict) -> None:
-    assert set(mine) == set(theirs)
-    for idx, record in mine.items():
-        for a, b in zip(record, theirs[idx]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+def assert_runs_equal(record, expected: dict) -> None:
+    """A tile's run table holds, per polygon that owns a run, exactly
+    ``expected[pid]``'s pixels, and sorts by ``lo`` through ``order``."""
+    owners = [pid for pid, pixels in expected.items() if len(pixels)]
+    assert record.pids.tolist() == owners
+    ends = np.append(record.starts, len(record.runs))
+    for pid, lo, hi in zip(owners, ends[:-1], ends[1:]):
+        assert lo < hi
+        assert np.array_equal(
+            np.sort(run_pixels(record.runs[lo:hi])), expected[pid]
+        )
+    assert np.all(np.diff(record.runs[record.order, 0]) >= 0)
 
 
 def assert_artifact_matches_scalar(artifact, polygons, exact: bool) -> None:
     """Every tile's composed boundary mask (``exact``: the accurate
-    engine has one) and coverage record equal the scalar kernels'
-    output, and each unit's slice is a view into the record."""
+    engine has one), every unit's runs and the tile's run table equal
+    the scalar kernels' output — the table trimmed at the mask."""
     assert set(artifact.coverage) == set(range(len(artifact.tiles)))
     for idx, tile in enumerate(artifact.tiles):
-        if exact:
-            assert np.array_equal(
-                artifact.boundary_masks[idx], scalar_boundary(tile, polygons)
-            )
         expected = scalar_coverage(tile, polygons)
-        record = artifact.coverage[idx]
-        assert_coverage_equal(record, expected)
-        owned = dict(expected)
         for pid, unit in enumerate(artifact.units):
-            assert np.shares_memory(unit.coverage[idx], record.pixels) or (
-                pid not in owned and len(unit.coverage[idx]) == 0
-            )
-            assert np.array_equal(
-                unit.coverage[idx], owned.get(pid, np.zeros(0, dtype=np.int64))
-            )
+            runs = unit.coverage[idx]
+            assert runs.dtype == np.int64 and runs.shape[1:] == (2,)
+            assert np.all(np.diff(runs[:, 0]) >= 0)
+            assert np.array_equal(run_pixels(runs), expected[pid])
+        if exact:
+            mask = artifact.boundary_masks[idx]
+            assert np.array_equal(mask, scalar_boundary(tile, polygons))
+            expected = {
+                pid: pixels[~mask.ravel()[pixels]]
+                for pid, pixels in expected.items()
+            }
+        assert_runs_equal(artifact.coverage[idx], expected)
 
 
 def _only_artifact(session):
@@ -152,12 +144,12 @@ class TestScalarOracle:
             resolution=resolution, grid_resolution=64, device=device
         ).execute(uniform_points, many_regions, aggregate=Sum("fare"))
         assert np.array_equal(warm.values, cold.values)
-        # A tile's pixels are held once: the units' slices are views, so
-        # the footprint counts them through the record alone.
+        # The units' runs are counted; the run tables and candidates,
+        # derived from them, are not.
         artifact = _only_artifact(session)
         counted = artifact.nbytes
-        for unit in artifact.units:
-            unit.coverage.clear()
+        artifact.coverage.clear()
+        artifact.candidates.clear()
         assert artifact.nbytes == counted
 
     @pytest.mark.parametrize("resolution,max_fbo", CANVASES)
@@ -181,8 +173,8 @@ class TestScalarOracle:
     def test_bounded_artifacts_match_scanline_fill(
         self, uniform_points, many_regions, resolution, max_fbo
     ):
-        """The second oracle: per tile, each polygon's coverage holds
-        exactly the pixels the scanline fill emits (row-major there)."""
+        """The second oracle: per tile, each polygon's runs hold exactly
+        the pixels the scanline fill emits."""
         device = GPUDevice(max_resolution=max_fbo) if max_fbo else None
         session = QuerySession(store=False)
         BoundedRasterJoin(
@@ -199,7 +191,8 @@ class TestScalarOracle:
             assert record.pids.tolist() == [pid for pid, _ in expected]
             for pid, pixels in expected:
                 assert np.array_equal(
-                    np.sort(artifact.units[pid].coverage[idx]), pixels
+                    run_pixels(artifact.units[pid].coverage[idx]),
+                    np.sort(pixels),
                 )
 
 
@@ -241,7 +234,7 @@ class TestIncrementalThroughBatch:
         self, uniform_points, many_regions, max_fbo, monkeypatch
     ):
         """After a one-vertex edit every per-tile view of the derived
-        artifact — mask, coverage, boundary fragments, candidates —
+        artifact — mask, run table, candidates —
         equals a from-scratch build's; tiles the edit does not touch
         carry theirs by identity; no ``GridIndex`` method runs; and the
         answer is the from-scratch bits."""
@@ -290,10 +283,6 @@ class TestIncrementalThroughBatch:
             assert np.array_equal(
                 derived.boundary_masks[idx], rebuilt.boundary_masks[idx]
             )
-            assert np.array_equal(
-                derived.boundary_fragments[idx],
-                rebuilt.boundary_fragments[idx],
-            )
             for field in ("coverage", "candidates"):
                 for mine, theirs in zip(
                     getattr(derived, field)[idx], getattr(rebuilt, field)[idx]
@@ -302,8 +291,7 @@ class TestIncrementalThroughBatch:
                     assert np.array_equal(mine, theirs)
             if not any(tile.bbox.intersects(box) for box in edited_boxes):
                 carried += 1
-                for field in ("boundary_masks", "coverage",
-                              "boundary_fragments", "candidates"):
+                for field in ("boundary_masks", "coverage", "candidates"):
                     assert (
                         getattr(derived, field)[idx]
                         is getattr(base, field)[idx]
@@ -315,8 +303,9 @@ class TestStoreRoundTrip:
     def test_batched_built_units_round_trip(
         self, tmp_path, uniform_points, many_regions
     ):
-        """Coverage slices built by the batched pass (views of one
-        fragment array) persist and reload bit-identically."""
+        """Coverage runs built by the batched pass persist and reload
+        bit-identically; the run tables are left to the first tile
+        task."""
         store = ArtifactStore(tmp_path / "artifacts")
         session = QuerySession(store=store)
         engine = AccurateRasterJoin(
@@ -331,7 +320,11 @@ class TestStoreRoundTrip:
         artifact = session._entries[key]
         loaded = store.load(key, many_regions)
         assert loaded is not None
-        assert_records_equal(artifact.coverage, loaded.coverage)
+        assert not loaded.coverage
+        for mine, theirs in zip(artifact.units, loaded.units):
+            assert mine.coverage.keys() == theirs.coverage.keys()
+            for idx, runs in mine.coverage.items():
+                assert np.array_equal(runs, theirs.coverage[idx])
         # Warm replay from disk is bit-identical.
         other = QuerySession(store=store)
         replay = AccurateRasterJoin(

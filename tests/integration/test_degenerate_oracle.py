@@ -5,14 +5,17 @@ Every input below is one nobody's generator produces by accident — no
 points, points off the canvas, non-finite coordinates, points exactly on
 vertices / horizontal edges / tile seams, no candidate after the MBR
 filter, a one-pixel canvas, a hole, two holes bridged to one outer
-vertex, two outlines through one pixel, a device that cuts the
-statement into several batches — and each runs for
-Count / Sum / Avg / Min / Max x {no filter, a filter keeping some rows,
-one keeping none} x {not prewarmed, prewarmed} x {1, 4, 16 tiles}.
-Count / Min / Max must equal ``tests/conftest.py::brute_force_values``
-exactly and a float Sum / Avg to 1e-9 (only a float sum's grouping
-differs); the prewarmed answer must be the un-prewarmed one bit for bit,
-values and channels, having run the same PIP tests.
+vertex, two outlines through one pixel, polygons none of whose pixels
+is interior (a one-pixel-wide sliver, a needle, a polygon smaller than
+a pixel), a device that cuts the statement into several batches — and
+each runs for Count / Sum / Avg / Min / Max x {no filter, a filter
+keeping some rows, one keeping none} x {not prewarmed, prewarmed} x
+{1, 4, 16 tiles}.  Count / Min / Max must equal
+``tests/conftest.py::brute_force_values`` exactly and a float Sum / Avg
+to 1e-9 (only a float sum's grouping differs); the prewarmed answer must
+be the un-prewarmed one bit for bit, values and channels, having run the
+same PIP tests.  The same inputs hold ``MaterializingJoin`` to the same
+oracle, and the bounded engine's Count to its own loose interval.
 """
 
 import numpy as np
@@ -198,6 +201,36 @@ def two_polygons_sharing_an_outline_pixel():
     ])
 
 
+def polygons_owning_no_interior_pixel():
+    # Each covers boundary pixels only, so the run table trims it away
+    # entirely and its answer is the PIP path's alone: a sliver a third
+    # of a pixel wide down a column of pixel centres, a needle of area
+    # 1e-8 (a ring of exactly zero area is refused by ``Polygon``), and
+    # a square half a pixel wide around one pixel centre.
+    canvas = AccurateRasterJoin(resolution=RESOLUTION)._make_canvas(
+        PolygonSet([FRAME])
+    )
+    width, height = canvas.pixel_width, canvas.pixel_height
+    sx = canvas.extent.xmin + 12.5 * width
+    cx = canvas.extent.xmin + 40.5 * width
+    cy = canvas.extent.ymin + 30.5 * height
+    rng = np.random.default_rng(8)
+    xs, ys = _uniform(1200)
+    return _dataset(
+        [*xs, *rng.uniform(sx - width / 4, sx + width / 4, 200),
+         *np.linspace(60.0, 80.0, 40),
+         *rng.uniform(cx - width / 3, cx + width / 3, 200)],
+        [*ys, *rng.uniform(10.0, 90.0, 200), *np.full(40, 20.0),
+         *rng.uniform(cy - height / 3, cy + height / 3, 200)],
+    ), PolygonSet([
+        FRAME,
+        rectangle(sx - width / 6, 10.0, sx + width / 6, 90.0),
+        Polygon([(60.0, 20.0), (80.0, 20.0), (70.0, 20.0 + 1e-9)]),
+        rectangle(cx - width / 4, cy - height / 4,
+                  cx + width / 4, cy + height / 4),
+    ])
+
+
 def two_or_more_device_batches():
     xs, ys = _uniform(1500)
     return _dataset(xs, ys), _stars(9), RESOLUTION, 3
@@ -208,7 +241,8 @@ INPUTS = [
     points_on_vertices_edges_and_seams, no_polygon_mbr_holds_a_point,
     single_pixel_canvas, polygon_with_a_hole,
     two_holes_bridged_to_one_outer_vertex,
-    two_polygons_sharing_an_outline_pixel, two_or_more_device_batches,
+    two_polygons_sharing_an_outline_pixel, polygons_owning_no_interior_pixel,
+    two_or_more_device_batches,
 ]
 
 
@@ -284,6 +318,43 @@ def test_degenerate_input_matches_the_oracle_prewarmed_or_not(make, cuts):
             assert warm.stats.boundary_points == cold.stats.boundary_points
             if batches is not None and not filters:
                 assert cold.stats.batches >= 2 * cold.stats.extra["tiles"]
+
+
+@pytest.mark.parametrize("make", INPUTS, ids=lambda make: make.__name__)
+def test_materializing_join_matches_the_oracle(make):
+    points, polygons, *_ = make()
+    engine = MaterializingJoin(truncate_bits=None)
+    for function, make_aggregate in AGGREGATES.items():
+        for filters, keep_rows in FILTERS.values():
+            want = _oracle(
+                points, polygons, function, keep_rows(points.column("k"))
+            )
+            got = engine.execute(
+                points, polygons, make_aggregate(), filters
+            ).values
+            cell = f"{function}, {filters}"
+            if function in ("count", "min", "max"):
+                assert np.array_equal(got, want, equal_nan=True), cell
+            else:
+                assert np.allclose(got, want, rtol=FLOAT_RTOL, atol=0.0,
+                                   equal_nan=True), cell
+
+
+@pytest.mark.parametrize("cuts", [1, 2, 4],
+                         ids=["1-tile", "4-tiles", "16-tiles"])
+@pytest.mark.parametrize("make", INPUTS, ids=lambda make: make.__name__)
+def test_bounded_count_lies_inside_its_interval(make, cuts):
+    """The bounded engine reads the untrimmed run table: every exact
+    count lies inside its loose interval (§5), whatever the tiling."""
+    points, polygons, *rest = make()
+    resolution = (*rest, RESOLUTION)[0]
+    for filters, keep_rows in FILTERS.values():
+        result = BoundedRasterJoin(
+            resolution=resolution, compute_bounds=True,
+            device=_device(cuts, resolution, None, points, Count(), filters),
+        ).execute(points, polygons, Count(), filters)
+        want = _oracle(points, polygons, "count", keep_rows(points.column("k")))
+        assert result.intervals.contains(want).all(), filters
 
 
 def test_every_engine_matches_the_oracle_on_the_two_hole_polygon():

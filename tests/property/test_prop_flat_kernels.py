@@ -47,6 +47,7 @@ from tests.conftest import (
     brute_force_values,
     edge_table_for,
     random_star_polygon,
+    run_pixels,
 )
 
 #: The float tolerance of a Sum/Avg against the oracle (the ledger's
@@ -250,10 +251,9 @@ def test_polygon_pass_counts_shared_pixels_for_both_polygons():
     assert np.array_equal(got, want)
     # The overlap is real: the shared pixels' weight is counted twice.
     assert got[0] + got[1] > channel.sum() * 0.6
-    (record,) = artifact.coverage.values()
     shared = np.intersect1d(
-        record.pixels[record.starts[0]:record.starts[1]],
-        record.pixels[record.starts[1]:record.starts[2]],
+        run_pixels(artifact.units[0].coverage[0]),
+        run_pixels(artifact.units[1].coverage[0]),
     )
     assert len(shared) > 100
 

@@ -228,12 +228,15 @@ def test_vectorized_outline_equals_per_edge_supercover(poly):
 @given(star_polygons(), star_polygons(center=(30.0, 60.0), max_radius=25.0))
 @settings(max_examples=30, deadline=None)
 def test_batched_multi_polygon_scatter(poly_a, poly_b):
-    """coverage_by_polygon routes each fragment back to its owning
-    polygon id even when polygons overlap."""
+    """coverage_by_polygon routes each covered row back to its owning
+    polygon id even when polygons overlap: the runs expand to the
+    scalar fragments of that polygon's triangles, sorted."""
     from repro.graphics.raster_batch import coverage_by_polygon
-    from tests.conftest import scalar_pixels
+    from tests.conftest import run_pixels, scalar_pixels
 
     tris = {0: triangulate_polygon(poly_a), 1: triangulate_polygon(poly_b)}
     coverage = coverage_by_polygon(VP, tris)
     for pid in (0, 1):
-        assert np.array_equal(coverage[pid], scalar_pixels(VP, tris[pid]))
+        assert np.array_equal(
+            run_pixels(coverage[pid]), np.sort(scalar_pixels(VP, tris[pid]))
+        )

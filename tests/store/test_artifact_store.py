@@ -115,10 +115,12 @@ class TestRoundTrip:
         assert set(loaded.boundary_masks) == set(artifact.boundary_masks)
         for idx, mask in artifact.boundary_masks.items():
             assert np.array_equal(loaded.boundary_masks[idx], mask)
-        assert set(loaded.coverage) == set(artifact.coverage)
-        for idx, record in artifact.coverage.items():
-            for mine, theirs in zip(record, loaded.coverage[idx]):
-                assert np.array_equal(mine, theirs)
+        # The run tables are derived; the units' runs are what is stored.
+        assert not loaded.coverage
+        for mine, theirs in zip(artifact.units, loaded.units):
+            assert mine.coverage.keys() == theirs.coverage.keys()
+            for idx, runs in mine.coverage.items():
+                assert np.array_equal(runs, theirs.coverage[idx])
         # A session seeded only from disk replays bit-identically.
         other = QuerySession(store=store)
         replay = AccurateRasterJoin(
@@ -186,33 +188,33 @@ def cold_build(points, regions, device=None):
 
 
 def assert_same_derived_state(artifact, reference) -> None:
-    """Boundary masks, coverage records and per-unit slices, bit for bit."""
+    """Boundary masks, per-unit coverage runs and whatever run tables
+    the artifact holds, bit for bit."""
     assert set(artifact.boundary_masks) == set(reference.boundary_masks)
     for idx, mask in reference.boundary_masks.items():
         assert np.array_equal(artifact.boundary_masks[idx], mask)
-    assert set(artifact.coverage) == set(reference.coverage)
-    for idx, record in reference.coverage.items():
-        for mine, theirs in zip(artifact.coverage[idx], record):
+    for mine, theirs in zip(artifact.units, reference.units):
+        assert mine.coverage.keys() == theirs.coverage.keys()
+        for idx, runs in theirs.coverage.items():
+            assert mine.coverage[idx].dtype == runs.dtype
+            assert np.array_equal(mine.coverage[idx], runs)
+    for idx, record in artifact.coverage.items():
+        for mine, theirs in zip(record, reference.coverage[idx]):
             assert mine.dtype == theirs.dtype
             assert np.array_equal(mine, theirs)
-        for mine, theirs in zip(artifact.units, reference.units):
-            assert np.array_equal(mine.coverage[idx], theirs.coverage[idx])
-            assert np.shares_memory(
-                mine.coverage[idx], artifact.coverage[idx].pixels
-            ) or not len(mine.coverage[idx])
 
 
-class TestFormatFour:
-    """Coverage persists as one flat index array plus per-polygon counts
-    per tile, and no grid index beside it; whatever tier an artifact
-    comes back through, it is the cold build again."""
+class TestFormatFive:
+    """Coverage persists as the units' ``(k, 2)`` runs plus per-polygon
+    counts per tile, and no grid index beside it; whatever tier an
+    artifact comes back through, it is the cold build again."""
 
     def test_layout(self, uniform_points, three_regions, store):
         session, _, _ = populated_session(uniform_points, three_regions, store)
         (artifact,) = session._entries.values()
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         arrays, manifest = artifact_format.encode(artifact, artifact.key)
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         assert "grid" not in manifest and "grid" not in manifest["fields"]
         assert manifest["edge_rows"] == 64
         assert not [n for n in arrays if n.startswith(("cells_", "grid_"))]
@@ -220,7 +222,10 @@ class TestFormatFour:
         assert sorted(n for n in arrays if n.startswith("uc_")) == [
             "uc_0_counts", "uc_0_data",
         ]
-        assert np.array_equal(arrays["uc_0_data"], artifact.coverage[0].pixels)
+        assert np.array_equal(arrays["uc_0_data"], np.concatenate(
+            [unit.coverage[0] for unit in artifact.units]
+        ))
+        assert arrays["uc_0_data"].shape[1:] == (2,)
         assert arrays["uc_0_counts"].tolist() == [
             len(unit.coverage[0]) for unit in artifact.units
         ]
@@ -243,7 +248,7 @@ class TestFormatFour:
         loaded = store.load(key, three_regions)
         assert_same_derived_state(loaded, reference)
         assert loaded.nbytes == reference.nbytes
-        assert not loaded.candidates and not loaded.boundary_fragments
+        assert not loaded.candidates and not loaded.coverage
         # A restarted session's query re-derives the views never stored.
         session = QuerySession(store=store)
         again = AccurateRasterJoin(
@@ -257,13 +262,14 @@ class TestFormatFour:
                 assert np.array_equal(mine, theirs)
         assert np.array_equal(again.values, expected.values)
 
-    def test_pair_written_under_format_three_is_a_miss_not_an_error(
-        self, uniform_points, three_regions, store, monkeypatch
+    @pytest.mark.parametrize("old_version", [3, 4])
+    def test_pair_written_under_an_older_format_is_a_miss_not_an_error(
+        self, uniform_points, three_regions, store, monkeypatch, old_version
     ):
         """A format bump re-keys: the old pair in the same directory is
         never opened — it counts against the disk budget until evicted —
         and the query rebuilds and saves beside it."""
-        monkeypatch.setattr(artifact_format, "FORMAT_VERSION", 3)
+        monkeypatch.setattr(artifact_format, "FORMAT_VERSION", old_version)
         _, _, expected = populated_session(
             uniform_points, three_regions, store
         )

@@ -127,8 +127,8 @@ class TestEditedKeysPersistAsPairs:
         self, uniform_points, three_regions, store
     ):
         """The pair a delta-derived entry wrote decodes to exactly the
-        coverage records, unit slices and boundary masks a from-scratch
-        build of the edited set produces, on every one of four tiles."""
+        coverage runs and boundary masks a from-scratch build of the
+        edited set produces, on every one of four tiles."""
         device = GPUDevice(max_resolution=64)
         make_engine = ENGINES["accurate-4-tiles"]
         _, sets, _ = run_edit_lineage(
@@ -139,7 +139,9 @@ class TestEditedKeysPersistAsPairs:
         for polygons in sets[1:]:
             loaded = store.load(key_of(engine, polygons), polygons)
             reference, _ = cold_build(uniform_points, polygons, device)
-            assert sorted(loaded.coverage) == [0, 1, 2, 3]
+            assert all(
+                sorted(unit.coverage) == [0, 1, 2, 3] for unit in loaded.units
+            )
             assert_same_derived_state(loaded, reference)
             assert loaded.nbytes == reference.nbytes
 
@@ -166,7 +168,9 @@ class TestEditedKeysPersistAsPairs:
         loaded = store.load(key, sets[1])
         base = session._entries[key_of(engine, sets[0])]
         assert len(base.coverage) == 9
-        assert set(loaded.coverage) == set(base.coverage)
+        assert all(
+            set(unit.coverage) == set(base.coverage) for unit in loaded.units
+        )
         restarted = make_engine(QuerySession(store=store)).execute(
             uniform_points, sets[1], aggregate=Sum("fare")
         )
@@ -405,7 +409,10 @@ class TestWriterFaults:
             assert_no_debris(store)
         loaded = store.load(key, three_regions)
         if prior == "over-an-older-pair" and fault == "npz-write":
-            assert loaded is not None and not loaded.coverage  # untouched
+            # untouched
+            assert loaded is not None and not any(
+                unit.coverage for unit in loaded.units
+            )
         elif prior == "over-an-older-pair":
             # A new payload under the old manifest: a checksum miss.
             assert loaded is None and store.load_failures == 1

@@ -13,8 +13,9 @@ import re
 from pathlib import Path
 
 import repro
-from repro.cache.prepared import PolygonUnit
+from repro.cache.prepared import PolygonUnit, PreparedPolygons
 from repro.cache.session import QuerySession
+from repro.core.tiles import TileViews
 from repro.exec.config import EngineConfig
 from repro.serve import ServeConfig
 from repro.store import ArtifactStore
@@ -72,6 +73,20 @@ def test_polygon_unit_representations():
     assert PolygonUnit.__slots__ == (
         "fingerprint", "bbox", "triangles", "boundary", "coverage",
     )
+
+
+def test_prepared_artifact_slots():
+    """Every artifact slot is state a session holds, an edit carries and
+    a byte budget may count; the per-tile views are what a tile task
+    composes (the boundary-fragment index went when coverage became
+    runs: 18 -> 17 slots, 4 -> 3 views)."""
+    assert PreparedPolygons.__slots__ == (
+        "key", "canvas", "tiles", "triangles", "grid", "boundary_masks",
+        "coverage", "candidates", "mbr_arrays", "edge_table", "units",
+        "polygon_fps", "source_bbox", "delta_dirty", "version",
+        "triangulation_s", "uses",
+    )
+    assert TileViews._fields == ("boundary", "coverage", "candidates")
 
 
 def test_environment_variables_referenced_under_src():
