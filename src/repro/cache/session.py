@@ -125,6 +125,41 @@ def _point_columns(source) -> tuple:
     return tuple(names)
 
 
+def _frozen(column) -> bool:
+    """Whether a column is frozen: an ndarray that owns its data and is
+    not writeable — what :func:`freeze_points` leaves behind.  Views,
+    memmaps and writeable arrays are not."""
+    return (
+        isinstance(column, np.ndarray)
+        and not column.flags.writeable
+        and column.flags.owndata
+    )
+
+
+def freeze_points(points) -> None:
+    """Make every column ``points`` owns read-only, so the content guard
+    checks it in O(1) (see :meth:`QuerySession._cached_guard`).  A
+    column that is a view of another array is left as it is — and
+    folded by the guard — because its base stays writeable."""
+    for name in _point_columns(points):
+        column = points.column(name)
+        if isinstance(column, np.ndarray) and column.flags.owndata:
+            column.flags.writeable = False
+
+
+def _fold_column(column: np.ndarray) -> tuple:
+    """Sum, XOR and position-weighted sum of a column's 64-bit words,
+    plus the sum of its ragged byte tail."""
+    data = np.ascontiguousarray(column).view(np.uint8).reshape(-1)
+    words = data[: (data.size // 8) * 8].view(np.uint64)
+    return (
+        int(words.sum(dtype=np.uint64)),
+        int(np.bitwise_xor.reduce(words)),
+        int(np.dot(words, np.arange(1, words.size + 1, dtype=np.uint64))),
+        int(data[words.size * 8:].sum(dtype=np.uint64)),
+    )
+
+
 def _source_bytes(points) -> int:
     """Bytes of a point source's columns (what a strong ref pins)."""
     total = 0
@@ -210,7 +245,7 @@ class QuerySession:
         #: :meth:`_evict_point_state`).
         self._point_cache: "OrderedDict[tuple, _PointState]" = OrderedDict()
         #: Memoized content guards: ``id(points) -> (points, fold,
-        #: guard)``.  See :meth:`_cached_guard`.
+        #: guard, frozen columns)``.  See :meth:`_cached_guard`.
         self._guards: "OrderedDict[int, tuple]" = OrderedDict()
         #: set fingerprint -> per-polygon fingerprints (content-keyed,
         #: so it can never serve stale hashes).  One rezoning stroke
@@ -487,28 +522,32 @@ class QuerySession:
         return digest.hexdigest()
 
     @staticmethod
-    def _content_fold(points) -> tuple:
-        """A cheap one-pass checksum of every column's bytes.
+    def _content_fold(points) -> tuple[tuple, tuple]:
+        """A cheap checksum of every column, and the frozen columns it
+        names by identity.
 
-        Sum + XOR over the 64-bit words of each column buffer (plus the
-        ragged byte tail), roughly an order of magnitude cheaper than
-        the cryptographic guard.  Any realistic in-place mutation of a
-        value flips bits in its word and changes at least one of the two
-        reductions; it is the *revalidation trigger* for the memoized
-        full guard, not a substitute for it.
+        A frozen column (:func:`_frozen` — a planner-registered table's)
+        cannot change without its flag being flipped first, so it
+        contributes its name, dtype, size and ``id`` and no byte is
+        read.  Every other column is folded (:func:`_fold_column`: sum,
+        XOR and position-weighted sum of its 64-bit words, roughly an
+        order of magnitude cheaper than the cryptographic guard).  Any
+        realistic in-place mutation changes a reduction — the weighted
+        sum catches two values swapped, which the sum and XOR miss; the
+        fold is the *revalidation trigger* for the memoized full guard,
+        not a substitute for it.
         """
         fold: list = [len(points)]
+        frozen = []
         for name in _point_columns(points):
-            arr = np.ascontiguousarray(points.column(name))
-            data = arr.view(np.uint8).reshape(-1)
-            words = data[: (data.size // 8) * 8].view(np.uint64)
-            fold.append((
-                str(name), arr.dtype.str, data.size,
-                int(words.sum(dtype=np.uint64)) if words.size else 0,
-                int(np.bitwise_xor.reduce(words)) if words.size else 0,
-                int(data[words.size * 8:].sum(dtype=np.uint64)),
-            ))
-        return tuple(fold)
+            column = points.column(name)
+            head = (str(name), column.dtype.str, column.size)
+            if _frozen(column):
+                frozen.append(column)
+                fold.append(head + (id(column),))
+            else:
+                fold.append(head + _fold_column(column))
+        return tuple(fold), tuple(frozen)
 
     def _cached_guard(self, points) -> str:
         """The content guard of every point-keyed cache, memoized per
@@ -519,17 +558,20 @@ class QuerySession:
         would dominate the warm paths it is meant to validate.
         This memoizes the full hash keyed by the dataset's identity and
         revalidates it with :meth:`_content_fold`; the expensive hash is
-        recomputed only when the fold sees the bytes change, so a
+        recomputed only when the fold sees a column change, so a
         mutated-in-place source still can never replay a stale routing
-        or channel.
+        or channel.  The two tiers: a frozen column costs O(1) (the memo
+        holds the array, so its ``id`` cannot be reused by another), any
+        other is folded — a registered table's guard reads no column
+        byte, whatever its size.
         """
-        fold = self._content_fold(points)
+        fold, frozen = self._content_fold(points)
         cached = self._guards.get(id(points))
         if cached is not None and cached[0] is points and cached[1] == fold:
             self._guards.move_to_end(id(points))
             return cached[2]
         guard = self._content_hash(points)
-        self._guards[id(points)] = (points, fold, guard)
+        self._guards[id(points)] = (points, fold, guard, frozen)
         self._guards.move_to_end(id(points))
         # A memo pins its source: keep one per source the point cache
         # holds, plus the sources being looked up and inserted now.

@@ -20,6 +20,58 @@ import numpy as np
 from repro.errors import QueryError
 
 
+#: A run starting more than this many values past every run before it
+#: begins a new ``reduceat`` call in :func:`_reduce_runs`: four rows of
+#: a 1024² canvas.  Every span from 1024 to 65536 cuts the ledger's
+#: prewarmed frames into the same three pieces (two corner anchors and
+#: the window between them); a span under one row's gap would pay a
+#: call per row.
+_SPLIT_SPAN = 4096
+
+
+def _reduce_runs(ufunc, kwargs, values, starts, ends):
+    """``ufunc`` over each run ``values[starts[k]:ends[k]]``, the runs
+    ascending by start, possibly overlapping.
+
+    One ``reduceat`` through the interleaved bounds per *piece* of the
+    runs; every other result reduces the gap between two runs and is
+    dropped.  A piece ends where the next run starts more than
+    :data:`_SPLIT_SPAN` values past the furthest end so far, and its
+    call reads from its first start to one past its furthest end, so
+    the gaps between pieces — the uncovered canvas — are never read.
+    Each run is the same ufunc over the same elements in the same order
+    whatever piece it falls in, so the split keeps every result's bits.
+    ``reduceat`` rejects a bound equal to the length of what it reads:
+    only a run ending at ``len(values)`` meets one, and it collapses to
+    its start and is reduced on its own.
+    """
+    n = len(values)
+    last = ends == n
+    bounds = np.column_stack([starts, np.where(last, starts, ends)]).ravel()
+    stops, tops = [len(starts)], [n]
+    # A gap wider than the span past the previous run's end is a cut
+    # when it is wider than that past every earlier run's end, too.
+    gaps = np.flatnonzero(starts[1:] > ends[:-1] + _SPLIT_SPAN) + 1
+    if len(gaps):
+        reach = np.maximum.accumulate(
+            np.maximum.reduceat(ends, np.append(0, gaps))
+        )
+        cut = starts[gaps] > reach[:-1] + _SPLIT_SPAN
+        stops = np.append(gaps[cut], len(starts)).tolist()
+        tops = np.minimum(np.append(reach[:-1][cut], reach[-1]) + 1,
+                          n).tolist()
+    pieces, first = [], 0
+    for stop, top in zip(stops, tops):
+        pieces.append(ufunc.reduceat(
+            values[:top], bounds[2 * first:2 * stop], **kwargs
+        )[::2])
+        first = stop
+    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    for k in np.flatnonzero(last):
+        out[k] = ufunc.reduceat(values[starts[k]:], [0], **kwargs)[0]
+    return out
+
+
 class Aggregate(ABC):
     """A distributive or algebraic aggregate function."""
 
@@ -74,20 +126,13 @@ class Aggregate(ABC):
         else:
             ufunc = np.minimum if self.blend == "min" else np.maximum
             kwargs = {}
-        if ends is None:
-            return ufunc.reduceat(values, starts, **kwargs)
-        # One pass over ``values`` through the interleaved bounds; every
-        # other result reduces the gap between two runs and is dropped
-        # (so an ``inf - inf`` or an overflow there must not warn).
-        # ``reduceat`` rejects a bound equal to ``len(values)``: a run
-        # ending there collapses to its start and is reduced on its own.
-        last = ends == len(values)
-        bounds = np.column_stack([starts, np.where(last, starts, ends)])
+        # A segment summing +inf and -inf is NaN, the answer; the gaps
+        # between runs are dropped, so their ``inf - inf`` or overflow
+        # must not warn either.
         with np.errstate(invalid="ignore", over="ignore"):
-            out = ufunc.reduceat(values, bounds.ravel(), **kwargs)[::2]
-        for k in np.flatnonzero(last):
-            out[k] = ufunc.reduceat(values[starts[k]:], [0], **kwargs)[0]
-        return out
+            if ends is None:
+                return ufunc.reduceat(values, starts, **kwargs)
+            return _reduce_runs(ufunc, kwargs, values, starts, ends)
 
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Merge partial results from two batches/tiles.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.cache.session import QuerySession
+from repro.cache.session import QuerySession, freeze_points
 from repro.core.accurate import AccurateRasterJoin
 from repro.core.aggregates import Aggregate, Average, Count, Max, Min, Sum
 from repro.core.multi import MultiAggregate
@@ -100,8 +100,17 @@ class QueryPlanner:
     # Catalog
     # ------------------------------------------------------------------
     def register_points(self, name: str, dataset: PointDataset) -> None:
+        """Register (or replace) a point table.
+
+        The columns the dataset owns are frozen (``writeable = False``):
+        a registered table is immutable, so the session's content guard
+        checks it in O(1) instead of folding every byte per statement.
+        To change a table, register a new dataset under its name.  See
+        ``docs/query_sessions.md``.
+        """
         if name in self._regions:
             raise SqlError(f"{name!r} is already a region table")
+        freeze_points(dataset)
         self._points[name] = dataset
 
     def register_regions(self, name: str, polygons: PolygonSet) -> None:
