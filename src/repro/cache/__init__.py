@@ -10,8 +10,9 @@ from per-query execution (in the spirit of GeoBlocks' query-cache
 accelerated aggregation):
 
 * :class:`~repro.cache.prepared.PreparedPolygons` — the reusable artifact,
-  keyed by a content fingerprint of the polygon set plus the engine's
-  render configuration, and composed of per-polygon
+  keyed by the polygon set's own content fingerprint
+  (``PolygonSet.fingerprint``) plus the engine's render configuration,
+  and composed of per-polygon
   :class:`~repro.cache.prepared.PolygonUnit` pieces so a single-polygon
   edit rebuilds one polygon's state instead of the whole set's (see
   ``docs/incremental_edits.md``);
@@ -25,22 +26,7 @@ See ``docs/query_sessions.md`` for the API contract and the cache
 invalidation rules, and ``docs/artifact_store.md`` for the disk tier.
 """
 
-from repro.cache.prepared import (
-    PolygonUnit,
-    PreparedPolygons,
-    fingerprint_details,
-    per_polygon_fingerprints,
-    polygon_fingerprint,
-    single_polygon_fingerprint,
-)
+from repro.cache.prepared import PolygonUnit, PreparedPolygons
 from repro.cache.session import QuerySession
 
-__all__ = [
-    "PolygonUnit",
-    "PreparedPolygons",
-    "QuerySession",
-    "fingerprint_details",
-    "per_polygon_fingerprints",
-    "polygon_fingerprint",
-    "single_polygon_fingerprint",
-]
+__all__ = ["PolygonUnit", "PreparedPolygons", "QuerySession"]

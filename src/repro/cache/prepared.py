@@ -34,15 +34,16 @@ set and configuration skip the rebuild.  All fields are derived
 deterministically from the polygon content, so an artifact built by one
 engine instance is valid for any other instance with the same spec.
 There is one artifact shape: a session-less execution builds the same
-unit-backed artifact (minus the fingerprint hashing nothing would look
-up) and simply drops it afterwards.
+unit-backed artifact and simply drops it afterwards.  Identities are the
+polygons' own: a unit carries its polygon's ``fingerprint`` and the
+session keys an artifact by its set's (:class:`~repro.geometry.polygon.
+PolygonSet`), both computed once, when the frozen geometry was built.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,74 +95,6 @@ class TileCandidates(NamedTuple):
     pids: np.ndarray
 
 
-def _hash_rings(digest, poly: Polygon) -> None:
-    for ring in poly.rings:
-        digest.update(len(ring).to_bytes(8, "little"))
-        digest.update(np.ascontiguousarray(ring, dtype="<f8").tobytes())
-
-
-def polygon_fingerprint(polygons: PolygonSet | Sequence[Polygon]) -> str:
-    """Content hash of a polygon set: same geometry => same fingerprint.
-
-    The fingerprint covers every ring's vertex coordinates and the polygon
-    order, so two :class:`PolygonSet` objects with identical content hash
-    identically while any vertex edit, insertion, deletion, or reordering
-    produces a new key — the cache can never serve stale geometry.
-
-    The hash is byte-stable across platforms: coordinates are hashed as
-    canonical little-endian float64 buffers and lengths as little-endian
-    integers, never as ``repr`` text or native-endian memory, so an
-    artifact store populated on one machine addresses identically on any
-    other.  (The on-disk key additionally folds in the format version and
-    dtype tag — see :func:`repro.store.format.key_id`.)
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    polys = list(polygons)
-    digest.update(len(polys).to_bytes(8, "little"))
-    for poly in polys:
-        _hash_rings(digest, poly)
-    return digest.hexdigest()
-
-
-def single_polygon_fingerprint(poly: Polygon) -> str:
-    """Content hash of one polygon's geometry (order-free, set-free).
-
-    This is the identity of a :class:`PolygonUnit`: two polygons with the
-    same rings hash identically wherever they sit in whatever set, which
-    is what lets an edited set adopt the unchanged polygons' prepared
-    state from a sibling artifact.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    _hash_rings(digest, poly)
-    return digest.hexdigest()
-
-
-def per_polygon_fingerprints(
-    polygons: PolygonSet | Sequence[Polygon],
-) -> list[str]:
-    """Every polygon's :func:`single_polygon_fingerprint`, in order."""
-    return [single_polygon_fingerprint(poly) for poly in polygons]
-
-
-def fingerprint_details(
-    polygons: PolygonSet | Sequence[Polygon],
-) -> tuple[str, list[str]]:
-    """(set fingerprint, per-polygon fingerprints) in one pass.
-
-    The set fingerprint is byte-for-byte the one
-    :func:`polygon_fingerprint` produces — existing cache and store keys
-    stay addressable.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    polys = list(polygons)
-    digest.update(len(polys).to_bytes(8, "little"))
-    per_poly: list[str] = []
-    for poly in polys:
-        _hash_rings(digest, poly)
-        per_poly.append(single_polygon_fingerprint(poly))
-    return digest.hexdigest(), per_poly
-
-
 class PolygonUnit:
     """Per-polygon prepared state: everything derived from one polygon.
 
@@ -210,12 +143,11 @@ class PreparedPolygons:
     """Lazily-populated prepared state for one (polygon set, config) pair.
 
     Constructed from its polygon set, the artifact always owns one
-    :class:`PolygonUnit` per polygon.  ``key`` is ``(fingerprint,
-    *engine_spec)`` and ``fingerprints`` the per-polygon content hashes
+    :class:`PolygonUnit` per polygon, identified by that polygon's
+    ``fingerprint``.  ``key`` is ``(polygons.fingerprint, *engine_spec)``
     when the artifact lives in a :class:`~repro.cache.session.QuerySession`;
-    an engine running without a session passes neither — nothing ever
-    looks its units up, so they go unhashed — and drops the artifact
-    after the query.
+    an engine running without a session passes none and drops the
+    artifact after the query.
     """
 
     __slots__ = (
@@ -230,7 +162,6 @@ class PreparedPolygons:
         "mbr_arrays",
         "edge_table",
         "units",
-        "polygon_fps",
         "source_bbox",
         "delta_dirty",
         "version",
@@ -238,14 +169,7 @@ class PreparedPolygons:
         "uses",
     )
 
-    def __init__(
-        self,
-        polygons: PolygonSet | Sequence[Polygon],
-        key: tuple | None = None,
-        fingerprints: Sequence[str] | None = None,
-    ) -> None:
-        if fingerprints is None:
-            fingerprints = [None] * len(polygons)
+    def __init__(self, polygons: PolygonSet, key: tuple | None = None) -> None:
         self.key = key
         self.canvas = None
         self.tiles: list | None = None
@@ -270,14 +194,13 @@ class PreparedPolygons:
         self.edge_table: EdgeTable | None = None
         #: one unit per polygon, in polygon order
         self.units: list[PolygonUnit] = [
-            PolygonUnit(fp, _bbox_tuple(poly))
-            for fp, poly in zip(fingerprints, polygons)
+            PolygonUnit(poly.fingerprint, _bbox_tuple(poly))
+            for poly in polygons
         ]
-        self.polygon_fps: list = list(fingerprints)
         #: (xmin, ymin, xmax, ymax) of the set at build time — the frame
         #: guard: a delta reuse is only valid when the edited set spans
         #: the same extent (same canvas).
-        self.source_bbox: tuple | None = set_bbox(polygons)
+        self.source_bbox: tuple = _bbox_tuple(polygons)
         #: the polygon ids a delta derivation left to rebuild (``None``
         #: for an artifact that was not derived from a sibling)
         self.delta_dirty: list[int] | None = None
@@ -295,8 +218,7 @@ class PreparedPolygons:
         cls,
         base: "PreparedPolygons",
         key: tuple,
-        polygons: PolygonSet | Sequence[Polygon],
-        fingerprints: Sequence[str],
+        polygons: PolygonSet,
     ) -> "PreparedPolygons":
         """A new artifact for an *edited* set, reusing the base's units.
 
@@ -309,21 +231,21 @@ class PreparedPolygons:
         positionally stable; everything else recomposes from units —
         an OR and a concatenate, no rasterization.
         """
-        entry = cls(polygons, key, fingerprints)
+        entry = cls(polygons, key)
         entry.canvas = base.canvas
         entry.tiles = base.tiles
 
         # Match new polygons to base units by content fingerprint; the
         # unmatched keep the empty unit the constructor gave them.
         pool: dict[str, list[int]] = {}
-        for pid, fp in enumerate(base.polygon_fps):
-            pool.setdefault(fp, []).append(pid)
+        for pid, unit in enumerate(base.units):
+            pool.setdefault(unit.fingerprint, []).append(pid)
         units = entry.units
         # new pid -> base pid, or -1 for a polygon left to rebuild
         parent_map: list[int] = []
         dirty: list[int] = []
-        for pid, fp in enumerate(fingerprints):
-            matches = pool.get(fp)
+        for pid, poly in enumerate(polygons):
+            matches = pool.get(poly.fingerprint)
             if matches:
                 src = matches.pop(0)
                 units[pid] = base.units[src].clone()
@@ -629,23 +551,8 @@ class PreparedPolygons:
         return f"PreparedPolygons({', '.join(parts)}, uses={self.uses})"
 
 
-def _bbox_tuple(poly: Polygon) -> tuple:
-    box = poly.bbox
-    return (box.xmin, box.ymin, box.xmax, box.ymax)
-
-
-def set_bbox(polygons: PolygonSet | Sequence[Polygon]) -> tuple | None:
-    """(xmin, ymin, xmax, ymax) of a whole polygon set — the frame a
-    delta derivation must share (``None`` for an empty raw sequence)."""
-    if isinstance(polygons, PolygonSet):
-        box = polygons.bbox
-    else:
-        polys = list(polygons)
-        if not polys:
-            return None
-        box = polys[0].bbox
-        for poly in polys[1:]:
-            box = box.union(poly.bbox)
+def _bbox_tuple(shape: Polygon | PolygonSet) -> tuple:
+    box = shape.bbox
     return (box.xmin, box.ymin, box.xmax, box.ymax)
 
 

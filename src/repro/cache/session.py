@@ -27,9 +27,10 @@ is in memory whole or not at all:
 Invalidation rules (see ``docs/query_sessions.md`` and
 ``docs/incremental_edits.md``):
 
-* entries are keyed by a *content fingerprint* of the polygon geometry
-  plus the engine's render spec, so editing a polygon set (or passing a
-  different one) can never hit a stale entry — it simply keys a new one;
+* entries are keyed by the polygon set's *content fingerprint*
+  (computed once, when the frozen set was built) plus the engine's
+  render spec, so editing a polygon set (or passing a different one)
+  can never hit a stale entry — it simply keys a new one;
 * an edited set whose frame (overall extent) matches a resident sibling
   is **delta-derived** instead of cold-built: unchanged polygons adopt
   the sibling's per-polygon units and only the changed/added polygons'
@@ -59,24 +60,17 @@ arrays wherever those arrays came from.
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 import threading
 import weakref
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.cache.prepared import (
-    PreparedPolygons,
-    per_polygon_fingerprints,
-    polygon_fingerprint,
-    set_bbox,
-)
+from repro.cache.prepared import PreparedPolygons, _bbox_tuple
 from repro.errors import QueryError
-from repro.geometry.polygon import Polygon, PolygonSet
+from repro.geometry.polygon import PolygonSet
 from repro.obs import metrics
 
 
@@ -138,7 +132,7 @@ def _frozen(column) -> bool:
 
 def freeze_points(points) -> None:
     """Make every column ``points`` owns read-only, so the content guard
-    checks it in O(1) (see :meth:`QuerySession._cached_guard`).  A
+    checks it in O(1) (see :meth:`QuerySession._content_fold`).  A
     column that is a view of another array is left as it is — and
     folded by the guard — because its base stays writeable."""
     for name in _point_columns(points):
@@ -179,13 +173,17 @@ class _PointState:
     which grows as queries add columns, so its size is read live) or a
     cached point-pass channel (``value`` is the flat array).  ``points``
     is a strong reference — it keeps the identity key unambiguous — and
-    ``guard`` the content hash that validates it; ``pinned_nbytes``
-    charges a routing for the source it alone may be keeping alive.
+    ``guard`` the content fold that validates it
+    (:meth:`QuerySession._content_fold`); ``frozen`` holds the frozen
+    columns the guard names by ``id``, so no other array can take one
+    of those ids while the entry lives.  ``pinned_nbytes`` charges a
+    routing for the source it alone may be keeping alive.
     """
 
     kind: str
     points: object
-    guard: str
+    guard: tuple
+    frozen: tuple
     token: tuple
     value: object
     pinned_nbytes: int = 0
@@ -241,18 +239,9 @@ class QuerySession:
         #: Point-keyed acceleration state — point routings and cached
         #: channels — in one LRU: ``(kind, id(points), *token) ->
         #: _PointState``, keyed by the point source's identity,
-        #: validated by content hash and bounded by bytes alone (see
+        #: validated by content fold and bounded by bytes alone (see
         #: :meth:`_evict_point_state`).
         self._point_cache: "OrderedDict[tuple, _PointState]" = OrderedDict()
-        #: Memoized content guards: ``id(points) -> (points, fold,
-        #: guard, frozen columns)``.  See :meth:`_cached_guard`.
-        self._guards: "OrderedDict[int, tuple]" = OrderedDict()
-        #: set fingerprint -> per-polygon fingerprints (content-keyed,
-        #: so it can never serve stale hashes).  One rezoning stroke
-        #: probes warmth per candidate engine and then executes, each
-        #: needing the same per-polygon hashes; this keeps that to one
-        #: hashing pass per distinct geometry.
-        self._fps_memo: "OrderedDict[str, list[str]]" = OrderedDict()
         self._entries: "OrderedDict[tuple, PreparedPolygons]" = OrderedDict()
         #: key -> artifact nbytes at the time it was last persisted.  An
         #: entry is dirty only while its in-memory content *exceeds* the
@@ -288,9 +277,7 @@ class QuerySession:
     # ------------------------------------------------------------------
     @_locked
     def prepared_for(
-        self,
-        polygons: PolygonSet | Sequence[Polygon],
-        spec: tuple,
+        self, polygons: PolygonSet, spec: tuple
     ) -> tuple[PreparedPolygons, str]:
         """The artifact for (polygons, spec), plus where it came from.
 
@@ -304,11 +291,7 @@ class QuerySession:
         sibling (only changed/added polygons will rebuild), or ``""``
         (falsy) for a miss that created a fresh artifact.
         """
-        # The set fingerprint alone keys the lookup; per-polygon hashes
-        # are computed only after a miss is established — folding them
-        # into this pass (fingerprint_details) would double the hash
-        # work of every warm hit to save one pass on the rare misses.
-        key = (polygon_fingerprint(polygons),) + tuple(spec)
+        key = (polygons.fingerprint,) + tuple(spec)
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
@@ -335,27 +318,19 @@ class QuerySession:
                 return entry, "store"
         # Delta derivation: an edited set adopts a resident sibling's
         # unchanged per-polygon units instead of cold-building all of
-        # them (see docs/incremental_edits.md).  The set fingerprint is
-        # already in the key; the per-polygon hashes are computed only
-        # on a miss (the new entry needs them anyway, to seed future
-        # derivations).
-        fingerprints = self._per_polygon_fps(key[0], polygons)
-        if fingerprints:
-            base, matched = self._find_delta_base(key, spec, fingerprints,
-                                                  polygons)
-            if base is not None:
-                entry = PreparedPolygons.derive_from(base, key, polygons,
-                                                     fingerprints)
-                self._entries[key] = entry
-                self.misses += 1
-                self.delta_hits += 1
-                self.polygons_rebuilt += len(entry.delta_dirty)
-                entry.uses += 1
-                self._maintain(exclude=key)
-                metrics.counter("session_prepared_lookups",
-                                result="delta_hit")
-                return entry, "delta"
-        entry = PreparedPolygons(polygons, key, fingerprints)
+        # them (see docs/incremental_edits.md).
+        base, _ = self._find_delta_base(key, spec, polygons)
+        if base is not None:
+            entry = PreparedPolygons.derive_from(base, key, polygons)
+            self._entries[key] = entry
+            self.misses += 1
+            self.delta_hits += 1
+            self.polygons_rebuilt += len(entry.delta_dirty)
+            entry.uses += 1
+            self._maintain(exclude=key)
+            metrics.counter("session_prepared_lookups", result="delta_hit")
+            return entry, "delta"
+        entry = PreparedPolygons(polygons, key)
         self._entries[key] = entry
         self.misses += 1
         self._maintain(exclude=key)
@@ -363,11 +338,7 @@ class QuerySession:
         return entry, ""
 
     def _find_delta_base(
-        self,
-        key: tuple,
-        spec: tuple,
-        fingerprints: list[str],
-        polygons: PolygonSet | Sequence[Polygon],
+        self, key: tuple, spec: tuple, polygons: PolygonSet
     ) -> tuple[PreparedPolygons | None, int]:
         """The best resident sibling to derive an edited set from.
 
@@ -378,8 +349,8 @@ class QuerySession:
         the one reusing the most polygons wins (most recently used on
         ties).  The probe never touches LRU order or hit counters.
         """
-        bbox = set_bbox(polygons)
-        want = Counter(fingerprints)
+        bbox = _bbox_tuple(polygons)
+        want = Counter(poly.fingerprint for poly in polygons)
         best: PreparedPolygons | None = None
         best_matched = 0
         for candidate_key in reversed(self._entries):
@@ -392,7 +363,7 @@ class QuerySession:
             # pairing derive_from performs, so duplicate fingerprints
             # (identical polygons) are never double-counted and the
             # match count can never exceed the query's polygon count.
-            have = Counter(candidate.polygon_fps)
+            have = Counter(unit.fingerprint for unit in candidate.units)
             matched = sum(
                 min(count, have[fp]) for fp, count in want.items()
                 if fp in have
@@ -402,24 +373,16 @@ class QuerySession:
         return best, best_matched
 
     @_locked
-    def contains(
-        self,
-        polygons: PolygonSet | Sequence[Polygon],
-        spec: tuple,
-    ) -> bool:
+    def contains(self, polygons: PolygonSet, spec: tuple) -> bool:
         """Whether an artifact exists for (polygons, spec) in memory or
         on disk — without touching LRU order, counters, or the files."""
-        key = (polygon_fingerprint(polygons),) + tuple(spec)
+        key = (polygons.fingerprint,) + tuple(spec)
         if key in self._entries:
             return True
         return self.store is not None and self.store.contains(key)
 
     @_locked
-    def warmth(
-        self,
-        polygons: PolygonSet | Sequence[Polygon],
-        spec: tuple,
-    ) -> float | None:
+    def warmth(self, polygons: PolygonSet, spec: tuple) -> float | None:
         """How warm (polygons, spec) is — without touching LRU order,
         counters, or mtimes.
 
@@ -435,55 +398,18 @@ class QuerySession:
         artifact without coverage (triangles at most) grades cold: its
         first statement rasterizes the whole polygon side.
         """
-        key = (polygon_fingerprint(polygons),) + tuple(spec)
+        key = (polygons.fingerprint,) + tuple(spec)
         entry = self._entries.get(key)
         if entry is not None:
             return 1.0 if self._has_coverage(entry) else None
         if self.store is not None:
             if "coverage" in (self.store.describe(key) or ()):
                 return 1.0
-        # Exact miss: grade the best delta sibling fractionally.  The
-        # per-polygon hashing runs only when a resident entry could
-        # actually seed a derivation, so a truly cold costing probe
-        # (the optimizer runs one per candidate engine) stays as cheap
-        # as the pre-unit dict-and-manifest check.
-        if not self._has_delta_candidates(key, spec):
-            return None
-        fingerprints = self._per_polygon_fps(key[0], polygons)
-        if not fingerprints:
-            return None
-        base, matched = self._find_delta_base(key, spec, fingerprints,
-                                              polygons)
-        if base is not None and matched and self._has_coverage(base):
-            return matched / max(len(fingerprints), 1)
+        # Exact miss: grade the best delta sibling fractionally.
+        base, matched = self._find_delta_base(key, spec, polygons)
+        if base is not None and self._has_coverage(base):
+            return matched / len(polygons)
         return None
-
-    def _per_polygon_fps(self, set_fingerprint: str, polygons) -> list[str]:
-        """Per-polygon fingerprints, memoized by the *set* fingerprint.
-
-        The memo key is itself a content hash, so a hit is always the
-        hashes this exact geometry would produce; a stroke's warmth
-        probes and its execution share one hashing pass.
-        """
-        cached = self._fps_memo.get(set_fingerprint)
-        if cached is not None:
-            self._fps_memo.move_to_end(set_fingerprint)
-            return cached
-        fingerprints = per_polygon_fingerprints(polygons)
-        self._fps_memo[set_fingerprint] = fingerprints
-        while len(self._fps_memo) > 16:
-            self._fps_memo.popitem(last=False)
-        return fingerprints
-
-    def _has_delta_candidates(self, key: tuple, spec: tuple) -> bool:
-        """Whether any resident entry could seed a delta derivation for
-        this spec — an O(capacity) scan that gates the (much costlier)
-        per-polygon hashing."""
-        spec = tuple(spec)
-        return any(
-            candidate_key[1:] == spec and candidate_key != key
-            for candidate_key in self._entries
-        )
 
     @staticmethod
     def _has_coverage(entry: PreparedPolygons) -> bool:
@@ -502,40 +428,24 @@ class QuerySession:
     PARTITION_BYTE_CAP = 512 << 20
 
     @staticmethod
-    def _content_hash(points) -> str:
-        """Content fingerprint of a point source (every column's bytes).
+    def _content_fold(points) -> tuple[tuple, tuple]:
+        """The content guard of every point-keyed cache, and the frozen
+        columns it names by identity.
 
         The point-keyed caches (routings, channels) are *keyed* by the
-        source's identity (an O(1) probe) but *validated* by this hash,
+        source's identity (an O(1) probe) but *validated* by this fold,
         so mutating a dataset's arrays in place between queries can
-        never replay stale state — the same never-stale contract the
-        polygon fingerprints give the prepared-state cache.  Callers go
-        through :meth:`_cached_guard`, which memoizes it.
-        """
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(len(points).to_bytes(8, "little"))
-        for name in _point_columns(points):
-            arr = np.ascontiguousarray(points.column(name))
-            digest.update(str(name).encode("utf-8"))
-            digest.update(arr.dtype.str.encode("ascii"))
-            digest.update(memoryview(arr).cast("B"))
-        return digest.hexdigest()
-
-    @staticmethod
-    def _content_fold(points) -> tuple[tuple, tuple]:
-        """A cheap checksum of every column, and the frozen columns it
-        names by identity.
-
-        A frozen column (:func:`_frozen` — a planner-registered table's)
-        cannot change without its flag being flipped first, so it
-        contributes its name, dtype, size and ``id`` and no byte is
-        read.  Every other column is folded (:func:`_fold_column`: sum,
-        XOR and position-weighted sum of its 64-bit words, roughly an
-        order of magnitude cheaper than the cryptographic guard).  Any
-        realistic in-place mutation changes a reduction — the weighted
-        sum catches two values swapped, which the sum and XOR miss; the
-        fold is the *revalidation trigger* for the memoized full guard,
-        not a substitute for it.
+        never replay stale state.  A frozen column (:func:`_frozen` — a
+        planner-registered table's) cannot change without its flag being
+        flipped first, so it contributes its name, dtype, size and
+        ``id`` and no byte is read: a registered table's guard is O(1)
+        in its rows, first statement included.  Every other column —
+        writeable arrays, views, memmaps — is folded every statement
+        (:func:`_fold_column`: sum, XOR and position-weighted sum of its
+        64-bit words; the weighted sum catches two values swapped, which
+        the sum and XOR miss).  A frozen column flipped back to
+        writeable changes its contribution, so the next statement
+        re-routes once.
         """
         fold: list = [len(points)]
         frozen = []
@@ -548,37 +458,6 @@ class QuerySession:
             else:
                 fold.append(head + _fold_column(column))
         return tuple(fold), tuple(frozen)
-
-    def _cached_guard(self, points) -> str:
-        """The content guard of every point-keyed cache, memoized per
-        source identity.
-
-        ``_content_hash`` reads every column byte through blake2b —
-        correct, but a per-query pass over the whole point source, which
-        would dominate the warm paths it is meant to validate.
-        This memoizes the full hash keyed by the dataset's identity and
-        revalidates it with :meth:`_content_fold`; the expensive hash is
-        recomputed only when the fold sees a column change, so a
-        mutated-in-place source still can never replay a stale routing
-        or channel.  The two tiers: a frozen column costs O(1) (the memo
-        holds the array, so its ``id`` cannot be reused by another), any
-        other is folded — a registered table's guard reads no column
-        byte, whatever its size.
-        """
-        fold, frozen = self._content_fold(points)
-        cached = self._guards.get(id(points))
-        if cached is not None and cached[0] is points and cached[1] == fold:
-            self._guards.move_to_end(id(points))
-            return cached[2]
-        guard = self._content_hash(points)
-        self._guards[id(points)] = (points, fold, guard, frozen)
-        self._guards.move_to_end(id(points))
-        # A memo pins its source: keep one per source the point cache
-        # holds, plus the sources being looked up and inserted now.
-        held = {id(state.points) for state in self._point_cache.values()}
-        while len(self._guards) > len(held) + 2:
-            self._guards.popitem(last=False)
-        return guard
 
     def _point_lookup(self, kind: str, points, token: tuple):
         """The validated ``kind`` entry for (points, token), or ``None``.
@@ -593,7 +472,7 @@ class QuerySession:
         if state is None:
             return None
         if state.points is not points or (
-            state.guard != self._cached_guard(points)
+            state.guard != self._content_fold(points)[0]
         ):
             for stale in [k for k in self._point_cache if k[1] == key[1]]:
                 del self._point_cache[stale]
@@ -667,7 +546,7 @@ class QuerySession:
 
         A routing grows by a tile-sorted copy per column read, so every
         query calls this after cutting its batches; a hit re-applies the
-        cap to the live bytes without re-hashing.  The entry keeps a
+        cap to the live bytes without re-folding.  The entry keeps a
         strong reference to ``points`` (the identity key stays
         unambiguous; the routing's columns alias or copy the source's
         anyway) and is charged for it, so the byte budget (or
@@ -677,7 +556,7 @@ class QuerySession:
         state = self._point_cache.get(("partition", id(points)) + token)
         if state is None or state.value is not routing:
             state = _PointState(
-                "partition", points, self._cached_guard(points), token,
+                "partition", points, *self._content_fold(points), token,
                 routing, pinned_nbytes=_source_bytes(points),
             )
         self._point_insert(state)
@@ -688,7 +567,7 @@ class QuerySession:
         """Cheap costing probe: is a routing resident for this source
         and canvas — and, with ``indexed``, a prewarmed one?
 
-        Identity-keyed only — no content hashing, no LRU touch — so the
+        Identity-keyed only — no content fold, no LRU touch — so the
         optimizer can call it per candidate plan.  Optimistic by design:
         a mutated-in-place source reads warm here but fails the content
         guard at execution, which costs one mispredicted plan, never a
@@ -751,8 +630,8 @@ class QuerySession:
             for name in keys.keys() - found.keys():
                 found[name] = built[name]
                 self._point_insert(_PointState(
-                    "channel", points, routing.guard, token + keys[name],
-                    built[name],
+                    "channel", points, routing.guard, routing.frozen,
+                    token + keys[name], built[name],
                 ))
                 metrics.counter("session_channel_builds")
         return found
@@ -923,9 +802,7 @@ class QuerySession:
     # Invalidation
     # ------------------------------------------------------------------
     @_locked
-    def invalidate(
-        self, polygons: PolygonSet | Sequence[Polygon] | None = None
-    ) -> int:
+    def invalidate(self, polygons: PolygonSet | None = None) -> int:
         """Drop cached in-memory artifacts, returning how many were
         removed.
 
@@ -940,10 +817,9 @@ class QuerySession:
                 self._forget(key)
             self._entries.clear()
             self._point_cache.clear()
-            self._guards.clear()
             return removed
-        fingerprint = polygon_fingerprint(polygons)
-        doomed = [key for key in self._entries if key[0] == fingerprint]
+        doomed = [key for key in self._entries
+                  if key[0] == polygons.fingerprint]
         for key in doomed:
             del self._entries[key]
             self._forget(key)

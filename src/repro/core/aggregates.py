@@ -95,12 +95,15 @@ class Aggregate(ABC):
     def blend_into(self, accumulator: np.ndarray, ids: np.ndarray,
                    values: np.ndarray | float) -> None:
         """Scatter per-item values into result slots with the blend rule."""
-        if self.blend == "add":
-            np.add.at(accumulator, ids, values)
-        elif self.blend == "min":
-            np.minimum.at(accumulator, ids, values)
-        else:
-            np.maximum.at(accumulator, ids, values)
+        # +inf meeting -inf is NaN and a NaN value poisons its slot: the
+        # answer, not a fault (as in FrameBuffer.scatter).
+        with np.errstate(invalid="ignore"):
+            if self.blend == "add":
+                np.add.at(accumulator, ids, values)
+            elif self.blend == "min":
+                np.minimum.at(accumulator, ids, values)
+            else:
+                np.maximum.at(accumulator, ids, values)
 
     def reduce_segments(
         self, values: np.ndarray, starts: np.ndarray,
@@ -147,7 +150,10 @@ class Aggregate(ABC):
         ``np.minimum``/``np.maximum`` semantics in :meth:`reduce_segments`.
         """
         if self.blend == "add":
-            return a + b
+            # +inf from one part and -inf from the other is NaN, the
+            # answer, as within one part (reduce_segments).
+            with np.errstate(invalid="ignore"):
+                return a + b
         return np.minimum(a, b) if self.blend == "min" else np.maximum(a, b)
 
     @abstractmethod

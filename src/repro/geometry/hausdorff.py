@@ -11,20 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _point_segment_distance(
-    px: np.ndarray, py: np.ndarray,
-    ax: float, ay: float, bx: float, by: float,
-) -> np.ndarray:
-    """Distance from each point to the closed segment a-b (vectorized)."""
-    dx, dy = bx - ax, by - ay
-    sq_len = dx * dx + dy * dy
-    if sq_len == 0.0:
-        return np.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / sq_len
-    t = np.clip(t, 0.0, 1.0)
-    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
 def directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """max over points of ``a`` of the distance to the nearest point of ``b``.
 

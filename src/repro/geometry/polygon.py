@@ -5,10 +5,16 @@ A :class:`Polygon` stores one exterior ring plus zero or more hole rings as
 counter-clockwise, holes clockwise, no repeated closing vertex.  The raster
 join engines consume polygons through :class:`PolygonSet`, which is the
 "R(id, geometry)" relation of the paper's query template.
+
+Both are immutable: a polygon copies its rings and freezes them
+(``writeable = False``), so each can compute its content ``fingerprint``
+once, at construction — the identity every prepared-state cache and the
+artifact store key on.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -25,8 +31,10 @@ from repro.geometry.predicates import (
 
 
 def _as_ring(vertices: Iterable[Sequence[float]]) -> np.ndarray:
-    ring = np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices,
-                      dtype=np.float64)
+    # A private copy: the polygon freezes its rings, never the caller's.
+    if not isinstance(vertices, np.ndarray):
+        vertices = list(vertices)
+    ring = np.array(vertices, dtype=np.float64)
     if ring.ndim != 2 or ring.shape[1] != 2:
         raise InvalidPolygonError(f"ring must be (n, 2), got shape {ring.shape}")
     # Drop an explicit closing vertex; rings are implicitly closed.
@@ -39,10 +47,28 @@ def _as_ring(vertices: Iterable[Sequence[float]]) -> np.ndarray:
     return ring
 
 
-class Polygon:
-    """A simple polygon with an exterior ring and optional hole rings."""
+def _fingerprint(polygons: Sequence["Polygon"], head: bytes = b"") -> str:
+    """blake2b over ``head``, then every ring's length and coordinates."""
+    digest = hashlib.blake2b(head, digest_size=16)
+    for poly in polygons:
+        for ring in poly.rings:
+            digest.update(len(ring).to_bytes(8, "little"))
+            digest.update(np.ascontiguousarray(ring, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
-    __slots__ = ("exterior", "holes", "_bbox")
+
+class Polygon:
+    """A simple polygon with an exterior ring and optional hole rings.
+
+    ``fingerprint`` is a content hash of the rings: equal geometry hashes
+    equally wherever the polygon sits in whatever set, which is what
+    lets an edited set adopt its unchanged polygons' prepared state.  It
+    is byte-stable across platforms (coordinates as little-endian
+    float64, lengths as little-endian integers), so an artifact store
+    populated on one machine addresses identically on any other.
+    """
+
+    __slots__ = ("exterior", "holes", "_bbox", "fingerprint")
 
     def __init__(
         self,
@@ -66,11 +92,14 @@ class Polygon:
             hole_rings.append(ring)
         self.exterior: np.ndarray = ext
         self.holes: tuple[np.ndarray, ...] = tuple(hole_rings)
+        for ring in self.rings:
+            ring.flags.writeable = False
         xs = ext[:, 0]
         ys = ext[:, 1]
         self._bbox = BBox(
             float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
         )
+        self.fingerprint: str = _fingerprint([self])
 
     # ------------------------------------------------------------------
     # Introspection
@@ -169,9 +198,11 @@ class PolygonSet:
 
     This is the polygon relation ``R(id, geometry)`` of the paper: the raster
     join returns one aggregate slot per polygon, indexed by position.
+    ``fingerprint`` hashes every ring and the polygon order (names aside),
+    so any vertex edit, insertion, deletion or reordering keys anew.
     """
 
-    __slots__ = ("polygons", "names", "_bbox")
+    __slots__ = ("polygons", "names", "_bbox", "fingerprint")
 
     def __init__(
         self,
@@ -193,6 +224,9 @@ class PolygonSet:
         for poly in polygons[1:]:
             box = box.union(poly.bbox)
         self._bbox = box
+        self.fingerprint: str = _fingerprint(
+            self.polygons, len(self.polygons).to_bytes(8, "little")
+        )
 
     def __len__(self) -> int:
         return len(self.polygons)

@@ -139,7 +139,9 @@ class FrameBuffer:
             else:
                 if not np.isscalar(vals):
                     vals = np.asarray(vals, dtype=self.dtype)
-                np.add.at(self.channel(name).reshape(-1), pix, vals)
+                # +inf meeting -inf on a pixel is NaN, the answer.
+                with np.errstate(invalid="ignore"):
+                    np.add.at(self.channel(name).reshape(-1), pix, vals)
 
     def write(self, ix: np.ndarray, iy: np.ndarray, name: str, value: float) -> None:
         """Overwrite (no blending) — used for boundary-mask rendering."""

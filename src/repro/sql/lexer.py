@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import SqlError
 
@@ -81,10 +80,3 @@ def tokenize(text: str) -> list[Token]:
         raise SqlError(f"unexpected character {ch!r} at position {i}")
     tokens.append(Token("EOF", "", n))
     return tokens
-
-
-def iter_significant(tokens: list[Token]) -> Iterator[Token]:
-    """All tokens except the EOF sentinel."""
-    for tok in tokens:
-        if tok.kind != "EOF":
-            yield tok

@@ -304,12 +304,9 @@ def _encode_units(prepared: PreparedPolygons, arrays: dict,
                   manifest: dict, fields: list[str]) -> None:
     units = prepared.units
     manifest["units"] = {
-        "polygon_fps": list(prepared.polygon_fps),
+        "polygon_fps": [unit.fingerprint for unit in units],
         "bboxes": [list(unit.bbox) for unit in units],
-        "source_bbox": (
-            list(prepared.source_bbox)
-            if prepared.source_bbox is not None else None
-        ),
+        "source_bbox": list(prepared.source_bbox),
     }
     if all(unit.triangles is not None for unit in units):
         fields.append("triangles")
@@ -369,12 +366,12 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
     """
     meta_units = manifest.get("units")
     _require(isinstance(meta_units, dict), "manifest lacks unit metadata")
-    fps = list(meta_units.get("polygon_fps", ()))
     _require(
-        len(fps) == len(meta_units.get("bboxes", ())) == len(polygons),
+        len(meta_units.get("polygon_fps", ()))
+        == len(meta_units.get("bboxes", ())) == len(polygons),
         "stored units do not match the polygon set",
     )
-    prepared = PreparedPolygons(polygons, tuple(key), fps)
+    prepared = PreparedPolygons(polygons, tuple(key))
     units = prepared.units
     fields = set(manifest.get("fields", ()))
     if "canvas" in fields:

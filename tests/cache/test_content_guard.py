@@ -137,9 +137,10 @@ class TestFrozenTables:
         planner.close()
 
     def test_a_column_made_writeable_again_is_folded(self):
-        """Flag up, mutate: the statement folds the column, the memo
-        drops, the routing is rebuilt and the answer is a fresh
-        engine's.  Flag up, no mutation: still the cached routing."""
+        """Flag up: the column's contribution to the guard changes from
+        its identity to its fold, so the next statement re-routes once
+        and the one after is cached again.  Mutate: the fold sees it,
+        the routing is rebuilt and the answer is a fresh engine's."""
         pts, zones = points(), halves()
         planner = QueryPlanner(device=GPUDevice(max_resolution=256))
         planner.register_points("pts", pts)
@@ -147,6 +148,7 @@ class TestFrozenTables:
         assert planner.execute(SQL).stats.extra["partition"] == "on"
         assert planner.execute(SQL).stats.extra["partition"] == "cached"
         pts.xs.flags.writeable = True
+        assert planner.execute(SQL).stats.extra["partition"] == "on"
         assert planner.execute(SQL).stats.extra["partition"] == "cached"
         swap_across(pts)
         result = planner.execute(SQL)
@@ -158,36 +160,28 @@ class TestFrozenTables:
     def test_a_registered_table_is_guarded_without_reading_it(
         self, monkeypatch
     ):
-        """2.56M rows: after the first statement the guard folds no
-        column and hashes nothing — its cost is flat in n."""
+        """2.56M rows: from the first call on the guard folds no column
+        and hashes nothing — its cost is flat in n.  A writeable source
+        is folded on every call."""
         rng = np.random.default_rng(5)
         n = 2_560_000
         big = PointDataset(rng.uniform(0, 100, n), rng.uniform(0, 100, n))
         planner = QueryPlanner()
         planner.register_points("big", big)
         session = planner.session
-        reads = {"fold": 0, "hash": 0}
-        fold, content_hash = (session_module._fold_column,
-                              QuerySession._content_hash)
-
-        def counting_fold(column):
-            reads["fold"] += 1
-            return fold(column)
-
-        def counting_hash(source):
-            reads["hash"] += 1
-            return content_hash(source)
-
-        monkeypatch.setattr(session_module, "_fold_column", counting_fold)
-        monkeypatch.setattr(QuerySession, "_content_hash",
-                            staticmethod(counting_hash))
-        first = session._cached_guard(big)
-        assert reads == {"fold": 0, "hash": 1}
+        assert not hasattr(session_module, "hashlib")
+        folds = []
+        fold = session_module._fold_column
+        monkeypatch.setattr(session_module, "_fold_column",
+                            lambda col: folds.append(col) or fold(col))
+        first, frozen = session._content_fold(big)
+        assert folds == []
+        assert frozen[0] is big.xs and frozen[1] is big.ys
         for _ in range(3):
-            assert session._cached_guard(big) == first
-        assert reads == {"fold": 0, "hash": 1}
+            assert session._content_fold(big) == (first, frozen)
+        assert folds == []
         small = points()
-        session._cached_guard(small)
-        session._cached_guard(small)
-        assert reads == {"fold": 6, "hash": 2}
+        session._content_fold(small)
+        session._content_fold(small)
+        assert len(folds) == 6
         planner.close()

@@ -13,7 +13,6 @@ from repro import (
     QuerySession,
     Sum,
 )
-from repro.cache import fingerprint_details, polygon_fingerprint
 from repro.cache.prepared import PreparedPolygons
 
 
@@ -55,10 +54,8 @@ class TestDeltaDerivation:
         assert session.delta_hits == 1
         assert session.polygons_rebuilt == 1
         # Unchanged polygons' units are shared arrays, not copies.
-        base_key = (
-            polygon_fingerprint(three_regions),
-        ) + tuple(engine.prepared_spec())
-        new_key = (polygon_fingerprint(after),) + tuple(engine.prepared_spec())
+        base_key = (three_regions.fingerprint,) + tuple(engine.prepared_spec())
+        new_key = (after.fingerprint,) + tuple(engine.prepared_spec())
         base_units = session._entries[base_key].units
         new_units = session._entries[new_key].units
         assert new_units[0].triangles is base_units[0].triangles
@@ -84,10 +81,35 @@ class TestDeltaDerivation:
         engine.execute(uniform_points, after, aggregate=Sum("fare"))
         # Cold triangulated 3 polygons; the edit only the changed one
         # (counted, not timed: the holed polygon is most of the clock).
-        new_key = (polygon_fingerprint(after),) + tuple(engine.prepared_spec())
+        new_key = (after.fingerprint,) + tuple(engine.prepared_spec())
         entry = session._entries[new_key]
         assert entry.delta_dirty == [2]
         assert triangulated[3:] == [after[2]]
+
+    def test_an_edit_through_a_copied_ring_is_a_delta(self, uniform_points,
+                                                      three_regions):
+        """Rings are frozen, so an edit copies one; the copy builds a new
+        polygon with its own fingerprint while the untouched polygons
+        keep theirs — the delta path matches them as before."""
+        session = QuerySession(store=False)
+        engine = BoundedRasterJoin(resolution=128, session=session)
+        engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
+        polys = list(three_regions)
+        ring = polys[1].exterior.copy()
+        ring[0] += (ring.mean(axis=0) - ring[0]) * 0.25
+        polys[1] = Polygon(ring, holes=polys[1].holes)
+        after = PolygonSet(polys)
+        assert [p.fingerprint == q.fingerprint
+                for p, q in zip(after, three_regions)] == [True, False, True]
+        result = engine.execute(uniform_points, after, aggregate=Sum("fare"))
+        assert result.stats.extra["prepared"] == "delta"
+        assert result.stats.extra["polygons_rebuilt"] == 1
+        assert np.array_equal(
+            result.values,
+            BoundedRasterJoin(resolution=128).execute(
+                uniform_points, after, aggregate=Sum("fare")
+            ).values,
+        )
 
     def test_frame_change_falls_back_to_cold(self, uniform_points,
                                              three_regions):
@@ -137,17 +159,12 @@ class TestDeltaDerivation:
             device=GPUDevice(max_resolution=48),
         )
         engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
-        base_key = (
-            polygon_fingerprint(three_regions),
-        ) + tuple(engine.prepared_spec())
+        base_key = (three_regions.fingerprint,) + tuple(engine.prepared_spec())
         base = session._entries[base_key]
         assert len(base.tiles) > 1
         after = edited_regions(three_regions)
-        fingerprints = fingerprint_details(after)[1]
-        new_key = (polygon_fingerprint(after),) + tuple(engine.prepared_spec())
-        derived = PreparedPolygons.derive_from(
-            base, new_key, after, fingerprints
-        )
+        new_key = (after.fingerprint,) + tuple(engine.prepared_spec())
+        derived = PreparedPolygons.derive_from(base, new_key, after)
         carried = set(derived.coverage)
         assert carried  # some tiles are untouched by the edit
         edited_box = after[2].bbox

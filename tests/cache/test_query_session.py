@@ -19,7 +19,6 @@ from repro import (
     RasterJoinOptimizer,
     Sum,
 )
-from repro.cache import polygon_fingerprint
 from repro.errors import QueryError
 from repro.types import ExecutionStats
 from tests.conftest import brute_force_counts
@@ -38,18 +37,15 @@ class TestFingerprint:
             [Polygon(p.exterior.copy(), holes=[h.copy() for h in p.holes])
              for p in three_regions]
         )
-        assert polygon_fingerprint(three_regions) == polygon_fingerprint(clone)
+        assert three_regions.fingerprint == clone.fingerprint
 
     def test_vertex_edit_changes_fingerprint(self, three_regions):
-        assert polygon_fingerprint(three_regions) != polygon_fingerprint(
-            shifted_regions(three_regions, 1e-9)
-        )
+        shifted = shifted_regions(three_regions, 1e-9)
+        assert three_regions.fingerprint != shifted.fingerprint
 
     def test_order_matters(self, three_regions):
         reordered = PolygonSet(list(three_regions)[::-1])
-        assert polygon_fingerprint(three_regions) != polygon_fingerprint(
-            reordered
-        )
+        assert three_regions.fingerprint != reordered.fingerprint
 
 
 class TestQuerySession:

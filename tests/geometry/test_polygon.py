@@ -127,3 +127,42 @@ class TestPolygonSet:
 
     def test_iteration(self, three_regions):
         assert sum(1 for _ in three_regions) == 3
+
+
+class TestIdentity:
+    """A polygon owns frozen rings and a fingerprint computed from them
+    once.  The digests are the store's keys: a change here orphans every
+    artifact a store holds, so they are pinned as literals."""
+
+    @staticmethod
+    def holed() -> Polygon:
+        return Polygon([(0, 0), (4, 0), (4, 3), (1, 5)],
+                       holes=[[(1, 1), (2, 2), (2, 1)]])
+
+    def test_fingerprints_are_pinned(self):
+        poly = self.holed()
+        polys = PolygonSet([poly, rectangle(10.0, 10.0, 12.5, 13.0)])
+        assert poly.fingerprint == "892a839a72eeb4ac87c29cec9dc8ce30"
+        assert polys[1].fingerprint == "b95b8ea6fa250d422d52bfbc510d8e89"
+        assert polys.fingerprint == "2ffed3a16df62adf3dad250694921978"
+
+    def test_rings_do_not_alias_the_caller(self):
+        ring = np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)])
+        poly = Polygon(ring)
+        fingerprint = poly.fingerprint
+        ring[0] = (-1.0, -1.0)
+        assert ring.flags.writeable
+        assert poly.exterior[0].tolist() == [0.0, 0.0]
+        assert Polygon(poly.exterior).fingerprint == fingerprint
+
+    def test_rings_are_frozen(self):
+        poly = self.holed()
+        with pytest.raises(ValueError):
+            poly.exterior[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            poly.holes[0][0, 0] = 1.5
+        edited = poly.exterior.copy()
+        edited[0, 0] = -1.0
+        assert Polygon(edited, holes=poly.holes).fingerprint != (
+            poly.fingerprint
+        )

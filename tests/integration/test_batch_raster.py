@@ -216,10 +216,8 @@ class TestIncrementalThroughBatch:
         assert result.stats.extra["prepared"] == "delta"
         assert result.stats.extra["polygons_rebuilt"] == 1
         assert "grid_spliced" not in result.stats.extra
-        from repro.cache import polygon_fingerprint
-
         derived = session._entries[
-            (polygon_fingerprint(after),) + tuple(engine.prepared_spec())
+            (after.fingerprint,) + tuple(engine.prepared_spec())
         ]
         assert_artifact_matches_scalar(derived, after, exact=True)
         fresh = AccurateRasterJoin(
@@ -238,7 +236,6 @@ class TestIncrementalThroughBatch:
         equals a from-scratch build's; tiles the edit does not touch
         carry theirs by identity; no ``GridIndex`` method runs; and the
         answer is the from-scratch bits."""
-        from repro.cache import polygon_fingerprint
         from repro.index.grid import GridIndex
 
         def engine(session):
@@ -266,7 +263,7 @@ class TestIncrementalThroughBatch:
         monkeypatch.undo()
         assert result.stats.extra["polygons_rebuilt"] == 1
         derived = session._entries[
-            (polygon_fingerprint(after),)
+            (after.fingerprint,)
             + tuple(engine(None).prepared_spec())
         ]
         assert derived.grid is None

@@ -36,7 +36,6 @@ from repro import (
     QuerySession,
     Sum,
 )
-from repro.cache.prepared import fingerprint_details
 from tests.conftest import random_star_polygon
 
 AGGREGATE_KINDS = (
@@ -152,11 +151,8 @@ def test_incremental_edit_bit_identical(workload):
             )
             assert result.stats.prepared_delta_hits == 1
             rebuilt = result.stats.extra["polygons_rebuilt"]
-            base_fps = set(fingerprint_details(base)[1])
-            expected = sum(
-                1 for fp in fingerprint_details(after)[1]
-                if fp not in base_fps
-            )
+            base_fps = {p.fingerprint for p in base}
+            expected = sum(1 for p in after if p.fingerprint not in base_fps)
             assert rebuilt == expected, (kind, backend, streamed)
             _assert_bit_identical(
                 reference, result,

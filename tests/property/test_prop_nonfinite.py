@@ -33,6 +33,7 @@ from repro import (
     Count,
     GPUDevice,
     IndexJoin,
+    MaterializingJoin,
     Max,
     Min,
     PointDataset,
@@ -108,14 +109,74 @@ def check(result, points, polygons, kind):
         assert np.array_equal(result.values, expect, equal_nan=True)
 
 
-@given(nonfinite_workloads(), st.sampled_from(["min", "max", "avg"]))
+@given(nonfinite_workloads(), st.sampled_from(["min", "max", "avg"]),
+       st.sampled_from([None, 64]))
 @settings(max_examples=20, deadline=None)
-def test_accurate_nonfinite_semantics(workload, kind):
+def test_accurate_nonfinite_semantics(workload, kind, max_fbo):
+    """One tile, and four (``max_fbo=64`` at 128²): the tiles' partial
+    sums meet in the ordered merge."""
     points, polygons = workload
-    result = AccurateRasterJoin(resolution=128, grid_resolution=32).execute(
-        points, polygons, AGGS[kind]("v")
-    )
+    device = None if max_fbo is None else GPUDevice(max_resolution=max_fbo)
+    result = AccurateRasterJoin(
+        resolution=128, grid_resolution=32, device=device
+    ).execute(points, polygons, AGGS[kind]("v"))
+    assert result.stats.extra["tiles"] == {None: 1, 64: 4}[max_fbo]
     check(result, points, polygons, kind)
+
+
+class TestInfinitiesMeetAcrossParts:
+    """+inf and -inf in one region sum to NaN, silently, wherever they
+    meet: within a batch, across batches or chunks on one pixel (the
+    framebuffer's ``np.add.at``), across tiles (``Aggregate.combine``),
+    in the materializing join's per-pair blend — where a NaN also
+    poisons a Min / Max slot without a warning."""
+
+    ZONES = PolygonSet([rectangle(0, 0, 100, 100)])
+
+    @staticmethod
+    def rows(xs, values):
+        return PointDataset(
+            np.asarray(xs, dtype=np.float64), np.full(len(xs), 50.0),
+            {"v": np.asarray(values, dtype=np.float64)},
+        )
+
+    def chunks(self):
+        return iter([self.rows([50], [np.inf]), self.rows([50], [-np.inf])])
+
+    def test_two_chunks_on_one_pixel(self):
+        result = AccurateRasterJoin(resolution=128).execute_stream(
+            self.chunks, self.ZONES, Sum("v")
+        )
+        assert np.isnan(result.values).all()
+
+    def test_two_tiles(self):
+        result = AccurateRasterJoin(
+            resolution=128, device=GPUDevice(max_resolution=64)
+        ).execute(self.rows([20, 80], [np.inf, -np.inf]), self.ZONES,
+                  Sum("v"))
+        assert result.stats.extra["tiles"] == 4
+        assert np.isnan(result.values).all()
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_bounded_float32_framebuffer(self, streamed):
+        engine = BoundedRasterJoin(resolution=128)
+        if streamed:
+            result = engine.execute_stream(self.chunks, self.ZONES, Sum("v"))
+        else:
+            result = engine.execute(
+                self.rows([50, 50], [np.inf, -np.inf]), self.ZONES, Sum("v")
+            )
+        assert np.isnan(result.values).all()
+
+    @pytest.mark.parametrize("aggregate, values", [
+        (Sum, [np.inf, -np.inf]), (Min, [1.0, np.nan]), (Max, [1.0, np.nan]),
+    ])
+    def test_materializing_join(self, aggregate, values):
+        """Its per-pair blend meets ±inf (Sum) and a NaN (Min / Max)."""
+        result = MaterializingJoin().execute(
+            self.rows([20, 80], values), self.ZONES, aggregate("v")
+        )
+        assert np.isnan(result.values).all()
 
 
 @given(nonfinite_workloads(), st.sampled_from(["min", "max", "avg"]))

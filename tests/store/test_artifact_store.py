@@ -14,7 +14,6 @@ from repro import (
     QuerySession,
     Sum,
 )
-from repro.cache import polygon_fingerprint
 from repro.errors import QueryError
 from repro.store import FORMAT_VERSION, key_id, parse_bytes
 from repro.store import format as artifact_format
@@ -45,7 +44,7 @@ def prepared_only(engine, regions):
 
 class TestKeying:
     def test_key_id_depends_on_spec_and_fingerprint(self, three_regions):
-        fp = polygon_fingerprint(three_regions)
+        fp = three_regions.fingerprint
         assert key_id((fp, "accurate", 256)) != key_id((fp, "accurate", 512))
         assert key_id((fp, "accurate", 256)) != key_id(("other", "accurate", 256))
         assert key_id((fp, "accurate", 256)) == key_id((fp, "accurate", 256))
@@ -54,7 +53,7 @@ class TestKeying:
                                                     monkeypatch):
         """A format bump addresses different file names, so stale files
         are invalidated without any migration code."""
-        fp = polygon_fingerprint(three_regions)
+        fp = three_regions.fingerprint
         before = key_id((fp, "accurate", 256))
         monkeypatch.setattr(artifact_format, "FORMAT_VERSION",
                             FORMAT_VERSION + 1)
@@ -77,9 +76,7 @@ class TestKeying:
                 for p in three_regions
             ]
         )
-        assert polygon_fingerprint(swapped) == polygon_fingerprint(
-            three_regions
-        )
+        assert swapped.fingerprint == three_regions.fingerprint
 
 
 class TestRoundTrip:
@@ -135,7 +132,7 @@ class TestRoundTrip:
                                                      store):
         engine = AccurateRasterJoin(resolution=128, grid_resolution=64)
         artifact = prepared_only(engine, three_regions)
-        key = (polygon_fingerprint(three_regions),) + engine.prepared_spec()
+        key = (three_regions.fingerprint,) + engine.prepared_spec()
         store.save(key, artifact)
         loaded = store.load(key, three_regions)
         assert loaded.triangles is not None and loaded.edge_table is not None
@@ -147,7 +144,7 @@ class TestRoundTrip:
     def test_mbr_arrays_round_trip(self, three_regions, store):
         from repro.cache.prepared import PreparedPolygons
 
-        key = (polygon_fingerprint(three_regions), "mbr-arrays")
+        key = (three_regions.fingerprint, "mbr-arrays")
         artifact = PreparedPolygons(three_regions, key)
         artifact.ensure_mbr_arrays(three_regions)
         store.save(key, artifact)
@@ -163,7 +160,7 @@ class TestRoundTrip:
         plain miss, rebuilds and saves beside it, never an error."""
         engine = BoundedRasterJoin(resolution=128)
         expected = engine.execute(uniform_points, three_regions)
-        fingerprint = polygon_fingerprint(three_regions)
+        fingerprint = three_regions.fingerprint
         store.save((fingerprint,) + engine.prepared_spec() + (False,),
                    prepared_only(engine, three_regions))
         session = QuerySession(store=store)
@@ -480,7 +477,7 @@ class TestDiskBudget:
         trip (tuples come back as lists) — save and load must agree."""
         from repro.cache.prepared import PreparedPolygons
 
-        key = (polygon_fingerprint(three_regions), "engine", (1, 2))
+        key = (three_regions.fingerprint, "engine", (1, 2))
         artifact = PreparedPolygons(three_regions, key)
         artifact.ensure_triangles(three_regions)
         store.save(key, artifact)
@@ -642,7 +639,7 @@ class TestHousekeeping:
         manifest with no arrays)."""
         from repro.cache.prepared import PreparedPolygons
 
-        key = (polygon_fingerprint(three_regions), "empty")
+        key = (three_regions.fingerprint, "empty")
         store.save(key, PreparedPolygons(three_regions, key))
         loaded = store.load(key, three_regions)
         assert loaded is not None

@@ -11,6 +11,7 @@ releases after it — degrades to, and the writer's behaviour under
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -28,7 +29,6 @@ from repro import (
     QuerySession,
     Sum,
 )
-from repro.cache import polygon_fingerprint
 from repro.store import key_id
 from tests.cache.test_incremental import edited_regions
 from tests.store.test_artifact_store import (
@@ -59,7 +59,7 @@ ENGINES = {
 
 
 def key_of(engine, polygons) -> tuple:
-    return (polygon_fingerprint(polygons),) + tuple(engine.prepared_spec())
+    return (polygons.fingerprint,) + tuple(engine.prepared_spec())
 
 
 def run_edit_lineage(points, regions, store, edits=1,
@@ -285,7 +285,10 @@ class TestDirectoryHoldingPyramidPairs:
         it was the store's second artifact type: an ordinary pair keyed
         by the *points'* content hash.  Nothing reads one any more; it
         is accounted like any pair and the disk budget reclaims it."""
-        guard = QuerySession._content_hash(uniform_points)
+        guard = hashlib.blake2b(
+            uniform_points.xs.tobytes() + uniform_points.ys.tobytes(),
+            digest_size=16,
+        ).hexdigest()
         key = (guard, "pyramid", 64, "mbr", (0.0, 0.0, 100.0, 100.0))
         buffer = io.BytesIO()
         np.savez(buffer, pyr_point_order=np.arange(9, dtype=np.int32),
