@@ -1,12 +1,9 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the paper's tuning choices.
 
 A2  Grid resolution for the index join (the paper tuned 1024^2 vs 4096^2).
 A3  MBR vs exact cell assignment (the paper's §7.1 CPU-baseline tweak).
 A4  Canvas tiling overhead at a fixed total resolution.
-A5  Grid index vs STR R-tree probes for the baseline join.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ import pytest
 from benchmarks import harness
 from repro import BoundedRasterJoin, GPUDevice, IndexJoin
 from repro.index.grid import GridIndex
-from repro.index.strtree import STRTree
 
 POINT_COUNT = 1_000_000
 
@@ -117,47 +113,3 @@ def test_a4_tiling_result_invariant(taxi, neighborhoods):
         resolution=2048, device=GPUDevice(max_resolution=512)
     ).execute(points, neighborhoods)
     assert np.array_equal(single.values, tiled.values)
-
-
-# ----------------------------------------------------------------------
-# A5: grid vs R-tree probes
-# ----------------------------------------------------------------------
-def _a5_table():
-    return harness.table(
-        "ablation_a5",
-        "Baseline candidate index: uniform grid vs STR R-tree",
-        ["index", "build_s", "probe_100k_s"],
-    )
-
-
-@pytest.mark.benchmark(group="ablation-a5")
-def test_a5_grid_vs_rtree(benchmark, taxi, neighborhoods):
-    points = taxi.head(100_000)
-    grid = GridIndex(neighborhoods, resolution=1024)
-    tree = STRTree(neighborhoods)
-
-    def probe_grid():
-        cells = grid.cell_of_points(points.xs, points.ys)
-        return int(
-            (grid.cell_start[cells + 1] - grid.cell_start[cells]).sum()
-        )
-
-    def probe_tree():
-        total = 0
-        for x, y in zip(points.xs[:10_000], points.ys[:10_000]):
-            total += len(tree.candidates_of_point(x, y))
-        return total * 10  # scaled to the same 100k probes
-
-    benchmark.pedantic(probe_grid, rounds=1, iterations=1)
-    start = time.perf_counter()
-    probe_grid()
-    grid_s = time.perf_counter() - start
-    start = time.perf_counter()
-    probe_tree()
-    tree_s = (time.perf_counter() - start) * 10  # 10k sample -> 100k scale
-
-    _a5_table().add_row("uniform grid", grid.build_seconds, grid_s)
-    _a5_table().add_row("STR R-tree", tree.build_seconds, tree_s)
-    assert grid_s < tree_s, (
-        "O(1) grid probes are the reason the paper chose a grid"
-    )

@@ -7,10 +7,10 @@ pass is a histogram and its polygon pass is independent of N); accurate
 performs fewer PIP tests than the index-join baseline; every GPU approach
 sits orders of magnitude above the scalar CPU loop.
 
-Substrate note (EXPERIMENTS.md): NumPy's vectorized PIP is relatively
-cheaper than divergent per-thread PIP on real GPUs, so the bounded
-variant's win over the fused index join emerges at larger N than in the
-paper — the crossover is part of the reproduced series.
+Substrate note: NumPy's vectorized PIP is relatively cheaper than
+divergent per-thread PIP on real GPUs, so the bounded variant's win over
+the fused index join emerges at larger N than in the paper — the
+crossover is part of the reproduced series.
 """
 
 import pytest

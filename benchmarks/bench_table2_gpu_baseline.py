@@ -5,7 +5,7 @@ materializing join at three input sizes and finds the fused join 2-3x
 faster "mainly due to avoiding the materialization of the join result".
 The comparator here is :class:`repro.core.materializing.MaterializingJoin`
 (point quadtree + MBR filter + materialized candidate pairs + separate
-aggregation pass, 16-bit coordinate truncation), per DESIGN.md.
+aggregation pass, 16-bit coordinate truncation).
 """
 
 import time

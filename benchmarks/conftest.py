@@ -2,7 +2,8 @@
 
 All input data is generated once per session.  Sizes are scaled from the
 paper's 868M-point / 2.29B-point workloads down to laptop-CI budgets; the
-sweep *structures* match the paper (see EXPERIMENTS.md for the mapping).
+sweep *structures* match the paper (each size constant below names its
+paper counterpart).
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 Every benchmark module registers the rows it measures into a global
 :class:`ExperimentTable`; a terminal-summary hook in ``conftest.py`` prints
 all tables after the run, reproducing the layout of the paper's tables and
-figure series.  Raw rows are also dumped to ``benchmarks/results/*.tsv`` so
-EXPERIMENTS.md can quote them.
+figure series.  Raw rows are also dumped to ``benchmarks/results/*.tsv``.
 """
 
 from __future__ import annotations
@@ -106,8 +105,8 @@ def metrics_snapshot() -> dict:
     trajectory point carries not just the headline timings but the work
     the run actually did — cache hit/miss counts, store traffic,
     device-memory high-water marks (see ``docs/observability.md``).
-    Call ``repro.obs.metrics.reset()`` at the start of a leg to scope
-    the snapshot to that leg.
+    Call ``repro.obs.metrics.REGISTRY.reset()`` at the start of a leg to
+    scope the snapshot to that leg.
     """
     from repro.obs import metrics
 
@@ -199,8 +198,7 @@ def build_grid_gpu(polygons: PolygonSet, resolution: int) -> float:
 # ----------------------------------------------------------------------
 def single_cpu_seconds_per_point(points, polygons, sample: int = 20_000) -> float:
     """Measured single-CPU join cost per point (linear in N, so one sample
-    anchors the whole speedup axis; EXPERIMENTS.md documents the
-    extrapolation)."""
+    anchors the whole speedup axis)."""
     from repro.core.index_join import IndexJoin
 
     subset = points.head(min(sample, len(points)))

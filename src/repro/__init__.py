@@ -14,9 +14,9 @@ Quickstart::
     result = BoundedRasterJoin(epsilon=10.0).execute(points, regions)
     print(result.values)          # one aggregate per polygon
 
-See :mod:`repro.core` for the engines, :mod:`repro.data` for synthetic
-workloads, :mod:`repro.sql` for the SQL frontend, and DESIGN.md for how the
-pieces map onto the paper.
+See :mod:`repro.core` for the engines (its docstring maps each onto the
+paper's sections), :mod:`repro.data` for synthetic workloads,
+:mod:`repro.sql` for the SQL frontend, and ``docs/`` for the subsystems.
 """
 
 from repro.cache import PreparedPolygons, QuerySession

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.cache.prepared import PreparedPolygons
 from repro.cache.session import QuerySession
-from repro.core.aggregates import Aggregate
+from repro.core.aggregates import Aggregate, Count, Sum
 from repro.core.filters import FilterSet
 from repro.core.tiles import RasterJoinEngine, TileKernel
 from repro.data.dataset import PointDataset
@@ -57,7 +57,8 @@ class BoundedRasterJoin(RasterJoinEngine):
         accounting.
     compute_bounds:
         Also derive per-polygon result intervals (§5) — adds a boundary
-        analysis pass; see :mod:`repro.core.bounds`.
+        analysis pass; see :mod:`repro.core.bounds`.  ``Count`` and
+        ``Sum`` only: any other aggregate raises :class:`QueryError`.
     session:
         Optional :class:`QuerySession` so repeated queries over the same
         polygon set reuse triangulations, canvas layout, and coverage.
@@ -165,6 +166,11 @@ class BoundedRasterJoin(RasterJoinEngine):
         return values, accumulators
 
     def execute(self, points, polygons, aggregate=None, filters=None) -> AggregationResult:
+        aggregate = aggregate or Count()
+        if self.compute_bounds and not isinstance(aggregate, (Count, Sum)):
+            raise QueryError(
+                f"result intervals bound COUNT and SUM only, not {aggregate!r}"
+            )
         result = super().execute(points, polygons, aggregate, filters)
         result.intervals = self._intervals
         return result

@@ -24,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.aggregates import Aggregate
-from repro.geometry.bbox import BBox
-from repro.geometry.clip import clip_polygon_to_rect, ring_area
+from repro.geometry.clip import pixel_coverage_fraction
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.conservative import conservative_triangle_pixels
 from repro.graphics.fbo import FrameBuffer
@@ -69,42 +68,6 @@ def _polygon_pixel_sets(
     return fp_ix, fp_iy, fn_ix, fn_iy
 
 
-def _coverage_fractions(
-    tile: Viewport,
-    triangles: Sequence[np.ndarray],
-    ixs: np.ndarray,
-    iys: np.ndarray,
-) -> np.ndarray:
-    """Pixel∩polygon area fraction for each listed pixel.
-
-    Clips each triangle of the partition against the pixel rectangle
-    (Sutherland–Hodgman standing in for the paper's Cohen–Sutherland based
-    computation) and accumulates areas; triangles are pre-filtered by
-    bounding box per pixel.
-    """
-    if len(ixs) == 0:
-        return np.zeros(0, dtype=np.float64)
-    tri_boxes = [
-        (float(t[:, 0].min()), float(t[:, 0].max()),
-         float(t[:, 1].min()), float(t[:, 1].max()))
-        for t in triangles
-    ]
-    fractions = np.zeros(len(ixs), dtype=np.float64)
-    for k, (ix, iy) in enumerate(zip(ixs, iys)):
-        rect = tile.pixel_bbox(int(ix), int(iy))
-        covered = 0.0
-        for tri, (txmin, txmax, tymin, tymax) in zip(triangles, tri_boxes):
-            if txmax < rect.xmin or txmin > rect.xmax:
-                continue
-            if tymax < rect.ymin or tymin > rect.ymax:
-                continue
-            clipped = clip_polygon_to_rect(tri, rect)
-            if len(clipped) >= 3:
-                covered += abs(ring_area(clipped))
-        fractions[k] = min(1.0, covered / rect.area)
-    return fractions
-
-
 def estimate_result_intervals(
     tiles_and_fbos: Sequence[tuple[Viewport, FrameBuffer]],
     polygons: PolygonSet,
@@ -114,9 +77,9 @@ def estimate_result_intervals(
 ) -> ResultIntervals:
     """Per-polygon result intervals from boundary-pixel analysis.
 
-    Supports additive aggregates (count/sum); for algebraic averages the
-    bounds are computed on the count channel and scaled — callers that
-    need avg bounds should request them on sum and count separately.
+    Only a single additive channel (``Count``, ``Sum``) has boundary-pixel
+    totals that bound the answer; the bounded join refuses any other
+    aggregate before its tile loop runs.
     """
     n = len(polygons)
     over_loose = np.zeros(n, dtype=np.float64)   # Σ_{P+} F
@@ -124,24 +87,31 @@ def estimate_result_intervals(
     over_expected = np.zeros(n, dtype=np.float64)   # Σ_{P+} (1-f) F
     under_expected = np.zeros(n, dtype=np.float64)  # Σ_{P-} f F
 
-    channel = "count" if "count" in aggregate.channels else next(iter(aggregate.channels))
+    (channel,) = aggregate.channels
     for tile, fbo in tiles_and_fbos:
         grid = fbo.channel(channel)
         for pid, polygon in enumerate(polygons):
             if not polygon.bbox.intersects(tile.bbox):
                 continue
+            tris = triangles[pid]
             fp_ix, fp_iy, fn_ix, fn_iy = _polygon_pixel_sets(
-                tile, triangles[pid], polygon.rings
+                tile, tris, polygon.rings
             )
             if len(fp_ix):
                 totals = grid[fp_iy, fp_ix].astype(np.float64)
                 over_loose[pid] += float(totals.sum())
-                f = _coverage_fractions(tile, triangles[pid], fp_ix, fp_iy)
+                f = np.array([
+                    pixel_coverage_fraction(tris, tile.pixel_bbox(ix, iy))
+                    for ix, iy in zip(fp_ix.tolist(), fp_iy.tolist())
+                ])
                 over_expected[pid] += float(((1.0 - f) * totals).sum())
             if len(fn_ix):
                 totals = grid[fn_iy, fn_ix].astype(np.float64)
                 under_loose[pid] += float(totals.sum())
-                f = _coverage_fractions(tile, triangles[pid], fn_ix, fn_iy)
+                f = np.array([
+                    pixel_coverage_fraction(tris, tile.pixel_bbox(ix, iy))
+                    for ix, iy in zip(fn_ix.tolist(), fn_iy.tolist())
+                ])
                 under_expected[pid] += float((f * totals).sum())
 
     values = np.asarray(values, dtype=np.float64)

@@ -93,6 +93,8 @@ class IndexJoin(SpatialAggregationEngine):
         self.mode = mode
         self.grid_resolution = grid_resolution
         self.grid_assignment = grid_assignment
+        if workers is not None and workers < 1:
+            raise QueryError(f"worker count must be >= 1, got {workers}")
         self.workers = workers or max(1, os.cpu_count() or 1)
         self.name = f"index-join-{mode}"
         #: Multicore mode's fan-out vehicle, owned by the engine so a

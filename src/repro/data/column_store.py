@@ -64,45 +64,6 @@ class ColumnStore:
         (root / _MANIFEST).write_text(json.dumps(manifest, indent=2))
         return cls(root)
 
-    @classmethod
-    def append_chunks(
-        cls,
-        root: str | Path,
-        chunks: Iterator[PointDataset],
-        name: str = "points",
-    ) -> "ColumnStore":
-        """Stream-write a store from dataset chunks without holding all rows.
-
-        Used to build disk-resident inputs larger than comfortable RAM.
-        All chunks must share a schema.
-        """
-        root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
-        num_rows = 0
-        dtypes: dict[str, str] | None = None
-        handles: dict[str, object] = {}
-        try:
-            for chunk in chunks:
-                columns = {"x": chunk.xs, "y": chunk.ys, **chunk.attributes}
-                if dtypes is None:
-                    dtypes = {c: str(a.dtype) for c, a in columns.items()}
-                    handles = {
-                        c: open(root / f"{c}.bin", "wb") for c in columns
-                    }
-                elif set(columns) != set(dtypes):
-                    raise StorageError("chunk schema changed mid-stream")
-                for col, arr in columns.items():
-                    np.ascontiguousarray(arr).tofile(handles[col])
-                num_rows += len(chunk)
-        finally:
-            for handle in handles.values():
-                handle.close()
-        if dtypes is None:
-            raise StorageError("no chunks were written")
-        manifest = {"name": name, "num_rows": num_rows, "columns": dtypes}
-        (root / _MANIFEST).write_text(json.dumps(manifest, indent=2))
-        return cls(root)
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------

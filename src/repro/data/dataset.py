@@ -79,11 +79,6 @@ class PointDataset:
     def bbox(self) -> BBox:
         return BBox.of_points(self.xs, self.ys)
 
-    def memory_bytes(self, columns: tuple[str, ...] | None = None) -> int:
-        """Bytes occupied by the named columns (all when None)."""
-        names = ("x", "y") + tuple(self.attributes) if columns is None else columns
-        return sum(self.column(n).nbytes for n in names)
-
     # ------------------------------------------------------------------
     # Slicing
     # ------------------------------------------------------------------

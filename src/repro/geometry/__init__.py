@@ -2,9 +2,9 @@
 
 Everything the raster-join engines need from geometry lives here: bounding
 boxes, simple polygons with holes, point-in-polygon and orientation
-predicates, ear-clipping triangulation, line/polygon clipping, and Hausdorff
-distances.  The package is self-contained (NumPy only) and deliberately does
-not depend on shapely/GEOS so the reproduction runs anywhere.
+predicates, ear-clipping triangulation, and polygon clipping.  The package
+is self-contained (NumPy only) and deliberately does not depend on
+shapely/GEOS so the reproduction runs anywhere.
 """
 
 from repro.geometry.bbox import BBox
@@ -19,15 +19,9 @@ from repro.geometry.predicates import (
 )
 from repro.geometry.triangulate import triangulate_polygon, triangulate_ring
 from repro.geometry.clip import (
-    clip_segment_to_rect,
     clip_polygon_to_rect,
     ring_area,
     pixel_coverage_fraction,
-)
-from repro.geometry.hausdorff import (
-    hausdorff_distance,
-    directed_hausdorff,
-    polyline_hausdorff,
 )
 
 __all__ = [
@@ -42,11 +36,7 @@ __all__ = [
     "segments_intersect",
     "triangulate_polygon",
     "triangulate_ring",
-    "clip_segment_to_rect",
     "clip_polygon_to_rect",
     "ring_area",
     "pixel_coverage_fraction",
-    "hausdorff_distance",
-    "directed_hausdorff",
-    "polyline_hausdorff",
 ]

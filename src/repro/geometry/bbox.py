@@ -72,15 +72,6 @@ class BBox:
             & (ys < self.ymax)
         )
 
-    def contains_bbox(self, other: "BBox") -> bool:
-        """Whether ``other`` lies entirely inside this box (closed test)."""
-        return (
-            self.xmin <= other.xmin
-            and self.ymin <= other.ymin
-            and other.xmax <= self.xmax
-            and other.ymax <= self.ymax
-        )
-
     def intersects(self, other: "BBox") -> bool:
         """Closed intersection test (shared edges count as touching)."""
         return not (

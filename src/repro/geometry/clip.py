@@ -1,10 +1,11 @@
-"""Clipping primitives: Cohen–Sutherland segments, Sutherland–Hodgman rings.
+"""Sutherland–Hodgman clipping and the §5 pixel coverage fraction.
 
 The paper's result-range estimator (§5/§6) clips polygon edges against
 boundary pixels with Cohen–Sutherland and derives the fraction of each pixel
 covered by the polygon.  For arbitrary (concave, holed) polygons the robust
 way to get that fraction is to clip every *triangle* of the triangulation
-against the pixel rectangle and add up areas; both primitives live here.
+against the pixel rectangle and add up areas, which is what
+:func:`pixel_coverage_fraction` does.
 """
 
 from __future__ import annotations
@@ -14,58 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.geometry.bbox import BBox
-
-# Cohen–Sutherland outcodes.
-_INSIDE, _LEFT, _RIGHT, _BOTTOM, _TOP = 0, 1, 2, 4, 8
-
-
-def _outcode(x: float, y: float, rect: BBox) -> int:
-    code = _INSIDE
-    if x < rect.xmin:
-        code |= _LEFT
-    elif x > rect.xmax:
-        code |= _RIGHT
-    if y < rect.ymin:
-        code |= _BOTTOM
-    elif y > rect.ymax:
-        code |= _TOP
-    return code
-
-
-def clip_segment_to_rect(
-    ax: float, ay: float, bx: float, by: float, rect: BBox
-) -> tuple[float, float, float, float] | None:
-    """Cohen–Sutherland: clip segment a-b to ``rect``.
-
-    Returns the clipped segment endpoints, or ``None`` when the segment lies
-    entirely outside the rectangle (closed-boundary semantics).
-    """
-    code_a = _outcode(ax, ay, rect)
-    code_b = _outcode(bx, by, rect)
-    while True:
-        if not (code_a | code_b):
-            return (ax, ay, bx, by)
-        if code_a & code_b:
-            return None
-        code_out = code_a if code_a else code_b
-        if code_out & _TOP:
-            x = ax + (bx - ax) * (rect.ymax - ay) / (by - ay)
-            y = rect.ymax
-        elif code_out & _BOTTOM:
-            x = ax + (bx - ax) * (rect.ymin - ay) / (by - ay)
-            y = rect.ymin
-        elif code_out & _RIGHT:
-            y = ay + (by - ay) * (rect.xmax - ax) / (bx - ax)
-            x = rect.xmax
-        else:  # _LEFT
-            y = ay + (by - ay) * (rect.xmin - ax) / (bx - ax)
-            x = rect.xmin
-        if code_out == code_a:
-            ax, ay = x, y
-            code_a = _outcode(ax, ay, rect)
-        else:
-            bx, by = x, y
-            code_b = _outcode(bx, by, rect)
 
 
 def ring_area(ring: np.ndarray) -> float:
@@ -132,13 +81,21 @@ def pixel_coverage_fraction(
     Clips each CCW triangle against the rectangle and sums the clipped
     areas.  Because the triangles partition the polygon interior, the sum is
     exactly area(polygon ∩ rect); dividing by the rectangle area yields the
-    fraction f(x, y) used by the expected result intervals of §5.
+    fraction f(x, y) used by the expected result intervals of §5.  A
+    triangle whose bounding box misses the rectangle would clip to nothing,
+    so it is skipped before the clip — the sum keeps its bits.
     """
     if rect.area <= 0.0:
         return 0.0
+    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 2)
+    lo, hi = tris.min(axis=1), tris.max(axis=1)
+    near = np.flatnonzero(
+        (hi[:, 0] >= rect.xmin) & (lo[:, 0] <= rect.xmax)
+        & (hi[:, 1] >= rect.ymin) & (lo[:, 1] <= rect.ymax)
+    )
     covered = 0.0
-    for tri in triangles:
-        clipped = clip_polygon_to_rect(tri, rect)
+    for k in near:
+        clipped = clip_polygon_to_rect(tris[k], rect)
         if len(clipped) >= 3:
             covered += abs(ring_area(clipped))
     fraction = covered / rect.area

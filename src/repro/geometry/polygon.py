@@ -253,15 +253,6 @@ class PolygonSet:
         )
 
 
-def regular_polygon(
-    cx: float, cy: float, radius: float, sides: int, phase: float = 0.0
-) -> Polygon:
-    """Convenience constructor for tests and examples."""
-    angles = phase + 2.0 * np.pi * np.arange(sides) / sides
-    ring = np.column_stack([cx + radius * np.cos(angles), cy + radius * np.sin(angles)])
-    return Polygon(ring)
-
-
 def rectangle(xmin: float, ymin: float, xmax: float, ymax: float) -> Polygon:
     """Axis-aligned rectangle polygon."""
     return Polygon(

@@ -8,9 +8,8 @@ reproduces the semantics that the raster-join algorithms rely on:
   paper's Figure 5;
 * framebuffer objects with additive blending
   (:mod:`repro.graphics.fbo`), the paper's point-count FBO;
-* point, triangle, line, and polygon rasterization with pixel-center
-  coverage and a watertight fill rule
-  (:mod:`repro.graphics.raster_point` /:mod:`~repro.graphics.raster_triangle`
+* triangle, line, and polygon rasterization with pixel-center coverage
+  and a watertight fill rule (:mod:`repro.graphics.raster_triangle`
   /:mod:`~repro.graphics.raster_line` /:mod:`~repro.graphics.raster_polygon`);
 * conservative rasterization (:mod:`repro.graphics.conservative`), standing
   in for ``GL_NV_conservative_raster``.
@@ -24,7 +23,6 @@ once.
 
 from repro.graphics.viewport import Canvas, Viewport, resolution_for_epsilon
 from repro.graphics.fbo import FrameBuffer
-from repro.graphics.raster_point import rasterize_points
 from repro.graphics.raster_triangle import (
     SUBPIXEL_BITS,
     covered_pixels,
@@ -39,7 +37,6 @@ __all__ = [
     "Viewport",
     "resolution_for_epsilon",
     "FrameBuffer",
-    "rasterize_points",
     "SUBPIXEL_BITS",
     "covered_pixels",
     "triangle_coverage_mask",

@@ -68,9 +68,6 @@ class FrameBuffer:
             )
         return arr
 
-    def add_channel(self, name: str) -> None:
-        self._channels.setdefault(name)
-
     def clear(self) -> None:
         """Reset every channel to zero (glClear with a zero clear color)."""
         for arr in self._channels.values():

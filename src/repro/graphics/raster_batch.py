@@ -64,10 +64,6 @@ class TriangleSoup:
         self.tri_pid = tri_pid
         self.pids = pids
 
-    @property
-    def num_triangles(self) -> int:
-        return len(self.verts)
-
 
 def flatten_triangles(
     triangles_by_pid: Mapping[int, Sequence[np.ndarray]],

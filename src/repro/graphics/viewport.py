@@ -163,14 +163,6 @@ class Viewport:
             self.bbox.ymin + (iy + 1) * self.pixel_height,
         )
 
-    def pixel_centers(
-        self, ixs: np.ndarray, iys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """World coordinates of pixel centers (vectorized)."""
-        cx = self.bbox.xmin + (np.asarray(ixs) + 0.5) * self.pixel_width
-        cy = self.bbox.ymin + (np.asarray(iys) + 0.5) * self.pixel_height
-        return cx, cy
-
     @property
     def num_pixels(self) -> int:
         return self.width * self.height

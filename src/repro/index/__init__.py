@@ -3,14 +3,11 @@
 The raster-join paper needs exactly one index — a uniform grid over the
 query polygons (§6.1) — used by the index-join baselines (the accurate
 raster join reads its PIP candidates off the canvas and keeps only the
-row-banded edge table from here).  The package also ships an STR-packed
-R-tree (used by the ablation study as a classical alternative) and a
-point quadtree (used by the Zhang-style materializing comparator of
-Table 2).
+row-banded edge table from here).  The package also ships a point
+quadtree (used by the Zhang-style materializing comparator of Table 2).
 """
 
 from repro.index.grid import GridIndex
-from repro.index.strtree import STRTree
 from repro.index.quadtree import PointQuadtree
 
-__all__ = ["GridIndex", "STRTree", "PointQuadtree"]
+__all__ = ["GridIndex", "PointQuadtree"]

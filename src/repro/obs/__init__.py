@@ -4,8 +4,8 @@
   fast path; ``$REPRO_TRACE`` gates ambient per-query tracing.
 * :mod:`repro.obs.metrics` — process-wide labelled
   counters/gauges/histograms (cache tiers, store IO, pools, device).
-* :mod:`repro.obs.export` — JSON-lines sink, Chrome ``trace_event``
-  timelines, Prometheus text exposition.
+* :mod:`repro.obs.export` — JSON-lines sink and Chrome ``trace_event``
+  timelines.
 
 See ``docs/observability.md`` for the span taxonomy and metric names.
 """

@@ -1,6 +1,6 @@
-"""Exporters: JSON-lines span sink, Chrome trace_event, Prometheus text.
+"""Exporters: JSON-lines span sink and Chrome trace_event.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 * :func:`append_jsonl` — the ``$REPRO_TRACE=<path>`` sink: one JSON
   object per span, flattened depth-first with ``id``/``parent`` links,
@@ -9,15 +9,12 @@ Three consumers, three formats:
   ``chrome://tracing`` / Perfetto timeline: complete ("X") events in
   microseconds, tile subtrees fanned out onto per-tile tracks so the
   parallel point pass reads as lanes.
-* :func:`prometheus_text` — text exposition of the metrics registry
-  snapshot, for scraping or diffing between benchmark runs.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.obs import metrics
 from repro.obs.trace import Span
 
 
@@ -88,54 +85,3 @@ def chrome_trace(root: Span) -> dict:
 def write_chrome_trace(root: Span, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(chrome_trace(root), handle, indent=1)
-
-
-# ----------------------------------------------------------------------
-# Prometheus-style text exposition
-# ----------------------------------------------------------------------
-def prometheus_text(snapshot: dict | None = None) -> str:
-    """Metrics snapshot in the Prometheus text format.
-
-    Histograms expose ``_count``/``_sum`` plus cumulative ``_bucket``
-    series, the way a real client library would.
-    """
-    snap = snapshot if snapshot is not None else metrics.snapshot()
-    lines: list[str] = []
-
-    def base_name(key: str) -> str:
-        return key.split("{", 1)[0]
-
-    def labels_of(key: str) -> str:
-        return key[len(base_name(key)):]
-
-    seen: set[str] = set()
-    for key in sorted(snap["counters"]):
-        name = base_name(key)
-        if name not in seen:
-            seen.add(name)
-            lines.append(f"# TYPE {name} counter")
-        lines.append(f"{key} {snap['counters'][key]:g}")
-    for key in sorted(snap["gauges"]):
-        name = base_name(key)
-        if name not in seen:
-            seen.add(name)
-            lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{key} {snap['gauges'][key]:g}")
-    for key in sorted(snap["histograms"]):
-        name = base_name(key)
-        labels = labels_of(key)
-        if name not in seen:
-            seen.add(name)
-            lines.append(f"# TYPE {name} histogram")
-        hist = snap["histograms"][key]
-        cumulative = 0
-        for bound, count in hist["buckets"].items():
-            cumulative += count
-            le = bound[len("le_"):].replace("inf", "+Inf")
-            inner = labels[1:-1] + "," if labels else ""
-            lines.append(
-                f'{name}_bucket{{{inner}le="{le}"}} {cumulative}'
-            )
-        lines.append(f"{name}_sum{labels} {hist['sum']:g}")
-        lines.append(f"{name}_count{labels} {hist['count']}")
-    return "\n".join(lines) + "\n"

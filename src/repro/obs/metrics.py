@@ -20,8 +20,7 @@ memory-level gauge describes the worker, not the parent) and are
 excluded by design — see ``docs/observability.md``.
 
 Snapshots render metric keys Prometheus-style — ``name{k="v",...}`` with
-labels sorted — which keeps :func:`repro.obs.export.prometheus_text`
-a straight dump and makes JSON snapshots diffable.
+labels sorted — which makes JSON snapshots diffable.
 """
 
 from __future__ import annotations
@@ -240,7 +239,3 @@ def observe(name: str, value: float, bounds: tuple = DEFAULT_BUCKETS,
 
 def snapshot() -> dict:
     return REGISTRY.snapshot()
-
-
-def reset() -> None:
-    REGISTRY.reset()

@@ -239,23 +239,3 @@ class AggregationResult:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def max_abs_error(self, reference: "AggregationResult") -> float:
-        """Largest absolute per-polygon deviation from a reference result."""
-        return float(np.max(np.abs(self.values - reference.values)))
-
-    def percent_errors(self, reference: "AggregationResult") -> np.ndarray:
-        """Per-polygon percent error vs. a reference, NaN-safe.
-
-        Polygons whose reference value is zero contribute 0 when the
-        approximate value is also zero and inf otherwise, mirroring how the
-        paper's box plots treat empty regions.
-        """
-        ref = np.asarray(reference.values, dtype=np.float64)
-        approx = np.asarray(self.values, dtype=np.float64)
-        errors = np.zeros(len(ref), dtype=np.float64)
-        nonzero = ref != 0
-        errors[nonzero] = 100.0 * np.abs(approx[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])
-        zero_mismatch = (~nonzero) & (approx != 0)
-        errors[zero_mismatch] = np.inf
-        return errors

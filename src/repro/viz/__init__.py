@@ -5,24 +5,21 @@ imperceptible — rests on rendering choropleth heatmaps with a sequential
 colormap and comparing them under the just-noticeable-difference (JND)
 threshold: a sequential map supports at most 9 perceivable classes, so a
 normalized value difference under 1/9 cannot change what a human sees.
-This package renders those maps (to arrays and to dependency-free PPM/PGM
+This package renders those maps (to arrays and to dependency-free PPM
 files) and computes the JND statistics the benchmark reports.
 """
 
-from repro.viz.colormap import SequentialColormap, VIRIDIS_LIKE, YLORRD_LIKE
+from repro.viz.colormap import SequentialColormap, YLORRD_LIKE
 from repro.viz.heatmap import choropleth_raster, render_choropleth
-from repro.viz.jnd import JND_THRESHOLD, jnd_report, max_normalized_difference
-from repro.viz.ppm import write_pgm, write_ppm
+from repro.viz.jnd import JND_THRESHOLD, jnd_report
+from repro.viz.ppm import write_ppm
 
 __all__ = [
     "SequentialColormap",
-    "VIRIDIS_LIKE",
     "YLORRD_LIKE",
     "choropleth_raster",
     "render_choropleth",
     "JND_THRESHOLD",
     "jnd_report",
-    "max_normalized_difference",
-    "write_pgm",
     "write_ppm",
 ]

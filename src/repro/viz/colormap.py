@@ -46,24 +46,6 @@ class SequentialColormap:
         return (self(values) * 255.0 + 0.5).astype(np.uint8)
 
 
-#: A perceptually-ordered dark-to-bright map (viridis-like stops).
-VIRIDIS_LIKE = SequentialColormap(
-    "viridis-like",
-    [
-        (0.267, 0.005, 0.329),
-        (0.283, 0.141, 0.458),
-        (0.254, 0.265, 0.530),
-        (0.207, 0.372, 0.553),
-        (0.164, 0.471, 0.558),
-        (0.128, 0.567, 0.551),
-        (0.135, 0.659, 0.518),
-        (0.267, 0.749, 0.441),
-        (0.478, 0.821, 0.318),
-        (0.741, 0.873, 0.150),
-        (0.993, 0.906, 0.144),
-    ],
-)
-
 #: A yellow-orange-red map like the paper's heatmaps (ColorBrewer YlOrRd).
 YLORRD_LIKE = SequentialColormap(
     "ylorrd-like",

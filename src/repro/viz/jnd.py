@@ -18,28 +18,6 @@ import numpy as np
 JND_THRESHOLD = 1.0 / 9.0
 
 
-def max_normalized_difference(
-    approximate: np.ndarray, accurate: np.ndarray
-) -> float:
-    """Largest per-region difference after joint normalization.
-
-    Both result vectors are normalized against the *accurate* value range,
-    since that is the visualization a viewer would compare against.
-    """
-    accurate = np.asarray(accurate, dtype=np.float64)
-    approximate = np.asarray(approximate, dtype=np.float64)
-    finite = accurate[np.isfinite(accurate)]
-    if len(finite) == 0:
-        return 0.0
-    lo, hi = float(finite.min()), float(finite.max())
-    span = hi - lo if hi > lo else 1.0
-    a = (approximate - lo) / span
-    b = (accurate - lo) / span
-    diff = np.abs(a - b)
-    diff = diff[np.isfinite(diff)]
-    return float(diff.max()) if len(diff) else 0.0
-
-
 @dataclass(frozen=True)
 class JndReport:
     """Outcome of comparing an approximate and an accurate visualization."""

@@ -1,8 +1,7 @@
-"""Dependency-free PPM/PGM image writers.
+"""Dependency-free PPM image writer.
 
 The examples save heatmaps without any imaging library: binary PPM (P6)
-for RGB and PGM (P5) for grayscale are universally viewable single-header
-formats.
+is a universally viewable single-header format.
 """
 
 from __future__ import annotations
@@ -26,19 +25,4 @@ def write_ppm(path: str | Path, rgb: np.ndarray) -> Path:
     with open(path, "wb") as handle:
         handle.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         handle.write(rgb.tobytes())
-    return path
-
-
-def write_pgm(path: str | Path, gray: np.ndarray) -> Path:
-    """Write an ``(h, w)`` uint8 array as binary PGM (P5)."""
-    gray = np.asarray(gray)
-    if gray.ndim != 2 or gray.dtype != np.uint8:
-        raise RasterJoinError(
-            f"PGM needs (h, w) uint8, got {gray.shape} {gray.dtype}"
-        )
-    path = Path(path)
-    height, width = gray.shape
-    with open(path, "wb") as handle:
-        handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        handle.write(gray.tobytes())
     return path

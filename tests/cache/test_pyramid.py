@@ -241,7 +241,7 @@ class TestChannelsInTheSessionLru:
         )
         eng = engine(session)
         eng.prewarm(points, regions)
-        metrics.reset()
+        metrics.REGISTRY.reset()
         for _ in range(2):
             result = eng.execute(points, regions, Average("fare"))
             assert result.stats.extra["pyramid"] == "cold"

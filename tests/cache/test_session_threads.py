@@ -177,7 +177,7 @@ def test_prewarmed_pairing_builds_each_channel_once(uniform_points,
     engine = AccurateRasterJoin(resolution=128, session=session)
     engine.execute(uniform_points, three_regions)  # the artifact, once
     engine.prewarm(uniform_points, three_regions)
-    metrics.reset()
+    metrics.REGISTRY.reset()
     results: dict[int, object] = {}
     errors: list[BaseException] = []
     barrier = threading.Barrier(THREADS)

@@ -105,6 +105,14 @@ def run_pixels(runs: np.ndarray) -> np.ndarray:
     return ragged_positions(runs[:, 0], runs[:, 1] - runs[:, 0])
 
 
+def regular_polygon(cx: float, cy: float, radius: float, sides: int) -> Polygon:
+    """A regular ``sides``-gon inscribed in the circle (cx, cy, radius)."""
+    angles = 2.0 * np.pi * np.arange(sides) / sides
+    return Polygon(np.column_stack(
+        [cx + radius * np.cos(angles), cy + radius * np.sin(angles)]
+    ))
+
+
 def random_star_polygon(
     rng: np.random.Generator,
     center: tuple[float, float] = (50.0, 50.0),

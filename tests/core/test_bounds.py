@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro import BoundedRasterJoin, PointDataset, Polygon, PolygonSet, Sum
+from repro import (
+    Average, BoundedRasterJoin, Count, Max, Min, PointDataset, PolygonSet, Sum,
+)
+from repro.errors import QueryError
 from tests.conftest import brute_force_counts, random_star_polygon
 
 
@@ -85,3 +88,57 @@ class TestDisabled:
             uniform_points, three_regions
         )
         assert result.intervals is None
+
+
+class TestRefusedAggregates:
+    """Boundary-pixel totals bound one additive channel; an average, a
+    minimum or a maximum is not that, so the engine refuses it rather than
+    return intervals that do not contain the answer."""
+
+    @pytest.mark.parametrize(
+        "aggregate", [Average("fare"), Min("fare"), Max("fare")], ids=repr
+    )
+    def test_non_additive_aggregate_raises(
+        self, uniform_points, three_regions, aggregate
+    ):
+        engine = BoundedRasterJoin(resolution=64, compute_bounds=True)
+        with pytest.raises(QueryError, match="COUNT and SUM"):
+            engine.execute(uniform_points, three_regions, aggregate=aggregate)
+
+    @pytest.mark.parametrize(
+        "aggregate", [Average("fare"), Min("fare"), Max("fare")], ids=repr
+    )
+    def test_without_bounds_every_aggregate_runs(
+        self, uniform_points, three_regions, aggregate
+    ):
+        result = BoundedRasterJoin(resolution=64).execute(
+            uniform_points, three_regions, aggregate=aggregate
+        )
+        assert result.intervals is None
+        assert np.isfinite(result.values).all()
+
+    @pytest.mark.parametrize(
+        "aggregate", [Average("fare"), Min("fare"), Max("fare")], ids=repr
+    )
+    def test_refusal_leaves_the_engine_usable(
+        self, uniform_points, three_regions, aggregate
+    ):
+        """The check runs before the tile loop, so a refused query leaves
+        no intervals behind and the next COUNT bounds its own answer."""
+        engine = BoundedRasterJoin(resolution=64, compute_bounds=True)
+        with pytest.raises(QueryError):
+            engine.execute(uniform_points, three_regions, aggregate=aggregate)
+        result = engine.execute(uniform_points, three_regions)
+        exact = brute_force_counts(uniform_points, three_regions)
+        assert result.intervals.contains(exact).all()
+
+    @pytest.mark.parametrize("aggregate", [Count(), Sum("fare")], ids=repr)
+    def test_additive_intervals_hold_the_approximate_value(
+        self, uniform_points, three_regions, aggregate
+    ):
+        result = BoundedRasterJoin(resolution=64, compute_bounds=True).execute(
+            uniform_points, three_regions, aggregate=aggregate
+        )
+        iv = result.intervals
+        assert np.all(iv.loose_lo <= result.values)
+        assert np.all(result.values <= iv.loose_hi)

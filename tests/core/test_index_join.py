@@ -1,5 +1,7 @@
 """Unit tests for the index-join baselines."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,23 @@ class TestCpuModes:
     def test_unknown_mode(self):
         with pytest.raises(QueryError):
             IndexJoin(mode="quantum")
+
+    @pytest.mark.parametrize("mode", ["gpu", "cpu", "multicore"])
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, mode, workers):
+        """Like ``ExecutionBackend``: zero is not "all cores" and a
+        negative count is not accepted outside multicore mode."""
+        with pytest.raises(QueryError, match="worker count"):
+            IndexJoin(mode=mode, workers=workers)
+
+    @pytest.mark.parametrize("mode", ["gpu", "cpu", "multicore"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_positive_worker_count_kept(self, mode, workers):
+        assert IndexJoin(mode=mode, workers=workers).workers == workers
+
+    @pytest.mark.parametrize("mode", ["gpu", "cpu", "multicore"])
+    def test_default_worker_count_is_the_core_count(self, mode):
+        assert IndexJoin(mode=mode).workers == max(1, os.cpu_count() or 1)
 
 
 class TestDevice:

@@ -1,7 +1,6 @@
 """Unit tests for result and statistics types."""
 
 import numpy as np
-import pytest
 
 from repro.types import AggregationResult, ExecutionStats, ResultIntervals
 
@@ -120,16 +119,3 @@ class TestAggregationResult:
 
     def test_len(self):
         assert len(self.make([1, 2, 3])) == 3
-
-    def test_max_abs_error(self):
-        a = self.make([10.0, 20.0])
-        b = self.make([12.0, 19.0])
-        assert a.max_abs_error(b) == 2.0
-
-    def test_percent_errors(self):
-        approx = self.make([110.0, 0.0, 5.0])
-        exact = self.make([100.0, 0.0, 0.0])
-        errors = approx.percent_errors(exact)
-        assert errors[0] == pytest.approx(10.0)
-        assert errors[1] == 0.0          # both zero: no error
-        assert np.isinf(errors[2])       # phantom mass where truth is zero

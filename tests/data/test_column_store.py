@@ -56,6 +56,10 @@ class TestWriteRead:
         with pytest.raises(StorageError):
             store.column_mmap("bogus")
 
+    def test_disk_bytes(self, tmp_path, dataset):
+        store = ColumnStore.write(tmp_path / "s", dataset)
+        assert store.disk_bytes == 1000 * (8 + 8 + 4)
+
 
 class TestScan:
     def test_chunks_cover_all_rows(self, tmp_path, dataset):
@@ -85,24 +89,3 @@ class TestScan:
         store = ColumnStore.write(tmp_path / "s", dataset)
         with pytest.raises(StorageError):
             list(store.scan(0))
-
-
-class TestAppendChunks:
-    def test_streamed_equals_bulk(self, tmp_path, dataset):
-        bulk = ColumnStore.write(tmp_path / "bulk", dataset)
-        streamed = ColumnStore.append_chunks(
-            tmp_path / "stream", dataset.batches(250), name="trips"
-        )
-        assert streamed.num_rows == bulk.num_rows
-        assert np.array_equal(
-            np.asarray(streamed.column_mmap("fare")),
-            np.asarray(bulk.column_mmap("fare")),
-        )
-
-    def test_empty_stream_raises(self, tmp_path):
-        with pytest.raises(StorageError):
-            ColumnStore.append_chunks(tmp_path / "s", iter(()))
-
-    def test_disk_bytes(self, tmp_path, dataset):
-        store = ColumnStore.write(tmp_path / "s", dataset)
-        assert store.disk_bytes == 1000 * (8 + 8 + 4)

@@ -57,11 +57,6 @@ class TestColumns:
         assert schema.names == ("x", "y", "a")
         assert schema.row_bytes() == 8 + 8 + 4
 
-    def test_memory_bytes(self):
-        ds = make(100)
-        assert ds.memory_bytes(("x", "y")) == 1600
-        assert ds.memory_bytes() == 1600 + 400
-
 
 class TestSlicing:
     def test_take_mask_indices(self):

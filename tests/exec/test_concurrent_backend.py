@@ -87,7 +87,7 @@ class TestDeviceAccounting:
         simultaneously, only the module aggregate reflects the true
         footprint.
         """
-        metrics.reset()
+        metrics.REGISTRY.reset()
         # Size each allocation past the current aggregate peak so the
         # overlap is guaranteed to set a new high-water mark (and emit
         # the gauge) no matter what earlier tests allocated.

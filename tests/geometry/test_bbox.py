@@ -60,12 +60,6 @@ class TestPredicates:
         assert a.intersects(b)
         assert not a.intersects(BBox(1.01, 0, 2, 1))
 
-    def test_contains_bbox(self):
-        outer = BBox(0, 0, 10, 10)
-        assert outer.contains_bbox(BBox(1, 1, 9, 9))
-        assert outer.contains_bbox(outer)
-        assert not outer.contains_bbox(BBox(-1, 1, 9, 9))
-
 
 class TestSetOperations:
     def test_union(self):

@@ -6,7 +6,6 @@ import pytest
 from repro.geometry.bbox import BBox
 from repro.geometry.clip import (
     clip_polygon_to_rect,
-    clip_segment_to_rect,
     pixel_coverage_fraction,
     ring_area,
 )
@@ -14,50 +13,6 @@ from repro.geometry.triangulate import triangulate_polygon
 from tests.conftest import random_star_polygon
 
 RECT = BBox(0, 0, 10, 10)
-
-
-class TestCohenSutherland:
-    def test_fully_inside(self):
-        assert clip_segment_to_rect(1, 1, 9, 9, RECT) == (1, 1, 9, 9)
-
-    def test_fully_outside_same_side(self):
-        assert clip_segment_to_rect(-5, 1, -1, 9, RECT) is None
-
-    def test_crossing_one_edge(self):
-        ax, ay, bx, by = clip_segment_to_rect(-5, 5, 5, 5, RECT)
-        assert (ax, ay, bx, by) == (0, 5, 5, 5)
-
-    def test_crossing_two_edges(self):
-        ax, ay, bx, by = clip_segment_to_rect(-5, 5, 15, 5, RECT)
-        assert (ax, ay) == (0, 5) and (bx, by) == (10, 5)
-
-    def test_diagonal_corner_clip(self):
-        out = clip_segment_to_rect(-2, -2, 12, 12, RECT)
-        assert out is not None
-        ax, ay, bx, by = out
-        assert (ax, ay) == (0, 0) and (bx, by) == (10, 10)
-
-    def test_outside_diagonal_miss(self):
-        # Endpoints on different sides (LEFT and TOP outcodes) but the
-        # segment passes outside the top-left corner.
-        assert clip_segment_to_rect(-5, 8, 2, 15, RECT) is None
-
-    def test_matches_brute_force_sampling(self, rng):
-        """Clipped segment endpoints bracket exactly the inside samples."""
-        for _ in range(200):
-            a = rng.uniform(-15, 25, 2)
-            b = rng.uniform(-15, 25, 2)
-            out = clip_segment_to_rect(a[0], a[1], b[0], b[1], RECT)
-            ts = np.linspace(0, 1, 101)
-            pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-            inside = (
-                (pts[:, 0] >= 0) & (pts[:, 0] <= 10)
-                & (pts[:, 1] >= 0) & (pts[:, 1] <= 10)
-            )
-            if out is None:
-                assert not inside.any()
-            else:
-                assert inside.any() or True  # tangent touches may sample empty
 
 
 class TestSutherlandHodgman:
@@ -127,3 +82,49 @@ class TestPixelCoverage:
     def test_degenerate_rect(self, unit_square):
         tris = triangulate_polygon(unit_square)
         assert pixel_coverage_fraction(tris, BBox(1, 1, 1, 1)) == 0.0
+
+    def test_no_triangles(self):
+        assert pixel_coverage_fraction([], BBox(0, 0, 1, 1)) == 0.0
+
+    def test_triangle_containing_the_pixel(self):
+        tri = np.asarray([(-10, -10), (10, -10), (0, 10)], float)
+        assert pixel_coverage_fraction([tri], BBox(-1, -1, 0, 0)) == 1.0
+
+    def test_triangle_touching_a_side_covers_nothing(self):
+        """Its bounding box meets the pixel, so the pre-filter keeps it,
+        and the clip leaves a zero-area sliver."""
+        tri = np.asarray([(1, 0), (2, 0), (1, 1)], float)
+        assert pixel_coverage_fraction([tri], BBox(0, 0, 1, 1)) == 0.0
+
+    def test_triangle_touching_a_corner_covers_nothing(self):
+        tri = np.asarray([(1, 1), (2, 1), (1, 2)], float)
+        assert pixel_coverage_fraction([tri], BBox(0, 0, 1, 1)) == 0.0
+
+    def test_degenerate_triangle_covers_nothing(self):
+        tri = np.asarray([(0, 0), (1, 1), (0.5, 0.5)], float)
+        assert pixel_coverage_fraction([tri], BBox(0, 0, 1, 1)) == 0.0
+
+    def test_far_triangles_change_no_bit(self, rng):
+        """Triangles the pre-filter skips contribute nothing: adding them
+        leaves the fraction's bits as they were."""
+        poly = random_star_polygon(rng, center=(5, 5), radius_range=(2, 4),
+                                   vertices=9)
+        tris = np.asarray(triangulate_polygon(poly))
+        far = tris + 100.0
+        rect = BBox(4.3, 4.7, 5.3, 5.7)
+        alone = pixel_coverage_fraction(tris, rect)
+        mixed = pixel_coverage_fraction(
+            np.concatenate([far, tris, far]), rect
+        )
+        assert mixed.hex() == alone.hex()
+
+    def test_sequence_and_array_agree(self, concave_polygon):
+        tris = triangulate_polygon(concave_polygon)
+        rect = BBox(4.0, 4.0, 6.0, 6.0)
+        assert pixel_coverage_fraction(list(tris), rect) == (
+            pixel_coverage_fraction(np.asarray(tris), rect)
+        )
+
+    def test_overlapping_triangles_clamp_to_one(self):
+        tri = np.asarray([(-10, -10), (10, -10), (0, 10)], float)
+        assert pixel_coverage_fraction([tri, tri], BBox(-1, -1, 0, 0)) == 1.0

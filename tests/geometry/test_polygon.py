@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidPolygonError
-from repro.geometry.polygon import Polygon, PolygonSet, rectangle, regular_polygon
+from repro.geometry.polygon import Polygon, PolygonSet, rectangle
+from tests.conftest import regular_polygon
 
 
 class TestConstruction:

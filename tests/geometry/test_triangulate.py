@@ -7,14 +7,14 @@ from repro.data import generate_voronoi_regions
 from repro.data.regions import NYC_REGION_EXTENT
 from repro.errors import TriangulationError
 from repro.geometry import predicates
-from repro.geometry.polygon import Polygon, rectangle, regular_polygon
+from repro.geometry.polygon import Polygon, rectangle
 from repro.geometry.predicates import orientation, point_in_triangle
 from repro.geometry.triangulate import (
     triangulate_polygon,
     triangulate_ring,
     triangulate_set,
 )
-from tests.conftest import random_star_polygon
+from tests.conftest import random_star_polygon, regular_polygon
 
 
 def tri_area_sum(triangles) -> float:

@@ -29,13 +29,6 @@ class TestConstruction:
         fbo = FrameBuffer.for_viewport(vp)
         assert fbo.width == 13 and fbo.height == 7
 
-    def test_add_channel_idempotent(self):
-        fbo = FrameBuffer(2, 2)
-        fbo.add_channel("extra")
-        fbo.channel("extra")[0, 0] = 5
-        fbo.add_channel("extra")  # must not reset
-        assert fbo.channel("extra")[0, 0] == 5
-
 
 class TestBlending:
     def test_accumulate_counts_duplicates(self):

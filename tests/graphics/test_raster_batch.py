@@ -44,7 +44,7 @@ class TestFlatten:
     def test_soup_order_and_owner_map(self):
         _, tris = _random_scene(1)
         soup = flatten_triangles(tris)
-        assert soup.num_triangles == sum(len(t) for t in tris.values())
+        assert len(soup.verts) == sum(len(t) for t in tris.values())
         t = 0
         for pid in sorted(tris):
             for tri in tris[pid]:
@@ -54,7 +54,7 @@ class TestFlatten:
 
     def test_empty_soup(self):
         soup = flatten_triangles({})
-        assert soup.num_triangles == 0
+        assert len(soup.verts) == 0
         frags = rasterize_triangles(VP, soup.verts)
         assert frags.counts.shape == (0,)
         assert len(frags.pixels) == len(frags.row_len) == 0

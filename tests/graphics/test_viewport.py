@@ -32,7 +32,8 @@ class TestViewportTransform:
         vp = Viewport(BBox(10, 20, 110, 220), 50, 100)
         ixs = np.arange(50)
         iys = np.arange(50)
-        cx, cy = vp.pixel_centers(ixs, iys)
+        cx = vp.bbox.xmin + (ixs + 0.5) * vp.pixel_width
+        cy = vp.bbox.ymin + (iys + 0.5) * vp.pixel_height
         jx, jy, inside = vp.pixel_of(cx, cy)
         assert inside.all()
         assert np.array_equal(jx, ixs) and np.array_equal(jy, iys)

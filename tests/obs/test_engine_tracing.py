@@ -165,7 +165,7 @@ class TestTracingIsInert:
 class TestMetricsWiring:
     def test_session_lookups_and_device_peak_reported(self, uniform_points,
                                                       three_regions):
-        metrics.reset()
+        metrics.REGISTRY.reset()
         session = QuerySession(store=False)  # the "miss" must be a build
         engine = AccurateRasterJoin(device=GPUDevice(), session=session)
         engine.execute(uniform_points, three_regions)

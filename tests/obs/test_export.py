@@ -1,9 +1,8 @@
-"""Unit tests for the JSONL / Chrome trace / Prometheus exporters."""
+"""Unit tests for the JSONL / Chrome trace exporters."""
 
 import json
 
 from repro.obs import export
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span
 
 
@@ -64,26 +63,3 @@ class TestChromeTrace:
         doc = json.loads(path.read_text())
         assert doc["displayTimeUnit"] == "ms"
         assert len(doc["traceEvents"]) == 5
-
-
-class TestPrometheusText:
-    def test_counters_gauges_histograms_exposed(self):
-        reg = MetricsRegistry()
-        reg.counter("store_saves", 2, kind="prepared")
-        reg.gauge_max("device_peak_bytes", 1024)
-        reg.observe("store_save_seconds", 0.003, kind="prepared")
-        text = export.prometheus_text(reg.snapshot())
-        assert "# TYPE store_saves counter" in text
-        assert 'store_saves{kind="prepared"} 2' in text
-        assert "device_peak_bytes 1024" in text
-        assert "# TYPE store_save_seconds histogram" in text
-        assert 'store_save_seconds_count{kind="prepared"} 1' in text
-
-    def test_histogram_buckets_are_cumulative(self):
-        reg = MetricsRegistry()
-        reg.observe("lat", 0.0005)
-        reg.observe("lat", 0.002)
-        text = export.prometheus_text(reg.snapshot())
-        assert 'lat_bucket{le="0.001"} 1' in text
-        assert 'lat_bucket{le="0.005"} 2' in text
-        assert 'lat_bucket{le="+Inf"} 2' in text

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.geometry.bbox import BBox
 from repro.geometry.clip import (
     clip_polygon_to_rect,
-    clip_segment_to_rect,
     pixel_coverage_fraction,
     ring_area,
 )
@@ -111,19 +110,6 @@ def test_pip_translation_invariant(poly):
 # ----------------------------------------------------------------------
 # Clipping properties
 # ----------------------------------------------------------------------
-@given(coords, coords, coords, coords)
-@settings(max_examples=200, deadline=None)
-def test_clipped_segment_stays_inside(ax, ay, bx, by):
-    rect = BBox(0, 0, 100, 100)
-    out = clip_segment_to_rect(ax, ay, bx, by, rect)
-    if out is not None:
-        cx0, cy0, cx1, cy1 = out
-        eps = 1e-7
-        for x, y in ((cx0, cy0), (cx1, cy1)):
-            assert -eps <= x <= 100 + eps
-            assert -eps <= y <= 100 + eps
-
-
 @given(star_polygons())
 @settings(max_examples=40, deadline=None)
 def test_clip_area_never_exceeds_originals(poly):
@@ -140,3 +126,58 @@ def test_coverage_fraction_in_unit_interval(poly, i, j):
     tris = triangulate_polygon(poly)
     frac = pixel_coverage_fraction(tris, BBox(i, j, i + 10, j + 10))
     assert 0.0 <= frac <= 1.0
+
+
+# ----------------------------------------------------------------------
+# The coverage fraction's bounding-box pre-filter
+# ----------------------------------------------------------------------
+#: Half-unit lattice coordinates put vertices and edges exactly on the
+#: pixel's sides often; free floats cover the general position.
+lattice = st.integers(-4, 12).map(lambda k: k * 0.5)
+coordinate = st.one_of(lattice, st.floats(-2.0, 6.0, allow_nan=False))
+
+
+@st.composite
+def triangles_and_pixel(draw):
+    xmin, ymin = draw(lattice), draw(lattice)
+    width, height = draw(lattice.filter(lambda v: v > 0)), draw(
+        lattice.filter(lambda v: v > 0)
+    )
+    rect = BBox(xmin, ymin, xmin + width, ymin + height)
+    n = draw(st.integers(0, 12))
+    tris = np.asarray(
+        draw(st.lists(coordinate, min_size=6 * n, max_size=6 * n)),
+        dtype=np.float64,
+    ).reshape(n, 3, 2)
+    # Slide some triangles onto the pixel's sides: their bounding box
+    # touches the pixel without crossing it.
+    for k in range(n):
+        side = draw(st.sampled_from(["left", "right", "below", "above", None]))
+        if side == "left":
+            tris[k, :, 0] += rect.xmin - tris[k, :, 0].max()
+        elif side == "right":
+            tris[k, :, 0] += rect.xmax - tris[k, :, 0].min()
+        elif side == "below":
+            tris[k, :, 1] += rect.ymin - tris[k, :, 1].max()
+        elif side == "above":
+            tris[k, :, 1] += rect.ymax - tris[k, :, 1].min()
+    return tris, rect
+
+
+def _fraction_over_every_triangle(tris, rect):
+    covered = 0.0
+    for tri in tris:
+        clipped = clip_polygon_to_rect(tri, rect)
+        if len(clipped) >= 3:
+            covered += abs(ring_area(clipped))
+    return min(max(covered / rect.area, 0.0), 1.0)
+
+
+@given(triangles_and_pixel())
+@settings(max_examples=300, deadline=None)
+def test_prefilter_keeps_the_fraction_bits(case):
+    """Skipping the triangles whose bounding box misses the pixel changes
+    no bit: a skipped triangle clips to nothing, a touching one is kept."""
+    tris, rect = case
+    got = pixel_coverage_fraction(tris, rect)
+    assert got.hex() == _fraction_over_every_triangle(tris, rect).hex()

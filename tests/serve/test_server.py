@@ -195,7 +195,7 @@ class TestServing:
             raise AssertionError("the server must not create a Timer")
 
         monkeypatch.setattr(threading, "Timer", no_timers)
-        metrics.reset()
+        metrics.REGISTRY.reset()
         with Server(planner) as server:
             for q in (Q_COUNT, Q_SUM, Q_FILTERED, Q_COUNT, Q_SUM):
                 result = server.execute(q, timeout=30.0)

@@ -5,12 +5,20 @@ cover, so adding one is a decision, not a side effect: a new
 ``EngineConfig`` or ``ServeConfig`` field, ``QuerySession`` parameter or
 ``REPRO_*`` variable fails tier-1 here until the literal below is edited
 in the same diff (ROADMAP aim 2 tracks these counts downwards).
+
+The surface census at the end does the same for library code: a
+definition nothing outside ``tests/`` calls fails tier-1 instead of
+piling up.
 """
 
+import ast
 import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.cache.prepared import PolygonUnit, PreparedPolygons
@@ -110,3 +118,187 @@ def test_repro_shm_is_read_at_one_site():
         if re.search(r"\(\s*SHM_ENV_VAR\b", line)
     ]
     assert len(reads) == 1 and reads[0].startswith("exec/backend.py:"), reads
+
+
+# ----------------------------------------------------------------------
+# Surface census
+# ----------------------------------------------------------------------
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "examples", "benchmarks")
+
+#: The only definitions no caller outside ``tests/`` references, each with
+#: the test that needs it: the scalar kernels are the references the
+#: vectorized production paths are checked against, and the device-wide
+#: byte totals are how the concurrency tests read what the
+#: ``device_peak_bytes{device="all"}`` gauge records.
+TEST_ONLY = {
+    "accumulate_polygon_sum": "tests/graphics/test_raster_polygon.py",
+    "accumulate_triangle_sums": "tests/property/test_prop_flat_kernels.py",
+    "aggregate_allocated_bytes": "tests/exec/test_concurrent_backend.py",
+    "aggregate_peak_bytes": "tests/exec/test_concurrent_backend.py",
+    "point_in_triangle": "tests/geometry/reference_earclip.py",
+    "supercover_line": "tests/property/test_prop_raster.py",
+    "triangulate_ring": "tests/property/test_prop_triangulate.py",
+}
+
+
+def _surface(root: Path = ROOT) -> dict[str, list[str]]:
+    """Each name in a package ``__all__`` and each module-level function
+    or class under ``src/repro``, with where it is defined.  Dunders
+    (``__version__``) are read by tools, not code, and a function an
+    ``atexit.register`` decorator registers is called by the interpreter;
+    neither is counted."""
+    defined: dict[str, list[str]] = {}
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        where = str(path.relative_to(root))
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not any(ast.unparse(d).endswith(".register")
+                           for d in node.decorator_list):
+                    defined.setdefault(node.name, []).append(where)
+            elif (isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "__all__"):
+                for name in ast.literal_eval(node.value):
+                    if not name.startswith("__"):
+                        defined.setdefault(name, []).append(where)
+    return defined
+
+
+def _references(root: Path = ROOT) -> set[str]:
+    """Every name loaded, attribute read or name imported by code under
+    ``CALLER_DIRS`` — except a definition's uses of itself (recursion, a
+    class building its own instances) and an ``__init__`` re-export."""
+    used: set[str] = set()
+    for top in CALLER_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            own = {
+                id(node): definition.name
+                for definition in tree.body
+                if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                for node in ast.walk(definition)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load)):
+                    name = node.attr
+                elif (isinstance(node, ast.alias)
+                      and path.name != "__init__.py"):
+                    name = node.name.rsplit(".", 1)[-1]
+                else:
+                    continue
+                if own.get(id(node)) != name:
+                    used.add(name)
+    return used
+
+
+def _dead(root: Path = ROOT) -> dict[str, list[str]]:
+    used = _references(root)
+    return {
+        name: where for name, where in _surface(root).items()
+        if name not in used and name not in TEST_ONLY
+    }
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    """A definition only ``tests/`` calls is dead surface: delete it with
+    its tests, or — when a test needs it as the reference for a
+    production path — list it in ``TEST_ONLY`` with that test."""
+    dead = _dead()
+    assert not dead, dead
+
+
+def test_test_only_exceptions_are_current():
+    """Each exception is still defined, still uncalled outside tests —
+    a caller makes it ordinary surface — and still read by its test."""
+    surface, used = _surface(), _references()
+    for name, test in TEST_ONLY.items():
+        assert name in surface and name not in used, name
+        assert re.search(rf"\b{name}\b", (ROOT / test).read_text()), (
+            name, test,
+        )
+
+
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(ROOT / "src").parts)
+    for path in (ROOT / "src" / "repro").rglob("__init__.py")
+    if "__all__" in path.read_text()
+)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_resolves(package):
+    """``__all__`` names only what the package really binds, so deleting a
+    definition cannot leave its export behind for ``import *`` to trip
+    over."""
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, missing
+    assert len(set(module.__all__)) == len(module.__all__), package
+
+
+# ----------------------------------------------------------------------
+# The census on a synthetic tree: what it counts as a caller
+# ----------------------------------------------------------------------
+def _tree(tmp_path: Path, files: dict[str, str]) -> Path:
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    for top in CALLER_DIRS:
+        (tmp_path / top).mkdir(exist_ok=True)
+    return tmp_path
+
+
+def test_census_flags_an_unreferenced_definition(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "def used():\n    pass\n\n\n"
+                            "def orphan():\n    pass\n",
+        "examples/demo.py": "from repro.mod import used\nused()\n",
+    })
+    assert _dead(root) == {"orphan": ["src/repro/mod.py"]}
+
+
+def test_census_does_not_count_tests_as_callers(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Helper:\n    pass\n",
+        "tests/test_mod.py": "from repro.mod import Helper\nHelper()\n",
+    })
+    assert _dead(root) == {"Helper": ["src/repro/mod.py"]}
+
+
+def test_census_does_not_count_self_reference(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "def walk(n):\n"
+                            "    return walk(n - 1) if n else 0\n",
+    })
+    assert _dead(root) == {"walk": ["src/repro/mod.py"]}
+
+
+def test_census_does_not_count_a_reexport(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/__init__.py": "from repro.mod import orphan\n\n"
+                                 "__all__ = [\"orphan\", \"__version__\"]\n",
+        "src/repro/mod.py": "def orphan():\n    pass\n",
+    })
+    assert _dead(root) == {
+        "orphan": ["src/repro/__init__.py", "src/repro/mod.py"],
+    }
+
+
+def test_census_counts_attribute_reads_from_benchmarks(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "def helper():\n    pass\n",
+        "benchmarks/bench.py": "import repro.mod\nrepro.mod.helper()\n",
+    })
+    assert _dead(root) == {}
+
+
+def test_census_skips_functions_the_interpreter_calls(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "import atexit\n\n\n@atexit.register\n"
+                            "def _cleanup():\n    pass\n",
+    })
+    assert _dead(root) == {}
