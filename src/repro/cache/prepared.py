@@ -28,6 +28,18 @@ views stay bit-identical to a from-scratch build by construction —
 composition lays the per-polygon slices out in the same polygon order a
 direct build emits them in.
 
+An edit with stable polygon ids goes one step further: its tile views
+are the base's, patched inside the edit's *window* ``W`` — the pixel
+box of the edited polygons' old and new outlines and runs
+(:meth:`PreparedPolygons.patch_tile`).  Only the edited polygons and
+those whose box meets ``W`` are recomposed, by the same three kernels,
+and spliced back in polygon order.  That is exact: a polygon whose box misses ``W``
+has no pixel whose mask bit changed, so its trimmed runs, and every
+candidate row outside ``W``, are what a from-scratch compose gives.  A
+tile ``W`` misses keeps the base's view objects; the edge table splices
+the edited polygons' blocks into the base's
+(:meth:`~repro.index.edge_table.EdgeTable.splice`).
+
 Artifacts are populated lazily: an engine fills in exactly the fields its
 algorithm needs, on first use, and later executions with the same polygon
 set and configuration skip the rebuild.  All fields are derived
@@ -95,6 +107,28 @@ class TileCandidates(NamedTuple):
     pids: np.ndarray
 
 
+class DeltaBase(NamedTuple):
+    """What a delta-derived artifact borrows from its base while it
+    still has tiles to compose: the base's units at the edited ids (the
+    departing geometry's slices), its per-tile views and its edge table.
+    Held only for an edit with stable polygon ids."""
+
+    departed: dict
+    boundary_masks: dict
+    coverage: dict
+    candidates: dict
+    edge_table: EdgeTable | None
+
+
+class Delta(NamedTuple):
+    """How an artifact was derived from a sibling: the polygon ids left
+    to rebuild, and the base it patches its views from (``None`` once
+    every tile is composed, or when the edit moved ids)."""
+
+    dirty: list
+    base: DeltaBase | None
+
+
 class PolygonUnit:
     """Per-polygon prepared state: everything derived from one polygon.
 
@@ -121,7 +155,7 @@ class PolygonUnit:
     def __init__(self, fingerprint: str, bbox: tuple) -> None:
         self.fingerprint = fingerprint
         #: (xmin, ymin, xmax, ymax) of the polygon, recorded so an edit
-        #: can tell which tiles the departing geometry touched.
+        #: can tell which tiles the arriving geometry may touch.
         self.bbox = bbox
         #: the polygon's ``(t, 3, 2)`` triangulation, or None until built
         self.triangles: np.ndarray | None = None
@@ -163,7 +197,7 @@ class PreparedPolygons:
         "edge_table",
         "units",
         "source_bbox",
-        "delta_dirty",
+        "delta",
         "version",
         "triangulation_s",
         "uses",
@@ -201,9 +235,9 @@ class PreparedPolygons:
         #: guard: a delta reuse is only valid when the edited set spans
         #: the same extent (same canvas).
         self.source_bbox: tuple = _bbox_tuple(polygons)
-        #: the polygon ids a delta derivation left to rebuild (``None``
-        #: for an artifact that was not derived from a sibling)
-        self.delta_dirty: list[int] | None = None
+        #: the :class:`Delta` this artifact was derived by (``None`` for
+        #: an artifact that was not derived from a sibling)
+        self.delta: Delta | None = None
         #: bumped on every mutation; part of the content signature so
         #: sessions re-measure nbytes only when something changed.
         self.version = 0
@@ -224,12 +258,19 @@ class PreparedPolygons:
 
         Unchanged polygons (matched by per-polygon fingerprint) adopt
         clones of the base units — triangulation, outline pixels and
-        coverage all carry over.  Changed and added
-        polygons get empty units; the engines rebuild exactly those.
-        Composed views are carried only for tiles no edited polygon's
-        geometry (old or new) touches, and only when polygon ids are
-        positionally stable; everything else recomposes from units —
-        an OR and a concatenate, no rasterization.
+        coverage all carry over.  Changed and added polygons get empty
+        units; the engines rebuild exactly those.  When polygon ids are
+        stable (no insert, delete or reorder: the composed views encode
+        pids positionally) the artifact keeps a :class:`DeltaBase` and
+        each tile's views are the base's patched inside the edit's
+        window ``W`` (:meth:`patch_tile`): a polygon whose box misses
+        ``W`` has no pixel whose mask bit changed, so outside ``W``
+        nothing moves.  A tile no arriving polygon's box meets has its
+        window known here — the departing pixels alone — and when that
+        is empty it takes the base's views now, the same objects.
+        Otherwise the tile task rasterizes the edited polygons and
+        patches, or — ids moved, or the base lacks the tile's views —
+        composes from the units as a cold build does.
         """
         entry = cls(polygons, key)
         entry.canvas = base.canvas
@@ -241,56 +282,37 @@ class PreparedPolygons:
         for pid, unit in enumerate(base.units):
             pool.setdefault(unit.fingerprint, []).append(pid)
         units = entry.units
-        # new pid -> base pid, or -1 for a polygon left to rebuild
-        parent_map: list[int] = []
         dirty: list[int] = []
+        stable = len(units) == len(base.units)
         for pid, poly in enumerate(polygons):
             matches = pool.get(poly.fingerprint)
             if matches:
                 src = matches.pop(0)
                 units[pid] = base.units[src].clone()
-                parent_map.append(src)
+                stable = stable and src == pid
             else:
-                parent_map.append(-1)
                 dirty.append(pid)
-        entry.delta_dirty = dirty
-
-        # Composed carry-over: only with stable ids (no insert/delete/
-        # reorder — composed coverage encodes pids positionally) and only
-        # for tiles untouched by any departing or arriving geometry.
-        stable = len(units) == len(base.units) and all(
-            src == pid or src < 0 for pid, src in enumerate(parent_map)
-        )
+        patch = None
         if stable and base.tiles is not None:
-            replaced = {src for src in parent_map if src >= 0}
-            changed_boxes = [
-                base.units[pid].bbox for pid in range(len(base.units))
-                if pid not in replaced
-            ] + [units[pid].bbox for pid in dirty]
-            empty = np.zeros(0, dtype=np.int64)
-            for idx, tile in enumerate(base.tiles):
-                if any(_boxes_intersect(b, tile.bbox) for b in changed_boxes):
-                    continue
-                mask = base.boundary_masks.get(idx)
-                if mask is not None:
-                    entry.boundary_masks[idx] = mask
-                    # The rebuilt polygons' geometry misses this tile
-                    # (that is what made it carriable), so their
-                    # per-tile state is the empty contribution a build
-                    # would produce — record it now, keeping the
-                    # all-units-per-tile invariant that persistence and
-                    # later compositions rely on.
-                    for pid in dirty:
-                        units[pid].boundary[idx] = (empty, empty)
-                cov = base.coverage.get(idx)
-                if cov is not None:
-                    entry.coverage[idx] = cov
-                    for pid in dirty:
-                        units[pid].coverage[idx] = empty.reshape(0, 2)
-                # Derived from the two, so carried only with both.
-                held = base.candidates.get(idx)
-                if mask is not None and cov is not None and held is not None:
-                    entry.candidates[idx] = held
+            patch = DeltaBase(
+                {pid: base.units[pid] for pid in dirty},
+                base.boundary_masks, base.coverage, base.candidates,
+                base.edge_table,
+            )
+        entry.delta = Delta(dirty, patch)
+        empty = np.zeros(0, dtype=np.int64)
+        for idx, tile in enumerate(entry.tiles if patch else ()):
+            if not any(
+                _boxes_intersect(units[pid].bbox, tile.bbox) for pid in dirty
+            ) and _window(entry.delta, idx, tile.width, {}) == ():
+                # The edited polygons' slices of the tile are empty.
+                mask = patch.boundary_masks.get(idx)
+                entry.mark_composed(
+                    idx, mask, patch.coverage[idx], patch.candidates.get(idx),
+                    unit_boundary=None if mask is None
+                    else dict.fromkeys(dirty, (empty, empty)),
+                    unit_coverage=dict.fromkeys(dirty, empty.reshape(0, 2)),
+                )
         entry.version += 1
         return entry
 
@@ -338,13 +360,21 @@ class PreparedPolygons:
 
         ``rows`` bands over the y-range of the artifact's own MBR
         columns, which also gate the pair test.  A pure function of
-        (geometry, ``rows``): a reloaded or delta-derived artifact
-        rebuilds it bit-identically.
+        (geometry, ``rows``): a reloaded artifact rebuilds it
+        bit-identically, and a delta with stable ids splices its edited
+        polygons' blocks into the base's table — the same frame gives
+        the same blocks, so the same bits.
         """
         if self.edge_table is None:
             mbrs = self.ensure_mbr_arrays(polygons)
+            base = self.delta.base if self.delta is not None else None
             with trace.span("edge-table", polygons=len(polygons)):
-                self.edge_table = EdgeTable(polygons, mbrs, rows)
+                if base is not None and base.edge_table is not None:
+                    self.edge_table = base.edge_table.splice(
+                        polygons, mbrs, rows, self.delta.dirty
+                    )
+                else:
+                    self.edge_table = EdgeTable(polygons, mbrs, rows)
             self.version += 1
         return self.edge_table
 
@@ -413,16 +443,17 @@ class PreparedPolygons:
             # Run i holds ``boundary[first[i]:first[i] + inside[i]]``: one
             # ragged expansion lists every cut, and each cut ``c`` turns
             # ``[lo, hi)`` into ``[lo, c), [c + 1, hi)``.
-            first = np.searchsorted(boundary, runs[:, 0])
-            inside = np.searchsorted(boundary, runs[:, 1]) - first
+            first, end = np.searchsorted(boundary, runs.ravel()).reshape(-1, 2).T
+            inside = end - first
             cut = boundary[ragged_positions(first, inside)]
             cut_owner = np.repeat(owner, inside)
             before_hi = np.repeat(2 * np.arange(len(runs)) + 1, 2 * inside)
             split = np.insert(
                 runs.ravel(), before_hi, np.column_stack([cut, cut + 1]).ravel()
             ).reshape(-1, 2)
-            keep = split[:, 1] > split[:, 0]
-            runs, owner = split[keep], np.repeat(owner, inside + 1)[keep]
+            keep = np.flatnonzero(split[:, 1] > split[:, 0])
+            runs = split.take(keep, axis=0)
+            owner = np.repeat(owner, inside + 1).take(keep)
         first = np.flatnonzero(np.diff(owner, prepend=-1))
         return TileCoverage(
             runs, owner[first], first,
@@ -438,7 +469,8 @@ class PreparedPolygons:
         (``outlines``, every polygon's) or a coverage fragment
         (``on_boundary``, what :meth:`compose_coverage` trimmed) there,
         sorted by pixel then polygon and de-duplicated — a polygon
-        usually has both on a pixel."""
+        usually has both on a pixel.  Over a subset of the polygons it
+        gives their pairs alone (what :meth:`patch_tile` splices)."""
         pids = sorted(outlines)
         flat = [iy * tile.width + ix for ix, iy in map(outlines.get, pids)]
         pixel = np.concatenate([on_boundary[0], *flat])
@@ -447,9 +479,10 @@ class PreparedPolygons:
         ])
         # Sorted, then adjacent repeats dropped (several times faster
         # than ``np.unique``'s hash pass at these sizes).
-        pairs = np.sort(pixel * len(pids) + owner)
+        span = pids[-1] + 1 if pids else 1
+        pairs = np.sort(pixel * span + owner)
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-        pixels, owners = np.divmod(pairs, len(pids))
+        pixels, owners = np.divmod(pairs, span)
         first = np.flatnonzero(np.diff(pixels, prepend=-1))
         starts = np.append(first, len(pairs))
         return TileCandidates(pixels[first], starts, owners)
@@ -475,14 +508,80 @@ class PreparedPolygons:
             if view is not None and tile_idx not in held:
                 held[tile_idx] = view
                 self.version += 1
+        if (self.delta is not None and self.delta.base is not None
+                and len(self.coverage) == len(self.tiles)):
+            # Every tile composed: nothing left to patch from the base.
+            self.delta = Delta(self.delta.dirty, None)
+
+    # ------------------------------------------------------------------
+    # Patching a delta's views from its base
+    # ------------------------------------------------------------------
+    def patch_tile(self, tile, tile_idx: int, runs: dict,
+                   outlines: dict | None = None) -> tuple | None:
+        """One tile's ``(boundary, coverage, candidates)`` for a delta,
+        built from its base's views; ``None`` when the base has none
+        (:func:`_window`), and the caller composes.
+
+        ``runs`` / ``outlines`` are every polygon's slices of the tile
+        (``outlines`` ``None`` for the bounded kernel, whose run table
+        is untrimmed and which has neither mask nor candidates).  When
+        the window misses the tile the views are the base's objects.
+        Otherwise the edited polygons and those whose box meets ``W``
+        are recomposed — the mask inside ``W``, their runs trimmed at
+        the new boundary, their candidate rows inside ``W`` — and
+        spliced into the base's views: exact, since no other polygon
+        has a pixel in ``W``.
+        """
+        delta = self.delta  # one snapshot: a finished tile loop drops the base
+        box = _window(delta, tile_idx, tile.width, runs, outlines)
+        if box is None:
+            return None
+        base = delta.base
+        views = (
+            base.boundary_masks.get(tile_idx), base.coverage[tile_idx],
+            base.candidates.get(tile_idx),
+        )
+        if box == ():
+            return views
+        x0, y0, x1, y1 = box
+        # The edited polygons always: their old slices leave.
+        near = np.union1d(
+            _boxes_meeting(tile, self.mbr_arrays, box), delta.dirty
+        ).astype(np.int64)
+        if outlines is None:
+            coverage, _ = self.compose_coverage({pid: runs[pid] for pid in near})
+            return None, _splice_coverage(views[1], near, coverage), None
+        mask, _, candidates = views
+        outlines = {pid: outlines[pid] for pid in near}
+        inside = np.s_[y0:y1 + 1, x0:x1 + 1]
+        mask = mask.copy()
+        mask[inside] = self.compose_boundary(tile, outlines)[inside]
+        # The boundary pixels: the base's outside W's rows, the mask's
+        # within them.
+        lo, hi = y0 * tile.width, (y1 + 1) * tile.width
+        i0, i1 = np.searchsorted(candidates.pixels, (lo, hi))
+        boundary = np.concatenate([
+            candidates.pixels[:i0],
+            np.flatnonzero(mask.reshape(-1)[lo:hi]) + lo,
+            candidates.pixels[i1:],
+        ])
+        coverage, on_boundary = self.compose_coverage(
+            {pid: runs[pid] for pid in near}, boundary
+        )
+        return mask, _splice_coverage(views[1], near, coverage), (
+            _splice_candidates(
+                candidates, self.compose_candidates(tile, outlines, on_boundary),
+                tile.width, box,
+            )
+        )
 
     @property
     def rebuilt_polygons(self) -> int | None:
         """How many polygons this artifact had to rebuild, or ``None``
         when it was not produced by a delta derivation."""
-        if self.delta_dirty is None:
+        if self.delta is None:
             return None
-        return len(self.delta_dirty)
+        return len(self.delta.dirty)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -562,4 +661,121 @@ def _boxes_intersect(box: tuple, bbox) -> bool:
     return not (
         xmax < bbox.xmin or xmin > bbox.xmax
         or ymax < bbox.ymin or ymin > bbox.ymax
+    )
+
+
+def _pixel_box(width: int, runs: list, outlines: list) -> tuple:
+    """``(x0, y0, x1, y1)``, inclusive, of the pixels of ``runs``
+    (``(k, 2)`` flat ``[lo, hi)`` runs, ascending) and ``outlines``
+    (``(ix, iy)`` pairs) on a tile ``width`` pixels wide; ``()`` when
+    they hold none.  A run that wraps into the next row spans the
+    width."""
+    xs, ys = [], []
+    for part in runs:
+        if len(part):
+            lo, last = part[:, 0], part[:, 1] - 1
+            ys += [lo[0] // width, last[-1] // width]
+            if (lo // width != last // width).any():
+                xs += [0, width - 1]
+            else:
+                xs += [(lo % width).min(), (last % width).max()]
+    for ix, iy in outlines:
+        if len(ix):
+            xs += [ix.min(), ix.max()]
+            ys += [iy.min(), iy.max()]
+    if not ys:
+        return ()
+    return int(min(xs)), int(min(ys)), int(max(xs)), int(max(ys))
+
+
+def _window(delta: Delta | None, tile_idx: int, width: int, runs: dict,
+            outlines: dict | None = None) -> tuple | None:
+    """The edit's window ``W`` on one tile: the ``(x0, y0, x1, y1)``
+    pixel box (inclusive) of the edited polygons' old slices and of
+    their new ones among ``runs`` / ``outlines`` (``{pid: slice}``; a
+    pid left out adds nothing); ``()`` when they hold no pixel there,
+    ``None`` when ``delta`` has no base views of the tile to patch."""
+    base = delta.base if delta is not None else None
+    if base is None or tile_idx not in base.coverage:
+        return None
+    exact = tile_idx in base.boundary_masks
+    if exact and tile_idx not in base.candidates:
+        return None
+    departed = base.departed.values()
+    old_runs = [unit.coverage.get(tile_idx) for unit in departed]
+    old_outlines = [unit.boundary.get(tile_idx) for unit in departed if exact]
+    if any(part is None for part in old_runs + old_outlines):
+        return None
+    return _pixel_box(
+        width, old_runs + [runs[pid] for pid in delta.dirty if pid in runs],
+        old_outlines + [outlines[pid] for pid in delta.dirty
+                        if outlines is not None and pid in outlines],
+    )
+
+
+def _boxes_meeting(tile, mbr_arrays: tuple, box: tuple) -> np.ndarray:
+    """The polygons whose pixel box on ``tile`` — their MBR's, widened
+    by a pixel for the conservative outline raster — meets ``box``:
+    every polygon with a pixel in it, ascending."""
+    xmin, xmax, ymin, ymax = mbr_arrays
+    sx0, sy0 = np.floor(tile.to_screen(xmin, ymin))
+    sx1, sy1 = np.floor(tile.to_screen(xmax, ymax))
+    x0, y0, x1, y1 = box
+    return np.flatnonzero(
+        (sx0 - 1 <= x1) & (sx1 + 1 >= x0) & (sy0 - 1 <= y1) & (sy1 + 1 >= y0)
+    )
+
+
+def _splice_coverage(base: TileCoverage, pids: np.ndarray,
+                     sub: TileCoverage) -> TileCoverage:
+    """``base`` with the segments of ``pids`` replaced by ``sub``'s (a
+    table over those polygons alone), in polygon order, ``order``
+    re-sorted."""
+    n_base = len(base.runs)
+    kept = ~np.isin(base.pids, pids)
+    owner = np.concatenate([base.pids[kept], sub.pids])
+    first = np.concatenate([base.starts[kept], n_base + sub.starts])
+    count = np.concatenate([
+        np.diff(base.starts, append=n_base)[kept],
+        np.diff(sub.starts, append=len(sub.runs)),
+    ])
+    by_pid = np.argsort(owner, kind="stable")
+    owner, first, count = owner[by_pid], first[by_pid], count[by_pid]
+    runs = np.concatenate([base.runs, sub.runs]).take(
+        ragged_positions(first, count), axis=0
+    )
+    return TileCoverage(
+        runs, owner, np.cumsum(count) - count,
+        np.argsort(runs[:, 0], kind="stable"),
+    )
+
+
+def _splice_candidates(base: TileCandidates, sub: TileCandidates,
+                       width: int, box: tuple) -> TileCandidates:
+    """``base``'s rows outside ``box`` and ``sub``'s inside it, in pixel
+    order: only the rows of ``box``'s rows of pixels are re-laid."""
+    x0, y0, x1, y1 = box
+    i0, i1 = np.searchsorted(base.pixels, (y0 * width, (y1 + 1) * width))
+    s0, s1 = base.starts[i0], base.starts[i1]
+    pixel = np.concatenate([
+        np.repeat(base.pixels[i0:i1], np.diff(base.starts[i0:i1 + 1])),
+        np.repeat(sub.pixels, np.diff(sub.starts)),
+    ])
+    owner = np.concatenate([base.pids[s0:s1], sub.pids])
+    iy, ix = np.divmod(pixel, width)
+    # The base's pairs outside the box, ``sub``'s inside it.
+    keep = ((ix >= x0) & (ix <= x1) & (iy >= y0) & (iy <= y1)) != (
+        np.arange(len(pixel)) < s1 - s0
+    )
+    # Either side is sorted by (pixel, polygon) and no pixel is on both.
+    by_pixel = np.argsort(pixel[keep], kind="stable")
+    pixel, owner = pixel[keep][by_pixel], owner[keep][by_pixel]
+    first = np.flatnonzero(np.diff(pixel, prepend=-1))
+    return TileCandidates(
+        np.concatenate([base.pixels[:i0], pixel[first], base.pixels[i1:]]),
+        np.concatenate([
+            base.starts[:i0], s0 + first,
+            base.starts[i1:] + len(owner) - (s1 - s0),
+        ]),
+        np.concatenate([base.pids[:s0], owner, base.pids[s1:]]),
     )

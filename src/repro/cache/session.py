@@ -243,6 +243,10 @@ class QuerySession:
         #: :meth:`_evict_point_state`).
         self._point_cache: "OrderedDict[tuple, _PointState]" = OrderedDict()
         self._entries: "OrderedDict[tuple, PreparedPolygons]" = OrderedDict()
+        #: polygon fingerprint -> {key: how many of the entry's polygons
+        #: carry it}, over the resident entries: what a delta lookup
+        #: reads instead of scanning every entry's units.
+        self._holders: dict[str, dict[tuple, int]] = {}
         #: key -> artifact nbytes at the time it was last persisted.  An
         #: entry is dirty only while its in-memory content *exceeds* the
         #: persisted size: per key the content is deterministic and only
@@ -306,7 +310,7 @@ class QuerySession:
         if self.store is not None:
             entry = self.store.load(key, polygons)
             if entry is not None:
-                self._entries[key] = entry
+                self._admit(key, entry)
                 # Fresh from disk: identical bytes are already persisted,
                 # so the next flush skips it unless it grows.
                 self._persisted[key] = entry.nbytes
@@ -322,20 +326,37 @@ class QuerySession:
         base, _ = self._find_delta_base(key, spec, polygons)
         if base is not None:
             entry = PreparedPolygons.derive_from(base, key, polygons)
-            self._entries[key] = entry
+            self._admit(key, entry)
             self.misses += 1
             self.delta_hits += 1
-            self.polygons_rebuilt += len(entry.delta_dirty)
+            self.polygons_rebuilt += entry.rebuilt_polygons
             entry.uses += 1
             self._maintain(exclude=key)
             metrics.counter("session_prepared_lookups", result="delta_hit")
             return entry, "delta"
         entry = PreparedPolygons(polygons, key)
-        self._entries[key] = entry
+        self._admit(key, entry)
         self.misses += 1
         self._maintain(exclude=key)
         metrics.counter("session_prepared_lookups", result="miss")
         return entry, ""
+
+    def _admit(self, key: tuple, entry: PreparedPolygons) -> None:
+        """Make ``entry`` resident under ``key`` and index its polygons."""
+        self._entries[key] = entry
+        for fp, count in Counter(u.fingerprint for u in entry.units).items():
+            self._holders.setdefault(fp, {})[key] = count
+
+    def _remove(self, key: tuple) -> PreparedPolygons:
+        """Take the entry under ``key`` out of memory and the index."""
+        entry = self._entries.pop(key)
+        for unit in entry.units:
+            holders = self._holders.get(unit.fingerprint)
+            if holders is not None:
+                holders.pop(key, None)
+                if not holders:
+                    del self._holders[unit.fingerprint]
+        return entry
 
     def _find_delta_base(
         self, key: tuple, spec: tuple, polygons: PolygonSet
@@ -349,27 +370,26 @@ class QuerySession:
         the one reusing the most polygons wins (most recently used on
         ties).  The probe never touches LRU order or hit counters.
         """
+        # Multiset intersection through the fingerprint index — mirrors
+        # the pop-one-per-match pairing derive_from performs, so
+        # duplicate fingerprints (identical polygons) are never
+        # double-counted and the match count can never exceed the
+        # query's polygon count.
+        matched: dict[tuple, int] = {}
+        for fp, want in Counter(poly.fingerprint for poly in polygons).items():
+            for holder, have in self._holders.get(fp, {}).items():
+                matched[holder] = matched.get(holder, 0) + min(want, have)
         bbox = _bbox_tuple(polygons)
-        want = Counter(poly.fingerprint for poly in polygons)
         best: PreparedPolygons | None = None
         best_matched = 0
         for candidate_key in reversed(self._entries):
-            if candidate_key == key or candidate_key[1:] != tuple(spec):
+            count = matched.get(candidate_key, 0)
+            if (count <= best_matched or candidate_key == key
+                    or candidate_key[1:] != tuple(spec)):
                 continue
             candidate = self._entries[candidate_key]
-            if candidate.source_bbox != bbox:
-                continue
-            # Multiset intersection — mirrors the pop-one-per-match
-            # pairing derive_from performs, so duplicate fingerprints
-            # (identical polygons) are never double-counted and the
-            # match count can never exceed the query's polygon count.
-            have = Counter(unit.fingerprint for unit in candidate.units)
-            matched = sum(
-                min(count, have[fp]) for fp, count in want.items()
-                if fp in have
-            )
-            if matched > best_matched:
-                best, best_matched = candidate, matched
+            if candidate.source_bbox == bbox:
+                best, best_matched = candidate, count
         return best, best_matched
 
     @_locked
@@ -750,7 +770,7 @@ class QuerySession:
 
     def _demote(self, key: tuple, nbytes: int) -> None:
         """Move one entry out of memory, persisting it first if needed."""
-        entry = self._entries.pop(key)
+        entry = self._remove(key)
         if self.store is not None and self._is_dirty(key, nbytes):
             self._try_save(key, entry, nbytes)
         self._forget(key)
@@ -811,18 +831,13 @@ class QuerySession:
         disk tier is left intact — use ``session.store.clear()`` (or
         ``delete``) to reclaim disk space.
         """
-        if polygons is None:
-            removed = len(self._entries)
-            for key in list(self._entries):
-                self._forget(key)
-            self._entries.clear()
-            self._point_cache.clear()
-            return removed
         doomed = [key for key in self._entries
-                  if key[0] == polygons.fingerprint]
+                  if polygons is None or key[0] == polygons.fingerprint]
         for key in doomed:
-            del self._entries[key]
+            self._remove(key)
             self._forget(key)
+        if polygons is None:
+            self._point_cache.clear()
         return len(doomed)
 
     # ------------------------------------------------------------------

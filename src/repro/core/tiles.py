@@ -261,8 +261,10 @@ def _tile_boundary(
     pixels into the mask.  The coverage raster runs here too, and the
     units' runs are split at the mask's pixels: what is left is the run
     table, what was cut out are the coverage fragments on boundary
-    pixels — with the outlines, the candidates.  Under ``retain`` what
-    this call built goes home in ``partial``.
+    pixels — with the outlines, the candidates.  A delta with stable ids
+    patches its base's views instead, inside the edit's window
+    (:meth:`~repro.cache.prepared.PreparedPolygons.patch_tile`).  Under
+    ``retain`` what this call built goes home in ``partial``.
     """
     prepared = member.prepared
     held = views = TileViews(
@@ -285,18 +287,24 @@ def _tile_boundary(
                 pid: member.polygons[pid].rings for pid in pids if hit[pid]
             }))
             outlines.update(built_units)
-            boundary, coverage, candidates = held
-            if boundary is None:
-                boundary = prepared.compose_boundary(tile, outlines)
             runs, built_runs = _unit_runs(tile_idx, tile, member)
-            coverage, on_boundary = prepared.compose_coverage(
-                runs, np.flatnonzero(boundary)
-            )
-            if candidates is None:
-                candidates = prepared.compose_candidates(
-                    tile, outlines, on_boundary
+            patched = None
+            if all(view is None for view in held):
+                patched = prepared.patch_tile(tile, tile_idx, runs, outlines)
+            if patched is not None:
+                views = TileViews(*patched)
+            else:
+                boundary, coverage, candidates = held
+                if boundary is None:
+                    boundary = prepared.compose_boundary(tile, outlines)
+                coverage, on_boundary = prepared.compose_coverage(
+                    runs, np.flatnonzero(boundary)
                 )
-            views = TileViews(boundary, coverage, candidates)
+                if candidates is None:
+                    candidates = prepared.compose_candidates(
+                        tile, outlines, on_boundary
+                    )
+                views = TileViews(boundary, coverage, candidates)
             if retain:
                 partial.built = {
                     name: new for name, new, old
@@ -535,7 +543,11 @@ def _polygon_pass(
         coverage = member.prepared.coverage.get(tile_idx)
         if coverage is None:
             runs, built["unit_coverage"] = _unit_runs(tile_idx, tile, member)
-            coverage, _ = member.prepared.compose_coverage(runs)
+            patched = member.prepared.patch_tile(tile, tile_idx, runs)
+            if patched is not None:
+                coverage = patched[1]
+            else:
+                coverage, _ = member.prepared.compose_coverage(runs)
             built["coverage"] = coverage
     aggregate = member.aggregate
     lo, hi = coverage.runs.take(coverage.order, axis=0).T

@@ -43,18 +43,22 @@ DEFAULT_ROWS = 1024
 class EdgeTable:
     """Concatenated polygon edges with a (polygon, row) -> edges CSR.
 
-    ``ax/ay/bx/by`` are the directed edge endpoints; ``mbrs`` the
-    polygons' ``(xmin, xmax, ymin, ymax)`` columns (the
-    ``contains_points`` gate — the prepared artifact's own, shared not
-    copied); ``rows`` bands of height ``row_height`` start at ``ymin``;
-    polygon ``p`` owns the ``row_count[p]`` consecutive bands
-    starting at ``band_base[p]`` for rows ``row_lo[p]...``, and
-    band ``k`` lists ``band_edges[band_start[k]:band_start[k + 1]]``.
+    ``ax/ay/bx/by`` are the directed edge endpoints, polygon ``p``'s
+    being ``edge_start[p]:edge_start[p + 1]``; ``mbrs`` the polygons'
+    ``(xmin, xmax, ymin, ymax)`` columns (the ``contains_points`` gate —
+    the prepared artifact's own, shared not copied); ``rows`` bands of
+    height ``row_height`` start at ``ymin``; polygon ``p`` owns the
+    ``row_count[p]`` consecutive bands starting at ``band_base[p]`` for
+    rows ``row_lo[p]...``, and band ``k`` lists
+    ``band_edges[band_start[k]:band_start[k + 1]]``.  Every array is a
+    concatenation of per-polygon blocks in polygon order, each a
+    function of its polygon and the frame alone — what lets
+    :meth:`splice` replace a few polygons' blocks bit-identically.
     """
 
     __slots__ = ("ax", "ay", "bx", "by", "mbrs", "rows", "ymin",
-                 "row_height", "row_lo", "row_count", "band_base",
-                 "band_start", "band_edges")
+                 "row_height", "edge_start", "row_lo", "row_count",
+                 "band_base", "band_start", "band_edges")
 
     def __init__(
         self,
@@ -64,7 +68,24 @@ class EdgeTable:
     ) -> None:
         if rows < 1:
             raise QueryError(f"edge table rows must be >= 1, got {rows}")
-        polys = list(polygons)
+        self._frame(mbrs, rows)
+        ends, counts, self.row_lo, self.row_count, band_sizes, \
+            self.band_edges = self._blocks(list(polygons))
+        self.ax, self.ay, self.bx, self.by = ends
+        self._index(counts, band_sizes)
+
+    def _frame(self, mbrs: tuple[np.ndarray, ...], rows: int) -> None:
+        """``rows`` equal bands over the y-range of ``mbrs``."""
+        self.mbrs = mbrs
+        self.rows = rows
+        self.ymin = float(mbrs[2].min())
+        # A set of zero height has one band whatever its y.
+        self.row_height = (float(mbrs[3].max()) - self.ymin) / rows or 1.0
+
+    def _blocks(self, polys: list) -> tuple:
+        """The per-polygon blocks of ``polys`` in this table's frame:
+        endpoints, edges per polygon, ``row_lo`` / ``row_count``, edges
+        per band and the bands' edge lists (edge ids from 0)."""
         rings = [ring for poly in polys for ring in poly.rings]
         lens = np.fromiter((len(r) for r in rings), np.int64, len(rings))
         ring_pid = np.repeat(
@@ -78,37 +99,103 @@ class EdgeTable:
         prev[ring_first] = ring_first + lens - 1
         a = b[prev]
         sloped = a[:, 1] != b[:, 1]
-        self.ax, self.ay = a[sloped, 0], a[sloped, 1]
-        self.bx, self.by = b[sloped, 0], b[sloped, 1]
+        ends = (a[sloped, 0], a[sloped, 1], b[sloped, 0], b[sloped, 1])
         owner = np.repeat(ring_pid, lens)[sloped]
-        self.mbrs = mbrs
-        self.rows = rows
-        self.ymin = float(mbrs[2].min())
-        # A set of zero height has one band whatever its y.
-        self.row_height = (float(mbrs[3].max()) - self.ymin) / rows or 1.0
 
-        edge_lo = self.row_of(np.minimum(self.ay, self.by))
-        edge_hi = self.row_of(np.maximum(self.ay, self.by))
-        row_lo = np.full(len(polys), rows, dtype=np.int64)
+        edge_lo = self.row_of(np.minimum(ends[1], ends[3]))
+        edge_hi = self.row_of(np.maximum(ends[1], ends[3]))
+        row_lo = np.full(len(polys), self.rows, dtype=np.int64)
         row_hi = np.full(len(polys), -1, dtype=np.int64)
         np.minimum.at(row_lo, owner, edge_lo)
         np.maximum.at(row_hi, owner, edge_hi)
-        self.row_lo = row_lo
-        self.row_count = np.maximum(row_hi - row_lo + 1, 0)
-        self.band_base = np.cumsum(self.row_count) - self.row_count
+        row_count = np.maximum(row_hi - row_lo + 1, 0)
+        band_base = np.cumsum(row_count) - row_count
 
         # Register each edge in every band its span meets, then group by
         # band (stable: a band lists its edges in table order).
         spans = edge_hi - edge_lo + 1
         edge = np.repeat(np.arange(len(owner), dtype=np.int64), spans)
-        band = (self.band_base - row_lo)[owner[edge]] + ragged_positions(
+        band = (band_base - row_lo)[owner[edge]] + ragged_positions(
             edge_lo, spans
         )
-        self.band_edges = edge[np.argsort(band, kind="stable")]
+        return (
+            ends, np.bincount(owner, minlength=len(polys)), row_lo,
+            row_count, np.bincount(band, minlength=int(row_count.sum())),
+            edge[np.argsort(band, kind="stable")],
+        )
+
+    def _index(self, counts: np.ndarray, band_sizes: np.ndarray) -> None:
+        """The offsets over the blocks: edges, bands and band lists."""
+        self.edge_start = np.concatenate([[0], np.cumsum(counts)])
+        self.band_base = np.cumsum(self.row_count) - self.row_count
         self.band_start = np.concatenate([[0], np.cumsum(
-            np.bincount(band, minlength=int(self.row_count.sum())),
-            dtype=np.int64,
+            band_sizes, dtype=np.int64,
         )])
+
+    def splice(
+        self,
+        polygons: PolygonSet | Sequence[Polygon],
+        mbrs: tuple[np.ndarray, ...],
+        rows: int,
+        replaced: Sequence[int],
+    ) -> "EdgeTable":
+        """The table of ``polygons`` — this table's set with the
+        polygons at ``replaced`` (ascending ids) swapped — built by
+        splicing their fresh blocks into this table's.  The same frame
+        gives the same blocks, so the result is a rebuild's bits; a
+        frame that moved, or another row count, rebuilds."""
+        table = EdgeTable.__new__(EdgeTable)
+        table._frame(mbrs, rows)
+        if (rows, table.ymin, table.row_height) != (
+            self.rows, self.ymin, self.row_height
+        ) or len(mbrs[0]) != len(self.row_lo):
+            return EdgeTable(polygons, mbrs, rows)
+        polys = list(polygons)
+        ends, counts, row_lo, row_count, band_sizes, band_edges = (
+            table._blocks([polys[pid] for pid in replaced])
+        )
+        fresh_start = np.concatenate([[0], np.cumsum(counts)])
+        fresh_base = np.concatenate([[0], np.cumsum(row_count)])
+        fresh_lists = np.concatenate([[0], np.cumsum(band_sizes)])
+        counts_all = np.diff(self.edge_start)
+        counts_all[replaced] = counts
+        table.row_lo = self.row_lo.copy()
+        table.row_lo[replaced] = row_lo
+        table.row_count = self.row_count.copy()
+        table.row_count[replaced] = row_count
+        edge_start = np.concatenate([[0], np.cumsum(counts_all)])
+        base = np.append(self.band_base, self.band_start.size - 1)
+        sizes = np.diff(self.band_start)
+        # Alternate the kept runs of polygons and the replaced ones.
+        pieces: list[tuple] = []
+        prev = 0
+        for k, pid in enumerate(list(replaced) + [len(polys)]):
+            e0, e1 = self.edge_start[prev], self.edge_start[pid]
+            pieces.append((
+                [arr[e0:e1] for arr in (self.ax, self.ay, self.bx, self.by)],
+                sizes[base[prev]:base[pid]],
+                self.band_edges[self.band_start[base[prev]]:
+                                self.band_start[base[pid]]]
+                + (edge_start[prev] - e0),
+            ))
+            if pid == len(polys):
+                break
+            f0, f1 = fresh_start[k], fresh_start[k + 1]
+            b0, b1 = fresh_base[k], fresh_base[k + 1]
+            pieces.append((
+                [arr[f0:f1] for arr in ends],
+                band_sizes[b0:b1],
+                band_edges[fresh_lists[b0]:fresh_lists[b1]]
+                + (edge_start[pid] - f0),
+            ))
+            prev = pid + 1
+        table.ax, table.ay, table.bx, table.by = (
+            np.concatenate([piece[0][i] for piece in pieces])
+            for i in range(4)
+        )
+        table.band_edges = np.concatenate([piece[2] for piece in pieces])
+        table._index(counts_all, np.concatenate([piece[1] for piece in pieces]))
+        return table
 
     def row_of(self, ys: np.ndarray) -> np.ndarray:
         """Band per ``y`` inside the frame (the top edge is the last

@@ -1,6 +1,11 @@
 """Unit tests for per-polygon artifacts: delta derivation, rebuild
 accounting, the partition cache, and fractional warmth."""
 
+import functools
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -83,7 +88,7 @@ class TestDeltaDerivation:
         # (counted, not timed: the holed polygon is most of the clock).
         new_key = (after.fingerprint,) + tuple(engine.prepared_spec())
         entry = session._entries[new_key]
-        assert entry.delta_dirty == [2]
+        assert entry.delta.dirty == [2]
         assert triangulated[3:] == [after[2]]
 
     def test_an_edit_through_a_copied_ring_is_a_delta(self, uniform_points,
@@ -191,6 +196,186 @@ class TestDeltaDerivation:
             device=GPUDevice(max_resolution=48),
         ).execute(uniform_points, after, aggregate=Sum("fare"))
         assert np.array_equal(inc.values, cold.values)
+
+
+    def test_seam_crossing_delta_matches_cold(self, uniform_points,
+                                             three_regions):
+        """A one-vertex edit of a polygon spanning tile seams patches
+        every tile it meets from the base's views: one polygon rebuilt,
+        the answer a cold build's."""
+        device = GPUDevice(max_resolution=48)
+        seam = Polygon([(30, 30), (60, 32), (58, 58), (32, 55)])
+        before = PolygonSet(list(three_regions) + [seam])
+        ring = seam.exterior.copy()
+        ring[2] += (ring.mean(axis=0) - ring[2]) * 0.3
+        after = PolygonSet(list(three_regions) + [Polygon(ring)])
+        session = QuerySession(store=False)
+        engine = AccurateRasterJoin(
+            resolution=128, grid_resolution=64, session=session,
+            device=device,
+        )
+        engine.execute(uniform_points, before, aggregate=Sum("fare"))
+        base_key = (before.fingerprint,) + tuple(engine.prepared_spec())
+        tiles = session._entries[base_key].tiles
+        assert sum(tile.bbox.intersects(seam.bbox) for tile in tiles) > 1
+        result = engine.execute(uniform_points, after, aggregate=Sum("fare"))
+        assert result.stats.extra["prepared"] == "delta"
+        assert result.stats.extra["polygons_rebuilt"] == 1
+        cold = AccurateRasterJoin(
+            resolution=128, grid_resolution=64, device=device,
+        ).execute(uniform_points, after, aggregate=Sum("fare"))
+        assert np.array_equal(result.values, cold.values)
+
+
+    def test_statements_racing_on_one_delta(self, uniform_points,
+                                            three_regions):
+        """Statements racing on one delta-derived artifact — some
+        patching from the base while another's merge drops it — all
+        answer a cold build's bits."""
+        device = GPUDevice(max_resolution=48)
+        session = QuerySession(store=False)
+        make = functools.partial(
+            AccurateRasterJoin, resolution=128, grid_resolution=64,
+            device=device,
+        )
+        make(session=session).execute(
+            uniform_points, three_regions, aggregate=Sum("fare")
+        )
+        after = edited_regions(three_regions)
+        cold = make().execute(uniform_points, after, aggregate=Sum("fare"))
+        results, errors = [], []
+
+        def run():
+            try:
+                results.append(make(session=session).execute(
+                    uniform_points, after, aggregate=Sum("fare")
+                ))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(results) == 8
+        assert {r.stats.extra["prepared"] for r in results} <= {"delta", "hit"}
+        for result in results:
+            assert np.array_equal(result.values, cold.values)
+
+
+    def test_patch_outlives_the_base_being_dropped(self, uniform_points,
+                                                   three_regions,
+                                                   monkeypatch):
+        """A tile task patches from the delta it read on entry: another
+        statement's merge dropping the base meanwhile (what finishing
+        the last tile does) changes nothing."""
+        from repro.cache import prepared
+
+        session = QuerySession(store=False)
+        engine = AccurateRasterJoin(
+            resolution=128, grid_resolution=64, session=session
+        )
+        engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
+        after = edited_regions(three_regions)
+        entry, _ = session.prepared_for(after, engine.prepared_spec())
+        assert entry.delta.base is not None
+        pixel_box = prepared._pixel_box
+
+        def dropped_meanwhile(*args):
+            entry.delta = prepared.Delta(entry.delta.dirty, None)
+            return pixel_box(*args)
+
+        monkeypatch.setattr(prepared, "_pixel_box", dropped_meanwhile)
+        result = engine.execute(uniform_points, after, aggregate=Sum("fare"))
+        cold = AccurateRasterJoin(resolution=128, grid_resolution=64).execute(
+            uniform_points, after, aggregate=Sum("fare")
+        )
+        assert np.array_equal(result.values, cold.values)
+
+
+class TestDeltaLookup:
+    """The delta base comes from a fingerprint index; it must choose as
+    a scan over every resident entry's units did."""
+
+    SPEC = ("test", 1)
+
+    @staticmethod
+    def _scan(session, key, spec, polygons):
+        """The reference: the scan the index replaced."""
+        box = polygons.bbox
+        bbox = (box.xmin, box.ymin, box.xmax, box.ymax)
+        want = Counter(poly.fingerprint for poly in polygons)
+        best, best_matched = None, 0
+        for candidate_key in reversed(session._entries):
+            if candidate_key == key or candidate_key[1:] != tuple(spec):
+                continue
+            candidate = session._entries[candidate_key]
+            if candidate.source_bbox != bbox:
+                continue
+            have = Counter(unit.fingerprint for unit in candidate.units)
+            matched = sum(min(n, have[fp]) for fp, n in want.items())
+            if matched > best_matched:
+                best, best_matched = candidate, matched
+        return best, best_matched
+
+    @staticmethod
+    def _square(x: float, y: float, side: float = 5.0) -> Polygon:
+        return Polygon([(x, y), (x + side, y), (x + side, y + side),
+                        (x, y + side)])
+
+    def _check(self, session, queries):
+        for query in queries:
+            for spec in (self.SPEC, ("other",)):
+                key = (query.fingerprint,) + tuple(spec)
+                got = session._find_delta_base(key, spec, query)
+                want = self._scan(session, key, spec, query)
+                assert got[0] is want[0] and got[1] == want[1]
+
+    def test_index_chooses_as_the_scan(self):
+        low, high = self._square(0, 0), self._square(95, 95)
+        s1, s2, s3, s4 = (self._square(10 * k, 40) for k in range(1, 5))
+        sets = [
+            [low, high, s1, s1, s2],      # a duplicate fingerprint
+            [low, high, s1, s3, s4],
+            [low, high, s2, s3, s3],
+            [low, s1, s1, s2],            # another frame
+        ]
+        queries = [PolygonSet(q) for q in (
+            [low, high, s1, s1, s1, s2], [low, high, s3], [low, high, s1],
+            [low, high, s3, s3, s4], [low, high, s2, s2], [low, s1, s2],
+            [low, high, self._square(60, 60)],
+        )]
+        session = QuerySession(capacity=4, store=False)
+        for polys in sets:
+            session.prepared_for(PolygonSet(polys), self.SPEC)
+        session.prepared_for(PolygonSet(sets[0]), ("other",))
+        self._check(session, queries)
+        # Ties go to the most recently used: touch each in turn.
+        for polys in sets:
+            session.prepared_for(PolygonSet(polys), self.SPEC)
+            self._check(session, queries)
+        tie = PolygonSet([low, high, s3])
+        assert session._find_delta_base(
+            (tie.fingerprint,) + self.SPEC, self.SPEC, tie
+        )[1] == 3
+        # Capacity evictions and invalidation keep the index in step.
+        for k in range(3):
+            session.prepared_for(PolygonSet([low, high, s4, s4, s1]
+                                            + [s2] * k), self.SPEC)
+            self._check(session, queries)
+        session.invalidate(PolygonSet(sets[2]))
+        self._check(session, queries)
+        session.invalidate()
+        assert session._holders == {}
+        self._check(session, queries)
 
 
 class TestPartitionCache:

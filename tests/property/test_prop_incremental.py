@@ -13,6 +13,11 @@ wrote, after a fresh-session "restart" over the same store directory.
 The polygon sets carry two fixed anchor rectangles pinning the overall
 extent, so edits never change the frame (the realistic rezoning case:
 interior boundaries move, the city does not).
+
+Below the answers, the delta's own state: every tile's composed views
+(the boundary mask, the run table, the candidate CSR) and the edge
+table must equal a from-scratch build's array for array, whether the
+delta patched them inside the edit's window or composed them.
 """
 
 import tempfile
@@ -28,6 +33,7 @@ from repro import (
     BoundedRasterJoin,
     Count,
     EngineConfig,
+    GPUDevice,
     Max,
     Min,
     PointDataset,
@@ -190,3 +196,160 @@ def test_incremental_edit_restarts_from_its_own_pair(workload):
         _assert_bit_identical(
             reference, again, (backend, streamed, "restarted")
         )
+
+
+# ----------------------------------------------------------------------
+# The delta's views against a from-scratch build
+# ----------------------------------------------------------------------
+#: Device limits splitting the 64-pixel canvas into 1, 4 and 16 tiles.
+TILE_LIMITS = {1: 64, 4: 32, 16: 16}
+
+#: A sliver well inside one pixel: on the exact path every pixel it has
+#: is a boundary pixel, so it owns no run.
+SLIVER = ((0.0, 0.0), (0.3, 0.0), (0.0, 0.3))
+
+
+def _sliver(poly: Polygon) -> Polygon:
+    cx, cy = poly.exterior.mean(axis=0)
+    return Polygon([(cx + dx, cy + dy) for dx, dy in SLIVER])
+
+
+def _pull_vertex(poly: Polygon, vertex: int) -> Polygon:
+    """Move one vertex 30% toward the ring's centroid, as a rezoning
+    stroke does; the neighbours keep theirs, so the cells now overlap
+    or leave a gap."""
+    ring = poly.exterior.copy()
+    vertex %= len(ring)
+    ring[vertex] += (ring.mean(axis=0) - ring[vertex]) * 0.3
+    return Polygon(ring)
+
+
+def _zoning(rng: np.random.Generator, cells: int) -> list[Polygon]:
+    """A jittered ``cells`` x ``cells`` grid of quads over [15, 85]^2 —
+    neighbours share their edges, as a zoning's do — plus a star on the
+    canvas centre overlapping the middle cells and crossing the seams."""
+    step = 70.0 / cells
+    grid = 15.0 + step * np.stack(np.meshgrid(
+        np.arange(cells + 1), np.arange(cells + 1), indexing="ij",
+    ), axis=-1)
+    grid[1:-1, 1:-1] += rng.uniform(-0.2, 0.2, (cells - 1, cells - 1, 2)) * step
+    quads = [
+        Polygon([grid[i, j], grid[i + 1, j], grid[i + 1, j + 1],
+                 grid[i, j + 1]])
+        for i in range(cells) for j in range(cells)
+    ]
+    return quads + [_interior_polygon(rng, 4)]
+
+
+@st.composite
+def view_edits(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    tiles = draw(st.sampled_from(sorted(TILE_LIMITS)))
+    kind = draw(st.sampled_from(["accurate", "bounded"]))
+    prewarm = kind == "accurate" and draw(st.booleans())
+    edit = draw(st.sampled_from(
+        ["move", "seam", "add", "remove", "reorder", "no-run"]
+    ))
+    rng = np.random.default_rng(seed)
+    n_points = int(rng.integers(200, 600))
+    points = PointDataset(
+        rng.uniform(0.0, 100.0, n_points),
+        rng.uniform(0.0, 100.0, n_points),
+        {"val": rng.integers(0, 50, n_points).astype(np.float64)},
+    )
+    interior = _zoning(rng, int(rng.integers(2, 4)))
+    at = int(rng.integers(0, len(interior)))
+    edited = list(interior)
+    if edit == "move":  # one polygon, or two
+        for pid in rng.choice(len(interior), int(rng.integers(1, 3)), False):
+            edited[pid] = _pull_vertex(interior[pid], int(rng.integers(4)))
+    elif edit == "seam":  # the centre star
+        edited[-1] = _pull_vertex(interior[-1], int(rng.integers(9)))
+    elif edit == "add":
+        edited.insert(at, _interior_polygon(rng, int(rng.integers(4))))
+    elif edit == "remove":
+        edited.pop(at)
+    elif edit == "reorder":
+        other = (at + 1 + int(rng.integers(len(edited) - 1))) % len(edited)
+        edited[at], edited[other] = edited[other], edited[at]
+    elif rng.random() < 0.5:  # no-run: a polygon shrinks to a sliver ...
+        edited[at] = _sliver(interior[at])
+    else:  # ... or a sliver grows back
+        interior[at] = _sliver(interior[at])
+    # The polygon the edit left a sliver, if any.
+    sliver = None
+    if edit == "no-run" and edited[at].bbox.width < 1:
+        sliver = len(ANCHORS) + at
+    base = PolygonSet(list(ANCHORS) + interior)
+    after = PolygonSet(list(ANCHORS) + edited)
+    return points, base, after, tiles, kind, prewarm, edit, sliver
+
+
+def _build(kind, tiles, points, polygons, session, prewarm=False):
+    cls = AccurateRasterJoin if kind == "accurate" else BoundedRasterJoin
+    engine = cls(
+        resolution=64, session=session,
+        device=GPUDevice(max_resolution=TILE_LIMITS[tiles]),
+    )
+    if prewarm:
+        engine.prewarm(points, polygons)
+    result = engine.execute(points, polygons, aggregate=Sum("val"))
+    key = (polygons.fingerprint,) + tuple(engine.prepared_spec())
+    return engine, result, session._entries[key]
+
+
+def _assert_views_equal(got, cold, label):
+    assert len(got.tiles) == len(cold.tiles), label
+    assert set(got.boundary_masks) == set(cold.boundary_masks), label
+    for idx in range(len(cold.tiles)):
+        if idx in cold.boundary_masks:
+            assert np.array_equal(
+                got.boundary_masks[idx], cold.boundary_masks[idx]
+            ), (label, idx)
+        for field in ("coverage", "candidates"):
+            views = getattr(got, field), getattr(cold, field)
+            assert (idx in views[0]) == (idx in views[1]), (label, field)
+            if idx in views[1]:
+                for name, mine, theirs in zip(
+                    views[1][idx]._fields, views[0][idx], views[1][idx]
+                ):
+                    assert np.array_equal(mine, theirs), (label, idx, name)
+    if cold.edge_table is None:
+        assert got.edge_table is None, label
+        return
+    for name in cold.edge_table.__slots__:
+        mine, theirs = (
+            getattr(table, name) for table in (got.edge_table, cold.edge_table)
+        )
+        if name == "mbrs":
+            assert all(map(np.array_equal, mine, theirs)), label
+        else:
+            assert np.array_equal(mine, theirs), (label, name)
+
+
+@given(view_edits())
+@settings(max_examples=40, deadline=None)
+def test_delta_views_equal_a_cold_build(workload):
+    """A delta's boundary masks, run tables, candidate CSRs and edge
+    table are a from-scratch build's on every tile — patched inside the
+    edit's window when ids are stable, composed when an add, a remove or
+    a reorder moved them — and so are its answers."""
+    points, base, after, tiles, kind, prewarm, edit, sliver = workload
+    label = (kind, tiles, prewarm, edit)
+    session = QuerySession(store=False)
+    engine, _, _ = _build(kind, tiles, points, base, session, prewarm)
+    assert len(session._entries[next(iter(session._entries))].tiles) == tiles
+    result = engine.execute(points, after, aggregate=Sum("val"))
+    assert result.stats.extra["prepared"] == "delta", label
+    if prewarm:
+        assert result.stats.extra["pyramid"] == "hit", label
+    key = (after.fingerprint,) + tuple(engine.prepared_spec())
+    got = session._entries[key]
+    _, reference, cold = _build(
+        kind, tiles, points, after, QuerySession(store=False)
+    )
+    _assert_views_equal(got, cold, label)
+    _assert_bit_identical(reference, result, label)
+    if kind == "accurate" and sliver is not None:
+        # The sliver's pixels are all boundary pixels: no run is its.
+        assert all(sliver not in cov.pids for cov in got.coverage.values())
