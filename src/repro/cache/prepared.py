@@ -30,8 +30,8 @@ direct build emits them in.
 
 An edit with stable polygon ids goes one step further: its tile views
 are the base's, patched inside the edit's *window* ``W`` — the pixel
-box of the edited polygons' old and new outlines and runs
-(:meth:`PreparedPolygons.patch_tile`).  Only the edited polygons and
+box of the pixels that enter or leave the edited polygons' outlines and
+runs (:meth:`PreparedPolygons.patch_tile`).  Only the edited polygons and
 those whose box meets ``W`` are recomposed, by the same three kernels,
 and spliced back in polygon order.  That is exact: a polygon whose box misses ``W``
 has no pixel whose mask bit changed, so its trimmed runs, and every
@@ -54,7 +54,9 @@ PolygonSet`), both computed once, when the frozen geometry was built.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -120,13 +122,74 @@ class DeltaBase(NamedTuple):
     edge_table: EdgeTable | None
 
 
+#: Statement keys whose answers one artifact keeps, least recently
+#: used beyond: a dashboard's statements over a zoning and its strokes.
+ANSWER_KEYS = 8
+
+
+class AnswerBook:
+    """The per-tile answers of the statements one session-held artifact
+    answered: per key, each tile's result slots (``{channel: one value
+    per polygon}``, as the ordered merge receives them).
+
+    A key is everything a tile's slots depend on besides the artifact —
+    the point guard, the filter, the aggregate and the kernel with its
+    device (:func:`repro.core.tiles._answer_key`) — so a delta derived
+    from this artifact may take the slots of every polygon its edit
+    cannot change.  Derived: never persisted, counted or pickled (a copy
+    across a process boundary is empty), at most :data:`ANSWER_KEYS`
+    keys, and cleared when the session drops the artifact.  Each entry
+    holds the frozen columns its guard names by ``id``, so no other
+    array can take one of those ids while it lives.
+    """
+
+    __slots__ = ("_entries", "_lock")
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> list | None:
+        """Every tile's slots under ``key``, or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[1]
+
+    def record(self, key: tuple, pins: tuple, per_tile: list) -> None:
+        """Keep ``per_tile`` under ``key`` (``pins``: the frozen columns
+        the key names by ``id``)."""
+        with self._lock:
+            self._entries[key] = (pins, per_tile)
+            self._entries.move_to_end(key)
+            while len(self._entries) > ANSWER_KEYS:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __reduce__(self):
+        return AnswerBook, ()
+
+
 class Delta(NamedTuple):
     """How an artifact was derived from a sibling: the polygon ids left
-    to rebuild, and the base it patches its views from (``None`` once
-    every tile is composed, or when the edit moved ids)."""
+    to rebuild, the base it patches its views from (``None`` once every
+    tile is composed, or when the edit moved ids), per tile the polygons
+    whose answers the edit can change there (:meth:`PreparedPolygons.
+    patch_tile`'s ``near``, kept when the base views go) and the base's
+    :class:`AnswerBook` (``None`` when ids moved)."""
 
     dirty: list
     base: DeltaBase | None
+    near: dict
+    answers: AnswerBook | None
 
 
 class PolygonUnit:
@@ -198,6 +261,7 @@ class PreparedPolygons:
         "units",
         "source_bbox",
         "delta",
+        "answers",
         "version",
         "triangulation_s",
         "uses",
@@ -238,6 +302,9 @@ class PreparedPolygons:
         #: the :class:`Delta` this artifact was derived by (``None`` for
         #: an artifact that was not derived from a sibling)
         self.delta: Delta | None = None
+        #: the statements' per-tile answers over this artifact
+        #: (:class:`AnswerBook`): derived, never persisted or counted
+        self.answers = AnswerBook()
         #: bumped on every mutation; part of the content signature so
         #: sessions re-measure nbytes only when something changed.
         self.version = 0
@@ -299,7 +366,9 @@ class PreparedPolygons:
                 base.boundary_masks, base.coverage, base.candidates,
                 base.edge_table,
             )
-        entry.delta = Delta(dirty, patch)
+        entry.delta = Delta(
+            dirty, patch, {}, base.answers if patch else None
+        )
         empty = np.zeros(0, dtype=np.int64)
         for idx, tile in enumerate(entry.tiles if patch else ()):
             if not any(
@@ -312,6 +381,7 @@ class PreparedPolygons:
                     unit_boundary=None if mask is None
                     else dict.fromkeys(dirty, (empty, empty)),
                     unit_coverage=dict.fromkeys(dirty, empty.reshape(0, 2)),
+                    near=empty,
                 )
         entry.version += 1
         return entry
@@ -489,11 +559,14 @@ class PreparedPolygons:
 
     def mark_composed(self, tile_idx: int, boundary=None, coverage=None,
                       candidates=None, unit_boundary=None,
-                      unit_coverage=None) -> None:
+                      unit_coverage=None, near=None) -> None:
         """Install what a tile task built (parent side of the merge):
-        composed per-tile views and, as ``unit_boundary`` /
-        ``unit_coverage``, freshly rasterized per-polygon outline pixels
-        (``{pid: (ix, iy)}``) and coverage runs (``{pid: runs}``)."""
+        composed per-tile views, as ``unit_boundary`` / ``unit_coverage``
+        freshly rasterized per-polygon outline pixels (``{pid: (ix,
+        iy)}``) and coverage runs (``{pid: runs}``), and a patched
+        tile's ``near`` (:meth:`patch_tile`)."""
+        if near is not None and self.delta is not None:
+            self.delta.near.setdefault(tile_idx, near)
         for field, slices in (("boundary", unit_boundary),
                               ("coverage", unit_coverage)):
             for pid, value in (slices or {}).items():
@@ -511,7 +584,7 @@ class PreparedPolygons:
         if (self.delta is not None and self.delta.base is not None
                 and len(self.coverage) == len(self.tiles)):
             # Every tile composed: nothing left to patch from the base.
-            self.delta = Delta(self.delta.dirty, None)
+            self.delta = self.delta._replace(base=None)
 
     # ------------------------------------------------------------------
     # Patching a delta's views from its base
@@ -519,18 +592,22 @@ class PreparedPolygons:
     def patch_tile(self, tile, tile_idx: int, runs: dict,
                    outlines: dict | None = None) -> tuple | None:
         """One tile's ``(boundary, coverage, candidates)`` for a delta,
-        built from its base's views; ``None`` when the base has none
+        built from its base's views, and ``near``: the polygons
+        recomposed, ascending — ``None`` when the base has no views
         (:func:`_window`), and the caller composes.
 
         ``runs`` / ``outlines`` are every polygon's slices of the tile
         (``outlines`` ``None`` for the bounded kernel, whose run table
         is untrimmed and which has neither mask nor candidates).  When
-        the window misses the tile the views are the base's objects.
-        Otherwise the edited polygons and those whose box meets ``W``
-        are recomposed — the mask inside ``W``, their runs trimmed at
-        the new boundary, their candidate rows inside ``W`` — and
-        spliced into the base's views: exact, since no other polygon
-        has a pixel in ``W``.
+        the window misses the tile the views are the base's objects and
+        ``near`` is the edited polygons with a pixel there.  Otherwise
+        the edited polygons and those whose box meets ``W`` are
+        recomposed — the mask inside ``W``, their runs trimmed at the
+        new boundary, their candidate rows inside ``W`` — and spliced
+        into the base's views: exact, since no other polygon has a pixel
+        in ``W``.  By the same argument a polygon outside ``near`` has
+        the base's runs, candidate rows and edges, so its answer on the
+        tile is the base's (``docs/incremental_edits.md``).
         """
         delta = self.delta  # one snapshot: a finished tile loop drops the base
         box = _window(delta, tile_idx, tile.width, runs, outlines)
@@ -542,15 +619,20 @@ class PreparedPolygons:
             base.candidates.get(tile_idx),
         )
         if box == ():
-            return views
+            # No pixel changed, but an edited polygon's PIP answers may
+            # have wherever it lies: its edges moved.
+            return views, np.asarray([
+                pid for pid in delta.dirty if len(runs[pid])
+                or outlines is not None and len(outlines[pid][0])
+            ], dtype=np.int64)
         x0, y0, x1, y1 = box
         # The edited polygons always: their old slices leave.
         near = np.union1d(
-            _boxes_meeting(tile, self.mbr_arrays, box), delta.dirty
+            _boxes_meeting(self.pixel_boxes(tile), box), delta.dirty
         ).astype(np.int64)
         if outlines is None:
             coverage, _ = self.compose_coverage({pid: runs[pid] for pid in near})
-            return None, _splice_coverage(views[1], near, coverage), None
+            return (None, _splice_coverage(views[1], near, coverage), None), near
         mask, _, candidates = views
         outlines = {pid: outlines[pid] for pid in near}
         inside = np.s_[y0:y1 + 1, x0:x1 + 1]
@@ -568,12 +650,31 @@ class PreparedPolygons:
         coverage, on_boundary = self.compose_coverage(
             {pid: runs[pid] for pid in near}, boundary
         )
-        return mask, _splice_coverage(views[1], near, coverage), (
+        return (mask, _splice_coverage(views[1], near, coverage), (
             _splice_candidates(
                 candidates, self.compose_candidates(tile, outlines, on_boundary),
                 tile.width, box,
             )
-        )
+        )), near
+
+    def pixel_boxes(self, tile, pids=slice(None)) -> tuple:
+        """``(x0, y0, x1, y1)`` arrays, inclusive: the pixel boxes on
+        ``tile`` of the polygons ``pids`` — their MBRs', widened by a
+        pixel for the conservative outline raster, so each holds every
+        pixel its polygon has; not clipped to the tile."""
+        xmin, xmax, ymin, ymax = (arr[pids] for arr in self.mbr_arrays)
+        sx0, sy0 = np.floor(tile.to_screen(xmin, ymin))
+        sx1, sy1 = np.floor(tile.to_screen(xmax, ymax))
+        return sx0 - 1, sy0 - 1, sx1 + 1, sy1 + 1
+
+    def base_answers(self, key: tuple) -> list | None:
+        """Every tile's slots under ``key`` in the base's
+        :class:`AnswerBook` — a delta with stable ids whose base answered
+        the statement — or ``None``."""
+        delta = self.delta
+        if delta is None or delta.answers is None:
+            return None
+        return delta.answers.get(key)
 
     @property
     def rebuilt_polygons(self) -> int | None:
@@ -691,39 +792,59 @@ def _pixel_box(width: int, runs: list, outlines: list) -> tuple:
 def _window(delta: Delta | None, tile_idx: int, width: int, runs: dict,
             outlines: dict | None = None) -> tuple | None:
     """The edit's window ``W`` on one tile: the ``(x0, y0, x1, y1)``
-    pixel box (inclusive) of the edited polygons' old slices and of
-    their new ones among ``runs`` / ``outlines`` (``{pid: slice}``; a
-    pid left out adds nothing); ``()`` when they hold no pixel there,
-    ``None`` when ``delta`` has no base views of the tile to patch."""
+    pixel box (inclusive) of the pixels the edit changed there — those
+    that enter or leave an edited polygon's runs or outline, its old
+    slices against its new ones among ``runs`` / ``outlines``
+    (``{pid: slice}``; a pid left out has none); ``()`` when no pixel
+    changed, ``None`` when ``delta`` has no base views of the tile to
+    patch.
+
+    Outside ``W`` no mask bit changed, and neither did an edited
+    polygon's runs, outline or coverage fragments: every view there is
+    the base's."""
     base = delta.base if delta is not None else None
     if base is None or tile_idx not in base.coverage:
         return None
     exact = tile_idx in base.boundary_masks
     if exact and tile_idx not in base.candidates:
         return None
-    departed = base.departed.values()
-    old_runs = [unit.coverage.get(tile_idx) for unit in departed]
-    old_outlines = [unit.boundary.get(tile_idx) for unit in departed if exact]
-    if any(part is None for part in old_runs + old_outlines):
-        return None
-    return _pixel_box(
-        width, old_runs + [runs[pid] for pid in delta.dirty if pid in runs],
-        old_outlines + [outlines[pid] for pid in delta.dirty
-                        if outlines is not None and pid in outlines],
-    )
+    changed_runs, changed_outlines = [], []
+    empty = np.zeros(0, dtype=np.int64)
+    for pid, unit in base.departed.items():
+        old_runs = unit.coverage.get(tile_idx)
+        old_outline = unit.boundary.get(tile_idx) if exact else (empty, empty)
+        if old_runs is None or old_outline is None:
+            return None
+        changed_runs.append(_runs_xor(
+            old_runs, runs.get(pid, empty.reshape(0, 2))
+        ))
+        if exact:
+            ix, iy = (outlines or {}).get(pid, (empty, empty))
+            changed = np.setxor1d(
+                old_outline[1] * width + old_outline[0], iy * width + ix
+            )
+            changed_outlines.append((changed % width, changed // width))
+    return _pixel_box(width, changed_runs, changed_outlines)
 
 
-def _boxes_meeting(tile, mbr_arrays: tuple, box: tuple) -> np.ndarray:
-    """The polygons whose pixel box on ``tile`` — their MBR's, widened
-    by a pixel for the conservative outline raster — meets ``box``:
-    every polygon with a pixel in it, ascending."""
-    xmin, xmax, ymin, ymax = mbr_arrays
-    sx0, sy0 = np.floor(tile.to_screen(xmin, ymin))
-    sx1, sy1 = np.floor(tile.to_screen(xmax, ymax))
+def _runs_xor(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The pixels in exactly one of two sets of disjoint ``[lo, hi)``
+    runs, as ascending disjoint runs: a sweep over their ends."""
+    ends = np.concatenate([old[:, 0], old[:, 1], new[:, 0], new[:, 1]])
+    step = np.repeat([1, -1, -1, 1], [len(old), len(old), len(new), len(new)])
+    order = np.argsort(ends, kind="stable")
+    ends, level = ends[order], np.cumsum(step[order])
+    live = (level[:-1] != 0) & (ends[1:] > ends[:-1])
+    return np.column_stack([ends[:-1][live], ends[1:][live]])
+
+
+def _boxes_meeting(boxes: tuple, box: tuple) -> np.ndarray:
+    """The polygons whose pixel box (``boxes``: :meth:`PreparedPolygons.
+    pixel_boxes`) meets ``box``: every polygon with a pixel in it,
+    ascending."""
+    bx0, by0, bx1, by1 = boxes
     x0, y0, x1, y1 = box
-    return np.flatnonzero(
-        (sx0 - 1 <= x1) & (sx1 + 1 >= x0) & (sy0 - 1 <= y1) & (sy1 + 1 >= y0)
-    )
+    return np.flatnonzero((bx0 <= x1) & (bx1 >= x0) & (by0 <= y1) & (by1 >= y0))
 
 
 def _splice_coverage(base: TileCoverage, pids: np.ndarray,

@@ -348,8 +348,11 @@ class QuerySession:
             self._holders.setdefault(fp, {})[key] = count
 
     def _remove(self, key: tuple) -> PreparedPolygons:
-        """Take the entry under ``key`` out of memory and the index."""
+        """Take the entry under ``key`` out of memory and the index; its
+        recorded answers go with it (a delta derived from it runs in
+        full)."""
         entry = self._entries.pop(key)
+        entry.answers.clear()
         for unit in entry.units:
             holders = self._holders.get(unit.fingerprint)
             if holders is not None:
@@ -560,9 +563,12 @@ class QuerySession:
         return state.value
 
     @_locked
-    def partition_store(self, points, token: tuple, routing) -> None:
+    def partition_store(self, points, token: tuple, routing) -> tuple:
         """Retain a routing — or re-measure the one retained — once the
-        statement's columns are in it (byte-bounded LRU).
+        statement's columns are in it (byte-bounded LRU); returns its
+        content guard and the frozen columns that names by ``id``
+        (:meth:`_content_fold`), what the statement's answers are keyed
+        by.
 
         A routing grows by a tile-sorted copy per column read, so every
         query calls this after cutting its batches; a hit re-applies the
@@ -580,6 +586,7 @@ class QuerySession:
                 routing, pinned_nbytes=_source_bytes(points),
             )
         self._point_insert(state)
+        return state.guard, state.frozen
 
     @_locked
     def partition_warm(self, points, token: tuple,

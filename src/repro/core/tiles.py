@@ -61,6 +61,7 @@ from repro.core.engine import (
     pip_aggregate,
 )
 from repro.core.filters import FilterSet, filter_key
+from repro.core.multi import MultiAggregate
 from repro.data.dataset import PointDataset
 from repro.device.batching import plan_batches, tile_parallelism
 from repro.device.memory import (
@@ -182,6 +183,7 @@ def run_tile(
     retain: bool,
     tracing: bool,
     keep_fbo: bool = False,
+    reuse: dict | None = None,
 ) -> TilePartial:
     """One whole tile: boundary, point pass, polygon pass.
 
@@ -191,6 +193,12 @@ def run_tile(
     what the artifact's per-polygon units lack, and under ``retain`` the
     fresh pieces — the composed views and the per-polygon outlines —
     travel home in the partial, as does the tile's trace subtree.
+
+    ``reuse`` is a delta's base's slots of this tile under this
+    statement's key (:func:`run_tiles`).  When the tile was patched —
+    its ``near`` known — the tile re-aggregates only that window
+    (:class:`_Window`): the base's slots stand for every other polygon,
+    and a tile the edit's window missed runs no pass at all.
     """
     tile = member.prepared.tiles[tile_idx]
     with trace.tile_scope(tracing, tile=tile_idx) as tile_span:
@@ -200,33 +208,37 @@ def run_tile(
             new_accumulators(member.polygons, member.aggregate),
             ExecutionStats(engine=kernel.engine, batches=0, passes=1),
         )
-        views = None
-        if kernel.exact:
-            views = _tile_boundary(tile_idx, tile, member, partial, retain)
+        views, near = _tile_views(
+            tile_idx, tile, kernel.exact, member, partial, retain
+        )
         # A prewarmed pairing hands the tile its framebuffers ready-made.
         cached = chunks if isinstance(chunks, CachedTile) else None
-        with trace.span("point-pass"):
-            if cached is None:
-                fbo = _tile_framebuffer(
-                    tile, member.aggregate, kernel.fbo_dtype
+        window = None
+        if reuse is not None and near is not None and cached is None:
+            window = _Window.of(tile, member, near)
+            partial.accumulators = window.slots(reuse, member.aggregate)
+        if window is None or window.box:
+            with trace.span("point-pass"):
+                if cached is None:
+                    fbo = _tile_framebuffer(
+                        tile, member.aggregate, kernel.fbo_dtype, window
+                    )
+                    partial.saw_points = _point_pass(
+                        kernel, member, columns, chunks, views, fbo, partial,
+                        window,
+                    )
+                else:
+                    partial.saw_points = True
+                    _cached_point_pass(member, cached, views, partial)
+            with trace.span("polygon-pass"):
+                _polygon_pass(
+                    views.coverage, member,
+                    cached.channels if cached is not None else {
+                        ch: fbo.channel(ch).ravel()
+                        for ch in member.aggregate.channels
+                    },
+                    partial, window,
                 )
-                partial.saw_points = _point_pass(
-                    kernel, member, columns, chunks, views, fbo, partial,
-                )
-            else:
-                partial.saw_points = True
-                _cached_point_pass(member, cached, views, partial)
-        with trace.span("polygon-pass"):
-            built = _polygon_pass(
-                tile_idx, tile, member,
-                cached.channels if cached is not None else {
-                    ch: fbo.channel(ch).ravel()
-                    for ch in member.aggregate.channels
-                },
-                partial, views,
-            )
-        if retain:
-            partial.built.update(built)
         if keep_fbo:
             partial.payload = (tile, fbo)
         partial.span = tile_span
@@ -235,64 +247,76 @@ def run_tile(
 
 # -- stage 1: draw the boundaries ---------------------------------------
 class TileViews(NamedTuple):
-    """The exact kernel's polygon side of one tile, three views over the
-    same pixels (named as ``mark_composed`` takes them): the outline
-    mask, the run table trimmed at it, and the boundary PIP's
-    candidates."""
+    """A kernel's polygon side of one tile, three views over the same
+    pixels (named as ``mark_composed`` takes them): the outline mask,
+    the run table trimmed at it, and the boundary PIP's candidates —
+    the run table alone, untrimmed, for the bounded kernel."""
 
-    boundary: np.ndarray
+    boundary: np.ndarray | None
     coverage: TileCoverage
-    candidates: TileCandidates
+    candidates: TileCandidates | None
 
 
-def _tile_boundary(
+def _tile_views(
     tile_idx: int,
     tile: Viewport,
+    exact: bool,
     member: TileMember,
     partial: TilePartial,
     retain: bool,
-) -> TileViews:
-    """This tile's conservative outline mask and what is read through
-    it: cached, or built.
+) -> tuple[TileViews, np.ndarray | None]:
+    """This tile's views — cached, or built — and, on a delta's patched
+    tile, the polygons the edit can change there (``near``; ``None``
+    elsewhere).
 
-    A build rasterizes outlines in one vectorized edge pass over the
-    polygons whose unit lacks this tile (those whose box meets it — one
-    vectorized bin pass over the columnar MBRs) and ORs every polygon's
-    pixels into the mask.  The coverage raster runs here too, and the
-    units' runs are split at the mask's pixels: what is left is the run
-    table, what was cut out are the coverage fragments on boundary
-    pixels — with the outlines, the candidates.  A delta with stable ids
+    The exact kernel's build rasterizes outlines in one vectorized edge
+    pass over the polygons whose unit lacks this tile (those whose box
+    meets it — one vectorized bin pass over the columnar MBRs) and ORs
+    every polygon's pixels into the mask.  The coverage raster runs here
+    too, and the units' runs are split at the mask's pixels: what is
+    left is the run table, what was cut out are the coverage fragments
+    on boundary pixels — with the outlines, the candidates.  The bounded
+    kernel composes the run table alone.  A delta with stable ids
     patches its base's views instead, inside the edit's window
     (:meth:`~repro.cache.prepared.PreparedPolygons.patch_tile`).  Under
     ``retain`` what this call built goes home in ``partial``.
     """
     prepared = member.prepared
+    delta = prepared.delta
+    near = delta.near.get(tile_idx) if delta is not None else None
     held = views = TileViews(
-        prepared.boundary_masks.get(tile_idx),
+        prepared.boundary_masks.get(tile_idx) if exact else None,
         prepared.coverage.get(tile_idx),
-        prepared.candidates.get(tile_idx),
+        prepared.candidates.get(tile_idx) if exact else None,
     )
-    if any(view is None for view in held):
+    wanted = held if exact else held[1:2]
+    if any(view is None for view in wanted):
         with trace.span("boundary"):
             start = time.perf_counter()
-            outlines = prepared.unit_slices("boundary", tile_idx)
-            pids = [
-                pid for pid in range(len(prepared.units))
-                if pid not in outlines
-            ]
-            hit = bin_polygons_to_tile(tile, prepared.mbr_arrays)
-            empty = np.zeros(0, dtype=np.int64)
-            built_units = {pid: (empty, empty) for pid in pids}
-            built_units.update(outline_pixels_many(tile, {
-                pid: member.polygons[pid].rings for pid in pids if hit[pid]
-            }))
-            outlines.update(built_units)
-            runs, built_runs = _unit_runs(tile_idx, tile, member)
+            built = {}
+            outlines = None
+            if exact:
+                outlines = prepared.unit_slices("boundary", tile_idx)
+                pids = [
+                    pid for pid in range(len(prepared.units))
+                    if pid not in outlines
+                ]
+                hit = bin_polygons_to_tile(tile, prepared.mbr_arrays)
+                empty = np.zeros(0, dtype=np.int64)
+                built["unit_boundary"] = {pid: (empty, empty) for pid in pids}
+                built["unit_boundary"].update(outline_pixels_many(tile, {
+                    pid: member.polygons[pid].rings for pid in pids if hit[pid]
+                }))
+                outlines.update(built["unit_boundary"])
+            runs, built["unit_coverage"] = _unit_runs(tile_idx, tile, member)
             patched = None
-            if all(view is None for view in held):
+            if all(view is None for view in wanted):
                 patched = prepared.patch_tile(tile, tile_idx, runs, outlines)
             if patched is not None:
-                views = TileViews(*patched)
+                views, near = TileViews(*patched[0]), patched[1]
+                built["near"] = near
+            elif not exact:
+                views = TileViews(None, prepared.compose_coverage(runs)[0], None)
             else:
                 boundary, coverage, candidates = held
                 if boundary is None:
@@ -306,24 +330,114 @@ def _tile_boundary(
                     )
                 views = TileViews(boundary, coverage, candidates)
             if retain:
-                partial.built = {
-                    name: new for name, new, old
-                    in zip(TileViews._fields, views, held) if old is None
-                }
-                partial.built["unit_boundary"] = built_units
-                partial.built["unit_coverage"] = built_runs
+                built.update(
+                    (name, new) for name, new, old
+                    in zip(TileViews._fields, views, held)
+                    if old is None and new is not None
+                )
+                partial.built = built
             partial.stats.processing_s += time.perf_counter() - start
-    # Assigned, never accumulated: the tile's boundary population.
-    partial.stats.extra["boundary_pixels"] = len(views.candidates.pixels)
-    return views
+    if exact:
+        # Assigned, never accumulated: the tile's boundary population.
+        partial.stats.extra["boundary_pixels"] = len(views.candidates.pixels)
+    return views, near
+
+
+class _Window(NamedTuple):
+    """What a delta's tile re-aggregates: ``near`` (the polygons the
+    edit can change there, ascending; ``inner`` marks them by pid) and
+    ``box``, the ``(x0, y0, x1, y1)`` pixel box (inclusive) of their
+    pixels — the union of their pixel boxes (:meth:`~repro.cache.
+    prepared.PreparedPolygons.pixel_boxes`), on the tile; ``()`` when
+    empty.
+
+    Every pixel a ``near`` polygon reads — its runs, its candidate
+    pixels — is in the box, so only the rows on it are scanned: within
+    each device batch of the statement, in row order, as the full pass
+    meets them.  Their framebuffer covers the box alone, row after row
+    (:meth:`place`); a run stays consecutive there, since one that
+    wraps into the next row makes the box span the tile's width.  Each
+    ``near`` slot is then the same reductions over the same values in
+    the same order as a full pass, and every other slot is the base's.
+    """
+
+    near: np.ndarray
+    inner: np.ndarray
+    box: tuple
+    width: int
+
+    @classmethod
+    def of(cls, tile: Viewport, member: TileMember,
+           near: np.ndarray) -> "_Window":
+        inner = np.zeros(len(member.polygons), dtype=bool)
+        inner[near] = True
+        box = ()
+        if len(near):
+            bx0, by0, bx1, by1 = member.prepared.pixel_boxes(tile, near)
+            x0, y0 = max(int(bx0.min()), 0), max(int(by0.min()), 0)
+            x1 = min(int(bx1.max()), tile.width - 1)
+            y1 = min(int(by1.max()), tile.height - 1)
+            if x0 <= x1 and y0 <= y1:
+                box = (x0, y0, x1, y1)
+        return cls(near, inner, box, tile.width)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The framebuffer's ``(width, height)``: the box's."""
+        x0, y0, x1, y1 = self.box
+        return x1 - x0 + 1, y1 - y0 + 1
+
+    def place(self, pix: np.ndarray) -> np.ndarray:
+        """Where the tile's flat pixels ``pix`` (all in the box) are in
+        the window's framebuffer."""
+        x0, y0 = self.box[:2]
+        iy, ix = np.divmod(pix, self.width)
+        return (iy - y0) * self.shape[0] + (ix - x0)
+
+    def slots(self, reuse: dict, aggregate: Aggregate) -> dict:
+        """The tile's accumulators to start from: the base's slots
+        (``reuse``, never written), ``near``'s back at the identity."""
+        if not len(self.near):
+            return reuse
+        out = {}
+        for ch, base in reuse.items():
+            out[ch] = base.copy()
+            out[ch][self.near] = aggregate.identity()
+        return out
+
+    def rows(self, pix: np.ndarray) -> np.ndarray:
+        """Positions of the rows whose pixel is in the box, ascending."""
+        x0, y0, x1, y1 = self.box
+        band = np.flatnonzero(
+            (pix >= y0 * self.width) & (pix < (y1 + 1) * self.width)
+        )
+        column = pix.take(band) % self.width
+        return band[(column >= x0) & (column <= x1)]
+
+    def table(self, coverage: TileCoverage) -> TileCoverage:
+        """``near``'s segments of the run table, over the framebuffer."""
+        segment = np.flatnonzero(self.inner[coverage.pids])
+        count = np.diff(coverage.starts, append=len(coverage.runs))[segment]
+        lo, hi = coverage.runs.take(
+            ragged_positions(coverage.starts[segment], count), axis=0
+        ).T
+        first = self.place(lo)
+        return TileCoverage(
+            np.column_stack([first, first + (hi - lo)]),
+            coverage.pids[segment], np.cumsum(count) - count,
+            np.argsort(first, kind="stable"),
+        )
 
 
 # -- stage 2: draw the points -------------------------------------------
-def _tile_framebuffer(tile: Viewport, aggregate: Aggregate, dtype) -> FrameBuffer:
-    """A tile's render target, cleared to the blend identity."""
-    fbo = FrameBuffer.for_viewport(
-        tile, channels=aggregate.channels, dtype=dtype
-    )
+def _tile_framebuffer(tile: Viewport, aggregate: Aggregate, dtype,
+                      window: _Window | None = None) -> FrameBuffer:
+    """A tile's render target — under a ``window`` its box alone —
+    cleared to the blend identity."""
+    width, height = tile.width, tile.height
+    if window is not None:
+        width, height = window.shape
+    fbo = FrameBuffer(width, height, channels=aggregate.channels, dtype=dtype)
     if aggregate.blend != "add":
         for name in aggregate.channels:
             fbo.channel(name).fill(aggregate.identity())
@@ -338,6 +452,7 @@ def _point_pass(
     views: TileViews | None,
     fbo: FrameBuffer,
     partial: TilePartial,
+    window: _Window | None = None,
 ) -> bool:
     """Upload, mask and route each routed batch of this tile.
 
@@ -346,8 +461,9 @@ def _point_pass(
     shared-memory twin) — whether the routing came from the session,
     from this query's own routing pass, or from the tile scanning a
     stream itself.  Per batch the vertex-stage filter runs once, as a
-    boolean mask over the rows in input order.  Returns whether any
-    chunk arrived.
+    boolean mask over the rows in input order.  Under a ``window`` a
+    batch is first cut to the rows in its box, in order.  Returns
+    whether any chunk arrived.
     """
     stats, filters = partial.stats, member.filters
     saw_points = False
@@ -357,7 +473,16 @@ def _point_pass(
         if n == 0:
             continue
         stats.batches += 1
+        pix, inside = chunk.pix, chunk.inside
         cols = {name: chunk.column(name) for name in columns}
+        if window is not None:
+            rows = window.rows(pix)
+            n = len(rows)
+            if n == 0:
+                continue
+            pix = pix.take(rows)
+            inside = None if inside is None else inside.take(rows)
+            cols = {name: col.take(rows) for name, col in cols.items()}
         buffers = {}
         if kernel.device is not None and not chunk.resident:
             buffers, seconds = kernel.device.upload_columns(cols)
@@ -368,19 +493,19 @@ def _point_pass(
             start = time.perf_counter()
             # ``keep`` of None keeps every row.  Rows on no tile ride
             # along for the counters only and are masked after them.
-            keep, dropped = chunk.inside, 0
+            keep, dropped = inside, 0
             if filters:
                 keep = filters.mask(cols.__getitem__, n)
                 dropped = n - int(np.count_nonzero(keep))
                 if dropped == 0:
-                    keep = chunk.inside
-                elif chunk.inside is not None:
-                    keep &= chunk.inside
+                    keep = inside
+                elif inside is not None:
+                    keep &= inside
             stats.points_processed += n
             stats.points_filtered_out += dropped
             _route_batch(
-                views, fbo, cols, chunk.pix.astype(np.intp, copy=False),
-                keep, member, partial,
+                views, fbo, cols, pix.astype(np.intp, copy=False),
+                keep, member, partial, window,
             )
             stats.processing_s += time.perf_counter() - start
         finally:
@@ -428,12 +553,14 @@ def _boundary_join(
     rows: np.ndarray,
     member: TileMember,
     partial: TilePartial,
+    window: _Window | None = None,
 ) -> None:
     """Join the batch rows ``rows`` — all on boundary pixels — exactly:
     a row's flat pixel ranks it among the candidates' sorted pixels, it
-    pairs with that pixel's polygons, and the pairs go through the
-    engines' one PIP-and-aggregate pass.  Only these rows gather their
-    coordinates, and only the aggregate's own columns."""
+    pairs with that pixel's polygons (a ``window``'s ``near`` alone),
+    and the pairs go through the engines' one PIP-and-aggregate pass.
+    Only these rows gather their coordinates, and only the aggregate's
+    own columns."""
     partial.stats.boundary_points += len(rows)
     if len(rows) == 0:
         return
@@ -442,11 +569,15 @@ def _boundary_join(
         rank = np.searchsorted(candidates.pixels, pix.take(rows))
         first = candidates.starts[rank]
         counts = candidates.starts[rank + 1] - first
+        point_idx = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        pids = candidates.pids[ragged_positions(first, counts)]
+        if window is not None:
+            pair = window.inner[pids]
+            point_idx, pids = point_idx[pair], pids[pair]
         pip_aggregate(
             cols["x"].take(rows), cols["y"].take(rows),
             {c: cols[c].take(rows) for c in aggregate.columns},
-            np.repeat(np.arange(len(rows), dtype=np.int64), counts),
-            candidates.pids[ragged_positions(first, counts)],
+            point_idx, pids,
             member.prepared.edge_table, aggregate, partial.accumulators,
             partial.stats,
         )
@@ -460,18 +591,19 @@ def _route_batch(
     keep: np.ndarray | None,
     member: TileMember,
     partial: TilePartial,
+    window: _Window | None,
 ) -> None:
     """Route one batch: kept rows on a boundary pixel join exactly
     through that pixel's candidates, the other kept rows rasterize into
-    the tile framebuffer, in row order.
+    the tile framebuffer (a ``window``'s box of it), in row order.
 
-    Without views (the bounded join) everything kept rasterizes.  Values
-    are cast to the FBO's dtype by the additive blend, as 32-bit GL
-    channels would.
+    Without a mask (the bounded join) everything kept rasterizes.
+    Values are cast to the FBO's dtype by the additive blend, as 32-bit
+    GL channels would.
     """
     aggregate = member.aggregate
     rows = None  # the rows that rasterize; None: the batch as it is
-    if views is None:
+    if views is None or views.boundary is None:
         if keep is not None:
             rows = np.flatnonzero(keep)
     else:
@@ -481,11 +613,15 @@ def _route_batch(
             edge &= keep
             interior &= keep
         on_edge = np.flatnonzero(edge)
-        _boundary_join(views.candidates, pix, cols, on_edge, member, partial)
+        _boundary_join(
+            views.candidates, pix, cols, on_edge, member, partial, window
+        )
         if len(on_edge) or keep is not None:
             rows = np.flatnonzero(interior)
     if rows is not None:
         pix = pix.take(rows)
+    if window is not None:
+        pix = window.place(pix)
     fbo.scatter(pix, {
         ch: 1.0 if col is None
         else cols[col] if rows is None else cols[col].take(rows)
@@ -513,42 +649,31 @@ def _unit_runs(
 
 
 def _polygon_pass(
-    tile_idx: int,
-    tile: Viewport,
+    coverage: TileCoverage,
     member: TileMember,
     channels: dict[str, np.ndarray],
     partial: TilePartial,
-    views: TileViews | None = None,
-) -> dict:
+    window: _Window | None,
+) -> None:
     """Reduce each polygon's coverage runs into its result slot.
 
     Coverage is a pure function of the tile and the triangulation, so
     the units' runs are built once per artifact and the tile's run table
-    composed from them (the exact kernel's stage 1 hands it over in
-    ``views``, the bounded kernel looks it up or composes it here).  Per
-    query and channel: one ``reduceat`` over the framebuffer through the
-    runs' sorted bounds, one scatter back to polygon order, one
-    segmented reduction per polygon — no gather, no loop over polygons
+    composed from them (stage 1).  Per query and channel: one
+    ``reduceat`` over the framebuffer through the runs' sorted bounds,
+    one scatter back to polygon order, one segmented reduction per
+    polygon — no gather, no loop over polygons
     (:meth:`~repro.core.aggregates.Aggregate.reduce_segments`).  The
     exact kernel's runs stop short of every boundary pixel, so a
     scattered framebuffer and a cached channel — which holds every row,
-    boundary pixels included — are read alike.  Returns what this call
-    built, named as ``mark_composed`` takes it.
+    boundary pixels included — are read alike.  Under a ``window`` only
+    ``near``'s segments are reduced, over the window's framebuffer
+    (:meth:`_Window.table`): each run is the same reduction over the
+    same values, wherever they sit.
     """
     start = time.perf_counter()
-    built = {}
-    if views is not None:
-        coverage = views.coverage
-    else:
-        coverage = member.prepared.coverage.get(tile_idx)
-        if coverage is None:
-            runs, built["unit_coverage"] = _unit_runs(tile_idx, tile, member)
-            patched = member.prepared.patch_tile(tile, tile_idx, runs)
-            if patched is not None:
-                coverage = patched[1]
-            else:
-                coverage, _ = member.prepared.compose_coverage(runs)
-            built["coverage"] = coverage
+    if window is not None:
+        coverage = window.table(coverage)
     aggregate = member.aggregate
     lo, hi = coverage.runs.take(coverage.order, axis=0).T
     for ch in aggregate.channels:
@@ -563,7 +688,6 @@ def _polygon_pass(
     elapsed = time.perf_counter() - start
     partial.stats.processing_s += elapsed
     partial.stats.polygon_pass_s += elapsed
-    return built
 
 
 # ----------------------------------------------------------------------
@@ -606,7 +730,7 @@ def run_tiles(
         kernel.device, backend.workers, None if stream else points,
         columns, max(fbo_bytes, default=0),
     )
-    per_tile = None
+    per_tile = guard = None
     if stream:
         stats.extra["partition"] = "scan"
     else:
@@ -615,12 +739,16 @@ def run_tiles(
         shared = isinstance(backend, ProcessBackend) and (
             backend.resident_capable(len(tiles), parallelism)
         )
-        per_tile = _partition(
+        per_tile, guard = _partition(
             kernel, shared, session, member, points, columns, fbo_bytes,
             stats,
         )
     # Whether the tiles read cached channels: all of them, or none.
     cached = per_tile is not None and isinstance(per_tile[0], CachedTile)
+    key = _answer_key(kernel, member, guard)
+    reuse = None
+    if key is not None and not keep_fbo and not cached:
+        reuse = member.prepared.base_answers(key)
 
     def task(tile_idx: int) -> TilePartial:
         chunks = per_tile[tile_idx] if per_tile is not None else scan_tile(
@@ -630,6 +758,7 @@ def run_tiles(
         return run_tile(
             tile_idx, kernel, member, columns, chunks,
             retain=retain, tracing=tracing, keep_fbo=keep_fbo,
+            reuse=None if reuse is None else reuse[tile_idx],
         )
 
     # ``concurrent`` marks that child (tile) spans may overlap in wall
@@ -640,7 +769,7 @@ def run_tiles(
         if per_tile is not None and not keep_fbo and not cached:
             partials = _resident_dispatch(
                 kernel, backend, member, columns, per_tile, retain,
-                tracing, parallelism,
+                tracing, parallelism, reuse,
             )
         if partials is None:
             partials = backend.run_tasks(
@@ -654,6 +783,14 @@ def run_tiles(
         # identity-started partials, the determinism anchor.
         for partial in partials:
             _merge_partial(partial, member, accumulators, stats)
+    if key is not None:
+        member.prepared.answers.record(
+            key, guard[1], [partial.accumulators for partial in partials]
+        )
+    if reuse is not None:
+        stats.extra["polygons_recomputed"] = (
+            _recomputed(member), len(member.polygons)
+        )
     stats.extra["pyramid"] = "hit" if cached else "cold"
     if cached:
         # Every row a cached statement reads is a boundary-pixel row.
@@ -662,6 +799,37 @@ def run_tiles(
         accumulators, [partial.payload for partial in partials],
         not stream or any(partial.saw_points for partial in partials),
     )
+
+
+def _answer_key(kernel: TileKernel, member: TileMember,
+                guard: tuple | None) -> tuple | None:
+    """What a tile's result slots depend on besides the artifact: the
+    points (the session's content guard, ``guard[0]``), the filter, the
+    aggregate's blend and channels, and the kernel — its device's batch
+    planning included, which cuts the rows the PIP and the scatter fold
+    in.  ``None`` — nothing recorded, nothing reused — without a
+    session's guard (a stream, a session-less engine) and for a fused
+    group's :class:`~repro.core.multi.MultiAggregate`."""
+    aggregate = member.aggregate
+    if guard is None or isinstance(aggregate, MultiAggregate):
+        return None
+    return (
+        guard[0], filter_key(member.filters), type(aggregate).__name__,
+        aggregate.blend, tuple(aggregate.channels.items()), kernel.token,
+    )
+
+
+def _recomputed(member: TileMember) -> int:
+    """How many polygons a windowed statement recomputed on some tile:
+    the union of the tiles' ``near``, every polygon for a tile that
+    ran in full (one that was not patched)."""
+    near = member.prepared.delta.near
+    tiles = range(len(member.prepared.tiles))
+    if any(near.get(idx) is None for idx in tiles):
+        return len(member.polygons)
+    return len(np.unique(np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [near[idx] for idx in tiles]
+    )))
 
 
 def _tile_concurrency(
@@ -719,8 +887,9 @@ def _partition(
     columns: tuple[str, ...],
     fbo_bytes: list[int],
     stats: ExecutionStats,
-) -> list:
-    """What each tile task of this query consumes, routed once.
+) -> tuple[list, tuple | None]:
+    """What each tile task of this query consumes, routed once, and the
+    session's content guard of ``points`` (``None`` without a session).
 
     The point source's routing — tile and flat pixel per row
     (:mod:`repro.exec.partition` has the bit-equality argument) — is
@@ -759,14 +928,15 @@ def _partition(
                 points, columns, kernel.device, fbo_bytes,
                 shared and session is not None,
             )
+        guard = None
         if session is not None:
             # After the cut, hit or miss: the cap sees this query's copies.
-            session.partition_store(points, token, routing)
+            guard = session.partition_store(points, token, routing)
         elapsed = time.perf_counter() - start
     stats.extra["partition"] = "cached" if hit else "on"
     stats.extra["partition_duplicates"] = routing.duplicates
     stats.partition_s += elapsed
-    return per_tile
+    return per_tile, guard
 
 
 def _cached_tiles(
@@ -835,14 +1005,16 @@ def _resident_dispatch(
     retain: bool,
     tracing: bool,
     parallelism: int | None,
+    reuse: list | None,
 ) -> list[TilePartial] | None:
     """Fan a query's routed tiles across the resident pool.
 
     The same tile task, named instead of closed over: the kernel, the
     artifact and the polygons travel once as a pickled state blob in
     shared memory (cached worker-side by content generation), the routed
-    batches as shared-memory descriptors, and the accumulators come
-    back through a shared result buffer.  ``None`` when this dispatch
+    batches as shared-memory descriptors, a delta's base slots
+    (``reuse``) by value, and the accumulators come back through a
+    shared result buffer.  ``None`` when this dispatch
     cannot take that path — not a resident-enabled process backend, or a
     batch that is not shm-backed (pickling host chunks is the cost
     this path exists to remove) — and the caller dispatches closures
@@ -891,6 +1063,7 @@ def _resident_dispatch(
                     chunks=tuple(per_tile[idx]), retain=retain,
                     tracing=tracing, result_ref=result_ref, slot=idx,
                     channel_names=channel_names,
+                    reuse=None if reuse is None else reuse[idx],
                 )
                 for idx in range(num_tiles)
             ],

@@ -83,6 +83,8 @@ class TileTaskSpec:
     result_ref: shm.ShmArray
     slot: int
     channel_names: tuple
+    #: a delta's base slots of the tile (:func:`repro.core.tiles.run_tile`)
+    reuse: dict | None = None
 
 
 def _load_state(spec: TileTaskSpec, cache: OrderedDict):
@@ -111,7 +113,7 @@ def _run_spec(spec: TileTaskSpec, cache: OrderedDict):
         spec.tile_idx, kernel,
         TileMember(prepared, polygons, spec.aggregate, spec.filters),
         spec.columns, spec.chunks, retain=spec.retain,
-        tracing=spec.tracing,
+        tracing=spec.tracing, reuse=spec.reuse,
     )
     result = shm.view(spec.result_ref, writable=True)
     for ci, ch in enumerate(spec.channel_names):

@@ -2,6 +2,7 @@
 accounting, the partition cache, and fractional warmth."""
 
 import functools
+import pickle
 import sys
 import threading
 from collections import Counter
@@ -11,8 +12,12 @@ import pytest
 
 from repro import (
     AccurateRasterJoin,
+    ArtifactStore,
+    Average,
     BoundedRasterJoin,
+    Filter,
     GPUDevice,
+    PointDataset,
     Polygon,
     PolygonSet,
     QuerySession,
@@ -290,7 +295,7 @@ class TestDeltaDerivation:
         pixel_box = prepared._pixel_box
 
         def dropped_meanwhile(*args):
-            entry.delta = prepared.Delta(entry.delta.dirty, None)
+            entry.delta = entry.delta._replace(base=None)
             return pixel_box(*args)
 
         monkeypatch.setattr(prepared, "_pixel_box", dropped_meanwhile)
@@ -299,6 +304,195 @@ class TestDeltaDerivation:
             uniform_points, after, aggregate=Sum("fare")
         )
         assert np.array_equal(result.values, cold.values)
+
+
+class TestWindowedStatement:
+    """A delta's statement reuses its base's per-polygon answers only
+    under the very key the base answered: the same points (by the
+    session's content guard), filter, aggregate and kernel.  Anything
+    else runs in full — and every answer is a sessionless engine's."""
+
+    @staticmethod
+    def _engine(session=None):
+        return AccurateRasterJoin(
+            resolution=128, grid_resolution=64,
+            device=GPUDevice(max_resolution=48), session=session,
+        )
+
+    @classmethod
+    def _stroke(cls, session, points, regions, base_kwargs, delta_kwargs,
+                delta_points=None, delta_engine=None):
+        """Run the base statement, then the stroke's; returns the
+        stroke's result checked against a sessionless engine's."""
+        cls._engine(session).execute(points, regions, **base_kwargs)
+        after = edited_regions(regions)
+        points = points if delta_points is None else delta_points
+        engine = delta_engine or cls._engine(session)
+        result = engine.execute(points, after, **delta_kwargs)
+        reference = type(engine)(
+            resolution=engine.resolution, device=engine.device,
+        ).execute(points, after, **delta_kwargs)
+        assert np.array_equal(result.values, reference.values)
+        for name, channel in reference.channels.items():
+            assert np.array_equal(result.channels[name], channel)
+        return result
+
+    def test_the_same_statement_reuses(self, uniform_points,
+                                       three_regions):
+        kwargs = {"aggregate": Sum("fare")}
+        result = self._stroke(QuerySession(store=False), uniform_points,
+                              three_regions, kwargs, kwargs)
+        assert result.stats.extra["prepared"] == "delta"
+        assert result.stats.extra["polygons_recomputed"][1] == 3
+
+    def test_other_points_of_the_same_shape(self, uniform_points,
+                                            three_regions):
+        other = PointDataset(
+            uniform_points.xs[::-1].copy(), uniform_points.ys[::-1].copy(),
+            {name: uniform_points.column(name)[::-1].copy()
+             for name in ("fare", "hour")},
+        )
+        kwargs = {"aggregate": Sum("fare")}
+        result = self._stroke(QuerySession(store=False), uniform_points,
+                              three_regions, kwargs, kwargs,
+                              delta_points=other)
+        assert result.stats.extra["prepared"] == "delta"
+        assert "polygons_recomputed" not in result.stats.extra
+
+    def test_an_unfrozen_column_mutated_in_place(self, uniform_points,
+                                                 three_regions):
+        session = QuerySession(store=False)
+        kwargs = {"aggregate": Sum("fare")}
+        self._engine(session).execute(uniform_points, three_regions, **kwargs)
+        fare = uniform_points.column("fare")
+        assert fare.flags.writeable  # folded every statement
+        fare[0], fare[1] = fare[1], fare[0]
+        after = edited_regions(three_regions)
+        result = self._engine(session).execute(uniform_points, after, **kwargs)
+        assert result.stats.extra["prepared"] == "delta"
+        assert "polygons_recomputed" not in result.stats.extra
+        reference = self._engine().execute(uniform_points, after, **kwargs)
+        assert np.array_equal(result.values, reference.values)
+
+    def test_a_changed_filter_literal(self, uniform_points, three_regions):
+        result = self._stroke(
+            QuerySession(store=False), uniform_points, three_regions,
+            {"aggregate": Sum("fare"), "filters": [Filter("hour", ">=", 12)]},
+            {"aggregate": Sum("fare"), "filters": [Filter("hour", ">=", 13)]},
+        )
+        assert "polygons_recomputed" not in result.stats.extra
+
+    @pytest.mark.parametrize("aggregate", [Sum("hour"), Average("fare")])
+    def test_another_aggregate(self, uniform_points, three_regions,
+                               aggregate):
+        result = self._stroke(
+            QuerySession(store=False), uniform_points, three_regions,
+            {"aggregate": Sum("fare")}, {"aggregate": aggregate},
+        )
+        assert result.stats.extra["prepared"] == "delta"
+        assert "polygons_recomputed" not in result.stats.extra
+
+    @pytest.mark.parametrize("other, same_artifact", [
+        (functools.partial(AccurateRasterJoin, resolution=96), False),
+        (functools.partial(BoundedRasterJoin, resolution=128), False),
+        (functools.partial(AccurateRasterJoin, resolution=128,
+                           grid_resolution=64,
+                           device=GPUDevice(max_resolution=64)), False),
+        # A delta of the base, its points cut into other batches.
+        (functools.partial(AccurateRasterJoin, resolution=128,
+                           grid_resolution=64,
+                           device=GPUDevice(capacity_bytes=1 << 17,
+                                            max_resolution=48)), True),
+    ], ids=["resolution", "engine", "tiles", "device-capacity"])
+    def test_another_resolution_engine_or_device(self, uniform_points,
+                                                 three_regions, other,
+                                                 same_artifact):
+        session = QuerySession(store=False)
+        kwargs = {"aggregate": Sum("fare")}
+        result = self._stroke(session, uniform_points, three_regions,
+                              kwargs, kwargs,
+                              delta_engine=other(session=session))
+        if same_artifact:
+            assert result.stats.extra["prepared"] == "delta"
+            assert result.stats.batches > result.stats.extra["tiles"]
+        assert "polygons_recomputed" not in result.stats.extra
+
+    def test_a_base_invalidated_between_statements(self, uniform_points,
+                                                   three_regions):
+        session = QuerySession(store=False)
+        engine = self._engine(session)
+        kwargs = {"aggregate": Sum("fare")}
+        engine.execute(uniform_points, three_regions, **kwargs)
+        after = edited_regions(three_regions)
+        entry, source = session.prepared_for(after, engine.prepared_spec())
+        assert source == "delta" and len(entry.delta.answers) == 1
+        assert session.invalidate(three_regions) == 1
+        result = engine.execute(uniform_points, after, **kwargs)
+        assert "polygons_recomputed" not in result.stats.extra
+        reference = self._engine().execute(uniform_points, after, **kwargs)
+        assert np.array_equal(result.values, reference.values)
+
+    def test_a_base_evicted_between_statements(self, uniform_points,
+                                               three_regions):
+        """A session of one entry demotes the base the moment the delta
+        is derived from it: the stroke runs in full."""
+        kwargs = {"aggregate": Sum("fare")}
+        result = self._stroke(QuerySession(capacity=1, store=False),
+                              uniform_points, three_regions, kwargs, kwargs)
+        assert result.stats.extra["prepared"] == "delta"
+        assert "polygons_recomputed" not in result.stats.extra
+
+    def test_answers_are_never_persisted(self, uniform_points,
+                                         three_regions, tmp_path):
+        session = QuerySession(store=ArtifactStore(tmp_path))
+        engine = self._engine(session)
+        engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
+        restarted = QuerySession(store=ArtifactStore(tmp_path))
+        self._engine(restarted).execute(
+            uniform_points, three_regions, aggregate=Sum("fare")
+        )
+        (entry,) = restarted._entries.values()
+        assert restarted.store_hits == 1
+        assert len(entry.answers) == 1  # this statement's, not the disk's
+        assert len(pickle.loads(pickle.dumps(entry)).answers) == 0
+
+    def test_threads_racing_on_the_first_windowed_statement(
+        self, uniform_points, three_regions
+    ):
+        """Eight statements race to be the first over one delta: every
+        one reuses the base's answers and all agree, bit for bit."""
+        session = QuerySession(store=False)
+        kwargs = {"aggregate": Average("fare"),
+                  "filters": [Filter("hour", "<", 20)]}
+        self._engine(session).execute(uniform_points, three_regions, **kwargs)
+        after = edited_regions(three_regions)
+        results, errors = [], []
+        barrier = threading.Barrier(8)
+
+        def run():
+            try:
+                barrier.wait(timeout=60)
+                results.append(self._engine(session).execute(
+                    uniform_points, after, **kwargs
+                ))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(results) == 8
+        reference = self._engine().execute(uniform_points, after, **kwargs)
+        for result in results:
+            assert "polygons_recomputed" in result.stats.extra
+            assert np.array_equal(result.values, reference.values,
+                                  equal_nan=True)
+            for name, channel in reference.channels.items():
+                assert np.array_equal(result.channels[name], channel)
 
 
 class TestDeltaLookup:

@@ -213,7 +213,7 @@ class TestBoundaryPixelsHoldTheIdentity:
         from repro.core import tiles
 
         assert list(inspect.signature(tiles._polygon_pass).parameters) == [
-            "tile_idx", "tile", "member", "channels", "partial", "views",
+            "coverage", "member", "channels", "partial", "window",
         ]
         session = QuerySession(store=False)
         AccurateRasterJoin(

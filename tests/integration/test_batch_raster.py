@@ -273,7 +273,10 @@ class TestIncrementalThroughBatch:
         )
         (rebuilt,) = scratch._entries.values()
         assert np.array_equal(result.values, fresh.values)
-        assert result.stats.pip_tests == fresh.stats.pip_tests
+        # The stroke tests only its window's pairs: the base answered
+        # the same statement.
+        assert "polygons_recomputed" in result.stats.extra
+        assert result.stats.pip_tests < fresh.stats.pip_tests
         edited_boxes = (many_regions[33].bbox, after[33].bbox)
         carried = 0
         for idx, tile in enumerate(derived.tiles):

@@ -17,13 +17,15 @@ interior boundaries move, the city does not).
 Below the answers, the delta's own state: every tile's composed views
 (the boundary mask, the run table, the candidate CSR) and the edge
 table must equal a from-scratch build's array for array, whether the
-delta patched them inside the edit's window or composed them.
+delta patched them inside the edit's window or composed them.  And a
+chain of strokes that re-aggregates only each window against the
+answers its base recorded must answer a sessionless engine's bits.
 """
 
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -33,6 +35,8 @@ from repro import (
     BoundedRasterJoin,
     Count,
     EngineConfig,
+    Filter,
+    FilterSet,
     GPUDevice,
     Max,
     Min,
@@ -353,3 +357,99 @@ def test_delta_views_equal_a_cold_build(workload):
     if kind == "accurate" and sliver is not None:
         # The sliver's pixels are all boundary pixels: no run is its.
         assert all(sliver not in cov.pids for cov in got.coverage.values())
+
+
+# ----------------------------------------------------------------------
+# A stroke re-aggregates only its window
+# ----------------------------------------------------------------------
+def _stroke_chain(seed, tiles, kind, filtered, strokes):
+    """Points, a zoning and the zonings ``strokes`` leave one after
+    another, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n_points = int(rng.integers(300, 700))
+    points = PointDataset(
+        rng.uniform(0.0, 100.0, n_points),
+        rng.uniform(0.0, 100.0, n_points),
+        {"val": rng.normal(0.0, 10.0, n_points)},
+    )
+    interior = _zoning(rng, int(rng.integers(2, 4)))
+    chain = [PolygonSet(list(ANCHORS) + interior)]
+    for stroke in strokes:
+        polys = list(chain[-1])[len(ANCHORS):]
+        if stroke == "move":
+            at = int(rng.integers(0, len(polys) - 1))
+            polys[at] = _pull_vertex(polys[at], int(rng.integers(4)))
+        elif stroke == "seam":  # the centre star, across the tile seams
+            polys[-1] = _pull_vertex(polys[-1], int(rng.integers(9)))
+        else:  # a quad shrinks to a sliver: on the exact path, no run
+            at = int(rng.integers(0, len(polys) - 1))
+            polys[at] = _sliver(polys[at])
+        chain.append(PolygonSet(list(ANCHORS) + polys))
+    return points, chain, tiles, kind, filtered, strokes
+
+
+@st.composite
+def stroke_chains(draw):
+    return _stroke_chain(
+        draw(st.integers(0, 2**31 - 1)),
+        draw(st.sampled_from(sorted(TILE_LIMITS))),
+        draw(st.sampled_from(["accurate", "bounded"])),
+        draw(st.booleans()),
+        draw(st.lists(
+            st.sampled_from(["move", "seam", "no-run"]),
+            min_size=1, max_size=3,
+        )),
+    )
+
+
+def _cutting_device(kind, tiles, points, aggregate, filters):
+    """A device whose every tile takes the points in three or four
+    batches: the framebuffer plus a third of the rows."""
+    side = TILE_LIMITS[tiles]
+    cell = 8 if kind == "accurate" else 4
+    columns = AccurateRasterJoin.required_columns(aggregate, filters)
+    row_bytes = sum(points.column(name).dtype.itemsize for name in columns)
+    return GPUDevice(
+        capacity_bytes=len(aggregate.channels) * cell * side * side
+        + row_bytes * (len(points) // 3),
+        max_resolution=side,
+    )
+
+
+@given(stroke_chains())
+# The second stroke moves none of tile 0's pixels, yet the star's edges
+# moved: a point there on a pixel both its old and new outline cross
+# can change sides, so the star is recomputed wherever it lies.
+@example(_stroke_chain(33, 4, "accurate", False, ["seam", "seam"]))
+@settings(max_examples=25, deadline=None)
+def test_windowed_strokes_equal_a_sessionless_engine(chain_workload):
+    """Every stroke of a chain re-aggregates only its window against the
+    statement its base answered — fewer polygons than the set, the tiles
+    the window missed not at all — and its values and channels are a
+    sessionless engine's bit for bit: on 1, 4 and 16 tiles, for both
+    kernels, every aggregate, with and without a filter, with every tile
+    cut into several device batches."""
+    points, chain, tiles, kind, filtered, strokes = chain_workload
+    cls = AccurateRasterJoin if kind == "accurate" else BoundedRasterJoin
+    filters = FilterSet([Filter("val", ">=", -3.0)] if filtered else [])
+    for make_aggregate in AGGREGATE_KINDS:
+        aggregate = make_aggregate()
+        device = _cutting_device(kind, tiles, points, aggregate, filters)
+        engine = cls(resolution=64, device=device,
+                     session=QuerySession(store=False))
+        first = engine.execute(points, chain[0], aggregate=aggregate,
+                               filters=filters)
+        assert "polygons_recomputed" not in first.stats.extra
+        for step, polygons in enumerate(chain[1:]):
+            label = (kind, tiles, filtered, strokes, step, aggregate)
+            result = engine.execute(points, polygons, aggregate=aggregate,
+                                    filters=filters)
+            reference = cls(resolution=64, device=device).execute(
+                points, polygons, aggregate=aggregate, filters=filters,
+            )
+            assert reference.stats.batches >= 2 * tiles, label
+            assert result.stats.extra["prepared"] == "delta", label
+            recomputed, total = result.stats.extra["polygons_recomputed"]
+            assert total == len(polygons), label
+            assert recomputed < total, label
+            _assert_bit_identical(reference, result, label)

@@ -90,11 +90,14 @@ def test_prepared_artifact_slots():
     runs: 18 -> 17 slots, 4 -> 3 views; the per-polygon fingerprint
     list went when polygons came to carry their own: 17 -> 16; the
     delta record — rebuilt ids plus the base a delta patches its views
-    from — took the rebuilt-id list's slot: still 16)."""
+    from — took the rebuilt-id list's slot: still 16; the statements'
+    recorded per-tile answers a delta re-aggregates its window against:
+    16 -> 17)."""
     assert PreparedPolygons.__slots__ == (
         "key", "canvas", "tiles", "triangles", "grid", "boundary_masks",
         "coverage", "candidates", "mbr_arrays", "edge_table", "units",
-        "source_bbox", "delta", "version", "triangulation_s", "uses",
+        "source_bbox", "delta", "answers", "version", "triangulation_s",
+        "uses",
     )
     assert TileViews._fields == ("boundary", "coverage", "candidates")
 
