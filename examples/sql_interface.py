@@ -4,7 +4,8 @@
 Registers the synthetic taxi table and two polygon tables (neighborhoods
 and coarser districts), then runs the paper's query shapes — counts,
 filtered averages, and ε-bounded approximate queries via the WITHIN
-extension — through the parser/planner/engine stack.
+extension, and a two-item SELECT sharing one pass — through the
+parser/planner/engine stack.
 
 Run:  python examples/sql_interface.py
 """
@@ -66,6 +67,20 @@ def main() -> None:
         )
         preview = ", ".join(f"{v:.1f}" for v in values[:6])
         print(f"  values[:6] = [{preview}, ...]")
+
+    # Several SELECT items share one pass: ``values`` is the first item,
+    # and the planned MultiAggregate reads every item off the channels.
+    sql = ("SELECT COUNT(*), AVG(taxi.fare) FROM taxi, hoods "
+           "WHERE taxi.loc INSIDE hoods.geometry GROUP BY hoods.id")
+    print(f"\nsql> {sql}")
+    _, _, _, aggregate, _ = planner.plan(sql)
+    result = planner.execute(sql)
+    print(f"  engine={result.stats.engine}  "
+          f"time={result.stats.query_s * 1000:.0f} ms  "
+          f"channels={sorted(result.channels)}")
+    for label, values in aggregate.finalize_all(result.channels).items():
+        preview = ", ".join(f"{v:.1f}" for v in values[:6])
+        print(f"  {label}[:6] = [{preview}, ...]")
 
     # Error handling: the planner validates before running anything.
     print("\nsql> SELECT COUNT(*) FROM taxi, nowhere WHERE "

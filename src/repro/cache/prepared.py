@@ -332,12 +332,10 @@ class PreparedPolygons:
         each tile's views are the base's patched inside the edit's
         window ``W`` (:meth:`patch_tile`): a polygon whose box misses
         ``W`` has no pixel whose mask bit changed, so outside ``W``
-        nothing moves.  A tile no arriving polygon's box meets has its
-        window known here — the departing pixels alone — and when that
-        is empty it takes the base's views now, the same objects.
-        Otherwise the tile task rasterizes the edited polygons and
-        patches, or — ids moved, or the base lacks the tile's views —
-        composes from the units as a cold build does.
+        nothing moves.  The tile task rasterizes the edited polygons and
+        patches — a tile no pixel of the edit reaches takes the base's
+        views, the same objects — or, ids moved or the base lacking the
+        tile's views, composes from the units as a cold build does.
         """
         entry = cls(polygons, key)
         entry.canvas = base.canvas
@@ -369,20 +367,6 @@ class PreparedPolygons:
         entry.delta = Delta(
             dirty, patch, {}, base.answers if patch else None
         )
-        empty = np.zeros(0, dtype=np.int64)
-        for idx, tile in enumerate(entry.tiles if patch else ()):
-            if not any(
-                _boxes_intersect(units[pid].bbox, tile.bbox) for pid in dirty
-            ) and _window(entry.delta, idx, tile.width, {}) == ():
-                # The edited polygons' slices of the tile are empty.
-                mask = patch.boundary_masks.get(idx)
-                entry.mark_composed(
-                    idx, mask, patch.coverage[idx], patch.candidates.get(idx),
-                    unit_boundary=None if mask is None
-                    else dict.fromkeys(dirty, (empty, empty)),
-                    unit_coverage=dict.fromkeys(dirty, empty.reshape(0, 2)),
-                    near=empty,
-                )
         entry.version += 1
         return entry
 
@@ -754,15 +738,6 @@ class PreparedPolygons:
 def _bbox_tuple(shape: Polygon | PolygonSet) -> tuple:
     box = shape.bbox
     return (box.xmin, box.ymin, box.xmax, box.ymax)
-
-
-def _boxes_intersect(box: tuple, bbox) -> bool:
-    """Whether a (xmin, ymin, xmax, ymax) tuple intersects a BBox."""
-    xmin, ymin, xmax, ymax = box
-    return not (
-        xmax < bbox.xmin or xmin > bbox.xmax
-        or ymax < bbox.ymin or ymin > bbox.ymax
-    )
 
 
 def _pixel_box(width: int, runs: list, outlines: list) -> tuple:

@@ -1,7 +1,7 @@
 """A tiered cache of prepared polygon artifacts shared across queries.
 
-Pass one :class:`QuerySession` to every engine (or to the SQL planner /
-optimizer, which forward it) and repeated queries over the same polygon
+Pass one :class:`QuerySession` to every engine (or to the SQL planner,
+which forwards it) and repeated queries over the same polygon
 set reuse triangulations, canvas layouts, boundary masks, candidate
 lists and polygon coverage instead of rebuilding them:
 
@@ -594,8 +594,8 @@ class QuerySession:
         """Cheap costing probe: is a routing resident for this source
         and canvas — and, with ``indexed``, a prewarmed one?
 
-        Identity-keyed only — no content fold, no LRU touch — so the
-        optimizer can call it per candidate plan.  Optimistic by design:
+        Identity-keyed only — no content fold, no LRU touch — so
+        EXPLAIN can call it before the statement runs.  Optimistic by design:
         a mutated-in-place source reads warm here but fails the content
         guard at execution, which costs one mispredicted plan, never a
         wrong result.

@@ -107,8 +107,8 @@ class BoundedRasterJoin(RasterJoinEngine):
     def prepared_spec(self) -> tuple:
         """The render-spec part of this engine's artifact cache key.
 
-        Everything besides geometry that prepared state depends on.  The
-        optimizer probes sessions with this spec for cache-aware costing;
+        Everything besides geometry that prepared state depends on.
+        EXPLAIN probes sessions with this spec for cache-aware costing;
         it must stay in lockstep with what :meth:`_prepare` keys on.
         """
         return ("bounded", self.epsilon, self.resolution, self.max_resolution)

@@ -1,15 +1,17 @@
-"""Cost-based choice between the bounded and accurate variants.
+"""The cost model behind EXPLAIN ANALYZE's predictions.
 
-Figure 12(a) shows the trade-off that motivates this: as ε shrinks, the
-bounded join needs quadratically more rendering passes and eventually loses
-to the accurate join.  §8 states the authors "intend to add an estimate of
-the time required for the two variants, so that an optimizer can choose the
-best option" — this module implements that future-work optimizer.
+Figure 12(a) shows the trade-off between the bounded and accurate
+variants: as ε shrinks, the bounded join needs quadratically more
+rendering passes and eventually loses to the accurate join.  §8 states
+the authors "intend to add an estimate of the time required for the two
+variants, so that an optimizer can choose the best option" — this module
+is that estimate.  The SQL planner picks the variant from ``WITHIN``;
+``EXPLAIN ANALYZE`` prints the estimate next to the measured span times.
 
-The model is calibrated, not guessed: on first use (or on demand) it runs
-two tiny probe queries and fits per-unit costs — seconds per rendered
-point, per polygon-pass pixel, and per PIP test — then predicts each
-variant's time for the actual query from measurable quantities (input size,
+The model is calibrated, not guessed: on first use it runs two tiny
+probe queries and fits per-unit costs — seconds per rendered point, per
+polygon-pass pixel, per boundary point and per triangulated vertex — then
+predicts the statement's time from measurable quantities (input size,
 canvas pixels, tile count, expected boundary traffic).
 """
 
@@ -20,13 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.session import QuerySession
 from repro.core.accurate import AccurateRasterJoin
 from repro.core.bounded import BoundedRasterJoin
 from repro.core.engine import SpatialAggregationEngine
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice
-from repro.exec.config import EngineConfig
 from repro.geometry.polygon import PolygonSet, rectangle
 from repro.graphics.viewport import Canvas
 
@@ -51,7 +51,6 @@ class CostModel:
 
     per_point_render: float
     per_pixel_polygon_pass: float
-    per_pip_test: float
     per_boundary_point: float
     per_vertex_triangulate: float = 0.0
 
@@ -182,13 +181,11 @@ def _calibrate(device: GPUDevice | None, probe_points: int = 20_000) -> CostMode
     per_point = max(point_s / probe_points, 1e-12)
     per_pixel = max(polygon_s / covered, 1e-12)
     boundary_pts = max(res_a.stats.boundary_points, 1)
-    pip_tests = max(res_a.stats.pip_tests, 1)
     pip_time = max(res_a.stats.processing_s - res_b.stats.processing_s, 1e-9)
     probe_vertices = sum(p.num_vertices for p in polys)
     return CostModel(
         per_point_render=per_point,
         per_pixel_polygon_pass=per_pixel,
-        per_pip_test=pip_time / pip_tests,
         per_boundary_point=pip_time / boundary_pts,
         per_vertex_triangulate=max(
             res_b.stats.triangulation_s / probe_vertices, 0.0
@@ -197,112 +194,18 @@ def _calibrate(device: GPUDevice | None, probe_points: int = 20_000) -> CostMode
 
 
 class RasterJoinOptimizer:
-    """Chooses bounded vs. accurate for a requested ε."""
+    """The calibrated cost model EXPLAIN ANALYZE predicts with."""
 
-    def __init__(
-        self,
-        device: GPUDevice | None = None,
-        accurate_resolution: int = 1024,
-        session: QuerySession | None = None,
-        config: EngineConfig | None = None,
-    ) -> None:
+    def __init__(self, device: GPUDevice | None = None) -> None:
+        #: The device the calibration probes run on.
         self.device = device
-        self.accurate_resolution = accurate_resolution
-        #: Execution configuration, forwarded to constructed engines and
-        #: folded into the cost predictions (parallel tile workers shrink
-        #: the multi-tile terms of both variants).  The backend is
-        #: resolved once and pinned into the config as an instance, so
-        #: every engine this optimizer constructs shares one backend —
-        #: and therefore one persistent worker pool — across choices.
-        config = config if config is not None else EngineConfig()
-        self.config = config.with_pinned_backend()
-        if session is None:
-            # Mirror the engines: an explicit store location on the
-            # config yields an optimizer-owned session (via the shared
-            # EngineConfig.default_session gate), so routing decisions
-            # keep a live memory tier instead of every choose() paying
-            # a disk load through a throwaway per-engine session.
-            session = self.config.default_session()
-        #: Forwarded to every engine this optimizer constructs, so a
-        #: rezoning loop that keeps asking for the same polygon set reuses
-        #: its prepared state regardless of which variant wins.
-        self.session = session
-        self._workers = self.config.backend.workers
         self._model: CostModel | None = None
-
-    def close(self) -> None:
-        """Release the shared backend's worker pool (respawns lazily)."""
-        self.config.backend.close()
 
     @property
     def model(self) -> CostModel:
         if self._model is None:
             self._model = _calibrate(self.device)
         return self._model
-
-    # ------------------------------------------------------------------
-    def _candidates(
-        self, epsilon: float
-    ) -> tuple[BoundedRasterJoin, AccurateRasterJoin]:
-        """The two engines this optimizer chooses between."""
-        return (
-            BoundedRasterJoin(
-                epsilon=epsilon, device=self.device, session=self.session,
-                config=self.config,
-            ),
-            AccurateRasterJoin(
-                resolution=self.accurate_resolution, device=self.device,
-                session=self.session, config=self.config,
-            ),
-        )
-
-    def _warmth(self, engine, polygons: PolygonSet) -> float | None:
-        """The warm fraction of the engine's artifact, or ``None`` (cold).
-
-        1.0 for an exact artifact, the matched-polygon share when the
-        session could delta-derive from a sibling — the costing then
-        discounts only the share that is actually reusable, so a
-        single-polygon edit of a warm set plans warm.
-
-        Probes the *candidate engine's* session — the shared optimizer
-        session when one was given (or derived from an explicit
-        ``EngineConfig.store_dir``); a session-less optimizer costs
-        everything cold, matching the cache-free execution its engines
-        will actually run.  The fraction comes from what is actually
-        stored (manifest fields, not bare file existence), and the probe
-        never touches LRU order, counters, or mtimes — costing a query
-        must never change cache state.
-        """
-        if engine.session is None:
-            return None
-        return engine.session.warmth(polygons, engine.prepared_spec())
-
-    def estimate(
-        self,
-        points: PointDataset,
-        polygons: PolygonSet,
-        epsilon: float,
-    ) -> dict[str, float]:
-        """Predicted seconds for each variant at the given ε.
-
-        Cache-aware: when the session (memory or artifact store) already
-        holds a variant's prepared artifact, that variant's preparation
-        and polygon-pass terms are dropped — which is how a warm accurate
-        engine can beat a cold bounded one.  The returned dict also
-        reports each variant's warm fraction (0.0 when cold) under
-        ``"bounded_warm"`` / ``"accurate_warm"``.
-        """
-        return self._estimate(points, polygons, self._candidates(epsilon))
-
-    def _estimate(self, points, polygons, candidates) -> dict[str, float]:
-        """:meth:`estimate` over an already-constructed candidate pair:
-        each variant's prediction is the sum of its EXPLAIN terms."""
-        cost = {}
-        for name, engine in zip(("bounded", "accurate"), candidates):
-            _, warm, terms = self._costing(points, polygons, engine)
-            cost[name] = sum(terms.values())
-            cost[f"{name}_warm"] = warm or 0.0
-        return cost
 
     def explain_terms(
         self,
@@ -320,35 +223,34 @@ class RasterJoinOptimizer:
         ``polygon_pass``, ``boundary_pip``), so EXPLAIN ANALYZE can
         line each prediction up against the measured span time.
 
-        Supports the two raster-join variants the SQL planner chooses
-        between; :meth:`estimate` sums these very terms.
+        Everything but the fitted unit costs is read off the engine: the
+        canvas it renders (``_make_canvas``, padded as it runs) and its
+        tiles under its device's limit, its backend's worker count, and
+        its session's warmth.  The warmth probe reads what is actually
+        held — memory or store manifest — and never touches LRU order,
+        counters or mtimes: costing a query must not change cache state.
+        A session-less engine is costed cold.
         """
-        regime, _, terms = self._costing(points, polygons, engine)
-        return regime, terms
-
-    def _costing(self, points, polygons, engine):
-        """``(regime, warm fraction, per-term seconds)`` for one engine —
-        the one place the cost features are extracted."""
         num_vertices = sum(p.num_vertices for p in polygons)
         # Covered pixels scale with total polygon area over the extent.
         area_fraction = min(
             1.0,
             sum(p.area for p in polygons) / max(polygons.bbox.area, 1e-300),
         )
-        max_res = (
-            self.device.max_resolution if self.device is not None else 8192
-        )
         model = self.model
-        # A source the session already routed over the variant's canvas
+        canvas = engine._make_canvas(polygons)
+        tiles = canvas.num_tiles(engine.max_resolution)
+        # A source the session already routed over the engine's canvas
         # is not projected again.
         routed = engine.routing_warmth(points, polygons)
-        warm = self._warmth(engine, polygons)
+        warm = None if engine.session is None else engine.session.warmth(
+            polygons, engine.prepared_spec()
+        )
         if isinstance(engine, BoundedRasterJoin):
-            canvas = Canvas.for_epsilon(polygons.bbox, engine.epsilon)
-            return "warm" if warm else "cold", warm, model.bounded_terms(
-                len(points), canvas.num_pixels, canvas.num_tiles(max_res),
+            return "warm" if warm else "cold", model.bounded_terms(
+                len(points), canvas.num_pixels, tiles,
                 int(canvas.num_pixels * area_fraction),
-                workers=self._effective_workers(points, canvas, max_res, 4),
+                workers=_effective_workers(engine, points, canvas, 4),
                 num_vertices=num_vertices, warm=warm, routed=routed,
             )
         # Boundary traffic: outline length in pixels over the accurate
@@ -358,67 +260,45 @@ class RasterJoinOptimizer:
             for poly in polygons
             for (ax, ay, bx, by) in poly.edges()
         )
-        resolution = getattr(engine, "resolution", self.accurate_resolution)
-        acc_canvas = Canvas.for_resolution(polygons.bbox, resolution)
         boundary_pixels = perimeter / max(
-            min(acc_canvas.pixel_width, acc_canvas.pixel_height), 1e-300
+            min(canvas.pixel_width, canvas.pixel_height), 1e-300
         )
         boundary_fraction = min(
-            1.0, boundary_pixels / max(acc_canvas.num_pixels, 1)
+            1.0, boundary_pixels / max(canvas.num_pixels, 1)
         )
         # Third regime: a prewarmed pairing scatters nothing.
         prewarmed = engine.routing_warmth(points, polygons, indexed=True)
         regime = "pyramid-warm" if prewarmed else "warm" if warm else "cold"
-        return regime, warm, model.accurate_terms(
+        return regime, model.accurate_terms(
             len(points), boundary_fraction,
-            int(acc_canvas.num_pixels * area_fraction),
-            tiles=acc_canvas.num_tiles(max_res),
-            workers=self._effective_workers(points, acc_canvas, max_res, 8),
+            int(canvas.num_pixels * area_fraction), tiles=tiles,
+            workers=_effective_workers(engine, points, canvas, 8),
             num_vertices=num_vertices, warm=warm, routed=routed,
             prewarmed=prewarmed,
         )
 
-    def _effective_workers(
-        self, points: PointDataset, canvas: Canvas, max_res: int,
-        channel_bytes: int,
-    ) -> int:
-        """Configured workers, clamped by the device-memory concurrency cap.
 
-        The engines never let more tiles hold a planned batch than the
-        device budget allows (``tile_parallelism``); predicting with the
-        raw worker count would undercost memory-starved queries, so the
-        same clamp is applied here using the variant's FBO footprint.
-        """
-        if self.device is None:
-            return self._workers
-        from repro.device.batching import plan_batches, tile_parallelism
-        from repro.errors import DeviceError
+def _effective_workers(
+    engine: SpatialAggregationEngine, points: PointDataset, canvas: Canvas,
+    channel_bytes: int,
+) -> int:
+    """The engine's workers, clamped by the device-memory concurrency cap.
 
-        fbo_bytes = min(canvas.num_pixels, max_res ** 2) * channel_bytes
-        try:
-            plan = plan_batches(points, ("x", "y"), self.device, fbo_bytes)
-        except DeviceError:
-            return 1
-        return tile_parallelism(self.device, fbo_bytes, plan, self._workers)
+    The engines never let more tiles hold a planned batch than the
+    device budget allows (``tile_parallelism``); predicting with the
+    raw worker count would undercost memory-starved queries, so the
+    same clamp is applied here using the variant's FBO footprint.
+    """
+    workers = engine.backend.workers
+    if engine.device is None:
+        return workers
+    from repro.device.batching import plan_batches, tile_parallelism
+    from repro.errors import DeviceError
 
-    def choose(
-        self,
-        points: PointDataset,
-        polygons: PolygonSet,
-        epsilon: float,
-    ) -> SpatialAggregationEngine:
-        """The engine predicted to be faster for this query.
-
-        Predictions are cache-aware (see :meth:`estimate`): a variant
-        whose prepared artifact is already in the session — in memory or
-        in the artifact store — competes without its preparation and
-        polygon-pass cost, so a warm accurate engine routinely wins over
-        a cold bounded one in an interactive loop.
-        """
-        bounded_engine, accurate_engine = self._candidates(epsilon)
-        cost = self._estimate(
-            points, polygons, (bounded_engine, accurate_engine)
-        )
-        if cost["bounded"] <= cost["accurate"]:
-            return bounded_engine
-        return accurate_engine
+    side = engine.max_resolution
+    fbo_bytes = min(canvas.num_pixels, side * side) * channel_bytes
+    try:
+        plan = plan_batches(points, ("x", "y"), engine.device, fbo_bytes)
+    except DeviceError:
+        return 1
+    return tile_parallelism(engine.device, fbo_bytes, plan, workers)

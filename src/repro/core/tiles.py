@@ -1133,8 +1133,8 @@ class RasterJoinEngine(SpatialAggregationEngine):
         the canvas these polygons derive — and, with ``indexed``, would
         a statement read cached channels through that routing?
 
-        Identity-keyed and hash-free (the optimizer calls it per
-        candidate plan); optimistic the same way the session's
+        Identity-keyed and hash-free (EXPLAIN calls it before the
+        statement it explains runs); optimistic the same way the session's
         :meth:`~repro.cache.session.QuerySession.partition_warm` is.
         """
         if self.session is None or (indexed and not self.kernel.exact):

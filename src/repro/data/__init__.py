@@ -1,9 +1,8 @@
-"""Datasets: schemas, in-memory point tables, on-disk columnar storage,
+"""Datasets: in-memory point tables, on-disk columnar storage,
 and the synthetic workload generators that stand in for the paper's NYC
 taxi and Twitter data."""
 
 from repro.data.dataset import PointDataset
-from repro.data.schema import ColumnSpec, Schema
 from repro.data.column_store import ColumnStore
 from repro.data.taxi import generate_taxi, NYC_EXTENT
 from repro.data.twitter import generate_twitter, USA_EXTENT
@@ -15,8 +14,6 @@ from repro.data.regions import (
 
 __all__ = [
     "PointDataset",
-    "ColumnSpec",
-    "Schema",
     "ColumnStore",
     "generate_taxi",
     "NYC_EXTENT",

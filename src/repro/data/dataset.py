@@ -13,7 +13,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.data.schema import ColumnSpec, Schema
 from repro.errors import SchemaError
 from repro.geometry.bbox import BBox
 
@@ -54,12 +53,6 @@ class PointDataset:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.xs)
-
-    @property
-    def schema(self) -> Schema:
-        cols = [ColumnSpec("x", np.float64), ColumnSpec("y", np.float64)]
-        cols += [ColumnSpec(n, a.dtype) for n, a in self.attributes.items()]
-        return Schema(cols)
 
     def column(self, name: str) -> np.ndarray:
         """Fetch a column by name; ``x``/``y`` are the locations."""
@@ -103,19 +96,6 @@ class PointDataset:
             raise SchemaError(f"batch size must be >= 1, got {rows_per_batch}")
         for start in range(0, len(self), rows_per_batch):
             yield self.take(slice(start, start + rows_per_batch))
-
-    def concat(self, other: "PointDataset") -> "PointDataset":
-        if set(self.attributes) != set(other.attributes):
-            raise SchemaError("cannot concat datasets with different columns")
-        return PointDataset(
-            np.concatenate([self.xs, other.xs]),
-            np.concatenate([self.ys, other.ys]),
-            {
-                n: np.concatenate([a, other.attributes[n]])
-                for n, a in self.attributes.items()
-            },
-            name=self.name,
-        )
 
     def __repr__(self) -> str:
         return (

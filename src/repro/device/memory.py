@@ -154,7 +154,6 @@ class GPUDevice:
         self.allocated_bytes = 0
         self.peak_allocated_bytes = 0
         self.total_bytes_transferred = 0
-        self.total_transfer_s = 0.0
         # Concurrent tile workers allocate and free batch buffers from
         # several threads at once; the capacity check and the counters
         # must observe a consistent allocation total.
@@ -200,10 +199,6 @@ class GPUDevice:
         self._lock = threading.Lock()
         _LIVE_DEVICES.add(self)
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.allocated_bytes
-
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
@@ -222,7 +217,6 @@ class GPUDevice:
         elapsed = time.perf_counter() - start
         with self._lock:
             self.total_bytes_transferred += host_array.nbytes
-            self.total_transfer_s += elapsed
         return DeviceBuffer(self, name, dev), elapsed
 
     def upload_columns(
@@ -245,9 +239,6 @@ class GPUDevice:
         """
         buffers, _ = self.upload_columns(columns)
         return ResidentPointSet(self, buffers)
-
-    def fits(self, nbytes: int) -> bool:
-        return nbytes <= self.free_bytes
 
     def __repr__(self) -> str:
         return (

@@ -169,7 +169,7 @@ class ExecutionBackend(ABC):
             )
         self.workers = workers if workers is not None else default_workers()
         # Per-thread dispatch events: backends are deliberately shared
-        # across engines (optimizer, planner), so concurrent queries
+        # across a planner's engines, so concurrent queries
         # must each read the event of *their own* dispatch, not the
         # latest one on the instance.
         self._events = threading.local()

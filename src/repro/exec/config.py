@@ -1,7 +1,7 @@
 """Engine-level execution configuration.
 
 An :class:`EngineConfig` is the single knob callers (engine constructors,
-the optimizer, the SQL planner) use to choose how tile tasks execute and
+the SQL planner) use to choose how tile tasks execute and
 where prepared-state artifacts persist.  It is deliberately tiny — a
 backend selector and worker count, an artifact-store location and cap,
 and the process backend's dispatch mode (``shm``) — so it can be passed
@@ -68,8 +68,8 @@ class EngineConfig:
     def with_pinned_backend(self) -> "EngineConfig":
         """This config with its backend resolved to a live instance.
 
-        Components that construct many engines (the optimizer, the SQL
-        planner) pin the backend once so every engine they build shares
+        A component that constructs many engines (the SQL planner) pins
+        the backend once so every engine it builds shares
         one instance — and therefore one worker pool — instead of
         respawning a pool per query.  Idempotent: an already
         pinned config is returned unchanged.
@@ -105,7 +105,7 @@ class EngineConfig:
         return ArtifactStore(root, disk_budget=budget)
 
     def default_session(self):
-        """The session a session-less engine/optimizer should own, or
+        """The session a session-less engine or planner should own, or
         ``None``.
 
         Only an *explicit* ``store_dir`` creates one: persistence needs
@@ -113,8 +113,8 @@ class EngineConfig:
         silently convert cache-free (session-less) construction into
         caching construction — the environment takes effect through
         whatever ``QuerySession()`` the caller does create.  This is the
-        single gate for that decision; engines, the optimizer, and the
-        planner all route through it.
+        single gate for that decision; engines and the planner both
+        route through it.
         """
         if not self.store_dir:
             return None

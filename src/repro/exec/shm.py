@@ -169,10 +169,6 @@ class ShmRegistry:
         with self._lock:
             return len(self._segments)
 
-    def live_bytes(self) -> int:
-        with self._lock:
-            return sum(entry[2] for entry in self._segments.values())
-
     def close_all(self) -> None:
         """Unlink everything still owned (interpreter-exit sweep)."""
         if not self._owned():  # pragma: no cover - fork-child guard

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.errors import ResolutionError
-from repro.graphics.viewport import Viewport
 
 
 class FrameBuffer:
@@ -42,15 +41,6 @@ class FrameBuffer:
         #: been handed yet: its zeros are allocated on first access, or
         #: never — :meth:`scatter` lets ``np.bincount`` build it.
         self._channels: dict[str, np.ndarray | None] = dict.fromkeys(channels)
-
-    @classmethod
-    def for_viewport(
-        cls,
-        viewport: Viewport,
-        channels: Iterable[str] = ("count",),
-        dtype: np.dtype | type = np.float32,
-    ) -> "FrameBuffer":
-        return cls(viewport.width, viewport.height, channels=channels, dtype=dtype)
 
     # ------------------------------------------------------------------
     # Channel access
@@ -147,10 +137,6 @@ class FrameBuffer:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def gather(self, ix: np.ndarray, iy: np.ndarray, name: str) -> np.ndarray:
-        """Texture fetch: channel values at the given pixels, as float64."""
-        return self.channel(name)[iy, ix].astype(np.float64)
-
     def total(self, name: str) -> float:
         """Sum of a whole channel, reduced in float64."""
         return float(np.sum(self.channel(name), dtype=np.float64))

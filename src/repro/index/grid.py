@@ -370,14 +370,6 @@ class GridIndex:
     def num_entries(self) -> int:
         return len(self.entries)
 
-    @property
-    def memory_bytes(self) -> int:
-        return self.cell_start.nbytes + self.entries.nbytes
-
-    def cell_occupancy(self) -> np.ndarray:
-        """Entries per cell — used by the grid-resolution ablation."""
-        return np.diff(self.cell_start)
-
     def __repr__(self) -> str:
         return (
             f"GridIndex({self.resolution}^2 cells, {len(self.polygons)} polygons, "

@@ -1,15 +1,15 @@
 """EXPLAIN ANALYZE: execute a statement traced, annotate with predictions.
 
-The surface the optimizer module's future-work note asks for, made
-inspectable: the planner executes the statement with a tracer installed
-(independent of ``$REPRO_TRACE``), asks the calibrated
-:class:`~repro.core.optimizer.RasterJoinOptimizer` for its per-term
-predicted seconds *before* the run warms anything, and renders the
-measured span tree with a predicted-vs-measured table per cost term —
-including the relative error, so a drifting cost model is visible at the
-SQL prompt.
+The paper's §8 time estimate, made inspectable: the planner executes the
+statement with a tracer installed (independent of ``$REPRO_TRACE``), asks
+the calibrated :class:`~repro.core.optimizer.RasterJoinOptimizer` for its
+per-term predicted seconds for the planned engine — its canvas, tiles,
+workers and session, read off the engine — *before* the run warms
+anything, and renders the measured span tree with a predicted-vs-measured
+table per cost term, including the relative error, so a drifting cost
+model is visible at the SQL prompt.
 
-Three regimes surface here, matching the optimizer's cost paths:
+Three regimes surface here, matching the cost model's paths:
 ``cold`` (every term paid), ``warm`` (prepared artifacts reusable, the
 preparation/polygon-pass terms discounted), and ``pyramid-warm`` (the
 pairing was prewarmed: the statement reads cached point framebuffers, so

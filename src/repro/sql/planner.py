@@ -4,8 +4,8 @@ The planner owns a catalog of registered point tables
 (:class:`~repro.data.dataset.PointDataset`) and region tables
 (:class:`~repro.geometry.polygon.PolygonSet`).  Given a statement it checks
 names and columns, builds the aggregate and filter objects, picks an engine
-— the ε-aware optimizer choice when the statement carries a ``WITHIN``
-bound, the accurate engine otherwise — and executes.
+— the bounded engine when the statement carries a ``WITHIN`` bound, the
+accurate engine otherwise — and executes.
 
 The planner owns a :class:`~repro.cache.session.QuerySession` (or accepts a
 shared one) and attaches it to every engine it lowers onto, so repeated
@@ -87,13 +87,12 @@ class QueryPlanner:
         self._server = None
 
     def optimizer(self):
-        """The planner's calibrated cost optimizer (built on first use)."""
+        """The calibrated cost model EXPLAIN ANALYZE predicts with (built
+        on first use, over the planner's device)."""
         if self._optimizer is None:
             from repro.core.optimizer import RasterJoinOptimizer
 
-            self._optimizer = RasterJoinOptimizer(
-                device=self.device, session=self.session, config=self.config,
-            )
+            self._optimizer = RasterJoinOptimizer(self.device)
         return self._optimizer
 
     # ------------------------------------------------------------------
@@ -230,6 +229,11 @@ class QueryPlanner:
 
     def execute(self, statement: str | SelectStatement) -> AggregationResult:
         """Parse, plan, and run a statement.
+
+        A multi-item SELECT runs its items in one pass
+        (:class:`~repro.core.multi.MultiAggregate`): the result's
+        ``values`` hold the first item only, and the planned aggregate's
+        ``finalize_all(result.channels)`` gives every item by label.
 
         An ``EXPLAIN ANALYZE`` statement still executes, but returns an
         :class:`~repro.sql.explain.ExplainResult` wrapping the

@@ -130,7 +130,6 @@ class ArtifactStore:
         self.rejected_saves = 0
         self.evictions = 0
         self.save_s = 0.0
-        self.load_s = 0.0
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -284,11 +283,9 @@ class ArtifactStore:
             except OSError:
                 pass
         self.loads += 1
-        elapsed = time.perf_counter() - start
-        self.load_s += elapsed
         metrics.counter("store_loads")
         metrics.counter("store_load_bytes", len(payload))
-        metrics.observe("store_load_seconds", elapsed)
+        metrics.observe("store_load_seconds", time.perf_counter() - start)
         return prepared
 
     def contains(self, key: Sequence) -> bool:

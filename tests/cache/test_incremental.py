@@ -23,7 +23,6 @@ from repro import (
     QuerySession,
     Sum,
 )
-from repro.cache.prepared import PreparedPolygons
 
 
 def edited_regions(regions: PolygonSet, shrink: float = 0.25) -> PolygonSet:
@@ -161,8 +160,10 @@ class TestDeltaDerivation:
 
     def test_unaffected_tiles_keep_composed_views(self, uniform_points,
                                                   three_regions):
-        """On a multi-tile canvas, tiles the edited polygon never touches
-        carry their composed boundary/coverage over unchanged."""
+        """On a multi-tile canvas, the delta's first statement leaves the
+        tiles the edited polygon never touches on its base's composed
+        views — the same objects — and recomposes the tiles the moved
+        vertex sits on."""
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(
             resolution=128, grid_resolution=64, session=session,
@@ -173,17 +174,32 @@ class TestDeltaDerivation:
         base = session._entries[base_key]
         assert len(base.tiles) > 1
         after = edited_regions(three_regions)
+        result = engine.execute(uniform_points, after, aggregate=Sum("fare"))
+        assert result.stats.extra["prepared"] == "delta"
         new_key = (after.fingerprint,) + tuple(engine.prepared_spec())
-        derived = PreparedPolygons.derive_from(base, new_key, after)
-        carried = set(derived.coverage)
+        derived = session._entries[new_key]
+        fields = ("boundary_masks", "coverage", "candidates")
+        edited_box = three_regions[2].bbox.union(after[2].bbox)
+        carried = [
+            idx for idx, tile in enumerate(base.tiles)
+            if not tile.bbox.intersects(edited_box)
+        ]
         assert carried  # some tiles are untouched by the edit
-        edited_box = after[2].bbox
         for idx in carried:
-            assert not base.tiles[idx].bbox.intersects(edited_box)
-            for field in ("boundary_masks", "coverage", "candidates"):
+            for field in fields:
                 assert getattr(derived, field)[idx] is getattr(base, field)[idx]
-        # ... and nothing derived is carried for a tile the edit touches.
-        assert set(derived.candidates) == carried
+        vertices = (three_regions[2].exterior[0], after[2].exterior[0])
+        touched = [
+            idx for idx, tile in enumerate(base.tiles)
+            if any(tile.bbox.contains_point(x, y) for x, y in vertices)
+        ]
+        assert touched
+        for idx in touched:
+            for field in fields:
+                assert (
+                    getattr(derived, field)[idx]
+                    is not getattr(base, field)[idx]
+                ), (idx, field)
 
     def test_delta_result_matches_cold_on_multitile(self, uniform_points,
                                                     three_regions):
@@ -698,25 +714,27 @@ class TestFractionalWarmth:
         assert session.warmth(moved, engine.prepared_spec()) is None
 
     def test_optimizer_plans_edits_warm(self, uniform_points, three_regions):
-        """A 1-of-N edit must cost (nearly) like a warm query: the
-        optimizer's estimate discounts the matched share."""
+        """A 1-of-N edit must cost (nearly) like a warm query: EXPLAIN's
+        prediction discounts the matched share."""
         from repro.core.optimizer import RasterJoinOptimizer
 
         session = QuerySession(store=False)
-        optimizer = RasterJoinOptimizer(session=session)
+        optimizer = RasterJoinOptimizer()
         engine = AccurateRasterJoin(resolution=1024, session=session)
         engine.execute(uniform_points, three_regions, aggregate=Sum("fare"))
         after = edited_regions(three_regions)
-        est_edit = optimizer.estimate(uniform_points, after, epsilon=0.05)
-        assert est_edit["accurate_warm"] == pytest.approx(2 / 3)
-        est_warm = optimizer.estimate(uniform_points, three_regions,
-                                      epsilon=0.05)
-        est_cold = optimizer.estimate(
-            uniform_points,
-            PolygonSet([stretched_regions(three_regions)[0]]),
-            epsilon=0.05,
+        assert session.warmth(after, engine.prepared_spec()) == (
+            pytest.approx(2 / 3)
         )
-        assert est_warm["accurate"] <= est_edit["accurate"]
+
+        def predicted(polygons):
+            regime, terms = optimizer.explain_terms(
+                uniform_points, polygons, engine
+            )
+            assert regime == "warm"
+            return sum(terms.values())
+
+        assert predicted(three_regions) <= predicted(after)
 
 
 class TestPlannerEditLoop:

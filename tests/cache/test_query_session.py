@@ -16,7 +16,6 @@ from repro import (
     Polygon,
     PolygonSet,
     QuerySession,
-    RasterJoinOptimizer,
     Sum,
 )
 from repro.errors import QueryError
@@ -219,12 +218,6 @@ class TestEnginesReusePreparedState:
 
 
 class TestWiring:
-    def test_optimizer_forwards_session(self, uniform_points, three_regions):
-        session = QuerySession()
-        optimizer = RasterJoinOptimizer(session=session)
-        engine = optimizer.choose(uniform_points, three_regions, epsilon=5.0)
-        assert engine.session is session
-
     def test_planner_reuses_prepared_state(self, uniform_points,
                                            three_regions):
         from repro.sql.planner import QueryPlanner

@@ -105,6 +105,20 @@ def run_pixels(runs: np.ndarray) -> np.ndarray:
     return ragged_positions(runs[:, 0], runs[:, 1] - runs[:, 0])
 
 
+def concat_points(first: PointDataset, second: PointDataset) -> PointDataset:
+    """``first``'s rows followed by ``second``'s (same attribute columns)."""
+    assert set(first.attributes) == set(second.attributes)
+    return PointDataset(
+        np.concatenate([first.xs, second.xs]),
+        np.concatenate([first.ys, second.ys]),
+        {
+            n: np.concatenate([a, second.attributes[n]])
+            for n, a in first.attributes.items()
+        },
+        name=first.name,
+    )
+
+
 def regular_polygon(cx: float, cy: float, radius: float, sides: int) -> Polygon:
     """A regular ``sides``-gon inscribed in the circle (cx, cy, radius)."""
     angles = 2.0 * np.pi * np.arange(sides) / sides

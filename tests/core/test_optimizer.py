@@ -1,4 +1,4 @@
-"""Unit tests for the bounded-vs-accurate cost optimizer."""
+"""Unit tests for the cost model behind EXPLAIN ANALYZE's predictions."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,9 @@ from repro import (
     AccurateRasterJoin,
     ArtifactStore,
     BoundedRasterJoin,
+    EngineConfig,
+    GPUDevice,
+    PointDataset,
     Polygon,
     PolygonSet,
     QuerySession,
@@ -19,16 +22,27 @@ def hand_tuned_model() -> CostModel:
     """A deterministic model where preparation + polygon pass dominate.
 
     Point traffic is priced at ~0 so the cache-aware terms (preparation,
-    polygon pass) fully decide the comparison — choices become exact
-    assertions instead of timing-dependent ones.
+    polygon pass) fully decide the comparison — cost relations become
+    exact assertions instead of timing-dependent ones.
     """
     return CostModel(
         per_point_render=1e-12,
         per_pixel_polygon_pass=1e-6,
-        per_pip_test=1e-12,
         per_boundary_point=1e-12,
         per_vertex_triangulate=1e-6,
     )
+
+
+def with_model(model: CostModel) -> RasterJoinOptimizer:
+    opt = RasterJoinOptimizer()
+    opt._model = model
+    return opt
+
+
+def predicted(opt, points, polygons, engine) -> tuple[str, float]:
+    """(regime, predicted seconds): the EXPLAIN terms, summed."""
+    regime, terms = opt.explain_terms(points, polygons, engine)
+    return regime, sum(terms.values())
 
 
 @pytest.fixture(scope="module")
@@ -45,86 +59,244 @@ class TestCostModel:
         assert model.per_pixel_polygon_pass > 0
         assert model.per_boundary_point > 0
 
-    def test_estimates_monotone_in_epsilon(
+    def test_predictions_monotone_in_epsilon(
         self, optimizer, uniform_points, three_regions
     ):
-        """Shrinking epsilon must never make the bounded estimate cheaper."""
+        """Shrinking epsilon must never make the bounded prediction
+        cheaper."""
         costs = [
-            optimizer.estimate(uniform_points, three_regions, eps)["bounded"]
+            predicted(optimizer, uniform_points, three_regions,
+                      BoundedRasterJoin(epsilon=eps))[1]
             for eps in (10.0, 1.0, 0.05, 0.005)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(costs, costs[1:]))
 
-    def test_accurate_estimate_independent_of_epsilon(
+    def test_accurate_prediction_independent_of_epsilon(
         self, optimizer, uniform_points, three_regions
     ):
-        a = optimizer.estimate(uniform_points, three_regions, 10.0)["accurate"]
-        b = optimizer.estimate(uniform_points, three_regions, 0.01)["accurate"]
-        assert a == b
+        """Bounded statements at any ε leave the accurate prediction as
+        it was: their artifacts and canvases are not its own."""
+        session = QuerySession(store=False)
+        accurate = AccurateRasterJoin(session=session)
+        before = predicted(optimizer, uniform_points, three_regions, accurate)
+        for eps in (10.0, 0.5):
+            BoundedRasterJoin(epsilon=eps, session=session).execute(
+                uniform_points, three_regions
+            )
+        after = predicted(optimizer, uniform_points, three_regions, accurate)
+        assert before == after
 
 
-class TestChoice:
-    def test_coarse_epsilon_prefers_bounded(
-        self, optimizer, uniform_points, three_regions
+class TestEngineCanvas:
+    """EXPLAIN costs the canvas the engine runs: padded by a pixel, cut
+    into tiles under the engine's device limit, over its workers."""
+
+    UNIT = CostModel(
+        per_point_render=1.0, per_pixel_polygon_pass=1.0,
+        per_boundary_point=1.0, per_vertex_triangulate=1.0,
+    )
+
+    def test_bounded_terms_follow_the_tiles_the_engine_runs(self, rng):
+        square = PolygonSet([Polygon(np.asarray(
+            [[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0]]
+        ))])
+        points = PointDataset(
+            rng.uniform(0.0, 100.0, 5_000), rng.uniform(0.0, 100.0, 5_000)
+        )
+        engine = BoundedRasterJoin(
+            epsilon=0.5526, device=GPUDevice(max_resolution=256),
+            config=EngineConfig(backend="thread", workers=2),
+        )
+        try:
+            regime, terms = with_model(self.UNIT).explain_terms(
+                points, square, engine
+            )
+            result = engine.execute(points, square)
+        finally:
+            engine.close()
+        assert regime == "cold"
+        # 258^2 pixels in four tiles over two workers: two waves scan a
+        # quarter of the points each, after one projection of them all.
+        assert result.stats.extra["canvas"] == (258, 258)
+        assert result.stats.extra["tiles"] == 4
+        assert terms["point_pass"] == pytest.approx(5_000 * (1 + 2 / 4))
+        assert terms["polygon_pass"] == pytest.approx(258 * 258 / 2)
+
+    @staticmethod
+    def _square_and_points(rng):
+        square = PolygonSet([Polygon(np.asarray(
+            [[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0]]
+        ))])
+        points = PointDataset(
+            rng.uniform(0.0, 100.0, 5_000), rng.uniform(0.0, 100.0, 5_000)
+        )
+        return square, points
+
+    @staticmethod
+    def _engine(variant, device, workers):
+        config = EngineConfig(backend="thread", workers=workers)
+        if variant == "bounded":
+            return BoundedRasterJoin(
+                resolution=300, device=device, config=config
+            )
+        return AccurateRasterJoin(resolution=300, device=device, config=config)
+
+    @pytest.mark.parametrize("variant", ["bounded", "accurate"])
+    @pytest.mark.parametrize("max_resolution, tiles", [(None, 1), (256, 4)],
+                             ids=["no-device", "device-256"])
+    def test_terms_price_the_canvas_the_engine_runs(
+        self, rng, variant, max_resolution, tiles
     ):
-        engine = optimizer.choose(uniform_points, three_regions, epsilon=5.0)
-        assert isinstance(engine, BoundedRasterJoin)
+        """Either variant, with or without a device: the tile count is
+        the engine's under its own limit, not an assumed one."""
+        square, points = self._square_and_points(rng)
+        device = (
+            None if max_resolution is None
+            else GPUDevice(max_resolution=max_resolution)
+        )
+        engine = self._engine(variant, device, workers=2)
+        try:
+            _, terms = with_model(self.UNIT).explain_terms(
+                points, square, engine
+            )
+            result = engine.execute(points, square)
+        finally:
+            engine.close()
+        assert result.stats.extra["canvas"] == (300, 300)
+        assert result.stats.extra["tiles"] == tiles
+        waves = -(-tiles // 2)
+        assert terms["point_pass"] == pytest.approx(
+            5_000 * (1 + waves / tiles)
+        )
+        assert terms["polygon_pass"] == pytest.approx(
+            300 * 300 / min(2, tiles)
+        )
 
-    def test_tiny_epsilon_prefers_accurate(
-        self, optimizer, uniform_points, three_regions
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers_are_the_engines(self, rng, workers):
+        """Four tiles over the engine's own workers: the point pass runs
+        in ``ceil(4 / workers)`` waves and the polygon pass divides."""
+        square, points = self._square_and_points(rng)
+        engine = self._engine(
+            "bounded", GPUDevice(max_resolution=256), workers
+        )
+        try:
+            _, terms = with_model(self.UNIT).explain_terms(
+                points, square, engine
+            )
+        finally:
+            engine.close()
+        waves = -(-4 // workers)
+        assert terms["point_pass"] == pytest.approx(5_000 * (1 + waves / 4))
+        assert terms["polygon_pass"] == pytest.approx(300 * 300 / workers)
+
+    def test_device_memory_caps_the_workers(self, rng):
+        """A device that holds one tile's framebuffer and batch at a time
+        runs four workers one tile after another, and is costed so."""
+        square, points = self._square_and_points(rng)
+        engine = self._engine(
+            "bounded",
+            GPUDevice(capacity_bytes=400_000, max_resolution=256),
+            workers=4,
+        )
+        try:
+            _, terms = with_model(self.UNIT).explain_terms(
+                points, square, engine
+            )
+            result = engine.execute(points, square)
+        finally:
+            engine.close()
+        assert result.stats.extra["tiles"] == 4
+        assert terms["point_pass"] == pytest.approx(5_000 * 2)
+        assert terms["polygon_pass"] == pytest.approx(300 * 300)
+
+    @pytest.mark.parametrize("variant, keys", [
+        ("bounded", {"prepare", "point_pass", "polygon_pass"}),
+        ("accurate", {"prepare", "point_pass", "boundary_pip",
+                      "polygon_pass"}),
+    ])
+    def test_term_keys_name_the_variants_spans(self, rng, variant, keys):
+        """Only the accurate variant has a boundary PIP pass to cost."""
+        square, points = self._square_and_points(rng)
+        engine = self._engine(variant, None, workers=1)
+        try:
+            regime, terms = with_model(self.UNIT).explain_terms(
+                points, square, engine
+            )
+        finally:
+            engine.close()
+        assert regime == "cold"
+        assert set(terms) == keys
+        assert all(value >= 0.0 for value in terms.values())
+
+
+class TestCrossover:
+    """Figure 12(a): as ε shrinks the bounded variant renders
+    quadratically more pixels, and its predicted time crosses the
+    accurate variant's."""
+
+    @pytest.mark.parametrize("epsilon, cheaper", [
+        (5.0, "bounded"), (0.001, "accurate"),
+    ], ids=["coarse", "tiny"])
+    def test_cheaper_variant_flips_as_epsilon_shrinks(
+        self, optimizer, uniform_points, three_regions, epsilon, cheaper
     ):
-        """The Figure 12(a) crossover: many tiles make bounded lose."""
-        engine = optimizer.choose(uniform_points, three_regions, epsilon=0.001)
-        assert isinstance(engine, AccurateRasterJoin)
-
-    def test_chosen_engine_runs(self, optimizer, uniform_points, three_regions):
-        engine = optimizer.choose(uniform_points, three_regions, epsilon=2.0)
-        result = engine.execute(uniform_points, three_regions)
-        assert len(result.values) == len(three_regions)
+        cost = {
+            "bounded": predicted(optimizer, uniform_points, three_regions,
+                                 BoundedRasterJoin(epsilon=epsilon))[1],
+            "accurate": predicted(optimizer, uniform_points, three_regions,
+                                  AccurateRasterJoin())[1],
+        }
+        other = "accurate" if cheaper == "bounded" else "bounded"
+        assert cost[cheaper] < cost[other]
 
 
 class TestCacheAwareCosting:
-    """The ROADMAP item: a variant whose artifact the session already
-    holds competes without its preparation and polygon-pass cost."""
+    """A variant whose artifact the session already holds is costed
+    without its preparation and polygon-pass cost."""
 
-    EPSILON = 5.0  # coarse: bounded wins this comfortably when both cold
+    EPSILON = 5.0  # coarse: bounded is cheaper when both are cold
 
-    def _optimizer(self, session) -> RasterJoinOptimizer:
-        opt = RasterJoinOptimizer(session=session)
-        opt._model = hand_tuned_model()
-        return opt
-
-    def test_cold_baseline_prefers_bounded(self, uniform_points,
-                                           three_regions):
-        opt = self._optimizer(QuerySession(store=False))
-        cost = opt.estimate(uniform_points, three_regions, self.EPSILON)
-        assert not cost["bounded_warm"] and not cost["accurate_warm"]
-        assert cost["bounded"] < cost["accurate"]
-        assert isinstance(
-            opt.choose(uniform_points, three_regions, self.EPSILON),
-            BoundedRasterJoin,
+    def _engines(self, session):
+        return (
+            BoundedRasterJoin(epsilon=self.EPSILON, session=session),
+            AccurateRasterJoin(session=session),
         )
+
+    def _costs(self, points, polygons, session) -> dict:
+        opt = with_model(hand_tuned_model())
+        bounded, accurate = self._engines(session)
+        return {
+            "bounded": predicted(opt, points, polygons, bounded),
+            "accurate": predicted(opt, points, polygons, accurate),
+        }
+
+    def test_cold_baseline_bounded_cheaper(self, uniform_points,
+                                           three_regions):
+        cost = self._costs(
+            uniform_points, three_regions, QuerySession(store=False)
+        )
+        assert cost["bounded"][0] == cost["accurate"][0] == "cold"
+        assert cost["bounded"][1] < cost["accurate"][1]
 
     def test_warm_accurate_beats_cold_bounded(self, uniform_points,
                                               three_regions):
         session = QuerySession(store=False)
-        opt = self._optimizer(session)
         # Warm the accurate variant the way a real loop would: run it.
         accurate = AccurateRasterJoin(session=session)
         accurate.execute(uniform_points, three_regions)
-        cost = opt.estimate(uniform_points, three_regions, self.EPSILON)
-        assert cost["accurate_warm"] and not cost["bounded_warm"]
-        assert cost["accurate"] < cost["bounded"]
-        chosen = opt.choose(uniform_points, three_regions, self.EPSILON)
-        assert isinstance(chosen, AccurateRasterJoin)
-        # The chosen engine actually runs warm.
-        result = chosen.execute(uniform_points, three_regions)
+        cost = self._costs(uniform_points, three_regions, session)
+        assert cost["accurate"][0] == "warm"
+        assert cost["bounded"][0] == "cold"
+        assert cost["accurate"][1] < cost["bounded"][1]
+        # The engine costed warm actually runs warm.
+        result = accurate.execute(uniform_points, three_regions)
         assert result.stats.prepared_hits == 1
 
     def test_store_tier_counts_as_warm(self, uniform_points, three_regions,
                                        tmp_path):
         """An artifact that lives only on disk (previous process) still
-        discounts the variant — the restarted optimizer prefers it."""
+        discounts the variant."""
         store_dir = tmp_path / "store"
         warmup = QuerySession(store=ArtifactStore(store_dir))
         AccurateRasterJoin(session=warmup).execute(
@@ -132,13 +304,9 @@ class TestCacheAwareCosting:
         )
         # "Restart": fresh session, same store, empty memory tier.
         session = QuerySession(store=ArtifactStore(store_dir))
-        opt = self._optimizer(session)
-        cost = opt.estimate(uniform_points, three_regions, self.EPSILON)
-        assert cost["accurate_warm"]
-        assert isinstance(
-            opt.choose(uniform_points, three_regions, self.EPSILON),
-            AccurateRasterJoin,
-        )
+        cost = self._costs(uniform_points, three_regions, session)
+        assert cost["accurate"][0] == "warm"
+        assert cost["accurate"][1] < cost["bounded"][1]
 
     def test_costing_never_mutates_cache_state(self, uniform_points,
                                                three_regions):
@@ -146,59 +314,49 @@ class TestCacheAwareCosting:
         accurate = AccurateRasterJoin(session=session)
         accurate.execute(uniform_points, three_regions)
         hits, misses = session.hits, session.misses
-        opt = self._optimizer(session)
-        opt.estimate(uniform_points, three_regions, self.EPSILON)
-        opt.choose(uniform_points, three_regions, self.EPSILON)
+        self._costs(uniform_points, three_regions, session)
         assert (session.hits, session.misses) == (hits, misses)
 
     def test_config_wired_store_counts_as_warm(self, uniform_points,
                                                three_regions, tmp_path):
         """With the store wired only through EngineConfig (no explicit
-        session anywhere), the optimizer still sees disk warmth — it
-        probes the candidate engines' own store-backed sessions."""
-        from repro import EngineConfig
-
+        session anywhere), the costing still sees disk warmth — it
+        probes the engine's own store-backed session."""
         config = EngineConfig(store_dir=str(tmp_path / "cfg-store"))
         AccurateRasterJoin(config=config).execute(
             uniform_points, three_regions
         )
-        opt = RasterJoinOptimizer(config=config)
-        opt._model = hand_tuned_model()
-        cost = opt.estimate(uniform_points, three_regions, self.EPSILON)
-        assert cost["accurate_warm"]
-        assert isinstance(
-            opt.choose(uniform_points, three_regions, self.EPSILON),
-            AccurateRasterJoin,
-        )
+        opt = with_model(hand_tuned_model())
+        warm = predicted(opt, uniform_points, three_regions,
+                         AccurateRasterJoin(config=config))
+        cold = predicted(opt, uniform_points, three_regions,
+                         AccurateRasterJoin())
+        assert warm[0] == "warm" and cold[0] == "cold"
+        assert warm[1] < cold[1]
 
     def test_triangles_only_entry_costs_cold(self, uniform_points,
                                              three_regions):
         """An artifact without coverage — triangles at most — is no
         discount: its first statement rasterizes the polygon side whole."""
         session = QuerySession(store=False)
-        opt = self._optimizer(session)
-        _, accurate = opt._candidates(self.EPSILON)
+        _, accurate = self._engines(session)
         entry, _ = session.prepared_for(three_regions, accurate.prepared_spec())
         entry.ensure_triangles(three_regions)
-        cost = opt.estimate(uniform_points, three_regions, self.EPSILON)
-        assert cost["accurate_warm"] == 0.0
-        cold = self._optimizer(QuerySession(store=False)).estimate(
-            uniform_points, three_regions, self.EPSILON
+        cost = self._costs(uniform_points, three_regions, session)
+        cold = self._costs(
+            uniform_points, three_regions, QuerySession(store=False)
         )
         assert cost["accurate"] == cold["accurate"]
+        assert cost["accurate"][0] == "cold"
 
-    def test_warm_bounded_stays_preferred(self, uniform_points, three_regions):
+    def test_warm_bounded_stays_cheaper(self, uniform_points, three_regions):
         session = QuerySession(store=False)
-        opt = self._optimizer(session)
         BoundedRasterJoin(epsilon=self.EPSILON, session=session).execute(
             uniform_points, three_regions
         )
-        cost = opt.estimate(uniform_points, three_regions, self.EPSILON)
-        assert cost["bounded_warm"]
-        assert isinstance(
-            opt.choose(uniform_points, three_regions, self.EPSILON),
-            BoundedRasterJoin,
-        )
+        cost = self._costs(uniform_points, three_regions, session)
+        assert cost["bounded"][0] == "warm"
+        assert cost["bounded"][1] < cost["accurate"][1]
 
 
 class TestRoutingAwareCosting:
@@ -207,7 +365,7 @@ class TestRoutingAwareCosting:
 
     MODEL = CostModel(
         per_point_render=1e-6, per_pixel_polygon_pass=0.0,
-        per_pip_test=0.0, per_boundary_point=0.0,
+        per_boundary_point=0.0,
     )
 
     @pytest.mark.parametrize("tiles, waves", [(1, 1), (4, 4), (16, 8)])
@@ -220,23 +378,33 @@ class TestRoutingAwareCosting:
             scatter + n * 1e-6
         )
 
-    def test_optimizer_probes_the_session_for_routing(self, uniform_points,
-                                                      three_regions):
+    def test_costing_probes_the_session_for_routing(self, uniform_points,
+                                                    three_regions):
         """Identity-keyed and hash-free: it sees a resident routing,
         prices the point pass without the projection — without any point
         pass at all once the pairing is prewarmed — and touches no
         counter."""
         session = QuerySession(store=False)
-        opt = RasterJoinOptimizer(session=session)
-        opt._model = self.MODEL
-        epsilon = 5.0
-        cold = opt.estimate(uniform_points, three_regions, epsilon)
+        opt = with_model(self.MODEL)
         engine = AccurateRasterJoin(session=session)
+        bounded = BoundedRasterJoin(epsilon=5.0, session=session)
+
+        def cost():
+            return {
+                "accurate": predicted(
+                    opt, uniform_points, three_regions, engine
+                )[1],
+                "bounded": predicted(
+                    opt, uniform_points, three_regions, bounded
+                )[1],
+            }
+
+        cold = cost()
         assert not engine.routing_warmth(uniform_points, three_regions)
         engine.execute(uniform_points, three_regions)
         assert engine.routing_warmth(uniform_points, three_regions)
         hits = session.partition_hits
-        warm = opt.estimate(uniform_points, three_regions, epsilon)
+        warm = cost()
         assert session.partition_hits == hits
         projection = len(uniform_points) * self.MODEL.per_point_render
         assert warm["accurate"] == pytest.approx(cold["accurate"] - projection)
@@ -248,7 +416,7 @@ class TestRoutingAwareCosting:
         engine.prewarm(uniform_points, three_regions)
         assert engine.routing_warmth(uniform_points, three_regions,
                                      indexed=True)
-        prewarmed = opt.estimate(uniform_points, three_regions, epsilon)
+        prewarmed = cost()
         assert session.partition_hits == hits + 1  # prewarm's own lookup
         assert prewarmed["accurate"] == pytest.approx(
             warm["accurate"] - projection
@@ -260,20 +428,24 @@ class TestRoutingAwareCosting:
         )
 
 
-class TestOneCostPath:
-    """``estimate`` is the sum of each candidate's EXPLAIN terms — the
-    features are extracted in one place, so the two cannot drift."""
+class TestRegimes:
+    """The regime EXPLAIN prints follows what the engine's session
+    holds, and a delta is costed at the share it rebuilds."""
+
+    MODEL = CostModel(
+        per_point_render=1e-6, per_pixel_polygon_pass=1e-6,
+        per_boundary_point=0.0,
+    )
 
     @pytest.mark.parametrize("state", ["cold", "warm", "delta", "prewarmed"])
-    def test_estimate_is_the_sum_of_explain_terms(
+    def test_regime_follows_the_session(
         self, uniform_points, three_regions, state
     ):
         session = QuerySession(store=False)
-        opt = RasterJoinOptimizer(session=session)
-        opt._model = TestRoutingAwareCosting.MODEL
-        epsilon = 0.5
+        opt = with_model(self.MODEL)
         polygons = three_regions
-        bounded, accurate = opt._candidates(epsilon)
+        bounded = BoundedRasterJoin(epsilon=0.5, session=session)
+        accurate = AccurateRasterJoin(session=session)
         if state != "cold":
             accurate.execute(uniform_points, three_regions)
             bounded.execute(uniform_points, three_regions)
@@ -287,15 +459,19 @@ class TestOneCostPath:
             )
         if state == "prewarmed":
             accurate.prewarm(uniform_points, three_regions)
-        cost = opt.estimate(uniform_points, polygons, epsilon)
-        regimes = {}
-        for name, engine in (("bounded", bounded), ("accurate", accurate)):
-            regime, terms = opt.explain_terms(uniform_points, polygons, engine)
-            regimes[name] = regime
-            assert cost[name] == sum(terms.values()), name
-        assert regimes["accurate"] == {
+        regime, terms = opt.explain_terms(uniform_points, polygons, accurate)
+        assert regime == {
             "cold": "cold", "warm": "warm", "delta": "warm",
             "prewarmed": "pyramid-warm",
         }[state]
+        assert opt.explain_terms(uniform_points, polygons, bounded)[0] == (
+            "cold" if state == "cold" else "warm"
+        )
         if state == "delta":
-            assert cost["accurate_warm"] == pytest.approx(2 / 3)
+            # Two of three polygons carry over: a third rebuilds.
+            _, cold = opt.explain_terms(
+                uniform_points, polygons, AccurateRasterJoin()
+            )
+            assert terms["polygon_pass"] == pytest.approx(
+                cold["polygon_pass"] / 3
+            )

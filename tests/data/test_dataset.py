@@ -52,11 +52,6 @@ class TestColumns:
         with pytest.raises(SchemaError):
             make().column("missing")
 
-    def test_schema(self):
-        schema = make().schema
-        assert schema.names == ("x", "y", "a")
-        assert schema.row_bytes() == 8 + 8 + 4
-
 
 class TestSlicing:
     def test_take_mask_indices(self):
@@ -78,15 +73,6 @@ class TestSlicing:
     def test_batches_invalid(self):
         with pytest.raises(SchemaError):
             list(make().batches(0))
-
-    def test_concat(self):
-        joined = make(3).concat(make(4))
-        assert len(joined) == 7
-
-    def test_concat_schema_mismatch(self):
-        other = PointDataset(np.zeros(2), np.zeros(2), {"b": np.zeros(2)})
-        with pytest.raises(SchemaError):
-            make().concat(other)
 
     def test_bbox(self):
         box = make(10).bbox

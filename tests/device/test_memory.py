@@ -24,11 +24,6 @@ class TestAllocation:
         with pytest.raises(DeviceError):
             GPUDevice(capacity_bytes=0)
 
-    def test_fits(self):
-        dev = GPUDevice(capacity_bytes=1000)
-        assert dev.fits(1000)
-        assert not dev.fits(1001)
-
 
 class TestTransfers:
     def test_upload_copies(self):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.data.dataset import PointDataset
 from repro.exec import shm
+from repro.obs import metrics
 from repro.exec.partition import route_chunk
 from repro.geometry.bbox import BBox
 from repro.graphics.viewport import Canvas
@@ -111,12 +112,14 @@ class TestRegistry:
             np.testing.assert_array_equal(shm.view(refs[name]), arr)
         shm.REGISTRY.release(segments.pop())
 
-    def test_live_bytes_tracks_segments(self):
-        assert shm.REGISTRY.live_bytes() == 0
+    def test_shm_bytes_gauge_tracks_segments(self):
+        def live_bytes():
+            return metrics.snapshot()["gauges"]["shm_bytes"]
+
         ref = shm.REGISTRY.export_array(np.zeros(1024))
-        assert shm.REGISTRY.live_bytes() >= 8192
+        assert live_bytes() >= 8192
         shm.REGISTRY.release(ref.segment)
-        assert shm.REGISTRY.live_bytes() == 0
+        assert live_bytes() == 0
 
 
 class TestShmChunk:

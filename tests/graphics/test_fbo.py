@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ResolutionError
-from repro.geometry.bbox import BBox
 from repro.graphics.fbo import FrameBuffer
-from repro.graphics.viewport import Viewport
 
 
 class TestConstruction:
@@ -23,11 +21,6 @@ class TestConstruction:
     def test_invalid_size(self):
         with pytest.raises(ResolutionError):
             FrameBuffer(0, 4)
-
-    def test_for_viewport(self):
-        vp = Viewport(BBox(0, 0, 1, 1), 13, 7)
-        fbo = FrameBuffer.for_viewport(vp)
-        assert fbo.width == 13 and fbo.height == 7
 
 
 class TestBlending:
@@ -70,13 +63,6 @@ class TestBlending:
 
 
 class TestReads:
-    def test_gather_float64(self):
-        fbo = FrameBuffer(4, 4)
-        fbo.accumulate(np.asarray([3]), np.asarray([0]))
-        out = fbo.gather(np.asarray([3, 0]), np.asarray([0, 0]), "count")
-        assert out.dtype == np.float64
-        assert out.tolist() == [1.0, 0.0]
-
     def test_total_reduces_in_float64(self):
         """Summing many float32 ones must not saturate."""
         fbo = FrameBuffer(256, 256)

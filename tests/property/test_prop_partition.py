@@ -38,7 +38,7 @@ from repro import (
     Sum,
 )
 from repro.types import ExecutionStats
-from tests.conftest import random_star_polygon
+from tests.conftest import concat_points, random_star_polygon
 
 #: One instance of each aggregate kind per example — bit-equality must
 #: hold for additive, algebraic, and order-statistic blends alike.
@@ -99,7 +99,7 @@ def _with_seam_points(points, polygons, kind, resolution, rng):
     xs, ys = _tricky_coordinates(
         _engine(kind, resolution, "serial", 1), polygons
     )
-    return points.concat(PointDataset(
+    return concat_points(points, PointDataset(
         xs, ys, {"val": rng.normal(0.0, 10.0, len(xs))}
     ))
 

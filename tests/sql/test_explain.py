@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import QuerySession
+from repro import EngineConfig, GPUDevice, Polygon, PolygonSet, QuerySession
+from repro.core.optimizer import CostModel
 from repro.errors import SqlError
 from repro.sql.explain import ExplainResult
 from repro.sql.parser import parse
@@ -170,3 +171,39 @@ class TestReport:
         assert {"prepare", "point_pass", "polygon_pass"} <= set(
             report.predicted
         )
+
+    @pytest.mark.parametrize("within", ["", "WITHIN 0.3 "],
+                             ids=["accurate", "bounded"])
+    def test_prediction_prices_the_canvas_that_ran(self, uniform_points,
+                                                   within):
+        """The planner's cost model is built from its device alone and
+        reads canvas and tiles off the engine the statement lowers to."""
+        device = GPUDevice(max_resolution=256)
+        planner = QueryPlanner(
+            device=device, session=QuerySession(store=False),
+            config=EngineConfig(backend="serial"),
+        )
+        planner.register_points("taxi", uniform_points)
+        planner.register_regions("hoods", PolygonSet([Polygon(
+            [(0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0)]
+        )]))
+        optimizer = planner.optimizer()
+        assert optimizer.device is device
+        assert planner.optimizer() is optimizer
+        optimizer._model = CostModel(
+            per_point_render=1.0, per_pixel_polygon_pass=1.0,
+            per_boundary_point=0.0, per_vertex_triangulate=0.0,
+        )
+        report = planner.execute(
+            "EXPLAIN ANALYZE SELECT COUNT(*) FROM taxi, hoods "
+            f"WHERE taxi.loc INSIDE hoods.geometry {within}"
+            "GROUP BY hoods.id"
+        )
+        width, height = report.result.stats.extra["canvas"]
+        assert report.result.stats.extra["tiles"] > 1
+        # One worker: every tile scans its share after one projection,
+        # and the square covers the whole padded canvas's extent.
+        assert report.predicted["point_pass"] == pytest.approx(
+            2 * len(uniform_points)
+        )
+        assert report.predicted["polygon_pass"] == width * height

@@ -490,16 +490,6 @@ class TestWiring:
         run_accurate(uniform_points, three_regions, session)
         assert len(store) == 1
 
-    def test_optimizer_config_store_keeps_memory_tier(self, tmp_path):
-        from repro import RasterJoinOptimizer
-
-        config = EngineConfig(store_dir=str(tmp_path / "opt-store"))
-        opt = RasterJoinOptimizer(config=config)
-        assert opt.session is not None and opt.session.store is not None
-        bounded, accurate = opt._candidates(epsilon=5.0)
-        assert bounded.session is opt.session
-        assert accurate.session is opt.session
-
     def test_streamed_execution_checkpoints(self, uniform_points,
                                             three_regions, tmp_path):
         store = ArtifactStore(tmp_path / "stream-store")

@@ -64,6 +64,16 @@ def test_engine_constructor_parameters():
     ]
 
 
+def test_optimizer_constructor_parameters():
+    """EXPLAIN's cost model reads canvas, workers and session off the
+    engine it costs; only the calibration device is its own (the
+    chooser's ``accurate_resolution``, ``session`` and ``config`` went:
+    4 -> 1)."""
+    assert list(inspect.signature(
+        repro.RasterJoinOptimizer.__init__
+    ).parameters)[1:] == ["device"]
+
+
 def test_artifact_store_persists_one_kind():
     """Every extra pair kind on disk is another format, another
     fault-injection matrix and another restart path (shapes went 4 -> 2
@@ -133,9 +143,12 @@ CALLER_DIRS = ("src", "examples", "benchmarks")
 
 #: The only definitions no caller outside ``tests/`` references, each with
 #: the test that needs it: the scalar kernels are the references the
-#: vectorized production paths are checked against, and the device-wide
-#: byte totals are how the concurrency tests read what the
-#: ``device_peak_bytes{device="all"}`` gauge records.
+#: vectorized production paths are checked against; the device-wide byte
+#: totals are how the concurrency tests read what the
+#: ``device_peak_bytes{device="all"}`` gauge records; ``reset`` is how
+#: the tests isolate metrics and ``partition_nbytes`` how they read the
+#: routing cache; and the asyncio facade is the serving layer's entry
+#: for asyncio clients, which the serving tests drive.
 TEST_ONLY = {
     "accumulate_polygon_sum": "tests/graphics/test_raster_polygon.py",
     "accumulate_triangle_sums": "tests/property/test_prop_flat_kernels.py",
@@ -144,20 +157,36 @@ TEST_ONLY = {
     "point_in_triangle": "tests/geometry/reference_earclip.py",
     "supercover_line": "tests/property/test_prop_raster.py",
     "triangulate_ring": "tests/property/test_prop_triangulate.py",
+    "MetricsRegistry.reset": "tests/obs/test_metrics.py",
+    "QueryPlanner.execute_async": "tests/serve/test_server.py",
+    "QuerySession.partition_nbytes": "tests/exec/test_partition.py",
+    "Server.execute_async": "tests/serve/test_server.py",
 }
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _member(name: str) -> str:
+    """What a caller writes: a method's own name, not its class's."""
+    return name.rsplit(".", 1)[-1]
 
 
 def _surface(root: Path = ROOT) -> dict[str, list[str]]:
-    """Each name in a package ``__all__`` and each module-level function
-    or class under ``src/repro``, with where it is defined.  Dunders
-    (``__version__``) are read by tools, not code, and a function an
-    ``atexit.register`` decorator registers is called by the interpreter;
-    neither is counted."""
+    """Each name in a package ``__all__``, each module-level function or
+    class under ``src/repro``, and each method or property in such a
+    class's body (as ``Class.method``), with where it is defined.
+    Dunders (``__version__``, ``__len__``) are read by tools and the
+    interpreter, not code, and a function an ``atexit.register``
+    decorator registers is called by the interpreter; none is counted."""
     defined: dict[str, list[str]] = {}
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         where = str(path.relative_to(root))
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
                 if not any(ast.unparse(d).endswith(".register")
                            for d in node.decorator_list):
                     defined.setdefault(node.name, []).append(where)
@@ -166,23 +195,38 @@ def _surface(root: Path = ROOT) -> dict[str, list[str]]:
                 for name in ast.literal_eval(node.value):
                     if not name.startswith("__"):
                         defined.setdefault(name, []).append(where)
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, _FUNCTIONS)
+                            and not _dunder(member.name)):
+                        defined.setdefault(
+                            f"{node.name}.{member.name}", []
+                        ).append(where)
     return defined
 
 
 def _references(root: Path = ROOT) -> set[str]:
     """Every name loaded, attribute read or name imported by code under
     ``CALLER_DIRS`` — except a definition's uses of itself (recursion, a
-    class building its own instances) and an ``__init__`` re-export."""
+    class building its own instances, a method calling itself) and an
+    ``__init__`` re-export."""
     used: set[str] = set()
     for top in CALLER_DIRS:
         for path in sorted((root / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
-            own = {
-                id(node): definition.name
-                for definition in tree.body
-                if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
-                for node in ast.walk(definition)
-            }
+            definitions = [
+                node for node in tree.body
+                if isinstance(node, (*_FUNCTIONS, ast.ClassDef))
+            ]
+            definitions += [
+                member for node in definitions
+                if isinstance(node, ast.ClassDef)
+                for member in node.body if isinstance(member, _FUNCTIONS)
+            ]
+            own: dict[int, set[str]] = {}
+            for definition in definitions:
+                for node in ast.walk(definition):
+                    own.setdefault(id(node), set()).add(definition.name)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = node.id
@@ -194,17 +238,28 @@ def _references(root: Path = ROOT) -> set[str]:
                     name = node.name.rsplit(".", 1)[-1]
                 else:
                     continue
-                if own.get(id(node)) != name:
+                if name not in own.get(id(node), ()):
                     used.add(name)
     return used
 
 
-def _dead(root: Path = ROOT) -> dict[str, list[str]]:
+def _dead(root: Path = ROOT, pins: dict = TEST_ONLY) -> dict[str, list[str]]:
     used = _references(root)
     return {
         name: where for name, where in _surface(root).items()
-        if name not in used and name not in TEST_ONLY
+        if _member(name) not in used and name not in pins
     }
+
+
+def _stale_pins(root: Path = ROOT, pins: dict = TEST_ONLY) -> list[str]:
+    """The pins that are no longer current: gone, called outside tests
+    — a caller makes it ordinary surface — or not read by their test."""
+    surface, used = _surface(root), _references(root)
+    return [
+        name for name, test in pins.items()
+        if name not in surface or _member(name) in used
+        or not re.search(rf"\b{_member(name)}\b", (root / test).read_text())
+    ]
 
 
 def test_every_definition_has_a_caller_outside_tests():
@@ -216,14 +271,9 @@ def test_every_definition_has_a_caller_outside_tests():
 
 
 def test_test_only_exceptions_are_current():
-    """Each exception is still defined, still uncalled outside tests —
-    a caller makes it ordinary surface — and still read by its test."""
-    surface, used = _surface(), _references()
-    for name, test in TEST_ONLY.items():
-        assert name in surface and name not in used, name
-        assert re.search(rf"\b{name}\b", (ROOT / test).read_text()), (
-            name, test,
-        )
+    """Each exception is still defined, still uncalled outside tests
+    and still read by its test."""
+    assert not _stale_pins()
 
 
 PACKAGES = sorted(
@@ -307,3 +357,107 @@ def test_census_skips_functions_the_interpreter_calls(tmp_path):
                             "def _cleanup():\n    pass\n",
     })
     assert _dead(root) == {}
+
+
+def test_census_flags_an_unreferenced_method(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Table:\n"
+                            "    def used(self):\n        pass\n\n"
+                            "    @property\n"
+                            "    def orphan(self):\n        return 0\n",
+        "examples/demo.py": "from repro.mod import Table\nTable().used()\n",
+    })
+    assert _dead(root) == {"Table.orphan": ["src/repro/mod.py"]}
+
+
+def test_census_flags_a_method_that_only_calls_itself(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Walker:\n"
+                            "    def walk(self, n):\n"
+                            "        return self.walk(n - 1) if n else 0\n",
+        "examples/demo.py": "from repro.mod import Walker\nWalker()\n",
+    })
+    assert _dead(root) == {"Walker.walk": ["src/repro/mod.py"]}
+
+
+def test_census_skips_dunders(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Table:\n"
+                            "    def __len__(self):\n        return 0\n",
+        "examples/demo.py": "from repro.mod import Table\nTable()\n",
+    })
+    assert _dead(root) == {}
+
+
+def test_census_counts_a_method_read_from_benchmarks(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Table:\n    @property\n"
+                            "    def size(self):\n        return 1\n",
+        "benchmarks/bench.py": "from repro.mod import Table\nTable().size\n",
+    })
+    assert _dead(root) == {}
+
+
+def test_census_checks_a_pinned_method_is_current(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Registry:\n"
+                            "    def reset(self):\n        pass\n",
+        "examples/demo.py": "from repro.mod import Registry\nRegistry()\n",
+        "tests/test_mod.py": "from repro.mod import Registry\n"
+                             "Registry().reset()\n",
+    })
+    pins = {"Registry.reset": "tests/test_mod.py"}
+    assert _dead(root, pins) == {} and _stale_pins(root, pins) == []
+    assert _stale_pins(root, {"Registry.clear": "tests/test_mod.py"}) == [
+        "Registry.clear",
+    ]
+    (root / "examples" / "demo.py").write_text(
+        "from repro.mod import Registry\nRegistry().reset()\n"
+    )
+    assert _stale_pins(root, pins) == ["Registry.reset"]
+
+
+def test_census_counts_a_method_its_sibling_calls(tmp_path):
+    """Only a method's own body is excluded: a call from another method
+    of the same class is a caller."""
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Table:\n"
+                            "    def run(self):\n"
+                            "        return self._helper()\n\n"
+                            "    def _helper(self):\n        return 0\n",
+        "examples/demo.py": "from repro.mod import Table\nTable().run()\n",
+    })
+    assert _dead(root) == {}
+
+
+def test_census_flags_a_method_only_tests_call(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Table:\n"
+                            "    def rows(self):\n        return 0\n",
+        "examples/demo.py": "from repro.mod import Table\nTable()\n",
+        "tests/test_mod.py": "from repro.mod import Table\nTable().rows()\n",
+    })
+    assert _dead(root) == {"Table.rows": ["src/repro/mod.py"]}
+
+
+def test_census_counts_async_methods(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Server:\n"
+                            "    async def serve(self):\n        pass\n\n"
+                            "    async def drain(self):\n        pass\n",
+        "examples/demo.py": "from repro.mod import Server\n"
+                            "Server().serve()\n",
+    })
+    assert _dead(root) == {"Server.drain": ["src/repro/mod.py"]}
+
+
+def test_census_flags_a_pin_its_test_never_reads(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Registry:\n"
+                            "    def reset(self):\n        pass\n",
+        "examples/demo.py": "from repro.mod import Registry\nRegistry()\n",
+        "tests/test_mod.py": "from repro.mod import Registry\nRegistry()\n",
+    })
+    pins = {"Registry.reset": "tests/test_mod.py"}
+    assert _dead(root, pins) == {}
+    assert _stale_pins(root, pins) == ["Registry.reset"]
