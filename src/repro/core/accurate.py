@@ -23,9 +23,11 @@ triangulations, per-tile boundary masks and candidate lists, per-polygon
 pixel coverage, the PIP's edge table — lives in a
 :class:`~repro.cache.prepared.PreparedPolygons` artifact, and attaching a
 :class:`~repro.cache.session.QuerySession` makes repeated queries over
-the same polygons skip the whole rebuild.  The three
-steps themselves are the shared tile pipeline (:mod:`repro.core.tiles`)
-run under this engine's kernel: exact boundary stage, float64 framebuffer.
+the same polygons skip the whole rebuild.  The engine is the bounded
+join plus a boundary stage: the one raster join
+(:class:`~repro.core.tiles.RasterJoinEngine`) under the exact kernel —
+float64 framebuffer — with only its canvas rule, the edge table and
+prewarm its own.
 """
 
 from __future__ import annotations
@@ -34,16 +36,14 @@ import numpy as np
 
 from repro.cache.prepared import PreparedPolygons
 from repro.cache.session import QuerySession
-from repro.core.aggregates import Aggregate
-from repro.core.filters import FilterSet
 from repro.core.tiles import RasterJoinEngine, TileKernel, route_points
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice, ResidentPointSet
 from repro.errors import QueryError
 from repro.exec.config import EngineConfig
+from repro.geometry.bbox import BBox
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.viewport import Canvas
-from repro.obs import trace
 from repro.types import ExecutionStats
 
 
@@ -80,57 +80,24 @@ class AccurateRasterJoin(RasterJoinEngine):
             device=device,
         )
 
-    # ------------------------------------------------------------------
-    # Prepared state
-    # ------------------------------------------------------------------
     def prepared_spec(self) -> tuple:
-        """The render-spec part of this engine's artifact cache key.
+        """The render-spec part of this engine's artifact cache key:
+        all but geometry that prepared state (and EXPLAIN's warmth
+        probe) keys on."""
+        return ("accurate", self.resolution, self.grid_resolution,
+                self.max_resolution)
 
-        Everything besides geometry that prepared state depends on.
-        EXPLAIN probes sessions with this spec for cache-aware costing;
-        it must stay in lockstep with what :meth:`_prepare` keys on.
-        """
-        return (
-            "accurate",
-            self.resolution,
-            self.grid_resolution,
-            self.max_resolution,
-        )
-
-    def _make_canvas(self, polygons: PolygonSet) -> Canvas:
-        """Canvas over the polygon-set extent, padded by one pixel so
-        points sitting exactly on the extent's max edges still land on
-        the canvas instead of being clipped."""
-        extent = polygons.bbox
-        probe = Canvas.for_resolution(extent, self.resolution)
-        pad = max(probe.pixel_width, probe.pixel_height)
-        return Canvas.for_resolution(extent.expanded(pad), self.resolution)
+    def _canvas(self, extent: BBox) -> Canvas:
+        return Canvas.for_resolution(extent, self.resolution)
 
     def _prepare(
         self, polygons: PolygonSet, stats: ExecutionStats
     ) -> PreparedPolygons:
-        """Canvas layout, triangulations and edge table — built once."""
-        with trace.span("prepare", polygons=len(polygons)):
-            prepared = self._prepared_state(
-                polygons, self.prepared_spec(), stats
-            )
-            if prepared.canvas is None:
-                prepared.canvas = self._make_canvas(polygons)
-                prepared.tiles = list(
-                    prepared.canvas.tiles(self.max_resolution)
-                )
-            prepared.ensure_triangles(polygons, stats)
-            # Columnar MBRs feed the batched builders' vectorized per-tile
-            # bin pass and gate the edge table's pair test; built in the
-            # parent so tile tasks only read them.
-            prepared.ensure_mbr_arrays(polygons)
-            prepared.ensure_edge_table(polygons, self.grid_resolution)
-        stats.extra["canvas"] = (prepared.canvas.width, prepared.canvas.height)
+        """The shared artifact plus the boundary PIP's edge table."""
+        prepared = super()._prepare(polygons, stats)
+        prepared.ensure_edge_table(polygons, self.grid_resolution)
         return prepared
 
-    # ------------------------------------------------------------------
-    # Prewarm (docs/aggregate_pyramid.md)
-    # ------------------------------------------------------------------
     def prewarm(
         self,
         points: PointDataset | ResidentPointSet,
@@ -145,7 +112,7 @@ class AccurateRasterJoin(RasterJoinEngine):
         need) and touches only the rows on boundary pixels.  Never
         implicit — the one-off O(points) sort is paid exactly where the
         caller asked for it — and never a different answer: the bits are
-        the un-prewarmed statement's.
+        the un-prewarmed statement's (``docs/aggregate_pyramid.md``).
         """
         if self.session is None:
             raise QueryError("prewarm needs a QuerySession to retain its work")
@@ -156,18 +123,3 @@ class AccurateRasterJoin(RasterJoinEngine):
         )
         routing.index_pixels(tiles)
         self.session.partition_store(points, token, routing)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        points: PointDataset | ResidentPointSet,
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        filters: FilterSet,
-        stats: ExecutionStats,
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        member = self.member(polygons, aggregate, filters, stats)
-        accumulators = self.run_member(member, points, stats).accumulators
-        return aggregate.finalize(accumulators), accumulators

@@ -14,10 +14,11 @@ clipping guarantees every point-polygon pair is counted exactly once.
 Canvas layout, triangulations, and per-polygon pixel coverage are carried
 in a :class:`~repro.cache.prepared.PreparedPolygons` artifact; attach a
 :class:`~repro.cache.session.QuerySession` and repeated queries over the
-same polygon set reuse them.  The two passes are the shared tile pipeline
-(:mod:`repro.core.tiles`) run under this engine's kernel: no boundary
-stage, so every point rasterizes and every fragment counts, into float32
-channels like the paper's GL framebuffers.
+same polygon set reuse them.  The engine is the one raster join
+(:class:`~repro.core.tiles.RasterJoinEngine`) under the kernel without a
+boundary stage — every point rasterizes and every fragment counts, into
+float32 channels like the paper's GL framebuffers — with only its canvas
+rule, the pixel diagonal and the §5 intervals its own.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ import numpy as np
 
 from repro.cache.prepared import PreparedPolygons
 from repro.cache.session import QuerySession
-from repro.core.aggregates import Aggregate, Count, Sum
-from repro.core.filters import FilterSet
-from repro.core.tiles import RasterJoinEngine, TileKernel
-from repro.data.dataset import PointDataset
-from repro.device.memory import GPUDevice, ResidentPointSet
+from repro.core.aggregates import Count, Sum
+from repro.core.bounds import estimate_result_intervals
+from repro.core.tiles import RasterJoinEngine, TileKernel, TileMember, TileRun
+from repro.device.memory import GPUDevice
 from repro.errors import QueryError
 from repro.exec.config import EngineConfig
+from repro.geometry.bbox import BBox
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.viewport import Canvas
 from repro.obs import trace
-from repro.types import AggregationResult, ExecutionStats
+from repro.types import AggregationResult, ExecutionStats, ResultIntervals
 
 
 class BoundedRasterJoin(RasterJoinEngine):
@@ -86,84 +87,42 @@ class BoundedRasterJoin(RasterJoinEngine):
             device=device,
         )
 
-    # ------------------------------------------------------------------
-    # Prepared state
-    # ------------------------------------------------------------------
-    def _make_canvas(self, polygons: PolygonSet) -> Canvas:
-        """Canvas over the polygon-set extent (the paper's w x h box).
-
-        The extent is padded by one pixel so points sitting exactly on the
-        extent's max edges still land on the grid instead of being clipped.
-        """
-        extent = polygons.bbox
+    def _canvas(self, extent: BBox) -> Canvas:
+        """The paper's w x h box: ε-implied, or ``resolution`` pixels on
+        the longer side."""
         if self.epsilon is not None:
-            probe = Canvas.for_epsilon(extent, self.epsilon)
-            pad = max(probe.pixel_width, probe.pixel_height)
-            return Canvas.for_epsilon(extent.expanded(pad), self.epsilon)
-        probe = Canvas.for_resolution(extent, self.resolution)
-        pad = max(probe.pixel_width, probe.pixel_height)
-        return Canvas.for_resolution(extent.expanded(pad), self.resolution)
+            return Canvas.for_epsilon(extent, self.epsilon)
+        return Canvas.for_resolution(extent, self.resolution)
 
     def prepared_spec(self) -> tuple:
-        """The render-spec part of this engine's artifact cache key.
-
-        Everything besides geometry that prepared state depends on.
-        EXPLAIN probes sessions with this spec for cache-aware costing;
-        it must stay in lockstep with what :meth:`_prepare` keys on.
-        """
+        """The render-spec part of this engine's artifact cache key:
+        all but geometry that prepared state (and EXPLAIN's warmth
+        probe) keys on."""
         return ("bounded", self.epsilon, self.resolution, self.max_resolution)
 
     def _prepare(
         self, polygons: PolygonSet, stats: ExecutionStats
     ) -> PreparedPolygons:
-        """Canvas layout and triangulations — built once per polygon set."""
-        with trace.span("prepare", polygons=len(polygons)):
-            prepared = self._prepared_state(
-                polygons, self.prepared_spec(), stats
-            )
-            if prepared.canvas is None:
-                prepared.canvas = self._make_canvas(polygons)
-                prepared.tiles = list(
-                    prepared.canvas.tiles(self.max_resolution)
-                )
-            prepared.ensure_triangles(polygons, stats)
-            # Columnar MBRs feed the batched builders' vectorized per-tile
-            # bin pass; built in the parent so tile tasks only read them.
-            prepared.ensure_mbr_arrays(polygons)
-        stats.extra["canvas"] = (prepared.canvas.width, prepared.canvas.height)
+        """The shared artifact; the canvas's pixel diagonal (the spatial
+        error bound achieved) is reported with it."""
+        prepared = super()._prepare(polygons, stats)
         stats.extra["pixel_diagonal"] = prepared.canvas.pixel_diagonal
         return prepared
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        points: PointDataset | ResidentPointSet,
-        polygons: PolygonSet,
-        aggregate: Aggregate,
-        filters: FilterSet,
+    def _intervals(
+        self, member: TileMember, run: TileRun, values: np.ndarray,
         stats: ExecutionStats,
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        member = self.member(polygons, aggregate, filters, stats)
-        run = self.run_member(
-            member, points, stats, keep_fbo=self.compute_bounds
-        )
-        accumulators = run.accumulators
-        values = aggregate.finalize(accumulators)
-        if self.compute_bounds:
-            from repro.core.bounds import estimate_result_intervals
-
-            start = time.perf_counter()
-            with trace.span("bounds"):
-                self._intervals = estimate_result_intervals(
-                    run.payloads, polygons, member.prepared.triangles, values,
-                    aggregate,
-                )
-            stats.extra["bounds_s"] = time.perf_counter() - start
-        else:
-            self._intervals = None
-        return values, accumulators
+    ) -> ResultIntervals:
+        """§5: per-polygon result intervals off the kept point
+        framebuffers."""
+        start = time.perf_counter()
+        with trace.span("bounds"):
+            intervals = estimate_result_intervals(
+                run.payloads, member.polygons, member.prepared.triangles,
+                values, member.aggregate,
+            )
+        stats.extra["bounds_s"] = time.perf_counter() - start
+        return intervals
 
     def execute(self, points, polygons, aggregate=None, filters=None) -> AggregationResult:
         aggregate = aggregate or Count()
@@ -171,6 +130,4 @@ class BoundedRasterJoin(RasterJoinEngine):
             raise QueryError(
                 f"result intervals bound COUNT and SUM only, not {aggregate!r}"
             )
-        result = super().execute(points, polygons, aggregate, filters)
-        result.intervals = self._intervals
-        return result
+        return super().execute(points, polygons, aggregate, filters)

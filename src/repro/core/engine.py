@@ -15,7 +15,6 @@ the filter as a mask, so of these it calls only :func:`pip_aggregate`.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
 
@@ -34,7 +33,7 @@ from repro.geometry.polygon import PolygonSet
 from repro.index.edge_table import EdgeTable
 from repro.index.grid import GridIndex, ragged_positions
 from repro.obs import trace
-from repro.types import AggregationResult, ExecutionStats
+from repro.types import AggregationResult, ExecutionStats, ResultIntervals
 
 
 class _Batch:
@@ -104,7 +103,7 @@ class SpatialAggregationEngine(ABC):
         self._validate_columns(points, aggregate, filter_set)
         stats = ExecutionStats(engine=self.name, batches=0, passes=0)
         with trace.query_scope(self.name) as root:
-            values, channels = self._run(
+            values, channels, intervals = self._run(
                 points, polygons, aggregate, filter_set, stats
             )
             if stats.passes == 0:
@@ -118,7 +117,8 @@ class SpatialAggregationEngine(ABC):
                 root.attrs.update(stats.as_span_attrs())
         self._checkpoint_session()
         return AggregationResult(
-            values=values, channels=channels, stats=stats, trace=root
+            values=values, channels=channels, stats=stats,
+            intervals=intervals, trace=root,
         )
 
     def execute_stream(
@@ -184,8 +184,9 @@ class SpatialAggregationEngine(ABC):
         aggregate: Aggregate,
         filters: FilterSet,
         stats: ExecutionStats,
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Produce (final values, reduced channel arrays)."""
+    ) -> tuple[np.ndarray, dict[str, np.ndarray], ResultIntervals | None]:
+        """Produce (final values, reduced channel arrays, §5 result
+        intervals or ``None``)."""
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -293,22 +294,6 @@ class SpatialAggregationEngine(ABC):
         else:
             for col in needed:
                 points.column(col)  # raises SchemaError when absent
-
-    @property
-    def max_resolution(self) -> int:
-        """Largest FBO side the device supports."""
-        from repro.device.memory import DEFAULT_MAX_RESOLUTION
-
-        if self.device is not None:
-            return self.device.max_resolution
-        return DEFAULT_MAX_RESOLUTION
-
-
-def timed(fn, *args, **kwargs):
-    """Run ``fn`` returning (result, elapsed seconds)."""
-    start = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - start
 
 
 def new_accumulators(

@@ -134,7 +134,7 @@ class IndexJoin(SpatialAggregationEngine):
         aggregate: Aggregate,
         filters: FilterSet,
         stats: ExecutionStats,
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    ) -> tuple[np.ndarray, dict[str, np.ndarray], None]:
         prepared = self._prepare(polygons, stats)
         grid = prepared.grid
         # The index join renders no tiles; it still reports the execution
@@ -166,7 +166,7 @@ class IndexJoin(SpatialAggregationEngine):
                     self._parallel_join(xs, ys, attrs, grid, polygons,
                                         aggregate, accumulators, stats)
             stats.processing_s += time.perf_counter() - start
-        return aggregate.finalize(accumulators), accumulators
+        return aggregate.finalize(accumulators), accumulators, None
 
     # ------------------------------------------------------------------
     # Single-CPU scalar loop

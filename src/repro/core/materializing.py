@@ -74,7 +74,7 @@ class MaterializingJoin(SpatialAggregationEngine):
         aggregate: Aggregate,
         filters: FilterSet,
         stats: ExecutionStats,
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    ) -> tuple[np.ndarray, dict[str, np.ndarray], None]:
         accumulators = new_accumulators(polygons, aggregate)
         columns = self.required_columns(aggregate, filters)
         # The materializing join renders no tiles; it still reports the
@@ -172,7 +172,7 @@ class MaterializingJoin(SpatialAggregationEngine):
                     )
                     aggregate.blend_into(accumulators[ch], joined_poly, values)
             stats.processing_s += time.perf_counter() - start
-        return aggregate.finalize(accumulators), accumulators
+        return aggregate.finalize(accumulators), accumulators, None
 
     # ------------------------------------------------------------------
     def _truncate(

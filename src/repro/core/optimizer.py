@@ -12,23 +12,29 @@ The model is calibrated, not guessed: on first use it runs two tiny
 probe queries and fits per-unit costs — seconds per rendered point, per
 polygon-pass pixel, per boundary point and per triangulated vertex — then
 predicts the statement's time from measurable quantities (input size,
-canvas pixels, tile count, expected boundary traffic).
+canvas pixels, expected boundary traffic, and the tile count and tile
+concurrency of the statement's footprint — the numbers the tile loop
+itself runs by, :func:`~repro.core.tiles.statement_footprint`).  The two
+joins are one pipeline under two kernels, so one term function prices
+both; the exact kernel adds the boundary PIP.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.accurate import AccurateRasterJoin
+from repro.core.aggregates import Aggregate, Count
 from repro.core.bounded import BoundedRasterJoin
-from repro.core.engine import SpatialAggregationEngine
+from repro.core.filters import Filter, FilterSet
+from repro.core.tiles import RasterJoinEngine
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice
 from repro.geometry.polygon import PolygonSet, rectangle
-from repro.graphics.viewport import Canvas
 
 
 @dataclass
@@ -70,57 +76,28 @@ class CostModel:
             (not routed) + waves / tiles
         )
 
-    def bounded_terms(
-        self, num_points: int, canvas_pixels: int, tiles: int,
-        covered_pixels: int, workers: int = 1, num_vertices: int = 0,
+    def terms(
+        self, exact: bool, num_points: int, covered_pixels: int,
+        tiles: int, concurrency: int, num_vertices: int = 0,
         warm: float | None = None, routed: bool = False,
+        boundary_fraction: float = 0.0, prewarmed: bool = False,
     ) -> dict[str, float]:
-        """Per-term predicted bounded-join seconds.
+        """Per-term predicted seconds of one statement under either kernel.
 
         Keys name the trace spans the terms correspond to (EXPLAIN
         ANALYZE lines predictions up against measured span times):
-        ``point_pass`` (the per-tile point render), ``prepare``
-        (triangulation, discounted by warmth), and ``polygon_pass``
-        (coverage rasterization, dropped when coverage replays).
+        ``prepare`` (triangulation, discounted by warmth),
+        ``point_pass`` (the per-tile point render), ``boundary_pip`` —
+        the ``exact`` kernel's alone — and ``polygon_pass`` (coverage
+        rasterization, dropped when coverage replays).
 
-        Tiles are independent, so with ``workers`` parallel tile workers
-        the point pass runs in ``ceil(tiles / workers)`` waves and the
-        polygon pass spreads over the tiles actually running concurrently.
-        Each wave scans only the per-tile point share, and a ``routed``
-        source skips the projection (see :meth:`_point_pass_seconds`).
-        """
-        tiles = max(1, tiles)
-        concurrency = max(1, min(workers, tiles))
-        waves = math.ceil(tiles / concurrency)
-        rebuilt = 1.0 - float(warm or 0.0)
-        return {
-            "point_pass": self._point_pass_seconds(
-                num_points, tiles, waves, routed
-            ),
-            "prepare": (
-                self.per_vertex_triangulate * num_vertices * rebuilt
-            ),
-            "polygon_pass": (
-                self.per_pixel_polygon_pass * covered_pixels / concurrency
-                * rebuilt
-            ),
-        }
-
-    def accurate_terms(
-        self, num_points: int, boundary_fraction: float, covered_pixels: int,
-        tiles: int = 1, workers: int = 1, num_vertices: int = 0,
-        warm: float | None = None, routed: bool = False,
-        prewarmed: bool = False,
-    ) -> dict[str, float]:
-        """Per-term predicted accurate-join seconds.
-
-        The render and polygon pass parallelize across tiles like the
-        bounded variant; the boundary PIP path is partitioned with the
-        points, so it divides across concurrent tile workers too.  The
-        boundary PIP traffic is per-query point work and is paid warm or
-        cold.  The render term scales by the per-tile point share, and a
-        ``routed`` source skips the projection (see
-        :meth:`_point_pass_seconds`).
+        Tiles are independent and ``concurrency`` of them run at once
+        (the tile loop's cap), so the point pass runs in
+        ``ceil(tiles / concurrency)`` waves, each scanning the per-tile
+        point share, and a ``routed`` source skips the projection (see
+        :meth:`_point_pass_seconds`); the polygon pass and the boundary
+        PIP, partitioned with the points, divide by it.  The boundary
+        PIP traffic is per-query point work and is paid warm or cold.
 
         ``prewarmed`` is the third regime: the session holds the point
         framebuffers of this (points, canvas) pairing
@@ -130,25 +107,25 @@ class CostModel:
         same polygon pass reads the cached channels.
         """
         tiles = max(1, tiles)
-        concurrency = max(1, min(workers, tiles))
+        concurrency = max(1, min(concurrency, tiles))
         waves = math.ceil(tiles / concurrency)
-        boundary_points = num_points * boundary_fraction
         rebuilt = 1.0 - float(warm or 0.0)
-        return {
-            "prepare": (
-                self.per_vertex_triangulate * num_vertices * rebuilt
-            ),
+        terms = {
+            "prepare": self.per_vertex_triangulate * num_vertices * rebuilt,
             "point_pass": 0.0 if prewarmed else self._point_pass_seconds(
                 num_points, tiles, waves, routed
             ),
-            "boundary_pip": (
-                self.per_boundary_point * boundary_points / concurrency
-            ),
-            "polygon_pass": (
-                self.per_pixel_polygon_pass * covered_pixels / concurrency
-                * rebuilt
-            ),
         }
+        if exact:
+            terms["boundary_pip"] = (
+                self.per_boundary_point * (num_points * boundary_fraction)
+                / concurrency
+            )
+        terms["polygon_pass"] = (
+            self.per_pixel_polygon_pass * covered_pixels / concurrency
+            * rebuilt
+        )
+        return terms
 
 
 def _calibrate(device: GPUDevice | None, probe_points: int = 20_000) -> CostModel:
@@ -211,9 +188,13 @@ class RasterJoinOptimizer:
         self,
         points: PointDataset,
         polygons: PolygonSet,
-        engine: SpatialAggregationEngine,
+        engine: RasterJoinEngine,
+        aggregate: Aggregate | None = None,
+        filters: FilterSet | Sequence[Filter] | None = None,
     ) -> tuple[str, dict[str, float]]:
-        """(regime, per-term predicted seconds) for the given engine.
+        """(regime, per-term predicted seconds) of the statement
+        ``aggregate`` over ``points`` and ``polygons`` under ``filters``
+        (``COUNT(*)``, unfiltered, by default) on the given engine.
 
         The regime names which cost path the prediction took —
         ``"cold"``, ``"warm"`` (prepared artifact reusable), or
@@ -224,12 +205,14 @@ class RasterJoinOptimizer:
         line each prediction up against the measured span time.
 
         Everything but the fitted unit costs is read off the engine: the
-        canvas it renders (``_make_canvas``, padded as it runs) and its
-        tiles under its device's limit, its backend's worker count, and
-        its session's warmth.  The warmth probe reads what is actually
-        held — memory or store manifest — and never touches LRU order,
-        counters or mtimes: costing a query must not change cache state.
-        A session-less engine is costed cold.
+        canvas it renders (``_make_canvas``, padded as it runs), the
+        statement's footprint — its tiles under the device's limit and
+        the tile loop's own cap on how many run at once, from the
+        statement's columns and bytes per pixel — and its session's
+        warmth.  The warmth probe reads what is actually held — memory
+        or store manifest — and never touches LRU order, counters or
+        mtimes: costing a query must not change cache state.  A
+        session-less engine is costed cold.
         """
         num_vertices = sum(p.num_vertices for p in polygons)
         # Covered pixels scale with total polygon area over the extent.
@@ -237,68 +220,38 @@ class RasterJoinOptimizer:
             1.0,
             sum(p.area for p in polygons) / max(polygons.bbox.area, 1e-300),
         )
-        model = self.model
         canvas = engine._make_canvas(polygons)
-        tiles = canvas.num_tiles(engine.max_resolution)
+        footprint = engine.footprint(
+            points, polygons, aggregate or Count(), FilterSet.coerce(filters)
+        )
         # A source the session already routed over the engine's canvas
         # is not projected again.
         routed = engine.routing_warmth(points, polygons)
         warm = None if engine.session is None else engine.session.warmth(
             polygons, engine.prepared_spec()
         )
-        if isinstance(engine, BoundedRasterJoin):
-            return "warm" if warm else "cold", model.bounded_terms(
-                len(points), canvas.num_pixels, tiles,
-                int(canvas.num_pixels * area_fraction),
-                workers=_effective_workers(engine, points, canvas, 4),
-                num_vertices=num_vertices, warm=warm, routed=routed,
+        exact = engine.kernel.exact
+        boundary_fraction = 0.0
+        if exact:
+            # Boundary traffic: outline length in pixels over the
+            # canvas, times the point density per pixel row.
+            perimeter = sum(
+                math.hypot(bx - ax, by - ay)
+                for poly in polygons
+                for (ax, ay, bx, by) in poly.edges()
             )
-        # Boundary traffic: outline length in pixels over the accurate
-        # canvas, times the point density per pixel row.
-        perimeter = sum(
-            math.hypot(bx - ax, by - ay)
-            for poly in polygons
-            for (ax, ay, bx, by) in poly.edges()
-        )
-        boundary_pixels = perimeter / max(
-            min(canvas.pixel_width, canvas.pixel_height), 1e-300
-        )
-        boundary_fraction = min(
-            1.0, boundary_pixels / max(canvas.num_pixels, 1)
-        )
+            boundary_pixels = perimeter / max(
+                min(canvas.pixel_width, canvas.pixel_height), 1e-300
+            )
+            boundary_fraction = min(
+                1.0, boundary_pixels / max(canvas.num_pixels, 1)
+            )
         # Third regime: a prewarmed pairing scatters nothing.
         prewarmed = engine.routing_warmth(points, polygons, indexed=True)
         regime = "pyramid-warm" if prewarmed else "warm" if warm else "cold"
-        return regime, model.accurate_terms(
-            len(points), boundary_fraction,
-            int(canvas.num_pixels * area_fraction), tiles=tiles,
-            workers=_effective_workers(engine, points, canvas, 8),
+        return regime, self.model.terms(
+            exact, len(points), int(canvas.num_pixels * area_fraction),
+            len(footprint.fbo_bytes), footprint.parallelism,
             num_vertices=num_vertices, warm=warm, routed=routed,
-            prewarmed=prewarmed,
+            boundary_fraction=boundary_fraction, prewarmed=prewarmed,
         )
-
-
-def _effective_workers(
-    engine: SpatialAggregationEngine, points: PointDataset, canvas: Canvas,
-    channel_bytes: int,
-) -> int:
-    """The engine's workers, clamped by the device-memory concurrency cap.
-
-    The engines never let more tiles hold a planned batch than the
-    device budget allows (``tile_parallelism``); predicting with the
-    raw worker count would undercost memory-starved queries, so the
-    same clamp is applied here using the variant's FBO footprint.
-    """
-    workers = engine.backend.workers
-    if engine.device is None:
-        return workers
-    from repro.device.batching import plan_batches, tile_parallelism
-    from repro.errors import DeviceError
-
-    side = engine.max_resolution
-    fbo_bytes = min(canvas.num_pixels, side * side) * channel_bytes
-    try:
-        plan = plan_batches(points, ("x", "y"), engine.device, fbo_bytes)
-    except DeviceError:
-        return 1
-    return tile_parallelism(engine.device, fbo_bytes, plan, workers)

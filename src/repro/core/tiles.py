@@ -23,7 +23,12 @@ implementation, as plain functions over plain data:
 * the **tile loop** (:func:`run_tiles`): look a point source's routing
   up or compute it (a chunk stream is scanned by each tile instead) →
   dispatch the tile tasks over the execution backend → merge the
-  partials in tile-index order.
+  partials in tile-index order, as many tiles at once as the
+  statement's device footprint allows (:func:`statement_footprint`,
+  which the planning and costing probes read too).
+* the **engine** (:class:`RasterJoinEngine`): the one raster join —
+  padded canvas, prepared artifact, execution — that the accurate and
+  bounded joins subclass with a kernel each.
 
 The task's inputs are picklable data — the tile index, a small frozen
 :class:`TileKernel` naming what differs between the engines, the member
@@ -63,7 +68,7 @@ from repro.core.engine import (
 from repro.core.filters import FilterSet, filter_key
 from repro.core.multi import MultiAggregate
 from repro.data.dataset import PointDataset
-from repro.device.batching import plan_batches, tile_parallelism
+from repro.device.batching import BatchPlan, plan_batches, tile_parallelism
 from repro.device.memory import (
     DEFAULT_MAX_RESOLUTION,
     GPUDevice,
@@ -79,6 +84,7 @@ from repro.exec.partition import (
     scan_tile,
 )
 from repro.exec.resident import TileTaskSpec
+from repro.geometry.bbox import BBox
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.fbo import FrameBuffer
 from repro.graphics.raster_batch import (
@@ -86,7 +92,7 @@ from repro.graphics.raster_batch import (
     coverage_by_polygon,
 )
 from repro.graphics.raster_line import outline_pixels_many
-from repro.graphics.viewport import Viewport
+from repro.graphics.viewport import Canvas, Viewport
 from repro.index.grid import ragged_positions
 from repro.obs import metrics, trace
 from repro.types import AggregationResult, ExecutionStats
@@ -159,15 +165,50 @@ class TileRun(NamedTuple):
     saw_chunk: bool
 
 
-def tile_fbo_bytes(kernel: TileKernel, member: TileMember) -> list[int]:
-    """Per tile, the bytes of the query's framebuffer.
+class Footprint(NamedTuple):
+    """What one statement holds on the device per tile task."""
 
-    Must equal the ``nbytes`` of the framebuffer the tile task builds: a
-    tile's batches are cut on the plan that reserves exactly that many
-    bytes.
+    #: Per tile, the bytes of the statement's framebuffer: the ``nbytes``
+    #: of the one the tile task builds, which its batch plan reserves.
+    fbo_bytes: list[int]
+    #: The largest tile's batch plan; ``None`` when nothing is cut (no
+    #: device, a device-resident set, a stream).
+    plan: BatchPlan | None
+    #: How many tile tasks may run at once.
+    parallelism: int
+
+
+def statement_footprint(
+    kernel: TileKernel,
+    workers: int,
+    tiles: list[Viewport],
+    aggregate: Aggregate,
+    columns: tuple[str, ...],
+    points,
+) -> Footprint:
+    """The device footprint of one statement over ``tiles``: the tile
+    loop runs by it, and the planning and costing probes read it.
+
+    Batch plans never depend on the worker count (identical batch
+    boundaries are part of the determinism guarantee), so the device
+    budget is enforced the other way around: the cap limits how many
+    tiles may hold a planned batch plus their framebuffer at once.
+    Resident columns are shared, not re-uploaded, so they cap nothing; a
+    stream (``points`` of ``None``: unknown chunk sizes) runs one tile at
+    a time under a device.
     """
-    cell = kernel.pixel_bytes(member.aggregate)
-    return [cell * tile.width * tile.height for tile in member.prepared.tiles]
+    cell = kernel.pixel_bytes(aggregate)
+    fbo_bytes = [cell * tile.width * tile.height for tile in tiles]
+    device = kernel.device
+    if device is None or isinstance(points, ResidentPointSet):
+        return Footprint(fbo_bytes, None, workers)
+    largest = max(fbo_bytes, default=0)
+    plan = None
+    if points is not None:
+        plan = plan_batches(points, columns, device, largest)
+    return Footprint(
+        fbo_bytes, plan, tile_parallelism(device, largest, plan, workers)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -724,11 +765,10 @@ def run_tiles(
     # ambient tracer, so each tile task records into its own (shipped
     # home in the partial).
     tracing = trace.active() is not None
-    fbo_bytes = tile_fbo_bytes(kernel, member)
     stream = callable(points)
-    parallelism = _tile_concurrency(
-        kernel.device, backend.workers, None if stream else points,
-        columns, max(fbo_bytes, default=0),
+    fbo_bytes, _, parallelism = statement_footprint(
+        kernel, backend.workers, tiles, member.aggregate, columns,
+        None if stream else points,
     )
     per_tile = guard = None
     if stream:
@@ -830,34 +870,6 @@ def _recomputed(member: TileMember) -> int:
     return len(np.unique(np.concatenate(
         [np.zeros(0, dtype=np.int64)] + [near[idx] for idx in tiles]
     )))
-
-
-def _tile_concurrency(
-    device: GPUDevice | None,
-    workers: int,
-    points,
-    columns: tuple[str, ...],
-    fbo_bytes: int,
-) -> int | None:
-    """Cap on concurrently executing tile tasks, from the memory budget.
-
-    Batch plans never depend on the worker count (identical batch
-    boundaries are part of the determinism guarantee), so the device
-    budget is enforced the other way around: limit how many tiles may
-    hold a planned batch plus framebuffer headroom at once.  Streamed
-    sources (``points`` of ``None``: unknown chunk sizes) run one at a
-    time under a device.
-    """
-    if device is None:
-        return None
-    if isinstance(points, ResidentPointSet):
-        # Resident columns are shared, not re-uploaded: no per-tile
-        # transfer footprint to budget.
-        return workers
-    plan = None
-    if points is not None:
-        plan = plan_batches(points, columns, device, fbo_bytes)
-    return tile_parallelism(device, fbo_bytes, plan, workers)
 
 
 def route_points(session, points, canvas, tiles, max_resolution: int):
@@ -1107,25 +1119,56 @@ def _merge_partial(
 # The engines that run it
 # ----------------------------------------------------------------------
 class RasterJoinEngine(SpatialAggregationEngine):
-    """What the accurate and bounded joins share: the tile pipeline.
+    """The accurate and bounded joins: one pipeline, two kernels.
 
-    A subclass supplies :attr:`kernel` (how its tile task behaves),
-    ``_make_canvas`` (the canvas it renders a polygon set on) and
-    ``_prepare`` (its canvas layout and polygon-side artifact);
-    monolithic and streamed execution both build their query with
-    :meth:`member` and run it with :meth:`run_member`.
+    The padded canvas, the prepared artifact, the tile loop and its
+    device footprint are shared.  A subclass supplies :attr:`kernel`
+    (how its tile task behaves), ``prepared_spec``, ``_canvas`` (its
+    canvas rule, unpadded) and what is its alone: a ``_prepare`` adding
+    to this one's, the accurate join's prewarm, the bounded join's §5
+    intervals.
     """
 
     #: Set by the subclass constructor.
     kernel: TileKernel
+    #: Whether a statement also derives §5 result intervals (the bounded
+    #: join's option; the tile loop then keeps the point framebuffers).
+    compute_bounds = False
+
+    @property
+    def max_resolution(self) -> int:
+        """Largest framebuffer side the device supports (the tile size)."""
+        return self.kernel.max_resolution
+
+    def _canvas(self, extent: BBox) -> Canvas:
+        """The canvas this engine renders over ``extent``, unpadded."""
+        raise NotImplementedError
+
+    def _make_canvas(self, polygons: PolygonSet) -> Canvas:
+        """Canvas over the polygon-set extent, padded by one pixel so
+        points sitting exactly on the extent's max edges still land on
+        the canvas instead of being clipped."""
+        extent = polygons.bbox
+        probe = self._canvas(extent)
+        return self._canvas(
+            extent.expanded(max(probe.pixel_width, probe.pixel_height))
+        )
 
     def _prepare(
         self, polygons: PolygonSet, stats: ExecutionStats
     ) -> PreparedPolygons:
-        """The prepared artifact for ``polygons``: canvas, tile layout
-        and whatever polygon-side state the kernel reads — built once,
-        reused through the session."""
-        raise NotImplementedError
+        """The prepared artifact for ``polygons`` — canvas, tile layout,
+        triangulations, MBRs — built once, reused through the session."""
+        prepared = self._prepared_state(polygons, self.prepared_spec(), stats)
+        if prepared.canvas is None:
+            prepared.canvas = self._make_canvas(polygons)
+            prepared.tiles = list(prepared.canvas.tiles(self.max_resolution))
+        prepared.ensure_triangles(polygons, stats)
+        # Columnar MBRs feed the batched builders' vectorized per-tile
+        # bin pass; built in the parent so tile tasks only read them.
+        prepared.ensure_mbr_arrays(polygons)
+        stats.extra["canvas"] = (prepared.canvas.width, prepared.canvas.height)
+        return prepared
 
     def routing_warmth(self, points, polygons: PolygonSet,
                        indexed: bool = False) -> bool:
@@ -1143,25 +1186,27 @@ class RasterJoinEngine(SpatialAggregationEngine):
             self._make_canvas(polygons), self.max_resolution
         ), indexed)
 
+    def footprint(
+        self, points, polygons: PolygonSet, aggregate: Aggregate,
+        filters: FilterSet,
+    ) -> Footprint:
+        """The device footprint a statement over ``polygons`` runs by
+        (:func:`statement_footprint`), as the probes see it."""
+        return statement_footprint(
+            self.kernel, self.backend.workers,
+            list(self._make_canvas(polygons).tiles(self.max_resolution)),
+            aggregate, self.required_columns(aggregate, filters), points,
+        )
+
     def one_batch(
         self, points, polygons: PolygonSet, aggregate: Aggregate,
         filters: FilterSet,
     ) -> bool:
         """Planning probe: do ``points`` cross the device as one batch
-        on every tile of this query?
-
-        Planned against the largest (first) tile's framebuffer, as the
-        tile loop plans each tile; device-less and resident inputs are
-        never cut.
-        """
-        if self.device is None or isinstance(points, ResidentPointSet):
-            return True
-        canvas, side = self._make_canvas(polygons), self.max_resolution
-        return plan_batches(
-            points, self.required_columns(aggregate, filters), self.device,
-            self.kernel.pixel_bytes(aggregate)
-            * min(canvas.width, side) * min(canvas.height, side),
-        ).fits_in_one_batch
+        on every tile of this query?  Device-less and resident inputs
+        are never cut."""
+        plan = self.footprint(points, polygons, aggregate, filters).plan
+        return plan is None or plan.fits_in_one_batch
 
     def member(
         self,
@@ -1172,9 +1217,9 @@ class RasterJoinEngine(SpatialAggregationEngine):
     ) -> TileMember:
         """One query readied for the tile loop: its polygons prepared
         (cache outcome and build times recorded in ``stats``)."""
-        return TileMember(
-            self._prepare(polygons, stats), polygons, aggregate, filters
-        )
+        with trace.span("prepare", polygons=len(polygons)):
+            prepared = self._prepare(polygons, stats)
+        return TileMember(prepared, polygons, aggregate, filters)
 
     def run_member(
         self,
@@ -1192,6 +1237,17 @@ class RasterJoinEngine(SpatialAggregationEngine):
             self.required_columns(member.aggregate, member.filters), stats,
             keep_fbo=keep_fbo,
         )
+
+    def _run(self, points, polygons, aggregate, filters, stats):
+        member = self.member(polygons, aggregate, filters, stats)
+        run = self.run_member(
+            member, points, stats, keep_fbo=self.compute_bounds
+        )
+        values = aggregate.finalize(run.accumulators)
+        intervals = None
+        if self.compute_bounds:
+            intervals = self._intervals(member, run, values, stats)
+        return values, run.accumulators, intervals
 
     def execute_stream(self, chunk_source, polygons, aggregate=None,
                        filters=None) -> AggregationResult:

@@ -39,7 +39,6 @@ order as always.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 import queue as queue_module
 from collections import OrderedDict

@@ -20,10 +20,6 @@ import numpy as np
 from repro.errors import ResolutionError
 from repro.geometry.bbox import BBox
 
-#: Default maximum framebuffer side, matching the paper's experimental
-#: configuration ("we limited the maximum FBO resolution to 8192x8192").
-DEFAULT_MAX_RESOLUTION = 8192
-
 #: Hard ceiling corresponding to the 32K x 32K FBOs the paper cites for
 #: current-generation hardware.
 HARDWARE_MAX_RESOLUTION = 32768
@@ -232,14 +228,7 @@ class Canvas:
     def full_viewport(self) -> Viewport:
         return Viewport(self.extent, self.width, self.height)
 
-    def num_tiles(self, max_resolution: int = DEFAULT_MAX_RESOLUTION) -> int:
-        nx = math.ceil(self.width / max_resolution)
-        ny = math.ceil(self.height / max_resolution)
-        return nx * ny
-
-    def tiles(
-        self, max_resolution: int = DEFAULT_MAX_RESOLUTION
-    ) -> Iterator[Viewport]:
+    def tiles(self, max_resolution: int) -> Iterator[Viewport]:
         """Yield device-sized viewports covering the canvas.
 
         Tiles are cut on global pixel boundaries: tile (tx, ty) covers

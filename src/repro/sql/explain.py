@@ -133,7 +133,9 @@ def explain_analyze(
     The prediction is taken *before* execution — running the query warms
     the session, and a post-hoc probe would misreport a cold run as warm.
     """
-    regime, predicted = optimizer.explain_terms(points, polygons, engine)
+    regime, predicted = optimizer.explain_terms(
+        points, polygons, engine, aggregate, filters
+    )
     tracer = trace.Tracer(
         "explain",
         statement="" if statement is None else str(statement),

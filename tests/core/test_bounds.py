@@ -1,5 +1,7 @@
 """Unit tests for result-range estimation (§5)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,47 @@ class TestRefusedAggregates:
         iv = result.intervals
         assert np.all(iv.loose_lo <= result.values)
         assert np.all(result.values <= iv.loose_hi)
+
+
+class TestConcurrentStatements:
+    def test_each_caller_gets_its_own_intervals(
+        self, uniform_points, three_regions
+    ):
+        """The intervals travel with the statement, not the engine: a
+        statement held after its tile loop while another runs a larger
+        polygon set on the same engine still returns its own."""
+        engine = BoundedRasterJoin(resolution=128, compute_bounds=True)
+        one = PolygonSet(list(three_regions)[:1])
+        two = PolygonSet(list(three_regions)[:2])
+        held, release = threading.Event(), threading.Event()
+        checkpoint = engine._checkpoint_session
+
+        def hold_first_caller():
+            if threading.current_thread().name == "first":
+                held.set()
+                release.wait(30)
+            checkpoint()
+
+        engine._checkpoint_session = hold_first_caller
+        results = {}
+        first = threading.Thread(
+            target=lambda: results.update(
+                first=engine.execute(uniform_points, one)
+            ),
+            name="first",
+        )
+        first.start()
+        try:
+            assert held.wait(30)
+            results["second"] = engine.execute(uniform_points, two)
+        finally:
+            release.set()
+            first.join(30)
+        assert not first.is_alive()
+        alone = BoundedRasterJoin(resolution=128, compute_bounds=True)
+        for name, polygons in (("first", one), ("second", two)):
+            expected = alone.execute(uniform_points, polygons).intervals
+            got = results[name].intervals
+            assert len(got.loose_lo) == len(polygons)
+            assert np.array_equal(got.loose_lo, expected.loose_lo)
+            assert np.array_equal(got.loose_hi, expected.loose_hi)

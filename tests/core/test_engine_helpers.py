@@ -22,7 +22,6 @@ from repro import (
 from repro.core.engine import (
     SpatialAggregationEngine,
     grid_pip_aggregate,
-    timed,
 )
 from repro.index.grid import GridIndex
 from repro.types import ExecutionStats
@@ -45,13 +44,6 @@ class TestRequiredColumns:
         filters = FilterSet([Filter("b", ">", 0), Filter("a", ">", 0)])
         cols = SpatialAggregationEngine.required_columns(Sum("c"), filters)
         assert cols == ("x", "y", "a", "b", "c")
-
-
-class TestTimed:
-    def test_returns_result_and_elapsed(self):
-        out, secs = timed(sum, [1, 2, 3])
-        assert out == 6
-        assert secs >= 0.0
 
 
 class TestGridPipAggregate:

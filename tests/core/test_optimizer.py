@@ -6,7 +6,9 @@ import pytest
 from repro import (
     AccurateRasterJoin,
     ArtifactStore,
+    Average,
     BoundedRasterJoin,
+    Count,
     EngineConfig,
     GPUDevice,
     PointDataset,
@@ -16,6 +18,7 @@ from repro import (
     RasterJoinOptimizer,
 )
 from repro.core.optimizer import CostModel
+from repro.geometry.polygon import rectangle
 
 
 def hand_tuned_model() -> CostModel:
@@ -190,25 +193,60 @@ class TestEngineCanvas:
         assert terms["point_pass"] == pytest.approx(5_000 * (1 + waves / 4))
         assert terms["polygon_pass"] == pytest.approx(300 * 300 / workers)
 
-    def test_device_memory_caps_the_workers(self, rng):
-        """A device that holds one tile's framebuffer and batch at a time
-        runs four workers one tile after another, and is costed so."""
-        square, points = self._square_and_points(rng)
-        engine = self._engine(
-            "bounded",
-            GPUDevice(capacity_bytes=400_000, max_resolution=256),
-            workers=4,
+    @pytest.mark.parametrize("variant, aggregate, capacity, cap", [
+        ("bounded", Count(), 400_000, 1),
+        ("accurate", Average("fare"), 6 << 20, 1),
+        ("bounded", Average("fare"), 8 << 20, 2),
+        ("accurate", Average("fare"), 12 << 20, 3),
+    ], ids=["bounded-count", "accurate-avg-6MiB", "bounded-avg-8MiB",
+            "accurate-avg-12MiB"])
+    def test_device_memory_caps_the_workers(
+        self, rng, variant, aggregate, capacity, cap
+    ):
+        """A device that holds ``cap`` tiles' framebuffer and batch at
+        once runs four workers ``cap`` tiles at a time, and EXPLAIN costs
+        the cap the tile loop computes: from the statement's columns and
+        bytes per pixel, not the locations' and a fixed channel."""
+        n = 100_000
+        points = PointDataset(
+            rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 100.0, n),
+            {"fare": rng.uniform(0.0, 50.0, n)},
         )
+        zones = PolygonSet([
+            rectangle(0.0, 0.0, 40.0, 100.0), rectangle(60.0, 0.0, 100.0, 100.0),
+        ])
+        device = GPUDevice(capacity_bytes=capacity, max_resolution=256)
+        config = EngineConfig(backend="thread", workers=4)
+        engine = (
+            BoundedRasterJoin(resolution=1024, device=device, config=config)
+            if variant == "bounded"
+            else AccurateRasterJoin(
+                resolution=1024, device=device, config=config
+            )
+        )
+        caps = []
+        run_tasks = engine.backend.run_tasks
+
+        def spy(tasks, parallelism=None):
+            caps.append(parallelism)
+            return run_tasks(tasks, parallelism=parallelism)
+
+        engine.backend.run_tasks = spy
         try:
             _, terms = with_model(self.UNIT).explain_terms(
-                points, square, engine
+                points, zones, engine, aggregate
             )
-            result = engine.execute(points, square)
+            result = engine.execute(points, zones, aggregate)
         finally:
             engine.close()
-        assert result.stats.extra["tiles"] == 4
-        assert terms["point_pass"] == pytest.approx(5_000 * 2)
-        assert terms["polygon_pass"] == pytest.approx(300 * 300)
+        assert result.stats.extra["tiles"] == 16
+        assert caps == [cap]
+        waves = -(-16 // cap)
+        assert terms["point_pass"] == pytest.approx(n * (1 + waves / 16))
+        width, height = result.stats.extra["canvas"]
+        assert terms["polygon_pass"] == pytest.approx(
+            int(width * height * 0.8) / cap
+        )
 
     @pytest.mark.parametrize("variant, keys", [
         ("bounded", {"prepare", "point_pass", "polygon_pass"}),

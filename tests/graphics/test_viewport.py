@@ -75,7 +75,7 @@ class TestCanvas:
 
     def test_num_tiles(self):
         canvas = Canvas(BBox(0, 0, 100, 100), 1000, 700)
-        assert canvas.num_tiles(max_resolution=512) == 2 * 2
+        assert len(list(canvas.tiles(max_resolution=512))) == 2 * 2
 
     def test_single_tile_is_full_viewport(self):
         canvas = Canvas(BBox(0, 0, 100, 100), 256, 256)

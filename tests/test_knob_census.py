@@ -208,8 +208,10 @@ def _surface(root: Path = ROOT) -> dict[str, list[str]]:
 def _references(root: Path = ROOT) -> set[str]:
     """Every name loaded, attribute read or name imported by code under
     ``CALLER_DIRS`` — except a definition's uses of itself (recursion, a
-    class building its own instances, a method calling itself) and an
-    ``__init__`` re-export."""
+    class building its own instances, a method calling itself), an
+    ``__init__`` re-export, and, outside ``src/``, a bare name the module
+    defines itself at module level (a benchmark's own ``timed`` is not
+    a call of the library's)."""
     used: set[str] = set()
     for top in CALLER_DIRS:
         for path in sorted((root / top).rglob("*.py")):
@@ -218,6 +220,9 @@ def _references(root: Path = ROOT) -> set[str]:
                 node for node in tree.body
                 if isinstance(node, (*_FUNCTIONS, ast.ClassDef))
             ]
+            local = set() if top == "src" else {
+                node.name for node in definitions
+            }
             definitions += [
                 member for node in definitions
                 if isinstance(node, ast.ClassDef)
@@ -229,6 +234,8 @@ def _references(root: Path = ROOT) -> set[str]:
                     own.setdefault(id(node), set()).add(definition.name)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in local:
+                        continue
                     name = node.id
                 elif (isinstance(node, ast.Attribute)
                       and isinstance(node.ctx, ast.Load)):
@@ -274,6 +281,64 @@ def test_test_only_exceptions_are_current():
     """Each exception is still defined, still uncalled outside tests
     and still read by its test."""
     assert not _stale_pins()
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names inside the module's string annotations (``"np.ndarray"``)."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations = [node.annotation]
+        elif isinstance(node, _FUNCTIONS):
+            annotations = [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for leaf in ast.walk(annotation):
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                    names.update(
+                        name.id for name in ast.walk(ast.parse(leaf.value))
+                        if isinstance(name, ast.Name)
+                    )
+    return names
+
+
+def _unused_imports(root: Path = ROOT) -> list[str]:
+    """Each import under ``src/repro`` whose bound name its module never
+    loads, nor names in a string annotation, as ``path:line import``.
+    ``__init__.py`` re-exports and ``__future__`` are exempt."""
+    package = root / "src" / "repro"
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = _annotation_names(tree) | {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "*" and bound not in loaded:
+                    unused.append(
+                        f"{path.relative_to(package).as_posix()}:"
+                        f"{node.lineno} {ast.unparse(node)}"
+                    )
+    return unused
+
+
+def test_every_import_is_used():
+    """An import its module never uses is left over from a deletion or
+    a fold; no linter runs here, so this check does."""
+    assert not _unused_imports(), _unused_imports()
 
 
 PACKAGES = sorted(
@@ -389,6 +454,21 @@ def test_census_skips_dunders(tmp_path):
     assert _dead(root) == {}
 
 
+def test_census_does_not_count_a_callers_own_namesake(tmp_path):
+    """A benchmark that defines and calls its own ``timed`` calls
+    nothing of the library's; reading the library's through a module
+    still counts."""
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "def timed():\n    pass\n\n\n"
+                            "def probe():\n    pass\n",
+        "benchmarks/layers.py": "import repro.mod\n\n\n"
+                                "def timed():\n    pass\n\n\n"
+                                "def probe():\n    pass\n\n\n"
+                                "timed()\nrepro.mod.probe()\n",
+    })
+    assert _dead(root) == {"timed": ["src/repro/mod.py"]}
+
+
 def test_census_counts_a_method_read_from_benchmarks(tmp_path):
     root = _tree(tmp_path, {
         "src/repro/mod.py": "class Table:\n    @property\n"
@@ -461,3 +541,20 @@ def test_census_flags_a_pin_its_test_never_reads(tmp_path):
     pins = {"Registry.reset": "tests/test_mod.py"}
     assert _dead(root, pins) == {}
     assert _stale_pins(root, pins) == ["Registry.reset"]
+
+
+def test_import_check_on_a_synthetic_tree(tmp_path):
+    """A name loaded or named in a string annotation is used; a
+    re-export and ``__future__`` are exempt."""
+    root = _tree(tmp_path, {
+        "src/repro/__init__.py": "from repro.mod import helper\n",
+        "src/repro/mod.py": "from __future__ import annotations\n\n"
+                            "import os\nimport os.path as osp\n"
+                            "import numpy as np\n"
+                            "from typing import Sequence\n\n\n"
+                            "def helper(xs: \"Sequence[int]\") -> None:\n"
+                            "    return np.asarray(xs)\n",
+    })
+    assert _unused_imports(root) == [
+        "mod.py:3 import os", "mod.py:4 import os.path as osp",
+    ]
