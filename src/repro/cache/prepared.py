@@ -130,7 +130,8 @@ ANSWER_KEYS = 8
 class AnswerBook:
     """The per-tile answers of the statements one session-held artifact
     answered: per key, each tile's result slots (``{channel: one value
-    per polygon}``, as the ordered merge receives them).
+    per polygon}``, as the ordered merge receives them) — and, under
+    their own keys, the boundary joins its statements ran (:meth:`pairs`).
 
     A key is everything a tile's slots depend on besides the artifact —
     the point guard, the filter, the aggregate and the kernel with its
@@ -163,16 +164,48 @@ class AnswerBook:
         the key names by ``id``)."""
         with self._lock:
             self._entries[key] = (pins, per_tile)
-            self._entries.move_to_end(key)
-            while len(self._entries) > ANSWER_KEYS:
-                self._entries.popitem(last=False)
+            self._touch(key)
+
+    def _touch(self, key: tuple) -> None:
+        self._entries.move_to_end(key)
+        while len(self._entries) > ANSWER_KEYS:
+            self._entries.popitem(last=False)
+
+    def pairs(self, guard: tuple, kernel: tuple,
+              pins: tuple | None = None) -> dict | None:
+        """The boundary join's record for a point source (its content
+        guard) under a kernel: one entry over every tile, ``{(tile,
+        batch lengths): one (rows, matched, starts, pids) per batch}``
+        (:func:`repro.core.tiles._point_pass`).  With ``pins`` an
+        absent entry starts empty and the entry is touched; without,
+        nothing is (EXPLAIN's probe)."""
+        key = ("pairs", guard, kernel)
+        if pins is None:
+            entry = self._entries.get(key)
+            return None if entry is None else entry[1]
+        with self._lock:
+            entry = self._entries.setdefault(key, (pins, {}))
+            self._touch(key)
+        return entry[1]
+
+    @property
+    def pairs_nbytes(self) -> int:
+        """Bytes of the boundary joins recorded here."""
+        with self._lock:
+            books = [book for key, (_, book) in self._entries.items()
+                     if key[0] == "pairs"]
+        return sum(
+            arr.nbytes for book in books for batches in list(book.values())
+            for record in batches for arr in record
+        )
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """How many statements' answers are kept (records aside)."""
+        return sum(key[0] != "pairs" for key in list(self._entries))
 
     def __reduce__(self):
         return AnswerBook, ()

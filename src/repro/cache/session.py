@@ -589,34 +589,32 @@ class QuerySession:
         return state.guard, state.frozen
 
     @_locked
-    def partition_warm(self, points, token: tuple,
-                       indexed: bool = False) -> bool:
-        """Cheap costing probe: is a routing resident for this source
-        and canvas — and, with ``indexed``, a prewarmed one?
+    def partition_warm(self, points, token: tuple, polygons, spec: tuple,
+                       kernel: tuple) -> tuple:
+        """Cheap costing probe: ``(routed, prewarmed, recorded)`` — is a
+        routing resident for this source and canvas, was it prewarmed,
+        and does the artifact of (``polygons``, ``spec``) hold a record
+        of this source's boundary join under ``kernel``?
 
-        Identity-keyed only — no content fold, no LRU touch — so
-        EXPLAIN can call it before the statement runs.  Optimistic by design:
-        a mutated-in-place source reads warm here but fails the content
-        guard at execution, which costs one mispredicted plan, never a
-        wrong result.
+        Identity-keyed only — no content fold, no hash, no LRU touch — so
+        EXPLAIN can call it before the statement runs.  Optimistic: a
+        source mutated in place reads warm here but fails the content
+        guard at execution — one mispredicted plan, never a wrong result.
         """
         state = self._point_cache.get(("partition", id(points)) + tuple(token))
-        return state is not None and (
-            not indexed or state.value.pixel_index is not None
-        )
-
-    def _index_nbytes(self) -> int:
-        return sum(
-            state.value.index_nbytes for state in self._point_cache.values()
-            if state.kind == "partition"
+        if state is None:
+            return False, False, False
+        entry = self._entries.get((polygons.fingerprint,) + tuple(spec))
+        return True, state.value.prewarmed, bool(
+            entry is not None and entry.answers.pairs(state.guard, kernel)
         )
 
     @property
     @_locked
     def partition_nbytes(self) -> int:
         """Bytes held by cached point routings (and the sources they
-        pin), their pixel indexes aside."""
-        return self._point_nbytes("partition") - self._index_nbytes()
+        pin)."""
+        return self._point_nbytes("partition")
 
     @_locked
     def channels(self, points, token: tuple, keys: dict, nbytes: int, build):
@@ -666,9 +664,11 @@ class QuerySession:
     @property
     @_locked
     def pyramid_nbytes(self) -> int:
-        """Bytes held for prewarmed pairings: cached channels plus the
-        routings' pixel indexes."""
-        return self._point_nbytes("channel") + self._index_nbytes()
+        """Bytes held for pairings beyond their routings: cached channels
+        plus the artifacts' records of their boundary joins."""
+        return self._point_nbytes("channel") + sum(
+            entry.answers.pairs_nbytes for entry in self._entries.values()
+        )
 
     # ------------------------------------------------------------------
     # Tier maintenance

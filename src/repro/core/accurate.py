@@ -105,21 +105,20 @@ class AccurateRasterJoin(RasterJoinEngine):
     ) -> None:
         """Explicitly ready ``points`` for statements over this canvas.
 
-        Routes them as any statement would and gives the session's
-        routing a pixel-sorted row index: from then on a statement over
-        any polygon set deriving the same canvas reads its point
-        framebuffers from the session (each scattered once, on first
-        need) and touches only the rows on boundary pixels.  Never
-        implicit — the one-off O(points) sort is paid exactly where the
-        caller asked for it — and never a different answer: the bits are
-        the un-prewarmed statement's (``docs/aggregate_pyramid.md``).
+        Routes them as any statement would and flags the routing: from
+        then on a statement over any polygon set deriving the same
+        canvas reads its point framebuffers from the session (each
+        scattered once, on first need) and touches only the rows on
+        boundary pixels.  Never implicit, never a different answer: the
+        bits are the un-prewarmed statement's
+        (``docs/aggregate_pyramid.md``).
         """
         if self.session is None:
             raise QueryError("prewarm needs a QuerySession to retain its work")
         canvas = self._make_canvas(polygons)
-        tiles = list(canvas.tiles(self.max_resolution))
         routing, token, _ = route_points(
-            self.session, points, canvas, tiles, self.max_resolution
+            self.session, points, canvas,
+            list(canvas.tiles(self.max_resolution)), self.max_resolution,
         )
-        routing.index_pixels(tiles)
+        routing.prewarmed = True
         self.session.partition_store(points, token, routing)

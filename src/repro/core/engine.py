@@ -6,11 +6,12 @@ points into device-sized batches, move each batch to the device exactly
 once (measured as transfer time), run the vertex-stage filter, and hand the
 surviving points to an engine-specific kernel.  Those steps live here as
 plain functions (:func:`point_batches`, :func:`apply_filters`,
-:func:`grid_pip_aggregate`, :func:`pip_aggregate`) so the four engines
-only differ in their kernels; the two raster joins share one per-tile
-pipeline instead, :mod:`repro.core.tiles`, which consumes points already
-routed to their tile and pixel (:mod:`repro.exec.partition`) and applies
-the filter as a mask, so of these it calls only :func:`pip_aggregate`.
+:func:`grid_pip_aggregate`, :func:`pip_match`, :func:`pip_fold`) so the
+four engines only differ in their kernels; the two raster joins share
+one per-tile pipeline instead, :mod:`repro.core.tiles`, which consumes
+points already routed to their tile and pixel
+(:mod:`repro.exec.partition`) and applies the filter as a mask, so of
+these it calls only the two PIP steps.
 """
 
 from __future__ import annotations
@@ -383,61 +384,66 @@ def grid_pip_aggregate(
     """The JoinPoint procedure over the polygon grid index: each point
     probes its cell and pairs with every polygon registered there (one
     bulk CSR expansion), and the pairs join through
-    :func:`pip_aggregate`.  The raster join reads its candidates off the
+    :func:`pip_match` and :func:`pip_fold`.  The raster join reads its candidates off the
     canvas instead (:mod:`repro.core.tiles`)."""
     cells = grid.cell_of_points(xs, ys)
     valid = cells >= 0
     cells = np.where(valid, cells, 0)
     first = grid.cell_start[cells]
     counts = np.where(valid, grid.cell_start[cells + 1] - first, 0)
-    pip_aggregate(
-        xs, ys, attrs, np.repeat(np.arange(len(xs), dtype=np.int64), counts),
-        grid.entries[ragged_positions(first, counts)],
-        edges, aggregate, accumulators, stats,
-    )
+    pip_fold(attrs, pip_match(
+        xs, ys, np.repeat(np.arange(len(xs), dtype=np.int64), counts),
+        grid.entries[ragged_positions(first, counts)], edges, stats,
+    ), aggregate, accumulators)
 
 
-def pip_aggregate(
+def pip_match(
     xs: np.ndarray,
     ys: np.ndarray,
-    attrs: dict[str, np.ndarray],
     point_idx: np.ndarray,
     poly_ids: np.ndarray,
     edges: EdgeTable,
-    aggregate: Aggregate,
-    accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
-) -> None:
-    """PIP-test candidate pairs and aggregate the matches, in one flat pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The PIP join's *match* step: test candidate pairs, group the matches.
 
     Pair ``k`` is (point ``point_idx[k]``, polygon ``poly_ids[k]``),
     points ascending, no pair repeated — one test per pair, the work the
     paper counts, all at once against ``edges``, the set's row-banded
     edge table (the SPMD batching of a GPU compute shader, no
-    per-polygon call).  Aggregation is fused: the matches, grouped by
-    polygon in point order, reduce one segment per polygon and blend
-    into the accumulators; only the pair arrays are materialized.
+    per-polygon call).  Returns ``(matched, starts, pids)``: the matched
+    points grouped by polygon (stable: point order within a polygon),
+    the polygons that matched, ascending, and where each one's matches
+    begin — a function of the pairs alone, never of an aggregate.
     """
     stats.pip_tests += len(poly_ids)
     inside = edges.contains_pairs(xs[point_idx], ys[point_idx], poly_ids)
-    # Group the matches by polygon (stable: point order within a
-    # polygon); only polygons that matched own a segment.
     matched_pid = poly_ids[inside]
-    if len(matched_pid) == 0:
-        return
     order = np.argsort(matched_pid, kind="stable")
     matched_pid = matched_pid[order]
-    matched_point = point_idx[inside][order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], matched_pid[1:] != matched_pid[:-1]])
-    )
-    pids = matched_pid[starts]
+    starts = np.flatnonzero(np.diff(matched_pid, prepend=-1))
+    return point_idx[inside][order], starts, matched_pid[starts]
+
+
+def pip_fold(
+    attrs: dict[str, np.ndarray],
+    matches: tuple[np.ndarray, np.ndarray, np.ndarray],
+    aggregate: Aggregate,
+    accumulators: dict[str, np.ndarray],
+) -> None:
+    """The PIP join's *fold* step: each matched polygon's points reduce
+    one segment (:meth:`~repro.core.aggregates.Aggregate.reduce_segments`)
+    and blend into its slot.  ``matches`` is :func:`pip_match`'s output,
+    its points indexing ``attrs``; only polygons that matched own a
+    segment."""
+    matched, starts, pids = matches
+    if len(matched) == 0:
+        return
     for ch, col in aggregate.channels.items():
         # The constant-1 channel contributes one 1.0 per matched point,
         # whatever the blend equation.
         values = (
-            np.ones(len(matched_point)) if col is None
-            else attrs[col][matched_point]
+            np.ones(len(matched)) if col is None else attrs[col][matched]
         )
         slots = accumulators[ch]
         slots[pids] = aggregate.combine(

@@ -81,6 +81,7 @@ class CostModel:
         tiles: int, concurrency: int, num_vertices: int = 0,
         warm: float | None = None, routed: bool = False,
         boundary_fraction: float = 0.0, prewarmed: bool = False,
+        recorded: bool = False,
     ) -> dict[str, float]:
         """Per-term predicted seconds of one statement under either kernel.
 
@@ -97,7 +98,9 @@ class CostModel:
         point share, and a ``routed`` source skips the projection (see
         :meth:`_point_pass_seconds`); the polygon pass and the boundary
         PIP, partitioned with the points, divide by it.  The boundary
-        PIP traffic is per-query point work and is paid warm or cold.
+        PIP traffic is point work paid once per pairing: a ``recorded``
+        statement replays the artifact's record of its boundary join,
+        so that term runs no PIP test and is priced at zero.
 
         ``prewarmed`` is the third regime: the session holds the point
         framebuffers of this (points, canvas) pairing
@@ -117,7 +120,7 @@ class CostModel:
             ),
         }
         if exact:
-            terms["boundary_pip"] = (
+            terms["boundary_pip"] = 0.0 if recorded else (
                 self.per_boundary_point * (num_points * boundary_fraction)
                 / concurrency
             )
@@ -225,8 +228,9 @@ class RasterJoinOptimizer:
             points, polygons, aggregate or Count(), FilterSet.coerce(filters)
         )
         # A source the session already routed over the engine's canvas
-        # is not projected again.
-        routed = engine.routing_warmth(points, polygons)
+        # is not projected again; a prewarmed one scatters nothing (the
+        # third regime) and a recorded boundary join is replayed.
+        routed, prewarmed, recorded = engine.routing_warmth(points, polygons)
         warm = None if engine.session is None else engine.session.warmth(
             polygons, engine.prepared_spec()
         )
@@ -246,12 +250,11 @@ class RasterJoinOptimizer:
             boundary_fraction = min(
                 1.0, boundary_pixels / max(canvas.num_pixels, 1)
             )
-        # Third regime: a prewarmed pairing scatters nothing.
-        prewarmed = engine.routing_warmth(points, polygons, indexed=True)
         regime = "pyramid-warm" if prewarmed else "warm" if warm else "cold"
         return regime, self.model.terms(
             exact, len(points), int(canvas.num_pixels * area_fraction),
             len(footprint.fbo_bytes), footprint.parallelism,
             num_vertices=num_vertices, warm=warm, routed=routed,
             boundary_fraction=boundary_fraction, prewarmed=prewarmed,
+            recorded=recorded,
         )

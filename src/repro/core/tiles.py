@@ -14,9 +14,14 @@ implementation, as plain functions over plain data:
   A tile runs one query (its :class:`TileMember`); statements that share
   work share it as channels of one aggregate
   (:class:`~repro.core.multi.MultiAggregate`), not as a list of queries.
+  That boundary join — which rows pair with which polygons, and which
+  pairs match — depends on the points, the artifact, the tile and the
+  batch cut alone, so the artifact records it per point source and
+  kernel (:class:`_Record`) and a later statement over the pairing
+  replays it: its filter masks the recorded matches and its aggregate
+  folds them, with no pairing and no PIP test.
   On a prewarmed pairing the same task skips the scatter: its
-  framebuffers are the session's cached channels
-  (:class:`~repro.exec.partition.CachedTile`) and only the rows on
+  framebuffers are the session's cached channels and only the rows on
   boundary pixels are read; the polygon pass reads the same run table
   either way, which never covers a boundary pixel
   (``docs/aggregate_pyramid.md``).
@@ -63,7 +68,8 @@ from repro.core.aggregates import Aggregate, Count
 from repro.core.engine import (
     SpatialAggregationEngine,
     new_accumulators,
-    pip_aggregate,
+    pip_fold,
+    pip_match,
 )
 from repro.core.filters import FilterSet, filter_key
 from repro.core.multi import MultiAggregate
@@ -77,12 +83,7 @@ from repro.device.memory import (
 from repro.errors import QueryError
 from repro.exec import shm
 from repro.exec.backend import ExecutionBackend, ProcessBackend, TilePartial
-from repro.exec.partition import (
-    CachedTile,
-    route_chunk,
-    routing_token,
-    scan_tile,
-)
+from repro.exec.partition import route_chunk, routing_token, scan_tile
 from repro.exec.resident import TileTaskSpec
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import PolygonSet
@@ -225,6 +226,8 @@ def run_tile(
     tracing: bool,
     keep_fbo: bool = False,
     reuse: dict | None = None,
+    channels: dict | None = None,
+    pairs: dict | None = None,
 ) -> TilePartial:
     """One whole tile: boundary, point pass, polygon pass.
 
@@ -240,6 +243,9 @@ def run_tile(
     its ``near`` known — the tile re-aggregates only that window
     (:class:`_Window`): the base's slots stand for every other polygon,
     and a tile the edit's window missed runs no pass at all.
+    ``channels`` (a prewarmed tile's cached point framebuffers) and
+    ``pairs`` (the artifact's record of the boundary join) are the
+    point pass's (:func:`_point_pass`).
     """
     tile = member.prepared.tiles[tile_idx]
     with trace.tile_scope(tracing, tile=tile_idx) as tile_span:
@@ -252,29 +258,22 @@ def run_tile(
         views, near = _tile_views(
             tile_idx, tile, kernel.exact, member, partial, retain
         )
-        # A prewarmed pairing hands the tile its framebuffers ready-made.
-        cached = chunks if isinstance(chunks, CachedTile) else None
         window = None
-        if reuse is not None and near is not None and cached is None:
+        if reuse is not None and near is not None:
             window = _Window.of(tile, member, near)
             partial.accumulators = window.slots(reuse, member.aggregate)
         if window is None or window.box:
             with trace.span("point-pass"):
-                if cached is None:
-                    fbo = _tile_framebuffer(
-                        tile, member.aggregate, kernel.fbo_dtype, window
-                    )
-                    partial.saw_points = _point_pass(
-                        kernel, member, columns, chunks, views, fbo, partial,
-                        window,
-                    )
-                else:
-                    partial.saw_points = True
-                    _cached_point_pass(member, cached, views, partial)
+                fbo = None if channels is not None else _tile_framebuffer(
+                    tile, member.aggregate, kernel.fbo_dtype, window
+                )
+                partial.saw_points = _point_pass(
+                    kernel, member, columns, chunks, views, fbo, partial,
+                    window, pairs,
+                )
             with trace.span("polygon-pass"):
                 _polygon_pass(
-                    views.coverage, member,
-                    cached.channels if cached is not None else {
+                    views.coverage, member, channels or {
                         ch: fbo.channel(ch).ravel()
                         for ch in member.aggregate.channels
                     },
@@ -491,9 +490,10 @@ def _point_pass(
     columns: tuple[str, ...],
     chunks,
     views: TileViews | None,
-    fbo: FrameBuffer,
+    fbo: FrameBuffer | None,
     partial: TilePartial,
     window: _Window | None = None,
+    pairs: dict | None = None,
 ) -> bool:
     """Upload, mask and route each routed batch of this tile.
 
@@ -503,19 +503,56 @@ def _point_pass(
     from this query's own routing pass, or from the tile scanning a
     stream itself.  Per batch the vertex-stage filter runs once, as a
     boolean mask over the rows in input order.  Under a ``window`` a
-    batch is first cut to the rows in its box, in order.  Returns
-    whether any chunk arrived.
+    batch is first cut to the rows in its box, in order.  Without an
+    ``fbo`` the tile was prewarmed: its framebuffers are cached, so only
+    the batch's rows on boundary pixels are read — neither uploaded nor
+    scattered — and the filter runs over them alone.
+
+    ``pairs`` (:meth:`~repro.cache.prepared.AnswerBook.pairs`; ``None``:
+    none is kept) holds the pairing's boundary joins: this tile's entry,
+    keyed by its batch lengths, is one :class:`_Record` per batch,
+    replayed — or built here and shipped home in ``partial.pairs``.
+    Returns whether any chunk arrived.
     """
     stats, filters = partial.stats, member.filters
+    record = built = None
+    if pairs is not None:
+        chunks = list(chunks)
+        key = (partial.tile_idx, tuple(len(chunk) for chunk in chunks))
+        record = pairs.get(key)
+        if record is None:
+            built = []
+            partial.pairs = (key, built)
     saw_points = False
-    for chunk in chunks:
+    for batch, chunk in enumerate(chunks):
         saw_points = True
         n = len(chunk)
         if n == 0:
             continue
-        stats.batches += 1
         pix, inside = chunk.pix, chunk.inside
         cols = {name: chunk.column(name) for name in columns}
+        replay = None if record is None else record[batch]
+        if fbo is None:
+            start = time.perf_counter()
+            if replay is not None:
+                rows = replay.rows
+            else:
+                edge = views.boundary.reshape(-1).take(pix)
+                rows = np.flatnonzero(edge if inside is None else edge & inside)
+            n = len(rows)
+            kept = None
+            if filters and n:
+                kept = filters.mask(lambda name: cols[name].take(rows), n)
+                stats.points_filtered_out += n - int(np.count_nonzero(kept))
+            stats.points_processed += n
+            stats.batches += n > 0
+            _boundary_join(
+                views.candidates, pix, cols, rows, kept, member, partial,
+                None, replay, built,
+            )
+            stats.processing_s += time.perf_counter() - start
+            continue
+        stats.batches += 1
         if window is not None:
             rows = window.rows(pix)
             n = len(rows)
@@ -546,7 +583,7 @@ def _point_pass(
             stats.points_filtered_out += dropped
             _route_batch(
                 views, fbo, cols, pix.astype(np.intp, copy=False),
-                keep, member, partial, window,
+                inside, keep, member, partial, window, replay, built,
             )
             stats.processing_s += time.perf_counter() - start
         finally:
@@ -555,36 +592,17 @@ def _point_pass(
     return saw_points
 
 
-def _cached_point_pass(
-    member: TileMember,
-    rows_of: CachedTile,
-    views: TileViews,
-    partial: TilePartial,
-) -> None:
-    """The point pass of a prewarmed tile: only its boundary stage.
+class _Record(NamedTuple):
+    """One device batch's boundary join, as an artifact records it: the
+    batch positions the tile took on a boundary pixel, ascending
+    (``rows``), and :func:`~repro.core.engine.pip_match`'s output over
+    them — ``matched`` indexing ``rows``, grouped by polygon (stable by
+    pid, row order within a pid; ``starts`` / ``pids``)."""
 
-    The framebuffers are the cached channels, so what is left is the
-    rows on this polygon set's boundary pixels.  Found through the pixel
-    index, they join exactly as :func:`_route_batch` would have joined
-    them: in source order, one PIP call per device batch of the
-    statement, the filter run over those rows alone.
-    """
-    stats, filters = partial.stats, member.filters
-    cols = rows_of.columns
-    for rows in rows_of.rows_on(views.candidates.pixels):
-        n = len(rows)
-        if n == 0:
-            continue
-        start = time.perf_counter()
-        stats.batches += 1
-        if filters:
-            rows = rows[filters.mask(lambda name: cols[name].take(rows), n)]
-        stats.points_processed += n
-        stats.points_filtered_out += n - len(rows)
-        _boundary_join(
-            views.candidates, rows_of.pix, cols, rows, member, partial
-        )
-        stats.processing_s += time.perf_counter() - start
+    rows: np.ndarray
+    matched: np.ndarray
+    starts: np.ndarray
+    pids: np.ndarray
 
 
 def _boundary_join(
@@ -592,36 +610,59 @@ def _boundary_join(
     pix: np.ndarray,
     cols: dict[str, np.ndarray],
     rows: np.ndarray,
+    kept: np.ndarray | None,
     member: TileMember,
     partial: TilePartial,
     window: _Window | None = None,
+    replay: _Record | None = None,
+    built: list | None = None,
 ) -> None:
-    """Join the batch rows ``rows`` — all on boundary pixels — exactly:
-    a row's flat pixel ranks it among the candidates' sorted pixels, it
-    pairs with that pixel's polygons (a ``window``'s ``near`` alone),
-    and the pairs go through the engines' one PIP-and-aggregate pass.
-    Only these rows gather their coordinates, and only the aggregate's
-    own columns."""
-    partial.stats.boundary_points += len(rows)
+    """Join the batch rows ``rows`` — all on boundary pixels — exactly;
+    those ``kept`` marks (``None``: all) fold into the accumulators.
+
+    The *match*: a row's flat pixel ranks it among the candidates'
+    sorted pixels, it pairs with that pixel's polygons (a ``window``'s
+    ``near`` alone) and the pairs take the engines' one PIP test
+    (:func:`~repro.core.engine.pip_match`) — unless ``replay``, the
+    recorded match of the same rows, stands for it.  The *fold*: the
+    filter masks the matches, which keeps their order, so each
+    polygon's segment holds the same values in the same order as a
+    match of the kept rows alone — same bits — and only the matched
+    rows gather the aggregate's columns.  The match goes to ``built``.
+    """
+    partial.stats.boundary_points += (
+        len(rows) if kept is None else int(np.count_nonzero(kept))
+    )
     if len(rows) == 0:
+        if built is not None:
+            built.append(replay or _Record(rows, rows, rows, rows))
         return
-    aggregate = member.aggregate
-    with trace.span("boundary-pip", points=len(rows)):
-        rank = np.searchsorted(candidates.pixels, pix.take(rows))
-        first = candidates.starts[rank]
-        counts = candidates.starts[rank + 1] - first
-        point_idx = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-        pids = candidates.pids[ragged_positions(first, counts)]
-        if window is not None:
-            pair = window.inner[pids]
-            point_idx, pids = point_idx[pair], pids[pair]
-        pip_aggregate(
-            cols["x"].take(rows), cols["y"].take(rows),
-            {c: cols[c].take(rows) for c in aggregate.columns},
-            point_idx, pids,
-            member.prepared.edge_table, aggregate, partial.accumulators,
-            partial.stats,
-        )
+    with trace.span("boundary-pip", points=len(rows),
+                    recorded=replay is not None):
+        if replay is None:
+            rank = np.searchsorted(candidates.pixels, pix.take(rows))
+            first = candidates.starts[rank]
+            counts = candidates.starts[rank + 1] - first
+            point_idx = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+            pids = candidates.pids[ragged_positions(first, counts)]
+            if window is not None:
+                pair = window.inner[pids]
+                point_idx, pids = point_idx[pair], pids[pair]
+            replay = _Record(rows, *pip_match(
+                cols["x"].take(rows), cols["y"].take(rows), point_idx, pids,
+                member.prepared.edge_table, partial.stats,
+            ))
+            if built is not None:
+                built.append(replay)
+        matched, starts, pids = replay[1:]
+        if kept is not None:
+            keep = kept.take(matched)
+            owner = np.repeat(pids, np.diff(starts, append=len(matched)))[keep]
+            matched = matched[keep]
+            starts = np.flatnonzero(np.diff(owner, prepend=-1))
+            pids = owner[starts]
+        pip_fold(cols, (rows.take(matched), starts, pids), member.aggregate,
+                 partial.accumulators)
 
 
 def _route_batch(
@@ -629,18 +670,23 @@ def _route_batch(
     fbo: FrameBuffer,
     cols: dict[str, np.ndarray],
     pix: np.ndarray,
+    inside: np.ndarray | None,
     keep: np.ndarray | None,
     member: TileMember,
     partial: TilePartial,
     window: _Window | None,
+    replay: _Record | None,
+    built: list | None,
 ) -> None:
     """Route one batch: kept rows on a boundary pixel join exactly
     through that pixel's candidates, the other kept rows rasterize into
     the tile framebuffer (a ``window``'s box of it), in row order.
 
-    Without a mask (the bounded join) everything kept rasterizes.
-    Values are cast to the FBO's dtype by the additive blend, as 32-bit
-    GL channels would.
+    Recorded (``replay`` or ``built`` given), the join covers every row
+    the tile took on a boundary pixel, its filter applied to the
+    matches; otherwise it reads the kept rows alone.  Without a mask
+    (the bounded join) everything kept rasterizes.  Values are cast to
+    the FBO's dtype by the additive blend, as 32-bit GL channels would.
     """
     aggregate = member.aggregate
     rows = None  # the rows that rasterize; None: the batch as it is
@@ -651,11 +697,21 @@ def _route_batch(
         edge = views.boundary.reshape(-1)[pix]
         interior = ~edge
         if keep is not None:
-            edge &= keep
             interior &= keep
-        on_edge = np.flatnonzero(edge)
+        recorded = replay is not None or built is not None
+        mask = inside if recorded else keep
+        if replay is not None:
+            on_edge = replay.rows
+        else:
+            if mask is not None:
+                edge &= mask
+            on_edge = np.flatnonzero(edge)
+        kept = None
+        if recorded and keep is not inside:
+            kept = keep.take(on_edge)
         _boundary_join(
-            views.candidates, pix, cols, on_edge, member, partial, window
+            views.candidates, pix, cols, on_edge, kept, member, partial,
+            window, replay, built,
         )
         if len(on_edge) or keep is not None:
             rows = np.flatnonzero(interior)
@@ -770,7 +826,7 @@ def run_tiles(
         kernel, backend.workers, tiles, member.aggregate, columns,
         None if stream else points,
     )
-    per_tile = guard = None
+    per_tile = guard = channels = None
     if stream:
         stats.extra["partition"] = "scan"
     else:
@@ -779,16 +835,21 @@ def run_tiles(
         shared = isinstance(backend, ProcessBackend) and (
             backend.resident_capable(len(tiles), parallelism)
         )
-        per_tile, guard = _partition(
+        per_tile, guard, channels = _partition(
             kernel, shared, session, member, points, columns, fbo_bytes,
             stats,
         )
     # Whether the tiles read cached channels: all of them, or none.
-    cached = per_tile is not None and isinstance(per_tile[0], CachedTile)
+    cached = channels is not None
     key = _answer_key(kernel, member, guard)
-    reuse = None
+    reuse = pairs = None
     if key is not None and not keep_fbo and not cached:
         reuse = member.prepared.base_answers(key)
+    if guard is not None and kernel.exact and reuse is None:
+        # The boundary join's record: a delta's windowed rows bypass it.
+        pairs = member.prepared.answers.pairs(
+            guard[0], kernel.token, guard[1]
+        )
 
     def task(tile_idx: int) -> TilePartial:
         chunks = per_tile[tile_idx] if per_tile is not None else scan_tile(
@@ -799,6 +860,8 @@ def run_tiles(
             tile_idx, kernel, member, columns, chunks,
             retain=retain, tracing=tracing, keep_fbo=keep_fbo,
             reuse=None if reuse is None else reuse[tile_idx],
+            channels=None if channels is None else channels[tile_idx],
+            pairs=pairs,
         )
 
     # ``concurrent`` marks that child (tile) spans may overlap in wall
@@ -816,13 +879,15 @@ def run_tiles(
                 [(lambda idx=idx: task(idx)) for idx in range(len(tiles))],
                 parallelism=parallelism,
             )
+        else:
+            pairs = None  # resident workers see an empty book
         if backend.last_pool_event is not None:
             stats.extra["pool"] = backend.last_pool_event
         accumulators = new_accumulators(member.polygons, member.aggregate)
         # Tile-index order whatever order the tasks finished in — with
         # identity-started partials, the determinism anchor.
         for partial in partials:
-            _merge_partial(partial, member, accumulators, stats)
+            _merge_partial(partial, member, accumulators, stats, pairs)
     if key is not None:
         member.prepared.answers.record(
             key, guard[1], [partial.accumulators for partial in partials]
@@ -831,6 +896,9 @@ def run_tiles(
         stats.extra["polygons_recomputed"] = (
             _recomputed(member), len(member.polygons)
         )
+    if pairs is not None:
+        built = any(partial.pairs for partial in partials)
+        stats.extra["pairs"] = "built" if built else "recorded"
     stats.extra["pyramid"] = "hit" if cached else "cold"
     if cached:
         # Every row a cached statement reads is a boundary-pixel row.
@@ -899,9 +967,10 @@ def _partition(
     columns: tuple[str, ...],
     fbo_bytes: list[int],
     stats: ExecutionStats,
-) -> tuple[list, tuple | None]:
-    """What each tile task of this query consumes, routed once, and the
-    session's content guard of ``points`` (``None`` without a session).
+) -> tuple[list, tuple | None, list | None]:
+    """What each tile task of this query consumes, routed once, the
+    session's content guard of ``points`` (``None`` without a session)
+    and, over a prewarmed routing, each tile's cached channels.
 
     The point source's routing — tile and flat pixel per row
     (:mod:`repro.exec.partition` has the bit-equality argument) — is
@@ -913,9 +982,8 @@ def _partition(
     statement of a dashboard keep hitting one entry — and, when
     ``shared`` (a dispatch the resident pool could take), its columns
     live in shared memory, the form resident dispatch consumes.  A
-    routing that was prewarmed hands an exact statement one
-    :class:`~repro.exec.partition.CachedTile` per tile instead of a
-    batch list (:func:`_cached_tiles`).
+    routing that was prewarmed hands an exact statement its point
+    framebuffers too (:func:`_cached_channels`).
     """
     tiles = member.prepared.tiles
     with trace.span("partition", tiles=len(tiles)):
@@ -924,22 +992,20 @@ def _partition(
             session, points, member.prepared.canvas, tiles,
             kernel.max_resolution,
         )
-        per_tile = None
-        if kernel.exact and hit and routing.pixel_index is not None:
-            per_tile = _cached_tiles(
-                session, points, token, routing, kernel, member, columns,
-                fbo_bytes,
+        channels = None
+        if kernel.exact and hit and routing.prewarmed:
+            channels = _cached_channels(
+                session, points, token, routing, kernel, member, columns
             )
-        if per_tile is None:
-            # Shared with the session's entry only: this very query
-            # already reads the segments (and is eligible for resident
-            # dispatch), and every later hit reuses them across the
-            # process boundary zero-copy.  The leases go with the entry
-            # (cache eviction, invalidate, session GC).
-            per_tile = routing.per_tile(
-                points, columns, kernel.device, fbo_bytes,
-                shared and session is not None,
-            )
+        # Shared with the session's entry only: this very query already
+        # reads the segments (and is eligible for resident dispatch),
+        # and every later hit reuses them across the process boundary
+        # zero-copy.  The leases go with the entry (cache eviction,
+        # invalidate, session GC).
+        per_tile = routing.per_tile(
+            points, columns, kernel.device, fbo_bytes,
+            shared and session is not None and channels is None,
+        )
         guard = None
         if session is not None:
             # After the cut, hit or miss: the cap sees this query's copies.
@@ -948,10 +1014,10 @@ def _partition(
     stats.extra["partition"] = "cached" if hit else "on"
     stats.extra["partition_duplicates"] = routing.duplicates
     stats.partition_s += elapsed
-    return per_tile, guard
+    return per_tile, guard, channels
 
 
-def _cached_tiles(
+def _cached_channels(
     session,
     points,
     token: tuple,
@@ -959,11 +1025,10 @@ def _cached_tiles(
     kernel: TileKernel,
     member: TileMember,
     columns: tuple[str, ...],
-    fbo_bytes: list[int],
-) -> list[CachedTile] | None:
-    """Every tile of a statement over a prewarmed routing, its channels
-    read from the session's cache — or ``None`` when the session cannot
-    hold them and the statement scatters as usual.
+) -> list[dict] | None:
+    """Every tile's point framebuffers of a statement over a prewarmed
+    routing, read from the session's cache — or ``None`` when the
+    session cannot hold them and the statement scatters as usual.
 
     A channel — one flat float64 array over the canvas, tile after tile
     — is keyed by what a point framebuffer depends on beyond the routing:
@@ -999,13 +1064,10 @@ def _cached_tiles(
     flat = session.channels(points, token, keys, int(offsets[-1]) * 8, scatter)
     if flat is None:
         return None
-    return routing.cached_tiles(
-        points, columns, kernel.device, fbo_bytes,
-        [
-            {ch: arr[lo:hi] for ch, arr in flat.items()}
-            for lo, hi in zip(offsets, offsets[1:])
-        ],
-    )
+    return [
+        {ch: arr[lo:hi] for ch, arr in flat.items()}
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
 
 
 def _resident_dispatch(
@@ -1096,8 +1158,10 @@ def _merge_partial(
     member: TileMember,
     accumulators: dict[str, np.ndarray],
     stats: ExecutionStats,
+    pairs: dict | None,
 ) -> None:
-    """Fold one tile partial into the query's result and artifact."""
+    """Fold one tile partial into the query's result and artifact — and
+    the boundary join it built into the artifact's record, ``pairs``."""
     aggregate, prepared = member.aggregate, member.prepared
     for name, arr in partial.accumulators.items():
         accumulators[name] = aggregate.combine(accumulators[name], arr)
@@ -1113,6 +1177,8 @@ def _merge_partial(
     # tree is deterministic across backends.
     trace.attach(partial.span)
     prepared.mark_composed(partial.tile_idx, **partial.built)
+    if partial.pairs is not None:
+        pairs.setdefault(*partial.pairs)
 
 
 # ----------------------------------------------------------------------
@@ -1170,21 +1236,26 @@ class RasterJoinEngine(SpatialAggregationEngine):
         stats.extra["canvas"] = (prepared.canvas.width, prepared.canvas.height)
         return prepared
 
-    def routing_warmth(self, points, polygons: PolygonSet,
-                       indexed: bool = False) -> bool:
-        """Costing probe: does the session hold ``points`` routed over
-        the canvas these polygons derive — and, with ``indexed``, would
-        a statement read cached channels through that routing?
+    def routing_warmth(self, points, polygons: PolygonSet) -> tuple:
+        """Costing probe: ``(routed, prewarmed, recorded)`` — does the
+        session hold ``points`` routed over the canvas these polygons
+        derive, would a statement read cached channels through that
+        routing, and would it replay a recorded boundary join?  (The
+        last two are the exact kernel's alone.)
 
         Identity-keyed and hash-free (EXPLAIN calls it before the
         statement it explains runs); optimistic the same way the session's
         :meth:`~repro.cache.session.QuerySession.partition_warm` is.
         """
-        if self.session is None or (indexed and not self.kernel.exact):
-            return False
-        return self.session.partition_warm(points, routing_token(
-            self._make_canvas(polygons), self.max_resolution
-        ), indexed)
+        if self.session is None:
+            return False, False, False
+        routed, prewarmed, recorded = self.session.partition_warm(
+            points,
+            routing_token(self._make_canvas(polygons), self.max_resolution),
+            polygons, self.prepared_spec(), self.kernel.token,
+        )
+        exact = self.kernel.exact
+        return routed, prewarmed and exact, recorded and exact
 
     def footprint(
         self, points, polygons: PolygonSet, aggregate: Aggregate,

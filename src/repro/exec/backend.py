@@ -104,6 +104,9 @@ class TilePartial:
     ``unit_coverage``, the *per-polygon* outline pixels and coverage
     runs of the same build — the state that makes single-polygon edits
     incremental.
+    ``pairs`` is ``(key, batches)``, the tile's boundary join when this
+    task built the artifact's record of it (``repro.core.tiles.
+    _point_pass``), installed by the merge on the caller's side.
     ``payload`` is engine-specific (the bounded engine's per-tile FBO
     for §5 result intervals).  ``span`` is
     the tile task's finished trace subtree (plain picklable
@@ -122,6 +125,7 @@ class TilePartial:
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     saw_points: bool = False
     built: dict = field(default_factory=dict)
+    pairs: tuple | None = None
     payload: object = None
     span: object = None
     metrics: dict | None = None

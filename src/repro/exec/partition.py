@@ -49,12 +49,13 @@ once per tile by :func:`scan_tile`, one chunk alive at a time, so a
 stream larger than memory stays O(chunk) — the paper's own answer to a
 canvas larger than the framebuffer.
 
-A *prewarmed* routing additionally carries a pixel-sorted row index
-(:meth:`Routing.index_pixels`): per tile, which rows sit on each pixel.
-A statement over it reads its point framebuffers from the session's
-cache instead of scattering them and looks up only the rows on its
-polygon set's boundary pixels (:class:`CachedTile`;
-``docs/aggregate_pyramid.md`` has the bit-equality argument).
+A *prewarmed* routing (``Routing.prewarmed``) holds nothing more: a
+statement over it reads its point framebuffers from the session's cache
+instead of scattering them, and reads only the rows on its polygon
+set's boundary pixels, found by one gather of the boundary mask at the
+batch's pixels — or replayed from the artifact's record of the
+pairing's boundary join (``docs/aggregate_pyramid.md`` has the
+bit-equality argument).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ import numpy as np
 from repro.device.batching import plan_batches
 from repro.device.memory import ResidentPointSet
 from repro.exec import shm
-from repro.index.grid import ragged_positions
 
 
 def routing_token(canvas, max_resolution: int) -> tuple:
@@ -95,9 +95,8 @@ class Routing:
     is 0 and must be masked).  ``duplicates`` counts the seam nominations
     routing examined; ``resident`` says the source is device memory
     already (each tile's rows are one zero-transfer batch, no upload
-    plan to align with).  ``pixel_index`` is ``None`` until the pairing
-    is prewarmed (:meth:`index_pixels`) — its presence is the whole
-    "prewarmed" signal.
+    plan to align with).  ``prewarmed`` says a caller asked for the
+    pairing's statements to read cached channels (``prewarm``).
     """
 
     def __init__(self, order, bounds, pix, inside, duplicates: int,
@@ -114,58 +113,23 @@ class Routing:
         #: it back when the routing is dropped.
         self._exports: dict[str | None, shm.ShmChunk] = {}
         self._copied = 0
-        #: Per tile ``(rows, starts)``: the tile's on-tile positions
-        #: (relative to ``bounds[t]``) stably sorted by flat pixel, and
-        #: the ``num_pixels + 1`` offsets of each pixel's run in them.
-        self.pixel_index: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self.prewarmed = False
         self._lock = threading.Lock()  # concurrent queries share a routing
 
     @property
     def nbytes(self) -> int:
         """Bytes this record holds beyond the source's own columns."""
-        return self._copied + self.index_nbytes + sum(
+        return self._copied + sum(
             arr.nbytes for arr in (self.order, self.bounds, self.pix,
                                    self.inside) if arr is not None
         )
-
-    @property
-    def index_nbytes(self) -> int:
-        """Bytes of the pixel-sorted row index (0 unless prewarmed)."""
-        return sum(
-            rows.nbytes + starts.nbytes
-            for rows, starts in self.pixel_index or ()
-        )
-
-    def index_pixels(self, tiles) -> None:
-        """Prewarm: index every tile's rows by the pixel they sit on.
-
-        A stable sort, so a pixel's rows stay in source order; rows the
-        tile did not take are left out.  Polygon-independent, built once.
-        """
-        with self._lock:
-            if self.pixel_index is not None:
-                return
-            index = []
-            for idx, tile in enumerate(tiles):
-                cut = slice(int(self.bounds[idx]), int(self.bounds[idx + 1]))
-                pix = self.pix[cut]
-                rows = np.argsort(pix, kind="stable")
-                if self.inside is not None:
-                    rows = rows[self.inside[cut][rows]]
-                starts = np.zeros(tile.num_pixels + 1, dtype=np.int64)
-                np.cumsum(
-                    np.bincount(pix[rows], minlength=tile.num_pixels),
-                    out=starts[1:],
-                )
-                index.append((rows, starts))
-            self.pixel_index = index
 
     def ensure_columns(self, source, columns, shared: bool = False) -> None:
         """Make ``columns`` of ``source`` readable in routed order.
 
         A column is gathered at most once however many statements (and
-        column *sets*) read it.  With ``shared`` it — and the pixel
-        index — moves into a shared-memory segment of its own, which
+        column *sets*) read it.  With ``shared`` it — and the pixels —
+        moves into a shared-memory segment of its own, which
         resident workers map zero-copy; once shared, always shared.
         """
         with self._lock:
@@ -234,27 +198,6 @@ class Routing:
                 )).tolist()
         return edges
 
-    def cached_tiles(self, source, columns, device, fbo_bytes,
-                     channels) -> list["CachedTile"]:
-        """Every tile of this (prewarmed) routing as a statement that
-        reads ``channels[tile]`` instead of scattering consumes it.
-        Called before tile tasks are dispatched, like :meth:`per_tile`.
-        """
-        self.ensure_columns(source, columns)
-        out = []
-        for idx, (rows, starts) in enumerate(self.pixel_index):
-            edges = self._batch_edges(
-                idx, source, columns, device, fbo_bytes[idx]
-            )
-            cut = slice(edges[0], edges[-1])
-            out.append(CachedTile(
-                self, {name: self._columns[name][cut] for name in columns},
-                self.pix[cut], rows, starts,
-                np.asarray(edges[1:-1], dtype=np.int64) - edges[0],
-                channels[idx],
-            ))
-        return out
-
     def _batch(self, cut: slice, columns) -> "RoutedChunk":
         shared, exports = None, self._exports
         if all(key in exports for key in (None, *columns)):
@@ -294,37 +237,6 @@ class RoutedChunk:
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
-
-
-@dataclass(frozen=True)
-class CachedTile:
-    """One tile of a prewarmed routing, as the tile task consumes it.
-
-    ``channels`` are the statement's point framebuffers over *every* row
-    of the tile (flat, one per channel name, read-only: they are the
-    session's cached arrays), so nothing is scattered; ``rows`` /
-    ``starts`` are the tile's pixel index, ``columns`` its rows in routed
-    order, ``pix`` their flat pixels and ``cuts`` the positions where
-    the statement's device batches cut them — what :meth:`rows_on` needs
-    to hand the boundary stage the rows it would have met, batch by
-    batch."""
-
-    owner: Routing
-    columns: dict
-    pix: np.ndarray
-    rows: np.ndarray
-    starts: np.ndarray
-    cuts: np.ndarray
-    channels: dict
-
-    def rows_on(self, pixels: np.ndarray) -> list[np.ndarray]:
-        """The positions of the rows on ``pixels``, in source order, one
-        array per device batch — O(those rows), whatever the tile holds."""
-        begin = self.starts[pixels]
-        rows = np.sort(self.rows[
-            ragged_positions(begin, self.starts[pixels + 1] - begin)
-        ])
-        return np.split(rows, np.searchsorted(rows, self.cuts))
 
 
 def _tile_pixels(tile, xs: np.ndarray, ys: np.ndarray):

@@ -281,13 +281,13 @@ class QueryPlanner:
 
         The explicit opt-in to the ``pyramid-warm`` regime
         (``docs/aggregate_pyramid.md``): a dashboard calls this once
-        after registering its tables and pays the one-off O(points)
-        pixel sort here.  Every later exact statement over this point
-        table and any region table sharing the frame — whatever its
-        aggregate or filter — then reads its point framebuffers from the
-        session (each scattered once, on first need) and touches only
-        the rows on boundary pixels; the answer is bit for bit the one
-        it would have given without this call.
+        after registering its tables, and the points are routed here.
+        Every later exact statement over this point table and any region
+        table sharing the frame — whatever its aggregate or filter —
+        then reads its point framebuffers from the session (each
+        scattered once, on first need) and touches only the rows on
+        boundary pixels; the answer is bit for bit the one it would have
+        given without this call.
         """
         if point_table not in self._points:
             raise SqlError(f"unknown point table {point_table!r}")

@@ -67,6 +67,12 @@ def channels_of(session):
             if state.kind == "channel"]
 
 
+def records_nbytes(session):
+    """What ``pyramid_nbytes`` counts beyond the point LRU: the
+    artifacts' records of their boundary joins."""
+    return sum(entry.answers.pairs_nbytes for entry in session._entries.values())
+
+
 def same_bits(a, b):
     assert np.array_equal(a.values, b.values, equal_nan=True)
     assert set(a.channels) == set(b.channels)
@@ -133,8 +139,10 @@ class TestPrewarmedStatements:
         engine(session).prewarm(points, regions)
         assert len(session) == 0 and not channels_of(session)
         (state,) = session._point_cache.values()
-        assert state.value.pixel_index is not None
-        assert session.pyramid_nbytes == state.value.index_nbytes > 0
+        assert state.value.prewarmed
+        # A flag, no index: the routing is all a prewarm holds.
+        assert session.pyramid_nbytes == 0
+        assert session.partition_nbytes == state.nbytes
 
     @pytest.mark.parametrize("column", ["x", "fare", "hour"])
     def test_mutated_column_is_never_answered_from_a_stale_channel(
@@ -224,7 +232,8 @@ class TestChannelsInTheSessionLru:
             assert result.stats.extra["pyramid"] == "cold"
             assert result.stats.extra["partition"] == "on"
             assert not session._point_cache
-            assert session.pyramid_nbytes == session.partition_nbytes == 0
+            assert session.partition_nbytes == 0
+            assert session.pyramid_nbytes == records_nbytes(session) > 0
             same_bits(result, reference)
 
     def test_channels_that_would_evict_their_routing_are_not_built(
@@ -235,10 +244,8 @@ class TestChannelsInTheSessionLru:
         reference = engine(probe).execute(points, regions, Average("fare"))
         one, _ = channels_of(probe)
         session = QuerySession(store=False)
-        # Room for the indexed routing and one channel; AVG needs two.
-        session.PARTITION_BYTE_CAP = (
-            probe.partition_nbytes + probe.pyramid_nbytes - one.nbytes
-        )
+        # Room for the routing and one channel; AVG needs two.
+        session.PARTITION_BYTE_CAP = probe.partition_nbytes + one.nbytes
         eng = engine(session)
         eng.prewarm(points, regions)
         metrics.REGISTRY.reset()
@@ -264,9 +271,8 @@ class TestChannelsInTheSessionLru:
         assert len(channels_of(probe)) == 2
         routing_bytes = probe.partition_nbytes
         channel_bytes = channels_of(probe)[0].nbytes
-        # Room for the artifact, two indexed routings and three channels.
-        cap = (2 * (routing_bytes + probe.pyramid_nbytes)
-               - channel_bytes + 64)
+        # Room for the artifact, two routings and three channels.
+        cap = 2 * routing_bytes + 3 * channel_bytes + 64
         session = QuerySession(store=False, byte_budget=probe.nbytes + cap)
         eng = engine(session)
         other = PointDataset(
@@ -284,7 +290,8 @@ class TestChannelsInTheSessionLru:
             result = eng.execute(source, regions, Average("fare"))
             assert result.stats.extra["pyramid"] == "hit"
             same_bits(result, want[id(source)])
-            held = session.pyramid_nbytes + session.partition_nbytes
+            held = (session.pyramid_nbytes - records_nbytes(session)
+                    + session.partition_nbytes)
             assert held <= cap
             assert held == sum(
                 state.nbytes for state in session._point_cache.values()

@@ -438,9 +438,14 @@ class TestRoutingAwareCosting:
             }
 
         cold = cost()
-        assert not engine.routing_warmth(uniform_points, three_regions)
+        assert engine.routing_warmth(uniform_points, three_regions) == (
+            False, False, False
+        )
         engine.execute(uniform_points, three_regions)
-        assert engine.routing_warmth(uniform_points, three_regions)
+        # Routed, and the artifact recorded the boundary join.
+        assert engine.routing_warmth(uniform_points, three_regions) == (
+            True, False, True
+        )
         hits = session.partition_hits
         warm = cost()
         assert session.partition_hits == hits
@@ -449,11 +454,13 @@ class TestRoutingAwareCosting:
         # The bounded variant renders another canvas: still unrouted.
         assert warm["bounded"] == cold["bounded"]
         # Prewarmed, the statement reads cached channels: no scatter.
-        assert not engine.routing_warmth(uniform_points, three_regions,
-                                         indexed=True)
         engine.prewarm(uniform_points, three_regions)
-        assert engine.routing_warmth(uniform_points, three_regions,
-                                     indexed=True)
+        assert engine.routing_warmth(uniform_points, three_regions) == (
+            True, True, True
+        )
+        assert bounded.routing_warmth(uniform_points, three_regions) == (
+            False, False, False
+        )
         prewarmed = cost()
         assert session.partition_hits == hits + 1  # prewarm's own lookup
         assert prewarmed["accurate"] == pytest.approx(
@@ -461,9 +468,9 @@ class TestRoutingAwareCosting:
         )
         assert prewarmed["bounded"] == cold["bounded"]
         # Other points never read as routed.
-        assert not engine.routing_warmth(
+        assert not any(engine.routing_warmth(
             uniform_points.head(100), three_regions
-        )
+        ))
 
 
 class TestRegimes:

@@ -19,7 +19,9 @@ from repro import (
     PointDataset,
     Polygon,
     PolygonSet,
+    QuerySession,
 )
+from repro.obs import trace
 
 REQUIRED_KEYS = ("tiles", "backend", "workers")
 
@@ -172,3 +174,47 @@ class TestPoolReporting:
             engine.execute(points, polygons)
             assert engine.backend._pool is not None
         assert engine.backend._pool is None
+
+
+class TestBoundaryJoinRecord:
+    """Which tier answered the boundary join is on every exact
+    statement's stats and spans: ``extra["pairs"]`` names it (absent
+    when no record is kept), ``pip_tests`` counts the tests actually
+    run and each ``boundary-pip`` span carries ``recorded=``."""
+
+    @staticmethod
+    def _traced(engine, points, polygons):
+        tracer = trace.Tracer("query")
+        with trace.use(tracer):
+            result = engine.execute(points, polygons)
+        spans = tracer.close().find("boundary-pip")
+        assert spans
+        return result, {span.attrs["recorded"] for span in spans}
+
+    def test_a_pairing_joins_once_then_replays(self, workload):
+        points, polygons = workload
+        engine = AccurateRasterJoin(
+            resolution=128, session=QuerySession(store=False)
+        )
+        first, recorded = self._traced(engine, points, polygons)
+        assert first.stats.extra["pairs"] == "built"
+        assert first.stats.pip_tests > 0 and recorded == {False}
+        again, recorded = self._traced(engine, points, polygons)
+        assert again.stats.extra["pairs"] == "recorded"
+        assert again.stats.pip_tests == 0 and recorded == {True}
+        assert again.stats.boundary_points == first.stats.boundary_points
+        assert np.array_equal(again.values, first.values)
+
+    def test_paths_that_keep_no_record_say_nothing(self, workload):
+        points, polygons = workload
+        session = QuerySession(store=False)
+        sessionless = AccurateRasterJoin(resolution=128)
+        for result in (
+            sessionless.execute(points, polygons),
+            AccurateRasterJoin(resolution=128, session=session)
+            .execute_stream(lambda: iter([points]), polygons),
+            BoundedRasterJoin(resolution=128, session=session)
+            .execute(points, polygons),
+        ):
+            assert "pairs" not in result.stats.extra
+        assert sessionless.execute(points, polygons).stats.pip_tests > 0

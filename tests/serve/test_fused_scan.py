@@ -123,7 +123,14 @@ def assert_same_answer(result, solo) -> None:
     for name, channel in solo.channels.items():
         assert np.array_equal(result.channels[name], channel, equal_nan=True)
     for field in STAT_FIELDS:
-        assert getattr(result.stats, field) == getattr(solo.stats, field)
+        want = getattr(solo.stats, field)
+        if field == "pip_tests" and (
+            result.stats.extra.get("pairs") == "recorded"
+        ):
+            # The boundary join runs once per pairing: a statement that
+            # replays the artifact's record of it runs no PIP test.
+            want = 0
+        assert getattr(result.stats, field) == want
 
 
 def _assert_member_equals_solo(shared, solo, group_size: int) -> None:

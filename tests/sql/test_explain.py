@@ -125,10 +125,34 @@ class TestReport:
         else:
             assert stats.points_processed == n
             assert "pyramid_fallback_points" not in stats.extra
-        assert stats.pip_tests == plain.stats.pip_tests
+        # The plain statement ran the boundary join; this one replays it.
+        assert plain.stats.extra["pairs"] == "built"
+        assert plain.stats.pip_tests > 0
+        assert stats.extra["pairs"] == "recorded"
+        assert stats.pip_tests == 0
+        assert report.predicted["boundary_pip"] == 0.0
         assert np.array_equal(
             report.result.values, plain.values, equal_nan=True
         )
+
+    def test_a_recorded_pairing_is_priced_without_pip(
+        self, uniform_points, three_regions
+    ):
+        """The boundary join runs once per pairing: the first EXPLAIN
+        ANALYZE predicts and measures PIP tests, the second replays the
+        artifact's record and predicts and measures none."""
+        planner = QueryPlanner(session=QuerySession(store=False))
+        planner.register_points("taxi", uniform_points)
+        planner.register_regions("hoods", three_regions)
+        first = planner.execute("EXPLAIN ANALYZE " + QUERY)
+        assert first.predicted["boundary_pip"] > 0
+        assert first.result.stats.pip_tests > 0
+        assert first.result.stats.extra["pairs"] == "built"
+        second = planner.execute("EXPLAIN ANALYZE " + QUERY)
+        assert second.predicted["boundary_pip"] == 0.0
+        assert second.result.stats.pip_tests == 0
+        assert second.result.stats.extra["pairs"] == "recorded"
+        assert np.array_equal(second.result.values, first.result.values)
 
     def test_values_match_plain_execution(self, planner):
         explained = planner.execute("EXPLAIN ANALYZE " + QUERY)
