@@ -110,3 +110,32 @@ def test_fig8_cpu_baselines(benchmark, taxi, neighborhoods, n):
         "single-CPU cost must stay linear in N for the extrapolated "
         "speedup axis to be meaningful"
     )
+
+
+@pytest.mark.benchmark(group="fig8")
+def test_fig8_bounded_scales_best(taxi, neighborhoods):
+    """The expected shape at the largest N: the bounded join, whose point
+    pass is a histogram, answers faster than the accurate join — the
+    minimum of three in-memory runs each, the two engines alternating."""
+    points = taxi.head(SIZES[-1])
+    engines = [
+        BoundedRasterJoin(epsilon=EPSILON_M, device=GPUDevice()),
+        AccurateRasterJoin(resolution=1024, device=GPUDevice()),
+    ]
+    residents = [
+        engine.device.make_resident(
+            {name: points.column(name) for name in ("x", "y")}
+        )
+        for engine in engines
+    ]
+    best = dict.fromkeys((engine.name for engine in engines), float("inf"))
+    try:
+        for _ in range(3):
+            for engine, resident in zip(engines, residents):
+                seconds = engine.execute(resident, neighborhoods).stats.query_s
+                best[engine.name] = min(best[engine.name], seconds)
+    finally:
+        for resident in residents:
+            resident.free()
+    bounded, accurate = best.values()
+    assert bounded < accurate, best

@@ -28,6 +28,12 @@ from repro.errors import QueryError
 #: call per row.
 _SPLIT_SPAN = 4096
 
+#: A float32 channel summed in float64 is cut into pieces of runs that
+#: start in one block of this many values: ``reduceat`` casts all of
+#: what it is handed before reducing it, and a cast of a few MB stays in
+#: cache where one of the whole canvas faults in a fresh array.
+_CAST_BLOCK = 1 << 18
+
 
 def _reduce_runs(ufunc, kwargs, values, starts, ends):
     """``ufunc`` over each run ``values[starts[k]:ends[k]]``, the runs
@@ -37,13 +43,16 @@ def _reduce_runs(ufunc, kwargs, values, starts, ends):
     runs; every other result reduces the gap between two runs and is
     dropped.  A piece ends where the next run starts more than
     :data:`_SPLIT_SPAN` values past the furthest end so far, and its
-    call reads from its first start to one past its furthest end, so
-    the gaps between pieces — the uncovered canvas — are never read.
-    Each run is the same ufunc over the same elements in the same order
-    whatever piece it falls in, so the split keeps every result's bits.
-    ``reduceat`` rejects a bound equal to the length of what it reads:
-    only a run ending at ``len(values)`` meets one, and it collapses to
-    its start and is reduced on its own.
+    call reads to one past its furthest end, so the gaps between pieces
+    — the uncovered canvas — are never reduced.  A call that casts
+    (float32 values summed in float64) also reads from its first start
+    only, since ``reduceat`` casts all of its operand, and its pieces
+    are cut at every :data:`_CAST_BLOCK` boundary too.  Each run is the
+    same ufunc over the same elements in the same order whatever piece
+    it falls in, so the split keeps every result's bits.  ``reduceat``
+    rejects a bound equal to the length of what it reads: only a run
+    ending at ``len(values)`` meets one, and it collapses to its start
+    and is reduced on its own.
     """
     n = len(values)
     last = ends == n
@@ -60,10 +69,20 @@ def _reduce_runs(ufunc, kwargs, values, starts, ends):
         stops = np.append(gaps[cut], len(starts)).tolist()
         tops = np.minimum(np.append(reach[:-1][cut], reach[-1]) + 1,
                           n).tolist()
+    cast = len(starts) and values.dtype != kwargs.get("dtype", values.dtype)
+    if cast:
+        firsts = np.union1d(
+            [0, *stops[:-1]],
+            np.flatnonzero(np.diff(starts // _CAST_BLOCK)) + 1,
+        )
+        stops = [*firsts[1:].tolist(), len(starts)]
+        tops = np.minimum(np.maximum.reduceat(ends, firsts) + 1, n).tolist()
     pieces, first = [], 0
     for stop, top in zip(stops, tops):
+        piece = bounds[2 * first:2 * stop]
+        lo = int(piece[0]) if cast else 0
         pieces.append(ufunc.reduceat(
-            values[:top], bounds[2 * first:2 * stop], **kwargs
+            values[lo:top], piece - lo if lo else piece, **kwargs
         )[::2])
         first = stop
     out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)

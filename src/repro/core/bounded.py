@@ -18,7 +18,11 @@ same polygon set reuse them.  The engine is the one raster join
 (:class:`~repro.core.tiles.RasterJoinEngine`) under the kernel without a
 boundary stage — every point rasterizes and every fragment counts, into
 float32 channels like the paper's GL framebuffers — with only its canvas
-rule, the pixel diagonal and the §5 intervals its own.
+rule, the pixel diagonal and the §5 intervals its own.  Its point pass
+is a histogram: each fragment's value, rounded to float32 as the channel
+stores it, blends on numpy's fast ``ufunc.at`` loop
+(:meth:`~repro.graphics.fbo.FrameBuffer.scatter`), and a value beyond
+float32's range is ±inf.
 """
 
 from __future__ import annotations

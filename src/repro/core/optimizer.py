@@ -35,6 +35,7 @@ from repro.core.tiles import RasterJoinEngine
 from repro.data.dataset import PointDataset
 from repro.device.memory import GPUDevice
 from repro.geometry.polygon import PolygonSet, rectangle
+from repro.obs import trace
 
 
 @dataclass
@@ -147,7 +148,11 @@ def _calibrate(device: GPUDevice | None, probe_points: int = 20_000) -> CostMode
     bounded = BoundedRasterJoin(resolution=512, device=device)
     res_b = bounded.execute(points, polys)
     accurate = AccurateRasterJoin(resolution=512, device=device)
-    res_a = accurate.execute(points, polys)
+    # The boundary PIP is priced by its own spans: the two probes'
+    # difference also holds everything else the kernels do differently.
+    with trace.use(trace.Tracer("calibrate")) as tracer:
+        res_a = accurate.execute(points, polys)
+    pip_s = sum(s.duration_s for s in tracer.root.find("boundary-pip"))
 
     canvas_pixels = 512 * 512
     covered = canvas_pixels * 0.36  # 9 boxes of 20x20 over 100x100
@@ -161,7 +166,7 @@ def _calibrate(device: GPUDevice | None, probe_points: int = 20_000) -> CostMode
     per_point = max(point_s / probe_points, 1e-12)
     per_pixel = max(polygon_s / covered, 1e-12)
     boundary_pts = max(res_a.stats.boundary_points, 1)
-    pip_time = max(res_a.stats.processing_s - res_b.stats.processing_s, 1e-9)
+    pip_time = max(pip_s, 1e-9)
     probe_vertices = sum(p.num_vertices for p in polys)
     return CostModel(
         per_point_render=per_point,

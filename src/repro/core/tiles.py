@@ -686,7 +686,7 @@ def _route_batch(
     the tile took on a boundary pixel, its filter applied to the
     matches; otherwise it reads the kept rows alone.  Without a mask
     (the bounded join) everything kept rasterizes.  Values are cast to
-    the FBO's dtype by the additive blend, as 32-bit GL channels would.
+    the FBO's dtype by the blend, as 32-bit GL channels would.
     """
     aggregate = member.aggregate
     rows = None  # the rows that rasterize; None: the batch as it is

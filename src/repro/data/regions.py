@@ -193,7 +193,10 @@ def generate_voronoi_regions(
     if n < 1:
         raise GeometryError(f"need at least one region, got {n}")
     rng = np.random.default_rng(seed)
-    for attempt in range(8):
+    # A small ``n`` gets stuck in a merge on about a third of its
+    # attempts; all 64 failing is practically impossible.  A seed draws
+    # the polygons of its first attempt that succeeds.
+    for attempt in range(64):
         sites = np.column_stack(
             [
                 rng.uniform(extent.xmin, extent.xmax, cells_per_region * n),
@@ -207,7 +210,7 @@ def generate_voronoi_regions(
             return PolygonSet(polygons)
         except GeometryError:
             continue
-    raise GeometryError(f"failed to generate {n} regions after 8 attempts")
+    raise GeometryError(f"failed to generate {n} regions after 64 attempts")
 
 
 #: NYC-like extent in meters (a local planar frame ~45 km x 40 km, the

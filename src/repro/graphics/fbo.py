@@ -5,12 +5,16 @@ The paper repurposes FBO color channels as accumulators: drawing a point
 instead of overwriting them, so after the point pass each pixel holds the
 partial aggregate (count, sum of an attribute, ...) of the points it
 contains.  :class:`FrameBuffer` reproduces that contract with named channel
-arrays and ``accumulate`` as the blend operation.
+arrays and one blend operation, :meth:`FrameBuffer.scatter`.
 
 Channels default to ``float32`` to match the 32-bit GL color channels the
 paper uses; reductions over channels are always performed in float64 by the
 callers so large aggregates do not lose precision while the per-pixel
-storage stays faithful to the hardware.
+storage stays faithful to the hardware.  Every fragment value is rounded
+to the channel's dtype before it blends — as a GL channel stores it, and
+the one operand type numpy's fast ``ufunc.at`` loop accepts: an operand
+of any other dtype (a Python ``1.0``, a float64 column) drops a float32
+channel onto a generic loop 20–40x slower per fragment.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.errors import ResolutionError
+
+_BLENDS = {"add": np.add.at, "min": np.minimum.at, "max": np.maximum.at}
 
 
 class FrameBuffer:
@@ -42,13 +48,6 @@ class FrameBuffer:
         #: never — :meth:`scatter` lets ``np.bincount`` build it.
         self._channels: dict[str, np.ndarray | None] = dict.fromkeys(channels)
 
-    # ------------------------------------------------------------------
-    # Channel access
-    # ------------------------------------------------------------------
-    @property
-    def channel_names(self) -> tuple[str, ...]:
-        return tuple(self._channels)
-
     def channel(self, name: str) -> np.ndarray:
         """The raw ``(height, width)`` array backing a channel."""
         arr = self._channels[name]
@@ -57,36 +56,6 @@ class FrameBuffer:
                 (self.height, self.width), dtype=self.dtype
             )
         return arr
-
-    def clear(self) -> None:
-        """Reset every channel to zero (glClear with a zero clear color)."""
-        for arr in self._channels.values():
-            if arr is not None:
-                arr.fill(0)
-
-    # ------------------------------------------------------------------
-    # Blending
-    # ------------------------------------------------------------------
-    def accumulate(
-        self,
-        ix: np.ndarray,
-        iy: np.ndarray,
-        values: Mapping[str, np.ndarray | float] | None = None,
-    ) -> None:
-        """Additive blend of fragments into the FBO.
-
-        ``ix``/``iy`` are fragment pixel coordinates (already clipped to the
-        viewport).  With ``values=None`` the ``count`` channel is
-        incremented by one per fragment; otherwise each named channel is
-        incremented by the matching per-fragment value.  Duplicate fragment
-        coordinates accumulate (``np.add.at``), which is precisely the
-        additive blend-function semantics of the paper's DrawPoints; an
-        ``ix`` past the row's end raises (:meth:`scatter` would wrap it).
-        """
-        for name, vals in ({"count": 1} if values is None else values).items():
-            if not np.isscalar(vals):
-                vals = np.asarray(vals, dtype=self.dtype)
-            np.add.at(self.channel(name), (iy, ix), vals)
 
     def scatter(
         self,
@@ -99,6 +68,17 @@ class FrameBuffer:
         channel's flat view), under ``blend`` — ``"add"``, ``"min"`` or
         ``"max"``.
 
+        **The operand has the channel's dtype.**  Each value — scalar or
+        array — is cast to it before the blend, so ``ufunc.at`` always
+        runs its fast loop; a float32 channel handed a Python float or a
+        float64 column falls to a generic loop 20–40x slower.  The cast
+        changes no bits: an addition into a float32 channel rounds its
+        operand to float32 anyway, and float64 → float32 rounding is
+        monotone, so ``max(a, round32(v)) == round32(max(a, v))`` for a
+        float32 ``a`` (likewise ``min``; NaN and ±inf included).  A value
+        beyond the channel's range becomes ±inf, and a sum that outgrows
+        it saturates to ±inf, silently, as a GL channel would.
+
         A float64 additive channel nothing has touched is built by
         ``np.bincount`` instead: from zeros it performs exactly those
         float64 adds in exactly that order, so the bits are
@@ -109,45 +89,21 @@ class FrameBuffer:
         """
         if len(pix) == 0:
             return  # (and bincount of nothing is not even a float array)
+        at = _BLENDS[blend]
         for name, vals in values.items():
-            if blend != "add":
-                at = np.minimum.at if blend == "min" else np.maximum.at
-                # A NaN value poisons its pixel by design; comparing it
-                # is not an error (the 1-D loop would flag it).
-                with np.errstate(invalid="ignore"):
-                    at(self.channel(name).reshape(-1), pix, vals)
-            elif (
-                self._channels[name] is None and not np.isscalar(vals)
-                and self.dtype == np.float64
+            if (
+                blend == "add" and self._channels[name] is None
+                and not np.isscalar(vals) and self.dtype == np.float64
             ):
                 self._channels[name] = np.bincount(
                     pix, weights=vals, minlength=self.width * self.height
                 ).reshape(self.height, self.width)
-            else:
-                if not np.isscalar(vals):
-                    vals = np.asarray(vals, dtype=self.dtype)
-                # +inf meeting -inf on a pixel is NaN, the answer.
-                with np.errstate(invalid="ignore"):
-                    np.add.at(self.channel(name).reshape(-1), pix, vals)
-
-    def write(self, ix: np.ndarray, iy: np.ndarray, name: str, value: float) -> None:
-        """Overwrite (no blending) — used for boundary-mask rendering."""
-        self.channel(name)[iy, ix] = value
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def total(self, name: str) -> float:
-        """Sum of a whole channel, reduced in float64."""
-        return float(np.sum(self.channel(name), dtype=np.float64))
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the channels, allocated yet or not."""
-        return (
-            len(self._channels) * self.width * self.height
-            * self.dtype.itemsize
-        )
+                continue
+            # A NaN value poisons its pixel by design, and +inf meeting
+            # -inf on a pixel is NaN, the answer: neither is an error.
+            with np.errstate(over="ignore", invalid="ignore"):
+                at(self.channel(name).reshape(-1), pix,
+                   np.asarray(vals, dtype=self.dtype))
 
     def __repr__(self) -> str:
         return (

@@ -116,6 +116,20 @@ class TestAggregates:
             assert approx_min.values[pid] <= fare[inside].min() + 1e-5
             assert approx_max.values[pid] >= fare[inside].max() - 1e-5
 
+    @pytest.mark.filterwarnings("error")
+    def test_values_beyond_float32_are_inf_without_a_warning(self):
+        """A float32 channel stores 1e39 as +inf (and -1e39 as -inf), as
+        a GL channel would: Sum / Max answer +inf where it lands, Min
+        -inf, and nothing warns."""
+        square = PolygonSet([Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])])
+        xs = np.asarray([2.0, 5.0, 7.0, 8.0])
+        points = PointDataset(xs, xs, {"v": np.asarray([1.0, 1e39, -1e39, 2.0])})
+        engine = BoundedRasterJoin(resolution=64)
+        assert engine.execute(points, square, Max("v")).values[0] == np.inf
+        assert engine.execute(points, square, Min("v")).values[0] == -np.inf
+        sums = PointDataset(xs[:2], xs[:2], {"v": np.asarray([1.0, 1e39])})
+        assert engine.execute(sums, square, Sum("v")).values[0] == np.inf
+
 
 class TestFilters:
     def test_filtered_counts(self, uniform_points, three_regions):

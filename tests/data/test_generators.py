@@ -116,6 +116,15 @@ class TestVoronoiRegions:
             np.array_equal(pa.exterior, pb.exterior) for pa, pb in zip(a, b)
         )
 
+    @pytest.mark.parametrize("seed", [1235, 2825, 26171770])
+    def test_seeds_stuck_in_many_merges_still_generate(self, seed):
+        """Four regions get stuck in a merge on about a third of the
+        attempts; these seeds draw more than eight stuck ones in a row."""
+        extent = BBox(0, 0, 100, 100)
+        regions = generate_voronoi_regions(4, extent, seed=seed)
+        assert len(regions) == 4
+        assert abs(sum(p.area for p in regions) - extent.area) < 1e-6 * extent.area
+
     def test_invalid_count(self):
         with pytest.raises(GeometryError):
             generate_voronoi_regions(0, BBox(0, 0, 10, 10))

@@ -1,5 +1,8 @@
 """Unit tests for the framebuffer object."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ class TestConstruction:
     def test_channels_allocated(self):
         fbo = FrameBuffer(8, 4, channels=("count", "sum"))
         assert fbo.channel("count").shape == (4, 8)
-        assert fbo.channel_names == ("count", "sum")
+        assert fbo.channel("sum").shape == (4, 8)
 
     def test_default_dtype_float32(self):
         """32-bit channels match the GL color channels of the paper."""
@@ -24,51 +27,82 @@ class TestConstruction:
 
 
 class TestBlending:
-    def test_accumulate_counts_duplicates(self):
-        """np.add.at semantics: repeated fragments at one pixel all land."""
+    def test_scatter_counts_duplicates(self):
+        """ufunc.at semantics: repeated fragments at one pixel all land."""
         fbo = FrameBuffer(4, 4)
-        ix = np.asarray([1, 1, 1, 2])
-        iy = np.asarray([2, 2, 2, 3])
-        fbo.accumulate(ix, iy)
+        fbo.scatter(np.asarray([9, 9, 9, 14]), {"count": 1.0})
         assert fbo.channel("count")[2, 1] == 3
         assert fbo.channel("count")[3, 2] == 1
 
-    def test_accumulate_values(self):
-        fbo = FrameBuffer(4, 4, channels=("count", "sum"))
-        ix = np.asarray([0, 0])
-        iy = np.asarray([0, 0])
-        fbo.accumulate(ix, iy, {"count": 1.0, "sum": np.asarray([2.5, 3.5])})
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter_values(self, dtype):
+        fbo = FrameBuffer(4, 4, channels=("count", "sum"), dtype=dtype)
+        fbo.scatter(np.asarray([0, 0]),
+                    {"count": 1.0, "sum": np.asarray([2.5, 3.5])})
         assert fbo.channel("count")[0, 0] == 2
         assert fbo.channel("sum")[0, 0] == 6.0
+        assert fbo.channel("sum").dtype == dtype
 
-    def test_accumulate_rejects_a_pixel_past_the_row_end(self):
-        """An unclipped ``ix == width`` raises; it must never blend into
-        the next row's first pixel."""
+    def test_scatter_rejects_a_pixel_past_the_end(self):
         fbo = FrameBuffer(4, 4)
         with pytest.raises(IndexError):
-            fbo.accumulate(np.asarray([4]), np.asarray([0]))
-        assert fbo.total("count") == 0.0
+            fbo.scatter(np.asarray([16]), {"count": 1.0})
 
-    def test_clear(self):
-        fbo = FrameBuffer(4, 4)
-        fbo.accumulate(np.asarray([1]), np.asarray([1]))
-        fbo.clear()
-        assert fbo.total("count") == 0.0
+    @pytest.mark.parametrize("blend", ["add", "min", "max"])
+    def test_beyond_float32_range_is_inf_silently(self, blend):
+        """A value past float32's range blends as ±inf into a float32
+        channel, with no warning, as a GL channel would."""
+        identity = {"add": 0.0, "min": np.inf, "max": -np.inf}[blend]
+        fbo = FrameBuffer(2, 1, channels=("v",))
+        fbo.channel("v").fill(identity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fbo.scatter(np.asarray([0, 1]), {"v": np.asarray([1e39, -1e39])},
+                        blend)
+        assert fbo.channel("v").ravel().tolist() == [np.inf, -np.inf]
 
-    def test_write_overwrites(self):
-        fbo = FrameBuffer(4, 4, channels=("mask",))
-        fbo.write(np.asarray([1, 2]), np.asarray([1, 2]), "mask", 7.0)
-        fbo.write(np.asarray([1]), np.asarray([1]), "mask", 9.0)
-        assert fbo.channel("mask")[1, 1] == 9.0
+    def test_float32_sum_saturates_silently(self):
+        """Finite float32 fragments whose sum outgrows the range."""
+        big = float(np.finfo(np.float32).max)
+        fbo = FrameBuffer(1, 1, channels=("v",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fbo.scatter(np.asarray([0, 0]), {"v": np.asarray([big, big])})
+        assert fbo.channel("v")[0, 0] == np.inf
 
 
-class TestReads:
-    def test_total_reduces_in_float64(self):
-        """Summing many float32 ones must not saturate."""
-        fbo = FrameBuffer(256, 256)
-        fbo.channel("count")[:] = 1.0
-        assert fbo.total("count") == 256 * 256
+def _best_ms(*calls, repeats: int = 5) -> list[float]:
+    """Each call's best time in ms over ``repeats`` rounds, the calls
+    alternating within a round so a slow stretch of the host hits all."""
+    best = [np.inf] * len(calls)
+    for _ in range(repeats):
+        for k, call in enumerate(calls):
+            start = time.perf_counter()
+            call()
+            best[k] = min(best[k], (time.perf_counter() - start) * 1e3)
+    return best
 
-    def test_nbytes(self):
-        fbo = FrameBuffer(16, 16, channels=("a", "b"))
-        assert fbo.nbytes == 2 * 16 * 16 * 4
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["add scalar", "add array", "min", "max"])
+def test_scatter_runs_the_fast_ufunc_at_loop(case, dtype):
+    """``scatter`` casts its operand to the channel's dtype, so it costs
+    what a ``ufunc.at`` handed an operand of that dtype costs.  A float32
+    channel given a Python float or a float64 column runs numpy's generic
+    loop, 20–40x slower; 4x leaves room for the cast and for noise."""
+    rng = np.random.default_rng(0)
+    side, n = 400, 160_000
+    pix = rng.integers(0, side * side, n)
+    column = rng.normal(0.0, 1e3, n)
+    blend = case.split()[0]
+    value = 1.0 if case == "add scalar" else column
+    at = {"add": np.add.at, "min": np.minimum.at, "max": np.maximum.at}[blend]
+    operand = np.asarray(value, dtype=dtype)
+    fbo = FrameBuffer(side, side, channels=("v",), dtype=dtype)
+    reference = np.zeros(side * side, dtype=dtype)
+    fbo.scatter(pix, {"v": value}, blend)  # build the channel, warm up
+    ref_ms, got_ms = _best_ms(
+        lambda: at(reference, pix, operand),
+        lambda: fbo.scatter(pix, {"v": value}, blend),
+    )
+    assert got_ms < 4 * ref_ms, (got_ms, ref_ms)

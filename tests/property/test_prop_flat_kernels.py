@@ -14,12 +14,14 @@
   *overlapping* polygons, where a shared pixel counts for both;
 * the flat scatter is *bit-for-bit* the 2-D ``ufunc.at`` blend it
   replaced — ``np.bincount`` into an untouched float64 channel included —
-  on weights holding NaN, ±inf and −0.0 and on heavily duplicated pixels.
+  on weights holding NaN, ±inf and −0.0, float64 values a float32
+  channel must round, values beyond float32's range, and on heavily
+  duplicated pixels.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -121,6 +123,8 @@ def _tricky_points(polygons: PolygonSet, rng) -> tuple[np.ndarray, np.ndarray]:
     st.sampled_from([1, 7, 64, 1024]),
     st.sampled_from([1 << 20, 64]),
 )
+# A seed whose four Voronoi regions take more than eight site draws.
+@example(seed=26171770, resolution=1, budget=1 << 20)
 @settings(max_examples=25, deadline=None)
 def test_pair_predicate_is_contains_points(seed, resolution, budget):
     polygons = _polygon_zoo(seed)
@@ -264,13 +268,30 @@ def test_polygon_pass_counts_shared_pixels_for_both_polygons():
 @st.composite
 def fragments(draw):
     """Fragments over a small canvas — few pixels, so most are hit many
-    times — whose weights mix finite values with NaN, ±inf and −0.0."""
+    times — whose weights mix finite values with NaN, ±inf and −0.0,
+    with float64 values between two float32 neighbours (a quarter, half
+    or three quarters of the way: a float32 channel rounds them, ties
+    included), and with values beyond ±float32 max (those within half
+    an ulp of it round to it, the rest to ±inf)."""
     seed = draw(st.integers(0, 2**31 - 1))
     width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     n = draw(st.integers(0, 400))
     rng = np.random.default_rng(seed)
     pix = rng.integers(0, width * height, n)
     weights = rng.normal(0.0, 1e3, n)
+    between = rng.uniform(0.0, 1.0, n) < draw(st.sampled_from([0.0, 0.5]))
+    below = weights.astype(np.float32)
+    above = np.nextafter(below, np.float32(np.inf))
+    weights[between] = (below + rng.choice([0.25, 0.5, 0.75], n)
+                        * (above.astype(np.float64) - below))[between]
+    beyond = rng.uniform(0.0, 1.0, n) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    f32max = float(np.finfo(np.float32).max)
+    magnitude = np.where(
+        rng.uniform(0.0, 1.0, n) < 0.5,
+        f32max * (1.0 + rng.uniform(0.0, 2.0**-23, n)),
+        rng.uniform(1e39, 1e40, n),
+    )
+    weights[beyond] = (rng.choice([-1.0, 1.0], n) * magnitude)[beyond]
     for special in (np.nan, np.inf, -np.inf, -0.0, 0.0):
         share = draw(st.sampled_from([0.0, 0.05, 0.5]))
         weights[rng.uniform(0.0, 1.0, n) < share] = special

@@ -14,12 +14,14 @@ single call it replaces, it must not warn.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Max, Min, Sum
+from repro.core import aggregates
 from repro.core.aggregates import _SPLIT_SPAN
 
 AGGREGATES = [Sum("v"), Min("v"), Max("v")]
@@ -86,14 +88,14 @@ def run_tables(draw):
 
 @st.composite
 def channels(draw, n):
-    """A float64 channel of ``n`` values with ±inf, NaN and -0.0 mixed
-    in at drawn shares."""
+    """A float64 or float32 channel of ``n`` values with ±inf, NaN and
+    -0.0 mixed in at drawn shares."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     values = rng.normal(0.0, 1e3, n)
     for special in (np.inf, -np.inf, np.nan, -0.0, 0.0):
         share = draw(st.sampled_from([0.0, 0.01, 0.3]))
         values[rng.uniform(0.0, 1.0, n) < share] = special
-    return values
+    return values.astype(draw(st.sampled_from([np.float64, np.float32])))
 
 
 def bits(array):
@@ -105,8 +107,12 @@ def bits(array):
 def test_split_reduction_is_the_single_call(data):
     starts, ends, n = data.draw(run_tables())
     values = data.draw(channels(n))
+    # A float32 channel's sums are also cut at every block boundary;
+    # small blocks cut these small tables, inside runs and gaps alike.
+    block = data.draw(st.sampled_from([1, 7, 64, aggregates._CAST_BLOCK]))
     for aggregate in AGGREGATES:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), \
+                mock.patch.object(aggregates, "_CAST_BLOCK", block):
             warnings.simplefilter("error", RuntimeWarning)
             got = aggregate.reduce_segments(values, starts, ends)
         want = single_call(aggregate, values, starts, ends)
