@@ -576,14 +576,24 @@ class PreparedPolygons:
 
     def mark_composed(self, tile_idx: int, boundary=None, coverage=None,
                       candidates=None, unit_boundary=None,
-                      unit_coverage=None, near=None) -> None:
+                      unit_coverage=None, near=None,
+                      base_views=False) -> None:
         """Install what a tile task built (parent side of the merge):
         composed per-tile views, as ``unit_boundary`` / ``unit_coverage``
         freshly rasterized per-polygon outline pixels (``{pid: (ix,
         iy)}``) and coverage runs (``{pid: runs}``), and a patched
-        tile's ``near`` (:meth:`patch_tile`)."""
-        if near is not None and self.delta is not None:
-            self.delta.near.setdefault(tile_idx, near)
+        tile's ``near`` (:meth:`patch_tile`).  ``base_views`` marks a
+        delta's tile its edit's window missed: the views are the base's
+        own objects, installed from this side's base, so a task in
+        another process never leaves the session a second copy."""
+        delta = self.delta
+        if near is not None and delta is not None:
+            delta.near.setdefault(tile_idx, near)
+        if base_views and delta is not None and delta.base is not None:
+            base = delta.base
+            boundary = base.boundary_masks.get(tile_idx)
+            coverage = base.coverage.get(tile_idx)
+            candidates = base.candidates.get(tile_idx)
         for field, slices in (("boundary", unit_boundary),
                               ("coverage", unit_coverage)):
             for pid, value in (slices or {}).items():

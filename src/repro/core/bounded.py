@@ -22,7 +22,9 @@ rule, the pixel diagonal and the §5 intervals its own.  Its point pass
 is a histogram: each fragment's value, rounded to float32 as the channel
 stores it, blends on numpy's fast ``ufunc.at`` loop
 (:meth:`~repro.graphics.fbo.FrameBuffer.scatter`), and a value beyond
-float32's range is ±inf.
+float32's range is ±inf.  The §5 intervals read what the statement
+rendered — each tile's point framebuffer and the run table its polygon
+pass reduced — plus one batched outline pass (:mod:`repro.core.bounds`).
 """
 
 from __future__ import annotations
@@ -118,12 +120,12 @@ class BoundedRasterJoin(RasterJoinEngine):
         stats: ExecutionStats,
     ) -> ResultIntervals:
         """§5: per-polygon result intervals off the kept point
-        framebuffers."""
+        framebuffers and the run tables their polygon pass read."""
         start = time.perf_counter()
         with trace.span("bounds"):
             intervals = estimate_result_intervals(
-                run.payloads, member.polygons, member.prepared.triangles,
-                values, member.aggregate,
+                run.payloads, member.prepared, member.polygons, values,
+                member.aggregate,
             )
         stats.extra["bounds_s"] = time.perf_counter() - start
         return intervals

@@ -9,6 +9,18 @@ are uniformly distributed inside each (tiny) boundary pixel, scaling each
 pixel's total by its pixel∩polygon area fraction gives a much tighter
 expected interval.
 
+The classification reads the statement's own raster: per tile, the run
+table the polygon pass reduced (the bounded kernel's is untrimmed, so it
+is every polygon's coverage) and one batched outline pass.  A polygon's
+outline pixel inside its runs is a false-positive candidate; one outside
+them is a false negative when a triangle of the polygon overlaps it (the
+conservative raster's closed test, run on those pairs only — the
+outline's corner probes reach a pixel a ring only grazes within rounding,
+which no triangle touches).  The area fractions of all (pixel, polygon)
+pairs are one batched clip (:func:`~repro.geometry.clip.
+pixel_coverage_fraction`).  A pixel no point fell in adds nothing to any
+bound and is dropped first.
+
 Note on the paper's formulas: §5 prints both ε⁺ and ε⁻ with the factor
 ``f`` (the fraction of the pixel *inside* the polygon).  For a false-
 positive pixel the whole total was counted but only ``f`` of it is expected
@@ -23,63 +35,116 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cache.prepared import PreparedPolygons, TileCoverage
 from repro.core.aggregates import Aggregate
 from repro.geometry.clip import pixel_coverage_fraction
 from repro.geometry.polygon import PolygonSet
-from repro.graphics.conservative import conservative_triangle_pixels
+from repro.graphics.conservative import conservative_overlaps
 from repro.graphics.fbo import FrameBuffer
-from repro.graphics.raster_line import outline_pixels
-from repro.graphics.raster_triangle import triangle_coverage_mask
+from repro.graphics.raster_batch import bin_polygons_to_tile, flatten_triangles
+from repro.graphics.raster_line import outline_pixels_many
 from repro.graphics.viewport import Viewport
+from repro.index.grid import ragged_positions
 from repro.types import ResultIntervals
 
 
-def _polygon_pixel_sets(
+def _in_runs(coverage: TileCoverage, key: np.ndarray, span: int) -> np.ndarray:
+    """Whether each ``pid * span + flat pixel`` key lies in that
+    polygon's runs: one search over the table's runs keyed the same way
+    (ascending — polygon order, each polygon's by ``lo``)."""
+    if not len(coverage.runs):
+        return np.zeros(len(key), dtype=bool)
+    owner = np.repeat(coverage.pids, np.diff(
+        coverage.starts, append=len(coverage.runs)
+    )) * span
+    # The running maximum keeps the test exact if a polygon's runs
+    # overlapped (overlapping triangles).
+    hi = np.maximum.accumulate(owner + coverage.runs[:, 1])
+    at = np.searchsorted(owner + coverage.runs[:, 0], key, "right") - 1
+    return (at >= 0) & (key < hi[at])
+
+
+def _pairs(
+    tile: Viewport, soup, pid: np.ndarray, ix: np.ndarray, iy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(candidate, triangle)`` index pairs: each candidate pixel with
+    its polygon's triangles whose pixel box, grown by one pixel against
+    rounding, holds it — triangle by triangle, ascending.  The
+    candidates are sorted by ``(pid, ix, iy)``, so a triangle's columns
+    are one search range; its rows filter that range."""
+    key = pid * tile.num_pixels + ix * tile.height + iy
+    sx, sy = tile.to_screen(soup.verts[..., 0], soup.verts[..., 1])
+    # Columns clamped to the tile: a range stays within its polygon.
+    x0, x1 = (np.clip(np.floor(sx.min(axis=1)) - 1, 0, tile.width),
+              np.clip(np.floor(sx.max(axis=1)) + 2, 0, tile.width))
+    band = soup.tri_pid * tile.num_pixels
+    first = np.searchsorted(key, band + x0 * tile.height)
+    count = np.searchsorted(key, band + x1 * tile.height) - first
+    cand = ragged_positions(first, count)
+    tri = np.repeat(np.arange(len(first)), count)
+    near = np.flatnonzero(
+        (iy[cand] >= np.floor(sy.min(axis=1))[tri] - 1)
+        & (iy[cand] <= np.floor(sy.max(axis=1))[tri] + 1)
+    )
+    return cand[near], tri[near]
+
+
+def _tile_sums(
     tile: Viewport,
-    triangles: Sequence[np.ndarray],
-    rings: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary-pixel classification for one polygon on one tile.
+    grid: np.ndarray,
+    coverage: TileCoverage,
+    prepared: PreparedPolygons,
+    polygons: PolygonSet,
+) -> tuple[np.ndarray, ...]:
+    """One tile's boundary pixels: ``(pid, totals, fp, fn, f)`` over
+    every (outline pixel, polygon) pair holding a nonzero total."""
+    hit = np.flatnonzero(bin_polygons_to_tile(tile, prepared.mbr_arrays))
+    outlines = outline_pixels_many(
+        tile, {pid: polygons[pid].rings for pid in hit.tolist()}
+    )
+    pixels = list(outlines.values())
+    pid = np.repeat(hit, [len(ix) for ix, _ in pixels])
+    ix = np.concatenate([np.zeros(0, np.int64)] + [ix for ix, _ in pixels])
+    iy = np.concatenate([np.zeros(0, np.int64)] + [iy for _, iy in pixels])
+    totals = grid[iy, ix].astype(np.float64)
+    keep = np.flatnonzero(totals)
+    pid, ix, iy, totals = pid[keep], ix[keep], iy[keep], totals[keep]
 
-    Returns ``(fp_ix, fp_iy, fn_ix, fn_iy)``: the false-positive candidate
-    pixels (covered by regular rasterization and crossed by the outline)
-    and the false-negative candidates (crossed or overlapped but not
-    covered).
-    """
-    out_ix, out_iy = outline_pixels(tile, rings)
-    if len(out_ix) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty
-
-    covered = np.zeros((tile.height, tile.width), dtype=bool)
-    overlapped = np.zeros((tile.height, tile.width), dtype=bool)
-    for tri in triangles:
-        x0, y0, mask = triangle_coverage_mask(tile, tri)
-        if mask.size:
-            covered[y0:y0 + mask.shape[0], x0:x0 + mask.shape[1]] |= mask
-        x0, y0, cmask = conservative_triangle_pixels(tile, tri)
-        if cmask.size:
-            overlapped[y0:y0 + cmask.shape[0], x0:x0 + cmask.shape[1]] |= cmask
-
-    on_cover = covered[out_iy, out_ix]
-    fp_ix, fp_iy = out_ix[on_cover], out_iy[on_cover]
-    miss = ~on_cover & overlapped[out_iy, out_ix]
-    fn_ix, fn_iy = out_ix[miss], out_iy[miss]
-    return fp_ix, fp_iy, fn_ix, fn_iy
+    fp = _in_runs(coverage, pid * tile.num_pixels + iy * tile.width + ix,
+                  tile.num_pixels)
+    soup = flatten_triangles(
+        {p: prepared.triangles[p] for p in np.unique(pid).tolist()}
+    )
+    cand, tri = _pairs(tile, soup, pid, ix, iy)
+    # Only pairs that touch (the conservative raster's closed test) can
+    # share area, and a pixel its polygon's triangles do not touch is no
+    # false negative: what the outline's corner probes add.
+    touch = np.flatnonzero(conservative_overlaps(
+        tile, soup.verts, tri, ix[cand], iy[cand]
+    ))
+    cand, tri = cand[touch], tri[touch]
+    overlapped = np.zeros(len(pid), dtype=bool)
+    overlapped[cand] = True
+    f = pixel_coverage_fraction(
+        soup.verts, tile.pixel_rects(ix, iy), (cand, tri)
+    )
+    return pid, totals, fp, ~fp & overlapped, f
 
 
 def estimate_result_intervals(
-    tiles_and_fbos: Sequence[tuple[Viewport, FrameBuffer]],
+    payloads: Sequence[tuple[TileCoverage, FrameBuffer]],
+    prepared: PreparedPolygons,
     polygons: PolygonSet,
-    triangles: Sequence[Sequence[np.ndarray]],
     values: np.ndarray,
     aggregate: Aggregate,
 ) -> ResultIntervals:
     """Per-polygon result intervals from boundary-pixel analysis.
 
-    Only a single additive channel (``Count``, ``Sum``) has boundary-pixel
-    totals that bound the answer; the bounded join refuses any other
-    aggregate before its tile loop runs.
+    ``payloads`` are the tile loop's, one ``(run table, point
+    framebuffer)`` per tile of ``prepared`` in tile order.  Only a single
+    additive channel (``Count``, ``Sum``) has boundary-pixel totals that
+    bound the answer; the bounded join refuses any other aggregate
+    before its tile loop runs.
     """
     n = len(polygons)
     over_loose = np.zeros(n, dtype=np.float64)   # Σ_{P+} F
@@ -88,31 +153,16 @@ def estimate_result_intervals(
     under_expected = np.zeros(n, dtype=np.float64)  # Σ_{P-} f F
 
     (channel,) = aggregate.channels
-    for tile, fbo in tiles_and_fbos:
-        grid = fbo.channel(channel)
-        for pid, polygon in enumerate(polygons):
-            if not polygon.bbox.intersects(tile.bbox):
-                continue
-            tris = triangles[pid]
-            fp_ix, fp_iy, fn_ix, fn_iy = _polygon_pixel_sets(
-                tile, tris, polygon.rings
-            )
-            if len(fp_ix):
-                totals = grid[fp_iy, fp_ix].astype(np.float64)
-                over_loose[pid] += float(totals.sum())
-                f = np.array([
-                    pixel_coverage_fraction(tris, tile.pixel_bbox(ix, iy))
-                    for ix, iy in zip(fp_ix.tolist(), fp_iy.tolist())
-                ])
-                over_expected[pid] += float(((1.0 - f) * totals).sum())
-            if len(fn_ix):
-                totals = grid[fn_iy, fn_ix].astype(np.float64)
-                under_loose[pid] += float(totals.sum())
-                f = np.array([
-                    pixel_coverage_fraction(tris, tile.pixel_bbox(ix, iy))
-                    for ix, iy in zip(fn_ix.tolist(), fn_iy.tolist())
-                ])
-                under_expected[pid] += float((f * totals).sum())
+    for tile, (coverage, fbo) in zip(prepared.tiles, payloads):
+        pid, totals, fp, fn, f = _tile_sums(
+            tile, fbo.channel(channel), coverage, prepared, polygons
+        )
+        for sums, pick, weight in (
+            (over_loose, fp, totals), (under_loose, fn, totals),
+            (over_expected, fp, (1.0 - f) * totals),
+            (under_expected, fn, f * totals),
+        ):
+            sums += np.bincount(pid, np.where(pick, weight, 0.0), n)
 
     values = np.asarray(values, dtype=np.float64)
     return ResultIntervals(

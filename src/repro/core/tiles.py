@@ -159,7 +159,7 @@ class TileRun(NamedTuple):
 
     #: Merged per-polygon channel arrays.
     accumulators: dict[str, np.ndarray]
-    #: Per tile, the ``(viewport, framebuffer)`` after the point pass —
+    #: Per tile, the ``(run table, framebuffer)`` the polygon pass read —
     #: only under ``keep_fbo`` (the bounded engine's §5 result intervals).
     payloads: list
     #: Whether the input produced any chunk (a stream must yield one).
@@ -280,7 +280,7 @@ def run_tile(
                     partial, window,
                 )
         if keep_fbo:
-            partial.payload = (tile, fbo)
+            partial.payload = (views.coverage, fbo)
         partial.span = tile_span
     return partial
 
@@ -370,11 +370,18 @@ def _tile_views(
                     )
                 views = TileViews(boundary, coverage, candidates)
             if retain:
-                built.update(
-                    (name, new) for name, new, old
-                    in zip(TileViews._fields, views, held)
-                    if old is None and new is not None
-                )
+                if (patched is not None
+                        and views.coverage is delta.base.coverage[tile_idx]):
+                    # The window missed the tile: its views are the
+                    # base's objects, which the parent installs from its
+                    # own base, not from a copy a process sends home.
+                    built["base_views"] = True
+                else:
+                    built.update(
+                        (name, new) for name, new, old
+                        in zip(TileViews._fields, views, held)
+                        if old is None and new is not None
+                    )
                 partial.built = built
             partial.stats.processing_s += time.perf_counter() - start
     if exact:
@@ -872,15 +879,13 @@ def run_tiles(
         if per_tile is not None and not keep_fbo and not cached:
             partials = _resident_dispatch(
                 kernel, backend, member, columns, per_tile, retain,
-                tracing, parallelism, reuse,
+                tracing, parallelism, reuse, pairs,
             )
         if partials is None:
             partials = backend.run_tasks(
                 [(lambda idx=idx: task(idx)) for idx in range(len(tiles))],
                 parallelism=parallelism,
             )
-        else:
-            pairs = None  # resident workers see an empty book
         if backend.last_pool_event is not None:
             stats.extra["pool"] = backend.last_pool_event
         accumulators = new_accumulators(member.polygons, member.aggregate)
@@ -1080,6 +1085,7 @@ def _resident_dispatch(
     tracing: bool,
     parallelism: int | None,
     reuse: list | None,
+    pairs: dict | None,
 ) -> list[TilePartial] | None:
     """Fan a query's routed tiles across the resident pool.
 
@@ -1087,8 +1093,10 @@ def _resident_dispatch(
     artifact and the polygons travel once as a pickled state blob in
     shared memory (cached worker-side by content generation), the routed
     batches as shared-memory descriptors, a delta's base slots
-    (``reuse``) by value, and the accumulators come back through a
-    shared result buffer.  ``None`` when this dispatch
+    (``reuse``) and each tile's entries of the boundary join's record
+    (``pairs``; a blob's artifact holds an empty book) by value, and the
+    accumulators come back through a shared result buffer — a record a
+    worker built, in its partial.  ``None`` when this dispatch
     cannot take that path — not a resident-enabled process backend, or a
     batch that is not shm-backed (pickling host chunks is the cost
     this path exists to remove) — and the caller dispatches closures
@@ -1138,6 +1146,10 @@ def _resident_dispatch(
                     tracing=tracing, result_ref=result_ref, slot=idx,
                     channel_names=channel_names,
                     reuse=None if reuse is None else reuse[idx],
+                    pairs=None if pairs is None else {
+                        key: record for key, record in pairs.items()
+                        if key[0] == idx
+                    },
                 )
                 for idx in range(num_tiles)
             ],

@@ -108,7 +108,7 @@ class TilePartial:
     task built the artifact's record of it (``repro.core.tiles.
     _point_pass``), installed by the merge on the caller's side.
     ``payload`` is engine-specific (the bounded engine's per-tile FBO
-    for §5 result intervals).  ``span`` is
+    and run table for §5 result intervals).  ``span`` is
     the tile task's finished trace subtree (plain picklable
     :class:`repro.obs.trace.Span` data, so it survives the process
     backend's result pickling), or ``None`` when tracing was off.
@@ -453,8 +453,8 @@ class ProcessBackend(ExecutionBackend):
         #: Segments this backend holds a registry lease on (state blobs
         #: and the result buffer).  A backend dropped without ``close()``
         #: — an engine going out of scope — gives them back when it is
-        #: collected, as a dropped ``ShmChunk`` does; the hook releases
-        #: leases only and never joins the pool.
+        #: collected, as a dropped ``ShmChunk`` does, and its pool's
+        #: workers are told to exit; neither hook joins the pool.
         self._leases: set[str] = set()
         weakref.finalize(self, shm.release_leases, self._leases)
 
@@ -539,7 +539,9 @@ class ProcessBackend(ExecutionBackend):
             return []
         with self._resident_lock:
             if self._resident_pool is None:
-                self._resident_pool = ResidentWorkerPool(self.workers)
+                self._resident_pool = ResidentWorkerPool(
+                    self.workers, owner=self
+                )
                 self._record_event("resident-created")
             else:
                 self._record_event("resident-reused")

@@ -39,8 +39,10 @@ order as always.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import queue as queue_module
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -84,6 +86,9 @@ class TileTaskSpec:
     channel_names: tuple
     #: a delta's base slots of the tile (:func:`repro.core.tiles.run_tile`)
     reuse: dict | None = None
+    #: the tile's entries of the boundary join's record (empty: build
+    #: one and ship it home; ``None``: none is kept)
+    pairs: dict | None = None
 
 
 def _load_state(spec: TileTaskSpec, cache: OrderedDict):
@@ -112,7 +117,7 @@ def _run_spec(spec: TileTaskSpec, cache: OrderedDict):
         spec.tile_idx, kernel,
         TileMember(prepared, polygons, spec.aggregate, spec.filters),
         spec.columns, spec.chunks, retain=spec.retain,
-        tracing=spec.tracing, reuse=spec.reuse,
+        tracing=spec.tracing, reuse=spec.reuse, pairs=spec.pairs,
     )
     result = shm.view(spec.result_ref, writable=True)
     for ci, ch in enumerate(spec.channel_names):
@@ -174,9 +179,10 @@ class ResidentWorkerPool:
     it ``broken`` (the owner then closes and respawns it).
     """
 
-    def __init__(self, workers: int) -> None:
+    def __init__(self, workers: int, owner: object = None) -> None:
         self.workers = max(1, int(workers))
         self.broken = False
+        self._pid = os.getpid()
         self._seq = 0
         ctx = mp.get_context("spawn")
         self._task_q = ctx.Queue()
@@ -192,6 +198,19 @@ class ResidentWorkerPool:
         ]
         for proc in self._procs:
             proc.start()
+        if owner is not None:
+            weakref.finalize(owner, self.stop)
+
+    def stop(self) -> None:
+        """Ask the workers to exit, without waiting for them: what an
+        owner collected without ``close()`` does (a join could block
+        wherever the collector runs).  A no-op in a forked child, which
+        shares the queues but not the workers."""
+        if os.getpid() != self._pid:
+            return
+        procs, self._procs = self._procs, []
+        for _ in procs:
+            self._task_q.put(None)
 
     def dispatch(self, specs, parallelism: int | None = None) -> list:
         """Run every spec, returning its results in spec-index order."""

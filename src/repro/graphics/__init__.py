@@ -9,8 +9,9 @@ reproduces the semantics that the raster-join algorithms rely on:
 * framebuffer objects with additive blending
   (:mod:`repro.graphics.fbo`), the paper's point-count FBO;
 * triangle, line, and polygon rasterization with pixel-center coverage
-  and a watertight fill rule (:mod:`repro.graphics.raster_triangle`
-  /:mod:`~repro.graphics.raster_line` /:mod:`~repro.graphics.raster_polygon`);
+  and a watertight fill rule (:mod:`repro.graphics.raster_batch`
+  /:mod:`~repro.graphics.raster_line` /:mod:`~repro.graphics.raster_polygon`),
+  whole polygon sets per pass;
 * conservative rasterization (:mod:`repro.graphics.conservative`), standing
   in for ``GL_NV_conservative_raster``.
 
@@ -23,12 +24,7 @@ once.
 
 from repro.graphics.viewport import Canvas, Viewport, resolution_for_epsilon
 from repro.graphics.fbo import FrameBuffer
-from repro.graphics.raster_triangle import (
-    SUBPIXEL_BITS,
-    covered_pixels,
-    triangle_coverage_mask,
-)
-from repro.graphics.raster_line import supercover_line, outline_pixels
+from repro.graphics.raster_triangle import SUBPIXEL_BITS
 from repro.graphics.conservative import conservative_triangle_pixels
 from repro.graphics.raster_polygon import scanline_polygon_pixels
 
@@ -38,10 +34,6 @@ __all__ = [
     "resolution_for_epsilon",
     "FrameBuffer",
     "SUBPIXEL_BITS",
-    "covered_pixels",
-    "triangle_coverage_mask",
-    "supercover_line",
-    "outline_pixels",
     "conservative_triangle_pixels",
     "scanline_polygon_pixels",
 ]

@@ -10,7 +10,8 @@ The test is an exact separating-axis check between the pixel square and the
 triangle: the candidate axes for two convex polygons are the square's two
 axes (handled by the bounding-box pre-cut) and the triangle's three edge
 normals (handled by evaluating each edge function at the square corner
-deepest inside that edge).
+deepest inside that edge).  :func:`conservative_overlaps` runs the same
+test on many (triangle, pixel) pairs at once, element for element.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ def conservative_triangle_pixels(
 ) -> tuple[int, int, np.ndarray]:
     """Overlap mask of one triangle against the pixel grid.
 
-    Returns ``(x0, y0, mask)`` like
-    :func:`repro.graphics.raster_triangle.triangle_coverage_mask`, but the
-    mask marks every pixel square the triangle overlaps (closed test:
-    touching an edge or corner counts).
+    Returns ``(x0, y0, mask)``: ``mask[j, i]`` is True when the triangle
+    overlaps local pixel ``(x0 + i, y0 + j)`` — every pixel square, not
+    only those whose centre it covers (closed test: touching an edge or
+    corner counts).
     """
     sx, sy = viewport.to_screen(tri[:, 0], tri[:, 1])
     area2 = (sx[1] - sx[0]) * (sy[2] - sy[0]) - (sy[1] - sy[0]) * (sx[2] - sx[0])
@@ -70,6 +71,37 @@ def conservative_triangle_pixels(
         if not mask.any():
             return 0, 0, np.zeros((0, 0), dtype=bool)
     return x0, y0, mask
+
+
+def conservative_overlaps(
+    viewport: Viewport, tris: np.ndarray, tri: np.ndarray,
+    ix: np.ndarray, iy: np.ndarray,
+) -> np.ndarray:
+    """Whether triangle ``tris[tri[k]]`` overlaps local pixel ``(ix[k],
+    iy[k])``: the closed test :func:`conservative_triangle_pixels` marks
+    in its mask, pair by pair, in the same float expressions — set up
+    once per triangle, evaluated per pair."""
+    sx, sy = viewport.to_screen(tris[..., 0], tris[..., 1])
+    area2 = ((sx[:, 1] - sx[:, 0]) * (sy[:, 2] - sy[:, 0])
+             - (sy[:, 1] - sy[:, 0]) * (sx[:, 2] - sx[:, 0]))
+    flip = (area2 < 0)[:, None]
+    sx = np.where(flip, sx[:, ::-1], sx)
+    sy = np.where(flip, sy[:, ::-1], sy)
+    px = ix.astype(np.float64)
+    py = iy.astype(np.float64)
+    hit = (
+        (area2 != 0.0)[tri]
+        & (px + 1.0 >= sx.min(axis=1)[tri]) & (px <= sx.max(axis=1)[tri])
+        & (py + 1.0 >= sy.min(axis=1)[tri]) & (py <= sy.max(axis=1)[tri])
+    )
+    for e in range(3):
+        ax, ay = sx[:, e], sy[:, e]
+        dx, dy = sx[:, (e + 1) % 3] - ax, sy[:, (e + 1) % 3] - ay
+        corner_x = px + np.where(dy <= 0, 1.0, 0.0)[tri]
+        corner_y = py + np.where(dx >= 0, 1.0, 0.0)[tri]
+        hit &= (dx[tri] * (corner_y - ay[tri])
+                - dy[tri] * (corner_x - ax[tri])) >= 0.0
+    return hit
 
 
 def conservative_polygon_pixels(

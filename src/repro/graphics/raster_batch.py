@@ -2,9 +2,10 @@
 
 The paper's performance rests on the GPU consuming *all* triangles of all
 polygons as one stream.  This module is the software equivalent: instead
-of looping :func:`~repro.graphics.raster_triangle.triangle_coverage_mask`
-per triangle, the whole polygon set's triangles are concatenated into
-flat ``(N, 3)`` snapped-vertex arrays, edge functions are set up for all
+of looping a one-triangle rasterizer per triangle (``triangle_coverage_mask``,
+the suites' oracle in ``tests/graphics/reference_raster.py``), the whole
+polygon set's triangles are concatenated into flat ``(N, 3)``
+snapped-vertex arrays, edge functions are set up for all
 N triangles in a handful of vectorized passes, and coverage is evaluated
 over flat candidate-fragment arrays — CuRast-style binning by triangle
 id — with the results scattered back per triangle and per polygon.
@@ -89,8 +90,7 @@ class BatchSetup:
     ``x0``/``y0``/``w``/``h`` the clipped pixel bounding boxes (``w``
     and ``h`` are zero for degenerate or fully clipped triangles); and
     ``dx``/``dy``/``bias`` the three directed edges' deltas and
-    fill-rule biases, matching the scalar
-    :func:`~repro.graphics.raster_triangle._fill_rule_bias` exactly.
+    fill-rule biases, matching the scalar ``_fill_rule_bias`` exactly.
     """
 
     __slots__ = ("fx", "fy", "x0", "y0", "w", "h", "dx", "dy", "bias")

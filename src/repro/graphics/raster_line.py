@@ -4,83 +4,20 @@ The accurate raster join (§4.3) needs the set of *all* pixels a polygon
 boundary passes through — a conservative outline.  On NVIDIA hardware the
 paper uses ``GL_NV_conservative_raster``; the portable fallback it mentions
 (a thicker outline with discard) is what grid traversal gives us exactly:
-:func:`supercover_line` walks every pixel a segment touches, including
-corner-touch cases, using an Amanatides–Woo style DDA.
+a supercover walk reports every pixel a segment touches, including
+corner-touch cases.  :func:`outline_pixels_many` walks every edge of many
+polygons in one vectorized pass; the per-segment walk
+(``supercover_line``) and the one-polygon outline it replaced are the
+suites' oracles (``tests/graphics/reference_raster.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.graphics.viewport import Viewport
-
-
-def supercover_line(
-    ax: float, ay: float, bx: float, by: float,
-    width: int, height: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All pixels of a ``width x height`` grid touched by segment a-b.
-
-    Coordinates are continuous pixel coordinates (pixel (i, j) spans
-    ``[i, i+1) x [j, j+1)``).  The traversal is clipped to the grid.  When
-    the segment passes exactly through a lattice corner, all four incident
-    pixels are reported — strictly conservative, never missing a touched
-    pixel (the property the boundary mask requires; extras are harmless).
-    """
-    cols: list[int] = []
-    rows: list[int] = []
-
-    def emit(ix: int, iy: int) -> None:
-        if 0 <= ix < width and 0 <= iy < height:
-            cols.append(ix)
-            rows.append(iy)
-
-    dx = bx - ax
-    dy = by - ay
-
-    # Exact traversal: collect the parameter values where the segment
-    # crosses vertical (x = k) and horizontal (y = k) lattice lines, plus
-    # the endpoints.  Between two consecutive parameters the segment stays
-    # inside one pixel — recovered from the interval midpoint — and at each
-    # crossing parameter the (up to four) pixels incident to the crossing
-    # point are all touched, which handles exact corner hits.
-    ts: list[float] = [0.0, 1.0]
-    if dx != 0.0:
-        lo = int(np.ceil(min(ax, bx)))
-        hi = int(np.floor(max(ax, bx)))
-        for k in range(lo, hi + 1):
-            t = (k - ax) / dx
-            if 0.0 <= t <= 1.0:
-                ts.append(t)
-    if dy != 0.0:
-        lo = int(np.ceil(min(ay, by)))
-        hi = int(np.floor(max(ay, by)))
-        for k in range(lo, hi + 1):
-            t = (k - ay) / dy
-            if 0.0 <= t <= 1.0:
-                ts.append(t)
-    ts.sort()
-
-    eps = 1e-9 * max(1.0, abs(ax), abs(ay), abs(bx), abs(by))
-    for t in ts:
-        x = ax + t * dx
-        y = ay + t * dy
-        for ix in {int(np.floor(x - eps)), int(np.floor(x + eps))}:
-            for iy in {int(np.floor(y - eps)), int(np.floor(y + eps))}:
-                emit(ix, iy)
-    for t0, t1 in zip(ts, ts[1:]):
-        if t1 - t0 <= 0.0:
-            continue
-        tm = 0.5 * (t0 + t1)
-        emit(int(np.floor(ax + tm * dx)), int(np.floor(ay + tm * dy)))
-
-    if not cols:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    flat = np.asarray(cols, dtype=np.int64) * height + np.asarray(rows, dtype=np.int64)
-    flat = np.unique(flat)
-    return flat // height, flat % height
 
 
 def _ragged_crossings(
@@ -92,7 +29,7 @@ def _ragged_crossings(
     returns ``(edge_id, t)`` for each integer lattice line ``k`` in
     ``[ceil(min(a, b)), floor(max(a, b))]`` with ``t = (k - a) / d``
     clamped to the segment — exactly the values the scalar
-    :func:`supercover_line` loop produces, computed for all edges at
+    ``supercover_line`` loop produces, computed for all edges at
     once via a ragged ``arange``.
     """
     moving = d != 0.0
@@ -121,7 +58,7 @@ def _edges_touched_pixels(
     deduplicated — where ``flat_code = ix * height + iy``, the same
     flattening the scalar path uniques over.  All arithmetic (crossing
     parameters, the ±eps corner probes, interval midpoints) is the exact
-    IEEE float64 expression sequence of :func:`supercover_line`, applied
+    IEEE float64 expression sequence of ``supercover_line``, applied
     elementwise, so the candidate *set* per edge is identical.
     """
     dx = bx - ax
@@ -194,55 +131,6 @@ def _edges_touched_pixels(
     return owner[cand_e[inside]], ix * height + iy
 
 
-def _ring_edges(
-    viewport: Viewport, rings: Iterable[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All ring edges as flat (ax, ay, bx, by) screen-coordinate arrays."""
-    axs: list[np.ndarray] = []
-    ays: list[np.ndarray] = []
-    bxs: list[np.ndarray] = []
-    bys: list[np.ndarray] = []
-    for ring in rings:
-        sx, sy = viewport.to_screen(ring[:, 0], ring[:, 1])
-        axs.append(sx)
-        ays.append(sy)
-        bxs.append(np.roll(sx, -1))
-        bys.append(np.roll(sy, -1))
-    if not axs:
-        empty = np.zeros(0, dtype=np.float64)
-        return empty, empty, empty, empty
-    return (
-        np.concatenate(axs), np.concatenate(ays),
-        np.concatenate(bxs), np.concatenate(bys),
-    )
-
-
-def outline_pixels(
-    viewport: Viewport,
-    rings: Iterable[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conservative outline of a polygon: pixels touched by any ring edge.
-
-    Returns deduplicated local (ix, iy) arrays.  This renders the paper's
-    boundary FBO content for one polygon.  All edges are traversed in one
-    vectorized pass (the flat-array convention of
-    :mod:`repro.graphics.raster_batch`); the result is the same pixel set
-    a per-edge :func:`supercover_line` loop produces, in the same sorted
-    order (tested property).
-    """
-    ax, ay, bx, by = _ring_edges(viewport, rings)
-    if not len(ax):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    _, codes = _edges_touched_pixels(
-        ax, ay, bx, by, np.zeros(len(ax), dtype=np.int64),
-        viewport.width, viewport.height,
-    )
-    if not len(codes):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    flat = _sorted_unique(codes)
-    return flat // viewport.height, flat % viewport.height
-
-
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values via an explicit sort + neighbor mask.
 
@@ -265,7 +153,7 @@ def outline_pixels_many(
 
     Returns ``pid -> (ix, iy)`` with an entry for every requested pid
     (empty arrays when the polygon touches no pixel), each identical to
-    what :func:`outline_pixels` returns for that polygon alone: edges
+    what the one-polygon ``outline_pixels`` returns for it alone: edges
     carry their owning polygon id through the flat candidate arrays and
     one sorted dedup over (pid, flat pixel) codes splits per polygon.
     """

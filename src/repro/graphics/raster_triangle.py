@@ -1,8 +1,10 @@
-"""Watertight triangle rasterization with integer edge functions.
+"""The sub-pixel lattice of watertight triangle rasterization.
 
-This is the software stand-in for the hardware rasterizer the paper builds
-on (Olano & Greer-style edge functions).  Two properties matter for the
-raster join and both are reproduced exactly:
+The software stand-in for the hardware rasterizer the paper builds on
+(Olano & Greer-style edge functions) is the batched pass of
+:mod:`repro.graphics.raster_batch`; this module holds the lattice it
+snaps to.  Two properties matter for the raster join and both are
+reproduced exactly:
 
 1. **Pixel-center coverage**: a pixel belongs to a triangle iff its center
    lies inside the triangle — the source of the bounded join's false
@@ -21,14 +23,13 @@ raster join and both are reproduced exactly:
 
 Without watertightness the polygon draw pass could double-count a pixel
 whose center sits on an interior triangulation edge — corrupting the
-aggregate — or drop it entirely.
+aggregate — or drop it entirely.  The one-triangle rasterizer the batched
+pass replaced is the suites' oracle (``tests/graphics/reference_raster.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.graphics.viewport import Viewport
 
 #: Fractional bits of the sub-pixel grid (real GPUs use 8 as well).
 SUBPIXEL_BITS = 8
@@ -41,107 +42,3 @@ def snap_to_subpixels(sx: np.ndarray, sy: np.ndarray) -> tuple[np.ndarray, np.nd
     fx = np.rint(np.asarray(sx, dtype=np.float64) * SUBPIXEL_SCALE).astype(np.int64)
     fy = np.rint(np.asarray(sy, dtype=np.float64) * SUBPIXEL_SCALE).astype(np.int64)
     return fx, fy
-
-
-def _fill_rule_bias(dx: int, dy: int) -> int:
-    """Bias for the E == 0 tie-break: 0 keeps the edge, -1 rejects it.
-
-    For CCW triangles in our y-up screen space the *bottom* edges
-    (``dy == 0 and dx > 0``) and *left* edges (``dy < 0``) own their pixels.
-    For any directed edge and its reverse, exactly one gets bias 0 — that is
-    the watertightness guarantee.
-    """
-    if dy < 0 or (dy == 0 and dx > 0):
-        return 0
-    return -1
-
-
-def triangle_coverage_mask(
-    viewport: Viewport, tri: np.ndarray
-) -> tuple[int, int, np.ndarray]:
-    """Rasterize one CCW triangle within a viewport.
-
-    Parameters
-    ----------
-    viewport:
-        The render target window.
-    tri:
-        ``(3, 2)`` world-space CCW vertices.
-
-    Returns
-    -------
-    (x0, y0, mask):
-        ``mask[j, i]`` is True when local pixel ``(x0 + i, y0 + j)`` is
-        covered.  The mask spans only the triangle's clipped bounding box;
-        it may be empty.
-    """
-    sx, sy = viewport.to_screen(tri[:, 0], tri[:, 1])
-    fx, fy = snap_to_subpixels(sx, sy)
-
-    # Signed doubled area in subpixel units; degenerate triangles produce
-    # no fragments, matching hardware behaviour.
-    area2 = (fx[1] - fx[0]) * (fy[2] - fy[0]) - (fy[1] - fy[0]) * (fx[2] - fx[0])
-    if area2 == 0:
-        return 0, 0, np.zeros((0, 0), dtype=bool)
-    if area2 < 0:  # normalize to CCW
-        fx = fx[::-1].copy()
-        fy = fy[::-1].copy()
-
-    # Clipped pixel bounding box of the snapped triangle.
-    x0 = max(0, int((fx.min() - _HALF) // SUBPIXEL_SCALE))
-    y0 = max(0, int((fy.min() - _HALF) // SUBPIXEL_SCALE))
-    x1 = min(viewport.width - 1, int(fx.max() // SUBPIXEL_SCALE))
-    y1 = min(viewport.height - 1, int(fy.max() // SUBPIXEL_SCALE))
-    if x1 < x0 or y1 < y0:
-        return 0, 0, np.zeros((0, 0), dtype=bool)
-
-    # Pixel-center lattice in subpixel integer coordinates.
-    cx = (np.arange(x0, x1 + 1, dtype=np.int64) * SUBPIXEL_SCALE) + _HALF
-    cy = (np.arange(y0, y1 + 1, dtype=np.int64) * SUBPIXEL_SCALE) + _HALF
-    gx = cx[None, :]
-    gy = cy[:, None]
-
-    mask = np.ones((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
-    for e in range(3):
-        ax, ay = int(fx[e]), int(fy[e])
-        bx, by = int(fx[(e + 1) % 3]), int(fy[(e + 1) % 3])
-        dx, dy = bx - ax, by - ay
-        # Integer edge function: E > 0 strictly inside (CCW), E == 0 on the
-        # edge line; the bias folds the fill rule into a single comparison.
-        e_val = dx * (gy - ay) - dy * (gx - ax)
-        mask &= e_val + _fill_rule_bias(dx, dy) >= 0
-        if not mask.any():
-            return 0, 0, np.zeros((0, 0), dtype=bool)
-    return x0, y0, mask
-
-
-def covered_pixels(
-    viewport: Viewport, tri: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local (ix, iy) index arrays of the pixels a triangle covers."""
-    x0, y0, mask = triangle_coverage_mask(viewport, tri)
-    if mask.size == 0:
-        return (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-        )
-    ys, xs = np.nonzero(mask)
-    return xs + x0, ys + y0
-
-
-def accumulate_triangle_sums(
-    viewport: Viewport,
-    channel: np.ndarray,
-    tri: np.ndarray,
-) -> float:
-    """Sum a channel over a triangle's covered pixels, reduced in float64.
-
-    This is the fragment-shader body of the paper's DrawPolygons: for each
-    fragment, fetch the point-FBO value at the fragment's pixel and add it
-    to the polygon's result slot.
-    """
-    x0, y0, mask = triangle_coverage_mask(viewport, tri)
-    if mask.size == 0:
-        return 0.0
-    window = channel[y0:y0 + mask.shape[0], x0:x0 + mask.shape[1]]
-    return float(np.sum(window, where=mask, dtype=np.float64))

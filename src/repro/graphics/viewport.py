@@ -150,14 +150,16 @@ class Viewport:
             iy = np.minimum(np.floor(sy).astype(np.int64), self.height - 1)
         return ix, iy, inside
 
-    def pixel_bbox(self, ix: int, iy: int) -> BBox:
-        """World-space rectangle of local pixel (ix, iy)."""
-        return BBox(
-            self.bbox.xmin + ix * self.pixel_width,
-            self.bbox.ymin + iy * self.pixel_height,
-            self.bbox.xmin + (ix + 1) * self.pixel_width,
-            self.bbox.ymin + (iy + 1) * self.pixel_height,
-        )
+    def pixel_rects(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        """World-space rectangles of local pixels ``(ix[k], iy[k])``, one
+        ``(xmin, ymin, xmax, ymax)`` row each."""
+        box = self.bbox
+        return np.stack([
+            box.xmin + ix * self.pixel_width,
+            box.ymin + iy * self.pixel_height,
+            box.xmin + (ix + 1) * self.pixel_width,
+            box.ymin + (iy + 1) * self.pixel_height,
+        ], axis=1)
 
     @property
     def num_pixels(self) -> int:

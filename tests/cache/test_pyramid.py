@@ -316,7 +316,7 @@ class TestBoundaryPixelStat:
     @staticmethod
     def _union_outline_pixels(regions):
         """The true union outline population over the engine's canvas."""
-        from repro.graphics.raster_line import outline_pixels
+        from tests.graphics.reference_raster import outline_pixels
         from repro.types import ExecutionStats
 
         probe = engine(QuerySession())

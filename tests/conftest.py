@@ -15,9 +15,9 @@ from repro import PointDataset, Polygon, PolygonSet
 from repro.cache.prepared import PreparedPolygons
 from repro.exec import backend as exec_backend
 from repro.exec import shm
-from repro.graphics.raster_triangle import covered_pixels
 from repro.index.grid import ragged_positions
 from repro.store.store import STORE_DIR_ENV_VAR
+from tests.graphics.reference_raster import covered_pixels
 
 
 def pytest_addoption(parser):

@@ -6,10 +6,21 @@ import numpy as np
 import pytest
 
 from repro import (
-    Average, BoundedRasterJoin, Count, Max, Min, PointDataset, PolygonSet, Sum,
+    Average, BoundedRasterJoin, Count, Max, Min, PointDataset, Polygon,
+    PolygonSet, Sum,
 )
+from repro.device.memory import GPUDevice
 from repro.errors import QueryError
+from repro.geometry.bbox import BBox
+from repro.geometry.clip import clip_polygon_to_rect, ring_area
+from repro.geometry.triangulate import triangulate_polygon
+from repro.graphics.conservative import conservative_triangle_pixels
+from repro.graphics.raster_line import outline_pixels_many
 from tests.conftest import brute_force_counts, random_star_polygon
+from tests.graphics.reference_raster import (
+    outline_pixels,
+    triangle_coverage_mask,
+)
 
 
 class TestLooseBounds:
@@ -188,3 +199,168 @@ class TestConcurrentStatements:
             assert len(got.loose_lo) == len(polygons)
             assert np.array_equal(got.loose_lo, expected.loose_lo)
             assert np.array_equal(got.loose_hi, expected.loose_hi)
+
+
+# ----------------------------------------------------------------------
+# The classification against the one-pixel-at-a-time rule
+# ----------------------------------------------------------------------
+def _overlap_mask(tile, triangles, kernel) -> np.ndarray:
+    """The union of one kernel's per-triangle masks over ``tile``."""
+    out = np.zeros((tile.height, tile.width), dtype=bool)
+    for tri in triangles:
+        x0, y0, mask = kernel(tile, tri)
+        out[y0:y0 + mask.shape[0], x0:x0 + mask.shape[1]] |= mask
+    return out
+
+
+def _scalar_sums(engine, points, polygons) -> np.ndarray:
+    """§5's four sums (over/under x loose/expected) per polygon, one
+    polygon and one outline pixel at a time with the scalar kernels: a
+    false positive is an outline pixel the coverage raster covers, a
+    false negative one it misses that a triangle overlaps (the
+    conservative raster), and ``f`` is the clipped triangles' area over
+    the pixel's.  COUNT's framebuffer is the points' pixel histogram."""
+    sums = np.zeros((4, len(polygons)))
+    triangles = [triangulate_polygon(polygon) for polygon in polygons]
+    canvas = engine._make_canvas(polygons)
+    for tile in canvas.tiles(engine.max_resolution):
+        ix, iy, inside = tile.pixel_of(points.xs, points.ys)
+        grid = np.zeros((tile.height, tile.width))
+        np.add.at(grid, (iy[inside], ix[inside]), 1.0)
+        width, height = tile.pixel_width, tile.pixel_height
+        for pid, polygon in enumerate(polygons):
+            if not polygon.bbox.intersects(tile.bbox):
+                continue
+            covered = _overlap_mask(tile, triangles[pid],
+                                    triangle_coverage_mask)
+            overlapped = _overlap_mask(tile, triangles[pid],
+                                       conservative_triangle_pixels)
+            for x, y in zip(*outline_pixels(tile, polygon.rings)):
+                rect = BBox(
+                    tile.bbox.xmin + x * width, tile.bbox.ymin + y * height,
+                    tile.bbox.xmin + (x + 1) * width,
+                    tile.bbox.ymin + (y + 1) * height,
+                )
+                area = sum(
+                    abs(ring_area(clipped)) for clipped in (
+                        clip_polygon_to_rect(tri, rect)
+                        for tri in triangles[pid]
+                    ) if len(clipped) >= 3
+                )
+                f = min(max(area / rect.area, 0.0), 1.0)
+                total = grid[y, x]
+                if covered[y, x]:
+                    sums[0, pid] += total
+                    sums[2, pid] += (1.0 - f) * total
+                elif overlapped[y, x]:
+                    sums[1, pid] += total
+                    sums[3, pid] += f * total
+    return sums
+
+
+def _holed_stars(seed: int) -> PolygonSet:
+    """Random stars, each with a random heptagonal hole well inside the
+    nearest of its edges to the centre."""
+    rng = np.random.default_rng(seed)
+    polygons = []
+    for k in range(3):
+        center = np.asarray([25.0 + 25.0 * k, 30.0 + 20.0 * (k % 2)])
+        outer = random_star_polygon(rng, tuple(center), (12.0, 22.0),
+                                    vertices=11).exterior
+        a, b = outer - center, np.roll(outer, -1, axis=0) - center
+        t = np.clip(np.sum(a * (a - b), axis=1)
+                    / np.sum((a - b) ** 2, axis=1), 0.0, 1.0)
+        reach = np.hypot(*(a + t[:, None] * (b - a)).T).min()
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))[::-1]
+        radii = rng.uniform(0.2, 0.6, 7) * reach
+        hole = center + np.column_stack(
+            [radii * np.cos(angles), radii * np.sin(angles)]
+        )
+        polygons.append(Polygon(outer, holes=[hole]))
+    return PolygonSet(polygons)
+
+
+#: A quadrilateral whose two edges lie on the padded canvas's first
+#: pixel lines up to a rounding at ε = 1050: the outline's corner probes
+#: report pixels of the padding no triangle touches.
+GRAZING = PolygonSet([Polygon(
+    [(0.0, 0.0), (45000.0, 0.0), (31500.0, 40000.0), (0.0, 24000.0)]
+)])
+
+
+def _grazing_points() -> PointDataset:
+    rng = np.random.default_rng(11)
+    return PointDataset(rng.uniform(-800.0, 45800.0, 40_000),
+                        rng.uniform(-800.0, 40800.0, 40_000))
+
+
+class TestAgainstTheScalarRule:
+    """The batched classification reads the statement's own run table
+    and one outline pass; these pin it to the per-polygon, per-pixel
+    rule with the scalar kernels — loose sums bit for bit, expected
+    within 1e-12 — tiled or not."""
+
+    @staticmethod
+    def _check(engine, points, polygons):
+        result = engine.execute(points, polygons)
+        iv, values = result.intervals, result.values
+        over, under, over_f, under_f = _scalar_sums(engine, points, polygons)
+        assert np.array_equal(iv.loose_lo, values - over)
+        assert np.array_equal(iv.loose_hi, values + under)
+        np.testing.assert_allclose(iv.expected_lo, values - over_f,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(iv.expected_hi, values + under_f,
+                                   rtol=1e-12, atol=0)
+        assert iv.contains(brute_force_counts(points, polygons)).all()
+
+    @pytest.mark.parametrize("side", [None, 40, 23])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_holed_stars(self, seed, side):
+        rng = np.random.default_rng(seed)
+        points = PointDataset(rng.uniform(0, 100, 20_000),
+                              rng.uniform(0, 100, 20_000))
+        device = None if side is None else GPUDevice(max_resolution=side)
+        self._check(
+            BoundedRasterJoin(resolution=96, compute_bounds=True,
+                              device=device),
+            points, _holed_stars(seed),
+        )
+
+    @pytest.mark.parametrize("side", [None, 30, 14])
+    def test_an_outline_pixel_no_triangle_touches(self, side):
+        """The outline is not inside the conservative overlap in
+        general: here it reports pixels of the canvas's padding that the
+        polygon only grazes within rounding.  Such a pixel is no false
+        negative — the classification keeps the overlap test for it."""
+        engine = BoundedRasterJoin(
+            epsilon=1050.0, compute_bounds=True,
+            device=None if side is None else GPUDevice(max_resolution=side),
+        )
+        (triangles,) = [triangulate_polygon(p) for p in GRAZING]
+        grazed = 0
+        for tile in engine._make_canvas(GRAZING).tiles(engine.max_resolution):
+            ix, iy = outline_pixels_many(tile, {0: GRAZING[0].rings})[0]
+            overlap = _overlap_mask(tile, triangles,
+                                    conservative_triangle_pixels)
+            grazed += int(np.count_nonzero(~overlap[iy, ix]))
+        assert grazed
+        self._check(engine, _grazing_points(), GRAZING)
+
+
+class TestTiledCanvas:
+    @pytest.mark.parametrize("side", [48, 31, 17])
+    def test_count_loose_intervals_equal_the_untiled_canvas(
+        self, uniform_points, three_regions, side
+    ):
+        """Tiles cut the canvas along pixel lines, so each polygon's
+        boundary pixels and their totals are the untiled canvas's."""
+        whole = BoundedRasterJoin(resolution=128, compute_bounds=True)
+        tiled = BoundedRasterJoin(resolution=128, compute_bounds=True,
+                                  device=GPUDevice(max_resolution=side))
+        a = whole.execute(uniform_points, three_regions)
+        b = tiled.execute(uniform_points, three_regions)
+        assert b.stats.extra["tiles"] > 1
+        assert np.array_equal(a.intervals.loose_lo, b.intervals.loose_lo)
+        assert np.array_equal(a.intervals.loose_hi, b.intervals.loose_hi)
+        exact = brute_force_counts(uniform_points, three_regions)
+        assert b.intervals.contains(exact).all()

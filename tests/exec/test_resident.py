@@ -142,6 +142,46 @@ class TestResidentBitIdentity:
         gc.collect()
         assert shm.REGISTRY.live_segments() == before
 
+    def test_dropped_backend_stops_its_workers(self, points, polygons):
+        """An engine dropped without ``close()`` must not keep its
+        spawned workers (~44 MB each) until interpreter exit: collecting
+        its backend tells them to exit, without joining them."""
+        import gc
+        import time
+
+        engine = AccurateRasterJoin(
+            resolution=RESOLUTION, device=GPUDevice(max_resolution=MAX_FBO),
+            session=QuerySession(),
+            config=EngineConfig(backend="process", workers=2, shm=True),
+        )
+        engine.execute(points, polygons, Count())
+        procs = list(engine.backend._resident_pool._procs)
+        assert procs and all(proc.is_alive() for proc in procs)
+        del engine
+        gc.collect()
+        deadline = time.monotonic() + 30.0
+        while any(proc.is_alive() for proc in procs):
+            assert time.monotonic() < deadline, "workers outlived the backend"
+            time.sleep(0.05)
+
+    def test_resident_statements_record_and_replay_the_boundary_join(
+        self, resident_engine, points, polygons
+    ):
+        """Resident workers build the boundary join's record and ship it
+        home, and the next statement's workers replay it: the PIP work
+        is the in-process backends' (``pip_tests`` zero once recorded)."""
+        first = resident_engine.execute(points, polygons, Count())
+        again = resident_engine.execute(points, polygons, Sum("val"))
+        assert first.stats.extra["pool"] == "resident-created"
+        assert again.stats.extra["pool"] == "resident-reused"
+        assert first.stats.extra["pairs"] == "built"
+        assert first.stats.pip_tests > 0
+        assert again.stats.extra["pairs"] == "recorded"
+        assert again.stats.pip_tests == 0
+        assert np.array_equal(
+            again.values, serial_reference(points, polygons, Sum("val")).values
+        )
+
 
 def _bad_spec(index: int, state_ref, result_ref) -> TileTaskSpec:
     """A spec whose state segment does not exist: the worker's load

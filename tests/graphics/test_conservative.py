@@ -9,8 +9,8 @@ from repro.graphics.conservative import (
     conservative_polygon_pixels,
     conservative_triangle_pixels,
 )
-from repro.graphics.raster_triangle import covered_pixels
 from repro.graphics.viewport import Viewport
+from tests.graphics.reference_raster import covered_pixels
 from tests.conftest import random_star_polygon
 
 VP = Viewport(BBox(0, 0, 16, 16), 16, 16)

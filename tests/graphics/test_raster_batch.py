@@ -18,10 +18,10 @@ from repro.graphics.raster_batch import (
     flatten_triangles,
     rasterize_triangles,
 )
-from repro.graphics.raster_line import outline_pixels, outline_pixels_many
-from repro.graphics.raster_triangle import covered_pixels
+from repro.graphics.raster_line import outline_pixels_many
 from repro.graphics.viewport import Viewport
 from tests.conftest import random_star_polygon, run_pixels, scalar_pixels
+from tests.graphics.reference_raster import covered_pixels, outline_pixels
 
 VP = Viewport(BBox(0, 0, 100, 100), 128, 96)
 

@@ -5,12 +5,9 @@ import pytest
 
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import Polygon
-from repro.graphics.raster_line import (
-    outline_pixels,
-    outline_pixels_many,
-    supercover_line,
-)
+from repro.graphics.raster_line import outline_pixels_many
 from repro.graphics.viewport import Viewport
+from tests.graphics.reference_raster import outline_pixels, supercover_line
 
 VP = Viewport(BBox(0, 0, 16, 16), 16, 16)
 
@@ -100,7 +97,7 @@ class TestOutlinePixels:
         This is the invariant the accurate join's exactness rests on.
         """
         from repro.geometry.triangulate import triangulate_polygon
-        from repro.graphics.raster_triangle import covered_pixels
+        from tests.graphics.reference_raster import covered_pixels
         from tests.conftest import random_star_polygon
 
         for _ in range(20):

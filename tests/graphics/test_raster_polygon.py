@@ -10,9 +10,9 @@ from repro.graphics.raster_polygon import (
     accumulate_polygon_sum,
     scanline_polygon_pixels,
 )
-from repro.graphics.raster_triangle import covered_pixels
 from repro.graphics.viewport import Viewport
 from tests.conftest import random_star_polygon
+from tests.graphics.reference_raster import covered_pixels
 
 VP = Viewport(BBox(0, 0, 32, 32), 32, 32)
 

@@ -10,12 +10,12 @@ import pytest
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import Polygon
 from repro.geometry.triangulate import triangulate_polygon
-from repro.graphics.raster_triangle import (
+from repro.graphics.viewport import Viewport
+from tests.graphics.reference_raster import (
     accumulate_triangle_sums,
     covered_pixels,
     triangle_coverage_mask,
 )
-from repro.graphics.viewport import Viewport
 from tests.conftest import random_star_polygon
 
 VP = Viewport(BBox(0, 0, 32, 32), 32, 32)

@@ -52,8 +52,8 @@ class TestViewportTransform:
 
     def test_pixel_bbox(self):
         vp = Viewport(BBox(0, 0, 10, 10), 10, 10)
-        box = vp.pixel_bbox(3, 7)
-        assert box.as_tuple() == (3, 7, 4, 8)
+        rects = vp.pixel_rects(np.asarray([3, 0]), np.asarray([7, 9]))
+        assert rects.tolist() == [[3, 7, 4, 8], [0, 9, 1, 10]]
 
     def test_invalid_viewport(self):
         with pytest.raises(ResolutionError):

@@ -24,9 +24,9 @@ from repro import (
     Sum,
 )
 from repro.geometry.triangulate import triangulate_polygon
-from repro.graphics.raster_line import outline_pixels
 from repro.graphics.raster_polygon import scanline_polygon_pixels
 from tests.conftest import random_star_polygon, run_pixels, scalar_pixels
+from tests.graphics.reference_raster import outline_pixels
 
 
 @pytest.fixture

@@ -44,13 +44,13 @@ from repro import (
 from repro.data import generate_voronoi_regions
 from repro.geometry.bbox import BBox
 from repro.graphics.fbo import FrameBuffer
-from repro.graphics.raster_triangle import accumulate_triangle_sums
 from tests.conftest import (
     brute_force_values,
     edge_table_for,
     random_star_polygon,
     run_pixels,
 )
+from tests.graphics.reference_raster import accumulate_triangle_sums
 
 #: The float tolerance of a Sum/Avg against the oracle (the ledger's
 #: ``FLOAT_RTOL``): only the grouping of a float sum differs.

@@ -141,7 +141,7 @@ def test_recorded_statements_equal_a_sessionless_engine(
 def test_a_fused_group_through_the_server_replays_the_record(tiles):
     """Statements the server fuses into one ``MultiAggregate``
     execution share the record the solo statements built."""
-    # Pinned: a resident worker pool sees an empty book and keeps none.
+    # Threads: the server's fused group, whatever $REPRO_EXEC_BACKEND.
     planner = QueryPlanner(
         device=GPUDevice(max_resolution=1024 if tiles == 1 else 256),
         config=EngineConfig(backend="thread", workers=2),

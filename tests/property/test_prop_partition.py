@@ -309,12 +309,10 @@ def test_every_routing_source_gives_the_same_bits(kind, tiles, batched,
                 _assert_bit_identical(want, got, where)
                 # A session's artifact records the boundary join of
                 # every row on a boundary pixel, its filter applied to
-                # the matches (resident workers keep no record): built,
-                # the unfiltered statement's tests run; replayed, none.
+                # the matches, on every backend: built, the unfiltered
+                # statement's tests run; replayed, none.
                 pairs = got.stats.extra.get("pairs")
-                recorded = kind == "accurate" and name in ("cold", "warm") and (
-                    not got.stats.extra["pool"].startswith("resident")
-                )
+                recorded = kind == "accurate" and name in ("cold", "warm")
                 assert pairs == (
                     None if not recorded
                     else "built" if name == "cold" else "recorded"

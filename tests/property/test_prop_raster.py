@@ -12,11 +12,17 @@ from hypothesis import strategies as st
 
 from repro.geometry.bbox import BBox
 from repro.geometry.triangulate import triangulate_polygon
-from repro.graphics.conservative import conservative_triangle_pixels
-from repro.graphics.raster_line import outline_pixels, supercover_line
+from repro.graphics.conservative import (
+    conservative_overlaps,
+    conservative_triangle_pixels,
+)
 from repro.graphics.raster_polygon import scanline_polygon_pixels
-from repro.graphics.raster_triangle import covered_pixels
 from repro.graphics.viewport import Viewport
+from tests.graphics.reference_raster import (
+    covered_pixels,
+    outline_pixels,
+    supercover_line,
+)
 from tests.property.test_prop_geometry import star_polygons
 
 VP = Viewport(BBox(0, 0, 100, 100), 100, 100)
@@ -60,6 +66,39 @@ def test_conservative_superset_of_regular(poly):
             ys_, xs_ = np.nonzero(mask)
             conservative = set(zip((xs_ + x0).tolist(), (ys_ + y0).tolist()))
         assert regular <= conservative
+
+
+#: Vertices on the half-pixel lattice put edges exactly on pixel sides
+#: and corners; free floats cover the general position.
+pixel_coordinate = st.one_of(
+    st.integers(-4, 44).map(lambda k: k * 0.5),
+    st.floats(-2.0, 22.0, allow_nan=False),
+)
+
+
+@given(
+    st.lists(pixel_coordinate, min_size=6, max_size=6),
+    st.integers(1, 3),
+    st.integers(0, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_overlap_equals_the_conservative_raster(xy, scale, shift):
+    """The pairwise closed test marks exactly the conservative
+    raster's pixels, on any viewport — the §5 false-negative rule."""
+    tri = np.asarray(xy, dtype=np.float64).reshape(3, 2)
+    viewport = Viewport(
+        BBox(-shift, -shift, 20.0 * scale - shift, 16.0 * scale - shift),
+        20, 16,
+    )
+    want = np.zeros((16, 20), dtype=bool)
+    x0, y0, mask = conservative_triangle_pixels(viewport, tri)
+    want[y0:y0 + mask.shape[0], x0:x0 + mask.shape[1]] = mask
+    iy, ix = np.mgrid[0:16, 0:20]
+    got = conservative_overlaps(
+        viewport, tri[None], np.zeros(ix.size, dtype=np.int64),
+        ix.ravel(), iy.ravel(),
+    )
+    assert np.array_equal(got.reshape(16, 20), want)
 
 
 @given(star_polygons())
