@@ -454,7 +454,8 @@ class ProcessBackend(ExecutionBackend):
         #: and the result buffer).  A backend dropped without ``close()``
         #: — an engine going out of scope — gives them back when it is
         #: collected, as a dropped ``ShmChunk`` does, and its pool's
-        #: workers are told to exit; neither hook joins the pool.
+        #: workers are told to exit (``_stop_pool``, armed per pool and
+        #: detached when it closes); neither hook joins the pool.
         self._leases: set[str] = set()
         weakref.finalize(self, shm.release_leases, self._leases)
 
@@ -539,9 +540,8 @@ class ProcessBackend(ExecutionBackend):
             return []
         with self._resident_lock:
             if self._resident_pool is None:
-                self._resident_pool = ResidentWorkerPool(
-                    self.workers, owner=self
-                )
+                pool = self._resident_pool = ResidentWorkerPool(self.workers)
+                self._stop_pool = weakref.finalize(self, pool.stop)
                 self._record_event("resident-created")
             else:
                 self._record_event("resident-reused")
@@ -553,6 +553,7 @@ class ProcessBackend(ExecutionBackend):
                     and self._resident_pool.broken
                 ):
                     pool, self._resident_pool = self._resident_pool, None
+                    self._stop_pool.detach()
                     pool.close()
                 raise
 
@@ -567,6 +568,8 @@ class ProcessBackend(ExecutionBackend):
     def close(self) -> None:
         with self._resident_lock:
             pool, self._resident_pool = self._resident_pool, None
+            if pool is not None:
+                self._stop_pool.detach()
             self._resident_states = OrderedDict()
             self._result_buffer = None
             shm.release_leases(self._leases)

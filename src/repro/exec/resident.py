@@ -42,7 +42,6 @@ import multiprocessing as mp
 import os
 import pickle
 import queue as queue_module
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -179,7 +178,7 @@ class ResidentWorkerPool:
     it ``broken`` (the owner then closes and respawns it).
     """
 
-    def __init__(self, workers: int, owner: object = None) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = max(1, int(workers))
         self.broken = False
         self._pid = os.getpid()
@@ -198,13 +197,11 @@ class ResidentWorkerPool:
         ]
         for proc in self._procs:
             proc.start()
-        if owner is not None:
-            weakref.finalize(owner, self.stop)
 
     def stop(self) -> None:
-        """Ask the workers to exit, without waiting for them: what an
-        owner collected without ``close()`` does (a join could block
-        wherever the collector runs).  A no-op in a forked child, which
+        """Ask the workers to exit, without waiting for them: what a
+        process backend collected without ``close()`` does (a join could
+        block wherever the collector runs).  A no-op in a forked child, which
         shares the queues but not the workers."""
         if os.getpid() != self._pid:
             return

@@ -9,9 +9,10 @@ against the pixel rectangle and add up areas, which is what
 of a statement at once, the clipped rings laid end to end (a triangle
 clipped by a rectangle keeps at most seven vertices), chunk by chunk.
 Each pair's area is the bits :func:`clip_polygon_to_rect` and
-:func:`ring_area` give it one at a time: the same expressions in the same
-order.  The scalar clip stays the reference, and what clips the
-synthetic regions to their extent.
+:func:`ring_area` give it one at a time: the same passes in the same
+order.  :func:`clip_polygon_to_rect` (what clips the synthetic regions
+to their extent) is those passes on one ring; the vertex-by-vertex loop
+they replaced is the suites' oracle (``tests/geometry/reference_clip.py``).
 """
 
 from __future__ import annotations
@@ -30,53 +31,6 @@ def ring_area(ring: np.ndarray) -> float:
     x = ring[:, 0]
     y = ring[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def clip_polygon_to_rect(ring: np.ndarray, rect: BBox) -> np.ndarray:
-    """Sutherland–Hodgman: clip a convex-or-concave ring to a rectangle.
-
-    Correct for any simple ring clipped against a convex window (the
-    rectangle).  Returns the clipped ring, possibly empty (shape (0, 2)).
-    Degenerate zero-area output is possible for rings that only touch the
-    rectangle boundary; callers use :func:`ring_area` to discard those.
-    """
-    subject = np.asarray(ring, dtype=np.float64)
-
-    def clip_edge(points: np.ndarray, inside, intersect) -> np.ndarray:
-        if len(points) == 0:
-            return points
-        out: list[tuple[float, float]] = []
-        n = len(points)
-        for i in range(n):
-            cur = points[i]
-            prev = points[i - 1]
-            cur_in = inside(cur)
-            prev_in = inside(prev)
-            if cur_in:
-                if not prev_in:
-                    out.append(intersect(prev, cur))
-                out.append((float(cur[0]), float(cur[1])))
-            elif prev_in:
-                out.append(intersect(prev, cur))
-        return np.asarray(out, dtype=np.float64).reshape(-1, 2)
-
-    def x_cross(p, q, x_edge):
-        t = (x_edge - p[0]) / (q[0] - p[0])
-        return (x_edge, float(p[1] + t * (q[1] - p[1])))
-
-    def y_cross(p, q, y_edge):
-        t = (y_edge - p[1]) / (q[1] - p[1])
-        return (float(p[0] + t * (q[0] - p[0])), y_edge)
-
-    subject = clip_edge(subject, lambda p: p[0] >= rect.xmin,
-                        lambda p, q: x_cross(p, q, rect.xmin))
-    subject = clip_edge(subject, lambda p: p[0] <= rect.xmax,
-                        lambda p, q: x_cross(p, q, rect.xmax))
-    subject = clip_edge(subject, lambda p: p[1] >= rect.ymin,
-                        lambda p, q: y_cross(p, q, rect.ymin))
-    subject = clip_edge(subject, lambda p: p[1] <= rect.ymax,
-                        lambda p, q: y_cross(p, q, rect.ymax))
-    return subject
 
 
 #: Pairs clipped per vectorized pass: bounds the (pairs x vertices)
@@ -124,17 +78,45 @@ def _clip_half_plane(
     return out_x, out_y, np.concatenate([[0], end])[start]
 
 
-def _clipped_areas(tris: np.ndarray, rects: np.ndarray) -> np.ndarray:
-    """``abs(ring_area(clip_polygon_to_rect(tris[k], rects[k])))`` for
-    every row ``k`` (``rects`` rows are ``xmin, ymin, xmax, ymax``), the
-    rings laid end to end; each shoelace sum runs vertex by vertex from
-    the first, as :func:`ring_area`'s short ``np.sum`` does."""
-    x, y = tris[:, :, 0].ravel(), tris[:, :, 1].ravel()
-    start = np.arange(len(tris) + 1) * 3
+def _clip_rings(
+    x: np.ndarray, y: np.ndarray, start: np.ndarray, rects: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ring ``r`` (laid out as :func:`_clip_half_plane` reads it) clipped
+    to ``rects[r]`` (``xmin, ymin, xmax, ymax``): the four passes,
+    left, right, bottom, top."""
     for axis, side, lower in ((0, 0, True), (0, 2, False),
                               (1, 1, True), (1, 3, False)):
         x, y, start = _clip_half_plane(x, y, start, axis, rects[:, side],
                                        lower)
+    return x, y, start
+
+
+def clip_polygon_to_rect(ring: np.ndarray, rect: BBox) -> np.ndarray:
+    """Sutherland–Hodgman: clip a convex-or-concave ring to a rectangle.
+
+    Correct for any simple ring clipped against a convex window (the
+    rectangle).  Returns the clipped ring, possibly empty (shape (0, 2)).
+    Degenerate zero-area output is possible for rings that only touch the
+    rectangle boundary; callers use :func:`ring_area` to discard those.
+    """
+    ring = np.asarray(ring, dtype=np.float64).reshape(-1, 2)
+    x, y, _ = _clip_rings(
+        ring[:, 0], ring[:, 1], np.array([0, len(ring)]),
+        np.array([[rect.xmin, rect.ymin, rect.xmax, rect.ymax]],
+                 dtype=np.float64),
+    )
+    return np.column_stack([x, y])
+
+
+def _clipped_areas(tris: np.ndarray, rects: np.ndarray) -> np.ndarray:
+    """``abs(ring_area(clip_polygon_to_rect(tris[k], rects[k])))`` for
+    every row ``k``, the rings laid end to end; each shoelace sum runs
+    vertex by vertex from the first, as :func:`ring_area`'s short
+    ``np.sum`` does."""
+    x, y, start = _clip_rings(
+        tris[:, :, 0].ravel(), tris[:, :, 1].ravel(),
+        np.arange(len(tris) + 1) * 3, rects,
+    )
     n = np.diff(start)
     held = n > 0
     nxt = np.arange(len(x)) + 1

@@ -25,7 +25,7 @@ once.
 from repro.graphics.viewport import Canvas, Viewport, resolution_for_epsilon
 from repro.graphics.fbo import FrameBuffer
 from repro.graphics.raster_triangle import SUBPIXEL_BITS
-from repro.graphics.conservative import conservative_triangle_pixels
+from repro.graphics.conservative import conservative_polygon_pixels
 from repro.graphics.raster_polygon import scanline_polygon_pixels
 
 __all__ = [
@@ -34,6 +34,6 @@ __all__ = [
     "resolution_for_epsilon",
     "FrameBuffer",
     "SUBPIXEL_BITS",
-    "conservative_triangle_pixels",
+    "conservative_polygon_pixels",
     "scanline_polygon_pixels",
 ]

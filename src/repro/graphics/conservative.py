@@ -8,10 +8,12 @@ rasterization misses.
 
 The test is an exact separating-axis check between the pixel square and the
 triangle: the candidate axes for two convex polygons are the square's two
-axes (handled by the bounding-box pre-cut) and the triangle's three edge
-normals (handled by evaluating each edge function at the square corner
-deepest inside that edge).  :func:`conservative_overlaps` runs the same
-test on many (triangle, pixel) pairs at once, element for element.
+axes (a bounding-box cut) and the triangle's three edge normals (each edge
+function evaluated at the square corner deepest inside that edge).
+:func:`conservative_overlaps` runs it on (triangle, pixel) pairs;
+:func:`conservative_polygon_pixels` on every pixel of each triangle's
+candidate block.  The one-triangle mask it replaced is the suites'
+oracle (``tests/graphics/reference_raster.py``).
 """
 
 from __future__ import annotations
@@ -21,74 +23,23 @@ import numpy as np
 from repro.graphics.viewport import Viewport
 
 
-def conservative_triangle_pixels(
-    viewport: Viewport, tri: np.ndarray
-) -> tuple[int, int, np.ndarray]:
-    """Overlap mask of one triangle against the pixel grid.
-
-    Returns ``(x0, y0, mask)``: ``mask[j, i]`` is True when the triangle
-    overlaps local pixel ``(x0 + i, y0 + j)`` — every pixel square, not
-    only those whose centre it covers (closed test: touching an edge or
-    corner counts).
-    """
-    sx, sy = viewport.to_screen(tri[:, 0], tri[:, 1])
-    area2 = (sx[1] - sx[0]) * (sy[2] - sy[0]) - (sy[1] - sy[0]) * (sx[2] - sx[0])
-    if area2 == 0.0:
-        return 0, 0, np.zeros((0, 0), dtype=bool)
-    if area2 < 0:
-        sx = sx[::-1].copy()
-        sy = sy[::-1].copy()
-
-    # Closed-overlap candidate block: pixel ix spans [ix, ix+1], so it can
-    # touch the triangle when ix >= min(sx) - 1 and ix <= max(sx).
-    x0 = max(0, int(np.ceil(sx.min())) - 1)
-    y0 = max(0, int(np.ceil(sy.min())) - 1)
-    x1 = min(viewport.width - 1, int(np.floor(sx.max())))
-    y1 = min(viewport.height - 1, int(np.floor(sy.max())))
-    if x1 < x0 or y1 < y0:
-        return 0, 0, np.zeros((0, 0), dtype=bool)
-
-    # Pixel min corners of the candidate block.
-    px = np.arange(x0, x1 + 1, dtype=np.float64)[None, :]
-    py = np.arange(y0, y1 + 1, dtype=np.float64)[:, None]
-
-    mask = np.ones((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
-    # Bounding-box axes (the square's axes in the SAT sense): the pixel
-    # [px, px+1] x [py, py+1] must overlap the triangle bbox (closed).
-    mask &= (px + 1.0 >= sx.min()) & (px <= sx.max())
-    mask &= (py + 1.0 >= sy.min()) & (py <= sy.max())
-
-    for e in range(3):
-        ax, ay = float(sx[e]), float(sy[e])
-        bx, by = float(sx[(e + 1) % 3]), float(sy[(e + 1) % 3])
-        dx, dy = bx - ax, by - ay
-        # Evaluate the edge function at the square corner most inside this
-        # edge: corner x depends on sign(-dy), corner y on sign(dx).
-        corner_x = px + (1.0 if dy <= 0 else 0.0)
-        corner_y = py + (1.0 if dx >= 0 else 0.0)
-        e_val = dx * (corner_y - ay) - dy * (corner_x - ax)
-        mask &= e_val >= 0.0
-        if not mask.any():
-            return 0, 0, np.zeros((0, 0), dtype=bool)
-    return x0, y0, mask
-
-
 def conservative_overlaps(
-    viewport: Viewport, tris: np.ndarray, tri: np.ndarray,
+    viewport: Viewport, tris: np.ndarray, tri: np.ndarray | int,
     ix: np.ndarray, iy: np.ndarray,
 ) -> np.ndarray:
     """Whether triangle ``tris[tri[k]]`` overlaps local pixel ``(ix[k],
-    iy[k])``: the closed test :func:`conservative_triangle_pixels` marks
-    in its mask, pair by pair, in the same float expressions — set up
-    once per triangle, evaluated per pair."""
+    iy[k])`` — every pixel square, not only those whose centre it covers
+    (closed test: touching an edge or corner counts; a degenerate
+    triangle touches nothing).  Set up once per triangle, evaluated per
+    pair; ``tri``, ``ix`` and ``iy`` broadcast together."""
     sx, sy = viewport.to_screen(tris[..., 0], tris[..., 1])
     area2 = ((sx[:, 1] - sx[:, 0]) * (sy[:, 2] - sy[:, 0])
              - (sy[:, 1] - sy[:, 0]) * (sx[:, 2] - sx[:, 0]))
     flip = (area2 < 0)[:, None]
     sx = np.where(flip, sx[:, ::-1], sx)
     sy = np.where(flip, sy[:, ::-1], sy)
-    px = ix.astype(np.float64)
-    py = iy.astype(np.float64)
+    px = np.asarray(ix, dtype=np.float64)
+    py = np.asarray(iy, dtype=np.float64)
     hit = (
         (area2 != 0.0)[tri]
         & (px + 1.0 >= sx.min(axis=1)[tri]) & (px <= sx.max(axis=1)[tri])
@@ -104,22 +55,42 @@ def conservative_overlaps(
     return hit
 
 
+#: Candidate blocks up to this many pixels are tested pair by pair in
+#: one call; a larger one gets a call of its own, which broadcasts a row
+#: of columns against a column of rows.
+_SMALL_BLOCK = 256
+
+
 def conservative_polygon_pixels(
     viewport: Viewport, triangles: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicated (ix, iy) of all pixels a triangulated polygon touches."""
-    cols: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    for tri in triangles:
-        x0, y0, mask = conservative_triangle_pixels(viewport, tri)
-        if mask.size == 0:
-            continue
-        ys, xs = np.nonzero(mask)
-        cols.append(xs + x0)
-        rows.append(ys + y0)
-    if not cols:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    flat = np.unique(
-        np.concatenate(cols) * viewport.height + np.concatenate(rows)
-    )
+    """Deduplicated (ix, iy) of all pixels a triangulated polygon touches,
+    ascending by ``(ix, iy)``: :func:`conservative_overlaps` over each
+    triangle's candidate block."""
+    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 2)
+    sx, sy = viewport.to_screen(tris[..., 0], tris[..., 1])
+    # Closed-overlap candidate block: pixel ix spans [ix, ix+1], so it can
+    # touch the triangle when ix >= min(sx) - 1 and ix <= max(sx).
+    x0 = np.maximum(np.ceil(sx.min(axis=1)) - 1, 0)
+    y0 = np.maximum(np.ceil(sy.min(axis=1)) - 1, 0)
+    bw = np.minimum(np.floor(sx.max(axis=1)), viewport.width - 1) - x0 + 1
+    bh = np.minimum(np.floor(sy.max(axis=1)), viewport.height - 1) - y0 + 1
+    held = np.flatnonzero((bw > 0) & (bh > 0))
+    x0, y0, bw, bh = (a[held].astype(np.int64) for a in (x0, y0, bw, bh))
+    small = bw * bh <= _SMALL_BLOCK
+    # Small blocks: every (pixel, triangle) pair in one call.
+    count = (bw * bh)[small]
+    tri = np.repeat(np.flatnonzero(small), count)
+    k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
+    ix, iy = x0[tri] + k % bw[tri], y0[tri] + k // bw[tri]
+    hit = conservative_overlaps(viewport, tris[held], tri, ix, iy)
+    flat = [ix[hit] * viewport.height + iy[hit]]
+    for j in np.flatnonzero(~small).tolist():
+        ix = np.arange(x0[j], x0[j] + bw[j])
+        iy = np.arange(y0[j], y0[j] + bh[j])
+        rows, cols = np.nonzero(conservative_overlaps(
+            viewport, tris[held[j]][None], 0, ix[None, :], iy[:, None]
+        ))
+        flat.append(ix[cols] * viewport.height + iy[rows])
+    flat = np.unique(np.concatenate(flat))
     return flat // viewport.height, flat % viewport.height

@@ -12,12 +12,13 @@ from repro import (
 from repro.device.memory import GPUDevice
 from repro.errors import QueryError
 from repro.geometry.bbox import BBox
-from repro.geometry.clip import clip_polygon_to_rect, ring_area
+from repro.geometry.clip import ring_area
 from repro.geometry.triangulate import triangulate_polygon
-from repro.graphics.conservative import conservative_triangle_pixels
 from repro.graphics.raster_line import outline_pixels_many
 from tests.conftest import brute_force_counts, random_star_polygon
+from tests.geometry.reference_clip import scalar_clip_polygon_to_rect
 from tests.graphics.reference_raster import (
+    conservative_triangle_pixels,
     outline_pixels,
     triangle_coverage_mask,
 )
@@ -243,7 +244,7 @@ def _scalar_sums(engine, points, polygons) -> np.ndarray:
                 )
                 area = sum(
                     abs(ring_area(clipped)) for clipped in (
-                        clip_polygon_to_rect(tri, rect)
+                        scalar_clip_polygon_to_rect(tri, rect)
                         for tri in triangles[pid]
                     ) if len(clipped) >= 3
                 )

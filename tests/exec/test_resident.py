@@ -164,6 +164,20 @@ class TestResidentBitIdentity:
             assert time.monotonic() < deadline, "workers outlived the backend"
             time.sleep(0.05)
 
+    def test_close_disarms_the_stop_hook(self, points, polygons):
+        """A closed pool is joined by ``close()``; the backend's hook for
+        it is detached, so a respawned pool does not keep it alive."""
+        engine = AccurateRasterJoin(
+            resolution=RESOLUTION, device=GPUDevice(max_resolution=MAX_FBO),
+            session=QuerySession(),
+            config=EngineConfig(backend="process", workers=2, shm=True),
+        )
+        engine.execute(points, polygons, Count())
+        hook = engine.backend._stop_pool
+        assert hook.alive
+        engine.close()
+        assert not hook.alive
+
     def test_resident_statements_record_and_replay_the_boundary_join(
         self, resident_engine, points, polygons
     ):

@@ -5,7 +5,10 @@ The engines rasterize whole polygon sets in flat batched passes
 ``repro.graphics.raster_line.outline_pixels_many`` for outlines).  These
 are the one-triangle, one-segment and one-polygon kernels those passes
 replaced: the per-triangle edge-function rasterizer with its fill-rule
-bias, the per-segment supercover walk, and the one-polygon outline.
+bias, the per-segment supercover walk, the one-polygon outline, and the
+one-triangle conservative mask
+(``repro.graphics.conservative.conservative_overlaps`` runs its test
+pair by pair).
 Nothing under ``src/`` imports this module; the suites require the
 batched passes to return exactly what these return (the same pixels in
 the same order, the same sums).
@@ -243,3 +246,55 @@ def outline_pixels(
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     flat = _sorted_unique(codes)
     return flat // viewport.height, flat % viewport.height
+
+
+def conservative_triangle_pixels(
+    viewport: Viewport, tri: np.ndarray
+) -> tuple[int, int, np.ndarray]:
+    """Overlap mask of one triangle against the pixel grid.
+
+    Returns ``(x0, y0, mask)``: ``mask[j, i]`` is True when the triangle
+    overlaps local pixel ``(x0 + i, y0 + j)`` — every pixel square, not
+    only those whose centre it covers (closed test: touching an edge or
+    corner counts).
+    """
+    sx, sy = viewport.to_screen(tri[:, 0], tri[:, 1])
+    area2 = (sx[1] - sx[0]) * (sy[2] - sy[0]) - (sy[1] - sy[0]) * (sx[2] - sx[0])
+    if area2 == 0.0:
+        return 0, 0, np.zeros((0, 0), dtype=bool)
+    if area2 < 0:
+        sx = sx[::-1].copy()
+        sy = sy[::-1].copy()
+
+    # Closed-overlap candidate block: pixel ix spans [ix, ix+1], so it can
+    # touch the triangle when ix >= min(sx) - 1 and ix <= max(sx).
+    x0 = max(0, int(np.ceil(sx.min())) - 1)
+    y0 = max(0, int(np.ceil(sy.min())) - 1)
+    x1 = min(viewport.width - 1, int(np.floor(sx.max())))
+    y1 = min(viewport.height - 1, int(np.floor(sy.max())))
+    if x1 < x0 or y1 < y0:
+        return 0, 0, np.zeros((0, 0), dtype=bool)
+
+    # Pixel min corners of the candidate block.
+    px = np.arange(x0, x1 + 1, dtype=np.float64)[None, :]
+    py = np.arange(y0, y1 + 1, dtype=np.float64)[:, None]
+
+    mask = np.ones((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+    # Bounding-box axes (the square's axes in the SAT sense): the pixel
+    # [px, px+1] x [py, py+1] must overlap the triangle bbox (closed).
+    mask &= (px + 1.0 >= sx.min()) & (px <= sx.max())
+    mask &= (py + 1.0 >= sy.min()) & (py <= sy.max())
+
+    for e in range(3):
+        ax, ay = float(sx[e]), float(sy[e])
+        bx, by = float(sx[(e + 1) % 3]), float(sy[(e + 1) % 3])
+        dx, dy = bx - ax, by - ay
+        # Evaluate the edge function at the square corner most inside this
+        # edge: corner x depends on sign(-dy), corner y on sign(dx).
+        corner_x = px + (1.0 if dy <= 0 else 0.0)
+        corner_y = py + (1.0 if dx >= 0 else 0.0)
+        e_val = dx * (corner_y - ay) - dy * (corner_x - ax)
+        mask &= e_val >= 0.0
+        if not mask.any():
+            return 0, 0, np.zeros((0, 0), dtype=bool)
+    return x0, y0, mask

@@ -1,16 +1,17 @@
-"""Unit tests for conservative rasterization."""
+"""Unit tests for conservative rasterization: the one-triangle mask
+(the suites' oracle) and the polygon pass built on the pairwise test."""
 
 import numpy as np
 import pytest
 
 from repro.geometry.bbox import BBox
 from repro.geometry.triangulate import triangulate_polygon
-from repro.graphics.conservative import (
-    conservative_polygon_pixels,
-    conservative_triangle_pixels,
-)
+from repro.graphics.conservative import conservative_polygon_pixels
 from repro.graphics.viewport import Viewport
-from tests.graphics.reference_raster import covered_pixels
+from tests.graphics.reference_raster import (
+    conservative_triangle_pixels,
+    covered_pixels,
+)
 from tests.conftest import random_star_polygon
 
 VP = Viewport(BBox(0, 0, 16, 16), 16, 16)

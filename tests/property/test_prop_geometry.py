@@ -13,6 +13,7 @@ from repro.geometry.clip import (
 from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import orientation, point_in_ring, points_in_ring
 from repro.geometry.triangulate import triangulate_polygon
+from tests.geometry.reference_clip import scalar_clip_polygon_to_rect
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +121,27 @@ def test_clip_area_never_exceeds_originals(poly):
     assert area <= rect.area + 1e-7
 
 
+#: Rectangle sides on the half-unit lattice meet ring vertices and
+#: edges exactly; free floats cover the general position.
+rect_coordinate = st.one_of(
+    st.integers(0, 200).map(lambda k: k * 0.5),
+    st.floats(0.0, 100.0, allow_nan=False),
+)
+
+
+@given(star_polygons(), rect_coordinate, rect_coordinate,
+       rect_coordinate, rect_coordinate, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_clip_equals_the_scalar_loop(poly, a, b, c, d, snap):
+    """The vectorized passes on one ring return the vertex-by-vertex
+    loop's vertices, bit for bit."""
+    ring = np.round(poly.exterior) if snap else poly.exterior
+    rect = BBox(min(a, c), min(b, d), max(a, c), max(b, d))
+    got = clip_polygon_to_rect(ring, rect)
+    want = scalar_clip_polygon_to_rect(ring, rect)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 @given(star_polygons(), st.integers(0, 90), st.integers(0, 90))
 @settings(max_examples=60, deadline=None)
 def test_coverage_fraction_in_unit_interval(poly, i, j):
@@ -175,7 +197,7 @@ def triangles_and_pixel(draw):
 def _fraction_over_every_triangle(tris, rect):
     covered = 0.0
     for tri in tris:
-        clipped = clip_polygon_to_rect(tri, rect)
+        clipped = scalar_clip_polygon_to_rect(tri, rect)
         if len(clipped) >= 3:
             covered += abs(ring_area(clipped))
     return min(max(covered / rect.area, 0.0), 1.0)
@@ -244,7 +266,8 @@ def test_batch_fraction_equals_the_clipped_triangle_sum(
     want = np.asarray([
         min(1.0, sum(
             abs(ring_area(clipped)) for clipped in (
-                clip_polygon_to_rect(tri, BBox(*rects[k])) for tri in tris
+                scalar_clip_polygon_to_rect(tri, BBox(*rects[k]))
+                for tri in tris
             ) if len(clipped) >= 3
         ) / area[k])
         for k in sample

@@ -14,11 +14,12 @@ from repro.geometry.bbox import BBox
 from repro.geometry.triangulate import triangulate_polygon
 from repro.graphics.conservative import (
     conservative_overlaps,
-    conservative_triangle_pixels,
+    conservative_polygon_pixels,
 )
 from repro.graphics.raster_polygon import scanline_polygon_pixels
 from repro.graphics.viewport import Viewport
 from tests.graphics.reference_raster import (
+    conservative_triangle_pixels,
     covered_pixels,
     outline_pixels,
     supercover_line,
@@ -99,6 +100,23 @@ def test_batched_overlap_equals_the_conservative_raster(xy, scale, shift):
         ix.ravel(), iy.ravel(),
     )
     assert np.array_equal(got.reshape(16, 20), want)
+
+
+@given(star_polygons(), st.integers(6, 120))
+@settings(max_examples=60, deadline=None)
+def test_polygon_pass_equals_the_union_of_triangle_masks(poly, side):
+    """The grid index's exact cells: small candidate blocks tested pair
+    by pair, large ones broadcast, the union of the one-triangle masks
+    either way, ascending by ``(ix, iy)``."""
+    viewport = Viewport(BBox(0, 0, 100, 100), side, side)
+    tris = triangulate_polygon(poly)
+    want: set = set()
+    for tri in tris:
+        x0, y0, mask = conservative_triangle_pixels(viewport, tri)
+        ys_, xs_ = np.nonzero(mask)
+        want |= set(zip((xs_ + x0).tolist(), (ys_ + y0).tolist()))
+    xs, ys = conservative_polygon_pixels(viewport, tris)
+    assert list(zip(xs.tolist(), ys.tolist())) == sorted(want)
 
 
 @given(star_polygons())
