@@ -15,18 +15,21 @@ pure function of (polygon geometry, render configuration):
 * the row-banded edge table the boundary PIP tests against;
 * for the index-join baseline alone, the paper's polygon grid index.
 
-Since PR 5 the artifact is **composed from per-polygon units**
+The artifact is **composed from per-polygon units**
 (:class:`PolygonUnit`): each polygon carries its own content
 fingerprint, triangulation, per-tile outline pixels and per-tile
-coverage runs, and the set-level arrays the engines consume (the
-boundary mask, the tile's run table trimmed at that mask, the candidate
-lists) are cheap deterministic *compositions* of those units.  That
-split is what makes single-polygon edits incremental: an edited set
-reuses every unchanged polygon's unit verbatim and re-rasterizes only
-the changed ones (see ``docs/incremental_edits.md``), while the composed
-views stay bit-identical to a from-scratch build by construction —
-composition lays the per-polygon slices out in the same polygon order a
-direct build emits them in.
+coverage runs, and what the engines consume of a tile is one record,
+:class:`TileViews` — the boundary mask, the run table trimmed at that
+mask and the candidate lists — a cheap deterministic *composition* of
+those units (:meth:`PreparedPolygons.compose_views`, which the tile
+task and the store's decode both call).  An artifact holds a tile's
+record whole or not at all.  The split into units is what makes
+single-polygon edits incremental: an edited set reuses every unchanged
+polygon's unit verbatim and re-rasterizes only the changed ones (see
+``docs/incremental_edits.md``), while the composed records stay
+bit-identical to a from-scratch build by construction — composition
+lays the per-polygon slices out in the same polygon order a direct
+build emits them in.
 
 An edit with stable polygon ids goes one step further: its tile views
 are the base's, patched inside the edit's *window* ``W`` — the pixel
@@ -36,7 +39,7 @@ those whose box meets ``W`` are recomposed, by the same three kernels,
 and spliced back in polygon order.  That is exact: a polygon whose box misses ``W``
 has no pixel whose mask bit changed, so its trimmed runs, and every
 candidate row outside ``W``, are what a from-scratch compose gives.  A
-tile ``W`` misses keeps the base's view objects; the edge table splices
+tile ``W`` misses keeps the base's record; the edge table splices
 the edited polygons' blocks into the base's
 (:meth:`~repro.index.edge_table.EdgeTable.splice`).
 
@@ -109,6 +112,19 @@ class TileCandidates(NamedTuple):
     pids: np.ndarray
 
 
+class TileViews(NamedTuple):
+    """A kernel's polygon side of one tile, one record over the same
+    pixels: the outline mask, the run table trimmed at it, and the
+    boundary PIP's candidates — the run table alone, untrimmed, for the
+    bounded kernel.  Composed whole (:meth:`PreparedPolygons.
+    compose_views`) and installed whole (:meth:`PreparedPolygons.
+    mark_composed`): an artifact holds a tile's record or nothing of it."""
+
+    boundary: np.ndarray | None
+    coverage: TileCoverage
+    candidates: TileCandidates | None
+
+
 class DeltaBase(NamedTuple):
     """What a delta-derived artifact borrows from its base while it
     still has tiles to compose: the base's units at the edited ids (the
@@ -116,9 +132,7 @@ class DeltaBase(NamedTuple):
     Held only for an edit with stable polygon ids."""
 
     departed: dict
-    boundary_masks: dict
-    coverage: dict
-    candidates: dict
+    views: dict
     edge_table: EdgeTable | None
 
 
@@ -286,9 +300,7 @@ class PreparedPolygons:
         "tiles",
         "triangles",
         "grid",
-        "boundary_masks",
-        "coverage",
-        "candidates",
+        "views",
         "mbr_arrays",
         "edge_table",
         "units",
@@ -308,15 +320,9 @@ class PreparedPolygons:
         #: the index-join baseline's polygon grid, no other engine's:
         #: derived, rebuilt after a load, never persisted or counted.
         self.grid: GridIndex | None = None
-        #: tile index -> boolean boundary mask of that viewport (composed)
-        self.boundary_masks: dict[int, np.ndarray] = {}
-        #: tile index -> :class:`TileCoverage`, the units' runs laid end
-        #: to end (trimmed at the mask on the exact path): derived,
-        #: never persisted or counted
-        self.coverage: dict[int, TileCoverage] = {}
-        #: tile index -> :class:`TileCandidates`, the boundary PIP's
-        #: lookup: derived from the outlines and the runs alike.
-        self.candidates: dict[int, TileCandidates] = {}
+        #: tile index -> :class:`TileViews`, composed from the units:
+        #: only the boundary mask is counted, nothing of it persisted
+        self.views: dict[int, TileViews] = {}
         #: polygon MBRs as (xmin, xmax, ymin, ymax) column arrays
         self.mbr_arrays: tuple[np.ndarray, ...] | None = None
         #: flat edge soup in row bands — what the boundary PIP tests
@@ -393,8 +399,7 @@ class PreparedPolygons:
         patch = None
         if stable and base.tiles is not None:
             patch = DeltaBase(
-                {pid: base.units[pid] for pid in dirty},
-                base.boundary_masks, base.coverage, base.candidates,
+                {pid: base.units[pid] for pid in dirty}, base.views,
                 base.edge_table,
             )
         entry.delta = Delta(
@@ -574,42 +579,53 @@ class PreparedPolygons:
         starts = np.append(first, len(pairs))
         return TileCandidates(pixels[first], starts, owners)
 
-    def mark_composed(self, tile_idx: int, boundary=None, coverage=None,
-                      candidates=None, unit_boundary=None,
-                      unit_coverage=None, near=None,
+    @classmethod
+    def compose_views(cls, tile, runs: dict,
+                      outlines: dict | None) -> TileViews:
+        """One tile's whole record from every polygon's slices of it:
+        ``runs`` (``{pid: runs}``) and ``outlines`` (``{pid: (ix,
+        iy)}``; ``None`` for the bounded kernel, whose record is the
+        untrimmed run table alone).  The mask is the outlines ORed, the
+        run table is the runs split at its pixels, and the candidates are
+        the outlines plus what the split cut out."""
+        if outlines is None:
+            return TileViews(None, cls.compose_coverage(runs)[0], None)
+        boundary = cls.compose_boundary(tile, outlines)
+        coverage, on_boundary = cls.compose_coverage(
+            runs, np.flatnonzero(boundary)
+        )
+        return TileViews(
+            boundary, coverage,
+            cls.compose_candidates(tile, outlines, on_boundary),
+        )
+
+    def mark_composed(self, tile_idx: int, views: TileViews | None = None,
+                      unit_boundary=None, unit_coverage=None, near=None,
                       base_views=False) -> None:
-        """Install what a tile task built (parent side of the merge):
-        composed per-tile views, as ``unit_boundary`` / ``unit_coverage``
-        freshly rasterized per-polygon outline pixels (``{pid: (ix,
-        iy)}``) and coverage runs (``{pid: runs}``), and a patched
-        tile's ``near`` (:meth:`patch_tile`).  ``base_views`` marks a
-        delta's tile its edit's window missed: the views are the base's
-        own objects, installed from this side's base, so a task in
-        another process never leaves the session a second copy."""
+        """Install what a tile task built (parent side of the merge): the
+        tile's record, as ``unit_boundary`` / ``unit_coverage`` freshly
+        rasterized per-polygon outline pixels (``{pid: (ix, iy)}``) and
+        coverage runs (``{pid: runs}``), and a patched tile's ``near``
+        (:meth:`patch_tile`).  ``base_views`` marks a delta's tile its
+        edit's window missed: the record is the base's own object,
+        installed from this side's base, so a task in another process
+        never leaves the session a second copy."""
         delta = self.delta
         if near is not None and delta is not None:
             delta.near.setdefault(tile_idx, near)
         if base_views and delta is not None and delta.base is not None:
-            base = delta.base
-            boundary = base.boundary_masks.get(tile_idx)
-            coverage = base.coverage.get(tile_idx)
-            candidates = base.candidates.get(tile_idx)
+            views = delta.base.views.get(tile_idx)
         for field, slices in (("boundary", unit_boundary),
                               ("coverage", unit_coverage)):
             for pid, value in (slices or {}).items():
                 getattr(self.units[pid], field)[tile_idx] = value
             if slices:
                 self.version += 1
-        for held, view in (
-            (self.boundary_masks, boundary),
-            (self.coverage, coverage),
-            (self.candidates, candidates),
-        ):
-            if view is not None and tile_idx not in held:
-                held[tile_idx] = view
-                self.version += 1
+        if views is not None and tile_idx not in self.views:
+            self.views[tile_idx] = views
+            self.version += 1
         if (self.delta is not None and self.delta.base is not None
-                and len(self.coverage) == len(self.tiles)):
+                and len(self.views) == len(self.tiles)):
             # Every tile composed: nothing left to patch from the base.
             self.delta = self.delta._replace(base=None)
 
@@ -618,15 +634,15 @@ class PreparedPolygons:
     # ------------------------------------------------------------------
     def patch_tile(self, tile, tile_idx: int, runs: dict,
                    outlines: dict | None = None) -> tuple | None:
-        """One tile's ``(boundary, coverage, candidates)`` for a delta,
-        built from its base's views, and ``near``: the polygons
-        recomposed, ascending — ``None`` when the base has no views
+        """One tile's :class:`TileViews` for a delta, built from its
+        base's record, and ``near``: the polygons recomposed, ascending
+        — ``None`` when the base has no record of the tile
         (:func:`_window`), and the caller composes.
 
         ``runs`` / ``outlines`` are every polygon's slices of the tile
         (``outlines`` ``None`` for the bounded kernel, whose run table
         is untrimmed and which has neither mask nor candidates).  When
-        the window misses the tile the views are the base's objects and
+        the window misses the tile the record is the base's object and
         ``near`` is the edited polygons with a pixel there.  Otherwise
         the edited polygons and those whose box meets ``W`` are
         recomposed — the mask inside ``W``, their runs trimmed at the
@@ -640,15 +656,11 @@ class PreparedPolygons:
         box = _window(delta, tile_idx, tile.width, runs, outlines)
         if box is None:
             return None
-        base = delta.base
-        views = (
-            base.boundary_masks.get(tile_idx), base.coverage[tile_idx],
-            base.candidates.get(tile_idx),
-        )
+        held = delta.base.views[tile_idx]
         if box == ():
             # No pixel changed, but an edited polygon's PIP answers may
             # have wherever it lies: its edges moved.
-            return views, np.asarray([
+            return held, np.asarray([
                 pid for pid in delta.dirty if len(runs[pid])
                 or outlines is not None and len(outlines[pid][0])
             ], dtype=np.int64)
@@ -659,8 +671,10 @@ class PreparedPolygons:
         ).astype(np.int64)
         if outlines is None:
             coverage, _ = self.compose_coverage({pid: runs[pid] for pid in near})
-            return (None, _splice_coverage(views[1], near, coverage), None), near
-        mask, _, candidates = views
+            return TileViews(
+                None, _splice_coverage(held.coverage, near, coverage), None
+            ), near
+        mask, candidates = held.boundary, held.candidates
         outlines = {pid: outlines[pid] for pid in near}
         inside = np.s_[y0:y1 + 1, x0:x1 + 1]
         mask = mask.copy()
@@ -677,12 +691,13 @@ class PreparedPolygons:
         coverage, on_boundary = self.compose_coverage(
             {pid: runs[pid] for pid in near}, boundary
         )
-        return (mask, _splice_coverage(views[1], near, coverage), (
+        return TileViews(
+            mask, _splice_coverage(held.coverage, near, coverage),
             _splice_candidates(
                 candidates, self.compose_candidates(tile, outlines, on_boundary),
                 tile.width, box,
-            )
-        )), near
+            ),
+        ), near
 
     def pixel_boxes(self, tile, pids=slice(None)) -> tuple:
         """``(x0, y0, x1, y1)`` arrays, inclusive: the pixel boxes on
@@ -730,8 +745,7 @@ class PreparedPolygons:
             self.triangles is not None,
             self.mbr_arrays is not None,
             self.edge_table is not None,
-            len(self.boundary_masks),
-            len(self.coverage),
+            len(self.views),
         )
 
     @property
@@ -739,13 +753,17 @@ class PreparedPolygons:
         """Approximate artifact footprint (for capacity decisions).
 
         Triangulations and coverage runs are counted through the units
-        (``triangles`` lists the same arrays).  The tiles' run tables and
-        candidate lists are left out: they are derived and never
-        persisted, and a session takes an entry that measures more than
-        its stored pair for one that must be written again.
+        (``triangles`` lists the same arrays); of the tiles' records only
+        the boundary mask is.  Their run tables and candidate lists are
+        left out: they are derived and never persisted, and a session
+        takes an entry that measures more than its stored pair for one
+        that must be written again.
         """
         # Snapshots: another query's tile loop may be installing views.
-        total = sum(mask.nbytes for mask in list(self.boundary_masks.values()))
+        total = sum(
+            views.boundary.nbytes for views in list(self.views.values())
+            if views.boundary is not None
+        )
         if self.edge_table is not None:
             total += self.edge_table.nbytes
         if self.mbr_arrays is not None:
@@ -766,10 +784,8 @@ class PreparedPolygons:
             parts.append("triangles")
         if self.canvas is not None:
             parts.append("canvas")
-        if self.boundary_masks:
-            parts.append(f"boundary x{len(self.boundary_masks)}")
-        if self.coverage:
-            parts.append(f"coverage x{len(self.coverage)}")
+        if self.views:
+            parts.append(f"views x{len(self.views)}")
         if self.mbr_arrays is not None:
             parts.append("mbrs")
         if self.edge_table is not None:
@@ -814,18 +830,17 @@ def _window(delta: Delta | None, tile_idx: int, width: int, runs: dict,
     that enter or leave an edited polygon's runs or outline, its old
     slices against its new ones among ``runs`` / ``outlines``
     (``{pid: slice}``; a pid left out has none); ``()`` when no pixel
-    changed, ``None`` when ``delta`` has no base views of the tile to
+    changed, ``None`` when ``delta`` has no base record of the tile to
     patch.
 
     Outside ``W`` no mask bit changed, and neither did an edited
     polygon's runs, outline or coverage fragments: every view there is
     the base's."""
     base = delta.base if delta is not None else None
-    if base is None or tile_idx not in base.coverage:
+    held = None if base is None else base.views.get(tile_idx)
+    if held is None:
         return None
-    exact = tile_idx in base.boundary_masks
-    if exact and tile_idx not in base.candidates:
-        return None
+    exact = held.boundary is not None
     changed_runs, changed_outlines = [], []
     empty = np.zeros(0, dtype=np.int64)
     for pid, unit in base.departed.items():

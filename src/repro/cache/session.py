@@ -436,7 +436,7 @@ class QuerySession:
 
     @staticmethod
     def _has_coverage(entry: PreparedPolygons) -> bool:
-        return bool(entry.coverage) or any(u.coverage for u in entry.units)
+        return bool(entry.views) or any(u.coverage for u in entry.units)
 
     # ------------------------------------------------------------------
     # Point-keyed caches: point routings and cached channels

@@ -5,26 +5,29 @@ boundaries, draw the points (a PIP test only for points landing on a
 boundary pixel), draw the polygons — and this module holds its only
 implementation, as plain functions over plain data:
 
-* the **tile task** (:func:`run_tile`): boundary → point pass → polygon
-  pass → one :class:`~repro.exec.backend.TilePartial`.  It never
-  projects: a batch arrives *routed* — each row with its flat pixel in
-  this tile (:mod:`repro.exec.partition`) — so the point pass is a
-  filter mask (never a copy), one flat gather of the boundary mask, a
-  PIP test for the ~1% of rows on it and one flat scatter for the rest.
-  A tile runs one query (its :class:`TileMember`); statements that share
-  work share it as channels of one aggregate
-  (:class:`~repro.core.multi.MultiAggregate`), not as a list of queries.
-  That boundary join — which rows pair with which polygons, and which
-  pairs match — depends on the points, the artifact, the tile and the
-  batch cut alone, so the artifact records it per point source and
-  kernel (:class:`_Record`) and a later statement over the pairing
-  replays it: its filter masks the recorded matches and its aggregate
-  folds them, with no pairing and no PIP test.
-  On a prewarmed pairing the same task skips the scatter: its
-  framebuffers are the session's cached channels and only the rows on
-  boundary pixels are read; the polygon pass reads the same run table
-  either way, which never covers a boundary pixel
-  (``docs/aggregate_pyramid.md``).
+* the **tile task** (:func:`run_tile`): the tile's record of polygon
+  views (:class:`~repro.cache.prepared.TileViews`) → point pass →
+  polygon pass → one :class:`~repro.exec.backend.TilePartial`.  It
+  never projects: a batch arrives *routed* — each row with its flat
+  pixel in this tile (:mod:`repro.exec.partition`) — and every batch
+  takes one flow (:func:`_point_pass`): the window's cut (a delta's),
+  the upload, one flat gather of the boundary mask, the filter mask
+  (never a copy), a PIP test for the ~1% of rows on the mask and one
+  flat scatter for the rest.  A tile runs one query (its
+  :class:`TileMember`); statements that share work share it as
+  channels of one aggregate (:class:`~repro.core.multi.MultiAggregate`),
+  not as a list of queries.  The boundary join always pairs every row
+  the tile took on a boundary pixel and masks the matches by the
+  filter, so which rows pair with which polygons, and which pairs
+  match, depends on the points, the artifact, the tile and the batch
+  cut alone: the artifact records it per point source and kernel
+  (:class:`_Record`) and a later statement over the pairing replays it
+  — its filter masks the recorded matches and its aggregate folds
+  them, with no pairing and no PIP test.  On a prewarmed pairing the
+  same pass runs without the upload and the scatter: its framebuffers
+  are the session's cached channels and the filter reads the boundary
+  rows alone; the polygon pass reads the same run table either way,
+  which never covers a boundary pixel (``docs/aggregate_pyramid.md``).
 * the **tile loop** (:func:`run_tiles`): look a point source's routing
   up or compute it (a chunk stream is scanned by each tile instead) →
   dispatch the tile tasks over the execution backend → merge the
@@ -63,6 +66,7 @@ from repro.cache.prepared import (
     PreparedPolygons,
     TileCandidates,
     TileCoverage,
+    TileViews,
 )
 from repro.core.aggregates import Aggregate, Count
 from repro.core.engine import (
@@ -286,17 +290,6 @@ def run_tile(
 
 
 # -- stage 1: draw the boundaries ---------------------------------------
-class TileViews(NamedTuple):
-    """A kernel's polygon side of one tile, three views over the same
-    pixels (named as ``mark_composed`` takes them): the outline mask,
-    the run table trimmed at it, and the boundary PIP's candidates —
-    the run table alone, untrimmed, for the bounded kernel."""
-
-    boundary: np.ndarray | None
-    coverage: TileCoverage
-    candidates: TileCandidates | None
-
-
 def _tile_views(
     tile_idx: int,
     tile: Viewport,
@@ -305,32 +298,26 @@ def _tile_views(
     partial: TilePartial,
     retain: bool,
 ) -> tuple[TileViews, np.ndarray | None]:
-    """This tile's views — cached, or built — and, on a delta's patched
+    """This tile's record — cached, or built — and, on a delta's patched
     tile, the polygons the edit can change there (``near``; ``None``
     elsewhere).
 
     The exact kernel's build rasterizes outlines in one vectorized edge
     pass over the polygons whose unit lacks this tile (those whose box
-    meets it — one vectorized bin pass over the columnar MBRs) and ORs
-    every polygon's pixels into the mask.  The coverage raster runs here
-    too, and the units' runs are split at the mask's pixels: what is
-    left is the run table, what was cut out are the coverage fragments
-    on boundary pixels — with the outlines, the candidates.  The bounded
-    kernel composes the run table alone.  A delta with stable ids
-    patches its base's views instead, inside the edit's window
-    (:meth:`~repro.cache.prepared.PreparedPolygons.patch_tile`).  Under
-    ``retain`` what this call built goes home in ``partial``.
+    meets it — one vectorized bin pass over the columnar MBRs); the
+    coverage raster runs here too, for the bounded kernel alike, and the
+    record is composed whole from every polygon's slices
+    (:meth:`~repro.cache.prepared.PreparedPolygons.compose_views`).  A
+    delta with stable ids patches its base's record instead, inside the
+    edit's window (:meth:`~repro.cache.prepared.PreparedPolygons.
+    patch_tile`).  Under ``retain`` what this call built goes home in
+    ``partial``.
     """
     prepared = member.prepared
     delta = prepared.delta
     near = delta.near.get(tile_idx) if delta is not None else None
-    held = views = TileViews(
-        prepared.boundary_masks.get(tile_idx) if exact else None,
-        prepared.coverage.get(tile_idx),
-        prepared.candidates.get(tile_idx) if exact else None,
-    )
-    wanted = held if exact else held[1:2]
-    if any(view is None for view in wanted):
+    views = prepared.views.get(tile_idx)
+    if views is None:
         with trace.span("boundary"):
             start = time.perf_counter()
             built = {}
@@ -349,39 +336,20 @@ def _tile_views(
                 }))
                 outlines.update(built["unit_boundary"])
             runs, built["unit_coverage"] = _unit_runs(tile_idx, tile, member)
-            patched = None
-            if all(view is None for view in wanted):
-                patched = prepared.patch_tile(tile, tile_idx, runs, outlines)
-            if patched is not None:
-                views, near = TileViews(*patched[0]), patched[1]
-                built["near"] = near
-            elif not exact:
-                views = TileViews(None, prepared.compose_coverage(runs)[0], None)
+            patched = prepared.patch_tile(tile, tile_idx, runs, outlines)
+            if patched is None:
+                views = prepared.compose_views(tile, runs, outlines)
             else:
-                boundary, coverage, candidates = held
-                if boundary is None:
-                    boundary = prepared.compose_boundary(tile, outlines)
-                coverage, on_boundary = prepared.compose_coverage(
-                    runs, np.flatnonzero(boundary)
-                )
-                if candidates is None:
-                    candidates = prepared.compose_candidates(
-                        tile, outlines, on_boundary
-                    )
-                views = TileViews(boundary, coverage, candidates)
+                views, near = patched
+                built["near"] = near
             if retain:
-                if (patched is not None
-                        and views.coverage is delta.base.coverage[tile_idx]):
-                    # The window missed the tile: its views are the
-                    # base's objects, which the parent installs from its
-                    # own base, not from a copy a process sends home.
+                if patched is not None and views is delta.base.views[tile_idx]:
+                    # The window missed the tile: its record is the base's
+                    # object, which the parent installs from its own base,
+                    # not from a copy a process sends home.
                     built["base_views"] = True
                 else:
-                    built.update(
-                        (name, new) for name, new, old
-                        in zip(TileViews._fields, views, held)
-                        if old is None and new is not None
-                    )
+                    built["views"] = views
                 partial.built = built
             partial.stats.processing_s += time.perf_counter() - start
     if exact:
@@ -508,12 +476,17 @@ def _point_pass(
     its flat pixel (:class:`~repro.exec.partition.RoutedChunk`, or its
     shared-memory twin) — whether the routing came from the session,
     from this query's own routing pass, or from the tile scanning a
-    stream itself.  Per batch the vertex-stage filter runs once, as a
-    boolean mask over the rows in input order.  Under a ``window`` a
-    batch is first cut to the rows in its box, in order.  Without an
-    ``fbo`` the tile was prewarmed: its framebuffers are cached, so only
-    the batch's rows on boundary pixels are read — neither uploaded nor
-    scattered — and the filter runs over them alone.
+    stream itself.  Every batch takes one flow: under a ``window`` it is
+    cut to the rows in the box, in order; it is uploaded; the rows the
+    tile took on a boundary pixel are found (or read off the record);
+    the vertex-stage filter runs once, as a boolean mask in row order;
+    the boundary rows join exactly (:func:`_boundary_join`) and the kept
+    interior rows scatter into ``fbo`` (a ``window``'s box of it) in row
+    order.  Without an ``fbo`` the tile was prewarmed: its framebuffers
+    are cached, so the batch is neither uploaded nor scattered and the
+    filter reads the boundary rows alone.  Without a mask (the bounded
+    join) every kept row scatters.  Values are cast to the FBO's dtype
+    by the blend, as 32-bit GL channels would.
 
     ``pairs`` (:meth:`~repro.cache.prepared.AnswerBook.pairs`; ``None``:
     none is kept) holds the pairing's boundary joins: this tile's entry,
@@ -521,7 +494,10 @@ def _point_pass(
     replayed — or built here and shipped home in ``partial.pairs``.
     Returns whether any chunk arrived.
     """
-    stats, filters = partial.stats, member.filters
+    stats, filters, aggregate = partial.stats, member.filters, member.aggregate
+    boundary = None if views is None else views.boundary
+    if boundary is not None:
+        boundary = boundary.reshape(-1)
     record = built = None
     if pairs is not None:
         chunks = list(chunks)
@@ -533,65 +509,88 @@ def _point_pass(
     saw_points = False
     for batch, chunk in enumerate(chunks):
         saw_points = True
-        n = len(chunk)
-        if n == 0:
+        if len(chunk) == 0:
             continue
         pix, inside = chunk.pix, chunk.inside
         cols = {name: chunk.column(name) for name in columns}
         replay = None if record is None else record[batch]
-        if fbo is None:
-            start = time.perf_counter()
-            if replay is not None:
-                rows = replay.rows
-            else:
-                edge = views.boundary.reshape(-1).take(pix)
-                rows = np.flatnonzero(edge if inside is None else edge & inside)
-            n = len(rows)
-            kept = None
-            if filters and n:
-                kept = filters.mask(lambda name: cols[name].take(rows), n)
-                stats.points_filtered_out += n - int(np.count_nonzero(kept))
-            stats.points_processed += n
-            stats.batches += n > 0
-            _boundary_join(
-                views.candidates, pix, cols, rows, kept, member, partial,
-                None, replay, built,
-            )
-            stats.processing_s += time.perf_counter() - start
-            continue
-        stats.batches += 1
+        # A scattering tile counts every batch it is handed, a prewarmed
+        # one each batch it reads a boundary row of (below).
+        stats.batches += fbo is not None
         if window is not None:
-            rows = window.rows(pix)
-            n = len(rows)
-            if n == 0:
+            cut = window.rows(pix)
+            if len(cut) == 0:
                 continue
-            pix = pix.take(rows)
-            inside = None if inside is None else inside.take(rows)
-            cols = {name: col.take(rows) for name, col in cols.items()}
+            pix = pix.take(cut)
+            inside = None if inside is None else inside.take(cut)
+            cols = {name: col.take(cut) for name, col in cols.items()}
         buffers = {}
-        if kernel.device is not None and not chunk.resident:
-            buffers, seconds = kernel.device.upload_columns(cols)
-            stats.transfer_s += seconds
-            stats.bytes_transferred += sum(b.nbytes for b in buffers.values())
-            cols = {name: b.array for name, b in buffers.items()}
+        if fbo is not None:
+            pix = pix.astype(np.intp, copy=False)
+            if kernel.device is not None and not chunk.resident:
+                buffers, seconds = kernel.device.upload_columns(cols)
+                stats.transfer_s += seconds
+                stats.bytes_transferred += sum(
+                    b.nbytes for b in buffers.values()
+                )
+                cols = {name: b.array for name, b in buffers.items()}
         try:
             start = time.perf_counter()
-            # ``keep`` of None keeps every row.  Rows on no tile ride
-            # along for the counters only and are masked after them.
-            keep, dropped = inside, 0
-            if filters:
-                keep = filters.mask(cols.__getitem__, n)
+            rows = None  # the boundary rows; None: the kernel has no mask
+            if replay is not None:
+                rows = replay.rows
+            elif boundary is not None:
+                edge = boundary.take(pix)
+                rows = np.flatnonzero(edge if inside is None else edge & inside)
+            # The filter reads every row the pass reads: the batch, or on
+            # a prewarmed tile its boundary rows alone.  ``keep`` of None
+            # keeps them all.
+            keep = None
+            n = len(pix) if fbo is not None else len(rows)
+            if filters and n:
+                keep = filters.mask(
+                    cols.__getitem__ if fbo is not None
+                    else lambda name: cols[name].take(rows), n,
+                )
                 dropped = n - int(np.count_nonzero(keep))
+                stats.points_filtered_out += dropped
                 if dropped == 0:
-                    keep = inside
-                elif inside is not None:
-                    keep &= inside
+                    keep = None
             stats.points_processed += n
-            stats.points_filtered_out += dropped
-            _route_batch(
-                views, fbo, cols, pix.astype(np.intp, copy=False),
-                inside, keep, member, partial, window, replay, built,
-            )
+            if fbo is None:
+                stats.batches += n > 0
+            if rows is not None:
+                kept = keep
+                if keep is not None and fbo is not None:
+                    kept = keep.take(rows)
+                _boundary_join(
+                    views.candidates, pix, cols, rows, kept, member, partial,
+                    window, replay, built,
+                )
+            if fbo is not None:
+                # Rows on no tile ride along for the counters only.
+                if inside is not None:
+                    if keep is None:
+                        keep = inside
+                    else:
+                        keep &= inside
+                scattered = None  # None: the batch as it is
+                if rows is not None and len(rows):
+                    interior = (np.ones(n, dtype=bool) if keep is None
+                                else keep.copy())
+                    interior[rows] = False
+                    scattered = np.flatnonzero(interior)
+                elif keep is not None:
+                    scattered = np.flatnonzero(keep)
+                if scattered is not None:
+                    pix = pix.take(scattered)
+                if window is not None:
+                    pix = window.place(pix)
+                fbo.scatter(pix, {
+                    ch: 1.0 if col is None else cols[col]
+                    if scattered is None else cols[col].take(scattered)
+                    for ch, col in aggregate.channels.items()
+                }, aggregate.blend)
             stats.processing_s += time.perf_counter() - start
         finally:
             for buffer in buffers.values():
@@ -620,12 +619,15 @@ def _boundary_join(
     kept: np.ndarray | None,
     member: TileMember,
     partial: TilePartial,
-    window: _Window | None = None,
-    replay: _Record | None = None,
-    built: list | None = None,
+    window: _Window | None,
+    replay: _Record | None,
+    built: list | None,
 ) -> None:
-    """Join the batch rows ``rows`` — all on boundary pixels — exactly;
-    those ``kept`` marks (``None``: all) fold into the accumulators.
+    """Join the batch rows ``rows`` — every row the tile took on a
+    boundary pixel, whatever the filter — exactly; those ``kept`` marks
+    (the filter over ``rows``; ``None``: all) fold into the accumulators.
+    So the pairs tested (``stats.pip_tests``) depend on the pairing alone,
+    never on the filter or on whether a record is kept.
 
     The *match*: a row's flat pixel ranks it among the candidates'
     sorted pixels, it pairs with that pixel's polygons (a ``window``'s
@@ -670,67 +672,6 @@ def _boundary_join(
             pids = owner[starts]
         pip_fold(cols, (rows.take(matched), starts, pids), member.aggregate,
                  partial.accumulators)
-
-
-def _route_batch(
-    views: TileViews | None,
-    fbo: FrameBuffer,
-    cols: dict[str, np.ndarray],
-    pix: np.ndarray,
-    inside: np.ndarray | None,
-    keep: np.ndarray | None,
-    member: TileMember,
-    partial: TilePartial,
-    window: _Window | None,
-    replay: _Record | None,
-    built: list | None,
-) -> None:
-    """Route one batch: kept rows on a boundary pixel join exactly
-    through that pixel's candidates, the other kept rows rasterize into
-    the tile framebuffer (a ``window``'s box of it), in row order.
-
-    Recorded (``replay`` or ``built`` given), the join covers every row
-    the tile took on a boundary pixel, its filter applied to the
-    matches; otherwise it reads the kept rows alone.  Without a mask
-    (the bounded join) everything kept rasterizes.  Values are cast to
-    the FBO's dtype by the blend, as 32-bit GL channels would.
-    """
-    aggregate = member.aggregate
-    rows = None  # the rows that rasterize; None: the batch as it is
-    if views is None or views.boundary is None:
-        if keep is not None:
-            rows = np.flatnonzero(keep)
-    else:
-        edge = views.boundary.reshape(-1)[pix]
-        interior = ~edge
-        if keep is not None:
-            interior &= keep
-        recorded = replay is not None or built is not None
-        mask = inside if recorded else keep
-        if replay is not None:
-            on_edge = replay.rows
-        else:
-            if mask is not None:
-                edge &= mask
-            on_edge = np.flatnonzero(edge)
-        kept = None
-        if recorded and keep is not inside:
-            kept = keep.take(on_edge)
-        _boundary_join(
-            views.candidates, pix, cols, on_edge, kept, member, partial,
-            window, replay, built,
-        )
-        if len(on_edge) or keep is not None:
-            rows = np.flatnonzero(interior)
-    if rows is not None:
-        pix = pix.take(rows)
-    if window is not None:
-        pix = window.place(pix)
-    fbo.scatter(pix, {
-        ch: 1.0 if col is None
-        else cols[col] if rows is None else cols[col].take(rows)
-        for ch, col in aggregate.channels.items()
-    }, aggregate.blend)
 
 
 # -- stage 3: draw the polygons -----------------------------------------

@@ -100,7 +100,7 @@ class TilePartial:
     parent (required under the process backend, where workers mutate
     copy-on-write clones of the artifact), keyed as
     :meth:`~repro.cache.prepared.PreparedPolygons.mark_composed` takes
-    them: the tile's composed views and, as ``unit_boundary`` /
+    them: the tile's composed record (``views``) and, as ``unit_boundary`` /
     ``unit_coverage``, the *per-polygon* outline pixels and coverage
     runs of the same build — the state that makes single-polygon edits
     incremental.

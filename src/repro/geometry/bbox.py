@@ -11,7 +11,6 @@ of the paper's Figure 5 relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -108,16 +107,6 @@ class BBox:
             max(self.ymax, other.ymax),
         )
 
-    def intersection(self, other: "BBox") -> "BBox | None":
-        """Overlap box, or ``None`` when the boxes are disjoint."""
-        xmin = max(self.xmin, other.xmin)
-        ymin = max(self.ymin, other.ymin)
-        xmax = min(self.xmax, other.xmax)
-        ymax = min(self.ymax, other.ymax)
-        if xmin > xmax or ymin > ymax:
-            return None
-        return BBox(xmin, ymin, xmax, ymax)
-
     def expanded(self, margin: float) -> "BBox":
         """A copy grown by ``margin`` on every side."""
         return BBox(
@@ -126,21 +115,3 @@ class BBox:
             self.xmax + margin,
             self.ymax + margin,
         )
-
-    # ------------------------------------------------------------------
-    # Tiling
-    # ------------------------------------------------------------------
-    def split(self, nx: int, ny: int) -> Iterator["BBox"]:
-        """Partition into an ``nx x ny`` grid of half-open tiles.
-
-        Tiles are yielded row-major (y outer, x inner).  Tile edges are
-        computed with linspace so the last tile's max edge equals this box's
-        max edge exactly — points are never lost between tiles.
-        """
-        if nx < 1 or ny < 1:
-            raise GeometryError(f"invalid tiling {nx} x {ny}")
-        xs = np.linspace(self.xmin, self.xmax, nx + 1)
-        ys = np.linspace(self.ymin, self.ymax, ny + 1)
-        for j in range(ny):
-            for i in range(nx):
-                yield BBox(xs[i], ys[j], xs[i + 1], ys[j + 1])

@@ -25,6 +25,7 @@ labels sorted — which makes JSON snapshots diffable.
 
 from __future__ import annotations
 
+import os
 import threading
 
 #: Default histogram bucket upper bounds (seconds); chosen for IO
@@ -218,6 +219,17 @@ class MetricsRegistry:
 
 #: The process-wide registry every instrumented call site reports to.
 REGISTRY = MetricsRegistry()
+
+
+def _rearm_registry_lock_after_fork() -> None:  # pragma: no cover - fork path
+    # A forked tile task takes this lock first (its metrics baseline), so
+    # a fork taken while another thread held it would leave the child
+    # blocked for good; the child re-arms it (as sessions and devices do).
+    REGISTRY._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_rearm_registry_lock_after_fork)
 
 
 def counter(name: str, amount: float = 1, **labels) -> None:

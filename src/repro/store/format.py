@@ -16,12 +16,11 @@ written as that polygon's slice of one concatenated array plus a
 per-polygon count (``tri_*``, ``ub_<tile>_{data,counts}`` — outline
 pixels as ``(ix, iy)`` rows — and ``uc_<tile>_{data,counts}`` —
 coverage as ``(k, 2)`` ``[lo, hi)`` runs of flat ``iy * width + ix``
-indices, the form it is held in).  On load the boundary masks are
-recomposed and the edge table re-banded — the same deterministic
-composition a live session performs, so a loaded artifact is
-bit-identical to the one saved; the tiles' run tables and candidate
-lists are left to the first tile task, which derives them from the
-units and the mask.  (Version 4 held coverage as one flat index per
+indices, the form it is held in).  On load each tile's whole record —
+mask, run table, candidates — is composed and the edge table re-banded:
+the same deterministic composition a live tile task performs
+(:meth:`~repro.cache.prepared.PreparedPolygons.compose_views`), so a
+loaded artifact is bit-identical to the one saved.  (Version 4 held coverage as one flat index per
 fragment, ~15x the bytes; version 3 also wrote a polygon grid index.
 Their files are unaddressable by key and read as a miss.)  That is the
 only layout, for a cold-built set and an edited one alike: a manifest
@@ -357,12 +356,12 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
     the units' bounding boxes and the edge table's rings come from it,
     never from disk (the fingerprint in the key guarantees
     the caller's geometry is the geometry the artifact was built from).
-    The per-polygon slices are decoded into the units and the set-level
-    views are then composed exactly as a live session composes them
-    after a build — OR the outline pixels into boundary masks, band the
-    edge table — so the result is bit-identical to the artifact that was
-    saved.  (The run tables and candidate lists are left to the first
-    tile task, which derives them from the units' runs and the mask.)
+    The per-polygon slices are decoded into the units, and every tile
+    they cover gets its whole record composed exactly as a live tile
+    task composes it (the exact kernel's when the units hold the tile's
+    outlines, the bounded kernel's run table otherwise) and the edge
+    table is banded — so the result is bit-identical to the artifact
+    that was saved, and measures what it did.
     """
     meta_units = manifest.get("units")
     _require(isinstance(meta_units, dict), "manifest lacks unit metadata")
@@ -387,22 +386,26 @@ def decode(arrays, manifest: dict, polygons, key: Sequence) -> PreparedPolygons:
         # Derived like a live prepare derives it, so the loaded artifact
         # measures what the saved one did.
         prepared.ensure_edge_table(polygons, int(manifest["edge_rows"]))
-    if "boundary_masks" in fields:
-        _require(prepared.tiles is not None,
-                 "boundary pixels without tile layout")
-        for idx in map(int, manifest.get("boundary_tiles", ())):
+    tiles = {}
+    for field, kind, name in (("boundary_masks", "boundary", "ub"),
+                              ("coverage", "coverage", "uc")):
+        tiles[kind] = []
+        if field in fields:
+            _require(prepared.tiles is not None, f"{kind} without tile layout")
+            tiles[kind] = list(map(int, manifest.get(f"{kind}_tiles", ())))
+        for idx in tiles[kind]:
             _require(0 <= idx < len(prepared.tiles),
-                     "boundary tile out of range")
-            for unit, pixels in zip(units, _decode_pairs(
-                arrays, f"ub_{idx}", len(units), "boundary pixel"
+                     f"{kind} tile out of range")
+            for unit, rows in zip(units, _decode_pairs(
+                arrays, f"{name}_{idx}", len(units), kind
             )):
-                unit.boundary[idx] = (pixels[:, 0], pixels[:, 1])
-            prepared.mark_composed(idx, boundary=prepared.compose_boundary(
-                prepared.tiles[idx], prepared.unit_slices("boundary", idx)
-            ))
-    if "coverage" in fields:
-        for idx in map(int, manifest.get("coverage_tiles", ())):
-            prepared.mark_composed(idx, unit_coverage=dict(enumerate(
-                _decode_pairs(arrays, f"uc_{idx}", len(units), "coverage")
-            )))
+                getattr(unit, kind)[idx] = (
+                    (rows[:, 0], rows[:, 1]) if kind == "boundary" else rows
+                )
+    for idx in tiles["coverage"]:
+        prepared.mark_composed(idx, prepared.compose_views(
+            prepared.tiles[idx], prepared.unit_slices("coverage", idx),
+            prepared.unit_slices("boundary", idx)
+            if idx in tiles["boundary"] else None,
+        ))
     return prepared

@@ -178,7 +178,6 @@ class TestDeltaDerivation:
         assert result.stats.extra["prepared"] == "delta"
         new_key = (after.fingerprint,) + tuple(engine.prepared_spec())
         derived = session._entries[new_key]
-        fields = ("boundary_masks", "coverage", "candidates")
         edited_box = three_regions[2].bbox.union(after[2].bbox)
         carried = [
             idx for idx, tile in enumerate(base.tiles)
@@ -186,8 +185,7 @@ class TestDeltaDerivation:
         ]
         assert carried  # some tiles are untouched by the edit
         for idx in carried:
-            for field in fields:
-                assert getattr(derived, field)[idx] is getattr(base, field)[idx]
+            assert derived.views[idx] is base.views[idx]
         vertices = (three_regions[2].exterior[0], after[2].exterior[0])
         touched = [
             idx for idx, tile in enumerate(base.tiles)
@@ -195,10 +193,10 @@ class TestDeltaDerivation:
         ]
         assert touched
         for idx in touched:
-            for field in fields:
+            for field in ("boundary", "coverage", "candidates"):
                 assert (
-                    getattr(derived, field)[idx]
-                    is not getattr(base, field)[idx]
+                    getattr(derived.views[idx], field)
+                    is not getattr(base.views[idx], field)
                 ), (idx, field)
 
     def test_delta_result_matches_cold_on_multitile(self, uniform_points,

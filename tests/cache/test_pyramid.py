@@ -199,9 +199,9 @@ class TestPrewarmedStatements:
         eng.prewarm(points, regions)
         first = eng.execute(points, regions, Average("fare"))
         (artifact,) = session._entries.values()
-        assert set(artifact.coverage) == set(artifact.candidates) == {0}
-        record, candidates = artifact.coverage[0], artifact.candidates[0]
-        mask = artifact.boundary_masks[0].ravel()
+        assert set(artifact.views) == {0}
+        mask, record, candidates = artifact.views[0]
+        mask = mask.ravel()
         assert len(record.runs) and not mask[run_pixels(record.runs)].any()
         session.invalidate(regions)  # the routing and its channels stay
         again = eng.execute(points, regions, Average("fare"))
@@ -210,8 +210,8 @@ class TestPrewarmedStatements:
         assert again.stats.pip_tests == first.stats.pip_tests > 0
         same_bits(again, first)
         (reloaded,) = session._entries.values()
-        for held, rebuilt in ((record, reloaded.coverage[0]),
-                              (candidates, reloaded.candidates[0])):
+        for held, rebuilt in ((record, reloaded.views[0].coverage),
+                              (candidates, reloaded.views[0].candidates)):
             for mine, theirs in zip(rebuilt, held):
                 assert mine is not theirs and np.array_equal(mine, theirs)
 

@@ -293,9 +293,8 @@ class TestPreparedPolygons:
         session = QuerySession(store=store)
         before = run(session)
         (artifact,) = session._entries.values()
-        records = dict(artifact.coverage)
-        candidates = dict(artifact.candidates)
-        assert set(candidates) == set(records) == {0, 1, 2, 3}
+        records = dict(artifact.views)
+        assert set(records) == {0, 1, 2, 3}
         full = artifact.nbytes
         assert full >= artifact.edge_table.nbytes + sum(
             runs.nbytes for unit in artifact.units
@@ -311,10 +310,10 @@ class TestPreparedPolygons:
                 == before.stats.extra["boundary_pixels"] > 0)
         (again,) = reloaded._entries.values()
         assert again.nbytes == full
-        for held, rebuilt in ((records, again.coverage),
-                              (candidates, again.candidates)):
-            for idx, record in held.items():
-                for mine, theirs in zip(record, rebuilt[idx]):
+        for idx, record in records.items():
+            for field in ("coverage", "candidates"):
+                for mine, theirs in zip(getattr(record, field),
+                                        getattr(again.views[idx], field)):
                     assert mine.dtype == theirs.dtype
                     assert np.array_equal(mine, theirs)
 
@@ -339,13 +338,13 @@ class TestPreparedPolygons:
             engine.execute(uniform_points, three_regions, aggregate)
         stats = ExecutionStats(engine=engine.name, batches=0, passes=0)
         member = engine.member(three_regions, aggregate, filters, stats)
-        held = dict(member.prepared.coverage)
+        held = dict(member.prepared.views)
         session.byte_budget = 1
         session.checkpoint()
         assert len(session) == 0
         assert member.prepared.edge_table is not None
-        assert member.prepared.coverage.keys() == held.keys()
-        assert all(member.prepared.coverage[i] is r for i, r in held.items())
+        assert member.prepared.views.keys() == held.keys()
+        assert all(member.prepared.views[i] is r for i, r in held.items())
         accumulators = engine.run_member(
             member, uniform_points, stats
         ).accumulators
@@ -379,7 +378,7 @@ class TestPreparedPolygons:
         assert artifact.grid is None
         assert artifact.nbytes <= 13e6
         assert sum(
-            arr.nbytes for arr in artifact.candidates[0]
+            arr.nbytes for arr in artifact.views[0].candidates
         ) <= 1 << 20
         (prepare,) = [s for s in result.trace.children if s.name == "prepare"]
         (span,) = [s for s in prepare.children if s.name == "edge-table"]
@@ -400,8 +399,7 @@ class TestPreparedPolygons:
         assert clone.key == artifact.key
         assert clone.canvas.width == artifact.canvas.width
         assert len(clone.tiles) == len(artifact.tiles)
-        assert set(clone.boundary_masks) == set(artifact.boundary_masks)
-        assert set(clone.coverage) == set(artifact.coverage)
+        assert set(clone.views) == set(artifact.views)
         # The clone is a working artifact: a fresh session seeded with it
         # replays to bit-identical results.
         other = QuerySession()

@@ -105,6 +105,21 @@ def run_pixels(runs: np.ndarray) -> np.ndarray:
     return ragged_positions(runs[:, 0], runs[:, 1] - runs[:, 0])
 
 
+def assert_views_equal(got, cold, label=None) -> None:
+    """Two artifacts hold the same tiles' records, array for array
+    (dtypes included): the mask, the run table and the candidates —
+    ``None`` on both sides where the kernel has none."""
+    assert set(got.views) == set(cold.views), label
+    for idx, theirs in cold.views.items():
+        for field, mine, held in zip(theirs._fields, got.views[idx], theirs):
+            assert (mine is None) == (held is None), (label, idx, field)
+            if isinstance(held, np.ndarray):
+                mine, held = (mine,), (held,)
+            for left, right in zip(mine or (), held or ()):
+                assert left.dtype == right.dtype, (label, idx, field)
+                assert np.array_equal(left, right), (label, idx, field)
+
+
 def concat_points(first: PointDataset, second: PointDataset) -> PointDataset:
     """``first``'s rows followed by ``second``'s (same attribute columns)."""
     assert set(first.attributes) == set(second.attributes)

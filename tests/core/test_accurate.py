@@ -132,7 +132,7 @@ class TestExactness:
         shared = 0
         for idx, runs in artifact.units[1].coverage.items():
             shared += np.count_nonzero(
-                artifact.boundary_masks[idx].ravel()[run_pixels(runs)]
+                artifact.views[idx].boundary.ravel()[run_pixels(runs)]
             )
         assert shared > 0
 
@@ -157,7 +157,7 @@ class TestExactness:
         ix, iy, _ = tile.pixel_of(
             uniform_points.xs[inside], uniform_points.ys[inside]
         )
-        on_boundary = artifact.boundary_masks[0][iy, ix]
+        on_boundary = artifact.views[0].boundary[iy, ix]
         victim = inside[on_boundary == (where == "boundary")][0]
         values = uniform_points.column("fare").copy()
         values[victim] = special

@@ -165,7 +165,8 @@ class TestCanvasCandidates:
             resolution=256, grid_resolution=256, session=session
         ).execute(uniform_points, regions)
         (artifact,) = session._entries.values()
-        (tile,), (mask,) = artifact.tiles, artifact.boundary_masks.values()
+        (tile,), (views,) = artifact.tiles, artifact.views.values()
+        mask = views.boundary
         ix, iy, inside = tile.pixel_of(uniform_points.xs, uniform_points.ys)
         on_edge = np.flatnonzero(inside)
         on_edge = on_edge[mask[iy[on_edge], ix[on_edge]]]
@@ -213,9 +214,9 @@ class TestBoundaryPixelsHoldTheIdentity:
             device=GPUDevice(max_resolution=64), session=session,
         ).execute(uniform_points, three_regions)
         (artifact,) = session._entries.values()
-        assert len(artifact.coverage) == 4
-        for idx, record in artifact.coverage.items():
-            mask = artifact.boundary_masks[idx].ravel()
+        assert len(artifact.views) == 4
+        for idx, (mask, record, _) in artifact.views.items():
+            mask = mask.ravel()
             assert mask.any() and len(record.runs)
             assert not mask[run_pixels(record.runs)].any()
 
@@ -251,7 +252,7 @@ class TestBoundaryPixelsHoldTheIdentity:
             assert st.boundary_points > 0
             scattered = 0
             for idx, (_, fbo) in enumerate(payloads):
-                mask = member.prepared.boundary_masks[idx]
+                mask = member.prepared.views[idx].boundary
                 assert mask.any()
                 for ch in aggregate.channels:
                     channel = fbo.channel(ch)
@@ -307,13 +308,13 @@ class TestPolygonPass:
                 ).values,
             )
         (artifact,) = session._entries.values()
-        (record,) = artifact.coverage.values()
+        ((mask, record, _),) = artifact.views.values()
         assert record.pids.tolist() == [0, 2]
         assert len(record.pids) == len(record.starts)
         assert np.all(np.diff(np.append(record.starts, len(record.runs))) > 0)
         sliver = artifact.units[1].coverage[0]
         assert bool(len(sliver)) == fragments
-        assert artifact.boundary_masks[0].ravel()[run_pixels(sliver)].all()
+        assert mask.ravel()[run_pixels(sliver)].all()
 
     def test_min_max_on_constant_channel_yield_one(self, uniform_points,
                                                    three_regions):

@@ -6,10 +6,17 @@ and parallelism caps are respected, and configuration resolves from
 names, instances, and the environment.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import ExecutionBackendError
 from repro.exec import (
@@ -103,6 +110,70 @@ class TestWorkerLimits:
             )
 
         assert outer.run_tasks([nested, nested]) == [[1, 2], [1, 2]]
+
+
+#: One thread holds the metrics registry's lock while another forks a
+#: closure dispatch whose task counts a metric; the children must not
+#: inherit the held lock.  Exits 0 with the results, 3 when the dispatch
+#: hangs (``os._exit``: no exit handler waits on the hung children).
+_FORK_UNDER_HELD_LOCK = """
+import multiprocessing, os, threading, time
+from repro.exec import ProcessBackend
+from repro.obs import metrics
+
+held, results = threading.Event(), []
+
+def hold():
+    with metrics.REGISTRY._lock:
+        held.set()
+        deadline = time.monotonic() + 10
+        while (len(multiprocessing.active_children()) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+
+def task():
+    metrics.counter("forked_task")
+    return os.getpid() != parent
+
+parent = os.getpid()
+holder = threading.Thread(target=hold, daemon=True)
+holder.start()
+held.wait()
+runner = threading.Thread(target=lambda: results.append(
+    ProcessBackend(workers=2).run_tasks([task, task])
+), daemon=True)
+runner.start()
+runner.join(20)
+print(results, flush=True)
+os._exit(0 if results == [[True, True]] else 3)
+"""
+
+
+class TestForkSafety:
+    def test_fork_while_another_thread_holds_the_metrics_lock(self, tmp_path):
+        """A forked tile task takes the registry's lock first (its
+        metrics baseline); a fork taken while another thread holds it
+        must not hand the children a lock nobody will release.  The
+        scenario runs in its own process group, killed whole after, so
+        a hang fails this test instead of hanging the suite (the output
+        goes to a file: a hung child would hold a pipe open)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        log = tmp_path / "fork.log"
+        with open(log, "wb") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _FORK_UNDER_HELD_LOCK], env=env,
+                stdout=out, stderr=subprocess.STDOUT, start_new_session=True,
+            )
+            try:
+                proc.wait(timeout=60)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+        assert proc.returncode == 0, log.read_text()[-2000:]
 
 
 class TestPersistentPools:

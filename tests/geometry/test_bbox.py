@@ -65,36 +65,5 @@ class TestSetOperations:
     def test_union(self):
         assert BBox(0, 0, 1, 1).union(BBox(2, 2, 3, 3)).as_tuple() == (0, 0, 3, 3)
 
-    def test_intersection(self):
-        assert BBox(0, 0, 4, 4).intersection(BBox(2, 2, 6, 6)).as_tuple() == (2, 2, 4, 4)
-
-    def test_intersection_disjoint_is_none(self):
-        assert BBox(0, 0, 1, 1).intersection(BBox(2, 2, 3, 3)) is None
-
     def test_expanded(self):
         assert BBox(0, 0, 1, 1).expanded(2).as_tuple() == (-2, -2, 3, 3)
-
-
-class TestSplit:
-    def test_split_partitions_exactly(self):
-        box = BBox(0, 0, 10, 7)
-        tiles = list(box.split(3, 2))
-        assert len(tiles) == 6
-        assert abs(sum(t.area for t in tiles) - box.area) < 1e-12
-        # Last tile's max edges equal the box's max edges exactly.
-        assert tiles[-1].xmax == box.xmax and tiles[-1].ymax == box.ymax
-
-    def test_split_each_point_in_exactly_one_tile(self):
-        box = BBox(0, 0, 10, 10)
-        tiles = list(box.split(4, 3))
-        rng = np.random.default_rng(1)
-        xs = rng.uniform(0, 10, 1000)
-        ys = rng.uniform(0, 10, 1000)
-        membership = np.zeros(1000, dtype=int)
-        for tile in tiles:
-            membership += tile.contains_points(xs, ys)
-        assert np.all(membership == 1)
-
-    def test_split_invalid(self):
-        with pytest.raises(GeometryError):
-            list(BBox(0, 0, 1, 1).split(0, 1))

@@ -97,7 +97,7 @@ def assert_artifact_matches_scalar(artifact, polygons, exact: bool) -> None:
     """Every tile's composed boundary mask (``exact``: the accurate
     engine has one), every unit's runs and the tile's run table equal
     the scalar kernels' output — the table trimmed at the mask."""
-    assert set(artifact.coverage) == set(range(len(artifact.tiles)))
+    assert set(artifact.views) == set(range(len(artifact.tiles)))
     for idx, tile in enumerate(artifact.tiles):
         expected = scalar_coverage(tile, polygons)
         for pid, unit in enumerate(artifact.units):
@@ -106,13 +106,13 @@ def assert_artifact_matches_scalar(artifact, polygons, exact: bool) -> None:
             assert np.all(np.diff(runs[:, 0]) >= 0)
             assert np.array_equal(run_pixels(runs), expected[pid])
         if exact:
-            mask = artifact.boundary_masks[idx]
+            mask = artifact.views[idx].boundary
             assert np.array_equal(mask, scalar_boundary(tile, polygons))
             expected = {
                 pid: pixels[~mask.ravel()[pixels]]
                 for pid, pixels in expected.items()
             }
-        assert_runs_equal(artifact.coverage[idx], expected)
+        assert_runs_equal(artifact.views[idx].coverage, expected)
 
 
 def _only_artifact(session):
@@ -148,8 +148,9 @@ class TestScalarOracle:
         # derived from them, are not.
         artifact = _only_artifact(session)
         counted = artifact.nbytes
-        artifact.coverage.clear()
-        artifact.candidates.clear()
+        for idx, views in list(artifact.views.items()):
+            artifact.views[idx] = views._replace(coverage=None,
+                                                 candidates=None)
         assert artifact.nbytes == counted
 
     @pytest.mark.parametrize("resolution,max_fbo", CANVASES)
@@ -187,7 +188,7 @@ class TestScalarOracle:
                 ix, iy = scanline_polygon_pixels(tile, polygon.rings)
                 if len(ix):
                     expected.append((pid, iy * tile.width + ix))
-            record = artifact.coverage[idx]
+            record = artifact.views[idx].coverage
             assert record.pids.tolist() == [pid for pid, _ in expected]
             for pid, pixels in expected:
                 assert np.array_equal(
@@ -280,22 +281,16 @@ class TestIncrementalThroughBatch:
         edited_boxes = (many_regions[33].bbox, after[33].bbox)
         carried = 0
         for idx, tile in enumerate(derived.tiles):
-            assert np.array_equal(
-                derived.boundary_masks[idx], rebuilt.boundary_masks[idx]
-            )
+            mine, theirs = derived.views[idx], rebuilt.views[idx]
+            assert np.array_equal(mine.boundary, theirs.boundary)
             for field in ("coverage", "candidates"):
-                for mine, theirs in zip(
-                    getattr(derived, field)[idx], getattr(rebuilt, field)[idx]
-                ):
-                    assert mine.dtype == theirs.dtype
-                    assert np.array_equal(mine, theirs)
+                for left, right in zip(getattr(mine, field),
+                                       getattr(theirs, field)):
+                    assert left.dtype == right.dtype
+                    assert np.array_equal(left, right)
             if not any(tile.bbox.intersects(box) for box in edited_boxes):
                 carried += 1
-                for field in ("boundary_masks", "coverage", "candidates"):
-                    assert (
-                        getattr(derived, field)[idx]
-                        is getattr(base, field)[idx]
-                    )
+                assert mine is base.views[idx]
         assert carried or max_fbo is None
 
 
@@ -304,8 +299,7 @@ class TestStoreRoundTrip:
         self, tmp_path, uniform_points, many_regions
     ):
         """Coverage runs built by the batched pass persist and reload
-        bit-identically; the run tables are left to the first tile
-        task."""
+        bit-identically; the load composes every tile's record."""
         store = ArtifactStore(tmp_path / "artifacts")
         session = QuerySession(store=store)
         engine = AccurateRasterJoin(
@@ -320,7 +314,7 @@ class TestStoreRoundTrip:
         artifact = session._entries[key]
         loaded = store.load(key, many_regions)
         assert loaded is not None
-        assert not loaded.coverage
+        assert loaded.views.keys() == artifact.views.keys()
         for mine, theirs in zip(artifact.units, loaded.units):
             assert mine.coverage.keys() == theirs.coverage.keys()
             for idx, runs in mine.coverage.items():

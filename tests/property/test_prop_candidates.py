@@ -119,8 +119,8 @@ def test_candidates_cover_every_containing_pair(resolution, per_side, seed):
     num = len(polygons)
     contains = [p.contains_points(points.xs, points.ys) for p in polygons]
     for idx, tile in enumerate(artifact.tiles):
-        pixels, starts, pids = artifact.candidates[idx]
-        mask = artifact.boundary_masks[idx].reshape(-1)
+        pixels, starts, pids = artifact.views[idx].candidates
+        mask = artifact.views[idx].boundary.reshape(-1)
         assert np.array_equal(pixels, np.flatnonzero(mask))  # (c)
         counts = np.diff(starts)
         assert starts[0] == 0 and starts[-1] == len(pids)

@@ -64,10 +64,10 @@ def test_runs_partition_the_scalar_fragments(resolution, per_side, seed):
     engine.execute(points, polygons)
     (artifact,) = session._entries.values()
     for idx, tile in enumerate(artifact.tiles):
-        boundary = np.flatnonzero(artifact.boundary_masks[idx])
+        boundary = np.flatnonzero(artifact.views[idx].boundary)
         runs = {pid: unit.coverage[idx] for pid, unit in enumerate(artifact.units)}
         record, (cut, cut_owner) = artifact.compose_coverage(runs, boundary)
-        for mine, theirs in zip(record, artifact.coverage[idx]):
+        for mine, theirs in zip(record, artifact.views[idx].coverage):
             assert np.array_equal(mine, theirs)
         trimmed = _per_polygon(record)
         assert np.all(np.diff(record.starts) > 0)

@@ -46,7 +46,7 @@ from repro import (
     QuerySession,
     Sum,
 )
-from tests.conftest import random_star_polygon
+from tests.conftest import assert_views_equal, random_star_polygon
 
 AGGREGATE_KINDS = (
     lambda: Count(),
@@ -304,20 +304,7 @@ def _build(kind, tiles, points, polygons, session, prewarm=False):
 
 def _assert_views_equal(got, cold, label):
     assert len(got.tiles) == len(cold.tiles), label
-    assert set(got.boundary_masks) == set(cold.boundary_masks), label
-    for idx in range(len(cold.tiles)):
-        if idx in cold.boundary_masks:
-            assert np.array_equal(
-                got.boundary_masks[idx], cold.boundary_masks[idx]
-            ), (label, idx)
-        for field in ("coverage", "candidates"):
-            views = getattr(got, field), getattr(cold, field)
-            assert (idx in views[0]) == (idx in views[1]), (label, field)
-            if idx in views[1]:
-                for name, mine, theirs in zip(
-                    views[1][idx]._fields, views[0][idx], views[1][idx]
-                ):
-                    assert np.array_equal(mine, theirs), (label, idx, name)
+    assert_views_equal(got, cold, label)
     if cold.edge_table is None:
         assert got.edge_table is None, label
         return
@@ -356,7 +343,8 @@ def test_delta_views_equal_a_cold_build(workload):
     _assert_bit_identical(reference, result, label)
     if kind == "accurate" and sliver is not None:
         # The sliver's pixels are all boundary pixels: no run is its.
-        assert all(sliver not in cov.pids for cov in got.coverage.values())
+        assert all(sliver not in views.coverage.pids
+                   for views in got.views.values())
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,12 @@ aggregate folds them (``repro.core.tiles._Record``).  Whatever ran the
 join, a statement answers **bit for bit** what a session-less engine —
 which keeps no record — answers: for every aggregate kind, zero to two
 filters, one and sixteen tiles under a device that cuts every tile into
-batches, prewarmed or not, serial or threaded, alone or fused.  The
-second half pins the record's safety: a source mutated in place never
-replays one, racing first statements agree, the process backend ships
-its record home, and a delta's windowed statement neither reads nor
-writes one.
+batches, prewarmed or not, serial or threaded, alone or fused.  Every
+path joins the same pairs, so a statement's ``pip_tests`` never depends
+on its filter, its session or whether it streams.  The second half pins
+the record's safety: a source mutated in place never replays one,
+racing first statements agree, the process backend ships its record
+home, and a delta's windowed statement neither reads nor writes one.
 """
 
 import threading
@@ -137,6 +138,39 @@ def test_recorded_statements_equal_a_sessionless_engine(
     same_bits(again, want)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.integers(0, len(AGGREGATES) - 1),
+    picks=st.lists(st.integers(0, len(FILTERS) - 1), min_size=1,
+                   max_size=2, unique=True),
+    tiles=st.sampled_from(sorted(LAYOUTS)),
+)
+def test_every_path_tests_the_unfiltered_pairs(kind, picks, tiles):
+    """Every path joins every row the tile took on a boundary pixel and
+    masks the matches by the filter, so the pairs it tests are the
+    pairing's alone: a session-less statement, a stream and a session's
+    first statement report the unfiltered statement's ``pip_tests``,
+    whatever the filter, and answer the same bits."""
+    filters = [FILTERS[i] for i in picks]
+    unfiltered = _engine(tiles).execute(POINTS, POLYGONS, AGGREGATES[kind]())
+    sessionless = _engine(tiles).execute(
+        POINTS, POLYGONS, AGGREGATES[kind](), filters
+    )
+    streamed = _engine(tiles).execute_stream(
+        lambda: POINTS.batches(len(POINTS)), POLYGONS, AGGREGATES[kind](),
+        filters,
+    )
+    assert streamed.stats.extra["partition"] == "scan"
+    first = _engine(tiles, QuerySession(store=False)).execute(
+        POINTS, POLYGONS, AGGREGATES[kind](), filters
+    )
+    assert first.stats.extra["pairs"] == "built"
+    for got in (sessionless, streamed, first):
+        assert got.stats.pip_tests == unfiltered.stats.pip_tests > 0
+        assert got.stats.boundary_points == sessionless.stats.boundary_points
+        same_bits(got, sessionless)
+
+
 @pytest.mark.parametrize("tiles", sorted(LAYOUTS))
 def test_a_fused_group_through_the_server_replays_the_record(tiles):
     """Statements the server fuses into one ``MultiAggregate``
@@ -241,3 +275,25 @@ def test_a_windowed_delta_neither_reads_nor_writes_a_record():
     assert book.keys() == recorded.keys()
     assert all(book[key] is recorded[key] for key in book)
     same_bits(result, _engine(16).execute(POINTS, edited, Sum("val")))
+
+
+def test_a_windowed_delta_tests_the_same_pairs_whatever_its_filter():
+    """A delta's windowed statement keeps no record, yet joins like one:
+    every row in its window on a boundary pixel, the filter masking the
+    matches — so a filtered stroke tests the unfiltered stroke's pairs."""
+    ring = POLYGONS[1].exterior.copy()
+    ring[0] += (1.5, -2.0)
+    edited = PolygonSet([POLYGONS[0], Polygon(ring), POLYGONS[2]])
+    strokes = []
+    for filters in ([], [FILTERS[0]]):
+        engine = _engine(16, QuerySession(store=False))
+        engine.execute(POINTS, POLYGONS, Sum("val"), filters)
+        stroke = engine.execute(POINTS, edited, Sum("val"), filters)
+        assert "polygons_recomputed" in stroke.stats.extra
+        same_bits(stroke, _engine(16).execute(
+            POINTS, edited, Sum("val"), filters
+        ))
+        strokes.append(stroke)
+    plain, filtered = strokes
+    assert filtered.stats.pip_tests == plain.stats.pip_tests > 0
+    assert filtered.stats.boundary_points < plain.stats.boundary_points

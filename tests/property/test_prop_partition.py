@@ -307,21 +307,22 @@ def test_every_routing_source_gives_the_same_bits(kind, tiles, batched,
                 where = (name, index, label)
                 assert got.stats.extra["partition"] == partition, where
                 _assert_bit_identical(want, got, where)
-                # A session's artifact records the boundary join of
-                # every row on a boundary pixel, its filter applied to
-                # the matches, on every backend: built, the unfiltered
-                # statement's tests run; replayed, none.
+                # Every source joins every row on a boundary pixel, its
+                # filter applied to the matches, on every backend: the
+                # unfiltered statement's tests run — unless a session's
+                # artifact replays its record of them, and runs none.
                 pairs = got.stats.extra.get("pairs")
                 recorded = kind == "accurate" and name in ("cold", "warm")
                 assert pairs == (
                     None if not recorded
                     else "built" if name == "cold" else "recorded"
                 ), where
-                pip_tests = want.stats.pip_tests
-                if recorded:
-                    pip_tests = 0 if name == "warm" else _matrix_references(
-                        kind, tiles, batched
-                    )[(index, "no filter")].stats.pip_tests
+                pip_tests = _matrix_references(
+                    kind, tiles, batched
+                )[(index, "no filter")].stats.pip_tests
+                assert want.stats.pip_tests == pip_tests, where
+                if recorded and name == "warm":
+                    pip_tests = 0
                 assert got.stats.pip_tests == pip_tests, where
                 assert got.stats.boundary_points == (
                     want.stats.boundary_points

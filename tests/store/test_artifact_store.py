@@ -18,6 +18,7 @@ from repro.errors import QueryError
 from repro.store import FORMAT_VERSION, key_id, parse_bytes
 from repro.store import format as artifact_format
 from repro.types import ExecutionStats
+from tests.conftest import assert_views_equal
 
 
 @pytest.fixture
@@ -109,11 +110,9 @@ class TestRoundTrip:
                 getattr(artifact.edge_table, name),
             )
         assert loaded.nbytes == artifact.nbytes
-        assert set(loaded.boundary_masks) == set(artifact.boundary_masks)
-        for idx, mask in artifact.boundary_masks.items():
-            assert np.array_equal(loaded.boundary_masks[idx], mask)
-        # The run tables are derived; the units' runs are what is stored.
-        assert not loaded.coverage
+        # The units' runs are what is stored; the load composes the
+        # tiles' records from them.
+        assert_views_equal(loaded, artifact)
         for mine, theirs in zip(artifact.units, loaded.units):
             assert mine.coverage.keys() == theirs.coverage.keys()
             for idx, runs in mine.coverage.items():
@@ -136,7 +135,7 @@ class TestRoundTrip:
         store.save(key, artifact)
         loaded = store.load(key, three_regions)
         assert loaded.triangles is not None and loaded.edge_table is not None
-        assert not loaded.boundary_masks and not loaded.coverage
+        assert not loaded.views
         assert store.describe(key) == [
             "canvas", "tiles", "mbr_arrays", "triangles",
         ]
@@ -185,20 +184,14 @@ def cold_build(points, regions, device=None):
 
 
 def assert_same_derived_state(artifact, reference) -> None:
-    """Boundary masks, per-unit coverage runs and whatever run tables
-    the artifact holds, bit for bit."""
-    assert set(artifact.boundary_masks) == set(reference.boundary_masks)
-    for idx, mask in reference.boundary_masks.items():
-        assert np.array_equal(artifact.boundary_masks[idx], mask)
+    """Every tile's record and the per-unit coverage runs, bit for
+    bit."""
+    assert_views_equal(artifact, reference)
     for mine, theirs in zip(artifact.units, reference.units):
         assert mine.coverage.keys() == theirs.coverage.keys()
         for idx, runs in theirs.coverage.items():
             assert mine.coverage[idx].dtype == runs.dtype
             assert np.array_equal(mine.coverage[idx], runs)
-    for idx, record in artifact.coverage.items():
-        for mine, theirs in zip(record, reference.coverage[idx]):
-            assert mine.dtype == theirs.dtype
-            assert np.array_equal(mine, theirs)
 
 
 class TestFormatFive:
@@ -245,8 +238,7 @@ class TestFormatFive:
         loaded = store.load(key, three_regions)
         assert_same_derived_state(loaded, reference)
         assert loaded.nbytes == reference.nbytes
-        assert not loaded.candidates and not loaded.coverage
-        # A restarted session's query re-derives the views never stored.
+        # A restarted session's query reads the records the load composed.
         session = QuerySession(store=store)
         again = AccurateRasterJoin(
             resolution=128, grid_resolution=64, device=device, session=session
@@ -254,10 +246,50 @@ class TestFormatFive:
         assert again.stats.extra["prepared"] == "store-hit"
         (reloaded,) = session._entries.values()
         assert_same_derived_state(reloaded, reference)
-        for idx, held in reference.candidates.items():
-            for mine, theirs in zip(reloaded.candidates[idx], held):
-                assert np.array_equal(mine, theirs)
         assert np.array_equal(again.values, expected.values)
+
+    @pytest.mark.parametrize("join", [AccurateRasterJoin, BoundedRasterJoin])
+    def test_load_composes_whole_records_equal_to_a_cold_build(
+        self, uniform_points, three_regions, store, join
+    ):
+        """The decode composes every stored tile's record whole — the
+        exact kernel's mask, trimmed run table and candidates, the
+        bounded kernel's untrimmed run table — equal record by record to
+        a cold build's; a store hit then runs its statement on them and
+        writes nothing back."""
+        from repro import GPUDevice
+
+        def engine(session):
+            return join(resolution=128, device=GPUDevice(max_resolution=64),
+                        session=session)
+
+        cold_session = QuerySession(store=False)
+        expected = engine(cold_session).execute(
+            uniform_points, three_regions, aggregate=Sum("fare")
+        )
+        (cold,) = cold_session._entries.values()
+        assert len(cold.views) == len(cold.tiles) == 4
+        exact = join is AccurateRasterJoin
+        assert all((views.boundary is not None) == exact
+                   for views in cold.views.values())
+        engine(QuerySession(store=store)).execute(
+            uniform_points, three_regions, aggregate=Sum("fare")
+        )
+        saves = store.saves
+        assert saves == 1
+        loaded = store.load(cold.key, three_regions)
+        assert_views_equal(loaded, cold)
+        assert loaded.nbytes == cold.nbytes
+        session = QuerySession(store=store)
+        again = engine(session).execute(
+            uniform_points, three_regions, aggregate=Sum("fare")
+        )
+        assert again.stats.extra["prepared"] == "store-hit"
+        assert np.array_equal(again.values, expected.values)
+        (reloaded,) = session._entries.values()
+        assert_views_equal(reloaded, cold)
+        session.checkpoint()
+        assert store.saves == saves
 
     @pytest.mark.parametrize("old_version", [3, 4])
     def test_pair_written_under_an_older_format_is_a_miss_not_an_error(

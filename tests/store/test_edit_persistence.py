@@ -167,9 +167,9 @@ class TestEditedKeysPersistAsPairs:
         assert fields is not None and "coverage" in fields
         loaded = store.load(key, sets[1])
         base = session._entries[key_of(engine, sets[0])]
-        assert len(base.coverage) == 9
+        assert len(base.views) == 9
         assert all(
-            set(unit.coverage) == set(base.coverage) for unit in loaded.units
+            set(unit.coverage) == set(base.views) for unit in loaded.units
         )
         restarted = make_engine(QuerySession(store=store)).execute(
             uniform_points, sets[1], aggregate=Sum("fare")

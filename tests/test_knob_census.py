@@ -22,9 +22,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cache.prepared import PolygonUnit, PreparedPolygons
+from repro.cache.prepared import PolygonUnit, PreparedPolygons, TileViews
 from repro.cache.session import QuerySession
-from repro.core.tiles import TileViews
 from repro.exec.config import EngineConfig
 from repro.serve import ServeConfig
 from repro.store import ArtifactStore
@@ -103,12 +102,12 @@ def test_prepared_artifact_slots():
     delta record — rebuilt ids plus the base a delta patches its views
     from — took the rebuilt-id list's slot: still 16; the statements'
     recorded per-tile answers a delta re-aggregates its window against:
-    16 -> 17)."""
+    16 -> 17; the three per-tile view dicts, kept in lockstep, became one
+    record per tile: 17 -> 15)."""
     assert PreparedPolygons.__slots__ == (
-        "key", "canvas", "tiles", "triangles", "grid", "boundary_masks",
-        "coverage", "candidates", "mbr_arrays", "edge_table", "units",
-        "source_bbox", "delta", "answers", "version", "triangulation_s",
-        "uses",
+        "key", "canvas", "tiles", "triangles", "grid", "views",
+        "mbr_arrays", "edge_table", "units", "source_bbox", "delta",
+        "answers", "version", "triangulation_s", "uses",
     )
     assert TileViews._fields == ("boundary", "coverage", "candidates")
 
@@ -170,8 +169,7 @@ TEST_ONLY = {
 #: entered here on purpose (``test_homonyms_are_committed``).
 HOMONYMS = {
     "Aggregate.identity", "AnswerBook.clear", "AnswerBook.get",
-    "ArtifactStore.clear", "BBox.center", "BBox.intersection", "BBox.split",
-    "BBox.union", "ColumnStore.write", "DeviceBuffer.nbytes",
+    "ArtifactStore.clear", "BBox.center", "BBox.union", "ColumnStore.write", "DeviceBuffer.nbytes",
     "EdgeTable.nbytes", "ExecutionBackend.close", "IndexJoin.close",
     "MultiAggregate.split", "PointDataset.take", "PreparedPolygons.nbytes",
     "ProcessBackend.close", "QueryPlanner.close", "QuerySession.nbytes",
