@@ -71,27 +71,101 @@ from repro.index.grid import GridIndex, ragged_positions
 from repro.obs import trace
 
 
+#: A run starting more than this many values past every earlier run's
+#: end begins a new piece of a run table's plan: four rows of a 1024²
+#: canvas, so the uncovered canvas between pieces is never read.  Every
+#: span from 1024 to 65536 cuts the ledger's prewarmed frames into the
+#: same three pieces (two corner anchors and the window between them); a
+#: span under one row's gap would pay a call per row.
+_SPLIT_SPAN = 4096
+
+#: A run starting in a new block of this many values begins a new piece
+#: too: ``reduceat`` casts all of what it is handed, so a float32 channel
+#: summed in float64 casts a few MB in cache, not the whole canvas into a
+#: fresh array.  A cut between two runs never changes a run's bits, so
+#: a float64 channel pays only a call per block more: one set of cuts
+#: serves every channel.
+_CAST_BLOCK = 1 << 18
+
+
 class TileCoverage(NamedTuple):
-    """One tile's coverage as the polygon pass reads it: a run table.
+    """One tile's coverage as the polygon pass reads it: a run table and
+    the plan that reduces it.
 
     ``runs`` are ``[lo, hi)`` flat ``iy * width + ix`` intervals in
     polygon order (each polygon's ascending by ``lo``); ``pids`` are the
     polygons that own at least one run and ``starts[k]`` is where
-    ``pids[k]``'s runs begin — so no segment is ever empty.  ``order``
-    is the stable permutation that sorts the runs by ``lo``: reduced in
-    that order the runs are one forward pass over a framebuffer.  Two
+    ``pids[k]``'s runs begin — so no segment is ever empty.  Two
     polygons that cover a pixel both list it (it counts for both).
 
-    Derived, never persisted or counted: composed by the tile task from
-    the units' runs.  The exact kernel's table is trimmed at the tile's
-    boundary pixels (their points join through PIP, so no path ever
-    reads them); the bounded kernel's is the units' runs as they are.
+    The plan is a pure function of the runs and the framebuffer's length
+    ``n`` (:meth:`build`); a statement only runs it
+    (:meth:`~repro.core.aggregates.Aggregate.reduce_coverage`):
+
+    * ``bounds`` — the runs in stable ``lo`` order, relative to their
+      piece's first start, so a piece's rows ``ravel()`` to the bounds
+      its ``reduceat`` reads; a run ending at ``n`` (a bound
+      ``reduceat`` rejects) is collapsed to its start;
+    * ``pieces`` — ``(stop, read start, read stop)`` per piece: the
+      rows up to ``stop`` over the values from the piece's first start
+      to one past its furthest end (cut by :data:`_SPLIT_SPAN` and
+      :data:`_CAST_BLOCK`);
+    * ``last`` — ``(position in lo order, start)`` of each run ending at
+      ``n``, reduced on its own;
+    * ``rank`` — each run's position in ``lo`` order: the per-run
+      results ``.take(rank)`` are in polygon order.
+
+    Derived, never persisted or counted: composed with the tile's record
+    and dropped with it.  The exact kernel's table is trimmed at the
+    tile's boundary pixels (their points join through PIP, so no path
+    ever reads them); the bounded kernel's is the units' runs as they
+    are.
     """
 
     runs: np.ndarray
     pids: np.ndarray
     starts: np.ndarray
-    order: np.ndarray
+    bounds: np.ndarray
+    pieces: np.ndarray
+    last: np.ndarray
+    rank: np.ndarray
+
+    @classmethod
+    def build(cls, runs: np.ndarray, pids: np.ndarray, starts: np.ndarray,
+              n: int) -> "TileCoverage":
+        """The table over a framebuffer of ``n`` values, with its plan:
+        one stable sort of the runs by ``lo``, the rest linear."""
+        order = np.argsort(runs[:, 0], kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        bounds = runs.take(order, axis=0)
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        cut = np.zeros(len(lo), dtype=bool)
+        if len(lo):
+            # A gap wider than the span past the previous run's end is a
+            # cut when it is that wide past every earlier end, too; so is
+            # the first run past each block boundary the starts cross.
+            gaps = np.flatnonzero(lo[1:] - hi[:-1] > _SPLIT_SPAN) + 1
+            reach = np.maximum.accumulate(
+                np.maximum.reduceat(hi, np.append(0, gaps))
+            )
+            cut[gaps[lo[gaps] > reach[:-1] + _SPLIT_SPAN]] = True
+            cut[np.searchsorted(lo, _CAST_BLOCK * np.arange(
+                1, lo[-1] // _CAST_BLOCK + 1
+            ))] = cut[0] = True
+        first = np.flatnonzero(cut)
+        stop = np.append(first, len(lo))[1:]
+        read = lo[first]
+        pieces = np.stack([
+            stop, read, np.minimum(np.maximum.reduceat(hi, first) + 1, n)
+        ], axis=1)
+        last = np.flatnonzero(hi == n)
+        last = np.stack([last, lo[last]], axis=1)
+        hi[last[:, 0]] = last[:, 1]
+        offset = np.repeat(read, stop - first)
+        lo -= offset
+        hi -= offset
+        return cls(runs, pids, starts, bounds, pieces, last, rank)
 
 
 class TileCandidates(NamedTuple):
@@ -510,14 +584,15 @@ class PreparedPolygons:
     @staticmethod
     def compose_coverage(
         slices: dict, boundary: np.ndarray | None = None
-    ) -> tuple[TileCoverage, tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[tuple, tuple[np.ndarray, np.ndarray]]:
         """Lay the polygons' runs (``{pid: (k, 2) runs}``) end to end,
         in polygon order, each split at the tile's ``boundary`` pixels
         (ascending flat indices; ``None`` for the bounded kernel, which
         has no mask) — the paper's discarded boundary fragments (§4.3,
         step 3), at O(runs) cost.
 
-        Returns the :class:`TileCoverage` and the ``(pixel, polygon)``
+        Returns the run table's ``(runs, pids, starts)`` — what
+        :meth:`TileCoverage.build` plans — and the ``(pixel, polygon)``
         pairs the split removed: every coverage fragment on a boundary
         pixel, which is half of what :meth:`compose_candidates` reads.
         A polygon all of whose pixels are boundary pixels owns no run and
@@ -547,10 +622,7 @@ class PreparedPolygons:
             runs = split.take(keep, axis=0)
             owner = np.repeat(owner, inside + 1).take(keep)
         first = np.flatnonzero(np.diff(owner, prepend=-1))
-        return TileCoverage(
-            runs, owner[first], first,
-            np.argsort(runs[:, 0], kind="stable"),
-        ), (cut, cut_owner)
+        return (runs, owner[first], first), (cut, cut_owner)
 
     @staticmethod
     def compose_candidates(
@@ -588,16 +660,15 @@ class PreparedPolygons:
         untrimmed run table alone).  The mask is the outlines ORed, the
         run table is the runs split at its pixels, and the candidates are
         the outlines plus what the split cut out."""
+        boundary = candidates = None
         if outlines is None:
-            return TileViews(None, cls.compose_coverage(runs)[0], None)
-        boundary = cls.compose_boundary(tile, outlines)
-        coverage, on_boundary = cls.compose_coverage(
-            runs, np.flatnonzero(boundary)
-        )
-        return TileViews(
-            boundary, coverage,
-            cls.compose_candidates(tile, outlines, on_boundary),
-        )
+            table = cls.compose_coverage(runs)[0]
+        else:
+            boundary = cls.compose_boundary(tile, outlines)
+            table, cut = cls.compose_coverage(runs, np.flatnonzero(boundary))
+            candidates = cls.compose_candidates(tile, outlines, cut)
+        coverage = TileCoverage.build(*table, tile.num_pixels)
+        return TileViews(boundary, coverage, candidates)
 
     def mark_composed(self, tile_idx: int, views: TileViews | None = None,
                       unit_boundary=None, unit_coverage=None, near=None,
@@ -669,10 +740,11 @@ class PreparedPolygons:
         near = np.union1d(
             _boxes_meeting(self.pixel_boxes(tile), box), delta.dirty
         ).astype(np.int64)
+        n = tile.num_pixels
         if outlines is None:
-            coverage, _ = self.compose_coverage({pid: runs[pid] for pid in near})
+            table, _ = self.compose_coverage({pid: runs[pid] for pid in near})
             return TileViews(
-                None, _splice_coverage(held.coverage, near, coverage), None
+                None, _splice_coverage(held.coverage, near, table, n), None
             ), near
         mask, candidates = held.boundary, held.candidates
         outlines = {pid: outlines[pid] for pid in near}
@@ -688,11 +760,11 @@ class PreparedPolygons:
             np.flatnonzero(mask.reshape(-1)[lo:hi]) + lo,
             candidates.pixels[i1:],
         ])
-        coverage, on_boundary = self.compose_coverage(
+        table, on_boundary = self.compose_coverage(
             {pid: runs[pid] for pid in near}, boundary
         )
         return TileViews(
-            mask, _splice_coverage(held.coverage, near, coverage),
+            mask, _splice_coverage(held.coverage, near, table, n),
             _splice_candidates(
                 candidates, self.compose_candidates(tile, outlines, on_boundary),
                 tile.width, box,
@@ -880,28 +952,26 @@ def _boxes_meeting(boxes: tuple, box: tuple) -> np.ndarray:
     return np.flatnonzero((bx0 <= x1) & (bx1 >= x0) & (by0 <= y1) & (by1 >= y0))
 
 
-def _splice_coverage(base: TileCoverage, pids: np.ndarray,
-                     sub: TileCoverage) -> TileCoverage:
-    """``base`` with the segments of ``pids`` replaced by ``sub``'s (a
-    table over those polygons alone), in polygon order, ``order``
-    re-sorted."""
+def _splice_coverage(base: TileCoverage, pids: np.ndarray, sub: tuple,
+                     n: int) -> TileCoverage:
+    """``base`` with the segments of ``pids`` replaced by ``sub``'s (the
+    ``(runs, pids, starts)`` of a table over those polygons alone), in
+    polygon order, planned anew over the tile's ``n`` pixels."""
+    sub_runs, sub_pids, sub_starts = sub
     n_base = len(base.runs)
     kept = ~np.isin(base.pids, pids)
-    owner = np.concatenate([base.pids[kept], sub.pids])
-    first = np.concatenate([base.starts[kept], n_base + sub.starts])
+    owner = np.concatenate([base.pids[kept], sub_pids])
+    first = np.concatenate([base.starts[kept], n_base + sub_starts])
     count = np.concatenate([
         np.diff(base.starts, append=n_base)[kept],
-        np.diff(sub.starts, append=len(sub.runs)),
+        np.diff(sub_starts, append=len(sub_runs)),
     ])
     by_pid = np.argsort(owner, kind="stable")
     owner, first, count = owner[by_pid], first[by_pid], count[by_pid]
-    runs = np.concatenate([base.runs, sub.runs]).take(
+    runs = np.concatenate([base.runs, sub_runs]).take(
         ragged_positions(first, count), axis=0
     )
-    return TileCoverage(
-        runs, owner, np.cumsum(count) - count,
-        np.argsort(runs[:, 0], kind="stable"),
-    )
+    return TileCoverage.build(runs, owner, np.cumsum(count) - count, n)
 
 
 def _splice_candidates(base: TileCandidates, sub: TileCandidates,

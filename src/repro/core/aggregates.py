@@ -20,77 +20,6 @@ import numpy as np
 from repro.errors import QueryError
 
 
-#: A run starting more than this many values past every run before it
-#: begins a new ``reduceat`` call in :func:`_reduce_runs`: four rows of
-#: a 1024² canvas.  Every span from 1024 to 65536 cuts the ledger's
-#: prewarmed frames into the same three pieces (two corner anchors and
-#: the window between them); a span under one row's gap would pay a
-#: call per row.
-_SPLIT_SPAN = 4096
-
-#: A float32 channel summed in float64 is cut into pieces of runs that
-#: start in one block of this many values: ``reduceat`` casts all of
-#: what it is handed before reducing it, and a cast of a few MB stays in
-#: cache where one of the whole canvas faults in a fresh array.
-_CAST_BLOCK = 1 << 18
-
-
-def _reduce_runs(ufunc, kwargs, values, starts, ends):
-    """``ufunc`` over each run ``values[starts[k]:ends[k]]``, the runs
-    ascending by start, possibly overlapping.
-
-    One ``reduceat`` through the interleaved bounds per *piece* of the
-    runs; every other result reduces the gap between two runs and is
-    dropped.  A piece ends where the next run starts more than
-    :data:`_SPLIT_SPAN` values past the furthest end so far, and its
-    call reads to one past its furthest end, so the gaps between pieces
-    — the uncovered canvas — are never reduced.  A call that casts
-    (float32 values summed in float64) also reads from its first start
-    only, since ``reduceat`` casts all of its operand, and its pieces
-    are cut at every :data:`_CAST_BLOCK` boundary too.  Each run is the
-    same ufunc over the same elements in the same order whatever piece
-    it falls in, so the split keeps every result's bits.  ``reduceat``
-    rejects a bound equal to the length of what it reads: only a run
-    ending at ``len(values)`` meets one, and it collapses to its start
-    and is reduced on its own.
-    """
-    n = len(values)
-    last = ends == n
-    bounds = np.column_stack([starts, np.where(last, starts, ends)]).ravel()
-    stops, tops = [len(starts)], [n]
-    # A gap wider than the span past the previous run's end is a cut
-    # when it is wider than that past every earlier run's end, too.
-    gaps = np.flatnonzero(starts[1:] > ends[:-1] + _SPLIT_SPAN) + 1
-    if len(gaps):
-        reach = np.maximum.accumulate(
-            np.maximum.reduceat(ends, np.append(0, gaps))
-        )
-        cut = starts[gaps] > reach[:-1] + _SPLIT_SPAN
-        stops = np.append(gaps[cut], len(starts)).tolist()
-        tops = np.minimum(np.append(reach[:-1][cut], reach[-1]) + 1,
-                          n).tolist()
-    cast = len(starts) and values.dtype != kwargs.get("dtype", values.dtype)
-    if cast:
-        firsts = np.union1d(
-            [0, *stops[:-1]],
-            np.flatnonzero(np.diff(starts // _CAST_BLOCK)) + 1,
-        )
-        stops = [*firsts[1:].tolist(), len(starts)]
-        tops = np.minimum(np.maximum.reduceat(ends, firsts) + 1, n).tolist()
-    pieces, first = [], 0
-    for stop, top in zip(stops, tops):
-        piece = bounds[2 * first:2 * stop]
-        lo = int(piece[0]) if cast else 0
-        pieces.append(ufunc.reduceat(
-            values[lo:top], piece - lo if lo else piece, **kwargs
-        )[::2])
-        first = stop
-    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    for k in np.flatnonzero(last):
-        out[k] = ufunc.reduceat(values[starts[k]:], [0], **kwargs)[0]
-    return out
-
-
 class Aggregate(ABC):
     """A distributive or algebraic aggregate function."""
 
@@ -124,37 +53,72 @@ class Aggregate(ABC):
             else:
                 np.maximum.at(accumulator, ids, values)
 
+    def _reduction(self) -> tuple:
+        """The ufunc a partial reduces with, and its keywords: sums
+        accumulate in float64 whatever the framebuffer's dtype."""
+        if self.blend == "add":
+            return np.add, {"dtype": np.float64}
+        return np.minimum if self.blend == "min" else np.maximum, {}
+
     def reduce_segments(
-        self, values: np.ndarray, starts: np.ndarray,
-        ends: np.ndarray | None = None,
+        self, values: np.ndarray, starts: np.ndarray
     ) -> np.ndarray:
         """Reduce the consecutive segments of ``values`` beginning at
-        ``starts`` — one polygon's coverage runs, or its matched boundary
-        points, per segment — or, given ``ends``, the segments
-        ``values[starts[k]:ends[k]]``: coverage runs over a framebuffer,
-        ascending by start and possibly overlapping.
+        ``starts`` — one polygon's matched boundary points, or its runs'
+        partials (:meth:`reduce_coverage`), per segment.
 
         The one place a partial's reduction tree is defined: the polygon
         pass and the boundary PIP of every engine, backend and cache
-        tier fold through here, so they agree bit for bit.  Sums
-        accumulate in float64 whatever the framebuffer's dtype.  Every
+        tier fold through here or the same call in
+        :meth:`reduce_coverage`, so they agree bit for bit.  Every
         segment must be non-empty (``reduceat`` yields the *element* at
         a start, not the identity, for an empty one): callers keep only
         polygons that own at least one value, and the rest stay at
         :meth:`identity` in the accumulators.
         """
-        if self.blend == "add":
-            ufunc, kwargs = np.add, {"dtype": np.float64}
-        else:
-            ufunc = np.minimum if self.blend == "min" else np.maximum
-            kwargs = {}
-        # A segment summing +inf and -inf is NaN, the answer; the gaps
+        ufunc, kwargs = self._reduction()
+        # A segment summing +inf and -inf is NaN, the answer.
+        with np.errstate(invalid="ignore", over="ignore"):
+            return ufunc.reduceat(values, starts, **kwargs)
+
+    def reduce_coverage(self, channels: dict[str, np.ndarray],
+                        table) -> dict[str, np.ndarray]:
+        """Each channel (a flat framebuffer) reduced over each polygon's
+        runs of ``table``, one value per ``table.pids``, by running the
+        table's plan (:class:`~repro.cache.prepared.TileCoverage`).
+
+        Per channel: one ``reduceat`` per piece through its interleaved
+        bounds (every other result reduces a gap between runs and is
+        dropped), one concatenate, a run ending the framebuffer on its
+        own, one ``take`` back to polygon order and
+        :meth:`reduce_segments`' call per polygon.  Each run is the same
+        ufunc over the same elements in the same order whatever piece
+        it falls in, so the cuts keep every result's bits.
+        """
+        ufunc, kwargs = self._reduction()
+        pieces, last = table.pieces.tolist(), table.last.tolist()
+        out = {}
+        # A run summing +inf and -inf is NaN, the answer; the gaps
         # between runs are dropped, so their ``inf - inf`` or overflow
         # must not warn either.
         with np.errstate(invalid="ignore", over="ignore"):
-            if ends is None:
-                return ufunc.reduceat(values, starts, **kwargs)
-            return _reduce_runs(ufunc, kwargs, values, starts, ends)
+            for ch, values in channels.items():
+                parts, first = [], 0
+                for stop, lo, top in pieces:
+                    parts.append(ufunc.reduceat(
+                        values[lo:top], table.bounds[first:stop].ravel(),
+                        **kwargs,
+                    )[::2])
+                    first = stop
+                by_lo = parts[0] if len(parts) == 1 else np.concatenate(
+                    parts or [values[:0]]
+                )
+                for k, lo in last:
+                    by_lo[k] = ufunc.reduceat(values[lo:], [0], **kwargs)[0]
+                out[ch] = ufunc.reduceat(
+                    by_lo.take(table.rank), table.starts, **kwargs
+                )
+        return out
 
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Merge partial results from two batches/tiles.

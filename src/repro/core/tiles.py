@@ -277,11 +277,13 @@ def run_tile(
                 )
             with trace.span("polygon-pass"):
                 _polygon_pass(
-                    views.coverage, member, channels or {
+                    views.coverage if window is None
+                    else window.table(views.coverage),
+                    member, channels or {
                         ch: fbo.channel(ch).ravel()
                         for ch in member.aggregate.channels
                     },
-                    partial, window,
+                    partial,
                 )
         if keep_fbo:
             partial.payload = (views.coverage, fbo)
@@ -437,10 +439,10 @@ class _Window(NamedTuple):
             ragged_positions(coverage.starts[segment], count), axis=0
         ).T
         first = self.place(lo)
-        return TileCoverage(
+        width, height = self.shape
+        return TileCoverage.build(
             np.column_stack([first, first + (hi - lo)]),
-            coverage.pids[segment], np.cumsum(count) - count,
-            np.argsort(first, kind="stable"),
+            coverage.pids[segment], np.cumsum(count) - count, width * height,
         )
 
 
@@ -698,38 +700,27 @@ def _polygon_pass(
     member: TileMember,
     channels: dict[str, np.ndarray],
     partial: TilePartial,
-    window: _Window | None,
 ) -> None:
     """Reduce each polygon's coverage runs into its result slot.
 
-    Coverage is a pure function of the tile and the triangulation, so
-    the units' runs are built once per artifact and the tile's run table
-    composed from them (stage 1).  Per query and channel: one
-    ``reduceat`` over the framebuffer through the runs' sorted bounds,
-    one scatter back to polygon order, one segmented reduction per
-    polygon — no gather, no loop over polygons
-    (:meth:`~repro.core.aggregates.Aggregate.reduce_segments`).  The
-    exact kernel's runs stop short of every boundary pixel, so a
-    scattered framebuffer and a cached channel — which holds every row,
-    boundary pixels included — are read alike.  Under a ``window`` only
-    ``near``'s segments are reduced, over the window's framebuffer
-    (:meth:`_Window.table`): each run is the same reduction over the
-    same values, wherever they sit.
+    What depends on the polygons alone — the runs' ``lo`` order, the
+    pieces each ``reduceat`` reads, the way back to polygon order — is
+    the plan the run table was composed with
+    (:class:`~repro.cache.prepared.TileCoverage`); a statement only runs
+    it (:meth:`~repro.core.aggregates.Aggregate.reduce_coverage`): per
+    channel one ``reduceat`` per piece, one per polygon segment and one
+    combine — no sort, no gather, no loop over polygons.  The exact
+    kernel's runs stop short of every boundary pixel, so a scattered
+    framebuffer and a cached channel — which holds every row, boundary
+    pixels included — are read alike.  A delta's windowed statement
+    passes the window's own table (:meth:`_Window.table`): each run is
+    the same reduction over the same values, wherever they sit.
     """
     start = time.perf_counter()
-    if window is not None:
-        coverage = window.table(coverage)
     aggregate = member.aggregate
-    lo, hi = coverage.runs.take(coverage.order, axis=0).T
-    for ch in aggregate.channels:
-        by_lo = aggregate.reduce_segments(channels[ch], lo, hi)
-        per_run = np.empty_like(by_lo)
-        per_run[coverage.order] = by_lo
+    for ch, values in aggregate.reduce_coverage(channels, coverage).items():
         slots = partial.accumulators[ch]
-        slots[coverage.pids] = aggregate.combine(
-            slots[coverage.pids],
-            aggregate.reduce_segments(per_run, coverage.starts),
-        )
+        slots[coverage.pids] = aggregate.combine(slots[coverage.pids], values)
     elapsed = time.perf_counter() - start
     partial.stats.processing_s += elapsed
     partial.stats.polygon_pass_s += elapsed

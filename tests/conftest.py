@@ -107,8 +107,9 @@ def run_pixels(runs: np.ndarray) -> np.ndarray:
 
 def assert_views_equal(got, cold, label=None) -> None:
     """Two artifacts hold the same tiles' records, array for array
-    (dtypes included): the mask, the run table and the candidates —
-    ``None`` on both sides where the kernel has none."""
+    (dtypes included): the mask, the run table with every field of its
+    plan, and the candidates — ``None`` on both sides where the kernel
+    has none."""
     assert set(got.views) == set(cold.views), label
     for idx, theirs in cold.views.items():
         for field, mine, held in zip(theirs._fields, got.views[idx], theirs):

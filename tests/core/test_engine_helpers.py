@@ -206,7 +206,7 @@ class TestBoundaryPixelsHoldTheIdentity:
         from repro.core import tiles
 
         assert list(inspect.signature(tiles._polygon_pass).parameters) == [
-            "coverage", "member", "channels", "partial", "window",
+            "coverage", "member", "channels", "partial",
         ]
         session = QuerySession(store=False)
         AccurateRasterJoin(

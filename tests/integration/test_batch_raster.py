@@ -81,7 +81,7 @@ def scalar_coverage(tile, polygons) -> dict:
 
 def assert_runs_equal(record, expected: dict) -> None:
     """A tile's run table holds, per polygon that owns a run, exactly
-    ``expected[pid]``'s pixels, and sorts by ``lo`` through ``order``."""
+    ``expected[pid]``'s pixels, and sorts by ``lo`` through ``rank``."""
     owners = [pid for pid, pixels in expected.items() if len(pixels)]
     assert record.pids.tolist() == owners
     ends = np.append(record.starts, len(record.runs))
@@ -90,7 +90,9 @@ def assert_runs_equal(record, expected: dict) -> None:
         assert np.array_equal(
             np.sort(run_pixels(record.runs[lo:hi])), expected[pid]
         )
-    assert np.all(np.diff(record.runs[record.order, 0]) >= 0)
+    by_lo = np.empty_like(record.runs)
+    by_lo[record.rank] = record.runs
+    assert np.all(np.diff(by_lo[:, 0]) >= 0)
 
 
 def assert_artifact_matches_scalar(artifact, polygons, exact: bool) -> None:

@@ -14,8 +14,9 @@ pixels a side and 1 / 4 / 16 tiles:
 (b) per tile, the trimmed runs and the ``(boundary pixel, polygon)``
     pairs the trim cut out partition that multiset: no trimmed run
     touches a boundary pixel, every cut pixel is one;
-(c) the polygon pass's kernel (``Aggregate.reduce_segments`` over the
-    runs sorted by ``lo``, then per polygon) equals a direct reduction
+(c) the polygon pass's kernel (``Aggregate.reduce_coverage``: the
+    table's plan over the runs sorted by ``lo``, then per polygon)
+    equals a direct reduction
     of each polygon's trimmed pixels — exactly for Min / Max and integer
     sums, to 1e-12 for float sums;
 (d) the raster's own fragment count is unchanged: ``len(frags.ix)`` is
@@ -28,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AccurateRasterJoin, GPUDevice, Max, Min, QuerySession, Sum
+from repro.cache.prepared import TileCoverage
 from repro.geometry.polygon import PolygonSet, rectangle
 from repro.geometry.triangulate import triangulate_polygon
 from repro.graphics.raster_batch import flatten_triangles, rasterize_triangles
@@ -37,6 +39,13 @@ from tests.property.test_prop_candidates import _points, _polygon_set
 
 def _sets(seed: int) -> PolygonSet:
     return PolygonSet([*_polygon_set(seed), rectangle(-5, -5, 105, 105)])
+
+
+def by_lo(record):
+    """The table's runs placed at their ``rank``: in ``lo`` order."""
+    out = np.empty_like(record.runs)
+    out[record.rank] = record.runs
+    return out
 
 
 def _per_polygon(record):
@@ -66,12 +75,13 @@ def test_runs_partition_the_scalar_fragments(resolution, per_side, seed):
     for idx, tile in enumerate(artifact.tiles):
         boundary = np.flatnonzero(artifact.views[idx].boundary)
         runs = {pid: unit.coverage[idx] for pid, unit in enumerate(artifact.units)}
-        record, (cut, cut_owner) = artifact.compose_coverage(runs, boundary)
+        table, (cut, cut_owner) = artifact.compose_coverage(runs, boundary)
+        record = TileCoverage.build(*table, tile.num_pixels)
         for mine, theirs in zip(record, artifact.views[idx].coverage):
             assert np.array_equal(mine, theirs)
         trimmed = _per_polygon(record)
         assert np.all(np.diff(record.starts) > 0)
-        assert np.all(np.diff(record.runs[record.order, 0]) >= 0)
+        assert np.all(np.diff(by_lo(record)[:, 0]) >= 0)
         for pid, triangles in enumerate(artifact.triangles):
             want = np.sort(scalar_pixels(tile, triangles))
             assert np.array_equal(run_pixels(runs[pid]), want)  # (a)
@@ -88,22 +98,15 @@ def test_runs_partition_the_scalar_fragments(resolution, per_side, seed):
         channel[rng.random(tile.num_pixels) < 0.1] = -0.5
         if not len(record.pids):
             continue
-        lo, hi = record.runs[record.order].T
         for aggregate, direct in ((Sum("v"), np.sum), (Min("v"), np.min),
                                   (Max("v"), np.max)):
-            by_lo = aggregate.reduce_segments(channel, lo, hi)
-            per_run = np.empty_like(by_lo)
-            per_run[record.order] = by_lo
-            got = aggregate.reduce_segments(per_run, record.starts)
+            got = aggregate.reduce_coverage({"v": channel}, record)["v"]
             want = [direct(channel[run_pixels(trimmed[int(pid)])])
                     for pid in record.pids]
             assert np.array_equal(got, want)
         floats = rng.normal(0.0, 1e3, tile.num_pixels)
-        by_lo = Sum("v").reduce_segments(floats, lo, hi)
-        per_run = np.empty_like(by_lo)
-        per_run[record.order] = by_lo
         assert np.allclose(
-            Sum("v").reduce_segments(per_run, record.starts),
+            Sum("v").reduce_coverage({"v": floats}, record)["v"],
             [floats[run_pixels(trimmed[int(pid)])].sum() for pid in record.pids],
             rtol=1e-12, atol=1e-9,
         )

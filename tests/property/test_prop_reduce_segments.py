@@ -1,16 +1,20 @@
-"""The polygon pass's run reduction, split at wide gaps, against one call.
+"""The polygon pass's run reduction, run through a table's plan, against
+one call.
 
-``Aggregate.reduce_segments(values, lo, hi)`` reduces runs sorted by
-``lo`` through interleaved bounds, one ``reduceat`` per piece of the
-runs: a piece ends where the next run starts more than a fixed span past
-every run before it, so the uncovered canvas between pieces is never
-read.  Every run is the same ufunc over the same elements in the same
-order whichever piece it falls in, so the result must be the single
-call's bit for bit — compared as ``uint64`` words, so NaN payloads and
-the sign of zero count — for add, min and max, over overlapping, nested
-and adjacent runs, a run ending at ``len(values)``, gaps just under and
-just over the span, non-finite values and no runs at all; and, like the
-single call it replaces, it must not warn.
+A run table's plan (``TileCoverage.build``) holds its runs' bounds
+sorted by ``lo`` and cut into pieces, one ``reduceat`` each
+(``Aggregate.reduce_coverage``): a piece begins where a run starts more
+than a fixed span past every run before it, so the uncovered canvas
+between pieces is never read, or in a new cast block, so a float32
+channel summed in float64 casts a block at a time.  Every run is the
+same ufunc over the same elements in the same order whichever piece it
+falls in, so one plan, built once, must give every channel the single
+call's bits — compared as raw ``uint64`` / ``uint32`` words, so NaN
+payloads and the sign of zero count — for add, min and max over float64
+and float32 channels, over overlapping, nested and adjacent runs, runs
+that cross a cast block, a run ending at ``len(values)``, gaps just
+under and just over the span, non-finite values and no runs at all;
+and, like the single call it replaces, it must not warn.
 """
 
 import warnings
@@ -21,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Max, Min, Sum
-from repro.core import aggregates
-from repro.core.aggregates import _SPLIT_SPAN
+from repro.cache import prepared
+from repro.cache.prepared import _SPLIT_SPAN, TileCoverage
 
 AGGREGATES = [Sum("v"), Min("v"), Max("v")]
 
@@ -87,37 +91,59 @@ def run_tables(draw):
 
 
 @st.composite
-def channels(draw, n):
-    """A float64 or float32 channel of ``n`` values with ±inf, NaN and
-    -0.0 mixed in at drawn shares."""
+def channels(draw, n, dtype):
+    """A ``dtype`` channel of ``n`` values with ±inf, NaN and -0.0
+    mixed in at drawn shares."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     values = rng.normal(0.0, 1e3, n)
     for special in (np.inf, -np.inf, np.nan, -0.0, 0.0):
         share = draw(st.sampled_from([0.0, 0.01, 0.3]))
         values[rng.uniform(0.0, 1.0, n) < share] = special
-    return values.astype(draw(st.sampled_from([np.float64, np.float32])))
+    return values.astype(dtype)
 
 
 def bits(array):
-    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+    """The raw words of a float64 or float32 array."""
+    words = np.uint64 if array.dtype == np.float64 else np.uint32
+    return np.ascontiguousarray(array).view(words)
+
+
+def planned(starts, ends, n, shuffle=None):
+    """A table with one run per polygon, the runs laid out in polygon
+    order ``shuffle`` (a permutation of the runs sorted by start), and
+    its plan over ``n`` values."""
+    runs = np.column_stack([starts, ends])
+    if shuffle is not None:
+        runs = runs[shuffle]
+    ids = np.arange(len(runs), dtype=np.int64)
+    return TileCoverage.build(runs, ids, ids, n)
+
+
+def reduce_planned(aggregate, values, table):
+    """The polygon pass's reduction of one channel through ``table``."""
+    return aggregate.reduce_coverage({"v": values}, table)["v"]
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_split_reduction_is_the_single_call(data):
     starts, ends, n = data.draw(run_tables())
-    values = data.draw(channels(n))
-    # A float32 channel's sums are also cut at every block boundary;
-    # small blocks cut these small tables, inside runs and gaps alike.
-    block = data.draw(st.sampled_from([1, 7, 64, aggregates._CAST_BLOCK]))
-    for aggregate in AGGREGATES:
-        with warnings.catch_warnings(), \
-                mock.patch.object(aggregates, "_CAST_BLOCK", block):
-            warnings.simplefilter("error", RuntimeWarning)
-            got = aggregate.reduce_segments(values, starts, ends)
-        want = single_call(aggregate, values, starts, ends)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(bits(got), bits(want)), aggregate
+    shuffle = data.draw(st.permutations(range(len(starts))))
+    # The cuts also fall at every cast block boundary; small blocks cut
+    # these small tables, inside runs and gaps alike.
+    block = data.draw(st.sampled_from([1, 7, 64, prepared._CAST_BLOCK]))
+    with mock.patch.object(prepared, "_CAST_BLOCK", block):
+        table = planned(starts, ends, n, np.asarray(shuffle, dtype=np.int64))
+    # One plan, every channel: float64 and float32 (the cast path).
+    for values in (data.draw(channels(n, np.float64)),
+                   data.draw(channels(n, np.float32))):
+        for aggregate in AGGREGATES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = reduce_planned(aggregate, values, table)
+            want = single_call(aggregate, values, starts, ends)[shuffle]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want)), aggregate
 
 
 def test_runs_on_either_side_of_the_span():
@@ -127,12 +153,35 @@ def test_runs_on_either_side_of_the_span():
     for gap in (_SPLIT_SPAN - 1, _SPLIT_SPAN, _SPLIT_SPAN + 1):
         starts = np.asarray([0, 10 + gap], dtype=np.int64)
         ends = np.asarray([10, len(values)], dtype=np.int64)
-        got = Sum("v").reduce_segments(values, starts, ends)
+        table = planned(starts, ends, len(values))
+        assert len(table.pieces) == 1 + (gap > _SPLIT_SPAN)
+        assert table.last.tolist() == [[1, 10 + gap]]
+        got = reduce_planned(Sum("v"), values, table)
         assert got.tolist() == [45.0, values[10 + gap:].sum()]
+
+
+def test_runs_across_a_cast_block():
+    """A run crossing a block boundary stays one run of its piece; the
+    next run starting in the new block begins a piece, read from its
+    own start, for a float32 sum and a float64 one alike."""
+    block = prepared._CAST_BLOCK
+    starts = np.asarray([block - 5, block + 3], dtype=np.int64)
+    ends = np.asarray([block + 2, block + 9], dtype=np.int64)
+    table = planned(starts, ends, block + 20)
+    assert table.pieces.tolist() == [
+        [1, block - 5, block + 3], [2, block + 3, block + 10],
+    ]
+    assert table.bounds.tolist() == [[0, 7], [0, 6]]
+    for dtype in (np.float64, np.float32):
+        values = np.arange(block + 20).astype(dtype)
+        got = reduce_planned(Sum("v"), values, table)
+        want = single_call(Sum("v"), values, starts, ends)
+        assert np.array_equal(bits(got), bits(want))
 
 
 def test_no_runs():
     empty = np.zeros(0, dtype=np.int64)
+    table = planned(empty, empty, 9)
     for aggregate in AGGREGATES:
-        got = aggregate.reduce_segments(np.ones(9), empty, empty)
+        got = reduce_planned(aggregate, np.ones(9), table)
         assert got.shape == (0,) and got.dtype == np.float64
