@@ -222,8 +222,8 @@ class AnswerBook:
     their own keys, the boundary joins its statements ran (:meth:`pairs`).
 
     A key is everything a tile's slots depend on besides the artifact —
-    the point guard, the filter, the aggregate and the kernel with its
-    device (:func:`repro.core.tiles._answer_key`) — so a delta derived
+    the point guard, the filter and the aggregate
+    (:func:`repro.core.tiles._answer_key`) — so a delta derived
     from this artifact may take the slots of every polygon its edit
     cannot change.  Derived: never persisted, counted or pickled (a copy
     across a process boundary is empty), at most :data:`ANSWER_KEYS`
@@ -259,15 +259,13 @@ class AnswerBook:
         while len(self._entries) > ANSWER_KEYS:
             self._entries.popitem(last=False)
 
-    def pairs(self, guard: tuple, kernel: tuple,
-              pins: tuple | None = None) -> dict | None:
+    def pairs(self, guard: tuple, pins: tuple | None = None) -> dict | None:
         """The boundary join's record for a point source (its content
-        guard) under a kernel: one entry over every tile, ``{(tile,
-        batch lengths): one (rows, matched, starts, pids) per batch}``
-        (:func:`repro.core.tiles._point_pass`).  With ``pins`` an
-        absent entry starts empty and the entry is touched; without,
-        nothing is (EXPLAIN's probe)."""
-        key = ("pairs", guard, kernel)
+        guard): one entry over every tile, ``{tile: (rows, matched,
+        pids)}`` (:func:`repro.core.tiles._point_pass`), whatever the
+        batch cut.  With ``pins`` an absent entry starts empty and the
+        entry is touched; without, nothing is (EXPLAIN's probe)."""
+        key = ("pairs", guard)
         if pins is None:
             entry = self._entries.get(key)
             return None if entry is None else entry[1]
@@ -283,8 +281,8 @@ class AnswerBook:
             books = [book for key, (_, book) in self._entries.items()
                      if key[0] == "pairs"]
         return sum(
-            arr.nbytes for book in books for batches in list(book.values())
-            for record in batches for arr in record
+            arr.nbytes for book in books for record in list(book.values())
+            for arr in record
         )
 
     def clear(self) -> None:

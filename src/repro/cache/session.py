@@ -589,12 +589,12 @@ class QuerySession:
         return state.guard, state.frozen
 
     @_locked
-    def partition_warm(self, points, token: tuple, polygons, spec: tuple,
-                       kernel: tuple) -> tuple:
+    def partition_warm(self, points, token: tuple, polygons,
+                       spec: tuple) -> tuple:
         """Cheap costing probe: ``(routed, prewarmed, recorded)`` — is a
         routing resident for this source and canvas, was it prewarmed,
         and does the artifact of (``polygons``, ``spec``) hold a record
-        of this source's boundary join under ``kernel``?
+        of this source's boundary join?
 
         Identity-keyed only — no content fold, no hash, no LRU touch — so
         EXPLAIN can call it before the statement runs.  Optimistic: a
@@ -606,7 +606,7 @@ class QuerySession:
             return False, False, False
         entry = self._entries.get((polygons.fingerprint,) + tuple(spec))
         return True, state.value.prewarmed, bool(
-            entry is not None and entry.answers.pairs(state.guard, kernel)
+            entry is not None and entry.answers.pairs(state.guard)
         )
 
     @property

@@ -391,10 +391,12 @@ def grid_pip_aggregate(
     cells = np.where(valid, cells, 0)
     first = grid.cell_start[cells]
     counts = np.where(valid, grid.cell_start[cells + 1] - first, 0)
-    pip_fold(attrs, pip_match(
+    matched, owner = pip_match(
         xs, ys, np.repeat(np.arange(len(xs), dtype=np.int64), counts),
         grid.entries[ragged_positions(first, counts)], edges, stats,
-    ), aggregate, accumulators)
+    )
+    pip_fold(owner, match_values(attrs, matched, aggregate), aggregate,
+             accumulators)
 
 
 def pip_match(
@@ -404,48 +406,63 @@ def pip_match(
     poly_ids: np.ndarray,
     edges: EdgeTable,
     stats: ExecutionStats,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The PIP join's *match* step: test candidate pairs, group the matches.
 
     Pair ``k`` is (point ``point_idx[k]``, polygon ``poly_ids[k]``),
     points ascending, no pair repeated — one test per pair, the work the
     paper counts, all at once against ``edges``, the set's row-banded
     edge table (the SPMD batching of a GPU compute shader, no
-    per-polygon call).  Returns ``(matched, starts, pids)``: the matched
-    points grouped by polygon (stable: point order within a polygon),
-    the polygons that matched, ascending, and where each one's matches
-    begin — a function of the pairs alone, never of an aggregate.
+    per-polygon call).  Returns ``(matched, owner)``: the matched points
+    grouped by polygon (stable: point order within a polygon) and each
+    one's polygon — a function of the pairs alone, never of an aggregate.
     """
     stats.pip_tests += len(poly_ids)
     inside = edges.contains_pairs(xs[point_idx], ys[point_idx], poly_ids)
-    matched_pid = poly_ids[inside]
-    order = np.argsort(matched_pid, kind="stable")
-    matched_pid = matched_pid[order]
-    starts = np.flatnonzero(np.diff(matched_pid, prepend=-1))
-    return point_idx[inside][order], starts, matched_pid[starts]
+    owner, matched = by_pid(poly_ids[inside], point_idx[inside])
+    return matched, owner
+
+
+def by_pid(owner: np.ndarray, *columns: np.ndarray) -> tuple:
+    """Matches grouped by their polygon ``owner``, stably: the sorted
+    ``owner``, then each per-match array of ``columns`` in that order.
+    Keyed by the narrowest dtype holding the pids, it sorts by radix."""
+    order = np.argsort(owner.astype(np.min_scalar_type(owner.max(initial=0))),
+                       kind="stable")
+    return (owner[order], *(column[order] for column in columns))
+
+
+def match_values(
+    attrs: dict[str, np.ndarray], matched: np.ndarray, aggregate: Aggregate
+) -> dict[str, np.ndarray]:
+    """Each channel's value per matched point (``matched`` indexing
+    ``attrs``): the constant-1 channel contributes one 1.0 per matched
+    point, whatever the blend equation."""
+    return {
+        ch: np.ones(len(matched)) if col is None else attrs[col][matched]
+        for ch, col in aggregate.channels.items()
+    }
 
 
 def pip_fold(
-    attrs: dict[str, np.ndarray],
-    matches: tuple[np.ndarray, np.ndarray, np.ndarray],
+    owner: np.ndarray,
+    values: dict[str, np.ndarray],
     aggregate: Aggregate,
     accumulators: dict[str, np.ndarray],
 ) -> None:
-    """The PIP join's *fold* step: each matched polygon's points reduce
+    """The PIP join's *fold* step: each matched polygon's values reduce
     one segment (:meth:`~repro.core.aggregates.Aggregate.reduce_segments`)
-    and blend into its slot.  ``matches`` is :func:`pip_match`'s output,
-    its points indexing ``attrs``; only polygons that matched own a
-    segment."""
-    matched, starts, pids = matches
-    if len(matched) == 0:
+    and blend into its slot.  ``values`` are :func:`match_values` of
+    matches grouped by polygon as :func:`pip_match` groups them,
+    ``owner`` each one's pid; only polygons that matched own a segment."""
+    start = np.ones(len(owner), dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=start[1:])
+    starts = np.flatnonzero(start)
+    if len(starts) == 0:
         return
-    for ch, col in aggregate.channels.items():
-        # The constant-1 channel contributes one 1.0 per matched point,
-        # whatever the blend equation.
-        values = (
-            np.ones(len(matched)) if col is None else attrs[col][matched]
-        )
+    pids = owner[starts]
+    for ch, vals in values.items():
         slots = accumulators[ch]
         slots[pids] = aggregate.combine(
-            slots[pids], aggregate.reduce_segments(values, starts)
+            slots[pids], aggregate.reduce_segments(vals, starts)
         )

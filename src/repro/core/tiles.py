@@ -18,12 +18,13 @@ implementation, as plain functions over plain data:
   channels of one aggregate (:class:`~repro.core.multi.MultiAggregate`),
   not as a list of queries.  The boundary join always pairs every row
   the tile took on a boundary pixel and masks the matches by the
-  filter, so which rows pair with which polygons, and which pairs
-  match, depends on the points, the artifact, the tile and the batch
-  cut alone: the artifact records it per point source and kernel
-  (:class:`_Record`) and a later statement over the pairing replays it
-  — its filter masks the recorded matches and its aggregate folds
-  them, with no pairing and no PIP test.  On a prewarmed pairing the
+  filter, so which rows pair with which polygons, and which pairs match,
+  depends on the points, the artifact and the tile alone: the artifact
+  records it per point source, one :class:`_Record` per tile, and a
+  later statement over the pairing replays it — its filter masks the
+  recorded matches and its aggregate folds them, with no pairing and no
+  PIP test.  A tile holds its boundary matches until its last batch and
+  folds them once (:func:`_merge_batches`).  On a prewarmed pairing the
   same pass runs without the upload and the scatter: its framebuffers
   are the session's cached channels and the filter reads the boundary
   rows alone; the polygon pass reads the same run table either way,
@@ -46,8 +47,10 @@ and a few flags — so in-process dispatch and the resident worker pool's
 the latter merely pickles its arguments.
 
 Determinism: every task folds its accumulators from the blend identity
-and the loop merges partials in tile order, so every backend, worker
-count and dispatch mode produces the same bits (``docs/parallel_execution.md``).
+— its interior rows in row order, its boundary matches once — and the
+loop merges partials in tile order, so every backend, worker count,
+dispatch mode and batch cut produces the same bits
+(``docs/parallel_execution.md``).
 The scalar raster kernels in :mod:`repro.graphics` are not called from
 here; they are the oracle the batched builders are tested against
 (``docs/rasterization.md``).
@@ -71,6 +74,8 @@ from repro.cache.prepared import (
 from repro.core.aggregates import Aggregate, Count
 from repro.core.engine import (
     SpatialAggregationEngine,
+    by_pid,
+    match_values,
     new_accumulators,
     pip_fold,
     pip_match,
@@ -78,7 +83,7 @@ from repro.core.engine import (
 from repro.core.filters import FilterSet, filter_key
 from repro.core.multi import MultiAggregate
 from repro.data.dataset import PointDataset
-from repro.device.batching import BatchPlan, plan_batches, tile_parallelism
+from repro.device.batching import plan_batches, tile_parallelism
 from repro.device.memory import (
     DEFAULT_MAX_RESOLUTION,
     GPUDevice,
@@ -133,20 +138,6 @@ class TileKernel:
         """Framebuffer bytes per pixel: one value per channel."""
         return len(aggregate.channels) * np.dtype(self.fbo_dtype).itemsize
 
-    @property
-    def device_token(self) -> tuple | None:
-        """The device by its batch-planning inputs, not identity: an
-        ``id()`` could be reused after GC and would validate state built
-        against another device's batch boundaries."""
-        if self.device is None:
-            return None
-        return (self.device.capacity_bytes, self.device.max_resolution)
-
-    @property
-    def token(self) -> tuple:
-        """Value identity of the whole record, for cache keys."""
-        return (self.engine, self.exact, self.fbo_dtype, self.device_token)
-
 
 @dataclass
 class TileMember:
@@ -176,9 +167,6 @@ class Footprint(NamedTuple):
     #: Per tile, the bytes of the statement's framebuffer: the ``nbytes``
     #: of the one the tile task builds, which its batch plan reserves.
     fbo_bytes: list[int]
-    #: The largest tile's batch plan; ``None`` when nothing is cut (no
-    #: device, a device-resident set, a stream).
-    plan: BatchPlan | None
     #: How many tile tasks may run at once.
     parallelism: int
 
@@ -194,10 +182,9 @@ def statement_footprint(
     """The device footprint of one statement over ``tiles``: the tile
     loop runs by it, and the planning and costing probes read it.
 
-    Batch plans never depend on the worker count (identical batch
-    boundaries are part of the determinism guarantee), so the device
-    budget is enforced the other way around: the cap limits how many
-    tiles may hold a planned batch plus their framebuffer at once.
+    Batch plans never depend on the worker count, so the device budget
+    is enforced the other way around: the cap limits how many tiles may
+    hold a planned batch plus their framebuffer at once.
     Resident columns are shared, not re-uploaded, so they cap nothing; a
     stream (``points`` of ``None``: unknown chunk sizes) runs one tile at
     a time under a device.
@@ -206,13 +193,13 @@ def statement_footprint(
     fbo_bytes = [cell * tile.width * tile.height for tile in tiles]
     device = kernel.device
     if device is None or isinstance(points, ResidentPointSet):
-        return Footprint(fbo_bytes, None, workers)
+        return Footprint(fbo_bytes, workers)
     largest = max(fbo_bytes, default=0)
     plan = None
     if points is not None:
         plan = plan_batches(points, columns, device, largest)
     return Footprint(
-        fbo_bytes, plan, tile_parallelism(device, largest, plan, workers)
+        fbo_bytes, tile_parallelism(device, largest, plan, workers)
     )
 
 
@@ -488,34 +475,33 @@ def _point_pass(
     are cached, so the batch is neither uploaded nor scattered and the
     filter reads the boundary rows alone.  Without a mask (the bounded
     join) every kept row scatters.  Values are cast to the FBO's dtype
-    by the blend, as 32-bit GL channels would.
+    by the blend, as 32-bit GL channels would.  The tile holds its
+    boundary matches from batch to batch and folds them once, after its
+    last batch (:func:`_merge_batches`), so the batch cut reaches no bit.
 
     ``pairs`` (:meth:`~repro.cache.prepared.AnswerBook.pairs`; ``None``:
-    none is kept) holds the pairing's boundary joins: this tile's entry,
-    keyed by its batch lengths, is one :class:`_Record` per batch,
-    replayed — or built here and shipped home in ``partial.pairs``.
-    Returns whether any chunk arrived.
+    none is kept) holds the pairing's boundary joins, one
+    :class:`_Record` per tile: this tile's is replayed — each batch
+    slices its rows off at its offset — or built here and shipped home
+    in ``partial.pairs``.  Returns whether any chunk arrived.
     """
     stats, filters, aggregate = partial.stats, member.filters, member.aggregate
     boundary = None if views is None else views.boundary
     if boundary is not None:
         boundary = boundary.reshape(-1)
-    record = built = None
-    if pairs is not None:
-        chunks = list(chunks)
-        key = (partial.tile_idx, tuple(len(chunk) for chunk in chunks))
-        record = pairs.get(key)
-        if record is None:
-            built = []
-            partial.pairs = (key, built)
+    record = None if pairs is None else pairs.get(partial.tile_idx)
+    built = [] if pairs is not None and record is None else None
+    held = []  # the tile's boundary matches, batch by batch, until its fold
+    offset = 0  # where the next batch starts among the tile's rows
     saw_points = False
-    for batch, chunk in enumerate(chunks):
+    for chunk in chunks:
         saw_points = True
+        first, offset = offset, offset + len(chunk)
         if len(chunk) == 0:
             continue
         pix, inside = chunk.pix, chunk.inside
         cols = {name: chunk.column(name) for name in columns}
-        replay = None if record is None else record[batch]
+        replay = None if record is None else record.batch(first, len(chunk))
         # A scattering tile counts every batch it is handed, a prewarmed
         # one each batch it reads a boundary row of (below).
         stats.batches += fbo is not None
@@ -565,10 +551,12 @@ def _point_pass(
                 kept = keep
                 if keep is not None and fbo is not None:
                     kept = keep.take(rows)
-                _boundary_join(
+                match = _boundary_join(
                     views.candidates, pix, cols, rows, kept, member, partial,
-                    window, replay, built,
+                    window, replay, held,
                 )
+                if built is not None:
+                    built.append((first, match))
             if fbo is not None:
                 # Rows on no tile ride along for the counters only.
                 if inside is not None:
@@ -597,20 +585,65 @@ def _point_pass(
         finally:
             for buffer in buffers.values():
                 buffer.free()
+    start = time.perf_counter()
+    if held:  # the tile's one boundary fold
+        values = _merge_batches(held)
+        pip_fold(values.pop("owner"), values, aggregate,
+                 partial.accumulators)
+    stats.processing_s += time.perf_counter() - start
+    if built is not None:
+        partial.pairs = _Record.from_batches(built)
     return saw_points
 
 
 class _Record(NamedTuple):
-    """One device batch's boundary join, as an artifact records it: the
-    batch positions the tile took on a boundary pixel, ascending
-    (``rows``), and :func:`~repro.core.engine.pip_match`'s output over
-    them — ``matched`` indexing ``rows``, grouped by polygon (stable by
-    pid, row order within a pid; ``starts`` / ``pids``)."""
+    """A tile's boundary join, as an artifact records it: the positions
+    among the tile's rows (its batches end to end) that it took on a
+    boundary pixel, ascending (``rows``), and :func:`~repro.core.engine.
+    pip_match`'s output over them — ``matched`` indexing ``rows``,
+    grouped by polygon (stable by pid, row order within a pid), and
+    ``owner``, each match's pid.  A batch's join is the same over the
+    batch's own rows."""
 
     rows: np.ndarray
     matched: np.ndarray
-    starts: np.ndarray
-    pids: np.ndarray
+    owner: np.ndarray
+
+    def batch(self, first: int, length: int) -> "_Record":
+        """The join of the batch of the tile's rows ``first`` to ``first
+        + length``: its rows sliced off, and their matches in order."""
+        if first == 0 and (not len(self.rows) or self.rows[-1] < length):
+            return self  # the tile's one batch
+        lo, hi = np.searchsorted(self.rows, (first, first + length))
+        inside = (self.matched >= lo) & (self.matched < hi)
+        return _Record(self.rows[lo:hi] - first, self.matched[inside] - lo,
+                       self.owner[inside])
+
+    @classmethod
+    def from_batches(cls, batches: list) -> "_Record":
+        """A tile's join from its batches' ``(first row, join)``."""
+        empty = np.zeros(0, dtype=np.intp)
+        shift = np.cumsum([0] + [len(join.rows) for _, join in batches])
+        one = _merge_batches([{"owner": empty, "matched": empty}] + [
+            {"owner": join.owner, "matched": join.matched + by}
+            for (_, join), by in zip(batches, shift)
+        ])
+        rows = [join.rows + first for first, join in batches]
+        return cls(np.concatenate([empty, *rows]), **one)
+
+
+def _merge_batches(batches: list[dict]) -> dict:
+    """A tile's batches' matches (each batch's arrays per match by name,
+    grouped by polygon, pids first as ``owner``) as one batch of all its
+    rows groups them: merged stable by pid, batch order then row order
+    within a polygon.  So any cut folds the bits, and records the join,
+    of one batch."""
+    if len(batches) == 1:
+        return batches[0]
+    names = list(batches[0])
+    return dict(zip(names, by_pid(*(
+        np.concatenate([batch[name] for batch in batches]) for name in names
+    ))))
 
 
 def _boundary_join(
@@ -623,31 +656,30 @@ def _boundary_join(
     partial: TilePartial,
     window: _Window | None,
     replay: _Record | None,
-    built: list | None,
-) -> None:
+    held: list,
+) -> _Record:
     """Join the batch rows ``rows`` — every row the tile took on a
-    boundary pixel, whatever the filter — exactly; those ``kept`` marks
-    (the filter over ``rows``; ``None``: all) fold into the accumulators.
-    So the pairs tested (``stats.pip_tests``) depend on the pairing alone,
-    never on the filter or on whether a record is kept.
+    boundary pixel, whatever the filter — exactly; the matches of those
+    ``kept`` marks (the filter over ``rows``; ``None``: all) join
+    ``held``, the tile's matches until its fold.  So the pairs tested
+    (``stats.pip_tests``) depend on the pairing alone, never on the
+    filter or on whether a record is kept.  Returns the batch's join.
 
     The *match*: a row's flat pixel ranks it among the candidates'
     sorted pixels, it pairs with that pixel's polygons (a ``window``'s
     ``near`` alone) and the pairs take the engines' one PIP test
     (:func:`~repro.core.engine.pip_match`) — unless ``replay``, the
-    recorded match of the same rows, stands for it.  The *fold*: the
-    filter masks the matches, which keeps their order, so each
-    polygon's segment holds the same values in the same order as a
-    match of the kept rows alone — same bits — and only the matched
-    rows gather the aggregate's columns.  The match goes to ``built``.
+    recorded join of the same rows, stands for it.  The filter masks
+    the matches, which keeps their order, so each polygon's matches are
+    the same values in the same order as a match of the kept rows alone
+    — same bits — and only the matched rows gather the aggregate's
+    columns: ``held`` takes each match's pid (``owner``) and values.
     """
     partial.stats.boundary_points += (
         len(rows) if kept is None else int(np.count_nonzero(kept))
     )
     if len(rows) == 0:
-        if built is not None:
-            built.append(replay or _Record(rows, rows, rows, rows))
-        return
+        return replay or _Record(rows, rows, rows)
     with trace.span("boundary-pip", points=len(rows),
                     recorded=replay is not None):
         if replay is None:
@@ -663,17 +695,14 @@ def _boundary_join(
                 cols["x"].take(rows), cols["y"].take(rows), point_idx, pids,
                 member.prepared.edge_table, partial.stats,
             ))
-            if built is not None:
-                built.append(replay)
-        matched, starts, pids = replay[1:]
+        matched, owner = replay.matched, replay.owner
         if kept is not None:
             keep = kept.take(matched)
-            owner = np.repeat(pids, np.diff(starts, append=len(matched)))[keep]
-            matched = matched[keep]
-            starts = np.flatnonzero(np.diff(owner, prepend=-1))
-            pids = owner[starts]
-        pip_fold(cols, (rows.take(matched), starts, pids), member.aggregate,
-                 partial.accumulators)
+            matched, owner = matched[keep], owner[keep]
+        held.append({"owner": owner, **match_values(
+            cols, rows.take(matched), member.aggregate
+        )})
+    return replay
 
 
 # -- stage 3: draw the polygons -----------------------------------------
@@ -747,12 +776,13 @@ def run_tiles(
     stored to the session — and every tile reads only its own rows.  A
     stream (a zero-argument callable returning an iterator of chunks) is
     scanned by every tile for itself: one pass over the source per tile,
-    one chunk alive at a time, nothing held beyond it —
-    ``stats.extra["partition"]`` reads ``scan``.  ``stats`` is the
-    query's: merged tile work, the routing cost and how the dispatch ran
-    are recorded into it.  Prepared pieces the tasks built are installed
-    into the member's artifact here, on the caller's side of any process
-    boundary, so a session warms under every backend.
+    one chunk alive at a time, nothing held beyond it but the tile's
+    boundary matches until its fold — ``stats.extra["partition"]`` reads
+    ``scan``.  ``stats`` is the query's: merged tile work, the routing
+    cost and how the dispatch ran are recorded into it.  Prepared pieces
+    the tasks built are installed into the member's artifact here, on the
+    caller's side of any process boundary, so a session warms under
+    every backend.
     """
     tiles = member.prepared.tiles
     retain = session is not None
@@ -761,7 +791,7 @@ def run_tiles(
     # home in the partial).
     tracing = trace.active() is not None
     stream = callable(points)
-    fbo_bytes, _, parallelism = statement_footprint(
+    fbo_bytes, parallelism = statement_footprint(
         kernel, backend.workers, tiles, member.aggregate, columns,
         None if stream else points,
     )
@@ -780,15 +810,13 @@ def run_tiles(
         )
     # Whether the tiles read cached channels: all of them, or none.
     cached = channels is not None
-    key = _answer_key(kernel, member, guard)
+    key = _answer_key(member, guard)
     reuse = pairs = None
     if key is not None and not keep_fbo and not cached:
         reuse = member.prepared.base_answers(key)
     if guard is not None and kernel.exact and reuse is None:
         # The boundary join's record: a delta's windowed rows bypass it.
-        pairs = member.prepared.answers.pairs(
-            guard[0], kernel.token, guard[1]
-        )
+        pairs = member.prepared.answers.pairs(guard[0], guard[1])
 
     def task(tile_idx: int) -> TilePartial:
         chunks = per_tile[tile_idx] if per_tile is not None else scan_tile(
@@ -834,7 +862,7 @@ def run_tiles(
             _recomputed(member), len(member.polygons)
         )
     if pairs is not None:
-        built = any(partial.pairs for partial in partials)
+        built = any(partial.pairs is not None for partial in partials)
         stats.extra["pairs"] = "built" if built else "recorded"
     stats.extra["pyramid"] = "hit" if cached else "cold"
     if cached:
@@ -846,13 +874,12 @@ def run_tiles(
     )
 
 
-def _answer_key(kernel: TileKernel, member: TileMember,
-                guard: tuple | None) -> tuple | None:
-    """What a tile's result slots depend on besides the artifact: the
-    points (the session's content guard, ``guard[0]``), the filter, the
-    aggregate's blend and channels, and the kernel — its device's batch
-    planning included, which cuts the rows the PIP and the scatter fold
-    in.  ``None`` — nothing recorded, nothing reused — without a
+def _answer_key(member: TileMember, guard: tuple | None) -> tuple | None:
+    """What a tile's result slots depend on besides the artifact (which
+    names the engine, its kernel and tile size): the points (the
+    session's content guard, ``guard[0]``), the filter, the aggregate's
+    blend and channels — not the device's batch cut, which reaches no
+    bit.  ``None`` — nothing recorded, nothing reused — without a
     session's guard (a stream, a session-less engine) and for a fused
     group's :class:`~repro.core.multi.MultiAggregate`."""
     aggregate = member.aggregate
@@ -860,7 +887,7 @@ def _answer_key(kernel: TileKernel, member: TileMember,
         return None
     return (
         guard[0], filter_key(member.filters), type(aggregate).__name__,
-        aggregate.blend, tuple(aggregate.channels.items()), kernel.token,
+        aggregate.blend, tuple(aggregate.channels.items()),
     )
 
 
@@ -1025,7 +1052,7 @@ def _resident_dispatch(
     artifact and the polygons travel once as a pickled state blob in
     shared memory (cached worker-side by content generation), the routed
     batches as shared-memory descriptors, a delta's base slots
-    (``reuse``) and each tile's entries of the boundary join's record
+    (``reuse``) and each tile's entry of the boundary join's record
     (``pairs``; a blob's artifact holds an empty book) by value, and the
     accumulators come back through a shared result buffer — a record a
     worker built, in its partial.  ``None`` when this dispatch
@@ -1050,9 +1077,13 @@ def _resident_dispatch(
     # pieces), so warming or editing rolls the blob — and with it the
     # state_key workers cache by.  The anchor tuple keeps both objects
     # alive while the entry is cached, so the id()s cannot be recycled.
+    # The blob ships the kernel's device, which the artifact does not
+    # name: by its planning inputs, as an id() could be reused after GC.
+    device = kernel.device
     token = (
         "resident-state", id(prepared), prepared.version, id(polygons),
-        kernel.token,
+        None if device is None
+        else (device.capacity_bytes, device.max_resolution),
     )
 
     def build_blob() -> bytes:
@@ -1078,10 +1109,9 @@ def _resident_dispatch(
                     tracing=tracing, result_ref=result_ref, slot=idx,
                     channel_names=channel_names,
                     reuse=None if reuse is None else reuse[idx],
-                    pairs=None if pairs is None else {
-                        key: record for key, record in pairs.items()
-                        if key[0] == idx
-                    },
+                    pairs=None if pairs is None else (
+                        {} if pairs.get(idx) is None else {idx: pairs[idx]}
+                    ),
                 )
                 for idx in range(num_tiles)
             ],
@@ -1122,7 +1152,7 @@ def _merge_partial(
     trace.attach(partial.span)
     prepared.mark_composed(partial.tile_idx, **partial.built)
     if partial.pairs is not None:
-        pairs.setdefault(*partial.pairs)
+        pairs.setdefault(partial.tile_idx, partial.pairs)
 
 
 # ----------------------------------------------------------------------
@@ -1196,7 +1226,7 @@ class RasterJoinEngine(SpatialAggregationEngine):
         routed, prewarmed, recorded = self.session.partition_warm(
             points,
             routing_token(self._make_canvas(polygons), self.max_resolution),
-            polygons, self.prepared_spec(), self.kernel.token,
+            polygons, self.prepared_spec(),
         )
         exact = self.kernel.exact
         return routed, prewarmed and exact, recorded and exact
@@ -1212,16 +1242,6 @@ class RasterJoinEngine(SpatialAggregationEngine):
             list(self._make_canvas(polygons).tiles(self.max_resolution)),
             aggregate, self.required_columns(aggregate, filters), points,
         )
-
-    def one_batch(
-        self, points, polygons: PolygonSet, aggregate: Aggregate,
-        filters: FilterSet,
-    ) -> bool:
-        """Planning probe: do ``points`` cross the device as one batch
-        on every tile of this query?  Device-less and resident inputs
-        are never cut."""
-        plan = self.footprint(points, polygons, aggregate, filters).plan
-        return plan is None or plan.fits_in_one_batch
 
     def member(
         self,
@@ -1270,14 +1290,14 @@ class RasterJoinEngine(SpatialAggregationEngine):
 
         Boundary masks, candidate lists and the polygon pass run once per
         tile; only the point pass runs per chunk (each chunk still flows
-        through the device-batching path) — the structure the paper's
-        disk-resident experiments rely on.  Every tile scans the stream
-        for itself: ``chunk_source`` is invoked once per tile, at most
-        one chunk of each pass is alive at a time, and nothing of the
-        stream is routed ahead or cached (``stats.extra["partition"]``
-        reads ``scan``).  Under a parallel backend tile workers may invoke
-        (and iterate) it concurrently — each call must return an
-        independent iterator (see
+        through the device-batching path), and the boundary fold once per
+        tile, after its last chunk — the paper's disk-resident structure,
+        with the monolithic bits.  Every tile scans the stream for itself:
+        ``chunk_source`` is invoked once per tile, at most one chunk of
+        each pass is alive at a time, and nothing of the stream is routed
+        ahead or cached (``stats.extra["partition"]`` reads ``scan``).
+        Under a parallel backend tile workers may invoke (and iterate) it
+        concurrently — each call must return an independent iterator (see
         :meth:`SpatialAggregationEngine.execute_stream`).
         """
         aggregate = aggregate or Count()

@@ -25,21 +25,11 @@ class BatchPlan:
     columns: tuple[str, ...]
     row_bytes: int
 
-    @property
-    def num_batches(self) -> int:
-        if self.num_points == 0:
-            return 0
-        return -(-self.num_points // self.rows_per_batch)  # ceil division
-
     def ranges(self) -> list[tuple[int, int]]:
         return [
             (start, min(start + self.rows_per_batch, self.num_points))
             for start in range(0, self.num_points, self.rows_per_batch)
         ]
-
-    @property
-    def fits_in_one_batch(self) -> bool:
-        return self.num_batches <= 1
 
 
 def plan_batches(
@@ -79,8 +69,7 @@ def tile_parallelism(
     """How many tile tasks may hold device batches concurrently.
 
     Batch *plans* are identical across backends (they depend only on the
-    device capacity, never on the worker count — the determinism
-    guarantee needs identical batch boundaries).  What parallel execution
+    device capacity, never on the worker count).  What parallel execution
     must bound instead is the number of tiles holding a batch plus its
     framebuffer headroom at once: each concurrent tile's worst-case
     footprint is one planned batch plus its FBO reservation, and the sum

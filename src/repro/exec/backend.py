@@ -104,8 +104,8 @@ class TilePartial:
     ``unit_coverage``, the *per-polygon* outline pixels and coverage
     runs of the same build — the state that makes single-polygon edits
     incremental.
-    ``pairs`` is ``(key, batches)``, the tile's boundary join when this
-    task built the artifact's record of it (``repro.core.tiles.
+    ``pairs`` is the tile's boundary join when this task built the
+    artifact's record of it (``repro.core.tiles.
     _point_pass``), installed by the merge on the caller's side.
     ``payload`` is engine-specific (the bounded engine's per-tile FBO
     and run table for §5 result intervals).  ``span`` is

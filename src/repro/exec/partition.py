@@ -35,13 +35,13 @@ not by luck:
    (``np.bincount`` / ``ufunc.at``) visit pixels in the same sequence as
    the full scan and the boundary-PIP path sees the same point order —
    identical rounding everywhere.
-3. **Batch-plan alignment.**  The accurate engine's boundary-PIP path
-   folds partial sums per device batch, so batch *grouping* is part of
-   the bit pattern.  :meth:`Routing.per_tile` cuts a tile's rows at the
-   row boundaries of the exact batch plan the tile's self-scan would
-   have used (same columns, device budget and per-tile framebuffer
-   reservation); the cut is a ``searchsorted`` per query, so the cached
-   record depends on none of those.
+3. **Batch-plan alignment.**  :meth:`Routing.per_tile` cuts a tile's
+   rows at the row boundaries of the exact batch plan the tile's
+   self-scan would have used (same columns, device budget and per-tile
+   framebuffer reservation), so both upload the same batches — no bit
+   depends on the cut, a tile folds its boundary matches once.  The cut
+   is a ``searchsorted`` per query, so the cached record depends on
+   none of those.
 
 Which of the two a query runs follows its input, not a switch: a point
 source is routed once (and cached in a session); a chunk stream is read

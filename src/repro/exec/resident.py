@@ -85,8 +85,8 @@ class TileTaskSpec:
     channel_names: tuple
     #: a delta's base slots of the tile (:func:`repro.core.tiles.run_tile`)
     reuse: dict | None = None
-    #: the tile's entries of the boundary join's record (empty: build
-    #: one and ship it home; ``None``: none is kept)
+    #: the tile's entry of the boundary join's record (empty: build one
+    #: and ship it home; ``None``: none is kept)
     pairs: dict | None = None
 
 

@@ -74,13 +74,6 @@ class ShmArray:
     shape: tuple
     offset: int = 0
 
-    @property
-    def nbytes(self) -> int:
-        count = 1
-        for dim in self.shape:
-            count *= int(dim)
-        return count * np.dtype(self.dtype).itemsize
-
     def __getitem__(self, rows: slice) -> "ShmArray":
         """A contiguous row range of a 1-D array, as its own descriptor
         (no lease of its own: the segment's owner outlives its users)."""
@@ -275,16 +268,6 @@ class SegmentCache:
                 oldest = self._order.pop(0)
                 self._segments.pop(oldest).close()
             return seg.buf
-
-    def close(self) -> None:
-        with self._lock:
-            segments, self._segments = self._segments, {}
-            self._order = []
-        for seg in segments.values():
-            try:
-                seg.close()
-            except Exception:  # pragma: no cover - teardown path
-                pass
 
 
 #: This process's attach cache (used when resolving a descriptor whose

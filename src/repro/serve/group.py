@@ -18,12 +18,10 @@ in its place), boundary PIP, polygon pass, tile merge — loops over the
 aggregate's channels and folds each one alone, in row order, through the one
 :meth:`~repro.core.aggregates.Aggregate.reduce_segments`.  The rows a
 channel sees depend on the filter set and the polygons' boundary mask,
-both fixed by the group key, and on the batch cuts — so a group whose
-union plan (union columns, the wider framebuffer) is more than one
-device batch is not shared (:func:`execute_shared` returns ``None``): a
-member alone might have been cut elsewhere, and batch boundaries are
-part of the float grouping of the PIP partials.  One batch for the union
-means one batch for every narrower solo plan.
+both fixed by the group key — not on the batch cuts: the union plan
+(union columns, the wider framebuffer) may cut a tile where a member
+alone would not, and a tile folds its boundary matches once whatever
+its cut (``docs/parallel_execution.md``).
 """
 
 from __future__ import annotations
@@ -54,20 +52,16 @@ def execute_shared(
     polygons: PolygonSet,
     aggregates: Sequence[Aggregate],
     filters: FilterSet,
-) -> list[AggregationResult] | None:
+) -> list[AggregationResult]:
     """Answer every (shareable) aggregate from one ``engine.execute``.
 
     Returns one result per aggregate, in order — values and channels bit
-    for bit what ``engine.execute`` would have returned for it alone —
-    or ``None`` when the union plan is more than one device batch and the
-    caller must run the members one after another.  Every member's stats
-    are a copy of the shared execution's with
+    for bit what ``engine.execute`` would have returned for it alone.
+    Every member's stats are a copy of the shared execution's with
     ``extra["fused_queries"]`` set to the group size; the span tree is
     the one execution's, shared.
     """
     multi = MultiAggregate(aggregates)
-    if not engine.one_batch(points, polygons, multi, filters):
-        return None
     shared = engine.execute(points, polygons, aggregate=multi, filters=filters)
     n = len(aggregates)
     if shared.trace is not None:

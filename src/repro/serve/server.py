@@ -249,9 +249,9 @@ class Server:
 
     def _run_shared(self, sharers: list[_Entry]):
         """One execution for all of ``sharers``; ``None`` sends them to
-        the solo loop — the union plan is more than one device batch, or
-        the execution raised: one poisoned member must not fail its
-        companions, so each re-runs for its own result or its own error."""
+        the solo loop when the execution raised: one poisoned member must
+        not fail its companions, so each re-runs for its own result or
+        its own error."""
         head = sharers[0]
         try:
             results = execute_shared(
@@ -259,16 +259,15 @@ class Server:
                 [entry.aggregate for entry in sharers], head.filters,
             )
         except Exception:
-            results = None
             with self._lock:
                 self._fused_fallbacks += 1
             metrics.counter("serve_fused_fallbacks")
-        if results is not None:
-            with self._lock:
-                self._fused_scans += 1
-                self._fused_queries += len(sharers)
-            metrics.counter("serve_fused_scans")
-            metrics.counter("serve_fused_queries", len(sharers))
+            return None
+        with self._lock:
+            self._fused_scans += 1
+            self._fused_queries += len(sharers)
+        metrics.counter("serve_fused_scans")
+        metrics.counter("serve_fused_queries", len(sharers))
         return results
 
     def _execute(self, entry: _Entry):

@@ -406,13 +406,14 @@ class TestWindowedStatement:
         assert result.stats.extra["prepared"] == "delta"
         assert "polygons_recomputed" not in result.stats.extra
 
-    @pytest.mark.parametrize("other, same_artifact", [
+    @pytest.mark.parametrize("other, reuses", [
         (functools.partial(AccurateRasterJoin, resolution=96), False),
         (functools.partial(BoundedRasterJoin, resolution=128), False),
         (functools.partial(AccurateRasterJoin, resolution=128,
                            grid_resolution=64,
                            device=GPUDevice(max_resolution=64)), False),
-        # A delta of the base, its points cut into other batches.
+        # A delta of the base, its points cut into other batches: the cut
+        # reaches no bit, so the base's answers stand.
         (functools.partial(AccurateRasterJoin, resolution=128,
                            grid_resolution=64,
                            device=GPUDevice(capacity_bytes=1 << 17,
@@ -420,16 +421,18 @@ class TestWindowedStatement:
     ], ids=["resolution", "engine", "tiles", "device-capacity"])
     def test_another_resolution_engine_or_device(self, uniform_points,
                                                  three_regions, other,
-                                                 same_artifact):
+                                                 reuses):
         session = QuerySession(store=False)
         kwargs = {"aggregate": Sum("fare")}
         result = self._stroke(session, uniform_points, three_regions,
                               kwargs, kwargs,
                               delta_engine=other(session=session))
-        if same_artifact:
+        if reuses:
             assert result.stats.extra["prepared"] == "delta"
             assert result.stats.batches > result.stats.extra["tiles"]
-        assert "polygons_recomputed" not in result.stats.extra
+            assert result.stats.extra["polygons_recomputed"][1] == 3
+        else:
+            assert "polygons_recomputed" not in result.stats.extra
 
     def test_a_base_invalidated_between_statements(self, uniform_points,
                                                    three_regions):

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import PointDataset, Polygon, PolygonSet
 from repro.cache.prepared import PreparedPolygons
@@ -18,6 +19,12 @@ from repro.exec import shm
 from repro.index.grid import ragged_positions
 from repro.store.store import STORE_DIR_ENV_VAR
 from tests.graphics.reference_raster import covered_pixels
+
+
+# A failing example prints its ``@reproduce_failure`` blob, so a
+# counterexample one run finds can be replayed wherever it was seen.
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 
 def pytest_addoption(parser):

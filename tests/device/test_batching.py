@@ -18,8 +18,7 @@ def make_points(n: int) -> PointDataset:
 class TestPlanBatches:
     def test_no_device_single_batch(self):
         plan = plan_batches(make_points(1000), ("x", "y"), None)
-        assert plan.num_batches == 1
-        assert plan.fits_in_one_batch
+        assert plan.ranges() == [(0, 1000)]
 
     def test_row_bytes_counts_only_requested_columns(self):
         plan = plan_batches(make_points(10), ("x", "y", "a"), None)
@@ -31,7 +30,6 @@ class TestPlanBatches:
         dev = GPUDevice(capacity_bytes=16 * 100)  # 100 rows of (x, y)
         plan = plan_batches(make_points(250), ("x", "y"), dev)
         assert plan.rows_per_batch == 100
-        assert plan.num_batches == 3
         assert plan.ranges() == [(0, 100), (100, 200), (200, 250)]
 
     def test_reserved_bytes_shrink_batches(self):
@@ -55,7 +53,6 @@ class TestPlanBatches:
 
     def test_empty_dataset(self):
         plan = plan_batches(make_points(0), ("x", "y"), None)
-        assert plan.num_batches == 0
         assert plan.ranges() == []
 
     def test_more_constraint_columns_mean_more_batches(self):
@@ -63,4 +60,4 @@ class TestPlanBatches:
         dev = GPUDevice(capacity_bytes=2_000)
         thin = plan_batches(make_points(500), ("x", "y"), dev)
         wide = plan_batches(make_points(500), ("x", "y", "a"), dev)
-        assert wide.num_batches >= thin.num_batches
+        assert len(wide.ranges()) >= len(thin.ranges())

@@ -47,10 +47,6 @@ def no_segment_leaks():
 
 
 class TestShmArray:
-    def test_nbytes(self):
-        ref = ShmArray("seg", "<f8", (4, 3), 64)
-        assert ref.nbytes == 4 * 3 * 8
-
     def test_descriptor_is_picklable(self):
         ref = ShmArray("seg", "<i4", (7,), 0)
         assert pickle.loads(pickle.dumps(ref)) == ref
@@ -170,7 +166,7 @@ class TestShmChunk:
     def test_column_subset_export(self, points):
         chunk = export_chunk(points, columns=("x", "y"))
         assert tuple(chunk.refs) == ("x", "y")
-        assert sum(ref.nbytes for ref in chunk.refs.values()) == (
+        assert sum(shm.view(ref).nbytes for ref in chunk.refs.values()) == (
             points.xs.nbytes + points.ys.nbytes
         )
         chunk.release()
@@ -186,7 +182,6 @@ class TestSegmentCache:
         np.testing.assert_array_equal(
             np.frombuffer(a, dtype=np.int64), np.arange(16)
         )
-        cache.close()
         shm.REGISTRY.release(ref.segment)
 
     def test_byte_bounded_lru_keeps_most_recent(self):
@@ -198,7 +193,6 @@ class TestSegmentCache:
             cache.buffer(ref.segment)
         assert refs[0].segment not in cache._segments, "LRU did not evict"
         assert refs[2].segment in cache._segments
-        cache.close()
         for ref in refs:
             shm.REGISTRY.release(ref.segment)
 
@@ -207,7 +201,6 @@ class TestSegmentCache:
         cache = SegmentCache(byte_cap=16)  # far below the segment size
         cache.buffer(ref.segment)
         assert ref.segment in cache._segments
-        cache.close()
         shm.REGISTRY.release(ref.segment)
 
 

@@ -173,28 +173,17 @@ class TestExecutionMatrix:
         return chunk_source
 
     @pytest.fixture(scope="class")
-    def references(self, matrix_points, matrix_chunks, hoods):
-        """Serial cold result per (engine kind, ingestion mode).
-
-        Monolithic and streamed ingestion fold boundary-path partial
-        sums in different chunkings (a pre-existing last-ulp effect of
-        pairwise summation), so bit-equality is defined per mode; the
-        backend, worker count, and session warmth must never change a
-        bit within one.
-        """
+    def references(self, matrix_points, hoods):
+        """Serial cold monolithic result per engine kind: the backend,
+        the worker count, the session's warmth and the stream's
+        chunking must never change a bit of it."""
         out = {}
         for kind in MATRIX_ENGINES:
-            monolithic = _matrix_engine(kind, "serial", None).execute(
+            out[kind] = _matrix_engine(kind, "serial", None).execute(
                 matrix_points, hoods, aggregate=Sum("fare")
             )
             # The matrix only means something on a multi-tile canvas.
-            assert monolithic.stats.extra["tiles"] > 1
-            out[(kind, False)] = monolithic
-            out[(kind, True)] = _matrix_engine(
-                kind, "serial", None
-            ).execute_stream(matrix_chunks, hoods, aggregate=Sum("fare"))
-            assert np.allclose(out[(kind, False)].values,
-                               out[(kind, True)].values, rtol=1e-9)
+            assert out[kind].stats.extra["tiles"] > 1
         return out
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -225,7 +214,7 @@ class TestExecutionMatrix:
         else:
             result = run()
 
-        reference = references[(kind, streamed)]
+        reference = references[kind]
         assert np.array_equal(result.values, reference.values)
         for name in reference.channels:
             assert np.array_equal(result.channels[name],
@@ -239,7 +228,7 @@ class TestExecutionMatrix:
         """The anchor: the multi-tile accurate reference is correct, so
         bit-equality with it means every matrix cell is correct."""
         expected = brute_force_sums(matrix_points, hoods, "fare")
-        assert np.allclose(references[("accurate", False)].values, expected,
+        assert np.allclose(references["accurate"].values, expected,
                            rtol=1e-9)
 
 

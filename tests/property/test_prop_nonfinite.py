@@ -37,6 +37,7 @@ from repro import (
     Max,
     Min,
     PointDataset,
+    Polygon,
     PolygonSet,
     QuerySession,
     Sum,
@@ -216,6 +217,37 @@ def test_streamed_matches_monolithic(workload, kind):
         resolution=128, grid_resolution=32
     ).execute_stream(lambda: iter(chunks), polygons, AGGS[kind]("v"))
     assert np.array_equal(streamed.values, mono.values, equal_nan=True)
+
+
+def recorded_counterexample():
+    """The workload hypothesis once found against
+    :func:`test_streamed_matches_monolithic` —
+    ``@reproduce_failure('6.155.2', b'AXicc2I478S4UIMBCvAwHFkdGRyZAG2KA2A=')``
+    with ``kind="avg"`` — decoded: :func:`nonfinite_workloads`' seed 207,
+    417 rows, no special drawn, and a five-point star.  Each of the two
+    chunks folded its own boundary matches, so the anchor rectangle's
+    sum lost its last bits against the monolithic run."""
+    rng = np.random.default_rng(207)
+    values = rng.uniform(-100.0, 100.0, 417)
+    for _ in range(4):  # the specials' masks: none drew a row
+        rng.uniform(0.0, 1.0, 417)
+    points = PointDataset(
+        rng.uniform(0, 100, 417), rng.uniform(0, 100, 417), {"v": values}
+    )
+    star = Polygon([
+        (62.49547543498463, 42.86560890404724),
+        (53.74050337219021, 44.934126681434414),
+        (32.18556444916409, 62.52123109186023),
+        (23.473738144634968, 26.596547310113344),
+        (45.93581161960613, 13.955835279701141),
+    ])
+    return points, PolygonSet([star, rectangle(-1, -1, 101, 101)])
+
+
+def test_streamed_matches_monolithic_on_the_recorded_counterexample():
+    test_streamed_matches_monolithic.hypothesis.inner_test(
+        recorded_counterexample(), "avg"
+    )
 
 
 @given(nonfinite_workloads(), st.sampled_from(["min", "max", "avg"]))

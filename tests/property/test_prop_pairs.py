@@ -1,8 +1,8 @@
 """Property tests for the boundary join's record.
 
 Which boundary rows pair with which polygons, and which pairs match,
-depends on the points, the artifact, the tile and the batch cut alone —
-never on the filter or the aggregate — so a session-held artifact
+depends on the points, the artifact and the tile alone — never on the
+filter, the aggregate or the batch cut — so a session-held artifact
 records it per point source and kernel, and a later statement over the
 pairing replays it: its filter masks the recorded matches, its
 aggregate folds them (``repro.core.tiles._Record``).  Whatever ran the
@@ -123,8 +123,6 @@ def test_recorded_statements_equal_a_sessionless_engine(
     assert first.stats.extra["pairs"] == "built"
     assert first.stats.extra["pyramid"] == ("hit" if prewarm else "cold")
     same_bits(first, want)
-    # Another aggregate over the same columns and framebuffer bytes —
-    # the same batch cut — replays the same record.
     sibling = AGGREGATES[(0, 3, 2, 4, 1)[kind]]()
     other = engine.execute(POINTS, POLYGONS, sibling, filters)
     assert other.stats.extra["pairs"] == "recorded"
@@ -259,7 +257,7 @@ def test_a_windowed_delta_neither_reads_nor_writes_a_record():
     engine.execute(POINTS, POLYGONS, Sum("val"))
     (base,) = session._entries.values()
     (routing,) = session._point_cache.values()
-    recorded = dict(base.answers.pairs(routing.guard, engine.kernel.token))
+    recorded = dict(base.answers.pairs(routing.guard))
     assert recorded
     ring = POLYGONS[1].exterior.copy()
     ring[0] += (1.5, -2.0)
@@ -270,8 +268,8 @@ def test_a_windowed_delta_neither_reads_nor_writes_a_record():
     assert "pairs" not in result.stats.extra
     delta = next(entry for entry in session._entries.values()
                  if entry is not base)
-    assert delta.answers.pairs(routing.guard, engine.kernel.token) is None
-    book = base.answers.pairs(routing.guard, engine.kernel.token)
+    assert delta.answers.pairs(routing.guard) is None
+    book = base.answers.pairs(routing.guard)
     assert book.keys() == recorded.keys()
     assert all(book[key] is recorded[key] for key in book)
     same_bits(result, _engine(16).execute(POINTS, edited, Sum("val")))

@@ -10,6 +10,10 @@ exact engine, prewarmed or not, and the bounded one).
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,8 @@ from repro import (
     QuerySession,
     Sum,
 )
+from repro.errors import ExecutionBackendError
+from repro.exec import shm
 from repro.obs import metrics
 from repro.serve import ServeConfig, Server, execute_shared
 from repro.sql.planner import QueryPlanner
@@ -70,6 +76,34 @@ def region_sets(rng):
                             radius_range=(5.0, 20.0)),
     ])
     return set_a, set_b
+
+
+#: The columns a resident worker process has unpickled a
+#: :class:`_WorkerKiller` for (one list per process: spawned workers
+#: import this module afresh).
+_UNPICKLED: list = []
+
+
+def _unpickle_worker_killer(parent_pid: int, column: str) -> "_WorkerKiller":
+    """A resident worker survives its first task that names a
+    :class:`_WorkerKiller` and dies unpickling the second, as a worker
+    lost mid-dispatch would; the parent process builds one as usual."""
+    if os.getpid() != parent_pid:
+        if _UNPICKLED:
+            os._exit(3)
+        _UNPICKLED.append(column)
+    return _WorkerKiller(column, parent_pid)
+
+
+class _WorkerKiller(Sum):
+    """A Sum whose second tile task in any resident worker kills it."""
+
+    def __init__(self, column: str, parent_pid: int | None = None) -> None:
+        super().__init__(column)
+        self.parent_pid = os.getpid() if parent_pid is None else parent_pid
+
+    def __reduce__(self):
+        return _unpickle_worker_killer, (self.parent_pid, self.column)
 
 
 def _make_engine(kind: str, device=None, session=None, config=None):
@@ -310,20 +344,96 @@ class TestThroughTheServer:
                 2 if index < 2 else None
             )
 
-    def test_multi_batch_input_falls_back(self, uniform_points, region_sets):
-        """A host input whose union plan is two or more device batches
-        is answered member by member — batch boundaries are part of the
-        float grouping, and a member alone would be cut elsewhere."""
+    def test_a_worker_lost_mid_group_ends_in_solo_answers_or_errors(
+        self, uniform_points, region_sets, monkeypatch
+    ):
+        """A resident worker dies partway through a shared group's
+        execution: every member re-runs solo and settles with its own
+        answer — the solo bits — or its own typed error, and once the
+        planner is closed and its session dropped no shared-memory
+        lease and no worker process is left."""
+        set_a, _ = region_sets
+        leases = shm.REGISTRY.live_segments()
+        planner = self._planner(
+            uniform_points, {"a": set_a},
+            device=GPUDevice(max_resolution=512),
+            config=EngineConfig(backend="process", workers=2, shm=True),
+        )
+        statements = [self._sql("COUNT(*)", "a"), self._sql("SUM(fare)", "a"),
+                      self._sql("SUM(hour)", "a")]
+        try:
+            solos = [planner.execute(q) for q in statements[:2]]
+            assert solos[1].stats.extra["tiles"] == 4
+            assert solos[1].stats.extra["pool"] == "resident-reused"
+            plan = planner.plan
+
+            def killing_plan(statement):
+                engine, points, regions, aggregate, filters = plan(statement)
+                if getattr(aggregate, "column", None) == "hour":
+                    aggregate = _WorkerKiller("hour")
+                return engine, points, regions, aggregate, filters
+
+            monkeypatch.setattr(planner, "plan", killing_plan)
+            fallbacks = metrics.snapshot()["counters"].get(
+                "serve_fused_fallbacks", 0
+            )
+            with Server(planner, ServeConfig(max_workers=1)) as server:
+                blocker = _Blocker(server, workers=1)
+                futures = [server.submit(q) for q in statements]
+                blocker.done()
+                for future, solo in zip(futures, solos):
+                    result = future.result(120.0)
+                    assert np.array_equal(result.values, solo.values)
+                    for name, channel in solo.channels.items():
+                        assert np.array_equal(result.channels[name], channel)
+                    assert "fused_queries" not in result.stats.extra
+                with pytest.raises(ExecutionBackendError,
+                                   match="died mid-dispatch"):
+                    futures[2].result(120.0)
+                counters = server.counters()
+            # The error's traceback holds the failed statement's batches.
+            del futures
+            assert counters["fused_scans"] == 0
+            assert counters["fused_fallbacks"] == 1
+            assert counters["depth"] == 0
+            assert metrics.snapshot()["counters"][
+                "serve_fused_fallbacks"] == fallbacks + 1
+        finally:
+            planner.close()
+        planner.session.invalidate()
+        del planner
+        gc.collect()
+        assert shm.REGISTRY.live_segments() == leases
+        assert not [proc for proc in multiprocessing.active_children()
+                    if proc.name.startswith("repro-resident")]
+
+    def test_multi_batch_union_plan_is_shared(self, uniform_points,
+                                               region_sets):
+        """A host input whose union plan cuts every tile into several
+        device batches — where each member alone is cut elsewhere — is
+        still one shared execution, and every member is bit-identical to
+        its solo run: a tile folds its boundary matches once, whatever
+        its cut."""
         set_a, _ = region_sets
         device = GPUDevice(capacity_bytes=200_000, max_resolution=64)
         engine = AccurateRasterJoin(
             resolution=64, device=device, session=QuerySession()
         )
-        aggregates, none = [Count(), Sum("fare")], FilterSet()
-        assert not engine.one_batch(uniform_points, set_a, Sum("fare"), none)
-        assert execute_shared(
-            engine, uniform_points, set_a, aggregates, none
-        ) is None
+        aggregates = [Count(), Sum("fare"), Average("fare")]
+        shared = execute_shared(
+            engine, uniform_points, set_a, aggregates, FilterSet()
+        )
+        solos = [
+            AccurateRasterJoin(resolution=64, device=device).execute(
+                uniform_points, set_a, aggregate
+            ) for aggregate in aggregates
+        ]
+        # The union's wider framebuffer cuts where COUNT alone does not.
+        assert shared[0].stats.batches > solos[0].stats.batches > 1
+        for result, solo in zip(shared, solos):
+            assert np.array_equal(result.values, solo.values)
+            for name, channel in solo.channels.items():
+                assert np.array_equal(result.channels[name], channel)
 
         fallbacks = metrics.snapshot()["counters"].get(
             "serve_fused_fallbacks", 0
@@ -333,7 +443,7 @@ class TestThroughTheServer:
             statements = [self._sql("COUNT(*)", "a"),
                           self._sql("SUM(fare)", "a")]
             solos = [planner.execute(q) for q in statements]
-            assert solos[1].stats.batches > 1
+            assert solos[1].stats.batches > solos[0].stats.batches > 1
             with Server(planner, ServeConfig(max_workers=1)) as server:
                 blocker = _Blocker(server, workers=1)
                 futures = [server.submit(q) for q in statements]
@@ -343,13 +453,12 @@ class TestThroughTheServer:
                     assert np.array_equal(result.values, solo.values)
                     for name, channel in solo.channels.items():
                         assert np.array_equal(result.channels[name], channel)
-                    assert "fused_queries" not in result.stats.extra
-                    assert result.stats.batches == solo.stats.batches
-                assert server.counters()["fused_scans"] == 0
+                    assert result.stats.extra["fused_queries"] == 2
+                    assert result.stats.batches >= solos[1].stats.batches
+                assert server.counters()["fused_scans"] == 1
                 assert server.counters()["depth"] == 0
         finally:
             planner.close()
-        # Declined, not failed: nothing raised, nothing counted.
         assert metrics.snapshot()["counters"].get(
             "serve_fused_fallbacks", 0
         ) == fallbacks

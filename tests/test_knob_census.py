@@ -174,8 +174,8 @@ HOMONYMS = {
     "MultiAggregate.split", "PointDataset.take", "PreparedPolygons.nbytes",
     "ProcessBackend.close", "QueryPlanner.close", "QuerySession.nbytes",
     "ResidentWorkerPool.close", "Routing.nbytes", "SegmentCache.buffer",
-    "SegmentCache.close", "Server.close", "ShmArray.nbytes",
-    "ShmRegistry.buffer", "Span.find", "SpatialAggregationEngine.close",
+    "Server.close", "ShmRegistry.buffer", "Span.find",
+    "SpatialAggregationEngine.close",
     "ThreadBackend.close", "Tracer.close", "_Parser.peek",
     "_PointState.nbytes", "_QuadNode.count", "_Window.shape",
 }
