@@ -552,7 +552,7 @@ class QuerySession:
         ``token`` is the canvas frame and tile layout
         (:func:`~repro.exec.partition.routing_token`); a routing depends
         on nothing else — not on the polygons, so an edit loop keeps
-        hitting, and not on a statement's columns or batch plan, so a
+        hitting, and not on a statement's columns or batch size, so a
         whole dashboard shares one entry per canvas.
         """
         state = self._point_lookup("partition", points, token)

@@ -26,7 +26,7 @@ from repro.cache.session import QuerySession
 from repro.core.aggregates import Aggregate, Count
 from repro.core.filters import Filter, FilterSet
 from repro.data.dataset import PointDataset
-from repro.device.batching import plan_batches
+from repro.device.batching import rows_per_batch
 from repro.device.memory import GPUDevice, ResidentPointSet
 from repro.errors import QueryError
 from repro.exec.config import EngineConfig
@@ -40,13 +40,11 @@ from repro.types import AggregationResult, ExecutionStats, ResultIntervals
 class _Batch:
     """One device-resident slice of the input points."""
 
-    __slots__ = ("columns", "length", "transfer_s")
+    __slots__ = ("columns", "length")
 
-    def __init__(self, columns: dict[str, np.ndarray], length: int,
-                 transfer_s: float) -> None:
+    def __init__(self, columns: dict[str, np.ndarray], length: int) -> None:
         self.columns = columns
         self.length = length
-        self.transfer_s = transfer_s
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -325,16 +323,16 @@ def point_batches(
     if isinstance(points, ResidentPointSet):
         # Already device memory: one zero-cost batch, no planning.
         stats.batches += 1
-        yield _Batch(
-            {c: points.column(c) for c in columns}, len(points), 0.0
-        )
+        yield _Batch({c: points.column(c) for c in columns}, len(points))
         return
-    plan = plan_batches(points, columns, device, reserved_bytes)
-    for start, end in plan.ranges():
+    n = len(points)
+    step = rows_per_batch(points, columns, device, reserved_bytes)
+    for start in range(0, n, step):
+        end = min(start + step, n)
         host_cols = {c: points.column(c)[start:end] for c in columns}
         if device is None:
             stats.batches += 1
-            yield _Batch(host_cols, end - start, 0.0)
+            yield _Batch(host_cols, end - start)
             continue
         buffers, seconds = device.upload_columns(host_cols)
         stats.transfer_s += seconds
@@ -342,7 +340,7 @@ def point_batches(
         stats.batches += 1
         try:
             yield _Batch(
-                {n: b.array for n, b in buffers.items()}, end - start, seconds
+                {name: b.array for name, b in buffers.items()}, end - start
             )
         finally:
             for b in buffers.values():

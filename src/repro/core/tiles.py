@@ -83,7 +83,7 @@ from repro.core.engine import (
 from repro.core.filters import FilterSet, filter_key
 from repro.core.multi import MultiAggregate
 from repro.data.dataset import PointDataset
-from repro.device.batching import plan_batches, tile_parallelism
+from repro.device.batching import tile_parallelism
 from repro.device.memory import (
     DEFAULT_MAX_RESOLUTION,
     GPUDevice,
@@ -165,7 +165,7 @@ class Footprint(NamedTuple):
     """What one statement holds on the device per tile task."""
 
     #: Per tile, the bytes of the statement's framebuffer: the ``nbytes``
-    #: of the one the tile task builds, which its batch plan reserves.
+    #: of the one the tile task builds, which its batch size reserves.
     fbo_bytes: list[int]
     #: How many tile tasks may run at once.
     parallelism: int
@@ -182,9 +182,9 @@ def statement_footprint(
     """The device footprint of one statement over ``tiles``: the tile
     loop runs by it, and the planning and costing probes read it.
 
-    Batch plans never depend on the worker count, so the device budget
+    Batch sizes never depend on the worker count, so the device budget
     is enforced the other way around: the cap limits how many tiles may
-    hold a planned batch plus their framebuffer at once.
+    hold a full batch plus their framebuffer at once.
     Resident columns are shared, not re-uploaded, so they cap nothing; a
     stream (``points`` of ``None``: unknown chunk sizes) runs one tile at
     a time under a device.
@@ -194,13 +194,9 @@ def statement_footprint(
     device = kernel.device
     if device is None or isinstance(points, ResidentPointSet):
         return Footprint(fbo_bytes, workers)
-    largest = max(fbo_bytes, default=0)
-    plan = None
-    if points is not None:
-        plan = plan_batches(points, columns, device, largest)
-    return Footprint(
-        fbo_bytes, tile_parallelism(device, largest, plan, workers)
-    )
+    return Footprint(fbo_bytes, tile_parallelism(
+        device, max(fbo_bytes, default=0), points, columns, workers
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -835,17 +831,24 @@ def run_tiles(
     # time, so their durations can legitimately sum past the parent's.
     with trace.span("tiles", concurrent=backend.workers > 1):
         partials = None
-        # (Resident workers cannot see the parent's cached channels.)
-        if per_tile is not None and not keep_fbo and not cached:
-            partials = _resident_dispatch(
-                kernel, backend, member, columns, per_tile, retain,
-                tracing, parallelism, reuse, pairs,
-            )
-        if partials is None:
-            partials = backend.run_tasks(
-                [(lambda idx=idx: task(idx)) for idx in range(len(tiles))],
-                parallelism=parallelism,
-            )
+        try:
+            # (Resident workers cannot see the parent's cached channels.)
+            if per_tile is not None and not keep_fbo and not cached:
+                partials = _resident_dispatch(
+                    kernel, backend, member, columns, per_tile, retain,
+                    tracing, parallelism, reuse, pairs,
+                )
+            if partials is None:
+                partials = backend.run_tasks(
+                    [(lambda idx=idx: task(idx))
+                     for idx in range(len(tiles))],
+                    parallelism=parallelism,
+                )
+        finally:
+            # A raised error's traceback holds this frame: it must not
+            # hold the routed batches, and with them the routing's
+            # shared-memory leases, for as long as the error lives.
+            per_tile = None
         if backend.last_pool_event is not None:
             stats.extra["pool"] = backend.last_pool_event
         accumulators = new_accumulators(member.polygons, member.aggregate)
@@ -942,7 +945,7 @@ def _partition(
     tile tasks start at the filter mask instead of re-projecting the
     input once per tile and per query.  With a session the routing is
     cached by point source and canvas frame — never the polygons, the
-    columns or the batch plan, so a rezoning edit loop and every
+    columns or the batch size, so a rezoning edit loop and every
     statement of a dashboard keep hitting one entry — and, when
     ``shared`` (a dispatch the resident pool could take), its columns
     live in shared memory, the form resident dispatch consumes.  A

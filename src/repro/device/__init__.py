@@ -10,12 +10,11 @@ as the paper's OpenGL implementation.
 """
 
 from repro.device.memory import GPUDevice, DeviceBuffer, ResidentPointSet
-from repro.device.batching import BatchPlan, plan_batches
+from repro.device.batching import rows_per_batch
 
 __all__ = [
     "GPUDevice",
     "DeviceBuffer",
     "ResidentPointSet",
-    "BatchPlan",
-    "plan_batches",
+    "rows_per_batch",
 ]

@@ -35,13 +35,10 @@ not by luck:
    (``np.bincount`` / ``ufunc.at``) visit pixels in the same sequence as
    the full scan and the boundary-PIP path sees the same point order —
    identical rounding everywhere.
-3. **Batch-plan alignment.**  :meth:`Routing.per_tile` cuts a tile's
-   rows at the row boundaries of the exact batch plan the tile's
-   self-scan would have used (same columns, device budget and per-tile
-   framebuffer reservation), so both upload the same batches — no bit
-   depends on the cut, a tile folds its boundary matches once.  The cut
-   is a ``searchsorted`` per query, so the cached record depends on
-   none of those.
+
+Where a tile's rows are cut into device batches reaches no bit (a tile
+folds its boundary matches once), so :meth:`Routing.per_tile` cuts each
+tile's own rows, per query, by the tile's own batch size.
 
 Which of the two a query runs follows its input, not a switch: a point
 source is routed once (and cached in a session); a chunk stream is read
@@ -65,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.device.batching import plan_batches
+from repro.device.batching import rows_per_batch
 from repro.device.memory import ResidentPointSet
 from repro.exec import shm
 
@@ -73,7 +70,7 @@ from repro.exec import shm
 def routing_token(canvas, max_resolution: int) -> tuple:
     """What a :class:`Routing` depends on besides the points: the canvas
     frame and its tile layout — never the polygons, the query's columns
-    or the device's batch plan, so an edit loop and a whole dashboard
+    or the device's batch size, so an edit loop and a whole dashboard
     share one entry."""
     ext = canvas.extent
     return (
@@ -94,9 +91,9 @@ class Routing:
     the row (``None`` when every row is on its tile; such a row's pixel
     is 0 and must be masked).  ``duplicates`` counts the seam nominations
     routing examined; ``resident`` says the source is device memory
-    already (each tile's rows are one zero-transfer batch, no upload
-    plan to align with).  ``prewarmed`` says a caller asked for the
-    pairing's statements to read cached channels (``prewarm``).
+    already (each tile's rows are one zero-transfer batch).  ``prewarmed``
+    says a caller asked for the pairing's statements to read cached
+    channels (``prewarm``).
     """
 
     def __init__(self, order, bounds, pix, inside, duplicates: int,
@@ -162,41 +159,24 @@ class Routing:
                  shared: bool = False) -> list[list["RoutedChunk"]]:
         """Every tile's rows as this query's device batches, in row order.
 
-        A tile's rows are cut where the batch plan of ``source`` under
-        the query's columns and that tile's framebuffer reservation
-        (``fbo_bytes[tile]``) cuts (module docstring, property 3);
-        device-resident rows are one batch whatever their number.
-        Called before tile tasks are dispatched, so they only ever read.
+        Tile ``t``'s rows are cut every ``rows_per_batch`` rows, the
+        batch size of ``source``'s query columns under that tile's
+        framebuffer reservation (``fbo_bytes[t]``); device-resident rows
+        are one batch whatever their number.  Called before tile tasks
+        are dispatched, so they only ever read.
         """
         self.ensure_columns(source, columns, shared)
         out = []
         for idx, reserved in enumerate(fbo_bytes):
-            edges = self._batch_edges(idx, source, columns, device, reserved)
+            lo, hi = self.bounds[idx:idx + 2].tolist()
+            step = hi - lo or 1
+            if not self.resident and lo < hi:
+                step = rows_per_batch(source, columns, device, reserved)
             out.append([
-                self._batch(slice(a, b), columns)
-                for a, b in zip(edges, edges[1:]) if a < b
+                self._batch(slice(a, min(a + step, hi)), columns)
+                for a in range(lo, hi, step)
             ])
         return out
-
-    def _batch_edges(self, idx: int, source, columns, device,
-                     reserved: int) -> list[int]:
-        """Tile ``idx``'s routed range and every position inside it where
-        this query's device batches cut (module docstring, property 3)."""
-        n = len(source)
-        edges = [int(self.bounds[idx]), int(self.bounds[idx + 1])]
-        if not self.resident and edges[0] < edges[1]:
-            per_batch = plan_batches(
-                source, columns, device, reserved
-            ).rows_per_batch
-            if per_batch < n:
-                rows = (
-                    np.arange(*edges) if self.order is None
-                    else self.order[slice(*edges)]
-                )
-                edges[1:1] = (edges[0] + np.searchsorted(
-                    rows, np.arange(per_batch, n, per_batch)
-                )).tolist()
-        return edges
 
     def _batch(self, cut: slice, columns) -> "RoutedChunk":
         shared, exports = None, self._exports

@@ -300,9 +300,9 @@ class ShmChunk:
     Duck-types the resident point-set protocol, and — with ``routed``,
     the descriptors of a routed batch's ``(pix, inside)`` — the
     :class:`~repro.exec.partition.RoutedChunk` a tile task consumes: one
-    zero-transfer batch, which preserves bit-identity because the tile
-    loop only emits batches cut on the device batch plan anyway (see
-    :mod:`repro.exec.partition`, property 3).  Pickles as descriptors +
+    zero-transfer batch, which reaches no bit: a tile folds its
+    boundary matches once, wherever its rows are cut (see
+    :mod:`repro.exec.partition`).  Pickles as descriptors +
     length only; rehydrated copies (workers) and descriptor slices never
     own leases, so their GC can't unlink anything.
     """

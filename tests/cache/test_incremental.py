@@ -23,6 +23,8 @@ from repro import (
     QuerySession,
     Sum,
 )
+from repro.core.filters import FilterSet
+from tests.conftest import cutting_capacity, routed_tile_rows
 
 
 def edited_regions(regions: PolygonSet, shrink: float = 0.25) -> PolygonSet:
@@ -406,24 +408,40 @@ class TestWindowedStatement:
         assert result.stats.extra["prepared"] == "delta"
         assert "polygons_recomputed" not in result.stats.extra
 
+    @classmethod
+    def _cutting_device(cls, points, regions) -> GPUDevice:
+        """The base's device, with memory that cuts each tile into more
+        batches than the layout has tiles: the framebuffer plus that
+        share of the fewest rows a tile is routed."""
+        probe = cls._engine()
+        rows = routed_tile_rows(probe, points, regions)
+        capacity = cutting_capacity(
+            probe, points, regions, Sum("fare"), FilterSet(),
+            -(-int(rows.min()) // (len(rows) + 1)),
+        )
+        return GPUDevice(capacity_bytes=capacity, max_resolution=48)
+
     @pytest.mark.parametrize("other, reuses", [
         (functools.partial(AccurateRasterJoin, resolution=96), False),
         (functools.partial(BoundedRasterJoin, resolution=128), False),
         (functools.partial(AccurateRasterJoin, resolution=128,
                            grid_resolution=64,
                            device=GPUDevice(max_resolution=64)), False),
-        # A delta of the base, its points cut into other batches: the cut
-        # reaches no bit, so the base's answers stand.
+        # A delta of the base, its points cut into other batches (the
+        # device is sized from the points): the cut reaches no bit, so
+        # the base's answers stand.
         (functools.partial(AccurateRasterJoin, resolution=128,
-                           grid_resolution=64,
-                           device=GPUDevice(capacity_bytes=1 << 17,
-                                            max_resolution=48)), True),
+                           grid_resolution=64), True),
     ], ids=["resolution", "engine", "tiles", "device-capacity"])
     def test_another_resolution_engine_or_device(self, uniform_points,
                                                  three_regions, other,
                                                  reuses):
         session = QuerySession(store=False)
         kwargs = {"aggregate": Sum("fare")}
+        if reuses:
+            other = functools.partial(other, device=self._cutting_device(
+                uniform_points, three_regions
+            ))
         result = self._stroke(session, uniform_points, three_regions,
                               kwargs, kwargs,
                               delta_engine=other(session=session))

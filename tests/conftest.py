@@ -16,6 +16,7 @@ from repro import PointDataset, Polygon, PolygonSet
 from repro.cache.prepared import PreparedPolygons
 from repro.exec import backend as exec_backend
 from repro.exec import shm
+from repro.exec.partition import route_chunk
 from repro.index.grid import ragged_positions
 from repro.store.store import STORE_DIR_ENV_VAR
 from tests.graphics.reference_raster import covered_pixels
@@ -140,6 +141,29 @@ def concat_points(first: PointDataset, second: PointDataset) -> PointDataset:
         },
         name=first.name,
     )
+
+
+def routed_tile_rows(engine, points: PointDataset,
+                     polygons: PolygonSet) -> np.ndarray:
+    """How many rows ``engine`` routes to each tile of the canvas it
+    renders ``polygons`` on: the rows a device cuts into a tile's
+    batches."""
+    canvas = engine._make_canvas(polygons)
+    limit = engine.max_resolution
+    tiles = list(canvas.tiles(limit))
+    return np.diff(route_chunk(points, canvas, tiles, limit).bounds)
+
+
+def cutting_capacity(engine, points: PointDataset, polygons: PolygonSet,
+                     aggregate, filters, rows: int) -> int:
+    """Device bytes that hold the statement's largest framebuffer on
+    ``engine`` plus ``rows`` rows of its columns: on a layout of equal
+    tiles, a device of that capacity cuts each tile every ``rows``
+    rows."""
+    footprint = engine.footprint(points, polygons, aggregate, filters)
+    columns = engine.required_columns(aggregate, filters)
+    row_bytes = sum(points.column(name).dtype.itemsize for name in columns)
+    return max(footprint.fbo_bytes) + rows * row_bytes
 
 
 def regular_polygon(cx: float, cy: float, radius: float, sides: int) -> Polygon:

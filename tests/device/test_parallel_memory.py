@@ -1,10 +1,9 @@
 """Device memory under parallel tile execution.
 
-Batch *plans* must never depend on the backend (identical batch
-boundaries are part of the bit-equality guarantee); instead the engines
-cap how many tile tasks may hold device batches concurrently so the sum
-of per-worker budgets (one planned batch + FBO headroom each) stays
-inside the global device budget.  These tests pin that arithmetic and
+Batch sizes never depend on the backend; instead the engines cap how
+many tile tasks may hold device batches concurrently so the sum of
+per-worker budgets (one full batch + FBO headroom each) stays inside the
+global device budget.  These tests pin that arithmetic and
 the thread-safety of the allocation accounting it relies on.
 """
 
@@ -18,43 +17,51 @@ from repro import (
     AccurateRasterJoin,
     BoundedRasterJoin,
     EngineConfig,
+    FilterSet,
     GPUDevice,
     PointDataset,
     Polygon,
     PolygonSet,
     Sum,
 )
-from repro.device.batching import BatchPlan, plan_batches, tile_parallelism
+from repro.device.batching import rows_per_batch, tile_parallelism
 from repro.errors import OutOfDeviceMemoryError
+from tests.conftest import cutting_capacity, routed_tile_rows
+
+#: Two float64 columns: 16 bytes a row.
+COLUMNS = ("x", "y")
 
 
-def _plan(num_points: int, rows_per_batch: int, row_bytes: int) -> BatchPlan:
-    return BatchPlan(num_points, rows_per_batch, ("x", "y"), row_bytes)
+def _points(num_points: int) -> PointDataset:
+    return PointDataset(np.zeros(num_points), np.zeros(num_points))
 
 
 class TestTileParallelism:
     def test_no_device_is_unbounded(self):
-        assert tile_parallelism(None, 10**9, None, 7) == 7
+        assert tile_parallelism(None, 10**9, None, COLUMNS, 7) == 7
 
     def test_unknown_plan_with_device_serializes(self):
         """Streamed sources (chunk sizes unknown up front) must not
         gamble with device memory: one tile at a time."""
         device = GPUDevice(capacity_bytes=1 << 20)
-        assert tile_parallelism(device, 1024, None, 8) == 1
+        assert tile_parallelism(device, 1024, None, COLUMNS, 8) == 1
 
     def test_per_worker_budgets_fit_global_budget(self):
         """workers x (batch + FBO) never exceeds the device capacity."""
         device = GPUDevice(capacity_bytes=1_000_000)
         fbo_bytes = 100_000
-        for rows, row_bytes, workers in [
-            (10_000, 16, 8),
-            (100_000, 16, 8),
-            (1_000_000, 16, 4),
-            (50, 16, 3),
+        row_bytes = 16
+        for rows, workers in [
+            (10_000, 8),
+            (100_000, 8),
+            (1_000_000, 4),
+            (50, 3),
         ]:
-            plan = _plan(rows, min(rows, 40_000), row_bytes)
-            allowed = tile_parallelism(device, fbo_bytes, plan, workers)
-            batch_bytes = min(rows, plan.rows_per_batch) * row_bytes
+            points = _points(rows)
+            allowed = tile_parallelism(device, fbo_bytes, points, COLUMNS,
+                                       workers)
+            per_batch = rows_per_batch(points, COLUMNS, device, fbo_bytes)
+            batch_bytes = min(rows, per_batch) * row_bytes
             assert allowed >= 1
             assert allowed <= workers
             assert allowed * (fbo_bytes + batch_bytes) <= max(
@@ -63,13 +70,14 @@ class TestTileParallelism:
 
     def test_small_workload_allows_full_parallelism(self):
         device = GPUDevice(capacity_bytes=10_000_000)
-        plan = _plan(1_000, 1_000, 16)
-        assert tile_parallelism(device, 10_000, plan, 4) == 4
+        assert tile_parallelism(device, 10_000, _points(1_000), COLUMNS,
+                                4) == 4
 
     def test_tight_memory_degrades_to_serial(self):
         device = GPUDevice(capacity_bytes=100_000)
-        plan = _plan(100_000, 5_000, 16)  # one batch ~= the whole budget
-        assert tile_parallelism(device, 15_000, plan, 8) == 1
+        # One batch ~= the whole budget.
+        assert tile_parallelism(device, 15_000, _points(100_000), COLUMNS,
+                                8) == 1
 
 
 class TestThreadSafeAccounting:
@@ -138,10 +146,17 @@ class TestEngineUnderMemoryPressure:
                                             BoundedRasterJoin])
     def test_out_of_core_parallel_matches_serial(self, engine_cls, workload):
         points, polygons = workload
-        # ~480 KB of needed columns against a 160 KB device: several
-        # batches per tile, concurrency throttled by the budget.
+        # A third of the fewest rows a tile is routed beside the
+        # framebuffer: several batches per tile, concurrency throttled
+        # by the budget.
+        probe = engine_cls(resolution=96,
+                           device=GPUDevice(max_resolution=48))
+        rows = int(routed_tile_rows(probe, points, polygons).min())
+        capacity = cutting_capacity(probe, points, polygons, Sum("val"),
+                                    FilterSet(), -(-rows // 3))
+
         def device():
-            return GPUDevice(capacity_bytes=160 * 1024, max_resolution=48)
+            return GPUDevice(capacity_bytes=capacity, max_resolution=48)
 
         serial = engine_cls(resolution=96, device=device()).execute(
             points, polygons, aggregate=Sum("val")

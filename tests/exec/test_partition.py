@@ -2,9 +2,9 @@
 
 The routing stage must (1) give each tile exactly the rows its own
 transform maps inside it, with the pixel that transform computes,
-(2) preserve original row order within a tile, (3) cut a tile's rows on
-the tile's batch-plan boundaries, and (4) treat a single-tile canvas as
-a one-tile routing that copies no column.  Engine-level bit-equality is
+(2) preserve original row order within a tile, (3) cut a tile's rows
+every ``rows_per_batch`` rows of its own, and (4) treat a single-tile
+canvas as a one-tile routing that copies no column.  Engine-level bit-equality is
 pinned by ``tests/property/test_prop_partition.py`` and the integration
 matrix; these tests pin the mechanism.
 """
@@ -16,12 +16,14 @@ import pytest
 
 from repro import (
     AccurateRasterJoin,
+    EngineConfig,
     GPUDevice,
     PointDataset,
     PolygonSet,
     QuerySession,
     Sum,
 )
+from repro.device.batching import rows_per_batch
 from repro.device.memory import ResidentPointSet
 from repro.exec.partition import partition_chunk
 from repro.geometry.bbox import BBox
@@ -116,35 +118,68 @@ class TestConservativeCoverage:
         assert all(not subs for subs in per_tile)
 
 
-class TestBatchAlignment:
-    def test_sub_chunks_split_on_tile_plan_boundaries(self, rng):
-        """With a device, each tile's batches break exactly where the
-        tile's own batch plan over the original chunk breaks."""
-        from repro.device.batching import plan_batches
-
+class TestTileBatches:
+    def test_a_tile_is_cut_every_rows_per_batch_of_its_rows(self, rng):
+        """With a device, tile ``t``'s rows cross in
+        ``ceil(rows_t / rows_per_batch)`` batches, cut at fixed multiples
+        of ``rows_per_batch`` of its own rows, in row order."""
         canvas, tiles, max_res = _canvas_and_tiles()
         n = 4_000
         chunk = PointDataset(rng.uniform(0, 100, n), rng.uniform(0, 100, n))
-        device = GPUDevice(capacity_bytes=24_000)
+        device = GPUDevice(capacity_bytes=6_000)
         fbo_bytes = [4_000] * len(tiles)
         per_tile, _ = _partition(
             chunk, canvas, tiles, max_res, device=device, fbo_bytes=fbo_bytes
         )
-        rows = plan_batches(chunk, ("x", "y"), device, 4_000).rows_per_batch
-        assert rows < n  # the plan really is multi-batch
-        for subs in per_tile:
-            assert len(subs) > 1
-            for sub in subs:
-                # A batch never spans a plan boundary: all its rows'
-                # original indices fall in one [k*rows, (k+1)*rows) range.
-                original = np.flatnonzero(
-                    np.isin(chunk.xs, sub.column("x"))
-                )
-                assert len(original) == len(sub)
-                assert len(set(original // rows)) == 1
+        uncut, _ = _partition(chunk, canvas, tiles, max_res)
+        rows = rows_per_batch(chunk, ("x", "y"), device, 4_000)
+        for subs, (whole,) in zip(per_tile, uncut):
+            assert len(subs) == -(-len(whole) // rows) > 1
+            assert [len(sub) for sub in subs[:-1]] == [rows] * (len(subs) - 1)
+            assert 0 < len(subs[-1]) <= rows
+            for name in ("x", "y"):
                 np.testing.assert_array_equal(
-                    sub.column("x"), chunk.xs[original]
+                    np.concatenate([sub.column(name) for sub in subs]),
+                    whole.column(name),
                 )
+            np.testing.assert_array_equal(
+                np.concatenate([sub.pix for sub in subs]), whole.pix
+            )
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_a_tile_that_fits_is_one_upload(self, rng, backend):
+        """16 tiles over 2 000 rows under a device holding 500 rows a
+        batch beside a tile's framebuffer: every tile's rows fit one
+        batch, so the statement uploads 16, and answers an uncut
+        device's bits under every backend.  (Such a device lets one tile
+        task hold a batch at a time, so the cut run dispatches inline;
+        the uncut run dispatches on the backend.)"""
+        n = 2_000
+        points = PointDataset(
+            rng.uniform(0, 100, n), rng.uniform(0, 100, n),
+            {"val": rng.normal(0.0, 10.0, n)},
+        )
+        polygons = PolygonSet([
+            rectangle(0, 0, 100, 100), rectangle(20, 30, 70, 80),
+        ])
+        config = EngineConfig(backend=backend, workers=2)
+        fbo_bytes = 32 * 32 * 8
+        cut = AccurateRasterJoin(
+            resolution=128, config=config,
+            device=GPUDevice(capacity_bytes=fbo_bytes + 500 * 24,
+                             max_resolution=32),
+        ).execute(points, polygons, Sum("val"))
+        uncut = AccurateRasterJoin(
+            resolution=128, config=config,
+            device=GPUDevice(max_resolution=32),
+        ).execute(points, polygons, Sum("val"))
+        assert cut.stats.extra["tiles"] == 16
+        assert cut.stats.batches == uncut.stats.batches == 16
+        assert cut.stats.bytes_transferred == uncut.stats.bytes_transferred
+        assert cut.values.tobytes() == uncut.values.tobytes()
+        assert cut.channels.keys() == uncut.channels.keys()
+        for name, channel in uncut.channels.items():
+            assert cut.channels[name].tobytes() == channel.tobytes()
 
     def test_host_chunks_are_trimmed_to_query_columns(self, rng):
         canvas, tiles, max_res = _canvas_and_tiles()

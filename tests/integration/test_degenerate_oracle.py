@@ -38,10 +38,14 @@ from repro import (
     QuerySession,
     Sum,
 )
-from repro.core.engine import SpatialAggregationEngine
 from repro.core.filters import FilterSet
 from repro.geometry.polygon import rectangle
-from tests.conftest import brute_force_values, random_star_polygon
+from tests.conftest import (
+    brute_force_values,
+    cutting_capacity,
+    random_star_polygon,
+    routed_tile_rows,
+)
 
 RESOLUTION = 64
 FLOAT_RTOL = 1e-9
@@ -246,18 +250,21 @@ INPUTS = [
 ]
 
 
-def _device(cuts, resolution, batches, points, aggregate, filters):
+def _device(cuts, resolution, batches, points, polygons, aggregate,
+            filters):
     """A device whose framebuffer limit cuts the canvas ``cuts`` x
     ``cuts`` and — with ``batches`` — whose memory holds the largest
-    tile's framebuffer plus a ``batches``-th of the statement's rows."""
+    tile's framebuffer plus a ``batches``-th of the fewest rows a tile
+    is routed."""
     side = -(-resolution // cuts)
     if batches is None:
         return None if cuts == 1 else GPUDevice(max_resolution=side)
-    columns = SpatialAggregationEngine.required_columns(aggregate, filters)
+    probe = AccurateRasterJoin(resolution=resolution,
+                               device=GPUDevice(max_resolution=side))
+    rows = max(1, int(routed_tile_rows(probe, points, polygons).min()))
     return GPUDevice(
-        capacity_bytes=(
-            len(aggregate.channels) * 8 * min(side, resolution) ** 2
-            + 8 * len(columns) * -(-len(points) // batches)
+        capacity_bytes=cutting_capacity(
+            probe, points, polygons, aggregate, filters, -(-rows // batches)
         ),
         max_resolution=side,
     )
@@ -291,7 +298,7 @@ def test_degenerate_input_matches_the_oracle_prewarmed_or_not(make, cuts):
                 engine = AccurateRasterJoin(
                     resolution=resolution, grid_resolution=32,
                     device=_device(cuts, resolution, batches, points,
-                                   aggregate, filters),
+                                   polygons, aggregate, filters),
                     session=session,
                 )
                 if prewarmed:
@@ -351,7 +358,8 @@ def test_bounded_count_lies_inside_its_interval(make, cuts):
     for filters, keep_rows in FILTERS.values():
         result = BoundedRasterJoin(
             resolution=resolution, compute_bounds=True,
-            device=_device(cuts, resolution, None, points, Count(), filters),
+            device=_device(cuts, resolution, None, points, polygons, Count(),
+                           filters),
         ).execute(points, polygons, Count(), filters)
         want = _oracle(points, polygons, "count", keep_rows(points.column("k")))
         assert result.intervals.contains(want).all(), filters

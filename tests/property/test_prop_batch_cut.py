@@ -28,8 +28,11 @@ from repro import (
     QuerySession,
     Sum,
 )
-from repro.device.batching import plan_batches
-from tests.conftest import random_star_polygon
+from tests.conftest import (
+    cutting_capacity,
+    random_star_polygon,
+    routed_tile_rows,
+)
 
 #: (resolution, device framebuffer limit) per tile count.
 LAYOUTS = {1: (64, 64), 16: (128, 32)}
@@ -72,15 +75,14 @@ def _engine(tiles, capacity=None, session=None):
 
 def _cutting_capacity(points, polygons, aggregate, filters, tiles,
                       batches):
-    """Device bytes that leave room for ``len(points) / batches`` rows
-    beside the statement's largest framebuffer: the plan cuts the rows
-    there, so every tile crosses in one to ``batches`` batches."""
+    """Device bytes that leave room for a ``batches``-th of the most rows
+    a tile is routed beside the statement's largest framebuffer: that
+    tile crosses in ``batches`` batches at most and, for two or more,
+    in two at least, every other tile in one to ``batches``."""
     engine = _engine(tiles)
-    fbo_bytes = engine.footprint(points, polygons, aggregate, filters).fbo_bytes
-    row_bytes = plan_batches(
-        points, engine.required_columns(aggregate, filters), None
-    ).row_bytes
-    return max(fbo_bytes) + -(-len(points) // batches) * row_bytes
+    rows = int(routed_tile_rows(engine, points, polygons).max())
+    return cutting_capacity(engine, points, polygons, aggregate, filters,
+                            -(-rows // batches))
 
 
 def same_bits(got, want):

@@ -46,7 +46,12 @@ from repro import (
     QuerySession,
     Sum,
 )
-from tests.conftest import assert_views_equal, random_star_polygon
+from tests.conftest import (
+    assert_views_equal,
+    cutting_capacity,
+    random_star_polygon,
+    routed_tile_rows,
+)
 
 AGGREGATE_KINDS = (
     lambda: Count(),
@@ -390,16 +395,17 @@ def stroke_chains(draw):
     )
 
 
-def _cutting_device(kind, tiles, points, aggregate, filters):
-    """A device whose every tile takes the points in three or four
-    batches: the framebuffer plus a third of the rows."""
+def _cutting_device(cls, tiles, points, polygons, aggregate, filters):
+    """A device whose every tile takes its points in three batches or
+    more: the framebuffer plus a third of the fewest rows a tile is
+    routed."""
     side = TILE_LIMITS[tiles]
-    cell = 8 if kind == "accurate" else 4
-    columns = AccurateRasterJoin.required_columns(aggregate, filters)
-    row_bytes = sum(points.column(name).dtype.itemsize for name in columns)
+    engine = cls(resolution=64, device=GPUDevice(max_resolution=side))
+    rows = max(1, int(routed_tile_rows(engine, points, polygons).min()))
     return GPUDevice(
-        capacity_bytes=len(aggregate.channels) * cell * side * side
-        + row_bytes * (len(points) // 3),
+        capacity_bytes=cutting_capacity(
+            engine, points, polygons, aggregate, filters, -(-rows // 3)
+        ),
         max_resolution=side,
     )
 
@@ -422,7 +428,8 @@ def test_windowed_strokes_equal_a_sessionless_engine(chain_workload):
     filters = FilterSet([Filter("val", ">=", -3.0)] if filtered else [])
     for make_aggregate in AGGREGATE_KINDS:
         aggregate = make_aggregate()
-        device = _cutting_device(kind, tiles, points, aggregate, filters)
+        device = _cutting_device(cls, tiles, points, chain[0], aggregate,
+                                 filters)
         engine = cls(resolution=64, device=device,
                      session=QuerySession(store=False))
         first = engine.execute(points, chain[0], aggregate=aggregate,

@@ -32,12 +32,17 @@ from repro import (
     QuerySession,
     Sum,
 )
+from repro.core.multi import MultiAggregate
 from repro.errors import ExecutionBackendError
 from repro.exec import shm
 from repro.obs import metrics
 from repro.serve import ServeConfig, Server, execute_shared
 from repro.sql.planner import QueryPlanner
-from tests.conftest import random_star_polygon
+from tests.conftest import (
+    cutting_capacity,
+    random_star_polygon,
+    routed_tile_rows,
+)
 from tests.serve.test_server import _Blocker
 
 #: NaN / ±inf attributes are in the inputs on purpose (inf - inf, a
@@ -391,8 +396,6 @@ class TestThroughTheServer:
                                    match="died mid-dispatch"):
                     futures[2].result(120.0)
                 counters = server.counters()
-            # The error's traceback holds the failed statement's batches.
-            del futures
             assert counters["fused_scans"] == 0
             assert counters["fused_fallbacks"] == 1
             assert counters["depth"] == 0
@@ -438,7 +441,24 @@ class TestThroughTheServer:
         fallbacks = metrics.snapshot()["counters"].get(
             "serve_fused_fallbacks", 0
         )
-        planner = self._planner(uniform_points, {"a": set_a}, device=device)
+        # A planner's canvas is 1 024 pixels wide, where no tile of the
+        # uniform points holds more rows than a third of its pixels — so
+        # no member alone, whose framebuffer needs half the union's, is
+        # ever cut beside the union's.  Squeezed into the first 64-pixel
+        # tile they are: the device holds that framebuffer and a quarter
+        # of the tile's rows.
+        dense = PointDataset(uniform_points.xs / 16, uniform_points.ys / 16,
+                             uniform_points.attributes)
+        probe = AccurateRasterJoin(device=GPUDevice(max_resolution=64))
+        rows = int(routed_tile_rows(probe, dense, set_a).max())
+        device = GPUDevice(
+            capacity_bytes=cutting_capacity(
+                probe, dense, set_a, MultiAggregate([Count(), Sum("fare")]),
+                FilterSet(), rows // 4,
+            ),
+            max_resolution=64,
+        )
+        planner = self._planner(dense, {"a": set_a}, device=device)
         try:
             statements = [self._sql("COUNT(*)", "a"),
                           self._sql("SUM(fare)", "a")]
