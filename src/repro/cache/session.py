@@ -529,8 +529,7 @@ class QuerySession:
         their kind, until they hold at most ``limit`` bytes.
 
         Pure re-derivable acceleration state, so eviction only costs a
-        rebuild.  A routing's shared-memory columns release their
-        segment leases with the entry, via their finalizers.
+        rebuild.
         """
         held = self._point_nbytes()
         while self._point_cache and held > limit:

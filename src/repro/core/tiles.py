@@ -39,17 +39,16 @@ implementation, as plain functions over plain data:
   padded canvas, prepared artifact, execution — that the accurate and
   bounded joins subclass with a kernel each.
 
-The task's inputs are picklable data — the tile index, a small frozen
+The task's inputs are plain data — the tile index, a small frozen
 :class:`TileKernel` naming what differs between the engines, the member
-(prepared artifact, polygons, aggregate, filters), the chunk descriptors
-and a few flags — so in-process dispatch and the resident worker pool's
-:class:`~repro.exec.resident.TileTaskSpec` dispatch run the same function;
-the latter merely pickles its arguments.
+(prepared artifact, polygons, aggregate, filters), the routed batches
+and a few flags — and every backend runs the same closure over them:
+inline, in a pool thread, or in a forked child that inherits them.
 
 Determinism: every task folds its accumulators from the blend identity
 — its interior rows in row order, its boundary matches once — and the
-loop merges partials in tile order, so every backend, worker count,
-dispatch mode and batch cut produces the same bits
+loop merges partials in tile order, so every backend, worker count and
+batch cut produces the same bits
 (``docs/parallel_execution.md``).
 The scalar raster kernels in :mod:`repro.graphics` are not called from
 here; they are the oracle the batched builders are tested against
@@ -58,7 +57,6 @@ here; they are the oracle the batched builders are tested against
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -90,10 +88,8 @@ from repro.device.memory import (
     ResidentPointSet,
 )
 from repro.errors import QueryError
-from repro.exec import shm
-from repro.exec.backend import ExecutionBackend, ProcessBackend, TilePartial
+from repro.exec.backend import ExecutionBackend, TilePartial
 from repro.exec.partition import route_chunk, routing_token, scan_tile
-from repro.exec.resident import TileTaskSpec
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import PolygonSet
 from repro.graphics.fbo import FrameBuffer
@@ -218,12 +214,12 @@ def run_tile(
 ) -> TilePartial:
     """One whole tile: boundary, point pass, polygon pass.
 
-    The unit every dispatch mode runs — inline, in a thread, in a forked
-    child, or in a resident spawned worker.  Nothing is read from an
-    engine and shared prepared state is never mutated: the task builds
-    what the artifact's per-polygon units lack, and under ``retain`` the
-    fresh pieces — the composed views and the per-polygon outlines —
-    travel home in the partial, as does the tile's trace subtree.
+    The unit every backend runs — inline, in a thread, or in a forked
+    child.  Nothing is read from an engine and shared prepared state is
+    never mutated: the task builds what the artifact's per-polygon units
+    lack, and under ``retain`` the fresh pieces — the composed views and
+    the per-polygon outlines — travel home in the partial, as does the
+    tile's trace subtree.
 
     ``reuse`` is a delta's base's slots of this tile under this
     statement's key (:func:`run_tiles`).  When the tile was patched —
@@ -457,23 +453,22 @@ def _point_pass(
 ) -> bool:
     """Upload, mask and route each routed batch of this tile.
 
-    ``chunks`` are this tile's device batches, each row already carrying
-    its flat pixel (:class:`~repro.exec.partition.RoutedChunk`, or its
-    shared-memory twin) — whether the routing came from the session,
-    from this query's own routing pass, or from the tile scanning a
-    stream itself.  Every batch takes one flow: under a ``window`` it is
-    cut to the rows in the box, in order; it is uploaded; the rows the
-    tile took on a boundary pixel are found (or read off the record);
-    the vertex-stage filter runs once, as a boolean mask in row order;
-    the boundary rows join exactly (:func:`_boundary_join`) and the kept
-    interior rows scatter into ``fbo`` (a ``window``'s box of it) in row
-    order.  Without an ``fbo`` the tile was prewarmed: its framebuffers
-    are cached, so the batch is neither uploaded nor scattered and the
-    filter reads the boundary rows alone.  Without a mask (the bounded
-    join) every kept row scatters.  Values are cast to the FBO's dtype
-    by the blend, as 32-bit GL channels would.  The tile holds its
-    boundary matches from batch to batch and folds them once, after its
-    last batch (:func:`_merge_batches`), so the batch cut reaches no bit.
+    ``chunks`` are this tile's device batches, each row already carrying its
+    flat pixel (:class:`~repro.exec.partition.RoutedChunk`) — whether the
+    routing came from the session, from this query's own routing pass, or
+    from the tile scanning a stream itself.  Every batch takes one flow:
+    under a ``window`` it is cut to the rows in the box, in order; it is
+    uploaded; the rows the tile took on a boundary pixel are found (or read
+    off the record); the vertex-stage filter runs once, as a boolean mask in
+    row order; the boundary rows join exactly (:func:`_boundary_join`) and
+    the kept interior rows scatter into ``fbo`` (a ``window``'s box of it)
+    in row order.  Without an ``fbo`` the tile was prewarmed: its
+    framebuffers are cached, so the batch is neither uploaded nor scattered
+    and the filter reads the boundary rows alone.  Without a mask (the
+    bounded join) every kept row scatters.  Values are cast to the FBO's
+    dtype by the blend, as 32-bit GL channels would.  The tile holds its
+    boundary matches from batch to batch and folds them once, after its last
+    batch (:func:`_merge_batches`), so the batch cut reaches no bit.
 
     ``pairs`` (:meth:`~repro.cache.prepared.AnswerBook.pairs`; ``None``:
     none is kept) holds the pairing's boundary joins, one
@@ -795,14 +790,8 @@ def run_tiles(
     if stream:
         stats.extra["partition"] = "scan"
     else:
-        # A routing the resident pool could be fed from lives in shared
-        # memory; the backend says when that is (never for one tile).
-        shared = isinstance(backend, ProcessBackend) and (
-            backend.resident_capable(len(tiles), parallelism)
-        )
         per_tile, guard, channels = _partition(
-            kernel, shared, session, member, points, columns, fbo_bytes,
-            stats,
+            kernel, session, member, points, columns, fbo_bytes, stats,
         )
     # Whether the tiles read cached channels: all of them, or none.
     cached = channels is not None
@@ -830,25 +819,10 @@ def run_tiles(
     # ``concurrent`` marks that child (tile) spans may overlap in wall
     # time, so their durations can legitimately sum past the parent's.
     with trace.span("tiles", concurrent=backend.workers > 1):
-        partials = None
-        try:
-            # (Resident workers cannot see the parent's cached channels.)
-            if per_tile is not None and not keep_fbo and not cached:
-                partials = _resident_dispatch(
-                    kernel, backend, member, columns, per_tile, retain,
-                    tracing, parallelism, reuse, pairs,
-                )
-            if partials is None:
-                partials = backend.run_tasks(
-                    [(lambda idx=idx: task(idx))
-                     for idx in range(len(tiles))],
-                    parallelism=parallelism,
-                )
-        finally:
-            # A raised error's traceback holds this frame: it must not
-            # hold the routed batches, and with them the routing's
-            # shared-memory leases, for as long as the error lives.
-            per_tile = None
+        partials = backend.run_tasks(
+            [(lambda idx=idx: task(idx)) for idx in range(len(tiles))],
+            parallelism=parallelism,
+        )
         if backend.last_pool_event is not None:
             stats.extra["pool"] = backend.last_pool_event
         accumulators = new_accumulators(member.polygons, member.aggregate)
@@ -927,7 +901,6 @@ def route_points(session, points, canvas, tiles, max_resolution: int):
 
 def _partition(
     kernel: TileKernel,
-    shared: bool,
     session,
     member: TileMember,
     points,
@@ -946,11 +919,9 @@ def _partition(
     input once per tile and per query.  With a session the routing is
     cached by point source and canvas frame — never the polygons, the
     columns or the batch size, so a rezoning edit loop and every
-    statement of a dashboard keep hitting one entry — and, when
-    ``shared`` (a dispatch the resident pool could take), its columns
-    live in shared memory, the form resident dispatch consumes.  A
-    routing that was prewarmed hands an exact statement its point
-    framebuffers too (:func:`_cached_channels`).
+    statement of a dashboard keep hitting one entry.  A routing that was
+    prewarmed hands an exact statement its point framebuffers too
+    (:func:`_cached_channels`).
     """
     tiles = member.prepared.tiles
     with trace.span("partition", tiles=len(tiles)):
@@ -964,15 +935,7 @@ def _partition(
             channels = _cached_channels(
                 session, points, token, routing, kernel, member, columns
             )
-        # Shared with the session's entry only: this very query already
-        # reads the segments (and is eligible for resident dispatch),
-        # and every later hit reuses them across the process boundary
-        # zero-copy.  The leases go with the entry (cache eviction,
-        # invalidate, session GC).
-        per_tile = routing.per_tile(
-            points, columns, kernel.device, fbo_bytes,
-            shared and session is not None and channels is None,
-        )
+        per_tile = routing.per_tile(points, columns, kernel.device, fbo_bytes)
         guard = None
         if session is not None:
             # After the cut, hit or miss: the cap sees this query's copies.
@@ -1035,99 +998,6 @@ def _cached_channels(
         {ch: arr[lo:hi] for ch, arr in flat.items()}
         for lo, hi in zip(offsets, offsets[1:])
     ]
-
-
-def _resident_dispatch(
-    kernel: TileKernel,
-    backend: ExecutionBackend,
-    member: TileMember,
-    columns: tuple[str, ...],
-    per_tile: list[list],
-    retain: bool,
-    tracing: bool,
-    parallelism: int | None,
-    reuse: list | None,
-    pairs: dict | None,
-) -> list[TilePartial] | None:
-    """Fan a query's routed tiles across the resident pool.
-
-    The same tile task, named instead of closed over: the kernel, the
-    artifact and the polygons travel once as a pickled state blob in
-    shared memory (cached worker-side by content generation), the routed
-    batches as shared-memory descriptors, a delta's base slots
-    (``reuse``) and each tile's entry of the boundary join's record
-    (``pairs``; a blob's artifact holds an empty book) by value, and the
-    accumulators come back through a shared result buffer — a record a
-    worker built, in its partial.  ``None`` when this dispatch
-    cannot take that path — not a resident-enabled process backend, or a
-    batch that is not shm-backed (pickling host chunks is the cost
-    this path exists to remove) — and the caller dispatches closures
-    instead, bit-identically.
-    """
-    if not isinstance(backend, ProcessBackend):
-        return None
-    num_tiles = len(per_tile)
-    if not backend.resident_capable(num_tiles, parallelism):
-        return None
-    per_tile = [[chunk.shared for chunk in chunks] for chunks in per_tile]
-    if any(chunk is None for chunks in per_tile for chunk in chunks):
-        return None
-    prepared, polygons = member.prepared, member.polygons
-    channel_names = tuple(member.aggregate.channels)
-    shape = (num_tiles, len(channel_names), len(polygons))
-    # Content-generation token: prepared.version bumps on every artifact
-    # mutation (including the parent-side installs of worker-built
-    # pieces), so warming or editing rolls the blob — and with it the
-    # state_key workers cache by.  The anchor tuple keeps both objects
-    # alive while the entry is cached, so the id()s cannot be recycled.
-    # The blob ships the kernel's device, which the artifact does not
-    # name: by its planning inputs, as an id() could be reused after GC.
-    device = kernel.device
-    token = (
-        "resident-state", id(prepared), prepared.version, id(polygons),
-        None if device is None
-        else (device.capacity_bytes, device.max_resolution),
-    )
-
-    def build_blob() -> bytes:
-        return pickle.dumps(
-            (kernel, prepared, polygons), protocol=pickle.HIGHEST_PROTOCOL
-        )
-
-    # One guard across blob/buffer/dispatch/read-back: a concurrent query
-    # on the same shared backend serializes here instead of swapping the
-    # result buffer out from under this one.
-    with backend.resident_guard():
-        state_key, state_ref = backend.resident_state(
-            token, (prepared, polygons), build_blob
-        )
-        result_ref = backend.resident_result(shape)
-        partials = backend.run_specs(
-            [
-                TileTaskSpec(
-                    index=idx, state_key=state_key, state_ref=state_ref,
-                    tile_idx=idx, aggregate=member.aggregate,
-                    filters=member.filters, columns=columns,
-                    chunks=tuple(per_tile[idx]), retain=retain,
-                    tracing=tracing, result_ref=result_ref, slot=idx,
-                    channel_names=channel_names,
-                    reuse=None if reuse is None else reuse[idx],
-                    pairs=None if pairs is None else (
-                        {} if pairs.get(idx) is None else {idx: pairs[idx]}
-                    ),
-                )
-                for idx in range(num_tiles)
-            ],
-            parallelism,
-        )
-        result = shm.view(result_ref)
-        for partial in partials:
-            # Copy out: the buffer is reused by the next dispatch.
-            partial.accumulators = {
-                ch: np.array(result[partial.tile_idx, ci])
-                for ci, ch in enumerate(channel_names)
-            }
-    return partials
 
 
 def _merge_partial(

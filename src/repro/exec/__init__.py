@@ -3,11 +3,10 @@
 The per-tile stages of both raster engines are independent across tiles;
 this package decides where they run — and, via :mod:`repro.exec.partition`,
 which points each tile task even has to look at, and at which pixel.  See
-:mod:`repro.exec.backend` for the task contract and pool lifecycle,
-:mod:`repro.exec.config` for the engine-facing configuration object, and
-:mod:`repro.exec.shm` / :mod:`repro.exec.resident` for the zero-copy
-shared-memory data plane and the resident spawn pool it feeds
-(``EngineConfig(shm=True)`` / ``$REPRO_SHM=1``).
+:mod:`repro.exec.backend` for the task contract and pool lifecycle, and
+:mod:`repro.exec.config` for the engine-facing configuration object.
+Each backend has one dispatch path: inline, a thread pool, or a fork per
+dispatch.
 """
 
 from repro.exec.backend import (

@@ -3,9 +3,9 @@
 An :class:`EngineConfig` is the single knob callers (engine constructors,
 the SQL planner) use to choose how tile tasks execute and
 where prepared-state artifacts persist.  It is deliberately tiny — a
-backend selector and worker count, an artifact-store location and cap,
-and the process backend's dispatch mode (``shm``) — so it can be passed
-through every layer unchanged and compared or hashed freely.  There is no
+backend selector and worker count, and an artifact-store location and
+cap — so it can be passed through every layer unchanged and compared or
+hashed freely.  There is no
 switch for *how* tiles render: every query runs the one tile pipeline
 (:mod:`repro.core.tiles`) over the batched raster builders, and the
 backend keeps its worker pool for as long as it lives.
@@ -42,13 +42,10 @@ class EngineConfig:
     size (bytes, or a ``"512M"``-style string; ``None`` consults
     ``$REPRO_STORE_BUDGET``).
 
-    ``shm`` makes the process backend resident — a spawned worker pool
-    kept across queries, fed routed point batches the tile loop keeps in
-    named shared-memory segments; it means nothing to the serial and
-    thread backends (``None`` lets the process backend consult
-    ``$REPRO_SHM``, defaulting to off).  Results never depend on it —
-    like the backend choice it is purely a performance decision (see
-    ``docs/parallel_execution.md``).  How points reach the tiles is not
+    ``shm`` has no effect: nothing reads it.  It selected a resident
+    worker pool fed from shared memory, which is gone; the field stays
+    only while the perf ledger's ``resident`` cell still constructs it,
+    and goes with that cell.  How points reach the tiles is not
     configured at all: it follows the input
     (:func:`repro.core.tiles.run_tiles`).
     """
@@ -61,9 +58,7 @@ class EngineConfig:
 
     def make_backend(self) -> ExecutionBackend:
         """The backend instance this configuration describes."""
-        return resolve_backend(
-            self.backend, self.workers, shm_resident=self.shm
-        )
+        return resolve_backend(self.backend, self.workers)
 
     def with_pinned_backend(self) -> "EngineConfig":
         """This config with its backend resolved to a live instance.

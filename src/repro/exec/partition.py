@@ -64,7 +64,6 @@ import numpy as np
 
 from repro.device.batching import rows_per_batch
 from repro.device.memory import ResidentPointSet
-from repro.exec import shm
 
 
 def routing_token(canvas, max_resolution: int) -> tuple:
@@ -105,10 +104,6 @@ class Routing:
         self.duplicates = duplicates
         self.resident = resident
         self._columns: dict[str, np.ndarray] = {}
-        #: Shared-memory exports by column name (``None``: the one of
-        #: ``pix`` / ``inside``); each owns its segment's lease and gives
-        #: it back when the routing is dropped.
-        self._exports: dict[str | None, shm.ShmChunk] = {}
         self._copied = 0
         self.prewarmed = False
         self._lock = threading.Lock()  # concurrent queries share a routing
@@ -121,16 +116,19 @@ class Routing:
                                    self.inside) if arr is not None
         )
 
-    def ensure_columns(self, source, columns, shared: bool = False) -> None:
-        """Make ``columns`` of ``source`` readable in routed order.
+    def per_tile(self, source, columns, device,
+                 fbo_bytes) -> list[list["RoutedChunk"]]:
+        """Every tile's rows as this query's device batches, in row order.
 
-        A column is gathered at most once however many statements (and
-        column *sets*) read it.  With ``shared`` it — and the pixels —
-        moves into a shared-memory segment of its own, which
-        resident workers map zero-copy; once shared, always shared.
+        Tile ``t``'s rows are cut every ``rows_per_batch`` rows, the
+        batch size of ``source``'s query columns under that tile's
+        framebuffer reservation (``fbo_bytes[t]``); device-resident rows
+        are one batch whatever their number.  A column is gathered into
+        routed order at most once, however many statements (and column
+        *sets*) read it.  Called before tile tasks are dispatched, so
+        they only ever read.
         """
         with self._lock:
-            shared = shared or None in self._exports
             for name in columns:
                 if name not in self._columns:
                     arr = source.column(name)
@@ -138,34 +136,6 @@ class Routing:
                         arr = arr.take(self.order)
                         self._copied += arr.nbytes
                     self._columns[name] = arr
-                if shared and name not in self._exports:
-                    if self.order is None:
-                        self._copied += self._columns[name].nbytes
-                    self._columns[name] = self._export(
-                        name, {name: self._columns[name]}
-                    )[name]
-            if shared and None not in self._exports:
-                arrays = {"pix": self.pix}
-                if self.inside is not None:
-                    arrays["inside"] = self.inside
-                views = self._export(None, arrays)
-                self.pix, self.inside = views["pix"], views.get("inside")
-
-    def _export(self, key, arrays: dict) -> dict:
-        chunk = self._exports[key] = shm.export_arrays(arrays)
-        return {name: chunk.column(name) for name in arrays}
-
-    def per_tile(self, source, columns, device, fbo_bytes,
-                 shared: bool = False) -> list[list["RoutedChunk"]]:
-        """Every tile's rows as this query's device batches, in row order.
-
-        Tile ``t``'s rows are cut every ``rows_per_batch`` rows, the
-        batch size of ``source``'s query columns under that tile's
-        framebuffer reservation (``fbo_bytes[t]``); device-resident rows
-        are one batch whatever their number.  Called before tile tasks
-        are dispatched, so they only ever read.
-        """
-        self.ensure_columns(source, columns, shared)
         out = []
         for idx, reserved in enumerate(fbo_bytes):
             lo, hi = self.bounds[idx:idx + 2].tolist()
@@ -179,19 +149,10 @@ class Routing:
         return out
 
     def _batch(self, cut: slice, columns) -> "RoutedChunk":
-        shared, exports = None, self._exports
-        if all(key in exports for key in (None, *columns)):
-            routed = exports[None].refs
-            shared = shm.ShmChunk(
-                {c: exports[c].refs[c][cut] for c in columns},
-                cut.stop - cut.start,
-                (routed["pix"][cut],
-                 routed["inside"][cut] if "inside" in routed else None),
-            )
         return RoutedChunk(
-            self, {name: self._columns[name][cut] for name in columns},
+            {name: self._columns[name][cut] for name in columns},
             self.pix[cut], None if self.inside is None else self.inside[cut],
-            self.resident or shared is not None, shared,
+            self.resident,
         )
 
 
@@ -199,18 +160,13 @@ class Routing:
 class RoutedChunk:
     """One device batch of one tile, as the tile task consumes it: the
     rows' columns in row order, their flat pixels, which of them the
-    tile took (``None``: all) and whether they need no upload (resident
-    at the source, or in shared memory).  ``shared`` is the same batch
-    as shared-memory descriptors (:class:`~repro.exec.shm.ShmChunk`, the
-    same shape across a process boundary) when the routing is exported;
-    ``owner`` keeps the routing — and its segment leases — alive."""
+    tile took (``None``: all) and whether they are resident at the
+    source (device memory: no upload)."""
 
-    owner: Routing
     columns: dict
     pix: np.ndarray
     inside: np.ndarray | None
     resident: bool
-    shared: shm.ShmChunk | None = None
 
     def __len__(self) -> int:
         return len(self.pix)

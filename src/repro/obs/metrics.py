@@ -10,8 +10,8 @@ all delegate to it.
 
 Instrumented call sites sit on cache/store/dispatch paths — never in
 per-point loops — so a plain lock is cheap enough.  Metrics incremented
-inside a process-backend worker (forked or resident) do not die with
-the child: each task captures a :meth:`MetricsRegistry.baseline` before
+inside a forked process-backend worker do not die with the child: each
+task captures a :meth:`MetricsRegistry.baseline` before
 running and ships the :meth:`~MetricsRegistry.delta_since` home in
 ``TilePartial.metrics``, which the parent's deterministic merge folds
 back with :meth:`~MetricsRegistry.apply_delta`.  Deltas cover counters

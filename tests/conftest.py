@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import os
 import random
 import tempfile
@@ -12,10 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro import PointDataset, Polygon, PolygonSet
+from repro import PointDataset, Polygon, PolygonSet, Sum
 from repro.cache.prepared import PreparedPolygons
 from repro.exec import backend as exec_backend
-from repro.exec import shm
 from repro.exec.partition import route_chunk
 from repro.index.grid import ragged_positions
 from repro.store.store import STORE_DIR_ENV_VAR
@@ -66,10 +64,7 @@ def _isolated_process_state(monkeypatch):
       / pool events are the test's own and not whatever an earlier test
       left on disk.
     * Every execution backend a test created and left open is closed
-      afterwards: an open resident pool keeps its state blob and result
-      buffer alive in shared memory.  Under the shared-memory leg the
-      registry must then be empty — a segment that outlives its test is
-      a leaked lease.
+      afterwards, so its thread pool does not outlive the test.
     """
     root = os.environ.get(STORE_DIR_ENV_VAR)
     if root:
@@ -80,12 +75,37 @@ def _isolated_process_state(monkeypatch):
     for backend in list(exec_backend._LIVE_BACKENDS):
         if backend not in before:
             backend.close()
-    if (
-        os.environ.get(exec_backend.BACKEND_ENV_VAR) == "process"
-        and exec_backend.flag_from_env(shm.SHM_ENV_VAR, False)
-    ):
-        gc.collect()
-        assert shm.REGISTRY.live_segments() == 0
+
+
+class FatalColumn(str):
+    """A column name that ends any forked child looking it up: by
+    ``os._exit``, as a worker lost mid-dispatch would, or, given
+    ``raises``, by raising it there.  The process that named it reads it
+    as the plain name."""
+
+    def __new__(cls, name: str,
+                raises: Exception | None = None) -> "FatalColumn":
+        column = super().__new__(cls, name)
+        column.parent_pid = os.getpid()
+        column.raises = raises
+        return column
+
+    def __hash__(self) -> int:
+        if os.getpid() != self.parent_pid:
+            if self.raises is not None:
+                raise self.raises
+            os._exit(3)
+        return str.__hash__(self)
+
+
+class WorkerKiller(Sum):
+    """A Sum whose tile task ends the forked child running it: the
+    point pass looks its :class:`FatalColumn` up in the child, alone or
+    as a channel of a shared group."""
+
+    def __init__(self, column: str,
+                 raises: Exception | None = None) -> None:
+        super().__init__(FatalColumn(column, raises))
 
 
 def edge_table_for(polygons: PolygonSet, rows: int):

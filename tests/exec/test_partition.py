@@ -25,10 +25,10 @@ from repro import (
 )
 from repro.device.batching import rows_per_batch
 from repro.device.memory import ResidentPointSet
-from repro.exec.partition import partition_chunk
+from repro.exec.partition import partition_chunk, route_chunk
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import rectangle
-from repro.graphics.viewport import Canvas
+from repro.graphics.viewport import Canvas, Viewport
 
 EXTENT = BBox(0.0, 0.0, 100.0, 100.0)
 
@@ -216,6 +216,106 @@ class TestResidentInputs:
                 assert sub.resident
                 seen += len(sub)
         assert seen == 500  # every point routed once
+
+
+class TestResidentSubsetZeroCopy:
+    """Satellite: tile gathers of resident sets stay zero-copy views
+    (of the routing's per-column gathers, since `ResidentSubset` went)."""
+
+    @pytest.fixture
+    def resident(self):
+        device = GPUDevice()
+        resident = device.make_resident(
+            {"x": np.arange(100.0), "y": np.arange(100.0)}
+        )
+        yield resident
+        resident.free()
+
+    def test_columns_are_returned_by_reference(self, resident):
+        """One tile takes the rows in source order: the batch hands back
+        the device array itself, not a copy."""
+        tile = Viewport(BBox(0.0, 0.0, 100.0, 100.0), 64, 64)
+        routing = route_chunk(resident, None, [tile], 0)
+        ((batch,),) = routing.per_tile(resident, ("x", "y"), None, [0])
+        assert batch.resident and len(batch) == 100
+        assert np.shares_memory(batch.column("x"), resident.column("x"))
+
+    def test_take_from_resident_set_shares_no_host_copy(self, resident):
+        """Several tiles gather each column once; a second statement (or
+        a second ``column()`` call) must not re-gather."""
+        canvas = Canvas(BBox(0.0, 0.0, 100.0, 100.0), 64, 64)
+        tiles = list(canvas.tiles(32))
+        routing = route_chunk(resident, canvas, tiles, 32)
+
+        def batches(columns):
+            per_tile = routing.per_tile(resident, columns, None, [0] * 4)
+            return [b for tile in per_tile for b in tile]
+
+        first = batches(("x", "y"))
+        assert all(b.resident for b in first)
+        assert sum(len(b) for b in first) == 100
+        again = batches(("x",))
+        assert np.shares_memory(again[0].column("x"), first[0].column("x"))
+
+
+class TestPartitionByteAccounting:
+    """The cache budget counts each gathered host column once."""
+
+    @staticmethod
+    def _routed(rng):
+        points = PointDataset(
+            rng.uniform(0, 10, 300), rng.uniform(0, 10, 300)
+        )
+        canvas = Canvas(BBox(0.0, 0.0, 10.0, 10.0), 64, 64)
+        tiles = list(canvas.tiles(32))
+        routing = route_chunk(points, canvas, tiles, 32)
+        assert routing.order is not None
+        return points, routing, len(tiles)
+
+    @staticmethod
+    def _batches(routing, points, columns, tiles):
+        return [
+            batch for batches in routing.per_tile(
+                points, columns, GPUDevice(), [0] * tiles
+            ) for batch in batches
+        ]
+
+    def test_a_gathered_column_is_counted_once(self, rng):
+        """A column gathered into routed order is one array however many
+        tiles' batches (and statements) read it: counted once, beside
+        the routing's own index arrays."""
+        points, routing, tiles = self._routed(rng)
+        index = routing.nbytes
+        first = self._batches(routing, points, ("x", "y"), tiles)
+        gathered = routing.nbytes
+        assert gathered == index + points.xs.nbytes + points.ys.nbytes
+        again = self._batches(routing, points, ("x", "y"), tiles)
+        self._batches(routing, points, ("x",), tiles)
+        assert routing.nbytes == gathered
+        gathered_x = first[0].column("x").base
+        assert gathered_x is not None and gathered_x.base is None
+        for batch in first + again:
+            assert batch.column("x").base is gathered_x
+        np.testing.assert_array_equal(
+            np.concatenate([b.column("x") for b in first]),
+            points.xs[routing.order],
+        )
+
+    def test_a_later_column_joins_the_gathered_ones(self, rng):
+        """A column first read by a later statement is gathered then and
+        charged alone; the columns already gathered are not copied
+        again."""
+        points, routing, tiles = self._routed(rng)
+        first = self._batches(routing, points, ("x",), tiles)
+        with_x = routing.nbytes
+        later = self._batches(routing, points, ("x", "y"), tiles)
+        assert routing.nbytes == with_x + points.ys.nbytes
+        for old, new in zip(first, later):
+            assert np.shares_memory(new.column("x"), old.column("x"))
+        np.testing.assert_array_equal(
+            np.concatenate([b.column("y") for b in later]),
+            points.ys[routing.order],
+        )
 
 
 class TestOneTileRouting:

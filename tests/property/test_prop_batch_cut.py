@@ -43,21 +43,30 @@ FILTERS = {False: FilterSet(), True: FilterSet([Filter("flt", ">=", 0.0)])}
 @st.composite
 def workloads(draw):
     """Two stars and an anchor square over uniform points whose values
-    are normal draws: no sum of them is exact in float64."""
+    are normal draws: no sum of them is exact in float64.  A point sits
+    on every star vertex, which is a boundary pixel at any resolution,
+    and the filter keeps it, so every statement tests pairs whatever
+    the uniform draw."""
     seed = draw(st.integers(0, 2**31 - 1))
     n = draw(st.integers(200, 2_000))
     rng = np.random.default_rng(seed)
-    polygons = PolygonSet([
+    stars = [
         random_star_polygon(rng, center=(35.0, 40.0),
                             radius_range=(10.0, 30.0), vertices=9),
         random_star_polygon(rng, center=(65.0, 60.0),
                             radius_range=(8.0, 25.0), vertices=6),
-        Polygon([(0, 0), (100, 0), (100, 100), (0, 100)]),
+    ]
+    polygons = PolygonSet([
+        *stars, Polygon([(0, 0), (100, 0), (100, 100), (0, 100)]),
     ])
+    corners = np.concatenate([star.exterior for star in stars])
+    k = len(corners)
     return PointDataset(
-        rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 100.0, n), {
-            "val": rng.normal(0.0, 10.0, n),
-            "flt": rng.normal(0.0, 1.0, n),
+        np.concatenate([rng.uniform(0.0, 100.0, n), corners[:, 0]]),
+        np.concatenate([rng.uniform(0.0, 100.0, n), corners[:, 1]]), {
+            "val": rng.normal(0.0, 10.0, n + k),
+            "flt": np.concatenate([rng.normal(0.0, 1.0, n),
+                                   np.abs(rng.normal(0.0, 1.0, k))]),
         },
     ), polygons
 

@@ -219,7 +219,7 @@ FILTERS = {
 BACKENDS = {
     "serial": dict(backend="serial", workers=1),
     "thread": dict(backend="thread", workers=3),
-    "process+shm": dict(backend="process", workers=2, shm=True),
+    "process": dict(backend="process", workers=2),
 }
 
 
@@ -329,12 +329,12 @@ def test_every_routing_source_gives_the_same_bits(kind, tiles, batched,
                 ), where
                 if name != "scan":
                     processed.add(got.stats.points_processed)
-                if (name, backend) == ("warm", "process+shm"):
-                    # Shared-memory routing really feeds the pool (one
+                if (name, backend) == ("warm", "process"):
+                    # The routed batches really reach forked workers (one
                     # tile, or one at a time, never fans out).
-                    assert got.stats.extra["pool"].startswith(
-                        "resident"
-                    ) == (tiles > 1 and not batched), where
+                    assert (got.stats.extra["pool"] == "forked") == (
+                        tiles > 1 and not batched
+                    ), where
             # Every row is charged once, off-canvas rows included — and
             # a row exactly on a seam once per tile whose own transform
             # takes it, which self-scanning tiles do too.

@@ -209,8 +209,7 @@ def _check_group_members(tiles, path, where, selects):
 
 
 def test_group_members_equal_their_solo_bits():
-    # The planners outlive one example but not the test: a multi-tile
-    # session's routing holds shared-memory leases under the shm leg.
+    # The planners outlive one example but not the test.
     try:
         _check_group_members()
     finally:

@@ -10,9 +10,7 @@ exact engine, prewarmed or not, and the bounded one).
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -34,11 +32,11 @@ from repro import (
 )
 from repro.core.multi import MultiAggregate
 from repro.errors import ExecutionBackendError
-from repro.exec import shm
 from repro.obs import metrics
 from repro.serve import ServeConfig, Server, execute_shared
 from repro.sql.planner import QueryPlanner
 from tests.conftest import (
+    WorkerKiller,
     cutting_capacity,
     random_star_polygon,
     routed_tile_rows,
@@ -81,34 +79,6 @@ def region_sets(rng):
                             radius_range=(5.0, 20.0)),
     ])
     return set_a, set_b
-
-
-#: The columns a resident worker process has unpickled a
-#: :class:`_WorkerKiller` for (one list per process: spawned workers
-#: import this module afresh).
-_UNPICKLED: list = []
-
-
-def _unpickle_worker_killer(parent_pid: int, column: str) -> "_WorkerKiller":
-    """A resident worker survives its first task that names a
-    :class:`_WorkerKiller` and dies unpickling the second, as a worker
-    lost mid-dispatch would; the parent process builds one as usual."""
-    if os.getpid() != parent_pid:
-        if _UNPICKLED:
-            os._exit(3)
-        _UNPICKLED.append(column)
-    return _WorkerKiller(column, parent_pid)
-
-
-class _WorkerKiller(Sum):
-    """A Sum whose second tile task in any resident worker kills it."""
-
-    def __init__(self, column: str, parent_pid: int | None = None) -> None:
-        super().__init__(column)
-        self.parent_pid = os.getpid() if parent_pid is None else parent_pid
-
-    def __reduce__(self):
-        return _unpickle_worker_killer, (self.parent_pid, self.column)
 
 
 def _make_engine(kind: str, device=None, session=None, config=None):
@@ -186,13 +156,12 @@ def _assert_member_equals_solo(shared, solo, group_size: int) -> None:
 BACKENDS = {
     "serial": lambda: EngineConfig(backend="serial"),
     "thread": lambda: EngineConfig(backend="thread", workers=2),
-    "process+shm": lambda: EngineConfig(backend="process", workers=2,
-                                        shm=True),
+    "process": lambda: EngineConfig(backend="process", workers=2),
 }
 
 
 class TestSharedChannelsAreTheSoloBits:
-    """The matrix: {1, 4, 16 tiles} x {serial, thread, process+shm} x
+    """The matrix: {1, 4, 16 tiles} x {serial, thread, process} x
     {session-warm, session-less} x {exact, pyramid-warm, bounded}, three
     filter sets each, five members over three channels."""
 
@@ -352,30 +321,28 @@ class TestThroughTheServer:
     def test_a_worker_lost_mid_group_ends_in_solo_answers_or_errors(
         self, uniform_points, region_sets, monkeypatch
     ):
-        """A resident worker dies partway through a shared group's
+        """A forked worker dies partway through a shared group's
         execution: every member re-runs solo and settles with its own
         answer — the solo bits — or its own typed error, and once the
-        planner is closed and its session dropped no shared-memory
-        lease and no worker process is left."""
+        planner is closed no worker process is left."""
         set_a, _ = region_sets
-        leases = shm.REGISTRY.live_segments()
         planner = self._planner(
             uniform_points, {"a": set_a},
             device=GPUDevice(max_resolution=512),
-            config=EngineConfig(backend="process", workers=2, shm=True),
+            config=EngineConfig(backend="process", workers=2),
         )
         statements = [self._sql("COUNT(*)", "a"), self._sql("SUM(fare)", "a"),
                       self._sql("SUM(hour)", "a")]
         try:
             solos = [planner.execute(q) for q in statements[:2]]
             assert solos[1].stats.extra["tiles"] == 4
-            assert solos[1].stats.extra["pool"] == "resident-reused"
+            assert solos[1].stats.extra["pool"] == "forked"
             plan = planner.plan
 
             def killing_plan(statement):
                 engine, points, regions, aggregate, filters = plan(statement)
                 if getattr(aggregate, "column", None) == "hour":
-                    aggregate = _WorkerKiller("hour")
+                    aggregate = WorkerKiller("hour")
                 return engine, points, regions, aggregate, filters
 
             monkeypatch.setattr(planner, "plan", killing_plan)
@@ -403,12 +370,7 @@ class TestThroughTheServer:
                 "serve_fused_fallbacks"] == fallbacks + 1
         finally:
             planner.close()
-        planner.session.invalidate()
-        del planner
-        gc.collect()
-        assert shm.REGISTRY.live_segments() == leases
-        assert not [proc for proc in multiprocessing.active_children()
-                    if proc.name.startswith("repro-resident")]
+        assert not multiprocessing.active_children()
 
     def test_multi_batch_union_plan_is_shared(self, uniform_points,
                                                region_sets):

@@ -32,6 +32,9 @@ SRC = Path(repro.__file__).resolve().parent
 
 
 def test_engine_config_fields():
+    """``shm`` no longer selects anything (the resident pool it switched
+    on is gone, ``test_nothing_reads_engine_config_shm``); it stays only
+    while the perf ledger's ``resident`` cell constructs it."""
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
         "backend", "workers", "store_dir", "store_budget", "shm",
     ]
@@ -117,22 +120,23 @@ def test_environment_variables_referenced_under_src():
     for path in SRC.rglob("*.py"):
         names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
     assert names == {
-        "REPRO_EXEC_BACKEND", "REPRO_EXEC_WORKERS", "REPRO_SHM",
+        "REPRO_EXEC_BACKEND", "REPRO_EXEC_WORKERS",
         "REPRO_STORE_BUDGET", "REPRO_STORE_DIR", "REPRO_TRACE",
     }
 
 
-def test_repro_shm_is_read_at_one_site():
-    """The shm plane keeps one switch: only the process backend's
-    constructor resolves ``$REPRO_SHM`` (``EngineConfig.shm`` feeds it,
-    the tile loop observes the backend)."""
+def test_nothing_reads_engine_config_shm():
+    """``EngineConfig.shm`` is inert: no code under ``src`` reads an
+    attribute named ``shm`` (or fetches one by name), so no dispatch
+    mode can grow back behind the field."""
     reads = [
-        f"{path.relative_to(SRC)}:{lineno}"
+        f"{path.relative_to(SRC)}:{node.lineno}"
         for path in sorted(SRC.rglob("*.py"))
-        for lineno, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"\(\s*SHM_ENV_VAR\b", line)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "shm")
+        or (isinstance(node, ast.Constant) and node.value == "shm")
     ]
-    assert len(reads) == 1 and reads[0].startswith("exec/backend.py:"), reads
+    assert reads == []
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +151,10 @@ CALLER_DIRS = ("src", "examples", "benchmarks")
 #: totals are how the concurrency tests read what the
 #: ``device_peak_bytes{device="all"}`` gauge records; ``reset`` is how
 #: the tests isolate metrics and ``partition_nbytes`` how they read the
-#: routing cache; and the asyncio facade is the serving layer's entry
-#: for asyncio clients, which the serving tests drive.
+#: routing cache; the asyncio facade is the serving layer's entry for
+#: asyncio clients, which the serving tests drive; and ``invalidate`` is
+#: a session's explicit drop (``docs/query_sessions.md``), which the
+#: session tests drive.
 TEST_ONLY = {
     "accumulate_polygon_sum": "tests/graphics/test_raster_polygon.py",
     "aggregate_allocated_bytes": "tests/exec/test_concurrent_backend.py",
@@ -157,6 +163,7 @@ TEST_ONLY = {
     "triangulate_ring": "tests/property/test_prop_triangulate.py",
     "MetricsRegistry.reset": "tests/obs/test_metrics.py",
     "QueryPlanner.execute_async": "tests/serve/test_server.py",
+    "QuerySession.invalidate": "tests/cache/test_query_session.py",
     "QuerySession.partition_nbytes": "tests/exec/test_partition.py",
     "Server.execute_async": "tests/serve/test_server.py",
 }
@@ -172,9 +179,8 @@ HOMONYMS = {
     "ArtifactStore.clear", "BBox.center", "BBox.union", "ColumnStore.write", "DeviceBuffer.nbytes",
     "EdgeTable.nbytes", "ExecutionBackend.close", "IndexJoin.close",
     "MultiAggregate.split", "PointDataset.take", "PreparedPolygons.nbytes",
-    "ProcessBackend.close", "QueryPlanner.close", "QuerySession.nbytes",
-    "ResidentWorkerPool.close", "Routing.nbytes", "SegmentCache.buffer",
-    "Server.close", "ShmRegistry.buffer", "Span.find",
+    "QueryPlanner.close", "QuerySession.nbytes", "Routing.nbytes",
+    "Server.close", "Span.find",
     "SpatialAggregationEngine.close",
     "ThreadBackend.close", "Tracer.close", "_Parser.peek",
     "_PointState.nbytes", "_QuadNode.count", "_Window.shape",
