@@ -5,6 +5,11 @@ GPU / multi-CPU / single-CPU.  The paper reports milliseconds for the GPU
 builds and seconds for the CPU builds; the expected *shape* is
 GPU << multi-CPU < single-CPU, with the county set an order of magnitude
 costlier than the neighborhoods.
+
+``outline_s`` sits beside ``triangulation_s``: one conservative-outline
+pass over the whole set at 1024², the exact join's other polygon-side
+cost (the triangles cover the interior, the outline marks the pixels
+that need a point-in-polygon test).
 """
 
 import time
@@ -13,6 +18,8 @@ import pytest
 
 from benchmarks import harness
 from repro.geometry.triangulate import triangulate_polygon
+from repro.graphics.raster_line import outline_pixels_many
+from repro.graphics.viewport import Canvas
 
 GRID_RESOLUTION = 1024
 
@@ -26,6 +33,7 @@ def _table():
             "polygons",
             "vertices",
             "triangulation_s",
+            "outline_s",
             "index_gpu_s",
             "index_multicpu_s",
             "index_singlecpu_s",
@@ -42,15 +50,22 @@ def _measure(polygons, label, benchmark):
     triangulate_all()
     tri_s = time.perf_counter() - start
 
+    canvas = Canvas.for_resolution(polygons.bbox, GRID_RESOLUTION)
+    view = canvas.full_viewport()
+    rings = {pid: p.rings for pid, p in enumerate(polygons)}
+    start = time.perf_counter()
+    outline_pixels_many(view, rings)
+    outline_s = time.perf_counter() - start
+
     gpu_s = harness.build_grid_gpu(polygons, GRID_RESOLUTION)
     multi_s = harness.build_grid_multicore(polygons, GRID_RESOLUTION)
     single_s = harness.build_grid_python(polygons, GRID_RESOLUTION)
     _table().add_row(
         label, len(polygons), polygons.total_vertices,
-        tri_s, gpu_s, multi_s, single_s,
+        tri_s, outline_s, gpu_s, multi_s, single_s,
     )
     benchmark.extra_info.update(
-        triangulation_s=tri_s, index_gpu_s=gpu_s,
+        triangulation_s=tri_s, outline_s=outline_s, index_gpu_s=gpu_s,
         index_multicpu_s=multi_s, index_singlecpu_s=single_s,
     )
     assert gpu_s < single_s, "vectorized build must beat the scalar build"

@@ -6,10 +6,12 @@ implements ``upload`` as an actual ``np.copyto`` into preallocated
 device-side arrays, timed with a monotonic clock.  The copy is real work on
 real memory, so transfer time scales with bytes moved just like a PCIe
 transfer does — which is all the out-of-core experiments need from it.
+Importing it pins glibc's allocator (:func:`_pin_glibc_allocator`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 import time
@@ -20,6 +22,28 @@ import numpy as np
 
 from repro.errors import DeviceError, OutOfDeviceMemoryError
 from repro.obs import metrics
+
+
+def _pin_glibc_allocator() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and trim threshold at 128 MiB.
+
+    Their dynamic rule made a warm statement re-fault its framebuffer or
+    not by what the process had freed before (docs/rasterization.md,
+    "Framebuffer memory").  Process-wide; nothing happens off glibc.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if libc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_glibc_allocator()
 
 #: Live devices whose locks must be re-armed in forked children: a fork
 #: taken while another thread holds a device lock would otherwise hand

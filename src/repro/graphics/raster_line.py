@@ -56,10 +56,11 @@ def _edges_touched_pixels(
     ``owner[e]`` tags edge ``e`` (e.g. with its polygon id); returns
     ``(owner_of_pixel, flat_code)`` candidate arrays — in-bounds but not
     deduplicated — where ``flat_code = ix * height + iy``, the same
-    flattening the scalar path uniques over.  All arithmetic (crossing
-    parameters, the ±eps corner probes, interval midpoints) is the exact
-    IEEE float64 expression sequence of ``supercover_line``, applied
-    elementwise, so the candidate *set* per edge is identical.
+    flattening the scalar path uniques over.  The crossing parameters
+    and ±eps corner probes are ``supercover_line``'s float64 expressions,
+    elementwise.  Its interval midpoints add no pixel: each lies in a
+    cell within ``eps`` of the interval's probed first point, an endpoint
+    or a crossing (docs/rasterization.md, "Outlines").
     """
     dx = bx - ax
     dy = by - ay
@@ -100,29 +101,6 @@ def _edges_touched_pixels(
         [fy0, fy1[dy_differs], fy0[dx_differs], fy1[both]]
     )
 
-    # Interval midpoints: sort parameters per edge; every consecutive
-    # pair with positive spacing contributes its midpoint pixel.  The
-    # sorted parameter multiset matches the scalar per-edge sort, and
-    # zero-length intervals are skipped either way.  Edge-major and
-    # ascending within an edge comes from two single-key sorts — one
-    # float sort ranks every parameter, one integer sort of ``edge * n
-    # + rank`` groups the ranks by edge — several times cheaper than a
-    # two-key lexsort.  (Equal parameters may land in either order; the
-    # sorted values cannot tell.)
-    n = len(ts)
-    by_t = np.argsort(ts)
-    key = eid[by_t] * n + np.arange(n, dtype=np.int64)
-    key.sort()
-    eid_s = key // n
-    ts_s = ts[by_t[key - eid_s * n]]
-    pair = (eid_s[:-1] == eid_s[1:]) & (ts_s[1:] - ts_s[:-1] > 0.0)
-    if pair.any():
-        me = eid_s[:-1][pair]
-        tm = 0.5 * (ts_s[:-1][pair] + ts_s[1:][pair])
-        cand_e = np.concatenate([cand_e, me])
-        cand_x = np.concatenate([cand_x, np.floor(ax[me] + tm * dx[me])])
-        cand_y = np.concatenate([cand_y, np.floor(ay[me] + tm * dy[me])])
-
     inside = (
         (cand_x >= 0) & (cand_x < width) & (cand_y >= 0) & (cand_y < height)
     )
@@ -152,10 +130,10 @@ def outline_pixels_many(
     """Outline pixels for many polygons from one vectorized edge pass.
 
     Returns ``pid -> (ix, iy)`` with an entry for every requested pid
-    (empty arrays when the polygon touches no pixel), each identical to
-    what the one-polygon ``outline_pixels`` returns for it alone: edges
-    carry their owning polygon id through the flat candidate arrays and
-    one sorted dedup over (pid, flat pixel) codes splits per polygon.
+    (empty arrays when the polygon touches no pixel), each the sorted
+    union of a per-edge supercover walk over its rings: edges carry
+    their owning polygon id through the flat candidate arrays and one
+    sorted dedup over (pid, flat pixel) codes splits per polygon.
     """
     pids = sorted(rings_by_pid)
     empty = np.zeros(0, dtype=np.int64)
@@ -165,24 +143,19 @@ def outline_pixels_many(
     # Assemble every ring of every polygon into one flat vertex array,
     # project it with a single to_screen call, and close the rings with
     # a next-vertex permutation instead of per-ring rolls.
-    ring_arrays: list[np.ndarray] = []
-    ring_owner: list[int] = []
-    for pid in pids:
-        for ring in rings_by_pid[pid]:
-            if len(ring):
-                ring_arrays.append(np.asarray(ring, dtype=np.float64))
-                ring_owner.append(pid)
-    if not ring_arrays:
+    rings = [(pid, ring) for pid in pids for ring in rings_by_pid[pid]
+             if len(ring)]
+    if not rings:
         return out
-    lengths = np.asarray([len(r) for r in ring_arrays], dtype=np.int64)
-    flat = np.concatenate(ring_arrays)
+    lengths = np.asarray([len(ring) for _, ring in rings], dtype=np.int64)
+    flat = np.concatenate(
+        [np.asarray(ring, dtype=np.float64) for _, ring in rings]
+    )
     sx, sy = viewport.to_screen(flat[:, 0], flat[:, 1])
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     nxt = np.arange(len(flat), dtype=np.int64) + 1
     nxt[starts + lengths - 1] = starts
-    owner = np.repeat(
-        np.asarray(ring_owner, dtype=np.int64), lengths
-    )
+    owner = np.repeat(np.asarray([pid for pid, _ in rings], np.int64), lengths)
     owner_of, codes = _edges_touched_pixels(
         sx, sy, sx[nxt], sy[nxt],
         owner, viewport.width, viewport.height,

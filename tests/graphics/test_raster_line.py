@@ -119,10 +119,11 @@ class TestOutlinePixels:
 
 
 class TestOutlineManyAgainstTheScalarWalk:
-    """The batched pass orders each edge's lattice crossings with two
-    single-key sorts; its pixels must be exactly those of a per-edge
-    :func:`supercover_line` loop, on the edges where ordering is
-    delicate: several crossings at one parameter, or none at all."""
+    """The batched pass probes each edge's endpoints and lattice
+    crossings only; its pixels must be exactly those of a per-edge
+    :func:`supercover_line` loop, which also probes every interval's
+    midpoint, on the edges where that is delicate: several crossings
+    at one parameter, or none at all."""
 
     RINGS = {
         # horizontal and vertical edges between pixel centers
@@ -179,3 +180,65 @@ class TestOutlineManyAgainstTheScalarWalk:
             want_x, want_y = self.scalar_walk(rings[pid])
             assert np.array_equal(many[pid][0], want_x), pid
             assert np.array_equal(many[pid][1], want_y), pid
+
+
+#: Offsets of a near-lattice coordinate from its lattice line.
+NEAR = 10.0 ** -np.arange(6, 17)
+
+
+def _adversarial(rng, values):
+    """Each coordinate onto a lattice line, half-way between two, a
+    1e-6..1e-16 step off one (either side), or left as drawn."""
+    kind = rng.integers(0, 4, values.shape)
+    lattice = np.rint(values)
+    near = lattice + rng.choice([-1.0, 1.0], values.shape) * rng.choice(
+        NEAR, values.shape
+    )
+    return np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [lattice, np.floor(values) + 0.5, near],
+        values,
+    )
+
+
+def _adversarial_segments(rng, width, height, count):
+    """Segments of every shape the outline pass must not lose a pixel
+    of: generic, vertical, horizontal, tiny (1e-9 px) and zero-length,
+    half of them started within 4 px of the canvas border so that they
+    run on, across and off it."""
+    size = np.array([width, height], dtype=float)
+    a = rng.uniform(-4.0, size + 4.0, (count, 2))
+    border = rng.random(count) < 0.5
+    side = rng.integers(0, 2, (count, 2)) * size
+    a[border] = side[border] + rng.uniform(-4.0, 4.0, (border.sum(), 2))
+    a = _adversarial(rng, a)
+    b = _adversarial(rng, a + rng.uniform(-8.0, 8.0, (count, 2)))
+    shape = rng.integers(0, 5, count)
+    b[shape == 1, 0] = a[shape == 1, 0]
+    b[shape == 2, 1] = a[shape == 2, 1]
+    b[shape == 3] = a[shape == 3] + rng.uniform(-1e-9, 1e-9, (
+        (shape == 3).sum(), 2
+    ))
+    b[shape == 4] = a[shape == 4]
+    return a, b
+
+
+@pytest.mark.parametrize("size", [7, 64, 1024, 8192])
+def test_outline_pass_equals_the_midpoint_walk_on_adversarial_segments(
+    rng, size,
+):
+    """The batched pass probes endpoints and lattice crossings only; the
+    scalar walk also probes the midpoint of every interval between them.
+    Each interval lies in a cell whose closure holds its probed first
+    point, so the two must give the same pixels — here on the segments
+    where that argument is tightest."""
+    a, b = _adversarial_segments(rng, size, size, 3000)
+    view = Viewport(BBox(0, 0, size, size), size, size)
+    rings = {pid: [np.stack([a[pid], b[pid]])] for pid in range(len(a))}
+    many = outline_pixels_many(view, rings)
+    for pid, ((a0, a1),) in rings.items():
+        walks = (supercover_line(*a0, *a1, size, size),
+                 supercover_line(*a1, *a0, size, size))
+        want = np.unique(np.concatenate([xs * size + ys for xs, ys in walks]))
+        got_x, got_y = many[pid]
+        assert np.array_equal(got_x * size + got_y, want), (a0, a1, size)
