@@ -6,10 +6,13 @@ builds and seconds for the CPU builds; the expected *shape* is
 GPU << multi-CPU < single-CPU, with the county set an order of magnitude
 costlier than the neighborhoods.
 
-``outline_s`` sits beside ``triangulation_s``: one conservative-outline
-pass over the whole set at 1024², the exact join's other polygon-side
-cost (the triangles cover the interior, the outline marks the pixels
-that need a point-in-polygon test).
+``triangulation_s`` times ``triangulate_set``, the one call the prepare
+path makes for a whole set; ``kernel`` says which ear clipper ran it
+(``native``: the compiled one, ``python``: the fallback where no compiler
+is).  ``outline_s`` sits beside it: one conservative-outline pass over
+the whole set at 1024², the exact join's other polygon-side cost (the
+triangles cover the interior, the outline marks the pixels that need a
+point-in-polygon test).
 """
 
 import time
@@ -17,7 +20,7 @@ import time
 import pytest
 
 from benchmarks import harness
-from repro.geometry.triangulate import triangulate_polygon
+from repro.geometry import triangulate
 from repro.graphics.raster_line import outline_pixels_many
 from repro.graphics.viewport import Canvas
 
@@ -32,6 +35,7 @@ def _table():
             "region",
             "polygons",
             "vertices",
+            "kernel",
             "triangulation_s",
             "outline_s",
             "index_gpu_s",
@@ -43,7 +47,7 @@ def _table():
 
 def _measure(polygons, label, benchmark):
     def triangulate_all():
-        return [triangulate_polygon(p) for p in polygons]
+        return triangulate.triangulate_set(list(polygons))
 
     benchmark.pedantic(triangulate_all, rounds=1, iterations=1)
     start = time.perf_counter()
@@ -61,11 +65,11 @@ def _measure(polygons, label, benchmark):
     multi_s = harness.build_grid_multicore(polygons, GRID_RESOLUTION)
     single_s = harness.build_grid_python(polygons, GRID_RESOLUTION)
     _table().add_row(
-        label, len(polygons), polygons.total_vertices,
+        label, len(polygons), polygons.total_vertices, triangulate.KERNEL,
         tri_s, outline_s, gpu_s, multi_s, single_s,
     )
     benchmark.extra_info.update(
-        triangulation_s=tri_s, outline_s=outline_s, index_gpu_s=gpu_s,
+        kernel=triangulate.KERNEL, triangulation_s=tri_s, outline_s=outline_s, index_gpu_s=gpu_s,
         index_multicpu_s=multi_s, index_singlecpu_s=single_s,
     )
     assert gpu_s < single_s, "vectorized build must beat the scalar build"

@@ -19,6 +19,9 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The compiled kernels' C sources, built on first import
+    # (repro.native).
+    package_data={"repro.geometry": ["*.c"]},
     install_requires=["numpy>=1.23", "scipy>=1.9"],
     extras_require={"dev": ["pytest>=7", "pytest-benchmark>=4", "hypothesis>=6"]},
 )

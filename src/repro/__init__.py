@@ -19,6 +19,9 @@ paper's sections), :mod:`repro.data` for synthetic workloads,
 :mod:`repro.sql` for the SQL frontend, and ``docs/`` for the subsystems.
 """
 
+# First: a cold kernel cache compiles here, before any statement or
+# set-up (repro.native).
+from repro import native  # noqa: F401
 from repro.cache import PreparedPolygons, QuerySession
 from repro.core import (
     AccurateRasterJoin,

@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.geometry.polygon import Polygon, PolygonSet
-from repro.geometry.triangulate import triangulate_polygon
+from repro.geometry.triangulate import per_polygon, triangulate_set
 from repro.index.edge_table import DEFAULT_ROWS, EdgeTable
 from repro.index.grid import GridIndex, ragged_positions
 from repro.obs import trace
@@ -486,14 +486,16 @@ class PreparedPolygons:
     def ensure_triangles(self, polygons: PolygonSet, stats=None) -> list:
         """Triangulate every polygon once; later calls are free.
 
-        Only polygons whose unit lacks a triangulation are rebuilt — the
-        incremental path after an edit.
+        Only polygons whose unit lacks a triangulation are rebuilt, in
+        one ``triangulate_set`` call — the incremental path after an edit.
         """
         if self.triangles is None:
             start = time.perf_counter()
-            for pid, unit in enumerate(self.units):
-                if unit.triangles is None:
-                    unit.triangles = triangulate_polygon(polygons[pid])
+            dirty = [pid for pid, unit in enumerate(self.units)
+                     if unit.triangles is None]
+            triangles, ids = triangulate_set([polygons[p] for p in dirty])
+            for pid, part in zip(dirty, per_polygon(triangles, ids, len(dirty))):
+                self.units[pid].triangles = part
             self.triangles = [unit.triangles for unit in self.units]
             self.triangulation_s = time.perf_counter() - start
             if stats is not None:

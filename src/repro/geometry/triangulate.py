@@ -7,15 +7,19 @@ improves triangle aspect ratios, which matters for GPU warp efficiency, not
 for results — so this reproduction uses the simpler and dependency-free
 ear-clipping algorithm.  Holes are eliminated first by cutting a bridge edge
 from each hole to the exterior ring (the classic approach popularized by
-Eberly and by the earcut family of libraries).
+Eberly and by the earcut family of libraries).  Every ring of a set is
+clipped in one call of ``earclip.c`` (:mod:`repro.native`), or of
+:func:`_clip_ears` where no compiler is.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Sequence
 
 import numpy as np
 
+from repro import native
 from repro.errors import TriangulationError
 from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import orientation
@@ -23,15 +27,17 @@ from repro.geometry.predicates import orientation
 Triangles = np.ndarray  # (t, 3, 2) float64
 
 
-def _clip_ears(xs: list[float], ys: list[float]) -> list[tuple[int, int, int]]:
+def _clip_ears(xs: list[float], ys: list[float]) -> list[tuple] | None:
     """Ear-clip a CCW ring given as Python-float coordinate lists.
 
     Returns the ``(prev, ear, next)`` vertex-index triples in clipping
-    order.  Every clip takes the first ear at the lowest ring position —
-    a strictly convex corner whose closed triangle holds no other
-    remaining vertex, vertices coincident with a corner exempted — and
-    when a sweep finds none, the first vertex with zero turn is dropped
-    instead (collinear runs).
+    order, or None when a sweep finds neither an ear nor a zero-turn
+    vertex (a self-intersecting ring).  Every clip takes the first ear
+    at the lowest ring position — a strictly convex corner whose closed
+    triangle holds no other remaining vertex, vertices coincident with a
+    corner exempted — and when a sweep finds none, the first vertex with
+    zero turn is dropped instead (collinear runs).  ``earclip.c`` is
+    this function, term for term.
 
     ``status[v]`` remembers why vertex ``v`` was not an ear — reflex, or
     blocked by a vertex that is still in the ring — which stays true
@@ -44,10 +50,7 @@ def _clip_ears(xs: list[float], ys: list[float]) -> list[tuple[int, int, int]]:
     unknown, reflex = -1, -2
     status = [unknown] * n
     ears: list[tuple[int, int, int]] = []
-    guard = 0
-    # Each successful clip removes one vertex; the guard bounds the number
-    # of failed sweeps so invalid input fails fast instead of spinning.
-    max_guard = 2 * n * n
+    # Every sweep removes a vertex or gives up, so the loop ends.
     while len(indices) > 3:
         m = len(indices)
         removed = -1
@@ -104,15 +107,10 @@ def _clip_ears(xs: list[float], ys: list[float]) -> list[tuple[int, int, int]]:
                     removed = pos
                     break
             else:
-                raise TriangulationError(
-                    "no ear found: ring is likely self-intersecting"
-                )
+                return None
         alive[indices[removed]] = False
         status[indices[removed - 1]] = status[indices[removed + 1 - m]] = unknown
         indices.pop(removed)
-        guard += 1
-        if guard > max_guard:
-            raise TriangulationError("ear clipping did not terminate")
     ears.append(tuple(indices))
     return ears
 
@@ -128,23 +126,70 @@ def _signed_areas(tris: np.ndarray) -> np.ndarray:
     )
 
 
-def _clip_ring(ring: np.ndarray) -> tuple[Triangles, np.ndarray]:
-    """A ring's triangles, slivers dropped, and their signed areas."""
+def _clip_ears_python(xs, ys, starts, rings, triples, counts, work) -> int:
+    """The compiled kernel's contract (``earclip_rings`` in
+    ``earclip.c``), one :func:`_clip_ears` call per ring: the path where
+    no library could be built."""
+    done = 0
+    for r in range(rings):
+        lo, hi = int(starts[r]), int(starts[r + 1])
+        ears = _clip_ears(xs[lo:hi].tolist(), ys[lo:hi].tolist())
+        if ears is None:
+            return r
+        triples[done:done + len(ears)] = np.asarray(ears) + lo
+        counts[r] = len(ears)
+        done += len(ears)
+    return -1
+
+
+_NATIVE = None if native.EARCLIP is None else native.EARCLIP.earclip_rings
+if _NATIVE is not None:  # typed to the C prototype
+    _f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    _out = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS, WRITEABLE")
+    _NATIVE.argtypes = (_f64, _f64, _i64, ctypes.c_int64, _out, _out, _out)
+    _NATIVE.restype = ctypes.c_int64
+#: Which ear clipper runs: ``"native"`` or ``"python"``.
+KERNEL = "native" if _NATIVE is not None else "python"
+_kernel = _NATIVE or _clip_ears_python
+
+
+def _ccw(ring: np.ndarray) -> np.ndarray:
+    """The ring as float64, counter-clockwise, of 3 or more vertices."""
     ring = np.asarray(ring, dtype=np.float64)
     if orientation(ring) < 0:
         ring = ring[::-1]
-    n = len(ring)
-    if n < 3:
+    if len(ring) < 3:
         raise TriangulationError("ring has fewer than 3 vertices")
-    if n == 3:
-        tris = ring[np.newaxis].copy()
-        return tris, _signed_areas(tris)
-    ears = _clip_ears(ring[:, 0].tolist(), ring[:, 1].tolist())
-    tris = ring[np.asarray(ears, dtype=np.intp)]
+    return ring
+
+
+def _clip(rings: list[np.ndarray]) -> tuple[Triangles, np.ndarray, np.ndarray]:
+    """Every CCW ring's triangles from one kernel call, slivers dropped:
+    ``(triangles, their signed areas, triangles per ring)``."""
+    lengths = np.fromiter(map(len, rings), np.int64, len(rings))
+    starts = np.zeros(len(rings) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    points = np.concatenate([np.zeros((0, 2)), *rings])
+    triples = np.empty((int(starts[-1]) - 2 * len(rings), 3), dtype=np.int64)
+    counts = np.zeros(len(rings), dtype=np.int64)
+    work = np.empty(3 * int(lengths.max(initial=0)), dtype=np.int64)
+    failed = _kernel(
+        np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1]),
+        starts, len(rings), triples, counts, work,
+    )
+    if failed >= 0:
+        raise TriangulationError("no ear found: ring is likely self-intersecting")
+    tris = points[triples[:int(counts.sum())]]
     areas = _signed_areas(tris)
-    # Drop degenerate slivers produced by collinear input runs.
-    keep = np.abs(areas) > 0.0
-    return tris[keep], areas[keep]
+    ring_of = np.repeat(np.arange(len(rings)), counts)
+    # Drop degenerate slivers produced by collinear input runs; a
+    # three-vertex ring is its own triangle, flat or not.
+    keep = (np.abs(areas) > 0.0) | (lengths[ring_of] == 3)
+    return (
+        tris[keep], areas[keep],
+        np.bincount(ring_of[keep], minlength=len(rings)),
+    )
 
 
 def triangulate_ring(ring: np.ndarray) -> Triangles:
@@ -156,7 +201,7 @@ def triangulate_ring(ring: np.ndarray) -> Triangles:
     :class:`TriangulationError` if no ear can be found, which indicates a
     self-intersecting or degenerate input ring.
     """
-    return _clip_ring(ring)[0]
+    return _clip([_ccw(ring)])[0]
 
 
 def _corner_faces(a, b, c, x: float, y: float) -> bool:
@@ -245,36 +290,48 @@ def _bridge_hole(outer: np.ndarray, hole: np.ndarray) -> np.ndarray:
     return merged
 
 
-def triangulate_polygon(polygon: Polygon) -> Triangles:
-    """Triangulate a polygon (holes included) into CCW triangles.
+def triangulate_set(polygons: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray]:
+    """Triangulate many polygons, holes included, in one ear-clipping call.
 
-    The triangle list covers exactly the polygon interior; the sum of
-    triangle areas equals ``polygon.area`` (property-tested).
+    Returns ``(triangles, ids)`` where ``triangles`` is (t, 3, 2) float64,
+    each CCW, and ``ids[t]`` is the polygon id owning triangle t — the
+    "same key as the polygon" assignment of the paper's Step II; a
+    polygon's triangles are one run, in clipping order, whose areas sum
+    to ``polygon.area`` (property-tested).  Raises the
+    :class:`TriangulationError` of the first polygon that fails.
     """
-    ring = polygon.exterior
-    # Holes must be merged right-to-left so earlier bridges do not cross
-    # later holes: process holes by descending max-x.
-    holes = sorted(polygon.holes, key=lambda h: -float(np.max(h[:, 0])))
-    for hole in holes:
-        ring = _bridge_hole(ring, hole)
-    triangles, areas = _clip_ring(ring)
+    rings, failure = [], None
+    for polygon in polygons:
+        ring = polygon.exterior
+        # Holes must be merged right-to-left so earlier bridges do not
+        # cross later holes: process holes by descending max-x.
+        holes = sorted(polygon.holes, key=lambda h: -float(np.max(h[:, 0])))
+        try:
+            for hole in holes:
+                ring = _bridge_hole(ring, hole)
+            rings.append(_ccw(ring))
+        except TriangulationError as error:
+            failure = error  # raised unless an earlier ring fails first
+            break
+    triangles, areas, counts = _clip(rings)
+    if failure is not None:
+        raise failure
     # Normalize output to CCW so downstream edge functions can assume it.
     flip = areas < 0
     if flip.any():
         triangles[flip] = triangles[flip][:, ::-1]
-    return triangles
+    return triangles, np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
 
-def triangulate_set(polygons: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray]:
-    """Triangulate many polygons into flat arrays for the draw pass.
+def per_polygon(triangles: Triangles, ids: np.ndarray, count: int) -> list:
+    """:func:`triangulate_set`'s triangles as one array per polygon (views
+    of ``triangles``), ``count`` polygons."""
+    if count == 0:
+        return []
+    return np.split(triangles, np.searchsorted(ids, np.arange(1, count)))
 
-    Returns ``(triangles, ids)`` where ``triangles`` is (t, 3, 2) float64 and
-    ``ids[t]`` is the polygon id owning triangle t — the "same key as the
-    polygon" assignment of the paper's Step II.
-    """
-    per_polygon = [triangulate_polygon(poly) for poly in polygons]
-    counts = [len(tris) for tris in per_polygon]
-    return (
-        np.concatenate([np.zeros((0, 3, 2)), *per_polygon]),
-        np.repeat(np.arange(len(counts), dtype=np.int64), counts),
-    )
+
+def triangulate_polygon(polygon: Polygon) -> Triangles:
+    """Triangulate one polygon (holes included) into CCW triangles: a set
+    of one."""
+    return triangulate_set([polygon])[0]

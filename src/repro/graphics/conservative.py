@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphics.raster_line import sorted_unique
 from repro.graphics.viewport import Viewport
 
 
@@ -92,5 +93,5 @@ def conservative_polygon_pixels(
             viewport, tris[held[j]][None], 0, ix[None, :], iy[:, None]
         ))
         flat.append(ix[cols] * viewport.height + iy[rows])
-    flat = np.unique(np.concatenate(flat))
+    flat = sorted_unique(np.concatenate(flat))
     return flat // viewport.height, flat % viewport.height

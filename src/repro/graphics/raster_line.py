@@ -109,16 +109,17 @@ def _edges_touched_pixels(
     return owner[cand_e[inside]], ix * height + iy
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values via an explicit sort + neighbor mask.
 
     Identical result to ``np.unique`` on 1-D integer input, but avoids
     its hash-based dedup path, which is far slower than one sort on the
-    clustered (pid, pixel) key distributions the outline pass produces.
+    clustered pixel key distributions the outline and conservative
+    passes produce.
     """
     s = np.sort(keys)
     keep = np.empty(len(s), dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
     return s[keep]
 
@@ -163,7 +164,11 @@ def outline_pixels_many(
     if not len(codes):
         return out
     span = viewport.width * viewport.height
-    keyed = _sorted_unique(owner_of * span + codes)
+    keys = owner_of * span + codes
+    if pids[0] >= 0 and (pids[-1] + 1) * span < 2**31:
+        # The narrower sort is cheaper, and every key fits.
+        keys = keys.astype(np.int32)
+    keyed = sorted_unique(keys).astype(np.int64, copy=False)
     key_pid = keyed // span
     flat = keyed - key_pid * span
     starts = np.searchsorted(key_pid, np.asarray(pids, dtype=np.int64))

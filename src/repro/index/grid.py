@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import Polygon, PolygonSet
-from repro.geometry.triangulate import triangulate_polygon
+from repro.geometry.triangulate import per_polygon, triangulate_set
 from repro.graphics.conservative import conservative_polygon_pixels
 from repro.graphics.viewport import Viewport
 
@@ -62,7 +62,7 @@ class GridIndex:
         # ascending pid order — so each cell's candidate list is
         # deterministic.
         start = time.perf_counter()
-        cells_per_poly = [self._cells_of(p) for p in polys]
+        cells_per_poly = self._cells_of(polys)
         all_cells = (
             np.concatenate(cells_per_poly) if cells_per_poly
             else np.zeros(0, dtype=np.int64)
@@ -127,7 +127,7 @@ class GridIndex:
         """
         return cls.__new__(cls)._frame(
             (), resolution, assignment, extent
-        )._cells_of(polygon)
+        )._cells_of([polygon])[0]
 
     @classmethod
     def from_arrays(
@@ -301,26 +301,32 @@ class GridIndex:
         out.build_seconds = time.perf_counter() - start_time
         return out
 
-    def _cells_of(self, polygon: Polygon) -> np.ndarray:
-        """Flat cell ids a polygon is assigned to, per the assignment mode."""
+    def _cells_of(self, polygons: Sequence[Polygon]) -> list[np.ndarray]:
+        """Flat cell ids each polygon is assigned to, per the assignment
+        mode."""
         r = self.resolution
         if self.assignment == "mbr":
-            box = polygon.bbox
-            x0 = self._clamp(int((box.xmin - self.extent.xmin) / self.cell_w))
-            x1 = self._clamp(int((box.xmax - self.extent.xmin) / self.cell_w))
-            y0 = self._clamp(int((box.ymin - self.extent.ymin) / self.cell_h))
-            y1 = self._clamp(int((box.ymax - self.extent.ymin) / self.cell_h))
-            gx, gy = np.meshgrid(
-                np.arange(x0, x1 + 1, dtype=np.int64),
-                np.arange(y0, y1 + 1, dtype=np.int64),
-            )
-            return (gy * r + gx).ravel()
+            e, out = self.extent, []
+            for box in (polygon.bbox for polygon in polygons):
+                x0 = self._clamp(int((box.xmin - e.xmin) / self.cell_w))
+                x1 = self._clamp(int((box.xmax - e.xmin) / self.cell_w))
+                y0 = self._clamp(int((box.ymin - e.ymin) / self.cell_h))
+                y1 = self._clamp(int((box.ymax - e.ymin) / self.cell_h))
+                gx, gy = np.meshgrid(
+                    np.arange(x0, x1 + 1, dtype=np.int64),
+                    np.arange(y0, y1 + 1, dtype=np.int64),
+                )
+                out.append((gy * r + gx).ravel())
+            return out
         # Exact: cells overlapped by the geometry = conservative raster of
         # the polygon's triangles over the grid-as-viewport.
         viewport = Viewport(self.extent, r, r)
-        tris = triangulate_polygon(polygon)
-        ix, iy = conservative_polygon_pixels(viewport, tris)
-        return iy * r + ix
+        triangles, ids = triangulate_set(polygons)
+        out = []
+        for tris in per_polygon(triangles, ids, len(polygons)):
+            ix, iy = conservative_polygon_pixels(viewport, tris)
+            out.append(iy * r + ix)
+        return out
 
     def _clamp(self, c: int) -> int:
         return min(max(c, 0), self.resolution - 1)

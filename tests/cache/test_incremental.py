@@ -77,10 +77,10 @@ class TestDeltaDerivation:
         from repro.cache import prepared
 
         triangulated = []
-        triangulate = prepared.triangulate_polygon
+        triangulate = prepared.triangulate_set
         monkeypatch.setattr(
-            prepared, "triangulate_polygon",
-            lambda poly: triangulated.append(poly) or triangulate(poly),
+            prepared, "triangulate_set",
+            lambda polys: triangulated.extend(polys) or triangulate(polys),
         )
         session = QuerySession(store=False)
         engine = AccurateRasterJoin(

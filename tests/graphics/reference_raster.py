@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.graphics.raster_line import _edges_touched_pixels, _sorted_unique
+from repro.graphics.raster_line import _edges_touched_pixels, sorted_unique
 from repro.graphics.raster_triangle import (
     _HALF,
     SUBPIXEL_SCALE,
@@ -244,7 +244,7 @@ def outline_pixels(
     )
     if not len(codes):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    flat = _sorted_unique(codes)
+    flat = sorted_unique(codes)
     return flat // viewport.height, flat % viewport.height
 
 

@@ -242,3 +242,32 @@ def test_outline_pass_equals_the_midpoint_walk_on_adversarial_segments(
         want = np.unique(np.concatenate([xs * size + ys for xs, ys in walks]))
         got_x, got_y = many[pid]
         assert np.array_equal(got_x * size + got_y, want), (a0, a1, size)
+
+
+@pytest.mark.parametrize("pid, key_dtype", [
+    (1, np.int32),
+    (2**23 - 2, np.int32),  # largest key 2**31 - 257
+    (2**23 - 1, np.int64),  # (pid + 1) * 256 == 2**31
+    (2**23, np.int64),  # its keys overflow int32
+    (2**40, np.int64),
+])
+def test_outline_keys_narrow_only_below_2_to_the_31(pid, key_dtype,
+                                                    monkeypatch):
+    """The (pid, pixel) keys sort as int32 while ``(max pid + 1) * width
+    * height < 2**31``, which holds on every ledger canvas, and as int64
+    from that edge on; the pixels and their dtype are the same either
+    way."""
+    from repro.graphics import raster_line
+
+    seen = []
+    dedup = raster_line.sorted_unique
+    monkeypatch.setattr(raster_line, "sorted_unique",
+                        lambda keys: seen.append(keys.dtype) or dedup(keys))
+    rings = TestOutlineManyAgainstTheScalarWalk.RINGS
+    alone = {k: outline_pixels_many(VP, {0: rings[k]})[0] for k in (3, 4)}
+    got = outline_pixels_many(VP, {0: rings[3], pid: rings[4]})
+    assert seen[-1] == key_dtype
+    for k, at in ((3, 0), (4, pid)):
+        for axis in range(2):
+            assert got[at][axis].dtype == np.int64
+            assert np.array_equal(got[at][axis], alone[k][axis])

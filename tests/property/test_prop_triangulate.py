@@ -6,7 +6,8 @@ Coverage run order inside a polygon follows triangle order, and every
 float grouping downstream follows run order, so "about the same
 triangulation" is not the contract: the same triangles, in the same
 order, with the same vertex order — or the same error — on every ring,
-simple or not.
+simple or not.  Every test runs on both kernels: the compiled one
+(``earclip.c``) and the Python one that runs where no compiler is.
 """
 
 import numpy as np
@@ -15,21 +16,37 @@ import pytest
 from repro.data import generate_voronoi_regions
 from repro.data.regions import NYC_REGION_EXTENT
 from repro.errors import TriangulationError
+from repro.geometry import triangulate
 from repro.geometry.polygon import Polygon, rectangle
 from repro.geometry.predicates import orientation
 from repro.geometry.triangulate import (
     _bridge_hole,
     triangulate_polygon,
     triangulate_ring,
+    triangulate_set,
 )
 from tests.conftest import random_star_polygon
 from tests.geometry import reference_earclip as reference
 
 
-def outcome(triangulate, ring):
+@pytest.fixture(autouse=True, params=["native", "python"])
+def kernel(request, monkeypatch):
+    """Run the test on the compiled ear clipper, then on the Python one."""
+    if request.param == "native":
+        if triangulate._NATIVE is None:
+            pytest.skip("no compiled ear clipper on this platform")
+        monkeypatch.setattr(triangulate, "_kernel", triangulate._NATIVE)
+    else:
+        monkeypatch.setattr(
+            triangulate, "_kernel", triangulate._clip_ears_python
+        )
+    return request.param
+
+
+def outcome(clip, ring):
     """The triangles as one (t, 3, 2) array, or the error's message."""
     try:
-        return np.asarray(triangulate(ring), dtype=np.float64).reshape(-1, 3, 2)
+        return np.asarray(clip(ring), dtype=np.float64).reshape(-1, 3, 2)
     except TriangulationError as error:
         return str(error)
 
@@ -57,12 +74,15 @@ def test_ledger_size_zoning(seed):
     box = NYC_REGION_EXTENT
     polygons += [rectangle(box.xmin, box.ymin, 2.5, 2.5),
                  rectangle(box.xmax - 2.5, box.ymax - 2.5, box.xmax, box.ymax)]
-    for polygon in polygons:
+    triangles, ids = triangulate_set(polygons)
+    for pid, polygon in enumerate(polygons):
         got = triangulate_polygon(polygon)
         want = reference.triangulate_bridged(polygon.exterior)
         assert got.shape == (len(want), 3, 2)
         assert np.array_equal(got, np.asarray(want).reshape(-1, 3, 2))
+        assert np.array_equal(triangles[ids == pid], got)
         assert abs(area_sum(got) - polygon.area) <= 1e-9 * polygon.area
+    assert np.array_equal(ids, np.sort(ids))
 
 
 def test_star_polygons_any_winding():
@@ -127,13 +147,49 @@ def test_rings_that_are_not_simple():
         else:
             clipped += 1
     assert raised > 20 and clipped > 20
-    bowtie_without_an_ear = [
-        (24.98190862, 40.76441848), (37.88868466, 44.02040379),
-        (28.03218106, 42.91002176), (30.96748148, 53.30354628),
-        (26.66861818, 56.53969858), (41.13354781, 28.72193422),
-    ]
     assert "no ear found" in assert_same_as_reference(
-        np.asarray(bowtie_without_an_ear)
+        np.asarray(BOWTIE_WITHOUT_AN_EAR)
+    )
+
+
+BOWTIE_WITHOUT_AN_EAR = [
+    (24.98190862, 40.76441848), (37.88868466, 44.02040379),
+    (28.03218106, 42.91002176), (30.96748148, 53.30354628),
+    (26.66861818, 56.53969858), (41.13354781, 28.72193422),
+]
+
+
+def first_reference_error(polygons) -> str | None:
+    """What triangulating the polygons one at a time raised first."""
+    for polygon in polygons:
+        try:
+            ring = polygon.exterior
+            for hole in sorted(polygon.holes, key=lambda h: -h[:, 0].max()):
+                ring = _bridge_hole(ring, hole)
+            reference.triangulate_bridged(ring)
+        except TriangulationError as error:
+            return str(error)
+    return None
+
+
+def test_a_failing_polygon_mid_batch():
+    """One call clips every ring of the set, yet the error is the one
+    the polygons raise one at a time: the first failing polygon's, a
+    bridge's as well as an ear sweep's."""
+    square = rectangle(0.0, 0.0, 4.0, 4.0)
+    no_ear = Polygon(BOWTIE_WITHOUT_AN_EAR)
+    stray_hole = Polygon(square.exterior,
+                         holes=[[(10, 10), (11, 10), (11, 11)]])
+    later = list(generate_voronoi_regions(12, NYC_REGION_EXTENT, seed=4))
+    for polygons in ([square, no_ear, *later], [square, no_ear, stray_hole],
+                     [*later, stray_hole, no_ear], [no_ear], [stray_hole]):
+        want = first_reference_error(polygons)
+        assert want is not None
+        with pytest.raises(TriangulationError) as raised:
+            triangulate_set(polygons)
+        assert str(raised.value) == want
+    assert first_reference_error([square, stray_hole, no_ear]) != (
+        first_reference_error([square, no_ear, stray_hole])
     )
 
 
