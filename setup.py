@@ -21,7 +21,7 @@ setup(
     packages=find_packages(where="src"),
     # The compiled kernels' C sources, built on first import
     # (repro.native).
-    package_data={"repro.geometry": ["*.c"]},
+    package_data={"repro.geometry": ["*.c"], "repro.graphics": ["*.c"]},
     install_requires=["numpy>=1.23", "scipy>=1.9"],
     extras_require={"dev": ["pytest>=7", "pytest-benchmark>=4", "hypothesis>=6"]},
 )

@@ -154,41 +154,84 @@ KERNEL = "native" if _NATIVE is not None else "python"
 _kernel = _NATIVE or _clip_ears_python
 
 
-def _ccw(ring: np.ndarray) -> np.ndarray:
-    """The ring as float64, counter-clockwise, of 3 or more vertices."""
-    ring = np.asarray(ring, dtype=np.float64)
-    if orientation(ring) < 0:
-        ring = ring[::-1]
-    if len(ring) < 3:
-        raise TriangulationError("ring has fewer than 3 vertices")
-    return ring
+#: Past this share of its terms' magnitude a ring's one-pass shoelace
+#: sum has the sign ``np.sum``'s pairwise sum has: each order errs by at
+#: most ``(n - 1) * 2**-53`` of that magnitude, and this is twice as
+#: much for the two of them together, with room for the magnitude's own
+#: rounding.  A sum under the least normal double is never sure:
+#: ``orientation`` halves its sum, and half of a subnormal can be 0.
+_SIGN_MARGIN = 2.0 ** -51
+_LEAST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
-def _clip(rings: list[np.ndarray]) -> tuple[Triangles, np.ndarray, np.ndarray]:
-    """Every CCW ring's triangles from one kernel call, slivers dropped:
-    ``(triangles, their signed areas, triangles per ring)``."""
+def _ring_table(rings: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every ring as float64, counter-clockwise, of 3 or more vertices,
+    concatenated: ``(points, starts)``, ring ``r`` being
+    ``points[starts[r]:starts[r + 1]]``.
+
+    A ring runs reversed exactly when ``predicates.orientation`` of it
+    is negative.  Every ring's shoelace terms come from one pass — they
+    are ``orientation``'s terms, bit for bit — and are summed per ring;
+    where that sum is too close to zero for its sign to be sure of
+    (a degenerate ring), ``orientation`` itself decides.
+    """
     lengths = np.fromiter(map(len, rings), np.int64, len(rings))
+    if lengths.min(initial=3) < 3:
+        raise TriangulationError("ring has fewer than 3 vertices")
     starts = np.zeros(len(rings) + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
-    points = np.concatenate([np.zeros((0, 2)), *rings])
-    triples = np.empty((int(starts[-1]) - 2 * len(rings), 3), dtype=np.int64)
-    counts = np.zeros(len(rings), dtype=np.int64)
+    points = np.concatenate([np.zeros((0, 2)), *rings]).astype(
+        np.float64, copy=False
+    )
+    first, last = starts[:-1], starts[1:] - 1
+    nxt = np.arange(1, len(points) + 1)
+    nxt[last] = first
+    x, y = points[:, 0], points[:, 1]
+    terms = x * y[nxt] - x[nxt] * y
+    with np.errstate(over="ignore", invalid="ignore"):  # then not sure
+        sums = np.add.reduceat(terms, first)
+        sure = np.abs(sums) > np.maximum(
+            _SIGN_MARGIN * lengths * np.add.reduceat(np.abs(terms), first),
+            _LEAST_NORMAL,
+        )
+    flip = sums < 0
+    if not sure.all():
+        for r in np.flatnonzero(~sure):  # NaN's too
+            flip[r] = orientation(points[first[r]:last[r] + 1]) < 0
+    if flip.any():
+        ring_of = np.repeat(np.arange(len(rings)), lengths)
+        at = np.arange(len(points))
+        points = points[np.where(
+            flip[ring_of], first[ring_of] + last[ring_of] - at, at
+        )]
+    return points, starts
+
+
+def _clip(points: np.ndarray,
+          starts: np.ndarray) -> tuple[Triangles, np.ndarray, np.ndarray]:
+    """Every CCW ring's triangles (:func:`_ring_table`'s rings) from one
+    kernel call, slivers dropped: ``(triangles, their signed areas,
+    triangles per ring)``."""
+    rings = len(starts) - 1
+    lengths = starts[1:] - starts[:-1]
+    triples = np.empty((len(points) - 2 * rings, 3), dtype=np.int64)
+    counts = np.zeros(rings, dtype=np.int64)
     work = np.empty(3 * int(lengths.max(initial=0)), dtype=np.int64)
     failed = _kernel(
         np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1]),
-        starts, len(rings), triples, counts, work,
+        starts, rings, triples, counts, work,
     )
     if failed >= 0:
         raise TriangulationError("no ear found: ring is likely self-intersecting")
     tris = points[triples[:int(counts.sum())]]
     areas = _signed_areas(tris)
-    ring_of = np.repeat(np.arange(len(rings)), counts)
+    ring_of = np.repeat(np.arange(rings), counts)
     # Drop degenerate slivers produced by collinear input runs; a
     # three-vertex ring is its own triangle, flat or not.
     keep = (np.abs(areas) > 0.0) | (lengths[ring_of] == 3)
     return (
         tris[keep], areas[keep],
-        np.bincount(ring_of[keep], minlength=len(rings)),
+        np.bincount(ring_of[keep], minlength=rings),
     )
 
 
@@ -201,7 +244,7 @@ def triangulate_ring(ring: np.ndarray) -> Triangles:
     :class:`TriangulationError` if no ear can be found, which indicates a
     self-intersecting or degenerate input ring.
     """
-    return _clip([_ccw(ring)])[0]
+    return _clip(*_ring_table([ring]))[0]
 
 
 def _corner_faces(a, b, c, x: float, y: float) -> bool:
@@ -309,11 +352,13 @@ def triangulate_set(polygons: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray
         try:
             for hole in holes:
                 ring = _bridge_hole(ring, hole)
-            rings.append(_ccw(ring))
+            if len(ring) < 3:
+                raise TriangulationError("ring has fewer than 3 vertices")
         except TriangulationError as error:
             failure = error  # raised unless an earlier ring fails first
             break
-    triangles, areas, counts = _clip(rings)
+        rings.append(ring)
+    triangles, areas, counts = _clip(*_ring_table(rings))
     if failure is not None:
         raise failure
     # Normalize output to CCW so downstream edge functions can assume it.

@@ -35,10 +35,12 @@ pixel intervals that expand to exactly the scalar fragments' multiset.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.graphics.raster_triangle import (
     _HALF,
     SUBPIXEL_SCALE,
@@ -182,8 +184,73 @@ class BatchFragments:
         return self.pixels // self.width
 
 
+def _scan_numpy(n, fx, fy, x0, y0, w, h, dx, dy, bias, width, capacity,
+                row_tri, row_first, row_len, counts) -> int:
+    """The compiled scan's contract (``scan_triangles`` in
+    ``triangle_scan.c``) in whole-array passes: the path where no library
+    could be built."""
+    # One entry per pixel row of every live triangle's clipped bbox.
+    num_rows = int(h.sum())
+    tri = np.repeat(np.arange(n, dtype=np.int64), h)
+    row_ly = np.arange(num_rows, dtype=np.int64) - np.repeat(
+        np.cumsum(h) - h, h
+    )
+
+    # E + bias at the bbox-origin pixel center, and its per-pixel steps.
+    ccx0 = x0 * SUBPIXEL_SCALE + _HALF
+    ccy0 = y0 * SUBPIXEL_SCALE + _HALF
+    lo = np.zeros(num_rows, dtype=np.int64)
+    hi = np.repeat(w, h) - 1
+    for e in range(3):
+        e0b = (
+            dx[:, e] * (ccy0 - fy[:, e]) - dy[:, e] * (ccx0 - fx[:, e])
+            + bias[:, e]
+        )
+        # Value of E + bias at column 0 of each row; stepping one pixel
+        # right subtracts dy * SUBPIXEL_SCALE.
+        a = e0b[tri] + (dx[:, e] * SUBPIXEL_SCALE)[tri] * row_ly
+        b = (dy[:, e] * SUBPIXEL_SCALE)[tri]
+        pos = b > 0
+        neg = b < 0
+        # b > 0: a - b*lx >= 0  <=>  lx <= floor(a / b).
+        hi = np.where(pos, np.minimum(hi, a // np.where(pos, b, 1)), hi)
+        # b < 0: lx >= ceil(a / b) = -floor(a / -b).
+        lo = np.where(neg, np.maximum(lo, -(a // np.where(neg, -b, 1))), lo)
+        # b == 0: the whole row passes or fails on the sign of a.
+        hi = np.where(~pos & ~neg & (a < 0), np.int64(-1), hi)
+    seg = np.maximum(hi - lo + 1, 0)
+    counts[:] = np.bincount(tri, weights=seg, minlength=n)
+
+    keep = seg > 0
+    rows = int(keep.sum())
+    if rows > capacity:
+        return -1
+    row_tri[:rows] = tri[keep]
+    row_first[:rows] = (
+        (y0[tri[keep]] + row_ly[keep]) * width + x0[tri[keep]] + lo[keep]
+    )
+    row_len[:rows] = seg[keep]
+    return rows
+
+
+_NATIVE = None if native.TRIANGLE_SCAN is None else (
+    native.TRIANGLE_SCAN.scan_triangles
+)
+if _NATIVE is not None:  # typed to the C prototype
+    _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    _out = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS, WRITEABLE")
+    _NATIVE.argtypes = (
+        ctypes.c_int64, *[_i64] * 9, ctypes.c_int64, ctypes.c_int64,
+        *[_out] * 4,
+    )
+    _NATIVE.restype = ctypes.c_int64
+#: Which row scan runs: ``"native"`` or ``"numpy"``.
+KERNEL = "native" if _NATIVE is not None else "numpy"
+_scan = _NATIVE or _scan_numpy
+
+
 def rasterize_triangles(viewport: Viewport, verts: np.ndarray) -> BatchFragments:
-    """Rasterize N triangles with one vectorized scanline pass.
+    """Rasterize N triangles with one scanline pass over the set.
 
     Each biased edge function ``E(px, py) + bias`` is linear in ``px``,
     so on a fixed pixel row the half-plane test ``E + bias >= 0``
@@ -195,52 +262,28 @@ def rasterize_triangles(viewport: Viewport, verts: np.ndarray) -> BatchFragments
     emitted fragments are bit-identical to ``covered_pixels`` —
     triangle-major, row-major within a triangle, ascending column within
     a row — while the work drops from O(sum of bbox areas) to
-    O(rows + covered pixels).
+    O(rows + covered pixels).  The scan is one call of
+    ``triangle_scan.c`` (:mod:`repro.native`), or of its whole-array
+    numpy form where no compiler is; the set-up is numpy either way.
     """
     setup = setup_triangles(viewport, verts)
     n = len(setup.x0)
-    width = viewport.width
-
-    # One entry per pixel row of every live triangle's clipped bbox.
-    heights = setup.h
-    num_rows = int(heights.sum())
-    row_tri = np.repeat(np.arange(n, dtype=np.int64), heights)
-    row_ly = np.arange(num_rows, dtype=np.int64) - np.repeat(
-        np.cumsum(heights) - heights, heights
+    capacity = int(setup.h.sum())
+    row_tri, row_first, row_len = np.empty((3, capacity), dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    rows = _scan(
+        n, *map(np.ascontiguousarray, (
+            setup.fx, setup.fy, setup.x0, setup.y0, setup.w, setup.h,
+            setup.dx, setup.dy, setup.bias,
+        )),
+        viewport.width, capacity, row_tri, row_first, row_len, counts,
     )
-
-    # E + bias at the bbox-origin pixel center, and its per-pixel steps.
-    ccx0 = setup.x0 * SUBPIXEL_SCALE + _HALF
-    ccy0 = setup.y0 * SUBPIXEL_SCALE + _HALF
-    lo = np.zeros(num_rows, dtype=np.int64)
-    hi = np.repeat(setup.w, heights) - 1
-    for e in range(3):
-        e0b = (
-            setup.dx[:, e] * (ccy0 - setup.fy[:, e])
-            - setup.dy[:, e] * (ccx0 - setup.fx[:, e])
-            + setup.bias[:, e]
-        )
-        # Value of E + bias at column 0 of each row; stepping one pixel
-        # right subtracts dy * SUBPIXEL_SCALE.
-        a = e0b[row_tri] + (setup.dx[:, e] * SUBPIXEL_SCALE)[row_tri] * row_ly
-        b = (setup.dy[:, e] * SUBPIXEL_SCALE)[row_tri]
-        pos = b > 0
-        neg = b < 0
-        # b > 0: a - b*lx >= 0  <=>  lx <= floor(a / b).
-        hi = np.where(pos, np.minimum(hi, a // np.where(pos, b, 1)), hi)
-        # b < 0: lx >= ceil(a / b) = -floor(a / -b).
-        lo = np.where(neg, np.maximum(lo, -(a // np.where(neg, -b, 1))), lo)
-        # b == 0: the whole row passes or fails on the sign of a.
-        hi = np.where(~pos & ~neg & (a < 0), np.int64(-1), hi)
-    seg = np.maximum(hi - lo + 1, 0)
-    counts = np.bincount(row_tri, weights=seg, minlength=n).astype(np.int64)
-
-    keep = seg > 0
-    row_tri = row_tri[keep]
-    row_first = (
-        (setup.y0[row_tri] + row_ly[keep]) * width + setup.x0[row_tri] + lo[keep]
+    if rows < 0:
+        raise RuntimeError("the row scan outgrew its bounding-box rows")
+    return BatchFragments(
+        row_tri[:rows], row_first[:rows], row_len[:rows], counts,
+        viewport.width,
     )
-    return BatchFragments(row_tri, row_first, seg[keep], counts, width)
 
 
 def coverage_by_polygon(

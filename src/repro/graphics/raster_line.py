@@ -5,62 +5,80 @@ boundary passes through — a conservative outline.  On NVIDIA hardware the
 paper uses ``GL_NV_conservative_raster``; the portable fallback it mentions
 (a thicker outline with discard) is what grid traversal gives us exactly:
 a supercover walk reports every pixel a segment touches, including
-corner-touch cases.  :func:`outline_pixels_many` walks every edge of many
-polygons in one vectorized pass; the per-segment walk
+corner-touch cases.  :func:`outline_pixels_many` probes every edge of many
+polygons in one call of ``supercover.c`` (:mod:`repro.native`), or of its
+whole-array numpy form where no compiler is; the per-segment walk
 (``supercover_line``) and the one-polygon outline it replaced are the
 suites' oracles (``tests/graphics/reference_raster.py``).
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.graphics.viewport import Viewport
 
 
-def _ragged_crossings(
-    a: np.ndarray, d: np.ndarray, b: np.ndarray
+def _lattice_spans(
+    a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge lattice-crossing parameters along one axis, flattened.
+    """Per-edge ``(first, count)`` of the lattice lines one axis spans.
 
-    For every edge with start ``a``, delta ``d`` (end ``b = a + d``),
-    returns ``(edge_id, t)`` for each integer lattice line ``k`` in
-    ``[ceil(min(a, b)), floor(max(a, b))]`` with ``t = (k - a) / d``
-    clamped to the segment — exactly the values the scalar
-    ``supercover_line`` loop produces, computed for all edges at
-    once via a ragged ``arange``.
+    An edge from ``a`` to ``b`` crosses the integer lines ``k`` in
+    ``[ceil(min(a, b)), floor(max(a, b))]``:
+    ``first`` is the lowest (a float) and ``count`` how many, 0 when the
+    edge does not move on the axis or an end is not finite (such an edge
+    is probed at its ends only, and a NaN probe lands nowhere).  Both
+    kernels probe exactly these crossings, and their output capacity is
+    computed from the counts.
     """
-    moving = d != 0.0
-    lo = np.ceil(np.minimum(a, b))
-    hi = np.floor(np.maximum(a, b))
-    counts = np.where(moving, np.maximum(hi - lo + 1, 0), 0).astype(np.int64)
-    total = int(counts.sum())
+    first = np.ceil(np.minimum(a, b))
+    last = np.floor(np.maximum(a, b))
+    count = np.zeros(len(a), dtype=np.int64)
+    live = (a != b) & np.isfinite(first) & np.isfinite(last)
+    count[live] = np.maximum(last[live] - first[live] + 1, 0)
+    return first, count
+
+
+def _ragged_crossings(
+    a: np.ndarray, d: np.ndarray, first: np.ndarray, count: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(edge_id, t)`` for each lattice crossing of :func:`_lattice_spans`,
+    flattened, with ``t = (k - a) / d`` clamped to the segment — exactly
+    the values the scalar ``supercover_line`` loop produces, computed for
+    all edges at once via a ragged ``arange``."""
+    total = int(count.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-    eid = np.repeat(np.arange(len(a), dtype=np.int64), counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    k = lo[eid] + (np.arange(total, dtype=np.int64) - np.repeat(offsets, counts))
+    eid = np.repeat(np.arange(len(a), dtype=np.int64), count)
+    offsets = np.concatenate([[0], np.cumsum(count)[:-1]])
+    k = first[eid] + (
+        np.arange(total, dtype=np.int64) - np.repeat(offsets, count)
+    )
     t = (k - a[eid]) / d[eid]
     keep = (t >= 0.0) & (t <= 1.0)
     return eid[keep], t[keep]
 
 
-def _edges_touched_pixels(
-    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
-    owner: np.ndarray, width: int, height: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Supercover pixels of many segments in one vectorized pass.
+@np.errstate(invalid="ignore")  # a non-finite end: NaN probes
+def _supercover_numpy(n, ax, ay, bx, by, owner, xfirst, xcount, yfirst,
+                      ycount, width, height, capacity, keys) -> int:
+    """The compiled supercover's contract (``supercover_keys`` in
+    ``supercover.c``) in whole-array passes: the path where no library
+    could be built.
 
-    ``owner[e]`` tags edge ``e`` (e.g. with its polygon id); returns
-    ``(owner_of_pixel, flat_code)`` candidate arrays — in-bounds but not
-    deduplicated — where ``flat_code = ix * height + iy``, the same
-    flattening the scalar path uniques over.  The crossing parameters
-    and ±eps corner probes are ``supercover_line``'s float64 expressions,
-    elementwise.  Its interval midpoints add no pixel: each lies in a
-    cell within ``eps`` of the interval's probed first point, an endpoint
-    or a crossing (docs/rasterization.md, "Outlines").
+    Writes ``owner[e] * width * height + ix * height + iy`` for every
+    in-bounds pixel probed on edge ``e`` (``a -> b``) — in-bounds but not
+    deduplicated — and returns how many, or -1 when they would not fit
+    in ``capacity``.  The crossing parameters and ±eps corner probes are
+    ``supercover_line``'s float64 expressions, elementwise.  Its
+    interval midpoints add no pixel: each lies in a cell within ``eps``
+    of the interval's probed first point, an endpoint or a crossing
+    (docs/rasterization.md, "Outlines").
     """
     dx = bx - ax
     dy = by - ay
@@ -68,13 +86,11 @@ def _edges_touched_pixels(
         [np.ones_like(ax), np.abs(ax), np.abs(ay), np.abs(bx), np.abs(by)]
     )
 
-    xe, xt = _ragged_crossings(ax, dx, bx)
-    ye, yt = _ragged_crossings(ay, dy, by)
-    ends = np.arange(len(ax), dtype=np.int64)
+    xe, xt = _ragged_crossings(ax, dx, xfirst, xcount)
+    ye, yt = _ragged_crossings(ay, dy, yfirst, ycount)
+    ends = np.arange(n, dtype=np.int64)
     eid = np.concatenate([ends, ends, xe, ye])
-    ts = np.concatenate([
-        np.zeros(len(ax)), np.ones(len(ax)), xt, yt,
-    ])
+    ts = np.concatenate([np.zeros(n), np.ones(n), xt, yt])
 
     # Crossing-point probes: the four pixels incident to each crossing.
     x = ax[eid] + ts * dx[eid]
@@ -104,9 +120,62 @@ def _edges_touched_pixels(
     inside = (
         (cand_x >= 0) & (cand_x < width) & (cand_y >= 0) & (cand_y < height)
     )
+    written = int(inside.sum())
+    if written > capacity:
+        return -1
     ix = cand_x[inside].astype(np.int64)
     iy = cand_y[inside].astype(np.int64)
-    return owner[cand_e[inside]], ix * height + iy
+    keys[:written] = (
+        owner[cand_e[inside]] * (width * height) + ix * height + iy
+    )
+    return written
+
+
+_NATIVE = None if native.SUPERCOVER is None else (
+    native.SUPERCOVER.supercover_keys
+)
+if _NATIVE is not None:  # typed to the C prototype
+    _f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    _out = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS, WRITEABLE")
+    _NATIVE.argtypes = (
+        ctypes.c_int64, _f64, _f64, _f64, _f64, _i64, _f64, _i64, _f64, _i64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _out,
+    )
+    _NATIVE.restype = ctypes.c_int64
+#: Which supercover runs: ``"native"`` or ``"numpy"``.
+KERNEL = "native" if _NATIVE is not None else "numpy"
+_supercover = _NATIVE or _supercover_numpy
+
+
+def _edge_keys(
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
+    owner: np.ndarray, width: int, height: int, kernel=None,
+) -> np.ndarray:
+    """Supercover pixels of many segments in one kernel call.
+
+    ``owner[e]`` tags edge ``e`` (e.g. with its polygon id); returns the
+    ``owner * width * height + ix * height + iy`` keys of every pixel
+    the edges touch — in-bounds, not deduplicated, in no set order.
+    ``kernel`` (the compiled one, or :func:`_supercover_numpy`, where
+    none could be built) is for the tests.
+    """
+    ax, ay, bx, by = map(np.ascontiguousarray, (ax, ay, bx, by))
+    owner = np.ascontiguousarray(owner, dtype=np.int64)
+    if not len(ax) == len(ay) == len(bx) == len(by) == len(owner):
+        raise ValueError("every edge needs two ends and an owner")
+    xfirst, xcount = _lattice_spans(ax, bx)
+    yfirst, ycount = _lattice_spans(ay, by)
+    # At most four pixels per probe: two ends and every crossing.
+    capacity = 4 * (2 * len(ax) + int(xcount.sum()) + int(ycount.sum()))
+    keys = np.empty(capacity, dtype=np.int64)
+    written = (kernel or _supercover)(
+        len(ax), ax, ay, bx, by, owner, xfirst, xcount, yfirst, ycount,
+        width, height, capacity, keys,
+    )
+    if written < 0:
+        raise RuntimeError("the supercover outgrew its probe capacity")
+    return keys[:written]
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -157,14 +226,12 @@ def outline_pixels_many(
     nxt = np.arange(len(flat), dtype=np.int64) + 1
     nxt[starts + lengths - 1] = starts
     owner = np.repeat(np.asarray([pid for pid, _ in rings], np.int64), lengths)
-    owner_of, codes = _edges_touched_pixels(
-        sx, sy, sx[nxt], sy[nxt],
-        owner, viewport.width, viewport.height,
+    keys = _edge_keys(
+        sx, sy, sx[nxt], sy[nxt], owner, viewport.width, viewport.height,
     )
-    if not len(codes):
+    if not len(keys):
         return out
     span = viewport.width * viewport.height
-    keys = owner_of * span + codes
     if pids[0] >= 0 and (pids[-1] + 1) * span < 2**31:
         # The narrower sort is cheaper, and every key fits.
         keys = keys.astype(np.int32)

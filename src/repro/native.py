@@ -29,8 +29,10 @@ import subprocess
 import sysconfig
 
 #: No -ffast-math and no -march=native: a fused multiply-add rounds once
-#: where Python rounds twice, and would change bits.
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: where Python rounds twice, and would change bits.  -fwrapv: numpy's
+#: int64 arithmetic wraps, C's signed overflow is undefined, and the
+#: raster's edge functions can overflow.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fwrapv")
 _COMPILER = "cc"
 _PACKAGE = os.path.dirname(os.path.abspath(__file__))
 
@@ -95,5 +97,10 @@ def load(source: str) -> ctypes.CDLL | None:
         return None
 
 
-#: The ear clipper (``repro.geometry.triangulate``), loaded at import.
+#: The kernels, loaded (built one after another on a cold cache) at
+#: import: the ear clipper (``repro.geometry.triangulate``), the triangle
+#: row scan (``repro.graphics.raster_batch``) and the outline supercover
+#: (``repro.graphics.raster_line``).
 EARCLIP = load(os.path.join("geometry", "earclip.c"))
+TRIANGLE_SCAN = load(os.path.join("graphics", "triangle_scan.c"))
+SUPERCOVER = load(os.path.join("graphics", "supercover.c"))

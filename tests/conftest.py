@@ -26,6 +26,24 @@ settings.register_profile("repro", print_blob=True)
 settings.load_profile("repro")
 
 
+@pytest.fixture(params=["native", "numpy"])
+def raster_kernels(request, monkeypatch):
+    """Run the test on the compiled triangle scan and outline supercover
+    (skipped where none was built), then on their numpy forms."""
+    from repro.graphics import raster_batch, raster_line
+
+    if request.param == "native":
+        if raster_batch._NATIVE is None or raster_line._NATIVE is None:
+            pytest.skip("no compiled raster kernels on this platform")
+        scan, supercover = raster_batch._NATIVE, raster_line._NATIVE
+    else:
+        scan = raster_batch._scan_numpy
+        supercover = raster_line._supercover_numpy
+    monkeypatch.setattr(raster_batch, "_scan", scan)
+    monkeypatch.setattr(raster_line, "_supercover", supercover)
+    return request.param
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--shuffle-seed", type=int, default=None, metavar="N",

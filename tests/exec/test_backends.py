@@ -583,18 +583,22 @@ class TestProcessDispatch:
     def test_child_writes_stay_in_the_child(self):
         """Children see the parent's memory copy-on-write: what a task
         writes reaches the parent only through its pickled result (why
-        a tile task ships what it built home on its partial)."""
+        a tile task ships what it built home on its partial).  A child
+        may run both tasks, and then its second sees its first's write."""
         _CHILD_WRITES.clear()
         _CHILD_WRITES["seen"] = "parent"
 
         def task():
             seen = _CHILD_WRITES["seen"]
             _CHILD_WRITES["seen"] = "child"
-            return seen
+            return os.getpid(), seen
 
-        assert ProcessBackend(workers=2).run_tasks([task] * 2) == [
-            "parent", "parent"
-        ]
+        (first, seen_first), (second, seen_second) = ProcessBackend(
+            workers=2
+        ).run_tasks([task] * 2)
+        assert os.getpid() not in (first, second)
+        assert seen_first == "parent"
+        assert seen_second == ("child" if second == first else "parent")
         assert _CHILD_WRITES == {"seen": "parent"}
 
     @pytest.mark.parametrize("fails", [False, True], ids=["answers", "raises"])

@@ -20,7 +20,11 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.graphics.raster_line import _edges_touched_pixels, sorted_unique
+from repro.graphics.raster_line import (
+    _edge_keys,
+    _supercover_numpy,
+    sorted_unique,
+)
 from repro.graphics.raster_triangle import (
     _HALF,
     SUBPIXEL_SCALE,
@@ -230,17 +234,17 @@ def outline_pixels(
 
     Returns deduplicated local (ix, iy) arrays.  This renders the paper's
     boundary FBO content for one polygon.  All edges are traversed in one
-    vectorized pass (the flat-array convention of
-    :mod:`repro.graphics.raster_batch`); the result is the same pixel set
+    vectorized pass, always the numpy form of the package's supercover
+    (so the compiled one is held to it); the result is the same pixel set
     a per-edge :func:`supercover_line` loop produces, in the same sorted
     order (tested property).
     """
     ax, ay, bx, by = _ring_edges(viewport, rings)
     if not len(ax):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    _, codes = _edges_touched_pixels(
+    codes = _edge_keys(
         ax, ay, bx, by, np.zeros(len(ax), dtype=np.int64),
-        viewport.width, viewport.height,
+        viewport.width, viewport.height, kernel=_supercover_numpy,
     )
     if not len(codes):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)

@@ -2,7 +2,9 @@
 
 Every batched primitive must be *bit-identical* to its scalar
 per-triangle reference — same snap, same fill-rule tie-break, same
-fragment order.  These tests pin that contract triangle by triangle.
+fragment order.  These tests pin that contract triangle by triangle, on
+both kernels of the row scan and the outline supercover: the compiled
+ones and their numpy forms.
 """
 
 import tracemalloc
@@ -60,6 +62,7 @@ class TestFlatten:
         assert len(frags.pixels) == len(frags.row_len) == 0
 
 
+@pytest.mark.usefixtures("raster_kernels")
 class TestFragmentEquality:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_per_triangle_bit_equality(self, seed):
@@ -171,6 +174,7 @@ def assert_runs_of(runs: np.ndarray, triangles) -> None:
     )
 
 
+@pytest.mark.usefixtures("raster_kernels")
 class TestCoverageByPolygon:
     def test_runs_match_scalar_units(self):
         _, tris = _random_scene(5)
@@ -206,6 +210,7 @@ class TestCoverageByPolygon:
         assert coverage_by_polygon(VP, {}) == {}
 
 
+@pytest.mark.usefixtures("raster_kernels")
 class TestOutlineMany:
     def test_matches_single_polygon_outline(self):
         polys, _ = _random_scene(7)

@@ -1,4 +1,8 @@
-"""Unit tests for supercover line rasterization and outlines."""
+"""Unit tests for supercover line rasterization and outlines.
+
+The batched outline pass is checked on both supercover kernels: the
+compiled one and its numpy form.
+"""
 
 import numpy as np
 import pytest
@@ -118,6 +122,7 @@ class TestOutlinePixels:
             assert not np.any(mismatch & ~boundary)
 
 
+@pytest.mark.usefixtures("raster_kernels")
 class TestOutlineManyAgainstTheScalarWalk:
     """The batched pass probes each edge's endpoints and lattice
     crossings only; its pixels must be exactly those of a per-edge
@@ -223,6 +228,7 @@ def _adversarial_segments(rng, width, height, count):
     return a, b
 
 
+@pytest.mark.usefixtures("raster_kernels")
 @pytest.mark.parametrize("size", [7, 64, 1024, 8192])
 def test_outline_pass_equals_the_midpoint_walk_on_adversarial_segments(
     rng, size,
@@ -244,6 +250,7 @@ def test_outline_pass_equals_the_midpoint_walk_on_adversarial_segments(
         assert np.array_equal(got_x * size + got_y, want), (a0, a1, size)
 
 
+@pytest.mark.usefixtures("raster_kernels")
 @pytest.mark.parametrize("pid, key_dtype", [
     (1, np.int32),
     (2**23 - 2, np.int32),  # largest key 2**31 - 257

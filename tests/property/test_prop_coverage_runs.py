@@ -21,6 +21,8 @@ pixels a side and 1 / 4 / 16 tiles:
     sums, to 1e-12 for float sums;
 (d) the raster's own fragment count is unchanged: ``len(frags.ix)`` is
     the scalar count (the ledger's ``graphics.fragments``).
+
+Every test runs on both triangle scans: the compiled one and numpy's.
 """
 
 import numpy as np
@@ -35,6 +37,9 @@ from repro.geometry.triangulate import triangulate_polygon
 from repro.graphics.raster_batch import flatten_triangles, rasterize_triangles
 from tests.conftest import run_pixels, scalar_pixels
 from tests.property.test_prop_candidates import _points, _polygon_set
+
+
+pytestmark = pytest.mark.usefixtures("raster_kernels")
 
 
 def _sets(seed: int) -> PolygonSet:

@@ -3,10 +3,13 @@
 These pin down the invariants the raster join's correctness rests on:
 watertight triangle partitioning, scanline/triangle agreement, conservative
 coverage being a superset, and outline pixels covering every coverage
-error.
+error.  Every test runs on both raster kernels: the compiled triangle
+scan and outline supercover, and the numpy passes that run where no
+compiler is.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,15 +19,19 @@ from repro.graphics.conservative import (
     conservative_overlaps,
     conservative_polygon_pixels,
 )
+from repro.graphics.raster_batch import coverage_by_polygon
+from repro.graphics.raster_line import outline_pixels_many
 from repro.graphics.raster_polygon import scanline_polygon_pixels
 from repro.graphics.viewport import Viewport
+from tests.conftest import run_pixels
 from tests.graphics.reference_raster import (
     conservative_triangle_pixels,
     covered_pixels,
-    outline_pixels,
     supercover_line,
 )
 from tests.property.test_prop_geometry import star_polygons
+
+pytestmark = pytest.mark.usefixtures("raster_kernels")
 
 VP = Viewport(BBox(0, 0, 100, 100), 100, 100)
 
@@ -124,11 +131,11 @@ def test_polygon_pass_equals_the_union_of_triangle_masks(poly, side):
 def test_outline_covers_all_coverage_errors(poly):
     """Coverage-vs-PIP mismatches happen only on outline pixels — the
     exactness precondition of the accurate raster join."""
-    covered = np.zeros((100, 100), dtype=bool)
-    for tri in triangulate_polygon(poly):
-        xs, ys = covered_pixels(VP, tri)
-        covered[ys, xs] = True
-    ox, oy = outline_pixels(VP, poly.rings)
+    runs = coverage_by_polygon(VP, {0: triangulate_polygon(poly)})[0]
+    covered = np.zeros(100 * 100, dtype=bool)
+    covered[run_pixels(runs)] = True
+    covered = covered.reshape(100, 100)
+    ox, oy = outline_pixels_many(VP, {0: poly.rings})[0]
     boundary = np.zeros((100, 100), dtype=bool)
     boundary[oy, ox] = True
     cx, cy = np.meshgrid(np.arange(100) + 0.5, np.arange(100) + 0.5)
@@ -262,9 +269,9 @@ def test_batched_equals_scalar_across_tile_seams(poly, nx, ny):
 @given(star_polygons())
 @settings(max_examples=40, deadline=None)
 def test_vectorized_outline_equals_per_edge_supercover(poly):
-    """outline_pixels (vectorized) is the unique union of the scalar
-    per-edge supercover — same pixels, same sorted order."""
-    ox, oy = outline_pixels(VP, poly.rings)
+    """outline_pixels_many, on either kernel, is the unique union of the
+    scalar per-edge supercover — same pixels, same sorted order."""
+    ox, oy = outline_pixels_many(VP, {0: poly.rings})[0]
     cols, rows = [], []
     for ring in poly.rings:
         sx, sy = VP.to_screen(ring[:, 0], ring[:, 1])
@@ -288,8 +295,7 @@ def test_batched_multi_polygon_scatter(poly_a, poly_b):
     """coverage_by_polygon routes each covered row back to its owning
     polygon id even when polygons overlap: the runs expand to the
     scalar fragments of that polygon's triangles, sorted."""
-    from repro.graphics.raster_batch import coverage_by_polygon
-    from tests.conftest import run_pixels, scalar_pixels
+    from tests.conftest import scalar_pixels
 
     tris = {0: triangulate_polygon(poly_a), 1: triangulate_polygon(poly_b)}
     coverage = coverage_by_polygon(VP, tris)

@@ -1,6 +1,6 @@
 """The compiled-kernel loader: built once, reused without a process,
-refused when not private, and replaced by the Python kernel — same bits,
-no warning — where it cannot be built."""
+refused when not private, and replaced by the Python and numpy kernels —
+same bits, no warning — where it cannot be built."""
 
 import ast
 import os
@@ -95,48 +95,77 @@ def test_a_corrupt_library_is_not_loaded(cache):
     assert path.read_bytes() == b"\x7fELF not a library"
 
 
+#: The three kernels' libraries, and what each module calls its form.
+SOURCES = (SOURCE, os.path.join("graphics", "triangle_scan.c"),
+           os.path.join("graphics", "supercover.c"))
+KERNELS = ("from repro.geometry import triangulate as t\n"
+           "from repro.graphics import raster_batch as b, raster_line as o\n"
+           "print(t.KERNEL, b.KERNEL, o.KERNEL)\n")
+
+#: Triangles, row tables and outline keys over one zoning, saved to the
+#: ``.npz`` named by ``OUT``; compared against this process's own.
+OUTPUTS = (
+    "import numpy as np\n"
+    "from repro.data import generate_voronoi_regions\n"
+    "from repro.data.regions import NYC_REGION_EXTENT\n"
+    "from repro.geometry import triangulate as t\n"
+    "from repro.graphics.raster_batch import rasterize_triangles\n"
+    "from repro.graphics.raster_line import outline_pixels_many\n"
+    "from repro.graphics.viewport import Canvas\n"
+    "def outputs():\n"
+    "    polys = list(generate_voronoi_regions(96, NYC_REGION_EXTENT, seed=5))\n"
+    "    triangles, ids = t.triangulate_set(polys)\n"
+    "    view = Canvas(NYC_REGION_EXTENT, 512, 512).full_viewport()\n"
+    "    rows = rasterize_triangles(view, triangles)\n"
+    "    outline = outline_pixels_many(\n"
+    "        view, {pid: p.rings for pid, p in enumerate(polys)})\n"
+    "    return [triangles, ids, rows.row_tri, rows.row_first, rows.row_len,\n"
+    "            rows.counts, *(a for pair in outline.values() for a in pair)]\n"
+)
+
+
 def test_without_a_compiler_python_answers_the_same_bits(cache, tmp_path,
                                                          monkeypatch):
     monkeypatch.setattr(native, "_COMPILER", "no-such-compiler")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert native.load(SOURCE) is None
+        for source in SOURCES:
+            assert native.load(source) is None
     assert not (cache / "repro").exists() or not any(
         (cache / "repro").iterdir()
     )
-    # A fresh process with no compiler on its path: the Python kernel,
-    # silently (-W error), with the bits this process gets.
-    out = tmp_path / "triangles.npz"
+    # A fresh process with no compiler on its path: the Python ear
+    # clipper and the numpy raster passes, silently (-W error), with the
+    # bits this process gets.
+    out = tmp_path / "outputs.npz"
     done = run_python(
-        "import numpy as np\n"
-        "from repro.data import generate_voronoi_regions\n"
-        "from repro.data.regions import NYC_REGION_EXTENT\n"
-        "from repro.geometry import triangulate as t\n"
-        "polys = list(generate_voronoi_regions(96, NYC_REGION_EXTENT, seed=5))\n"
-        f"np.savez({str(out)!r}, *t.triangulate_set(polys))\n"
-        "print(t.KERNEL)\n",
+        OUTPUTS + KERNELS + f"np.savez({str(out)!r}, *outputs())\n",
         cache, PATH=str(tmp_path),
     )
-    assert done.stdout.split() == ["python"] and done.stderr == ""
-    polygons = list(generate_voronoi_regions(96, NYC_REGION_EXTENT, seed=5))
-    want = triangulate.triangulate_set(polygons)
+    assert done.stdout.split() == ["python", "numpy", "numpy"]
+    assert done.stderr == ""
+    scope: dict = {}
+    exec(OUTPUTS, scope)
+    want = scope["outputs"]()
     with np.load(out) as got:
-        for name, array in zip(("arr_0", "arr_1"), want):
-            assert got[name].dtype == array.dtype
-            assert got[name].tobytes() == array.tobytes()
+        assert len(got.files) == len(want)
+        for i, array in enumerate(want):
+            assert got[f"arr_{i}"].dtype == array.dtype
+            assert got[f"arr_{i}"].tobytes() == array.tobytes()
 
 
 def test_a_warm_cache_spawns_no_process(cache):
     """A child of a measured process lands in its ``RUSAGE_CHILDREN``
-    peak RSS: after the one compile, ``import repro`` starts none."""
+    peak RSS: after the compiles, ``import repro`` starts none."""
     code = (
-        "import resource, repro\n"
-        "from repro.geometry import triangulate\n"
-        "print(triangulate.KERNEL,"
-        " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        "import resource, repro\n" + KERNELS
+        + "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
     run_python(code, cache)  # cold: compiles, if it can
-    kernel, children = run_python(code, cache).stdout.split()
+    *kernels, children = run_python(code, cache).stdout.split()
     assert children == "0"
     if shutil.which("cc") is not None:
-        assert kernel == "native"
+        assert kernels == ["native"] * 3
+        assert sorted(p.name for p in (cache / "repro").iterdir()) == sorted(
+            Path(native.library_path(source)).name for source in SOURCES
+        )
