@@ -1,10 +1,11 @@
 """Scalar and vectorized geometric predicates.
 
 The point-in-polygon (PIP) test implemented here is the crossing-number
-(even-odd) rule with half-open edge handling, the same convention used by
-the scanline rasterizer in :mod:`repro.graphics.raster_polygon`.  Keeping the
-two consistent is what lets the test suite assert "raster coverage equals
-PIP of the pixel center" exactly.
+(even-odd) rule with half-open edge handling, the same convention as the
+scanline fill the raster suites keep as their oracle
+(``tests/graphics/reference_raster.py``).  Keeping the two consistent is
+what lets the test suite assert "raster coverage equals PIP of the pixel
+center" exactly.
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ reproduces the semantics that the raster-join algorithms rely on:
   paper's Figure 5;
 * framebuffer objects with additive blending
   (:mod:`repro.graphics.fbo`), the paper's point-count FBO;
-* triangle, line, and polygon rasterization with pixel-center coverage
-  and a watertight fill rule (:mod:`repro.graphics.raster_batch`
-  /:mod:`~repro.graphics.raster_line` /:mod:`~repro.graphics.raster_polygon`),
-  whole polygon sets per pass;
-* conservative rasterization (:mod:`repro.graphics.conservative`), standing
-  in for ``GL_NV_conservative_raster``.
+* triangle rasterization with pixel-center coverage and a watertight fill
+  rule (:mod:`repro.graphics.raster_batch`) and supercover outlines
+  (:mod:`~repro.graphics.raster_line`), whole polygon sets per pass — the
+  only polygon rasterizers: the engines, the grid index's exact cells and
+  the choropleth all draw through them;
+* the closed pixel/triangle overlap test
+  (:mod:`repro.graphics.conservative`), standing in for
+  ``GL_NV_conservative_raster`` in the §5 result intervals.
 
 Like real hardware, the triangle rasterizer snaps vertices to a fixed
 sub-pixel grid (1/256 of a pixel) and evaluates integer edge functions, so
@@ -25,8 +27,6 @@ once.
 from repro.graphics.viewport import Canvas, Viewport, resolution_for_epsilon
 from repro.graphics.fbo import FrameBuffer
 from repro.graphics.raster_triangle import SUBPIXEL_BITS
-from repro.graphics.conservative import conservative_polygon_pixels
-from repro.graphics.raster_polygon import scanline_polygon_pixels
 
 __all__ = [
     "Canvas",
@@ -34,6 +34,4 @@ __all__ = [
     "resolution_for_epsilon",
     "FrameBuffer",
     "SUBPIXEL_BITS",
-    "conservative_polygon_pixels",
-    "scanline_polygon_pixels",
 ]

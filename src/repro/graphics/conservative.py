@@ -10,17 +10,18 @@ The test is an exact separating-axis check between the pixel square and the
 triangle: the candidate axes for two convex polygons are the square's two
 axes (a bounding-box cut) and the triangle's three edge normals (each edge
 function evaluated at the square corner deepest inside that edge).
-:func:`conservative_overlaps` runs it on (triangle, pixel) pairs;
-:func:`conservative_polygon_pixels` on every pixel of each triangle's
-candidate block.  The one-triangle mask it replaced is the suites'
-oracle (``tests/graphics/reference_raster.py``).
+:func:`conservative_overlaps` runs it on (triangle, pixel) pairs, for the
+§5 intervals' false-negative rule (:mod:`repro.core.bounds`).  A whole
+polygon's touched pixels need no overlap test: they are its outline plus
+its covered pixels (:class:`repro.index.grid.GridIndex`'s exact cells).
+The one-triangle mask the pairwise test replaced is the suites' oracle
+(``tests/graphics/reference_raster.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphics.raster_line import sorted_unique
 from repro.graphics.viewport import Viewport
 
 
@@ -54,44 +55,3 @@ def conservative_overlaps(
         hit &= (dx[tri] * (corner_y - ay[tri])
                 - dy[tri] * (corner_x - ax[tri])) >= 0.0
     return hit
-
-
-#: Candidate blocks up to this many pixels are tested pair by pair in
-#: one call; a larger one gets a call of its own, which broadcasts a row
-#: of columns against a column of rows.
-_SMALL_BLOCK = 256
-
-
-def conservative_polygon_pixels(
-    viewport: Viewport, triangles: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicated (ix, iy) of all pixels a triangulated polygon touches,
-    ascending by ``(ix, iy)``: :func:`conservative_overlaps` over each
-    triangle's candidate block."""
-    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 2)
-    sx, sy = viewport.to_screen(tris[..., 0], tris[..., 1])
-    # Closed-overlap candidate block: pixel ix spans [ix, ix+1], so it can
-    # touch the triangle when ix >= min(sx) - 1 and ix <= max(sx).
-    x0 = np.maximum(np.ceil(sx.min(axis=1)) - 1, 0)
-    y0 = np.maximum(np.ceil(sy.min(axis=1)) - 1, 0)
-    bw = np.minimum(np.floor(sx.max(axis=1)), viewport.width - 1) - x0 + 1
-    bh = np.minimum(np.floor(sy.max(axis=1)), viewport.height - 1) - y0 + 1
-    held = np.flatnonzero((bw > 0) & (bh > 0))
-    x0, y0, bw, bh = (a[held].astype(np.int64) for a in (x0, y0, bw, bh))
-    small = bw * bh <= _SMALL_BLOCK
-    # Small blocks: every (pixel, triangle) pair in one call.
-    count = (bw * bh)[small]
-    tri = np.repeat(np.flatnonzero(small), count)
-    k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
-    ix, iy = x0[tri] + k % bw[tri], y0[tri] + k // bw[tri]
-    hit = conservative_overlaps(viewport, tris[held], tri, ix, iy)
-    flat = [ix[hit] * viewport.height + iy[hit]]
-    for j in np.flatnonzero(~small).tolist():
-        ix = np.arange(x0[j], x0[j] + bw[j])
-        iy = np.arange(y0[j], y0[j] + bh[j])
-        rows, cols = np.nonzero(conservative_overlaps(
-            viewport, tris[held[j]][None], 0, ix[None, :], iy[:, None]
-        ))
-        flat.append(ix[cols] * viewport.height + iy[rows])
-    flat = sorted_unique(np.concatenate(flat))
-    return flat // viewport.height, flat % viewport.height

@@ -24,22 +24,27 @@ from repro.graphics.viewport import Viewport
 
 
 def _lattice_spans(
-    a: np.ndarray, b: np.ndarray
+    a: np.ndarray, b: np.ndarray, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge ``(first, count)`` of the lattice lines one axis spans.
+    """Per-edge ``(first, count)`` of the lattice lines one axis spans on
+    a canvas ``size`` pixels long.
 
     An edge from ``a`` to ``b`` crosses the integer lines ``k`` in
-    ``[ceil(min(a, b)), floor(max(a, b))]``:
-    ``first`` is the lowest (a float) and ``count`` how many, 0 when the
-    edge does not move on the axis or an end is not finite (such an edge
-    is probed at its ends only, and a NaN probe lands nowhere).  Both
-    kernels probe exactly these crossings, and their output capacity is
+    ``[ceil(min(a, b)), floor(max(a, b))]``, clamped to ``[0, size]``:
+    a crossing of line ``k`` probes only pixels ``k - 1`` and ``k`` on
+    the axis, so a line outside that range probes none in bounds and
+    the clamp changes no key — it bounds the work by the canvas, not by
+    the edge's length.  ``first`` is the lowest (a float) and ``count``
+    how many, 0 when the edge does not move on the axis, an end is not
+    finite (such an edge is probed at its ends only, and a NaN probe
+    lands nowhere) or it spans no line of the canvas.  Both kernels
+    probe exactly these crossings, and their output capacity is
     computed from the counts.
     """
-    first = np.ceil(np.minimum(a, b))
-    last = np.floor(np.maximum(a, b))
+    first = np.maximum(np.ceil(np.minimum(a, b)), 0.0)
+    last = np.minimum(np.floor(np.maximum(a, b)), float(size))
     count = np.zeros(len(a), dtype=np.int64)
-    live = (a != b) & np.isfinite(first) & np.isfinite(last)
+    live = (a != b) & np.isfinite(a) & np.isfinite(b)
     count[live] = np.maximum(last[live] - first[live] + 1, 0)
     return first, count
 
@@ -164,9 +169,10 @@ def _edge_keys(
     owner = np.ascontiguousarray(owner, dtype=np.int64)
     if not len(ax) == len(ay) == len(bx) == len(by) == len(owner):
         raise ValueError("every edge needs two ends and an owner")
-    xfirst, xcount = _lattice_spans(ax, bx)
-    yfirst, ycount = _lattice_spans(ay, by)
-    # At most four pixels per probe: two ends and every crossing.
+    xfirst, xcount = _lattice_spans(ax, bx, width)
+    yfirst, ycount = _lattice_spans(ay, by, height)
+    # At most four pixels per probe: two ends and every crossing on the
+    # canvas.
     capacity = 4 * (2 * len(ax) + int(xcount.sum()) + int(ycount.sum()))
     keys = np.empty(capacity, dtype=np.int64)
     written = (kernel or _supercover)(

@@ -12,8 +12,11 @@ Two assignment modes exist, mirroring the paper:
 * ``exact`` — a polygon is registered only in cells its actual geometry
   touches (the optimized CPU-baseline build of §7.1, which "assigns a
   polygon only to those grid cells that the actual geometry intersects").
-  Exact assignment reuses the conservative rasterizer: the cells a polygon
-  touches are precisely its conservative raster on the grid viewport.
+  Those are its outline's cells plus the cells whose centre it covers:
+  the engine's two batched passes, run once each over the whole set on
+  the grid as a viewport.  On a simple ring that is the closed
+  conservative raster of its triangles, up to the outline's float
+  margin (docs/rasterization.md, "Grid cells").
 
 Probing is O(1): a point maps to one cell and scans that cell's list.
 """
@@ -29,7 +32,8 @@ from repro.errors import GeometryError
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import Polygon, PolygonSet
 from repro.geometry.triangulate import per_polygon, triangulate_set
-from repro.graphics.conservative import conservative_polygon_pixels
+from repro.graphics.raster_batch import coverage_by_polygon
+from repro.graphics.raster_line import outline_pixels_many, sorted_unique
 from repro.graphics.viewport import Viewport
 
 
@@ -101,9 +105,12 @@ class GridIndex:
         """The extent the constructor derives when none is given.
 
         The union of all polygon boxes, padded so boundary points on
-        the max edges still map to a cell.
+        the max edges still map to a cell.  No polygons give no box:
+        :class:`GeometryError`, like any other frame the index refuses.
         """
         polys = list(polygons)
+        if not polys:
+            raise GeometryError("a grid over no polygons needs an extent")
         extent = polys[0].bbox
         for p in polys[1:]:
             extent = extent.union(p.bbox)
@@ -177,8 +184,8 @@ class GridIndex:
         in its cell (ties across inserted pids resolve ascending), which
         is exactly where the ascending-pid scatter would have put it.
         Per-polygon cell lists are unique per cell in both assignment
-        modes (MBR boxes and conservative rasters never repeat a cell),
-        which the entry-matching below relies on.
+        modes (an MBR box never repeats a cell, and the exact cells are
+        deduplicated), which the entry-matching below relies on.
         """
         start_time = time.perf_counter()
         num_cells = self.resolution * self.resolution
@@ -318,14 +325,23 @@ class GridIndex:
                 )
                 out.append((gy * r + gx).ravel())
             return out
-        # Exact: cells overlapped by the geometry = conservative raster of
-        # the polygon's triangles over the grid-as-viewport.
+        # Exact: the outline's cells plus the interior's covered cells,
+        # one pass of each over the grid-as-viewport.
         viewport = Viewport(self.extent, r, r)
         triangles, ids = triangulate_set(polygons)
+        coverage = coverage_by_polygon(viewport, dict(
+            enumerate(per_polygon(triangles, ids, len(polygons)))
+        ))
+        outlines = outline_pixels_many(
+            viewport, {pid: p.rings for pid, p in enumerate(polygons)}
+        )
         out = []
-        for tris in per_polygon(triangles, ids, len(polygons)):
-            ix, iy = conservative_polygon_pixels(viewport, tris)
-            out.append(iy * r + ix)
+        for pid, runs in coverage.items():
+            ix, iy = outlines[pid]
+            out.append(sorted_unique(np.concatenate([
+                ragged_positions(runs[:, 0], runs[:, 1] - runs[:, 0]),
+                iy * r + ix,
+            ])))
         return out
 
     def _clamp(self, c: int) -> int:

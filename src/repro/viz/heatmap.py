@@ -1,11 +1,12 @@
 """Choropleth rendering: per-region aggregate values painted over pixels.
 
 Renders the paper's Figure 1/6 style heatmaps: each polygon is filled with
-its (normalized) aggregate value using the scanline rasterizer, then a
-colormap turns the value raster into an RGB image.  Because both the
-approximate and accurate results render through the same path, pixelwise
-comparison isolates the aggregation error — which is what the JND analysis
-measures.
+its (normalized) aggregate value over the pixels the engine's polygon pass
+covers (``coverage_by_polygon``, every polygon in one batched call; no
+outline is painted), then a colormap turns the value raster into an RGB
+image.  Because both the approximate and accurate results render through
+the same path, pixelwise comparison isolates the aggregation error — which
+is what the JND analysis measures.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import numpy as np
 
 from repro.errors import RasterJoinError
 from repro.geometry.polygon import PolygonSet
-from repro.graphics.raster_polygon import scanline_polygon_pixels
+from repro.geometry.triangulate import per_polygon, triangulate_set
+from repro.graphics.raster_batch import coverage_by_polygon
 from repro.graphics.viewport import Canvas
+from repro.index.grid import ragged_positions
 from repro.viz.colormap import SequentialColormap, YLORRD_LIKE
 
 
@@ -41,7 +44,9 @@ def choropleth_raster(
     """Rasterize per-polygon values into a float image (NaN = background).
 
     The returned array is ``(height, width)`` with rows ordered bottom-up
-    (world y increases with row index).
+    (world y increases with row index).  A pixel two polygons cover
+    takes the higher pid's value.  A set that cannot be triangulated
+    raises :class:`~repro.errors.TriangulationError`.
     """
     values = np.asarray(values, dtype=np.float64)
     if len(values) != len(polygons):
@@ -51,11 +56,14 @@ def choropleth_raster(
     norm = values if normalized else normalize_values(values)
     canvas = Canvas.for_resolution(polygons.bbox.expanded(1e-9), resolution)
     viewport = canvas.full_viewport()
+    triangles, ids = triangulate_set(list(polygons))
+    coverage = coverage_by_polygon(viewport, dict(
+        enumerate(per_polygon(triangles, ids, len(polygons)))
+    ))
     image = np.full((viewport.height, viewport.width), np.nan)
-    for pid, polygon in enumerate(polygons):
-        ix, iy = scanline_polygon_pixels(viewport, polygon.rings)
-        if len(ix):
-            image[iy, ix] = norm[pid]
+    flat = image.reshape(-1)  # flat pixel iy * width + ix
+    for pid, runs in coverage.items():
+        flat[ragged_positions(runs[:, 0], runs[:, 1] - runs[:, 0])] = norm[pid]
     return image
 
 

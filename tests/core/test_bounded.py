@@ -18,8 +18,8 @@ from repro import (
     Sum,
 )
 from repro.errors import QueryError
-from repro.graphics.raster_polygon import scanline_polygon_pixels
 from tests.conftest import brute_force_counts, brute_force_sums
+from tests.graphics.reference_raster import scanline_polygon_pixels
 
 
 class TestConstruction:

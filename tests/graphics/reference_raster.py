@@ -5,10 +5,11 @@ The engines rasterize whole polygon sets in flat batched passes
 ``repro.graphics.raster_line.outline_pixels_many`` for outlines).  These
 are the one-triangle, one-segment and one-polygon kernels those passes
 replaced: the per-triangle edge-function rasterizer with its fill-rule
-bias, the per-segment supercover walk, the one-polygon outline, and the
+bias, the per-segment supercover walk, the one-polygon outline, the
 one-triangle conservative mask
 (``repro.graphics.conservative.conservative_overlaps`` runs its test
-pair by pair).
+pair by pair), and the per-polygon scanline fill, which scan-converts
+the rings directly under the even-odd rule.
 Nothing under ``src/`` imports this module; the suites require the
 batched passes to return exactly what these return (the same pixels in
 the same order, the same sums).
@@ -16,7 +17,7 @@ the same order, the same sums).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -302,3 +303,138 @@ def conservative_triangle_pixels(
         if not mask.any():
             return 0, 0, np.zeros((0, 0), dtype=bool)
     return x0, y0, mask
+
+
+def _snap_rings(
+    viewport: Viewport, rings: Iterable[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    snapped = []
+    for ring in rings:
+        sx, sy = viewport.to_screen(ring[:, 0], ring[:, 1])
+        fx, fy = snap_to_subpixels(sx, sy)
+        snapped.append((fx, fy))
+    return snapped
+
+
+def _center_inside_exact(
+    px: int, py: int, rings: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> bool:
+    """Exact even-odd test of a subpixel lattice point, integer arithmetic.
+
+    Counts ring edges whose open-right crossing lies strictly right of the
+    point, with the half-open rule ``min(ay,by) <= py < max(ay,by)``.  The
+    comparison ``cross_x > px`` is done by cross-multiplication so no
+    division is involved.
+    """
+    inside = False
+    for fx, fy in rings:
+        n = len(fx)
+        ax, ay = int(fx[n - 1]), int(fy[n - 1])
+        for i in range(n):
+            bx, by = int(fx[i]), int(fy[i])
+            if (ay <= py < by) or (by <= py < ay):
+                # cross_x - px = N / (by - ay) with
+                # N = (bx - ax)(py - ay) - (px - ax)(by - ay)
+                num = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
+                if (num > 0) == (by > ay) and num != 0:
+                    inside = not inside
+            ax, ay = bx, by
+    return inside
+
+
+def scanline_polygon_pixels(
+    viewport: Viewport, rings: Iterable[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covered pixels of a polygon given as rings [exterior, *holes].
+
+    Returns local (ix, iy) arrays.  Row by row, the crossings of the ring
+    edges with the row's center line are collected; pixels whose centers
+    fall in odd-parity intervals are covered.  The two pixels flanking each
+    span endpoint are fixed up with the exact integer test.
+    """
+    snapped = _snap_rings(viewport, rings)
+    if not snapped:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+    all_fy = np.concatenate([fy for _, fy in snapped])
+    y_min_px = max(0, int((all_fy.min() - _HALF) // SUBPIXEL_SCALE))
+    y_max_px = min(viewport.height - 1, int(all_fy.max() // SUBPIXEL_SCALE))
+    if y_max_px < y_min_px:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+    # Flatten edges once: (ax, ay, bx, by) integer arrays.
+    ax_l, ay_l, bx_l, by_l = [], [], [], []
+    for fx, fy in snapped:
+        n = len(fx)
+        ax_l.append(fx)
+        ay_l.append(fy)
+        bx_l.append(np.roll(fx, -1))
+        by_l.append(np.roll(fy, -1))
+    ax = np.concatenate(ax_l).astype(np.float64)
+    ay = np.concatenate(ay_l).astype(np.float64)
+    bx = np.concatenate(bx_l).astype(np.float64)
+    by = np.concatenate(by_l).astype(np.float64)
+
+    cols: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    width = viewport.width
+    for j in range(y_min_px, y_max_px + 1):
+        cy = j * SUBPIXEL_SCALE + _HALF  # row center in subpixel units
+        spans = ((ay <= cy) & (cy < by)) | ((by <= cy) & (cy < ay))
+        if not spans.any():
+            continue
+        t = (cy - ay[spans]) / (by[spans] - ay[spans])
+        crossings = np.sort(ax[spans] + t * (bx[spans] - ax[spans]))
+        if len(crossings) % 2 == 1:
+            # Numerically impossible for closed rings, but guard anyway:
+            # fall back to exact per-pixel tests for this row.
+            row_cols = [
+                i for i in range(width)
+                if _center_inside_exact(i * SUBPIXEL_SCALE + _HALF, cy, snapped)
+            ]
+            if row_cols:
+                cols.append(np.asarray(row_cols, dtype=np.int64))
+                rows.append(np.full(len(row_cols), j, dtype=np.int64))
+            continue
+        row_cols_parts: list[np.ndarray] = []
+        for k in range(0, len(crossings), 2):
+            x_enter = crossings[k] / SUBPIXEL_SCALE
+            x_exit = crossings[k + 1] / SUBPIXEL_SCALE
+            # Centers at i + 0.5 with x_enter <= i + 0.5 < x_exit.
+            i_start = max(0, int(np.ceil(x_enter - 0.5)))
+            i_end = min(width - 1, int(np.ceil(x_exit - 0.5)) - 1)
+            # Exact fix-up at both ends: float rounding can misplace a span
+            # endpoint, possibly by several pixels on adversarial slivers.
+            # Walk each endpoint with the exact integer test until it
+            # agrees with the fill rule: first grow outward over covered
+            # neighbours, then shrink inward while the endpoint pixel
+            # itself is not covered.  The walks stop at the first failing
+            # test, so they can never jump the gap to another span.
+            while i_start > 0 and _center_inside_exact(
+                (i_start - 1) * SUBPIXEL_SCALE + _HALF, cy, snapped
+            ):
+                i_start -= 1
+            while i_end < width - 1 and _center_inside_exact(
+                (i_end + 1) * SUBPIXEL_SCALE + _HALF, cy, snapped
+            ):
+                i_end += 1
+            while i_start <= i_end and not _center_inside_exact(
+                i_start * SUBPIXEL_SCALE + _HALF, cy, snapped
+            ):
+                i_start += 1
+            while i_end >= i_start and not _center_inside_exact(
+                i_end * SUBPIXEL_SCALE + _HALF, cy, snapped
+            ):
+                i_end -= 1
+            if i_end >= i_start:
+                row_cols_parts.append(
+                    np.arange(i_start, i_end + 1, dtype=np.int64)
+                )
+        if row_cols_parts:
+            row_cols_arr = np.unique(np.concatenate(row_cols_parts))
+            cols.append(row_cols_arr)
+            rows.append(np.full(len(row_cols_arr), j, dtype=np.int64))
+
+    if not cols:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(cols), np.concatenate(rows)

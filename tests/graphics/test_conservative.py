@@ -1,18 +1,16 @@
-"""Unit tests for conservative rasterization: the one-triangle mask
-(the suites' oracle) and the polygon pass built on the pairwise test."""
+"""Unit tests for conservative rasterization's one-triangle mask, the
+suites' oracle for the pairwise overlap test and the grid index's exact
+cells (``tests/property/test_prop_raster.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.geometry.bbox import BBox
-from repro.geometry.triangulate import triangulate_polygon
-from repro.graphics.conservative import conservative_polygon_pixels
 from repro.graphics.viewport import Viewport
 from tests.graphics.reference_raster import (
     conservative_triangle_pixels,
     covered_pixels,
 )
-from tests.conftest import random_star_polygon
 
 VP = Viewport(BBox(0, 0, 16, 16), 16, 16)
 
@@ -76,26 +74,3 @@ class TestConservativeTriangle:
                     )
                     if sampled:
                         assert (ix, iy) in got
-
-
-class TestConservativePolygon:
-    def test_union_over_triangles(self, rng):
-        poly = random_star_polygon(rng, center=(8, 8), radius_range=(2, 7))
-        tris = triangulate_polygon(poly)
-        xs, ys = conservative_polygon_pixels(VP, tris)
-        got = set(zip(xs.tolist(), ys.tolist()))
-        expected = set()
-        for tri in tris:
-            expected |= conservative_set(tri)
-        assert got == expected
-
-    def test_deduplicated(self, rng):
-        poly = random_star_polygon(rng, center=(8, 8), radius_range=(2, 7))
-        tris = triangulate_polygon(poly)
-        xs, ys = conservative_polygon_pixels(VP, tris)
-        flat = xs * 16 + ys
-        assert len(np.unique(flat)) == len(flat)
-
-    def test_empty_triangle_list(self):
-        xs, ys = conservative_polygon_pixels(VP, [])
-        assert len(xs) == 0 and len(ys) == 0

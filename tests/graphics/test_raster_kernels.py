@@ -128,8 +128,8 @@ def test_the_supercover_stays_within_its_capacity(supercover):
     ring = np.array([[0.5, 0.5], [90.25, 3.0], [40.0, 77.7]])
     ax, ay = np.ascontiguousarray(ring.T)
     bx, by = np.roll(ax, -1), np.roll(ay, -1)
-    xfirst, xcount = raster_line._lattice_spans(ax, bx)
-    yfirst, ycount = raster_line._lattice_spans(ay, by)
+    xfirst, xcount = raster_line._lattice_spans(ax, bx, 100)
+    yfirst, ycount = raster_line._lattice_spans(ay, by, 100)
     want = raster_line._edge_keys(ax, ay, bx, by, np.zeros(3, np.int64),
                                   100, 100, kernel=supercover)
     keys = np.full(len(want), GUARD, dtype=np.int64)
@@ -157,3 +157,54 @@ def test_a_non_finite_edge_touches_no_pixel(supercover, monkeypatch):
                 cols, rows = supercover_line(ax, ay, bx, by, 100, 100)
                 want |= set(zip(cols.tolist(), rows.tolist()))
         assert set(zip(ox.tolist(), oy.tolist())) == want
+
+
+@pytest.mark.parametrize("supercover", SUPERCOVERS)
+def test_a_far_vertex_costs_the_canvas_not_the_edge(supercover):
+    """A vertex far off a 64² canvas: the crossings are clamped to the
+    canvas's lines, so the keys are the unclamped probes' and the
+    capacity is bounded by the canvas, not by the edges' length."""
+    ring = np.array([[10.0, 10.0], [2e5, 30.0], [20.0, 50.0]])
+    ax, ay = np.ascontiguousarray(ring.T)
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    owner = np.zeros(3, np.int64)
+    capacities = []
+
+    def kernel(*args):
+        capacities.append(args[-2])
+        return supercover(*args)
+
+    got = raster_line._edge_keys(ax, ay, bx, by, owner, 64, 64, kernel=kernel)
+    # Each edge: two ends and at most 65 lines per axis, four keys each.
+    assert capacities[0] <= 4 * 3 * (2 + 65 + 65)
+
+    def unclamped(a, b):
+        first = np.ceil(np.minimum(a, b))
+        count = (np.floor(np.maximum(a, b)) - first + 1).astype(np.int64)
+        return first, np.where(a != b, count, 0)
+
+    xfirst, xcount = unclamped(ax, bx)
+    yfirst, ycount = unclamped(ay, by)
+    capacity = 4 * (6 + int(xcount.sum()) + int(ycount.sum()))
+    assert capacity > 100 * capacities[0]
+    keys = np.empty(capacity, dtype=np.int64)
+    written = supercover(3, ax, ay, bx, by, owner, xfirst, xcount, yfirst,
+                         ycount, 64, 64, capacity, keys)
+    assert np.array_equal(raster_line.sorted_unique(got),
+                          raster_line.sorted_unique(keys[:written]))
+    assert len(got)
+
+
+@pytest.mark.parametrize("supercover", SUPERCOVERS)
+def test_an_edge_cutting_a_corner_cell_keeps_it(supercover, monkeypatch):
+    """The clamp keeps lines 0 and ``width`` / ``height``: an edge that
+    cuts a corner pixel from off the canvas crosses no other line, and
+    those crossings are its only probes in bounds."""
+    monkeypatch.setattr(raster_line, "_supercover", supercover)
+    view = Canvas(BBox(0.0, 0.0, 64.0, 64.0), 64, 64).full_viewport()
+    rings = {0: [np.array([[64.5, 63.2], [63.2, 64.5], [80.0, 80.0]])],
+             1: [np.array([[-0.5, 0.8], [-5.0, -5.0], [0.8, -0.5]])]}
+    got = outline_pixels_many(view, rings)
+    for pid, corner in ((0, (63, 63)), (1, (0, 0))):
+        ox, oy = got[pid]
+        assert list(zip(ox.tolist(), oy.tolist())) == [corner]

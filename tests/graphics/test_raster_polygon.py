@@ -1,4 +1,5 @@
-"""Unit tests for the scanline polygon fast path."""
+"""Unit tests for the scanline fill, the raster suites' polygon oracle
+(``tests/graphics/reference_raster.py``)."""
 
 import numpy as np
 import pytest
@@ -6,13 +7,12 @@ import pytest
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import Polygon
 from repro.geometry.triangulate import triangulate_polygon
-from repro.graphics.raster_polygon import (
-    accumulate_polygon_sum,
-    scanline_polygon_pixels,
-)
 from repro.graphics.viewport import Viewport
 from tests.conftest import random_star_polygon
-from tests.graphics.reference_raster import covered_pixels
+from tests.graphics.reference_raster import (
+    covered_pixels,
+    scanline_polygon_pixels,
+)
 
 VP = Viewport(BBox(0, 0, 32, 32), 32, 32)
 
@@ -85,18 +85,6 @@ class TestAgreementWithTrianglePath:
         assert scan_set(VP, sliver) == triangle_union_set(VP, sliver)
 
 
-class TestAccumulate:
-    def test_sum_matches_pixel_count(self):
-        channel = np.ones((32, 32), dtype=np.float32)
-        square = Polygon([(2, 2), (10, 2), (10, 10), (2, 10)])
-        assert accumulate_polygon_sum(VP, channel, square.rings) == 64.0
-
-    def test_empty(self):
-        channel = np.ones((32, 32), dtype=np.float32)
-        poly = Polygon([(100, 100), (110, 100), (105, 110)])
-        assert accumulate_polygon_sum(VP, channel, poly.rings) == 0.0
-
-
 class TestEndpointFixup:
     """Regression for the span-endpoint fix-up rewrite.
 
@@ -110,12 +98,11 @@ class TestEndpointFixup:
     @staticmethod
     def oracle_set(viewport, poly):
         """Ground truth: exact even-odd test of every pixel center."""
-        from repro.graphics.raster_polygon import (
-            _HALF,
+        from repro.graphics.raster_triangle import _HALF, SUBPIXEL_SCALE
+        from tests.graphics.reference_raster import (
             _center_inside_exact,
             _snap_rings,
         )
-        from repro.graphics.raster_triangle import SUBPIXEL_SCALE
 
         snapped = _snap_rings(viewport, poly.rings)
         out = set()

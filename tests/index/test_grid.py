@@ -50,6 +50,16 @@ class TestBuild:
             m = set(mbr.candidates_of_cell(cell).tolist())
             assert e <= m
 
+    def test_no_polygons_and_no_extent_is_a_geometry_error(self):
+        with pytest.raises(GeometryError):
+            GridIndex([])
+
+    def test_a_polygon_off_the_extent_has_no_exact_cells(self):
+        cells = GridIndex.cells_for_polygon(
+            rectangle(200, 200, 210, 210), BBox(0, 0, 100, 100), 16, "exact"
+        )
+        assert cells.dtype == np.int64 and len(cells) == 0
+
     def test_build_seconds_recorded(self, small_set):
         grid = GridIndex(small_set, resolution=8)
         assert grid.build_seconds >= 0.0

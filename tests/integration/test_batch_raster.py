@@ -24,9 +24,11 @@ from repro import (
     Sum,
 )
 from repro.geometry.triangulate import triangulate_polygon
-from repro.graphics.raster_polygon import scanline_polygon_pixels
 from tests.conftest import random_star_polygon, run_pixels, scalar_pixels
-from tests.graphics.reference_raster import outline_pixels
+from tests.graphics.reference_raster import (
+    outline_pixels,
+    scanline_polygon_pixels,
+)
 
 
 @pytest.fixture

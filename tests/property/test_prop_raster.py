@@ -2,31 +2,32 @@
 
 These pin down the invariants the raster join's correctness rests on:
 watertight triangle partitioning, scanline/triangle agreement, conservative
-coverage being a superset, and outline pixels covering every coverage
-error.  Every test runs on both raster kernels: the compiled triangle
+coverage being a superset, the grid index's exact cells (outline plus
+coverage) being the conservative raster, and outline pixels covering
+every coverage error.  Every test runs on both raster kernels: the compiled triangle
 scan and outline supercover, and the numpy passes that run where no
 compiler is.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InvalidPolygonError
 from repro.geometry.bbox import BBox
+from repro.geometry.polygon import Polygon
 from repro.geometry.triangulate import triangulate_polygon
-from repro.graphics.conservative import (
-    conservative_overlaps,
-    conservative_polygon_pixels,
-)
+from repro.graphics.conservative import conservative_overlaps
 from repro.graphics.raster_batch import coverage_by_polygon
 from repro.graphics.raster_line import outline_pixels_many
-from repro.graphics.raster_polygon import scanline_polygon_pixels
 from repro.graphics.viewport import Viewport
+from repro.index.grid import GridIndex
 from tests.conftest import run_pixels
 from tests.graphics.reference_raster import (
     conservative_triangle_pixels,
     covered_pixels,
+    scanline_polygon_pixels,
     supercover_line,
 )
 from tests.property.test_prop_geometry import star_polygons
@@ -109,21 +110,107 @@ def test_batched_overlap_equals_the_conservative_raster(xy, scale, shift):
     assert np.array_equal(got.reshape(16, 20), want)
 
 
-@given(star_polygons(), st.integers(6, 120))
-@settings(max_examples=60, deadline=None)
-def test_polygon_pass_equals_the_union_of_triangle_masks(poly, side):
-    """The grid index's exact cells: small candidate blocks tested pair
-    by pair, large ones broadcast, the union of the one-triangle masks
-    either way, ascending by ``(ix, iy)``."""
-    viewport = Viewport(BBox(0, 0, 100, 100), side, side)
-    tris = triangulate_polygon(poly)
-    want: set = set()
-    for tri in tris:
-        x0, y0, mask = conservative_triangle_pixels(viewport, tri)
-        ys_, xs_ = np.nonzero(mask)
-        want |= set(zip((xs_ + x0).tolist(), (ys_ + y0).tolist()))
-    xs, ys = conservative_polygon_pixels(viewport, tris)
-    assert list(zip(xs.tolist(), ys.tolist())) == sorted(want)
+@st.composite
+def lattice_rings(draw, side):
+    """Simple rings with integer vertices inside ``[0, side]²``: on a
+    ``side``-cell grid over that square every edge runs along or across
+    cell lines and every vertex sits on a cell corner."""
+    n = draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    radii = rng.uniform(1.0, side / 2.0, n)
+    ring = np.rint(side / 2.0 + radii[:, None] * np.column_stack(
+        [np.cos(angles), np.sin(angles)]
+    ))
+    ring = ring[np.any(ring != np.roll(ring, 1, axis=0), axis=1)]
+    assume(len(ring) >= 3)
+    # No spike: consecutive edges never fold back along one line.
+    d_in = ring - np.roll(ring, 1, axis=0)
+    d_out = np.roll(ring, -1, axis=0) - ring
+    cross = d_in[:, 0] * d_out[:, 1] - d_in[:, 1] * d_out[:, 0]
+    assume(not np.any((cross == 0) & (np.sum(d_in * d_out, axis=1) < 0)))
+    try:
+        poly = Polygon(ring)
+    except InvalidPolygonError:
+        assume(False)
+    assume(poly.is_simple())
+    return poly
+
+
+def _lattice_case(side):
+    """``(polygons, resolution, extent)``: one cell per unit, over the
+    whole ``side``-square or over a smaller square that cuts the set."""
+    return st.tuples(
+        st.lists(lattice_rings(side), min_size=1, max_size=3),
+        st.one_of(
+            st.just((side, BBox(0, 0, side, side))),
+            st.integers(2, side // 2).map(
+                lambda k: (k, BBox(3, 2, 3 + k, 2 + k))),
+        ),
+    ).map(lambda case: (case[0], *case[1]))
+
+
+_float_case = st.tuples(
+    st.lists(star_polygons(), min_size=1, max_size=3),
+    st.integers(6, 120),
+    st.sampled_from([BBox(0, 0, 100, 100), BBox(37.5, 20.25, 61.0, 48.0)]),
+)
+
+
+def _gap_to_rings(viewport, poly, cells, r):
+    """Per cell, the distance in pixels from its closed square to the
+    polygon's rings, for squares the rings do not meet: two disjoint
+    convex sets are nearest at a vertex of one of them, so it is the
+    least of each square corner's distance to each edge and each ring
+    vertex's distance to the square."""
+    iy, ix = np.divmod(np.asarray(sorted(cells), dtype=np.float64), r)
+    gap = np.full(len(ix), np.inf)
+    for ring in poly.rings:
+        sx, sy = viewport.to_screen(ring[:, 0], ring[:, 1])
+        for ax, ay, bx, by in zip(sx, sy, np.roll(sx, -1), np.roll(sy, -1)):
+            dx, dy = bx - ax, by - ay
+            for cx, cy in ((ix, iy), (ix + 1, iy), (ix, iy + 1),
+                           (ix + 1, iy + 1)):
+                t = np.clip(((cx - ax) * dx + (cy - ay) * dy)
+                            / max(dx * dx + dy * dy, 1e-300), 0.0, 1.0)
+                gap = np.minimum(
+                    gap, np.hypot(ax + t * dx - cx, ay + t * dy - cy)
+                )
+            gap = np.minimum(gap, np.hypot(
+                np.maximum(0.0, np.maximum(ix - ax, ax - ix - 1)),
+                np.maximum(0.0, np.maximum(iy - ay, ay - iy - 1)),
+            ))
+    return gap
+
+
+@given(st.one_of(_float_case, _lattice_case(16), _lattice_case(37)))
+@settings(max_examples=120, deadline=None)
+def test_exact_grid_cells_equal_the_union_of_triangle_masks(case):
+    """``GridIndex(..., "exact")``: each polygon's cells (its outline
+    plus its covered cells), once each, are the union of its triangles'
+    closed conservative masks on the grid — on free-float stars, on
+    rings whose edges lie on cell lines, and under an extent that cuts
+    the set.  Up to the outline's float margin: a cell whose square the
+    ring misses by less than the supercover's ``eps`` (1e-9 of the
+    largest coordinate, in pixels) is a cell too, so the cells may hold
+    such a square on top, never miss one."""
+    polys, r, extent = case
+    grid = GridIndex(polys, resolution=r, assignment="exact", extent=extent)
+    viewport = Viewport(extent, r, r)
+    cell = np.repeat(np.arange(r * r), np.diff(grid.cell_start))
+    for pid, poly in enumerate(polys):
+        want: set = set()
+        for tri in triangulate_polygon(poly):
+            x0, y0, mask = conservative_triangle_pixels(viewport, tri)
+            ys_, xs_ = np.nonzero(mask)
+            want |= set(((ys_ + y0) * r + xs_ + x0).tolist())
+        got = cell[grid.entries == pid]
+        assert len(np.unique(got)) == len(got)
+        assert want <= set(got.tolist())
+        sx, sy = viewport.to_screen(poly.exterior[:, 0], poly.exterior[:, 1])
+        eps = 1e-9 * max(1.0, np.abs(sx).max(), np.abs(sy).max())
+        extra = set(got.tolist()) - want
+        assert (_gap_to_rings(viewport, poly, extra, r) <= 2 * eps).all()
 
 
 @given(star_polygons())

@@ -156,7 +156,6 @@ CALLER_DIRS = ("src", "examples", "benchmarks")
 #: a session's explicit drop (``docs/query_sessions.md``), which the
 #: session tests drive.
 TEST_ONLY = {
-    "accumulate_polygon_sum": "tests/graphics/test_raster_polygon.py",
     "aggregate_allocated_bytes": "tests/exec/test_concurrent_backend.py",
     "aggregate_peak_bytes": "tests/exec/test_concurrent_backend.py",
     "point_in_triangle": "tests/geometry/reference_earclip.py",

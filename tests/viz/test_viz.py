@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.data import generate_voronoi_regions
+from repro.data.regions import NYC_REGION_EXTENT
 from repro.errors import RasterJoinError
 from repro.geometry.polygon import PolygonSet, rectangle
+from repro.graphics.viewport import Canvas
 from repro.viz.colormap import YLORRD_LIKE, SequentialColormap
 from repro.viz.heatmap import choropleth_raster, normalize_values, render_choropleth
 from repro.viz.jnd import JND_THRESHOLD, jnd_report
 from repro.viz.ppm import write_ppm
+from tests.graphics.reference_raster import scanline_polygon_pixels
 
 
 class TestColormap:
@@ -74,6 +78,32 @@ class TestChoropleth:
     def test_value_count_mismatch(self, two_squares):
         with pytest.raises(RasterJoinError):
             choropleth_raster(two_squares, np.asarray([1.0]), 64)
+
+    def test_equals_painting_the_scanline_fill(self):
+        """The coverage runs paint what the per-polygon scanline fill
+        paints, pixel for pixel, background included; where two
+        polygons overlap the higher pid wins."""
+        # Every fifth region dropped: holes of background in the tiling.
+        regions = [region for k, region in enumerate(generate_voronoi_regions(
+            40, NYC_REGION_EXTENT, seed=3
+        )) if k % 5]
+        box = PolygonSet(regions).bbox
+        regions.append(rectangle(
+            box.xmin + 0.3 * box.width, box.ymin + 0.3 * box.height,
+            box.xmin + 0.6 * box.width, box.ymin + 0.5 * box.height,
+        ))
+        polygons = PolygonSet(regions)
+        values = np.arange(len(polygons), dtype=np.float64) ** 1.5
+        got = choropleth_raster(polygons, values, 160)
+        viewport = Canvas.for_resolution(
+            polygons.bbox.expanded(1e-9), 160
+        ).full_viewport()
+        want = np.full((viewport.height, viewport.width), np.nan)
+        for pid, polygon in enumerate(polygons):
+            ix, iy = scanline_polygon_pixels(viewport, polygon.rings)
+            want[iy, ix] = normalize_values(values)[pid]
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_render_rgb_shape(self, two_squares):
         img = render_choropleth(two_squares, np.asarray([1.0, 2.0]), 32)
